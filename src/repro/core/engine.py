@@ -13,17 +13,25 @@ of this one code path: the only degree of freedom is the
 variants cannot drift apart in semantics or in the
 :class:`~repro.core.interface.QueryStats` they report.
 
-Besides the one-point path (:meth:`QueryEngine.run`), the engine provides a
-vectorised batch path (:meth:`QueryEngine.run_batch`) that amortises the
-per-query fixed costs across the whole batch, MRPT/HDIdx-style:
+There is one pipeline, :meth:`QueryEngine.run_batch`, laid out over a
+(Q, ν) block of query rows so the per-call fixed costs are paid once,
+MRPT/HDIdx-style:
 
 * query-to-reference distances for all Q points in one matmul;
-* Hilbert keys per tree for all Q points in one ``encode_batch`` pass;
+* Hilbert keys for every (tree, row) in one fused ``encode_for_curves``
+  pass;
 * one descriptor fetch per *unique* candidate across the batch (the κ sets
   of nearby queries overlap heavily, so this collapses the stage-(iii)
   random reads);
 * a single executor (thread pool, for the parallel index) reused across
-  all Q × τ tree scans.
+  all Q × τ tree scans;
+* the predicate mask, the WAL-delta screen and the deleted-id array
+  computed once per call, not per row.
+
+The one-point entry (:meth:`QueryEngine.run`) is that pipeline at Q = 1
+with the padding stripped.  The scalar pieces kept beside it
+(:meth:`QueryEngine.filter_survivors`, the node-path tree walk) are the
+reference the tests and benches compare the pipeline against.
 """
 
 from __future__ import annotations
@@ -95,10 +103,9 @@ class Executor:
 
 
 class SequentialExecutor(Executor):
-    """Run tree scans inline, in order — the plain :class:`HDIndex` mode."""
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        return [fn(item) for item in items]
+    """Run tree scans inline, in order — the plain :class:`HDIndex` mode.
+    With no pool (``workers`` is ``None``) the engine fuses every tree
+    into one :meth:`QueryEngine.scan_many` call and never maps."""
 
 
 class ProcessExecutor(Executor):
@@ -117,7 +124,7 @@ class ProcessExecutor(Executor):
     """
 
     #: Engine capability flag: scans run in another process, so the engine
-    #: routes through :meth:`scan_trees` rather than closure-based map().
+    #: routes through :meth:`scan_trees` (a map() closure could not cross).
     remote = True
 
     def __init__(self, snapshot_dir=None, num_workers: int | None = None,
@@ -145,11 +152,6 @@ class ProcessExecutor(Executor):
     @property
     def workers(self) -> int | None:  # type: ignore[override]
         return self.pool.num_workers
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        # Closures cannot cross the process boundary; anything not routed
-        # through scan_trees() degrades to inline execution.
-        return [fn(item) for item in items]
 
     def scan_trees(self, num_trees: int, points, alpha: int, beta: int,
                    gamma: int, ptolemaic: bool, predicate=None):
@@ -227,21 +229,6 @@ class QueryEngine:
 
     # -- stage (i): RDB-tree candidate retrieval --------------------------
 
-    def scan_tree(self, tree, part: np.ndarray, point: np.ndarray,
-                  alpha: int, key: int | bytes | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-        """α nearest entries by Hilbert key in one tree (Algo. 2 line 4).
-
-        ``key`` may be precomputed — as an int or the encoder's raw
-        big-endian bytes (batch paths encode all queries' keys per tree in
-        one pass); otherwise the point's sub-vector is quantised and
-        encoded here.
-        """
-        if key is None:
-            coords = self.index.quantizer.quantize(point[part])[None, :]
-            key = tree.curve.encode_batch_bytes(coords)[0].tobytes()
-        return tree.candidates(key, alpha)
-
     def scan_many(self, tree_indices: Sequence[int], points: np.ndarray,
                   query_ref: np.ndarray, alpha: int, beta: int, gamma: int,
                   ptolemaic: bool, eligible: np.ndarray | None = None
@@ -255,7 +242,7 @@ class QueryEngine:
         candidate matrix of all (tree, query) segments — no per-candidate
         Python loop anywhere.  Returns, per tree, one survivor-id array per
         query row; results are byte-identical to per-tree
-        :meth:`scan_tree` + :meth:`filter_survivors` calls.
+        ``tree.candidates`` + :meth:`filter_survivors` calls.
 
         ``eligible`` is the predicate-pushdown bitmap (bool per base
         object): candidates failing it are dropped *here*, before the
@@ -395,29 +382,46 @@ class QueryEngine:
     def rerank(self, point: np.ndarray, merged: np.ndarray, k: int
                ) -> tuple[np.ndarray, np.ndarray]:
         """Fetch the κ merged survivors' descriptors and rank exactly
-        (Algo. 2 lines 12-14).
+        (Algo. 2 lines 12-14): one row of :meth:`_rerank_rows`, padding
+        stripped.  κ = 0 (every candidate filtered or deleted) gives
+        empty arrays without touching the heap store."""
+        ids, dists = self._rerank_rows(point[None, :], [merged], k)
+        found = min(k, merged.shape[0])
+        return ids[0, :found], dists[0, :found]
+
+    def _rerank_rows(self, points: np.ndarray,
+                     merged_per_row: Sequence[np.ndarray], k: int
+                     ) -> tuple[np.ndarray, np.ndarray]:
+        """Stage (iii) for Q rows, amortised: fetch each distinct
+        candidate once for the whole batch, then rank per query against
+        the shared block.  Rows short of k answers are padded with id -1
+        / distance +inf.
 
         The fetch is the heap file's vectorised multi-row :meth:`gather`
         — over an mmap backend, one fancy-index into the zero-copy page
         matrix instead of κ per-record page reads, which is where the
         refinement stage's I/O cost (the binding constraint at scale)
         actually goes.
-
-        An empty surviving-candidate set (κ = 0 — every candidate
-        filtered or deleted) short-circuits to empty id/distance arrays
-        without touching the heap store: zero page reads recorded.
         """
-        kappa = merged.shape[0]
-        if not kappa:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64))
-        descriptors = self._gather_descriptors(merged)
-        exact = euclidean_to_many(point, descriptors,
-                                  self.index._distance_counter)
-        best = top_k_smallest(exact, min(k, kappa))
-        return merged[best], exact[best]
+        batch = points.shape[0]
+        ids_out = np.full((batch, k), -1, dtype=np.int64)
+        dists_out = np.full((batch, k), np.inf, dtype=np.float64)
+        if any(merged.shape[0] for merged in merged_per_row):
+            unique_ids = np.unique(np.concatenate(merged_per_row))
+            descriptors = self._gather_descriptors(unique_ids)
+            for row in range(batch):
+                merged = merged_per_row[row]
+                if not merged.shape[0]:
+                    continue
+                block = descriptors[np.searchsorted(unique_ids, merged)]
+                exact = euclidean_to_many(points[row], block,
+                                          self.index._distance_counter)
+                best = top_k_smallest(exact, min(k, merged.shape[0]))
+                ids_out[row, :best.shape[0]] = merged[best]
+                dists_out[row, :best.shape[0]] = exact[best]
+        return ids_out, dists_out
 
-    # -- full Algo. 2, one query ------------------------------------------
+    # -- full Algo. 2 ------------------------------------------------------
 
     def run(self, point: np.ndarray, k: int,
             alpha: int | None = None, beta: int | None = None,
@@ -425,79 +429,21 @@ class QueryEngine:
             predicate=None) -> tuple[np.ndarray, np.ndarray, QueryStats]:
         """Answer one query; returns (ids, dists, stats).
 
-        ``predicate`` (a :class:`~repro.meta.Predicate` or its dict
-        form) restricts the answer to matching points via pushdown: the
-        eligibility bitmap is computed once here, candidates failing it
-        are dropped before the filter kernels, and the (α, β, γ)
-        budgets are inflated by the observed selectivity.
+        This is :meth:`run_batch` at Q = 1 with the -1 / +inf padding
+        stripped (fewer than k survivors give short arrays) and no
+        ``extra["batch_size"]`` in the stats.
         """
-        index = self.index
-        predicate = index._coerce_query_predicate(predicate)
-        ptolemaic = (index.params.use_ptolemaic
-                     if use_ptolemaic is None else use_ptolemaic)
-        eff_alpha, eff_beta, eff_gamma = index._effective_sizes(
-            k, alpha, beta, gamma, ptolemaic)
-        eligible, selectivity = index._eligibility(predicate)
-        if predicate is not None:
-            eff_alpha, eff_beta, eff_gamma = inflate_filter_sizes(
-                eff_alpha, eff_beta, eff_gamma, selectivity)
-
-        started = time.perf_counter()
-        reads_before = index._total_page_reads()
-        random_before, sequential_before = index._read_breakdown()
-        index._distance_counter.reset()
-
         point = np.asarray(point, dtype=np.float64).ravel()
-        if point.shape[0] != index.dim:
+        if point.shape[0] != self.index.dim:
             raise ValueError(
                 f"query has dimension {point.shape[0]}, "
-                f"index expects {index.dim}")
-        if index.params.metric == "angular":
-            point = normalize_rows(point[None, :])[0]
-
-        if getattr(self.executor, "remote", False):
-            # Stages (i)+(ii) ran in worker processes over their own view
-            # of the snapshot; their page reads and distance computations
-            # arrive as a delta alongside the survivors.  The reference
-            # matmul is charged here, once — as the sequential path would
-            # — not per worker group.
-            index._distance_counter.add(index.references.size)
-            per_tree, remote_delta = self.executor.scan_trees(
-                len(index.trees), point[None, :], eff_alpha, eff_beta,
-                eff_gamma, ptolemaic,
-                None if predicate is None else predicate.to_dict())
-            survivor_ids = [rows[0] for rows in per_tree]
-        else:
-            remote_delta = None
-            # Distances from q to all m references (computed once per
-            # query).
-            query_ref = index.references.distances_from(point)[0]
-            index._distance_counter.add(index.references.size)
-            per_tree = self._dispatch_scans(
-                point[None, :], query_ref[None, :], eff_alpha, eff_beta,
-                eff_gamma, ptolemaic, eligible)
-            survivor_ids = [rows[0] for rows in per_tree]
-        merged = self._merge_survivors(survivor_ids, predicate)
-        ids, dists = self.rerank(point, merged, k)
-
-        random_after, sequential_after = index._read_breakdown()
-        stats = QueryStats(
-            time_sec=time.perf_counter() - started,
-            page_reads=index._total_page_reads() - reads_before,
-            random_reads=random_after - random_before,
-            sequential_reads=sequential_after - sequential_before,
-            candidates=merged.shape[0],
-            distance_computations=index._distance_counter.count,
-            extra=self._stats_extra(eff_alpha, eff_beta, eff_gamma,
-                                    ptolemaic,
-                                    None if predicate is None
-                                    else selectivity),
-        )
-        if remote_delta is not None:
-            self._add_remote_delta(stats, remote_delta)
-        return ids, dists, stats
-
-    # -- full Algo. 2, vectorised over a batch ----------------------------
+                f"index expects {self.index.dim}")
+        ids, dists, stats = self.run_batch(
+            point[None, :], k, alpha=alpha, beta=beta, gamma=gamma,
+            use_ptolemaic=use_ptolemaic, predicate=predicate)
+        del stats.extra["batch_size"]
+        found = ids[0] >= 0
+        return ids[0][found], dists[0][found], stats
 
     def run_batch(self, points: np.ndarray, k: int,
                   alpha: int | None = None, beta: int | None = None,
@@ -506,14 +452,21 @@ class QueryEngine:
                   ) -> tuple[np.ndarray, np.ndarray, QueryStats]:
         """Answer Q queries; returns ((Q, k) ids, (Q, k) dists, stats).
 
-        Per-query results are identical to Q calls of :meth:`run` (rows
-        short of k answers are padded with id -1 / distance +inf); only
-        the work layout changes, as described in the module docstring.
-        The returned stats aggregate the whole batch and carry
-        ``extra["batch_size"]``.  One ``predicate`` applies to every
-        row (mask computed once for the batch).
+        Rows are independent — row r is what the same point gets alone —
+        and rows short of k answers are padded with id -1 / distance
+        +inf; the work layout is described in the module docstring.  The
+        returned stats aggregate the whole batch and carry
+        ``extra["batch_size"]``.
+
+        ``predicate`` (a :class:`~repro.meta.Predicate` or its dict
+        form) restricts every row's answer to matching points via
+        pushdown: the eligibility bitmap is computed once here (inside
+        ``time_sec``), candidates failing it are dropped before the
+        filter kernels, and the (α, β, γ) budgets are inflated by the
+        observed selectivity.
         """
         index = self.index
+        started = time.perf_counter()
         predicate = index._coerce_query_predicate(predicate)
         ptolemaic = (index.params.use_ptolemaic
                      if use_ptolemaic is None else use_ptolemaic)
@@ -524,7 +477,6 @@ class QueryEngine:
             eff_alpha, eff_beta, eff_gamma = inflate_filter_sizes(
                 eff_alpha, eff_beta, eff_gamma, selectivity)
 
-        started = time.perf_counter()
         reads_before = index._total_page_reads()
         random_before, sequential_before = index._read_breakdown()
         index._distance_counter.reset()
@@ -540,94 +492,78 @@ class QueryEngine:
             points = normalize_rows(points)
         batch = points.shape[0]
 
+        # The (Q, m) reference-distance matmul is charged once per call
+        # whoever computes it — sequential-equivalent accounting, not
+        # once per worker group.
+        index._distance_counter.add(batch * index.references.size)
         if getattr(self.executor, "remote", False):
             # Worker processes run stages (i)+(ii) for their assigned
             # trees over all Q rows against their own snapshot view; the
-            # reference matmul and Hilbert encoding happen worker-side.
-            # The matmul is charged here, once — sequential-equivalent
-            # accounting — not per worker group.
-            index._distance_counter.add(batch * index.references.size)
+            # reference matmul and Hilbert encoding happen worker-side,
+            # and their page reads and distance computations arrive as a
+            # delta alongside the survivors.
             per_tree, remote_delta = self.executor.scan_trees(
                 len(index.trees), points, eff_alpha, eff_beta, eff_gamma,
                 ptolemaic,
                 None if predicate is None else predicate.to_dict())
         else:
             remote_delta = None
-            # One (Q, m) reference-distance matmul for the whole batch,
-            # then stages (i)+(ii) through the fused array-native path
-            # (one task per tree under a pool — a tree's page store stays
-            # on a single thread, the independence the paper's "little
+            # Stages (i)+(ii) through the fused array-native path (one
+            # task per tree under a pool — a tree's page store stays on
+            # a single thread, the independence the paper's "little
             # synchronization" argument rests on).
             query_ref = index.references.distances_from(points)
-            index._distance_counter.add(batch * index.references.size)
             per_tree = self._dispatch_scans(points, query_ref, eff_alpha,
                                             eff_beta, eff_gamma, ptolemaic,
                                             eligible)
+        tail = self._merge_tail(predicate)
         merged_per_row = [
             self._merge_survivors(
-                [tree_rows[row] for tree_rows in per_tree], predicate)
+                [tree_rows[row] for tree_rows in per_tree], tail=tail)
             for row in range(batch)]
-
-        # Stage (iii), amortised: fetch each distinct candidate once for
-        # the whole batch — one vectorised gather over the heap file —
-        # then rank per query against the shared block.
-        ids_out = np.full((batch, k), -1, dtype=np.int64)
-        dists_out = np.full((batch, k), np.inf, dtype=np.float64)
-        total_kappa = sum(m.shape[0] for m in merged_per_row)
-        if total_kappa:
-            unique_ids = np.unique(np.concatenate(merged_per_row))
-            descriptors = self._gather_descriptors(unique_ids)
-            for row in range(batch):
-                merged = merged_per_row[row]
-                if not merged.shape[0]:
-                    continue
-                block = descriptors[np.searchsorted(unique_ids, merged)]
-                exact = euclidean_to_many(points[row], block,
-                                          index._distance_counter)
-                best = top_k_smallest(exact, min(k, merged.shape[0]))
-                ids_out[row, :best.shape[0]] = merged[best]
-                dists_out[row, :best.shape[0]] = exact[best]
+        ids_out, dists_out = self._rerank_rows(points, merged_per_row, k)
 
         random_after, sequential_after = index._read_breakdown()
-        extra = self._stats_extra(eff_alpha, eff_beta, eff_gamma, ptolemaic,
-                                  None if predicate is None else selectivity)
+        extra = {"alpha": eff_alpha, "beta": eff_beta, "gamma": eff_gamma,
+                 "ptolemaic": ptolemaic}
+        if predicate is not None:
+            extra["selectivity"] = selectivity
+        if self.executor.workers is not None:
+            extra["workers"] = self.executor.workers
         extra["batch_size"] = batch
         stats = QueryStats(
             time_sec=time.perf_counter() - started,
             page_reads=index._total_page_reads() - reads_before,
             random_reads=random_after - random_before,
             sequential_reads=sequential_after - sequential_before,
-            candidates=total_kappa,
+            candidates=sum(m.shape[0] for m in merged_per_row),
             distance_computations=index._distance_counter.count,
             extra=extra,
         )
         if remote_delta is not None:
-            self._add_remote_delta(stats, remote_delta)
+            # Fold the worker-process counters in, so process-mode
+            # accounting matches what the sequential path would have
+            # charged for the same scans.
+            stats.page_reads += remote_delta["page_reads"]
+            stats.random_reads += remote_delta["random_reads"]
+            stats.sequential_reads += remote_delta["sequential_reads"]
+            stats.distance_computations += \
+                remote_delta["distance_computations"]
         return ids_out, dists_out, stats
 
     # -- internals --------------------------------------------------------
 
-    def _merge_survivors(self, survivor_ids: Sequence[np.ndarray],
-                         predicate=None) -> np.ndarray:
-        """Union of per-tree survivor sets, plus the WAL delta segment,
-        minus deleted ids (Algo. 2 line 11) — the single synchronisation
-        point.
+    def _merge_tail(self, predicate=None) -> tuple[np.ndarray, np.ndarray]:
+        """The per-call half of the merge: (WAL-delta ids, deleted ids).
 
-        Every un-compacted delta entry joins the survivor set: the delta
-        is the brute-force-searched tail of the index, and stage (iii)'s
-        exact distances decide whether any of it ranks.  Deleted ids are
-        filtered here for base and delta entries alike, so a
-        deleted-in-delta id can never surface from the base snapshot.
-
-        Base survivors arrive already predicate-masked (pushdown at the
-        scan stage); delta rows are screened here against their WAL-side
-        metadata, so an ineligible insert never reaches the gather.
+        Every un-compacted delta entry joins each row's survivor set:
+        the delta is the brute-force-searched tail of the index, and
+        stage (iii)'s exact distances decide whether any of it ranks.
+        Delta rows are screened here against their WAL-side metadata, so
+        an ineligible insert never reaches the gather.  Neither array
+        depends on the query row, so a batch derives them once.
         """
-        survivor_ids = [ids for ids in survivor_ids if ids.shape[0]]
-        if survivor_ids:
-            merged = np.unique(np.concatenate(survivor_ids))
-        else:
-            merged = np.empty(0, dtype=np.int64)
+        delta_ids = np.empty(0, dtype=np.int64)
         delta = getattr(self.index, "_delta", None)
         if delta is not None and len(delta):
             delta_ids = delta.id_range()
@@ -638,9 +574,24 @@ class QueryEngine:
                      for row in rows),
                     dtype=bool, count=len(rows))
                 delta_ids = delta_ids[keep]
-            if delta_ids.shape[0]:
-                merged = np.union1d(merged, delta_ids)
-        deleted = self.index._deleted_ids()
+        return delta_ids, self.index._deleted_ids()
+
+    def _merge_survivors(self, survivor_ids: Sequence[np.ndarray],
+                         predicate=None, tail=None) -> np.ndarray:
+        """Union of one row's per-tree survivor sets, plus the WAL delta
+        segment, minus deleted ids (Algo. 2 line 11) — the single
+        synchronisation point.
+
+        ``tail`` is the :meth:`_merge_tail` pair; a one-row caller (the
+        scalar oracle) may leave it out and pass ``predicate`` instead.
+        Deleted ids are filtered here for base and delta entries alike,
+        so a deleted-in-delta id can never surface from the base
+        snapshot.  Base survivors arrive already predicate-masked
+        (pushdown at the scan stage).
+        """
+        delta_ids, deleted = (self._merge_tail(predicate) if tail is None
+                              else tail)
+        merged = np.unique(np.concatenate([*survivor_ids, delta_ids]))
         if deleted.size:
             merged = merged[~np.isin(merged, deleted)]
         return merged
@@ -674,27 +625,6 @@ class QueryEngine:
             descriptors[~in_delta] = heap.gather(base_ids)
         descriptors[in_delta] = delta.gather(ids[in_delta])
         return descriptors
-
-    @staticmethod
-    def _add_remote_delta(stats: QueryStats, delta: dict) -> None:
-        """Fold worker-process counters into the caller-visible stats, so
-        process-mode accounting matches what the sequential path would
-        have charged for the same scans."""
-        stats.page_reads += delta["page_reads"]
-        stats.random_reads += delta["random_reads"]
-        stats.sequential_reads += delta["sequential_reads"]
-        stats.distance_computations += delta["distance_computations"]
-
-    def _stats_extra(self, alpha: int, beta: int, gamma: int,
-                     ptolemaic: bool,
-                     selectivity: float | None = None) -> dict:
-        extra = {"alpha": alpha, "beta": beta, "gamma": gamma,
-                 "ptolemaic": ptolemaic}
-        if selectivity is not None:
-            extra["selectivity"] = selectivity
-        if self.executor.workers is not None:
-            extra["workers"] = self.executor.workers
-        return extra
 
     def close(self) -> None:
         self.executor.close()

@@ -352,8 +352,6 @@ class HDIndex(KNNIndex):
             data, params.num_references, params.reference_method, rng,
             params.sss_fraction)
         reference_distances = self.references.distances_from(data)
-        peak_memory = (reference_distances.nbytes
-                       + self.references.memory_bytes())
 
         # Domain quantiser shared by all partitions (Table 4 domains are
         # global per dataset).
@@ -364,42 +362,8 @@ class HDIndex(KNNIndex):
             self.quantizer = GridQuantizer.from_data(
                 data, params.hilbert_order)
 
-        # One Hilbert curve + RDB-tree per partition (Algo. 1 lines 3-10).
-        self.partitions = make_partition(
-            dim, params.num_trees, params.partition_scheme, rng)
-        self.trees = []
-        object_ids = np.arange(n, dtype=np.int64)
-        for tree_index, part in enumerate(self.partitions):
-            curve = HilbertCurve(len(part), params.hilbert_order)
-            coords = self.quantizer.quantize(data[:, part])
-            keys = curve.encode_batch_bytes(coords)
-            peak_memory = max(
-                peak_memory,
-                reference_distances.nbytes + self.references.memory_bytes()
-                + coords.nbytes + n * curve.key_bytes)
-            tree = RDBTree(curve, params.num_references,
-                           store=self._make_store(f"tree_{tree_index}"),
-                           cache_pages=params.cache_pages,
-                           page_size=params.page_size)
-            tree.bulk_build(keys, object_ids, reference_distances)
-            self.trees.append(tree)
-
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            page_writes=sum(t.stats.page_writes for t in self.trees)
-            + self.heap.stats.page_writes,
-            peak_memory_bytes=peak_memory,
-            extra={
-                "leaf_orders": [t.leaf_order for t in self.trees],
-                "tree_heights": [t.height for t in self.trees],
-            },
-        )
-        if self._remote:
-            # Persist immediately: this snapshot is what the worker
-            # processes bootstrap from.
-            from repro.core.persistence import save_index
-            save_index(self, self.params.storage_dir)
-            self.attach_snapshot(self.params.storage_dir)
+        self._build_trees(lambda: (data,), n, reference_distances, rng,
+                          started)
 
     #: Rows per block when a streaming build re-reads the heap for the
     #: reference-distance / Hilbert-encoding passes.
@@ -495,15 +459,18 @@ class HDIndex(KNNIndex):
         self.references = ReferenceSet(reservoir[order],
                                        reservoir_ids[order])
         step = max(1, int(self.STREAM_CHUNK_ROWS))
+
+        def blocks():
+            # Float64 re-reads of the heap, the only full copy of the data.
+            for start in range(0, n, step):
+                ids = np.arange(start, min(start + step, n), dtype=np.int64)
+                yield heap.gather(ids).astype(np.float64)
+
         reference_distances = np.empty((n, num_references),
                                        dtype=np.float64)
-        for start in range(0, n, step):
-            stop = min(start + step, n)
-            block = self._stream_block(start, stop)
-            reference_distances[start:stop] = \
+        for start, block in zip(range(0, n, step), blocks()):
+            reference_distances[start:start + step] = \
                 self.references.distances_from(block)
-        peak_memory = (reference_distances.nbytes
-                       + self.references.memory_bytes())
 
         if params.domain is not None:
             domain_low, domain_high = params.domain
@@ -514,23 +481,39 @@ class HDIndex(KNNIndex):
         self.quantizer = GridQuantizer(domain_low, domain_high,
                                        params.hilbert_order)
 
+        self._build_trees(blocks, step, reference_distances, rng, started,
+                          streamed=True)
+
+    def _build_trees(self, blocks, block_rows: int,
+                     reference_distances: np.ndarray,
+                     rng: np.random.Generator, started: float,
+                     **extra) -> None:
+        """The tail both builds share: one Hilbert curve + RDB-tree per
+        partition (Algo. 1 lines 3-10), the :class:`BuildStats`, and the
+        snapshot a remote executor bootstraps from.
+
+        ``blocks()`` yields the dataset as float64 row blocks of at most
+        ``block_rows`` rows, in id order — the array itself as a single
+        block for :meth:`build`, heap re-reads (once per tree) for
+        :meth:`build_from_chunks`.
+        """
+        params = self.params
+        resident = reference_distances.nbytes + self.references.memory_bytes()
+        peak_memory = resident
         self.partitions = make_partition(
-            dim, params.num_trees, params.partition_scheme, rng)
+            self.dim, params.num_trees, params.partition_scheme, rng)
         self.trees = []
-        object_ids = np.arange(n, dtype=np.int64)
+        object_ids = np.arange(self.count, dtype=np.int64)
         for tree_index, part in enumerate(self.partitions):
             curve = HilbertCurve(len(part), params.hilbert_order)
-            key_parts = []
-            for start in range(0, n, step):
-                stop = min(start + step, n)
-                block = self._stream_block(start, stop)
-                coords = self.quantizer.quantize(block[:, part])
-                key_parts.append(curve.encode_batch_bytes(coords))
-            keys = np.concatenate(key_parts, axis=0)
+            keys = np.concatenate([
+                curve.encode_batch_bytes(
+                    self.quantizer.quantize(block[:, part]))
+                for block in blocks()], axis=0)
+            # All keys plus one block's uint64 grid coordinates.
             peak_memory = max(
                 peak_memory,
-                reference_distances.nbytes + self.references.memory_bytes()
-                + keys.nbytes + step * len(part) * 8)
+                resident + keys.nbytes + block_rows * len(part) * 8)
             tree = RDBTree(curve, params.num_references,
                            store=self._make_store(f"tree_{tree_index}"),
                            cache_pages=params.cache_pages,
@@ -546,19 +529,15 @@ class HDIndex(KNNIndex):
             extra={
                 "leaf_orders": [t.leaf_order for t in self.trees],
                 "tree_heights": [t.height for t in self.trees],
-                "streamed": True,
+                **extra,
             },
         )
         if self._remote:
+            # Persist immediately: this snapshot is what the worker
+            # processes bootstrap from.
             from repro.core.persistence import save_index
-            save_index(self, self.params.storage_dir)
-            self.attach_snapshot(self.params.storage_dir)
-
-    def _stream_block(self, start: int, stop: int) -> np.ndarray:
-        """Float64 heap rows [start, stop) for the streaming build's
-        re-read passes (the heap is the only full copy of the data)."""
-        ids = np.arange(start, stop, dtype=np.int64)
-        return self.heap.gather(ids).astype(np.float64)
+            save_index(self, params.storage_dir)
+            self.attach_snapshot(params.storage_dir)
 
     @staticmethod
     def _reservoir_update(reservoir: np.ndarray, reservoir_ids: np.ndarray,
@@ -846,8 +825,6 @@ class HDIndex(KNNIndex):
         backend = self.params.resolved_backend
         if backend == "memory":
             return None
-        import os
-
         from repro.storage.pages import FilePageStore, MmapPageStore
         os.makedirs(self.params.storage_dir, exist_ok=True)
         path = os.path.join(self.params.storage_dir, f"{stem}.pages")

@@ -187,11 +187,6 @@ class KNNIndex:
             self._query_stats = total
         return ids, dists
 
-    def batch_query(self, points: np.ndarray,
-                    k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Backward-compatible alias for :meth:`query_batch`."""
-        return self.query_batch(points, k)
-
     # -- accounting -------------------------------------------------------
 
     def index_size_bytes(self) -> int:

@@ -177,7 +177,7 @@ def _scan_trees_task(tree_indices: list[int], points: np.ndarray,
     # The query-to-reference matmul is NOT charged here: every worker
     # group recomputes it for its own trees, but the sequential path
     # computes it once per query, and the parent charges exactly that
-    # (engine run/run_batch remote branch) so process-mode QueryStats
+    # (engine run_batch remote branch) so process-mode QueryStats
     # stay identical to sequential ones.
     query_ref = index.references.distances_from(points)
 

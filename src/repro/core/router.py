@@ -281,34 +281,21 @@ class ShardRouter(KNNIndex):
               gamma: int | None = None,
               use_ptolemaic: bool | None = None,
               predicate=None) -> tuple[np.ndarray, np.ndarray]:
-        """Fan the query out to every shard and merge by exact distance.
+        """Fan the query out to every shard and merge by exact distance:
+        :meth:`query_batch` at Q = 1 with the -1 / +inf padding stripped
+        and no ``extra["batch_size"]`` in the stats.
 
         The per-call parameter overrides (and ``predicate``) are
         forwarded to every shard, so α/β/γ sweeps and filtered queries
         behave exactly as on the unsharded index.
         """
-        self._require_built()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        self._sync_manifest()
-        started = time.perf_counter()
-        all_ids: list[np.ndarray] = []
-        all_dists: list[np.ndarray] = []
-        shard_stats: list[QueryStats] = []
-        for shard_index, shard in enumerate(self.shards):
-            ids, dists = shard.query(point, k, alpha=alpha, beta=beta,
-                                     gamma=gamma,
-                                     use_ptolemaic=use_ptolemaic,
-                                     predicate=predicate)
-            shard_stats.append(shard.last_query_stats())
-            all_ids.append(self._id_array(shard_index)[ids])
-            all_dists.append(dists)
-        merged_ids = np.concatenate(all_ids)
-        merged_dists = np.concatenate(all_dists)
-        order = np.lexsort((merged_ids, merged_dists))[:k]
-        self._query_stats = self._aggregate_stats(
-            shard_stats, time.perf_counter() - started)
-        return merged_ids[order], merged_dists[order]
+        point = np.asarray(point, dtype=np.float64).ravel()
+        ids, dists = self.query_batch(
+            point[None, :], k, alpha=alpha, beta=beta, gamma=gamma,
+            use_ptolemaic=use_ptolemaic, predicate=predicate)
+        del self._query_stats.extra["batch_size"]
+        found = ids[0] >= 0
+        return ids[0][found], dists[0][found]
 
     def query_batch(self, points: np.ndarray, k: int,
                     alpha: int | None = None, beta: int | None = None,
@@ -352,29 +339,19 @@ class ShardRouter(KNNIndex):
             keep = pool_ids[row][order] >= 0
             ids_out[row, :keep.sum()] = pool_ids[row][order][keep]
             dists_out[row, :keep.sum()] = pool_dists[row][order][keep]
-        self._query_stats = self._aggregate_stats(
-            shard_stats, time.perf_counter() - started,
-            extra={"batch_size": batch})
-        return ids_out, dists_out
-
-    def _aggregate_stats(self, shard_stats: list[QueryStats],
-                         elapsed: float,
-                         extra: dict | None = None) -> QueryStats:
-        """Sum the per-shard counters (each shard is one machine; the
-        merge adds no I/O)."""
-        merged_extra = {"shards": self.num_shards}
-        if extra:
-            merged_extra.update(extra)
-        return QueryStats(
-            time_sec=elapsed,
+        # Sum the per-shard counters (each shard is one machine; the
+        # merge adds no I/O).
+        self._query_stats = QueryStats(
+            time_sec=time.perf_counter() - started,
             page_reads=sum(s.page_reads for s in shard_stats),
             random_reads=sum(s.random_reads for s in shard_stats),
             sequential_reads=sum(s.sequential_reads for s in shard_stats),
             candidates=sum(s.candidates for s in shard_stats),
             distance_computations=sum(s.distance_computations
                                       for s in shard_stats),
-            extra=merged_extra,
+            extra={"shards": self.num_shards, "batch_size": batch},
         )
+        return ids_out, dists_out
 
     def insert(self, vector: np.ndarray, metadata=None) -> int:
         """Route the insert to the least-loaded shard; return a global id.

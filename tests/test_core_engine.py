@@ -12,20 +12,32 @@ sharded indexes structurally impossible; these tests pin the contract:
   metrics depend on — as sequential execution (regression: it used to
   drop them);
 * the shard router forwards per-call α/β/γ/Ptolemaic overrides and
-  supports global-id ``delete``.
+  supports global-id ``delete``;
+* ``query`` is ``query_batch`` at Q = 1, so both are checked against a
+  scalar oracle that shares none of the batched kernels (plain, filtered
+  and over a WAL delta with deletes; every executor), and the adapter's
+  own contract — unpadded short answers, no ``batch_size`` in the stats,
+  ``ValueError`` on a wrong dimension — is pinned directly.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    Execution,
     HDIndex,
     HDIndexParams,
+    IndexSpec,
     QueryEngine,
     SequentialExecutor,
     ShardRouter,
     ThreadedExecutor,
+    build,
 )
+from repro.core.engine import inflate_filter_sizes
+from repro.meta import Eq
 
 
 def thread_index(p, workers=None):
@@ -145,14 +157,6 @@ class TestCrossImplementationParity:
         ref_ids, _ = sequential.query(queries[0], 5)
         np.testing.assert_array_equal(ids[0], ref_ids)
 
-    def test_legacy_batch_query_alias(self, workload, built_trio):
-        _, queries = workload
-        sequential, _, _ = built_trio
-        ids_new, dists_new = sequential.query_batch(queries, 5)
-        ids_old, dists_old = sequential.batch_query(queries, 5)
-        np.testing.assert_array_equal(ids_new, ids_old)
-        np.testing.assert_allclose(dists_new, dists_old)
-
     def test_default_loop_batch_aggregates_stats(self, workload):
         """Indexes without a vectorised override (the baselines) must
         still report batch-total stats after query_batch, so harness
@@ -176,8 +180,12 @@ class TestStatsParity:
         sequential read split from its QueryStats."""
         _, queries = workload
         sequential, parallel, _ = built_trio
-        sequential.query(queries[0], 10)
-        parallel.query(queries[0], 10)
+        # Twice: whether a store's first read counts as sequential depends
+        # on the last page it touched, i.e. on what the shared fixture
+        # answered before; the first call levels that history.
+        for _ in range(2):
+            sequential.query(queries[0], 10)
+            parallel.query(queries[0], 10)
         stats_seq = sequential.last_query_stats()
         stats_par = parallel.last_query_stats()
         assert stats_par.page_reads == stats_seq.page_reads
@@ -381,3 +389,189 @@ class TestDeleteBatchParity:
         ids, dists = index.query_batch(data[:3], 5)
         assert np.all(ids == -1)
         assert np.all(np.isinf(dists))
+
+
+def scalar_oracle(index, point, k, predicate=None):
+    """Algo. 2 for one point through the scalar pieces only: per-point
+    ``curve.encode``, node-path ``tree.candidates`` (packed mirrors
+    detached), per-tree ``filter_survivors``, one-row ``_merge_survivors``
+    and ``rerank`` — modelled on ``benchmarks/bench_hotpath.py``."""
+    engine = index._engine
+    point = np.asarray(point, dtype=np.float64)
+    predicate = index._coerce_query_predicate(predicate)
+    ptolemaic = index.params.use_ptolemaic
+    alpha, beta, gamma = index._effective_sizes(k, None, None, None,
+                                                ptolemaic)
+    eligible, selectivity = index._eligibility(predicate)
+    if predicate is not None:
+        alpha, beta, gamma = inflate_filter_sizes(alpha, beta, gamma,
+                                                  selectivity)
+    saved = [tree.tree._packed for tree in index.trees]
+    for tree in index.trees:
+        tree.tree._packed = None
+    try:
+        query_ref = index.references.distances_from(point)[0]
+        survivors = []
+        for tree, part in zip(index.trees, index.partitions):
+            key = int(tree.curve.encode(index.quantizer.quantize(point[part])))
+            cand_ids, cand_ref = tree.candidates(key, alpha)
+            if eligible is not None:
+                keep = eligible[cand_ids]
+                cand_ids, cand_ref = cand_ids[keep], cand_ref[keep]
+            survivors.append(engine.filter_survivors(
+                query_ref, cand_ids, cand_ref, beta, gamma, ptolemaic))
+        merged = engine._merge_survivors(survivors, predicate)
+        return engine.rerank(point, merged, k)
+    finally:
+        for tree, packed in zip(index.trees, saved):
+            tree.tree._packed = packed
+
+
+DELTA_LABELS = (1, 1, 0)
+
+
+class TestScalarOracleParity:
+    """``run`` is ``run_batch`` at Q = 1, so batch-equals-loop only shows
+    that rows are independent; this is the check that the one pipeline
+    computes Algo. 2."""
+
+    K = 10
+
+    @pytest.fixture(params=["sequential", "threaded", "process"])
+    def updated(self, request, workload, tmp_path):
+        """A labelled WAL index per executor, with a delta holding three
+        inserts (the second deleted again, the third failing the filter)
+        and two base deletes; yields (index, every vector by id, deleted
+        ids)."""
+        data, queries = workload
+        directory = str(tmp_path / "snap")
+        index = build(
+            IndexSpec(params=params(storage_dir=directory,
+                                    use_ptolemaic=True),
+                      execution=Execution(kind=request.param, workers=2,
+                                          wal=True)),
+            data, storage_dir=directory,
+            metadata=[{"label": i % 3} for i in range(len(data))])
+        deleted = {int(v) for v in index.query(queries[0], 2)[0]}
+        inserted = np.clip(queries[:3] + 0.25, 0, 100)
+        new_ids = [index.insert(vector, metadata={"label": label})
+                   for vector, label in zip(inserted, DELTA_LABELS)]
+        deleted.add(new_ids[1])
+        for object_id in deleted:
+            index.delete(object_id)
+        yield index, np.vstack([data, inserted]), deleted
+        index.close()
+
+    @pytest.mark.parametrize("predicate", [None, Eq("label", 1)],
+                             ids=["plain", "filtered"])
+    def test_query_and_batch_equal_oracle(self, workload, updated,
+                                          predicate):
+        _, queries = workload
+        index, vectors, deleted = updated
+        want = [scalar_oracle(index, query, self.K, predicate)
+                for query in queries]
+        batch_ids, batch_dists = index.query_batch(queries, self.K,
+                                                   predicate=predicate)
+        for row, (query, (want_ids, want_dists)) in enumerate(
+                zip(queries, want)):
+            assert len(want_ids) == self.K
+            assert not deleted & set(want_ids.tolist())
+            # Stage (iii) against the raw vectors, not the engine's own
+            # gather: the reported distances are the true ones, up to the
+            # float32 the heap stores descriptors in.
+            np.testing.assert_allclose(
+                want_dists,
+                np.linalg.norm(vectors[want_ids] - query, axis=1),
+                rtol=1e-5)
+            got = [index.query(query, self.K, predicate=predicate),
+                   index.query_batch(query[None, :], self.K,
+                                     predicate=predicate),
+                   (batch_ids[row], batch_dists[row])]
+            for ids, dists in got:
+                np.testing.assert_array_equal(np.ravel(ids), want_ids)
+                np.testing.assert_array_equal(np.ravel(dists), want_dists)
+        if predicate is not None:
+            labels = np.arange(len(vectors)) % 3
+            labels[len(vectors) - 3:] = DELTA_LABELS
+            assert np.all(labels[batch_ids] == 1)
+        assert (batch_ids >= len(vectors) - 3).any()  # the delta ranks
+
+
+class TestOnePointAdapter:
+    """What ``query`` adds to ``query_batch`` — and nothing else."""
+
+    @pytest.fixture(scope="class")
+    def few(self):
+        rng = np.random.default_rng(7)
+        data = rng.uniform(0.0, 100.0, size=(6, 16))
+        made = []
+        small = params(alpha=8, gamma=8, num_references=2)
+        for index in (HDIndex(small), ShardRouter(small, 2)):
+            index.build(data)
+            index.delete(0)
+            made.append(index)
+        return data, made
+
+    def test_short_answers_come_back_unpadded(self, few):
+        data, made = few
+        for index in made:
+            ids, dists = index.query(data[1], 10)
+            assert ids.shape == dists.shape == (5,)
+            assert ids[0] == 1 and np.all(ids >= 0)
+            assert np.all(np.isfinite(dists))
+            batch_ids, batch_dists = index.query_batch(data[1], 10)
+            np.testing.assert_array_equal(batch_ids[0, :5], ids)
+            assert np.all(batch_ids[0, 5:] == -1)
+            assert np.all(np.isinf(batch_dists[0, 5:]))
+
+    def test_batch_size_only_after_query_batch(self, few):
+        data, made = few
+        for index in made:
+            index.query(data[1], 3)
+            single = index.last_query_stats()
+            assert "batch_size" not in single.extra
+            index.query_batch(data[1:2], 3)
+            batch = index.last_query_stats()
+            assert batch.extra.pop("batch_size") == 1
+            assert batch.extra == single.extra
+            for field in ("page_reads", "random_reads", "sequential_reads",
+                          "candidates", "distance_computations"):
+                assert getattr(batch, field) == getattr(single, field)
+
+    def test_row_shaped_point_accepted(self, few):
+        data, made = few
+        for index in made:
+            ids, dists = index.query(data[2][None, :], 3)
+            want_ids, want_dists = index.query(data[2], 3)
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(dists, want_dists)
+
+    def test_wrong_dimension_rejected_by_both_entries(self, few):
+        _, made = few
+        for index in made:
+            with pytest.raises(ValueError):
+                index.query(np.zeros(15), 3)
+            with pytest.raises(ValueError):
+                index.query_batch(np.zeros((2, 15)), 3)
+
+    def test_filtered_time_covers_the_predicate_mask(self, workload,
+                                                     monkeypatch):
+        """Regression: the clock used to start after the eligibility
+        mask, so a filtered query under-reported its own time."""
+        data, queries = workload
+        index = HDIndex(params())
+        index.build(data, metadata=[{"label": i % 3}
+                                    for i in range(len(data))])
+        real_mask = Eq.mask
+
+        def slow_mask(self, store):
+            time.sleep(0.05)
+            return real_mask(self, store)
+
+        monkeypatch.setattr(Eq, "mask", slow_mask)
+        for run in (lambda: index.query(queries[0], 5,
+                                        predicate=Eq("label", 1)),
+                    lambda: index.query_batch(queries[:2], 5,
+                                              predicate=Eq("label", 1))):
+            run()
+            assert index.last_query_stats().time_sec >= 0.05

@@ -140,9 +140,9 @@ class TestQuery:
         with pytest.raises(RuntimeError):
             index.query(np.zeros(16), 5)
 
-    def test_batch_query_shape(self, built_index):
+    def test_query_batch_shape(self, built_index):
         index, _, queries = built_index
-        ids, dists = index.batch_query(queries, 7)
+        ids, dists = index.query_batch(queries, 7)
         assert ids.shape == (len(queries), 7)
         assert dists.shape == (len(queries), 7)
         assert np.all(ids >= 0)

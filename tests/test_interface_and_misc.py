@@ -44,13 +44,13 @@ class TestKNNIndexBase:
         assert isinstance(base.last_query_stats(), QueryStats)
         assert isinstance(base.build_stats(), BuildStats)
 
-    def test_batch_query_pads_short_answers(self):
+    def test_query_batch_pads_short_answers(self):
         class TwoAnswers(KNNIndex):
             def query(self, point, k):
                 return (np.asarray([1, 2], dtype=np.int64),
                         np.asarray([0.1, 0.2]))
 
-        ids, dists = TwoAnswers().batch_query(np.zeros((1, 4)), k=5)
+        ids, dists = TwoAnswers().query_batch(np.zeros((1, 4)), k=5)
         assert ids.shape == (1, 5)
         assert ids[0, :2].tolist() == [1, 2]
         assert ids[0, 2:].tolist() == [-1, -1, -1]
