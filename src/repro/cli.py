@@ -7,8 +7,9 @@ Seven commands cover the library's main workflows without writing code:
   describes (``--spec spec.json``, or synthesised from ``--shards`` /
   ``--execution`` / ``--workers`` / ``--backend`` / ``--wal`` flags) over
   a dataset (synthetic or .fvecs) and persist it to a directory;
-* ``compact``   — fold a WAL-backed index's in-memory delta into a new
-  snapshot generation (see :mod:`repro.wal`);
+* ``compact``   — fold an index's in-memory delta into its base: a new
+  snapshot generation when a write-ahead log is attached (see
+  :mod:`repro.wal`), the snapshot itself otherwise;
 * ``query``     — reopen a persisted index via :func:`repro.open` and run
   a query workload against it, reporting MAP/ratio/time/I/O;
 * ``serve``     — load a persisted index into a micro-batching
@@ -121,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="page-store backend; file/mmap write the page "
                             "files straight into --out (no copy at save)")
     build.add_argument("--wal", action="store_true",
-                       help="record inserts/deletes in a write-ahead log "
-                            "next to the snapshot (online updates without "
-                            "full resyncs; fold with `repro compact`)")
+                       help="make inserts/deletes durable: frame each in "
+                            "a write-ahead log next to the snapshot "
+                            "(without it they are volatile until "
+                            "save_index / `repro compact`)")
     build.add_argument("--from-hdf5", default=None, metavar="PATH:DATASET",
                        help="stream the dataset block-wise from an HDF5 "
                             "file (e.g. ann-benchmarks corpora: "
@@ -138,12 +140,13 @@ def build_parser() -> argparse.ArgumentParser:
                             "index")
 
     compact = commands.add_parser(
-        "compact", help="fold a WAL-backed index's delta into a new "
-                        "snapshot generation")
+        "compact", help="fold an index's delta into its base (a new "
+                        "snapshot generation when it is WAL-backed)")
     compact.add_argument("--index", required=True,
-                         help="directory holding a WAL-backed index "
-                              "(built with --wal, or served with process "
-                              "execution)")
+                         help="directory holding a persisted index; "
+                              "logged updates (built with --wal, or "
+                              "process execution) are replayed and "
+                              "published as the next generation")
 
     query = commands.add_parser("query", help="query a persisted index")
     query.add_argument("--index", required=True,
@@ -474,17 +477,10 @@ def _build_streaming(args, out) -> int:
 
 
 def cmd_compact(args, out=sys.stdout) -> int:
-    index = open_index(args.index)
-    try:
-        if not index._wal_active():
-            print(f"error: {args.index} is not WAL-backed (build with "
-                  f"--wal, or open with wal=True)", file=sys.stderr)
-            return 2
+    with open_index(args.index) as index:
         generation = index.compact()
         print(f"compacted {index.name} (n={index.count}) -> "
               f"generation {generation}", file=out)
-    finally:
-        index.close()
     return 0
 
 

@@ -53,6 +53,7 @@ from repro.core.interface import QueryStats
 from repro.distance.metrics import (
     euclidean_to_many,
     normalize_rows,
+    require_finite,
     top_k_smallest,
 )
 from repro.hilbert.butz import encode_for_curves
@@ -142,12 +143,6 @@ class ProcessExecutor(Executor):
     @property
     def snapshot_dir(self):
         return self.pool.directory
-
-    @snapshot_dir.setter
-    def snapshot_dir(self, directory) -> None:
-        import os
-        self.pool.directory = (None if directory is None
-                               else os.fspath(directory))
 
     @property
     def workers(self) -> int | None:  # type: ignore[override]
@@ -488,6 +483,7 @@ class QueryEngine:
             raise ValueError(
                 f"queries have shape {points.shape}, index expects "
                 f"(Q, {index.dim})")
+        require_finite(points, "query")
         if index.params.metric == "angular":
             points = normalize_rows(points)
         batch = points.shape[0]
@@ -563,17 +559,15 @@ class QueryEngine:
         an ineligible insert never reaches the gather.  Neither array
         depends on the query row, so a batch derives them once.
         """
-        delta_ids = np.empty(0, dtype=np.int64)
-        delta = getattr(self.index, "_delta", None)
-        if delta is not None and len(delta):
-            delta_ids = delta.id_range()
-            if predicate is not None:
-                rows = delta.metadata_rows()
-                keep = np.fromiter(
-                    (row is not None and predicate.matches(row)
-                     for row in rows),
-                    dtype=bool, count=len(rows))
-                delta_ids = delta_ids[keep]
+        delta = self.index._delta
+        delta_ids = delta.id_range()
+        if predicate is not None and delta_ids.size:
+            rows = delta.metadata_rows()
+            keep = np.fromiter(
+                (row is not None and predicate.matches(row)
+                 for row in rows),
+                dtype=bool, count=len(rows))
+            delta_ids = delta_ids[keep]
         return delta_ids, self.index._deleted_ids()
 
     def _merge_survivors(self, survivor_ids: Sequence[np.ndarray],
@@ -602,20 +596,15 @@ class QueryEngine:
         segment (same storage dtype, so distances are bit-identical to a
         post-compaction fetch).  ``ids`` is sorted (np.unique output)."""
         index = self.index
-        lock = getattr(index, "_update_lock", None)
-        if lock is None:
-            heap, delta = index.heap, getattr(index, "_delta", None)
-        else:
-            # Snapshot the (heap, delta) pair coherently: a concurrent
-            # generation hot-swap replaces both under this lock, and a
-            # mixed pair (old heap, new delta) would send post-base ids
-            # to a heap file that does not hold them.  Either coherent
-            # generation covers every id a scan could have produced.
-            with lock:
-                heap, delta = index.heap, index._delta
+        # Snapshot the (heap, delta) pair coherently: a fold or a
+        # generation hot-swap replaces both under this lock, and a mixed
+        # pair (old heap, new delta) would send post-base ids to a heap
+        # file that does not hold them.  Either coherent generation
+        # covers every id a scan could have produced.
+        with index._update_lock:
+            heap, delta = index.heap, index._delta
         base_count = len(heap)
-        if (delta is None or not len(delta) or not ids.shape[0]
-                or ids[-1] < base_count):
+        if not ids.shape[0] or ids[-1] < base_count:
             return heap.gather(ids)
         in_delta = ids >= base_count
         descriptors = np.empty((ids.shape[0], index.dim),

@@ -146,8 +146,7 @@ def _already_persisted(index: HDIndex | ShardRouter,
         return (index.execution.kind == "process"
                 and index.params.storage_dir is not None
                 and os.path.abspath(index.params.storage_dir) == target)
-    return (getattr(index, "_remote", False)
-            and not index._snapshot_dirty
+    return (index._remote
             and index.snapshot_dir is not None
             and os.path.abspath(index.snapshot_dir) == target)
 
@@ -176,10 +175,10 @@ def open_index(path: str | os.PathLike[str],
             (``"sequential"``/``"thread"``/``"process"``).  This is how a
             snapshot built sequentially is served process-parallel
             without rebuilding.
-        wal: Online-update override (:mod:`repro.wal`) — ``True`` forces
-            WAL mode, ``False`` the legacy mark-dirty/resync write path,
-            ``None`` honours the snapshot's recorded policy (with WAL
-            state on disk, or process execution, turning it on).
+        wal: Durability override (:mod:`repro.wal`), as for
+            :func:`~repro.core.persistence.load_index`: ``True`` attaches
+            and replays the write-ahead log, ``False`` none (the
+            read-only reader), ``None`` honours the snapshot's policy.
 
     Returns:
         A ready-to-query :class:`~repro.core.hdindex.HDIndex` or

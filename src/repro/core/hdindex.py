@@ -24,11 +24,17 @@ from repro.core.partition import make_partition
 from repro.core.rdbtree import RDBTree
 from repro.core.reference import ReferenceSet
 from repro.core.spec import IndexSpec, Topology, executor_to_execution
-from repro.distance.metrics import DistanceCounter, require_normalized
+from repro.distance.metrics import (
+    DistanceCounter,
+    require_finite,
+    require_normalized,
+)
 from repro.hilbert.butz import HilbertCurve
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore, coerce_predicate
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
+from repro.wal.delta import DeltaSegment
+from repro.wal.manager import compact_index, fold_in_place, open_log
 
 
 class HDIndex(KNNIndex):
@@ -51,13 +57,17 @@ class HDIndex(KNNIndex):
 
     With a *remote* (process) executor the index must live on disk
     (``params.storage_dir``): :meth:`build` persists the snapshot the
-    worker processes bootstrap from.  Online updates then flow through
-    the write-ahead log (:mod:`repro.wal`): :meth:`insert` appends one
-    log frame and lands in an in-memory delta segment searched beside
-    the base snapshot — the snapshot is never rewritten and the pool is
-    never restarted on the write path.  :meth:`compact` folds the delta
-    into a new generation and hot-swaps to it.  (``Execution(wal=False)``
-    restores the legacy mark-dirty/resync behaviour.)
+    worker processes bootstrap from.
+
+    There is one write path.  The built trees and heap — the *base* —
+    are immutable between folds: :meth:`insert` lands in an in-memory
+    delta segment every query reranks exactly beside the base,
+    :meth:`delete` in the deleted-id set; no write rewrites a page,
+    drops a packed mirror or restarts a worker pool.  ``Execution.wal``
+    decides durability only: with a write-ahead log (:mod:`repro.wal`)
+    each mutation is one log frame first and :meth:`compact` publishes
+    a new on-disk generation; without one, updates are volatile until
+    :meth:`compact` / ``save_index`` fold them into the base in place.
 
     >>> import numpy as np
     >>> from repro import HDIndex, HDIndexParams
@@ -85,13 +95,12 @@ class HDIndex(KNNIndex):
         self._build_stats = BuildStats()
         self._query_stats = QueryStats()
         self._distance_counter = DistanceCounter()
-        self._snapshot_dirty = False
-        # Online-update state (repro.wal): the log handle and delta
-        # segment exist only while WAL mode is active; _wal_policy is
-        # the three-state Execution.wal knob (None = auto).
+        # Online-update state: every built index has a delta segment,
+        # a log handle only while a write-ahead log is attached;
+        # _wal_policy is the three-state Execution.wal knob (None = auto).
         self.generation = 0
         self._wal = None
-        self._delta = None
+        self._delta: DeltaSegment | None = None
         self._wal_policy: bool | None = None
         self._wal_root: str | None = None
         self._wal_fsync = "always"
@@ -148,7 +157,7 @@ class HDIndex(KNNIndex):
             if executor.snapshot_dir is None:
                 directory = self.params.storage_dir
                 if os.path.exists(os.path.join(directory, "meta.json")):
-                    executor.snapshot_dir = directory
+                    executor.pool.swap(directory)
         self._engine.executor.close()
         self._engine.executor = executor
 
@@ -159,13 +168,14 @@ class HDIndex(KNNIndex):
     # -- snapshot lifecycle (remote executors) ----------------------------
 
     def attach_snapshot(self, directory: str | os.PathLike[str]) -> None:
-        """Bind a remote executor's worker pool to a snapshot directory."""
+        """Bind a remote executor's worker pool to a snapshot directory
+        (workers already running finish their tasks and exit; the next
+        dispatch bootstraps from ``directory``)."""
         if not self._remote:
             raise RuntimeError(
                 "attach_snapshot is only meaningful with a process "
                 "executor; this index runs scans in-process")
-        self._engine.executor.snapshot_dir = os.fspath(directory)
-        self._snapshot_dirty = False
+        self._engine.executor.pool.swap(directory)
 
     @property
     def snapshot_dir(self) -> str | None:
@@ -175,50 +185,43 @@ class HDIndex(KNNIndex):
             return None
         return self._engine.executor.snapshot_dir
 
-    def _sync_snapshot(self) -> None:
-        if not self._remote or not self._snapshot_dirty:
-            return
-        from repro.core.persistence import save_index
-        save_index(self, self.snapshot_dir or self.params.storage_dir)
-        self._engine.executor.pool.reset()
-        self._snapshot_dirty = False
+    # -- online updates (Sec. 3.6) ----------------------------------------
 
-    # -- online updates (repro.wal) ---------------------------------------
-
-    def _wal_active(self) -> bool:
-        """True when inserts/deletes flow through the write-ahead log
-        instead of mutating the built structures in place."""
-        if self._wal is not None:
-            return True
-        if self._wal_policy is not None:
-            return self._wal_policy
-        return self._remote
-
-    def _ensure_wal(self) -> None:
-        if self._wal is None:
-            from repro.wal.manager import enable_wal
-            enable_wal(self)
+    def _empty_delta(self) -> DeltaSegment:
+        return DeltaSegment(len(self.heap), self.dim, self.heap.dtype)
 
     def _delta_insert(self, vector: np.ndarray, metadata=None) -> int:
-        """Apply one insert to the delta segment only — the router's
-        (and replay's) entry point, which never logs here because the
-        record already lives in the owning log."""
-        vector = np.asarray(vector, dtype=np.float64).ravel()
-        if vector.shape[0] != self.dim:
-            raise ValueError(
-                f"vector has dimension {vector.shape[0]}, "
-                f"expected {self.dim}")
-        if self._delta is None:
-            from repro.wal.delta import DeltaSegment
-            self._delta = DeltaSegment(len(self.heap), self.dim,
-                                       self.heap.dtype)
+        """Land one validated insert in the delta segment (its log
+        frame, when a log is attached, is already written)."""
         object_id = self._delta.append(vector, metadata)
         self.count += 1
         return object_id
 
+    def _fold_delta(self) -> None:
+        """Sec. 3.6, deferred — the only code that mutates a built base:
+        append every delta row to the heap, insert it into each RDB-tree
+        (reference set kept as-is) and the metadata store, rebuild the
+        packed mirrors, start an empty delta.  Runs on a detached copy
+        under a log (``wal.manager.fold_generation``), else in place
+        (``fold_in_place``, ``save_index``), where it must not overlap
+        queries on this index."""
+        with self._update_lock:
+            for _, vector, metadata in self._delta.records():
+                object_id = self.heap.append(vector)
+                distances = self.references.distances_from(vector)[0]
+                for tree, part in zip(self.trees, self.partitions):
+                    coords = self.quantizer.quantize(vector[part])[None, :]
+                    key = int(tree.curve.encode_batch(coords)[0])
+                    tree.insert(key, object_id, distances)
+                if self.metadata is not None:
+                    self.metadata.append_rows([metadata])
+            for tree in self.trees:
+                tree.repack()
+            self._delta = self._empty_delta()
+
     def _deleted_ids(self) -> np.ndarray:
         """Stable array snapshot of the deleted-id set (safe against a
-        concurrent WAL-mode delete mutating the set mid-filter)."""
+        concurrent delete mutating the set mid-filter)."""
         with self._update_lock:
             if not self._deleted:
                 return np.empty(0, dtype=np.int64)
@@ -226,25 +229,20 @@ class HDIndex(KNNIndex):
                                count=len(self._deleted))
 
     def compact(self) -> int:
-        """Fold the WAL delta into a new snapshot generation, publish it
-        via the ``CURRENT`` pointer, truncate the log, and adopt the new
-        generation in place (re-binding a process pool to it without
-        cancelling in-flight work).
+        """Fold the delta into the base.
+
+        With a write-ahead log attached: write a new snapshot
+        generation, publish it via the ``CURRENT`` pointer, truncate the
+        log, and adopt the new generation in place (re-binding a process
+        pool to it without cancelling in-flight work).  Without one:
+        :func:`repro.wal.manager.fold_in_place`.
 
         Returns:
-            The new generation number.
-
-        Raises:
-            RuntimeError: If the index has no write-ahead log (built
-                with ``Execution(wal=False)``, or memory-backed).
+            The snapshot generation now live (unchanged without a log).
         """
         self._require_built()
-        if not self._wal_active():
-            raise RuntimeError(
-                "compact() requires WAL-mode updates; build with "
-                "Execution(wal=True) or process execution")
-        self._ensure_wal()
-        from repro.wal.manager import compact_index
+        if open_log(self) is None:
+            return fold_in_place(self)
         generation = compact_index(self)
         self._adopt_current()
         return generation
@@ -273,7 +271,6 @@ class HDIndex(KNNIndex):
             self._wal = fresh._wal
             self._delta = fresh._delta
             self._wal_root = fresh._wal_root
-            self._snapshot_dirty = False
         # The transplant keeps *this* object's executor: a process pool
         # swaps to the new generation directory, letting in-flight
         # futures finish against the old workers.
@@ -317,10 +314,11 @@ class HDIndex(KNNIndex):
                 ``data``.
 
         Raises:
-            ValueError: If ``data`` is not 2-D, is empty, has fewer
-                dimensions than ``params.num_trees``, violates the
-                metric's normalisation contract, or ``metadata`` does
-                not align one row per point.
+            ValueError: If ``data`` is not 2-D, is empty, holds a NaN or
+                infinite value, has fewer dimensions than
+                ``params.num_trees``, violates the metric's
+                normalisation contract, or ``metadata`` does not align
+                one row per point.
         """
         started = time.perf_counter()
         data = np.asarray(data, dtype=np.float64)
@@ -333,6 +331,7 @@ class HDIndex(KNNIndex):
         if params.num_trees > dim:
             raise ValueError(
                 f"num_trees={params.num_trees} exceeds dimensionality {dim}")
+        require_finite(data)
         if params.metric == "angular":
             require_normalized(data, "data")
         self.metadata = self._coerce_metadata(metadata, n)
@@ -388,8 +387,9 @@ class HDIndex(KNNIndex):
 
         Raises:
             ValueError: If the stream is empty, blocks disagree on
-                dimensionality, the metric's normalisation contract is
-                violated, or the configuration cannot stream.
+                dimensionality, a block holds a NaN or infinite value,
+                the metric's normalisation contract is violated, or the
+                configuration cannot stream.
         """
         started = time.perf_counter()
         params = self.params
@@ -434,6 +434,7 @@ class HDIndex(KNNIndex):
                 raise ValueError(
                     f"stream block has dimensionality {chunk.shape[1]}, "
                     f"expected {dim}")
+            require_finite(chunk)
             if params.metric == "angular":
                 require_normalized(chunk, "data")
             heap.append_batch(chunk)
@@ -520,6 +521,7 @@ class HDIndex(KNNIndex):
                            page_size=params.page_size)
             tree.bulk_build(keys, object_ids, reference_distances)
             self.trees.append(tree)
+        self._delta = self._empty_delta()
 
         self._build_stats = BuildStats(
             time_sec=time.perf_counter() - started,
@@ -534,10 +536,9 @@ class HDIndex(KNNIndex):
         )
         if self._remote:
             # Persist immediately: this snapshot is what the worker
-            # processes bootstrap from.
+            # processes bootstrap from (the save binds the pool to it).
             from repro.core.persistence import save_index
             save_index(self, params.storage_dir)
-            self.attach_snapshot(params.storage_dir)
 
     @staticmethod
     def _reservoir_update(reservoir: np.ndarray, reservoir_ids: np.ndarray,
@@ -589,7 +590,6 @@ class HDIndex(KNNIndex):
         self._require_built()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self._sync_snapshot()
         ids, dists, self._query_stats = self._engine.run(
             point, k, alpha=alpha, beta=beta, gamma=gamma,
             use_ptolemaic=use_ptolemaic, predicate=predicate)
@@ -613,7 +613,6 @@ class HDIndex(KNNIndex):
         self._require_built()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self._sync_snapshot()
         ids, dists, self._query_stats = self._engine.run_batch(
             points, k, alpha=alpha, beta=beta, gamma=gamma,
             use_ptolemaic=use_ptolemaic, predicate=predicate)
@@ -624,68 +623,63 @@ class HDIndex(KNNIndex):
     def insert(self, vector: np.ndarray, metadata=None) -> int:
         """Insert a new object; the reference set is kept as-is (Sec. 3.6).
 
+        It lands in the delta segment — reranked exactly by every later
+        query — after one log frame when a log is attached; the trees
+        and heap absorb it at the next fold.
+
         Args:
             vector: ``(ν,)`` descriptor to add (unit-normalised when
                 ``params.metric="angular"``).
             metadata: Per-point attribute dict — required iff the index
-                was built with metadata (same columns).
+                was built with metadata (same columns, same kinds).
 
         Returns:
-            The new object's id (appended to the heap file, so ids stay
-            dense and persist across save/load).
+            The new object's id (ids stay dense and persist across
+            folds and save/load).
 
         Raises:
             ValueError: If the vector's dimensionality does not match,
-                or ``metadata`` disagrees with the build-time store.
+                it holds a NaN or infinite value, or ``metadata``
+                disagrees with the build-time columns.
+            TypeError: If a metadata value is not of its column's kind.
             RuntimeError: If called before :meth:`build`.
         """
         self._require_built()
+        vector, metadata = self._validate_insert(vector, metadata)
+        log = open_log(self)
+        with self._update_lock:
+            if log is not None:
+                log.append_insert(self._delta.next_id, vector,
+                                  metadata=metadata)
+            object_id = self._delta_insert(vector, metadata)
+        self._bump_update_epoch()
+        return object_id
+
+    def _validate_insert(self, vector, metadata
+                         ) -> tuple[np.ndarray, dict | None]:
+        """Everything that can reject an insert, run before its log
+        frame is written: a record that passes here must fold."""
         vector = np.asarray(vector, dtype=np.float64).ravel()
         if vector.shape[0] != self.dim:
             raise ValueError(
                 f"vector has dimension {vector.shape[0]}, expected {self.dim}")
+        require_finite(vector, "vector")
         if self.params.metric == "angular":
             require_normalized(vector[None, :], "vector")
-        self._check_insert_metadata(metadata)
-        if self._wal_active():
-            # One log frame + an in-memory delta row; the built trees,
-            # heap and (for process execution) the workers' snapshot are
-            # untouched, so no resync or pool restart ever follows.
-            self._ensure_wal()
-            with self._update_lock:
-                object_id = self._delta.next_id
-                self._wal.append_insert(object_id, vector,
-                                        metadata=metadata)
-                self._delta.append(vector, metadata)
-                self.count += 1
-            self._bump_update_epoch()
-            return object_id
-        object_id = self.heap.append(vector)
-        reference_distances = self.references.distances_from(vector)[0]
-        for tree, part in zip(self.trees, self.partitions):
-            coords = self.quantizer.quantize(vector[part])[None, :]
-            key = int(tree.curve.encode_batch(coords)[0])
-            tree.insert(key, object_id, reference_distances)
-        if self.metadata is not None:
-            self.metadata.append_rows([metadata])
-        self.count += 1
-        self._snapshot_dirty = True
-        self._bump_update_epoch()
-        return object_id
-
-    def _check_insert_metadata(self, metadata) -> None:
         if self.metadata is None:
             if metadata is not None:
                 raise ValueError(
                     "insert() got metadata but the index was built "
                     "without it; rebuild with metadata= to enable "
                     "filtered queries")
-            return
-        if metadata is None:
+        elif metadata is None:
             raise ValueError(
                 "this index carries metadata; insert() requires a "
                 f"metadata dict with columns "
                 f"{', '.join(sorted(self.metadata.names))}")
+        else:
+            metadata = self.metadata.validate_row(metadata)
+        return vector, metadata
 
     def delete(self, object_id: int) -> None:
         """Mark an object deleted; it is never returned again (Sec. 3.6).
@@ -701,14 +695,11 @@ class HDIndex(KNNIndex):
         self._require_built()
         if not 0 <= object_id < self.count:
             raise ValueError(f"unknown object id {object_id}")
-        if self._wal_active():
-            self._ensure_wal()
-            with self._update_lock:
-                self._wal.append_delete(int(object_id))
-                self._deleted.add(int(object_id))
-            self._bump_update_epoch()
-            return
-        self._deleted.add(int(object_id))
+        log = open_log(self)
+        with self._update_lock:
+            if log is not None:
+                log.append_delete(int(object_id))
+            self._deleted.add(int(object_id))
         self._bump_update_epoch()
 
     # -- accounting ----------------------------------------------------

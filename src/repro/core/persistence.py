@@ -77,17 +77,20 @@ def save_index(index, directory: str | os.PathLike[str]) -> None:
     If the index was built with ``storage_dir`` pointing at ``directory``,
     the page files are already in place and only metadata is written
     (file and mmap backends alike — mmap stores are flushed and trimmed);
-    otherwise every page store is copied out to files.  Saving is
-    idempotent over the same directory: save -> load -> ``insert()`` /
-    ``delete()`` -> save again keeps the snapshot consistent.
+    otherwise every page store is copied out to files.  An index with no
+    write-ahead log attached first folds its delta segment into the base
+    (``HDIndex._fold_delta``: un-logged inserts become durable here), so
+    save -> load -> ``insert()`` / ``delete()`` -> save again keeps the
+    snapshot consistent.
 
     Args:
         index: A **built** member of the HD-Index family.
         directory: Destination directory (created if missing).
 
     Raises:
-        PersistenceError: If ``index`` is not a family member, or it is
-            file-backed somewhere other than ``directory``.
+        PersistenceError: If ``index`` is not a family member, it is
+            file-backed somewhere other than ``directory``, or it holds
+            logged delta entries (``compact()`` publishes those).
         RuntimeError: If the index has not been built.
 
     >>> import numpy as np, tempfile
@@ -141,11 +144,12 @@ def load_index(directory: str | os.PathLike[str],
             indexes).  ``None`` honours the backend the snapshot was
             built with when that was ``"file"``/``"mmap"``, else
             ``"file"``.  Results are byte-identical across backends.
-        wal: Online-update override — ``True`` forces WAL mode,
-            ``False`` forces the legacy mark-dirty/resync write path,
-            ``None`` honours the snapshot's recorded
-            ``Execution(wal=...)`` policy (auto-detecting WAL state on
-            disk, and defaulting process execution to WAL mode).
+        wal: Durability override — ``True`` attaches (and replays) the
+            write-ahead log; ``False`` attaches none (a log on disk
+            stays unread, updates are volatile until ``compact()`` /
+            ``save_index``: the read-only-reader spelling); ``None``
+            honours the snapshot's recorded policy
+            (:class:`~repro.core.spec.Execution` ``wal``).
 
     Returns:
         A ready-to-query :class:`HDIndex` (executor reconstructed from
@@ -185,10 +189,13 @@ def load_index(directory: str | os.PathLike[str],
 
 def _save_hdindex(index: HDIndex, directory: str) -> None:
     index._require_built()
-    if getattr(index, "_delta", None) is not None and len(index._delta):
-        raise PersistenceError(
-            "index holds un-compacted WAL delta entries; call compact() "
-            "to fold them into a snapshot generation before save_index()")
+    if len(index._delta):
+        if index._wal is not None:
+            raise PersistenceError(
+                "index holds un-compacted WAL delta entries; call "
+                "compact() to fold them into a snapshot generation "
+                "before save_index()")
+        index._fold_delta()
     os.makedirs(directory, exist_ok=True)
 
     _materialise_store(index.heap.pool.store, directory, "descriptors",
@@ -231,6 +238,11 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
         meta["num_workers"] = execution.workers
     with open(os.path.join(directory, META_FILE), "w") as handle:
         json.dump(meta, handle, indent=2)
+    if index._remote:
+        # Workers bootstrap from this snapshot, and the save may have
+        # rewritten files they have mapped (always, after a fold):
+        # re-bind the pool so the next dispatch reopens what was saved.
+        index.attach_snapshot(directory)
 
 
 def _load_hdindex(directory: str, cache_pages: int | None,
@@ -273,6 +285,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         dim=index.dim, dtype=meta["heap"]["dtype"], store=heap_store,
         cache_pages=params.cache_pages)
     index.heap.restore_count(int(meta["heap"]["count"]))
+    index._delta = index._empty_delta()
 
     from repro.core.rdbtree import RDBTree
     index.trees = []
@@ -363,7 +376,7 @@ def _save_sharded(index, directory: str) -> None:
         shard_directory = _shard_dir(directory, shard_index)
         if _shard_snapshot_is_current(shard, shard_directory):
             # A remote (process-execution) shard persisted itself at
-            # build/resync time; its pages, metadata and references are
+            # build/fold time; its pages, metadata and references are
             # already exactly what _save_hdindex would write.
             continue
         _save_hdindex(shard, shard_directory)
@@ -405,17 +418,16 @@ def _write_manifest(index, directory: str) -> None:
 
 
 def _shard_snapshot_is_current(shard, shard_directory: str) -> bool:
-    """True when a shard already holds a clean self-persisted snapshot
-    at exactly ``shard_directory`` (remote shards save themselves on
-    build and on insert-resync).
+    """True when a remote shard's self-persisted snapshot at exactly
+    ``shard_directory`` is still what a save would write (remote shards
+    save themselves on build and when an un-logged fold re-persists).
 
-    Inserts flip ``_snapshot_dirty``; deletes deliberately do not (the
-    parent-side survivor merge filters them at query time), so the
-    recorded deleted set and count are checked against live state — a
-    delete since the last self-persist forces a real re-save.
+    The base pages only change in a fold, which re-persists; inserts
+    and deletes since then live in memory, so the recorded count and
+    deleted set are checked against live state — either one moving
+    forces a real re-save.
     """
-    if not (getattr(shard, "_remote", False)
-            and not getattr(shard, "_snapshot_dirty", True)
+    if not (shard._remote
             and shard.snapshot_dir is not None
             and os.path.abspath(shard.snapshot_dir)
             == os.path.abspath(shard_directory)):
@@ -472,8 +484,8 @@ def _load_sharded(directory: str, cache_pages: int | None,
             _shard_dir(directory, shard_index))
         shard = _load_hdindex(shard_directory, cache_pages,
                               requested_backend)
-        # The router owns the (single) write-ahead log; shards never log
-        # or auto-enable WAL mode on their own.
+        # The router owns the (single) write-ahead log; shards never
+        # attach one of their own.
         shard._wal_policy = False
         index.shards.append(shard)
         built = list(range(int(index.offsets[shard_index]),
@@ -490,9 +502,10 @@ def _write_packed_sidecar(tree, directory: str, tree_index: int) -> None:
     """Persist (or clear) one RDB-tree's packed-array mirror.
 
     The mirror serialises to a ``tree_<i>.packed`` file next to the page
-    file.  A tree whose mirror was invalidated (post-``insert``, not yet
-    ``repack()``-ed) gets any stale sidecar removed, so a reload falls back
-    to the node path instead of reading wrong positions.
+    file.  A tree without one (none captured at bulk load with the
+    buffer pool on, or a key codec that cannot pack) gets any stale
+    sidecar removed, so a reload falls back to the node path instead of
+    reading wrong positions.
     """
     path = os.path.join(directory, f"tree_{tree_index}.packed")
     packed = tree.tree.packed_layout

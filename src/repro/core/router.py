@@ -35,8 +35,14 @@ from repro.core.hdindex import HDIndex
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.params import HDIndexParams
 from repro.core.spec import Execution, IndexSpec, Topology, make_executor
-from repro.distance.metrics import require_normalized
+from repro.distance.metrics import require_finite
 from repro.meta import MetadataStore
+from repro.wal.manager import (
+    compact_router,
+    fold_in_place,
+    open_log,
+    resolve_snapshot_dir,
+)
 
 
 def placement_order(key: bytes, nodes: int, salt: bytes = b"") -> list[int]:
@@ -117,7 +123,6 @@ class ShardRouter(KNNIndex):
         self.count = 0
         self._build_stats = BuildStats()
         self._query_stats = QueryStats()
-        self._manifest_dirty = False
         # Online-update state (repro.wal): one router-level log whose
         # records carry the target shard; shards never log individually.
         self.generation = 0
@@ -152,8 +157,8 @@ class ShardRouter(KNNIndex):
 
     def _make_shard(self, shard_index: int) -> HDIndex:
         shard = HDIndex(self._shard_params(shard_index))
-        # The router owns the write-ahead log; a shard must never log or
-        # auto-enable WAL mode on its own (process shards would).
+        # The router owns the write-ahead log; a shard must never
+        # attach one of its own (process shards would).
         shard._wal_policy = False
         shard.set_executor(make_executor(self.execution, shard))
         return shard
@@ -163,6 +168,7 @@ class ShardRouter(KNNIndex):
     def build(self, data: np.ndarray, metadata=None) -> None:
         started = time.perf_counter()
         data = np.asarray(data, dtype=np.float64)
+        require_finite(data)
         n = data.shape[0]
         if n < self.num_shards:
             raise ValueError(
@@ -208,60 +214,24 @@ class ShardRouter(KNNIndex):
             # sharded snapshot is immediately reopenable.
             from repro.core.persistence import save_index
             save_index(self, self.params.storage_dir)
-            self._manifest_dirty = False
 
-    def _sync_manifest(self) -> None:
-        """Keep the auto-persisted snapshot reopenable after updates
-        (legacy write path only).
-
-        With WAL mode active the snapshot is *already* durable — every
-        mutation is one log frame, replayed on reopen — so there is
-        nothing to sync and no pool to restart.  On the legacy path a
-        process-execution router re-persists the whole snapshot before
-        the next query, mirroring :meth:`HDIndex._sync_snapshot`.
-        """
-        if self._wal_active():
-            return
-        if not self._manifest_dirty or self.execution.kind != "process":
-            return
-        for shard in self.shards:
-            shard._sync_snapshot()
-        from repro.core.persistence import save_index
-        save_index(self, self.params.storage_dir)
-        self._manifest_dirty = False
-
-    # -- online updates (repro.wal) ---------------------------------------
-
-    def _wal_active(self) -> bool:
-        """True when inserts/deletes flow through the router-level
-        write-ahead log instead of mutating shard snapshots."""
-        if self._wal is not None:
-            return True
-        if self._wal_policy is not None:
-            return self._wal_policy
-        return self.execution.kind == "process"
-
-    def _ensure_wal(self) -> None:
-        if self._wal is None:
-            from repro.wal.manager import enable_router_wal
-            enable_router_wal(self)
+    # -- online updates (Sec. 3.6) ----------------------------------------
 
     def compact(self) -> int:
-        """Fold every shard's WAL delta into a new snapshot generation,
+        """Fold every shard's delta into its base.
+
+        With the write-ahead log attached: write new shard generations,
         publish the per-shard ``CURRENT`` pointers, atomically rewrite
         the manifest, truncate the log, and hot-swap the shards onto the
-        new generations.
+        new generations.  Without one:
+        :func:`repro.wal.manager.fold_in_place`.
 
         Returns:
-            The new generation number.
+            The snapshot generation now live (unchanged without a log).
         """
         self._require_built()
-        if not self._wal_active():
-            raise RuntimeError(
-                "compact() requires WAL-mode updates; build with "
-                "Execution(wal=True) or process execution")
-        self._ensure_wal()
-        from repro.wal.manager import compact_router, resolve_snapshot_dir
+        if open_log(self) is None:
+            return fold_in_place(self)
         generation = compact_router(self)
         for shard_index, shard in enumerate(self.shards):
             shard_root = f"{self._wal_root}/shard_{shard_index}"
@@ -272,8 +242,6 @@ class ShardRouter(KNNIndex):
                 # re-binds without cancelling in-flight work).
                 shard._wal_root = shard_root
                 shard._adopt_current()
-                shard._wal_policy = False
-            shard._delta = None
         return generation
 
     def query(self, point: np.ndarray, k: int,
@@ -308,7 +276,6 @@ class ShardRouter(KNNIndex):
         self._require_built()
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        self._sync_manifest()
         started = time.perf_counter()
         points = np.asarray(points, dtype=np.float64)
         if points.ndim == 1:
@@ -356,40 +323,25 @@ class ShardRouter(KNNIndex):
     def insert(self, vector: np.ndarray, metadata=None) -> int:
         """Route the insert to the least-loaded shard; return a global id.
 
-        With WAL mode active (:mod:`repro.wal`) the write costs one log
-        frame — the record carries the target shard (and the metadata
-        dict, when the deployment is filtered) — plus an in-memory delta
-        row in that shard; no snapshot is rewritten and no worker pool
-        restarts.
+        The write lands in that shard's delta segment, after one frame
+        in the router's log when one is attached — the record carries
+        the target shard (and the metadata dict, when the deployment is
+        filtered).  No snapshot is rewritten and no worker pool restarts.
         """
         self._require_built()
-        sizes = [shard.count for shard in self.shards]
-        target = int(np.argmin(sizes))
-        if self._wal_active():
-            self._ensure_wal()
-            vector = np.asarray(vector, dtype=np.float64).ravel()
-            if vector.shape[0] != self.dim:
-                raise ValueError(
-                    f"vector has dimension {vector.shape[0]}, "
-                    f"expected {self.dim}")
-            if self.params.metric == "angular":
-                require_normalized(vector[None, :], "vector")
-            self.shards[target]._check_insert_metadata(metadata)
-            global_id = self.count
-            self._wal.append_insert(global_id, vector, shard=target,
-                                    metadata=metadata)
-            self.shards[target]._delta_insert(vector, metadata)
-            self._id_maps[target].append(global_id)
-            self._id_arrays[target] = None
-            self.count += 1
-            self._bump_update_epoch()
-            return global_id
-        self.shards[target].insert(vector, metadata)
+        target = int(np.argmin([shard.count for shard in self.shards]))
+        shard = self.shards[target]
+        vector, metadata = shard._validate_insert(vector, metadata)
         global_id = self.count
+        log = open_log(self)
+        if log is not None:
+            log.append_insert(global_id, vector, shard=target,
+                              metadata=metadata)
+        with shard._update_lock:
+            shard._delta_insert(vector, metadata)
         self._id_maps[target].append(global_id)
         self._id_arrays[target] = None
         self.count += 1
-        self._manifest_dirty = True
         self._bump_update_epoch()
         return global_id
 
@@ -405,16 +357,12 @@ class ShardRouter(KNNIndex):
         (Sec. 3.6 update path, distributed)."""
         self._require_built()
         shard_index, local_id = self._locate(int(object_id))
-        if self._wal_active():
-            self._ensure_wal()
-            shard = self.shards[shard_index]
-            self._wal.append_delete(int(object_id), shard=shard_index)
-            with shard._update_lock:
-                shard._deleted.add(int(local_id))
-            self._bump_update_epoch()
-            return
-        self.shards[shard_index].delete(local_id)
-        self._manifest_dirty = True
+        shard = self.shards[shard_index]
+        log = open_log(self)
+        if log is not None:
+            log.append_delete(int(object_id), shard=shard_index)
+        with shard._update_lock:
+            shard._deleted.add(int(local_id))
         self._bump_update_epoch()
 
     def _require_built(self) -> None:

@@ -144,13 +144,15 @@ class Execution:
         is declared wedged (:class:`~repro.core.procpool.WorkerTimeout`);
         ``None`` disables the guard.
     wal:
-        Online-update policy (:mod:`repro.wal`).  ``True`` routes
-        ``insert``/``delete`` through a write-ahead log + in-memory
-        delta segment (requires ``storage_dir``), so a write costs one
-        log frame instead of a snapshot rewrite; ``False`` forces the
-        legacy mark-dirty/resync path; ``None`` (default) lets the
-        runtime decide — WAL state on disk, or process execution, turns
-        it on.
+        Durability of online updates (:mod:`repro.wal`).  Every
+        ``insert``/``delete`` lands in the in-memory delta segment /
+        deleted set whatever this says; ``True`` additionally frames it
+        in a write-ahead log first (requires ``storage_dir``), so it
+        survives a crash and ``compact()`` publishes a new generation;
+        ``False`` attaches no log — updates are volatile until
+        ``compact()``/``save_index`` fold them into the base; ``None``
+        (default) lets the runtime decide — a log on disk, or process
+        execution, attaches one.
 
     >>> Execution(kind="threaded").kind
     'thread'

@@ -25,6 +25,11 @@ storage and tree layers with cross-checking shims:
   PR-6 contract — the packed mirror is an optimisation, never an
   observable behaviour change — enforced at runtime rather than by a
   handful of parity tests.
+* **Fold postconditions** — when ``HDIndex._fold_delta`` (the only
+  code that mutates a built base) returns, the heap, every RDB-tree
+  and the metadata store hold exactly ``count`` rows and the delta is
+  empty with ``base_count == count``: ids stay dense and nothing the
+  delta held was dropped or folded twice.
 
 Activate with ``REPRO_SANITIZE=1`` in the environment (checked at
 ``import repro`` time) or explicitly::
@@ -263,6 +268,36 @@ def _install_tree_crosscheck() -> None:
     _patch(BPlusTree, "nearest_positions", checked_positions)
 
 
+# -- delta fold -------------------------------------------------------------
+
+
+def _check_folded(index: Any) -> None:
+    sizes = {"heap": len(index.heap),
+             "delta.base_count": index._delta.base_count}
+    sizes.update((f"tree_{position}", len(tree))
+                 for position, tree in enumerate(index.trees))
+    if index.metadata is not None:
+        sizes["metadata"] = index.metadata.count
+    wrong = {name: size for name, size in sizes.items()
+             if size != index.count}
+    if wrong or len(index._delta):
+        raise SanitizerError(
+            f"_fold_delta left count={index.count} but {wrong} and "
+            f"{len(index._delta)} row(s) still in the delta")
+
+
+def _install_fold_check() -> None:
+    from repro.core.hdindex import HDIndex
+
+    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(self: Any) -> None:
+            original(self)
+            _check_folded(self)
+        return wrapper
+
+    _patch(HDIndex, "_fold_delta", checked)
+
+
 # -- public API -------------------------------------------------------------
 
 
@@ -274,6 +309,7 @@ def install() -> None:
     _install_bufferpool()
     _install_mmap_guard()
     _install_tree_crosscheck()
+    _install_fold_check()
 
 
 def uninstall() -> None:

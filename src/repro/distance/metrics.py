@@ -147,6 +147,16 @@ def require_normalized(points: np.ndarray, label: str = "data",
             f"normalise rows (e.g. repro.distance.normalize_rows) first")
 
 
+def require_finite(points: np.ndarray, label: str = "data") -> None:
+    """Raise ``ValueError`` if any coordinate is NaN or infinite: one
+    such value poisons every distance it meets (SSS reference selection
+    never terminates on it; a query returns ``nan`` distances)."""
+    if not np.isfinite(points).all():
+        raise ValueError(
+            f"{label} contains NaN or infinite values; every coordinate "
+            f"must be finite")
+
+
 def _normalize_one(vector: np.ndarray) -> np.ndarray:
     norm = float(np.sqrt(vector @ vector))
     if abs(norm - 1.0) <= NORMALIZATION_ATOL or norm == 0.0:

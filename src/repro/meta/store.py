@@ -146,6 +146,31 @@ class MetadataStore:
                 f"{', '.join(repr(m) for m in missing)}; available: "
                 f"{', '.join(sorted(self._columns))}")
 
+    def validate_row(self, row: Mapping[str, Any]) -> dict[str, Any]:
+        """One insert-time row checked against this store: exactly its
+        columns, each value of the column's kind.  Returns the row with
+        ints widened to float for float columns, so :meth:`append_rows`
+        accepts it — now or after a trip through the write-ahead log.
+
+        Raises:
+            ValueError: The keys are not exactly the store's columns.
+            TypeError: A value is not of its column's kind.
+        """
+        if set(row.keys()) != set(self._columns):
+            raise ValueError(
+                f"metadata keys {sorted(row.keys())} differ from store "
+                f"columns {sorted(self._columns)}")
+        checked = dict(row)
+        for name, column in self._columns.items():
+            kind = _kind_of(_column_from_values(name, [row[name]]).dtype)
+            if kind == "int" and column.dtype.kind == "f":
+                checked[name] = float(row[name])
+            elif kind != _kind_of(column.dtype):
+                raise TypeError(
+                    f"column {name!r} is {_kind_of(column.dtype)}-typed; "
+                    f"got {row[name]!r}")
+        return checked
+
     # -- growth / reshaping -------------------------------------------------
 
     def append_rows(self,

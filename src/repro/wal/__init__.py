@@ -14,9 +14,9 @@ it *servable under live traffic* anyway:
   via the ``CURRENT`` pointer, and adopted by live pools/services
   between micro-batches (zero-downtime swap).
 
-An ingest-time write costs one log frame of I/O; the pre-WAL process
-path re-persisted the whole snapshot and restarted the worker pool on
-the first query after any insert.
+Every insert lands in the delta segment whether or not a log is
+attached; the log adds durability — one frame of I/O per write — and
+the generation chain.
 """
 
 from repro.wal.delta import DeltaSegment

@@ -1,7 +1,8 @@
-"""In-memory delta segment: un-compacted inserts searched beside the base.
+"""In-memory delta segment: un-folded inserts searched beside the base.
 
-WAL-mode inserts never touch the built RDB-trees or the descriptor heap;
-they land here and in the log.  The query engine unions the delta's id
+Inserts never touch the built RDB-trees or the descriptor heap; they
+land here (and, when one is attached, in the write-ahead log first)
+until ``HDIndex._fold_delta``.  The query engine unions the delta's id
 range into the survivor set (the delta is brute-force reranked — every
 delta member reaches stage iii, where the exact distance decides), and
 :meth:`gather` serves their descriptors during the rerank fetch.

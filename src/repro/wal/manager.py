@@ -35,7 +35,6 @@ import shutil
 
 import numpy as np
 
-from repro.wal.delta import DeltaSegment
 from repro.wal.log import WalError, WalRecord, WriteAheadLog, replay_wal
 
 __all__ = [
@@ -158,14 +157,16 @@ def _prune_generations(root: str, keep: set[str]) -> None:
 
 def enable_wal(index, root: str | os.PathLike[str] | None = None,
                fsync: str | None = None) -> None:
-    """Create the log handle and delta segment for a built plain index.
+    """Create the log handle for a built index — one per plain index, one
+    for a whole sharded deployment (its records carry the target shard;
+    shards never log individually).
 
-    Idempotent; called lazily on the first WAL-mode mutation and by
-    :func:`attach_wal` at load time.
+    Idempotent; called on the first logged mutation (:func:`open_log`)
+    and by :func:`attach_wal` at load time.
     """
     if root is None:
-        root = (getattr(index, "_wal_root", None)
-                or index.snapshot_dir or index.params.storage_dir)
+        root = (index._wal_root or getattr(index, "snapshot_dir", None)
+                or index.params.storage_dir)
     if root is None:
         raise ValueError(
             "wal=True requires a disk-backed index "
@@ -175,35 +176,29 @@ def enable_wal(index, root: str | os.PathLike[str] | None = None,
     os.makedirs(root, exist_ok=True)
     index._wal_root = root
     if index._wal is None:
-        index._wal = WriteAheadLog(
-            wal_path(root), fsync=fsync or getattr(index, "_wal_fsync",
-                                                   "always"))
-    if index._delta is None:
-        index._delta = DeltaSegment(len(index.heap), index.dim,
-                                    index.heap.dtype)
+        index._wal = WriteAheadLog(wal_path(root),
+                                   fsync=fsync or index._wal_fsync)
 
 
-def enable_router_wal(router, fsync: str | None = None) -> None:
-    """Router-level counterpart of :func:`enable_wal` (one log for the
-    whole sharded deployment; shards never log individually)."""
-    root = router.params.storage_dir
-    if root is None:
-        raise ValueError(
-            "wal=True requires a disk-backed router "
-            "(HDIndexParams(storage_dir=...)): the write-ahead log lives "
-            "next to the manifest")
-    root = os.fspath(root)
-    os.makedirs(root, exist_ok=True)
-    router._wal_root = root
-    if router._wal is None:
-        router._wal = WriteAheadLog(
-            wal_path(root), fsync=fsync or getattr(router, "_wal_fsync",
-                                                   "always"))
-    for shard in router.shards:
-        shard._wal_policy = False
-        if shard._delta is None:
-            shard._delta = DeltaSegment(len(shard.heap), shard.dim,
-                                        shard.heap.dtype)
+def _wants_log(index, on_disk: bool = False) -> bool:
+    """``Execution.wal`` resolved: the explicit policy, else (auto) a log
+    already on disk or process execution, whose snapshot lives on disk
+    anyway."""
+    if index._wal_policy is not None:
+        return index._wal_policy
+    if hasattr(index, "shards"):
+        return on_disk or index.execution.kind == "process"
+    return on_disk or index._remote  # not .spec: this runs per insert
+
+
+def open_log(index):
+    """The write-ahead log a mutation of ``index`` is framed in first
+    (attached on first use), or ``None`` when its updates are volatile —
+    the one place durability is decided; the data path never forks on
+    it."""
+    if index._wal is None and _wants_log(index):
+        enable_wal(index)
+    return index._wal
 
 
 def attach_wal(index, root: str | os.PathLike[str],
@@ -215,41 +210,22 @@ def attach_wal(index, root: str | os.PathLike[str],
             :class:`~repro.core.router.ShardRouter`.
         root: The snapshot *root* (the directory :func:`load_index` was
             given, not the resolved generation directory).
-        wal: Per-call override — ``True`` forces WAL mode, ``False``
-            forces the legacy dirty-resync path, ``None`` honours the
-            snapshot's recorded policy, falling back to auto-detection:
-            WAL state on disk, or process execution (whose pre-WAL write
-            path paid a full resync + pool restart per burst).
+        wal: Per-call override — ``True`` attaches the log, ``False``
+            attaches none (updates stay volatile; a log on disk is not
+            replayed), ``None`` honours the snapshot's recorded policy,
+            falling back to auto-detection (:func:`_wants_log`).
     """
     root = os.fspath(root)
     if wal is not None:
         index._wal_policy = bool(wal)
-    if wal is False:
+    if index._wal is not None or not _wants_log(index, has_wal_layout(root)):
         return
-    if getattr(index, "_wal", None) is not None:
-        return  # already attached
-    if wal is None:
-        policy = index._wal_policy
-        if policy is False:
-            return
-        if policy is None and not (has_wal_layout(root)
-                                   or _is_process(index)):
-            return
     records, _ = replay_wal(wal_path(root))
-    from repro.core.router import ShardRouter
-    if isinstance(index, ShardRouter):
-        enable_router_wal(index)
+    enable_wal(index, root)
+    if hasattr(index, "shards"):
         _replay_into_router(index, records)
     else:
-        enable_wal(index, root)
         _replay_into_index(index, records)
-
-
-def _is_process(index) -> bool:
-    execution = getattr(index, "execution", None)
-    if execution is not None:
-        return execution.kind == "process"
-    return bool(getattr(index, "_remote", False))
 
 
 def _replay_into_index(index, records: list[WalRecord]) -> None:
@@ -267,8 +243,7 @@ def _replay_into_index(index, records: list[WalRecord]) -> None:
                 raise WalError(
                     f"WAL id gap: record {record.object_id} but next "
                     f"delta id is {index._delta.next_id}")
-            index._delta.append(record.vector, record.metadata)
-            index.count += 1
+            index._delta_insert(record.vector, record.metadata)
         else:
             if 0 <= record.object_id < index.count:
                 index._deleted.add(record.object_id)
@@ -317,7 +292,8 @@ def fold_generation(source: str, dest: str,
                     records: list[tuple[int, np.ndarray, dict | None]],
                     deleted: set[int], generation: int) -> None:
     """Write a new self-contained generation: the ``source`` snapshot
-    plus ``records`` folded into the trees and heap.
+    plus ``records`` folded into the trees and heap by
+    ``HDIndex._fold_delta`` on a detached copy.
 
     Every record is re-inserted from its original float64 descriptor —
     including later-deleted ones, so object ids stay dense and match an
@@ -351,21 +327,15 @@ def fold_generation(source: str, dest: str,
                 raise WalError(
                     f"compaction id gap: record {object_id} but folded "
                     f"count is {folded.count}")
-            assigned = folded.insert(vector, metadata)
-            if assigned != object_id:
-                raise WalError(
-                    f"compaction assigned id {assigned} to record "
-                    f"{object_id}")
+            folded._delta_insert(vector, metadata)
         folded._deleted = set(int(i) for i in deleted)
-        for tree in folded.trees:
-            tree.repack()
+        folded._fold_delta()
         folded.generation = int(generation)
-        folded._snapshot_dirty = False
         save_index(folded, dest)
     finally:
         folded.close()
-    # ``folded`` was loaded demoted (sequential executors, WAL off) so the
-    # fold never forks pools or recurses into the log — but save_index
+    # ``folded`` was loaded demoted (sequential executors, no log) so the
+    # fold never forks pools or touches the log — but save_index
     # derives the persisted execution from the *live* object.  Restore the
     # source snapshot's recorded execution so the new generation reopens
     # exactly like the one it replaces (process pools, wal policy, ...).
@@ -381,6 +351,25 @@ def fold_generation(source: str, dest: str,
     with open(meta_path, "w") as handle:
         json.dump(meta, handle, indent=2)
     _fsync_dir(dest)
+
+
+def fold_in_place(index) -> int:
+    """``compact()`` with no log attached: fold every delta into its base
+    in place — not concurrently with queries — and, when
+    ``params.storage_dir`` already holds this index's snapshot,
+    re-persist it there so disk matches the rewritten pages (a process
+    pool re-binds to it once).  Returns the unchanged generation: there
+    is no ``gen-*`` chain without a log."""
+    from repro.core.persistence import MANIFEST_FILE, META_FILE, save_index
+    shards = getattr(index, "shards", None)
+    directory = index.params.storage_dir
+    if directory is not None and os.path.exists(os.path.join(
+            directory, META_FILE if shards is None else MANIFEST_FILE)):
+        save_index(index, directory)
+    else:
+        for part in shards or [index]:
+            part._fold_delta()
+    return index.generation
 
 
 def compact_index(index) -> int:
@@ -423,8 +412,7 @@ def compact_router(router) -> int:
         if not _shard_needs_fold(shard, source):
             continue
         with shard._update_lock:
-            records = (shard._delta.records() if shard._delta is not None
-                       else [])
+            records = shard._delta.records()
             deleted = set(shard._deleted)
         fold_generation(source, os.path.join(shard_root, dest_name),
                         records, deleted, next_generation)
@@ -439,14 +427,13 @@ def compact_router(router) -> int:
     router.generation = next_generation
     _write_manifest(router, root)
     router._wal.truncate()
-    router._manifest_dirty = False
     return next_generation
 
 
 def _shard_needs_fold(shard, source: str) -> bool:
     """A shard folds when it holds delta inserts or its deleted set
     drifted from the published generation's meta."""
-    if shard._delta is not None and len(shard._delta):
+    if len(shard._delta):
         return True
     try:
         with open(os.path.join(source, "meta.json")) as handle:

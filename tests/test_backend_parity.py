@@ -166,8 +166,10 @@ class TestMutatedSnapshotParity:
         mutated = load_index(tmp_path, backend="mmap")
         new_id = mutated.insert(np.full(16, 0.25))
         mutated.delete(3)
-        expected = _answers(mutated, queries)
+        # save_index folds the un-logged delta into the trees: from here
+        # the insert is found through the tree scan, like a built point.
         save_index(mutated, tmp_path)
+        expected = _answers(mutated, queries)
         mutated.close()
 
         for backend in BACKENDS:

@@ -83,7 +83,7 @@ class TestWalCompact:
         from repro.core import open_index
         index = open_index(str(tmp_path / "idx"))
         try:
-            assert index._wal_active()
+            assert index._wal is not None
             rng = np.random.default_rng(7)
             index.insert(rng.uniform(0.0, 10.0, size=index.dim))
             index.delete(0)
@@ -105,12 +105,29 @@ class TestWalCompact:
         assert code == 0
         assert "MAP@k" in out.getvalue()
 
-    def test_compact_rejects_non_wal_index(self, tmp_path, capsys):
+    def test_unlogged_updates_last_through_save_and_compact(self, tmp_path):
+        """Built without --wal: updates are volatile until save_index,
+        and `compact` (which used to refuse such an index) re-persists
+        the snapshot in place without starting a generation chain."""
+        import numpy as np
+
+        from repro.core import open_index, save_index
         run(["build", "--dataset", "glove", "--n", "150",
              "--out", str(tmp_path / "idx"), "--trees", "4",
              "--alpha", "32", "--gamma", "8"])
-        assert run(["compact", "--index", str(tmp_path / "idx")]) == 2
-        assert "not WAL-backed" in capsys.readouterr().err
+        index = open_index(str(tmp_path / "idx"))
+        vector = np.random.default_rng(7).uniform(0.0, 10.0, size=index.dim)
+        new_id = index.insert(vector)
+        save_index(index, tmp_path / "idx")
+        index.close()
+        assert not (tmp_path / "idx" / "wal.log").exists()
+
+        out = io.StringIO()
+        assert run(["compact", "--index", str(tmp_path / "idx")], out) == 0
+        assert "(n=151) -> generation 0" in out.getvalue()
+        assert not (tmp_path / "idx" / "CURRENT").exists()
+        with open_index(str(tmp_path / "idx")) as reopened:
+            assert int(reopened.query(vector, 1)[0][0]) == new_id
 
 
 class TestCompare:

@@ -436,20 +436,31 @@ class TestScalarOracleParity:
     computes Algo. 2."""
 
     K = 10
+    #: First configuration's batch answers per predicate: every other
+    #: one (other executors, no log, no disk) must reproduce them.
+    REFERENCE: dict = {}
 
-    @pytest.fixture(params=["sequential", "threaded", "process"])
+    @pytest.fixture(params=[("sequential", True, True),
+                            ("threaded", True, True),
+                            ("process", True, True),
+                            ("sequential", False, False),
+                            ("threaded", False, True),
+                            ("process", False, True)],
+                    ids=lambda p: f"{p[0]}-{'wal' if p[1] else 'nolog'}"
+                                  f"-{'disk' if p[2] else 'memory'}")
     def updated(self, request, workload, tmp_path):
-        """A labelled WAL index per executor, with a delta holding three
-        inserts (the second deleted again, the third failing the filter)
-        and two base deletes; yields (index, every vector by id, deleted
-        ids)."""
+        """A labelled index per (executor, logged?, on disk?), with a
+        delta holding three inserts (the second deleted again, the third
+        failing the filter) and two base deletes; yields (index, every
+        vector by id, deleted ids)."""
         data, queries = workload
-        directory = str(tmp_path / "snap")
+        kind, logged, on_disk = request.param
+        directory = str(tmp_path / "snap") if on_disk else None
         index = build(
             IndexSpec(params=params(storage_dir=directory,
                                     use_ptolemaic=True),
-                      execution=Execution(kind=request.param, workers=2,
-                                          wal=True)),
+                      execution=Execution(kind=kind, workers=2,
+                                          wal=logged)),
             data, storage_dir=directory,
             metadata=[{"label": i % 3} for i in range(len(data))])
         deleted = {int(v) for v in index.query(queries[0], 2)[0]}
@@ -495,6 +506,11 @@ class TestScalarOracleParity:
             labels[len(vectors) - 3:] = DELTA_LABELS
             assert np.all(labels[batch_ids] == 1)
         assert (batch_ids >= len(vectors) - 3).any()  # the delta ranks
+        assert (index._wal is not None) == index.spec.execution.wal
+        reference = self.REFERENCE.setdefault(repr(predicate),
+                                              (batch_ids, batch_dists))
+        np.testing.assert_array_equal(batch_ids, reference[0])
+        np.testing.assert_array_equal(batch_dists, reference[1])
 
 
 class TestOnePointAdapter:

@@ -235,3 +235,29 @@ class TestEndToEndQueryParity:
                 assert np.all(np.isfinite(dists))
         finally:
             index.close()
+
+
+class TestFoldPostconditions:
+    def build_with_delta(self):
+        from repro import HDIndex, HDIndexParams
+
+        rng = np.random.default_rng(8)
+        index = HDIndex(HDIndexParams(
+            num_trees=2, num_references=3, alpha=32, gamma=8,
+            domain=(0.0, 100.0), seed=1))
+        index.build(rng.uniform(0, 100, size=(120, 6)),
+                    metadata=[{"label": i % 3} for i in range(120)])
+        for label, vector in enumerate(rng.uniform(0, 100, size=(4, 6))):
+            index.insert(vector, metadata={"label": label})
+        return index
+
+    def test_clean_fold_is_silent(self, sanitized):
+        index = self.build_with_delta()
+        index.compact()
+        assert len(index.heap) == index.metadata.count == index.count == 124
+
+    def test_dropped_tree_insert_raises(self, sanitized):
+        index = self.build_with_delta()
+        index.trees[1].insert = lambda *args: None
+        with pytest.raises(SanitizerError, match="tree_1"):
+            index.compact()

@@ -2,12 +2,15 @@
 
 Every family member — plain, thread-parallel, process-parallel, sharded —
 must agree on the boundary behaviours a serving tier leans on: ``k``
-validation, querying before ``build()``, ``k > n``, a single-point index,
-and querying after every point has been deleted (the empty
-surviving-candidate set, which must not touch the descriptor heap at all).
+validation, non-finite input, querying before ``build()``, ``k > n``, a
+single-point index, and querying after every point has been deleted (the
+empty surviving-candidate set, which must not touch the descriptor heap
+at all).
 """
 
 from __future__ import annotations
+
+import signal
 
 import numpy as np
 import pytest
@@ -75,8 +78,51 @@ def _heap_reads(index) -> int:
     return index.heap.stats.page_reads
 
 
+@pytest.fixture
+def deadline():
+    """Turn a hang into a failure: ``build()`` over a NaN used to spin
+    forever inside SSS reference selection, which would otherwise come
+    back as a stuck CI job rather than a red test."""
+    def expired(signum, frame):
+        raise TimeoutError("test exceeded its 60 s deadline")
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.mark.parametrize("make_index", FAMILY)
 class TestValidation:
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, make_index, tmp_path, poison,
+                                       deadline):
+        """NaN/inf is refused at every entry — build, insert, query,
+        query_batch — and a refused call leaves the index serving."""
+        data = _data(20)
+        bad = data[7].copy()
+        bad[3] = poison
+        broken = make_index(tmp_path / "broken")
+        try:
+            with pytest.raises(ValueError, match="NaN or infinite"):
+                broken.build(np.vstack([data[:7], bad, data[8:]]))
+        finally:
+            broken.close()
+        index = make_index(tmp_path / "index")
+        index.build(data)
+        try:
+            for call in (lambda: index.insert(bad),
+                         lambda: index.query(bad, K),
+                         lambda: index.query_batch(
+                             np.vstack([data[0], bad]), K)):
+                with pytest.raises(ValueError, match="NaN or infinite"):
+                    call()
+            assert index.count == 20
+            ids, dists = index.query(data[7], K)
+            assert ids[0] == 7 and np.all(np.isfinite(dists))
+        finally:
+            index.close()
+
     def test_k_zero_and_negative_rejected(self, make_index, tmp_path):
         index = make_index(tmp_path)
         index.build(_data(20))

@@ -20,7 +20,7 @@ from repro.core.engine import (
     inflate_filter_sizes,
 )
 from repro.core.factory import build
-from repro.core.spec import Execution
+from repro.core.spec import Execution, Topology
 from repro.distance import euclidean_to_many, normalize_rows, top_k_smallest
 from repro.meta import And, Eq, In, MetadataStore, Not, Range
 
@@ -287,14 +287,19 @@ class TestFilteredPersistence:
             assert reopened.metadata is None
 
 
+@pytest.mark.parametrize("wal", [True, False])
 class TestFilteredWal:
-    def wal_spec(self, n=N):
-        return IndexSpec(params=exhaustive_params(n=n), backend="file",
-                         execution=Execution(kind="sequential", wal=True))
+    """Filtered queries over online updates, with the write-ahead log
+    attached and without (same write path; the log is durability)."""
 
-    def test_wal_inserts_filterable_and_recovered(self, tmp_path):
+    def wal_spec(self, wal, n=N, shards=1):
+        return IndexSpec(params=exhaustive_params(n=n), backend="file",
+                         topology=Topology(shards=shards),
+                         execution=Execution(kind="sequential", wal=wal))
+
+    def test_wal_inserts_filterable_and_recovered(self, tmp_path, wal):
         data, queries, metadata = make_workload()
-        index = build(self.wal_spec(), data, storage_dir=str(tmp_path),
+        index = build(self.wal_spec(wal), data, storage_dir=str(tmp_path),
                       metadata=metadata)
         fresh = np.asarray(queries[1])
         new_id = index.insert(fresh, metadata={"label": 3,
@@ -307,14 +312,46 @@ class TestFilteredWal:
         miss, _ = index.query(fresh, k=1, predicate=Eq("label", 4))
         assert new_id not in miss
         index.close()
-        # Crash-recovery replay rebuilds the delta row's metadata.
+        # Crash-recovery replay rebuilds the delta row's metadata; with
+        # no log the un-saved insert was volatile and the base intact.
         with open_index(str(tmp_path)) as recovered:
             ids, _ = recovered.query(fresh, k=1, predicate=predicate)
-            assert ids[0] == new_id
+            assert (ids[0] == new_id) == wal
+            assert recovered.count == N + wal
 
-    def test_compaction_folds_metadata(self, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_mismatched_metadata_rejected_before_the_log(self, tmp_path,
+                                                         wal, shards):
+        """A row the store cannot fold (wrong column, wrong kind) must be
+        refused before its frame is written: once logged it would break
+        every filtered query and every compaction, across reopens."""
         data, queries, metadata = make_workload()
-        index = build(self.wal_spec(), data, storage_dir=str(tmp_path),
+        index = build(self.wal_spec(wal, shards=shards), data,
+                      storage_dir=str(tmp_path), metadata=metadata)
+        good = {"label": 3, "score": 1, "tag": "even"}  # int -> float col
+        index.insert(queries[0], metadata=good)
+        log_bytes = index._wal.size_bytes() if wal else 0
+        for bad, error in [({"colour": 3}, ValueError),
+                           ({**good, "extra": 1}, ValueError),
+                           ({**good, "label": 2.5}, TypeError),
+                           ({**good, "label": "3"}, TypeError),
+                           ({**good, "tag": 7}, TypeError),
+                           ({**good, "score": True}, TypeError)]:
+            with pytest.raises(error):
+                index.insert(queries[1], metadata=bad)
+        assert index.count == N + 1
+        assert (index._wal.size_bytes() if wal else 0) == log_bytes
+        ids, _ = index.query(queries[0], k=1, predicate=Eq("label", 3))
+        assert ids[0] == N
+        index.compact()
+        ids, _ = index.query(queries[0], k=1,
+                             predicate=Eq("score", 1.0) & Eq("tag", "even"))
+        assert ids[0] == N
+        index.close()
+
+    def test_compaction_folds_metadata(self, tmp_path, wal):
+        data, queries, metadata = make_workload()
+        index = build(self.wal_spec(wal), data, storage_dir=str(tmp_path),
                       metadata=metadata)
         fresh = np.asarray(queries[2])
         new_id = index.insert(fresh, metadata={"label": 5, "score": 0.5,
@@ -329,11 +366,11 @@ class TestFilteredWal:
             ids, _ = reopened.query(fresh, k=1, predicate=Eq("label", 5))
             assert ids[0] == new_id
 
-    def test_parity_through_wal_interleavings(self, tmp_path):
+    def test_parity_through_wal_interleavings(self, tmp_path, wal):
         """Insert → query → compact → insert → query: parity with the
         oracle (base store + delta rows) at every step."""
         data, queries, metadata = make_workload(n=150)
-        index = build(self.wal_spec(n=150), data,
+        index = build(self.wal_spec(wal, n=150), data,
                       storage_dir=str(tmp_path),
                       metadata=metadata)
         rng = np.random.default_rng(11)
@@ -346,11 +383,11 @@ class TestFilteredWal:
             rows = [index.metadata.row(i)
                     for i in range(index.metadata.count)]
             delta = index._delta
-            rows += delta.metadata_rows() if delta is not None else []
+            rows += delta.metadata_rows()
             eligible = np.asarray([predicate.matches(r) for r in rows])
             vectors = index.heap.gather(
                 np.arange(index.metadata.count))
-            delta_records = delta.records() if delta is not None else []
+            delta_records = delta.records()
             if delta_records:
                 vectors = np.vstack(
                     [vectors,

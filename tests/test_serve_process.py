@@ -392,20 +392,30 @@ class TestProcessKindPersistence:
         finally:
             reopened.close()
 
-    def test_insert_resyncs_worker_snapshot(self, workload, tmp_path):
-        """Workers must see inserted points: the snapshot is re-persisted
-        and the pool restarted lazily on the next query."""
+    @pytest.mark.parametrize("wal", [None, False])
+    def test_insert_visible_through_workers_without_restart(
+            self, workload, tmp_path, wal):
+        """An inserted point is answered through process workers at once
+        — it lives in the parent-side delta, logged or not — and neither
+        the write nor the queries after it restart the pool."""
         data, queries = workload
         index = create_index(IndexSpec(
             params=_params(str(tmp_path)),
-            execution=Execution(kind="process", workers=2)))
+            execution=Execution(kind="process", workers=2, wal=wal)))
         index.build(data)
-        probe = np.full(16, 50.0)
-        new_id = index.insert(probe)
-        ids, dists = index.query(probe, 1)
-        assert ids[0] == new_id and dists[0] < 1e-5
-        # Deletes are parent-side (survivor merge filters them): no resync.
-        index.delete(int(new_id))
-        ids, _ = index.query(probe, 1)
-        assert new_id not in ids
-        index.close()
+        try:
+            pool = index.executor.pool
+            pids = pool.prestart()
+            workers = pool._pool
+            probe = np.full(16, 50.0)
+            new_id = index.insert(probe)
+            ids, dists = index.query(probe, 1)
+            assert ids[0] == new_id and dists[0] < 1e-5
+            # Deletes are parent-side too (the survivor merge filters).
+            index.delete(int(new_id))
+            ids, _ = index.query(probe, 1)
+            assert new_id not in ids
+            assert index.executor.pool is pool and pool._pool is workers
+            assert set(pool.prestart()) <= set(pids)
+        finally:
+            index.close()

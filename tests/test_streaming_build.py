@@ -147,6 +147,13 @@ class TestStreamingRestrictions:
         with pytest.raises(ValueError, match="dimensionality"):
             index.build_from_chunks(ragged())
 
+    def test_non_finite_block_rejected(self, corpus):
+        poisoned = corpus.copy()
+        poisoned[N // 2, 3] = np.nan
+        index = HDIndex(stream_params())
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            index.build_from_chunks(chunks_of(poisoned))
+
     def test_more_references_than_rows_rejected(self, corpus):
         index = HDIndex(stream_params(num_references=N + 1,
                                       alpha=N + 1, beta=N + 1,

@@ -10,10 +10,15 @@ compactions and a process-execution hot swap, must
 * fail **zero** queries,
 * and never restart a worker pool or rewrite the snapshot on the write
   path (the O(n) resync this subsystem replaces).
+
+It runs twice: with the write-ahead log attached, and without one
+(``Execution(wal=False)``) — same write path, same answers; only the
+compactions differ (in place, readers held off, no new generation).
 """
 
 from __future__ import annotations
 
+import contextlib
 import threading
 
 import numpy as np
@@ -27,6 +32,7 @@ from repro.core import (
     SnapshotWorkerPool,
     build,
 )
+from repro.wal.manager import open_log
 
 DIM = 4
 BASE_N = 400
@@ -44,7 +50,8 @@ def _params(directory=None):
                          storage_dir=directory)
 
 
-def test_sustained_online_updates_acceptance(tmp_path, monkeypatch):
+@pytest.mark.parametrize("logged", [True, False])
+def test_sustained_online_updates_acceptance(tmp_path, monkeypatch, logged):
     rng = np.random.default_rng(99)
     base = rng.uniform(0.0, 100.0, size=(BASE_N, DIM))
     stream = rng.uniform(0.0, 100.0, size=(INSERTS, DIM))
@@ -52,10 +59,14 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch):
 
     index = build(
         IndexSpec(params=_params(str(tmp_path / "snap")),
-                  execution=Execution(kind="process", workers=2)),
+                  execution=Execution(kind="process", workers=2,
+                                      wal=None if logged else False)),
         base, storage_dir=str(tmp_path / "snap"))
     index._wal_fsync = "batch"
-    assert index._wal_active()
+    assert (open_log(index) is not None) == logged
+    # A logged compaction swaps generations under live readers; an
+    # un-logged one rewrites the base in place, so readers wait it out.
+    gate = contextlib.nullcontext() if logged else threading.Lock()
 
     resets: list[object] = []
     monkeypatch.setattr(SnapshotWorkerPool, "reset",
@@ -76,7 +87,8 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch):
         while not stop.is_set():
             query = probe[reader_rng.integers(0, len(probe))]
             try:
-                ids, dists = index.query(query, 5)
+                with gate:
+                    ids, dists = index.query(query, 5)
                 assert len(ids) == 5
                 answered[0] += 1
             except Exception as error:  # pragma: no cover - fails test
@@ -102,7 +114,8 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch):
             if position + 1 in COMPACT_AT:
                 # The pure write path up to here restarted nothing.
                 assert resets == []
-                generations.append(index.compact())
+                with gate:
+                    generations.append(index.compact())
                 # Compaction closes throwaway (never-forked) executors
                 # from its snapshot reload — but never the serving pool.
                 assert all(pool is not live_pool for pool in resets)
@@ -114,15 +127,15 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch):
 
     assert errors == []
     assert answered[0] > 0, "readers never got a query through"
-    assert generations == [1, 2]
-    assert index.generation == 2
+    assert generations == ([1, 2] if logged else [0, 0])
+    assert index.generation == generations[-1]
     assert resets == []  # tail of the stream: write path, no restarts
     # The write path never re-persisted the serving snapshot; the only
-    # saves are the two compactions writing *new* generation directories.
+    # saves are the two compactions — into *new* generation directories
+    # when logged, over the snapshot itself otherwise.
     compaction_saves = [args for args in saves
-                        if "gen-" in str(args[1])]
+                        if ("gen-" in str(args[1])) == logged]
     assert len(saves) == len(compaction_saves) == 2
-    assert not index._snapshot_dirty
 
     # Byte-identical parity with a one-shot oracle over the full stream.
     oracle = HDIndex(_params())

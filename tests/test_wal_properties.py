@@ -1,11 +1,12 @@
-"""Property-based WAL invariants (hypothesis).
+"""Property-based online-update invariants (hypothesis).
 
-Random interleavings of insert / delete / query / compact, applied to a
-WAL-backed index, must stay **byte-identical** to an oracle freshly
-built from the same operation stream in one shot — at every query point,
-whatever the execution strategy.  Deleted ids must never surface, no
-matter whether the delete landed in the base snapshot or the in-memory
-delta segment.
+Random interleavings of insert / delete / query / compact must stay
+**byte-identical** to an oracle freshly built from the same operation
+stream in one shot — at every query point, whatever the execution
+strategy, and whether or not a write-ahead log is attached (``MODES``:
+the log only decides durability, never the answer).  Deleted ids must
+never surface, no matter whether the delete landed in the base snapshot
+or the in-memory delta segment.
 
 The exhaustive regime (α ≥ n, γ = α, triangular filter only) turns the
 index into exact brute force, so "byte-identical" is a meaningful
@@ -20,7 +21,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core import Execution, HDIndex, HDIndexParams, IndexSpec, build
+from repro.core import (
+    Execution,
+    HDIndex,
+    HDIndexParams,
+    IndexSpec,
+    Topology,
+    build,
+)
+from repro.wal.manager import open_log
 
 DIM = 4
 BASE_N = 40
@@ -44,18 +53,34 @@ def _vectors(seed, count):
 _OPS = st.lists(st.integers(0, 99), min_size=6, max_size=32)
 
 
-def _run_interleaving(kind, seed, ops, workers=2):
-    """Drive a WAL index through the op stream, checking byte-identical
+#: Durability x deployment: logged; un-logged memory-backed; un-logged
+#: file-backed; un-logged two-shard router (memory-backed).
+MODES = ["logged", "memory", "file", "router"]
+
+
+def _build(mode, kind, vectors, tmp, workers=2):
+    """The index under test: ``mode`` picks durability and deployment
+    (process execution always lives in ``tmp`` — its workers need the
+    snapshot — so its un-logged mode is ``"file"``)."""
+    execution = Execution(kind=kind, wal=(mode == "logged"),
+                          workers=None if kind == "sequential" else workers)
+    index = build(
+        IndexSpec(params=_params(), execution=execution,
+                  topology=Topology(shards=2 if mode == "router" else 1)),
+        vectors, storage_dir=tmp if mode in ("logged", "file") else None)
+    index._wal_fsync = "batch"
+    assert (open_log(index) is not None) == (mode == "logged")
+    return index
+
+
+def _run_interleaving(kind, seed, ops, mode="logged"):
+    """Drive an index through the op stream, checking byte-identical
     parity with a one-shot oracle at every query (and at the end)."""
     vectors = [v for v in _vectors(seed, BASE_N)]
     deleted: set[int] = set()
     fresh = iter(_vectors(seed + 1_000_003, len(ops)))
     with tempfile.TemporaryDirectory() as tmp:
-        execution = Execution(kind=kind, workers=workers, wal=True) \
-            if kind != "sequential" else Execution(wal=True)
-        index = build(IndexSpec(params=_params(), execution=execution),
-                      np.asarray(vectors), storage_dir=tmp)
-        index._wal_fsync = "batch"
+        index = _build(mode, kind, np.asarray(vectors), tmp)
         try:
             checked = False
             for position, code in enumerate(ops):
@@ -101,24 +126,27 @@ def _check_parity(index, vectors, deleted, query_seed):
 
 
 class TestInterleavingParity:
+    @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("kind", ["sequential", "thread"])
     @given(seed=st.integers(0, 10**6), ops=_OPS)
     @settings(max_examples=8, deadline=None)
-    def test_matches_one_shot_oracle(self, kind, seed, ops):
-        _run_interleaving(kind, seed, ops)
+    def test_matches_one_shot_oracle(self, kind, mode, seed, ops):
+        _run_interleaving(kind, seed, ops, mode)
 
+    @pytest.mark.parametrize("mode", ["logged", "file"])
     @given(seed=st.integers(0, 10**6), ops=_OPS)
     @settings(max_examples=2, deadline=None)
-    def test_process_execution_matches_oracle(self, seed, ops):
-        _run_interleaving("process", seed, ops)
+    def test_process_execution_matches_oracle(self, mode, seed, ops):
+        _run_interleaving("process", seed, ops, mode)
 
 
 class TestDeletedNeverSurface:
+    @pytest.mark.parametrize("mode", MODES)
     @given(seed=st.integers(0, 10**6),
            delta_inserts=st.integers(1, 12),
            delete_count=st.integers(1, 6))
     @settings(max_examples=10, deadline=None)
-    def test_deleted_in_delta_absent_from_answers(self, seed,
+    def test_deleted_in_delta_absent_from_answers(self, mode, seed,
                                                   delta_inserts,
                                                   delete_count):
         """Deleting ids that live in the un-compacted delta — and ids in
@@ -126,10 +154,7 @@ class TestDeletedNeverSurface:
         k = full count where brute force would otherwise return them."""
         vectors = _vectors(seed, BASE_N)
         with tempfile.TemporaryDirectory() as tmp:
-            index = build(IndexSpec(params=_params(),
-                                    execution=Execution(wal=True)),
-                          vectors, storage_dir=tmp)
-            index._wal_fsync = "batch"
+            index = _build(mode, "sequential", vectors, tmp)
             try:
                 extra = _vectors(seed + 99, delta_inserts)
                 for vector in extra:

@@ -353,14 +353,17 @@ class TestGenerationLifecycle:
 
 
 class TestNoResyncOnWritePath:
-    """PR regression guard: WAL-mode writes must never restart worker
-    pools or rewrite the snapshot — the O(n) resync the WAL replaces."""
+    """Regression guard: a write — logged or not — must never restart
+    worker pools or rewrite the snapshot (the O(n) resync the delta
+    replaces)."""
 
+    @pytest.mark.parametrize("wal", [None, False])
     def test_process_insert_keeps_pool_and_snapshot(self, tmp_path,
-                                                    monkeypatch):
+                                                    monkeypatch, wal):
         directory = tmp_path / "snap"
         spec = IndexSpec(params=_params(),
-                         execution=Execution(kind="process", workers=2))
+                         execution=Execution(kind="process", workers=2,
+                                             wal=wal))
         index = build(spec, _base_data(), storage_dir=str(directory))
         try:
             index.query(_base_data()[0], 3)  # spin the pool up
@@ -379,7 +382,6 @@ class TestNoResyncOnWritePath:
             index.delete(5)
             assert resets == []
             assert saves == []
-            assert not index._snapshot_dirty
             oracle = _oracle(np.vstack([_base_data(), _extra(29, 8)]), {5})
             _assert_parity(index, oracle, _base_data()[:3])
             oracle.close()
@@ -387,18 +389,18 @@ class TestNoResyncOnWritePath:
             monkeypatch.undo()
             index.close()
 
-    def test_router_insert_keeps_manifest_clean(self, tmp_path):
+    @pytest.mark.parametrize("wal", [True, False])
+    def test_router_insert_keeps_manifest_clean(self, tmp_path, wal):
         from repro.core import Topology
         directory = tmp_path / "snap"
         spec = IndexSpec(params=_params(), topology=Topology(shards=2),
-                         execution=Execution(wal=True))
+                         execution=Execution(wal=wal))
         router = build(spec, _base_data(), storage_dir=str(directory))
         try:
             manifest_before = (directory / "manifest.json").read_bytes()
             for vector in _extra(31, 6):
                 router.insert(vector)
             router.delete(9)
-            assert not router._manifest_dirty
             assert (directory / "manifest.json").read_bytes() \
                 == manifest_before
             oracle = _oracle(np.vstack([_base_data(), _extra(31, 6)]), {9})
