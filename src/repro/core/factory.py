@@ -143,7 +143,7 @@ def _already_persisted(index: HDIndex | ShardRouter,
     metadata and reference arrays."""
     target = os.path.abspath(os.fspath(storage_dir))
     if isinstance(index, ShardRouter):
-        return (index.execution.kind == "process"
+        return (index._remote
                 and index.params.storage_dir is not None
                 and os.path.abspath(index.params.storage_dir) == target)
     return (index._remote

@@ -34,7 +34,7 @@ from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore, coerce_predicate
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 from repro.wal.delta import DeltaSegment
-from repro.wal.manager import compact_index, fold_in_place, open_log
+from repro.wal.manager import compact_index, open_log
 
 
 class HDIndex(KNNIndex):
@@ -235,13 +235,14 @@ class HDIndex(KNNIndex):
         generation, publish it via the ``CURRENT`` pointer, truncate the
         log, and adopt the new generation in place (re-binding a process
         pool to it without cancelling in-flight work).  Without one:
-        :func:`repro.wal.manager.fold_in_place`.
+        :func:`repro.core.persistence.fold_in_place`.
 
         Returns:
             The snapshot generation now live (unchanged without a log).
         """
         self._require_built()
         if open_log(self) is None:
+            from repro.core.persistence import fold_in_place
             return fold_in_place(self)
         generation = compact_index(self)
         self._adopt_current()
@@ -536,9 +537,10 @@ class HDIndex(KNNIndex):
         )
         if self._remote:
             # Persist immediately: this snapshot is what the worker
-            # processes bootstrap from (the save binds the pool to it).
+            # processes bootstrap from.
             from repro.core.persistence import save_index
             save_index(self, params.storage_dir)
+            self.attach_snapshot(params.storage_dir)
 
     @staticmethod
     def _reservoir_update(reservoir: np.ndarray, reservoir_ids: np.ndarray,

@@ -117,6 +117,23 @@ def save_index(index, directory: str | os.PathLike[str]) -> None:
             f"of the HD-Index family")
 
 
+def fold_in_place(index) -> int:
+    """``compact()`` with no log attached: fold the delta into the base
+    in place — not concurrently with queries — and, when
+    ``params.storage_dir`` already holds this index's snapshot,
+    re-persist it there so disk matches the rewritten pages (a process
+    pool re-binds to it once).  Returns the unchanged generation: there
+    is no ``gen-*`` chain without a log."""
+    directory = index.params.storage_dir
+    if directory is not None and any(
+            os.path.exists(os.path.join(directory, name))
+            for name in (META_FILE, MANIFEST_FILE)):
+        save_index(index, directory)
+    else:
+        index._fold_delta()
+    return index.generation
+
+
 def load_index(directory: str | os.PathLike[str],
                cache_pages: int | None = None,
                backend: str | None = None,
@@ -187,14 +204,22 @@ def load_index(directory: str | os.PathLike[str],
 # -- plain / parallel indexes ----------------------------------------------
 
 
+def _refuse_logged_delta(owner, parts) -> None:
+    """A logged delta is ``compact()``'s to publish as a new generation:
+    refuse before any file of the live one is touched.  ``owner`` holds
+    the log (the router for its shards, which never log themselves)."""
+    if owner._wal is not None and any(len(p._delta) for p in parts):
+        raise PersistenceError(
+            "index holds un-compacted WAL delta entries; call "
+            "compact() to fold them into a snapshot generation "
+            "before save_index()")
+
+
 def _save_hdindex(index: HDIndex, directory: str) -> None:
     index._require_built()
-    if len(index._delta):
-        if index._wal is not None:
-            raise PersistenceError(
-                "index holds un-compacted WAL delta entries; call "
-                "compact() to fold them into a snapshot generation "
-                "before save_index()")
+    _refuse_logged_delta(index, [index])
+    folded = len(index._delta) > 0
+    if folded:
         index._fold_delta()
     os.makedirs(directory, exist_ok=True)
 
@@ -238,10 +263,9 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
         meta["num_workers"] = execution.workers
     with open(os.path.join(directory, META_FILE), "w") as handle:
         json.dump(meta, handle, indent=2)
-    if index._remote:
-        # Workers bootstrap from this snapshot, and the save may have
-        # rewritten files they have mapped (always, after a fold):
-        # re-bind the pool so the next dispatch reopens what was saved.
+    if folded and index._remote:
+        # The fold rewrote files the workers have mapped: re-bind the
+        # pool so the next dispatch reopens what was saved.
         index.attach_snapshot(directory)
 
 
@@ -371,6 +395,7 @@ def _shard_dir(directory: str, shard_index: int) -> str:
 
 def _save_sharded(index, directory: str) -> None:
     index._require_built()
+    _refuse_logged_delta(index, index.shards)
     os.makedirs(directory, exist_ok=True)
     for shard_index, shard in enumerate(index.shards):
         shard_directory = _shard_dir(directory, shard_index)

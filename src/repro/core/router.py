@@ -37,12 +37,7 @@ from repro.core.params import HDIndexParams
 from repro.core.spec import Execution, IndexSpec, Topology, make_executor
 from repro.distance.metrics import require_finite
 from repro.meta import MetadataStore
-from repro.wal.manager import (
-    compact_router,
-    fold_in_place,
-    open_log,
-    resolve_snapshot_dir,
-)
+from repro.wal.manager import compact_router, open_log, resolve_snapshot_dir
 
 
 def placement_order(key: bytes, nodes: int, salt: bytes = b"") -> list[int]:
@@ -111,8 +106,7 @@ class ShardRouter(KNNIndex):
         self.params = params if params is not None else HDIndexParams()
         self.topology = topology
         self.execution = execution if execution is not None else Execution()
-        if (self.execution.kind == "process"
-                and self.params.storage_dir is None):
+        if self._remote and self.params.storage_dir is None:
             raise ValueError(
                 "sharded process execution requires "
                 "HDIndexParams(storage_dir=...): each shard's worker pool "
@@ -208,7 +202,7 @@ class ShardRouter(KNNIndex):
             peak_memory_bytes=max(s.build_memory_bytes()
                                   for s in self.shards),
         )
-        if self.execution.kind == "process":
+        if self._remote:
             # The shard snapshots are already on disk (each remote child
             # persists itself); write the manifest too so the whole
             # sharded snapshot is immediately reopenable.
@@ -217,6 +211,14 @@ class ShardRouter(KNNIndex):
 
     # -- online updates (Sec. 3.6) ----------------------------------------
 
+    @property
+    def _remote(self) -> bool:
+        return self.execution.kind == "process"
+
+    def _fold_delta(self) -> None:
+        for shard in self.shards:
+            shard._fold_delta()
+
     def compact(self) -> int:
         """Fold every shard's delta into its base.
 
@@ -224,13 +226,14 @@ class ShardRouter(KNNIndex):
         publish the per-shard ``CURRENT`` pointers, atomically rewrite
         the manifest, truncate the log, and hot-swap the shards onto the
         new generations.  Without one:
-        :func:`repro.wal.manager.fold_in_place`.
+        :func:`repro.core.persistence.fold_in_place`.
 
         Returns:
             The snapshot generation now live (unchanged without a log).
         """
         self._require_built()
         if open_log(self) is None:
+            from repro.core.persistence import fold_in_place
             return fold_in_place(self)
         generation = compact_router(self)
         for shard_index, shard in enumerate(self.shards):

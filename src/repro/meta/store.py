@@ -179,16 +179,10 @@ class MetadataStore:
         zero-copy views the store was loaded from stay untouched)."""
         if not rows:
             return self
-        names = set(self._columns)
-        for position, row in enumerate(rows):
-            if set(row.keys()) != names:
-                raise ValueError(
-                    f"appended row {position} keys {sorted(row.keys())} "
-                    f"differ from store columns {sorted(names)}")
+        rows = [self.validate_row(row) for row in rows]
         for name in self._columns:
             tail = _column_from_values(name, [row[name] for row in rows])
-            self._columns[name] = _concat_columns(
-                name, self._columns[name], tail)
+            self._columns[name] = _concat_columns(self._columns[name], tail)
         self._count += len(rows)
         return self
 
@@ -252,13 +246,8 @@ def _column_from_values(name: str, values: list) -> np.ndarray:
     return np.asarray(values, dtype=np.float64)
 
 
-def _concat_columns(name: str, head: np.ndarray,
-                    tail: np.ndarray) -> np.ndarray:
-    if head.dtype.kind != tail.dtype.kind:
-        raise TypeError(
-            f"column {name!r}: appended values are "
-            f"{_kind_of(tail.dtype)}-typed but the column is "
-            f"{_kind_of(head.dtype)}-typed")
+def _concat_columns(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Two same-kind columns joined (strings at the wider width)."""
     if head.dtype.kind == "S":
         width = max(head.dtype.itemsize, tail.dtype.itemsize)
         head = head.astype(f"S{width}", copy=False)

@@ -186,8 +186,6 @@ def _wants_log(index, on_disk: bool = False) -> bool:
     anyway."""
     if index._wal_policy is not None:
         return index._wal_policy
-    if hasattr(index, "shards"):
-        return on_disk or index.execution.kind == "process"
     return on_disk or index._remote  # not .spec: this runs per insert
 
 
@@ -351,25 +349,6 @@ def fold_generation(source: str, dest: str,
     with open(meta_path, "w") as handle:
         json.dump(meta, handle, indent=2)
     _fsync_dir(dest)
-
-
-def fold_in_place(index) -> int:
-    """``compact()`` with no log attached: fold every delta into its base
-    in place — not concurrently with queries — and, when
-    ``params.storage_dir`` already holds this index's snapshot,
-    re-persist it there so disk matches the rewritten pages (a process
-    pool re-binds to it once).  Returns the unchanged generation: there
-    is no ``gen-*`` chain without a log."""
-    from repro.core.persistence import MANIFEST_FILE, META_FILE, save_index
-    shards = getattr(index, "shards", None)
-    directory = index.params.storage_dir
-    if directory is not None and os.path.exists(os.path.join(
-            directory, META_FILE if shards is None else MANIFEST_FILE)):
-        save_index(index, directory)
-    else:
-        for part in shards or [index]:
-            part._fold_delta()
-    return index.generation
 
 
 def compact_index(index) -> int:

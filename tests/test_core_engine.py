@@ -436,26 +436,14 @@ class TestScalarOracleParity:
     computes Algo. 2."""
 
     K = 10
-    #: First configuration's batch answers per predicate: every other
-    #: one (other executors, no log, no disk) must reproduce them.
-    REFERENCE: dict = {}
+    PREDICATES = {"plain": None, "filtered": Eq("label", 1)}
 
-    @pytest.fixture(params=[("sequential", True, True),
-                            ("threaded", True, True),
-                            ("process", True, True),
-                            ("sequential", False, False),
-                            ("threaded", False, True),
-                            ("process", False, True)],
-                    ids=lambda p: f"{p[0]}-{'wal' if p[1] else 'nolog'}"
-                                  f"-{'disk' if p[2] else 'memory'}")
-    def updated(self, request, workload, tmp_path):
-        """A labelled index per (executor, logged?, on disk?), with a
-        delta holding three inserts (the second deleted again, the third
-        failing the filter) and two base deletes; yields (index, every
-        vector by id, deleted ids)."""
+    @staticmethod
+    def _updated(workload, directory, kind, logged):
+        """A labelled index with a delta holding three inserts (the
+        second deleted again, the third failing the filter) and two base
+        deletes; returns (index, every vector by id, deleted ids)."""
         data, queries = workload
-        kind, logged, on_disk = request.param
-        directory = str(tmp_path / "snap") if on_disk else None
         index = build(
             IndexSpec(params=params(storage_dir=directory,
                                     use_ptolemaic=True),
@@ -470,14 +458,43 @@ class TestScalarOracleParity:
         deleted.add(new_ids[1])
         for object_id in deleted:
             index.delete(object_id)
-        yield index, np.vstack([data, inserted]), deleted
-        index.close()
+        return index, np.vstack([data, inserted]), deleted
 
-    @pytest.mark.parametrize("predicate", [None, Eq("label", 1)],
-                             ids=["plain", "filtered"])
+    @pytest.fixture(scope="class")
+    def reference(self, workload, tmp_path_factory):
+        """Batch answers per predicate of the sequential, logged, on-disk
+        configuration: every other one (other executors, no log, no
+        disk) must reproduce them, whichever cases are selected."""
+        index, _, _ = self._updated(
+            workload, str(tmp_path_factory.mktemp("reference") / "snap"),
+            "sequential", True)
+        with index:
+            return {name: index.query_batch(workload[1], self.K,
+                                            predicate=predicate)
+                    for name, predicate in self.PREDICATES.items()}
+
+    @pytest.fixture(params=[("sequential", True, True),
+                            ("threaded", True, True),
+                            ("process", True, True),
+                            ("sequential", False, False),
+                            ("threaded", False, True),
+                            ("process", False, True)],
+                    ids=lambda p: f"{p[0]}-{'wal' if p[1] else 'nolog'}"
+                                  f"-{'disk' if p[2] else 'memory'}")
+    def updated(self, request, workload, tmp_path):
+        """One index per (executor, logged?, on disk?)."""
+        kind, logged, on_disk = request.param
+        made = self._updated(
+            workload, str(tmp_path / "snap") if on_disk else None,
+            kind, logged)
+        yield made
+        made[0].close()
+
+    @pytest.mark.parametrize("name", list(PREDICATES))
     def test_query_and_batch_equal_oracle(self, workload, updated,
-                                          predicate):
+                                          reference, name):
         _, queries = workload
+        predicate = self.PREDICATES[name]
         index, vectors, deleted = updated
         want = [scalar_oracle(index, query, self.K, predicate)
                 for query in queries]
@@ -507,10 +524,8 @@ class TestScalarOracleParity:
             assert np.all(labels[batch_ids] == 1)
         assert (batch_ids >= len(vectors) - 3).any()  # the delta ranks
         assert (index._wal is not None) == index.spec.execution.wal
-        reference = self.REFERENCE.setdefault(repr(predicate),
-                                              (batch_ids, batch_dists))
-        np.testing.assert_array_equal(batch_ids, reference[0])
-        np.testing.assert_array_equal(batch_dists, reference[1])
+        np.testing.assert_array_equal(batch_ids, reference[name][0])
+        np.testing.assert_array_equal(batch_dists, reference[name][1])
 
 
 class TestOnePointAdapter:

@@ -407,6 +407,9 @@ class TestProcessKindPersistence:
             pool = index.executor.pool
             pids = pool.prestart()
             workers = pool._pool
+            # A save that folds nothing leaves the workers alone too.
+            save_index(index, str(tmp_path))
+            assert pool._pool is workers
             probe = np.full(16, 50.0)
             new_id = index.insert(probe)
             ids, dists = index.query(probe, 1)

@@ -338,6 +338,39 @@ class TestGenerationLifecycle:
         save_index(index, resolve_snapshot_dir(str(directory)))
         index.close()
 
+    @pytest.mark.parametrize("compactions", [0, 1])
+    def test_logged_router_save_refused_before_any_file(self, tmp_path,
+                                                        compactions):
+        """The router holds the log, its shards never do: the refusal
+        must come from the owner, before shard 0 is folded into its
+        published generation in place."""
+        from repro.core import Topology
+        root = tmp_path / "snap"
+        spec = IndexSpec(params=_params(), topology=Topology(shards=2),
+                         execution=Execution(wal=True))
+        index = build(spec, _base_data(), storage_dir=str(root))
+        for round_number in range(compactions):
+            index.insert(_extra(29 + round_number, 1)[0])
+            index.compact()
+        for vector in _extra(31, 3):
+            index.insert(vector)
+        pending = [len(shard._delta) for shard in index.shards]
+
+        def snapshot():
+            return {path: path.read_bytes() if path.is_file() else None
+                    for path in sorted(root.rglob("*"))}
+        before = snapshot()
+        want = index.query_batch(_base_data()[:4], 5)
+        with pytest.raises(PersistenceError, match="compact"):
+            save_index(index, root)
+        assert snapshot() == before
+        assert [len(shard._delta) for shard in index.shards] == pending
+        got = index.query_batch(_base_data()[:4], 5)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert index.compact() == compactions + 1
+        index.close()
+
     def test_old_generations_pruned(self, tmp_path):
         directory = tmp_path / "snap"
         index = _build_wal_index(directory)
