@@ -60,7 +60,10 @@ def scalar_oracle_ids(index: HDIndex, queries: np.ndarray,
                       k: int) -> list[np.ndarray]:
     """Algo. 2 through the scalar kernels: per-point ``encode``, node-path
     ``nearest``, per-tree filter calls.  The packed mirrors are detached
-    for the duration, so every batched kernel is bypassed."""
+    for the duration, so the batched encode and the packed tree scan are
+    bypassed; stage (ii) is the pipeline's own ``filter_survivors`` (its
+    independent oracle is the loop reference in
+    ``tests/test_core_filters.py``)."""
     engine = index._engine
     ptolemaic = index.params.use_ptolemaic
     alpha, beta, gamma = index._effective_sizes(k, None, None, None,

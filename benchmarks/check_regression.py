@@ -10,9 +10,14 @@ its single-query throughput against the committed
   must not pass the gate),
 * the committed baseline's parity flag is false or absent (a baseline
   refreshed from a run that skipped or failed parity is not a valid
-  reference), or
+  reference),
 * single-query throughput dropped more than ``MAX_REGRESSION`` (20%)
-  below the committed number.
+  below the committed number, or
+* the fresh run's ``query_batch`` (Q = 256) answered fewer queries per
+  second than its own one-at-a-time loop: both numbers come from one
+  process on one host, so this needs no baseline and no tolerance — a
+  batch exists to amortise per-call costs and must never lose to the
+  loop.
 
 The run also refreshes ``results/LINT_report.json`` (the
 machine-readable static-analysis report, see
@@ -85,12 +90,14 @@ def main() -> int:
 
     fresh = run_hotpath_measurement()
     fresh_qps = fresh["metrics"]["single_query_qps"]
+    fresh_batch_qps = fresh["metrics"]["batch256_qps"]
     base_qps = baseline["metrics"]["single_query_qps"]
     floor = base_qps * (1.0 - MAX_REGRESSION)
 
     print(f"baseline single-query: {base_qps:.1f} q/s "
           f"(floor at -{MAX_REGRESSION:.0%}: {floor:.1f} q/s)")
-    print(f"fresh    single-query: {fresh_qps:.1f} q/s")
+    print(f"fresh    single-query: {fresh_qps:.1f} q/s "
+          f"(batch 256: {fresh_batch_qps:.1f} q/s)")
     print(f"fresh parity: {fresh.get('parity', 'ABSENT')} "
           f"(backends: {', '.join(fresh.get('parity_backends', ()))})")
 
@@ -123,6 +130,11 @@ def main() -> int:
               file=sys.stderr)
         print(f"this host:     {json.dumps(host_fingerprint())}",
               file=sys.stderr)
+        failed = True
+    if fresh_batch_qps < fresh_qps:
+        print(f"FAIL: query_batch(256) at {fresh_batch_qps:.1f} q/s lost "
+              f"to the one-at-a-time loop at {fresh_qps:.1f} q/s in the "
+              f"same run", file=sys.stderr)
         failed = True
     failed = _check_online_updates() or failed
     failed = _check_serve_gateway() or failed

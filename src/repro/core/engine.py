@@ -28,10 +28,17 @@ MRPT/HDIdx-style:
 * the predicate mask, the WAL-delta screen and the deleted-id array
   computed once per call, not per row.
 
+Stage (ii) is deliberately *not* on that list: each (tree, row) segment
+is bounded and cut to γ survivors (:meth:`QueryEngine.filter_survivors`)
+as soon as its tree descent returns, while its α × m block of reference
+distances is still in cache.  The filters cost O(α·m + β·m²) per tree on
+bytes already in memory (Sec. 4.4.1); fusing the segments of a call into
+one matrix only moved that working set out of cache.
+
 The one-point entry (:meth:`QueryEngine.run`) is that pipeline at Q = 1
-with the padding stripped.  The scalar pieces kept beside it
-(:meth:`QueryEngine.filter_survivors`, the node-path tree walk) are the
-reference the tests and benches compare the pipeline against.
+with the padding stripped.  The scalar pieces kept beside it (the
+node-path tree walk, per-point ``curve.encode``) are the reference the
+tests and benches compare the pipeline against.
 """
 
 from __future__ import annotations
@@ -44,9 +51,7 @@ import numpy as np
 
 from repro.core.filters import (
     filter_candidates,
-    ptolemaic_lower_bounds,
     ptolemaic_lower_bounds_many,
-    triangular_lower_bounds,
     triangular_lower_bounds_many,
 )
 from repro.core.interface import QueryStats
@@ -105,8 +110,8 @@ class Executor:
 
 class SequentialExecutor(Executor):
     """Run tree scans inline, in order — the plain :class:`HDIndex` mode.
-    With no pool (``workers`` is ``None``) the engine fuses every tree
-    into one :meth:`QueryEngine.scan_many` call and never maps."""
+    With no pool (``workers`` is ``None``) the engine hands every tree
+    to one :meth:`QueryEngine.scan_many` call and never maps."""
 
 
 class ProcessExecutor(Executor):
@@ -232,12 +237,11 @@ class QueryEngine:
 
         This is the array-native hot path: one quantisation pass over the
         full points, one fused :func:`encode_for_curves` call producing
-        every (tree, query) Hilbert key, the packed-tree candidate lookups,
-        and a single batched lower-bound evaluation over the concatenated
-        candidate matrix of all (tree, query) segments — no per-candidate
-        Python loop anywhere.  Returns, per tree, one survivor-id array per
-        query row; results are byte-identical to per-tree
-        ``tree.candidates`` + :meth:`filter_survivors` calls.
+        every (tree, query) Hilbert key, then per (tree, query) segment a
+        packed-tree candidate lookup and, at once, that segment's
+        :meth:`filter_survivors` — no per-candidate Python loop anywhere,
+        and no array larger than one segment's (pairs, β) bound matrix.
+        Returns, per tree, one survivor-id array per query row.
 
         ``eligible`` is the predicate-pushdown bitmap (bool per base
         object): candidates failing it are dropped *here*, before the
@@ -250,36 +254,30 @@ class QueryEngine:
         curves = [index.trees[t].curve for t in tree_indices]
         coords = [quantized[:, index.partitions[t]] for t in tree_indices]
         keys = encode_for_curves(curves, coords)
-        batch = points.shape[0]
-        candidate_ids: list[np.ndarray] = []
-        candidate_ref: list[np.ndarray] = []
-        segment_rows: list[int] = []
+        survivors: list[list[np.ndarray]] = []
         for tree_position, tree_index in enumerate(tree_indices):
             tree = index.trees[tree_index]
             tree_keys = keys[tree_position]
+            tree_rows: list[np.ndarray] = []
             # One packed-tree descent per (tree, row): the tree candidate
             # API is inherently per-key and each call is O(log n) page
             # work, so this loop is over *queries*, not array elements.
-            for row in range(batch):  # lint: disable=HK101
+            for row in range(points.shape[0]):  # lint: disable=HK101
                 ids, ref = tree.candidates(tree_keys[row].tobytes(), alpha)
                 if eligible is not None and ids.shape[0]:
                     keep = eligible[ids]
                     ids, ref = ids[keep], ref[keep]
-                candidate_ids.append(ids)
-                candidate_ref.append(ref)
-                segment_rows.append(row)
-        survivors = self._filter_many(query_ref, candidate_ids,
-                                      candidate_ref, segment_rows, beta,
-                                      gamma, ptolemaic)
-        return [survivors[i * batch:(i + 1) * batch]
-                for i in range(len(tree_indices))]
+                tree_rows.append(self.filter_survivors(
+                    query_ref[row], ids, ref, beta, gamma, ptolemaic))
+            survivors.append(tree_rows)
+        return survivors
 
     def _dispatch_scans(self, points: np.ndarray, query_ref: np.ndarray,
                         alpha: int, beta: int, gamma: int, ptolemaic: bool,
                         eligible: np.ndarray | None = None
                         ) -> list[list[np.ndarray]]:
         """Shape stages (i)+(ii) to the executor: sequential execution gets
-        one maximally fused :meth:`scan_many` over every tree; a pool gets
+        one :meth:`scan_many` over every tree (one fused encode); a pool gets
         one task per tree, preserving the one-thread-per-tree invariant
         (page stores are not thread-safe)."""
         index = self.index
@@ -300,77 +298,22 @@ class QueryEngine:
                          cand_ref: np.ndarray, beta: int, gamma: int,
                          ptolemaic: bool) -> np.ndarray:
         """Triangular (Eq. 5) then optional Ptolemaic (Eq. 6) refinement
-        of one tree's candidates down to γ survivors (Algo. 2 lines 5-10).
+        of one tree's candidates for one query row down to γ survivors
+        (Algo. 2 lines 5-10): the pipeline's stage (ii), called per
+        segment by :meth:`scan_many`.  ``query_ref`` is that row's (m,)
+        reference distances.
         """
         if cand_ids.shape[0] == 0:
             return cand_ids
-        tri = triangular_lower_bounds(query_ref, cand_ref)
+        tri = triangular_lower_bounds_many(query_ref, cand_ref)
         keep = filter_candidates(tri, min(beta, len(tri)))
         cand_ids, cand_ref = cand_ids[keep], cand_ref[keep]
         if ptolemaic:
-            ptol = ptolemaic_lower_bounds(query_ref, cand_ref,
-                                          self.index.references.ref_ref)
+            ptol = ptolemaic_lower_bounds_many(query_ref, cand_ref,
+                                               self.index.references.pairs)
             keep = filter_candidates(ptol, min(gamma, len(ptol)))
             cand_ids = cand_ids[keep]
         return cand_ids
-
-    def _filter_many(self, query_ref: np.ndarray,
-                     candidate_ids: list[np.ndarray],
-                     candidate_ref: list[np.ndarray],
-                     segment_rows: list[int], beta: int, gamma: int,
-                     ptolemaic: bool) -> list[np.ndarray]:
-        """Algo. 2 lines 5-10 over many (tree, query) segments at once.
-
-        ``query_ref`` is the (Q, m) batch matrix; segment ``s`` holds one
-        tree's candidates for query row ``segment_rows[s]``.  Both bound
-        kernels run once over the concatenated candidate matrix; only the
-        per-segment top-β/top-γ selections remain per segment (they are
-        O(candidates) argpartitions).  Segment-for-segment identical to
-        :meth:`filter_survivors`.
-        """
-        sizes = np.asarray([ids.shape[0] for ids in candidate_ids],
-                           dtype=np.int64)
-        survivors: list[np.ndarray | None] = [None] * len(candidate_ids)
-        if int(sizes.sum()) == 0:
-            return list(candidate_ids)
-        rows = np.repeat(np.asarray(segment_rows, dtype=np.int64), sizes)
-        all_ref = np.concatenate(
-            [ref for ref in candidate_ref if ref.shape[0]])
-        tri = triangular_lower_bounds_many(query_ref[rows], all_ref)
-        kept_ids: list[np.ndarray] = []
-        kept_ref: list[np.ndarray] = []
-        kept_segments: list[int] = []
-        offset = 0
-        for segment, ids in enumerate(candidate_ids):
-            count = ids.shape[0]
-            if count == 0:
-                survivors[segment] = ids
-                continue
-            keep = filter_candidates(tri[offset:offset + count],
-                                     min(beta, count))
-            offset += count
-            if ptolemaic:
-                kept_ids.append(ids[keep])
-                kept_ref.append(candidate_ref[segment][keep])
-                kept_segments.append(segment)
-            else:
-                survivors[segment] = ids[keep]
-        if ptolemaic and kept_segments:
-            rows = np.repeat(
-                np.asarray([segment_rows[s] for s in kept_segments],
-                           dtype=np.int64),
-                [ids.shape[0] for ids in kept_ids])
-            ptol = ptolemaic_lower_bounds_many(
-                query_ref[rows], np.concatenate(kept_ref),
-                self.index.references.ref_ref)
-            offset = 0
-            for segment, ids in zip(kept_segments, kept_ids):
-                count = ids.shape[0]
-                keep = filter_candidates(ptol[offset:offset + count],
-                                         min(gamma, count))
-                survivors[segment] = ids[keep]
-                offset += count
-        return survivors
 
     # -- stage (iii): exact re-ranking ------------------------------------
 
@@ -504,7 +447,7 @@ class QueryEngine:
                 None if predicate is None else predicate.to_dict())
         else:
             remote_delta = None
-            # Stages (i)+(ii) through the fused array-native path (one
+            # Stages (i)+(ii) through the array-native path (one
             # task per tree under a pool — a tree's page store stays on
             # a single thread, the independence the paper's "little
             # synchronization" argument rests on).

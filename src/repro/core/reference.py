@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.filters import pair_table
 from repro.distance.metrics import euclidean_to_many, pairwise_euclidean
 
 #: Iteration cap for the farthest-neighbour dmax estimation heuristic.
@@ -153,7 +154,8 @@ class ReferenceSet:
     """Materialised reference objects plus the matrices querying needs.
 
     Holds the reference vectors (assumed memory-resident, Sec. 4.4.1), their
-    pairwise distances (denominator of Eq. (6)), and computes per-object /
+    pairwise distances (denominator of Eq. (6)) with the pair table the
+    Ptolemaic kernel reads them through, and computes per-object /
     per-query reference distances.
     """
 
@@ -164,6 +166,7 @@ class ReferenceSet:
         self.indices = (np.asarray(indices, dtype=np.int64)
                         if indices is not None else None)
         self.ref_ref = pairwise_euclidean(self.vectors, self.vectors)
+        self.pairs = pair_table(self.ref_ref)
 
     @classmethod
     def select(cls, data: np.ndarray, m: int, method: str,
@@ -185,7 +188,8 @@ class ReferenceSet:
 
     def memory_bytes(self) -> int:
         """RAM the reference set keeps resident during querying."""
-        total = self.vectors.nbytes + self.ref_ref.nbytes
+        total = (self.vectors.nbytes + self.ref_ref.nbytes
+                 + self.pairs.nbytes)
         if self.indices is not None:
             total += self.indices.nbytes
         return total

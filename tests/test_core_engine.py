@@ -21,6 +21,7 @@ sharded indexes structurally impossible; these tests pin the contract:
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,8 +37,10 @@ from repro.core import (
     ThreadedExecutor,
     build,
 )
+from repro.core import engine as engine_module
 from repro.core.engine import inflate_filter_sizes
 from repro.meta import Eq
+from test_core_filters import python_ptolemaic, python_triangular
 
 
 def thread_index(p, workers=None):
@@ -391,11 +394,30 @@ class TestDeleteBatchParity:
         assert np.all(np.isinf(dists))
 
 
+def python_survivors(query_ref, cand_ids, cand_ref, ref_ref, beta, gamma,
+                     ptolemaic):
+    """Algo. 2 lines 5-10 without the engine's stage (ii): the loop
+    references for Eq. 5 / Eq. 6 and a plain stable sort as the top-β /
+    top-γ selection."""
+    def smallest(bounds, keep):
+        return sorted(range(len(bounds)), key=bounds.tolist().__getitem__
+                      )[:keep]
+
+    keep = smallest(python_triangular(query_ref, cand_ref), beta)
+    cand_ids, cand_ref = cand_ids[keep], cand_ref[keep]
+    if ptolemaic:
+        keep = smallest(python_ptolemaic(query_ref, cand_ref, ref_ref),
+                        gamma)
+        cand_ids = cand_ids[keep]
+    return cand_ids
+
+
 def scalar_oracle(index, point, k, predicate=None):
     """Algo. 2 for one point through the scalar pieces only: per-point
     ``curve.encode``, node-path ``tree.candidates`` (packed mirrors
-    detached), per-tree ``filter_survivors``, one-row ``_merge_survivors``
-    and ``rerank`` — modelled on ``benchmarks/bench_hotpath.py``."""
+    detached), per-tree :func:`python_survivors` (the pipeline calls
+    ``filter_survivors`` itself, so that is no oracle for stage (ii)),
+    one-row ``_merge_survivors`` and ``rerank``."""
     engine = index._engine
     point = np.asarray(point, dtype=np.float64)
     predicate = index._coerce_query_predicate(predicate)
@@ -418,8 +440,9 @@ def scalar_oracle(index, point, k, predicate=None):
             if eligible is not None:
                 keep = eligible[cand_ids]
                 cand_ids, cand_ref = cand_ids[keep], cand_ref[keep]
-            survivors.append(engine.filter_survivors(
-                query_ref, cand_ids, cand_ref, beta, gamma, ptolemaic))
+            survivors.append(python_survivors(
+                query_ref, cand_ids, cand_ref, index.references.ref_ref,
+                beta, gamma, ptolemaic))
         merged = engine._merge_survivors(survivors, predicate)
         return engine.rerank(point, merged, k)
     finally:
@@ -526,6 +549,95 @@ class TestScalarOracleParity:
         assert (index._wal is not None) == index.spec.execution.wal
         np.testing.assert_array_equal(batch_ids, reference[name][0])
         np.testing.assert_array_equal(batch_dists, reference[name][1])
+
+
+class TestStageTwoWorkingSet:
+    """Stage (ii) runs per (tree, row) segment, on at most α (Eq. 5) or β
+    (Eq. 6) rows at a time, whatever Q is: fusing the segments of a call
+    into one matrix made ``query_batch(16)`` slower than 16 ``query``
+    calls, and must not come back unnoticed."""
+
+    Q = 8
+    #: What a batch does not amortise (its shared descriptor gather
+    #: reads fewer pages than Q separate ones).
+    COUNTERS = ("candidates", "distance_computations")
+
+    @pytest.fixture(scope="class", params=["sequential", "threaded"])
+    def labelled(self, request, workload):
+        data, _ = workload
+        index = build(
+            IndexSpec(params=params(use_ptolemaic=True),
+                      execution=Execution(kind=request.param, workers=2)),
+            data, metadata=[{"label": i % 3} for i in range(len(data))])
+        yield index
+        index.close()
+
+    @pytest.mark.parametrize("predicate", [None, Eq("label", 1)],
+                             ids=["plain", "filtered"])
+    def test_kernels_see_one_segment_at_a_time(self, workload, labelled,
+                                               predicate, monkeypatch):
+        queries = workload[1][:self.Q]
+        index = labelled
+        want, counters = [], dict.fromkeys(self.COUNTERS, 0)
+        for query in queries:
+            want.append(index.query(query, 10, predicate=predicate))
+            stats = index.last_query_stats()
+            for field in self.COUNTERS:
+                counters[field] += getattr(stats, field)
+
+        def spy(kernel, calls):
+            def spied(query_ref, cand_ref, *rest):
+                calls.append((np.shape(query_ref), cand_ref.shape[0]))
+                return kernel(query_ref, cand_ref, *rest)
+            return spied
+
+        seen = {"triangular_lower_bounds_many": [],
+                "ptolemaic_lower_bounds_many": []}
+        for name, calls in seen.items():
+            monkeypatch.setattr(engine_module, name,
+                                spy(getattr(engine_module, name), calls))
+        ids, dists = index.query_batch(queries, 10, predicate=predicate)
+        stats = index.last_query_stats()
+
+        segments = self.Q * len(index.trees)
+        m = index.params.num_references
+        for name, limit in (("triangular_lower_bounds_many", "alpha"),
+                            ("ptolemaic_lower_bounds_many", "beta")):
+            assert len(seen[name]) == segments
+            assert all(shape == (m,) and 0 < rows <= stats.extra[limit]
+                       for shape, rows in seen[name])
+        # The limits bind: a fused call would have to exceed them.
+        assert sum(rows for _, rows in seen["triangular_lower_bounds_many"]) \
+            > 2 * stats.extra["alpha"]
+        for row, (want_ids, want_dists) in enumerate(want):
+            np.testing.assert_array_equal(ids[row], want_ids)
+            np.testing.assert_array_equal(dists[row], want_dists)
+        for field in self.COUNTERS:
+            assert getattr(stats, field) == counters[field], field
+
+    def test_batch_peak_allocation_does_not_scale_with_q(self):
+        """``tracemalloc`` sees numpy's buffers: the largest thing alive
+        during a call is one segment's (pairs, β) bound matrix plus the
+        stage-(iii) block, so 16 rows may not need 4x what one needs."""
+        rng = np.random.default_rng(5)
+        data = rng.uniform(0.0, 100.0, size=(3000, 16))
+        index = HDIndex(params(num_references=10, alpha=1024, beta=512,
+                               gamma=64, use_ptolemaic=True))
+        index.build(data)
+        queries = data[:16] + 0.5
+
+        def peak(call):
+            call()  # warm: lazy caches are not the call's working set
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        single = peak(lambda: index.query(queries[0], 10))
+        batch = peak(lambda: index.query_batch(queries, 10))
+        assert batch < 4 * single, (batch, single)
 
 
 class TestOnePointAdapter:

@@ -3,6 +3,10 @@
 The load-bearing invariant: *neither filter ever exceeds the true distance*
 (they are lower bounds), and Ptolemaic is at least as tight as triangular
 on average — the reason the paper applies it second.
+
+``python_triangular`` / ``python_ptolemaic`` are Eq. 5 / Eq. 6 written out
+as loops over Python floats: the oracle for the kernels that shares no
+code with them (``tests/test_core_engine.py`` uses it for stage (ii)).
 """
 
 import numpy as np
@@ -10,9 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    ReferenceSet,
     filter_candidates,
     ptolemaic_lower_bounds,
     triangular_lower_bounds,
+)
+from repro.core.filters import (
+    ptolemaic_lower_bounds_many,
+    triangular_lower_bounds_many,
 )
 from repro.distance import euclidean_to_many, pairwise_euclidean
 
@@ -30,6 +39,149 @@ def make_instance(seed, n=30, m=6, dim=10):
     ref_ref = pairwise_euclidean(refs, refs)
     true = euclidean_to_many(query, points)
     return query_ref, cand_ref, ref_ref, true
+
+
+def _rows(query_ref, count):
+    """One list of m Python floats per candidate, from any of the three
+    query-row forms the kernels accept."""
+    rows = np.asarray(query_ref, dtype=np.float64)
+    rows = np.broadcast_to(rows if rows.ndim == 2 else rows[None, :],
+                           (count, rows.shape[-1]))
+    return rows.tolist()
+
+
+def python_triangular(query_ref, cand_ref):
+    """Eq. 5 as written: max_i |d(o, R_i) - d(q, R_i)| per candidate."""
+    cand = np.asarray(cand_ref, dtype=np.float64).tolist()
+    return np.asarray(
+        [max(abs(o[i] - q[i]) for i in range(len(o)))
+         for q, o in zip(_rows(query_ref, len(cand)), cand)],
+        dtype=np.float64)
+
+
+def python_ptolemaic(query_ref, cand_ref, ref_ref):
+    """Eq. 6 as written: max over i < j with d(R_i, R_j) > 0 of
+    |d(q,R_i)·d(o,R_j) - d(q,R_j)·d(o,R_i)| / d(R_i, R_j); Eq. 5 when no
+    such pair exists."""
+    d = np.asarray(ref_ref, dtype=np.float64).tolist()
+    m = len(d)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
+             if d[i][j] > 0.0]
+    if not pairs:
+        return python_triangular(query_ref, cand_ref)
+    cand = np.asarray(cand_ref, dtype=np.float64).tolist()
+    return np.asarray(
+        [max(abs(q[i] * o[j] - q[j] * o[i]) / d[i][j] for i, j in pairs)
+         for q, o in zip(_rows(query_ref, len(cand)), cand)],
+        dtype=np.float64)
+
+
+def _leaf_block(seed, n, refs):
+    """(query rows (n, m), cand_ref (n, m) float32 as the RDB-tree leaves
+    store it, ref_ref) for the given reference vectors."""
+    rng = np.random.default_rng(seed)
+    refs = np.asarray(refs, dtype=np.float64)
+    points = rng.normal(size=(n, refs.shape[1])) * 10
+    queries = rng.normal(size=(n, refs.shape[1])) * 10
+    return (pairwise_euclidean(queries, refs),
+            pairwise_euclidean(points, refs).astype(np.float32),
+            pairwise_euclidean(refs, refs))
+
+
+def _reference_cases():
+    rng = np.random.default_rng(99)
+    distinct = rng.normal(size=(6, 8)) * 10
+    duplicated = distinct.copy()
+    duplicated[3] = duplicated[0]
+    duplicated[5] = duplicated[1]
+    return {
+        "distinct": (distinct, 40),
+        "duplicate-references": (duplicated, 40),
+        "identical-references": (np.tile(distinct[:1], (4, 1)), 40),
+        "m=1": (distinct[:1], 40),
+        "m=2": (distinct[:2], 40),
+        "empty-block": (distinct, 0),
+    }
+
+
+class TestKernelsEqualPythonReference:
+    """Bit-equality (``array_equal``, not ``approx``) of both kernels with
+    the loop reference: the pipeline's stage (ii) is these two functions,
+    so nothing else checks them against an independent computation."""
+
+    CASES = _reference_cases()
+
+    @pytest.mark.parametrize("case", list(CASES))
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_bit_equal_in_every_query_row_form(self, case, dtype):
+        refs, n = self.CASES[case]
+        rows, cand_ref, ref_ref = _leaf_block(7, n, refs)
+        if dtype is np.float64:
+            # Not float32-representable: the general float64 input.
+            cand_ref = cand_ref.astype(np.float64) + 1e-9
+        assert cand_ref.dtype == dtype
+        pairs = ReferenceSet(refs).pairs
+        shared = rows[0] if n else np.ones(refs.shape[0])
+        forms = [shared, shared[None, :],
+                 np.tile(shared, (n, 1))]
+        want_tri = python_triangular(shared, cand_ref)
+        want_ptol = python_ptolemaic(shared, cand_ref, ref_ref)
+        assert want_tri.shape == want_ptol.shape == (n,)
+        for query_ref in forms:
+            assert np.array_equal(
+                triangular_lower_bounds_many(query_ref, cand_ref), want_tri)
+            for third in (ref_ref, pairs):
+                assert np.array_equal(
+                    ptolemaic_lower_bounds_many(query_ref, cand_ref, third),
+                    want_ptol)
+        # A different query per candidate: the (n, m) form proper.
+        assert np.array_equal(triangular_lower_bounds_many(rows, cand_ref),
+                              python_triangular(rows, cand_ref))
+        assert np.array_equal(
+            ptolemaic_lower_bounds_many(rows, cand_ref, pairs),
+            python_ptolemaic(rows, cand_ref, ref_ref))
+
+    def test_zero_denominator_pairs_are_skipped_not_divided(self):
+        refs, n = self.CASES["duplicate-references"]
+        rows, cand_ref, ref_ref = _leaf_block(3, n, refs)
+        assert ref_ref[0, 3] == 0.0 and ref_ref[1, 5] == 0.0
+        pairs = ReferenceSet(refs).pairs
+        assert pairs.first.shape[0] == 15 - 2
+        assert np.all(pairs.denominators > 0.0)
+        with np.errstate(all="raise"):
+            bounds = ptolemaic_lower_bounds(rows[0], cand_ref, pairs)
+        assert np.all(np.isfinite(bounds))
+
+    def test_fallbacks_are_the_triangular_bound(self):
+        for case in ("identical-references", "m=1"):
+            refs, n = self.CASES[case]
+            rows, cand_ref, ref_ref = _leaf_block(5, n, refs)
+            assert ReferenceSet(refs).pairs.first.shape[0] == 0
+            assert np.array_equal(
+                ptolemaic_lower_bounds(rows[0], cand_ref, ref_ref),
+                triangular_lower_bounds(rows[0], cand_ref))
+
+    def test_inputs_are_not_modified(self):
+        """The kernels work in place on their own transposed copy — also
+        when the caller's block is already reference-major in memory."""
+        refs, n = self.CASES["distinct"]
+        rows, cand_ref, ref_ref = _leaf_block(11, n, refs)
+        fortran = np.asfortranarray(cand_ref.astype(np.float64))
+        before = fortran.copy()
+        triangular_lower_bounds(rows[0], fortran)
+        ptolemaic_lower_bounds(rows, fortran, ref_ref)
+        assert np.array_equal(fortran, before)
+
+    def test_one_implementation_per_bound(self):
+        assert triangular_lower_bounds is triangular_lower_bounds_many
+        assert ptolemaic_lower_bounds is ptolemaic_lower_bounds_many
+
+    def test_query_rows_must_broadcast(self):
+        with pytest.raises(ValueError):
+            triangular_lower_bounds_many(np.zeros((3, 4)), np.zeros((5, 4)))
+        with pytest.raises(ValueError):
+            ptolemaic_lower_bounds_many(np.zeros((3, 4)), np.zeros((5, 4)),
+                                        np.ones((4, 4)))
 
 
 class TestTriangular:

@@ -122,6 +122,23 @@ class TestReferenceSet:
                                    np.random.default_rng(11))
         assert refs.memory_bytes() >= refs.vectors.nbytes + refs.ref_ref.nbytes
 
+    def test_pair_table_is_the_positive_upper_triangle(self, spread_data):
+        """Built once with ``ref_ref`` (so every way of making a
+        ReferenceSet has it) and counted as resident memory."""
+        vectors = spread_data[:5].copy()
+        vectors[4] = vectors[1]
+        refs = ReferenceSet(vectors)
+        pairs = refs.pairs
+        want = [(i, j) for i in range(5) for j in range(i + 1, 5)
+                if (i, j) != (1, 4)]
+        assert list(zip(pairs.first.tolist(), pairs.second.tolist())) == want
+        np.testing.assert_array_equal(
+            pairs.denominators[:, 0], [refs.ref_ref[i, j] for i, j in want])
+        assert pairs.size == 5
+        assert refs.memory_bytes() == (refs.vectors.nbytes
+                                       + refs.ref_ref.nbytes + pairs.nbytes)
+        assert ReferenceSet(vectors[:1]).pairs.first.shape == (0,)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             ReferenceSet(np.zeros(5))
