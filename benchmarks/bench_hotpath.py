@@ -9,14 +9,18 @@ bench measures
 * one-at-a-time ``query`` throughput and latency percentiles (the number
   the ≥5x acceptance bar applies to),
 * ``query_batch`` throughput at Q=256 (the already-amortised path, which
-  should not regress), and
+  should not regress),
+* the scalar oracle's own throughput over the parity queries, timed in
+  the same process — the one reference ``check_regression.py`` may
+  compare the packed loop against on a host whose speed drifts — and
 * **parity**: neighbour ids must be byte-identical to a scalar oracle —
   per-point ``HilbertCurve.encode``, node-path ``BPlusTree.nearest``,
   per-tree filter calls — across the memory, file and mmap backends.
 
 Results go to ``results/hotpath.txt`` (human) and
 ``results/BENCH_hotpath.json`` (machine-readable; the committed copy is
-the CI regression baseline checked by ``benchmarks/check_regression.py``).
+an informational record: ``benchmarks/check_regression.py`` gates on
+conditions inside one fresh run, not against its numbers).
 
 Run with::
 
@@ -132,7 +136,9 @@ def run_hotpath_measurement() -> dict:
     # Parity: packed/batched results vs the scalar oracle, on the built
     # index and on snapshot reloads under every backend.
     parity_queries = queries[:PARITY_QUERIES]
+    started = time.perf_counter()
     oracle = scalar_oracle_ids(index, parity_queries, K)
+    oracle_qps = len(parity_queries) / (time.perf_counter() - started)
     parity = _ids_equal(_query_ids(index, parity_queries, K), oracle)
     backends_checked = []
     with tempfile.TemporaryDirectory() as tmp:
@@ -161,6 +167,7 @@ def run_hotpath_measurement() -> dict:
             "build_seconds": round(build_seconds, 3),
             "single_query_qps": round(single_qps, 1),
             "batch256_qps": round(batch_qps, 1),
+            "scalar_oracle_qps": round(oracle_qps, 1),
             "baseline_pre_refactor_qps": BASELINE_PRE_REFACTOR_QPS,
             "speedup_vs_pre_refactor": round(
                 single_qps / BASELINE_PRE_REFACTOR_QPS, 2),
@@ -181,6 +188,8 @@ single-query loop : {metrics['single_query_qps']:>8.1f} q/s \
 latency           : p50 {metrics['p50_ms']:.2f} ms   p90 \
 {metrics['p90_ms']:.2f} ms   p99 {metrics['p99_ms']:.2f} ms
 batch 256         : {metrics['batch256_qps']:>8.1f} q/s
+scalar oracle     : {metrics['scalar_oracle_qps']:>8.1f} q/s (node path, \
+per-point encode; same process)
 parity vs scalar oracle ({', '.join(payload['parity_backends'])}): \
 {payload['parity']}
 

@@ -8,8 +8,11 @@ per-query cost once the filter kernels are vectorised.  This module holds a
 sorted array, plus the leaf/internal page geometry, so
 
 * descent is ``np.searchsorted`` over the per-leaf minimum keys,
-* :meth:`BPlusTree.nearest`'s bidirectional merge is a rank computation
-  over two sorted distance windows, and
+* :meth:`BPlusTree.nearest`'s bidirectional merge is one ``searchsorted``
+  of the forward window's key distances into the backward window's (the
+  backward ranks are the complement), on the leading 64-bit word of each
+  distance when keys are wider than 8 bytes, with the rare leading-word
+  ties settled exactly, and
 * range scans slice the arrays directly.
 
 The packed mirror is an **accelerator, not a second source of truth**: it
@@ -33,8 +36,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.storage.codecs import Codec, Float64Codec, UInt64Codec, UIntCodec
-
-_WORD_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 
 def key_kind(codec: Codec) -> str | None:
@@ -95,12 +96,16 @@ class PackedTree:
                             for p in level_pages]
         self.level_starts = [np.asarray(s, dtype=np.int64)
                              for s in level_starts]
-        #: Words per key for the multiword (> 8-byte) distance kernel.
-        self._words = -(-self.key_width // 8)
         # Codecs guarantee bytewise order == numeric order, so every binary
         # search runs on a zero-copy 'S' view of the raw key bytes.
         self.key_S = self.keys_raw.view(f"S{self.key_width}").ravel()
         self.min_key_S = self.key_S[self.leaf_starts[:-1]]
+        #: For keys wider than 8 bytes, a zero-copy (head, tail) view of
+        #: every key: its leading big-endian word and the bytes after it.
+        self._wide = None
+        if kind == "uint" and self.key_width > 8:
+            self._wide = self.keys_raw.view(
+                [("head", ">u8"), ("tail", f"S{self.key_width - 8}")]).ravel()
 
     # -- searches ---------------------------------------------------------
 
@@ -117,27 +122,36 @@ class PackedTree:
         if count <= 0 or n == 0:
             return np.empty(0, dtype=np.int64)
         scalar = self._scalar(key)
-        gbl = int(np.searchsorted(self.key_S, scalar, side="left"))
-        leaf = max(0, int(np.searchsorted(self.min_key_S, scalar,
-                                          side="right")) - 1)
+        gbl = int(self.key_S.searchsorted(scalar, side="left"))
+        leaf = max(0, int(self.min_key_S.searchsorted(scalar,
+                                                      side="right")) - 1)
         split = max(gbl, int(self.leaf_starts[leaf]))
         forward_take = min(count, n - split)
         backward_take = min(count, split)
         dist_f, dist_b = self._window_distances(key, split, forward_take,
                                                 backward_take)
-        rank_f = (np.arange(forward_take, dtype=np.int64)
-                  + np.searchsorted(dist_b, dist_f, side="left"))
-        rank_b = (np.arange(backward_take, dtype=np.int64)
-                  + np.searchsorted(dist_f, dist_b, side="right"))
+        # Merge rank of forward entry i: i plus the backward entries
+        # strictly nearer than it (forward wins ties).
+        nearer = dist_b.searchsorted(dist_f, side="left")
+        if self._wide is not None and backward_take:
+            tied = (dist_b.take(nearer, mode="clip") == dist_f).nonzero()[0]
+            if tied.size:
+                self._settle_ties(key, split, dist_f, dist_b, nearer, tied)
         total = min(count, n)
-        picked_f = np.flatnonzero(rank_f < total)
-        picked_b = np.flatnonzero(rank_b < total)
+        rank_f = nearer + np.arange(forward_take, dtype=np.int64)
+        rank_f = rank_f[:int(rank_f.searchsorted(total))]
+        # Ranks are a permutation, so the picked backward entries fill,
+        # in order, the slots below ``total`` no forward entry took.
+        from_forward = np.zeros(total, dtype=bool)
+        from_forward[rank_f] = True
+        rank_b = (~from_forward).nonzero()[0]
         out = np.empty(total, dtype=np.int64)
-        out[rank_f[picked_f]] = split + picked_f
-        out[rank_b[picked_b]] = split - 1 - picked_b
+        out[rank_f] = np.arange(split, split + rank_f.size, dtype=np.int64)
+        out[rank_b] = np.arange(split - 1, split - 1 - rank_b.size, -1,
+                                dtype=np.int64)
         if stats is not None:
-            stats.record_read_many(self._nearest_trace(
-                leaf, split, rank_f, rank_b, picked_f.size, picked_b.size))
+            stats.record_read_many(
+                self._nearest_trace(leaf, split, rank_f, rank_b))
         return out
 
     def entries(self, positions: np.ndarray) -> list[tuple[bytes, bytes]]:
@@ -191,16 +205,20 @@ class PackedTree:
                           backward_take: int) -> tuple[np.ndarray, np.ndarray]:
         """Ascending |key distance| arrays for the forward window
         ``[split, split + forward_take)`` and the backward window
-        ``[split - backward_take, split)`` (nearest first).  Comparable
-        across the two arrays: numeric dtype for <= 8-byte keys, big-endian
-        difference bytes (lexicographic == numeric) for wider keys."""
-        if self._kind == "uint" and self.key_width > 8:
-            target = self._target_words(key)
-            fwd = self._word_window(split, split + forward_take)
-            bwd = self._word_window(split - backward_take, split)[::-1]
-            return (_words_to_sortable(_subtract_words(fwd, target[None, :])),
-                    _words_to_sortable(_subtract_words(
-                        np.broadcast_to(target, bwd.shape), bwd)))
+        ``[split - backward_take, split)`` (nearest first), comparable
+        across the two arrays.  For keys wider than 8 bytes they hold the
+        *leading word* of each distance — head minus head minus the borrow
+        out of the tail bytes — which orders distances up to ties
+        (:meth:`_settle_ties`)."""
+        if self._wide is not None:
+            head = np.uint64(int.from_bytes(key[:8], "big"))
+            tail = key[8:]
+            fwd = self._wide[split:split + forward_take]
+            bwd = self._wide[split - backward_take:split][::-1]
+            return (fwd["head"].astype(np.uint64) - head
+                    - (fwd["tail"] < tail),
+                    head - bwd["head"].astype(np.uint64)
+                    - (bwd["tail"] > tail))
         target = self._key_codec.decode(key)
         fwd = self._numeric_window(split, split + forward_take)
         bwd = self._numeric_window(split - backward_take, split)[::-1]
@@ -211,6 +229,33 @@ class PackedTree:
         # Windows lie on the proper side of the split, so both differences
         # are non-negative and need no abs().
         return fwd - target, target - bwd
+
+    def _settle_ties(self, key: bytes, split: int, dist_f: np.ndarray,
+                     dist_b: np.ndarray, nearer: np.ndarray,
+                     tied: np.ndarray) -> None:
+        """Make ``nearer`` exact for the forward entries ``tied`` whose
+        leading distance word equals some backward entry's.
+
+        Rare (a forward and a backward distance must agree in their top
+        64 bits), so the tied entries of both windows are compared as
+        exact Python integers: among the tied backward entries, those
+        strictly nearer replace those with a smaller leading word, which
+        ``nearer`` already counts.
+        """
+        tied_b = np.flatnonzero(np.isin(dist_b, dist_f[tied]))
+        target = int.from_bytes(key, "big")
+        exact_f = self._exact_keys(split + tied) - target
+        exact_b = target - self._exact_keys(split - 1 - tied_b)
+        nearer[tied] += (np.searchsorted(exact_b, exact_f, side="left")
+                         - np.searchsorted(dist_b[tied_b], dist_f[tied],
+                                           side="left"))
+
+    def _exact_keys(self, positions: np.ndarray) -> np.ndarray:
+        """Keys at ``positions`` as an object array of Python integers."""
+        width = self.key_width
+        raw = self.keys_raw[positions].tobytes()
+        return np.array([int.from_bytes(raw[at:at + width], "big")
+                         for at in range(0, len(raw), width)], dtype=object)
 
     def _numeric_window(self, lo: int, hi: int) -> np.ndarray:
         raw = self.keys_raw[lo:hi]
@@ -224,15 +269,6 @@ class PackedTree:
         padded[:, 8 - width:] = raw
         return padded.view(">u8").ravel().astype(np.uint64)
 
-    def _word_window(self, lo: int, hi: int) -> np.ndarray:
-        padded = np.zeros((hi - lo, 8 * self._words), dtype=np.uint8)
-        padded[:, 8 * self._words - self.key_width:] = self.keys_raw[lo:hi]
-        return padded.view(">u8").astype(np.uint64)
-
-    def _target_words(self, key: bytes) -> np.ndarray:
-        padded = bytes(8 * self._words - self.key_width) + key
-        return np.frombuffer(padded, dtype=">u8").astype(np.uint64)
-
     # -- synthetic I/O traces ---------------------------------------------
 
     def _descent_pages(self, leaf_index: int) -> list[int]:
@@ -242,16 +278,16 @@ class PackedTree:
         pages: list[int] = []
         index = leaf_index
         for level in range(len(self.level_pages) - 1, -1, -1):
-            index = int(np.searchsorted(self.level_starts[level], index,
-                                        side="right")) - 1
+            index = int(self.level_starts[level].searchsorted(
+                index, side="right")) - 1
             pages.append(int(self.level_pages[level][index]))
         pages.reverse()
         return pages
 
     def _nearest_trace(self, leaf: int, split: int, rank_f: np.ndarray,
-                       rank_b: np.ndarray, forward_picks: int,
-                       backward_picks: int) -> np.ndarray:
-        """The node path's exact read sequence for one ``nearest`` call.
+                       rank_b: np.ndarray) -> np.ndarray:
+        """The node path's exact read sequence for one ``nearest`` call,
+        given the merge ranks of the picked forward / backward entries.
 
         Both scan generators descend (the internal chain appears twice) and
         read the landing leaf; each may read one sibling before producing
@@ -261,36 +297,33 @@ class PackedTree:
         """
         n = self.count
         starts, pages = self.leaf_starts, self.leaf_pages
-        trace = self._descent_pages(leaf)
-        trace.append(int(pages[leaf]))
+        descent = self._descent_pages(leaf)
+        descent.append(int(pages[leaf]))
+        trace = list(descent)
         if split < n and split == int(starts[leaf + 1]):
             trace.append(int(pages[leaf + 1]))
-        trace += self._descent_pages(leaf)
-        trace.append(int(pages[leaf]))
+        trace += descent
         if 0 < split == int(starts[leaf]):
             trace.append(int(pages[leaf - 1]))
-        events: list[tuple[int, int]] = []
         # Forward: entry i (position split + i) is consumed by the call
-        # after forward pick #i, and reads a page iff it opens a new leaf.
-        limit = min(forward_picks, n - split - 1)
-        if limit >= 1:
-            lo = int(np.searchsorted(starts, split + 1, side="left"))
-            hi = int(np.searchsorted(starts, split + limit, side="right"))
-            for index in range(lo, hi):
-                entry = int(starts[index]) - split
-                events.append((int(rank_f[entry - 1]), int(pages[index])))
+        # after forward pick #i, and reads a page iff it opens a new leaf:
+        # the leaves starting in (split, split + limit].
+        limit = min(rank_f.size, n - split - 1)
+        lo = int(starts.searchsorted(split + 1, side="left"))
+        hi = max(lo, int(starts.searchsorted(split + limit, side="right")))
+        when_f = rank_f[starts[lo:hi] - (split + 1)]
+        pages_f = pages[lo:hi]
         # Backward: entry t (position split - 1 - t) reads its leaf's left
-        # sibling iff it closes the current leaf.
-        limit = min(backward_picks, split - 1)
-        if limit >= 1:
-            lo = int(np.searchsorted(starts, split - limit, side="left"))
-            hi = int(np.searchsorted(starts, split - 1, side="right"))
-            for index in range(lo, hi):
-                entry = split - int(starts[index])
-                events.append((int(rank_b[entry - 1]), int(pages[index - 1])))
-        events.sort()
-        trace.extend(page for _, page in events)
-        return np.asarray(trace, dtype=np.int64)
+        # sibling iff it closes the current leaf: the leaves starting in
+        # [split - limit, split).
+        limit = min(rank_b.size, split - 1)
+        lo = int(starts.searchsorted(split - limit, side="left"))
+        hi = max(lo, int(starts.searchsorted(split - 1, side="right")))
+        when_b = rank_b[(split - 1) - starts[lo:hi]]
+        pages_b = pages[lo - 1:hi - 1]
+        order = np.argsort(np.concatenate([when_f, when_b]), kind="stable")
+        return np.concatenate([np.asarray(trace, dtype=np.int64),
+                               np.concatenate([pages_f, pages_b])[order]])
 
     # -- serialisation ----------------------------------------------------
 
@@ -320,28 +353,3 @@ class PackedTree:
             arrays["leaf_starts"], arrays["leaf_pages"],
             [arrays[f"level_{level}_pages"] for level in range(num_levels)],
             [arrays[f"level_{level}_starts"] for level in range(num_levels)])
-
-
-def _subtract_words(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Multiword big-endian ``a - b`` over ``(k, W)`` uint64 matrices
-    (word 0 most significant; ``a >= b`` numerically row-wise)."""
-    a, b = np.broadcast_arrays(a, b)
-    out = np.empty(a.shape, dtype=np.uint64)
-    borrow = np.zeros(a.shape[0], dtype=bool)
-    # a.shape[1] is the per-key word count (key_width/8, a small build-time
-    # constant), not the entry count; each iteration is a full-width
-    # vectorised column operation.
-    for word in range(a.shape[1] - 1, -1, -1):  # lint: disable=HK101
-        a_w, b_w = a[:, word], b[:, word]
-        subtrahend = b_w + borrow.astype(np.uint64)
-        wraps = borrow & (b_w == _WORD_MAX)
-        out[:, word] = a_w - subtrahend
-        borrow = wraps | (a_w < subtrahend)
-    return out
-
-
-def _words_to_sortable(words: np.ndarray) -> np.ndarray:
-    """Big-endian byte strings of multiword values: lexicographic order on
-    the result equals numeric order on the inputs."""
-    raw = np.ascontiguousarray(words.astype(">u8"))
-    return raw.view(f"S{8 * words.shape[1]}").ravel()

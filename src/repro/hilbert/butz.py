@@ -7,8 +7,11 @@ the Hilbert curve", AIP Conf. Proc. 707, 2004), which computes the same curve
 with O(η·ω) bit operations per point.
 
 Keys occupy η·ω bits (e.g. 128 bits for SIFT's η=16, ω=8 configuration), so
-they are Python integers; a vectorised batch encoder keeps index construction
-fast by running the bit-twiddling loops across all points at once in numpy.
+they are Python integers.  The batch encoder runs the same (ω−1)·η sequential
+steps once for all points: each axis of the batch is packed, one fixed-width
+lane per point, into a single Python integer, so a step is a few big-integer
+bit operations — O(η·ω) bit operations per point and no per-step array
+dispatch, at one query key as at the 800k keys of a build.
 """
 
 from __future__ import annotations
@@ -42,6 +45,10 @@ class HilbertCurve:
         self.key_bytes = -(-self.key_bits // 8)
         self._side = 1 << order
         self._coord_max = self._side - 1
+        #: Narrowest unsigned dtype holding one coordinate: the lane of
+        #: the packed batch transform.
+        lane_bytes = next(b for b in (1, 2, 4, 8) if order <= 8 * b)
+        self._lane = np.dtype(f"<u{lane_bytes}")
 
     # -- scalar interface ------------------------------------------------
 
@@ -62,36 +69,21 @@ class HilbertCurve:
     # -- batch interface ---------------------------------------------------
 
     def encode_batch(self, coords: np.ndarray) -> np.ndarray:
-        """Encode an (n, dim) integer array to an object array of keys.
-
-        The Skilling transform is vectorised across points; only the final
-        bit-packing into arbitrary-precision keys iterates per order level.
-        """
-        coords = np.asarray(coords)
-        if coords.ndim != 2 or coords.shape[1] != self.dim:
-            raise ValueError(
-                f"expected shape (n, {self.dim}), got {coords.shape}"
-            )
-        if coords.size == 0:
-            return np.empty(0, dtype=object)
-        if coords.min() < 0 or coords.max() > self._coord_max:
-            raise ValueError(
-                f"coordinates must lie in [0, {self._coord_max}]"
-            )
-        x = np.ascontiguousarray(coords.T, dtype=np.uint64).copy()
-        self._axes_to_transpose_batch(x)
-        return self._pack_keys(x)
+        """Encode an (n, dim) integer array to an object array of keys:
+        the rows of :meth:`encode_batch_bytes` as Python integers."""
+        return np.array([int.from_bytes(row.tobytes(), "big")
+                         for row in self.encode_batch_bytes(coords)],
+                        dtype=object)
 
     def encode_batch_bytes(self, coords: np.ndarray) -> np.ndarray:
         """Encode an (n, dim) integer array straight to big-endian key bytes.
 
         Returns an ``(n, key_bytes)`` uint8 array whose rows equal
-        ``key.to_bytes(key_bytes, "big")`` for the keys :meth:`encode_batch`
-        would produce.  This is the hot-path form: no object-dtype Python
-        integers are materialised, the bit interleave is one shift/mask per
-        order level plus a single ``np.packbits``, and the rows feed the
-        packed-tree searches (:mod:`repro.btree.packed`) without a codec
-        round-trip.
+        ``curve.encode(row).to_bytes(key_bytes, "big")``.  This is the
+        hot-path form: no object-dtype Python integers are materialised,
+        the bit interleave is one shift/mask per order level plus a single
+        ``np.packbits``, and the rows feed the packed-tree searches
+        (:mod:`repro.btree.packed`) without a codec round-trip.
         """
         coords = np.asarray(coords)
         if coords.ndim != 2 or coords.shape[1] != self.dim:
@@ -104,7 +96,7 @@ class HilbertCurve:
             raise ValueError(
                 f"coordinates must lie in [0, {self._coord_max}]"
             )
-        x = np.ascontiguousarray(coords.T, dtype=np.uint64).copy()
+        x = np.array(coords.T, dtype=np.uint64, order="C")
         self._axes_to_transpose_batch(x)
         return self._pack_key_bytes(x)
 
@@ -181,29 +173,45 @@ class HilbertCurve:
     # -- batch Skilling transform -------------------------------------------
 
     def _axes_to_transpose_batch(self, x: np.ndarray) -> None:
+        """In-place Skilling transform of an ``(dim, count)`` uint64 block.
+
+        Lane-packed: each axis row becomes one Python integer holding
+        ``count`` lanes of ``self._lane`` bytes, so each of the
+        ``(order - 1) * dim`` sequential steps (a build-time constant) is
+        a handful of big-integer bit operations over all points at once.
+        ``ones`` has bit 0 of every lane set; ``((x_i >> level) & ones) *
+        p`` is ``p`` in the lanes whose ``level`` bit is set and 0
+        elsewhere, and ``p`` never exceeds the lane, so no product or shift
+        leaks into a neighbour.  The steps are those of
+        :meth:`_axes_to_transpose`, the oracle.
+        """
         n, order = self.dim, self.order
         if n == 1:
             return
-        q = np.uint64(1 << (order - 1))
-        one = np.uint64(1)
-        while q > one:
-            p = np.uint64(q - one)
+        count = x.shape[1]
+        ones = int.from_bytes(
+            np.ones(count, dtype=self._lane).tobytes(), "little")
+        rows = x.astype(self._lane)
+        axes = [int.from_bytes(rows[i].tobytes(), "little")
+                for i in range(n)]
+        for level in range(order - 1, 0, -1):
+            p = (1 << level) - 1
+            low = p * ones
             for i in range(n):
-                hi = (x[i] & q) != 0
-                x[0] ^= np.where(hi, p, np.uint64(0))
-                t = np.where(hi, np.uint64(0), (x[0] ^ x[i]) & p)
-                x[0] ^= t
-                x[i] ^= t
-            q >>= one
+                hi = ((axes[i] >> level) & ones) * p
+                axes[0] ^= hi
+                t = (axes[0] ^ axes[i]) & (low ^ hi)
+                axes[0] ^= t
+                axes[i] ^= t
         for i in range(1, n):
-            x[i] ^= x[i - 1]
-        t = np.zeros(x.shape[1], dtype=np.uint64)
-        q = np.uint64(1 << (order - 1))
-        while q > one:
-            t ^= np.where((x[n - 1] & q) != 0, np.uint64(q - one), np.uint64(0))
-            q >>= one
-        for i in range(n):
-            x[i] ^= t
+            axes[i] ^= axes[i - 1]
+        t = 0
+        for level in range(order - 1, 0, -1):
+            t ^= ((axes[n - 1] >> level) & ones) * ((1 << level) - 1)
+        width = count * self._lane.itemsize
+        x[:] = np.frombuffer(
+            b"".join((axis ^ t).to_bytes(width, "little") for axis in axes),
+            dtype=self._lane).reshape(n, count)
 
     def _transpose_to_axes_batch(self, x: np.ndarray) -> None:
         n, order = self.dim, self.order
@@ -243,40 +251,6 @@ class HilbertCurve:
                 x[i] |= ((key >> bit) & 1) << q
                 bit -= 1
         return x
-
-    def _pack_keys(self, x: np.ndarray) -> np.ndarray:
-        """Interleave transposed bit-planes into arbitrary-precision keys.
-
-        Each order level contributes one bit per dimension; the per-level
-        group fits a uint64 only while dim <= 64, so ultra-wide curves
-        (η > 64, e.g. the paper's Enron η up to 171 at full ν) accumulate
-        the group in Python integers.
-        """
-        n, order = self.dim, self.order
-        count = x.shape[1]
-        narrow_key = self.key_bits <= 63
-        narrow_group = n <= 63
-        keys = np.zeros(count, dtype=np.uint64 if narrow_key else object)
-        for q in range(order - 1, -1, -1):
-            if narrow_group:
-                group = np.zeros(count, dtype=np.uint64)
-                for i in range(n):
-                    group = (group << np.uint64(1)) | (
-                        (x[i] >> np.uint64(q)) & np.uint64(1)
-                    )
-            else:
-                group = np.zeros(count, dtype=object)
-                for i in range(n):
-                    group = (group * 2) + (
-                        (x[i] >> np.uint64(q)) & np.uint64(1)
-                    ).astype(object)
-            if narrow_key:
-                keys = (keys << np.uint64(n)) | group
-            else:
-                keys = keys * (1 << n) + group.astype(object)
-        if narrow_key:
-            return keys.astype(object)
-        return keys
 
     def _pack_key_bytes(self, x: np.ndarray) -> np.ndarray:
         """Interleave transposed bit-planes into ``(n, key_bytes)`` rows.
@@ -325,9 +299,9 @@ def encode_for_curves(curves, coords_list) -> list[np.ndarray]:
     an (n_i, dim_i) integer array to encode under that tree's curve.  Curves
     sharing a ``(dim, order)`` geometry — in HD-Index, *all* trees except
     possibly a remainder partition — are concatenated and run through a
-    single batched Skilling transform, so one query against tau trees costs
-    one kernel invocation instead of tau, which is most of the fixed
-    per-query cost the array-native hot path removes.
+    single batched Skilling transform, so one query against tau trees runs
+    the transform's (order - 1) * dim sequential steps once instead of tau
+    times.
 
     Returns one ``(n_i, key_bytes)`` uint8 array per curve (the
     :meth:`HilbertCurve.encode_batch_bytes` form).

@@ -22,6 +22,7 @@ from repro.storage import (
     pack_arrays,
     unpack_arrays,
 )
+from repro.storage.stats import IOStats
 
 
 def make_tree(key_codec, leaf_cap=4, cache=0):
@@ -47,6 +48,57 @@ def node_path_copy(tree, keys, fill=1.0):
 def stats_triple(tree):
     return (tree.stats.page_reads, tree.stats.random_reads,
             tree.stats.sequential_reads)
+
+
+class ReadLog(IOStats):
+    """An accountant that also keeps the page ids, in read order."""
+
+    def __init__(self):
+        super().__init__()
+        self.pages = []
+
+    def record_read(self, page_id):
+        self.pages.append(int(page_id))
+        super().record_read(page_id)
+
+    def record_read_many(self, page_ids):
+        self.pages.extend(int(page) for page in np.asarray(page_ids).ravel())
+        super().record_read_many(page_ids)
+
+
+@st.composite
+def wide_key_cases(draw):
+    """(width, keys, probe, count, leaf capacity) for keys wider than one
+    word, shaped to reach what the leading-word merge could get wrong."""
+    width = draw(st.sampled_from([9, 12, 16, 24, 40]))
+    top = (1 << (8 * width)) - 1
+    anywhere = st.integers(min_value=0, max_value=top)
+    centre = draw(anywhere)
+    shape = draw(st.sampled_from(["spread", "shared-head", "mirrored"]))
+    if shape == "spread":
+        keys = draw(st.lists(anywhere, min_size=1, max_size=40))
+    elif shape == "shared-head":
+        # One leading word, keys differing only in the last byte (with
+        # duplicates): every leading distance word ties.
+        base = centre & ~0xFF
+        keys = [base | low for low in draw(st.lists(
+            st.integers(min_value=0, max_value=255),
+            min_size=1, max_size=40))]
+        centre = base | draw(st.integers(min_value=0, max_value=255))
+    else:
+        # Pairs at equal distance either side of the centre: forward and
+        # backward distances tie exactly (forward must win).
+        offsets = draw(st.lists(st.integers(min_value=0, max_value=600),
+                                min_size=1, max_size=20))
+        keys = [min(top, centre + offset) for offset in offsets] \
+            + [max(0, centre - offset) for offset in offsets]
+    probe = draw(st.one_of(
+        st.just(centre), st.sampled_from(keys), st.just(0), st.just(top),
+        st.just(max(0, min(keys) - 1)), st.just(min(top, max(keys) + 1)),
+        anywhere))
+    count = draw(st.sampled_from(
+        [1, len(keys) - 1, len(keys), len(keys) + 5]).filter(bool))
+    return width, keys, probe, count, draw(st.integers(2, 7))
 
 
 class TestActivation:
@@ -183,6 +235,21 @@ class TestParity:
         raw = tree.key_codec.encode(probe)
         tree.stats.reset(), oracle.stats.reset()
         assert tree.nearest(raw, count) == oracle.nearest(raw, count)
+        assert stats_triple(tree) == stats_triple(oracle)
+
+    @given(wide_key_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_nearest_property_wide_keys(self, case):
+        """Keys of more than 8 bytes: same entries in the same order and
+        the same page-read *sequence* as the node path."""
+        width, keys, probe, count, leaf_cap = case
+        tree = make_tree(UIntCodec(width), leaf_cap=leaf_cap)
+        load_int_pairs(tree, keys)
+        oracle = node_path_copy(tree, keys)
+        tree._store.stats, oracle._store.stats = ReadLog(), ReadLog()
+        raw = tree.key_codec.encode(probe)
+        assert tree.nearest(raw, count) == oracle.nearest(raw, count)
+        assert tree.stats.pages == oracle.stats.pages
         assert stats_triple(tree) == stats_triple(oracle)
 
     @given(st.lists(st.integers(min_value=0, max_value=1000),

@@ -20,12 +20,15 @@ sharded indexes structurally impossible; these tests pin the contract:
   ``ValueError`` on a wrong dimension — is pinned directly.
 """
 
+import collections
+import sys
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from repro.btree import BPlusTree
 from repro.core import (
     Execution,
     HDIndex,
@@ -39,7 +42,10 @@ from repro.core import (
 )
 from repro.core import engine as engine_module
 from repro.core.engine import inflate_filter_sizes
+from repro.hilbert import HilbertCurve, encode_for_curves
 from repro.meta import Eq
+from repro.storage import UInt64Codec, UIntCodec
+from repro.storage.stats import IOStats
 from test_core_filters import python_ptolemaic, python_triangular
 
 
@@ -638,6 +644,98 @@ class TestStageTwoWorkingSet:
         single = peak(lambda: index.query(queries[0], 10))
         batch = peak(lambda: index.query_batch(queries, 10))
         assert batch < 4 * single, (batch, single)
+
+
+def profiled_calls(call):
+    """(C-level calls made, Python calls by function name) of ``call()``:
+    a count, so unlike a timing it is the same on every host."""
+    c_calls = 0
+    python_calls = collections.Counter()
+
+    def hook(frame, event, arg):
+        nonlocal c_calls
+        if event == "c_call":
+            c_calls += 1
+        elif event == "call":
+            python_calls[frame.f_code.co_name] += 1
+
+    sys.setprofile(hook)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return c_calls, python_calls
+
+
+class CountedBlock(np.ndarray):
+    """An array that counts the ufunc dispatches made on it and its
+    views (operators included, which no profiler hook sees)."""
+
+    dispatches = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        CountedBlock.dispatches += 1
+        if out is not None:
+            kwargs["out"] = tuple(np.asarray(array) for array in out)
+        return getattr(ufunc, method)(
+            *(np.asarray(array) if isinstance(array, CountedBlock)
+              else array for array in inputs), **kwargs)
+
+
+class TestFrontHalfFixedCost:
+    """The Hilbert encode and the tree descent are per-call and
+    per-(tree, row) fixed costs; before the lane-packed transform and the
+    leading-word merge they were 3.2 of a 6 ms query at n = 100k, all of
+    it interpreter dispatch.  Counts pin them where timings would flake."""
+
+    #: C-level calls ``nearest_positions(key, 1024, stats)`` made on the
+    #: tree below at the commit before the leading-word merge.
+    PARENT_NEAREST_C_CALLS = 100
+
+    def test_encode_cost_does_not_depend_on_q(self):
+        curves = [HilbertCurve(16, 8)] * 8
+        rng = np.random.default_rng(3)
+        counts = []
+        for rows in (1, 16):
+            coords = [rng.integers(0, 256, size=(rows, 16))
+                      for _ in curves]
+            counts.append(profiled_calls(
+                lambda: encode_for_curves(curves, coords))[0])
+        assert counts[0] == counts[1]
+
+    @pytest.mark.parametrize("rows", [1, 128])
+    def test_transform_makes_no_numpy_dispatch_per_step(self, rows):
+        """(order - 1) * dim = 112 sequential steps: at ~9 array
+        operations each they were ~1000 dispatches for eight keys."""
+        curve = HilbertCurve(16, 8)
+        points = np.random.default_rng(rows).integers(
+            0, 256, size=(rows, 16))
+        counted = np.array(points.T, dtype=np.uint64,
+                           order="C").view(CountedBlock)
+        CountedBlock.dispatches = 0
+        curve._axes_to_transpose_batch(counted)
+        assert CountedBlock.dispatches <= curve.dim
+        np.testing.assert_array_equal(
+            curve._pack_key_bytes(np.asarray(counted)),
+            curve.encode_batch_bytes(points))
+
+    def test_descent_is_one_rank_and_one_ancestor_chain(self):
+        rng = np.random.default_rng(11)
+        codec = UIntCodec(16)
+        keys = sorted(int.from_bytes(rng.bytes(16), "big")
+                      for _ in range(5000))
+        tree = BPlusTree(codec, UInt64Codec(), cache_pages=0)
+        tree.bulk_load([(codec.encode(key), UInt64Codec().encode(row))
+                        for row, key in enumerate(keys)])
+        packed = tree.packed_layout
+        key = codec.encode(keys[2500] + 1)
+        stats = IOStats()
+        c_calls, python_calls = profiled_calls(
+            lambda: packed.nearest_positions(key, 1024, stats))
+        assert stats.page_reads > 2 * len(packed.level_pages) + 2
+        assert python_calls["broadcast_arrays"] == 0
+        assert python_calls["_descent_pages"] <= 1
+        assert 2 * c_calls <= self.PARENT_NEAREST_C_CALLS, c_calls
 
 
 class TestOnePointAdapter:

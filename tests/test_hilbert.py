@@ -1,10 +1,14 @@
 """Unit and property tests for the Hilbert curve (Butz/Skilling)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import HDIndex, HDIndexParams, save_index
 from repro.hilbert import GridQuantizer, HilbertCurve, encode_for_curves
+from repro.storage import unpack_arrays
 
 
 class TestScalarCurve:
@@ -202,6 +206,81 @@ class TestBatchKeyBytes:
         for row, point in zip(raw, points):
             key = curve.encode([int(v) for v in point])
             assert row.tobytes() == int(key).to_bytes(curve.key_bytes, "big")
+
+
+class TestKeysAreFrozen:
+    """Every key the batch transform emits is the scalar oracle's, and the
+    keys of a fixed input are the ones the repository has always written:
+    a faster transform may not move a single byte of a snapshot."""
+
+    #: Each side of every lane-width boundary of the packed transform
+    #: (8 | 9, 16 | 17, 32 | 33 bits) and of the 64-bit bit-plane group.
+    DIMS = (1, 2, 3, 16, 63, 64, 65, 171)
+    ORDERS = (1, 7, 8, 9, 16, 17, 32, 33, 62)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_bytes_match_scalar_encode(self, dim, order):
+        curve = HilbertCurve(dim, order)
+        rng = np.random.default_rng(1000 * dim + order)
+        for count in (1, 8, 257):
+            points = rng.integers(0, 1 << order, size=(count, dim))
+            points[0] = 0
+            points[-1] = (1 << order) - 1
+            raw = curve.encode_batch_bytes(points)
+            assert raw.shape == (count, curve.key_bytes)
+            # All of a small batch; of the large one both ends, both
+            # sides of the middle and a stride (the oracle is slow).
+            rows = sorted({0, 1, 127, 128, 129, 255, 256,
+                           *range(0, count, 37)} & set(range(count)))
+            for row in rows:
+                key = curve.encode([int(v) for v in points[row]])
+                assert raw[row].tobytes() == key.to_bytes(
+                    curve.key_bytes, "big"), (count, row)
+
+    @pytest.mark.parametrize("dim,order", [(2, 8), (3, 9), (16, 8),
+                                           (5, 17), (4, 33), (65, 2)])
+    def test_batch_round_trip(self, dim, order):
+        curve = HilbertCurve(dim, order)
+        points = np.random.default_rng(dim + order).integers(
+            0, 1 << order, size=(9, dim))
+        points[0], points[-1] = 0, (1 << order) - 1
+        np.testing.assert_array_equal(
+            curve.decode_batch(curve.encode_batch(points)),
+            points.astype(np.uint64))
+
+    def test_golden_digest_of_encode_for_curves(self):
+        """Computed at the commit before the lane-packed transform."""
+        rng = np.random.default_rng(2016)
+        curves = [HilbertCurve(16, 8)] * 8 + [HilbertCurve(5, 8),
+                                              HilbertCurve(16, 12)]
+        coords = [rng.integers(0, 1 << curve.order, size=(16, curve.dim))
+                  for curve in curves]
+        digest = hashlib.sha256()
+        for raw in encode_for_curves(curves, coords):
+            digest.update(raw.tobytes())
+        assert digest.hexdigest() == (
+            "d75f394f126d9b88ffffe7fce83df74d"
+            "523cb4841605518d6180c79c78669cd9")
+
+    def test_golden_digest_of_a_built_key_column(self, tmp_path):
+        """The ``tree_0.packed`` key column of a fixed-seed 2 000-point
+        index, computed at the same commit: the build encodes through
+        the same transform as a query."""
+        rng = np.random.default_rng(7)
+        data = rng.uniform(0.0, 255.0, size=(2000, 64))
+        index = HDIndex(HDIndexParams(num_trees=4, hilbert_order=8,
+                                      num_references=4, alpha=64, gamma=16,
+                                      seed=7))
+        index.build(data)
+        save_index(index, str(tmp_path))
+        index.close()
+        buffer = np.fromfile(tmp_path / "tree_0.packed", dtype=np.uint8)
+        keys = unpack_arrays(buffer)["keys"]
+        assert keys.shape == (2000, 16)
+        assert hashlib.sha256(keys.tobytes()).hexdigest() == (
+            "b0a7c5542812fb63c869c05a82a5d040"
+            "8039c5899379d9542056029725941d42")
 
 
 class TestGridQuantizer:
