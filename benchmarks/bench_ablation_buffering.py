@@ -46,7 +46,7 @@ def _sweep(workload):
                                   cache_pages=capacity))
         index.build(workload.data)
         for tree in index.trees:
-            tree.tree.pool.clear()
+            tree.clear_cache()
         total_reads = total_hits = 0
         results = []
         for query in workload.queries:

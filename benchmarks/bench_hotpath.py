@@ -48,6 +48,7 @@ from benchmarks.common import (
     start_report,
 )
 from repro.core import HDIndex, load_index, save_index
+from repro.devtools.sanitize import node_candidates
 
 BENCH = "hotpath"
 N = 4000
@@ -63,36 +64,30 @@ TARGET_SPEEDUP = 5.0
 def scalar_oracle_ids(index: HDIndex, queries: np.ndarray,
                       k: int) -> list[np.ndarray]:
     """Algo. 2 through the scalar kernels: per-point ``encode``, node-path
-    ``nearest``, per-tree filter calls.  The packed mirrors are detached
-    for the duration, so the batched encode and the packed tree scan are
-    bypassed; stage (ii) is the pipeline's own ``filter_survivors`` (its
+    ``nearest`` (``node_candidates``: a B+-tree bulk-loaded from each
+    tree's columns, walked node by node), per-tree filter calls, so the
+    batched encode and the packed tree scan are bypassed; stage (ii) is
+    the pipeline's own ``filter_survivors`` (its
     independent oracle is the loop reference in
     ``tests/test_core_filters.py``)."""
     engine = index._engine
     ptolemaic = index.params.use_ptolemaic
     alpha, beta, gamma = index._effective_sizes(k, None, None, None,
                                                 ptolemaic)
-    saved = [tree.tree._packed for tree in index.trees]
-    for tree in index.trees:
-        tree.tree._packed = None
-    try:
-        rows = []
-        for point in queries:
-            query_ref = index.references.distances_from(point)[0]
-            survivors = []
-            for tree, part in zip(index.trees, index.partitions):
-                coords = index.quantizer.quantize(point[part])
-                key = int(tree.curve.encode(coords))
-                cand_ids, cand_ref = tree.candidates(key, alpha)
-                survivors.append(engine.filter_survivors(
-                    query_ref, cand_ids, cand_ref, beta, gamma, ptolemaic))
-            merged = engine._merge_survivors(survivors)
-            ids, _ = engine.rerank(point, merged, k)
-            rows.append(np.asarray(ids, dtype=np.int64))
-        return rows
-    finally:
-        for tree, packed in zip(index.trees, saved):
-            tree.tree._packed = packed
+    rows = []
+    for point in queries:
+        query_ref = index.references.distances_from(point)[0]
+        survivors = []
+        for tree, part in zip(index.trees, index.partitions):
+            coords = index.quantizer.quantize(point[part])
+            key = int(tree.curve.encode(coords))
+            cand_ids, cand_ref = node_candidates(tree, key, alpha)
+            survivors.append(engine.filter_survivors(
+                query_ref, cand_ids, cand_ref, beta, gamma, ptolemaic))
+        merged = engine._merge_survivors(survivors)
+        ids, _ = engine.rerank(point, merged, k)
+        rows.append(np.asarray(ids, dtype=np.int64))
+    return rows
 
 
 def _query_ids(index: HDIndex, queries: np.ndarray, k: int

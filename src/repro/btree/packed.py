@@ -1,33 +1,33 @@
-"""Packed-array read path for bulk-built B+-trees.
+"""Packed-array B+-tree: every entry in two sorted columns.
 
-The node-based read path (:mod:`repro.btree.tree`) materialises a
-``LeafNode``/``InternalNode`` object per visited page and walks Python
-generators entry by entry — faithful to the disk layout, but the dominant
-per-query cost once the filter kernels are vectorised.  This module holds a
-*packed* mirror of a bulk-built tree: every key and value in one contiguous
-sorted array, plus the leaf/internal page geometry, so
+A bulk-built tree is fully described by its entries in key order plus the
+page geometry bulk loading gives them, so that is all this module keeps:
+every key and value in one contiguous sorted array each, the leaf
+boundaries and the page ids of the leaf and internal levels.  On that,
 
 * descent is ``np.searchsorted`` over the per-leaf minimum keys,
-* :meth:`BPlusTree.nearest`'s bidirectional merge is one ``searchsorted``
-  of the forward window's key distances into the backward window's (the
+* the bidirectional nearest-by-key merge is one ``searchsorted`` of the
+  forward window's key distances into the backward window's (the
   backward ranks are the complement), on the leading 64-bit word of each
   distance when keys are wider than 8 bytes, with the rare leading-word
   ties settled exactly, and
 * range scans slice the arrays directly.
 
-The packed mirror is an **accelerator, not a second source of truth**: it
-is built from exactly the bytes bulk-loading wrote (or a counted
-``repack()`` walk re-reads), results are byte-identical to the node path,
-and the I/O accounting is *synthesised* — :meth:`nearest_positions` and
-:meth:`range_entries` replay, against :class:`~repro.storage.stats.IOStats`,
-precisely the page-read sequence the node path would have issued, so the
-paper's I/O figures are unchanged.  Because the synthetic trace models
-uncached reads, callers only activate the packed path when the buffer pool
-is disabled (``cache_pages == 0`` — the paper's measurement methodology),
-exactly like :meth:`repro.storage.vectors.VectorHeapFile.gather`.
+For the RDB-trees (:mod:`repro.core.rdbtree`) these columns **are the
+tree**: :meth:`PackedTree.from_sorted` lays sorted entries out exactly as
+a bottom-up bulk load of the node-based :class:`~repro.btree.tree.BPlusTree`
+would, and nothing else is built, saved or read.  The page geometry is an
+accounting model, not a storage layout: :meth:`nearest_positions` and
+:meth:`range_entries` replay, against
+:class:`~repro.storage.stats.IOStats`, precisely the page-read sequence a
+node-by-node walk of that tree would issue, so the paper's I/O figures
+are reproduced without the pages existing.  The node-based tree remains
+the substrate of the one-dimensional baselines (which keep such a layout
+as a mirror of their pages) and the oracle the tests and the sanitizer
+diff this module against.
 
 Arrays serialise through :func:`repro.storage.codecs.pack_arrays` into a
-``tree_<i>.packed`` snapshot sidecar; an mmap reopen maps them zero-copy,
+``tree_<i>.packed`` snapshot file; an mmap reopen maps them zero-copy,
 so a process pool shares one physical copy across workers.
 """
 
@@ -54,7 +54,7 @@ def supports_packing(codec: Codec) -> bool:
 
 
 class PackedTree:
-    """Contiguous-array mirror of one bulk-built B+-tree.
+    """One bulk-built B+-tree as contiguous sorted arrays.
 
     Parameters
     ----------
@@ -84,7 +84,7 @@ class PackedTree:
             raise ValueError(
                 f"cannot pack keys of {type(key_codec).__name__}")
         self._kind = kind
-        self._key_codec = key_codec
+        self.key_codec = key_codec
         self.key_width = key_codec.width
         self.keys_raw = np.ascontiguousarray(keys_raw, dtype=np.uint8)
         self.values_raw = np.ascontiguousarray(values_raw, dtype=np.uint8)
@@ -106,6 +106,44 @@ class PackedTree:
         if kind == "uint" and self.key_width > 8:
             self._wide = self.keys_raw.view(
                 [("head", ">u8"), ("tail", f"S{self.key_width - 8}")]).ravel()
+
+    @classmethod
+    def from_sorted(cls, key_codec: Codec, keys_raw: np.ndarray,
+                    values_raw: np.ndarray, leaf_capacity: int,
+                    internal_capacity: int) -> "PackedTree":
+        """Lay key-sorted entries out as a bottom-up bulk load does: full
+        leaves on pages ``0..L-1`` (the last one takes the remainder),
+        then each internal level, bottom-up, on the next contiguous page
+        range with ``internal_capacity + 1`` children per node."""
+        count = int(keys_raw.shape[0])
+        leaves = -(-count // leaf_capacity)
+        leaf_starts = np.minimum(
+            np.arange(leaves + 1, dtype=np.int64) * leaf_capacity, count)
+        level_pages: list[np.ndarray] = []
+        level_starts: list[np.ndarray] = []
+        children, next_page, fanout = leaves, leaves, internal_capacity + 1
+        while children > 1:
+            nodes = -(-children // fanout)
+            level_pages.append(
+                np.arange(next_page, next_page + nodes, dtype=np.int64))
+            level_starts.append(np.minimum(
+                np.arange(nodes + 1, dtype=np.int64) * fanout, children))
+            next_page += nodes
+            children = nodes
+        return cls(key_codec, keys_raw, values_raw, leaf_starts,
+                   np.arange(leaves, dtype=np.int64),
+                   level_pages[::-1], level_starts[::-1])
+
+    @property
+    def height(self) -> int:
+        """Number of levels (0 when empty, 1 for a lone leaf)."""
+        return len(self.level_pages) + 1 if self.count else 0
+
+    @property
+    def num_pages(self) -> int:
+        """Pages of the modelled tree: its leaves plus internal nodes."""
+        return int(self.leaf_pages.size
+                   + sum(pages.size for pages in self.level_pages))
 
     # -- searches ---------------------------------------------------------
 
@@ -219,7 +257,7 @@ class PackedTree:
                     - (fwd["tail"] < tail),
                     head - bwd["head"].astype(np.uint64)
                     - (bwd["tail"] > tail))
-        target = self._key_codec.decode(key)
+        target = self.key_codec.decode(key)
         fwd = self._numeric_window(split, split + forward_take)
         bwd = self._numeric_window(split - backward_take, split)[::-1]
         if self._kind == "uint":

@@ -1,10 +1,12 @@
 """Disk-paged B+-tree with bulk loading and nearest-by-key scans.
 
-This is the hierarchical substrate under both the RDB-trees (Sec. 3.2) and
-the baselines that index one-dimensional keys (iDistance, QALSH,
-Multicurves).  All node accesses flow through a buffer pool so the disk-
-access analysis of Sec. 4.4.1 — ``O(log_θ n + α/Ω)`` pages per candidate
-retrieval — is directly measurable.
+This is the hierarchical substrate under the baselines that index
+one-dimensional keys (iDistance, QALSH, Multicurves) and — bulk-loaded
+from an RDB-tree's columns (:meth:`BPlusTree.from_columns`) — the
+node-by-node oracle of that array-held tree (Sec. 3.2).  All node accesses
+flow through a buffer pool so the disk-access analysis of Sec. 4.4.1 —
+``O(log_θ n + α/Ω)`` pages per candidate retrieval — is directly
+measurable.
 
 Keys and values are fixed-width byte strings produced by
 :mod:`repro.storage.codecs`; key codecs preserve numeric order bytewise, so
@@ -31,7 +33,7 @@ from repro.btree.node import (
 )
 from repro.btree.packed import PackedTree, supports_packing
 from repro.storage.buffer import BufferPool
-from repro.storage.codecs import Codec
+from repro.storage.codecs import BytesCodec, Codec
 from repro.storage.pages import DEFAULT_PAGE_SIZE, InMemoryPageStore, PageStore
 
 
@@ -84,29 +86,17 @@ class BPlusTree:
         #: Packed-array mirror of a bulk-built tree (None until built).
         self._packed: PackedTree | None = None
 
-    # -- persistence -----------------------------------------------------
-
-    def state(self) -> dict:
-        """Serializable structural state (root page, height, count).
-
-        Together with the backing page store this fully reconstructs the
-        tree; see :meth:`from_state`.
-        """
-        return {"root": self._root, "height": self._height,
-                "count": self._count,
-                "leaf_capacity": self.leaf_capacity}
-
     @classmethod
-    def from_state(cls, key_codec: Codec, value_codec: Codec,
-                   store: PageStore, state: dict,
-                   cache_pages: int = 0) -> "BPlusTree":
-        """Re-open a tree over an existing store (e.g. a reopened file)."""
-        tree = cls(key_codec, value_codec, store=store,
-                   cache_pages=cache_pages,
-                   leaf_capacity_override=state["leaf_capacity"])
-        tree._root = int(state["root"])
-        tree._height = int(state["height"])
-        tree._count = int(state["count"])
+    def from_columns(cls, packed: PackedTree, leaf_capacity: int,
+                     page_size: int = DEFAULT_PAGE_SIZE) -> "BPlusTree":
+        """Node-path twin of a packed layout: the same entries bulk-loaded
+        onto real pages with no mirror kept, so every read walks nodes —
+        the oracle the tests, ``bench_hotpath`` and the sanitizer diff
+        the array path against."""
+        tree = cls(packed.key_codec, BytesCodec(packed.value_width),
+                   leaf_capacity_override=leaf_capacity, page_size=page_size)
+        tree.bulk_load(packed.entries(range(packed.count)))
+        tree._packed = None
         return tree
 
     # -- informational -------------------------------------------------
@@ -127,10 +117,6 @@ class BPlusTree:
         """On-disk footprint of the tree."""
         return self._store.size_bytes()
 
-    def memory_bytes(self) -> int:
-        """Resident RAM: only the buffer pool (the tree itself lives on disk)."""
-        return self.pool.memory_bytes()
-
     # -- bulk loading -----------------------------------------------------
 
     def bulk_load(self, entries: Iterable[tuple[bytes, bytes]],
@@ -146,9 +132,11 @@ class BPlusTree:
             raise ValueError(f"fill factor must be in (0, 1], got {fill}")
         per_leaf = max(1, int(self.leaf_capacity * fill))
         # Capture the entry bytes for the packed read path while they stream
-        # past (only worthwhile when the pool is off — the packed path's
-        # synthetic I/O trace models uncached reads, see _active_packed).
-        capture = supports_packing(self.key_codec) and self.pool.capacity == 0
+        # past: only with the pool off (the synthetic I/O trace models
+        # uncached reads, see _active_packed) and on a fresh store (the
+        # mirror's geometry assumes page ids count up from 0).
+        capture = (supports_packing(self.key_codec)
+                   and self.pool.capacity == 0 and not self._store.num_pages)
         key_buffer = bytearray()
         value_buffer = bytearray()
         leaf_pages: list[int] = []
@@ -175,31 +163,18 @@ class BPlusTree:
         if not leaf_pages:
             return
         self._link_siblings(leaf_pages)
-        self._root, self._height, levels = self._build_internal_levels(
+        self._root, self._height = self._build_internal_levels(
             leaf_pages, leaf_min_keys)
         if capture:
-            self._packed = self._packed_from_build(
-                key_buffer, value_buffer, leaf_pages, per_leaf, levels)
-
-    def _packed_from_build(self, key_buffer: bytearray,
-                           value_buffer: bytearray, leaf_pages: list[int],
-                           per_leaf: int,
-                           levels: list[tuple[list[int], list[int]]],
-                           ) -> PackedTree:
-        count = self._count
-        keys_raw = np.frombuffer(bytes(key_buffer), dtype=np.uint8)
-        values_raw = np.frombuffer(bytes(value_buffer), dtype=np.uint8)
-        # Bulk loading fills every leaf to per_leaf except the last.
-        leaf_starts = np.minimum(
-            np.arange(len(leaf_pages) + 1, dtype=np.int64) * per_leaf, count)
-        return PackedTree(
-            self.key_codec,
-            keys_raw.reshape(count, self.key_width),
-            values_raw.reshape(count, self.value_width),
-            leaf_starts,
-            np.asarray(leaf_pages, dtype=np.int64),
-            [np.asarray(pages, dtype=np.int64) for pages, _ in levels],
-            [np.asarray(starts, dtype=np.int64) for _, starts in levels])
+            # Pages were allocated leaves first, then level by level: the
+            # geometry from_sorted lays out.
+            self._packed = PackedTree.from_sorted(
+                self.key_codec,
+                np.frombuffer(bytes(key_buffer), dtype=np.uint8).reshape(
+                    self._count, self.key_width),
+                np.frombuffer(bytes(value_buffer), dtype=np.uint8).reshape(
+                    self._count, self.value_width),
+                per_leaf, self.internal_capacity)
 
     def _flush_bulk_leaf(self, node: LeafNode, pages: list[int],
                          min_keys: list[bytes]) -> None:
@@ -216,18 +191,15 @@ class BPlusTree:
                           if index + 1 < len(leaf_pages) else NO_PAGE)
             self._write_leaf(page_id, node)
 
-    def _build_internal_levels(
-            self, child_pages: list[int], child_min_keys: list[bytes],
-    ) -> tuple[int, int, list[tuple[list[int], list[int]]]]:
-        """Returns (root page, height, internal levels root-first) where each
-        level is its node pages plus the prefix array of child counts."""
+    def _build_internal_levels(self, child_pages: list[int],
+                               child_min_keys: list[bytes]
+                               ) -> tuple[int, int]:
+        """Returns (root page, height)."""
         height = 1
         fanout = self.internal_capacity + 1
-        levels: list[tuple[list[int], list[int]]] = []
         while len(child_pages) > 1:
             next_pages: list[int] = []
             next_min_keys: list[bytes] = []
-            child_starts = [0]
             for start in range(0, len(child_pages), fanout):
                 group = child_pages[start:start + fanout]
                 group_keys = child_min_keys[start:start + fanout]
@@ -236,20 +208,17 @@ class BPlusTree:
                 self._write_internal(page_id, node)
                 next_pages.append(page_id)
                 next_min_keys.append(group_keys[0])
-                child_starts.append(child_starts[-1] + len(group))
-            levels.append((next_pages, child_starts))
             child_pages, child_min_keys = next_pages, next_min_keys
             height += 1
-        levels.reverse()
-        return child_pages[0], height, levels
+        return child_pages[0], height
 
     # -- point insert (Sec. 3.6 updates) -------------------------------
 
     def insert(self, key: bytes, value: bytes) -> None:
         """Insert one entry (duplicates allowed), splitting as needed.
 
-        Invalidates the packed mirror; call :meth:`repack` to rebuild it
-        once a batch of inserts has settled.
+        Drops the packed mirror for good (the arrays cannot absorb a page
+        split): later reads walk the nodes.
         """
         if len(key) != self.key_width or len(value) != self.value_width:
             raise ValueError("entry width does not match codecs")
@@ -281,9 +250,11 @@ class BPlusTree:
         if split is None:
             return None
         sep_key, right_page = split
-        position = bisect_right(node.keys, sep_key)
-        node.keys.insert(position, sep_key)
-        node.children.insert(position + 1, right_page)
+        # Directly after the child that split — not bisect_right of the
+        # separator, which among equal separators (duplicate keys spanning
+        # leaves) would file the new page behind the wrong sibling.
+        node.keys.insert(child_index, sep_key)
+        node.children.insert(child_index + 1, right_page)
         if len(node.keys) <= self.internal_capacity:
             self._write_internal(page_id, node)
             return None
@@ -423,12 +394,6 @@ class BPlusTree:
         """The packed mirror, whether or not it is currently active."""
         return self._packed
 
-    def attach_packed(self, packed: PackedTree | None) -> None:
-        """Adopt a deserialized packed mirror (snapshot load path)."""
-        if packed is not None and packed.count != self._count:
-            raise ValueError("packed layout does not match tree entry count")
-        self._packed = packed
-
     def _active_packed(self) -> PackedTree | None:
         """The packed mirror, when usable.
 
@@ -439,69 +404,6 @@ class BPlusTree:
         if self._packed is not None and self.pool.capacity == 0:
             return self._packed
         return None
-
-    def nearest_positions(self, key: bytes, count: int) -> np.ndarray | None:
-        """Packed fast path for :meth:`nearest`: global entry positions in
-        pick order, or ``None`` when the packed mirror is unavailable.
-
-        Callers holding the packed arrays (see :attr:`packed_layout`) can
-        slice them with these positions instead of materialising byte
-        pairs.  I/O accounting is identical to :meth:`nearest`.
-        """
-        packed = self._active_packed()
-        if packed is None or len(key) != self.key_width:
-            return None
-        if count <= 0 or self._root == NO_PAGE:
-            return np.empty(0, dtype=np.int64)
-        return packed.nearest_positions(key, count, self.stats)
-
-    def repack(self) -> bool:
-        """Rebuild the packed mirror by walking the tree top-down.
-
-        :meth:`insert` drops the mirror (the packed arrays cannot absorb a
-        page split); once a batch of inserts has settled, this re-reads the
-        whole tree — every page access is counted I/O — and re-attaches it.
-        Returns ``True`` when a mirror is attached afterwards.
-        """
-        self._packed = None
-        if self._root == NO_PAGE or not supports_packing(self.key_codec):
-            return False
-        level: list[int] = [self._root]
-        level_pages: list[list[int]] = []
-        level_starts: list[list[int]] = []
-        for _ in range(self._height - 1):
-            children: list[int] = []
-            child_starts = [0]
-            for page_id in level:
-                node = self._read_node(page_id)
-                if not isinstance(node, InternalNode):
-                    raise RuntimeError(f"page {page_id} is not internal")
-                children.extend(node.children)
-                child_starts.append(len(children))
-            level_pages.append(level)
-            level_starts.append(child_starts)
-            level = children
-        key_buffer = bytearray()
-        value_buffer = bytearray()
-        leaf_starts = [0]
-        for page_id in level:
-            node = self._read_leaf(page_id)
-            for key in node.keys:
-                key_buffer += key
-            for value in node.values:
-                value_buffer += value
-            leaf_starts.append(leaf_starts[-1] + len(node))
-        keys_raw = np.frombuffer(bytes(key_buffer), dtype=np.uint8)
-        values_raw = np.frombuffer(bytes(value_buffer), dtype=np.uint8)
-        self._packed = PackedTree(
-            self.key_codec,
-            keys_raw.reshape(self._count, self.key_width),
-            values_raw.reshape(self._count, self.value_width),
-            np.asarray(leaf_starts, dtype=np.int64),
-            np.asarray(level, dtype=np.int64),
-            [np.asarray(pages, dtype=np.int64) for pages in level_pages],
-            [np.asarray(starts, dtype=np.int64) for starts in level_starts])
-        return True
 
     # -- scan generators ---------------------------------------------------
 

@@ -32,6 +32,7 @@ from repro.distance.metrics import (
 from repro.hilbert.butz import HilbertCurve
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore, coerce_predicate
+from repro.storage.pages import InMemoryPageStore, open_page_store
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 from repro.wal.delta import DeltaSegment
 from repro.wal.manager import compact_index, open_log
@@ -62,8 +63,8 @@ class HDIndex(KNNIndex):
     There is one write path.  The built trees and heap — the *base* —
     are immutable between folds: :meth:`insert` lands in an in-memory
     delta segment every query reranks exactly beside the base,
-    :meth:`delete` in the deleted-id set; no write rewrites a page,
-    drops a packed mirror or restarts a worker pool.  ``Execution.wal``
+    :meth:`delete` in the deleted-id set; no write touches a page or a
+    tree column, or restarts a worker pool.  ``Execution.wal``
     decides durability only: with a write-ahead log (:mod:`repro.wal`)
     each mutation is one log frame first and :meth:`compact` publishes
     a new on-disk generation; without one, updates are volatile until
@@ -198,25 +199,27 @@ class HDIndex(KNNIndex):
         return object_id
 
     def _fold_delta(self) -> None:
-        """Sec. 3.6, deferred — the only code that mutates a built base:
-        append every delta row to the heap, insert it into each RDB-tree
-        (reference set kept as-is) and the metadata store, rebuild the
-        packed mirrors, start an empty delta.  Runs on a detached copy
-        under a log (``wal.manager.fold_generation``), else in place
+        """Sec. 3.6, deferred — the only code that changes a built base:
+        append every delta row to the heap and the metadata store, merge
+        them into each RDB-tree (reference set kept as-is; one sorted
+        merge per tree into *new* columns, :meth:`RDBTree.merge`), start
+        an empty delta.  Runs on a detached copy under a log
+        (``wal.manager.fold_generation``), else in place
         (``fold_in_place``, ``save_index``), where it must not overlap
         queries on this index."""
         with self._update_lock:
-            for _, vector, metadata in self._delta.records():
-                object_id = self.heap.append(vector)
-                distances = self.references.distances_from(vector)[0]
+            records = self._delta.records()
+            if records:
+                vectors = np.stack([vector for _, vector, _ in records])
+                object_ids = self.heap.append_batch(vectors)
+                distances = self.references.distances_from(vectors)
                 for tree, part in zip(self.trees, self.partitions):
-                    coords = self.quantizer.quantize(vector[part])[None, :]
-                    key = int(tree.curve.encode_batch(coords)[0])
-                    tree.insert(key, object_id, distances)
+                    keys = tree.curve.encode_batch_bytes(
+                        self.quantizer.quantize(vectors[:, part]))
+                    tree.merge(keys, object_ids, distances)
                 if self.metadata is not None:
-                    self.metadata.append_rows([metadata])
-            for tree in self.trees:
-                tree.repack()
+                    self.metadata.append_rows(
+                        [metadata for _, _, metadata in records])
             self._delta = self._empty_delta()
 
     def _deleted_ids(self) -> np.ndarray:
@@ -256,7 +259,7 @@ class HDIndex(KNNIndex):
         root = self._wal_root
         fresh = load_index(root, cache_pages=self.params.cache_pages,
                            backend=self.params.resolved_backend)
-        old_trees, old_heap, old_wal = self.trees, self.heap, self._wal
+        old_heap, old_wal = self.heap, self._wal
         with self._update_lock:
             self.params = fresh.params
             self.trees = fresh.trees
@@ -280,23 +283,19 @@ class HDIndex(KNNIndex):
             self._engine.executor.pool.swap(self.params.storage_dir)
         if old_wal is not None and old_wal is not self._wal:
             old_wal.close()
-        # Retire (don't close) the superseded structures: concurrent
-        # readers that resolved ``self.heap``/``self.trees`` just before
-        # the transplant may still be mid-gather on them.  One retired
-        # generation is kept live — the same window the on-disk pruning
-        # grants — and closed at the *next* swap (or at close()).
+        # Retire (don't close) the superseded heap: concurrent readers
+        # that resolved ``self.heap`` just before the transplant may
+        # still be mid-gather on it (the old trees are plain arrays and
+        # live as long as a reader holds them).  One retired generation
+        # is kept live — the same window the on-disk pruning grants —
+        # and closed at the *next* swap (or at close()).
         self._close_retired()
-        self._retired = (old_trees, old_heap)
+        self._retired = old_heap
 
     def _close_retired(self) -> None:
         retired, self._retired = getattr(self, "_retired", None), None
-        if retired is None:
-            return
-        old_trees, old_heap = retired
-        for tree in old_trees:
-            tree.tree.pool.store.close()
-        if old_heap is not None:
-            old_heap.close()
+        if retired is not None:
+            retired.close()
 
     # -- construction (Algo. 1) -------------------------------------------
 
@@ -344,7 +343,7 @@ class HDIndex(KNNIndex):
         self.heap = heap_file_from_array(
             data, dtype=params.storage_dtype, page_size=params.page_size,
             cache_pages=params.cache_pages,
-            store=self._make_store("descriptors"))
+            store=self._heap_store())
 
         # Reference objects and the (n, m) reference-distance matrix
         # (Algo. 1 lines 1-2).
@@ -420,14 +419,10 @@ class HDIndex(KNNIndex):
                     raise ValueError(
                         f"num_trees={params.num_trees} exceeds "
                         f"dimensionality {dim}")
-                store = self._make_store("descriptors")
-                if store is None:
-                    from repro.storage.pages import InMemoryPageStore
-                    store = InMemoryPageStore(page_size=params.page_size)
                 heap = VectorHeapFile(
                     dim=dim, dtype=params.storage_dtype,
-                    store=store, cache_pages=params.cache_pages,
-                )
+                    store=self._heap_store(),
+                    cache_pages=params.cache_pages)
                 reservoir = np.empty((num_references, dim),
                                      dtype=np.float64)
                 reservoir_ids = np.empty(num_references, dtype=np.int64)
@@ -517,10 +512,16 @@ class HDIndex(KNNIndex):
                 peak_memory,
                 resident + keys.nbytes + block_rows * len(part) * 8)
             tree = RDBTree(curve, params.num_references,
-                           store=self._make_store(f"tree_{tree_index}"),
                            cache_pages=params.cache_pages,
                            page_size=params.page_size)
             tree.bulk_build(keys, object_ids, reference_distances)
+            if params.resolved_backend != "memory":
+                # Disk-resident: serve the columns from their file's
+                # mapping, so a build holds one tree's working set.
+                path = os.path.join(params.storage_dir,
+                                    f"tree_{tree_index}.packed")
+                tree.write(path)
+                tree.read(path, mapped=True)
             self.trees.append(tree)
         self._delta = self._empty_delta()
 
@@ -810,30 +811,24 @@ class HDIndex(KNNIndex):
             sequential += self.heap.stats.sequential_reads
         return random_reads, sequential
 
-    def _make_store(self, stem: str):
-        """Page store for one component, per ``params.resolved_backend``:
-        ``None`` for "memory" (the callee creates a private in-memory
-        store), a seek/read :class:`FilePageStore` for "file", a zero-copy
-        :class:`MmapPageStore` for "mmap"."""
-        backend = self.params.resolved_backend
-        if backend == "memory":
-            return None
-        from repro.storage.pages import FilePageStore, MmapPageStore
-        os.makedirs(self.params.storage_dir, exist_ok=True)
-        path = os.path.join(self.params.storage_dir, f"{stem}.pages")
-        if backend == "mmap":
-            return MmapPageStore(path, page_size=self.params.page_size)
-        return FilePageStore(path, page_size=self.params.page_size)
+    def _heap_store(self):
+        """Page store for the descriptor heap, per
+        ``params.resolved_backend``."""
+        params = self.params
+        if params.resolved_backend == "memory":
+            return InMemoryPageStore(params.page_size)
+        os.makedirs(params.storage_dir, exist_ok=True)
+        return open_page_store(
+            os.path.join(params.storage_dir, "descriptors.pages"),
+            params.page_size, params.resolved_backend)
 
     def close(self) -> None:
-        """Release the query executor and the backing page stores (file
-        handles in disk mode).  Idempotent."""
+        """Release the query executor and the descriptor heap's page
+        store (a file handle in disk mode).  Idempotent."""
         self._engine.close()
         if self._wal is not None:
             self._wal.close()
         self._close_retired()
-        for tree in self.trees:
-            tree.tree.pool.store.close()
         if self.heap is not None:
             self.heap.close()
 

@@ -79,8 +79,8 @@ class HDIndexParams:
         dtype of the descriptor heap file.
     storage_dir:
         When set, the descriptor heap and every RDB-tree are backed by real
-        files in this directory (``descriptors.pages``, ``tree_<i>.pages``)
-        instead of in-memory page stores — the fully disk-resident mode.
+        files in this directory (``descriptors.pages``, ``tree_<i>.packed``)
+        instead of process memory — the fully disk-resident mode.
         The process-parallel tier (``Execution(kind="process")`` in an
         :class:`~repro.core.spec.IndexSpec`, or
         ``QueryService(execution=...)``) requires it: worker processes

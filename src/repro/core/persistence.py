@@ -3,15 +3,21 @@
 A persisted plain index is a directory containing:
 
 * ``meta.json`` — parameters, partitions, quantiser domain, per-tree
-  structural state (root page / height / count), heap record count, the
-  deleted-id set, plus the index's full declarative ``spec`` (topology +
-  execution, :mod:`repro.core.spec`) and a legacy ``kind`` tag
-  (``hdindex``/``parallel``/``process``) so snapshots stay readable both
-  ways across the spec redesign;
+  shape (height / count), heap record count, the deleted-id set, the
+  index's declarative ``spec`` (:mod:`repro.core.spec`) and a legacy
+  ``kind`` tag so snapshots stay readable across the spec redesign;
 * ``references.npz`` — the reference vectors, their pairwise distances and
   original indices (the only part of the index that is memory-resident at
   query time, Sec. 4.4.1);
-* ``descriptors.pages`` and ``tree_<i>.pages`` — the page files.
+* ``descriptors.pages`` — the descriptor heap's page file;
+* ``tree_<i>.packed`` — one file per RDB-tree: its key and record columns
+  plus page geometry (:mod:`repro.btree.packed`), the only form a tree
+  has (``metadata.packed`` holds per-point attributes the same way).
+
+Files a reader may have mapped are replaced (``replace_file``), never
+truncated.  Snapshots of releases that also wrote the trees as node pages
+(``tree_<i>.pages``) load from their ``.packed`` files; the next save
+drops the ``.pages``.
 
 A persisted :class:`~repro.core.router.ShardRouter` is a directory
 containing a ``manifest.json`` (shard count, global-id layout, base
@@ -19,14 +25,12 @@ parameters, spec) plus one ``shard_<s>/`` subdirectory per shard, each of
 which is a plain persisted index as above — the "build offline, serve
 online" split, with every shard deployable to its own machine.
 
-Loading re-opens the page files and reconstructs the exact tree structure
-without touching the data — the disk-resident story end to end: build once,
-reopen and query on a machine that never holds the dataset in RAM.
+Loading maps or reads those files without touching the data — build
+once, reopen and query on a machine that never holds the dataset in RAM.
 :func:`load_index` reconstructs the *spec* the snapshot records (mapping
-pre-spec snapshots' ``kind`` tags onto the equivalent spec), so every
-deployment shape flows through one construction path; there are no
-kind-dispatch special cases.  :func:`repro.open` adds per-call execution
-and backend overrides on top.
+pre-spec ``kind`` tags onto the equivalent spec), so every deployment
+shape flows through one construction path; :func:`repro.open` adds
+per-call execution and backend overrides on top.
 """
 
 from __future__ import annotations
@@ -48,11 +52,15 @@ from repro.core.spec import (
     make_executor,
     params_from_dict,
 )
-from repro.btree.packed import PackedTree
+from repro.core.rdbtree import RDBTree
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore
-from repro.storage.codecs import pack_arrays, unpack_arrays
-from repro.storage.pages import FilePageStore, InMemoryPageStore, MmapPageStore
+from repro.storage.pages import (
+    FilePageStore,
+    MmapPageStore,
+    open_page_store,
+    replace_file,
+)
 from repro.storage.vectors import VectorHeapFile
 
 META_FILE = "meta.json"
@@ -74,11 +82,10 @@ def save_index(index, directory: str | os.PathLike[str]) -> None:
     records the index's full :class:`~repro.core.spec.IndexSpec` so
     :func:`load_index` reconstructs the same deployment.
 
-    If the index was built with ``storage_dir`` pointing at ``directory``,
-    the page files are already in place and only metadata is written
-    (file and mmap backends alike — mmap stores are flushed and trimmed);
-    otherwise every page store is copied out to files.  An index with no
-    write-ahead log attached first folds its delta segment into the base
+    If the index was built with ``storage_dir`` pointing at ``directory``
+    the heap's page file is already in place (flushed, and trimmed under
+    mmap); otherwise it is copied out.  An index with no write-ahead log
+    attached first folds its delta segment into the base
     (``HDIndex._fold_delta``: un-logged inserts become durable here), so
     save -> load -> ``insert()`` / ``delete()`` -> save again keeps the
     snapshot consistent.
@@ -223,12 +230,12 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
         index._fold_delta()
     os.makedirs(directory, exist_ok=True)
 
-    _materialise_store(index.heap.pool.store, directory, "descriptors",
-                       index.params.page_size)
+    _materialise_store(index.heap.pool.store, directory, "descriptors")
     for tree_index, tree in enumerate(index.trees):
-        _materialise_store(tree.tree.pool.store, directory,
-                           f"tree_{tree_index}", index.params.page_size)
-        _write_packed_sidecar(tree, directory, tree_index)
+        stem = os.path.join(directory, f"tree_{tree_index}")
+        tree.write(stem + ".packed")
+        if os.path.exists(stem + ".pages"):
+            os.remove(stem + ".pages")  # left by a pre-columns snapshot
 
     references = index.references
     np.savez(os.path.join(directory, REFERENCES_FILE),
@@ -261,8 +268,8 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
     }
     if execution.kind != "sequential":
         meta["num_workers"] = execution.workers
-    with open(os.path.join(directory, META_FILE), "w") as handle:
-        json.dump(meta, handle, indent=2)
+    replace_file(os.path.join(directory, META_FILE),
+                 json.dumps(meta, indent=2))
     if folded and index._remote:
         # The fold rewrote files the workers have mapped: re-bind the
         # pool so the next dispatch reopens what was saved.
@@ -302,7 +309,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         archive["vectors"], indices if indices.size else None)
     index.metadata = _load_metadata_sidecar(directory, backend)
 
-    heap_store = _open_store(
+    heap_store = open_page_store(
         os.path.join(directory, "descriptors.pages"),
         params.page_size, backend)
     index.heap = VectorHeapFile(
@@ -311,18 +318,22 @@ def _load_hdindex(directory: str, cache_pages: int | None,
     index.heap.restore_count(int(meta["heap"]["count"]))
     index._delta = index._empty_delta()
 
-    from repro.core.rdbtree import RDBTree
     index.trees = []
     for tree_index, tree_state in enumerate(meta["trees"]):
-        store = _open_store(
-            os.path.join(directory, f"tree_{tree_index}.pages"),
-            params.page_size, backend)
         tree = RDBTree.from_state(
-            store, tree_state, cache_pages=params.cache_pages,
+            tree_state, cache_pages=params.cache_pages,
             page_size=params.page_size)
-        _attach_packed_sidecar(
-            tree, os.path.join(directory, f"tree_{tree_index}.packed"),
-            backend)
+        path = os.path.join(directory, f"tree_{tree_index}.packed")
+        if not os.path.exists(path):
+            raise PersistenceError(
+                f"{directory} has no tree_{tree_index}.packed: it predates "
+                f"the column format (trees kept only as tree_<i>.pages); "
+                f"rebuild it, or re-save it as docs/MIGRATION.md describes")
+        tree.read(path, mapped=backend == "mmap")
+        if len(tree) != int(tree_state["tree"]["count"]):
+            raise PersistenceError(
+                f"{path} holds {len(tree)} entries but {META_FILE} "
+                f"records {tree_state['tree']['count']}")
         index.trees.append(tree)
     # One construction path for every execution kind: realise the spec's
     # executor.  A process executor binds to this very directory (its
@@ -354,22 +365,6 @@ def _resolve_backend(backend: str | None, params_dict: dict) -> str:
         return backend
     saved = params_dict.get("backend")
     return saved if saved in ("file", "mmap") else "file"
-
-
-def _open_store(path: str, page_size: int, backend: str):
-    """Open one persisted ``.pages`` file under the chosen backend.
-
-    ``"memory"`` materialises every page into an
-    :class:`InMemoryPageStore` (the O(index size) cold start the mmap
-    backend exists to avoid); ``"file"``/``"mmap"`` reopen lazily.
-    """
-    if backend == "mmap":
-        return MmapPageStore(path, page_size=page_size)
-    if backend == "memory":
-        with open(path, "rb") as handle:  # one bulk read, then slice
-            return InMemoryPageStore.from_bytes(handle.read(),
-                                                page_size=page_size)
-    return FilePageStore(path, page_size=page_size)
 
 
 def _restore_params(params_dict: dict, directory: str,
@@ -433,13 +428,8 @@ def _write_manifest(index, directory: str) -> None:
             for s, id_map in enumerate(index._id_maps)],
         "params": params,
     }
-    path = os.path.join(directory, MANIFEST_FILE)
-    tmp = path + ".tmp"
-    with open(tmp, "w") as handle:
-        json.dump(manifest, handle, indent=2)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    replace_file(os.path.join(directory, MANIFEST_FILE),
+                 json.dumps(manifest, indent=2))
 
 
 def _shard_snapshot_is_current(shard, shard_directory: str) -> bool:
@@ -520,48 +510,6 @@ def _load_sharded(directory: str, cache_pages: int | None,
     return index
 
 
-# -- packed-layout sidecars -------------------------------------------------
-
-
-def _write_packed_sidecar(tree, directory: str, tree_index: int) -> None:
-    """Persist (or clear) one RDB-tree's packed-array mirror.
-
-    The mirror serialises to a ``tree_<i>.packed`` file next to the page
-    file.  A tree without one (none captured at bulk load with the
-    buffer pool on, or a key codec that cannot pack) gets any stale
-    sidecar removed, so a reload falls back to the node path instead of
-    reading wrong positions.
-    """
-    path = os.path.join(directory, f"tree_{tree_index}.packed")
-    packed = tree.tree.packed_layout
-    if packed is None:
-        if os.path.exists(path):
-            os.remove(path)
-        return
-    with open(path, "wb") as handle:
-        handle.write(pack_arrays(packed.to_arrays()))
-
-
-def _attach_packed_sidecar(tree, path: str, backend: str) -> None:
-    """Re-attach a packed mirror from its snapshot sidecar, if present.
-
-    Only the sidecar file is touched — never the page store, so reopening
-    records zero page reads.  Under the mmap backend the arrays are
-    zero-copy views of the mapping: worker processes opening the same
-    snapshot share one physical copy of the packed keys and records.
-    """
-    if not os.path.exists(path):
-        return
-    if backend == "mmap":
-        buffer = np.memmap(path, dtype=np.uint8, mode="r")
-    else:
-        buffer = np.fromfile(path, dtype=np.uint8)
-    packed = PackedTree.from_arrays(tree.tree.key_codec,
-                                    unpack_arrays(buffer))
-    if packed.count == len(tree.tree):
-        tree.tree.attach_packed(packed)
-
-
 METADATA_FILE = "metadata.packed"
 
 
@@ -577,8 +525,7 @@ def _write_metadata_sidecar(index, directory: str) -> None:
         if os.path.exists(path):
             os.remove(path)
         return
-    with open(path, "wb") as handle:
-        handle.write(index.metadata.to_packed())
+    replace_file(path, index.metadata.to_packed())
 
 
 def _load_metadata_sidecar(directory: str,
@@ -596,8 +543,7 @@ def _load_metadata_sidecar(directory: str,
 # -- page-store materialisation --------------------------------------------
 
 
-def _materialise_store(store, directory: str, stem: str,
-                       page_size: int) -> None:
+def _materialise_store(store, directory: str, stem: str) -> None:
     """Ensure a page store's contents exist as ``<stem>.pages`` on disk."""
     path = os.path.join(directory, f"{stem}.pages")
     if isinstance(store, (FilePageStore, MmapPageStore)):
@@ -608,17 +554,13 @@ def _materialise_store(store, directory: str, stem: str,
         store.flush()
         return
     if os.path.exists(path):
-        os.remove(path)
-    out = FilePageStore(path, page_size=page_size)
-    try:
-        for page_id in store.iter_page_ids():
-            new_id = out.allocate()
-            if new_id != page_id:
+        os.remove(path)  # unlinked, not truncated: it may be mapped
+    with open(path, "wb") as out:
+        for expected, page_id in enumerate(store.iter_page_ids()):
+            if page_id != expected:
                 # Not an assert: it must hold under ``python -O`` too, or a
                 # permuted store would be copied out silently corrupted.
                 raise PersistenceError(
                     f"page ids of {stem!r} are not contiguous: copied page "
-                    f"{new_id} but store yielded id {page_id}")
-            out.write(page_id, store.read(page_id))
-    finally:
-        out.close()
+                    f"{expected} but store yielded id {page_id}")
+            out.write(store.read(page_id))

@@ -9,19 +9,29 @@ only the final κ survivors cost a random descriptor fetch.
 
 The leaf order Ω follows Eq. (4) exactly (see
 :func:`repro.core.params.rdb_leaf_order`).
+
+The tree is held as its two sorted columns (:mod:`repro.btree.packed`):
+Algo. 1 sorts the Hilbert keys once and bulk-loads the leaves in key
+order, so the entries in key order plus the page geometry that load gives
+them *are* the tree.  It changes the way a static external-memory index
+does, by merge into new columns; page reads are an accounting model
+replayed per lookup, which is what keeps the paper's I/O figures.
 """
 
 from __future__ import annotations
 
-import struct
+import os
+from collections import OrderedDict
 
 import numpy as np
 
-from repro.btree.tree import BPlusTree
+from repro.btree.node import NO_PAGE, internal_capacity, leaf_capacity
+from repro.btree.packed import PackedTree
 from repro.core.params import rdb_leaf_order
 from repro.hilbert.butz import HilbertCurve
-from repro.storage.codecs import BytesCodec, UIntCodec
-from repro.storage.pages import DEFAULT_PAGE_SIZE, InMemoryPageStore, PageStore
+from repro.storage.codecs import UIntCodec, pack_arrays, unpack_arrays
+from repro.storage.pages import DEFAULT_PAGE_SIZE, replace_file
+from repro.storage.stats import IOStats
 
 
 class RDBTree:
@@ -33,34 +43,40 @@ class RDBTree:
         The partition's Hilbert curve (fixes key width η·ω bits).
     num_references:
         m — reference distances stored per leaf entry.
-    store:
-        Backing page store (private in-memory store by default).
     cache_pages:
-        Buffer-pool capacity (0 = caching off).
+        Capacity of the modelled buffer pool: an LRU over page *ids* fed
+        the replayed trace (0 = caching off, the paper's methodology).
+    page_size:
+        B — fixes, with the entry width, the modelled page geometry.
     """
 
     def __init__(self, curve: HilbertCurve, num_references: int,
-                 store: PageStore | None = None, cache_pages: int = 0,
+                 cache_pages: int = 0,
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
+        if cache_pages < 0:
+            raise ValueError(f"cache_pages must be >= 0, got {cache_pages}")
         self.curve = curve
         self.num_references = num_references
+        self.cache_pages = cache_pages
+        self.page_size = page_size
         self.leaf_order = rdb_leaf_order(
             curve.dim, curve.order, num_references, page_size)
-        key_codec = UIntCodec(curve.key_bytes)
-        self._record = struct.Struct(f">Q{num_references}f")
-        #: Vectorised view of the same layout for batch decoding.
+        self._key_codec = UIntCodec(curve.key_bytes)
+        #: One leaf record: descriptor pointer + m reference distances.
         self._record_dtype = np.dtype(
             [("id", ">u8"), ("ref", ">f4", (num_references,))])
-        value_codec = BytesCodec(self._record.size)
-        if store is None:
-            store = InMemoryPageStore(page_size)
-        self.tree = BPlusTree(
-            key_codec, value_codec, store=store, cache_pages=cache_pages,
-            leaf_capacity_override=self.leaf_order, page_size=page_size)
-        self._key_codec = key_codec
-        # (packed layout, ids int64, ref-distance view) — rebuilt whenever
-        # the tree's packed mirror changes identity.
-        self._records_cache: tuple | None = None
+        width, record = curve.key_bytes, self._record_dtype.itemsize
+        #: Entries per leaf: Eq. (4)'s Ω, capped by the page layout.
+        self.leaf_capacity = min(leaf_capacity(page_size, width, record),
+                                 self.leaf_order)
+        self._internal_capacity = internal_capacity(page_size, width)
+        if self.leaf_capacity < 1 or self._internal_capacity < 2:
+            raise ValueError(
+                f"page size {page_size} is too small for {width}-byte keys")
+        self.stats = IOStats()
+        self._resident: OrderedDict[int, None] = OrderedDict()
+        self.adopt(self._layout(np.empty((0, width), dtype=np.uint8),
+                                np.empty((0, record), dtype=np.uint8)))
 
     # -- construction ------------------------------------------------------
 
@@ -70,96 +86,118 @@ class RDBTree:
 
         ``keys`` are Hilbert keys — either Python ints or, from
         :meth:`HilbertCurve.encode_batch_bytes`, an already-encoded
-        ``(n, key_bytes)`` uint8 matrix (the fast path: no per-key
-        ``int.to_bytes``).  ``object_ids`` are the pointers into the
-        descriptor heap, ``reference_distances`` the (n, m) matrix
-        restricted to these objects.  Entries are sorted by key here.
+        ``(n, key_bytes)`` uint8 matrix (no per-key ``int.to_bytes``).
+        ``object_ids`` are the pointers into the descriptor heap,
+        ``reference_distances`` the (n, m) matrix restricted to these
+        objects.  Entries are sorted by key here (stably: equal keys keep
+        their input order); every page of the resulting geometry counts
+        as written once, sequentially.
         """
-        raw_keys = None
-        if isinstance(keys, np.ndarray) and keys.dtype == np.uint8 \
-                and keys.ndim == 2:
-            if keys.shape[1] != self._key_codec.width:
-                raise ValueError(
-                    f"raw keys must be {self._key_codec.width} bytes wide, "
-                    f"got {keys.shape[1]}")
-            raw_keys = np.ascontiguousarray(keys)
-        else:
-            keys = np.asarray(keys, dtype=object)
+        if len(self):
+            raise RuntimeError("bulk_build requires an empty tree")
+        self.merge(keys, object_ids, reference_distances)
+
+    def merge(self, keys: np.ndarray, object_ids: np.ndarray,
+              reference_distances: np.ndarray) -> None:
+        """Merge rows into the tree (Sec. 3.6 updates, a fold at a time).
+
+        Arguments as for :meth:`bulk_build`.  A new entry lands after
+        every entry with an equal key — new ones in input order, where
+        one-by-one B+-tree inserts would put them — and the geometry is
+        laid out afresh with full leaves, so merging into a built tree
+        gives exactly the tree built from all the rows at once.  The
+        result is a new layout over new arrays: the old one is never
+        written to, so a reader holding it stays consistent.
+        """
+        width = self._key_codec.width
+        if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint8
+                and keys.ndim == 2):
+            # Integer keys go through the codec, so there is one sort.
+            encode = self._key_codec.encode
+            keys = np.frombuffer(b"".join([encode(int(key)) for key in keys]),
+                                 dtype=np.uint8).reshape(-1, width)
+        elif keys.shape[1] != width:
+            raise ValueError(
+                f"raw keys must be {width} bytes wide, got {keys.shape[1]}")
         object_ids = np.asarray(object_ids, dtype=np.int64)
         reference_distances = np.asarray(reference_distances,
                                          dtype=np.float32)
-        n = keys.shape[0]
-        if object_ids.shape[0] != n or reference_distances.shape[0] != n:
-            raise ValueError("keys, ids and distances must align")
-        if reference_distances.shape[1] != self.num_references:
+        n, m = keys.shape[0], self.num_references
+        if object_ids.shape != (n,) or reference_distances.shape != (n, m):
             raise ValueError(
-                f"expected {self.num_references} reference distances, got "
-                f"{reference_distances.shape[1]}")
-        pack = self._record.pack
-        if raw_keys is not None:
-            # Big-endian fixed-width keys: bytewise order == numeric order,
-            # so a stable argsort on an 'S' view gives the same permutation
-            # as the numeric sorts below.
-            order = np.argsort(
-                raw_keys.view(f"S{raw_keys.shape[1]}").ravel(),
-                kind="stable")
-            entries = (
-                (raw_keys[i].tobytes(),
-                 pack(int(object_ids[i]), *reference_distances[i]))
-                for i in order
-            )
-            self.tree.bulk_load(entries)
-            return
-        if self.curve.key_bits <= 64:
-            # η·ω ≤ 64: keys fit a machine word, so the sort is a single
-            # numpy argsort instead of a Python comparison sort over
-            # object-dtype big ints (stable, to match the fallback).
-            order = np.argsort(keys.astype(np.uint64), kind="stable")
-        else:
-            order = sorted(range(n), key=lambda i: keys[i])
-        encode_key = self._key_codec.encode
-        entries = (
-            (encode_key(int(keys[i])),
-             pack(int(object_ids[i]), *reference_distances[i]))
-            for i in order
-        )
-        self.tree.bulk_load(entries)
+                f"{n} keys need ids of shape ({n},) and reference distances "
+                f"of shape ({n}, {m}); got {object_ids.shape} and "
+                f"{reference_distances.shape}")
+        # Big-endian fixed-width keys: bytewise order == numeric order.
+        order = np.argsort(
+            np.ascontiguousarray(keys).view(f"S{width}").ravel(),
+            kind="stable")
+        keys = keys[order]
+        records = np.empty(n, dtype=self._record_dtype)
+        records["id"] = object_ids[order]
+        records["ref"] = reference_distances[order]
+        packed = self.packed
+        at = packed.key_S.searchsorted(keys.view(f"S{width}").ravel(),
+                                       side="right")
+        self.adopt(self._layout(
+            np.insert(packed.keys_raw, at, keys, axis=0),
+            np.insert(packed.values_raw, at, records.view(np.uint8).reshape(
+                n, records.itemsize), axis=0)))
+        self.stats.record_write_run(0, self.packed.num_pages)
 
-    def insert(self, key: int, object_id: int,
-               reference_distances: np.ndarray) -> None:
-        """Insert one object (Sec. 3.6 update path)."""
-        reference_distances = np.asarray(reference_distances,
-                                         dtype=np.float32).ravel()
-        if reference_distances.shape[0] != self.num_references:
-            raise ValueError(
-                f"expected {self.num_references} reference distances")
-        self.tree.insert(
-            self._key_codec.encode(int(key)),
-            self._record.pack(int(object_id), *reference_distances))
+    def _layout(self, keys_raw: np.ndarray,
+                values_raw: np.ndarray) -> PackedTree:
+        return PackedTree.from_sorted(
+            self._key_codec, keys_raw, values_raw, self.leaf_capacity,
+            self._internal_capacity)
+
+    def adopt(self, packed: PackedTree) -> None:
+        """Make ``packed`` the tree.  Page ids now name other contents,
+        so the modelled buffer pool starts cold."""
+        self.packed = packed
+        # (layout, ids int64, ref-distance view), decoded on first use.
+        self._records_cache: tuple | None = None
+        self.clear_cache()
 
     # -- persistence -------------------------------------------------------
 
     def state(self) -> dict:
-        """Serializable state: curve geometry + B+-tree structure."""
+        """Serializable state: curve geometry + tree structure (the
+        ``tree_<i>.packed`` file holds everything else)."""
+        packed = self.packed
+        top = (packed.level_pages or [packed.leaf_pages])[0]
         return {
             "dim": self.curve.dim,
             "order": self.curve.order,
             "num_references": self.num_references,
-            "tree": self.tree.state(),
+            "tree": {"root": int(top[0]) if top.size else NO_PAGE,
+                     "height": packed.height, "count": packed.count,
+                     "leaf_capacity": self.leaf_capacity},
         }
 
     @classmethod
-    def from_state(cls, store: PageStore, state: dict,
-                   cache_pages: int = 0,
+    def from_state(cls, state: dict, cache_pages: int = 0,
                    page_size: int = DEFAULT_PAGE_SIZE) -> "RDBTree":
-        """Re-open an RDB-tree over an existing page store."""
+        """An empty tree of the saved shape; :meth:`read` fills it."""
         curve = HilbertCurve(int(state["dim"]), int(state["order"]))
-        rdb = cls(curve, int(state["num_references"]), store=store,
-                  cache_pages=cache_pages, page_size=page_size)
-        rdb.tree = BPlusTree.from_state(
-            rdb._key_codec, rdb.tree.value_codec, store, state["tree"],
-            cache_pages=cache_pages)
-        return rdb
+        return cls(curve, int(state["num_references"]),
+                   cache_pages=cache_pages, page_size=page_size)
+
+    def write(self, path: str | os.PathLike[str]) -> None:
+        """Write the columns and geometry as one ``.packed`` file
+        (atomically: readers that mapped an older one keep it)."""
+        replace_file(path, pack_arrays(self.packed.to_arrays()))
+
+    def read(self, path: str | os.PathLike[str], mapped: bool) -> None:
+        """Become the tree a :meth:`write` stored — over zero-copy views
+        of a read-only mapping when ``mapped`` (worker processes opening
+        one snapshot then share its physical pages), else read into RAM."""
+        if mapped:
+            buffer = np.memmap(path, dtype=np.uint8, mode="r")
+        else:
+            buffer = np.fromfile(path, dtype=np.uint8)
+        self.adopt(PackedTree.from_arrays(self._key_codec,
+                                          unpack_arrays(buffer)))
 
     # -- querying -----------------------------------------------------------
 
@@ -176,32 +214,15 @@ class RDBTree:
             raw_key = bytes(query_key)
         else:
             raw_key = self._key_codec.encode(int(query_key))
-        positions = self.tree.nearest_positions(raw_key, alpha)
-        if positions is not None:
-            # Packed fast path: slice the pre-decoded record arrays instead
-            # of materialising per-entry byte pairs.
-            object_ids, reference_view = self._packed_records()
-            if positions.size == 0:
-                return (np.empty(0, dtype=np.int64),
-                        np.empty((0, self.num_references), dtype=np.float64))
-            return (object_ids[positions],
-                    reference_view[positions].astype(np.float64))
-        raw = self.tree.nearest(raw_key, alpha)
-        count = len(raw)
-        if count == 0:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty((0, self.num_references), dtype=np.float64))
-        # One frombuffer decode of all leaf records beats per-row
-        # struct.unpack by an order of magnitude at α = 4096.
-        records = np.frombuffer(b"".join(value for _, value in raw),
-                                dtype=self._record_dtype, count=count)
-        object_ids = records["id"].astype(np.int64)
-        distances = records["ref"].astype(np.float64)
-        return object_ids, distances
+        positions = self.packed.nearest_positions(
+            raw_key, alpha, self if self.cache_pages else self.stats)
+        object_ids, reference_view = self._records()
+        return (object_ids[positions],
+                reference_view[positions].astype(np.float64))
 
-    def _packed_records(self) -> tuple[np.ndarray, np.ndarray]:
-        """Structured views over the packed value bytes, cached per mirror."""
-        packed = self.tree.packed_layout
+    def _records(self) -> tuple[np.ndarray, np.ndarray]:
+        """Structured views over the value column, cached per layout."""
+        packed = self.packed
         cached = self._records_cache
         if cached is not None and cached[0] is packed:
             return cached[1], cached[2]
@@ -211,26 +232,39 @@ class RDBTree:
         self._records_cache = (packed, object_ids, reference_view)
         return object_ids, reference_view
 
-    def repack(self) -> bool:
-        """Rebuild the packed fast path after inserts (counted tree walk)."""
-        self._records_cache = None
-        return self.tree.repack()
+    def record_read_many(self, page_ids: np.ndarray) -> None:
+        """Sink of the replayed page trace when ``cache_pages > 0``: what
+        a warm buffer pool makes of it — a resident page is a cache hit,
+        any other a counted read that evicts the least recently used."""
+        resident, stats = self._resident, self.stats
+        for page_id in page_ids.tolist():
+            if page_id in resident:
+                resident.move_to_end(page_id)
+                stats.record_cache_hit()
+                continue
+            stats.record_read(page_id)
+            resident[page_id] = None
+            if len(resident) > self.cache_pages:
+                resident.popitem(last=False)
+
+    def clear_cache(self) -> None:
+        """Empty the modelled buffer pool (a cold start)."""
+        self._resident.clear()
 
     # -- accounting -------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.tree)
+        return self.packed.count
 
     @property
     def height(self) -> int:
-        return self.tree.height
-
-    @property
-    def stats(self):
-        return self.tree.stats
+        return self.packed.height
 
     def size_bytes(self) -> int:
-        return self.tree.size_bytes()
+        """Footprint of the modelled tree, pages × page size — the
+        accounting of the paper's Table 5."""
+        return self.packed.num_pages * self.page_size
 
     def memory_bytes(self) -> int:
-        return self.tree.memory_bytes()
+        """Resident RAM charged to the tree: the modelled buffer pool."""
+        return len(self._resident) * self.page_size

@@ -16,20 +16,22 @@ storage and tree layers with cross-checking shims:
   read-only views, so an accidental in-place write through the gather
   fast path raises instead of corrupting the snapshot on disk.
 * **Packed-vs-node trace parity** — every
-  :meth:`~repro.btree.tree.BPlusTree.nearest` /
-  :meth:`~repro.btree.tree.BPlusTree.nearest_positions` call that takes
-  the packed fast path is re-run down the scalar node path into
-  sandboxed :class:`~repro.storage.stats.IOStats`; the two answers must
-  be byte-identical and the two I/O traces (totals *and*
+  :meth:`~repro.core.rdbtree.RDBTree.candidates` call is re-run down a
+  node-path oracle (a :class:`~repro.btree.tree.BPlusTree` bulk-loaded,
+  once per layout, from the tree's columns), and every
+  :meth:`~repro.btree.tree.BPlusTree.nearest` call that takes a
+  baseline tree's packed mirror is re-run down that tree's own nodes,
+  into sandboxed :class:`~repro.storage.stats.IOStats`; the two answers
+  must be byte-identical and the two I/O traces (totals *and*
   random/sequential split) must agree, query by query.  This is the
-  PR-6 contract — the packed mirror is an optimisation, never an
-  observable behaviour change — enforced at runtime rather than by a
-  handful of parity tests.
+  PR-6 contract — the array path reads what a node-by-node walk would
+  read — enforced at runtime rather than by a handful of parity tests.
 * **Fold postconditions** — when ``HDIndex._fold_delta`` (the only
-  code that mutates a built base) returns, the heap, every RDB-tree
-  and the metadata store hold exactly ``count`` rows and the delta is
-  empty with ``base_count == count``: ids stay dense and nothing the
-  delta held was dropped or folded twice.
+  code that changes a built base) returns, the heap, every RDB-tree
+  and the metadata store hold exactly ``count`` rows, every tree's key
+  column is sorted, and the delta is empty with ``base_count ==
+  count``: ids stay dense and nothing the delta held was dropped or
+  folded twice.
 
 Activate with ``REPRO_SANITIZE=1`` in the environment (checked at
 ``import repro`` time) or explicitly::
@@ -112,8 +114,9 @@ def _install_iostats() -> None:
             return result
         return wrapper
 
-    for name in ("record_read", "record_write", "record_read_many",
-                 "record_cache_hit", "reset", "__add__"):
+    for name in ("record_read", "record_write", "record_write_run",
+                 "record_read_many", "record_cache_hit", "reset",
+                 "__add__"):
         _patch(IOStats, name, checked)
 
 
@@ -176,96 +179,117 @@ def _install_mmap_guard() -> None:
 # -- packed-vs-node cross-check ---------------------------------------------
 
 
-def _as_bytes_entries(entries: Any) -> list[tuple[bytes, bytes]]:
-    return [(bytes(key), bytes(value)) for key, value in entries]
-
-
-def _cross_check(tree: Any, key: bytes, count: int,
-                 original_nearest: Callable[..., Any]) -> Any:
-    """Run the packed and node paths side by side into sandboxed stats.
-
-    Returns the active :class:`PackedTree` when the packed path applies
-    (after verifying parity), else ``None`` — caller then falls back to
-    the original method against the real stats.
-    """
+def _cross_check(packed: Any, node_tree: Any, key: bytes, count: int,
+                 real_stats: Any, check_trace: bool = True) -> None:
+    """Run the packed search and a walk of ``node_tree``'s real nodes
+    side by side, into sandboxed stats that continue ``real_stats``'
+    access pattern; answers and I/O traces must agree."""
     from repro.storage.stats import IOStats
 
-    packed = tree._active_packed()
-    if packed is None or len(key) != tree.key_width:
-        return None
-    if count <= 0:
-        return packed
-
-    real_stats = tree._store.stats
-
-    sandbox_packed = IOStats()
-    sandbox_packed._last_read_page = real_stats._last_read_page
-    sandbox_packed._last_write_page = real_stats._last_write_page
-    packed_entries = _as_bytes_entries(packed.entries(
-        packed.nearest_positions(key, count, sandbox_packed)))
-
-    sandbox_node = IOStats()
-    sandbox_node._last_read_page = real_stats._last_read_page
-    sandbox_node._last_write_page = real_stats._last_write_page
-    tree._packed = None
-    tree._store.stats = sandbox_node
-    try:
-        node_entries = _as_bytes_entries(original_nearest(tree, key, count))
-    finally:
-        tree._store.stats = real_stats
-        tree._packed = packed
-
+    packed_stats, node_stats = (
+        IOStats(_last_read_page=real_stats._last_read_page,
+                _last_write_page=real_stats._last_write_page)
+        for _ in range(2))
+    packed_entries = packed.entries(
+        packed.nearest_positions(key, count, packed_stats))
+    node_entries = [(bytes(k), bytes(v)) for k, v in
+                    _node_walk(node_tree, key, count, node_stats)]
     if packed_entries != node_entries:
+        differ = [a != b for a, b in zip(packed_entries, node_entries)]
         raise SanitizerError(
             f"packed/node answer divergence for count={count}: packed "
             f"returned {len(packed_entries)} entr(ies), node path "
             f"{len(node_entries)}; first mismatch at index "
-            f"{_first_mismatch(packed_entries, node_entries)}")
-    if sandbox_packed.snapshot() != sandbox_node.snapshot():
+            f"{differ.index(True) if True in differ else 'length'}")
+    if check_trace and packed_stats.snapshot() != node_stats.snapshot():
         raise SanitizerError(
             f"packed/node I/O trace divergence for count={count}: packed "
-            f"recorded {sandbox_packed.snapshot()}, node path "
-            f"{sandbox_node.snapshot()}")
-    return packed
+            f"recorded {packed_stats.snapshot()}, node path "
+            f"{node_stats.snapshot()}")
 
 
-def _first_mismatch(left: list, right: list) -> int | str:
-    for index, (a, b) in enumerate(zip(left, right)):
-        if a != b:
-            return index
-    return "length" if len(left) != len(right) else -1
+def _node_walk(tree: Any, key: bytes, count: int, sandbox: Any) -> Any:
+    """``tree.nearest`` down the real nodes (mirror detached for the
+    call), recorded into ``sandbox``."""
+    from repro.btree.tree import BPlusTree
+
+    packed, real_stats = tree._packed, tree._store.stats
+    tree._packed, tree._store.stats = None, sandbox
+    try:
+        return _ORIGINALS[(BPlusTree, "nearest")](tree, key, count)
+    finally:
+        tree._packed, tree._store.stats = packed, real_stats
 
 
 def _install_tree_crosscheck() -> None:
     from repro.btree.tree import BPlusTree
+    from repro.core.rdbtree import RDBTree
 
     def checked_nearest(original: Callable[..., Any]) -> Callable[..., Any]:
         def wrapper(self: Any, key: bytes, count: int) -> Any:
             with _TREE_LOCK:
-                packed = None
-                if count > 0:
-                    packed = _cross_check(self, key, count, original)
-                if packed is None:
-                    return original(self, key, count)
-                # Parity held: replay the packed path against the real
-                # stats so the caller-visible accounting is exactly one
-                # traversal.
-                return packed.entries(
-                    packed.nearest_positions(key, count, self.stats))
-        return wrapper
-
-    def checked_positions(original: Callable[..., Any]
-                          ) -> Callable[..., Any]:
-        def wrapper(self: Any, key: bytes, count: int) -> Any:
-            with _TREE_LOCK:
-                nearest_original = _ORIGINALS[(BPlusTree, "nearest")]
-                if count > 0 and self._active_packed() is not None:
-                    _cross_check(self, key, count, nearest_original)
+                if (count > 0 and self._active_packed() is not None
+                        and len(key) == self.key_width):
+                    _cross_check(self._packed, self, key, count, self.stats)
+                # Parity held in the sandboxes: the caller-visible
+                # accounting is exactly one traversal.
                 return original(self, key, count)
         return wrapper
 
+    def checked_candidates(original: Callable[..., Any]
+                           ) -> Callable[..., Any]:
+        def wrapper(self: Any, query_key: Any, alpha: int) -> Any:
+            with _TREE_LOCK:
+                packed = self.packed
+                if alpha > 0 and packed.count:
+                    key = bytes(query_key) \
+                        if isinstance(query_key, (bytes, bytearray)) \
+                        else packed.key_codec.encode(int(query_key))
+                    oracle, bulk_shaped = node_oracle(self)
+                    _cross_check(packed, oracle, key, alpha, self.stats,
+                                 check_trace=bulk_shaped)
+                return original(self, query_key, alpha)
+        return wrapper
+
     _patch(BPlusTree, "nearest", checked_nearest)
-    _patch(BPlusTree, "nearest_positions", checked_positions)
+    _patch(RDBTree, "candidates", checked_candidates)
+
+
+def node_oracle(tree: Any) -> tuple[Any, bool]:
+    """The node-path twin of an RDB-tree's columns — a
+    :class:`~repro.btree.tree.BPlusTree` bulk-loaded from them, once per
+    layout — plus whether the layout is the one bulk loading gives (its
+    page trace is only comparable then: a snapshot an old release folded
+    row by row carries half-full split leaves)."""
+    import numpy as np
+
+    from repro.btree.tree import BPlusTree
+
+    packed = tree.packed
+    cached = getattr(packed, "_sanitize_oracle", None)
+    if cached is None:
+        oracle = BPlusTree.from_columns(packed, tree.leaf_capacity,
+                                        tree.page_size)
+        bulk_shaped = np.array_equal(packed.leaf_starts, np.minimum(
+            np.arange(packed.leaf_pages.size + 1) * tree.leaf_capacity,
+            packed.count))
+        cached = packed._sanitize_oracle = (oracle, bulk_shaped)
+    return cached
+
+
+def node_candidates(tree: Any, query_key: int, alpha: int) -> tuple[Any, Any]:
+    """:meth:`RDBTree.candidates` answered by walking the real nodes of
+    :func:`node_oracle` (whose own ``stats`` take the page reads): the
+    scalar reference of the parity tests and ``bench_hotpath``."""
+    import numpy as np
+
+    oracle, _ = node_oracle(tree)
+    entries = oracle.nearest(tree.packed.key_codec.encode(int(query_key)),
+                             alpha)
+    records = np.frombuffer(b"".join(bytes(v) for _, v in entries),
+                            dtype=tree._record_dtype)
+    return (records["id"].astype(np.int64),
+            records["ref"].astype(np.float64))
 
 
 # -- delta fold -------------------------------------------------------------
@@ -284,6 +308,12 @@ def _check_folded(index: Any) -> None:
         raise SanitizerError(
             f"_fold_delta left count={index.count} but {wrong} and "
             f"{len(index._delta)} row(s) still in the delta")
+    for position, tree in enumerate(index.trees):
+        keys = tree.packed.key_S
+        if (keys[:-1] > keys[1:]).any():
+            raise SanitizerError(
+                f"_fold_delta left the key column of tree_{position} "
+                f"unsorted")
 
 
 def _install_fold_check() -> None:

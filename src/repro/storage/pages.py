@@ -155,6 +155,21 @@ def _open_page_file(path: str, page_size: int):
     return handle, num_pages
 
 
+def replace_file(path: str | os.PathLike[str], data: bytes | str) -> None:
+    """Atomically put ``data`` at ``path`` (write ``<path>.tmp``, fsync,
+    ``os.replace``).  For every snapshot file this process or a worker
+    pool may have mapped: a mapping of the old file keeps its complete
+    bytes (truncating in place would pull them from under it), and a
+    crash leaves the old file or the new one, never a torn one."""
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    with open(tmp, "w" if isinstance(data, str) else "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
+
+
 class InMemoryPageStore(PageStore):
     """Page store backed by a Python list.
 
@@ -361,3 +376,17 @@ class MmapPageStore(PageStore):
             self._file.truncate(self._num_pages * self.page_size)
             self._file.close()
         super().close()
+
+
+def open_page_store(path: str, page_size: int, backend: str) -> PageStore:
+    """Open (or, for the disk backends, create) the ``.pages`` file at
+    ``path``: lazily under ``"file"``/``"mmap"``; ``"memory"`` reads every
+    page into an :class:`InMemoryPageStore` up front (the O(size) cold
+    start the mmap backend exists to avoid)."""
+    if backend == "mmap":
+        return MmapPageStore(path, page_size=page_size)
+    if backend == "memory":
+        with open(path, "rb") as handle:  # one bulk read, then slice
+            return InMemoryPageStore.from_bytes(handle.read(),
+                                                page_size=page_size)
+    return FilePageStore(path, page_size=page_size)

@@ -62,6 +62,16 @@ class IOStats:
             self.random_writes += 1
         self._last_write_page = page_id
 
+    def record_write_run(self, first_page: int, count: int) -> None:
+        """:meth:`record_write` over ``count`` consecutive pages starting
+        at ``first_page`` — one sequential pass of a bulk load."""
+        if count <= 0:
+            return
+        self.record_write(first_page)
+        self.page_writes += count - 1
+        self.sequential_writes += count - 1
+        self._last_write_page = first_page + count - 1
+
     def record_read_many(self, page_ids) -> None:
         """Vectorised :meth:`record_read` over a batch of page reads.
 

@@ -72,8 +72,21 @@ class VectorHeapFile:
             raise ValueError(
                 f"expected shape (n, {self.dim}), got {vectors.shape}"
             )
-        first_id = self._count
-        for row in vectors:
+        first_id, per_page = self._count, self.records_per_page
+        # Finish the open page row by row, emit whole pages from one
+        # (pages, per_page * record_size) view — one allocate and one
+        # write per page, not a read-patch-write per row — and start the
+        # last page row by row.  Records wider than a page go row by row.
+        head = min(-first_id % per_page, len(vectors)) \
+            if self._pages_per_record == 1 else len(vectors)
+        whole = (len(vectors) - head) // per_page * per_page
+        for row in vectors[:head]:
+            self._append_row(row)
+        for page in vectors[head:head + whole].view(np.uint8).reshape(
+                whole // per_page, per_page * self.record_size):
+            self.pool.write(self.pool.allocate(), page.tobytes())
+        self._count += whole
+        for row in vectors[head + whole:]:
             self._append_row(row)
         return np.arange(first_id, self._count, dtype=np.int64)
 

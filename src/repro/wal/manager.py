@@ -3,7 +3,7 @@
 On-disk layout of a WAL-enabled snapshot root::
 
     <root>/
-        meta.json, *.pages, ...     # generation 0, written by build()
+        meta.json, *.pages, *.packed  # generation 0, written by build()
         wal.log                     # framed insert/delete records
         CURRENT                     # name of the live generation subdir
         gen-000001/                 # compacted snapshots (full, self-
@@ -35,6 +35,7 @@ import shutil
 
 import numpy as np
 
+from repro.storage.pages import replace_file
 from repro.wal.log import WalError, WalRecord, WriteAheadLog, replay_wal
 
 __all__ = [
@@ -124,12 +125,7 @@ def publish_current(root: str | os.PathLike[str], name: str) -> None:
     """Atomically point ``CURRENT`` at a generation directory (write a
     temp file, fsync it, ``os.replace`` into place, fsync the dir)."""
     root = os.fspath(root)
-    tmp = os.path.join(root, CURRENT_FILE + ".tmp")
-    with open(tmp, "w") as handle:
-        handle.write(name + "\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, os.path.join(root, CURRENT_FILE))
+    replace_file(os.path.join(root, CURRENT_FILE), name + "\n")
     _fsync_dir(root)
 
 
@@ -346,8 +342,7 @@ def fold_generation(source: str, dest: str,
     meta.pop("num_workers", None)
     if "num_workers" in source_meta:
         meta["num_workers"] = source_meta["num_workers"]
-    with open(meta_path, "w") as handle:
-        json.dump(meta, handle, indent=2)
+    replace_file(meta_path, json.dumps(meta, indent=2))
     _fsync_dir(dest)
 
 

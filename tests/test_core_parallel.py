@@ -131,7 +131,18 @@ class TestDiskBackedIndex:
         data, _ = workload
         index = HDIndex(params(storage_dir=str(tmp_path / "hd3")))
         index.build(data)
-        on_disk = sum(p.stat().st_size
-                      for p in (tmp_path / "hd3").iterdir())
-        assert on_disk == index.total_size_bytes()
+        directory = tmp_path / "hd3"
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            ["descriptors.pages"]
+            + [f"tree_{i}.packed" for i in range(len(index.trees))])
+        assert (directory / "descriptors.pages").stat().st_size \
+            == index.heap.size_bytes()
+        # A tree file is its two columns plus a little geometry: at least
+        # the entries, at most the paged footprint the accounting (the
+        # paper's Table 5: pages x page size) charges for them.
+        for position, tree in enumerate(index.trees):
+            on_disk = (directory / f"tree_{position}.packed").stat().st_size
+            columns = (tree.packed.keys_raw.nbytes
+                       + tree.packed.values_raw.nbytes)
+            assert columns <= on_disk <= tree.size_bytes()
         index.close()

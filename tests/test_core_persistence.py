@@ -132,6 +132,127 @@ class TestSaveLoad:
         cached.close()
 
 
+def write_pages_beside_columns(directory, index):
+    """Make ``directory`` look as a snapshot of the release before the
+    column format: every tree also as node pages (``tree_<i>.pages``)
+    beside its ``tree_<i>.packed``."""
+    from repro.btree import BPlusTree
+    for position, tree in enumerate(index.trees):
+        paged = BPlusTree.from_columns(tree.packed, tree.leaf_capacity,
+                                       tree.page_size)
+        with open(directory / f"tree_{position}.pages", "wb") as out:
+            for page_id in paged._store.iter_page_ids():
+                out.write(paged._store.read(page_id))
+
+
+class TestOneFilePerTree:
+    def test_snapshot_has_no_tree_pages(self, workload, tmp_path):
+        data, _ = workload
+        index = HDIndex(params())
+        index.build(data)
+        save_index(index, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["meta.json", "references.npz", "descriptors.pages"]
+            + [f"tree_{i}.packed" for i in range(4)])
+
+    def test_old_layout_loads_and_sheds_its_pages(self, workload, tmp_path):
+        data, queries = workload
+        index = HDIndex(params())
+        index.build(data)
+        save_index(index, tmp_path)
+        write_pages_beside_columns(tmp_path, index)
+        old = load_index(tmp_path)
+        for query in queries:
+            for got, want in zip(old.query(query, 10),
+                                 index.query(query, 10)):
+                np.testing.assert_array_equal(got, want)
+            assert old.last_query_stats().page_reads \
+                == index.last_query_stats().page_reads
+        assert (tmp_path / "tree_0.pages").exists()  # loading is read-only
+        old.insert(data[0])
+        save_index(old, tmp_path)
+        old.close()
+        assert not list(tmp_path.glob("tree_*.pages"))
+        with load_index(tmp_path) as again:
+            assert again.count == len(data) + 1
+
+    def test_pages_only_snapshot_is_refused(self, workload, tmp_path):
+        data, _ = workload
+        index = HDIndex(params())
+        index.build(data)
+        save_index(index, tmp_path)
+        write_pages_beside_columns(tmp_path, index)
+        (tmp_path / "tree_2.packed").unlink()
+        with pytest.raises(PersistenceError, match="MIGRATION"):
+            load_index(tmp_path)
+
+    def test_entry_count_must_match_meta(self, workload, tmp_path):
+        data, _ = workload
+        index = HDIndex(params())
+        index.build(data)
+        save_index(index, tmp_path)
+        index.insert(data[0])
+        index.compact()
+        index.trees[1].write(tmp_path / "tree_1.packed")
+        with pytest.raises(PersistenceError, match="entries"):
+            load_index(tmp_path)
+
+    @pytest.mark.parametrize("backend", ["file", "mmap"])
+    def test_mapped_files_are_replaced_not_truncated(self, workload,
+                                                     tmp_path, backend):
+        """An un-logged fold rewrites the snapshot in place while the old
+        layouts may still be mapped (by this process or a worker pool):
+        a reader holding them keeps the old, complete columns."""
+        data, queries = workload
+        index = HDIndex(params())
+        index.build(data, metadata=[{"label": i % 3}
+                                    for i in range(len(data))])
+        save_index(index, tmp_path)
+        expected = [tree.packed.to_arrays() for tree in index.trees]
+        opened = load_index(tmp_path, backend=backend, wal=False)
+        held = [tree.packed for tree in opened.trees]
+        labels = opened.metadata.column("label")
+        for vector in data[:7]:
+            opened.insert(vector + 0.25, metadata={"label": 1})
+        opened.compact()  # folds, then save_index into tmp_path
+        assert not list(tmp_path.glob("*.tmp"))
+        for layout, arrays in zip(held, expected):
+            for name, array in layout.to_arrays().items():
+                np.testing.assert_array_equal(array, arrays[name])
+        np.testing.assert_array_equal(
+            labels, np.arange(len(data)) % 3)
+        assert all(len(tree) == len(data) + 7 for tree in opened.trees)
+        opened.close()
+        with load_index(tmp_path, backend=backend) as again:
+            assert again.count == len(data) + 7
+
+    def test_cache_pages_only_changes_the_hit_split(self, workload,
+                                                    tmp_path):
+        data, queries = workload
+        index = HDIndex(params())
+        index.build(data)
+        save_index(index, tmp_path)
+        runs = {}
+        for capacity in (0, 8, 10 ** 6):
+            with load_index(tmp_path, cache_pages=capacity) as opened:
+                answers = [opened.query(query, 10)
+                           for query in list(queries) * 2]
+                runs[capacity] = (
+                    answers,
+                    [tree.stats.page_reads for tree in opened.trees],
+                    [tree.stats.cache_hits for tree in opened.trees])
+        answers, uncached, no_hits = runs[0]
+        assert not any(no_hits)
+        for capacity in (8, 10 ** 6):
+            got, reads, hits = runs[capacity]
+            assert [r + h for r, h in zip(reads, hits)] == uncached
+            for (ids_a, dists_a), (ids_b, dists_b) in zip(got, answers):
+                np.testing.assert_array_equal(ids_a, ids_b)
+                np.testing.assert_array_equal(dists_a, dists_b)
+        assert all(0 < few <= many
+                   for few, many in zip(runs[8][2], runs[10 ** 6][2]))
+
+
 class TestFamilySaveLoad:
     """Whole-family persistence: parallel and sharded snapshots reopen as
     the class that was saved (PR-2 tentpole)."""
@@ -352,11 +473,11 @@ class TestMaterialiseStore:
     def test_non_contiguous_store_raises(self, tmp_path):
         with pytest.raises(PersistenceError, match="not contiguous"):
             _materialise_store(self._GappyStore(), str(tmp_path),
-                               "descriptors", 4096)
+                               "descriptors")
 
     def test_empty_store_materialises_empty_file(self, tmp_path):
         store = InMemoryPageStore(page_size=4096)
-        _materialise_store(store, str(tmp_path), "descriptors", 4096)
+        _materialise_store(store, str(tmp_path), "descriptors")
         assert (tmp_path / "descriptors.pages").stat().st_size == 0
 
     def test_contiguous_store_copies_all_pages(self, tmp_path):
@@ -364,7 +485,7 @@ class TestMaterialiseStore:
         for value in (b"a", b"b", b"c"):
             page_id = store.allocate()
             store.write(page_id, value * 512)
-        _materialise_store(store, str(tmp_path), "descriptors", 512)
+        _materialise_store(store, str(tmp_path), "descriptors")
         raw = (tmp_path / "descriptors.pages").read_bytes()
         assert raw == b"a" * 512 + b"b" * 512 + b"c" * 512
 

@@ -2,7 +2,8 @@
 
 Each shim is driven both ways: legitimate use stays silent, a seeded
 violation raises :class:`SanitizerError`.  The cross-check tests build
-a real bulk-loaded B+-tree with an active packed mirror and then
+a real bulk-loaded B+-tree with an active packed mirror (and an
+RDB-tree, checked against the oracle loaded from its columns) and then
 corrupt one side.
 """
 
@@ -215,6 +216,55 @@ class TestPackedNodeCrossCheck:
         assert len(entries) == 5
 
 
+class TestColumnsOracleCrossCheck:
+    """``RDBTree.candidates`` against the node-path oracle bulk-loaded
+    from the tree's own columns."""
+
+    def build_rdbtree(self, n=600, cache_pages=0):
+        from repro.core.rdbtree import RDBTree
+        from repro.hilbert import HilbertCurve
+
+        rng = np.random.default_rng(4)
+        curve = HilbertCurve(3, 4)  # 4096 cells: duplicate keys
+        keys = curve.encode_batch_bytes(rng.integers(0, 16, size=(n, 3)))
+        tree = RDBTree(curve, 2, cache_pages=cache_pages, page_size=256)
+        tree.bulk_build(keys, np.arange(n),
+                        rng.uniform(0, 9, size=(n, 2)).astype(np.float32))
+        return tree, keys
+
+    def test_intact_tree_passes_and_accounts_once(self, unsanitized):
+        plain, keys = self.build_rdbtree()
+        plain_ids, plain_ref = plain.candidates(keys[17].tobytes(), 40)
+        sanitize.install()
+        checked, _ = self.build_rdbtree()
+        ids, ref = checked.candidates(keys[17].tobytes(), 40)
+        np.testing.assert_array_equal(ids, plain_ids)
+        np.testing.assert_array_equal(ref, plain_ref)
+        assert checked.stats.snapshot() == plain.stats.snapshot()
+
+    def test_oracle_is_built_once_per_layout(self, sanitized):
+        tree, keys = self.build_rdbtree()
+        tree.candidates(keys[0].tobytes(), 8)
+        oracle = tree.packed._sanitize_oracle
+        tree.candidates(keys[1].tobytes(), 8)
+        assert tree.packed._sanitize_oracle is oracle
+        tree.merge(keys[:1], [999], np.zeros((1, 2), dtype=np.float32))
+        tree.candidates(5, 8)
+        assert tree.packed._sanitize_oracle is not oracle
+
+    def test_corrupted_geometry_raises(self, sanitized):
+        tree, keys = self.build_rdbtree()
+        tree.packed.leaf_pages = tree.packed.leaf_pages[::-1].copy()
+        with pytest.raises(SanitizerError, match="trace divergence"):
+            tree.candidates(keys[300].tobytes(), 8)
+
+    def test_cached_tree_checked_against_the_uncached_trace(self, sanitized):
+        tree, keys = self.build_rdbtree(cache_pages=16)
+        tree.candidates(keys[9].tobytes(), 30)
+        tree.candidates(keys[9].tobytes(), 30)
+        assert tree.stats.cache_hits > 0
+
+
 class TestEndToEndQueryParity:
     def test_small_index_queries_identically(self, sanitized):
         import repro
@@ -258,6 +308,6 @@ class TestFoldPostconditions:
 
     def test_dropped_tree_insert_raises(self, sanitized):
         index = self.build_with_delta()
-        index.trees[1].insert = lambda *args: None
+        index.trees[1].merge = lambda *args: None
         with pytest.raises(SanitizerError, match="tree_1"):
             index.compact()

@@ -29,6 +29,51 @@ class TestVectorHeapFile:
         heap = heap_file_from_array(data)
         np.testing.assert_array_equal(heap.scan(), data)
 
+    @pytest.mark.parametrize("start", [0, 3, 4, 5])
+    @pytest.mark.parametrize("count", [1, 3, 4, 5, 8, 9, 23])
+    def test_batch_append_writes_what_row_appends_write(self, start, count):
+        """Page-wise ``append_batch`` (open page row by row, then whole
+        pages, then the tail) against one ``append`` per row: same ids,
+        byte-identical pages, for counts each side of a page boundary and
+        a heap that starts empty, mid-page and page-aligned."""
+        rng = np.random.default_rng([start, count])
+        existing = rng.normal(size=(start, 4)).astype(np.float32)
+        vectors = rng.normal(size=(count, 4))
+        heaps = []
+        for batched in (True, False):
+            heap = VectorHeapFile(dim=4, dtype=np.float32,
+                                  store=InMemoryPageStore(page_size=64))
+            for row in existing:
+                heap.append(row)
+            writes = heap.stats.page_writes
+            if batched:
+                ids = heap.append_batch(vectors)
+            else:
+                ids = np.asarray([heap.append(row) for row in vectors])
+            np.testing.assert_array_equal(
+                ids, np.arange(start, start + count))
+            heaps.append((heap, heap.stats.page_writes - writes))
+        (batch, batch_writes), (rows, row_writes) = heaps
+        assert len(batch) == len(rows) == start + count
+        assert batch._store._pages == rows._store._pages
+        np.testing.assert_array_equal(
+            batch.scan(), np.vstack([existing, vectors]).astype(np.float32))
+        # One write per whole page instead of one per row.
+        whole_pages = (count - min(-start % 4, count)) // 4
+        assert batch_writes == row_writes - 3 * whole_pages
+        # restore_count still sees a store that holds exactly the rows.
+        batch.restore_count(start + count)
+        with pytest.raises(StorageError):
+            batch.restore_count(4 * batch._store.num_pages + 1)
+
+    def test_multi_page_records_still_append_row_by_row(self):
+        heap = VectorHeapFile(dim=40, dtype=np.float32,
+                              store=InMemoryPageStore(page_size=64))
+        vectors = np.arange(120, dtype=np.float32).reshape(3, 40)
+        np.testing.assert_array_equal(heap.append_batch(vectors), [0, 1, 2])
+        assert heap._store.num_pages == 3 * 3
+        np.testing.assert_array_equal(heap.scan(), vectors)
+
     def test_records_packed_per_page(self):
         heap = VectorHeapFile(dim=4, dtype=np.float32,
                               store=InMemoryPageStore(page_size=64))

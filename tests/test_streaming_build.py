@@ -16,6 +16,7 @@ from repro.core.spec import Topology
 from repro.distance import euclidean_to_many, normalize_rows, top_k_smallest
 from repro.datasets import iter_hdf5_chunks
 from repro.datasets.loaders import hdf5_shape
+from test_backend_parity import _is_mapped
 
 DIM = 10
 N = 300
@@ -95,6 +96,29 @@ class TestStreamingBuild:
             got = reopened.query(query, k=6)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("backend", ["file", "mmap"])
+    def test_disk_build_holds_one_trees_columns_at_a_time(
+            self, corpus, tmp_path, backend):
+        """The streaming build's memory bound: on a disk backend each
+        tree's columns go to ``tree_<i>.packed`` as soon as the tree is
+        built and are served from that file's mapping, so what stays
+        resident is O(n·m) reference distances, not τ trees."""
+        index = build(IndexSpec(params=stream_params(), backend=backend),
+                      chunks_of(corpus), storage_dir=str(tmp_path))
+        try:
+            for position, tree in enumerate(index.trees):
+                assert (tmp_path / f"tree_{position}.packed").exists()
+                for column in (tree.packed.keys_raw,
+                               tree.packed.values_raw):
+                    assert _is_mapped(column)
+                    assert not column.flags.writeable
+            assert not list(tmp_path.glob("tree_*.pages"))
+            assert index.build_memory_bytes() < 2 * (
+                N * 5 * 8 + N * index.trees[0].curve.key_bytes
+                + index.STREAM_CHUNK_ROWS * DIM * 8)
+        finally:
+            index.close()
 
     def test_angular_streaming(self, corpus):
         ndata = normalize_rows(corpus)
