@@ -10,7 +10,9 @@ boundaries and the page ids of the leaf and internal levels.  On that,
   forward window's key distances into the backward window's (the
   backward ranks are the complement), on the leading 64-bit word of each
   distance when keys are wider than 8 bytes, with the rare leading-word
-  ties settled exactly, and
+  ties settled exactly — over a slice of the key column either side of
+  the query key or, for a lookup among a subset of the entries (a
+  filtered query's eligible ones), over the subset's positions there, and
 * range scans slice the arrays directly.
 
 For the RDB-trees (:mod:`repro.core.rdbtree`) these columns **are the
@@ -147,11 +149,16 @@ class PackedTree:
 
     # -- searches ---------------------------------------------------------
 
-    def nearest_positions(self, key: bytes, count: int,
-                          stats=None) -> np.ndarray:
+    def nearest_positions(self, key: bytes, count: int, stats=None,
+                          subset: np.ndarray | None = None) -> np.ndarray:
         """Global entry positions of the ``count`` nearest-by-key entries,
         in exactly the order the node path's bidirectional merge emits them
         (forward wins distance ties; within a direction, key order).
+
+        ``subset`` (ascending entry positions; integer keys only) makes
+        that the ``count`` nearest *among those positions*: what the same
+        merge emits when it passes over every other entry and stops at the
+        ``count``-th one it accepts, or where both directions run dry.
 
         When ``stats`` is given, the page-read sequence the node path would
         have issued for the same call is replayed into it.
@@ -164,32 +171,33 @@ class PackedTree:
         leaf = max(0, int(self.min_key_S.searchsorted(scalar,
                                                       side="right")) - 1)
         split = max(gbl, int(self.leaf_starts[leaf]))
-        forward_take = min(count, n - split)
-        backward_take = min(count, split)
-        dist_f, dist_b = self._window_distances(key, split, forward_take,
-                                                backward_take)
-        # Merge rank of forward entry i: i plus the backward entries
-        # strictly nearer than it (forward wins ties).
-        nearer = dist_b.searchsorted(dist_f, side="left")
-        if self._wide is not None and backward_take:
-            tied = (dist_b.take(nearer, mode="clip") == dist_f).nonzero()[0]
-            if tied.size:
-                self._settle_ties(key, split, dist_f, dist_b, nearer, tied)
-        total = min(count, n)
-        rank_f = nearer + np.arange(forward_take, dtype=np.int64)
-        rank_f = rank_f[:int(rank_f.searchsorted(total))]
-        # Ranks are a permutation, so the picked backward entries fill,
-        # in order, the slots below ``total`` no forward entry took.
-        from_forward = np.zeros(total, dtype=bool)
-        from_forward[rank_f] = True
-        rank_b = (~from_forward).nonzero()[0]
+        if subset is None:
+            fwd = slice(split, split + min(count, n - split))
+            bwd = slice(split - min(count, split), split)
+            total = min(count, n)
+        else:
+            if self._kind != "uint":
+                raise ValueError("subset lookups need integer keys")
+            at = int(subset.searchsorted(split))
+            fwd, bwd = subset[at:at + count], subset[max(0, at - count):at]
+            total = min(count, subset.size)
+        rank_f, rank_b = self._merge_ranks(key, fwd, bwd, total)
         out = np.empty(total, dtype=np.int64)
-        out[rank_f] = np.arange(split, split + rank_f.size, dtype=np.int64)
-        out[rank_b] = np.arange(split - 1, split - 1 - rank_b.size, -1,
-                                dtype=np.int64)
+        if subset is None:
+            out[rank_f] = np.arange(split, split + rank_f.size)
+            out[rank_b] = np.arange(split - 1, split - 1 - rank_b.size, -1)
+        else:
+            out[rank_f] = fwd[:rank_f.size]
+            out[rank_b] = bwd[::-1][:rank_b.size]
         if stats is not None:
+            if subset is None:
+                taken = None
+            elif total < count:
+                taken = n - split, split  # both directions ran dry
+            else:
+                taken = self._raw_taken(key, split, int(out[-1]))
             stats.record_read_many(
-                self._nearest_trace(leaf, split, rank_f, rank_b))
+                self._nearest_trace(key, leaf, split, rank_f, rank_b, taken))
         return out
 
     def entries(self, positions: np.ndarray) -> list[tuple[bytes, bytes]]:
@@ -239,11 +247,34 @@ class PackedTree:
     def _scalar(self, key: bytes):
         return np.frombuffer(key, dtype=f"S{self.key_width}", count=1)[0]
 
-    def _window_distances(self, key: bytes, split: int, forward_take: int,
-                          backward_take: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending |key distance| arrays for the forward window
-        ``[split, split + forward_take)`` and the backward window
-        ``[split - backward_take, split)`` (nearest first), comparable
+    def _merge_ranks(self, key: bytes, fwd, bwd,
+                     total: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ranks, in the merge by key distance of a forward and a backward
+        window, of the forward and of the backward entries that land below
+        ``total`` (each in its direction's order, nearest first).
+
+        A window is a slice of the key column or an ascending array of
+        positions in it, ``fwd`` at or after the split, ``bwd`` before.
+        One ``searchsorted`` of the forward distances into the backward
+        ones ranks the forward entries (they win ties); ranks are a
+        permutation, so the backward ones fill the slots left, in order.
+        """
+        dist_f, dist_b = self._window_distances(key, fwd, bwd)
+        nearer = dist_b.searchsorted(dist_f, side="left")
+        if self._wide is not None and dist_b.size:
+            tied = (dist_b.take(nearer, mode="clip") == dist_f).nonzero()[0]
+            if tied.size:
+                self._settle_ties(key, fwd, bwd, dist_f, dist_b, nearer, tied)
+        rank_f = nearer + np.arange(dist_f.size, dtype=np.int64)
+        rank_f = rank_f[:int(rank_f.searchsorted(total))]
+        from_forward = np.zeros(total, dtype=bool)
+        from_forward[rank_f] = True
+        return rank_f, (~from_forward).nonzero()[0]
+
+    def _window_distances(self, key: bytes, fwd,
+                          bwd) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending |key distance| arrays for the windows of
+        :meth:`_merge_ranks` (the backward one nearest first), comparable
         across the two arrays.  For keys wider than 8 bytes they hold the
         *leading word* of each distance — head minus head minus the borrow
         out of the tail bytes — which orders distances up to ties
@@ -251,15 +282,15 @@ class PackedTree:
         if self._wide is not None:
             head = np.uint64(int.from_bytes(key[:8], "big"))
             tail = key[8:]
-            fwd = self._wide[split:split + forward_take]
-            bwd = self._wide[split - backward_take:split][::-1]
+            fwd = self._wide[fwd]
+            bwd = self._wide[bwd][::-1]
             return (fwd["head"].astype(np.uint64) - head
                     - (fwd["tail"] < tail),
                     head - bwd["head"].astype(np.uint64)
                     - (bwd["tail"] > tail))
         target = self.key_codec.decode(key)
-        fwd = self._numeric_window(split, split + forward_take)
-        bwd = self._numeric_window(split - backward_take, split)[::-1]
+        fwd = self._numeric_window(fwd)
+        bwd = self._numeric_window(bwd)[::-1]
         if self._kind == "uint":
             target = np.uint64(target)
         else:
@@ -268,7 +299,7 @@ class PackedTree:
         # are non-negative and need no abs().
         return fwd - target, target - bwd
 
-    def _settle_ties(self, key: bytes, split: int, dist_f: np.ndarray,
+    def _settle_ties(self, key: bytes, fwd, bwd, dist_f: np.ndarray,
                      dist_b: np.ndarray, nearer: np.ndarray,
                      tied: np.ndarray) -> None:
         """Make ``nearer`` exact for the forward entries ``tied`` whose
@@ -282,8 +313,10 @@ class PackedTree:
         """
         tied_b = np.flatnonzero(np.isin(dist_b, dist_f[tied]))
         target = int.from_bytes(key, "big")
-        exact_f = self._exact_keys(split + tied) - target
-        exact_b = target - self._exact_keys(split - 1 - tied_b)
+        fwd, bwd = (np.arange(w.start, w.stop) if isinstance(w, slice) else w
+                    for w in (fwd, bwd))
+        exact_f = self._exact_keys(fwd[tied]) - target
+        exact_b = target - self._exact_keys(bwd[::-1][tied_b])
         nearer[tied] += (np.searchsorted(exact_b, exact_f, side="left")
                          - np.searchsorted(dist_b[tied_b], dist_f[tied],
                                            side="left"))
@@ -295,17 +328,37 @@ class PackedTree:
         return np.array([int.from_bytes(raw[at:at + width], "big")
                          for at in range(0, len(raw), width)], dtype=object)
 
-    def _numeric_window(self, lo: int, hi: int) -> np.ndarray:
-        raw = self.keys_raw[lo:hi]
+    def _numeric_window(self, window) -> np.ndarray:
+        raw = self.keys_raw[window]
         if self._kind == "float":
             bits = raw.view(">u8").ravel().astype(np.uint64)
             sign = np.uint64(1) << np.uint64(63)
             decoded = np.where(bits & sign != 0, bits & ~sign, ~bits)
             return decoded.view(np.float64)
         width = self.key_width
-        padded = np.zeros((hi - lo, 8), dtype=np.uint8)
+        padded = np.zeros((raw.shape[0], 8), dtype=np.uint8)
         padded[:, 8 - width:] = raw
         return padded.view(">u8").ravel().astype(np.uint64)
+
+    def _raw_taken(self, key: bytes, split: int,
+                   last: int) -> tuple[int, int]:
+        """Entries the merge took from each direction, accepted or not,
+        up to its pick of position ``last``: that direction's as far as
+        ``last``, the other one's nearer than it (at the same distance
+        too if forward: forward wins ties) — one ``searchsorted`` of
+        ``last``'s key mirrored about ``key``."""
+        mirrored = (2 * int.from_bytes(key, "big")
+                    - int.from_bytes(self.keys_raw[last].tobytes(), "big"))
+        if mirrored < 0:
+            return last - split + 1, split
+        if mirrored >> (8 * self.key_width):
+            return self.count - split, split - last
+        beyond = int(self.key_S.searchsorted(
+            self._scalar(mirrored.to_bytes(self.key_width, "big")),
+            side="right"))
+        if last >= split:
+            return last - split + 1, split - min(split, beyond)
+        return beyond - split, split - last
 
     # -- synthetic I/O traces ---------------------------------------------
 
@@ -322,16 +375,20 @@ class PackedTree:
         pages.reverse()
         return pages
 
-    def _nearest_trace(self, leaf: int, split: int, rank_f: np.ndarray,
-                       rank_b: np.ndarray) -> np.ndarray:
+    def _nearest_trace(self, key: bytes, leaf: int, split: int,
+                       rank_f: np.ndarray, rank_b: np.ndarray,
+                       taken: tuple[int, int] | None) -> np.ndarray:
         """The node path's exact read sequence for one ``nearest`` call,
-        given the merge ranks of the picked forward / backward entries.
+        given the merge ranks of the picked forward / backward entries
+        and, when the merge passed over entries (a ``subset`` lookup), how
+        many it ``taken`` from each direction in all.
 
         Both scan generators descend (the internal chain appears twice) and
         read the landing leaf; each may read one sibling before producing
         its first entry.  After that, a stream reads its next leaf on the
         lookahead ``next()`` that follows each pick, so every later read is
-        keyed to the merge rank of the pick that triggered it.
+        keyed to the pick that triggered it: by its merge rank or, picks
+        passed over having none, by ranking those boundary entries alone.
         """
         n = self.count
         starts, pages = self.leaf_starts, self.leaf_pages
@@ -343,22 +400,28 @@ class PackedTree:
         trace += descent
         if 0 < split == int(starts[leaf]):
             trace.append(int(pages[leaf - 1]))
+        taken_f, taken_b = taken or (rank_f.size, rank_b.size)
         # Forward: entry i (position split + i) is consumed by the call
         # after forward pick #i, and reads a page iff it opens a new leaf:
         # the leaves starting in (split, split + limit].
-        limit = min(rank_f.size, n - split - 1)
+        limit = min(taken_f, n - split - 1)
         lo = int(starts.searchsorted(split + 1, side="left"))
         hi = max(lo, int(starts.searchsorted(split + limit, side="right")))
-        when_f = rank_f[starts[lo:hi] - (split + 1)]
-        pages_f = pages[lo:hi]
+        opened, pages_f = starts[lo:hi], pages[lo:hi]
         # Backward: entry t (position split - 1 - t) reads its leaf's left
         # sibling iff it closes the current leaf: the leaves starting in
         # [split - limit, split).
-        limit = min(rank_b.size, split - 1)
+        limit = min(taken_b, split - 1)
         lo = int(starts.searchsorted(split - limit, side="left"))
         hi = max(lo, int(starts.searchsorted(split - 1, side="right")))
-        when_b = rank_b[(split - 1) - starts[lo:hi]]
-        pages_b = pages[lo - 1:hi - 1]
+        closed, pages_b = starts[lo:hi], pages[lo - 1:hi - 1]
+        if taken is None:
+            when_f = rank_f[opened - (split + 1)]
+            when_b = rank_b[(split - 1) - closed]
+        else:
+            when_f, when_b = self._merge_ranks(key, opened - 1, closed,
+                                               opened.size + closed.size)
+            when_b = when_b[::-1]
         order = np.argsort(np.concatenate([when_f, when_b]), kind="stable")
         return np.concatenate([np.asarray(trace, dtype=np.int64),
                                np.concatenate([pages_f, pages_b])[order]])

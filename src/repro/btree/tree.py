@@ -348,18 +348,22 @@ class BPlusTree:
                 yield node.keys[position], node.values[position]
             page_id = node.right
 
-    def nearest(self, key: bytes, count: int) -> list[tuple[bytes, bytes]]:
+    def nearest(self, key: bytes, count: int,
+                accept=None) -> list[tuple[bytes, bytes]]:
         """Return up to ``count`` entries nearest to ``key`` in key order.
 
         This is the RDB-tree candidate retrieval of Algo. 2 line 4: starting
         from the leaf position of the query's Hilbert key, entries are pulled
         from both directions, always taking the one whose decoded key is
-        numerically closer.
+        numerically closer.  ``accept`` (entry -> bool; node walk only)
+        makes it pass over the entries failing that, up to the ``count``-th
+        accepted one or to where both directions have run dry.
         """
         if count <= 0 or self._root == NO_PAGE:
             return []
         packed = self._active_packed()
-        if packed is not None and len(key) == self.key_width:
+        if (packed is not None and len(key) == self.key_width
+                and accept is None):
             return packed.entries(
                 packed.nearest_positions(key, count, self.stats))
         target = self.key_codec.decode(key)
@@ -368,23 +372,19 @@ class BPlusTree:
         result: list[tuple[bytes, bytes]] = []
         next_forward = next(forward, None)
         next_backward = next(backward, None)
-        while len(result) < count:
-            if next_forward is None and next_backward is None:
-                break
-            if next_backward is None:
-                take_forward = True
-            elif next_forward is None:
-                take_forward = False
+
+        def distance(entry):
+            return abs(self.key_codec.decode(entry[0]) - target)
+
+        while len(result) < count and (next_forward or next_backward):
+            if next_backward is None or (
+                    next_forward is not None
+                    and distance(next_forward) <= distance(next_backward)):
+                entry, next_forward = next_forward, next(forward, None)
             else:
-                dist_f = abs(self.key_codec.decode(next_forward[0]) - target)
-                dist_b = abs(self.key_codec.decode(next_backward[0]) - target)
-                take_forward = dist_f <= dist_b
-            if take_forward:
-                result.append(next_forward)
-                next_forward = next(forward, None)
-            else:
-                result.append(next_backward)
-                next_backward = next(backward, None)
+                entry, next_backward = next_backward, next(backward, None)
+            if accept is None or accept(entry):
+                result.append(entry)
         return result
 
     # -- packed read path --------------------------------------------------

@@ -25,8 +25,9 @@ MRPT/HDIdx-style:
   random reads);
 * a single executor (thread pool, for the parallel index) reused across
   all Q × τ tree scans;
-* the predicate mask, the WAL-delta screen and the deleted-id array
-  computed once per call, not per row.
+* the predicate mask, each tree's key-ordered eligible positions, the
+  WAL-delta screen and the deleted-id array computed once per call, not
+  per row.
 
 Stage (ii) is deliberately *not* on that list: each (tree, row) segment
 is bounded and cut to γ survivors (:meth:`QueryEngine.filter_survivors`)
@@ -63,33 +64,6 @@ from repro.distance.metrics import (
 )
 from repro.hilbert.butz import encode_for_curves
 
-#: Ceiling on the selectivity-driven candidate-budget inflation.  A
-#: predicate keeping fraction ``s`` of the corpus thins every tree's
-#: candidate stream by ~``s``, so (α, β, γ) are scaled by ``1/s`` to
-#: keep the *eligible* survivor count near the unfiltered design point —
-#: capped here so a needle-selective filter degrades towards a (still
-#: correct) wider scan instead of an unbounded one.
-SELECTIVITY_INFLATION_CAP = 64
-
-
-def inflate_filter_sizes(alpha: int, beta: int, gamma: int,
-                         selectivity: float) -> tuple[int, int, int]:
-    """Scale (α, β, γ) by the predicate's observed selectivity.
-
-    ``selectivity`` is the eligible fraction of the base corpus; the
-    budgets are multiplied by ``ceil(1/s)``, capped at
-    :data:`SELECTIVITY_INFLATION_CAP`.  Deterministic in (sizes, s), so
-    sequential/threaded/process execution inflate identically.
-    """
-    if selectivity >= 1.0:
-        return alpha, beta, gamma
-    if selectivity <= 0.0:
-        factor = SELECTIVITY_INFLATION_CAP
-    else:
-        factor = min(SELECTIVITY_INFLATION_CAP,
-                     int(np.ceil(1.0 / selectivity)))
-    return alpha * factor, beta * factor, gamma * factor
-
 
 class Executor:
     """Strategy for mapping the independent per-tree scans of Algo. 2.
@@ -100,9 +74,6 @@ class Executor:
     """
 
     workers: int | None = None
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        raise NotImplementedError
 
     def close(self) -> None:
         """Release any resources (idempotent)."""
@@ -130,7 +101,7 @@ class ProcessExecutor(Executor):
     """
 
     #: Engine capability flag: scans run in another process, so the engine
-    #: routes through :meth:`scan_trees` (a map() closure could not cross).
+    #: routes through ``pool.scan_trees`` (a map() closure could not cross).
     remote = True
 
     def __init__(self, snapshot_dir=None, num_workers: int | None = None,
@@ -152,17 +123,6 @@ class ProcessExecutor(Executor):
     @property
     def workers(self) -> int | None:  # type: ignore[override]
         return self.pool.num_workers
-
-    def scan_trees(self, num_trees: int, points, alpha: int, beta: int,
-                   gamma: int, ptolemaic: bool, predicate=None):
-        """Stages (i)+(ii) for all trees in the worker pool; returns
-        (per-tree-per-row survivors, summed worker stats deltas).
-
-        ``predicate`` crosses the process boundary in its JSON dict
-        form; each worker rebuilds it and computes the eligibility mask
-        against its own snapshot's metadata store."""
-        return self.pool.scan_trees(num_trees, points, alpha, beta, gamma,
-                                    ptolemaic, predicate)
 
     def close(self) -> None:
         self.pool.close()
@@ -244,12 +204,14 @@ class QueryEngine:
         Returns, per tree, one survivor-id array per query row.
 
         ``eligible`` is the predicate-pushdown bitmap (bool per base
-        object): candidates failing it are dropped *here*, before the
-        lower-bound kernels ever see them — one fancy-index per (tree,
-        row) segment — so an ineligible point can never survive to the
-        gather/rerank stage.
+        object).  Each tree turns it, once per call, into the key-ordered
+        positions of its eligible entries, and every row's lookup takes
+        its α candidates among those — so α, β and γ mean what they mean
+        without a predicate and an ineligible point never reaches the
+        lower-bound kernels.
         """
         index = self.index
+        eligible_ids = None if eligible is None else np.flatnonzero(eligible)
         quantized = index.quantizer.quantize(points)
         curves = [index.trees[t].curve for t in tree_indices]
         coords = [quantized[:, index.partitions[t]] for t in tree_indices]
@@ -258,15 +220,15 @@ class QueryEngine:
         for tree_position, tree_index in enumerate(tree_indices):
             tree = index.trees[tree_index]
             tree_keys = keys[tree_position]
+            subset = (None if eligible_ids is None
+                      else tree.positions_of(eligible_ids))
             tree_rows: list[np.ndarray] = []
             # One packed-tree descent per (tree, row): the tree candidate
             # API is inherently per-key and each call is O(log n) page
             # work, so this loop is over *queries*, not array elements.
             for row in range(points.shape[0]):  # lint: disable=HK101
-                ids, ref = tree.candidates(tree_keys[row].tobytes(), alpha)
-                if eligible is not None and ids.shape[0]:
-                    keep = eligible[ids]
-                    ids, ref = ids[keep], ref[keep]
+                ids, ref = tree.candidates(tree_keys[row].tobytes(), alpha,
+                                           subset)
                 tree_rows.append(self.filter_survivors(
                     query_ref[row], ids, ref, beta, gamma, ptolemaic))
             survivors.append(tree_rows)
@@ -399,9 +361,11 @@ class QueryEngine:
         ``predicate`` (a :class:`~repro.meta.Predicate` or its dict
         form) restricts every row's answer to matching points via
         pushdown: the eligibility bitmap is computed once here (inside
-        ``time_sec``), candidates failing it are dropped before the
-        filter kernels, and the (α, β, γ) budgets are inflated by the
-        observed selectivity.
+        ``time_sec``) and each tree hands stage (ii) its α nearest
+        *eligible* entries, so the (α, β, γ) budgets are the unfiltered
+        ones; at most α eligible rows in all are re-ranked exactly with
+        no tree asked.  ``extra["selectivity"]`` reports the eligible
+        fraction.
         """
         index = self.index
         started = time.perf_counter()
@@ -411,12 +375,8 @@ class QueryEngine:
         eff_alpha, eff_beta, eff_gamma = index._effective_sizes(
             k, alpha, beta, gamma, ptolemaic)
         eligible, selectivity = index._eligibility(predicate)
-        if predicate is not None:
-            eff_alpha, eff_beta, eff_gamma = inflate_filter_sizes(
-                eff_alpha, eff_beta, eff_gamma, selectivity)
 
-        reads_before = index._total_page_reads()
-        random_before, sequential_before = index._read_breakdown()
+        reads_before = index._read_counts()
         index._distance_counter.reset()
 
         points = np.asarray(points, dtype=np.float64)
@@ -431,30 +391,39 @@ class QueryEngine:
             points = normalize_rows(points)
         batch = points.shape[0]
 
-        # The (Q, m) reference-distance matmul is charged once per call
-        # whoever computes it — sequential-equivalent accounting, not
-        # once per worker group.
-        index._distance_counter.add(batch * index.references.size)
-        if getattr(self.executor, "remote", False):
-            # Worker processes run stages (i)+(ii) for their assigned
-            # trees over all Q rows against their own snapshot view; the
-            # reference matmul and Hilbert encoding happen worker-side,
-            # and their page reads and distance computations arrive as a
-            # delta alongside the survivors.
-            per_tree, remote_delta = self.executor.scan_trees(
-                len(index.trees), points, eff_alpha, eff_beta, eff_gamma,
-                ptolemaic,
-                None if predicate is None else predicate.to_dict())
+        # What worker processes read and computed, folded in below so
+        # process-mode accounting matches the sequential path's.
+        remote_delta = 0, 0
+        if eligible is not None and np.count_nonzero(eligible) <= eff_alpha:
+            # No more eligible rows than one tree offers candidates:
+            # every tree would offer all of them, so no tree is asked
+            # and no bound computed — they go to the exact re-rank as
+            # they are (a predicate matching no row reads no page).
+            per_tree = [[np.flatnonzero(eligible)] * batch]
         else:
-            remote_delta = None
-            # Stages (i)+(ii) through the array-native path (one
-            # task per tree under a pool — a tree's page store stays on
-            # a single thread, the independence the paper's "little
-            # synchronization" argument rests on).
-            query_ref = index.references.distances_from(points)
-            per_tree = self._dispatch_scans(points, query_ref, eff_alpha,
-                                            eff_beta, eff_gamma, ptolemaic,
-                                            eligible)
+            # The (Q, m) reference-distance matmul is charged once per
+            # call whoever computes it — sequential-equivalent
+            # accounting, not once per worker group.
+            index._distance_counter.add(batch * index.references.size)
+            if getattr(self.executor, "remote", False):
+                # Worker processes run stages (i)+(ii) for their trees
+                # over all Q rows against their own snapshot view
+                # (reference matmul, Hilbert encoding and the predicate,
+                # sent in dict form, worker-side); their reads and
+                # distance computations come back beside the survivors.
+                per_tree, remote_delta = self.executor.pool.scan_trees(
+                    len(index.trees), points, eff_alpha, eff_beta,
+                    eff_gamma, ptolemaic,
+                    None if predicate is None else predicate.to_dict())
+            else:
+                # Stages (i)+(ii) through the array-native path (one
+                # task per tree under a pool — a tree's page store stays
+                # on a single thread, the independence the paper's
+                # "little synchronization" argument rests on).
+                query_ref = index.references.distances_from(points)
+                per_tree = self._dispatch_scans(
+                    points, query_ref, eff_alpha, eff_beta, eff_gamma,
+                    ptolemaic, eligible)
         tail = self._merge_tail(predicate)
         merged_per_row = [
             self._merge_survivors(
@@ -462,7 +431,8 @@ class QueryEngine:
             for row in range(batch)]
         ids_out, dists_out = self._rerank_rows(points, merged_per_row, k)
 
-        random_after, sequential_after = index._read_breakdown()
+        reads = index._read_counts() - reads_before + remote_delta[0]
+        computations = index._distance_counter.count + remote_delta[1]
         extra = {"alpha": eff_alpha, "beta": eff_beta, "gamma": eff_gamma,
                  "ptolemaic": ptolemaic}
         if predicate is not None:
@@ -472,22 +442,10 @@ class QueryEngine:
         extra["batch_size"] = batch
         stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=index._total_page_reads() - reads_before,
-            random_reads=random_after - random_before,
-            sequential_reads=sequential_after - sequential_before,
+            page_reads=int(reads[0]), random_reads=int(reads[1]),
+            sequential_reads=int(reads[2]),
             candidates=sum(m.shape[0] for m in merged_per_row),
-            distance_computations=index._distance_counter.count,
-            extra=extra,
-        )
-        if remote_delta is not None:
-            # Fold the worker-process counters in, so process-mode
-            # accounting matches what the sequential path would have
-            # charged for the same scans.
-            stats.page_reads += remote_delta["page_reads"]
-            stats.random_reads += remote_delta["random_reads"]
-            stats.sequential_reads += remote_delta["sequential_reads"]
-            stats.distance_computations += \
-                remote_delta["distance_computations"]
+            distance_computations=computations, extra=extra)
         return ids_out, dists_out, stats
 
     # -- internals --------------------------------------------------------
@@ -514,20 +472,19 @@ class QueryEngine:
         return delta_ids, self.index._deleted_ids()
 
     def _merge_survivors(self, survivor_ids: Sequence[np.ndarray],
-                         predicate=None, tail=None) -> np.ndarray:
+                         tail=None) -> np.ndarray:
         """Union of one row's per-tree survivor sets, plus the WAL delta
         segment, minus deleted ids (Algo. 2 line 11) — the single
         synchronisation point.
 
-        ``tail`` is the :meth:`_merge_tail` pair; a one-row caller (the
-        scalar oracle) may leave it out and pass ``predicate`` instead.
-        Deleted ids are filtered here for base and delta entries alike,
-        so a deleted-in-delta id can never surface from the base
-        snapshot.  Base survivors arrive already predicate-masked
-        (pushdown at the scan stage).
+        ``tail`` is the :meth:`_merge_tail` pair (an unfiltered one-row
+        caller, a scalar oracle, may leave it out).  Deleted ids are
+        filtered here for base and delta entries alike, so a
+        deleted-in-delta id can never surface from the base snapshot.
+        Base survivors are predicate-eligible already (the trees offered
+        nothing else).
         """
-        delta_ids, deleted = (self._merge_tail(predicate) if tail is None
-                              else tail)
+        delta_ids, deleted = self._merge_tail() if tail is None else tail
         merged = np.unique(np.concatenate([*survivor_ids, delta_ids]))
         if deleted.size:
             merged = merged[~np.isin(merged, deleted)]

@@ -152,46 +152,35 @@ def _query_batch_task(points: np.ndarray, k: int, overrides: dict
 def _scan_trees_task(tree_indices: list[int], points: np.ndarray,
                      alpha: int, beta: int, gamma: int, ptolemaic: bool,
                      predicate: dict | None = None
-                     ) -> tuple[list[list[np.ndarray]], dict]:
+                     ) -> tuple[list[list[np.ndarray]], tuple]:
     """Stages (i)+(ii) of Algo. 2 for a subset of trees, all query rows.
 
-    Returns one survivor-id array per (tree, row) plus the worker-side
-    I/O / distance-count deltas, so the parent can merge survivors
-    (stage iii stays in the parent, which owns the caller-visible stats).
+    Returns one survivor-id array per (tree, row) plus what the scans
+    cost worker-side — ((page, random, sequential) reads, distance
+    computations) — so the parent can merge survivors (stage iii stays
+    in the parent, which owns the caller-visible stats).
 
     ``predicate`` arrives in dict wire form; the eligibility bitmap is
     recomputed from this worker's own snapshot view of the metadata
-    store (the parent already inflated α/β/γ for its selectivity).
+    store, and :meth:`QueryEngine.scan_many` takes each tree's α
+    candidates among its eligible entries as it does in the parent.
     """
     _run_fault_hook()
     index = _worker_index()
-    engine = index._engine
-    eligible = None
-    if predicate is not None:
-        eligible, _ = index._eligibility(
-            index._coerce_query_predicate(predicate))
-    reads_before = index._total_page_reads()
-    random_before, sequential_before = index._read_breakdown()
+    eligible, _ = index._eligibility(
+        index._coerce_query_predicate(predicate))
+    reads_before = index._read_counts()
     index._distance_counter.reset()
 
     # The query-to-reference matmul is NOT charged here: every worker
-    # group recomputes it for its own trees, but the sequential path
-    # computes it once per query, and the parent charges exactly that
-    # (engine run_batch remote branch) so process-mode QueryStats
-    # stay identical to sequential ones.
+    # group recomputes it, the sequential path computes it once per
+    # query, and the parent charges exactly that (run_batch).
     query_ref = index.references.distances_from(points)
-
-    survivors = engine.scan_many(tree_indices, points, query_ref, alpha,
-                                 beta, gamma, ptolemaic, eligible=eligible)
-
-    random_after, sequential_after = index._read_breakdown()
-    delta = {
-        "page_reads": index._total_page_reads() - reads_before,
-        "random_reads": random_after - random_before,
-        "sequential_reads": sequential_after - sequential_before,
-        "distance_computations": index._distance_counter.count,
-    }
-    return survivors, delta
+    survivors = index._engine.scan_many(
+        tree_indices, points, query_ref, alpha, beta, gamma, ptolemaic,
+        eligible=eligible)
+    return survivors, (index._read_counts() - reads_before,
+                       index._distance_counter.count)
 
 
 # -- parent-process side ----------------------------------------------------
@@ -325,10 +314,6 @@ class SnapshotWorkerPool:
         self._closed = True
         self.reset()
 
-    @property
-    def workers(self) -> int:
-        return self.num_workers
-
     # -- dispatch --------------------------------------------------------
 
     def submit(self, task, /, *args) -> Future:
@@ -406,11 +391,12 @@ class SnapshotWorkerPool:
     def scan_trees(self, num_trees: int, points: np.ndarray, alpha: int,
                    beta: int, gamma: int, ptolemaic: bool,
                    predicate: dict | None = None
-                   ) -> tuple[list[list[np.ndarray]], dict]:
+                   ) -> tuple[list[list[np.ndarray]], tuple]:
         """Stages (i)+(ii) for all trees, fanned out tree-wise.
 
         Returns ``per_tree[tree][row]`` survivor-id arrays (tree order
-        preserved) plus the summed worker-side stats deltas.
+        preserved) plus the workers' summed (reads, distance
+        computations) pairs.
         """
         groups = [list(chunk) for chunk in np.array_split(
             np.arange(num_trees), min(self.num_workers, num_trees))
@@ -420,11 +406,6 @@ class SnapshotWorkerPool:
                                predicate)
                    for group in groups]
         results = self.gather(futures)
-        per_tree: list[list[np.ndarray]] = []
-        delta = {"page_reads": 0, "random_reads": 0, "sequential_reads": 0,
-                 "distance_computations": 0}
-        for survivors, worker_delta in results:
-            per_tree.extend(survivors)
-            for key in delta:
-                delta[key] += worker_delta[key]
-        return per_tree, delta
+        per_tree = [rows for survivors, _ in results for rows in survivors]
+        reads, computations = zip(*(cost for _, cost in results))
+        return per_tree, (sum(reads), sum(computations))

@@ -155,8 +155,10 @@ class RDBTree:
         """Make ``packed`` the tree.  Page ids now name other contents,
         so the modelled buffer pool starts cold."""
         self.packed = packed
-        # (layout, ids int64, ref-distance view), decoded on first use.
+        # (layout, ids int64, ref-distance view), decoded on first use;
+        # (layout, id -> position column), on the first subset lookup.
         self._records_cache: tuple | None = None
+        self._positions_cache: tuple | None = None
         self.clear_cache()
 
     # -- persistence -------------------------------------------------------
@@ -201,24 +203,41 @@ class RDBTree:
 
     # -- querying -----------------------------------------------------------
 
-    def candidates(self, query_key,
-                   alpha: int) -> tuple[np.ndarray, np.ndarray]:
-        """α nearest entries by Hilbert key (Algo. 2 line 4).
+    def candidates(self, query_key, alpha: int,
+                   subset: np.ndarray | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+        """α nearest entries by Hilbert key (Algo. 2 line 4) — among the
+        entries at the positions ``subset`` (:meth:`positions_of`), if given.
 
         ``query_key`` is a Hilbert key as a Python int or as its
         ``key_bytes``-wide big-endian encoding (the batched encoder's
         native output).  Returns (object_ids, reference_distances) with
-        shapes (α',) and (α', m), α' ≤ α when the tree is small.
+        shapes (α',) and (α', m), α' ≤ α on a small tree or ``subset``.
         """
         if isinstance(query_key, (bytes, bytearray, np.bytes_)):
             raw_key = bytes(query_key)
         else:
             raw_key = self._key_codec.encode(int(query_key))
         positions = self.packed.nearest_positions(
-            raw_key, alpha, self if self.cache_pages else self.stats)
+            raw_key, alpha, self if self.cache_pages else self.stats, subset)
         object_ids, reference_view = self._records()
         return (object_ids[positions],
                 reference_view[positions].astype(np.float64))
+
+    def positions_of(self, object_ids: np.ndarray) -> np.ndarray:
+        """Key-ordered entry positions of the given objects, ascending (a
+        ``subset``), through an id -> position column derived on first
+        use and dropped with the layout.  Needs the ids an index gives
+        its trees: each of ``0..len(self)-1`` once."""
+        packed = self.packed
+        cached = self._positions_cache
+        if cached is None or cached[0] is not packed:
+            ids = self._records()[0]
+            # The narrowest unsigned type: half the bytes, twice the sort.
+            column = np.empty(ids.size, dtype=np.min_scalar_type(ids.size))
+            column[ids] = np.arange(ids.size)
+            cached = self._positions_cache = (packed, column)
+        return np.sort(cached[1][object_ids]).astype(np.int64)
 
     def _records(self) -> tuple[np.ndarray, np.ndarray]:
         """Structured views over the value column, cached per layout."""

@@ -18,7 +18,8 @@ storage and tree layers with cross-checking shims:
 * **Packed-vs-node trace parity** — every
   :meth:`~repro.core.rdbtree.RDBTree.candidates` call is re-run down a
   node-path oracle (a :class:`~repro.btree.tree.BPlusTree` bulk-loaded,
-  once per layout, from the tree's columns), and every
+  once per layout, from the tree's columns; a lookup among a subset of
+  the entries as the same walk passing over the others), and every
   :meth:`~repro.btree.tree.BPlusTree.nearest` call that takes a
   baseline tree's packed mirror is re-run down that tree's own nodes,
   into sandboxed :class:`~repro.storage.stats.IOStats`; the two answers
@@ -82,42 +83,37 @@ def _patch(cls: type, name: str,
     setattr(cls, name, wrapper)
 
 
+def _checked_after(check: Callable[[Any], None]
+                   ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
+    """A :func:`_patch` wrap running ``check(self)`` after the method."""
+    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
+            result = original(self, *args, **kwargs)
+            check(self)
+            return result
+        return wrapper
+    return checked
+
+
 # -- IOStats ----------------------------------------------------------------
 
 
 def _check_stats_balance(stats: Any) -> None:
-    if stats.page_reads != stats.random_reads + stats.sequential_reads:
-        raise SanitizerError(
-            f"IOStats read split out of balance: page_reads="
-            f"{stats.page_reads} != random {stats.random_reads} + "
-            f"sequential {stats.sequential_reads}")
-    if stats.page_writes != stats.random_writes + stats.sequential_writes:
-        raise SanitizerError(
-            f"IOStats write split out of balance: page_writes="
-            f"{stats.page_writes} != random {stats.random_writes} + "
-            f"sequential {stats.sequential_writes}")
+    for kind, total, random, sequential in (
+            ("read", stats.page_reads, stats.random_reads,
+             stats.sequential_reads),
+            ("write", stats.page_writes, stats.random_writes,
+             stats.sequential_writes)):
+        if total != random + sequential:
+            raise SanitizerError(
+                f"IOStats {kind} split out of balance: page_{kind}s={total} "
+                f"!= random {random} + sequential {sequential}")
     for field in ("page_reads", "page_writes", "random_reads",
                   "sequential_reads", "random_writes", "sequential_writes",
                   "cache_hits"):
         if getattr(stats, field) < 0:
             raise SanitizerError(
                 f"IOStats.{field} went negative: {getattr(stats, field)}")
-
-
-def _install_iostats() -> None:
-    from repro.storage.stats import IOStats
-
-    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-            result = original(self, *args, **kwargs)
-            _check_stats_balance(self)
-            return result
-        return wrapper
-
-    for name in ("record_read", "record_write", "record_write_run",
-                 "record_read_many", "record_cache_hit", "reset",
-                 "__add__"):
-        _patch(IOStats, name, checked)
 
 
 # -- BufferPool -------------------------------------------------------------
@@ -145,20 +141,6 @@ def _check_pool(pool: Any) -> None:
             f"{pool.memory_bytes()} != {resident} pages * {page_size}")
 
 
-def _install_bufferpool() -> None:
-    from repro.storage.buffer import BufferPool
-
-    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-            result = original(self, *args, **kwargs)
-            _check_pool(self)
-            return result
-        return wrapper
-
-    for name in ("read", "write", "clear", "_insert"):
-        _patch(BufferPool, name, checked)
-
-
 # -- mmap zero-copy views ---------------------------------------------------
 
 
@@ -180,10 +162,12 @@ def _install_mmap_guard() -> None:
 
 
 def _cross_check(packed: Any, node_tree: Any, key: bytes, count: int,
-                 real_stats: Any, check_trace: bool = True) -> None:
+                 real_stats: Any, check_trace: bool = True,
+                 subset: Any = None) -> None:
     """Run the packed search and a walk of ``node_tree``'s real nodes
     side by side, into sandboxed stats that continue ``real_stats``'
-    access pattern; answers and I/O traces must agree."""
+    access pattern; answers and I/O traces must agree.  With a
+    ``subset`` the walk accepts the entries at those positions only."""
     from repro.storage.stats import IOStats
 
     packed_stats, node_stats = (
@@ -191,9 +175,13 @@ def _cross_check(packed: Any, node_tree: Any, key: bytes, count: int,
                 _last_write_page=real_stats._last_write_page)
         for _ in range(2))
     packed_entries = packed.entries(
-        packed.nearest_positions(key, count, packed_stats))
+        packed.nearest_positions(key, count, packed_stats, subset))
+    accept = None
+    if subset is not None:
+        wanted = set(packed.entries(subset))
+        accept = lambda entry: (bytes(entry[0]), bytes(entry[1])) in wanted
     node_entries = [(bytes(k), bytes(v)) for k, v in
-                    _node_walk(node_tree, key, count, node_stats)]
+                    _node_walk(node_tree, key, count, node_stats, accept)]
     if packed_entries != node_entries:
         differ = [a != b for a, b in zip(packed_entries, node_entries)]
         raise SanitizerError(
@@ -208,7 +196,8 @@ def _cross_check(packed: Any, node_tree: Any, key: bytes, count: int,
             f"{node_stats.snapshot()}")
 
 
-def _node_walk(tree: Any, key: bytes, count: int, sandbox: Any) -> Any:
+def _node_walk(tree: Any, key: bytes, count: int, sandbox: Any,
+               accept: Any = None) -> Any:
     """``tree.nearest`` down the real nodes (mirror detached for the
     call), recorded into ``sandbox``."""
     from repro.btree.tree import BPlusTree
@@ -216,7 +205,7 @@ def _node_walk(tree: Any, key: bytes, count: int, sandbox: Any) -> Any:
     packed, real_stats = tree._packed, tree._store.stats
     tree._packed, tree._store.stats = None, sandbox
     try:
-        return _ORIGINALS[(BPlusTree, "nearest")](tree, key, count)
+        return _ORIGINALS[(BPlusTree, "nearest")](tree, key, count, accept)
     finally:
         tree._packed, tree._store.stats = packed, real_stats
 
@@ -226,19 +215,21 @@ def _install_tree_crosscheck() -> None:
     from repro.core.rdbtree import RDBTree
 
     def checked_nearest(original: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(self: Any, key: bytes, count: int) -> Any:
+        def wrapper(self: Any, key: bytes, count: int,
+                    accept: Any = None) -> Any:
             with _TREE_LOCK:
                 if (count > 0 and self._active_packed() is not None
-                        and len(key) == self.key_width):
+                        and len(key) == self.key_width and accept is None):
                     _cross_check(self._packed, self, key, count, self.stats)
                 # Parity held in the sandboxes: the caller-visible
                 # accounting is exactly one traversal.
-                return original(self, key, count)
+                return original(self, key, count, accept)
         return wrapper
 
     def checked_candidates(original: Callable[..., Any]
                            ) -> Callable[..., Any]:
-        def wrapper(self: Any, query_key: Any, alpha: int) -> Any:
+        def wrapper(self: Any, query_key: Any, alpha: int,
+                    subset: Any = None) -> Any:
             with _TREE_LOCK:
                 packed = self.packed
                 if alpha > 0 and packed.count:
@@ -247,8 +238,8 @@ def _install_tree_crosscheck() -> None:
                         else packed.key_codec.encode(int(query_key))
                     oracle, bulk_shaped = node_oracle(self)
                     _cross_check(packed, oracle, key, alpha, self.stats,
-                                 check_trace=bulk_shaped)
-                return original(self, query_key, alpha)
+                                 check_trace=bulk_shaped, subset=subset)
+                return original(self, query_key, alpha, subset)
         return wrapper
 
     _patch(BPlusTree, "nearest", checked_nearest)
@@ -277,15 +268,20 @@ def node_oracle(tree: Any) -> tuple[Any, bool]:
     return cached
 
 
-def node_candidates(tree: Any, query_key: int, alpha: int) -> tuple[Any, Any]:
+def node_candidates(tree: Any, query_key: int, alpha: int,
+                    eligible: Any = None) -> tuple[Any, Any]:
     """:meth:`RDBTree.candidates` answered by walking the real nodes of
     :func:`node_oracle` (whose own ``stats`` take the page reads): the
-    scalar reference of the parity tests and ``bench_hotpath``."""
+    scalar reference of the parity tests and ``bench_hotpath``.  With an
+    ``eligible`` bitmap over object ids, the walk accepts an entry only
+    when ``eligible[id]``."""
     import numpy as np
 
     oracle, _ = node_oracle(tree)
-    entries = oracle.nearest(tree.packed.key_codec.encode(int(query_key)),
-                             alpha)
+    accept = None if eligible is None else (
+        lambda entry: eligible[int.from_bytes(entry[1][:8], "big")])
+    entries = oracle.nearest(
+        tree.packed.key_codec.encode(int(query_key)), alpha, accept)
     records = np.frombuffer(b"".join(bytes(v) for _, v in entries),
                             dtype=tree._record_dtype)
     return (records["id"].astype(np.int64),
@@ -316,18 +312,6 @@ def _check_folded(index: Any) -> None:
                 f"unsorted")
 
 
-def _install_fold_check() -> None:
-    from repro.core.hdindex import HDIndex
-
-    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(self: Any) -> None:
-            original(self)
-            _check_folded(self)
-        return wrapper
-
-    _patch(HDIndex, "_fold_delta", checked)
-
-
 # -- public API -------------------------------------------------------------
 
 
@@ -335,11 +319,20 @@ def install() -> None:
     """Activate every sanitizer shim (idempotent)."""
     if installed():
         return
-    _install_iostats()
-    _install_bufferpool()
+    from repro.core.hdindex import HDIndex
+    from repro.storage.buffer import BufferPool
+    from repro.storage.stats import IOStats
+
+    for cls, check, names in (
+            (IOStats, _check_stats_balance,
+             ("record_read", "record_write", "record_write_run",
+              "record_read_many", "record_cache_hit", "reset", "__add__")),
+            (BufferPool, _check_pool, ("read", "write", "clear", "_insert")),
+            (HDIndex, _check_folded, ("_fold_delta",))):
+        for name in names:
+            _patch(cls, name, _checked_after(check))
     _install_mmap_guard()
     _install_tree_crosscheck()
-    _install_fold_check()
 
 
 def uninstall() -> None:

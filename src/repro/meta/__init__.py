@@ -9,11 +9,12 @@ predicate=...)``, the serve tier, the CLI — accepts either as objects
 or as their JSON wire form.
 
 The engine *pushes the predicate down*: one vectorised mask over the
-store marks eligible points, candidates failing it are dropped before
-the triangular/Ptolemaic filter kernels, and ineligible points never
-reach ``VectorHeapFile.gather`` or the rerank — with the candidate
-budget inflated by the observed selectivity so recall holds under
-selective filters (see docs/ARCHITECTURE.md, "Workloads").
+store marks eligible points, and every RDB-tree hands the
+triangular/Ptolemaic filter kernels its α nearest-by-key *eligible*
+entries, so α, β and γ mean what they mean without a predicate,
+ineligible points never reach ``VectorHeapFile.gather`` or the rerank,
+and recall holds under selective filters (see docs/ARCHITECTURE.md,
+"Workloads").
 """
 
 from repro.meta.predicates import (

@@ -66,11 +66,9 @@ class ReadLog(IOStats):
         super().record_read_many(page_ids)
 
 
-@st.composite
-def wide_key_cases(draw):
-    """(width, keys, probe, count, leaf capacity) for keys wider than one
-    word, shaped to reach what the leading-word merge could get wrong."""
-    width = draw(st.sampled_from([9, 12, 16, 24, 40]))
+def draw_keys(draw, width):
+    """(keys, centre) of ``width`` bytes, shaped to reach what a merge on
+    leading distance words could get wrong."""
     top = (1 << (8 * width)) - 1
     anywhere = st.integers(min_value=0, max_value=top)
     centre = draw(anywhere)
@@ -92,13 +90,58 @@ def wide_key_cases(draw):
                                 min_size=1, max_size=20))
         keys = [min(top, centre + offset) for offset in offsets] \
             + [max(0, centre - offset) for offset in offsets]
-    probe = draw(st.one_of(
+    return keys, centre
+
+
+def draw_probe(draw, width, keys, centre):
+    top = (1 << (8 * width)) - 1
+    return draw(st.one_of(
         st.just(centre), st.sampled_from(keys), st.just(0), st.just(top),
         st.just(max(0, min(keys) - 1)), st.just(min(top, max(keys) + 1)),
-        anywhere))
+        st.integers(min_value=0, max_value=top)))
+
+
+@st.composite
+def wide_key_cases(draw):
+    """(width, keys, probe, count, leaf capacity) for keys wider than one
+    word."""
+    width = draw(st.sampled_from([9, 12, 16, 24, 40]))
+    keys, centre = draw_keys(draw, width)
+    probe = draw_probe(draw, width, keys, centre)
     count = draw(st.sampled_from(
         [1, len(keys) - 1, len(keys), len(keys) + 5]).filter(bool))
     return width, keys, probe, count, draw(st.integers(2, 7))
+
+
+@st.composite
+def subset_cases(draw):
+    """(width, keys, probe, count, leaf capacity, eligible mask) for a
+    lookup among a subset of the entries."""
+    width = draw(st.sampled_from([4, 8, 9, 16, 24]))
+    keys, centre = draw_keys(draw, width)
+    probe = draw_probe(draw, width, keys, centre)
+    count = draw(st.sampled_from([1, 3, 17, len(keys), len(keys) + 5]))
+    selectivity = draw(st.sampled_from([0, 0.02, 0.1, 0.5, 1]))
+    mask = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(
+        len(keys)) < selectivity
+    return width, keys, probe, count, draw(st.integers(1, 7)), mask
+
+
+def subset_lookup(width, keys, probe, count, leaf_cap, mask):
+    """One lookup among the entries ``mask`` marks (by key-ordered
+    position), answered by the columns and by the filtered node walk:
+    ((positions, pages read) of each, the packed layout, the raw key)."""
+    tree = make_tree(UIntCodec(width), leaf_cap=leaf_cap)
+    load_int_pairs(tree, keys)  # the value of an entry is its position
+    oracle = node_path_copy(tree, keys)
+    oracle._store.stats = ReadLog()
+    raw, log = tree.key_codec.encode(probe), ReadLog()
+    got = tree.packed_layout.nearest_positions(raw, count, log,
+                                               np.flatnonzero(mask))
+    want = [int.from_bytes(value, "big") for _, value in oracle.nearest(
+        raw, count, lambda entry: mask[int.from_bytes(entry[1], "big")])]
+    return ((got.tolist(), log.pages), (want, oracle.stats.pages),
+            tree.packed_layout, raw)
 
 
 class TestActivation:
@@ -239,6 +282,66 @@ class TestParity:
         tree.stats.reset(), oracle.stats.reset()
         assert list(tree.range(lo, hi)) == list(oracle.range(lo, hi))
         assert stats_triple(tree) == stats_triple(oracle)
+
+
+class TestSubsetLookup:
+    """``nearest_positions(subset=...)``: the ``count`` nearest among a
+    subset of the entries, and the page reads of the walk that passes
+    over the others."""
+
+    @given(subset_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_subset_property(self, case):
+        got, want, packed, raw = subset_lookup(*case)
+        assert got == want
+        if case[-1].all():
+            # Every entry eligible: the unrestricted lookup, exactly.
+            log = ReadLog()
+            plain = packed.nearest_positions(raw, case[3], log)
+            assert (plain.tolist(), log.pages) == got
+
+    @pytest.mark.parametrize("width", [8, 16])
+    def test_exhausted_subset_walks_to_both_ends(self, width):
+        keys = [7 * i for i in range(40)]
+        mask = np.zeros(40, dtype=bool)
+        mask[[2, 11, 30]] = True
+        got, want, packed, _ = subset_lookup(width, keys, 7 * 12 + 1, 5, 3,
+                                             mask)
+        assert got == want
+        assert got[0] == [11, 2, 30]
+        assert set(got[1]) >= set(packed.leaf_pages.tolist())
+
+    def test_boundary_entries_tying_on_the_leading_word(self, monkeypatch):
+        """Leaf reads are ordered by the distance of the entry whose pick
+        triggers them; here a backward one (distance 2**64 + 1) goes
+        before a forward one (2**64 + 3) although their leading words
+        tie, which forward would win."""
+        word, target = 1 << 64, (5 << 64) + 0x80
+        keys = [target - 3 * word - 9, target - 3 * word, target - word - 1,
+                target - 1, target + 1, target + word + 3,
+                target + 3 * word, target + 3 * word + 9]
+        mask = np.zeros(8, dtype=bool)
+        mask[[0, 7]] = True
+        settled = []
+        settle = PackedTree._settle_ties
+
+        def recording(self, key, fwd, *rest):
+            settled.append(np.asarray(fwd).tolist())
+            return settle(self, key, fwd, *rest)
+
+        monkeypatch.setattr(PackedTree, "_settle_ties", recording)
+        got, want, packed, _ = subset_lookup(16, keys, target, 2, 2, mask)
+        assert got == want
+        assert got[0] == [7, 0]
+        assert got[1][-2:] == [0, 3]
+        assert [5] in settled  # among the boundary entries
+
+    def test_float_keys_refused(self):
+        tree = make_tree(Float64Codec())
+        load_int_pairs(tree, [0.5, 1.5, 2.5])
+        with pytest.raises(ValueError, match="integer keys"):
+            tree.packed_layout.nearest_positions(
+                Float64Codec().encode(1.0), 2, None, np.arange(3))
 
 
 class TestSerialization:

@@ -41,7 +41,6 @@ from repro.core import (
     build,
 )
 from repro.core import engine as engine_module
-from repro.core.engine import inflate_filter_sizes
 from repro.devtools.sanitize import node_candidates
 from repro.hilbert import HilbertCurve, encode_for_curves
 from repro.meta import Eq
@@ -422,7 +421,8 @@ def python_survivors(query_ref, cand_ids, cand_ref, ref_ref, beta, gamma,
 def scalar_oracle(index, point, k, predicate=None):
     """Algo. 2 for one point through the scalar pieces only: per-point
     ``curve.encode``, :func:`node_candidates` (a node-by-node walk of a
-    B+-tree bulk-loaded from each tree's columns), per-tree
+    B+-tree bulk-loaded from each tree's columns, passing over the
+    entries a predicate leaves ineligible), per-tree
     :func:`python_survivors` (the pipeline calls
     ``filter_survivors`` itself, so that is no oracle for stage (ii)),
     one-row ``_merge_survivors`` and ``rerank``."""
@@ -432,22 +432,20 @@ def scalar_oracle(index, point, k, predicate=None):
     ptolemaic = index.params.use_ptolemaic
     alpha, beta, gamma = index._effective_sizes(k, None, None, None,
                                                 ptolemaic)
-    eligible, selectivity = index._eligibility(predicate)
-    if predicate is not None:
-        alpha, beta, gamma = inflate_filter_sizes(alpha, beta, gamma,
-                                                  selectivity)
+    eligible, _ = index._eligibility(predicate)
     query_ref = index.references.distances_from(point)[0]
     survivors = []
-    for tree, part in zip(index.trees, index.partitions):
+    trees = zip(index.trees, index.partitions)
+    if eligible is not None and eligible.sum() <= alpha:
+        survivors, trees = [np.flatnonzero(eligible)], ()
+    for tree, part in trees:
         key = int(tree.curve.encode(index.quantizer.quantize(point[part])))
-        cand_ids, cand_ref = node_candidates(tree, key, alpha)
-        if eligible is not None:
-            keep = eligible[cand_ids]
-            cand_ids, cand_ref = cand_ids[keep], cand_ref[keep]
+        cand_ids, cand_ref = node_candidates(tree, key, alpha, eligible)
         survivors.append(python_survivors(
             query_ref, cand_ids, cand_ref, index.references.ref_ref,
             beta, gamma, ptolemaic))
-    merged = engine._merge_survivors(survivors, predicate)
+    merged = engine._merge_survivors(survivors,
+                                     engine._merge_tail(predicate))
     return engine.rerank(point, merged, k)
 
 

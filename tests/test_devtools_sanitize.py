@@ -195,8 +195,8 @@ class TestPackedNodeCrossCheck:
         packed = tree._packed
         original = type(packed).nearest_positions
 
-        def noisy(self, key, count, stats):
-            positions = original(self, key, count, stats)
+        def noisy(self, key, count, stats, subset=None):
+            positions = original(self, key, count, stats, subset)
             stats.record_read(10_000)  # phantom page read
             return positions
 
@@ -257,6 +257,38 @@ class TestColumnsOracleCrossCheck:
         tree.packed.leaf_pages = tree.packed.leaf_pages[::-1].copy()
         with pytest.raises(SanitizerError, match="trace divergence"):
             tree.candidates(keys[300].tobytes(), 8)
+
+    def test_eligible_lookup_is_checked_against_the_filtered_walk(
+            self, sanitized):
+        """A lookup among a subset of the entries used to raise
+        TypeError under the sanitizer (the shim took two arguments); it
+        is now diffed against the walk that passes over the others, and
+        equals :func:`node_candidates` with the same eligibility."""
+        tree, keys = self.build_rdbtree()
+        eligible = np.arange(600) % 7 == 0
+        subset = tree.positions_of(np.flatnonzero(eligible))
+        ids, ref = tree.candidates(keys[300].tobytes(), 20, subset)
+        assert ids.shape == (20,) and eligible[ids].all()
+        want_ids, want_ref = sanitize.node_candidates(
+            tree, int.from_bytes(keys[300].tobytes(), "big"), 20, eligible)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(ref, want_ref)
+        # More wanted than eligible: every eligible entry, the whole
+        # tree walked.
+        ids, _ = tree.candidates(keys[300].tobytes(), 200, subset)
+        assert sorted(ids.tolist()) == np.flatnonzero(eligible).tolist()
+
+    def test_eligible_lookup_divergence_raises(self, sanitized):
+        tree, keys = self.build_rdbtree()
+        subset = tree.positions_of(np.arange(0, 600, 5))
+        raw_taken = type(tree.packed)._raw_taken
+        type(tree.packed)._raw_taken = \
+            lambda self, key, split, last: (1, 1)
+        try:
+            with pytest.raises(SanitizerError, match="trace divergence"):
+                tree.candidates(keys[300].tobytes(), 20, subset)
+        finally:
+            type(tree.packed)._raw_taken = raw_taken
 
     def test_cached_tree_checked_against_the_uncached_trace(self, sanitized):
         tree, keys = self.build_rdbtree(cache_pages=16)

@@ -15,10 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import HDIndex, HDIndexParams, IndexSpec, open_index
-from repro.core.engine import (
-    SELECTIVITY_INFLATION_CAP,
-    inflate_filter_sizes,
-)
 from repro.core.factory import build
 from repro.core.spec import Execution, Topology
 from repro.distance import euclidean_to_many, normalize_rows, top_k_smallest
@@ -207,18 +203,145 @@ class TestPushdownProof:
         np.testing.assert_array_equal(dists, want_dists)
 
 
-class TestSelectivityInflation:
-    def test_inflate_filter_sizes(self):
-        alpha, beta, gamma = inflate_filter_sizes(64, 32, 16, 0.5)
-        assert (alpha, beta, gamma) == (128, 64, 32)
-        # Tiny selectivity hits the cap, not a huge multiplier.
-        capped = inflate_filter_sizes(64, 32, 16, 1e-9)
-        assert capped == (64 * SELECTIVITY_INFLATION_CAP,
-                          32 * SELECTIVITY_INFLATION_CAP,
-                          16 * SELECTIVITY_INFLATION_CAP)
-        # Unfiltered stays untouched.
-        assert inflate_filter_sizes(64, 32, 16, 1.0) == (64, 32, 16)
+class TestEligibleWindow:
+    """At budgets that do not exhaust the eligible set the semantics
+    show: every tree offers stage (ii) its α nearest-by-key *eligible*
+    entries, and α, β, γ are the configured ones."""
 
+    N, Q, K = 20_000, 16, 10
+    ALPHA, BETA, GAMMA = 64, 48, 32
+    #: What the ×20-inflated budgets (1280 / 960 / 640: no cut in stage
+    #: (ii) at all) answered on this seed before eligible lookups.
+    INFLATED_RECALL = 159 / 160
+
+    @pytest.fixture(scope="class")
+    def workload(self):
+        rng = np.random.default_rng(18)
+        centers = rng.uniform(0.0, 100.0, size=(40, 16))
+        data = np.clip(centers[rng.integers(0, 40, self.N)]
+                       + rng.normal(0.0, 6.0, (self.N, 16)), 0, 100)
+        queries = np.clip(
+            data[rng.choice(self.N, self.Q, replace=False)]
+            + rng.normal(0.0, 1.0, (self.Q, 16)), 0, 100)
+        labels = rng.integers(0, 20, self.N)  # Eq(label, 3): 5 %
+        index = HDIndex(HDIndexParams(
+            num_trees=4, num_references=5, alpha=self.ALPHA,
+            beta=self.BETA, gamma=self.GAMMA, use_ptolemaic=True,
+            domain=(0.0, 100.0), seed=3))
+        index.build(data, metadata=[
+            {"label": int(label), "rare": int(row % 377 == 0)}
+            for row, label in enumerate(labels)])
+        return index, queries, np.flatnonzero(labels == 3)
+
+    def test_each_tree_offers_alpha_eligible(self, workload, monkeypatch):
+        index, queries, eligible = workload
+        offered = []
+        filter_survivors = index._engine.filter_survivors
+
+        def recording(query_ref, ids, *rest):
+            offered.append(ids)
+            return filter_survivors(query_ref, ids, *rest)
+
+        monkeypatch.setattr(index._engine, "filter_survivors", recording)
+        index.query_batch(queries, self.K, predicate=Eq("label", 3))
+        assert len(offered) == self.Q * len(index.trees)
+        for ids in offered:
+            assert ids.shape == (self.ALPHA,)
+            assert np.isin(ids, eligible).all()
+        extra = index.last_query_stats().extra
+        assert (extra["alpha"], extra["beta"], extra["gamma"]) == \
+            (self.ALPHA, self.BETA, self.GAMMA)
+        assert extra["selectivity"] == pytest.approx(eligible.size / self.N)
+
+    def test_recall_and_batch_parity(self, workload):
+        index, queries, eligible = workload
+        predicate = Eq("label", 3)
+        batch_ids, batch_dists = index.query_batch(queries, self.K,
+                                                   predicate=predicate)
+        hits = 0
+        for row, query in enumerate(queries):
+            ids, dists = index.query(query, self.K, predicate=predicate)
+            np.testing.assert_array_equal(batch_ids[row], ids)
+            np.testing.assert_array_equal(batch_dists[row], dists)
+            truth, _ = oracle(index, query, self.K, predicate)
+            hits += np.isin(ids, truth).sum()
+        assert hits / (self.Q * self.K) >= self.INFLATED_RECALL
+
+    def test_no_more_eligible_than_alpha_skip_the_trees(self, workload):
+        """54 matching rows among 20k: the ×64-capped window (4096
+        entries a tree) could miss some.  Now every tree would offer all
+        54, so none is asked: the answer is the exact filtered one and
+        only the heap is read."""
+        index, queries, _ = workload
+        predicate = Eq("rare", 1)
+        assert predicate.mask(index.metadata).sum() == 54 <= self.ALPHA
+        tree_reads = sum(tree.stats.page_reads for tree in index.trees)
+        for query in queries[:4]:
+            ids, dists = index.query(query, self.K, predicate=predicate)
+            want_ids, want_dists = oracle(index, query, self.K, predicate)
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(dists, want_dists)
+            assert index.last_query_stats().candidates == 54
+        assert sum(tree.stats.page_reads
+                   for tree in index.trees) == tree_reads
+        # One over: the trees answer, α candidates each.
+        ids, _ = index.query(queries[0], self.K, predicate=predicate,
+                             alpha=53)
+        assert index.last_query_stats().candidates <= 53 * len(index.trees)
+        assert sum(tree.stats.page_reads
+                   for tree in index.trees) > tree_reads
+
+
+class TestEmptyPredicate:
+    """A predicate no base row matches (the far end of "no more eligible
+    rows than α"): no tree descent, no gather."""
+
+    def build(self, tmp_path=None, **spec):
+        data, queries, metadata = make_workload()
+        index = build(IndexSpec(params=exhaustive_params(), **spec), data,
+                      storage_dir=tmp_path and str(tmp_path),
+                      metadata=metadata)
+        return index, queries
+
+    def test_no_page_is_read(self):
+        index, queries = self.build()
+        index.heap.gather = None  # poisoned: any fetch raises TypeError
+        for tree in index.trees:
+            tree.candidates = None
+        before = index.io_snapshot()
+        ids, dists = index.query(queries[0], k=5, predicate=Eq("label", 99))
+        assert ids.size == 0 and dists.size == 0
+        batch_ids, batch_dists = index.query_batch(
+            queries, k=5, predicate=Eq("label", 99))
+        assert (batch_ids == -1).all() and np.isinf(batch_dists).all()
+        assert index.io_snapshot() == before
+        stats = index.last_query_stats()
+        assert stats.page_reads == 0 and stats.candidates == 0
+        assert stats.extra["selectivity"] == 0.0
+
+    @pytest.mark.parametrize("execution", ["thread", "process"])
+    def test_no_page_is_read_through_a_pool(self, tmp_path, execution):
+        index, queries = self.build(
+            tmp_path, backend="mmap",
+            execution=Execution(kind=execution, workers=2))
+        with index:
+            ids, _ = index.query(queries[0], k=5, predicate=Eq("label", 99))
+            assert ids.size == 0
+            assert index.last_query_stats().page_reads == 0
+
+    def test_eligible_delta_rows_still_answer(self):
+        index, queries = self.build()
+        new_id = index.insert(queries[0], metadata={
+            "label": 99, "score": 0.5, "tag": "even"})
+        index.insert(queries[1], metadata={
+            "label": 3, "score": 0.5, "tag": "odd"})
+        before = index.io_snapshot()
+        ids, dists = index.query(queries[0], k=5, predicate=Eq("label", 99))
+        assert ids.tolist() == [new_id] and dists[0] < 1e-5
+        assert index.io_snapshot() == before
+
+
+class TestSelectivityInflation:
     def test_stats_report_selectivity(self):
         data, queries, metadata = make_workload()
         index = HDIndex(exhaustive_params())
