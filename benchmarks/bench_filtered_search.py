@@ -9,11 +9,12 @@ records:
 * **recall**: fraction of the brute-force *filter-then-kNN* oracle's
   answers recovered at paper-scale budgets.  Every tree offers its α
   nearest-by-key *eligible* entries and stage (ii) cuts them to β and γ
-  as for any query, so a filtered query behaves like an unfiltered one
-  over an index of the eligible rows alone — which is built here, at
-  the same budgets, as the reference (``subindex_recall_*``).  A
-  predicate matching no more than α rows (the 1% tier) skips the trees
-  and is answered exactly;
+  as for any query (no more than α eligible rows in all, the 1% tier,
+  are re-ranked exactly).  The 0.9 bar asserted below dates from when
+  the budgets were multiplied by 1/selectivity; with γ = 24 binding on
+  300 eligible rows the 10% tier recalls 0.66 and fails it, so the
+  committed results are still the last passing run's (CHANGES.md,
+  PR 18);
 * **parity**: with exhaustive budgets (α = β = γ = n) filtered answers
   must be *byte-identical* to the oracle — ids and distances — at every
   selectivity; this is the correctness flag the CI gate requires
@@ -78,22 +79,6 @@ def _oracle(index: HDIndex, query: np.ndarray, k: int, predicate):
     return eligible[best], exact[best]
 
 
-def _subindex_recall(index: HDIndex, params, queries: np.ndarray,
-                     predicate) -> float:
-    """Recall of an *unfiltered* index over the eligible rows alone, at
-    the same budgets: what a filtered query is expected to match."""
-    eligible = np.nonzero(predicate.mask(index.metadata))[0]
-    sub = HDIndex(params)
-    sub.build(index.heap.gather(eligible))
-    hits = total = 0
-    for point in queries:
-        ids, _ = sub.query(point, K)  # ids of the sub-index are positions
-        want_ids, _ = _oracle(index, point, K, predicate)
-        hits += len(set(eligible[ids].tolist()) & set(want_ids.tolist()))
-        total += len(want_ids)
-    return hits / total
-
-
 def run_filtered_search_measurement() -> dict:
     """Build the bench workload, measure, and verify oracle parity.
 
@@ -133,8 +118,6 @@ def run_filtered_search_measurement() -> dict:
         metrics[f"recall_{tag}"] = round(hits / total, 4)
         metrics[f"selectivity_{tag}"] = round(float(selectivity), 4)
         metrics[f"p99_ms_{tag}"] = latency_percentiles(per_query)["p99_ms"]
-        metrics[f"subindex_recall_{tag}"] = round(
-            _subindex_recall(index, params, queries, predicate), 4)
 
         # Parity: exhaustive budgets must reproduce the oracle exactly.
         for point in queries[:PARITY_QUERIES]:
@@ -165,9 +148,7 @@ def report(payload: dict) -> None:
     for tag, _ in SELECTIVITIES:
         lines.append(
             f"filtered {tag:<5}    : {metrics[f'qps_{tag}']:>8.1f} q/s   "
-            f"recall {metrics[f'recall_{tag}']:.3f} "
-            f"[eligible-rows index "
-            f"{metrics[f'subindex_recall_{tag}']:.3f}]   "
+            f"recall {metrics[f'recall_{tag}']:.3f}   "
             f"(observed selectivity "
             f"{metrics[f'selectivity_{tag}']:.1%}, "
             f"p99 {metrics[f'p99_ms_{tag}']:.2f} ms)")
@@ -179,9 +160,7 @@ def report(payload: dict) -> None:
 
 -> the predicate is pushed down into the trees: each offers its alpha
    nearest-by-key eligible entries (ineligible points never bounded,
-   never gathered), so a filtered query recalls what an unfiltered
-   index of the eligible rows alone recalls at the same budgets, and a
-   predicate matching no more than alpha rows is answered exactly""")
+   never gathered) under the unfiltered alpha, beta and gamma""")
     emit_json(BENCH, payload)
 
 
@@ -191,14 +170,9 @@ def test_filtered_search(benchmark):
     report(payload)
     assert payload["parity"], \
         "filtered answers diverged from the filter-then-kNN oracle"
-    metrics = payload["metrics"]
-    assert metrics["recall_1pct"] == 1.0, \
-        "no more than alpha eligible rows must be answered exactly"
     for tag, _ in SELECTIVITIES:
-        assert metrics[f"recall_{tag}"] >= \
-            metrics[f"subindex_recall_{tag}"] - 0.05, (
-                f"{tag} recall below an unfiltered index of the eligible "
-                f"rows at the same budgets")
+        assert payload["metrics"][f"recall_{tag}"] >= 0.9, (
+            f"{tag} recall below the 0.9 acceptance bar")
 
 
 if __name__ == "__main__":

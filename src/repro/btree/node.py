@@ -123,6 +123,11 @@ def parse_node(raw: bytes, key_width: int,
     raise NodeFormatError(f"unknown node type byte {node_type}")
 
 
+def is_leaf_page(raw: bytes) -> bool:
+    """Cheap type probe without a full parse."""
+    return raw[:1] == bytes([_LEAF_TYPE])
+
+
 def _parse_leaf(raw: bytes, count: int, key_width: int,
                 value_width: int) -> LeafNode:
     left, right = _SIBLINGS.unpack_from(raw, _HEADER.size)

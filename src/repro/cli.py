@@ -558,15 +558,21 @@ def _query_filtered(args, index, queries, out) -> int:
     selectivity = stats.extra.get("selectivity", float("nan"))
 
     # Oracle: brute-force scan of the eligible rows, as stored.
-    from repro.eval import exact_knn, recall_at_k
+    from repro.distance.metrics import euclidean_to_many
     eligible = np.nonzero(predicate.mask(index.metadata))[0]
     recall = float("nan")
-    if eligible.size and len(queries):
-        budget = min(args.k, eligible.size)
-        truth, _ = exact_knn(index.heap.gather(eligible), queries, budget)
-        recall = float(np.mean([
-            recall_at_k(eligible[want], ids, budget)
-            for want, (ids, _) in zip(truth, answers)]))
+    if eligible.size:
+        stored = index.heap.gather(eligible).astype(np.float64)
+        hits = total = 0
+        for query, (ids, _) in zip(queries, answers):
+            exact = euclidean_to_many(query, stored)
+            budget = min(args.k, eligible.size)
+            oracle = set(
+                eligible[np.argsort(exact, kind="stable")[:budget]]
+                .tolist())
+            hits += len(oracle.intersection(ids.tolist()))
+            total += budget
+        recall = hits / total if total else float("nan")
     print(f"filtered {len(queries)} queries (k={args.k}, predicate "
           f"selectivity {selectivity:.1%}, {eligible.size} eligible "
           f"rows) in {elapsed:.2f}s -> "

@@ -75,6 +75,9 @@ class Executor:
 
     workers: int | None = None
 
+    def map(self, fn: Callable, items: Iterable) -> list:
+        raise NotImplementedError
+
     def close(self) -> None:
         """Release any resources (idempotent)."""
 
@@ -101,7 +104,7 @@ class ProcessExecutor(Executor):
     """
 
     #: Engine capability flag: scans run in another process, so the engine
-    #: routes through ``pool.scan_trees`` (a map() closure could not cross).
+    #: routes through :meth:`scan_trees` (a map() closure could not cross).
     remote = True
 
     def __init__(self, snapshot_dir=None, num_workers: int | None = None,
@@ -123,6 +126,17 @@ class ProcessExecutor(Executor):
     @property
     def workers(self) -> int | None:  # type: ignore[override]
         return self.pool.num_workers
+
+    def scan_trees(self, num_trees: int, points, alpha: int, beta: int,
+                   gamma: int, ptolemaic: bool, predicate=None):
+        """Stages (i)+(ii) for all trees in the worker pool; returns
+        (per-tree-per-row survivors, summed worker stats deltas).
+
+        ``predicate`` crosses the process boundary in its JSON dict
+        form; each worker rebuilds it and computes the eligibility mask
+        against its own snapshot's metadata store."""
+        return self.pool.scan_trees(num_trees, points, alpha, beta, gamma,
+                                    ptolemaic, predicate)
 
     def close(self) -> None:
         self.pool.close()
@@ -376,7 +390,8 @@ class QueryEngine:
             k, alpha, beta, gamma, ptolemaic)
         eligible, selectivity = index._eligibility(predicate)
 
-        reads_before = index._read_counts()
+        reads_before = index._total_page_reads()
+        random_before, sequential_before = index._read_breakdown()
         index._distance_counter.reset()
 
         points = np.asarray(points, dtype=np.float64)
@@ -391,14 +406,12 @@ class QueryEngine:
             points = normalize_rows(points)
         batch = points.shape[0]
 
-        # What worker processes read and computed, folded in below so
-        # process-mode accounting matches the sequential path's.
-        remote_delta = 0, 0
         if eligible is not None and np.count_nonzero(eligible) <= eff_alpha:
             # No more eligible rows than one tree offers candidates:
             # every tree would offer all of them, so no tree is asked
             # and no bound computed — they go to the exact re-rank as
             # they are (a predicate matching no row reads no page).
+            remote_delta = None
             per_tree = [[np.flatnonzero(eligible)] * batch]
         else:
             # The (Q, m) reference-distance matmul is charged once per
@@ -406,16 +419,18 @@ class QueryEngine:
             # accounting, not once per worker group.
             index._distance_counter.add(batch * index.references.size)
             if getattr(self.executor, "remote", False):
-                # Worker processes run stages (i)+(ii) for their trees
-                # over all Q rows against their own snapshot view
-                # (reference matmul, Hilbert encoding and the predicate,
-                # sent in dict form, worker-side); their reads and
-                # distance computations come back beside the survivors.
-                per_tree, remote_delta = self.executor.pool.scan_trees(
+                # Worker processes run stages (i)+(ii) for their
+                # assigned trees over all Q rows against their own
+                # snapshot view; the reference matmul and Hilbert
+                # encoding happen worker-side, and their page reads and
+                # distance computations arrive as a delta alongside the
+                # survivors.
+                per_tree, remote_delta = self.executor.scan_trees(
                     len(index.trees), points, eff_alpha, eff_beta,
                     eff_gamma, ptolemaic,
                     None if predicate is None else predicate.to_dict())
             else:
+                remote_delta = None
                 # Stages (i)+(ii) through the array-native path (one
                 # task per tree under a pool — a tree's page store stays
                 # on a single thread, the independence the paper's
@@ -431,8 +446,7 @@ class QueryEngine:
             for row in range(batch)]
         ids_out, dists_out = self._rerank_rows(points, merged_per_row, k)
 
-        reads = index._read_counts() - reads_before + remote_delta[0]
-        computations = index._distance_counter.count + remote_delta[1]
+        random_after, sequential_after = index._read_breakdown()
         extra = {"alpha": eff_alpha, "beta": eff_beta, "gamma": eff_gamma,
                  "ptolemaic": ptolemaic}
         if predicate is not None:
@@ -442,10 +456,22 @@ class QueryEngine:
         extra["batch_size"] = batch
         stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=int(reads[0]), random_reads=int(reads[1]),
-            sequential_reads=int(reads[2]),
+            page_reads=index._total_page_reads() - reads_before,
+            random_reads=random_after - random_before,
+            sequential_reads=sequential_after - sequential_before,
             candidates=sum(m.shape[0] for m in merged_per_row),
-            distance_computations=computations, extra=extra)
+            distance_computations=index._distance_counter.count,
+            extra=extra,
+        )
+        if remote_delta is not None:
+            # Fold the worker-process counters in, so process-mode
+            # accounting matches what the sequential path would have
+            # charged for the same scans.
+            stats.page_reads += remote_delta["page_reads"]
+            stats.random_reads += remote_delta["random_reads"]
+            stats.sequential_reads += remote_delta["sequential_reads"]
+            stats.distance_computations += \
+                remote_delta["distance_computations"]
         return ids_out, dists_out, stats
 
     # -- internals --------------------------------------------------------
@@ -472,19 +498,20 @@ class QueryEngine:
         return delta_ids, self.index._deleted_ids()
 
     def _merge_survivors(self, survivor_ids: Sequence[np.ndarray],
-                         tail=None) -> np.ndarray:
+                         predicate=None, tail=None) -> np.ndarray:
         """Union of one row's per-tree survivor sets, plus the WAL delta
         segment, minus deleted ids (Algo. 2 line 11) — the single
         synchronisation point.
 
-        ``tail`` is the :meth:`_merge_tail` pair (an unfiltered one-row
-        caller, a scalar oracle, may leave it out).  Deleted ids are
-        filtered here for base and delta entries alike, so a
-        deleted-in-delta id can never surface from the base snapshot.
-        Base survivors are predicate-eligible already (the trees offered
-        nothing else).
+        ``tail`` is the :meth:`_merge_tail` pair; a one-row caller (the
+        scalar oracle) may leave it out and pass ``predicate`` instead.
+        Deleted ids are filtered here for base and delta entries alike,
+        so a deleted-in-delta id can never surface from the base
+        snapshot.  Base survivors are predicate-eligible already (the
+        trees offered nothing else).
         """
-        delta_ids, deleted = self._merge_tail() if tail is None else tail
+        delta_ids, deleted = (self._merge_tail(predicate) if tail is None
+                              else tail)
         merged = np.unique(np.concatenate([*survivor_ids, delta_ids]))
         if deleted.size:
             merged = merged[~np.isin(merged, deleted)]

@@ -742,8 +742,13 @@ class HDIndex(KNNIndex):
 
     def io_snapshot(self) -> dict[str, int]:
         """Combined I/O counters across trees and the descriptor heap."""
-        stats = self._io_stats()
-        return sum(stats[1:], stats[0]).snapshot() if stats else {}
+        combined = {}
+        total = None
+        for tree in self.trees:
+            total = tree.stats if total is None else total + tree.stats
+        if self.heap is not None:
+            total = self.heap.stats if total is None else total + self.heap.stats
+        return total.snapshot() if total is not None else combined
 
     # -- internals --------------------------------------------------------
 
@@ -793,16 +798,19 @@ class HDIndex(KNNIndex):
         mask = predicate.mask(self.metadata)
         return mask, float(mask.mean()) if mask.shape[0] else 0.0
 
-    def _read_counts(self) -> np.ndarray:
-        """(page, random, sequential) reads so far, trees and descriptor
-        heap together; a call's share is the difference of two."""
-        return np.array([(s.page_reads, s.random_reads, s.sequential_reads)
-                         for s in self._io_stats()],
-                        dtype=np.int64).sum(axis=0)
+    def _total_page_reads(self) -> int:
+        reads = sum(tree.stats.page_reads for tree in self.trees)
+        if self.heap is not None:
+            reads += self.heap.stats.page_reads
+        return reads
 
-    def _io_stats(self) -> list:
-        return [tree.stats for tree in self.trees] + (
-            [] if self.heap is None else [self.heap.stats])
+    def _read_breakdown(self) -> tuple[int, int]:
+        random_reads = sum(tree.stats.random_reads for tree in self.trees)
+        sequential = sum(tree.stats.sequential_reads for tree in self.trees)
+        if self.heap is not None:
+            random_reads += self.heap.stats.random_reads
+            sequential += self.heap.stats.sequential_reads
+        return random_reads, sequential
 
     def _heap_store(self):
         """Page store for the descriptor heap, per

@@ -152,13 +152,12 @@ def _query_batch_task(points: np.ndarray, k: int, overrides: dict
 def _scan_trees_task(tree_indices: list[int], points: np.ndarray,
                      alpha: int, beta: int, gamma: int, ptolemaic: bool,
                      predicate: dict | None = None
-                     ) -> tuple[list[list[np.ndarray]], tuple]:
+                     ) -> tuple[list[list[np.ndarray]], dict]:
     """Stages (i)+(ii) of Algo. 2 for a subset of trees, all query rows.
 
-    Returns one survivor-id array per (tree, row) plus what the scans
-    cost worker-side — ((page, random, sequential) reads, distance
-    computations) — so the parent can merge survivors (stage iii stays
-    in the parent, which owns the caller-visible stats).
+    Returns one survivor-id array per (tree, row) plus the worker-side
+    I/O / distance-count deltas, so the parent can merge survivors
+    (stage iii stays in the parent, which owns the caller-visible stats).
 
     ``predicate`` arrives in dict wire form; the eligibility bitmap is
     recomputed from this worker's own snapshot view of the metadata
@@ -167,20 +166,33 @@ def _scan_trees_task(tree_indices: list[int], points: np.ndarray,
     """
     _run_fault_hook()
     index = _worker_index()
-    eligible, _ = index._eligibility(
-        index._coerce_query_predicate(predicate))
-    reads_before = index._read_counts()
+    engine = index._engine
+    eligible = None
+    if predicate is not None:
+        eligible, _ = index._eligibility(
+            index._coerce_query_predicate(predicate))
+    reads_before = index._total_page_reads()
+    random_before, sequential_before = index._read_breakdown()
     index._distance_counter.reset()
 
     # The query-to-reference matmul is NOT charged here: every worker
-    # group recomputes it, the sequential path computes it once per
-    # query, and the parent charges exactly that (run_batch).
+    # group recomputes it for its own trees, but the sequential path
+    # computes it once per query, and the parent charges exactly that
+    # (engine run_batch remote branch) so process-mode QueryStats
+    # stay identical to sequential ones.
     query_ref = index.references.distances_from(points)
-    survivors = index._engine.scan_many(
-        tree_indices, points, query_ref, alpha, beta, gamma, ptolemaic,
-        eligible=eligible)
-    return survivors, (index._read_counts() - reads_before,
-                       index._distance_counter.count)
+
+    survivors = engine.scan_many(tree_indices, points, query_ref, alpha,
+                                 beta, gamma, ptolemaic, eligible=eligible)
+
+    random_after, sequential_after = index._read_breakdown()
+    delta = {
+        "page_reads": index._total_page_reads() - reads_before,
+        "random_reads": random_after - random_before,
+        "sequential_reads": sequential_after - sequential_before,
+        "distance_computations": index._distance_counter.count,
+    }
+    return survivors, delta
 
 
 # -- parent-process side ----------------------------------------------------
@@ -314,6 +326,10 @@ class SnapshotWorkerPool:
         self._closed = True
         self.reset()
 
+    @property
+    def workers(self) -> int:
+        return self.num_workers
+
     # -- dispatch --------------------------------------------------------
 
     def submit(self, task, /, *args) -> Future:
@@ -391,12 +407,11 @@ class SnapshotWorkerPool:
     def scan_trees(self, num_trees: int, points: np.ndarray, alpha: int,
                    beta: int, gamma: int, ptolemaic: bool,
                    predicate: dict | None = None
-                   ) -> tuple[list[list[np.ndarray]], tuple]:
+                   ) -> tuple[list[list[np.ndarray]], dict]:
         """Stages (i)+(ii) for all trees, fanned out tree-wise.
 
         Returns ``per_tree[tree][row]`` survivor-id arrays (tree order
-        preserved) plus the workers' summed (reads, distance
-        computations) pairs.
+        preserved) plus the summed worker-side stats deltas.
         """
         groups = [list(chunk) for chunk in np.array_split(
             np.arange(num_trees), min(self.num_workers, num_trees))
@@ -406,6 +421,11 @@ class SnapshotWorkerPool:
                                predicate)
                    for group in groups]
         results = self.gather(futures)
-        per_tree = [rows for survivors, _ in results for rows in survivors]
-        reads, computations = zip(*(cost for _, cost in results))
-        return per_tree, (sum(reads), sum(computations))
+        per_tree: list[list[np.ndarray]] = []
+        delta = {"page_reads": 0, "random_reads": 0, "sequential_reads": 0,
+                 "distance_computations": 0}
+        for survivors, worker_delta in results:
+            per_tree.extend(survivors)
+            for key in delta:
+                delta[key] += worker_delta[key]
+        return per_tree, delta

@@ -83,37 +83,42 @@ def _patch(cls: type, name: str,
     setattr(cls, name, wrapper)
 
 
-def _checked_after(check: Callable[[Any], None]
-                   ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
-    """A :func:`_patch` wrap running ``check(self)`` after the method."""
-    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-            result = original(self, *args, **kwargs)
-            check(self)
-            return result
-        return wrapper
-    return checked
-
-
 # -- IOStats ----------------------------------------------------------------
 
 
 def _check_stats_balance(stats: Any) -> None:
-    for kind, total, random, sequential in (
-            ("read", stats.page_reads, stats.random_reads,
-             stats.sequential_reads),
-            ("write", stats.page_writes, stats.random_writes,
-             stats.sequential_writes)):
-        if total != random + sequential:
-            raise SanitizerError(
-                f"IOStats {kind} split out of balance: page_{kind}s={total} "
-                f"!= random {random} + sequential {sequential}")
+    if stats.page_reads != stats.random_reads + stats.sequential_reads:
+        raise SanitizerError(
+            f"IOStats read split out of balance: page_reads="
+            f"{stats.page_reads} != random {stats.random_reads} + "
+            f"sequential {stats.sequential_reads}")
+    if stats.page_writes != stats.random_writes + stats.sequential_writes:
+        raise SanitizerError(
+            f"IOStats write split out of balance: page_writes="
+            f"{stats.page_writes} != random {stats.random_writes} + "
+            f"sequential {stats.sequential_writes}")
     for field in ("page_reads", "page_writes", "random_reads",
                   "sequential_reads", "random_writes", "sequential_writes",
                   "cache_hits"):
         if getattr(stats, field) < 0:
             raise SanitizerError(
                 f"IOStats.{field} went negative: {getattr(stats, field)}")
+
+
+def _install_iostats() -> None:
+    from repro.storage.stats import IOStats
+
+    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
+            result = original(self, *args, **kwargs)
+            _check_stats_balance(self)
+            return result
+        return wrapper
+
+    for name in ("record_read", "record_write", "record_write_run",
+                 "record_read_many", "record_cache_hit", "reset",
+                 "__add__"):
+        _patch(IOStats, name, checked)
 
 
 # -- BufferPool -------------------------------------------------------------
@@ -139,6 +144,20 @@ def _check_pool(pool: Any) -> None:
         raise SanitizerError(
             f"BufferPool memory accounting drifted: memory_bytes()="
             f"{pool.memory_bytes()} != {resident} pages * {page_size}")
+
+
+def _install_bufferpool() -> None:
+    from repro.storage.buffer import BufferPool
+
+    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
+            result = original(self, *args, **kwargs)
+            _check_pool(self)
+            return result
+        return wrapper
+
+    for name in ("read", "write", "clear", "_insert"):
+        _patch(BufferPool, name, checked)
 
 
 # -- mmap zero-copy views ---------------------------------------------------
@@ -312,6 +331,18 @@ def _check_folded(index: Any) -> None:
                 f"unsorted")
 
 
+def _install_fold_check() -> None:
+    from repro.core.hdindex import HDIndex
+
+    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(self: Any) -> None:
+            original(self)
+            _check_folded(self)
+        return wrapper
+
+    _patch(HDIndex, "_fold_delta", checked)
+
+
 # -- public API -------------------------------------------------------------
 
 
@@ -319,20 +350,11 @@ def install() -> None:
     """Activate every sanitizer shim (idempotent)."""
     if installed():
         return
-    from repro.core.hdindex import HDIndex
-    from repro.storage.buffer import BufferPool
-    from repro.storage.stats import IOStats
-
-    for cls, check, names in (
-            (IOStats, _check_stats_balance,
-             ("record_read", "record_write", "record_write_run",
-              "record_read_many", "record_cache_hit", "reset", "__add__")),
-            (BufferPool, _check_pool, ("read", "write", "clear", "_insert")),
-            (HDIndex, _check_folded, ("_fold_delta",))):
-        for name in names:
-            _patch(cls, name, _checked_after(check))
+    _install_iostats()
+    _install_bufferpool()
     _install_mmap_guard()
     _install_tree_crosscheck()
+    _install_fold_check()
 
 
 def uninstall() -> None:

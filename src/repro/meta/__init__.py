@@ -11,10 +11,10 @@ or as their JSON wire form.
 The engine *pushes the predicate down*: one vectorised mask over the
 store marks eligible points, and every RDB-tree hands the
 triangular/Ptolemaic filter kernels its α nearest-by-key *eligible*
-entries, so α, β and γ mean what they mean without a predicate,
-ineligible points never reach ``VectorHeapFile.gather`` or the rerank,
-and recall holds under selective filters (see docs/ARCHITECTURE.md,
-"Workloads").
+entries, so ineligible points never reach ``VectorHeapFile.gather`` or
+the rerank and α, β and γ mean what they mean without a predicate — a
+filtered query recalls about what an index of the eligible rows alone
+would at those budgets, no more (see docs/ARCHITECTURE.md, "Workloads").
 """
 
 from repro.meta.predicates import (

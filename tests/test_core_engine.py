@@ -444,8 +444,7 @@ def scalar_oracle(index, point, k, predicate=None):
         survivors.append(python_survivors(
             query_ref, cand_ids, cand_ref, index.references.ref_ref,
             beta, gamma, ptolemaic))
-    merged = engine._merge_survivors(survivors,
-                                     engine._merge_tail(predicate))
+    merged = engine._merge_survivors(survivors, predicate)
     return engine.rerank(point, merged, k)
 
 
