@@ -199,8 +199,7 @@ def _measure(workload, snapshot):
     sequential_qps, oracle = _sequential_loop(index, queries)
     table[("sequential", 0)] = sequential_qps
 
-    with QueryService(index, max_batch=MAX_BATCH,
-                      max_wait_ms=2.0) as service:
+    with QueryService(index, max_batch=MAX_BATCH) as service:
         table[("thread-service", 0)] = _service_qps(
             service, queries, oracle, "thread-service")
         table[("thread-service b=1", 0)] = _service_single_qps(
@@ -214,7 +213,7 @@ def _measure(workload, snapshot):
         table[("pool-batch b=1", workers)] = single_qps
         with QueryService.from_snapshot(
                 snapshot, mode="process", workers=workers,
-                max_batch=MAX_BATCH, max_wait_ms=2.0) as service:
+                max_batch=MAX_BATCH) as service:
             table[("process-service", workers)] = _service_qps(
                 service, queries, oracle, f"process-service[{workers}]")
             table[("process-service b=1", workers)] = _service_single_qps(

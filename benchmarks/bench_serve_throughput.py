@@ -5,7 +5,7 @@ the naive thread-safe alternative — a per-query lock-step loop where every
 client thread takes a global lock around ``index.query`` (the page stores
 are not thread-safe, so a lock is the minimum a direct-access deployment
 needs).  The service funnels the same concurrent traffic through one
-worker that flushes micro-batches into the vectorised ``query_batch``
+worker that hands whatever is queued to the vectorised ``query_batch``
 path, so the per-query fixed costs (reference matmul, Hilbert encoding,
 duplicate descriptor fetches) amortise across whatever happens to be
 in flight.
@@ -35,7 +35,6 @@ from repro.serve import QueryService
 
 BENCH = "serve_throughput"
 CLIENTS = (1, 4, 8)
-WAITS_MS = (0.0, 2.0)
 NUM_QUERIES = 256
 K = 10
 MAX_BATCH = 64
@@ -62,10 +61,9 @@ def test_serve_throughput(workload, index, benchmark):
     # array-native hot path gave the loop the same kernels the batch
     # path uses, so the service's remaining edge is duplicate-work
     # amortisation and in-flight overlap, not kernel quality — >= 1.3x
-    # at the best max_wait_ms setting keeps that claim honest without
-    # re-litigating the hot-path win (bench_hotpath.py guards that).
-    best_async = max(table[("async", wait, 8)] for wait in WAITS_MS)
-    speedup = best_async / table[("lockstep", 8)]
+    # keeps that claim honest without re-litigating the hot-path win
+    # (bench_hotpath.py guards that).
+    speedup = table[("async", 8)] / table[("lockstep", 8)]
     assert speedup >= 1.3, f"service only {speedup:.2f}x lock-step loop"
 
 
@@ -119,25 +117,20 @@ def _measure(workload, index):
         emit(BENCH, f"{'lock-step loop':<22} {num_clients:>8} "
                     f"{table[('lockstep', num_clients)]:>9.1f} "
                     f"{'1.00x':>8} {'-':>11}")
-    for wait_ms in WAITS_MS:
-        for pipelined in (False, True):
-            mode = "async" if pipelined else "sync"
-            for num_clients in CLIENTS:
-                with QueryService(index, max_batch=MAX_BATCH,
-                                  max_wait_ms=wait_ms) as service:
-                    qps = _service_qps(service, queries, num_clients,
-                                       pipelined)
-                    stats = service.stats()
-                table[(mode, wait_ms, num_clients)] = qps
-                baseline = table[("lockstep", num_clients)]
-                emit(BENCH,
-                     f"{f'service {mode} wait={wait_ms:g}ms':<22} "
-                     f"{num_clients:>8} {qps:>9.1f} "
-                     f"{f'{qps / baseline:.2f}x':>8} "
-                     f"{stats.mean_batch_size():>11.1f}")
+    for pipelined in (False, True):
+        mode = "async" if pipelined else "sync"
+        for num_clients in CLIENTS:
+            with QueryService(index, max_batch=MAX_BATCH) as service:
+                qps = _service_qps(service, queries, num_clients, pipelined)
+                stats = service.stats()
+            table[(mode, num_clients)] = qps
+            baseline = table[("lockstep", num_clients)]
+            emit(BENCH,
+                 f"{f'service {mode}':<22} "
+                 f"{num_clients:>8} {qps:>9.1f} "
+                 f"{f'{qps / baseline:.2f}x':>8} "
+                 f"{stats.mean_batch_size():>11.1f}")
     emit(BENCH, "\n-> sync clients cap the batch at the client count; "
                 "async (futures) clients let micro-batches reach "
-                "max_batch, where the vectorised engine path pays off. "
-                "max_wait_ms trades tail latency for batch size at low "
-                "concurrency.")
+                "max_batch, where the vectorised engine path pays off.")
     return table

@@ -67,8 +67,7 @@ def main() -> None:
 
         # --- 3. serve concurrent clients --------------------------------
         results: list = [None] * len(dataset.queries)
-        with QueryService(reopened, max_batch=32, max_wait_ms=2.0,
-                          cache_size=256) as service:
+        with QueryService(reopened, max_batch=32, cache_size=256) as service:
             def client(client_index: int) -> None:
                 for i in range(client_index, len(dataset.queries),
                                NUM_CLIENTS):
@@ -94,7 +93,8 @@ def main() -> None:
               f"threads in {elapsed:.2f}s "
               f"({stats.queries / elapsed:.0f} q/s)")
         print(f"micro-batches: {stats.batches}, mean size "
-              f"{stats.mean_batch_size():.1f}, max {stats.max_batch_size}")
+              f"{stats.mean_batch_size():.1f}, max {stats.max_batch_size}, "
+              f"mean queue wait {stats.mean_queue_wait_ms():.2f} ms")
         print(f"result cache: {stats.cache_hits} hits / "
               f"{stats.cache_misses} misses")
         print(f"answers identical to the pre-snapshot index: {agree}")

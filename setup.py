@@ -16,4 +16,8 @@ setup(
         "repro.devtools": ["hotpaths.toml", "mypy_baseline.txt"],
     },
     python_requires=">=3.10",
+    install_requires=["numpy"],
+    # scipy.stats is imported by the LSH and SRS baselines when they
+    # run, never by ``import repro``.
+    extras_require={"baselines": ["scipy"]},
 )

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 
 def e2lsh_collision_probability(distance: float, width: float) -> float:
@@ -23,6 +22,7 @@ def e2lsh_collision_probability(distance: float, width: float) -> float:
     """
     if distance <= 0.0:
         return 1.0
+    from scipy.stats import norm
     t = width / distance
     return float(
         1.0 - 2.0 * norm.cdf(-t)
@@ -36,6 +36,7 @@ def qalsh_collision_probability(distance: float, width: float) -> float:
     bucket collision probability."""
     if distance <= 0.0:
         return 1.0
+    from scipy.stats import norm
     return float(2.0 * norm.cdf(width / (2.0 * distance)) - 1.0)
 
 

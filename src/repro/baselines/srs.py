@@ -21,7 +21,6 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.stats import chi2
 
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.distance.metrics import DistanceCounter
@@ -97,6 +96,7 @@ class SRS(KNNIndex):
             raise RuntimeError("index has not been built; call build() first")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
+        from scipy.stats import chi2
         started = time.perf_counter()
         reads_before = self.heap.stats.page_reads
         counter = DistanceCounter()

@@ -188,10 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--repeat", type=_positive_int, default=1,
                        help="send the query workload this many times")
     serve.add_argument("--max-batch", type=_positive_int, default=64,
-                       help="flush a micro-batch at this many requests")
-    serve.add_argument("--max-wait-ms", type=float, default=2.0,
-                       help="flush an incomplete micro-batch after this "
-                            "many milliseconds")
+                       help="most requests one micro-batch takes")
     serve.add_argument("--max-pending", type=_positive_int, default=1024,
                        help="backpressure bound on queued requests")
     serve.add_argument("--cache", type=int, default=0,
@@ -591,7 +588,6 @@ def cmd_serve(args, out=sys.stdout) -> int:
     index = open_index(args.index, cache_pages=args.cache_pages,
                        backend=args.backend)
     config = ServiceConfig(max_batch=args.max_batch,
-                           max_wait_ms=args.max_wait_ms,
                            max_pending=args.max_pending,
                            cache_size=max(0, args.cache))
     dispatch = args.execution if args.execution is not None else args.mode
@@ -640,8 +636,8 @@ def cmd_serve(args, out=sys.stdout) -> int:
           f"{stats.queries / elapsed:.1f} q/s", file=out)
     print(f"{stats.batches} micro-batches, mean size "
           f"{stats.mean_batch_size():.1f}, max {stats.max_batch_size} "
-          f"(max_batch={args.max_batch}, "
-          f"max_wait_ms={args.max_wait_ms:g})", file=out)
+          f"(max_batch={args.max_batch}), mean queue wait "
+          f"{stats.mean_queue_wait_ms():.2f} ms", file=out)
     if config.cache_size:
         print(f"result cache: {stats.cache_hits} hits / "
               f"{stats.cache_misses} misses", file=out)

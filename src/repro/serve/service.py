@@ -5,9 +5,12 @@ amortises per-query fixed costs — the query-to-reference matmul, one
 Hilbert-encoding pass per tree, one descriptor fetch per *distinct*
 candidate — across a batch.  Live traffic, however, arrives one query at a
 time from many client threads.  :class:`QueryService` bridges the two: it
-coalesces single-query submissions in a queue, flushes on ``max_batch`` or
-``max_wait_ms`` (whichever comes first), answers through the index's
-vectorised ``query_batch``, and completes one future per caller.
+queues single-query submissions, hands the dispatcher whatever is queued
+(FIFO, at most ``max_batch``) the moment it is free, answers through the
+index's vectorised ``query_batch``, and completes one future per caller.
+The policy is work-conserving: a lone request on an idle service starts at
+once, and batches form from what arrives while the previous batch runs —
+the dispatcher never sleeps on a request it could be answering.
 
 Because a single worker thread owns the index, the page stores and buffer
 pools (which are not thread-safe) are never touched concurrently; client
@@ -86,14 +89,10 @@ class ServiceConfig:
     Attributes
     ----------
     max_batch:
-        Flush as soon as this many requests are pending.  The marginal
+        Most requests one batch takes from the queue.  The marginal
         gain of the batch path flattens past a few hundred (see
         ``benchmarks/bench_batch_throughput.py``), so bigger mostly adds
         latency.
-    max_wait_ms:
-        Flush an incomplete batch this long after its first request
-        arrived.  ``0`` flushes whatever has accumulated immediately —
-        lowest latency, smallest batches.
     max_pending:
         Backpressure bound: maximum requests waiting in the queue before
         ``submit`` blocks.
@@ -102,16 +101,12 @@ class ServiceConfig:
     """
 
     max_batch: int = 64
-    max_wait_ms: float = 2.0
     max_pending: int = 1024
     cache_size: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(
-                f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.max_pending < 1:
             raise ValueError(
                 f"max_pending must be >= 1, got {self.max_pending}")
@@ -122,7 +117,9 @@ class ServiceConfig:
 
 @dataclasses.dataclass
 class ServiceStats:
-    """Cumulative counters since the service was created."""
+    """Cumulative counters since the service was created;
+    ``queue_wait_ms_total`` sums batch start minus enqueue over every
+    dispatched request."""
 
     queries: int = 0
     batches: int = 0
@@ -131,14 +128,20 @@ class ServiceStats:
     cache_misses: int = 0
     overloads: int = 0
     deadline_expired: int = 0
+    queue_wait_ms_total: float = 0.0
 
     def mean_batch_size(self) -> float:
         dispatched = self.queries - self.cache_hits
         return dispatched / self.batches if self.batches else 0.0
 
+    def mean_queue_wait_ms(self) -> float:
+        dispatched = self.queries - self.cache_hits
+        return self.queue_wait_ms_total / dispatched if dispatched else 0.0
+
     def as_dict(self) -> dict:
         data = dataclasses.asdict(self)
         data["mean_batch_size"] = self.mean_batch_size()
+        data["mean_queue_wait_ms"] = self.mean_queue_wait_ms()
         return data
 
 
@@ -160,7 +163,8 @@ class _SwapRequest:
 class _Request:
     """One queued query: the decoupled point, its cache key, its future."""
 
-    __slots__ = ("point", "k", "overrides", "key", "future", "expires_at")
+    __slots__ = ("point", "k", "overrides", "key", "future", "expires_at",
+                 "enqueued_at")
 
     def __init__(self, point: np.ndarray, k: int, overrides: tuple,
                  key, expires_at: float | None = None) -> None:
@@ -172,6 +176,8 @@ class _Request:
         # Monotonic instant past which the caller no longer wants an
         # answer; ``None`` means no deadline.
         self.expires_at = expires_at
+        # Monotonic instant ``submit`` put the request on the queue.
+        self.enqueued_at = 0.0
 
     def expired(self, now: float) -> bool:
         return self.expires_at is not None and now >= self.expires_at
@@ -226,7 +232,7 @@ class QueryService:
 
     Typical use::
 
-        with QueryService(index, max_batch=64, max_wait_ms=2.0) as service:
+        with QueryService(index, max_batch=64) as service:
             futures = [service.submit(q, k=10) for q in queries]
             results = [f.result() for f in futures]
 
@@ -257,7 +263,7 @@ class QueryService:
     >>> index = HDIndex(HDIndexParams(num_trees=2, hilbert_order=4,
     ...                               num_references=4, alpha=8, seed=0))
     >>> index.build(data)
-    >>> with QueryService(index, max_batch=8, max_wait_ms=0.0) as service:
+    >>> with QueryService(index, max_batch=8) as service:
     ...     ids, dists = service.query(data[3], k=2)
     >>> int(ids[0]), float(dists[0])
     (3, 0.0)
@@ -625,6 +631,7 @@ class QueryService:
                             f"{self.config.max_pending})")
                 self._check_open()
             self._stats.queries += 1
+            request.enqueued_at = time.monotonic()
             self._queue.append(request)
             self._not_empty.notify()
         return request.future
@@ -828,9 +835,9 @@ class QueryService:
                         pass
 
     def _collect(self) -> list[_Request] | None:
-        """Block for the next micro-batch; ``None`` when stopped and
-        drained."""
-        config = self.config
+        """The next micro-batch: whatever is queued, FIFO, at most
+        ``max_batch``.  Blocks only while the queue is empty; ``None``
+        when stopped and drained."""
         with self._lock:
             while not self._queue:
                 if self._closed:
@@ -838,17 +845,12 @@ class QueryService:
                 if self._pending_swap is not None:
                     return []
                 self._not_empty.wait()
-            if config.max_wait_ms > 0:
-                deadline = time.monotonic() + config.max_wait_ms / 1000.0
-                while (len(self._queue) < config.max_batch
-                       and not self._closed):
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        break
-                    self._not_empty.wait(remaining)
-            batch = [self._queue.popleft()
-                     for _ in range(min(config.max_batch, len(self._queue)))]
+            batch = [self._queue.popleft() for _ in range(
+                min(self.config.max_batch, len(self._queue)))]
             self._not_full.notify_all()
+            started = time.monotonic()
+            self._stats.queue_wait_ms_total += 1000.0 * sum(
+                started - request.enqueued_at for request in batch)
             self._stats.batches += 1
             self._stats.max_batch_size = max(self._stats.max_batch_size,
                                              len(batch))

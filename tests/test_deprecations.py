@@ -115,8 +115,7 @@ class TestServiceModeDeprecation:
         index = repro.HDIndex(_params())
         index.build(data)
         with pytest.warns(DeprecationWarning, match="mode"):
-            service = QueryService(index, mode="thread", max_batch=4,
-                                   max_wait_ms=0.0)
+            service = QueryService(index, mode="thread", max_batch=4)
         with service:
             ids, _ = service.query(data[1], K, timeout=30.0)
         assert ids[0] == 1

@@ -303,6 +303,7 @@ class TestStatsAndLifecycle:
         assert gw["p50_ms"] > 0 and gw["p99_ms"] >= gw["p50_ms"]
         assert service_stats["queries"] == 6
         assert service_stats["batches"] >= 1  # batch occupancy visible
+        assert service_stats["mean_queue_wait_ms"] >= 0.0
 
     def test_unknown_op_is_a_typed_protocol_error(self, built_index):
         service = QueryService(built_index)

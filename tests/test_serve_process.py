@@ -97,7 +97,7 @@ class TestProcessModeParity:
         directory, expected = snapshot
         with QueryService.from_snapshot(directory, execution=Execution(
                                             kind="process", workers=2),
-                                        max_batch=8, max_wait_ms=2.0) as service:
+                                        max_batch=8) as service:
             futures = [service.submit(q, K) for q in queries]
             for future, (ids, dists) in zip(futures, expected):
                 got_ids, got_dists = future.result(timeout=WAIT)
@@ -193,7 +193,7 @@ class TestWorkerCrash:
         procpool._FAULT_HOOK = lambda: os.kill(os.getpid(), signal.SIGKILL)
         service = QueryService.from_snapshot(
             directory, execution=Execution(kind="process", workers=2),
-            max_batch=16, max_wait_ms=20.0).start()
+            max_batch=16).start()
         try:
             futures = [service.submit(q, K) for q in queries]
             started = time.perf_counter()
@@ -249,7 +249,7 @@ class TestWorkerTimeout:
         service = QueryService.from_snapshot(
             directory, execution=Execution(kind="process", workers=1,
                                            worker_timeout=0.75),
-            max_batch=4, max_wait_ms=0.0).start()
+            max_batch=4).start()
         try:
             started = time.perf_counter()
             with pytest.raises(WorkerTimeout):
@@ -273,7 +273,7 @@ class TestCloseIdempotence:
         directory, _ = snapshot
         service = QueryService.from_snapshot(
             directory, execution=Execution(kind="process", workers=2),
-            max_batch=8, max_wait_ms=1.0).start()
+            max_batch=8).start()
         outcomes: list[str] = []
         lock = threading.Lock()
 

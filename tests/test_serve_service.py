@@ -3,10 +3,15 @@
 The contract under test: batching and caching change the *work layout*,
 never the answers — N client threads through the service get byte-identical
 results to a sequential loop over ``query`` — plus the service mechanics
-(backpressure, draining, error isolation, statistics).
+(backpressure, draining, error isolation, statistics) and the batching
+policy: work-conserving, checked without timing through a gated stub index.
 """
 
+import os
+import subprocess
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -92,8 +97,7 @@ class TestConcurrentParity:
     def test_threads_match_sequential_loop(self, workload, built_index,
                                            expected, num_threads):
         _, queries = workload
-        with QueryService(built_index, max_batch=8,
-                          max_wait_ms=2.0) as service:
+        with QueryService(built_index, max_batch=8) as service:
             results = run_clients(service, queries, num_threads)
         for row, (ids, dists) in enumerate(expected):
             np.testing.assert_array_equal(results[row][0], ids)
@@ -102,7 +106,7 @@ class TestConcurrentParity:
     def test_cold_and_warm_cache_both_match(self, workload, built_index,
                                             expected):
         _, queries = workload
-        with QueryService(built_index, max_batch=8, max_wait_ms=1.0,
+        with QueryService(built_index, max_batch=8,
                           cache_size=256) as service:
             cold = run_clients(service, queries, 4)
             warm = run_clients(service, queries, 4)
@@ -122,7 +126,7 @@ class TestConcurrentParity:
         index = make_index(params())
         index.build(data)
         expected = [index.query(query, K) for query in queries]
-        with QueryService(index, max_batch=8, max_wait_ms=2.0) as service:
+        with QueryService(index, max_batch=8) as service:
             results = run_clients(service, queries, 4)
         for row, (ids, dists) in enumerate(expected):
             np.testing.assert_array_equal(results[row][0], ids)
@@ -138,8 +142,7 @@ class TestConcurrentParity:
             combo = dict(combos[row % len(combos)])
             k = combo.pop("k")
             expected.append(built_index.query(query, k, **combo))
-        with QueryService(built_index, max_batch=16,
-                          max_wait_ms=2.0) as service:
+        with QueryService(built_index, max_batch=16) as service:
             futures = []
             for row, query in enumerate(queries):
                 combo = dict(combos[row % len(combos)])
@@ -154,7 +157,7 @@ class TestConcurrentParity:
 class TestServiceMechanics:
     def test_micro_batches_actually_form(self, workload, built_index):
         _, queries = workload
-        service = QueryService(built_index, max_batch=64, max_wait_ms=50.0)
+        service = QueryService(built_index, max_batch=64)
         futures = [service.submit(query, K) for query in queries]
         service.start()
         for future in futures:
@@ -184,7 +187,7 @@ class TestServiceMechanics:
 
     def test_stop_drains_pending_requests(self, workload, built_index):
         _, queries = workload
-        service = QueryService(built_index, max_wait_ms=50.0)
+        service = QueryService(built_index)
         futures = [service.submit(query, K) for query in queries[:6]]
         service.start()
         service.stop()  # drain=True: all queued work is answered
@@ -222,7 +225,7 @@ class TestServiceMechanics:
 
     def test_bad_query_does_not_poison_batch(self, workload, built_index):
         _, queries = workload
-        service = QueryService(built_index, max_wait_ms=50.0)
+        service = QueryService(built_index)
         good = [service.submit(query, K) for query in queries[:3]]
         bad = service.submit(np.zeros(7), K)  # wrong dimensionality
         more = [service.submit(query, K) for query in queries[3:6]]
@@ -242,7 +245,7 @@ class TestServiceMechanics:
         not reach the dispatcher's group map and kill the worker (which
         would hang every other client forever)."""
         _, queries = workload
-        with QueryService(built_index, max_wait_ms=1.0) as service:
+        with QueryService(built_index) as service:
             with pytest.raises(TypeError):
                 service.submit(queries[0], K, alpha=[32])
             # The service is still alive and serving.
@@ -269,8 +272,6 @@ class TestServiceMechanics:
         with pytest.raises(ValueError):
             ServiceConfig(max_batch=0)
         with pytest.raises(ValueError):
-            ServiceConfig(max_wait_ms=-1)
-        with pytest.raises(ValueError):
             ServiceConfig(max_pending=0)
         with pytest.raises(ValueError):
             ServiceConfig(cache_size=-1)
@@ -281,7 +282,7 @@ class TestServiceMechanics:
         """submit() must snapshot the query vector: callers reuse buffers."""
         _, queries = workload
         buffer = np.array(queries[0])
-        service = QueryService(built_index, max_wait_ms=50.0)
+        service = QueryService(built_index)
         future = service.submit(buffer, K)
         buffer[:] = 0.0  # mutate after submit, before dispatch
         service.start()
@@ -299,7 +300,7 @@ class TestServiceMechanics:
         save_index(index, tmp_path / "snap")
         index.close()
         service = QueryService.from_snapshot(tmp_path / "snap",
-                                             max_batch=8, max_wait_ms=1.0)
+                                             max_batch=8)
         assert isinstance(service.index, ShardRouter)
         with service:
             results = run_clients(service, queries[:6], 3)
@@ -352,8 +353,7 @@ class TestResultCache:
         data, queries = workload
         index = HDIndex(params())
         index.build(data)
-        with QueryService(index, cache_size=64,
-                          max_wait_ms=1.0) as service:
+        with QueryService(index, cache_size=64) as service:
             stale_ids, _ = service.query(queries[0], K)
             victim = int(stale_ids[0])
             index.delete(victim)
@@ -372,8 +372,7 @@ class TestEpochInvalidation:
         data, queries = workload
         index = HDIndex(params())
         index.build(data)
-        with QueryService(index, cache_size=64,
-                          max_wait_ms=1.0) as service:
+        with QueryService(index, cache_size=64) as service:
             stale_ids, _ = service.query(queries[0], K)
             victim = int(stale_ids[0])
             index.delete(victim)  # note: no service.invalidate_cache()
@@ -386,8 +385,7 @@ class TestEpochInvalidation:
         index = HDIndex(params())
         index.build(data)
         probe = np.clip(queries[0] + 0.25, 0, 100)
-        with QueryService(index, cache_size=64,
-                          max_wait_ms=1.0) as service:
+        with QueryService(index, cache_size=64) as service:
             service.query(probe, K)
             service.query(probe, K)
             assert service.stats().cache_hits >= 1  # cache is live
@@ -411,8 +409,7 @@ class TestEpochInvalidation:
         data, queries = workload
         index = HDIndex(params())
         index.build(data)
-        with QueryService(index, cache_size=64,
-                          max_wait_ms=1.0) as service:
+        with QueryService(index, cache_size=64) as service:
             for _ in range(3):
                 service.query(queries[0], K)
             assert service.stats().cache_hits == 2
@@ -428,7 +425,7 @@ class TestDeadlines:
         from repro.serve import DeadlineExceeded
         _, queries = workload
         import time as _time
-        service = QueryService(built_index, max_wait_ms=1.0)
+        service = QueryService(built_index)
         doomed = service.submit(queries[0], K, deadline=0.02)
         live = service.submit(queries[1], K)
         _time.sleep(0.08)  # deadline lapses while the worker is off
@@ -473,8 +470,7 @@ class TestDeadlines:
         re-checked after every wake before any overload raise."""
         import threading as _threading
         _, queries = workload
-        service = QueryService(built_index, max_pending=1,
-                               max_wait_ms=1.0)
+        service = QueryService(built_index, max_pending=1)
         service.submit(queries[0], K)  # fills the queue; worker off
         outcome = {}
 
@@ -504,3 +500,156 @@ class TestDeadlines:
         with pytest.raises(ValueError):
             service.submit(queries[0], K, deadline=-1.0)
         service.stop()
+
+
+WAIT = 30.0  # hang tripwire only; no assertion depends on how long
+
+
+class GatedIndex:
+    """Stub index: ``query_batch`` records each batch's request tags (the
+    points' first coordinate) and blocks until ``proceed`` is set."""
+
+    def __init__(self):
+        self.batches = []
+        self.entered = threading.Event()
+        self.proceed = threading.Event()
+
+    def query_batch(self, points, k):
+        self.batches.append(points[:, 0].tolist())
+        self.entered.set()
+        assert self.proceed.wait(WAIT)
+        return (np.repeat(points[:, :1].astype(np.int64), k, axis=1),
+                np.zeros((len(points), k)))
+
+    def close(self):
+        pass
+
+
+def tagged(tag):
+    return np.array([float(tag), 0.0])
+
+
+def answered_by(future):
+    return int(future.result(WAIT)[0][0])
+
+
+class TestWorkConservingPolicy:
+    """The dispatcher takes whatever is queued the moment it is free:
+    it never holds a request back for companions, and batches form from
+    what arrives while the previous batch runs."""
+
+    @pytest.fixture
+    def blocked(self):
+        """A started service whose dispatcher is inside ``query_batch``
+        with request 0, the queue empty."""
+        index = GatedIndex()
+        service = QueryService(index, max_batch=4).start()
+        first = service.submit(tagged(0), K)
+        assert index.entered.wait(WAIT)
+        yield service, index, first
+        index.proceed.set()
+        service.stop()
+
+    def test_dispatcher_never_waits_with_a_timeout(self):
+        index = GatedIndex()
+        index.proceed.set()
+        service = QueryService(index, max_batch=4)
+        timeouts = []
+        wait = service._not_empty.wait
+
+        def recording_wait(timeout=None):
+            timeouts.append(timeout)
+            return wait(timeout)
+
+        service._not_empty.wait = recording_wait
+        with service:
+            for tag in range(6):
+                assert answered_by(service.submit(tagged(tag), K)) == tag
+            futures = [service.submit(tagged(tag), K) for tag in range(6)]
+            assert [answered_by(f) for f in futures] == list(range(6))
+        assert all(timeout is None for timeout in timeouts), timeouts
+
+    def test_lone_request_on_idle_service_is_a_batch_of_one(self, blocked):
+        service, index, first = blocked
+        assert index.batches == [[0.0]]
+        assert service.pending() == 0
+        index.proceed.set()
+        assert answered_by(first) == 0
+
+    def test_batches_form_behind_a_running_batch(self, blocked):
+        service, index, first = blocked
+        futures = [service.submit(tagged(tag), K) for tag in range(1, 11)]
+        assert service.pending() == 10
+        index.proceed.set()
+        assert [answered_by(f) for f in [first] + futures] == list(range(11))
+        assert index.batches == [
+            [0.0], [1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0], [9.0, 10.0]]
+        stats = service.stats()
+        assert (stats.batches, stats.max_batch_size) == (4, 4)
+        assert stats.as_dict()["mean_queue_wait_ms"] >= 0.0
+
+    def test_stop_drains_a_non_empty_queue(self, blocked):
+        service, index, first = blocked
+        futures = [service.submit(tagged(tag), K) for tag in range(1, 6)]
+        stopper = threading.Thread(target=service.stop)
+        stopper.start()
+        while not service._closed:  # stop() closes before it joins
+            time.sleep(0.001)
+        with pytest.raises(ServiceClosed):
+            service.submit(tagged(99), K)
+        index.proceed.set()
+        stopper.join(WAIT)
+        assert not stopper.is_alive()
+        assert [answered_by(f) for f in [first] + futures] == list(range(6))
+        assert index.batches == [[0.0], [1.0, 2.0, 3.0, 4.0], [5.0]]
+
+    def test_swap_applies_between_batches(self, blocked, monkeypatch):
+        service, index, first = blocked
+        fresh = GatedIndex()
+        fresh.proceed.set()
+        monkeypatch.setattr("repro.core.persistence.load_index",
+                            lambda *args, **kwargs: fresh)
+        queued = [service.submit(tagged(tag), K) for tag in (1, 2)]
+        swapper = threading.Thread(
+            target=service.swap_snapshot, args=("unused-by-the-stub",))
+        swapper.start()
+        while service._pending_swap is None:
+            time.sleep(0.001)
+        index.proceed.set()
+        swapper.join(WAIT)
+        assert not swapper.is_alive()
+        assert [answered_by(f) for f in [first] + queued] == [0, 1, 2]
+        assert service.index is fresh
+        assert index.batches == [[0.0]]
+        assert fresh.batches == [[1.0, 2.0]]
+
+    def test_deadline_lapsing_in_the_queue_takes_no_batch_row(self, blocked):
+        from repro.serve import DeadlineExceeded
+        service, index, first = blocked
+        doomed = service.submit(tagged(1), K, deadline=0.01)
+        live = service.submit(tagged(2), K)
+        while not service._queue[0].expired(time.monotonic()):
+            time.sleep(0.005)
+        index.proceed.set()
+        with pytest.raises(DeadlineExceeded):
+            doomed.result(WAIT)
+        assert answered_by(live) == 2
+        assert index.batches == [[0.0], [2.0]]
+        stats = service.stats()
+        assert stats.deadline_expired == 1
+        # Request 2 sat in the queue for at least the 10 ms deadline.
+        assert stats.queue_wait_ms_total >= 10.0
+
+
+def test_core_imports_need_numpy_only():
+    """``import repro`` and the serve / CLI entry points must not pull
+    in scipy: only the LSH and SRS baselines use it, when they run."""
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "import repro, repro.serve.server, repro.cli")
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stderr

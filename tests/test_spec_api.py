@@ -344,8 +344,7 @@ class TestSpecThroughHarnessAndService:
                             storage_dir=tmp_path)
         expected = [index.query(q, K) for q in queries[:4]]
         index.close()
-        with QueryService(tmp_path, max_batch=4,
-                          max_wait_ms=1.0) as service:
+        with QueryService(tmp_path, max_batch=4) as service:
             for q, (ids, dists) in zip(queries, expected):
                 got_ids, got_dists = service.query(q, K, timeout=30.0)
                 np.testing.assert_array_equal(got_ids, ids)
@@ -388,7 +387,7 @@ class TestSpecThroughHarnessAndService:
         data, queries = workload
         index = repro.HDIndex(params())
         index.build(data)
-        with QueryService(index, max_batch=4, max_wait_ms=0.0,
+        with QueryService(index, max_batch=4,
                           cache_size=32) as service:
             service.query(queries[0], K, alpha=64, gamma=None)
             # Same call through submit(), overrides spelled differently

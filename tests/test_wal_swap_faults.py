@@ -198,7 +198,7 @@ class TestServiceSwap:
         directory, data, writer = self._serving_snapshot(tmp_path)
         service = QueryService(
             open_index(directory, wal=False),
-            ServiceConfig(max_batch=8, max_wait_ms=1.0)).start()
+            ServiceConfig(max_batch=8)).start()
         service._owns_index = True
         errors: list[Exception] = []
         results = 0
