@@ -44,9 +44,7 @@ def _sweep(workload):
     for capacity in CACHE_SIZES:
         index = HDIndex(hd_params(workload.spec, len(workload.data),
                                   cache_pages=capacity))
-        index.build(workload.data)
-        for tree in index.trees:
-            tree.clear_cache()
+        index.build(workload.data)  # leaves the modelled pools cold
         total_reads = total_hits = 0
         results = []
         for query in workload.queries:

@@ -138,7 +138,7 @@ def run_hotpath_measurement() -> dict:
     backends_checked = []
     with tempfile.TemporaryDirectory() as tmp:
         save_index(index, tmp)
-        for backend in ("memory", "file", "mmap"):
+        for backend in ("memory", "mmap"):
             with load_index(tmp, backend=backend) as reopened:
                 same = _ids_equal(_query_ids(reopened, parity_queries, K),
                                   oracle)

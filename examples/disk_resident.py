@@ -6,13 +6,15 @@ Run with::
 
 Demonstrates the substrate the whole reproduction stands on:
 
-* vectors living in a real file-backed page store (``FilePageStore``);
+* vectors living in a real page file (``VectorHeapFile(path=...)``: whole
+  4 KB pages, mapped read-only, grown by appending);
 * per-query disk-access counting, split into random vs sequential reads
   (the quantity Sec. 4.4.1 analyses: O(τ·(log n + α/Ω + γ)));
 * the buffering ablation — the paper disables caching "for fairness";
   switching the buffer pool on shows exactly what that hides;
-* the zero-copy ``backend="mmap"`` tier: byte-identical answers, with
-  snapshot reopen in O(metadata) — the larger-than-RAM serving mode.
+* the ``backend="mmap"`` tier (what a ``storage_dir`` gives by default):
+  byte-identical answers and identical counted I/O, with snapshot reopen
+  in O(metadata) — the larger-than-RAM serving mode.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from repro import HDIndex, HDIndexParams, make_dataset
 from repro.core import load_index, save_index
-from repro.storage import FilePageStore, VectorHeapFile
+from repro.storage import VectorHeapFile
 
 
 def main() -> None:
@@ -34,11 +36,10 @@ def main() -> None:
     # --- 1. descriptors in a real file ------------------------------------
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "descriptors.pages"
-        store = FilePageStore(path)
-        heap = VectorHeapFile(dim=dataset.dim, dtype=np.float32, store=store)
+        heap = VectorHeapFile(dim=dataset.dim, dtype=np.float32, path=path)
         heap.append_batch(dataset.data)
         print(f"descriptor file: {path.name}, "
-              f"{store.num_pages} pages × {store.page_size} B "
+              f"{len(heap.page_matrix())} pages × {heap.page_size} B "
               f"= {heap.size_bytes() / 1024:.0f} KB on disk")
         vector = heap.fetch(1234)
         print(f"fetch(1234): 1 random page read, "
@@ -73,15 +74,16 @@ def main() -> None:
     print(f"\nbuffering ablation over {count} queries:")
     print(f"  cache off: {cold / count:6.1f} physical reads/query")
     print(f"  cache on:  {warm / count:6.1f} physical reads/query "
-          f"({cached.heap.pool.memory_bytes() / 1024:.0f} KB pool)")
+          f"({cached.heap.memory_bytes() / 1024:.0f} KB modelled pool)")
     print("the paper turns caching off so methods are compared on true "
           "I/O, not on what the page cache absorbed")
 
-    # --- 4. the zero-copy mmap backend -------------------------------------
-    # Reads become views over a memory mapping (no per-read copy; the OS
-    # page cache does the buffering) and the refinement stage's κ
-    # descriptor fetches collapse into one vectorised gather — the
-    # backend for serving snapshots larger than RAM.
+    # --- 4. the mmap backend ------------------------------------------------
+    # The heap's page matrix and the trees' columns are read-only mappings
+    # of their files (the OS page cache does the buffering; resident
+    # memory is what queries touch) — the backend for serving snapshots
+    # larger than RAM.  The refinement stage's κ descriptor fetches are
+    # one vectorised gather here exactly as in memory.
     with tempfile.TemporaryDirectory() as tmp:
         snapshot = Path(tmp) / "snapshot"
         disk = HDIndex(HDIndexParams(num_trees=8, alpha=256, gamma=64,

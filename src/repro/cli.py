@@ -46,6 +46,7 @@ from repro.core import (
     open_index,
     recommended_params,
 )
+from repro.core.params import BACKENDS
 from repro.datasets import DATASET_CATALOG, make_dataset, read_vecs
 from repro.eval import (
     GroundTruth,
@@ -117,10 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "given, else sequential)")
     build.add_argument("--workers", type=_positive_int, default=None,
                        help="pool width for --execution thread/process")
-    build.add_argument("--backend", choices=("memory", "file", "mmap"),
-                       default=None,
-                       help="page-store backend; file/mmap write the page "
-                            "files straight into --out (no copy at save)")
+    build.add_argument("--backend", choices=BACKENDS, default=None,
+                       help="storage backend; mmap writes the snapshot "
+                            "files straight into --out and builds over "
+                            "their mappings")
     build.add_argument("--wal", action="store_true",
                        help="make inserts/deletes durable: frame each in "
                             "a write-ahead log next to the snapshot "
@@ -156,10 +157,10 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--batch-size", type=_positive_int, default=None,
                        help="answer queries through the vectorized "
                             "query_batch path in chunks of this size")
-    query.add_argument("--backend", choices=("memory", "file", "mmap"),
-                       default=None,
-                       help="how to reopen the snapshot (default: as saved; "
-                            "mmap = zero-copy larger-than-RAM mode)")
+    query.add_argument("--backend", choices=BACKENDS, default=None,
+                       help="how to reopen the snapshot (default mmap: "
+                            "mapped, the larger-than-RAM mode; memory = "
+                            "read into RAM up front)")
     query.add_argument("--execution",
                        choices=("sequential", "thread", "process"),
                        default=None,
@@ -195,10 +196,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="LRU result-cache capacity (0 disables)")
     serve.add_argument("--cache-pages", type=int, default=None,
                        help="buffer-pool pages per store when loading")
-    serve.add_argument("--backend", choices=("memory", "file", "mmap"),
-                       default=None,
-                       help="how to reopen the snapshot (default: as saved; "
-                            "mmap = zero-copy larger-than-RAM mode)")
+    serve.add_argument("--backend", choices=BACKENDS, default=None,
+                       help="how to reopen the snapshot (default mmap: "
+                            "mapped, the larger-than-RAM mode; memory = "
+                            "read into RAM up front)")
     serve.add_argument("--execution", choices=("thread", "process"),
                        default=None,
                        help="process = shard each micro-batch's rows over "

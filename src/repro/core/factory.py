@@ -101,10 +101,10 @@ def build(spec: IndexSpec | None, data,
             the streaming path's restrictions.
         storage_dir: When given, the built index is persisted there (its
             full spec recorded in the snapshot metadata, so
-            :func:`open_index` reconstructs the same deployment); with a
-            disk backend the page files are written straight into the
-            directory during construction, so persisting adds only a
-            metadata write.
+            :func:`open_index` reconstructs the same deployment); with
+            the ``"mmap"`` backend the heap and tree files are written
+            straight into the directory during construction, so
+            persisting adds only a metadata write.
         metadata: Optional per-point attributes enabling filtered
             queries: one dict per point or a prepared
             :class:`~repro.meta.MetadataStore`.  Not supported with
@@ -165,9 +165,9 @@ def open_index(path: str | os.PathLike[str],
             :func:`repro.core.save_index` (pre-spec snapshots from
             earlier releases open too; their legacy ``kind`` tag is
             mapped to the equivalent spec).
-        backend: Overrides how the page files are reopened: ``"file"``,
-            ``"mmap"`` (zero-copy, O(metadata) cold start) or
-            ``"memory"``; ``None`` honours the snapshot.
+        backend: How the snapshot files are reopened: ``"mmap"``
+            (mapped, O(metadata) cold start; what ``None`` means) or
+            ``"memory"`` (read into RAM).
         cache_pages: Overrides the buffer-pool capacity recorded at save
             time.
         execution: Overrides the snapshot's execution strategy — an

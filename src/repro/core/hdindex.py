@@ -32,8 +32,7 @@ from repro.distance.metrics import (
 from repro.hilbert.butz import HilbertCurve
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore, coerce_predicate
-from repro.storage.pages import InMemoryPageStore, open_page_store
-from repro.storage.vectors import VectorHeapFile, heap_file_from_array
+from repro.storage.vectors import VectorHeapFile
 from repro.wal.delta import DeltaSegment
 from repro.wal.manager import compact_index, open_log
 
@@ -46,9 +45,9 @@ class HDIndex(KNNIndex):
     runs the shared three-stage :class:`~repro.core.engine.QueryEngine`.
     Both of the deployment degrees of freedom are parameters, not
     subclasses: ``HDIndexParams(storage_dir=..., backend=...)`` picks
-    where the pages live (in-memory, seek/read files, or zero-copy mmap
-    for larger-than-RAM serving), and ``executor`` picks how the
-    independent per-tree scans run
+    where the heap's pages and the trees' columns live (arrays in memory,
+    or mappings of their files for larger-than-RAM serving), and
+    ``executor`` picks how the independent per-tree scans run
     (:class:`~repro.core.engine.SequentialExecutor` inline,
     :class:`~repro.core.engine.ThreadedExecutor` on a thread pool,
     :class:`~repro.core.engine.ProcessExecutor` across worker processes
@@ -340,10 +339,8 @@ class HDIndex(KNNIndex):
         rng = np.random.default_rng(params.seed)
 
         # Descriptor heap file — the "complete object descriptors" on disk.
-        self.heap = heap_file_from_array(
-            data, dtype=params.storage_dtype, page_size=params.page_size,
-            cache_pages=params.cache_pages,
-            store=self._heap_store())
+        self.heap = self._new_heap(dim)
+        self.heap.append_batch(data)
 
         # Reference objects and the (n, m) reference-distance matrix
         # (Algo. 1 lines 1-2).
@@ -419,10 +416,7 @@ class HDIndex(KNNIndex):
                     raise ValueError(
                         f"num_trees={params.num_trees} exceeds "
                         f"dimensionality {dim}")
-                heap = VectorHeapFile(
-                    dim=dim, dtype=params.storage_dtype,
-                    store=self._heap_store(),
-                    cache_pages=params.cache_pages)
+                heap = self._new_heap(dim)
                 reservoir = np.empty((num_references, dim),
                                      dtype=np.float64)
                 reservoir_ids = np.empty(num_references, dtype=np.int64)
@@ -726,7 +720,7 @@ class HDIndex(KNNIndex):
         total = self.references.memory_bytes()
         total += sum(tree.memory_bytes() for tree in self.trees)
         if self.heap is not None:
-            total += self.heap.pool.memory_bytes()
+            total += self.heap.memory_bytes()
         # α-candidate workspace per tree scan (ids + m distances, float64).
         total += self.params.alpha * (8 + 8 * self.params.num_references)
         return total
@@ -812,20 +806,23 @@ class HDIndex(KNNIndex):
             sequential += self.heap.stats.sequential_reads
         return random_reads, sequential
 
-    def _heap_store(self):
-        """Page store for the descriptor heap, per
-        ``params.resolved_backend``."""
+    def _new_heap(self, dim: int) -> VectorHeapFile:
+        """An empty descriptor heap where ``params.resolved_backend``
+        puts it: in memory, or on ``descriptors.pages`` (started afresh)
+        in ``storage_dir``."""
         params = self.params
-        if params.resolved_backend == "memory":
-            return InMemoryPageStore(params.page_size)
-        os.makedirs(params.storage_dir, exist_ok=True)
-        return open_page_store(
-            os.path.join(params.storage_dir, "descriptors.pages"),
-            params.page_size, params.resolved_backend)
+        path = None
+        if params.resolved_backend != "memory":
+            os.makedirs(params.storage_dir, exist_ok=True)
+            path = os.path.join(params.storage_dir, "descriptors.pages")
+            if os.path.exists(path):
+                os.remove(path)  # unlinked, not truncated: it may be mapped
+        return VectorHeapFile(dim, params.storage_dtype, params.page_size,
+                              params.cache_pages, path)
 
     def close(self) -> None:
-        """Release the query executor and the descriptor heap's page
-        store (a file handle in disk mode).  Idempotent."""
+        """Release the query executor, the log handle and the descriptor
+        heap's pages.  Idempotent."""
         self._engine.close()
         if self._wal is not None:
             self._wal.close()

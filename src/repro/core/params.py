@@ -20,6 +20,24 @@ OBJECT_POINTER_BYTES = 8
 #: Leaf overhead: left + right sibling pointers plus the indicator byte.
 LEAF_OVERHEAD_BYTES = 8 + 8 + 1
 
+#: Where an index's structures live: arrays in process memory, or
+#: read-only mappings of the snapshot files.
+BACKENDS = ("memory", "mmap")
+
+
+def check_backend(backend: str, role: str = "storage") -> None:
+    """Reject anything but a member of :data:`BACKENDS` (every place a
+    backend name enters — params, specs, ``load_index``, worker pools)."""
+    if backend == "file":
+        raise ValueError(
+            f"the {role} backend 'file' was removed: a disk-resident "
+            f"index is served from mappings of its files — use 'mmap' "
+            f"(see docs/MIGRATION.md)")
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown {role} backend {backend!r}; choose from "
+            f"'memory', 'mmap'")
+
 
 def rdb_leaf_order(eta: int, omega: int, m: int,
                    page_size: int = DEFAULT_PAGE_SIZE) -> int:
@@ -88,21 +106,20 @@ class HDIndexParams:
         so the OS shares the physical pages pool-wide), never from
         pickled live state.
     backend:
-        Storage backend for the page stores: ``"memory"``
-        (:class:`~repro.storage.pages.InMemoryPageStore`), ``"file"``
-        (:class:`~repro.storage.pages.FilePageStore`, seek/read copies) or
-        ``"mmap"`` (:class:`~repro.storage.pages.MmapPageStore`, zero-copy
-        views for larger-than-RAM serving).  ``None`` (default) keeps the
-        historical auto rule: ``"memory"`` when ``storage_dir`` is unset,
-        ``"file"`` otherwise.  ``"file"``/``"mmap"`` require a
-        ``storage_dir``.
+        Where the heap's page matrix and the trees' columns live:
+        ``"memory"`` (arrays in process memory) or ``"mmap"`` (read-only
+        mappings of the files in ``storage_dir``, which it requires —
+        resident memory is the pages queries touch, so an index larger
+        than RAM can be served).  ``None`` (default) resolves from
+        ``storage_dir``: ``"memory"`` when it is unset, ``"mmap"``
+        otherwise.
 
         >>> HDIndexParams(backend="mmap", storage_dir="/tmp/i").resolved_backend
         'mmap'
         >>> HDIndexParams().resolved_backend
         'memory'
         >>> HDIndexParams(storage_dir="/tmp/i").resolved_backend
-        'file'
+        'mmap'
 
     metric:
         Distance workload: ``"euclidean"`` (paper default) or
@@ -151,13 +168,10 @@ class HDIndexParams:
         if not 0.0 < self.sss_fraction < 1.0:
             raise ValueError(
                 f"sss_fraction must be in (0, 1), got {self.sss_fraction}")
-        if self.backend not in (None, "memory", "file", "mmap"):
-            raise ValueError(
-                f"unknown storage backend {self.backend!r}; choose from "
-                f"'memory', 'file', 'mmap'")
-        if self.backend in ("file", "mmap") and self.storage_dir is None:
-            raise ValueError(
-                f"backend={self.backend!r} requires storage_dir")
+        if self.backend is not None:
+            check_backend(self.backend)
+        if self.backend == "mmap" and self.storage_dir is None:
+            raise ValueError("backend='mmap' requires storage_dir")
         if self.metric not in METRICS:
             raise ValueError(
                 f"unknown metric {self.metric!r}; choose from "
@@ -165,14 +179,14 @@ class HDIndexParams:
 
     @property
     def resolved_backend(self) -> str:
-        """Effective storage backend (``"memory"``/``"file"``/``"mmap"``).
+        """Effective storage backend (``"memory"``/``"mmap"``).
 
-        Resolves the ``None`` default: disk-resident (``"file"``) when
+        Resolves the ``None`` default: disk-resident (``"mmap"``) when
         ``storage_dir`` is set, in-memory otherwise.
         """
         if self.backend is not None:
             return self.backend
-        return "memory" if self.storage_dir is None else "file"
+        return "memory" if self.storage_dir is None else "mmap"
 
     def resolve_filter_sizes(self, k: int) -> tuple[int, int, int]:
         """Effective (α, β, γ) for a query returning k results.

@@ -9,7 +9,8 @@ A persisted plain index is a directory containing:
 * ``references.npz`` — the reference vectors, their pairwise distances and
   original indices (the only part of the index that is memory-resident at
   query time, Sec. 4.4.1);
-* ``descriptors.pages`` — the descriptor heap's page file;
+* ``descriptors.pages`` — the descriptor heap's page matrix, a flat file
+  of whole pages;
 * ``tree_<i>.packed`` — one file per RDB-tree: its key and record columns
   plus page geometry (:mod:`repro.btree.packed`), the only form a tree
   has (``metadata.packed`` holds per-point attributes the same way).
@@ -42,7 +43,7 @@ import os
 import numpy as np
 
 from repro.core.hdindex import HDIndex
-from repro.core.params import HDIndexParams
+from repro.core.params import HDIndexParams, check_backend
 from repro.core.reference import ReferenceSet
 from repro.core.spec import (
     EXECUTION_TO_KIND,
@@ -55,12 +56,7 @@ from repro.core.spec import (
 from repro.core.rdbtree import RDBTree
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore
-from repro.storage.pages import (
-    FilePageStore,
-    MmapPageStore,
-    open_page_store,
-    replace_file,
-)
+from repro.storage.pages import replace_file
 from repro.storage.vectors import VectorHeapFile
 
 META_FILE = "meta.json"
@@ -83,8 +79,8 @@ def save_index(index, directory: str | os.PathLike[str]) -> None:
     :func:`load_index` reconstructs the same deployment.
 
     If the index was built with ``storage_dir`` pointing at ``directory``
-    the heap's page file is already in place (flushed, and trimmed under
-    mmap); otherwise it is copied out.  An index with no write-ahead log
+    the heap's page file is already in place; an in-memory heap is
+    written out in one sequential pass.  An index with no write-ahead log
     attached first folds its delta segment into the base
     (``HDIndex._fold_delta``: un-logged inserts become durable here), so
     save -> load -> ``insert()`` / ``delete()`` -> save again keeps the
@@ -159,15 +155,12 @@ def load_index(directory: str | os.PathLike[str],
         cache_pages: Overrides the buffer-pool capacity recorded at save
             time (plumbed through to every shard); ``None`` keeps the
             saved value.
-        backend: How the page files are opened — ``"file"`` (seek/read
-            handles, the default), ``"mmap"`` (zero-copy memory mapping:
-            the reopen is O(metadata) and the OS page cache serves reads,
-            so snapshots larger than RAM start in milliseconds) or
-            ``"memory"`` (every page is materialised into RAM up front:
-            O(index size) reopen, fastest steady-state for small
-            indexes).  ``None`` honours the backend the snapshot was
-            built with when that was ``"file"``/``"mmap"``, else
-            ``"file"``.  Results are byte-identical across backends.
+        backend: How the snapshot files are opened — ``"mmap"`` (the
+            default: read-only mappings, so the reopen is O(metadata),
+            resident memory is the pages queries touch and snapshots
+            larger than RAM start in milliseconds) or ``"memory"`` (every
+            file is read into RAM up front: O(index size) reopen).
+            Results and counted I/O are identical across backends.
         wal: Durability override — ``True`` attaches (and replays) the
             write-ahead log; ``False`` attaches none (a log on disk
             stays unread, updates are volatile until ``compact()`` /
@@ -186,10 +179,11 @@ def load_index(directory: str | os.PathLike[str],
             format version is unsupported, or ``backend`` is unknown.
     """
     directory = os.fspath(directory)
-    if backend not in (None, "memory", "file", "mmap"):
-        raise PersistenceError(
-            f"unknown storage backend {backend!r}; choose from "
-            f"'memory', 'file', 'mmap'")
+    if backend is not None:
+        try:
+            check_backend(backend)
+        except ValueError as exc:
+            raise PersistenceError(str(exc)) from None
     if wal not in (None, True, False):
         raise PersistenceError(
             f"wal must be True, False or None, got {wal!r}")
@@ -230,7 +224,15 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
         index._fold_delta()
     os.makedirs(directory, exist_ok=True)
 
-    _materialise_store(index.heap.pool.store, directory, "descriptors")
+    heap, heap_path = index.heap, os.path.join(directory, "descriptors.pages")
+    if heap.path is None:
+        replace_file(heap_path, heap.page_matrix())
+    elif os.path.abspath(heap.path) != os.path.abspath(heap_path):
+        raise PersistenceError(
+            f"index already file-backed at {heap.path}; save to its own "
+            f"directory or rebuild with storage_dir={directory!r}")
+    else:
+        heap.sync()
     for tree_index, tree in enumerate(index.trees):
         stem = os.path.join(directory, f"tree_{tree_index}")
         tree.write(stem + ".packed")
@@ -287,7 +289,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         raise PersistenceError(
             f"unsupported index format {meta.get('format_version')!r}")
 
-    backend = _resolve_backend(backend, meta["params"])
+    backend = backend or "mmap"
     params = _restore_params(meta["params"], directory, cache_pages, backend)
     execution = _restore_execution(meta)
     index = HDIndex(params)
@@ -309,12 +311,12 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         archive["vectors"], indices if indices.size else None)
     index.metadata = _load_metadata_sidecar(directory, backend)
 
-    heap_store = open_page_store(
-        os.path.join(directory, "descriptors.pages"),
-        params.page_size, backend)
+    heap_path = os.path.join(directory, "descriptors.pages")
     index.heap = VectorHeapFile(
-        dim=index.dim, dtype=meta["heap"]["dtype"], store=heap_store,
-        cache_pages=params.cache_pages)
+        index.dim, meta["heap"]["dtype"], params.page_size,
+        params.cache_pages, heap_path if backend == "mmap" else None)
+    if backend == "memory":
+        index.heap.read(heap_path)
     index.heap.restore_count(int(meta["heap"]["count"]))
     index._delta = index._empty_delta()
 
@@ -348,8 +350,8 @@ def _restore_execution(meta: dict) -> Execution:
     """The snapshot's execution strategy: its recorded spec, or — for
     pre-spec snapshots — the legacy ``kind`` tag mapped onto the
     equivalent spec."""
-    spec_meta = meta.get("spec")
-    if spec_meta is not None and spec_meta.get("execution") is not None:
+    spec_meta = _recorded_spec(meta)
+    if "execution" in spec_meta:
         return Execution.from_dict(spec_meta["execution"])
     kind = meta.get("kind", "hdindex")
     execution_kind = KIND_TO_EXECUTION.get(kind)
@@ -358,13 +360,20 @@ def _restore_execution(meta: dict) -> Execution:
     return Execution(kind=execution_kind, workers=meta.get("num_workers"))
 
 
-def _resolve_backend(backend: str | None, params_dict: dict) -> str:
-    """Pick the effective load backend: the caller's explicit choice, the
-    snapshot's own disk backend, or ``"file"``."""
-    if backend is not None:
-        return backend
-    saved = params_dict.get("backend")
-    return saved if saved in ("file", "mmap") else "file"
+def _recorded_spec(meta: dict) -> dict:
+    """The sections of the ``spec`` a snapshot recorded.  A ``"file"``
+    backend in them — releases before the heap became a page matrix had
+    one — reads as ``"mmap"``: the same files, served mapped."""
+    spec = {name: dict(section)
+            for name, section in (meta.get("spec") or {}).items()
+            if section is not None}
+    if spec.get("execution", {}).get("worker_backend") == "file":
+        spec["execution"]["worker_backend"] = "mmap"
+    if spec.get("topology", {}).get("shard_backends"):
+        spec["topology"]["shard_backends"] = [
+            "mmap" if backend == "file" else backend
+            for backend in spec["topology"]["shard_backends"]]
+    return spec
 
 
 def _restore_params(params_dict: dict, directory: str,
@@ -469,20 +478,13 @@ def _load_sharded(directory: str, cache_pages: int | None,
         raise PersistenceError(
             f"manifest kind {manifest.get('kind')!r} is not 'sharded'")
 
-    # The caller's *explicit* backend choice is forwarded per shard;
-    # ``None`` lets each shard honour its own meta.json, so heterogeneous
-    # per-shard backends survive the round-trip.
-    requested_backend = backend
-    backend = _resolve_backend(backend, manifest["params"])
     params = _restore_params(manifest["params"], directory, cache_pages,
-                             backend)
-    spec_meta = manifest.get("spec") or {}
+                             backend or "mmap")
+    spec_meta = _recorded_spec(manifest)
     topology = (Topology.from_dict(spec_meta["topology"])
-                if spec_meta.get("topology") is not None
+                if "topology" in spec_meta
                 else Topology(shards=int(manifest["num_shards"])))
-    execution = (Execution.from_dict(spec_meta["execution"])
-                 if spec_meta.get("execution") is not None
-                 else Execution())
+    execution = Execution.from_dict(spec_meta.get("execution", {}))
     num_shards = int(manifest["num_shards"])
     index = ShardRouter(params, topology, execution)
     index.count = int(manifest["count"])
@@ -497,8 +499,7 @@ def _load_sharded(directory: str, cache_pages: int | None,
         # (sharded compaction); resolve it before reading meta.json.
         shard_directory = resolve_snapshot_dir(
             _shard_dir(directory, shard_index))
-        shard = _load_hdindex(shard_directory, cache_pages,
-                              requested_backend)
+        shard = _load_hdindex(shard_directory, cache_pages, backend)
         # The router owns the (single) write-ahead log; shards never
         # attach one of their own.
         shard._wal_policy = False
@@ -538,29 +539,3 @@ def _load_metadata_sidecar(directory: str,
     else:
         buffer = np.fromfile(path, dtype=np.uint8)
     return MetadataStore.from_packed(buffer)
-
-
-# -- page-store materialisation --------------------------------------------
-
-
-def _materialise_store(store, directory: str, stem: str) -> None:
-    """Ensure a page store's contents exist as ``<stem>.pages`` on disk."""
-    path = os.path.join(directory, f"{stem}.pages")
-    if isinstance(store, (FilePageStore, MmapPageStore)):
-        if os.path.abspath(store.path) != os.path.abspath(path):
-            raise PersistenceError(
-                f"index already file-backed at {store.path}; save to its "
-                f"own directory or rebuild with storage_dir={directory!r}")
-        store.flush()
-        return
-    if os.path.exists(path):
-        os.remove(path)  # unlinked, not truncated: it may be mapped
-    with open(path, "wb") as out:
-        for expected, page_id in enumerate(store.iter_page_ids()):
-            if page_id != expected:
-                # Not an assert: it must hold under ``python -O`` too, or a
-                # permuted store would be copied out silently corrupted.
-                raise PersistenceError(
-                    f"page ids of {stem!r} are not contiguous: copied page "
-                    f"{expected} but store yielded id {page_id}")
-            out.write(store.read(page_id))

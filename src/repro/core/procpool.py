@@ -36,6 +36,8 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
+from repro.core.params import check_backend
+
 
 class ProcessPoolError(RuntimeError):
     """Base class for process-tier failures (crash, timeout)."""
@@ -210,7 +212,7 @@ class SnapshotWorkerPool:
     num_workers:
         Pool width; defaults to the CPU count.
     backend:
-        Page-store backend each worker reopens the snapshot with
+        Storage backend each worker reopens the snapshot with
         (``"mmap"`` by default — the whole point: the OS shares the
         physical pages across the pool).
     cache_pages:
@@ -228,10 +230,7 @@ class SnapshotWorkerPool:
                  timeout: float | None = None) -> None:
         if num_workers is not None and num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        if backend not in ("memory", "file", "mmap"):
-            raise ValueError(
-                f"unknown storage backend {backend!r}; choose from "
-                f"'memory', 'file', 'mmap'")
+        check_backend(backend, "worker")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.directory = None if directory is None else os.fspath(directory)

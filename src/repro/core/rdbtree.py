@@ -21,7 +21,6 @@ replayed per lookup, which is what keeps the paper's I/O figures.
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 
 import numpy as np
 
@@ -31,10 +30,10 @@ from repro.core.params import rdb_leaf_order
 from repro.hilbert.butz import HilbertCurve
 from repro.storage.codecs import UIntCodec, pack_arrays, unpack_arrays
 from repro.storage.pages import DEFAULT_PAGE_SIZE, replace_file
-from repro.storage.stats import IOStats
+from repro.storage.stats import ModelledPool
 
 
-class RDBTree:
+class RDBTree(ModelledPool):
     """One RDB-tree covering one dimension partition.
 
     Parameters
@@ -44,8 +43,9 @@ class RDBTree:
     num_references:
         m — reference distances stored per leaf entry.
     cache_pages:
-        Capacity of the modelled buffer pool: an LRU over page *ids* fed
-        the replayed trace (0 = caching off, the paper's methodology).
+        Capacity of the modelled buffer pool
+        (:class:`~repro.storage.stats.ModelledPool`), fed the replayed
+        trace (0 = caching off, the paper's methodology).
     page_size:
         B — fixes, with the entry width, the modelled page geometry.
     """
@@ -53,12 +53,9 @@ class RDBTree:
     def __init__(self, curve: HilbertCurve, num_references: int,
                  cache_pages: int = 0,
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
-        if cache_pages < 0:
-            raise ValueError(f"cache_pages must be >= 0, got {cache_pages}")
+        super().__init__(cache_pages, page_size)
         self.curve = curve
         self.num_references = num_references
-        self.cache_pages = cache_pages
-        self.page_size = page_size
         self.leaf_order = rdb_leaf_order(
             curve.dim, curve.order, num_references, page_size)
         self._key_codec = UIntCodec(curve.key_bytes)
@@ -73,8 +70,6 @@ class RDBTree:
         if self.leaf_capacity < 1 or self._internal_capacity < 2:
             raise ValueError(
                 f"page size {page_size} is too small for {width}-byte keys")
-        self.stats = IOStats()
-        self._resident: OrderedDict[int, None] = OrderedDict()
         self.adopt(self._layout(np.empty((0, width), dtype=np.uint8),
                                 np.empty((0, record), dtype=np.uint8)))
 
@@ -218,8 +213,7 @@ class RDBTree:
             raw_key = bytes(query_key)
         else:
             raw_key = self._key_codec.encode(int(query_key))
-        positions = self.packed.nearest_positions(
-            raw_key, alpha, self if self.cache_pages else self.stats, subset)
+        positions = self.packed.nearest_positions(raw_key, alpha, self, subset)
         object_ids, reference_view = self._records()
         return (object_ids[positions],
                 reference_view[positions].astype(np.float64))
@@ -251,25 +245,6 @@ class RDBTree:
         self._records_cache = (packed, object_ids, reference_view)
         return object_ids, reference_view
 
-    def record_read_many(self, page_ids: np.ndarray) -> None:
-        """Sink of the replayed page trace when ``cache_pages > 0``: what
-        a warm buffer pool makes of it — a resident page is a cache hit,
-        any other a counted read that evicts the least recently used."""
-        resident, stats = self._resident, self.stats
-        for page_id in page_ids.tolist():
-            if page_id in resident:
-                resident.move_to_end(page_id)
-                stats.record_cache_hit()
-                continue
-            stats.record_read(page_id)
-            resident[page_id] = None
-            if len(resident) > self.cache_pages:
-                resident.popitem(last=False)
-
-    def clear_cache(self) -> None:
-        """Empty the modelled buffer pool (a cold start)."""
-        self._resident.clear()
-
     # -- accounting -------------------------------------------------------
 
     def __len__(self) -> int:
@@ -283,7 +258,3 @@ class RDBTree:
         """Footprint of the modelled tree, pages × page size — the
         accounting of the paper's Table 5."""
         return self.packed.num_pages * self.page_size
-
-    def memory_bytes(self) -> int:
-        """Resident RAM charged to the tree: the modelled buffer pool."""
-        return len(self._resident) * self.page_size

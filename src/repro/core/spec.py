@@ -38,7 +38,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.params import HDIndexParams
+from repro.core.params import HDIndexParams, check_backend
 
 #: Execution kinds an :class:`Execution` accepts (aliases normalised).
 EXECUTION_KINDS = ("sequential", "thread", "process")
@@ -47,8 +47,6 @@ EXECUTION_KINDS = ("sequential", "thread", "process")
 _KIND_ALIASES = {"sequential": "sequential", "serial": "sequential",
                  "thread": "thread", "threaded": "thread",
                  "process": "process"}
-
-_BACKENDS = ("memory", "file", "mmap")
 
 
 @dataclass(frozen=True)
@@ -62,8 +60,8 @@ class Topology:
         Number of horizontal partitions; ``1`` means a single plain index
         (no router).
     shard_backends:
-        Optional per-shard storage-backend override — one of ``"memory"``,
-        ``"file"``, ``"mmap"`` per shard — for heterogeneous deployments
+        Optional per-shard storage-backend override — ``"memory"`` or
+        ``"mmap"`` per shard — for heterogeneous deployments
         (e.g. the hot shard in RAM, the cold tail mmap'd).  ``None`` gives
         every shard the spec-level backend.
     replicas:
@@ -100,10 +98,7 @@ class Topology:
                     f"shard_backends has {len(backends)} entries for "
                     f"{self.shards} shards")
             for backend in backends:
-                if backend not in _BACKENDS:
-                    raise ValueError(
-                        f"unknown shard backend {backend!r}; choose from "
-                        f"{_BACKENDS}")
+                check_backend(backend, "shard")
 
     def to_dict(self) -> dict[str, Any]:
         return {"shards": self.shards,
@@ -175,10 +170,7 @@ class Execution:
         object.__setattr__(self, "kind", canonical)
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.worker_backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown worker backend {self.worker_backend!r}; choose "
-                f"from {_BACKENDS}")
+        check_backend(self.worker_backend, "worker")
         if self.worker_timeout is not None and self.worker_timeout <= 0:
             raise ValueError(
                 f"worker_timeout must be > 0, got {self.worker_timeout}")
@@ -218,9 +210,9 @@ class IndexSpec:
         (:class:`Execution`).
     backend:
         Convenience override of ``params.backend`` (``"memory"``,
-        ``"file"``, ``"mmap"`` or ``None`` to keep ``params``' own
-        setting) so callers need not rebuild the params dataclass just to
-        pick a storage tier.
+        ``"mmap"`` or ``None`` to keep ``params``' own setting) so
+        callers need not rebuild the params dataclass just to pick a
+        storage tier.
 
     >>> spec = IndexSpec(backend="memory")
     >>> spec.resolved_params().resolved_backend
@@ -233,10 +225,8 @@ class IndexSpec:
     backend: str | None = None
 
     def __post_init__(self) -> None:
-        if self.backend is not None and self.backend not in _BACKENDS:
-            raise ValueError(
-                f"unknown storage backend {self.backend!r}; choose from "
-                f"{_BACKENDS}")
+        if self.backend is not None:
+            check_backend(self.backend)
         if isinstance(self.topology, int):
             object.__setattr__(self, "topology", Topology(self.topology))
         if isinstance(self.topology, dict):

@@ -12,8 +12,8 @@ workers bootstrap from the snapshot manifest, never from pickles:
 * ``FS202`` — an unpicklable (or must-not-pickle) value rides a task
   payload: a lambda or ``self`` passed to ``submit(...)``, a value in
   ``initargs=...``, or a name locally bound from ``open(...)``/
-  ``mmap.mmap(...)`` or a declared live-handle factory
-  (``PageStore``/``BufferPool``-family constructors).  Live handles
+  ``mmap.mmap(...)`` or a declared live-handle factory (the heap and
+  page-store constructors, ``np.memmap``).  Live handles
   must be reopened worker-side from the snapshot path instead.
 * ``FS203`` — a declared bootstrap function (the worker-side
   ``load_index`` wrapper) is missing a required call, e.g.

@@ -10,11 +10,15 @@ storage and tree layers with cross-checking shims:
   paper's random-access cost model.
 * **BufferPool accounting** — the cache never exceeds ``capacity``,
   ``capacity=0`` keeps it empty (the paper's no-caching methodology),
-  and every resident page is exactly ``page_size`` bytes.
-* **Zero-copy write protection** —
-  :meth:`~repro.storage.pages.MmapPageStore.page_matrix` returns
-  read-only views, so an accidental in-place write through the gather
-  fast path raises instead of corrupting the snapshot on disk.
+  and every resident page is exactly ``page_size`` bytes.  The same
+  bound holds for the page-id LRU of the heap and the RDB-trees
+  (:class:`~repro.storage.stats.ModelledPool`): never more than
+  ``cache_pages`` resident ids, none at ``cache_pages=0``.
+* **Heap write protection** — the page matrix a
+  :class:`~repro.storage.vectors.VectorHeapFile` publishes is never
+  writable (a read-only mapping on disk, ``flags.writeable`` cleared in
+  memory), so an accidental in-place write through a gathered view
+  raises instead of corrupting the heap or the snapshot on disk.
 * **Packed-vs-node trace parity** — every
   :meth:`~repro.core.rdbtree.RDBTree.candidates` call is re-run down a
   node-path oracle (a :class:`~repro.btree.tree.BPlusTree` bulk-loaded,
@@ -160,21 +164,34 @@ def _install_bufferpool() -> None:
         _patch(BufferPool, name, checked)
 
 
-# -- mmap zero-copy views ---------------------------------------------------
+# -- modelled pool and heap page matrix ---------------------------------------
 
 
-def _install_mmap_guard() -> None:
-    from repro.storage.pages import MmapPageStore
+def _install_heap_checks() -> None:
+    from repro.storage.stats import ModelledPool
+    from repro.storage.vectors import VectorHeapFile
 
-    def guarded(original: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(self: Any) -> Any:
-            matrix = original(self)
-            view = matrix.view()
-            view.flags.writeable = False
-            return view
+    def bounded(original: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(self: Any, page_ids: Any) -> None:
+            original(self, page_ids)
+            if len(self._resident) > self.cache_pages:
+                raise SanitizerError(
+                    f"modelled pool holds {len(self._resident)} page ids, "
+                    f"over cache_pages={self.cache_pages}")
         return wrapper
 
-    _patch(MmapPageStore, "page_matrix", guarded)
+    def read_only(original: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(self: Any) -> Any:
+            matrix, count = original(self)
+            if matrix.flags.writeable:
+                raise SanitizerError(
+                    "the heap published a writable page matrix")
+            return matrix, count
+        return wrapper
+
+    _patch(ModelledPool, "record_read_many", bounded)
+    # Every reader and writer of the heap takes its state through _live.
+    _patch(VectorHeapFile, "_live", read_only)
 
 
 # -- packed-vs-node cross-check ---------------------------------------------
@@ -352,7 +369,7 @@ def install() -> None:
         return
     _install_iostats()
     _install_bufferpool()
-    _install_mmap_guard()
+    _install_heap_checks()
     _install_tree_crosscheck()
     _install_fold_check()
 

@@ -29,6 +29,7 @@ import os
 import signal
 import sys
 
+from repro.core.params import BACKENDS
 from repro.serve.gateway import GatewayConfig, ServeGateway
 from repro.serve.service import QueryService
 
@@ -43,8 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--port", type=int, default=0,
                         help="TCP port; 0 binds an ephemeral port "
                              "(reported on the READY line)")
-    parser.add_argument("--backend", default="mmap",
-                        choices=["file", "mmap", "memory"],
+    parser.add_argument("--backend", default="mmap", choices=BACKENDS,
                         help="storage backend for the reopen")
     parser.add_argument("--max-batch", type=int, default=None,
                         help="service micro-batch size override")

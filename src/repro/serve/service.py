@@ -394,8 +394,9 @@ class QueryService:
                     or os.path.exists(
                         os.path.join(directory, "manifest.json"))):
                 raise ValueError(
-                    "mode='process' needs a persisted snapshot: pass "
-                    "snapshot_dir=... (or use QueryService.from_snapshot); "
+                    "execution=Execution(kind=\"process\") needs a "
+                    "persisted snapshot: pass snapshot_dir=... (or use "
+                    "QueryService.from_snapshot); "
                     "worker processes bootstrap from the snapshot "
                     "manifest, never from the live index")
         if has_wal_layout(directory):
@@ -517,10 +518,9 @@ class QueryService:
                 :func:`repro.core.load_index`.
             config: Full :class:`ServiceConfig`; mutually composable with
                 keyword ``overrides`` (``max_batch=...`` etc.).
-            backend: Storage backend for the reopen — ``"file"``,
-                ``"mmap"`` (zero-copy, O(metadata) cold start: the
-                larger-than-RAM serving mode) or ``"memory"``; ``None``
-                keeps the snapshot's own backend.
+            backend: Storage backend for the reopen — ``"mmap"``
+                (mapped, O(metadata) cold start: the larger-than-RAM
+                serving mode; what ``None`` means) or ``"memory"``.
             mode: Deprecated string form of ``execution`` (emits
                 :class:`DeprecationWarning`).
             execution: An :class:`~repro.core.spec.Execution` (or bare
@@ -730,8 +730,8 @@ class QueryService:
                 current index's own WAL root / storage directory — the
                 usual move after an out-of-process compaction published a
                 new generation.
-            backend: Storage backend for the reload (``None`` honours
-                the snapshot).
+            backend: Storage backend for the reload (``None`` is
+                ``"mmap"``).
             cache_pages: Buffer-pool override for the reload.
             timeout: Seconds to wait for the dispatcher to apply the
                 swap; ``None`` waits indefinitely.

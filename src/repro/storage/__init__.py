@@ -1,7 +1,7 @@
 """Disk substrate: fixed-size pages, buffer pool, I/O accounting, heap files.
 
 This package is the "commodity hardware" the paper runs on: everything the
-index structures persist goes through :class:`PageStore` pages so that disk
+index structures persist is laid out in fixed-size pages so that disk
 accesses can be counted and classified (random vs sequential), and caching
 can be switched off exactly as in the paper's methodology.
 """
@@ -20,13 +20,11 @@ from repro.storage.codecs import (
 )
 from repro.storage.pages import (
     DEFAULT_PAGE_SIZE,
-    FilePageStore,
     InMemoryPageStore,
-    MmapPageStore,
     PageStore,
     StorageError,
 )
-from repro.storage.stats import IOStats
+from repro.storage.stats import IOStats, ModelledPool
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 __all__ = [
@@ -35,11 +33,10 @@ __all__ = [
     "BytesCodec",
     "Codec",
     "DEFAULT_PAGE_SIZE",
-    "FilePageStore",
     "Float64Codec",
     "IOStats",
     "InMemoryPageStore",
-    "MmapPageStore",
+    "ModelledPool",
     "PageStore",
     "StorageError",
     "StructCodec",

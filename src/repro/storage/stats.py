@@ -11,6 +11,7 @@ otherwise — the classic rotating-disk cost model the paper assumes.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,11 +76,9 @@ class IOStats:
     def record_read_many(self, page_ids) -> None:
         """Vectorised :meth:`record_read` over a batch of page reads.
 
-        Used by the zero-copy gather path of
-        :meth:`repro.storage.vectors.VectorHeapFile.gather`: the counters
-        (totals and the random/sequential split) end up exactly as if
-        :meth:`record_read` had been called once per page id, in order,
-        without a Python-level loop.
+        The counters (totals and the random/sequential split) end up
+        exactly as if :meth:`record_read` had been called once per page
+        id, in order, without a Python-level loop.
         """
         page_ids = np.asarray(page_ids, dtype=np.int64).ravel()
         if page_ids.size == 0:
@@ -131,3 +130,54 @@ class IOStats:
         combined.sequential_writes = self.sequential_writes + other.sequential_writes
         combined.cache_hits = self.cache_hits + other.cache_hits
         return combined
+
+
+class ModelledPool:
+    """Base of the two paged structures of an HD-Index — the descriptor
+    heap and an RDB-tree: their :class:`IOStats` and the buffer pool of
+    ``cache_pages`` pages their reads are *modelled* to go through.
+
+    Both structures are arrays (in RAM, or mappings the OS pages in), so
+    no page is ever held here: the pool is an LRU over page *ids* that
+    only decides whether a read of the trace counts as a cache hit or as
+    a page read.  ``cache_pages=0`` is the paper's methodology (caching
+    off): every read is counted.  Writes do not warm the model, so a
+    freshly built structure starts as cold as :meth:`clear_cache` leaves
+    it.
+    """
+
+    def __init__(self, cache_pages: int, page_size: int) -> None:
+        if cache_pages < 0:
+            raise ValueError(f"cache_pages must be >= 0, got {cache_pages}")
+        if page_size <= 0:
+            raise ValueError(f"page_size must be positive, got {page_size}")
+        self.cache_pages = cache_pages
+        self.page_size = page_size
+        self.stats = IOStats()
+        self._resident: OrderedDict[int, None] = OrderedDict()
+
+    def record_read_many(self, page_ids: np.ndarray) -> None:
+        """Account for a trace of page reads, in order: a resident page
+        is a cache hit, any other a counted read that evicts the least
+        recently used."""
+        if not self.cache_pages:
+            self.stats.record_read_many(page_ids)
+            return
+        resident, stats = self._resident, self.stats
+        for page_id in page_ids.ravel().tolist():
+            if page_id in resident:
+                resident.move_to_end(page_id)
+                stats.record_cache_hit()
+                continue
+            stats.record_read(page_id)
+            resident[page_id] = None
+            if len(resident) > self.cache_pages:
+                resident.popitem(last=False)
+
+    def clear_cache(self) -> None:
+        """Empty the modelled buffer pool (a cold start)."""
+        self._resident.clear()
+
+    def memory_bytes(self) -> int:
+        """Resident RAM charged to the structure: the modelled pool."""
+        return len(self._resident) * self.page_size

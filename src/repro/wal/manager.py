@@ -311,7 +311,7 @@ def fold_generation(source: str, dest: str,
             shutil.copy2(path, os.path.join(dest, name))
     with open(os.path.join(source, "meta.json")) as handle:
         source_meta = json.load(handle)
-    folded = load_index(dest, backend="file", wal=False)
+    folded = load_index(dest, backend="mmap", wal=False)
     try:
         _demote_executors(folded)
         for object_id, vector, metadata in records:

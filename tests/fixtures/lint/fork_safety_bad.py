@@ -4,7 +4,7 @@ The test harness declares this file under ``[forksafety]`` with
 ``worker_functions = ["_worker_task"]``, ``allowed_worker_globals =
 ["_STATE"]``, ``bootstrap_functions = ["_bootstrap"]``,
 ``required_bootstrap_calls = ["_demote_executors"]`` and
-``unpicklable_factories = ["MmapPageStore"]``.
+``unpicklable_factories = ["VectorHeapFile"]``.
 """
 
 _STATE = {"index": None}
@@ -39,7 +39,7 @@ class Dispatcher:
         return pool.submit(_worker_task, handle)  # expect: FS202
 
     def dispatch_store(self, pool, executor_cls):
-        store = MmapPageStore(self.snapshot_path)
+        store = VectorHeapFile(self.snapshot_path)
         executor = executor_cls(
             initializer=_worker_task,
             initargs=(store,),  # expect: FS202
@@ -47,6 +47,6 @@ class Dispatcher:
         return executor
 
 
-def MmapPageStore(path):
+def VectorHeapFile(path):
     """Stand-in factory so the fixture parses standalone."""
     return object()

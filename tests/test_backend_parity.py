@@ -1,6 +1,6 @@
-"""Storage-backend parity: memory / file / mmap must answer identically.
+"""Storage-backend parity: memory and mmap must answer identically.
 
-The tentpole guarantee of the mmap backend is that it changes *where reads
+The guarantee of the mmap backend is that it changes *where reads
 come from*, never *what is read*: ``query`` / ``query_batch`` results are
 byte-identical across backends, before and after snapshot reloads and
 insert/delete updates.
@@ -21,11 +21,8 @@ from repro.core import (
     save_index,
 )
 from repro.serve import QueryService
-from repro.storage import FilePageStore, InMemoryPageStore, MmapPageStore
 
-BACKENDS = ("memory", "file", "mmap")
-STORE_TYPES = {"memory": InMemoryPageStore, "file": FilePageStore,
-               "mmap": MmapPageStore}
+BACKENDS = ("memory", "mmap")
 K = 5
 
 
@@ -70,7 +67,8 @@ class TestBuildBackends:
                              else str(tmp_path / backend)))
             index = HDIndex(params)
             index.build(data)
-            assert type(index.heap._store) is STORE_TYPES[backend]
+            assert _is_mapped(index.heap.page_matrix()) \
+                == (backend == "mmap")
             answers = _answers(index, queries)
             if reference is None:
                 reference = answers
@@ -79,9 +77,8 @@ class TestBuildBackends:
             index.close()
 
     def test_backend_without_storage_dir_rejected(self):
-        for backend in ("file", "mmap"):
-            with pytest.raises(ValueError):
-                _params(backend=backend)
+        with pytest.raises(ValueError):
+            _params(backend="mmap")
 
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError):
@@ -105,7 +102,8 @@ class TestLoadBackends:
         _, queries = workload
         directory, reference = snapshot
         reopened = load_index(directory, backend=backend)
-        assert type(reopened.heap._store) is STORE_TYPES[backend]
+        assert _is_mapped(reopened.heap.page_matrix()) \
+            == (backend == "mmap")
         assert reopened.params.resolved_backend == backend
         _assert_same_answers(_answers(reopened, queries), reference,
                              f"load[{backend}]")
@@ -124,7 +122,7 @@ class TestLoadBackends:
         save_index(index, tmp_path)
         index.close()
         reopened = load_index(tmp_path)
-        assert type(reopened.heap._store) is MmapPageStore
+        assert _is_mapped(reopened.heap.page_matrix())
         reopened.close()
 
 
@@ -205,7 +203,7 @@ class TestFamilyBackends:
         sharded.close()
         reopened = load_index(tmp_path, backend="mmap")
         for shard in reopened.shards:
-            assert type(shard.heap._store) is MmapPageStore
+            assert _is_mapped(shard.heap.page_matrix())
         _assert_same_answers(_answers(reopened, queries), expected,
                              "sharded-mmap")
         reopened.close()
@@ -219,7 +217,7 @@ class TestFamilyBackends:
         index.close()
         with QueryService.from_snapshot(tmp_path, backend="mmap",
                                         max_batch=4) as service:
-            assert type(service.index.heap._store) is MmapPageStore
+            assert _is_mapped(service.index.heap.page_matrix())
             for query, (ids, dists) in zip(queries, expected):
                 got_ids, got_dists = service.query(query, K)
                 np.testing.assert_array_equal(got_ids, ids)
@@ -251,12 +249,13 @@ class TestColdStartCost:
         assert reads == 0
         # The tree columns are views of the file mapping, not copies.
         assert all(_is_mapped(t.packed.keys_raw) for t in mapped.trees)
-        heap_pages = mapped.heap._store.num_pages
+        heap_pages = len(mapped.heap.page_matrix())
         tree_pages = [t.packed.num_pages for t in mapped.trees]
         mapped.close()
 
         materialised = load_index(tmp_path, backend="memory")
-        assert materialised.heap._store.num_pages == heap_pages > 0
+        assert len(materialised.heap.page_matrix()) == heap_pages > 0
+        assert not _is_mapped(materialised.heap.page_matrix())
         # Materialisation slurped every page and column up front (one
         # bulk read per file; query-time accounting starts at zero).
         assert [t.packed.num_pages for t in materialised.trees] \
@@ -269,7 +268,8 @@ class TestColdStartCost:
     def test_mmap_with_buffer_pool_matches_file_accounting(
             self, workload, tmp_path):
         """cache_pages > 0 must mean the same thing on every backend: the
-        gather fast path may not bypass a configured buffer pool."""
+        modelled pool decides hit vs counted read, wherever the pages
+        are."""
         data, queries = workload
         index = HDIndex(_params(storage_dir=str(tmp_path)))
         index.build(data)
@@ -277,7 +277,7 @@ class TestColdStartCost:
         index.close()
 
         snapshots = {}
-        for backend in ("file", "mmap"):
+        for backend in BACKENDS:
             reopened = load_index(tmp_path, cache_pages=256,
                                   backend=backend)
             reopened.query(queries[0], K)   # cold
@@ -286,4 +286,4 @@ class TestColdStartCost:
             snapshots[backend] = (stats.page_reads, stats.random_reads,
                                   stats.sequential_reads)
             reopened.close()
-        assert snapshots["file"] == snapshots["mmap"]
+        assert snapshots["memory"] == snapshots["mmap"]

@@ -14,8 +14,6 @@ from repro.core import (
     load_index,
     save_index,
 )
-from repro.core.persistence import _materialise_store
-from repro.storage.pages import InMemoryPageStore
 
 
 @pytest.fixture(scope="module")
@@ -197,7 +195,7 @@ class TestOneFilePerTree:
         with pytest.raises(PersistenceError, match="entries"):
             load_index(tmp_path)
 
-    @pytest.mark.parametrize("backend", ["file", "mmap"])
+    @pytest.mark.parametrize("backend", ["mmap"])
     def test_mapped_files_are_replaced_not_truncated(self, workload,
                                                      tmp_path, backend):
         """An un-logged fold rewrites the snapshot in place while the old
@@ -456,38 +454,22 @@ class TestMutateResaveRoundTrip:
 
 
 class TestMaterialiseStore:
-    """Regression (PR 2): contiguity is enforced with a real exception, not
-    a bare ``assert`` that ``python -O`` strips to a no-op."""
+    """How ``save_index`` gets the descriptor heap onto disk."""
 
-    class _GappyStore:
-        """A store whose page ids are not contiguous (simulated corruption)."""
-
-        page_size = 4096
-
-        def iter_page_ids(self):
-            return iter([0, 2])
-
-        def read(self, page_id):
-            return bytes(self.page_size)
-
-    def test_non_contiguous_store_raises(self, tmp_path):
-        with pytest.raises(PersistenceError, match="not contiguous"):
-            _materialise_store(self._GappyStore(), str(tmp_path),
-                               "descriptors")
-
-    def test_empty_store_materialises_empty_file(self, tmp_path):
-        store = InMemoryPageStore(page_size=4096)
-        _materialise_store(store, str(tmp_path), "descriptors")
-        assert (tmp_path / "descriptors.pages").stat().st_size == 0
-
-    def test_contiguous_store_copies_all_pages(self, tmp_path):
-        store = InMemoryPageStore(page_size=512)
-        for value in (b"a", b"b", b"c"):
-            page_id = store.allocate()
-            store.write(page_id, value * 512)
-        _materialise_store(store, str(tmp_path), "descriptors")
+    def test_contiguous_store_copies_all_pages(self, workload, tmp_path):
+        """An in-memory heap is written out whole, in one pass that
+        charges the index's own counters nothing."""
+        data, _ = workload
+        index = HDIndex(params())
+        index.build(data)
+        before = index.io_snapshot()
+        save_index(index, tmp_path)
+        assert index.io_snapshot() == before
         raw = (tmp_path / "descriptors.pages").read_bytes()
-        assert raw == b"a" * 512 + b"b" * 512 + b"c" * 512
+        assert raw == index.heap.page_matrix().tobytes()
+        assert len(raw) == index.heap.size_bytes() > 0
+        assert not (tmp_path / "descriptors.pages.tmp").exists()
+        index.close()
 
     def test_file_backed_elsewhere_rejected(self, workload, tmp_path):
         data, _ = workload

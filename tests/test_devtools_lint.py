@@ -42,7 +42,7 @@ def fixture_config() -> LintConfig:
             "allowed_worker_globals": ["_STATE"],
             "bootstrap_functions": ["_bootstrap"],
             "required_bootstrap_calls": ["_demote_executors"],
-            "unpicklable_factories": ["MmapPageStore"],
+            "unpicklable_factories": ["VectorHeapFile"],
         },
         "api": {
             "frozen_dataclass_files": ["tests/fixtures/lint/api_bad.py"],

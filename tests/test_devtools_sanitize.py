@@ -15,8 +15,9 @@ from repro.devtools import sanitize
 from repro.devtools.sanitize import SanitizerError
 from repro.storage.buffer import BufferPool
 from repro.storage.codecs import UIntCodec
-from repro.storage.pages import InMemoryPageStore, MmapPageStore
+from repro.storage.pages import InMemoryPageStore
 from repro.storage.stats import IOStats
+from repro.storage.vectors import heap_file_from_array
 
 
 @pytest.fixture(autouse=True)
@@ -129,26 +130,49 @@ class TestBufferPoolAccounting:
             pool.read(store.allocate())
 
 
+class TestModelledPool:
+    def test_page_id_lru_stays_within_cache_pages(self, sanitized):
+        heap = heap_file_from_array(np.zeros((64, 4)), page_size=64,
+                                    cache_pages=3)
+        heap.gather(np.arange(64))
+        heap.gather([0, 63, 5, 0])
+        assert heap.memory_bytes() == 3 * 64
+
+    def test_overfull_pool_raises(self, sanitized):
+        for cache_pages in (0, 2):
+            heap = heap_file_from_array(np.zeros((64, 4)), page_size=64,
+                                        cache_pages=cache_pages)
+            heap._resident.update(dict.fromkeys(range(10, 13)))  # seeded
+            with pytest.raises(SanitizerError, match="modelled pool"):
+                heap.gather([0])
+
+
 class TestMmapWriteProtection:
     def test_page_matrix_views_are_read_only(self, sanitized, tmp_path):
-        store = MmapPageStore(tmp_path / "pages.bin", page_size=256)
-        page = store.allocate()
-        store.write(page, b"a" * 256)
-        matrix = store.page_matrix()
-        assert not matrix.flags.writeable
-        with pytest.raises(ValueError):
-            matrix[0, 0] = 1
-        # The data itself is still readable and correct.
-        assert bytes(matrix[page]) == b"a" * 256
-        store.close()
+        data = np.arange(32, dtype=np.float32).reshape(8, 4)
+        for path in (None, tmp_path / "pages.bin"):
+            heap = heap_file_from_array(data, page_size=256, path=path)
+            matrix = heap.page_matrix()
+            assert not matrix.flags.writeable
+            with pytest.raises(ValueError):
+                matrix[0, 0] = 1
+            # The data itself is still readable and correct.
+            assert bytes(matrix[0, :128]) == data.tobytes()
+            heap.close()
 
-    def test_without_sanitizer_views_stay_writable(self, unsanitized,
-                                                   tmp_path):
-        store = MmapPageStore(tmp_path / "pages.bin", page_size=256)
-        page = store.allocate()
-        store.write(page, b"b" * 256)
-        assert store.page_matrix().flags.writeable
-        store.close()
+    def test_writable_matrix_raises(self, sanitized):
+        heap = heap_file_from_array(np.zeros((8, 4)), page_size=256)
+        heap._state = (heap._buffer, 8)  # seeded: the raw buffer
+        with pytest.raises(SanitizerError, match="writable"):
+            heap.gather([0])
+
+    def test_without_sanitizer_views_are_read_only_too(self, unsanitized,
+                                                       tmp_path):
+        for path in (None, tmp_path / "pages.bin"):
+            heap = heap_file_from_array(np.ones((8, 4)), page_size=256,
+                                        path=path)
+            assert not heap.page_matrix().flags.writeable
+            heap.close()
 
 
 class TestPackedNodeCrossCheck:

@@ -55,9 +55,10 @@ class TestArchitectureDoc:
             assert name in text, f"missing {name!r}"
 
     def test_covers_the_storage_backend_matrix(self, text):
-        for name in ("memory", "file", "mmap", "MmapPageStore",
-                     "BufferPool"):
+        for name in ('"memory"', '"mmap"', "page matrix", "ModelledPool",
+                     "cache_pages", "BufferPool"):
             assert name in text, f"missing {name!r}"
+        assert '"file"' not in text and "PageStore(" not in text
 
     def test_points_into_the_source_tree(self, text):
         for path in ("src/repro/core/engine.py", "src/repro/storage",
@@ -100,6 +101,11 @@ class TestMigrationDoc:
         for name in ("ParallelHDIndex", "ProcessPoolHDIndex",
                      "ShardedHDIndex", 'mode="process"', "--mode"):
             assert name in text, f"missing migration entry for {name!r}"
+
+    def test_file_backend_removal_is_documented(self, text):
+        for name in ('backend="file"', "FilePageStore", "MmapPageStore",
+                     "store=", '"mmap"'):
+            assert name in text, f"missing removal entry for {name!r}"
 
     def test_names_the_replacements(self, text):
         for name in ("IndexSpec", "Topology", "Execution", "repro.build",

@@ -5,7 +5,7 @@ import pytest
 
 from repro.btree import BPlusTree
 from repro.eval.harness import _padded_ratio
-from repro.storage import FilePageStore, UInt64Codec, UIntCodec
+from repro.storage import StorageError, UInt64Codec, UIntCodec, VectorHeapFile
 
 
 class TestDuplicateKeysAcrossLeaves:
@@ -49,32 +49,34 @@ class TestPaddedRatio:
 
 
 class TestFilePageStoreLifecycle:
+    """The descriptor heap's page file across close and reopen."""
+
     def test_grow_after_reopen(self, tmp_path):
         path = tmp_path / "grow.pages"
-        store = FilePageStore(path, page_size=64)
-        first = store.allocate()
-        store.write(first, b"one")
-        store.close()
-        reopened = FilePageStore(path, page_size=64)
-        second = reopened.allocate()
-        assert second == 1
-        reopened.write(second, b"two")
-        assert reopened.read(0).startswith(b"one")
-        assert reopened.read(1).startswith(b"two")
+        heap = VectorHeapFile(2, np.float64, 64, path=path)
+        assert heap.append(np.asarray([1.0, 1.5])) == 0
+        heap.close()
+        reopened = VectorHeapFile(2, np.float64, 64, path=path)
+        reopened.restore_count(1)
+        assert reopened.append(np.asarray([2.0, 2.5])) == 1
+        np.testing.assert_array_equal(reopened.fetch(0), [1.0, 1.5])
+        np.testing.assert_array_equal(reopened.fetch(1), [2.0, 2.5])
         reopened.close()
 
     def test_write_after_close_rejected(self, tmp_path):
-        store = FilePageStore(tmp_path / "x.pages", page_size=64)
-        page = store.allocate()
-        store.close()
-        from repro.storage import StorageError
+        path = tmp_path / "x.pages"
+        heap = VectorHeapFile(2, np.float64, 64, path=path)
+        heap.append(np.zeros(2))
+        heap.close()
         with pytest.raises(StorageError):
-            store.write(page, b"late")
+            heap.append(np.ones(2))
+        assert path.read_bytes() == bytes(64)
 
     def test_double_close_is_safe(self, tmp_path):
-        store = FilePageStore(tmp_path / "y.pages", page_size=64)
-        store.close()
-        store.close()
+        for path in (tmp_path / "y.pages", None):
+            heap = VectorHeapFile(2, np.float64, 64, path=path)
+            heap.close()
+            heap.close()
 
 
 class TestHilbertExtremes:

@@ -19,7 +19,6 @@ from repro import (
 )
 from repro.datasets import DATASET_CATALOG
 from repro.eval import exact_knn, mean_average_precision
-from repro.storage import FilePageStore
 from repro.storage.vectors import VectorHeapFile
 
 
@@ -76,14 +75,15 @@ class TestQualityOrdering:
 class TestDiskResidence:
     def test_file_backed_heap_round_trips(self, tmp_path):
         ds = make_dataset("sift10k", n=200, num_queries=2, seed=3)
-        store = FilePageStore(tmp_path / "vectors.pages")
-        heap = VectorHeapFile(dim=ds.dim, dtype=np.float32, store=store)
+        heap = VectorHeapFile(dim=ds.dim, dtype=np.float32,
+                              path=tmp_path / "vectors.pages")
         heap.append_batch(ds.data)
         got = heap.fetch(137)
         np.testing.assert_allclose(got, ds.data[137], atol=1e-3)
+        size = heap.size_bytes()
         heap.close()
-        assert (tmp_path / "vectors.pages").stat().st_size == \
-            store.num_pages * store.page_size
+        assert (tmp_path / "vectors.pages").stat().st_size == size \
+            == -(-200 // heap.records_per_page) * heap.page_size
 
     def test_buffering_reduces_reads_but_not_results(self):
         """The buffering ablation: cached and uncached indexes answer

@@ -103,7 +103,7 @@ class TestFilteredParity:
 
     @pytest.mark.parametrize("execution", ["sequential", "thread",
                                            "process"])
-    @pytest.mark.parametrize("backend", ["file", "mmap"])
+    @pytest.mark.parametrize("backend", ["mmap"])
     def test_executor_backend_matrix(self, tmp_path, execution, backend):
         data, queries, metadata = make_workload()
         spec = IndexSpec(params=exhaustive_params(),
@@ -385,7 +385,7 @@ class TestFilteredValidation:
 
 
 class TestFilteredPersistence:
-    @pytest.mark.parametrize("backend", ["file", "mmap"])
+    @pytest.mark.parametrize("backend", ["mmap"])
     def test_metadata_survives_save_load(self, tmp_path, backend):
         data, queries, metadata = make_workload()
         spec = IndexSpec(params=exhaustive_params(), backend=backend)
@@ -402,7 +402,7 @@ class TestFilteredPersistence:
 
     def test_metadata_free_snapshot_has_no_sidecar(self, tmp_path):
         data, _, _ = make_workload()
-        spec = IndexSpec(params=exhaustive_params(), backend="file")
+        spec = IndexSpec(params=exhaustive_params(), backend="mmap")
         index = build(spec, data, storage_dir=str(tmp_path))
         index.close()
         assert not (tmp_path / "metadata.packed").exists()
@@ -416,7 +416,7 @@ class TestFilteredWal:
     attached and without (same write path; the log is durability)."""
 
     def wal_spec(self, wal, n=N, shards=1):
-        return IndexSpec(params=exhaustive_params(n=n), backend="file",
+        return IndexSpec(params=exhaustive_params(n=n), backend="mmap",
                          topology=Topology(shards=shards),
                          execution=Execution(kind="sequential", wal=wal))
 
@@ -572,7 +572,7 @@ class TestAngularMetric:
         data, queries, _ = make_workload()
         ndata = normalize_rows(data)
         spec = IndexSpec(params=exhaustive_params(metric="angular"),
-                         backend="file")
+                         backend="mmap")
         index = build(spec, ndata, storage_dir=str(tmp_path))
         want = index.query(queries[0], k=5)
         index.close()

@@ -171,7 +171,7 @@ class TestStatsParity:
 
 
 class TestBackendParityRandomized:
-    """memory / file / mmap loads of one snapshot answer identically under
+    """memory and mmap loads of one snapshot answer identically under
     randomized queries (seeded trials, extending the fixed-case suite)."""
 
     @pytest.mark.parametrize("trial_seed", [101, 202, 303])
@@ -179,7 +179,7 @@ class TestBackendParityRandomized:
         queries = _queries(trial_seed, count=4)
         oracle = [tiers["sequential"].query(q, 6) for q in queries]
         batch_oracle = tiers["sequential"].query_batch(queries, 6)
-        for backend in ("memory", "file", "mmap"):
+        for backend in ("memory", "mmap"):
             reopened = load_index(tiers["snapshot"], backend=backend)
             try:
                 for q, expected in zip(queries, oracle):
@@ -191,7 +191,7 @@ class TestBackendParityRandomized:
             finally:
                 reopened.close()
 
-    @pytest.mark.parametrize("worker_backend", ["memory", "file", "mmap"])
+    @pytest.mark.parametrize("worker_backend", ["memory", "mmap"])
     def test_process_worker_backend_parity(self, tiers, worker_backend):
         """The workers' own reopen backend must not show in the answers."""
         queries = _queries(77, count=3)
@@ -227,7 +227,7 @@ class TestShardedSelfParity:
         queries = _queries(trial_seed, count=4)
         oracle = [index.query(q, 6) for q in queries]
         batch_oracle = index.query_batch(queries, 6)
-        for backend in ("memory", "file", "mmap"):
+        for backend in ("memory", "mmap"):
             reopened = load_index(directory, backend=backend)
             try:
                 for q, expected in zip(queries, oracle):

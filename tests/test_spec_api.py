@@ -188,11 +188,8 @@ class TestFactoryCombos:
             topology=Topology(shards=2, shard_backends=("memory", "mmap")))
         index = repro.build(spec, data, storage_dir=tmp_path)
         try:
-            from repro.storage.pages import InMemoryPageStore, MmapPageStore
-            assert isinstance(index.shards[0].heap.pool.store,
-                              InMemoryPageStore)
-            assert isinstance(index.shards[1].heap.pool.store,
-                              MmapPageStore)
+            assert index.shards[0].heap.path is None
+            assert index.shards[1].heap.path is not None
             got = index.query_batch(queries, K)
             np.testing.assert_array_equal(got[0], expected[0])
             np.testing.assert_array_equal(got[1], expected[1])

@@ -1,4 +1,4 @@
-"""Unit tests for the zero-copy mmap page store and the heap-file gather."""
+"""Unit tests for the descriptor heap's page file and its gather."""
 
 import os
 
@@ -6,128 +6,122 @@ import numpy as np
 import pytest
 
 from repro.storage import (
-    FilePageStore,
     InMemoryPageStore,
-    MmapPageStore,
     StorageError,
     VectorHeapFile,
     heap_file_from_array,
 )
+from test_backend_parity import _is_mapped
+
+
+def _rows(count, dim=4, seed=0):
+    return np.random.default_rng(seed).normal(
+        size=(count, dim)).astype(np.float32)
 
 
 class TestMmapPageStore:
+    """The heap served from a page file (16 B records, 4 to a 64 B page)."""
+
+    def _heap(self, path, page_size=64):
+        return VectorHeapFile(4, np.float32, page_size, path=path)
+
     def test_round_trip(self, tmp_path):
-        store = MmapPageStore(tmp_path / "pages.bin", page_size=64)
-        page_id = store.allocate()
-        store.write(page_id, b"mapped")
-        assert bytes(store.read(page_id)) == b"mapped" + bytes(58)
-        store.close()
+        heap = self._heap(tmp_path / "pages.bin")
+        rows = _rows(6)
+        np.testing.assert_array_equal(heap.append_batch(rows), np.arange(6))
+        np.testing.assert_array_equal(heap.gather([5, 0]), rows[[5, 0]])
+        assert bytes(heap.page_matrix()[1, 32:]) == bytes(32)  # zero-padded
+        heap.close()
 
     def test_read_is_zero_copy_view(self, tmp_path):
-        store = MmapPageStore(tmp_path / "pages.bin", page_size=64)
-        page_id = store.allocate()
-        store.write(page_id, b"before")
-        view = store.read(page_id)
-        assert isinstance(view, memoryview)
-        # The view is live over the mapping: a later write shows through.
-        store.write(page_id, b"after!")
-        assert bytes(view[:6]) == b"after!"
-        store.close()
+        heap = self._heap(tmp_path / "pages.bin")
+        heap.append_batch(_rows(6))
+        matrix = heap.page_matrix()
+        assert _is_mapped(matrix) and not matrix.flags.writeable
+        with pytest.raises(ValueError):
+            matrix[0, 0] = 1
+        # What gather hands out is the caller's own copy.
+        assert heap.gather([0]).flags.writeable
+        heap.close()
 
-    def test_file_format_matches_file_store(self, tmp_path):
-        """mmap and file backends are interchangeable over one file."""
+    def test_file_holds_exactly_the_pages(self, tmp_path):
+        """No over-allocation: after every append the file is the
+        matrix, a whole number of pages."""
         path = tmp_path / "pages.bin"
-        store = MmapPageStore(path, page_size=64)
-        for index in range(5):
-            page_id = store.allocate()
-            store.write(page_id, bytes([index]) * 64)
-        store.close()
-        assert os.path.getsize(path) == 5 * 64  # trimmed to whole pages
-        reopened = FilePageStore(path, page_size=64)
-        assert reopened.num_pages == 5
-        assert reopened.read(3) == bytes([3]) * 64
-        reopened.close()
+        heap = self._heap(path)
+        assert os.path.getsize(path) == 0
+        for count, pages in ((3, 1), (1, 1), (1, 2), (9, 4)):
+            heap.append_batch(_rows(count))
+            assert os.path.getsize(path) == pages * 64
+            assert path.read_bytes() == heap.page_matrix().tobytes()
+        heap.close()
+        assert os.path.getsize(path) == 4 * 64
 
     def test_reopen_existing_file(self, tmp_path):
         path = tmp_path / "pages.bin"
-        first = FilePageStore(path, page_size=64)
-        page_id = first.allocate()
-        first.write(page_id, b"from file store")
+        rows = _rows(5)
+        first = self._heap(path)
+        first.append_batch(rows)
         first.close()
-        store = MmapPageStore(path, page_size=64)
-        assert store.num_pages == 1
-        assert bytes(store.read(0)).startswith(b"from file store")
-        store.close()
+        heap = self._heap(path)
+        assert len(heap.page_matrix()) == 2 and len(heap) == 0
+        heap.restore_count(5)
+        np.testing.assert_array_equal(heap.scan(), rows)
+        heap.close()
 
     def test_reopen_with_wrong_page_size_rejected(self, tmp_path):
         path = tmp_path / "pages.bin"
-        store = MmapPageStore(path, page_size=64)
-        store.allocate()
-        store.close()
+        heap = self._heap(path)
+        heap.append_batch(_rows(1))
+        heap.close()
         with pytest.raises(StorageError):
-            MmapPageStore(path, page_size=48)
+            self._heap(path, page_size=48)
+        with pytest.raises(StorageError):
+            VectorHeapFile(4, np.float32, 48).read(path)
 
     def test_growth_keeps_old_views_alive(self, tmp_path):
-        store = MmapPageStore(tmp_path / "pages.bin", page_size=32)
-        first = store.allocate()
-        store.write(first, b"persistent")
-        view = store.read(first)
-        # Grow far past the initial capacity, forcing several remaps.
-        for index in range(4 * MmapPageStore.MIN_CAPACITY_PAGES):
-            store.write(store.allocate(), bytes([index % 251]) * 32)
-        assert bytes(view[:10]) == b"persistent"
-        assert bytes(store.read(first))[:10] == b"persistent"
-        store.close()
-
-    def test_flush_trims_overallocation(self, tmp_path):
-        path = tmp_path / "pages.bin"
-        store = MmapPageStore(path, page_size=32)
-        for _ in range(3):
-            store.allocate()
-        assert os.path.getsize(path) >= MmapPageStore.MIN_CAPACITY_PAGES * 32
-        store.flush()
-        assert os.path.getsize(path) == 3 * 32
-        # Growth after a flush keeps working.
-        store.write(store.allocate(), b"post-flush")
-        store.flush()
-        assert os.path.getsize(path) == 4 * 32
-        store.close()
+        heap = self._heap(tmp_path / "pages.bin")
+        rows = _rows(300)
+        heap.append_batch(rows[:3])
+        matrix = heap.page_matrix()
+        # Many appends, each one a file write and a fresh mapping; the
+        # first fills the open slot of the page the old matrix maps, and
+        # none touches a record it already held.
+        for start in range(3, 300, 11):
+            heap.append_batch(rows[start:start + 11])
+        assert matrix.shape == (1, 64)
+        assert matrix[0, :48].tobytes() == rows[:3].tobytes()
+        np.testing.assert_array_equal(heap.scan(), rows)
+        heap.close()
 
     def test_close_trims_even_with_live_numpy_views(self, tmp_path):
         path = tmp_path / "pages.bin"
-        store = MmapPageStore(path, page_size=32)
-        store.write(store.allocate(), b"pinned")
-        matrix = store.page_matrix()
-        store.close()
-        assert os.path.getsize(path) == 32
+        heap = self._heap(path)
+        rows = _rows(2)
+        heap.append_batch(rows)
+        matrix = heap.page_matrix()
+        heap.close()
+        heap.close()  # idempotent
+        assert os.path.getsize(path) == 64
         # The exported view still reads the mapped data after close.
-        assert bytes(matrix[0, :6].tobytes()) == b"pinned"
-        with pytest.raises(StorageError):
-            store.read(0)
+        assert matrix[0, :16].tobytes() == rows[0].tobytes()
+        for closed_call in (lambda: heap.gather([0]),
+                            lambda: heap.append_batch(rows),
+                            heap.page_matrix):
+            with pytest.raises(StorageError):
+                closed_call()
+        assert os.path.getsize(path) == 64 and len(heap) == 2
 
     def test_page_matrix_tracks_allocation(self, tmp_path):
-        store = MmapPageStore(tmp_path / "pages.bin", page_size=32)
-        assert store.page_matrix().shape == (0, 32)
-        store.write(store.allocate(), b"a")
-        assert store.page_matrix().shape == (1, 32)
-        store.write(store.allocate(), b"b")
-        matrix = store.page_matrix()
+        heap = self._heap(tmp_path / "pages.bin", page_size=32)
+        assert heap.page_matrix().shape == (0, 32)
+        heap.append_batch(_rows(2))
+        assert heap.page_matrix().shape == (1, 32)
+        heap.append_batch(_rows(1, seed=1))
+        matrix = heap.page_matrix()
         assert matrix.shape == (2, 32)
-        assert bytes(matrix[1, :1].tobytes()) == b"b"
-        store.close()
-
-    def test_io_accounting_matches_file_store(self, tmp_path):
-        mapped = MmapPageStore(tmp_path / "m.bin", page_size=32)
-        plain = FilePageStore(tmp_path / "f.bin", page_size=32)
-        for store in (mapped, plain):
-            for _ in range(4):
-                store.allocate()
-            store.stats.reset()
-            for page_id in (0, 1, 2, 0, 3):
-                store.read(page_id)
-        assert mapped.stats.snapshot() == plain.stats.snapshot()
-        mapped.close()
-        plain.close()
+        assert matrix[1, :16].tobytes() == _rows(1, seed=1).tobytes()
+        heap.close()
 
 
 class TestRecordReadMany:
@@ -152,12 +146,9 @@ class TestRecordReadMany:
 
 class TestHeapGather:
     def _heaps(self, tmp_path, data, dtype="float32", page_size=256):
-        mapped = heap_file_from_array(
-            data, dtype=dtype,
-            store=MmapPageStore(tmp_path / "m.pages", page_size=page_size))
-        memory = heap_file_from_array(
-            data, dtype=dtype,
-            store=InMemoryPageStore(page_size=page_size))
+        mapped = heap_file_from_array(data, dtype=dtype, page_size=page_size,
+                                      path=tmp_path / "m.pages")
+        memory = heap_file_from_array(data, dtype=dtype, page_size=page_size)
         return mapped, memory
 
     def test_gather_matches_loop_fetch(self, tmp_path):
@@ -179,8 +170,10 @@ class TestHeapGather:
         mapped.stats.reset()
         memory.stats.reset()
         mapped.gather(ids)
-        memory.gather(ids)
+        for object_id in ids:
+            memory.fetch(object_id)
         assert mapped.stats.snapshot() == memory.stats.snapshot()
+        assert mapped.stats.page_reads == len(ids)
         mapped.close()
         memory.close()
 
@@ -202,7 +195,7 @@ class TestHeapGather:
     def test_gather_after_insert(self, tmp_path):
         data = np.arange(24, dtype=np.float64).reshape(6, 4)
         heap = heap_file_from_array(
-            data, store=MmapPageStore(tmp_path / "m.pages", page_size=64))
+            data, page_size=64, path=tmp_path / "m.pages")
         new_id = heap.append(np.full(4, 9.5))
         got = heap.gather([new_id, 0])
         np.testing.assert_array_equal(got[0], np.full(4, 9.5, np.float32))
@@ -212,7 +205,7 @@ class TestHeapGather:
     def test_gather_rejects_bad_ids(self, tmp_path):
         data = np.zeros((4, 3))
         heap = heap_file_from_array(
-            data, store=MmapPageStore(tmp_path / "m.pages", page_size=64))
+            data, page_size=64, path=tmp_path / "m.pages")
         with pytest.raises(StorageError):
             heap.gather([0, 4])
         with pytest.raises(StorageError):
@@ -223,7 +216,7 @@ class TestHeapGather:
     def test_fetch_many_delegates_to_gather(self, tmp_path):
         data = np.arange(12, dtype=np.float64).reshape(3, 4)
         heap = heap_file_from_array(
-            data, store=MmapPageStore(tmp_path / "m.pages", page_size=64))
+            data, page_size=64, path=tmp_path / "m.pages")
         np.testing.assert_array_equal(
             heap.fetch_many([2, 1]), data[[2, 1]].astype(np.float32))
         heap.close()
@@ -233,13 +226,12 @@ class TestVectorHeapOnMmap:
     def test_append_persists_across_backends(self, tmp_path):
         path = tmp_path / "heap.pages"
         data = np.arange(20, dtype=np.float64).reshape(5, 4)
-        heap = heap_file_from_array(
-            data, store=MmapPageStore(path, page_size=64))
+        heap = heap_file_from_array(data, page_size=64, path=path)
         heap.append(np.full(4, 7.0))
         count = len(heap)
         heap.close()
-        reopened = VectorHeapFile(
-            dim=4, dtype=np.float32, store=FilePageStore(path, page_size=64))
+        reopened = VectorHeapFile(dim=4, dtype=np.float32, page_size=64)
+        reopened.read(path)
         reopened.restore_count(count)
         np.testing.assert_array_equal(
             reopened.fetch(count - 1), np.full(4, 7.0, np.float32))

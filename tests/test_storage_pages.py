@@ -1,12 +1,13 @@
 """Unit tests for the fixed-size page stores."""
 
+import numpy as np
 import pytest
 
 from repro.storage import (
     DEFAULT_PAGE_SIZE,
-    FilePageStore,
     InMemoryPageStore,
     StorageError,
+    VectorHeapFile,
 )
 
 
@@ -137,72 +138,45 @@ class TestIOAccounting:
 
 
 class TestFilePageStore:
-    def test_round_trip_on_disk(self, tmp_path):
-        path = tmp_path / "pages.bin"
-        store = FilePageStore(path, page_size=64)
-        page_id = store.allocate()
-        store.write(page_id, b"persisted")
-        assert store.read(page_id).startswith(b"persisted")
-        store.close()
-
-    def test_reopen_existing_file(self, tmp_path):
-        path = tmp_path / "pages.bin"
-        store = FilePageStore(path, page_size=64)
-        page_id = store.allocate()
-        store.write(page_id, b"alpha")
-        store.close()
-        reopened = FilePageStore(path, page_size=64)
-        assert reopened.num_pages == 1
-        assert reopened.read(0).startswith(b"alpha")
-        reopened.close()
-
-    def test_reopen_with_wrong_page_size_rejected(self, tmp_path):
-        path = tmp_path / "pages.bin"
-        store = FilePageStore(path, page_size=64)
-        store.allocate()
-        store.close()
-        with pytest.raises(StorageError):
-            FilePageStore(path, page_size=48)
+    """The one page file left — the descriptor heap's: a flat file of
+    whole pages, grown by appending (16 B records, 4 to a 64 B page)."""
 
     def test_reopen_after_close_continues_allocation(self, tmp_path):
         """Close -> reopen -> keep appending: the insert-on-loaded-snapshot
         path the persistence layer depends on."""
         path = tmp_path / "pages.bin"
-        store = FilePageStore(path, page_size=64)
-        for index in range(3):
-            page_id = store.allocate()
-            store.write(page_id, bytes([index + 1]) * 8)
-        store.close()
+        rows = np.arange(40, dtype=np.float32).reshape(10, 4)
+        heap = VectorHeapFile(4, np.float32, 64, path=path)
+        heap.append_batch(rows[:6])
+        heap.close()
         with pytest.raises(StorageError):
-            store.read(0)  # closed store stays closed
-        reopened = FilePageStore(path, page_size=64)
-        assert reopened.num_pages == 3
-        assert list(reopened.iter_page_ids()) == [0, 1, 2]
-        for index in range(3):
-            assert reopened.read(index).startswith(bytes([index + 1]) * 8)
-        assert reopened.allocate() == 3  # ids continue past the reopen
-        reopened.write(3, b"appended")
+            heap.fetch(0)  # a closed heap stays closed
+        reopened = VectorHeapFile(4, np.float32, 64, path=path)
+        reopened.restore_count(6)
+        assert len(reopened.page_matrix()) == 2
+        # Ids continue past the reopen, into the page left half full.
+        np.testing.assert_array_equal(
+            reopened.append_batch(rows[6:]), [6, 7, 8, 9])
         reopened.close()
-        final = FilePageStore(path, page_size=64)
-        assert final.num_pages == 4
-        assert final.read(3).startswith(b"appended")
+        final = VectorHeapFile(4, np.float32, 64, path=path)
+        final.restore_count(10)
+        assert len(final.page_matrix()) == 3
+        np.testing.assert_array_equal(final.scan(), rows)
         final.close()
 
     def test_flush_then_reopen_sees_writes(self, tmp_path):
+        """Appends are ordinary file writes: a second opener of the file
+        sees them without the first closing."""
         path = tmp_path / "pages.bin"
-        store = FilePageStore(path, page_size=64)
-        store.write(store.allocate(), b"durable")
-        store.flush()
-        parallel_view = FilePageStore(path, page_size=64)
-        assert parallel_view.read(0).startswith(b"durable")
+        heap = VectorHeapFile(4, np.float32, 64, path=path)
+        heap.append(np.full(4, 2.5))
+        heap.sync()
+        parallel_view = VectorHeapFile(4, np.float32, 64, path=path)
+        parallel_view.restore_count(1)
+        np.testing.assert_array_equal(parallel_view.fetch(0), np.full(4, 2.5))
         parallel_view.close()
-        store.close()
-
-    def test_close_is_idempotent(self, tmp_path):
-        store = FilePageStore(tmp_path / "pages.bin", page_size=64)
-        store.allocate()
-        store.close()
-        store.close()  # second close must not raise
+        heap.close()
 
     def test_default_page_size_is_paper_value(self):
         assert DEFAULT_PAGE_SIZE == 4096
+        assert VectorHeapFile(4).page_size == 4096

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.storage import InMemoryPageStore, StorageError, VectorHeapFile
+from repro.storage import StorageError, VectorHeapFile
 from repro.storage.vectors import heap_file_from_array
 
 
@@ -32,8 +32,7 @@ class TestVectorHeapFile:
     @pytest.mark.parametrize("start", [0, 3, 4, 5])
     @pytest.mark.parametrize("count", [1, 3, 4, 5, 8, 9, 23])
     def test_batch_append_writes_what_row_appends_write(self, start, count):
-        """Page-wise ``append_batch`` (open page row by row, then whole
-        pages, then the tail) against one ``append`` per row: same ids,
+        """``append_batch`` against one ``append`` per row: same ids,
         byte-identical pages, for counts each side of a page boundary and
         a heap that starts empty, mid-page and page-aligned."""
         rng = np.random.default_rng([start, count])
@@ -41,8 +40,7 @@ class TestVectorHeapFile:
         vectors = rng.normal(size=(count, 4))
         heaps = []
         for batched in (True, False):
-            heap = VectorHeapFile(dim=4, dtype=np.float32,
-                                  store=InMemoryPageStore(page_size=64))
+            heap = VectorHeapFile(dim=4, dtype=np.float32, page_size=64)
             for row in existing:
                 heap.append(row)
             writes = heap.stats.page_writes
@@ -55,28 +53,31 @@ class TestVectorHeapFile:
             heaps.append((heap, heap.stats.page_writes - writes))
         (batch, batch_writes), (rows, row_writes) = heaps
         assert len(batch) == len(rows) == start + count
-        assert batch._store._pages == rows._store._pages
+        # Nothing is read back to patch the open page.
+        assert batch.stats.page_reads == rows.stats.page_reads == 0
+        np.testing.assert_array_equal(batch.page_matrix(),
+                                      rows.page_matrix())
         np.testing.assert_array_equal(
             batch.scan(), np.vstack([existing, vectors]).astype(np.float32))
-        # One write per whole page instead of one per row.
-        whole_pages = (count - min(-start % 4, count)) // 4
-        assert batch_writes == row_writes - 3 * whole_pages
-        # restore_count still sees a store that holds exactly the rows.
+        # One write per page the run touches instead of one per row.
+        pages = len(batch.page_matrix())
+        assert batch_writes == pages - start // 4
+        assert row_writes == count
+        # restore_count still sees a heap that holds exactly the rows.
         batch.restore_count(start + count)
         with pytest.raises(StorageError):
-            batch.restore_count(4 * batch._store.num_pages + 1)
+            batch.restore_count(4 * pages + 1)
 
     def test_multi_page_records_still_append_row_by_row(self):
-        heap = VectorHeapFile(dim=40, dtype=np.float32,
-                              store=InMemoryPageStore(page_size=64))
+        heap = VectorHeapFile(dim=40, dtype=np.float32, page_size=64)
         vectors = np.arange(120, dtype=np.float32).reshape(3, 40)
         np.testing.assert_array_equal(heap.append_batch(vectors), [0, 1, 2])
-        assert heap._store.num_pages == 3 * 3
+        assert len(heap.page_matrix()) == 3 * 3
+        assert heap.stats.page_writes == 9
         np.testing.assert_array_equal(heap.scan(), vectors)
 
     def test_records_packed_per_page(self):
-        heap = VectorHeapFile(dim=4, dtype=np.float32,
-                              store=InMemoryPageStore(page_size=64))
+        heap = VectorHeapFile(dim=4, dtype=np.float32, page_size=64)
         # 4 × 4 B = 16 B per record -> 4 records per 64 B page.
         assert heap.records_per_page == 4
         heap.append_batch(np.zeros((9, 4), dtype=np.float32))
@@ -84,8 +85,7 @@ class TestVectorHeapFile:
 
     def test_fetch_counts_page_reads(self):
         data = np.zeros((8, 4), dtype=np.float32)
-        heap = VectorHeapFile(dim=4, dtype=np.float32,
-                              store=InMemoryPageStore(page_size=64))
+        heap = VectorHeapFile(dim=4, dtype=np.float32, page_size=64)
         heap.append_batch(data)
         reads_before = heap.stats.page_reads
         heap.fetch(0)
@@ -94,8 +94,7 @@ class TestVectorHeapFile:
 
     def test_record_spanning_multiple_pages(self):
         # 48 dims × 4 B = 192 B record on 64 B pages -> 3 pages per record.
-        heap = VectorHeapFile(dim=48, dtype=np.float32,
-                              store=InMemoryPageStore(page_size=64))
+        heap = VectorHeapFile(dim=48, dtype=np.float32, page_size=64)
         vectors = np.random.default_rng(1).normal(
             size=(3, 48)).astype(np.float32)
         heap.append_batch(vectors)
@@ -146,15 +145,20 @@ class TestVectorHeapFile:
 
     def test_cache_pages_reduces_reads(self):
         data = np.zeros((8, 4), dtype=np.float32)
-        cached = VectorHeapFile(dim=4, dtype=np.float32,
-                                store=InMemoryPageStore(page_size=64),
+        cached = VectorHeapFile(dim=4, dtype=np.float32, page_size=64,
                                 cache_pages=4)
         cached.append_batch(data)
         cached.stats.reset()
-        cached.fetch(0)   # page still resident from the append
-        cached.fetch(1)   # same page
-        assert cached.stats.page_reads == 0
+        cached.fetch(0)   # appends do not warm the modelled pool
+        cached.fetch(1)   # same page, now resident
+        cached.fetch(7)
+        cached.fetch(2)
+        assert cached.stats.page_reads == 2
         assert cached.stats.cache_hits == 2
+        assert cached.memory_bytes() == 2 * 64
+        cached.clear_cache()
+        cached.fetch(0)
+        assert cached.stats.page_reads == 3
 
 
 class TestEmptyGather:
@@ -163,14 +167,11 @@ class TestEmptyGather:
     store, the buffer pool, or the IOStats accountant."""
 
     def _poison(self, heap):
-        """Make any store access blow up so the contract is structural,
-        not just observed-by-counter."""
+        """Make any access to the pages or the accountant blow up so the
+        contract is structural, not just observed-by-counter."""
         def boom(*_args, **_kwargs):
-            raise AssertionError("store touched for an empty gather")
-        heap._store.read = boom
-        heap.pool.read = boom
-        if hasattr(heap._store, "page_matrix"):
-            heap._store.page_matrix = boom
+            raise AssertionError("heap touched for an empty gather")
+        heap._live = heap._records = heap.record_read_many = boom
 
     @pytest.mark.parametrize("cache_pages", [0, 4])
     def test_memory_store_untouched(self, cache_pages):
@@ -188,17 +189,16 @@ class TestEmptyGather:
 
     @pytest.mark.parametrize("cache_pages", [0, 4])
     def test_mmap_store_untouched(self, tmp_path, cache_pages):
-        from repro.storage import MmapPageStore
-        store = MmapPageStore(str(tmp_path / "d.pages"))
-        heap = VectorHeapFile(dim=6, dtype=np.float32, store=store,
-                              cache_pages=cache_pages)
+        heap = VectorHeapFile(dim=6, dtype=np.float32,
+                              cache_pages=cache_pages,
+                              path=tmp_path / "d.pages")
         heap.append_batch(np.ones((9, 6), dtype=np.float32))
         snapshot = heap.stats.snapshot()
         self._poison(heap)
         out = heap.gather(np.empty(0, dtype=np.int64))
         assert out.shape == (0, 6)
         assert heap.stats.snapshot() == snapshot
-        heap._store.close()
+        heap.close()
 
     def test_sequential_classification_unperturbed(self):
         """An interleaved empty gather must not disturb the random/

@@ -87,7 +87,7 @@ class TestStreamingBuild:
         assert index.count == N
 
     def test_persist_and_reopen(self, corpus, tmp_path):
-        spec = IndexSpec(params=stream_params(), backend="file")
+        spec = IndexSpec(params=stream_params(), backend="mmap")
         index = build(spec, chunks_of(corpus), storage_dir=str(tmp_path))
         query = corpus[42]
         want = index.query(query, k=6)
@@ -97,7 +97,7 @@ class TestStreamingBuild:
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
 
-    @pytest.mark.parametrize("backend", ["file", "mmap"])
+    @pytest.mark.parametrize("backend", ["mmap"])
     def test_disk_build_holds_one_trees_columns_at_a_time(
             self, corpus, tmp_path, backend):
         """The streaming build's memory bound: on a disk backend each

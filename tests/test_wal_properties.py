@@ -54,7 +54,8 @@ _OPS = st.lists(st.integers(0, 99), min_size=6, max_size=32)
 
 
 #: Durability x deployment: logged; un-logged memory-backed; un-logged
-#: file-backed; un-logged two-shard router (memory-backed).
+#: on disk ("file": mapped from ``storage_dir``); un-logged two-shard
+#: router (memory-backed).
 MODES = ["logged", "memory", "file", "router"]
 
 
