@@ -277,18 +277,17 @@ class QueryEngine:
         of one tree's candidates for one query row down to γ survivors
         (Algo. 2 lines 5-10): the pipeline's stage (ii), called per
         segment by :meth:`scan_many`.  ``query_ref`` is that row's (m,)
-        reference distances.
+        reference distances; the survivors are a set, in no order.
         """
-        if cand_ids.shape[0] == 0:
-            return cand_ids
-        tri = triangular_lower_bounds_many(query_ref, cand_ref)
-        keep = filter_candidates(tri, min(beta, len(tri)))
-        cand_ids, cand_ref = cand_ids[keep], cand_ref[keep]
+        keep = filter_candidates(
+            triangular_lower_bounds_many(query_ref, cand_ref), beta)
+        cand_ids = cand_ids[keep]
         if ptolemaic:
-            ptol = ptolemaic_lower_bounds_many(query_ref, cand_ref,
-                                               self.index.references.pairs)
-            keep = filter_candidates(ptol, min(gamma, len(ptol)))
-            cand_ids = cand_ids[keep]
+            # The β survivors, cut as columns of the reference-major block.
+            ptol = ptolemaic_lower_bounds_many(
+                query_ref, np.take(cand_ref.T, keep, axis=1).T,
+                self.index.references.pairs)
+            cand_ids = cand_ids[filter_candidates(ptol, gamma)]
         return cand_ids
 
     # -- stage (iii): exact re-ranking ------------------------------------

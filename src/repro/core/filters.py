@@ -10,12 +10,13 @@ computation:
   costlier (O(m²) per candidate) but tighter; valid for Euclidean spaces
   [30].
 
-There is one implementation per bound, vectorised over the candidate
-axis.  The query pipeline calls it once per (tree, query row) segment —
-at most α (Eq. 5) or β (Eq. 6) rows, the block that RDB-tree descent
-just brought into cache — with the query's (m,) reference distances;
-(1, m) and per-candidate (n, m) query rows broadcast the same way and
-give the same floats.
+There is one implementation per bound, for one query against the block
+of one (tree, query row) segment — at most α (Eq. 5) or β (Eq. 6)
+candidates, fresh from the descent.  Both reduce over the block's (m, n)
+reference-major view: free for what ``RDBTree.candidates`` hands out, a
+strided read (never a copy) for any other layout.  Eq. 5 is exact in
+every layout; Eq. 6 is a matrix product, within a few ulp of its larger
+term of the formula as written, not bit-equal to it.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-
-from repro.distance.metrics import top_k_smallest
 
 
 class PairTable(NamedTuple):
@@ -35,15 +34,15 @@ class PairTable(NamedTuple):
 
     first: np.ndarray
     second: np.ndarray
-    #: (pairs, 1) column of ``d(R_i, R_j)``, broadcast over candidates.
-    denominators: np.ndarray
+    #: (pairs,) ``1 / d(R_i, R_j)``: Eq. (6)'s division, hoisted.
+    reciprocals: np.ndarray
     #: m, the number of references the table was built for.
     size: int
 
     @property
     def nbytes(self) -> int:
         return (self.first.nbytes + self.second.nbytes
-                + self.denominators.nbytes)
+                + self.reciprocals.nbytes)
 
 
 def pair_table(ref_ref: np.ndarray) -> PairTable:
@@ -56,47 +55,34 @@ def pair_table(ref_ref: np.ndarray) -> PairTable:
     first, second = np.triu_indices(ref_ref.shape[0], k=1)
     denominators = ref_ref[first, second]
     valid = denominators > 0.0
-    return PairTable(first[valid], second[valid],
-                     denominators[valid][:, None], ref_ref.shape[0])
+    return PairTable(first[valid], second[valid], 1.0 / denominators[valid],
+                     ref_ref.shape[0])
 
 
 def _reference_major(query_ref: np.ndarray, cand_ref: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Both bound kernels' inputs, one row per reference: the query
-    distances as an (m, 1) or (m, n) view and the candidates' as a fresh
-    contiguous (m, n) float64 array the caller may overwrite.  Reducing
-    over m contiguous (n,) rows is several times faster than over n rows
-    of m, and changes no float: the ops are elementwise and max is exact.
-    """
+    """Both kernels' float64 inputs: the query's (m,) reference distances
+    and the (m, n) transposed *view* of the candidates'."""
     query_ref = np.asarray(query_ref, dtype=np.float64)
-    cand_ref = np.asarray(cand_ref)
-    if query_ref.ndim == 1:
-        query_ref = query_ref[None, :]
-    if (cand_ref.ndim != 2 or query_ref.ndim != 2
-            or query_ref.shape[1] != cand_ref.shape[1]
-            or query_ref.shape[0] not in (1, cand_ref.shape[0])):
+    cand_ref = np.asarray(cand_ref, dtype=np.float64)
+    if query_ref.ndim == 2 and query_ref.shape[0] == 1:
+        query_ref = query_ref[0]
+    if cand_ref.ndim != 2 or query_ref.shape != cand_ref.shape[1:]:
         raise ValueError(
             f"cand_ref shape {cand_ref.shape} incompatible with query "
             f"reference distances of shape {query_ref.shape}")
-    return query_ref.T, np.array(cand_ref.T, dtype=np.float64, order="C")
+    return query_ref, cand_ref.T
 
 
 def triangular_lower_bounds_many(query_ref: np.ndarray,
                                  cand_ref: np.ndarray) -> np.ndarray:
     """Best triangular lower bound per candidate (Eq. 5).
 
-    Parameters
-    ----------
-    query_ref:
-        Distances from the query to each reference object: (m,) or
-        (1, m) for one query against every candidate, or (n, m) with row
-        ``i`` holding the query that candidate ``i`` belongs to.  All
-        three forms give identical floats.
-    cand_ref:
-        (n, m) stored distances from each candidate to each reference.
-    """
-    query_t, bounds = _reference_major(query_ref, cand_ref)
-    bounds -= query_t
+    ``query_ref`` is the query's (m,) or (1, m) distances to the reference
+    objects, ``cand_ref`` the candidates' (n, m) stored ones, in any
+    memory layout; it is not written to."""
+    query_ref, cand_t = _reference_major(query_ref, cand_ref)
+    bounds = cand_t - query_ref[:, None]
     np.abs(bounds, out=bounds)
     return bounds.max(axis=0)
 
@@ -106,19 +92,17 @@ def ptolemaic_lower_bounds_many(query_ref: np.ndarray, cand_ref: np.ndarray,
                                 ) -> np.ndarray:
     """Best Ptolemaic lower bound per candidate (Eq. 6).
 
-    Parameters
-    ----------
-    query_ref, cand_ref:
-        As for :func:`triangular_lower_bounds_many`.
-    ref_ref:
-        (m, m) reference-to-reference distances — the Eq. (6)
-        denominator — or the :class:`PairTable` already built from them
-        (``ReferenceSet.pairs``; what the query pipeline passes).
+    ``query_ref`` and ``cand_ref`` are as for
+    :func:`triangular_lower_bounds_many`, the stored distances finite (a
+    zero weight times inf is NaN); ``ref_ref`` is the (m, m)
+    reference-to-reference distances — the Eq. (6) denominator — or the
+    :class:`PairTable` already built from them (``ReferenceSet.pairs``;
+    what the query pipeline passes).
 
     Falls back to Eq. (5) when the table is empty: a single reference
     admits no pair, and coincident references no positive denominator.
     """
-    query_t, cand_t = _reference_major(query_ref, cand_ref)
+    query_ref, cand_t = _reference_major(query_ref, cand_ref)
     pairs = ref_ref if isinstance(ref_ref, PairTable) else pair_table(ref_ref)
     if pairs.size != cand_t.shape[0]:
         raise ValueError(
@@ -126,12 +110,14 @@ def ptolemaic_lower_bounds_many(query_ref: np.ndarray, cand_ref: np.ndarray,
             f"{cand_t.shape[0]}")
     if not pairs.first.shape[0]:
         return triangular_lower_bounds_many(query_ref, cand_ref)
-    # |dq_i * Do_j - dq_j * Do_i| / d(R_i, R_j) per (pair, candidate),
-    # every step after the first product reusing its (pairs, n) buffer.
-    bounds = query_t[pairs.first] * cand_t[pairs.second]
-    bounds -= query_t[pairs.second] * cand_t[pairs.first]
+    # For a fixed query, pair (i, j)'s bound is linear in the candidate:
+    # |w · Do|, w_j = dq_i / d(R_i, R_j), w_i = -dq_j / d(R_i, R_j).
+    rows = np.arange(pairs.first.shape[0])
+    weights = np.zeros((rows.shape[0], pairs.size))
+    weights[rows, pairs.second] = query_ref[pairs.first] * pairs.reciprocals
+    weights[rows, pairs.first] = -query_ref[pairs.second] * pairs.reciprocals
+    bounds = weights @ cand_t
     np.abs(bounds, out=bounds)
-    bounds /= pairs.denominators
     return bounds.max(axis=0)
 
 
@@ -141,8 +127,9 @@ ptolemaic_lower_bounds = ptolemaic_lower_bounds_many
 
 
 def filter_candidates(bounds: np.ndarray, keep: int) -> np.ndarray:
-    """Indices of the ``keep`` candidates with the smallest lower bounds.
-
-    This is the heap selection step of Algo. 2 lines 7 and 10.
-    """
-    return top_k_smallest(bounds, keep)
+    """Indices of the ``keep`` candidates with the smallest lower bounds
+    (the selection of Algo. 2 lines 7 and 10), as a set: in no particular
+    order, since the survivor merge discards it."""
+    if keep >= bounds.shape[0]:
+        return np.arange(bounds.shape[0])
+    return np.argpartition(bounds, keep)[:keep]

@@ -27,6 +27,7 @@ import numpy as np
 from repro.btree.node import NO_PAGE, internal_capacity, leaf_capacity
 from repro.btree.packed import PackedTree
 from repro.core.params import rdb_leaf_order
+from repro.distance.metrics import require_finite
 from repro.hilbert.butz import HilbertCurve
 from repro.storage.codecs import UIntCodec, pack_arrays, unpack_arrays
 from repro.storage.pages import DEFAULT_PAGE_SIZE, replace_file
@@ -123,6 +124,8 @@ class RDBTree(ModelledPool):
                 f"{n} keys need ids of shape ({n},) and reference distances "
                 f"of shape ({n}, {m}); got {object_ids.shape} and "
                 f"{reference_distances.shape}")
+        # Eq. 6 as a product turns inf or NaN times a zero weight into NaN.
+        require_finite(reference_distances, "reference distances")
         # Big-endian fixed-width keys: bytewise order == numeric order.
         order = np.argsort(
             np.ascontiguousarray(keys).view(f"S{width}").ravel(),
@@ -207,16 +210,22 @@ class RDBTree(ModelledPool):
         ``query_key`` is a Hilbert key as a Python int or as its
         ``key_bytes``-wide big-endian encoding (the batched encoder's
         native output).  Returns (object_ids, reference_distances) with
-        shapes (α',) and (α', m), α' ≤ α on a small tree or ``subset``.
+        shapes (α',) and (α', m), α' ≤ α on a small tree or ``subset``:
+        float64 from the stored ``>f4`` in one pass, reference-major (the
+        transpose is C-contiguous, what Eq. 5/6 reduce over); one run of
+        the value column in key order, or under a ``subset`` nearest first.
         """
         if isinstance(query_key, (bytes, bytearray, np.bytes_)):
             raw_key = bytes(query_key)
         else:
             raw_key = self._key_codec.encode(int(query_key))
-        positions = self.packed.nearest_positions(raw_key, alpha, self, subset)
+        window = self.packed.nearest_positions(raw_key, alpha, self, subset)
+        if subset is None and window.size:
+            start = int(window.min())
+            window = slice(start, start + window.size)
         object_ids, reference_view = self._records()
-        return (object_ids[positions],
-                reference_view[positions].astype(np.float64))
+        return (object_ids[window],
+                reference_view[window].astype(np.float64, order="F"))
 
     def positions_of(self, object_ids: np.ndarray) -> np.ndarray:
         """Key-ordered entry positions of the given objects, ascending (a
@@ -234,16 +243,14 @@ class RDBTree(ModelledPool):
         return np.sort(cached[1][object_ids]).astype(np.int64)
 
     def _records(self) -> tuple[np.ndarray, np.ndarray]:
-        """Structured views over the value column, cached per layout."""
+        """(int64 ids, ``>f4`` reference-distance view), cached per layout."""
         packed = self.packed
         cached = self._records_cache
-        if cached is not None and cached[0] is packed:
-            return cached[1], cached[2]
-        records = packed.values_raw.reshape(-1).view(self._record_dtype)
-        object_ids = records["id"].astype(np.int64)
-        reference_view = records["ref"]
-        self._records_cache = (packed, object_ids, reference_view)
-        return object_ids, reference_view
+        if cached is None or cached[0] is not packed:
+            records = packed.values_raw.reshape(-1).view(self._record_dtype)
+            cached = self._records_cache = (
+                packed, records["id"].astype(np.int64), records["ref"])
+        return cached[1], cached[2]
 
     # -- accounting -------------------------------------------------------
 

@@ -31,6 +31,8 @@ storage and tree layers with cross-checking shims:
   random/sequential split) must agree, query by query.  This is the
   PR-6 contract — the array path reads what a node-by-node walk would
   read — enforced at runtime rather than by a handful of parity tests.
+  The block ``candidates`` returns must also be finite: Eq. 6 is a
+  product, and a zero weight times a NaN or inf is NaN.
 * **Fold postconditions** — when ``HDIndex._fold_delta`` (the only
   code that changes a built base) returns, the heap, every RDB-tree
   and the metadata store hold exactly ``count`` rows, every tree's key
@@ -247,6 +249,8 @@ def _node_walk(tree: Any, key: bytes, count: int, sandbox: Any,
 
 
 def _install_tree_crosscheck() -> None:
+    import numpy as np
+
     from repro.btree.tree import BPlusTree
     from repro.core.rdbtree import RDBTree
 
@@ -275,7 +279,10 @@ def _install_tree_crosscheck() -> None:
                     oracle, bulk_shaped = node_oracle(self)
                     _cross_check(packed, oracle, key, alpha, self.stats,
                                  check_trace=bulk_shaped, subset=subset)
-                return original(self, query_key, alpha, subset)
+                found = original(self, query_key, alpha, subset)
+            if not np.isfinite(found[1]).all():
+                raise SanitizerError("candidates returned a non-finite block")
+            return found
         return wrapper
 
     _patch(BPlusTree, "nearest", checked_nearest)

@@ -17,10 +17,14 @@ sharded indexes structurally impossible; these tests pin the contract:
   scalar oracle that shares none of the batched kernels (plain, filtered
   and over a WAL delta with deletes; every executor), and the adapter's
   own contract — unpadded short answers, no ``batch_size`` in the stats,
-  ``ValueError`` on a wrong dimension — is pinned directly.
+  ``ValueError`` on a wrong dimension — is pinned directly;
+* the answers to a seeded workload are frozen as digests, so a kernel
+  change that claims "answers unchanged" is checked against the commit
+  before it, not against itself.
 """
 
 import collections
+import hashlib
 import sys
 import time
 import tracemalloc
@@ -41,6 +45,7 @@ from repro.core import (
     build,
 )
 from repro.core import engine as engine_module
+from repro.datasets import make_dataset
 from repro.devtools.sanitize import node_candidates
 from repro.hilbert import HilbertCurve, encode_for_curves
 from repro.meta import Eq
@@ -808,3 +813,48 @@ class TestOnePointAdapter:
                                               predicate=Eq("label", 1))):
             run()
             assert index.last_query_stats().time_sec >= 0.05
+
+
+class TestFrozenAnswers:
+    """Digests of what a seeded 3k index answers to 64 queries, taken at
+    the commit before Eq. 6 became a matrix product (PR 24's parent):
+    ids and ``stats.candidates`` (κ) in one, the float64 distances in
+    the other.  The oracle parity above moves with the pipeline's
+    inputs; this does not.  A change that is *meant* to move answers
+    re-takes them and says why; one that is not and fails here flipped a
+    cut — find the query and the two bound values before touching the
+    digest.  Under the predicate a quarter of the rows are eligible, so
+    the trees are asked (750 > α)."""
+
+    DIGESTS = {
+        "plain": ("7c403a7741899e76", "314365ce1d233292"),
+        "filtered": ("74947fb930b92019", "618a4db77c04ae43"),
+    }
+
+    @pytest.fixture(scope="class")
+    def seeded(self):
+        dataset = make_dataset("sift10k", 3000, 64, seed=24)
+        index = HDIndex(HDIndexParams(
+            num_trees=4, num_references=6, alpha=128, beta=64, gamma=32,
+            use_ptolemaic=True, seed=24))
+        index.build(dataset.data,
+                    metadata=[{"label": row % 4} for row in range(3000)])
+        return index, dataset.queries
+
+    @pytest.mark.parametrize("name", list(DIGESTS))
+    def test_answers_are_the_parents(self, seeded, name):
+        index, queries = seeded
+        predicate = Eq("label", 1) if name == "filtered" else None
+        answers, distances = hashlib.sha256(), hashlib.sha256()
+        kappa = 0
+        for query in queries:
+            ids, dists = index.query(query, 10, predicate=predicate)
+            candidates = index.last_query_stats().candidates
+            kappa += candidates
+            answers.update(ids.astype("<i8").tobytes())
+            answers.update(candidates.to_bytes(8, "little"))
+            distances.update(dists.astype("<f8").tobytes())
+        # The cuts bind: a digest of "everything survived" pins nothing.
+        assert 64 * 32 < kappa < 64 * 4 * 32
+        assert (answers.hexdigest()[:16],
+                distances.hexdigest()[:16]) == self.DIGESTS[name]

@@ -7,11 +7,14 @@ on average — the reason the paper applies it second.
 ``python_triangular`` / ``python_ptolemaic`` are Eq. 5 / Eq. 6 written out
 as loops over Python floats: the oracle for the kernels that shares no
 code with them (``tests/test_core_engine.py`` uses it for stage (ii)).
+Eq. 5 must equal it bit for bit; Eq. 6 is computed as a matrix product
+and must agree to 4 ulp of the pair's larger term (``ptolemaic_ulps``).
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core import (
     ReferenceSet,
@@ -23,7 +26,11 @@ from repro.core.filters import (
     ptolemaic_lower_bounds_many,
     triangular_lower_bounds_many,
 )
-from repro.distance import euclidean_to_many, pairwise_euclidean
+from repro.distance import (
+    euclidean_to_many,
+    pairwise_euclidean,
+    top_k_smallest,
+)
 
 finite = st.floats(min_value=-100.0, max_value=100.0,
                    allow_nan=False, allow_infinity=False)
@@ -41,21 +48,23 @@ def make_instance(seed, n=30, m=6, dim=10):
     return query_ref, cand_ref, ref_ref, true
 
 
-def _rows(query_ref, count):
-    """One list of m Python floats per candidate, from any of the three
-    query-row forms the kernels accept."""
-    rows = np.asarray(query_ref, dtype=np.float64)
-    rows = np.broadcast_to(rows if rows.ndim == 2 else rows[None, :],
-                           (count, rows.shape[-1]))
-    return rows.tolist()
+def _floats(query_ref, cand_ref):
+    """The query's m reference distances ((m,) or (1, m)) and one list of
+    m per candidate, as Python floats."""
+    return (np.asarray(query_ref, dtype=np.float64).ravel().tolist(),
+            np.asarray(cand_ref, dtype=np.float64).tolist())
+
+
+def _positive_pairs(d):
+    return [(i, j) for i in range(len(d)) for j in range(i + 1, len(d))
+            if d[i][j] > 0.0]
 
 
 def python_triangular(query_ref, cand_ref):
     """Eq. 5 as written: max_i |d(o, R_i) - d(q, R_i)| per candidate."""
-    cand = np.asarray(cand_ref, dtype=np.float64).tolist()
+    q, cand = _floats(query_ref, cand_ref)
     return np.asarray(
-        [max(abs(o[i] - q[i]) for i in range(len(o)))
-         for q, o in zip(_rows(query_ref, len(cand)), cand)],
+        [max(abs(o[i] - q[i]) for i in range(len(o))) for o in cand],
         dtype=np.float64)
 
 
@@ -64,16 +73,32 @@ def python_ptolemaic(query_ref, cand_ref, ref_ref):
     |d(q,R_i)·d(o,R_j) - d(q,R_j)·d(o,R_i)| / d(R_i, R_j); Eq. 5 when no
     such pair exists."""
     d = np.asarray(ref_ref, dtype=np.float64).tolist()
-    m = len(d)
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)
-             if d[i][j] > 0.0]
+    pairs = _positive_pairs(d)
     if not pairs:
         return python_triangular(query_ref, cand_ref)
-    cand = np.asarray(cand_ref, dtype=np.float64).tolist()
+    q, cand = _floats(query_ref, cand_ref)
     return np.asarray(
         [max(abs(q[i] * o[j] - q[j] * o[i]) / d[i][j] for i, j in pairs)
-         for q, o in zip(_rows(query_ref, len(cand)), cand)],
+         for o in cand],
         dtype=np.float64)
+
+
+def ptolemaic_ulps(got, query_ref, cand_ref, ref_ref):
+    """Per candidate, how far ``got`` lies from :func:`python_ptolemaic`
+    in ulps of the largest term d(q,R_i)·d(o,R_j) / d(R_i,R_j) of Eq. 6
+    — the scale its rounding lives on: the difference of two nearly
+    equal terms is exact in neither form.  Zero where Eq. 6 falls back
+    to Eq. 5, which is exact."""
+    want = python_ptolemaic(query_ref, cand_ref, ref_ref)
+    d = np.asarray(ref_ref, dtype=np.float64).tolist()
+    pairs = _positive_pairs(d)
+    if not pairs:
+        return (np.asarray(got) != want).astype(np.float64)
+    q, cand = _floats(query_ref, cand_ref)
+    scale = np.asarray(
+        [max(max(abs(q[i] * o[j]), abs(q[j] * o[i])) / d[i][j]
+             for i, j in pairs) for o in cand], dtype=np.float64)
+    return np.abs(np.asarray(got) - want) / np.spacing(scale)
 
 
 def _leaf_block(seed, n, refs):
@@ -105,41 +130,52 @@ def _reference_cases():
 
 
 class TestKernelsEqualPythonReference:
-    """Bit-equality (``array_equal``, not ``approx``) of both kernels with
-    the loop reference: the pipeline's stage (ii) is these two functions,
-    so nothing else checks them against an independent computation."""
+    """Both kernels against the loop reference — Eq. 5 bit for bit
+    (``array_equal``, not ``approx``), Eq. 6 to 4 ulp: the pipeline's
+    stage (ii) is these two functions, so nothing else checks them
+    against an independent computation."""
 
     CASES = _reference_cases()
+    LAYOUTS = {
+        "float32": lambda block: block,
+        # Not float32-representable: the general float64 input.
+        "float64-C": lambda block: block.astype(np.float64) + 1e-9,
+        # Reference-major in memory: what ``RDBTree.candidates`` returns.
+        "float64-F": lambda block: np.asfortranarray(
+            block.astype(np.float64)),
+    }
 
     @pytest.mark.parametrize("case", list(CASES))
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_bit_equal_in_every_query_row_form(self, case, dtype):
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_equal_for_every_input_layout(self, case, layout):
         refs, n = self.CASES[case]
         rows, cand_ref, ref_ref = _leaf_block(7, n, refs)
-        if dtype is np.float64:
-            # Not float32-representable: the general float64 input.
-            cand_ref = cand_ref.astype(np.float64) + 1e-9
-        assert cand_ref.dtype == dtype
+        cand_ref = self.LAYOUTS[layout](cand_ref)
         pairs = ReferenceSet(refs).pairs
         shared = rows[0] if n else np.ones(refs.shape[0])
-        forms = [shared, shared[None, :],
-                 np.tile(shared, (n, 1))]
         want_tri = python_triangular(shared, cand_ref)
-        want_ptol = python_ptolemaic(shared, cand_ref, ref_ref)
-        assert want_tri.shape == want_ptol.shape == (n,)
-        for query_ref in forms:
+        assert want_tri.shape == (n,)
+        for query_ref in (shared, shared[None, :]):
             assert np.array_equal(
                 triangular_lower_bounds_many(query_ref, cand_ref), want_tri)
             for third in (ref_ref, pairs):
-                assert np.array_equal(
-                    ptolemaic_lower_bounds_many(query_ref, cand_ref, third),
-                    want_ptol)
-        # A different query per candidate: the (n, m) form proper.
-        assert np.array_equal(triangular_lower_bounds_many(rows, cand_ref),
-                              python_triangular(rows, cand_ref))
-        assert np.array_equal(
-            ptolemaic_lower_bounds_many(rows, cand_ref, pairs),
-            python_ptolemaic(rows, cand_ref, ref_ref))
+                got = ptolemaic_lower_bounds_many(query_ref, cand_ref, third)
+                assert got.shape == (n,)
+                assert np.all(ptolemaic_ulps(got, shared, cand_ref,
+                                             ref_ref) <= 4.0)
+
+    def test_layouts_agree_bit_for_bit(self):
+        """The scalar oracles hand ``filter_survivors`` node-path blocks
+        (candidate-major) and the pipeline reference-major ones: the
+        same floats either way, so the same survivors."""
+        refs, n = self.CASES["distinct"]
+        rows, cand_ref, ref_ref = _leaf_block(13, n, refs)
+        block = cand_ref.astype(np.float64)
+        first, *others = [ptolemaic_lower_bounds(rows[0], layout, ref_ref)
+                          for layout in (cand_ref, block,
+                                         np.asfortranarray(block))]
+        for other in others:
+            assert np.array_equal(first, other)
 
     def test_zero_denominator_pairs_are_skipped_not_divided(self):
         refs, n = self.CASES["duplicate-references"]
@@ -147,7 +183,8 @@ class TestKernelsEqualPythonReference:
         assert ref_ref[0, 3] == 0.0 and ref_ref[1, 5] == 0.0
         pairs = ReferenceSet(refs).pairs
         assert pairs.first.shape[0] == 15 - 2
-        assert np.all(pairs.denominators > 0.0)
+        assert np.all(np.isfinite(pairs.reciprocals))
+        assert np.all(pairs.reciprocals > 0.0)
         with np.errstate(all="raise"):
             bounds = ptolemaic_lower_bounds(rows[0], cand_ref, pairs)
         assert np.all(np.isfinite(bounds))
@@ -162,26 +199,29 @@ class TestKernelsEqualPythonReference:
                 triangular_lower_bounds(rows[0], cand_ref))
 
     def test_inputs_are_not_modified(self):
-        """The kernels work in place on their own transposed copy — also
-        when the caller's block is already reference-major in memory."""
+        """The kernels reduce over a view of the caller's block — also
+        when it is already reference-major in memory."""
         refs, n = self.CASES["distinct"]
         rows, cand_ref, ref_ref = _leaf_block(11, n, refs)
         fortran = np.asfortranarray(cand_ref.astype(np.float64))
         before = fortran.copy()
         triangular_lower_bounds(rows[0], fortran)
-        ptolemaic_lower_bounds(rows, fortran, ref_ref)
+        ptolemaic_lower_bounds(rows[0], fortran, ref_ref)
         assert np.array_equal(fortran, before)
 
     def test_one_implementation_per_bound(self):
         assert triangular_lower_bounds is triangular_lower_bounds_many
         assert ptolemaic_lower_bounds is ptolemaic_lower_bounds_many
 
-    def test_query_rows_must_broadcast(self):
+    @pytest.mark.parametrize("rows", [3, 5])
+    def test_one_query_row_per_call(self, rows):
+        """A query row per candidate is not a form the kernels take."""
         with pytest.raises(ValueError):
-            triangular_lower_bounds_many(np.zeros((3, 4)), np.zeros((5, 4)))
+            triangular_lower_bounds_many(np.zeros((rows, 4)),
+                                         np.zeros((5, 4)))
         with pytest.raises(ValueError):
-            ptolemaic_lower_bounds_many(np.zeros((3, 4)), np.zeros((5, 4)),
-                                        np.ones((4, 4)))
+            ptolemaic_lower_bounds_many(np.zeros((rows, 4)),
+                                        np.zeros((5, 4)), np.ones((4, 4)))
 
 
 class TestTriangular:
@@ -267,15 +307,48 @@ class TestPtolemaic:
         assert np.all(bounds <= true + 1e-8)
 
 
+class TestBoundsNeverExceedTheDistance:
+    """Eq. 5 and Eq. 6 are lower bounds of d(q, o) for *any* points and
+    references — coincident, collinear, far apart — up to rounding.
+    Integer coordinates, as SIFT's: distinct references are then at
+    least 1 apart, so Eq. 6's division does not amplify the rounding."""
+
+    @given(hnp.arrays(np.int64, st.tuples(st.integers(3, 12),
+                                          st.integers(1, 6)),
+                      elements=st.integers(-100, 100)),
+           st.integers(1, 5))
+    @settings(max_examples=150, deadline=None)
+    def test_both_bounds(self, points, m):
+        points = points.astype(np.float64)
+        m = min(m, points.shape[0] - 2)
+        refs, query, objects = points[:m], points[m], points[m + 1:]
+        query_ref = euclidean_to_many(query, refs)
+        cand_ref = pairwise_euclidean(objects, refs)
+        ref_ref = pairwise_euclidean(refs, refs)
+        true = euclidean_to_many(query, objects)
+        assert np.all(triangular_lower_bounds(query_ref, cand_ref)
+                      <= true + 1e-9)
+        assert np.all(ptolemaic_lower_bounds(query_ref, cand_ref, ref_ref)
+                      <= true + 1e-9)
+
+
 class TestFilterCandidates:
     def test_keeps_smallest_bounds(self):
         bounds = np.asarray([4.0, 1.0, 3.0, 2.0])
         kept = filter_candidates(bounds, 2)
-        assert kept.tolist() == [1, 3]
+        assert sorted(kept.tolist()) == [1, 3]
 
     def test_keep_all(self):
         bounds = np.asarray([2.0, 1.0])
-        assert filter_candidates(bounds, 5).tolist() == [1, 0]
+        assert sorted(filter_candidates(bounds, 5).tolist()) == [0, 1]
+        assert filter_candidates(bounds, 0).size == 0
+
+    @given(st.integers(0, 10_000), st.integers(0, 70))
+    @settings(max_examples=60, deadline=None)
+    def test_same_set_as_top_k_smallest_without_ties(self, seed, keep):
+        bounds = np.random.default_rng(seed).permutation(64) / 7.0
+        assert sorted(filter_candidates(bounds, keep).tolist()) == \
+            sorted(top_k_smallest(bounds, keep).tolist())
 
     def test_never_drops_a_true_nearest_with_valid_bounds(self):
         """If the filter keeps j candidates and the true NN's lower bound is

@@ -96,6 +96,23 @@ class TestCandidates:
         # Descent + ceil(50/leaf_order) leaves at minimum.
         assert tree.stats.page_reads >= tree.height
 
+    @pytest.mark.parametrize("alpha", [0, 1, 20, 400])
+    def test_block_is_float64_and_reference_major(self, alpha):
+        """What the Eq. 5/6 kernels reduce over without a copy: float64
+        whose transpose is C-contiguous — for a window of the value
+        column and for a ``subset`` of its positions alike."""
+        tree, keys, ids, ref = build_tree(n=300, seed=4)
+        subset = tree.positions_of(np.arange(0, 300, 3))
+        for chosen in (None, subset):
+            got_ids, block = tree.candidates(int(keys[11]), alpha, chosen)
+            found = min(alpha, 300 if chosen is None else subset.size)
+            assert got_ids.shape == (found,) and block.shape == (found, 5)
+            assert block.dtype == np.float64
+            assert block.T.flags.c_contiguous
+            np.testing.assert_array_equal(block, ref[got_ids])
+            if chosen is not None:
+                assert np.all(got_ids % 3 == 0)
+
 
 def merge_one(tree, key, object_id, distances):
     tree.merge(np.asarray([key], dtype=object), [object_id],
@@ -116,6 +133,17 @@ class TestInsert:
         tree, *_ = build_tree(m=5)
         with pytest.raises(ValueError):
             merge_one(tree, 1, 1, np.zeros(3, dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_reference_distance_refused(self, bad):
+        """Eq. 6 multiplies every stored distance, by zero for the
+        references a pair does not name: a NaN or inf would surface as a
+        wrong answer at query time, so it is refused here."""
+        tree, *_ = build_tree(n=50, seed=3)
+        before = tree.packed
+        with pytest.raises(ValueError, match="reference distances"):
+            merge_one(tree, 77, 999, [0.0, bad, 1.0, 2.0, 3.0])
+        assert tree.packed is before and len(tree) == 50
 
     def test_size_grows_with_inserts(self):
         tree, *_ = build_tree(n=50)
@@ -293,8 +321,9 @@ class TestMerge:
 
 class TestNodeOracleParity:
     """``candidates`` against a node-by-node walk of the oracle tree:
-    the same entries in the same order and the same page-read
-    sequence."""
+    the same entries — as the run of the value column they are, in key
+    order, where the walk emits them nearest first — and the same
+    page-read sequence."""
 
     @pytest.mark.parametrize("width", [1, 8, 16])
     def test_positions_and_read_sequence(self, width):
@@ -304,6 +333,7 @@ class TestNodeOracleParity:
         oracle, bulk_shaped = node_oracle(tree)
         assert bulk_shaped and oracle.packed_layout is None
         probes = keys[:5] + [0, (1 << (8 * width)) - 1]
+        stored = tree.packed.values_raw.reshape(-1).view(tree._record_dtype)
         for probe in probes:
             for alpha in (1, 30, 700, 900):
                 tree.stats = ReadLog()
@@ -312,8 +342,14 @@ class TestNodeOracleParity:
                 want = oracle.nearest(probe.to_bytes(width, "big"), alpha)
                 records = np.frombuffer(b"".join(v for _, v in want),
                                         dtype=tree._record_dtype)
-                np.testing.assert_array_equal(got_ids, records["id"])
-                np.testing.assert_array_equal(got_ref, records["ref"])
+                records = records[np.argsort(records["id"])]
+                by_id = np.argsort(got_ids)
+                np.testing.assert_array_equal(got_ids[by_id], records["id"])
+                np.testing.assert_array_equal(got_ref[by_id], records["ref"])
+                start = int(tree.packed.nearest_positions(
+                    probe.to_bytes(width, "big"), alpha).min())
+                np.testing.assert_array_equal(
+                    got_ids, stored["id"][start:start + got_ids.size])
                 assert tree.stats.pages == oracle.stats.pages
                 assert tree.stats.snapshot() == oracle.stats.snapshot()
 

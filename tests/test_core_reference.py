@@ -133,8 +133,10 @@ class TestReferenceSet:
                 if (i, j) != (1, 4)]
         assert list(zip(pairs.first.tolist(), pairs.second.tolist())) == want
         np.testing.assert_array_equal(
-            pairs.denominators[:, 0], [refs.ref_ref[i, j] for i, j in want])
+            pairs.reciprocals, [1.0 / refs.ref_ref[i, j] for i, j in want])
         assert pairs.size == 5
+        # Two index columns and the reciprocal denominators.
+        assert pairs.nbytes == 9 * (8 + 8 + 8)
         assert refs.memory_bytes() == (refs.vectors.nbytes
                                        + refs.ref_ref.nbytes + pairs.nbytes)
         assert ReferenceSet(vectors[:1]).pairs.first.shape == (0,)

@@ -282,6 +282,14 @@ class TestColumnsOracleCrossCheck:
         with pytest.raises(SanitizerError, match="trace divergence"):
             tree.candidates(keys[300].tobytes(), 8)
 
+    def test_non_finite_stored_distance_raises(self, sanitized):
+        """``merge`` refuses one; this is a column corrupted afterwards."""
+        tree, keys = self.build_rdbtree()
+        records = tree.packed.values_raw.reshape(-1).view(tree._record_dtype)
+        records["ref"][:, 1] = np.nan
+        with pytest.raises(SanitizerError, match="non-finite"):
+            tree.candidates(keys[300].tobytes(), 8)
+
     def test_eligible_lookup_is_checked_against_the_filtered_walk(
             self, sanitized):
         """A lookup among a subset of the entries used to raise
