@@ -69,7 +69,8 @@ def scalar_oracle_ids(index: HDIndex, queries: np.ndarray,
     batched encode and the packed tree scan are bypassed; stage (ii) is
     the pipeline's own ``filter_survivors`` (its
     independent oracle is the loop reference in
-    ``tests/test_core_filters.py``)."""
+    ``tests/test_core_filters.py``), the merge ``np.union1d`` /
+    ``np.setdiff1d`` rather than the engine's."""
     engine = index._engine
     ptolemaic = index.params.use_ptolemaic
     alpha, beta, gamma = index._effective_sizes(k, None, None, None,
@@ -84,7 +85,9 @@ def scalar_oracle_ids(index: HDIndex, queries: np.ndarray,
             cand_ids, cand_ref = node_candidates(tree, key, alpha)
             survivors.append(engine.filter_survivors(
                 query_ref, cand_ids, cand_ref, beta, gamma, ptolemaic))
-        merged = engine._merge_survivors(survivors)
+        merged = np.setdiff1d(
+            np.union1d(np.concatenate(survivors), index._delta.id_range()),
+            index._deleted_ids())
         ids, _ = engine.rerank(point, merged, k)
         rows.append(np.asarray(ids, dtype=np.int64))
     return rows

@@ -20,14 +20,14 @@ MRPT/HDIdx-style:
 * query-to-reference distances for all Q points in one matmul;
 * Hilbert keys for every (tree, row) in one fused ``encode_for_curves``
   pass;
-* one descriptor fetch per *unique* candidate across the batch (the κ sets
-  of nearby queries overlap heavily, so this collapses the stage-(iii)
-  random reads);
+* one descriptor fetch per distinct candidate across the batch, their
+  :func:`sorted_union` (the κ sets of nearby queries overlap heavily, so
+  this collapses the stage-(iii) random reads);
 * a single executor (thread pool, for the parallel index) reused across
   all Q × τ tree scans;
-* the predicate mask, each tree's key-ordered eligible positions, the
-  WAL-delta screen and the deleted-id array computed once per call, not
-  per row.
+* the predicate's eligible ids, each tree's key-ordered eligible
+  positions, the WAL-delta screen and the sorted deleted-id array
+  computed once per call, not per row.
 
 Stage (ii) is deliberately *not* on that list: each (tree, row) segment
 is bounded and cut to γ survivors (:meth:`QueryEngine.filter_survivors`)
@@ -63,6 +63,15 @@ from repro.distance.metrics import (
     top_k_smallest,
 )
 from repro.hilbert.butz import encode_for_curves
+
+
+def sorted_union(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """``np.unique(np.concatenate(arrays))`` by a sort and an adjacent
+    difference mask, a tenth the cost of numpy's hash-based ``unique``."""
+    ids = np.sort(np.concatenate(arrays))
+    keep = np.ones(ids.shape[0], dtype=bool)
+    np.not_equal(ids[1:], ids[:-1], out=keep[1:])
+    return ids[keep]
 
 
 class Executor:
@@ -205,7 +214,7 @@ class QueryEngine:
 
     def scan_many(self, tree_indices: Sequence[int], points: np.ndarray,
                   query_ref: np.ndarray, alpha: int, beta: int, gamma: int,
-                  ptolemaic: bool, eligible: np.ndarray | None = None
+                  ptolemaic: bool, eligible_ids: np.ndarray | None = None
                   ) -> list[list[np.ndarray]]:
         """Stages (i)+(ii) for the given trees over all Q query rows.
 
@@ -217,15 +226,14 @@ class QueryEngine:
         and no array larger than one segment's (pairs, β) bound matrix.
         Returns, per tree, one survivor-id array per query row.
 
-        ``eligible`` is the predicate-pushdown bitmap (bool per base
-        object).  Each tree turns it, once per call, into the key-ordered
+        ``eligible_ids`` are the base objects the predicate admits, in
+        id order.  Each tree turns them, once per call, into the key-ordered
         positions of its eligible entries, and every row's lookup takes
         its α candidates among those — so α, β and γ mean what they mean
         without a predicate and an ineligible point never reaches the
         lower-bound kernels.
         """
         index = self.index
-        eligible_ids = None if eligible is None else np.flatnonzero(eligible)
         quantized = index.quantizer.quantize(points)
         curves = [index.trees[t].curve for t in tree_indices]
         coords = [quantized[:, index.partitions[t]] for t in tree_indices]
@@ -250,7 +258,7 @@ class QueryEngine:
 
     def _dispatch_scans(self, points: np.ndarray, query_ref: np.ndarray,
                         alpha: int, beta: int, gamma: int, ptolemaic: bool,
-                        eligible: np.ndarray | None = None
+                        eligible_ids: np.ndarray | None = None
                         ) -> list[list[np.ndarray]]:
         """Shape stages (i)+(ii) to the executor: sequential execution gets
         one :meth:`scan_many` over every tree (one fused encode); a pool gets
@@ -260,11 +268,11 @@ class QueryEngine:
         tree_count = len(index.trees)
         if self.executor.workers is None:
             return self.scan_many(range(tree_count), points, query_ref,
-                                  alpha, beta, gamma, ptolemaic, eligible)
+                                  alpha, beta, gamma, ptolemaic, eligible_ids)
 
         def scan_one(tree_index):
             return self.scan_many([tree_index], points, query_ref, alpha,
-                                  beta, gamma, ptolemaic, eligible)[0]
+                                  beta, gamma, ptolemaic, eligible_ids)[0]
 
         return self.executor.map(scan_one, range(tree_count))
 
@@ -305,10 +313,10 @@ class QueryEngine:
     def _rerank_rows(self, points: np.ndarray,
                      merged_per_row: Sequence[np.ndarray], k: int
                      ) -> tuple[np.ndarray, np.ndarray]:
-        """Stage (iii) for Q rows, amortised: fetch each distinct
-        candidate once for the whole batch, then rank per query against
-        the shared block.  Rows short of k answers are padded with id -1
-        / distance +inf.
+        """Stage (iii) for Q rows of sorted distinct ids, amortised: fetch
+        their union once for the whole batch and rank each row against it
+        (a row as long as the union is the union: no remap).  Rows short
+        of k answers are padded with id -1 / distance +inf.
 
         The fetch is the heap file's vectorised multi-row :meth:`gather`
         — over an mmap backend, one fancy-index into the zero-copy page
@@ -320,13 +328,13 @@ class QueryEngine:
         ids_out = np.full((batch, k), -1, dtype=np.int64)
         dists_out = np.full((batch, k), np.inf, dtype=np.float64)
         if any(merged.shape[0] for merged in merged_per_row):
-            unique_ids = np.unique(np.concatenate(merged_per_row))
-            descriptors = self._gather_descriptors(unique_ids)
-            for row in range(batch):
-                merged = merged_per_row[row]
+            union = sorted_union(merged_per_row)
+            descriptors = self._gather_descriptors(union)
+            for row, merged in enumerate(merged_per_row):
                 if not merged.shape[0]:
                     continue
-                block = descriptors[np.searchsorted(unique_ids, merged)]
+                block = (descriptors if merged.shape[0] == union.shape[0]
+                         else descriptors[np.searchsorted(union, merged)])
                 exact = euclidean_to_many(points[row], block,
                                           self.index._distance_counter)
                 best = top_k_smallest(exact, min(k, merged.shape[0]))
@@ -373,7 +381,7 @@ class QueryEngine:
 
         ``predicate`` (a :class:`~repro.meta.Predicate` or its dict
         form) restricts every row's answer to matching points via
-        pushdown: the eligibility bitmap is computed once here (inside
+        pushdown: the eligible ids are computed once here (inside
         ``time_sec``) and each tree hands stage (ii) its α nearest
         *eligible* entries, so the (α, β, γ) budgets are the unfiltered
         ones; at most α eligible rows in all are re-ranked exactly with
@@ -387,7 +395,7 @@ class QueryEngine:
                      if use_ptolemaic is None else use_ptolemaic)
         eff_alpha, eff_beta, eff_gamma = index._effective_sizes(
             k, alpha, beta, gamma, ptolemaic)
-        eligible, selectivity = index._eligibility(predicate)
+        eligible_ids, selectivity = index._eligibility(predicate)
 
         reads_before = index._total_page_reads()
         random_before, sequential_before = index._read_breakdown()
@@ -405,13 +413,13 @@ class QueryEngine:
             points = normalize_rows(points)
         batch = points.shape[0]
 
-        if eligible is not None and np.count_nonzero(eligible) <= eff_alpha:
+        if eligible_ids is not None and eligible_ids.size <= eff_alpha:
             # No more eligible rows than one tree offers candidates:
             # every tree would offer all of them, so no tree is asked
             # and no bound computed — they go to the exact re-rank as
             # they are (a predicate matching no row reads no page).
             remote_delta = None
-            per_tree = [[np.flatnonzero(eligible)] * batch]
+            per_tree = [[eligible_ids] * batch]
         else:
             # The (Q, m) reference-distance matmul is charged once per
             # call whoever computes it — sequential-equivalent
@@ -437,12 +445,10 @@ class QueryEngine:
                 query_ref = index.references.distances_from(points)
                 per_tree = self._dispatch_scans(
                     points, query_ref, eff_alpha, eff_beta, eff_gamma,
-                    ptolemaic, eligible)
+                    ptolemaic, eligible_ids)
         tail = self._merge_tail(predicate)
-        merged_per_row = [
-            self._merge_survivors(
-                [tree_rows[row] for tree_rows in per_tree], tail=tail)
-            for row in range(batch)]
+        merged_per_row = [self._merge_survivors(rows, tail)
+                          for rows in zip(*per_tree)]
         ids_out, dists_out = self._rerank_rows(points, merged_per_row, k)
 
         random_after, sequential_after = index._read_breakdown()
@@ -476,7 +482,7 @@ class QueryEngine:
     # -- internals --------------------------------------------------------
 
     def _merge_tail(self, predicate=None) -> tuple[np.ndarray, np.ndarray]:
-        """The per-call half of the merge: (WAL-delta ids, deleted ids).
+        """The per-call half of the merge: (delta ids, sorted deleted ids).
 
         Every un-compacted delta entry joins each row's survivor set:
         the delta is the brute-force-searched tail of the index, and
@@ -494,33 +500,30 @@ class QueryEngine:
                  for row in rows),
                 dtype=bool, count=len(rows))
             delta_ids = delta_ids[keep]
-        return delta_ids, self.index._deleted_ids()
+        return delta_ids, np.sort(self.index._deleted_ids())
 
     def _merge_survivors(self, survivor_ids: Sequence[np.ndarray],
-                         predicate=None, tail=None) -> np.ndarray:
-        """Union of one row's per-tree survivor sets, plus the WAL delta
-        segment, minus deleted ids (Algo. 2 line 11) — the single
-        synchronisation point.
-
-        ``tail`` is the :meth:`_merge_tail` pair; a one-row caller (the
-        scalar oracle) may leave it out and pass ``predicate`` instead.
-        Deleted ids are filtered here for base and delta entries alike,
-        so a deleted-in-delta id can never surface from the base
-        snapshot.  Base survivors are predicate-eligible already (the
-        trees offered nothing else).
+                         tail: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Sorted distinct union of one row's per-tree survivor sets and
+        the WAL delta segment, minus deleted ids (Algo. 2 line 11) — the
+        single synchronisation point.  ``tail`` is the :meth:`_merge_tail`
+        pair; each merged id is looked up in its sorted deleted ids by
+        binary search, base and delta entries alike, so a deleted-in-delta
+        id can never surface from the base snapshot.  Base survivors are
+        predicate-eligible already (the trees offered nothing else).
         """
-        delta_ids, deleted = (self._merge_tail(predicate) if tail is None
-                              else tail)
-        merged = np.unique(np.concatenate([*survivor_ids, delta_ids]))
+        delta_ids, deleted = tail
+        merged = sorted_union([*survivor_ids, delta_ids])
         if deleted.size:
-            merged = merged[~np.isin(merged, deleted)]
+            found = deleted.take(np.searchsorted(deleted, merged), mode="clip")
+            merged = merged[found != merged]
         return merged
 
     def _gather_descriptors(self, ids: np.ndarray) -> np.ndarray:
         """Stage-(iii) descriptor fetch, delta-aware: base ids come from
         the heap file's vectorised gather, delta ids from the in-memory
         segment (same storage dtype, so distances are bit-identical to a
-        post-compaction fetch).  ``ids`` is sorted (np.unique output)."""
+        post-compaction fetch).  ``ids`` is sorted (:func:`sorted_union`)."""
         index = self.index
         # Snapshot the (heap, delta) pair coherently: a fold or a
         # generation hot-swap replaces both under this lock, and a mixed

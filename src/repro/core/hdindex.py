@@ -225,8 +225,6 @@ class HDIndex(KNNIndex):
         """Stable array snapshot of the deleted-id set (safe against a
         concurrent delete mutating the set mid-filter)."""
         with self._update_lock:
-            if not self._deleted:
-                return np.empty(0, dtype=np.int64)
             return np.fromiter(self._deleted, dtype=np.int64,
                                count=len(self._deleted))
 
@@ -784,13 +782,13 @@ class HDIndex(KNNIndex):
         return predicate
 
     def _eligibility(self, predicate) -> tuple[np.ndarray | None, float]:
-        """Eligibility bitmap over the base corpus (what the trees take
-        their α candidates among) plus its selectivity, the eligible
-        fraction reported as ``extra["selectivity"]``."""
+        """Ascending ids of the base objects the predicate admits (what
+        the trees take their α candidates among) plus its selectivity,
+        the eligible fraction reported as ``extra["selectivity"]``."""
         if predicate is None:
             return None, 1.0
         mask = predicate.mask(self.metadata)
-        return mask, float(mask.mean()) if mask.shape[0] else 0.0
+        return np.flatnonzero(mask), float(mask.mean()) if mask.size else 0.0
 
     def _total_page_reads(self) -> int:
         reads = sum(tree.stats.page_reads for tree in self.trees)

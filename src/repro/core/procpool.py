@@ -161,7 +161,7 @@ def _scan_trees_task(tree_indices: list[int], points: np.ndarray,
     I/O / distance-count deltas, so the parent can merge survivors
     (stage iii stays in the parent, which owns the caller-visible stats).
 
-    ``predicate`` arrives in dict wire form; the eligibility bitmap is
+    ``predicate`` arrives in dict wire form; the eligible ids are
     recomputed from this worker's own snapshot view of the metadata
     store, and :meth:`QueryEngine.scan_many` takes each tree's α
     candidates among its eligible entries as it does in the parent.
@@ -169,10 +169,8 @@ def _scan_trees_task(tree_indices: list[int], points: np.ndarray,
     _run_fault_hook()
     index = _worker_index()
     engine = index._engine
-    eligible = None
-    if predicate is not None:
-        eligible, _ = index._eligibility(
-            index._coerce_query_predicate(predicate))
+    eligible_ids, _ = index._eligibility(
+        index._coerce_query_predicate(predicate))
     reads_before = index._total_page_reads()
     random_before, sequential_before = index._read_breakdown()
     index._distance_counter.reset()
@@ -185,7 +183,7 @@ def _scan_trees_task(tree_indices: list[int], points: np.ndarray,
     query_ref = index.references.distances_from(points)
 
     survivors = engine.scan_many(tree_indices, points, query_ref, alpha,
-                                 beta, gamma, ptolemaic, eligible=eligible)
+                                 beta, gamma, ptolemaic, eligible_ids)
 
     random_after, sequential_after = index._read_breakdown()
     delta = {

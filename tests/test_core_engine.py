@@ -31,6 +31,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.btree import BPlusTree
 from repro.core import (
@@ -423,6 +424,18 @@ def python_survivors(query_ref, cand_ids, cand_ref, ref_ref, beta, gamma,
     return cand_ids
 
 
+def python_merge(index, survivors, predicate):
+    """Algo. 2 line 11 without the engine's merge: Python sets for the
+    union, the WAL-delta predicate screen and the deleted ids."""
+    delta = index._delta
+    merged = set().union(*(ids.tolist() for ids in survivors))
+    merged.update(
+        object_id for object_id, row in zip(delta.id_range().tolist(),
+                                            delta.metadata_rows())
+        if predicate is None or (row is not None and predicate.matches(row)))
+    return np.array(sorted(merged - index._deleted), dtype=np.int64)
+
+
 def scalar_oracle(index, point, k, predicate=None):
     """Algo. 2 for one point through the scalar pieces only: per-point
     ``curve.encode``, :func:`node_candidates` (a node-by-node walk of a
@@ -430,14 +443,14 @@ def scalar_oracle(index, point, k, predicate=None):
     entries a predicate leaves ineligible), per-tree
     :func:`python_survivors` (the pipeline calls
     ``filter_survivors`` itself, so that is no oracle for stage (ii)),
-    one-row ``_merge_survivors`` and ``rerank``."""
+    :func:`python_merge` and the one-row ``rerank``."""
     engine = index._engine
     point = np.asarray(point, dtype=np.float64)
     predicate = index._coerce_query_predicate(predicate)
     ptolemaic = index.params.use_ptolemaic
     alpha, beta, gamma = index._effective_sizes(k, None, None, None,
                                                 ptolemaic)
-    eligible, _ = index._eligibility(predicate)
+    eligible = None if predicate is None else predicate.mask(index.metadata)
     query_ref = index.references.distances_from(point)[0]
     survivors = []
     trees = zip(index.trees, index.partitions)
@@ -449,8 +462,7 @@ def scalar_oracle(index, point, k, predicate=None):
         survivors.append(python_survivors(
             query_ref, cand_ids, cand_ref, index.references.ref_ref,
             beta, gamma, ptolemaic))
-    merged = engine._merge_survivors(survivors, predicate)
-    return engine.rerank(point, merged, k)
+    return engine.rerank(point, python_merge(index, survivors, predicate), k)
 
 
 DELTA_LABELS = (1, 1, 0)
@@ -552,6 +564,87 @@ class TestScalarOracleParity:
         assert (index._wal is not None) == index.spec.execution.wal
         np.testing.assert_array_equal(batch_ids, reference[name][0])
         np.testing.assert_array_equal(batch_dists, reference[name][1])
+
+
+#: Small ids repeat within and across trees; the top ones sit at 2**63 - 1.
+MERGE_IDS = st.one_of(st.integers(0, 40),
+                      st.integers(2 ** 63 - 4, 2 ** 63 - 1))
+
+
+class TestSortedMerge:
+    """The survivor merge (Algo. 2 line 11) and the stage-(iii) dedupe
+    run on sorted arrays: the merge returns what ``np.unique`` minus
+    ``np.isin`` returned, and no query calls either (numpy's hash-based
+    ``unique`` costs ten times a sort on the few thousand ids involved)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(survivors=st.lists(st.lists(MERGE_IDS, max_size=12), max_size=5),
+           delta=st.lists(MERGE_IDS, max_size=6, unique=True),
+           deleted=st.lists(MERGE_IDS, max_size=8, unique=True))
+    def test_merge_is_unique_minus_deleted(self, survivors, delta, deleted):
+        arrays = [np.array(ids, dtype=np.int64) for ids in survivors]
+        delta_ids = np.array(sorted(delta), dtype=np.int64)
+        deleted_ids = np.array(deleted, dtype=np.int64)
+        # ``_merge_tail`` hands the merge its deleted ids sorted.
+        got = QueryEngine(None)._merge_survivors(
+            arrays, (delta_ids, np.sort(deleted_ids)))
+        want = np.setdiff1d(np.unique(np.concatenate([*arrays, delta_ids])),
+                            deleted_ids)
+        assert got.dtype == want.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.fixture(scope="class", params=["sequential", "thread"])
+    def updated(self, request, workload):
+        """Un-compacted delta rows and deleted base and delta ids.  The
+        keys are 4 bytes wide, so ``PackedTree._settle_ties`` (which
+        calls ``np.isin`` on the rare wide-key tie) cannot run."""
+        index, _, _ = TestScalarOracleParity._updated(
+            workload, None, request.param, False)
+        assert all(tree.packed.key_width <= 8 for tree in index.trees)
+        yield index
+        index.close()
+
+    @pytest.mark.parametrize("predicate", [None, Eq("label", 1)],
+                             ids=["plain", "filtered"])
+    def test_queries_call_no_hash_set_operation(self, workload, updated,
+                                                predicate, monkeypatch):
+        """Also: each row of ``query_batch(8)`` is byte for byte what
+        ``query`` answers alone, where the row's merged set is the whole
+        union (Q = 1) and where it is not."""
+        queries = workload[1][:8]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("hash-based set operation on a query path")
+
+        for name in ("unique", "isin"):
+            monkeypatch.setattr(np, name, refuse)
+        alone, kappa = [], 0
+        for query in queries:
+            alone.append(updated.query(query, 10, predicate=predicate))
+            kappa += updated.last_query_stats().candidates
+        ids, dists = updated.query_batch(queries, 10, predicate=predicate)
+        assert updated.last_query_stats().candidates == kappa
+        for row, (want_ids, want_dists) in enumerate(alone):
+            assert ids[row].tobytes() == want_ids.tobytes()
+            assert dists[row].tobytes() == want_dists.tobytes()
+
+    def test_eligible_ids_taken_once_per_call(self, workload, updated,
+                                              monkeypatch):
+        """Under a pool each tree is its own task; the predicate's
+        eligible ids are still derived once for the call."""
+        predicate = Eq("label", 1)
+        eligible = np.count_nonzero(predicate.mask(updated.metadata))
+        calls = []
+        flatnonzero = np.flatnonzero
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return flatnonzero(*args, **kwargs)
+
+        monkeypatch.setattr(np, "flatnonzero", counted)
+        updated.query(workload[1][0], 10, predicate=predicate)
+        assert eligible > updated.last_query_stats().extra["alpha"]
+        assert len(calls) == 1
 
 
 class TestStageTwoWorkingSet:

@@ -12,7 +12,7 @@ lines, and review had the unrelated trims that hid it taken out.)
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
-LINE_BUDGET = 17676
+LINE_BUDGET = 17675
 
 
 def test_source_lines_within_budget():
