@@ -48,6 +48,11 @@ from benchmarks.common import (
     start_report,
 )
 from repro.core import HDIndex, load_index, save_index
+from repro.core.filters import (
+    filter_candidates,
+    ptolemaic_lower_bounds_many,
+    triangular_lower_bounds_many,
+)
 from repro.devtools.sanitize import node_candidates
 
 BENCH = "hotpath"
@@ -65,13 +70,13 @@ def scalar_oracle_ids(index: HDIndex, queries: np.ndarray,
                       k: int) -> list[np.ndarray]:
     """Algo. 2 through the scalar kernels: per-point ``encode``, node-path
     ``nearest`` (``node_candidates``: a B+-tree bulk-loaded from each
-    tree's columns, walked node by node), per-tree filter calls, so the
-    batched encode and the packed tree scan are bypassed; stage (ii) is
-    the pipeline's own ``filter_survivors`` (its
-    independent oracle is the loop reference in
-    ``tests/test_core_filters.py``), the merge ``np.union1d`` /
+    tree's columns, walked node by node), so the batched encode and the
+    packed tree scan are bypassed; stage (ii) filters each tree's own
+    (α, m) segment with the bound kernels and ``filter_candidates`` — not
+    the engine's (τ, α) row block — and the merge is ``np.union1d`` /
     ``np.setdiff1d`` rather than the engine's."""
     engine = index._engine
+    pairs = index.references.pairs
     ptolemaic = index.params.use_ptolemaic
     alpha, beta, gamma = index._effective_sizes(k, None, None, None,
                                                 ptolemaic)
@@ -83,8 +88,14 @@ def scalar_oracle_ids(index: HDIndex, queries: np.ndarray,
             coords = index.quantizer.quantize(point[part])
             key = int(tree.curve.encode(coords))
             cand_ids, cand_ref = node_candidates(tree, key, alpha)
-            survivors.append(engine.filter_survivors(
-                query_ref, cand_ids, cand_ref, beta, gamma, ptolemaic))
+            keep = filter_candidates(
+                triangular_lower_bounds_many(query_ref, cand_ref), beta)
+            cand_ids, cand_ref = cand_ids[keep], cand_ref[keep]
+            if ptolemaic:
+                cand_ids = cand_ids[filter_candidates(
+                    ptolemaic_lower_bounds_many(query_ref, cand_ref, pairs),
+                    gamma)]
+            survivors.append(cand_ids)
         merged = np.setdiff1d(
             np.union1d(np.concatenate(survivors), index._delta.id_range()),
             index._deleted_ids())

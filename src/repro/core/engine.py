@@ -27,14 +27,10 @@ MRPT/HDIdx-style:
   all Q × τ tree scans;
 * the predicate's eligible ids, each tree's key-ordered eligible
   positions, the WAL-delta screen and the sorted deleted-id array
-  computed once per call, not per row.
-
-Stage (ii) is deliberately *not* on that list: each (tree, row) segment
-is bounded and cut to γ survivors (:meth:`QueryEngine.filter_survivors`)
-as soon as its tree descent returns, while its α × m block of reference
-distances is still in cache.  The filters cost O(α·m + β·m²) per tree on
-bytes already in memory (Sec. 4.4.1); fusing the segments of a call into
-one matrix only moved that working set out of cache.
+  computed once per call, not per row;
+* one (m, τ, α) block of reference distances that each row's descents
+  refill and one :meth:`QueryEngine.filter_survivors` cuts, Eq. 6's
+  weights built once a row (655 KB at τ = 8, α = 1024, m = 10: in L2).
 
 The one-point entry (:meth:`QueryEngine.run`) is that pipeline at Q = 1
 with the padding stripped.  The scalar pieces kept beside it (the
@@ -51,6 +47,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.core.filters import (
+    CandidateWindowError,
     filter_candidates,
     ptolemaic_lower_bounds_many,
     triangular_lower_bounds_many,
@@ -113,7 +110,7 @@ class ProcessExecutor(Executor):
     """
 
     #: Engine capability flag: scans run in another process, so the engine
-    #: routes through :meth:`scan_trees` (a map() closure could not cross).
+    #: hands them to ``pool.scan_trees`` (a map() closure could not cross).
     remote = True
 
     def __init__(self, snapshot_dir=None, num_workers: int | None = None,
@@ -135,17 +132,6 @@ class ProcessExecutor(Executor):
     @property
     def workers(self) -> int | None:  # type: ignore[override]
         return self.pool.num_workers
-
-    def scan_trees(self, num_trees: int, points, alpha: int, beta: int,
-                   gamma: int, ptolemaic: bool, predicate=None):
-        """Stages (i)+(ii) for all trees in the worker pool; returns
-        (per-tree-per-row survivors, summed worker stats deltas).
-
-        ``predicate`` crosses the process boundary in its JSON dict
-        form; each worker rebuilds it and computes the eligibility mask
-        against its own snapshot's metadata store."""
-        return self.pool.scan_trees(num_trees, points, alpha, beta, gamma,
-                                    ptolemaic, predicate)
 
     def close(self) -> None:
         self.pool.close()
@@ -220,10 +206,10 @@ class QueryEngine:
 
         This is the array-native hot path: one quantisation pass over the
         full points, one fused :func:`encode_for_curves` call producing
-        every (tree, query) Hilbert key, then per (tree, query) segment a
-        packed-tree candidate lookup and, at once, that segment's
-        :meth:`filter_survivors` — no per-candidate Python loop anywhere,
-        and no array larger than one segment's (pairs, β) bound matrix.
+        every (tree, query) Hilbert key, then per row τ packed-tree lookups
+        filling the call's (τ, α') id and (m, τ, α') distance blocks, and
+        one :meth:`filter_survivors`.  The trees hold the same entries; a
+        window of another length raises :class:`CandidateWindowError`.
         Returns, per tree, one survivor-id array per query row.
 
         ``eligible_ids`` are the base objects the predicate admits, in
@@ -234,47 +220,33 @@ class QueryEngine:
         lower-bound kernels.
         """
         index = self.index
+        trees = [index.trees[t] for t in tree_indices]
         quantized = index.quantizer.quantize(points)
-        curves = [index.trees[t].curve for t in tree_indices]
-        coords = [quantized[:, index.partitions[t]] for t in tree_indices]
-        keys = encode_for_curves(curves, coords)
-        survivors: list[list[np.ndarray]] = []
-        for tree_position, tree_index in enumerate(tree_indices):
-            tree = index.trees[tree_index]
-            tree_keys = keys[tree_position]
-            subset = (None if eligible_ids is None
-                      else tree.positions_of(eligible_ids))
-            tree_rows: list[np.ndarray] = []
-            # One packed-tree descent per (tree, row): the tree candidate
-            # API is inherently per-key and each call is O(log n) page
-            # work, so this loop is over *queries*, not array elements.
-            for row in range(points.shape[0]):  # lint: disable=HK101
-                ids, ref = tree.candidates(tree_keys[row].tobytes(), alpha,
-                                           subset)
-                tree_rows.append(self.filter_survivors(
-                    query_ref[row], ids, ref, beta, gamma, ptolemaic))
-            survivors.append(tree_rows)
-        return survivors
-
-    def _dispatch_scans(self, points: np.ndarray, query_ref: np.ndarray,
-                        alpha: int, beta: int, gamma: int, ptolemaic: bool,
-                        eligible_ids: np.ndarray | None = None
-                        ) -> list[list[np.ndarray]]:
-        """Shape stages (i)+(ii) to the executor: sequential execution gets
-        one :meth:`scan_many` over every tree (one fused encode); a pool gets
-        one task per tree, preserving the one-thread-per-tree invariant
-        (page stores are not thread-safe)."""
-        index = self.index
-        tree_count = len(index.trees)
-        if self.executor.workers is None:
-            return self.scan_many(range(tree_count), points, query_ref,
-                                  alpha, beta, gamma, ptolemaic, eligible_ids)
-
-        def scan_one(tree_index):
-            return self.scan_many([tree_index], points, query_ref, alpha,
-                                  beta, gamma, ptolemaic, eligible_ids)[0]
-
-        return self.executor.map(scan_one, range(tree_count))
+        keys = encode_for_curves(
+            [tree.curve for tree in trees],
+            [quantized[:, index.partitions[t]] for t in tree_indices])
+        subsets = [None if eligible_ids is None
+                   else tree.positions_of(eligible_ids) for tree in trees]
+        width = min(alpha, len(trees[0]) if eligible_ids is None
+                    else eligible_ids.size)
+        id_block = np.empty((len(trees), width), dtype=np.int64)
+        ref_block = np.empty((index.references.size, len(trees), width))
+        slices = list(zip(id_block, ref_block.transpose(1, 2, 0)))
+        rows = []
+        # One packed-tree descent per (tree, row): the tree candidate API
+        # is inherently per-key and each call is O(log n) page work, so
+        # these loops are over *queries* and τ trees, not array elements.
+        for row in range(points.shape[0]):  # lint: disable=HK101
+            for tree, tree_keys, subset, out in zip(  # lint: disable=HK101
+                    trees, keys, subsets, slices):
+                ids, _ = tree.candidates(tree_keys[row].tobytes(), alpha,
+                                         subset, out=out)
+                if ids.shape[0] != width:
+                    raise CandidateWindowError(
+                        f"{ids.shape[0]} candidates for a block of {width}")
+            rows.append(self.filter_survivors(
+                query_ref[row], id_block, ref_block, beta, gamma, ptolemaic))
+        return [[block[t] for block in rows] for t in range(len(trees))]
 
     # -- stage (ii): lower-bound filtering --------------------------------
 
@@ -282,21 +254,24 @@ class QueryEngine:
                          cand_ref: np.ndarray, beta: int, gamma: int,
                          ptolemaic: bool) -> np.ndarray:
         """Triangular (Eq. 5) then optional Ptolemaic (Eq. 6) refinement
-        of one tree's candidates for one query row down to γ survivors
-        (Algo. 2 lines 5-10): the pipeline's stage (ii), called per
-        segment by :meth:`scan_many`.  ``query_ref`` is that row's (m,)
-        reference distances; the survivors are a set, in no order.
-        """
-        keep = filter_candidates(
-            triangular_lower_bounds_many(query_ref, cand_ref), beta)
-        cand_ids = cand_ids[keep]
+        of one query row's τ trees to γ survivors each (Algo. 2 lines
+        5-10): one kernel call per bound of the row's (m,) ``query_ref``
+        against its (τ, α') ids and (m, τ, α') ``cand_ref``, one cut per
+        tree.  Returns (τ, γ') ids, each row a set, in no order."""
+        trees, width = cand_ids.shape
+        block = cand_ref.reshape(cand_ref.shape[0], trees * width)
+        rows = np.arange(trees)[:, None]
+        keep = filter_candidates(triangular_lower_bounds_many(
+            query_ref, block.T).reshape(trees, width), beta)
+        # The survivors' columns in the (m, τ·α') block, cut by cut.
+        columns = (keep + width * rows).ravel()
         if ptolemaic:
-            # The β survivors, cut as columns of the reference-major block.
             ptol = ptolemaic_lower_bounds_many(
-                query_ref, np.take(cand_ref.T, keep, axis=1).T,
+                query_ref, np.take(block, columns, axis=1).T,
                 self.index.references.pairs)
-            cand_ids = cand_ids[filter_candidates(ptol, gamma)]
-        return cand_ids
+            cut = filter_candidates(ptol.reshape(keep.shape), gamma)
+            columns = np.take(columns, (cut + keep.shape[1] * rows).ravel())
+        return np.take(cand_ids, columns).reshape(trees, -1)
 
     # -- stage (iii): exact re-ranking ------------------------------------
 
@@ -426,26 +401,30 @@ class QueryEngine:
             # accounting, not once per worker group.
             index._distance_counter.add(batch * index.references.size)
             if getattr(self.executor, "remote", False):
-                # Worker processes run stages (i)+(ii) for their
-                # assigned trees over all Q rows against their own
-                # snapshot view; the reference matmul and Hilbert
-                # encoding happen worker-side, and their page reads and
-                # distance computations arrive as a delta alongside the
-                # survivors.
-                per_tree, remote_delta = self.executor.scan_trees(
+                # Worker processes run stages (i)+(ii) for their trees
+                # on their own snapshot view (reference matmul and Hilbert
+                # encoding included) and return their page reads and
+                # distance computations as a delta beside the survivors.
+                per_tree, remote_delta = self.executor.pool.scan_trees(
                     len(index.trees), points, eff_alpha, eff_beta,
                     eff_gamma, ptolemaic,
                     None if predicate is None else predicate.to_dict())
             else:
                 remote_delta = None
-                # Stages (i)+(ii) through the array-native path (one
-                # task per tree under a pool — a tree's page store stays
-                # on a single thread, the independence the paper's
-                # "little synchronization" argument rests on).
+                # Every tree in one scan_many inline (one fused encode);
+                # one task per tree under a pool, so a tree's page store
+                # stays on one thread ("little synchronization").
                 query_ref = index.references.distances_from(points)
-                per_tree = self._dispatch_scans(
-                    points, query_ref, eff_alpha, eff_beta, eff_gamma,
-                    ptolemaic, eligible_ids)
+
+                def scan(trees):
+                    return self.scan_many(trees, points, query_ref,
+                                          eff_alpha, eff_beta, eff_gamma,
+                                          ptolemaic, eligible_ids)
+
+                trees = range(len(index.trees))
+                per_tree = (scan(trees) if self.executor.workers is None
+                            else self.executor.map(
+                                lambda tree: scan([tree])[0], trees))
         tail = self._merge_tail(predicate)
         merged_per_row = [self._merge_survivors(rows, tail)
                           for rows in zip(*per_tree)]

@@ -10,13 +10,13 @@ computation:
   costlier (O(m²) per candidate) but tighter; valid for Euclidean spaces
   [30].
 
-There is one implementation per bound, for one query against the block
-of one (tree, query row) segment — at most α (Eq. 5) or β (Eq. 6)
-candidates, fresh from the descent.  Both reduce over the block's (m, n)
-reference-major view: free for what ``RDBTree.candidates`` hands out, a
-strided read (never a copy) for any other layout.  Eq. 5 is exact in
-every layout; Eq. 6 is a matrix product, within a few ulp of its larger
-term of the formula as written, not bit-equal to it.
+There is one implementation per bound, for one query row against the
+candidates of every tree it asks — τ·α (Eq. 5) or τ·β (Eq. 6) columns
+of one row block.  Both reduce over the block's (m, n) reference-major
+view: free for what ``RDBTree.candidates`` fills, a strided read (never
+a copy) for any other layout.  Eq. 5 is exact in every layout; Eq. 6 is
+a matrix product, within a few ulp of its larger term of the formula as
+written, not bit-equal to it, taken :data:`EQ6_SCRATCH_BYTES` at a time.
 """
 
 from __future__ import annotations
@@ -24,6 +24,13 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+#: Eq. (6)'s product slab: a tree's (45, 512) at m = 10, inside L2.
+EQ6_SCRATCH_BYTES = 192 * 1024
+
+
+class CandidateWindowError(ValueError):
+    """Trees asked for one query row offer windows of different lengths."""
 
 
 class PairTable(NamedTuple):
@@ -116,9 +123,17 @@ def ptolemaic_lower_bounds_many(query_ref: np.ndarray, cand_ref: np.ndarray,
     weights = np.zeros((rows.shape[0], pairs.size))
     weights[rows, pairs.second] = query_ref[pairs.first] * pairs.reciprocals
     weights[rows, pairs.first] = -query_ref[pairs.second] * pairs.reciprocals
-    bounds = weights @ cand_t
-    np.abs(bounds, out=bounds)
-    return bounds.max(axis=0)
+    count = cand_t.shape[1]
+    chunks = max(1, -(-8 * rows.shape[0] * count // EQ6_SCRATCH_BYTES))
+    step = max(1, -(-count // chunks))
+    scratch, bounds = np.empty((rows.shape[0], step)), np.empty(count)
+    # A handful of L2-sized chunks (τ at the default budgets), not elements.
+    for start in range(0, count, step):  # lint: disable=HK101
+        part = scratch[:, :min(step, count - start)]
+        np.matmul(weights, cand_t[:, start:start + step], out=part)
+        np.abs(part, out=part)
+        part.max(axis=0, out=bounds[start:start + step])
+    return bounds
 
 
 #: The historical one-query names: the same implementations.
@@ -129,7 +144,7 @@ ptolemaic_lower_bounds = ptolemaic_lower_bounds_many
 def filter_candidates(bounds: np.ndarray, keep: int) -> np.ndarray:
     """Indices of the ``keep`` candidates with the smallest lower bounds
     (the selection of Algo. 2 lines 7 and 10), as a set: in no particular
-    order, since the survivor merge discards it."""
-    if keep >= bounds.shape[0]:
-        return np.arange(bounds.shape[0])
-    return np.argpartition(bounds, keep)[:keep]
+    order, since the survivor merge discards it.  2-D: one per row."""
+    if keep >= bounds.shape[-1]:
+        return np.broadcast_to(np.arange(bounds.shape[-1]), bounds.shape)
+    return np.argpartition(bounds, keep, axis=-1)[..., :keep]

@@ -712,15 +712,16 @@ class HDIndex(KNNIndex):
         return size
 
     def memory_bytes(self) -> int:
-        """Query-time RAM: reference set + buffer pools + α workspace."""
+        """Query-time RAM: reference set + buffer pools + row block."""
         if self.references is None:
             return 0
         total = self.references.memory_bytes()
         total += sum(tree.memory_bytes() for tree in self.trees)
         if self.heap is not None:
             total += self.heap.memory_bytes()
-        # α-candidate workspace per tree scan (ids + m distances, float64).
-        total += self.params.alpha * (8 + 8 * self.params.num_references)
+        # A query's (τ, α) candidate block: ids + m float64 distances each.
+        total += len(self.trees) * self.params.alpha * (
+            8 + 8 * self.params.num_references)
         return total
 
     def build_memory_bytes(self) -> int:

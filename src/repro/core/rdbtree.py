@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.btree.node import NO_PAGE, internal_capacity, leaf_capacity
 from repro.btree.packed import PackedTree
+from repro.core.filters import CandidateWindowError
 from repro.core.params import rdb_leaf_order
 from repro.distance.metrics import require_finite
 from repro.hilbert.butz import HilbertCurve
@@ -202,7 +203,8 @@ class RDBTree(ModelledPool):
     # -- querying -----------------------------------------------------------
 
     def candidates(self, query_key, alpha: int,
-                   subset: np.ndarray | None = None
+                   subset: np.ndarray | None = None,
+                   out: tuple[np.ndarray, np.ndarray] | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
         """α nearest entries by Hilbert key (Algo. 2 line 4) — among the
         entries at the positions ``subset`` (:meth:`positions_of`), if given.
@@ -214,18 +216,26 @@ class RDBTree(ModelledPool):
         float64 from the stored ``>f4`` in one pass, reference-major (the
         transpose is C-contiguous, what Eq. 5/6 reduce over); one run of
         the value column in key order, or under a ``subset`` nearest first.
+        ``out``, the engine's slices of a row block, is filled instead; a
+        window of another length raises :class:`CandidateWindowError`.
         """
         if isinstance(query_key, (bytes, bytearray, np.bytes_)):
             raw_key = bytes(query_key)
         else:
             raw_key = self._key_codec.encode(int(query_key))
         window = self.packed.nearest_positions(raw_key, alpha, self, subset)
+        ids, ref = out or (np.empty(window.size, dtype=np.int64),
+                           np.empty((self.num_references, window.size)).T)
+        if ids.shape[0] != window.size:
+            raise CandidateWindowError(
+                f"{window.size} candidates for a block of {ids.shape[0]}")
         if subset is None and window.size:
             start = int(window.min())
             window = slice(start, start + window.size)
         object_ids, reference_view = self._records()
-        return (object_ids[window],
-                reference_view[window].astype(np.float64, order="F"))
+        ids[...] = object_ids[window]
+        ref[...] = reference_view[window]
+        return ids, ref
 
     def positions_of(self, object_ids: np.ndarray) -> np.ndarray:
         """Key-ordered entry positions of the given objects, ascending (a

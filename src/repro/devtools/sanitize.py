@@ -269,7 +269,7 @@ def _install_tree_crosscheck() -> None:
     def checked_candidates(original: Callable[..., Any]
                            ) -> Callable[..., Any]:
         def wrapper(self: Any, query_key: Any, alpha: int,
-                    subset: Any = None) -> Any:
+                    subset: Any = None, out: Any = None) -> Any:
             with _TREE_LOCK:
                 packed = self.packed
                 if alpha > 0 and packed.count:
@@ -279,7 +279,7 @@ def _install_tree_crosscheck() -> None:
                     oracle, bulk_shaped = node_oracle(self)
                     _cross_check(packed, oracle, key, alpha, self.stats,
                                  check_trace=bulk_shaped, subset=subset)
-                found = original(self, query_key, alpha, subset)
+                found = original(self, query_key, alpha, subset, out)
             if not np.isfinite(found[1]).all():
                 raise SanitizerError("candidates returned a non-finite block")
             return found

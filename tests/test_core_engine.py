@@ -46,8 +46,15 @@ from repro.core import (
     build,
 )
 from repro.core import engine as engine_module
+from repro.core.filters import (
+    EQ6_SCRATCH_BYTES,
+    CandidateWindowError,
+    pair_table,
+    ptolemaic_lower_bounds_many,
+)
 from repro.datasets import make_dataset
 from repro.devtools.sanitize import node_candidates
+from repro.distance import pairwise_euclidean
 from repro.hilbert import HilbertCurve, encode_for_curves
 from repro.meta import Eq
 from repro.storage import UInt64Codec, UIntCodec
@@ -648,10 +655,12 @@ class TestSortedMerge:
 
 
 class TestStageTwoWorkingSet:
-    """Stage (ii) runs per (tree, row) segment, on at most α (Eq. 5) or β
-    (Eq. 6) rows at a time, whatever Q is: fusing the segments of a call
-    into one matrix made ``query_batch(16)`` slower than 16 ``query``
-    calls, and must not come back unnoticed."""
+    """Stage (ii) runs once per query row, over the (τ, α') block of the
+    trees the row asks: under sequential execution one Eq. 5 call over
+    τ·α' candidates and one Eq. 6 call over τ·β', under a pool (a task
+    holds one tree) one of each per (tree, row).  Never one call across
+    rows: fusing the rows of a call into one matrix made
+    ``query_batch(16)`` slower than 16 ``query`` calls."""
 
     Q = 8
     #: What a batch does not amortise (its shared descriptor gather
@@ -670,8 +679,8 @@ class TestStageTwoWorkingSet:
 
     @pytest.mark.parametrize("predicate", [None, Eq("label", 1)],
                              ids=["plain", "filtered"])
-    def test_kernels_see_one_segment_at_a_time(self, workload, labelled,
-                                               predicate, monkeypatch):
+    def test_kernels_see_one_row_block_at_a_time(self, workload, labelled,
+                                                 predicate, monkeypatch):
         queries = workload[1][:self.Q]
         index = labelled
         want, counters = [], dict.fromkeys(self.COUNTERS, 0)
@@ -695,16 +704,16 @@ class TestStageTwoWorkingSet:
         ids, dists = index.query_batch(queries, 10, predicate=predicate)
         stats = index.last_query_stats()
 
-        segments = self.Q * len(index.trees)
+        # Trees per block: all of them inline, one per pool task.
+        block = 1 if index._engine.executor.workers else len(index.trees)
         m = index.params.num_references
         for name, limit in (("triangular_lower_bounds_many", "alpha"),
                             ("ptolemaic_lower_bounds_many", "beta")):
-            assert len(seen[name]) == segments
-            assert all(shape == (m,) and 0 < rows <= stats.extra[limit]
+            assert len(seen[name]) == self.Q * len(index.trees) // block
+            # Every tree offers the full budget here (n and the eligible
+            # count both exceed α), so a block is exactly τ·α' or τ·β'.
+            assert all(shape == (m,) and rows == block * stats.extra[limit]
                        for shape, rows in seen[name])
-        # The limits bind: a fused call would have to exceed them.
-        assert sum(rows for _, rows in seen["triangular_lower_bounds_many"]) \
-            > 2 * stats.extra["alpha"]
         for row, (want_ids, want_dists) in enumerate(want):
             np.testing.assert_array_equal(ids[row], want_ids)
             np.testing.assert_array_equal(dists[row], want_dists)
@@ -734,6 +743,48 @@ class TestStageTwoWorkingSet:
         single = peak(lambda: index.query(queries[0], 10))
         batch = peak(lambda: index.query_batch(queries, 10))
         assert batch < 4 * single, (batch, single)
+
+    def test_eq6_never_holds_a_row_block_product(self):
+        """A query row's whole (pairs, τ·β) Eq. 6 product — 1.5 MB at
+        m = 10, τ = 8, β = 512 — measured slower than chunks of it (it
+        page-faults again whenever the allocator trims it); the kernel
+        runs it through one reused scratch slab of a tree's β columns."""
+        rng = np.random.default_rng(6)
+        refs = rng.uniform(0.0, 100.0, size=(10, 16))
+        pairs = pair_table(pairwise_euclidean(refs, refs))
+        block = rng.uniform(0.0, 100.0, size=(10, 8 * 512)).T
+        query_ref = rng.uniform(0.0, 100.0, size=10)
+        whole = pairs.first.shape[0] * block.shape[0] * 8
+        assert whole > 4 * EQ6_SCRATCH_BYTES
+        ptolemaic_lower_bounds_many(query_ref, block, pairs)
+        tracemalloc.start()
+        try:
+            bounds = ptolemaic_lower_bounds_many(query_ref, block, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bounds.shape == (8 * 512,)
+        assert peak <= EQ6_SCRATCH_BYTES + 2 * bounds.nbytes, (peak, whole)
+
+    def test_short_window_raises_instead_of_filtering_garbage(
+            self, workload, monkeypatch):
+        """The row block's invariant: every tree of an index holds the
+        same entries, so each offers a row the same α' candidates.  The
+        block is not initialised, so a tree that offers fewer — a count
+        that differs from the first tree's, a stale layout — must raise
+        rather than leave unwritten columns for Eq. 5 to rank."""
+        data, queries = workload
+        index = HDIndex(params())
+        index.build(data)
+        candidates = index.trees[2].candidates
+
+        def short(query_key, alpha, subset=None, out=None):
+            ids, ref = candidates(query_key, alpha, subset)
+            return ids[:-1], ref[:-1]
+
+        monkeypatch.setattr(index.trees[2], "candidates", short)
+        with pytest.raises(CandidateWindowError):
+            index.query(queries[0], 10)
 
 
 def profiled_calls(call):

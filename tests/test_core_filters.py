@@ -350,6 +350,21 @@ class TestFilterCandidates:
         assert sorted(filter_candidates(bounds, keep).tolist()) == \
             sorted(top_k_smallest(bounds, keep).tolist())
 
+    @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 8),
+                                            st.integers(0, 40)),
+                      elements=st.integers(0, 9).map(float)),
+           st.integers(0, 45))
+    @settings(max_examples=200, deadline=None)
+    def test_block_rows_cut_as_one_row_each(self, bounds, keep):
+        """The β and γ cuts of a query row's (τ, α') block: every tree's
+        row keeps the set a 1-D call on that row keeps — ties included,
+        which these integer bounds make common."""
+        got = filter_candidates(bounds, keep)
+        assert got.shape == (bounds.shape[0], min(keep, bounds.shape[1]))
+        for row, kept in zip(bounds, got):
+            assert set(kept.tolist()) == \
+                set(filter_candidates(row, keep).tolist())
+
     def test_never_drops_a_true_nearest_with_valid_bounds(self):
         """If the filter keeps j candidates and the true NN's lower bound is
         among the j smallest, it survives — sanity for the pipeline."""

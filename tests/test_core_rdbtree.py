@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.btree import BPlusTree
 from repro.core import rdb_leaf_order
+from repro.core.filters import CandidateWindowError
 from repro.core.rdbtree import RDBTree
 from repro.devtools.sanitize import node_oracle
 from repro.hilbert import HilbertCurve
@@ -112,6 +113,33 @@ class TestCandidates:
             np.testing.assert_array_equal(block, ref[got_ids])
             if chosen is not None:
                 assert np.all(got_ids % 3 == 0)
+
+    def test_out_fills_a_slice_of_a_row_block(self):
+        """The engine hands each tree its slices of one (τ, α') id block
+        and one (m, τ, α') distance block; what lands there is what a
+        call without ``out`` returns, and the neighbours stay untouched."""
+        tree, keys, _, _ = build_tree(n=300, seed=5)
+        subset = tree.positions_of(np.arange(0, 300, 2))
+        for chosen in (None, subset):
+            id_block = np.full((3, 40), -7, dtype=np.int64)
+            ref_block = np.full((5, 3, 40), -7.0)
+            out = (id_block[1], ref_block[:, 1].T)
+            got = tree.candidates(int(keys[60]), 40, chosen, out=out)
+            assert got[0] is out[0] and got[1] is out[1]
+            want_ids, want_ref = tree.candidates(int(keys[60]), 40, chosen)
+            np.testing.assert_array_equal(id_block[1], want_ids)
+            np.testing.assert_array_equal(ref_block[:, 1], want_ref.T)
+            assert np.all(id_block[[0, 2]] == -7)
+            assert np.all(ref_block[:, [0, 2]] == -7.0)
+
+    @pytest.mark.parametrize("width", [1, 39, 41])
+    def test_out_of_another_length_raises(self, width):
+        """A one-entry slice would take a window by broadcasting; every
+        mismatch raises instead."""
+        tree, keys, _, _ = build_tree(n=300, seed=5)
+        out = (np.empty(width, dtype=np.int64), np.empty((5, width)).T)
+        with pytest.raises(CandidateWindowError):
+            tree.candidates(int(keys[60]), 40, out=out)
 
 
 def merge_one(tree, key, object_id, distances):

@@ -239,14 +239,14 @@ class TestEligibleWindow:
         filter_survivors = index._engine.filter_survivors
 
         def recording(query_ref, ids, *rest):
-            offered.append(ids)
+            offered.append(ids.copy())  # the block is refilled per row
             return filter_survivors(query_ref, ids, *rest)
 
         monkeypatch.setattr(index._engine, "filter_survivors", recording)
         index.query_batch(queries, self.K, predicate=Eq("label", 3))
-        assert len(offered) == self.Q * len(index.trees)
+        assert len(offered) == self.Q
         for ids in offered:
-            assert ids.shape == (self.ALPHA,)
+            assert ids.shape == (len(index.trees), self.ALPHA)
             assert np.isin(ids, eligible).all()
         extra = index.last_query_stats().extra
         assert (extra["alpha"], extra["beta"], extra["gamma"]) == \
