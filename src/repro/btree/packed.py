@@ -5,14 +5,14 @@ page geometry bulk loading gives them, so that is all this module keeps:
 every key and value in one contiguous sorted array each, the leaf
 boundaries and the page ids of the leaf and internal levels.  On that,
 
-* descent is ``np.searchsorted`` over the per-leaf minimum keys,
-* the bidirectional nearest-by-key merge is one ``searchsorted`` of the
-  forward window's key distances into the backward window's (the
-  backward ranks are the complement), on the leading 64-bit word of each
-  distance when keys are wider than 8 bytes, with the rare leading-word
-  ties settled exactly — over a slice of the key column either side of
-  the query key or, for a lookup among a subset of the entries (a
-  filtered query's eligible ones), over the subset's positions there, and
+* descent is ``np.searchsorted`` over the per-leaf minimum keys, its
+  internal pages one row of an ancestor table made with the layout,
+* the bidirectional nearest-by-key merge is one stable argsort of both
+  windows' key distances, taken from one run of keys converted once into
+  native 64-bit words and ranked by their leading word (the rare ties
+  settled exactly) — a slice of the key column either side of the query
+  key or, for a lookup among a subset of the entries (a filtered query's
+  eligible ones), the subset's positions there, and
 * range scans slice the arrays directly.
 
 For the RDB-trees (:mod:`repro.core.rdbtree`) these columns **are the
@@ -73,8 +73,8 @@ class PackedTree:
         ``(L,)`` page ids of the leaves, left to right.
     level_pages / level_starts:
         Per internal level (root level first): the level's node page ids and
-        the prefix array of its nodes' child counts.  Used only to synthesise
-        the descent portion of the I/O trace.
+        the prefix array of its nodes' child counts, from which the
+        ancestor table of the I/O trace's descents is derived.
     """
 
     def __init__(self, key_codec: Codec, keys_raw: np.ndarray,
@@ -102,12 +102,9 @@ class PackedTree:
         # search runs on a zero-copy 'S' view of the raw key bytes.
         self.key_S = self.keys_raw.view(f"S{self.key_width}").ravel()
         self.min_key_S = self.key_S[self.leaf_starts[:-1]]
-        #: For keys wider than 8 bytes, a zero-copy (head, tail) view of
-        #: every key: its leading big-endian word and the bytes after it.
-        self._wide = None
-        if kind == "uint" and self.key_width > 8:
-            self._wide = self.keys_raw.view(
-                [("head", ">u8"), ("tail", f"S{self.key_width - 8}")]).ravel()
+        #: 64-bit words a key takes once zero-padded on the right.
+        self._words = -(-self.key_width // 8)
+        self._descents = self._ancestor_table()
 
     @classmethod
     def from_sorted(cls, key_codec: Codec, keys_raw: np.ndarray,
@@ -168,27 +165,25 @@ class PackedTree:
             return np.empty(0, dtype=np.int64)
         scalar = self._scalar(key)
         gbl = int(self.key_S.searchsorted(scalar, side="left"))
-        leaf = max(0, int(self.min_key_S.searchsorted(scalar,
-                                                      side="right")) - 1)
+        leaf = max(0, int(self.min_key_S.searchsorted(scalar, "right")) - 1)
         split = max(gbl, int(self.leaf_starts[leaf]))
         if subset is None:
-            fwd = slice(split, split + min(count, n - split))
-            bwd = slice(split - min(count, split), split)
-            total = min(count, n)
+            run = slice(max(0, split - count), min(n, split + count))
+            behind, total = split - run.start, min(count, n)
         else:
             if self._kind != "uint":
                 raise ValueError("subset lookups need integer keys")
             at = int(subset.searchsorted(split))
-            fwd, bwd = subset[at:at + count], subset[max(0, at - count):at]
-            total = min(count, subset.size)
-        rank_f, rank_b = self._merge_ranks(key, fwd, bwd, total)
+            run = subset[max(0, at - count):at + count]
+            behind, total = min(at, count), min(count, subset.size)
+        rank_f, rank_b = self._merge_ranks(key, run, behind, total)
         out = np.empty(total, dtype=np.int64)
         if subset is None:
             out[rank_f] = np.arange(split, split + rank_f.size)
             out[rank_b] = np.arange(split - 1, split - 1 - rank_b.size, -1)
         else:
-            out[rank_f] = fwd[:rank_f.size]
-            out[rank_b] = bwd[::-1][:rank_b.size]
+            out[rank_f] = run[behind:behind + rank_f.size]
+            out[rank_b] = run[behind - rank_b.size:behind][::-1]
         if stats is not None:
             if subset is None:
                 taken = None
@@ -224,14 +219,13 @@ class PackedTree:
         end = int(np.searchsorted(self.key_S, high_s, side="right"))
         starts, pages = self.leaf_starts, self.leaf_pages
         trace = self._descent_pages(leaf)
-        trace.append(int(pages[leaf]))
         if start < n and start == int(starts[leaf + 1]):
             # The landing leaf has no in-range entry: the node path walks
             # one sibling right before it can decide anything.
             leaf += 1
-            trace.append(int(pages[leaf]))
+            trace = np.append(trace, pages[leaf])
         if stats is not None:
-            stats.record_read_many(np.asarray(trace, dtype=np.int64))
+            stats.record_read_many(trace)
         keys_raw, values_raw = self.keys_raw, self.values_raw
         position = start
         while position < end:
@@ -247,98 +241,102 @@ class PackedTree:
     def _scalar(self, key: bytes):
         return np.frombuffer(key, dtype=f"S{self.key_width}", count=1)[0]
 
-    def _merge_ranks(self, key: bytes, fwd, bwd,
+    def _merge_ranks(self, key: bytes, run, behind: int,
                      total: int) -> tuple[np.ndarray, np.ndarray]:
         """Ranks, in the merge by key distance of a forward and a backward
         window, of the forward and of the backward entries that land below
         ``total`` (each in its direction's order, nearest first).
 
-        A window is a slice of the key column or an ascending array of
-        positions in it, ``fwd`` at or after the split, ``bwd`` before.
-        One ``searchsorted`` of the forward distances into the backward
-        ones ranks the forward entries (they win ties); ranks are a
-        permutation, so the backward ones fill the slots left, in order.
+        ``run`` is a slice of the key column or an ascending array of
+        positions in it, the backward window its first ``behind`` entries.
+        Both windows' distances ascend, so a stable argsort of the forward
+        ones then the backward ones merges two runs, forward winning ties.
         """
-        dist_f, dist_b = self._window_distances(key, fwd, bwd)
-        nearer = dist_b.searchsorted(dist_f, side="left")
-        if self._wide is not None and dist_b.size:
-            tied = (dist_b.take(nearer, mode="clip") == dist_f).nonzero()[0]
-            if tied.size:
-                self._settle_ties(key, fwd, bwd, dist_f, dist_b, nearer, tied)
-        rank_f = nearer + np.arange(dist_f.size, dtype=np.int64)
-        rank_f = rank_f[:int(rank_f.searchsorted(total))]
-        from_forward = np.zeros(total, dtype=bool)
-        from_forward[rank_f] = True
+        words = self._key_words(self.key_S[run])
+        dist = self._window_distances(key, words, behind)
+        ahead = dist.size - behind
+        from_forward = dist.argsort(kind="stable")[:total] < ahead
+        rank_f = from_forward.nonzero()[0]
+        if self._words > 1 and behind:
+            dist_f, dist_b = dist[:ahead], dist[ahead:]
+            nearer = rank_f - np.arange(rank_f.size)
+            tied = (dist_b.take(nearer, mode="clip")
+                    == dist_f[:rank_f.size]).nonzero()[0]
+            if tied.size:  # settling only moves tied forward entries later
+                self._settle_ties(key, words, behind, dist_f, dist_b,
+                                  rank_f, tied)
+                rank_f = rank_f[:int(rank_f.searchsorted(total))]
+                return rank_f, np.delete(np.arange(total), rank_f)
         return rank_f, (~from_forward).nonzero()[0]
 
-    def _window_distances(self, key: bytes, fwd,
-                          bwd) -> tuple[np.ndarray, np.ndarray]:
-        """Ascending |key distance| arrays for the windows of
-        :meth:`_merge_ranks` (the backward one nearest first), comparable
-        across the two arrays.  For keys wider than 8 bytes they hold the
-        *leading word* of each distance — head minus head minus the borrow
-        out of the tail bytes — which orders distances up to ties
-        (:meth:`_settle_ties`)."""
-        if self._wide is not None:
-            head = np.uint64(int.from_bytes(key[:8], "big"))
-            tail = key[8:]
-            fwd = self._wide[fwd]
-            bwd = self._wide[bwd][::-1]
-            return (fwd["head"].astype(np.uint64) - head
-                    - (fwd["tail"] < tail),
-                    head - bwd["head"].astype(np.uint64)
-                    - (bwd["tail"] > tail))
-        target = self.key_codec.decode(key)
-        fwd = self._numeric_window(fwd)
-        bwd = self._numeric_window(bwd)[::-1]
-        if self._kind == "uint":
-            target = np.uint64(target)
+    def _window_distances(self, key: bytes, words: np.ndarray,
+                          behind: int) -> np.ndarray:
+        """|key distance| of the forward window's entries, ascending, then
+        of the backward window's, nearest first, from the run's keys as
+        native words (:meth:`_key_words`).  An integer distance is its
+        leading word, the head difference minus the borrow out of the tail
+        words: exact up to 8 bytes, else up to ties (:meth:`_settle_ties`).
+        """
+        column = words[:, 0]
+        if self._kind == "float":
+            sign = np.uint64(1) << np.uint64(63)
+            column = np.where(column & sign != 0, column & ~sign,
+                              ~column).view(np.float64)
+            head = np.float64(self.key_codec.decode(key))
         else:
-            target = np.float64(target)
+            target = np.frombuffer(key.ljust(8 * self._words, b"\0"),
+                                   dtype=">u8").astype(np.uint64)
+            head = target[0]
         # Windows lie on the proper side of the split, so both differences
         # are non-negative and need no abs().
-        return fwd - target, target - bwd
+        dist_f = column[behind:] - head
+        dist_b = head - column[:behind][::-1]
+        if self._words > 1:  # m - s borrows where m's tail is below s's
+            for dist, m, s in ((dist_f, words[behind:], target),
+                               (dist_b, target, words[:behind][::-1])):
+                borrow = m[..., -1] < s[..., -1]
+                for word in range(self._words - 2, 0, -1):
+                    borrow = (m[..., word] < s[..., word]) | (
+                        (m[..., word] == s[..., word]) & borrow)
+                dist -= borrow
+        return np.concatenate([dist_f, dist_b])
 
-    def _settle_ties(self, key: bytes, fwd, bwd, dist_f: np.ndarray,
-                     dist_b: np.ndarray, nearer: np.ndarray,
-                     tied: np.ndarray) -> None:
-        """Make ``nearer`` exact for the forward entries ``tied`` whose
+    def _key_words(self, keys: np.ndarray) -> np.ndarray:
+        """Native words of a 1-D ``S`` array of keys, zero-padded right."""
+        width = self.key_width
+        if width % 8:
+            padded = np.zeros((keys.size, 8 * self._words), dtype=np.uint8)
+            padded[:, :width] = keys.view(np.uint8).reshape(-1, width)
+            keys = padded
+        return keys.view(">u8").astype(np.uint64).reshape(-1, self._words)
+
+    def _settle_ties(self, key: bytes, words: np.ndarray, behind: int,
+                     dist_f: np.ndarray, dist_b: np.ndarray,
+                     rank_f: np.ndarray, tied: np.ndarray) -> None:
+        """Make ``rank_f`` exact for the forward entries ``tied`` whose
         leading distance word equals some backward entry's.
 
         Rare (a forward and a backward distance must agree in their top
         64 bits), so the tied entries of both windows are compared as
         exact Python integers: among the tied backward entries, those
         strictly nearer replace those with a smaller leading word, which
-        ``nearer`` already counts.
+        ``rank_f`` already counts.
         """
-        tied_b = np.flatnonzero(np.isin(dist_b, dist_f[tied]))
-        target = int.from_bytes(key, "big")
-        fwd, bwd = (np.arange(w.start, w.stop) if isinstance(w, slice) else w
-                    for w in (fwd, bwd))
-        exact_f = self._exact_keys(fwd[tied]) - target
-        exact_b = target - self._exact_keys(bwd[::-1][tied_b])
-        nearer[tied] += (np.searchsorted(exact_b, exact_f, side="left")
-                         - np.searchsorted(dist_b[tied_b], dist_f[tied],
+        values = dist_f[tied]  # ascending, like every window's distances
+        found = values.searchsorted(dist_b)
+        tied_b = (values.take(found, mode="clip") == dist_b).nonzero()[0]
+        target = int.from_bytes(key.ljust(8 * self._words, b"\0"), "big")
+        exact_f = self._exact_keys(words[behind + tied]) - target
+        exact_b = target - self._exact_keys(words[behind - 1 - tied_b])
+        rank_f[tied] += (np.searchsorted(exact_b, exact_f, side="left")
+                         - np.searchsorted(dist_b[tied_b], values,
                                            side="left"))
 
-    def _exact_keys(self, positions: np.ndarray) -> np.ndarray:
-        """Keys at ``positions`` as an object array of Python integers."""
-        width = self.key_width
-        raw = self.keys_raw[positions].tobytes()
+    def _exact_keys(self, words: np.ndarray) -> np.ndarray:
+        """Rows of key words as an object array of Python integers."""
+        raw, width = words.astype(">u8").tobytes(), 8 * self._words
         return np.array([int.from_bytes(raw[at:at + width], "big")
                          for at in range(0, len(raw), width)], dtype=object)
-
-    def _numeric_window(self, window) -> np.ndarray:
-        raw = self.keys_raw[window]
-        if self._kind == "float":
-            bits = raw.view(">u8").ravel().astype(np.uint64)
-            sign = np.uint64(1) << np.uint64(63)
-            decoded = np.where(bits & sign != 0, bits & ~sign, ~bits)
-            return decoded.view(np.float64)
-        width = self.key_width
-        padded = np.zeros((raw.shape[0], 8), dtype=np.uint8)
-        padded[:, 8 - width:] = raw
-        return padded.view(">u8").ravel().astype(np.uint64)
 
     def _raw_taken(self, key: bytes, split: int,
                    last: int) -> tuple[int, int]:
@@ -362,18 +360,23 @@ class PackedTree:
 
     # -- synthetic I/O traces ---------------------------------------------
 
-    def _descent_pages(self, leaf_index: int) -> list[int]:
-        """Root-first internal pages a descent to this leaf reads (its
-        ancestor chain — the same pages whichever bisect variant routed
-        there)."""
-        pages: list[int] = []
-        index = leaf_index
+    def _ancestor_table(self) -> np.ndarray:
+        """``(leaves, height)`` page ids, row ``l`` the ancestor chain of
+        leaf ``l`` root first and then the leaf: what a descent reads."""
+        leaves = self.leaf_pages.size
+        table = np.empty((leaves, len(self.level_pages) + 1), dtype=np.int64)
+        table[:, -1] = self.leaf_pages
+        index = np.arange(leaves)
         for level in range(len(self.level_pages) - 1, -1, -1):
-            index = int(self.level_starts[level].searchsorted(
-                index, side="right")) - 1
-            pages.append(int(self.level_pages[level][index]))
-        pages.reverse()
-        return pages
+            index = self.level_starts[level].searchsorted(
+                index, side="right") - 1
+            table[:, level] = self.level_pages[level][index]
+        return table
+
+    def _descent_pages(self, leaf_index: int) -> np.ndarray:
+        """The pages a descent to this leaf reads, root first and the leaf
+        last: a row of the ancestor table (:meth:`_ancestor_table`)."""
+        return self._descents[leaf_index]
 
     def _nearest_trace(self, key: bytes, leaf: int, split: int,
                        rank_f: np.ndarray, rank_b: np.ndarray,
@@ -383,48 +386,43 @@ class PackedTree:
         and, when the merge passed over entries (a ``subset`` lookup), how
         many it ``taken`` from each direction in all.
 
-        Both scan generators descend (the internal chain appears twice) and
-        read the landing leaf; each may read one sibling before producing
-        its first entry.  After that, a stream reads its next leaf on the
-        lookahead ``next()`` that follows each pick, so every later read is
-        keyed to the pick that triggered it: by its merge rank or, picks
-        passed over having none, by ranking those boundary entries alone.
+        Both scan generators descend (the descent row appears twice); each
+        may read one sibling before producing its first entry.  After
+        that, a stream reads its next leaf on the lookahead ``next()``
+        that follows each pick, so every later read is keyed to the pick
+        that triggered it: by its merge rank or, picks passed over having
+        none, by ranking those boundary entries alone.
         """
         n = self.count
         starts, pages = self.leaf_starts, self.leaf_pages
-        descent = self._descent_pages(leaf)
-        descent.append(int(pages[leaf]))
-        trace = list(descent)
-        if split < n and split == int(starts[leaf + 1]):
-            trace.append(int(pages[leaf + 1]))
-        trace += descent
-        if 0 < split == int(starts[leaf]):
-            trace.append(int(pages[leaf - 1]))
         taken_f, taken_b = taken or (rank_f.size, rank_b.size)
-        # Forward: entry i (position split + i) is consumed by the call
-        # after forward pick #i, and reads a page iff it opens a new leaf:
-        # the leaves starting in (split, split + limit].
-        limit = min(taken_f, n - split - 1)
-        lo = int(starts.searchsorted(split + 1, side="left"))
-        hi = max(lo, int(starts.searchsorted(split + limit, side="right")))
-        opened, pages_f = starts[lo:hi], pages[lo:hi]
-        # Backward: entry t (position split - 1 - t) reads its leaf's left
-        # sibling iff it closes the current leaf: the leaves starting in
-        # [split - limit, split).
-        limit = min(taken_b, split - 1)
-        lo = int(starts.searchsorted(split - limit, side="left"))
-        hi = max(lo, int(starts.searchsorted(split - 1, side="right")))
-        closed, pages_b = starts[lo:hi], pages[lo - 1:hi - 1]
+        # Forward entry i (position split + i) is consumed after forward
+        # pick #i and reads a page iff it opens a leaf: those starting in
+        # (split, split + limit_f].  Backward entry t, at split - 1 - t,
+        # reads the left sibling iff it closes its leaf: those starting
+        # in [split - limit_b, split).
+        limit_f = max(0, min(taken_f, n - split - 1))
+        limit_b = max(0, min(taken_b, split - 1))
+        lo_f, hi_f, lo_b, hi_b = starts.searchsorted(
+            (split + 1, split + limit_f + 1, split - limit_b, split))
+        opened, pages_f = starts[lo_f:hi_f], pages[lo_f:hi_f]
+        closed, pages_b = starts[lo_b:hi_b], pages[lo_b - 1:hi_b - 1]
         if taken is None:
             when_f = rank_f[opened - (split + 1)]
             when_b = rank_b[(split - 1) - closed]
         else:
-            when_f, when_b = self._merge_ranks(key, opened - 1, closed,
-                                               opened.size + closed.size)
+            when_f, when_b = self._merge_ranks(
+                key, np.concatenate([closed, opened - 1]), closed.size,
+                opened.size + closed.size)
             when_b = when_b[::-1]
-        order = np.argsort(np.concatenate([when_f, when_b]), kind="stable")
-        return np.concatenate([np.asarray(trace, dtype=np.int64),
-                               np.concatenate([pages_f, pages_b])[order]])
+        order = np.concatenate([when_f, when_b]).argsort(kind="stable")
+        descent = self._descent_pages(leaf)
+        sibling_f = split < n and split == starts[leaf + 1]
+        sibling_b = 0 < split == starts[leaf]
+        return np.concatenate([
+            descent, pages[leaf + 1:leaf + 1 + sibling_f],
+            descent, pages[leaf - 1:leaf - 1 + sibling_b],
+            np.concatenate([pages_f, pages_b])[order]])
 
     # -- serialisation ----------------------------------------------------
 

@@ -41,6 +41,7 @@ tests and benches compare the pipeline against.
 from __future__ import annotations
 
 import time
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence
 
@@ -186,14 +187,14 @@ class ThreadedExecutor(Executor):
 class QueryEngine:
     """The three stages of Algo. 2 over one HD-Index's components.
 
-    The engine reads the index's live attributes (``trees``, ``partitions``,
-    ``quantizer``, ``references``, ``heap``, ``_deleted``) at call time, so
-    it survives rebuilds, inserts and persistence reloads without
-    re-wiring.
+    The engine reads the index's live attributes (``trees``, ``heap``, ...)
+    at call time, so it survives rebuilds, inserts and reloads without
+    re-wiring, through a weak proxy: the index owns its engine, and with
+    no cycle a dropped index is freed at once, not at the next collection.
     """
 
     def __init__(self, index, executor: Executor | None = None) -> None:
-        self.index = index
+        self.index = None if index is None else weakref.proxy(index)
         self.executor = executor if executor is not None else SequentialExecutor()
 
     # -- stage (i): RDB-tree candidate retrieval --------------------------

@@ -788,8 +788,9 @@ class HDIndex(KNNIndex):
         the eligible fraction reported as ``extra["selectivity"]``."""
         if predicate is None:
             return None, 1.0
-        mask = predicate.mask(self.metadata)
-        return np.flatnonzero(mask), float(mask.mean()) if mask.size else 0.0
+        mask = predicate.mask(self.metadata)  # a count: mean() is 10x dearer
+        return np.flatnonzero(mask), (
+            int(np.count_nonzero(mask)) / mask.size if mask.size else 0.0)
 
     def _total_page_reads(self) -> int:
         reads = sum(tree.stats.page_reads for tree in self.trees)

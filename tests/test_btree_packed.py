@@ -72,9 +72,20 @@ def draw_keys(draw, width):
     top = (1 << (8 * width)) - 1
     anywhere = st.integers(min_value=0, max_value=top)
     centre = draw(anywhere)
-    shape = draw(st.sampled_from(["spread", "shared-head", "mirrored"]))
+    shape = draw(st.sampled_from(["spread", "shared-head", "last-word",
+                                  "mirrored"]))
     if shape == "spread":
         keys = draw(st.lists(anywhere, min_size=1, max_size=40))
+    elif shape == "last-word":
+        # Every 64-bit word but the last (of the key zero-padded to whole
+        # words) shared: leading words tie and the borrow runs through
+        # every equal tail word.
+        low = 8 * (width - 8 * ((width - 1) // 8))
+        base = centre >> low << low
+        last = st.integers(min_value=0, max_value=(1 << low) - 1)
+        keys = [base | word for word in draw(st.lists(last, min_size=1,
+                                                        max_size=40))]
+        centre = base | draw(last)
     elif shape == "shared-head":
         # One leading word, keys differing only in the last byte (with
         # duplicates): every leading distance word ties.
@@ -325,16 +336,19 @@ class TestSubsetLookup:
         settled = []
         settle = PackedTree._settle_ties
 
-        def recording(self, key, fwd, *rest):
-            settled.append(np.asarray(fwd).tolist())
-            return settle(self, key, fwd, *rest)
+        def recording(self, key, words, behind, *rest):
+            # The forward window's keys: the run's rows from ``behind`` on.
+            settled.append([int.from_bytes(row.astype(">u8").tobytes(), "big")
+                            for row in words[behind:]])
+            return settle(self, key, words, behind, *rest)
 
         monkeypatch.setattr(PackedTree, "_settle_ties", recording)
         got, want, packed, _ = subset_lookup(16, keys, target, 2, 2, mask)
         assert got == want
         assert got[0] == [7, 0]
         assert got[1][-2:] == [0, 3]
-        assert [5] in settled  # among the boundary entries
+        # Among the boundary entries: the last entry of a leaf, at 5.
+        assert [keys[5]] in settled
 
     def test_float_keys_refused(self):
         tree = make_tree(Float64Codec())
@@ -342,6 +356,56 @@ class TestSubsetLookup:
         with pytest.raises(ValueError, match="integer keys"):
             tree.packed_layout.nearest_positions(
                 Float64Codec().encode(1.0), 2, None, np.arange(3))
+
+
+def walked_descent(packed, leaf):
+    """Root-first pages of a descent to ``leaf``, found level by level:
+    the parent index at each internal level from its child counts."""
+    pages, index = [int(packed.leaf_pages[leaf])], leaf
+    for starts, level_pages in zip(packed.level_starts[::-1],
+                                   packed.level_pages[::-1]):
+        index = int(starts.searchsorted(index, side="right")) - 1
+        pages.append(int(level_pages[index]))
+    return pages[::-1]
+
+
+@st.composite
+def layouts(draw):
+    """(height, entries, leaf capacity, internal capacity) of a bulk
+    load with 1 to 4 levels."""
+    height = draw(st.integers(1, 4))
+    leaf_cap, internal_cap = draw(st.integers(1, 4)), draw(st.integers(2, 3))
+    fanout = internal_cap + 1
+    leaves = 1 if height == 1 else draw(st.integers(
+        fanout ** (height - 2) + 1, fanout ** (height - 1)))
+    count = draw(st.integers((leaves - 1) * leaf_cap + 1, leaves * leaf_cap))
+    return height, count, leaf_cap, internal_cap
+
+
+class TestAncestorTable:
+    """Descents read one row of a table derived with the layout; it is
+    not part of the ``.packed`` file."""
+
+    @given(layouts())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_are_the_level_by_level_walk(self, layout):
+        height, count, leaf_cap, internal_cap = layout
+        codec = UIntCodec(4)
+        keys = np.arange(count, dtype=">u4").view(np.uint8).reshape(count, 4)
+        packed = PackedTree.from_sorted(codec, keys, keys, leaf_cap,
+                                        internal_cap)
+        assert packed.height == height
+        arrays = packed.to_arrays()
+        assert sorted(arrays) == sorted(
+            ["keys", "values", "leaf_starts", "leaf_pages", "num_levels"]
+            + [f"level_{level}_{part}" for level in range(height - 1)
+               for part in ("pages", "starts")])
+        restored = PackedTree.from_arrays(codec,
+                                          unpack_arrays(pack_arrays(arrays)))
+        for tree in (packed, restored):
+            for leaf in range(packed.leaf_pages.size):
+                assert tree._descent_pages(leaf).tolist() == \
+                    walked_descent(packed, leaf)
 
 
 class TestSerialization:

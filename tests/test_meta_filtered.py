@@ -350,6 +350,31 @@ class TestSelectivityInflation:
         stats = index.last_query_stats()
         assert stats.extra["selectivity"] == pytest.approx(0.5)
 
+    def test_selectivity_is_the_mask_mean_to_the_bit(self):
+        """A count over the mask's size, not ``mask.mean()``: the same
+        float, bit for bit, for a mask with no rows, none, a tenth and
+        all of them set."""
+        data, queries, _ = make_workload()
+        index = HDIndex(exhaustive_params())
+        index.build(data, metadata=[{"label": i % 10} for i in range(N)])
+
+        class GivenMask:
+            def __init__(self, mask):
+                self._mask = mask
+
+            def mask(self, store):
+                return self._mask
+
+        tenth = Eq("label", 3).mask(index.metadata)
+        for mask in (np.zeros(0, dtype=bool), np.zeros(N, dtype=bool),
+                     tenth, np.ones(N, dtype=bool)):
+            want = float(mask.mean()) if mask.size else 0.0
+            got = index._eligibility(GivenMask(mask))[1]
+            assert type(got) is float and got.hex() == want.hex()
+        index.query(queries[0], k=3, predicate=Eq("label", 3))
+        reported = index.last_query_stats().extra["selectivity"]
+        assert reported.hex() == float(tenth.mean()).hex() == (0.1).hex()
+
 
 class TestFilteredValidation:
     def test_predicate_without_metadata(self):
