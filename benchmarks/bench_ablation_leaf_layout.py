@@ -23,10 +23,10 @@ import pytest
 
 from benchmarks.common import Workload, emit, hd_params, start_report
 from repro import HDIndex, Multicurves
-from repro.btree import BPlusTree
+from repro.btree import bulk_load
 from repro.eval.memory import format_bytes
 from repro.hilbert import GridQuantizer, HilbertCurve
-from repro.storage import UInt64Codec, UIntCodec
+from repro.storage import UIntCodec
 from repro.storage.vectors import heap_file_from_array
 
 BENCH = "ablation_leaf_layout"
@@ -47,6 +47,7 @@ class PointerOnlyIndex:
         self.domain = domain
         self.page_size = page_size
         self.trees = []
+        self.tree_stats = []
         self.curves = []
         self.partitions = []
         self.heap = None
@@ -62,13 +63,11 @@ class PointerOnlyIndex:
             curve = HilbertCurve(len(part), self.order)
             keys = curve.encode_batch(quantizer.quantize(data[:, part]))
             order_index = sorted(range(n), key=lambda i: keys[i])
-            key_codec = UIntCodec(curve.key_bytes)
-            tree = BPlusTree(key_codec, UInt64Codec(),
-                             page_size=self.page_size)
-            tree.bulk_load(
-                (key_codec.encode(int(keys[i])),
-                 UInt64Codec().encode(i)) for i in order_index)
+            tree, stats = bulk_load(
+                UIntCodec(curve.key_bytes), keys[order_index],
+                np.asarray(order_index), self.page_size)
             self.trees.append(tree)
+            self.tree_stats.append(stats)
             self.curves.append(curve)
         self._quantizer = quantizer
 
@@ -77,13 +76,14 @@ class PointerOnlyIndex:
         reads (per tree) the RDB design exists to avoid."""
         import numpy as np
         best = {}
-        for tree, curve, part in zip(self.trees, self.curves,
-                                     self.partitions):
+        for tree, stats, curve, part in zip(self.trees, self.tree_stats,
+                                            self.curves, self.partitions):
             key = int(curve.encode_batch(
                 self._quantizer.quantize(point[part])[None, :])[0])
-            raw = tree.nearest(tree.key_codec.encode(key), alpha)
-            for _, value in raw:
-                object_id = UInt64Codec().decode(value)
+            window = tree.nearest_positions(tree.key_codec.encode(key),
+                                            alpha, stats)
+            for _, value in tree.entries(window):
+                object_id = int.from_bytes(value, "big")
                 if object_id in best:
                     continue
                 vector = self.heap.fetch(object_id).astype(np.float64)
@@ -92,11 +92,11 @@ class PointerOnlyIndex:
         return [object_id for object_id, _ in ranked]
 
     def page_reads(self):
-        return (sum(t.stats.page_reads for t in self.trees)
+        return (sum(stats.page_reads for stats in self.tree_stats)
                 + self.heap.stats.page_reads)
 
     def index_size_bytes(self):
-        return sum(t.size_bytes() for t in self.trees)
+        return sum(t.num_pages for t in self.trees) * self.page_size
 
 
 @pytest.fixture(scope="module")

@@ -14,8 +14,9 @@ bench measures
   the same process — the one reference ``check_regression.py`` may
   compare the packed loop against on a host whose speed drifts — and
 * **parity**: neighbour ids must be byte-identical to a scalar oracle —
-  per-point ``HilbertCurve.encode``, node-path ``BPlusTree.nearest``,
-  per-tree filter calls — across the memory, file and mmap backends.
+  per-point ``HilbertCurve.encode``, the node walk
+  (``repro.devtools.nodewalk``) for each tree's candidates, per-tree
+  filter calls — across the memory and mmap backends.
 
 Results go to ``results/hotpath.txt`` (human) and
 ``results/BENCH_hotpath.json`` (machine-readable; the committed copy is
@@ -69,12 +70,12 @@ TARGET_SPEEDUP = 5.0
 def scalar_oracle_ids(index: HDIndex, queries: np.ndarray,
                       k: int) -> list[np.ndarray]:
     """Algo. 2 through the scalar kernels: per-point ``encode``, node-path
-    ``nearest`` (``node_candidates``: a B+-tree bulk-loaded from each
-    tree's columns, walked node by node), so the batched encode and the
-    packed tree scan are bypassed; stage (ii) filters each tree's own
-    (α, m) segment with the bound kernels and ``filter_candidates`` — not
-    the engine's (τ, α) row block — and the merge is ``np.union1d`` /
-    ``np.setdiff1d`` rather than the engine's."""
+    ``nearest`` (``node_candidates``: each tree's columns laid out as a
+    bulk load lays them out and walked node by node), so the batched
+    encode and the packed tree scan are bypassed; stage (ii) filters
+    each tree's own (α, m) segment with the bound kernels and
+    ``filter_candidates`` — not the engine's (τ, α) row block — and the
+    merge is ``np.union1d`` / ``np.setdiff1d`` rather than the engine's."""
     engine = index._engine
     pairs = index.references.pairs
     ptolemaic = index.params.use_ptolemaic

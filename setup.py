@@ -1,9 +1,8 @@
 """Legacy shim so `pip install -e .` works on environments without wheel.
 
 Package data matters here: ``repro/py.typed`` marks the package as typed
-(PEP 561) and ``repro/devtools/hotpaths.toml`` + ``mypy_baseline.txt``
-are read at runtime by the lint/typecheck CLIs, so all three must ship
-in wheels and sdists alike.
+(PEP 561) and ``repro/devtools/hotpaths.toml`` is read at runtime by the
+lint CLI, so both must ship in wheels and sdists alike.
 """
 from setuptools import find_packages, setup
 
@@ -13,7 +12,7 @@ setup(
     package_dir={"": "src"},
     package_data={
         "repro": ["py.typed"],
-        "repro.devtools": ["hotpaths.toml", "mypy_baseline.txt"],
+        "repro.devtools": ["hotpaths.toml"],
     },
     python_requires=">=3.10",
     install_requires=["numpy"],

@@ -19,12 +19,13 @@ import time
 
 import numpy as np
 
-from repro.btree.tree import BPlusTree
+from repro.btree.packed import PackedTree, bulk_load
 from repro.cluster.kmeans import kmeans
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.distance.metrics import DistanceCounter, euclidean_to_many
-from repro.storage.codecs import Float64Codec, UInt64Codec
+from repro.storage.codecs import Float64Codec
 from repro.storage.pages import DEFAULT_PAGE_SIZE
+from repro.storage.stats import IOStats
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 
@@ -57,7 +58,8 @@ class IDistance(KNNIndex):
         self.storage_dtype = storage_dtype
         self.seed = seed
         self.heap: VectorHeapFile | None = None
-        self.tree: BPlusTree | None = None
+        self.tree: PackedTree | None = None
+        self.tree_stats = IOStats()
         self.centers: np.ndarray | None = None
         self.partition_radius: np.ndarray | None = None
         self._spacing = 0.0
@@ -92,18 +94,13 @@ class IDistance(KNNIndex):
 
         self.heap = heap_file_from_array(
             data, dtype=self.storage_dtype, page_size=self.page_size)
-        key_codec, value_codec = Float64Codec(), UInt64Codec()
-        self.tree = BPlusTree(key_codec, value_codec,
-                              page_size=self.page_size)
         keys = result.labels * self._spacing + distances
         order = np.argsort(keys, kind="stable")
-        self.tree.bulk_load(
-            (key_codec.encode(float(keys[i])), value_codec.encode(int(i)))
-            for i in order
-        )
+        self.tree, self.tree_stats = bulk_load(
+            Float64Codec(), keys[order], order, self.page_size)
         self._build_stats = BuildStats(
             time_sec=time.perf_counter() - started,
-            page_writes=self.tree.stats.page_writes
+            page_writes=self.tree_stats.page_writes
             + self.heap.stats.page_writes,
             # The public implementation loads the whole dataset in RAM.
             peak_memory_bytes=data.nbytes + self.centers.nbytes,
@@ -116,14 +113,13 @@ class IDistance(KNNIndex):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
-        reads_before = (self.tree.stats.page_reads
+        reads_before = (self.tree_stats.page_reads
                         + self.heap.stats.page_reads)
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
         center_dist = euclidean_to_many(point, self.centers, counter)
 
         key_codec = self.tree.key_codec
-        value_codec = self.tree.value_codec
         seen: set[int] = set()
         best_ids: list[int] = []
         best_dists: list[float] = []
@@ -145,10 +141,11 @@ class IDistance(KNNIndex):
                     if ring_high <= ring_low:
                         continue
                     base = index * self._spacing
-                    for _, raw_value in self.tree.range(
+                    for _, raw_value in self.tree.range_entries(
                             key_codec.encode(base + ring_low),
-                            key_codec.encode(base + ring_high)):
-                        object_id = value_codec.decode(raw_value)
+                            key_codec.encode(base + ring_high),
+                            self.tree_stats):
+                        object_id = int.from_bytes(raw_value, "big")
                         if object_id in seen:
                             continue
                         seen.add(object_id)
@@ -167,7 +164,7 @@ class IDistance(KNNIndex):
             radius += step
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=self.tree.stats.page_reads
+            page_reads=self.tree_stats.page_reads
             + self.heap.stats.page_reads - reads_before,
             candidates=len(seen),
             distance_computations=counter.count,
@@ -195,7 +192,9 @@ class IDistance(KNNIndex):
     # -- accounting ---------------------------------------------------------
 
     def index_size_bytes(self) -> int:
-        return self.tree.size_bytes() if self.tree is not None else 0
+        if self.tree is None:
+            return 0
+        return self.tree.num_pages * self.page_size
 
     def memory_bytes(self) -> int:
         if self.centers is None:

@@ -15,12 +15,11 @@ and Enron with Multicurves).
 
 from __future__ import annotations
 
-import struct
 import time
 
 import numpy as np
 
-from repro.btree.tree import BPlusTree
+from repro.btree.packed import PackedTree, bulk_load, leaf_capacity
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.partition import contiguous_partition
 from repro.distance.metrics import (
@@ -30,8 +29,9 @@ from repro.distance.metrics import (
 )
 from repro.hilbert.butz import HilbertCurve
 from repro.hilbert.quantize import GridQuantizer
-from repro.storage.codecs import BytesCodec, UIntCodec
+from repro.storage.codecs import UIntCodec
 from repro.storage.pages import DEFAULT_PAGE_SIZE
+from repro.storage.stats import IOStats
 
 
 class MulticurvesUnsupportedError(ValueError):
@@ -58,12 +58,13 @@ class Multicurves(KNNIndex):
         self.domain = domain
         self.page_size = page_size
         self.seed = seed
-        self.trees: list[BPlusTree] = []
+        self.trees: list[PackedTree] = []
+        self.tree_stats: list[IOStats] = []
         self.curves: list[HilbertCurve] = []
         self.partitions: list[np.ndarray] = []
         self.quantizer: GridQuantizer | None = None
         self.dim = 0
-        self._record: struct.Struct | None = None
+        self._record: np.dtype | None = None
         self._build_stats = BuildStats()
         self._query_stats = QueryStats()
 
@@ -76,40 +77,38 @@ class Multicurves(KNNIndex):
                 f"num_curves={self.num_curves} exceeds dimensionality {dim}")
         self.dim = dim
         # Full descriptor (float32) + object id in every leaf entry.
-        self._record = struct.Struct(f">Q{dim}f")
+        self._record = np.dtype([("id", ">u8"), ("vector", ">f4", (dim,))])
+        records = np.empty(n, dtype=self._record)
+        records["id"] = np.arange(n)
+        records["vector"] = data
         if self.domain is not None:
             self.quantizer = GridQuantizer(self.domain[0], self.domain[1],
                                            self.hilbert_order)
         else:
             self.quantizer = GridQuantizer.from_data(data, self.hilbert_order)
         self.partitions = contiguous_partition(dim, self.num_curves)
-        self.trees = []
-        self.curves = []
+        self.trees, self.tree_stats, self.curves = [], [], []
         for part in self.partitions:
             curve = HilbertCurve(len(part), self.hilbert_order)
-            key_codec = UIntCodec(curve.key_bytes)
-            value_codec = BytesCodec(self._record.size)
-            entry = key_codec.width + value_codec.width
-            if entry > self.page_size - 19:
+            if leaf_capacity(self.page_size, curve.key_bytes,
+                             self._record.itemsize) < 1:
                 raise MulticurvesUnsupportedError(
-                    f"one leaf entry needs {entry} bytes but a {self.page_size}"
-                    f"-byte page holds {self.page_size - 19}: Multicurves "
+                    f"one leaf entry needs "
+                    f"{curve.key_bytes + self._record.itemsize} bytes, more "
+                    f"than a {self.page_size}-byte page holds: Multicurves "
                     f"cannot index ν={dim} at this page size (paper's NP)")
             coords = self.quantizer.quantize(data[:, part])
             keys = curve.encode_batch(coords)
             order = sorted(range(n), key=lambda i: keys[i])
-            tree = BPlusTree(key_codec, value_codec, page_size=self.page_size)
-            pack = self._record.pack
-            tree.bulk_load(
-                (key_codec.encode(int(keys[i])),
-                 pack(i, *data[i].astype(np.float32)))
-                for i in order
-            )
+            tree, stats = bulk_load(
+                UIntCodec(curve.key_bytes), keys[order],
+                records[order].view(np.uint8).reshape(n, -1), self.page_size)
             self.trees.append(tree)
+            self.tree_stats.append(stats)
             self.curves.append(curve)
         self._build_stats = BuildStats(
             time_sec=time.perf_counter() - started,
-            page_writes=sum(t.stats.page_writes for t in self.trees),
+            page_writes=sum(s.page_writes for s in self.tree_stats),
             peak_memory_bytes=data.nbytes,
         )
 
@@ -119,25 +118,23 @@ class Multicurves(KNNIndex):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
-        reads_before = sum(t.stats.page_reads for t in self.trees)
+        reads_before = self._page_reads()
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
         per_curve = max(k, self.alpha // self.num_curves)
         best: dict[int, float] = {}
-        for tree, curve, part in zip(self.trees, self.curves,
-                                     self.partitions):
+        for tree, stats, curve, part in zip(self.trees, self.tree_stats,
+                                            self.curves, self.partitions):
             coords = self.quantizer.quantize(point[part])[None, :]
             key = int(curve.encode_batch(coords)[0])
-            raw = tree.nearest(tree.key_codec.encode(key), per_curve)
-            if not raw:
+            window = tree.nearest_positions(tree.key_codec.encode(key),
+                                            per_curve, stats)
+            if not window.size:
                 continue
-            ids = np.empty(len(raw), dtype=np.int64)
-            vectors = np.empty((len(raw), self.dim), dtype=np.float64)
-            for row, (_, value) in enumerate(raw):
-                fields = self._record.unpack(value)
-                ids[row] = fields[0]
-                vectors[row] = fields[1:]
-            distances = euclidean_to_many(point, vectors, counter)
+            records = tree.values_raw[window].view(self._record).ravel()
+            ids = records["id"].astype(np.int64)
+            distances = euclidean_to_many(
+                point, records["vector"].astype(np.float64), counter)
             for object_id, distance in zip(ids, distances):
                 object_id = int(object_id)
                 if object_id not in best or distance < best[object_id]:
@@ -148,8 +145,7 @@ class Multicurves(KNNIndex):
         top = top_k_smallest(merged_dists, min(k, len(merged_ids)))
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=sum(t.stats.page_reads for t in self.trees)
-            - reads_before,
+            page_reads=self._page_reads() - reads_before,
             candidates=len(best),
             distance_computations=counter.count,
         )
@@ -157,7 +153,7 @@ class Multicurves(KNNIndex):
 
     def index_size_bytes(self) -> int:
         # τ trees each embedding the full dataset: the paper's huge index.
-        return sum(tree.size_bytes() for tree in self.trees)
+        return sum(tree.num_pages for tree in self.trees) * self.page_size
 
     def memory_bytes(self) -> int:
         # Disk-based querying; only the per-curve candidate buffer is in RAM.
@@ -172,3 +168,6 @@ class Multicurves(KNNIndex):
 
     def build_stats(self) -> BuildStats:
         return self._build_stats
+
+    def _page_reads(self) -> int:
+        return sum(stats.page_reads for stats in self.tree_stats)

@@ -28,11 +28,12 @@ from repro.baselines.lsh_common import (
     gaussian_projections,
     qalsh_collision_probability,
 )
-from repro.btree.tree import BPlusTree
+from repro.btree.packed import PackedTree, bulk_load
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.distance.metrics import DistanceCounter
-from repro.storage.codecs import Float64Codec, UInt64Codec
+from repro.storage.codecs import Float64Codec
 from repro.storage.pages import DEFAULT_PAGE_SIZE
+from repro.storage.stats import IOStats
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 
@@ -64,7 +65,8 @@ class QALSH(KNNIndex):
         self.storage_dtype = storage_dtype
         self.seed = seed
         self.heap: VectorHeapFile | None = None
-        self.trees: list[BPlusTree] = []
+        self.trees: list[PackedTree] = []
+        self.tree_stats: list[IOStats] = []
         self.count = 0
         self._projections: np.ndarray | None = None
         self._proj_min: np.ndarray | None = None
@@ -92,23 +94,18 @@ class QALSH(KNNIndex):
         projected = data @ self._projections.T    # (n, m)
         self._proj_min = projected.min(axis=0)
         self._proj_max = projected.max(axis=0)
-        key_codec, value_codec = Float64Codec(), UInt64Codec()
-        self.trees = []
+        self.trees, self.tree_stats = [], []
         for j in range(m):
-            tree = BPlusTree(key_codec, value_codec,
-                             page_size=self.page_size)
             order = np.argsort(projected[:, j], kind="stable")
-            tree.bulk_load(
-                (key_codec.encode(float(projected[i, j])),
-                 value_codec.encode(int(i)))
-                for i in order
-            )
+            tree, stats = bulk_load(Float64Codec(), projected[order, j],
+                                    order, self.page_size)
             self.trees.append(tree)
+            self.tree_stats.append(stats)
         self.heap = heap_file_from_array(
             data, dtype=self.storage_dtype, page_size=self.page_size)
         self._build_stats = BuildStats(
             time_sec=time.perf_counter() - started,
-            page_writes=sum(t.stats.page_writes for t in self.trees)
+            page_writes=sum(s.page_writes for s in self.tree_stats)
             + self.heap.stats.page_writes,
             # The public implementation builds from an in-RAM dataset and
             # projection matrix (paper Sec. 5.1).
@@ -133,7 +130,6 @@ class QALSH(KNNIndex):
         query_proj = self._projections @ point
 
         key_codec = self.trees[0].key_codec
-        value_codec = self.trees[0].value_codec
         counts = np.zeros(self.count, dtype=np.int32)
         scanned_low = query_proj.copy()
         scanned_high = query_proj.copy()
@@ -142,11 +138,12 @@ class QALSH(KNNIndex):
         while True:
             half_window = radius * self.width / 2.0
             newly_counted: list[int] = []
-            for j, tree in enumerate(self.trees):
+            for j, (tree, stats) in enumerate(zip(self.trees,
+                                                  self.tree_stats)):
                 low = query_proj[j] - half_window
                 high = query_proj[j] + half_window
                 # Two rings beyond the already-scanned window; the inclusive
-                # tree.range bounds are nudged to keep the rings disjoint.
+                # range_entries bounds are nudged to keep the rings disjoint.
                 rings = (
                     (low, np.nextafter(scanned_low[j], -np.inf)),
                     (np.nextafter(scanned_high[j], np.inf), high),
@@ -154,10 +151,10 @@ class QALSH(KNNIndex):
                 for ring_low, ring_high in rings:
                     if ring_high < ring_low:
                         continue
-                    for _, raw_value in tree.range(
+                    for _, raw_value in tree.range_entries(
                             key_codec.encode(ring_low),
-                            key_codec.encode(ring_high)):
-                        object_id = value_codec.decode(raw_value)
+                            key_codec.encode(ring_high), stats):
+                        object_id = int.from_bytes(raw_value, "big")
                         counts[object_id] += 1
                         newly_counted.append(object_id)
                 scanned_low[j] = min(scanned_low[j], low)
@@ -208,7 +205,7 @@ class QALSH(KNNIndex):
     # -- accounting ------------------------------------------------------
 
     def index_size_bytes(self) -> int:
-        return sum(tree.size_bytes() for tree in self.trees)
+        return sum(tree.num_pages for tree in self.trees) * self.page_size
 
     def memory_bytes(self) -> int:
         if self._projections is None:
@@ -230,7 +227,7 @@ class QALSH(KNNIndex):
         return self._params
 
     def _page_reads(self) -> int:
-        reads = sum(tree.stats.page_reads for tree in self.trees)
+        reads = sum(stats.page_reads for stats in self.tree_stats)
         if self.heap is not None:
             reads += self.heap.stats.page_reads
         return reads

@@ -1,27 +1,17 @@
-"""Disk-paged B+-tree substrate."""
+"""The paged B+-tree, held as sorted columns (:mod:`repro.btree.packed`)."""
 
-from repro.btree.node import (
+from repro.btree.packed import (
     NO_PAGE,
-    InternalNode,
-    LeafNode,
-    NodeFormatError,
+    PackedTree,
+    bulk_load,
     internal_capacity,
     leaf_capacity,
-    parse_node,
-    serialize_internal,
-    serialize_leaf,
 )
-from repro.btree.tree import BPlusTree
 
 __all__ = [
-    "BPlusTree",
-    "InternalNode",
-    "LeafNode",
     "NO_PAGE",
-    "NodeFormatError",
+    "PackedTree",
+    "bulk_load",
     "internal_capacity",
     "leaf_capacity",
-    "parse_node",
-    "serialize_internal",
-    "serialize_leaf",
 ]

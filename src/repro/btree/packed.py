@@ -15,18 +15,18 @@ boundaries and the page ids of the leaf and internal levels.  On that,
   eligible ones), the subset's positions there, and
 * range scans slice the arrays directly.
 
-For the RDB-trees (:mod:`repro.core.rdbtree`) these columns **are the
-tree**: :meth:`PackedTree.from_sorted` lays sorted entries out exactly as
-a bottom-up bulk load of the node-based :class:`~repro.btree.tree.BPlusTree`
-would, and nothing else is built, saved or read.  The page geometry is an
-accounting model, not a storage layout: :meth:`nearest_positions` and
-:meth:`range_entries` replay, against
-:class:`~repro.storage.stats.IOStats`, precisely the page-read sequence a
-node-by-node walk of that tree would issue, so the paper's I/O figures
-are reproduced without the pages existing.  The node-based tree remains
-the substrate of the one-dimensional baselines (which keep such a layout
-as a mirror of their pages) and the oracle the tests and the sanitizer
-diff this module against.
+These columns **are the tree**, for the RDB-trees
+(:mod:`repro.core.rdbtree`) and for the one-dimensional baselines
+(iDistance, QALSH, Multicurves, through :func:`bulk_load`) alike:
+:meth:`PackedTree.from_sorted` lays sorted entries out exactly as a
+bottom-up bulk load of a node-based B+-tree would, and nothing else is
+built, saved or read.  The page geometry is an accounting model, not a
+storage layout: :meth:`nearest_positions` and :meth:`range_entries`
+replay, against :class:`~repro.storage.stats.IOStats`, precisely the
+page-read sequence a node-by-node walk of that tree would issue, so the
+paper's I/O figures are reproduced without the pages existing.  That
+walk, :mod:`repro.devtools.nodewalk`, is the reference the tests,
+``bench_hotpath`` and the sanitizer diff this module against.
 
 Arrays serialise through :func:`repro.storage.codecs.pack_arrays` into a
 ``tree_<i>.packed`` snapshot file; an mmap reopen maps them zero-copy,
@@ -38,21 +38,33 @@ from __future__ import annotations
 import numpy as np
 
 from repro.storage.codecs import Codec, Float64Codec, UInt64Codec, UIntCodec
+from repro.storage.stats import IOStats
+
+#: Page id meaning "no page" (the root an empty tree records).
+NO_PAGE = 0xFFFFFFFFFFFFFFFF
+
+
+def leaf_capacity(page_size: int, key_width: int, value_width: int) -> int:
+    """Entries per leaf page: a 19-byte header (type, entry count, left
+    and right sibling ids), then fixed-width (key, value) entries — the
+    layout Eq. (4)'s accounting assumes."""
+    return (page_size - 19) // (key_width + value_width)
+
+
+def internal_capacity(page_size: int, key_width: int) -> int:
+    """Separator keys per internal page (children = capacity + 1): a
+    3-byte header (type, key count), then 8-byte child ids and keys."""
+    return (page_size - 3 - 8) // (key_width + 8)
 
 
 def key_kind(codec: Codec) -> str | None:
     """``'uint'``/``'float'`` when the codec's keys admit vectorised
-    distance arithmetic, else ``None`` (packing disabled)."""
+    distance arithmetic, else ``None`` (no packed tree takes them)."""
     if isinstance(codec, Float64Codec):
         return "float"
     if isinstance(codec, (UIntCodec, UInt64Codec)):
         return "uint"
     return None
-
-
-def supports_packing(codec: Codec) -> bool:
-    """Whether a tree keyed by this codec can carry a packed layout."""
-    return key_kind(codec) is not None
 
 
 class PackedTree:
@@ -61,7 +73,7 @@ class PackedTree:
     Parameters
     ----------
     key_codec:
-        The tree's key codec (must satisfy :func:`supports_packing`).
+        The tree's key codec (one :func:`key_kind` knows).
     keys_raw / values_raw:
         ``(n, key_width)`` / ``(n, value_width)`` uint8 arrays holding every
         entry in global key order — the exact bytes stored in the leaves.
@@ -452,3 +464,32 @@ class PackedTree:
             arrays["leaf_starts"], arrays["leaf_pages"],
             [arrays[f"level_{level}_pages"] for level in range(num_levels)],
             [arrays[f"level_{level}_starts"] for level in range(num_levels)])
+
+
+def bulk_load(key_codec: Codec, keys, values: np.ndarray,
+              page_size: int) -> tuple[PackedTree, IOStats]:
+    """A tree of entries in ascending key order on ``page_size``-byte
+    pages, each as full as the page layout allows, and the accountant of
+    its I/O, charged one sequential write of every page.
+
+    ``keys`` are the logical keys, encoded here by ``key_codec``;
+    ``values`` is their ``(n, value_width)`` uint8 value column, or a 1-D
+    array of object ids, stored as 8-byte big-endian integers.
+    """
+    if values.ndim == 1:
+        values = values.astype(">u8").view(np.uint8).reshape(-1, 8)
+    width, value_width = key_codec.width, values.shape[1]
+    leaf = leaf_capacity(page_size, width, value_width)
+    internal = internal_capacity(page_size, width)
+    if leaf < 1 or internal < 2:
+        raise ValueError(f"page size {page_size} cannot hold a "
+                         f"({width}+{value_width})-byte entry")
+    keys_raw = np.frombuffer(b"".join(map(key_codec.encode, keys)),
+                             dtype=np.uint8).reshape(-1, width)
+    tree = PackedTree.from_sorted(key_codec, keys_raw, values, leaf,
+                                  internal)
+    if (tree.key_S[1:] < tree.key_S[:-1]).any():
+        raise ValueError("bulk_load input must be sorted by key")
+    stats = IOStats()
+    stats.record_write_run(0, tree.num_pages)
+    return tree, stats

@@ -24,8 +24,12 @@ import os
 
 import numpy as np
 
-from repro.btree.node import NO_PAGE, internal_capacity, leaf_capacity
-from repro.btree.packed import PackedTree
+from repro.btree.packed import (
+    NO_PAGE,
+    PackedTree,
+    internal_capacity,
+    leaf_capacity,
+)
 from repro.core.filters import CandidateWindowError
 from repro.core.params import rdb_leaf_order
 from repro.distance.metrics import require_finite

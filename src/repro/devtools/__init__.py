@@ -13,13 +13,11 @@ enforced only by code review.  This package makes them machine-checked:
   :mod:`repro.devtools.hotpaths.toml <repro.devtools.config>`.
 * :mod:`repro.devtools.sanitize` — a runtime invariant sanitizer
   (``REPRO_SANITIZE=1`` or :func:`repro.devtools.sanitize.install`)
-  that cross-checks the packed-tree read path against the node path per
-  query, validates :class:`~repro.storage.stats.IOStats` counter
-  balance and :class:`~repro.storage.buffer.BufferPool` eviction
-  accounting, and makes writes into zero-copy mmap views raise.
-* :mod:`repro.devtools.typecheck` — strict ``mypy`` over ``core/``,
-  ``storage/`` and ``serve/`` compared against a committed baseline
-  (skips cleanly where mypy is not installed).
+  that cross-checks every packed-tree lookup against
+  :mod:`repro.devtools.nodewalk` (the same tree walked node by node),
+  validates :class:`~repro.storage.stats.IOStats` counter balance and
+  the modelled pools' bound, and makes writes into zero-copy mmap views
+  raise.
 * :mod:`repro.devtools.report` — machine-readable ``LINT_report.json``
   emitted alongside the ``BENCH_*.json`` trajectory files.
 """

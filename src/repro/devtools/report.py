@@ -3,13 +3,9 @@
 The benchmark suite leaves ``BENCH_*.json`` trajectory files under
 ``benchmarks/results/`` so perf history is diffable; this module gives
 the correctness tooling the same treatment.  One JSON document captures
-
-* the lint outcome over ``src/repro`` (rule catalogue, findings,
-  suppression count, clean flag),
-* the typecheck posture (mypy availability, baseline size, new/resolved
-  entries — see :mod:`repro.devtools.typecheck`),
-
-so CI artifacts and local runs are comparable without scraping logs.
+the lint outcome over ``src/repro`` (rule catalogue, findings,
+suppression count, clean flag), so CI artifacts and local runs are
+comparable without scraping logs.
 
 Usage::
 
@@ -25,11 +21,10 @@ from pathlib import Path
 from typing import Any
 
 from repro.devtools import lint as lint_mod
-from repro.devtools import typecheck as typecheck_mod
 from repro.devtools.config import LintConfig
 
 #: Report format version (bump on shape changes).
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def default_report_path(repo_root: Path) -> Path:
@@ -37,7 +32,7 @@ def default_report_path(repo_root: Path) -> Path:
 
 
 def build_report(repo_root: Path) -> dict[str, Any]:
-    """Run the lint (and mypy when present) and assemble the document."""
+    """Run the lint and assemble the document."""
     config = LintConfig.load()
     lint_result = lint_mod.lint_paths([repo_root / "src" / "repro"], config)
     lint_payload = lint_result.to_dict()
@@ -45,33 +40,9 @@ def build_report(repo_root: Path) -> dict[str, Any]:
     for bucket in ("findings", "suppressed"):
         for finding in lint_payload[bucket]:
             finding["path"] = _relative(finding["path"], repo_root)
-
-    if typecheck_mod.mypy_available():
-        fresh = typecheck_mod.run_mypy(repo_root)
-        baseline, verified = typecheck_mod.read_baseline(
-            typecheck_mod.baseline_path())
-        new, resolved = typecheck_mod.compare(fresh, baseline)
-        mypy_payload: dict[str, Any] = {
-            "available": True,
-            "baseline_verified": verified,
-            "baseline_entries": len(baseline),
-            "fresh_entries": len(fresh),
-            "new": new,
-            "resolved": resolved,
-            "gate_passed": not (new and verified),
-        }
-    else:
-        mypy_payload = {
-            "available": False,
-            "note": "mypy not installed in this environment; "
-                    "typecheck gate skipped",
-            "gate_passed": True,
-        }
-
     return {
         "schema_version": SCHEMA_VERSION,
         "lint": lint_payload,
-        "mypy": mypy_payload,
         "rules": {
             code: {"name": rule.name, "description": rule.description}
             for code, rule in sorted(lint_mod.REGISTRY.items())
@@ -115,8 +86,7 @@ def main(argv: list[str] | None = None) -> int:
                                Path(args.out) if args.out else None)
     document = json.loads(destination.read_text(encoding="utf-8"))
     print(f"report: wrote {destination} "
-          f"(lint clean={document['lint']['clean']}, "
-          f"mypy available={document['mypy']['available']})")
+          f"(lint clean={document['lint']['clean']})")
     return 0 if document["lint"]["clean"] else 1
 
 

@@ -8,31 +8,29 @@ storage and tree layers with cross-checking shims:
   ``page_reads == random_reads + sequential_reads`` (same for writes)
   and no counter is negative.  A drifting split silently corrupts the
   paper's random-access cost model.
-* **BufferPool accounting** — the cache never exceeds ``capacity``,
-  ``capacity=0`` keeps it empty (the paper's no-caching methodology),
-  and every resident page is exactly ``page_size`` bytes.  The same
-  bound holds for the page-id LRU of the heap and the RDB-trees
-  (:class:`~repro.storage.stats.ModelledPool`): never more than
-  ``cache_pages`` resident ids, none at ``cache_pages=0``.
+* **Modelled-pool bound** — the page-id LRU of the heap and the
+  RDB-trees (:class:`~repro.storage.stats.ModelledPool`) never holds
+  more than ``cache_pages`` ids, none at ``cache_pages=0`` (the paper's
+  no-caching methodology).
 * **Heap write protection** — the page matrix a
   :class:`~repro.storage.vectors.VectorHeapFile` publishes is never
   writable (a read-only mapping on disk, ``flags.writeable`` cleared in
   memory), so an accidental in-place write through a gathered view
   raises instead of corrupting the heap or the snapshot on disk.
 * **Packed-vs-node trace parity** — every
-  :meth:`~repro.core.rdbtree.RDBTree.candidates` call is re-run down a
-  node-path oracle (a :class:`~repro.btree.tree.BPlusTree` bulk-loaded,
-  once per layout, from the tree's columns; a lookup among a subset of
-  the entries as the same walk passing over the others), and every
-  :meth:`~repro.btree.tree.BPlusTree.nearest` call that takes a
-  baseline tree's packed mirror is re-run down that tree's own nodes,
-  into sandboxed :class:`~repro.storage.stats.IOStats`; the two answers
-  must be byte-identical and the two I/O traces (totals *and*
-  random/sequential split) must agree, query by query.  This is the
-  PR-6 contract — the array path reads what a node-by-node walk would
-  read — enforced at runtime rather than by a handful of parity tests.
-  The block ``candidates`` returns must also be finite: Eq. 6 is a
-  product, and a zero weight times a NaN or inf is NaN.
+  :meth:`~repro.btree.packed.PackedTree.nearest_positions` call (each
+  :meth:`~repro.core.rdbtree.RDBTree.candidates` and each baseline
+  nearest-by-key lookup) is re-run down
+  :class:`~repro.devtools.nodewalk.NodeWalk`, the node-by-node walk of
+  the same entries, made once per layout (a lookup among a subset of
+  the entries as the same walk passing over the others), with both
+  sides recording into sandboxed :class:`~repro.storage.stats.IOStats`;
+  the two answers must be byte-identical and the two I/O traces (totals
+  *and* random/sequential split) must agree, query by query: the array
+  path reads what a node-by-node walk would read, enforced at runtime
+  rather than by a handful of parity tests.  The block ``candidates``
+  returns must also be finite: Eq. 6 is a product, and a zero weight
+  times a NaN or inf is NaN.
 * **Fold postconditions** — when ``HDIndex._fold_delta`` (the only
   code that changes a built base) returns, the heap, every RDB-tree
   and the metadata store hold exactly ``count`` rows, every tree's key
@@ -57,17 +55,10 @@ query-path page walks — this is a testing mode, not a serving mode.
 from __future__ import annotations
 
 import os
-import threading
 from typing import Any, Callable
 
 #: (class, attribute) -> original function, for uninstall().
 _ORIGINALS: dict[tuple[type, str], Callable[..., Any]] = {}
-
-#: Serialises sanitized tree reads.  The cross-check temporarily swaps
-#: the tree's live IOStats for a sandbox; a concurrent reader of the
-#: same tree (the serve tier's worker thread vs. a caller thread) would
-#: otherwise record into the sandbox and fake a trace divergence.
-_TREE_LOCK = threading.RLock()
 
 
 class SanitizerError(AssertionError):
@@ -86,6 +77,7 @@ def _patch(cls: type, name: str,
     wrapper = wrap(original)
     wrapper.__name__ = getattr(original, "__name__", name)
     wrapper.__doc__ = getattr(original, "__doc__", None)
+    wrapper.__wrapped__ = original
     setattr(cls, name, wrapper)
 
 
@@ -127,45 +119,6 @@ def _install_iostats() -> None:
         _patch(IOStats, name, checked)
 
 
-# -- BufferPool -------------------------------------------------------------
-
-
-def _check_pool(pool: Any) -> None:
-    resident = len(pool._cache)
-    if pool.capacity == 0 and resident:
-        raise SanitizerError(
-            f"BufferPool(capacity=0) holds {resident} page(s); the "
-            f"no-caching methodology is being violated")
-    if resident > pool.capacity:
-        raise SanitizerError(
-            f"BufferPool eviction failed: {resident} resident pages "
-            f"exceed capacity {pool.capacity}")
-    page_size = pool.store.page_size
-    for page_id, data in pool._cache.items():
-        if len(data) != page_size:
-            raise SanitizerError(
-                f"BufferPool page {page_id} cached with {len(data)} bytes "
-                f"(page_size is {page_size})")
-    if pool.memory_bytes() != resident * page_size:
-        raise SanitizerError(
-            f"BufferPool memory accounting drifted: memory_bytes()="
-            f"{pool.memory_bytes()} != {resident} pages * {page_size}")
-
-
-def _install_bufferpool() -> None:
-    from repro.storage.buffer import BufferPool
-
-    def checked(original: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
-            result = original(self, *args, **kwargs)
-            _check_pool(self)
-            return result
-        return wrapper
-
-    for name in ("read", "write", "clear", "_insert"):
-        _patch(BufferPool, name, checked)
-
-
 # -- modelled pool and heap page matrix ---------------------------------------
 
 
@@ -199,133 +152,107 @@ def _install_heap_checks() -> None:
 # -- packed-vs-node cross-check ---------------------------------------------
 
 
-def _cross_check(packed: Any, node_tree: Any, key: bytes, count: int,
-                 real_stats: Any, check_trace: bool = True,
-                 subset: Any = None) -> None:
-    """Run the packed search and a walk of ``node_tree``'s real nodes
-    side by side, into sandboxed stats that continue ``real_stats``'
-    access pattern; answers and I/O traces must agree.  With a
-    ``subset`` the walk accepts the entries at those positions only."""
+def _cross_check(search: Callable[..., Any], packed: Any, key: bytes,
+                 count: int, stats: Any, subset: Any) -> None:
+    """Run the packed ``search`` and the node walk of the same entries
+    side by side, into sandboxed stats that continue the access pattern
+    of ``stats`` (an :class:`IOStats`, or a modelled pool holding one);
+    answers and I/O traces must agree.  With a ``subset`` the walk
+    accepts the entries at those positions only."""
     from repro.storage.stats import IOStats
 
-    packed_stats, node_stats = (
-        IOStats(_last_read_page=real_stats._last_read_page,
-                _last_write_page=real_stats._last_write_page)
-        for _ in range(2))
+    last = getattr(getattr(stats, "stats", stats), "_last_read_page", -2)
+    packed_stats, walk_stats = (IOStats(_last_read_page=last)
+                                for _ in range(2))
     packed_entries = packed.entries(
-        packed.nearest_positions(key, count, packed_stats, subset))
-    accept = None
-    if subset is not None:
-        wanted = set(packed.entries(subset))
-        accept = lambda entry: (bytes(entry[0]), bytes(entry[1])) in wanted
-    node_entries = [(bytes(k), bytes(v)) for k, v in
-                    _node_walk(node_tree, key, count, node_stats, accept)]
-    if packed_entries != node_entries:
-        differ = [a != b for a, b in zip(packed_entries, node_entries)]
+        search(packed, key, count, packed_stats, subset))
+    walk, bulk_shaped = node_oracle(packed)
+    accept = None if subset is None \
+        else set(packed.entries(subset)).__contains__
+    walk_entries = walk.nearest(key, count, walk_stats, accept)
+    if packed_entries != walk_entries:
+        differ = [a != b for a, b in zip(packed_entries, walk_entries)]
         raise SanitizerError(
             f"packed/node answer divergence for count={count}: packed "
             f"returned {len(packed_entries)} entr(ies), node path "
-            f"{len(node_entries)}; first mismatch at index "
+            f"{len(walk_entries)}; first mismatch at index "
             f"{differ.index(True) if True in differ else 'length'}")
-    if check_trace and packed_stats.snapshot() != node_stats.snapshot():
+    if bulk_shaped and packed_stats.snapshot() != walk_stats.snapshot():
         raise SanitizerError(
             f"packed/node I/O trace divergence for count={count}: packed "
             f"recorded {packed_stats.snapshot()}, node path "
-            f"{node_stats.snapshot()}")
-
-
-def _node_walk(tree: Any, key: bytes, count: int, sandbox: Any,
-               accept: Any = None) -> Any:
-    """``tree.nearest`` down the real nodes (mirror detached for the
-    call), recorded into ``sandbox``."""
-    from repro.btree.tree import BPlusTree
-
-    packed, real_stats = tree._packed, tree._store.stats
-    tree._packed, tree._store.stats = None, sandbox
-    try:
-        return _ORIGINALS[(BPlusTree, "nearest")](tree, key, count, accept)
-    finally:
-        tree._packed, tree._store.stats = packed, real_stats
+            f"{walk_stats.snapshot()}")
 
 
 def _install_tree_crosscheck() -> None:
     import numpy as np
 
-    from repro.btree.tree import BPlusTree
+    from repro.btree.packed import PackedTree
     from repro.core.rdbtree import RDBTree
 
     def checked_nearest(original: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(self: Any, key: bytes, count: int,
-                    accept: Any = None) -> Any:
-            with _TREE_LOCK:
-                if (count > 0 and self._active_packed() is not None
-                        and len(key) == self.key_width and accept is None):
-                    _cross_check(self._packed, self, key, count, self.stats)
-                # Parity held in the sandboxes: the caller-visible
-                # accounting is exactly one traversal.
-                return original(self, key, count, accept)
+        def wrapper(self: Any, key: bytes, count: int, stats: Any = None,
+                    subset: Any = None) -> Any:
+            if count > 0 and self.count:
+                _cross_check(original, self, key, count, stats, subset)
+            # Parity held in the sandboxes: the caller-visible
+            # accounting is exactly one traversal.
+            return original(self, key, count, stats, subset)
         return wrapper
 
-    def checked_candidates(original: Callable[..., Any]
-                           ) -> Callable[..., Any]:
-        def wrapper(self: Any, query_key: Any, alpha: int,
-                    subset: Any = None, out: Any = None) -> Any:
-            with _TREE_LOCK:
-                packed = self.packed
-                if alpha > 0 and packed.count:
-                    key = bytes(query_key) \
-                        if isinstance(query_key, (bytes, bytearray)) \
-                        else packed.key_codec.encode(int(query_key))
-                    oracle, bulk_shaped = node_oracle(self)
-                    _cross_check(packed, oracle, key, alpha, self.stats,
-                                 check_trace=bulk_shaped, subset=subset)
-                found = original(self, query_key, alpha, subset, out)
+    def finite(original: Callable[..., Any]) -> Callable[..., Any]:
+        def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
+            found = original(self, *args, **kwargs)
             if not np.isfinite(found[1]).all():
                 raise SanitizerError("candidates returned a non-finite block")
             return found
         return wrapper
 
-    _patch(BPlusTree, "nearest", checked_nearest)
-    _patch(RDBTree, "candidates", checked_candidates)
+    _patch(PackedTree, "nearest_positions", checked_nearest)
+    _patch(RDBTree, "candidates", finite)
 
 
-def node_oracle(tree: Any) -> tuple[Any, bool]:
-    """The node-path twin of an RDB-tree's columns — a
-    :class:`~repro.btree.tree.BPlusTree` bulk-loaded from them, once per
-    layout — plus whether the layout is the one bulk loading gives (its
-    page trace is only comparable then: a snapshot an old release folded
-    row by row carries half-full split leaves)."""
+def node_oracle(packed: Any) -> tuple[Any, bool]:
+    """The :class:`~repro.devtools.nodewalk.NodeWalk` of a packed layout's
+    entries, made once per layout with the capacities its first leaf and
+    first bottom-level node show, plus whether the layout is the one
+    bulk loading gives (its page trace is only comparable then: a
+    snapshot an old release folded row by row carries half-full split
+    leaves)."""
     import numpy as np
 
-    from repro.btree.tree import BPlusTree
+    from repro.devtools.nodewalk import NodeWalk
 
-    packed = tree.packed
     cached = getattr(packed, "_sanitize_oracle", None)
     if cached is None:
-        oracle = BPlusTree.from_columns(packed, tree.leaf_capacity,
-                                        tree.page_size)
-        bulk_shaped = np.array_equal(packed.leaf_starts, np.minimum(
-            np.arange(packed.leaf_pages.size + 1) * tree.leaf_capacity,
-            packed.count))
-        cached = packed._sanitize_oracle = (oracle, bulk_shaped)
+        starts = packed.leaf_starts
+        leaf = int(starts[1]) if starts.size > 1 else 1
+        fanout = int(packed.level_starts[-1][1]) if packed.level_starts else 2
+        walk = NodeWalk(packed.key_codec, packed.entries(range(packed.count)),
+                        leaf, fanout - 1)
+        bulk_shaped = np.array_equal(starts, np.minimum(
+            np.arange(starts.size) * leaf, packed.count))
+        cached = packed._sanitize_oracle = (walk, bulk_shaped)
     return cached
 
 
 def node_candidates(tree: Any, query_key: int, alpha: int,
                     eligible: Any = None) -> tuple[Any, Any]:
-    """:meth:`RDBTree.candidates` answered by walking the real nodes of
-    :func:`node_oracle` (whose own ``stats`` take the page reads): the
+    """:meth:`RDBTree.candidates` answered by the node walk of the tree's
+    columns (:func:`node_oracle`; its page reads go uncounted): the
     scalar reference of the parity tests and ``bench_hotpath``.  With an
     ``eligible`` bitmap over object ids, the walk accepts an entry only
     when ``eligible[id]``."""
     import numpy as np
 
-    oracle, _ = node_oracle(tree)
+    from repro.storage.stats import IOStats
+
+    walk, _ = node_oracle(tree.packed)
     accept = None if eligible is None else (
         lambda entry: eligible[int.from_bytes(entry[1][:8], "big")])
-    entries = oracle.nearest(
-        tree.packed.key_codec.encode(int(query_key)), alpha, accept)
-    records = np.frombuffer(b"".join(bytes(v) for _, v in entries),
+    entries = walk.nearest(tree.packed.key_codec.encode(int(query_key)),
+                           alpha, IOStats(), accept)
+    records = np.frombuffer(b"".join(value for _, value in entries),
                             dtype=tree._record_dtype)
     return (records["id"].astype(np.int64),
             records["ref"].astype(np.float64))
@@ -375,7 +302,6 @@ def install() -> None:
     if installed():
         return
     _install_iostats()
-    _install_bufferpool()
     _install_heap_checks()
     _install_tree_crosscheck()
     _install_fold_check()

@@ -1,7 +1,7 @@
 """Fixed-width key/value codecs for page records.
 
 The B+-tree layer is agnostic to what it stores; codecs turn logical keys and
-values into fixed-width byte strings so that node layouts (and hence the leaf
+values into fixed-width byte strings so that page layouts (and hence the leaf
 order Ω of Eq. (4)) can be computed exactly as in the paper.
 """
 

@@ -104,6 +104,16 @@ class TestIDistance:
         index.query(queries[0], 5)
         assert index.last_query_stats().extra["final_radius"] > 0
 
+    def test_build_writes_each_page_once(self, workload):
+        """Heap pages plus the tree's pages, each written once; the build
+        reads nothing back."""
+        data, _ = workload
+        index = IDistance(num_partitions=4, seed=3)
+        index.build(data)
+        assert index.build_stats().page_writes == len(
+            index.heap.page_matrix()) + index.tree.num_pages
+        assert index.tree_stats.page_reads == index.heap.stats.page_reads == 0
+
     def test_build_memory_includes_dataset(self, workload):
         """The public implementation loads the data into RAM to build —
         the scalability failure the paper reports (crash on SIFT100M)."""

@@ -152,9 +152,19 @@ class TestQALSH:
         index = QALSH(max_functions=24, seed=2)
         index.build(data)
         assert len(index.trees) == index.collision_parameters().num_functions
-        assert all(len(tree) == len(data) for tree in index.trees)
+        assert all(tree.count == len(data) for tree in index.trees)
         assert index.index_size_bytes() == sum(
-            t.size_bytes() for t in index.trees)
+            t.num_pages for t in index.trees) * index.page_size
+
+    def test_build_writes_each_page_once(self, workload):
+        """Heap pages plus every tree's pages, each written once; the
+        build reads nothing back."""
+        data, _ = workload
+        index = QALSH(max_functions=24, seed=2)
+        index.build(data)
+        assert index.build_stats().page_writes == len(
+            index.heap.page_matrix()) + sum(t.num_pages for t in index.trees)
+        assert index._page_reads() == 0
 
     def test_no_duplicate_counting_across_rounds(self, workload):
         """Expanding windows must not double-count boundary entries, or

@@ -50,11 +50,20 @@ class TestMulticurves:
         """Candidates are ranked from leaf-embedded descriptors: all page
         reads come from the trees themselves."""
         index, _, queries = built
-        reads_before = sum(t.stats.page_reads for t in index.trees)
+        reads_before = sum(s.page_reads for s in index.tree_stats)
         index.query(queries[0], 5)
         stats = index.last_query_stats()
-        reads_after = sum(t.stats.page_reads for t in index.trees)
+        reads_after = sum(s.page_reads for s in index.tree_stats)
         assert stats.page_reads == reads_after - reads_before
+
+    def test_build_writes_each_page_once(self, workload):
+        """No heap: every tree's pages, each written once; the build
+        reads nothing back."""
+        index = Multicurves(num_curves=4, alpha=128, domain=(0.0, 100.0))
+        index.build(workload[0])
+        assert index.build_stats().page_writes == sum(
+            t.num_pages for t in index.trees)
+        assert all(s.page_reads == 0 for s in index.tree_stats)
 
     def test_alpha_split_across_curves(self, built):
         index, _, queries = built

@@ -1,19 +1,19 @@
-"""Packed-array read path vs the node-path B+-tree oracle.
+"""Packed-array read path vs the node walk.
 
 The packed layout (:mod:`repro.btree.packed`) must be *indistinguishable*
-from walking the serialized nodes: same entries from ``range``, same
-entries in the same order from ``nearest``, and the same synthesized
-page-read accounting (total, random, sequential) — the bench numbers in
-EXPERIMENTS.md are only meaningful if the array path charges the I/O the
-node path would have performed.
+from walking the tree's nodes (:mod:`repro.devtools.nodewalk`): same
+entries from ``range``, same entries in the same order from ``nearest``,
+and the same synthesized page-read accounting (total, random,
+sequential) — the bench numbers are only meaningful if the array path
+charges the I/O a node-by-node walk would have performed.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.btree import BPlusTree
-from repro.btree.packed import PackedTree, key_kind, supports_packing
+from repro.btree.packed import PackedTree, bulk_load, key_kind
+from repro.devtools.nodewalk import NodeWalk
 from repro.storage import (
     BytesCodec,
     Float64Codec,
@@ -25,29 +25,30 @@ from repro.storage import (
 from repro.storage.stats import IOStats
 
 
-def make_tree(key_codec, leaf_cap=4, cache=0):
-    return BPlusTree(key_codec, UInt64Codec(),
-                     leaf_capacity_override=leaf_cap, cache_pages=cache)
+def make_tree(key_codec, keys, leaf_cap=4, internal_cap=3):
+    """(columns, node walk) of ``keys`` in sorted order, the value of an
+    entry its position; three separators a node, so a few dozen keys
+    already make several levels."""
+    keys = sorted(keys)
+    raw = np.frombuffer(b"".join(key_codec.encode(k) for k in keys),
+                        dtype=np.uint8).reshape(-1, key_codec.width)
+    values = np.arange(len(keys), dtype=">u8").view(np.uint8).reshape(-1, 8)
+    packed = PackedTree.from_sorted(key_codec, raw, values, leaf_cap,
+                                    internal_cap)
+    return packed, NodeWalk(key_codec, packed.entries(range(packed.count)),
+                            leaf_cap, internal_cap)
 
 
-def load_int_pairs(tree, keys, fill=1.0):
-    pairs = [(tree.key_codec.encode(k), tree.value_codec.encode(i))
-             for i, k in enumerate(sorted(keys))]
-    tree.bulk_load(pairs, fill=fill)
-    return pairs
+def stats_triple(stats):
+    return stats.page_reads, stats.random_reads, stats.sequential_reads
 
 
-def node_path_copy(tree, keys, fill=1.0):
-    """The oracle: an identical tree with its packed mirror detached."""
-    other = make_tree(tree.key_codec, leaf_cap=tree.leaf_capacity)
-    load_int_pairs(other, keys, fill=fill)
-    other._packed = None
-    return other
-
-
-def stats_triple(tree):
-    return (tree.stats.page_reads, tree.stats.random_reads,
-            tree.stats.sequential_reads)
+def nearest_both(packed, walk, raw, count, stats_cls=IOStats):
+    """``nearest`` on the columns and on the walk: (entries, stats) each."""
+    packed_stats, walk_stats = stats_cls(), stats_cls()
+    got = packed.entries(packed.nearest_positions(raw, count, packed_stats))
+    return (got, packed_stats), (walk.nearest(raw, count, walk_stats),
+                                 walk_stats)
 
 
 class ReadLog(IOStats):
@@ -142,110 +143,72 @@ def subset_lookup(width, keys, probe, count, leaf_cap, mask):
     """One lookup among the entries ``mask`` marks (by key-ordered
     position), answered by the columns and by the filtered node walk:
     ((positions, pages read) of each, the packed layout, the raw key)."""
-    tree = make_tree(UIntCodec(width), leaf_cap=leaf_cap)
-    load_int_pairs(tree, keys)  # the value of an entry is its position
-    oracle = node_path_copy(tree, keys)
-    oracle._store.stats = ReadLog()
-    raw, log = tree.key_codec.encode(probe), ReadLog()
-    got = tree.packed_layout.nearest_positions(raw, count, log,
-                                               np.flatnonzero(mask))
-    want = [int.from_bytes(value, "big") for _, value in oracle.nearest(
-        raw, count, lambda entry: mask[int.from_bytes(entry[1], "big")])]
-    return ((got.tolist(), log.pages), (want, oracle.stats.pages),
-            tree.packed_layout, raw)
+    codec = UIntCodec(width)
+    packed, walk = make_tree(codec, keys, leaf_cap)
+    raw, log, walk_log = codec.encode(probe), ReadLog(), ReadLog()
+    got = packed.nearest_positions(raw, count, log, np.flatnonzero(mask))
+    want = [int.from_bytes(value, "big") for _, value in walk.nearest(
+        raw, count, walk_log,
+        lambda entry: mask[int.from_bytes(entry[1], "big")])]
+    return ((got.tolist(), log.pages), (want, walk_log.pages), packed, raw)
 
 
 class TestActivation:
     def test_bulk_load_captures_packed(self):
-        tree = make_tree(UIntCodec(8))
-        load_int_pairs(tree, range(0, 100, 3))
-        assert tree.packed_layout is not None
-        assert tree.packed_layout.count == len(tree)
+        tree, stats = bulk_load(UIntCodec(8), range(0, 100, 3),
+                                np.arange(34), 4096)
+        assert tree.count == 34 and tree.height == 1
+        assert tree.entries([5])[0] == ((15).to_bytes(8, "big"),
+                                         (5).to_bytes(8, "big"))
+        assert stats.page_writes == tree.num_pages == 1
 
     def test_key_kinds(self):
         assert key_kind(UIntCodec(16)) == "uint"
         assert key_kind(UInt64Codec()) == "uint"
         assert key_kind(Float64Codec()) == "float"
         assert key_kind(BytesCodec(8)) is None
-        assert not supports_packing(BytesCodec(8))
 
     def test_opaque_keys_not_captured(self):
-        tree = BPlusTree(BytesCodec(4), UInt64Codec(),
-                         leaf_capacity_override=4, cache_pages=0)
-        tree.bulk_load([(bytes([0, 0, 0, i]), (i).to_bytes(8, "big"))
-                        for i in range(10)])
-        assert tree.packed_layout is None
-
-    def test_cached_pool_disables_packed_path(self):
-        # The synthetic I/O trace models uncached reads, so a warm buffer
-        # pool must route through the real node path.
-        tree = make_tree(UIntCodec(8), cache=32)
-        load_int_pairs(tree, range(50))
-        assert tree.packed_layout is None
-        assert tree._active_packed() is None
-
-    def test_insert_invalidates_packed(self):
-        tree = make_tree(UIntCodec(8))
-        load_int_pairs(tree, range(20))
-        tree.insert(tree.key_codec.encode(1000),
-                    tree.value_codec.encode(99))
-        assert tree.packed_layout is None
+        keys = np.arange(10, dtype=">u4").view(np.uint8).reshape(10, 4)
+        with pytest.raises(ValueError, match="cannot pack"):
+            PackedTree.from_sorted(BytesCodec(4), keys, keys, 4, 3)
 
 
 class TestParity:
-    """Packed answers and stats vs the node-path oracle."""
+    """Packed answers and stats vs the node walk."""
 
     CASES = [
-        (UIntCodec(2), range(0, 300, 7), 4, 1.0),
-        (UIntCodec(8), [0, 1, 1, 1, 5, 5, 9, 2**40], 2, 1.0),
-        (UIntCodec(16), [3**i for i in range(60)], 5, 0.7),
-        (Float64Codec(), [-50.0, -1.5, 0.0, 0.25, 3.0, 1e12], 3, 1.0),
+        (UIntCodec(2), range(0, 300, 7), 4),
+        (UIntCodec(8), [0, 1, 1, 1, 5, 5, 9, 2**40], 2),
+        (UIntCodec(16), [3**i for i in range(60)], 3),
+        (Float64Codec(), [-50.0, -1.5, 0.0, 0.25, 3.0, 1e12], 3),
     ]
 
-    @pytest.mark.parametrize("codec,keys,leaf_cap,fill", CASES,
+    @pytest.mark.parametrize("codec,keys,leaf_cap", CASES,
                              ids=["u16", "dup-u64", "wide-u128", "f64"])
-    def test_range_parity(self, codec, keys, leaf_cap, fill):
+    def test_range_parity(self, codec, keys, leaf_cap):
         keys = list(keys)
-        tree = make_tree(codec, leaf_cap=leaf_cap)
-        load_int_pairs(tree, keys, fill=fill)
-        oracle = node_path_copy(tree, keys, fill=fill)
-        assert tree.packed_layout is not None
+        packed, walk = make_tree(codec, keys, leaf_cap)
         probes = [(min(keys), max(keys)), (keys[0], keys[0]),
                   (min(keys), keys[len(keys) // 2])]
         for low, high in probes:
             lo, hi = codec.encode(low), codec.encode(high)
-            tree.stats.reset(), oracle.stats.reset()
-            assert list(tree.range(lo, hi)) == list(oracle.range(lo, hi))
-            assert stats_triple(tree) == stats_triple(oracle)
+            packed_stats, walk_stats = IOStats(), IOStats()
+            assert list(packed.range_entries(lo, hi, packed_stats)) == \
+                list(walk.range(lo, hi, walk_stats))
+            assert stats_triple(packed_stats) == stats_triple(walk_stats)
 
-    @pytest.mark.parametrize("codec,keys,leaf_cap,fill", CASES,
+    @pytest.mark.parametrize("codec,keys,leaf_cap", CASES,
                              ids=["u16", "dup-u64", "wide-u128", "f64"])
-    def test_nearest_parity(self, codec, keys, leaf_cap, fill):
+    def test_nearest_parity(self, codec, keys, leaf_cap):
         keys = list(keys)
-        tree = make_tree(codec, leaf_cap=leaf_cap)
-        load_int_pairs(tree, keys, fill=fill)
-        oracle = node_path_copy(tree, keys, fill=fill)
+        packed, walk = make_tree(codec, keys, leaf_cap)
         for probe in {min(keys), max(keys), keys[len(keys) // 2]}:
             for count in (1, 3, len(keys), len(keys) + 5):
-                raw = codec.encode(probe)
-                tree.stats.reset(), oracle.stats.reset()
-                assert tree.nearest(raw, count) == oracle.nearest(raw, count)
-                assert stats_triple(tree) == stats_triple(oracle)
-
-    def test_post_insert_fallback_matches(self):
-        tree = make_tree(UIntCodec(8))
-        load_int_pairs(tree, range(0, 60, 2))
-        tree.insert(tree.key_codec.encode(31), tree.value_codec.encode(77))
-        oracle = make_tree(UIntCodec(8))
-        load_int_pairs(oracle, range(0, 60, 2))
-        oracle.insert(oracle.key_codec.encode(31),
-                      oracle.value_codec.encode(77))
-        raw = tree.key_codec.encode(30)
-        assert tree.nearest(raw, 8) == oracle.nearest(raw, 8)
-        assert list(tree.range(tree.key_codec.encode(25),
-                               tree.key_codec.encode(40))) == \
-            list(oracle.range(oracle.key_codec.encode(25),
-                              oracle.key_codec.encode(40)))
+                (got, got_stats), (want, want_stats) = nearest_both(
+                    packed, walk, codec.encode(probe), count)
+                assert got == want
+                assert stats_triple(got_stats) == stats_triple(want_stats)
 
     @given(st.lists(st.integers(min_value=0, max_value=2**31),
                     min_size=1, max_size=80),
@@ -254,13 +217,11 @@ class TestParity:
            st.integers(min_value=1, max_value=12))
     @settings(max_examples=60, deadline=None)
     def test_nearest_property(self, keys, leaf_cap, probe, count):
-        tree = make_tree(UIntCodec(8), leaf_cap=leaf_cap)
-        load_int_pairs(tree, keys)
-        oracle = node_path_copy(tree, keys)
-        raw = tree.key_codec.encode(probe)
-        tree.stats.reset(), oracle.stats.reset()
-        assert tree.nearest(raw, count) == oracle.nearest(raw, count)
-        assert stats_triple(tree) == stats_triple(oracle)
+        packed, walk = make_tree(UIntCodec(8), keys, leaf_cap)
+        (got, got_stats), (want, want_stats) = nearest_both(
+            packed, walk, UIntCodec(8).encode(probe), count)
+        assert got == want
+        assert stats_triple(got_stats) == stats_triple(want_stats)
 
     @given(wide_key_cases())
     @settings(max_examples=300, deadline=None)
@@ -268,14 +229,12 @@ class TestParity:
         """Keys of more than 8 bytes: same entries in the same order and
         the same page-read *sequence* as the node path."""
         width, keys, probe, count, leaf_cap = case
-        tree = make_tree(UIntCodec(width), leaf_cap=leaf_cap)
-        load_int_pairs(tree, keys)
-        oracle = node_path_copy(tree, keys)
-        tree._store.stats, oracle._store.stats = ReadLog(), ReadLog()
-        raw = tree.key_codec.encode(probe)
-        assert tree.nearest(raw, count) == oracle.nearest(raw, count)
-        assert tree.stats.pages == oracle.stats.pages
-        assert stats_triple(tree) == stats_triple(oracle)
+        packed, walk = make_tree(UIntCodec(width), keys, leaf_cap)
+        (got, got_log), (want, want_log) = nearest_both(
+            packed, walk, UIntCodec(width).encode(probe), count, ReadLog)
+        assert got == want
+        assert got_log.pages == want_log.pages
+        assert stats_triple(got_log) == stats_triple(want_log)
 
     @given(st.lists(st.integers(min_value=0, max_value=1000),
                     min_size=1, max_size=60),
@@ -285,14 +244,12 @@ class TestParity:
     @settings(max_examples=60, deadline=None)
     def test_range_property(self, keys, leaf_cap, bound_a, bound_b):
         low, high = sorted((bound_a, bound_b))
-        tree = make_tree(UIntCodec(8), leaf_cap=leaf_cap)
-        load_int_pairs(tree, keys)
-        oracle = node_path_copy(tree, keys)
-        lo = tree.key_codec.encode(low)
-        hi = tree.key_codec.encode(high)
-        tree.stats.reset(), oracle.stats.reset()
-        assert list(tree.range(lo, hi)) == list(oracle.range(lo, hi))
-        assert stats_triple(tree) == stats_triple(oracle)
+        packed, walk = make_tree(UIntCodec(8), keys, leaf_cap)
+        lo, hi = UIntCodec(8).encode(low), UIntCodec(8).encode(high)
+        packed_log, walk_log = ReadLog(), ReadLog()
+        assert list(packed.range_entries(lo, hi, packed_log)) == \
+            list(walk.range(lo, hi, walk_log))
+        assert packed_log.pages == walk_log.pages
 
 
 class TestSubsetLookup:
@@ -351,10 +308,9 @@ class TestSubsetLookup:
         assert [keys[5]] in settled
 
     def test_float_keys_refused(self):
-        tree = make_tree(Float64Codec())
-        load_int_pairs(tree, [0.5, 1.5, 2.5])
+        packed, _ = make_tree(Float64Codec(), [0.5, 1.5, 2.5])
         with pytest.raises(ValueError, match="integer keys"):
-            tree.packed_layout.nearest_positions(
+            packed.nearest_positions(
                 Float64Codec().encode(1.0), 2, None, np.arange(3))
 
 
@@ -410,26 +366,23 @@ class TestAncestorTable:
 
 class TestSerialization:
     def test_pack_unpack_round_trip(self):
-        tree = make_tree(UIntCodec(16), leaf_cap=3)
-        load_int_pairs(tree, [5**i for i in range(40)], fill=0.8)
-        packed = tree.packed_layout
+        codec = UIntCodec(16)
+        packed, _ = make_tree(codec, [5**i for i in range(40)], leaf_cap=2)
         buffer = pack_arrays(packed.to_arrays())
-        restored = PackedTree.from_arrays(tree.key_codec,
-                                          unpack_arrays(buffer))
+        restored = PackedTree.from_arrays(codec, unpack_arrays(buffer))
         assert restored.count == packed.count
         np.testing.assert_array_equal(restored.keys_raw, packed.keys_raw)
         np.testing.assert_array_equal(restored.values_raw,
                                       packed.values_raw)
         np.testing.assert_array_equal(restored.leaf_starts,
                                       packed.leaf_starts)
-        key = tree.key_codec.encode(5**7)
+        key = codec.encode(5**7)
         np.testing.assert_array_equal(restored.nearest_positions(key, 9),
                                       packed.nearest_positions(key, 9))
 
     def test_unpacked_views_are_zero_copy(self):
-        tree = make_tree(UIntCodec(8))
-        load_int_pairs(tree, range(30))
-        buffer = np.frombuffer(pack_arrays(tree.packed_layout.to_arrays()),
+        packed, _ = make_tree(UIntCodec(8), range(30))
+        buffer = np.frombuffer(pack_arrays(packed.to_arrays()),
                                dtype=np.uint8)
         arrays = unpack_arrays(buffer)
         for array in arrays.values():

@@ -26,6 +26,7 @@ sharded indexes structurally impossible; these tests pin the contract:
 import collections
 import gc
 import hashlib
+import inspect
 import sys
 import time
 import tracemalloc
@@ -35,8 +36,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.btree import BPlusTree
-from repro.btree.packed import PackedTree
+from repro.btree.packed import PackedTree, bulk_load
 from repro.core import (
     Execution,
     HDIndex,
@@ -60,7 +60,7 @@ from repro.devtools.sanitize import node_candidates
 from repro.distance import pairwise_euclidean
 from repro.hilbert import HilbertCurve, encode_for_curves
 from repro.meta import Eq
-from repro.storage import UInt64Codec, UIntCodec
+from repro.storage import UIntCodec
 from test_core_filters import python_ptolemaic, python_triangular
 
 
@@ -883,23 +883,22 @@ class TestFrontHalfFixedCost:
         codec = UIntCodec(16)
         keys = sorted(int.from_bytes(rng.bytes(16), "big")
                       for _ in range(5000))
-        tree = BPlusTree(codec, UInt64Codec(), cache_pages=0)
-        tree.bulk_load([(codec.encode(key), UInt64Codec().encode(row))
-                        for row, key in enumerate(keys)])
-        packed = tree.packed_layout
+        packed, _ = bulk_load(codec, keys, np.arange(5000), 4096)
         key = codec.encode(keys[2500] + 1)
 
         class Trace:
             """Takes the replayed trace and does no accounting, so the
-            count is the descent's own (and the same under the sanitizer,
-            which checks ``IOStats``)."""
+            count is the descent's own."""
 
             def record_read_many(self, pages):
                 self.pages = pages
 
         stats = Trace()
+        # The search itself, under the sanitizer too (not its wrapper,
+        # which re-runs the lookup down the node walk).
+        search = inspect.unwrap(PackedTree.nearest_positions)
         c_calls, python_calls = profiled_calls(
-            lambda: packed.nearest_positions(key, 1024, stats))
+            lambda: search(packed, key, 1024, stats))
         assert len(stats.pages) > 2 * len(packed.level_pages) + 2
         assert python_calls["broadcast_arrays"] == 0
         assert python_calls["_descent_pages"] <= 1

@@ -133,14 +133,11 @@ class TestSaveLoad:
 def write_pages_beside_columns(directory, index):
     """Make ``directory`` look as a snapshot of the release before the
     column format: every tree also as node pages (``tree_<i>.pages``)
-    beside its ``tree_<i>.packed``."""
-    from repro.btree import BPlusTree
+    beside its ``tree_<i>.packed``.  Loading only tests whether such a
+    file exists, so its pages hold placeholder bytes."""
     for position, tree in enumerate(index.trees):
-        paged = BPlusTree.from_columns(tree.packed, tree.leaf_capacity,
-                                       tree.page_size)
-        with open(directory / f"tree_{position}.pages", "wb") as out:
-            for page_id in paged._store.iter_page_ids():
-                out.write(paged._store.read(page_id))
+        pages = bytes(tree.packed.num_pages * tree.page_size)
+        (directory / f"tree_{position}.pages").write_bytes(pages)
 
 
 class TestOneFilePerTree:

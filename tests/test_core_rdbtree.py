@@ -1,8 +1,10 @@
 """Unit tests for the RDB-tree (Sec. 3.2).
 
-The tree is two sorted columns plus page geometry; the node-based
-``BPlusTree`` — real pages, bulk-loaded or inserted into row by row — is
-the oracle every build, merge and lookup here is diffed against.
+The tree is two sorted columns plus page geometry; the node walk
+(:mod:`repro.devtools.nodewalk`) — the same sorted entries laid out as a
+bulk load lays them out and read node by node — is the reference every
+build and lookup here is diffed against, and a stable sort (base first,
+then the delta in input order) the reference of a merge.
 """
 
 import struct
@@ -11,13 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.btree import BPlusTree
 from repro.core import rdb_leaf_order
 from repro.core.filters import CandidateWindowError
 from repro.core.rdbtree import RDBTree
+from repro.devtools.nodewalk import NodeWalk
 from repro.devtools.sanitize import node_oracle
 from repro.hilbert import HilbertCurve
-from repro.storage import BytesCodec, UIntCodec
+from repro.storage import UIntCodec
 from test_btree import top_down_layout
 from test_btree_packed import ReadLog
 
@@ -213,17 +215,17 @@ def key_matrix(keys, width):
 
 
 def node_entries(keys, ids, distances, width):
-    """The same rows as ``(key, value)`` byte pairs the way the node
-    tree stores them — one ``struct.pack`` per record."""
+    """The same rows as ``(key, value)`` byte pairs the way a leaf
+    stores them — one ``struct.pack`` per record."""
     record = struct.Struct(f">Q{M}f")
     return [(key.to_bytes(width, "big"), record.pack(int(i), *row))
             for key, i, row in zip(keys, ids, distances)]
 
 
-def node_tree(tree, width):
-    return BPlusTree(UIntCodec(width), BytesCodec(8 + 4 * M),
-                     leaf_capacity_override=tree.leaf_capacity,
-                     page_size=tree.page_size)
+def node_walk(tree, width, entries):
+    """Sorted entries as the nodes of a tree of ``tree``'s capacities."""
+    return NodeWalk(UIntCodec(width), entries, tree.leaf_capacity,
+                    tree._internal_capacity)
 
 
 def assert_same_arrays(got, want):
@@ -234,9 +236,8 @@ def assert_same_arrays(got, want):
 
 
 class TestBuildAgainstBulkLoad:
-    """``bulk_build`` writes, array for array, what bulk-loading the same
-    sorted entries onto real pages gives — both as the load's captured
-    mirror and as read back off the pages top-down."""
+    """``bulk_build`` writes, array for array, the layout the node walk
+    gives the same sorted entries, read off its nodes top-down."""
 
     @pytest.mark.parametrize("as_matrix", [False, True],
                              ids=["int-keys", "byte-matrix"])
@@ -256,15 +257,14 @@ class TestBuildAgainstBulkLoad:
                 key_matrix(keys, width) if as_matrix
                 else np.asarray(keys, dtype=object), ids, distances)
             order = sorted(range(n), key=keys.__getitem__)  # stable
-            paged = node_tree(tree, width)
-            paged.bulk_load(node_entries(
+            walk = node_walk(tree, width, node_entries(
                 [keys[i] for i in order], ids[order], distances[order],
                 width))
-            assert_same_arrays(tree.packed, paged.packed_layout)
-            assert_same_arrays(tree.packed, top_down_layout(paged))
-            assert (len(tree), tree.height) == (n, paged.height)
-            assert tree.size_bytes() == paged.size_bytes()
-            assert tree.stats.page_writes == paged._store.num_pages
+            assert_same_arrays(tree.packed, top_down_layout(walk))
+            assert (len(tree), tree.height) == (n, walk.height)
+            pages = len(walk.leaves) + len(walk.nodes)
+            assert tree.size_bytes() == pages * tree.page_size
+            assert tree.stats.page_writes == pages
 
     def test_rebuild_refused(self):
         tree = empty_tree(8)
@@ -326,11 +326,11 @@ class TestMerge:
            st.integers(0, 2 ** 31))
     @settings(max_examples=60, deadline=None)
     def test_merge_is_what_row_by_row_inserts_give(self, base, delta, seed):
-        """The merged (key, value) sequence is ``list(items())`` of a
-        bulk-loaded node tree the same rows were inserted into one by
-        one — four key values on two-entry leaves, so duplicates span
-        leaves and internal nodes split (this holds only with separators
-        filed directly after the split child)."""
+        """The merged (key, value) sequence is what inserting the rows
+        one by one into the built tree gives: a new entry after every
+        equal key already there, i.e. a stable sort of the sorted base
+        followed by the delta in input order — four key values on
+        two-entry leaves, so duplicates span leaves."""
         rng = np.random.default_rng(seed)
         _, ids, distances = random_rows(rng, 1, len(base) + len(delta),
                                         True)
@@ -339,35 +339,37 @@ class TestMerge:
         assert tree.leaf_capacity == 2
         tree.merge(key_matrix(delta, 1), ids[n:], distances[n:])
         order = sorted(range(n), key=base.__getitem__)
-        paged = node_tree(tree, 1)
-        paged.bulk_load(node_entries([base[i] for i in order], ids[order],
-                                     distances[order], 1))
-        for entry in node_entries(delta, ids[n:], distances[n:], 1):
-            paged.insert(*entry)
-        assert tree.packed.entries(range(len(tree))) == list(paged.items())
+        rows = node_entries([base[i] for i in order], ids[order],
+                            distances[order], 1) \
+            + node_entries(delta, ids[n:], distances[n:], 1)
+        assert tree.packed.entries(range(len(tree))) == sorted(
+            rows, key=lambda entry: entry[0])
 
 
 class TestNodeOracleParity:
-    """``candidates`` against a node-by-node walk of the oracle tree:
-    the same entries — as the run of the value column they are, in key
-    order, where the walk emits them nearest first — and the same
-    page-read sequence."""
+    """``candidates`` against the node walk of the tree's entries at the
+    tree's own capacities: the same entries — as the run of the value
+    column they are, in key order, where the walk emits them nearest
+    first — and the same page-read sequence.  The sanitizer's walk,
+    whose capacities it reads off the layout, is that walk."""
 
     @pytest.mark.parametrize("width", [1, 8, 16])
     def test_positions_and_read_sequence(self, width):
         rng = np.random.default_rng(width)
         keys, ids, distances = random_rows(rng, width, 700, width == 1)
         tree = TestMerge.built(width, keys, ids, distances)
-        oracle, bulk_shaped = node_oracle(tree)
-        assert bulk_shaped and oracle.packed_layout is None
+        walk = node_walk(tree, width, tree.packed.entries(range(700)))
+        oracle, bulk_shaped = node_oracle(tree.packed)
+        assert bulk_shaped
+        assert (oracle.leaves, oracle.nodes) == (walk.leaves, walk.nodes)
         probes = keys[:5] + [0, (1 << (8 * width)) - 1]
         stored = tree.packed.values_raw.reshape(-1).view(tree._record_dtype)
         for probe in probes:
             for alpha in (1, 30, 700, 900):
-                tree.stats = ReadLog()
-                oracle._store.stats = ReadLog()
+                tree.stats, walk_log = ReadLog(), ReadLog()
                 got_ids, got_ref = tree.candidates(probe, alpha)
-                want = oracle.nearest(probe.to_bytes(width, "big"), alpha)
+                want = walk.nearest(probe.to_bytes(width, "big"), alpha,
+                                    walk_log)
                 records = np.frombuffer(b"".join(v for _, v in want),
                                         dtype=tree._record_dtype)
                 records = records[np.argsort(records["id"])]
@@ -378,8 +380,8 @@ class TestNodeOracleParity:
                     probe.to_bytes(width, "big"), alpha).min())
                 np.testing.assert_array_equal(
                     got_ids, stored["id"][start:start + got_ids.size])
-                assert tree.stats.pages == oracle.stats.pages
-                assert tree.stats.snapshot() == oracle.stats.snapshot()
+                assert tree.stats.pages == walk_log.pages
+                assert tree.stats.snapshot() == walk_log.snapshot()
 
 
 class TestModelledBufferPool:

@@ -1,21 +1,18 @@
 """Tests for the runtime invariant sanitizer (repro.devtools.sanitize).
 
 Each shim is driven both ways: legitimate use stays silent, a seeded
-violation raises :class:`SanitizerError`.  The cross-check tests build
-a real bulk-loaded B+-tree with an active packed mirror (and an
-RDB-tree, checked against the oracle loaded from its columns) and then
-corrupt one side.
+violation raises :class:`SanitizerError`.  The cross-check tests build a
+baseline's bulk-loaded tree (and an RDB-tree), each checked against the
+node walk of its columns, and then corrupt one side.
 """
 
 import numpy as np
 import pytest
 
-from repro.btree.tree import BPlusTree
+from repro.btree.packed import PackedTree, bulk_load
 from repro.devtools import sanitize
 from repro.devtools.sanitize import SanitizerError
-from repro.storage.buffer import BufferPool
 from repro.storage.codecs import UIntCodec
-from repro.storage.pages import InMemoryPageStore
 from repro.storage.stats import IOStats
 from repro.storage.vectors import heap_file_from_array
 
@@ -44,13 +41,15 @@ def unsanitized():
     yield
 
 
-def build_tree(n=500, cache_pages=0):
-    tree = BPlusTree(UIntCodec(8), UIntCodec(8), page_size=512,
-                     cache_pages=cache_pages)
-    entries = [(UIntCodec(8).encode(i * 3), UIntCodec(8).encode(i))
-               for i in range(n)]
-    tree.bulk_load(entries)
-    return tree
+def build_tree(n=500):
+    """A baseline's tree: keys 0, 3, 6, ... on 512-byte pages (17 leaves),
+    the value of an entry its position; and its IOStats."""
+    return bulk_load(UIntCodec(8), range(0, 3 * n, 3), np.arange(n), 512)
+
+
+def nearest(tree, stats, key, count):
+    return tree.entries(tree.nearest_positions(UIntCodec(8).encode(key),
+                                               count, stats))
 
 
 class TestInstall:
@@ -101,35 +100,6 @@ class TestIOStatsBalance:
             stats.record_read(0)
 
 
-class TestBufferPoolAccounting:
-    def test_lru_stays_within_capacity(self, sanitized):
-        store = InMemoryPageStore(128)
-        pool = BufferPool(store, capacity=2)
-        for _ in range(4):
-            pool.write(store.allocate(), b"x" * 128)
-        for page_id in (0, 1, 2, 3, 1, 0):
-            pool.read(page_id)
-        assert pool.cached_pages() == 2
-
-    def test_capacity_zero_must_stay_empty(self, sanitized):
-        store = InMemoryPageStore(128)
-        pool = BufferPool(store, capacity=0)
-        page = store.allocate()
-        pool.write(page, b"y" * 128)
-        pool._cache[page] = b"y" * 128  # seeded violation
-        with pytest.raises(SanitizerError, match="capacity=0"):
-            pool.read(page)
-
-    def test_short_cached_page_raises(self, sanitized):
-        store = InMemoryPageStore(128)
-        pool = BufferPool(store, capacity=4)
-        page = store.allocate()
-        pool.write(page, b"z" * 128)
-        pool._cache[page] = b"short"  # seeded corruption
-        with pytest.raises(SanitizerError, match="bytes"):
-            pool.read(store.allocate())
-
-
 class TestModelledPool:
     def test_page_id_lru_stays_within_cache_pages(self, sanitized):
         heap = heap_file_from_array(np.zeros((64, 4)), page_size=64,
@@ -177,10 +147,10 @@ class TestMmapWriteProtection:
 
 class TestPackedNodeCrossCheck:
     def test_intact_tree_passes_and_accounts_once(self, sanitized):
-        tree = build_tree()
-        before = tree.stats.snapshot()
-        entries = tree.nearest(UIntCodec(8).encode(300), 16)
-        after = tree.stats.snapshot()
+        tree, stats = build_tree()
+        before = stats.snapshot()
+        entries = nearest(tree, stats, 300, 16)
+        after = stats.snapshot()
         assert len(entries) == 16
         # Parity verified in sandboxes; the caller-visible accounting is
         # exactly one packed traversal, not three.
@@ -188,61 +158,58 @@ class TestPackedNodeCrossCheck:
         assert 0 < reads <= tree.height + 16
 
     def test_matches_unsanitized_answer_and_stats(self, unsanitized):
-        key = UIntCodec(8).encode(777)
-        plain_tree = build_tree()
-        plain = plain_tree.nearest(key, 12)
-        plain_stats = plain_tree.stats.snapshot()
+        plain_tree, plain_stats = build_tree()
+        plain = nearest(plain_tree, plain_stats, 777, 12)
         sanitize.install()
         try:
-            checked_tree = build_tree()
-            checked = checked_tree.nearest(key, 12)
-            checked_stats = checked_tree.stats.snapshot()
+            checked_tree, checked_stats = build_tree()
+            checked = nearest(checked_tree, checked_stats, 777, 12)
         finally:
             sanitize.uninstall()
-        assert [(bytes(k), bytes(v)) for k, v in plain] == \
-            [(bytes(k), bytes(v)) for k, v in checked]
-        assert plain_stats == checked_stats
+        assert plain == checked
+        assert plain_stats.snapshot() == checked_stats.snapshot()
 
     def test_corrupted_packed_values_raise(self, sanitized):
-        tree = build_tree()
-        packed = tree._packed
-        packed.values_raw = packed.values_raw.copy()
-        packed.values_raw[40] ^= 0xFF  # one entry's payload corrupted
-        target = bytes(packed.keys_raw[40].tobytes())
+        tree, stats = build_tree()
+        target = tree.keys_raw[40].tobytes()
+        tree.nearest_positions(target, 8, stats)  # the walk is made
+        tree.values_raw = tree.values_raw.copy()
+        tree.values_raw[40] ^= 0xFF  # one entry's payload corrupted
         with pytest.raises(SanitizerError, match="answer divergence"):
             # count large enough to cover the corrupted position for
             # any nearby key
-            tree.nearest(target, 8)
+            tree.nearest_positions(target, 8, stats)
 
-    def test_trace_divergence_raises(self, sanitized):
-        tree = build_tree()
-        packed = tree._packed
-        original = type(packed).nearest_positions
+    def test_trace_divergence_raises(self, sanitized, monkeypatch):
+        tree, stats = build_tree()
+        replay = PackedTree._nearest_trace
 
-        def noisy(self, key, count, stats, subset=None):
-            positions = original(self, key, count, stats, subset)
-            stats.record_read(10_000)  # phantom page read
-            return positions
+        def noisy(*args):
+            return np.append(replay(*args), 10_000)  # phantom page read
 
-        type(packed).nearest_positions = noisy
-        try:
-            with pytest.raises(SanitizerError, match="trace divergence"):
-                tree.nearest(UIntCodec(8).encode(42), 4)
-        finally:
-            type(packed).nearest_positions = original
+        monkeypatch.setattr(PackedTree, "_nearest_trace", noisy)
+        with pytest.raises(SanitizerError, match="trace divergence"):
+            nearest(tree, stats, 42, 4)
 
-    def test_node_only_tree_unaffected(self, sanitized):
-        # cache_pages > 0 disables the packed mirror; the node path must
-        # work untouched under the sanitizer.
-        tree = build_tree(cache_pages=8)
-        assert tree._active_packed() is None
-        entries = tree.nearest(UIntCodec(8).encode(90), 5)
-        assert len(entries) == 5
+    def test_baseline_lookups_are_checked(self, sanitized):
+        """Multicurves looks up its trees directly, and each lookup is
+        diffed against the node walk."""
+        from repro.baselines import Multicurves
+
+        rng = np.random.default_rng(3)
+        index = Multicurves(num_curves=2, alpha=64, domain=(0.0, 1.0))
+        index.build(rng.uniform(0, 1, size=(300, 8)))
+        index.query(rng.uniform(0, 1, size=8), 5)
+        tree = index.trees[0]
+        tree.values_raw = tree.values_raw.copy()
+        tree.values_raw[:, -1] ^= 0xFF  # every stored vector corrupted
+        with pytest.raises(SanitizerError, match="answer divergence"):
+            index.query(rng.uniform(0, 1, size=8), 5)
 
 
 class TestColumnsOracleCrossCheck:
-    """``RDBTree.candidates`` against the node-path oracle bulk-loaded
-    from the tree's own columns."""
+    """``RDBTree.candidates`` against the node walk of the tree's own
+    columns."""
 
     def build_rdbtree(self, n=600, cache_pages=0):
         from repro.core.rdbtree import RDBTree

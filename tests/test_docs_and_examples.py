@@ -56,9 +56,9 @@ class TestArchitectureDoc:
 
     def test_covers_the_storage_backend_matrix(self, text):
         for name in ('"memory"', '"mmap"', "page matrix", "ModelledPool",
-                     "cache_pages", "BufferPool"):
+                     "cache_pages", "repro.devtools.nodewalk"):
             assert name in text, f"missing {name!r}"
-        assert '"file"' not in text and "PageStore(" not in text
+        assert '"file"' not in text
 
     def test_points_into_the_source_tree(self, text):
         for path in ("src/repro/core/engine.py", "src/repro/storage",
@@ -106,6 +106,12 @@ class TestMigrationDoc:
         for name in ('backend="file"', "FilePageStore", "MmapPageStore",
                      "store=", '"mmap"'):
             assert name in text, f"missing removal entry for {name!r}"
+
+    def test_node_tree_removal_names_the_replacements(self, text):
+        for name in ("PackedTree.from_sorted", "range_entries",
+                     "nearest_positions", "repro.devtools.nodewalk",
+                     "ModelledPool"):
+            assert name in text, f"missing replacement {name!r}"
 
     def test_names_the_replacements(self, text):
         for name in ("IndexSpec", "Topology", "Execution", "repro.build",

@@ -3,31 +3,42 @@
 import numpy as np
 import pytest
 
-from repro.btree import BPlusTree
+from repro.btree import PackedTree
+from repro.devtools.nodewalk import NodeWalk
 from repro.eval.harness import _padded_ratio
-from repro.storage import StorageError, UInt64Codec, UIntCodec, VectorHeapFile
+from repro.storage import StorageError, UIntCodec, VectorHeapFile
+from repro.storage.stats import IOStats
+
+
+def tree_and_walk(keys, leaf_cap):
+    """Sorted keys, the value of an entry its position, as columns and as
+    the node walk of the same tree."""
+    raw = np.asarray(keys, dtype=">u8").view(np.uint8).reshape(-1, 8)
+    values = np.arange(len(keys), dtype=">u8").view(np.uint8).reshape(-1, 8)
+    tree = PackedTree.from_sorted(UIntCodec(8), raw, values, leaf_cap, 2)
+    return tree, NodeWalk(UIntCodec(8), tree.entries(range(len(keys))),
+                          leaf_cap, 2)
 
 
 class TestDuplicateKeysAcrossLeaves:
     def test_get_all_spans_leaf_boundaries(self):
         """Ten identical keys with 2-entry leaves force duplicates across
-        five leaves; get_all must walk the sibling chain."""
-        kc, vc = UIntCodec(8), UInt64Codec()
-        tree = BPlusTree(kc, vc, leaf_capacity_override=2)
-        entries = [(5, v) for v in range(10)] + [(9, 99)]
-        tree.bulk_load((kc.encode(k), vc.encode(v))
-                       for k, v in sorted(entries))
-        values = sorted(vc.decode(raw) for raw in tree.get_all(kc.encode(5)))
-        assert values == list(range(10))
-        assert [vc.decode(raw) for raw in tree.get_all(kc.encode(9))] == [99]
+        five leaves; an exact-key lookup must start at the first of them
+        and walk the sibling chain."""
+        tree, walk = tree_and_walk([5] * 10 + [9], leaf_cap=2)
+        for key, want in ((5, list(range(10))), (9, [10])):
+            raw = UIntCodec(8).encode(key)
+            got = list(tree.range_entries(raw, raw, IOStats()))
+            assert got == list(walk.range(raw, raw, IOStats()))
+            assert [int.from_bytes(v, "big") for _, v in got] == want
 
     def test_nearest_with_massive_duplication(self):
-        kc, vc = UIntCodec(8), UInt64Codec()
-        tree = BPlusTree(kc, vc, leaf_capacity_override=3)
-        tree.bulk_load((kc.encode(7), vc.encode(v)) for v in range(20))
-        got = tree.nearest(kc.encode(7), 20)
+        tree, walk = tree_and_walk([7] * 20, leaf_cap=3)
+        raw = UIntCodec(8).encode(7)
+        got = tree.entries(tree.nearest_positions(raw, 20))
+        assert got == walk.nearest(raw, 20, IOStats())
         assert len(got) == 20
-        assert all(kc.decode(k) == 7 for k, _ in got)
+        assert all(key == raw for key, _ in got)
 
 
 class TestPaddedRatio:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.storage import (
-    InMemoryPageStore,
+    IOStats,
     StorageError,
     VectorHeapFile,
     heap_file_from_array,
@@ -126,22 +126,21 @@ class TestMmapPageStore:
 
 class TestRecordReadMany:
     def test_matches_sequential_record_read(self):
-        loop = InMemoryPageStore(page_size=32)
-        bulk = InMemoryPageStore(page_size=32)
+        loop, bulk = IOStats(), IOStats()
         pattern = [0, 1, 2, 5, 6, 3, 4, 5, 6, 7, 0]
         for page_id in pattern:
-            loop.stats.record_read(page_id)
-        bulk.stats.record_read_many(np.asarray(pattern))
-        assert loop.stats.snapshot() == bulk.stats.snapshot()
+            loop.record_read(page_id)
+        bulk.record_read_many(np.asarray(pattern))
+        assert loop.snapshot() == bulk.snapshot()
         # A follow-up single read continues the same run.
-        loop.stats.record_read(1)
-        bulk.stats.record_read(1)
-        assert loop.stats.snapshot() == bulk.stats.snapshot()
+        loop.record_read(1)
+        bulk.record_read(1)
+        assert loop.snapshot() == bulk.snapshot()
 
     def test_empty_batch_is_a_no_op(self):
-        store = InMemoryPageStore(page_size=32)
-        store.stats.record_read_many(np.empty(0, dtype=np.int64))
-        assert store.stats.page_reads == 0
+        stats = IOStats()
+        stats.record_read_many(np.empty(0, dtype=np.int64))
+        assert stats.page_reads == 0
 
 
 class TestHeapGather:

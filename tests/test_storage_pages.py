@@ -1,136 +1,57 @@
-"""Unit tests for the fixed-size page stores."""
+"""Unit tests for page I/O accounting and the heap's page file."""
 
 import numpy as np
 import pytest
 
 from repro.storage import (
     DEFAULT_PAGE_SIZE,
-    InMemoryPageStore,
+    IOStats,
     StorageError,
     VectorHeapFile,
 )
 
 
-class TestInMemoryPageStore:
-    def test_allocate_returns_sequential_ids(self):
-        store = InMemoryPageStore()
-        assert [store.allocate() for _ in range(5)] == [0, 1, 2, 3, 4]
-
-    def test_new_pages_are_zeroed(self):
-        store = InMemoryPageStore(page_size=64)
-        page_id = store.allocate()
-        assert store.read(page_id) == bytes(64)
-
-    def test_round_trip(self):
-        store = InMemoryPageStore(page_size=64)
-        page_id = store.allocate()
-        store.write(page_id, b"hello")
-        assert store.read(page_id) == b"hello" + bytes(59)
-
-    def test_write_full_page(self):
-        store = InMemoryPageStore(page_size=32)
-        page_id = store.allocate()
-        payload = bytes(range(32))
-        store.write(page_id, payload)
-        assert store.read(page_id) == payload
-
-    def test_oversized_write_rejected(self):
-        store = InMemoryPageStore(page_size=16)
-        page_id = store.allocate()
-        with pytest.raises(StorageError):
-            store.write(page_id, bytes(17))
-
-    def test_out_of_range_read_rejected(self):
-        store = InMemoryPageStore()
-        with pytest.raises(StorageError):
-            store.read(0)
-        store.allocate()
-        with pytest.raises(StorageError):
-            store.read(1)
-        with pytest.raises(StorageError):
-            store.read(-1)
-
-    def test_closed_store_rejects_everything(self):
-        store = InMemoryPageStore()
-        page_id = store.allocate()
-        store.close()
-        with pytest.raises(StorageError):
-            store.read(page_id)
-        with pytest.raises(StorageError):
-            store.allocate()
-
-    def test_size_bytes_counts_pages(self):
-        store = InMemoryPageStore(page_size=128)
-        for _ in range(3):
-            store.allocate()
-        assert store.size_bytes() == 3 * 128
-        assert store.num_pages == 3
-
-    def test_invalid_page_size_rejected(self):
-        with pytest.raises(ValueError):
-            InMemoryPageStore(page_size=0)
-
-    def test_context_manager_closes(self):
-        with InMemoryPageStore() as store:
-            store.allocate()
-        with pytest.raises(StorageError):
-            store.allocate()
-
-    def test_iter_page_ids(self):
-        store = InMemoryPageStore()
-        for _ in range(4):
-            store.allocate()
-        assert list(store.iter_page_ids()) == [0, 1, 2, 3]
-
-
 class TestIOAccounting:
     def test_reads_and_writes_counted(self):
-        store = InMemoryPageStore(page_size=32)
-        page_id = store.allocate()        # allocation is not counted I/O
-        store.write(page_id, b"x")
-        store.write(page_id, b"y")
-        store.read(page_id)
-        store.read(page_id)
-        assert store.stats.page_writes == 2
-        assert store.stats.page_reads == 2
+        stats = IOStats()
+        stats.record_write(0)
+        stats.record_write(0)
+        stats.record_read(0)
+        stats.record_read(0)
+        assert stats.page_writes == 2
+        assert stats.page_reads == 2
 
     def test_sequential_vs_random_classification(self):
-        store = InMemoryPageStore(page_size=32)
-        for _ in range(5):
-            store.allocate()
+        stats = IOStats()
         for page_id in range(5):          # strictly sequential scan
-            store.read(page_id)
-        assert store.stats.sequential_reads == 4
-        assert store.stats.random_reads == 1  # the very first read
-        store.read(0)                      # jump back: random
-        assert store.stats.random_reads == 2
+            stats.record_read(page_id)
+        assert stats.sequential_reads == 4
+        assert stats.random_reads == 1  # the very first read
+        stats.record_read(0)              # jump back: random
+        assert stats.random_reads == 2
 
     def test_stats_reset(self):
-        store = InMemoryPageStore(page_size=32)
-        page = store.allocate()
-        store.read(page)
-        store.stats.reset()
-        assert store.stats.page_reads == 0
-        assert store.stats.page_writes == 0
+        stats = IOStats()
+        stats.record_read(0)
+        stats.reset()
+        assert stats.page_reads == 0
+        assert stats.page_writes == 0
 
     def test_stats_addition(self):
-        a = InMemoryPageStore(page_size=32)
-        b = InMemoryPageStore(page_size=32)
-        pa, pb = a.allocate(), b.allocate()
-        a.write(pa, b"x")
-        b.write(pb, b"y")
-        a.read(pa)
-        b.read(pb)
-        b.read(pb)
-        combined = a.stats + b.stats
+        a, b = IOStats(), IOStats()
+        a.record_write(0)
+        b.record_write(0)
+        a.record_read(0)
+        b.record_read(0)
+        b.record_read(0)
+        combined = a + b
         assert combined.page_reads == 3
         assert combined.page_writes == 2
 
     def test_snapshot_is_plain_dict(self):
-        store = InMemoryPageStore(page_size=32)
-        page = store.allocate()
-        store.write(page, b"z")
-        snap = store.stats.snapshot()
+        stats = IOStats()
+        stats.record_write(0)
+        snap = stats.snapshot()
         assert snap["page_writes"] == 1
         assert set(snap) == {
             "page_reads", "page_writes", "random_reads", "sequential_reads",
