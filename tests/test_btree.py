@@ -50,6 +50,37 @@ class TestNodeLayout:
         assert leaf_capacity(4096, 16, 48) == (4096 - 19) // 64
         assert internal_capacity(4096, 16) == (4096 - 3 - 8) // 24
 
+    @pytest.mark.parametrize("count,leaf_cap,internal_cap", [
+        (1, 1, 1), (2, 1, 1), (9, 3, 2), (10, 3, 2), (64, 4, 3),
+        (65, 4, 3), (500, 6, 7), (1000, 2, 2)])
+    def test_columns_and_walk_share_the_layout(self, count, leaf_cap,
+                                               internal_cap):
+        """Leaves full but the last on pages 0..L-1, then each internal
+        level bottom-up in allocation order, the root the last page."""
+        tree = columns([(i, i) for i in range(count)], leaf_cap,
+                       internal_cap)
+        walk = walk_of(tree, leaf_cap, internal_cap)
+        assert tree.height == walk.height
+        assert tree.leaf_pages.tolist() == list(range(len(walk.leaves)))
+        assert np.diff(tree.leaf_starts).tolist() == [
+            len(keys) for keys, _ in walk.leaves]
+        assert [len(keys) for keys, _ in walk.leaves[:-1]] == [leaf_cap] * (
+            len(walk.leaves) - 1)
+        internal = [page for level in tree.level_pages[::-1]
+                    for page in level.tolist()]
+        assert internal == sorted(walk.nodes)
+        assert tree.num_pages == len(walk.leaves) + len(walk.nodes)
+        assert walk.root == tree.num_pages - 1
+        for page, (separators, children) in walk.nodes.items():
+            assert len(children) <= internal_cap + 1
+            assert len(separators) == len(children) - 1
+
+    def test_walk_rejects_empty_nodes(self):
+        with pytest.raises(ValueError, match="room"):
+            NodeWalk(CODEC, [], 0, 2)
+        with pytest.raises(ValueError, match="room"):
+            NodeWalk(CODEC, [], 4, 0)
+
 
 class TestBulkLoad:
     def test_items_in_key_order(self):
@@ -93,6 +124,27 @@ class TestBulkLoad:
         assert tree.height == walk_of(tree, 6, 7).height
         assert decode_items(tree.entries(range(tree.count))) == pairs
 
+    @pytest.mark.parametrize("page_size,value_width", [
+        (26, 8), (40, 8), (4096, 4080)])
+    def test_page_too_small_rejected(self, page_size, value_width):
+        """A leaf must hold one entry and an internal node two
+        separators: 26 bytes hold neither, 40 bytes one 16-byte entry
+        but one separator, and 4096 bytes no 4088-byte entry."""
+        with pytest.raises(ValueError, match="cannot hold"):
+            bulk_load(CODEC, [1], np.zeros((1, value_width), dtype=np.uint8),
+                      page_size)
+
+    def test_ids_stored_as_big_endian_values(self):
+        """A 1-D id array is the 8-byte big-endian value column."""
+        ids = np.array([5, 2**40, 0], dtype=np.int64)
+        by_id, _ = bulk_load(CODEC, [1, 2, 3], ids, 4096)
+        by_column, _ = bulk_load(
+            CODEC, [1, 2, 3], ids.astype(">u8").view(np.uint8).reshape(3, 8),
+            4096)
+        assert by_id.entries(range(3)) == by_column.entries(range(3))
+        assert [UInt64Codec().decode(v) for _, v in
+                by_id.entries(range(3))] == [5, 2**40, 0]
+
 
 def top_down_layout(walk):
     """The walk's tree as a packed layout read off its nodes the way a
@@ -115,6 +167,52 @@ def top_down_layout(walk):
             len(values), -1),
         np.cumsum([0] + [len(leaf_keys) for leaf_keys, _ in leaves]),
         level, level_pages, level_starts)
+
+
+class TestSplitAmongEqualSeparators:
+    """Duplicate keys spanning leaves make equal separators: a descent
+    must still find the children in leaf-chain order, and both scans
+    must reach every duplicate across the leaf boundaries.  The entries
+    are a sorted base with a delta folded in by a stable merge (base
+    first), as an RDB-tree fold lays them out."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_children_order_matches_leaf_chain(self, seed):
+        rng = np.random.default_rng(seed)
+        codec = UIntCodec(1)
+        leaf_cap, internal_cap = (int(rng.integers(2, 8)),
+                                  int(rng.integers(2, 5)))
+        base = np.sort(rng.integers(0, 4, size=100))
+        keys = np.concatenate([base, rng.integers(0, 4, size=60)])
+        order = keys.argsort(kind="stable")
+        tree = PackedTree.from_sorted(
+            codec, keys[order].astype(np.uint8).reshape(-1, 1),
+            order.astype(">u8").view(np.uint8).reshape(-1, 8),
+            leaf_cap, internal_cap)
+        walk = NodeWalk(codec, tree.entries(range(tree.count)), leaf_cap,
+                        internal_cap)
+        assert walk.height >= 3
+        chain = list(walk.range(b"\x00", b"\x03", IOStats()))
+        assert top_down_layout(walk).entries(range(tree.count)) == chain
+        assert tree.entries(range(tree.count)) == chain
+        assert [key for key, _ in chain] == sorted(key for key, _ in chain)
+        for probe in range(4):
+            raw = codec.encode(probe)
+            packed_stats, walk_stats = IOStats(), IOStats()
+            same_key = list(tree.range_entries(raw, raw, packed_stats))
+            assert same_key == list(walk.range(raw, raw, walk_stats))
+            assert packed_stats == walk_stats
+            assert [int.from_bytes(value, "big") for _, value in same_key] \
+                == np.flatnonzero(keys == probe).tolist()
+            for count in (1, 7, 160):
+                packed_stats, walk_stats = IOStats(), IOStats()
+                want = walk.nearest(raw, count, walk_stats)
+                assert tree.entries(tree.nearest_positions(
+                    raw, count, packed_stats)) == want
+                assert packed_stats == walk_stats
+                top_down = top_down_layout(walk)
+                assert top_down.entries(top_down.nearest_positions(
+                    raw, count)) == want
 
 
 class TestLookups:
@@ -144,6 +242,19 @@ class TestLookups:
         assert packed_stats == walk_stats
         return [CODEC.decode(k) for k, _ in got]
 
+    def test_get_all_exact(self):
+        """An exact-key lookup is the range from the key to itself."""
+        tree, walk, _ = self.make_loaded()
+        key = CODEC.encode(33)
+        got = list(tree.range_entries(key, key))
+        assert [UInt64Codec().decode(v) for _, v in got] == [11]
+        assert self.range_keys(tree, walk, 33, 33) == [33]
+
+    def test_get_all_missing(self):
+        tree, walk, _ = self.make_loaded()
+        assert self.range_keys(tree, walk, 34, 34) == []
+        assert self.range_keys(tree, walk, 10**6, 10**6) == []
+
     def test_range_inclusive(self):
         tree, walk, _ = self.make_loaded()
         assert self.range_keys(tree, walk, 30, 45) == [30, 33, 36, 39, 42, 45]
@@ -171,6 +282,16 @@ class TestLookups:
         tree, walk, pairs = self.make_loaded()
         assert len(self.nearest_keys(tree, walk, 300, 10_000)) == len(pairs)
 
+    def test_nearest_from_the_far_end_reads_every_leaf(self):
+        """From the last key, the backward scan follows the left
+        siblings down to leaf 0: each leaf is read once."""
+        tree, walk, pairs = self.make_loaded()
+        assert self.nearest_keys(tree, walk, 597, len(pairs)) == [
+            k for k, _ in reversed(pairs)]
+        stats = IOStats()
+        tree.nearest_positions(CODEC.encode(597), len(pairs), stats)
+        assert stats.page_reads == 2 * tree.height + tree.leaf_pages.size - 1
+
     def test_nearest_zero_or_empty(self):
         tree, walk, _ = self.make_loaded()
         assert self.nearest_keys(tree, walk, 0, 0) == []
@@ -185,6 +306,22 @@ class TestLookups:
 
 
 class TestModelBased:
+    @given(st.lists(st.tuples(st.integers(0, 500), st.integers(0, 2**32)),
+                    min_size=0, max_size=120),
+           st.integers(1, 6), st.integers(0, 500), st.integers(0, 500))
+    @settings(max_examples=50, deadline=None)
+    def test_against_sorted_list_model(self, operations, leaf_cap, bound_a,
+                                       bound_b):
+        """Entries in any order, stably sorted by key and bulk loaded:
+        the columns hold the model's list, and a range is its slice."""
+        model = sorted(operations, key=lambda pair: pair[0])
+        tree = columns(model, leaf_cap, internal_cap=2)
+        assert decode_items(tree.entries(range(tree.count))) == model
+        low, high = sorted((bound_a, bound_b))
+        got = tree.range_entries(CODEC.encode(low), CODEC.encode(high))
+        assert decode_items(got) == [
+            (key, value) for key, value in model if low <= key <= high]
+
     @given(st.lists(st.integers(0, 10**6), min_size=1, max_size=80,
                     unique=True),
            st.integers(0, 10**6), st.integers(1, 20))

@@ -1,114 +1,99 @@
-"""Unit tests for the LRU buffer pool."""
+"""Unit tests for the modelled LRU buffer pool.
 
+No structure holds pages in a pool: the descriptor heap and every
+RDB-tree are arrays, and :class:`~repro.storage.stats.ModelledPool` is
+an LRU over page *ids* that decides whether a read of their trace is a
+cache hit or a counted page read.
+"""
+
+import numpy as np
 import pytest
 
-from repro.storage import BufferPool, InMemoryPageStore
+from repro.storage import IOStats, ModelledPool, heap_file_from_array
 
 
-def make_pool(capacity, pages=6, page_size=32):
-    store = InMemoryPageStore(page_size=page_size)
-    pool = BufferPool(store, capacity=capacity)
-    for index in range(pages):
-        page_id = pool.allocate()
-        pool.write(page_id, bytes([index]) * page_size)
-    return store, pool
+def make_pool(capacity, page_size=32):
+    return ModelledPool(cache_pages=capacity, page_size=page_size)
+
+
+def read(pool, *page_ids):
+    pool.record_read_many(np.asarray(page_ids, dtype=np.int64))
 
 
 class TestDisabledCache:
-    """capacity=0 reproduces the paper's caching-off methodology."""
+    """cache_pages=0 reproduces the paper's caching-off methodology."""
 
     def test_every_read_hits_the_store(self):
-        store, pool = make_pool(capacity=0)
-        store.stats.reset()
+        pool = make_pool(capacity=0)
         for _ in range(3):
-            pool.read(0)
-        assert store.stats.page_reads == 3
-        assert store.stats.cache_hits == 0
+            read(pool, 0)
+        assert pool.stats.page_reads == 3
+        assert pool.stats.cache_hits == 0
 
     def test_no_memory_held(self):
-        _, pool = make_pool(capacity=0)
-        pool.read(0)
-        assert pool.cached_pages() == 0
+        pool = make_pool(capacity=0)
+        read(pool, 0, 1, 2)
         assert pool.memory_bytes() == 0
 
 
 class TestLRU:
     def test_repeated_read_served_from_cache(self):
-        store, pool = make_pool(capacity=4)
-        store.stats.reset()
-        pool.read(0)
-        pool.read(0)
-        pool.read(0)
-        assert store.stats.page_reads == 1
-        assert store.stats.cache_hits == 2
+        pool = make_pool(capacity=4)
+        read(pool, 0)
+        read(pool, 0)
+        read(pool, 0)
+        assert pool.stats.page_reads == 1
+        assert pool.stats.cache_hits == 2
 
     def test_eviction_order_is_least_recently_used(self):
-        store, pool = make_pool(capacity=2)
-        pool.clear()
-        store.stats.reset()
-        pool.read(0)
-        pool.read(1)
-        pool.read(0)        # refresh page 0
-        pool.read(2)        # evicts page 1
-        store.stats.reset()
-        pool.read(0)        # hit
-        assert store.stats.cache_hits == 1
-        pool.read(1)        # miss: was evicted
-        assert store.stats.page_reads == 1
+        pool = make_pool(capacity=2)
+        read(pool, 0, 1)
+        read(pool, 0)       # refresh page 0
+        read(pool, 2)       # evicts page 1
+        pool.stats.reset()
+        read(pool, 0)       # hit
+        assert pool.stats.cache_hits == 1
+        read(pool, 1)       # miss: was evicted
+        assert pool.stats.page_reads == 1
 
     def test_capacity_never_exceeded(self):
-        _, pool = make_pool(capacity=3)
-        for page_id in range(6):
-            pool.read(page_id)
-        assert pool.cached_pages() == 3
+        pool = make_pool(capacity=3)
+        read(pool, *range(6))
         assert pool.memory_bytes() == 3 * 32
 
-    def test_write_through_updates_cache(self):
-        store, pool = make_pool(capacity=4)
-        pool.read(0)
-        pool.write(0, b"updated")
-        store.stats.reset()
-        data = pool.read(0)
-        assert data.startswith(b"updated")
-        assert store.stats.page_reads == 0  # served from refreshed cache
-
-    def test_write_always_reaches_store(self):
-        store, pool = make_pool(capacity=4)
-        writes_before = store.stats.page_writes
-        pool.write(0, b"direct")
-        assert store.stats.page_writes == writes_before + 1
-        assert store.read(0).startswith(b"direct")
-
     def test_clear_drops_cache(self):
-        store, pool = make_pool(capacity=4)
-        pool.read(0)
-        pool.clear()
-        store.stats.reset()
-        pool.read(0)
-        assert store.stats.page_reads == 1
+        pool = make_pool(capacity=4)
+        read(pool, 0)
+        pool.clear_cache()
+        pool.stats.reset()
+        read(pool, 0)
+        assert pool.stats.page_reads == 1
+        assert pool.memory_bytes() == 32
 
     def test_negative_capacity_rejected(self):
-        store = InMemoryPageStore()
-        with pytest.raises(ValueError):
-            BufferPool(store, capacity=-1)
+        with pytest.raises(ValueError, match="cache_pages"):
+            make_pool(capacity=-1)
+
+    def test_invalid_page_size_rejected(self):
+        for page_size in (0, -4096):
+            with pytest.raises(ValueError, match="page_size"):
+                make_pool(capacity=4, page_size=page_size)
 
     def test_page_size_passthrough(self):
-        store = InMemoryPageStore(page_size=128)
-        pool = BufferPool(store)
+        pool = make_pool(capacity=2, page_size=128)
         assert pool.page_size == 128
+        read(pool, 7)
+        assert pool.memory_bytes() == 128
 
 
 class TestHitRateAccounting:
     """The cache_hits / page_reads split the serving benchmarks lean on."""
 
     def test_hits_and_misses_sum_to_logical_reads(self):
-        store, pool = make_pool(capacity=3, pages=6)
-        pool.clear()
-        store.stats.reset()
+        pool = make_pool(capacity=3)
         pattern = [0, 1, 2, 0, 1, 2, 3, 3, 0, 5]
-        for page_id in pattern:
-            pool.read(page_id)
-        stats = store.stats
+        read(pool, *pattern)
+        stats = pool.stats
         assert stats.page_reads + stats.cache_hits == len(pattern)
         # 0,1,2 miss; 0,1,2 hit; 3 misses; 3 hits; 0 was evicted by 3 so
         # misses; 5 misses.
@@ -116,31 +101,37 @@ class TestHitRateAccounting:
         assert stats.page_reads == 6
 
     def test_eviction_is_visible_in_hit_rate(self):
-        store, pool = make_pool(capacity=2, pages=4)
-        pool.clear()
-        store.stats.reset()
+        pool = make_pool(capacity=2)
         for _ in range(3):
-            for page_id in range(4):  # working set (4) > capacity (2)
-                pool.read(page_id)
-        assert store.stats.cache_hits == 0  # LRU thrashes: no reuse wins
-        assert store.stats.page_reads == 12
-        assert pool.cached_pages() == 2
+            read(pool, *range(4))  # working set (4) > capacity (2)
+        assert pool.stats.cache_hits == 0  # LRU thrashes: no reuse wins
+        assert pool.stats.page_reads == 12
+        assert pool.memory_bytes() == 2 * 32
 
-    def test_write_through_refresh_counts_no_read(self):
-        store, pool = make_pool(capacity=2)
-        pool.clear()
-        store.stats.reset()
-        pool.write(0, b"fresh")
-        pool.read(0)
-        assert store.stats.cache_hits == 1
-        assert store.stats.page_reads == 0
+    def test_misses_are_classified_in_their_own_order(self):
+        """Hits drop out of the trace; the counted reads keep the
+        random/sequential split of the misses as they came."""
+        pool, plain = make_pool(capacity=2), IOStats()
+        read(pool, 4, 5, 4, 6, 7)
+        for page_id in (4, 5, 6, 7):
+            plain.record_read(page_id)
+        assert pool.stats.cache_hits == 1
+        assert (pool.stats.page_reads, pool.stats.random_reads,
+                pool.stats.sequential_reads) == (
+            plain.page_reads, plain.random_reads, plain.sequential_reads)
+
+    def test_writes_do_not_warm_the_pool(self):
+        """A freshly built heap starts as cold as clear_cache leaves it:
+        its first gather reads every page it touches."""
+        heap = heap_file_from_array(np.zeros((8, 4)), page_size=64,
+                                    cache_pages=4)
+        assert heap.stats.page_writes == 2 and heap.memory_bytes() == 0
+        heap.gather([0, 4])
+        assert (heap.stats.page_reads, heap.stats.cache_hits) == (2, 0)
 
     def test_snapshot_reports_hits(self):
-        store, pool = make_pool(capacity=2)
-        pool.clear()
-        store.stats.reset()
-        pool.read(0)
-        pool.read(0)
-        snap = store.stats.snapshot()
+        pool = make_pool(capacity=2)
+        read(pool, 0, 0)
+        snap = pool.stats.snapshot()
         assert snap["cache_hits"] == 1
         assert snap["page_reads"] == 1

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.storage import (
     DEFAULT_PAGE_SIZE,
@@ -9,6 +10,7 @@ from repro.storage import (
     StorageError,
     VectorHeapFile,
 )
+from repro.storage.pages import replace_file
 
 
 class TestIOAccounting:
@@ -57,6 +59,36 @@ class TestIOAccounting:
             "page_reads", "page_writes", "random_reads", "sequential_reads",
             "random_writes", "sequential_writes", "cache_hits"}
 
+    @pytest.mark.parametrize("prior,first,count", [
+        ([], 0, 5), ([], 3, 1), ([0, 1, 2], 3, 4), ([7], 0, 3), ([4], 9, 0)])
+    def test_write_run_is_one_sequential_pass(self, prior, first, count):
+        """record_write_run counts what record_write page by page does:
+        the first page sequential only if it follows the last write."""
+        run, one_by_one = IOStats(), IOStats()
+        for stats in (run, one_by_one):
+            for page_id in prior:
+                stats.record_write(page_id)
+        run.record_write_run(first, count)
+        for page_id in range(first, first + count):
+            one_by_one.record_write(page_id)
+        assert run == one_by_one
+        run.record_write(first + count)
+        one_by_one.record_write(first + count)
+        assert run == one_by_one
+
+    @given(st.lists(st.integers(0, 20), max_size=6),
+           st.lists(st.integers(0, 20), max_size=30))
+    @settings(max_examples=100, deadline=None)
+    def test_read_many_matches_read_one_by_one(self, prior, batch):
+        many, one_by_one = IOStats(), IOStats()
+        for stats in (many, one_by_one):
+            for page_id in prior:
+                stats.record_read(page_id)
+        many.record_read_many(np.asarray(batch, dtype=np.int64))
+        for page_id in batch:
+            one_by_one.record_read(page_id)
+        assert many == one_by_one
+
 
 class TestFilePageStore:
     """The one page file left — the descriptor heap's: a flat file of
@@ -101,3 +133,56 @@ class TestFilePageStore:
     def test_default_page_size_is_paper_value(self):
         assert DEFAULT_PAGE_SIZE == 4096
         assert VectorHeapFile(4).page_size == 4096
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_closed_heap_rejects_everything(self, tmp_path, on_disk):
+        path = tmp_path / "pages.bin" if on_disk else None
+        heap = VectorHeapFile(4, np.float32, 64, path=path)
+        heap.append_batch(np.ones((5, 4)))
+        heap.close()
+        heap.close()  # idempotent
+        for call in (lambda: heap.fetch(0), lambda: heap.gather([1, 2]),
+                     heap.scan, heap.page_matrix, lambda: heap.restore_count(1),
+                     lambda: heap.append(np.zeros(4))):
+            with pytest.raises(StorageError, match="closed"):
+                call()
+
+    @pytest.mark.parametrize("dim,records,pages", [
+        (4, 0, 0), (4, 1, 1), (4, 4, 1), (4, 5, 2), (4, 9, 3),
+        (32, 3, 6)])
+    def test_size_bytes_counts_whole_pages(self, dim, records, pages):
+        """16-byte records fill a 64-byte page four at a time; a 128-byte
+        record takes two pages of its own."""
+        heap = VectorHeapFile(dim, np.float32, 64)
+        heap.append_batch(np.zeros((records, dim)))
+        assert heap.size_bytes() == pages * 64
+        assert heap.page_matrix().shape == (pages, 64)
+        assert heap.stats.page_writes == pages
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_unused_page_bytes_are_zeroed(self, tmp_path, on_disk):
+        """Past the last record a page holds zeros, in memory and in the
+        page file: five 12-byte records leave 4 bytes of page 0, and the
+        sixth opens page 1."""
+        path = tmp_path / "pages.bin" if on_disk else None
+        heap = VectorHeapFile(3, np.float32, 64, path=path)
+        heap.append_batch(np.full((5, 3), -1.0))
+        heap.append(np.full(3, -2.0))
+        matrix = heap.page_matrix()
+        assert matrix.shape == (2, 64)
+        assert not matrix[0, 5 * 12:].any()
+        assert not matrix[1, 12:].any()
+        assert matrix[1, :12].tobytes() == np.full(3, -2.0,
+                                                    np.float32).tobytes()
+        if on_disk:
+            assert (tmp_path / "pages.bin").read_bytes() == matrix.tobytes()
+        heap.close()
+
+    @pytest.mark.parametrize("data", ["text snapshot\n", b"\x00\x01bytes"])
+    def test_replace_file_swaps_whole_file(self, tmp_path, data):
+        path = tmp_path / "meta"
+        path.write_bytes(b"an older and longer file" * 10)
+        replace_file(path, data)
+        expected = data.encode() if isinstance(data, str) else data
+        assert path.read_bytes() == expected
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["meta"]
