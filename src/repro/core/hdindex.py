@@ -212,9 +212,9 @@ class HDIndex(KNNIndex):
                 vectors = np.stack([vector for _, vector, _ in records])
                 object_ids = self.heap.append_batch(vectors)
                 distances = self.references.distances_from(vectors)
+                coords = self.quantizer.quantize(vectors)
                 for tree, part in zip(self.trees, self.partitions):
-                    keys = tree.curve.encode_batch_bytes(
-                        self.quantizer.quantize(vectors[:, part]))
+                    keys = tree.curve.encode_batch_bytes(coords[:, part])
                     tree.merge(keys, object_ids, distances)
                 if self.metadata is not None:
                     self.metadata.append_rows(
@@ -348,19 +348,23 @@ class HDIndex(KNNIndex):
         reference_distances = self.references.distances_from(data)
 
         # Domain quantiser shared by all partitions (Table 4 domains are
-        # global per dataset).
-        if params.domain is not None:
-            low, high = params.domain
-            self.quantizer = GridQuantizer(low, high, params.hilbert_order)
-        else:
-            self.quantizer = GridQuantizer.from_data(
-                data, params.hilbert_order)
+        # global per dataset), run once over row blocks into the curves'
+        # lane dtype; each tree takes its columns.
+        self.quantizer = (
+            GridQuantizer(*params.domain, params.hilbert_order)
+            if params.domain is not None
+            else GridQuantizer.from_data(data, params.hilbert_order))
+        coords = np.empty((n, dim), dtype=self.quantizer.dtype)
+        step = max(1, int(self.STREAM_CHUNK_ROWS))
+        for start in range(0, n, step):
+            coords[start:start + step] = self.quantizer.quantize(
+                data[start:start + step])
+        self._build_trees(lambda: (coords[start:start + step]
+                                   for start in range(0, n, step)),
+                          n, reference_distances, rng, started)
 
-        self._build_trees(lambda: (data,), n, reference_distances, rng,
-                          started)
-
-    #: Rows per block when a streaming build re-reads the heap for the
-    #: reference-distance / Hilbert-encoding passes.
+    #: Rows per block of the build's quantisation and Hilbert encode (bit
+    #: planes of one block) and of a streaming build's heap re-reads.
     STREAM_CHUNK_ROWS = 8192
 
     def build_from_chunks(self, chunks) -> None:
@@ -450,10 +454,9 @@ class HDIndex(KNNIndex):
         step = max(1, int(self.STREAM_CHUNK_ROWS))
 
         def blocks():
-            # Float64 re-reads of the heap, the only full copy of the data.
+            # Re-reads of the heap, the only full copy of the data.
             for start in range(0, n, step):
-                ids = np.arange(start, min(start + step, n), dtype=np.int64)
-                yield heap.gather(ids).astype(np.float64)
+                yield heap.gather(np.arange(start, min(start + step, n)))
 
         reference_distances = np.empty((n, num_references),
                                        dtype=np.float64)
@@ -461,19 +464,16 @@ class HDIndex(KNNIndex):
             reference_distances[start:start + step] = \
                 self.references.distances_from(block)
 
-        if params.domain is not None:
-            domain_low, domain_high = params.domain
-        else:
-            domain_low, domain_high = low, high
-            if domain_high == domain_low:
-                domain_high = domain_low + 1.0
-        self.quantizer = GridQuantizer(domain_low, domain_high,
-                                       params.hilbert_order)
+        self.quantizer = (
+            GridQuantizer(*params.domain, params.hilbert_order)
+            if params.domain is not None
+            else GridQuantizer.from_data([low, high], params.hilbert_order))
 
-        self._build_trees(blocks, step, reference_distances, rng, started,
-                          streamed=True)
+        self._build_trees(
+            lambda: map(self.quantizer.quantize, blocks()), step,
+            reference_distances, rng, started, streamed=True)
 
-    def _build_trees(self, blocks, block_rows: int,
+    def _build_trees(self, blocks, coord_rows: int,
                      reference_distances: np.ndarray,
                      rng: np.random.Generator, started: float,
                      **extra) -> None:
@@ -481,13 +481,15 @@ class HDIndex(KNNIndex):
         partition (Algo. 1 lines 3-10), the :class:`BuildStats`, and the
         snapshot a remote executor bootstraps from.
 
-        ``blocks()`` yields the dataset as float64 row blocks of at most
-        ``block_rows`` rows, in id order — the array itself as a single
-        block for :meth:`build`, heap re-reads (once per tree) for
-        :meth:`build_from_chunks`.
+        ``blocks()`` yields the dataset's grid coordinates (the
+        quantiser's lane dtype) as row blocks, in id order: slices of one
+        array quantised once for :meth:`build` (``coord_rows`` = n held),
+        each heap re-read quantised (once per tree) for
+        :meth:`build_from_chunks` (one block of ``coord_rows`` held).
         """
         params = self.params
-        resident = reference_distances.nbytes + self.references.memory_bytes()
+        resident = (reference_distances.nbytes + self.references.memory_bytes()
+                    + coord_rows * self.dim * self.quantizer.dtype.itemsize)
         peak_memory = resident
         self.partitions = make_partition(
             self.dim, params.num_trees, params.partition_scheme, rng)
@@ -495,14 +497,9 @@ class HDIndex(KNNIndex):
         object_ids = np.arange(self.count, dtype=np.int64)
         for tree_index, part in enumerate(self.partitions):
             curve = HilbertCurve(len(part), params.hilbert_order)
-            keys = np.concatenate([
-                curve.encode_batch_bytes(
-                    self.quantizer.quantize(block[:, part]))
-                for block in blocks()], axis=0)
-            # All keys plus one block's uint64 grid coordinates.
-            peak_memory = max(
-                peak_memory,
-                resident + keys.nbytes + block_rows * len(part) * 8)
+            keys = np.concatenate([curve.encode_batch_bytes(block[:, part])
+                                   for block in blocks()], axis=0)
+            peak_memory = max(peak_memory, resident + keys.nbytes)
             tree = RDBTree(curve, params.num_references,
                            cache_pages=params.cache_pages,
                            page_size=params.page_size)

@@ -30,6 +30,15 @@ METRICS = ("euclidean", "angular")
 #: inside this band counts as unit-normalised.
 NORMALIZATION_ATOL = 1e-6
 
+#: Float64 bytes of a row block of :func:`distances_to_many`: cache-sized,
+#: never an n x ν temporary.
+BLOCK_BYTES = 1 << 20
+
+
+def block_rows(dim: int) -> int:
+    """Rows of a ``dim``-wide float64 block of about :data:`BLOCK_BYTES`."""
+    return max(1, BLOCK_BYTES // (8 * max(1, dim)))
+
 
 @dataclass
 class DistanceCounter:
@@ -69,10 +78,15 @@ def distances_to_many(query: np.ndarray, points: np.ndarray,
     The Euclidean path keeps the difference-then-``einsum`` formulation
     (never the ``|x|²+|y|²-2x·y`` expansion) so results stay bitwise
     stable across releases — the WAL/compaction and process-parity
-    suites diff query answers byte-for-byte.
+    suites diff query answers byte-for-byte.  It runs over row blocks
+    of :func:`block_rows` rows through one reused float64 scratch (a
+    float32 block is widened as it is subtracted, exactly), and each
+    row's reduction is the one-shot formula's, bit for bit.
     """
     query = np.asarray(query, dtype=np.float64)
-    points = np.asarray(points, dtype=np.float64)
+    points = np.asarray(points)
+    if points.dtype != np.float32:
+        points = points.astype(np.float64, copy=False)
     if points.ndim == 1:
         points = points[None, :]
     if counter is not None:
@@ -81,13 +95,19 @@ def distances_to_many(query: np.ndarray, points: np.ndarray,
         query = _normalize_one(query)
         points = normalize_rows(points)
     elif metric == "cosine":
-        query = _normalize_one(query)
-        points = normalize_rows(points)
-        return 1.0 - points @ query
+        return 1.0 - normalize_rows(points) @ _normalize_one(query)
     elif metric != "euclidean":
         raise ValueError(f"unknown metric {metric!r}")
-    diff = points - query[None, :]
-    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    count, step = points.shape[0], block_rows(points.shape[1])
+    out = np.empty(count)
+    scratch = np.empty((min(count, step), points.shape[1]))
+    # Row blocks of ~1 MB into one scratch, a few per million values: a
+    # pass over n rows (a build makes ~15) holds no n x ν temporary.
+    for start in range(0, count, step):  # lint: disable=HK101
+        diff = np.subtract(points[start:start + step], query,
+                           out=scratch[:min(step, count - start)])
+        np.einsum("ij,ij->i", diff, diff, out=out[start:start + step])
+    return np.sqrt(out, out=out)
 
 
 def euclidean_to_many(query: np.ndarray, points: np.ndarray,

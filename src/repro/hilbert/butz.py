@@ -18,8 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.hilbert.quantize import lane_dtype
+
 #: Maximum curve order: coordinates must fit in uint64 during the transform.
 MAX_ORDER = 62
+#: The place of each of a byte's eight bits, most significant first.
+_BIT_WEIGHTS = np.arange(7, -1, -1, dtype=np.uint8)[:, None]
 
 
 class HilbertCurve:
@@ -43,12 +47,11 @@ class HilbertCurve:
         self.key_bits = dim * order
         #: Number of bytes needed to store one key (RDB-tree layout input).
         self.key_bytes = -(-self.key_bits // 8)
-        self._side = 1 << order
-        self._coord_max = self._side - 1
+        self._coord_max = (1 << order) - 1
         #: Narrowest unsigned dtype holding one coordinate: the lane of
-        #: the packed batch transform.
-        lane_bytes = next(b for b in (1, 2, 4, 8) if order <= 8 * b)
-        self._lane = np.dtype(f"<u{lane_bytes}")
+        #: the packed batch transform (and of ``GridQuantizer.quantize``).
+        self._lane = lane_dtype(order)
+        self._plane_shifts = np.arange(order - 1, -1, -1, dtype=self._lane)
 
     # -- scalar interface ------------------------------------------------
 
@@ -81,9 +84,9 @@ class HilbertCurve:
         Returns an ``(n, key_bytes)`` uint8 array whose rows equal
         ``curve.encode(row).to_bytes(key_bytes, "big")``.  This is the
         hot-path form: no object-dtype Python integers are materialised,
-        the bit interleave is one shift/mask per order level plus a single
-        ``np.packbits``, and the rows feed the packed-tree searches
-        (:mod:`repro.btree.packed`) without a codec round-trip.
+        the bit interleave is a few passes over uint8 bit planes, and the
+        rows feed the packed-tree searches (:mod:`repro.btree.packed`)
+        without a codec round-trip.
         """
         coords = np.asarray(coords)
         if coords.ndim != 2 or coords.shape[1] != self.dim:
@@ -96,18 +99,16 @@ class HilbertCurve:
             raise ValueError(
                 f"coordinates must lie in [0, {self._coord_max}]"
             )
-        x = np.array(coords.T, dtype=np.uint64, order="C")
+        x = np.array(coords.T, dtype=self._lane, order="C")
         self._axes_to_transpose_batch(x)
         return self._pack_key_bytes(x)
 
     def decode_batch(self, keys: np.ndarray) -> np.ndarray:
-        """Decode an object array of keys to an (n, dim) uint64 array."""
-        keys = np.asarray(keys, dtype=object)
-        if keys.size == 0:
-            return np.empty((0, self.dim), dtype=np.uint64)
-        x = self._unpack_keys(keys)
-        self._transpose_to_axes_batch(x)
-        return np.ascontiguousarray(x.T)
+        """Decode an object array of keys to an (n, dim) uint64 array, key
+        by key through :meth:`decode` (no build or query path decodes)."""
+        keys = np.asarray(keys, dtype=object).ravel()
+        return np.array([self.decode(int(key)) for key in keys],
+                        dtype=np.uint64).reshape(keys.shape[0], self.dim)
 
     # -- scalar Skilling transform ---------------------------------------
 
@@ -173,7 +174,7 @@ class HilbertCurve:
     # -- batch Skilling transform -------------------------------------------
 
     def _axes_to_transpose_batch(self, x: np.ndarray) -> None:
-        """In-place Skilling transform of an ``(dim, count)`` uint64 block.
+        """In-place Skilling transform of an ``(dim, count)`` unsigned block.
 
         Lane-packed: each axis row becomes one Python integer holding
         ``count`` lanes of ``self._lane`` bytes, so each of the
@@ -191,7 +192,7 @@ class HilbertCurve:
         count = x.shape[1]
         ones = int.from_bytes(
             np.ones(count, dtype=self._lane).tobytes(), "little")
-        rows = x.astype(self._lane)
+        rows = x.astype(self._lane, copy=False)
         axes = [int.from_bytes(rows[i].tobytes(), "little")
                 for i in range(n)]
         for level in range(order - 1, 0, -1):
@@ -212,27 +213,6 @@ class HilbertCurve:
         x[:] = np.frombuffer(
             b"".join((axis ^ t).to_bytes(width, "little") for axis in axes),
             dtype=self._lane).reshape(n, count)
-
-    def _transpose_to_axes_batch(self, x: np.ndarray) -> None:
-        n, order = self.dim, self.order
-        if n == 1:
-            return
-        one = np.uint64(1)
-        top = np.uint64(2 << (order - 1))
-        t = x[n - 1] >> one
-        for i in range(n - 1, 0, -1):
-            x[i] ^= x[i - 1]
-        x[0] ^= t
-        q = np.uint64(2)
-        while q != top:
-            p = np.uint64(q - one)
-            for i in range(n - 1, -1, -1):
-                hi = (x[i] & q) != 0
-                x[0] ^= np.where(hi, p, np.uint64(0))
-                t = np.where(hi, np.uint64(0), (x[0] ^ x[i]) & p)
-                x[0] ^= t
-                x[i] ^= t
-            q <<= one
 
     # -- key packing -------------------------------------------------------
 
@@ -257,39 +237,22 @@ class HilbertCurve:
 
         Bit b of the key (from the MSB) is bit ``order - 1 - b // dim`` of
         dimension ``b % dim`` — the same interleave as
-        :meth:`_transpose_to_key`, built as one boolean matrix and packed
-        with ``np.packbits``.  Keys narrower than a whole number of bytes
-        gain *leading* zero bits, matching ``int.to_bytes(..., "big")``.
+        :meth:`_transpose_to_key`.  Each key bit is one contiguous uint8
+        plane over all points, behind ``pad`` zero planes so keys narrower
+        than a whole number of bytes gain *leading* zero bits (matching
+        ``int.to_bytes(..., "big")``); a key byte is the OR of eight
+        weighted planes, and one transpose makes the byte rows key rows.
         """
-        n, order = self.dim, self.order
         count = x.shape[1]
-        planes = np.empty((order, n, count), dtype=np.uint8)
-        for level, q in enumerate(range(order - 1, -1, -1)):
-            planes[level] = (x >> np.uint64(q)) & np.uint64(1)
-        bits = planes.reshape(self.key_bits, count).T
         pad = 8 * self.key_bytes - self.key_bits
-        if pad:
-            bits = np.concatenate(
-                [np.zeros((count, pad), dtype=np.uint8), bits], axis=1)
-        return np.packbits(bits, axis=1)
-
-    def _unpack_keys(self, keys: np.ndarray) -> np.ndarray:
-        n, order = self.dim, self.order
-        count = keys.shape[0]
-        x = np.zeros((n, count), dtype=np.uint64)
-        group_mask = (1 << n) - 1
-        remaining = keys.copy()
-        for q in range(order):
-            # Per-level groups carry n bits: Python ints, masked per dim.
-            groups = [int(remaining[j]) & group_mask for j in range(count)]
-            for j in range(count):
-                remaining[j] = int(remaining[j]) >> n
-            for i in range(n - 1, -1, -1):
-                for j in range(count):
-                    if groups[j] & 1:
-                        x[i, j] |= np.uint64(1 << q)
-                    groups[j] >>= 1
-        return x
+        bits = np.empty((8 * self.key_bytes, count), dtype=np.uint8)
+        bits[:pad] = 0
+        planes = bits[pad:].reshape(self.order, self.dim, count)
+        np.right_shift(x[None], self._plane_shifts[:, None, None], out=planes)
+        planes &= 1
+        octets = bits.reshape(self.key_bytes, 8, count)
+        octets <<= _BIT_WEIGHTS
+        return np.ascontiguousarray(np.bitwise_or.reduce(octets, axis=1).T)
 
 
 def encode_for_curves(curves, coords_list) -> list[np.ndarray]:

@@ -12,6 +12,12 @@ from __future__ import annotations
 import numpy as np
 
 
+def lane_dtype(order: int) -> np.dtype:
+    """Narrowest unsigned dtype holding one ``order``-bit coordinate: the
+    lane of the Hilbert curve's packed batch transform."""
+    return np.dtype(f"<u{next((b for b in (1, 2, 4) if order <= 8 * b), 8)}")
+
+
 class GridQuantizer:
     """Uniform scalar quantiser onto ``2**order`` cells per dimension.
 
@@ -32,13 +38,24 @@ class GridQuantizer:
         self.high = float(high)
         self.order = order
         self.cells = 1 << order
+        self.dtype = lane_dtype(order)
         self._scale = self.cells / (self.high - self.low)
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
-        """Map values to integer grid coordinates in ``[0, 2**order - 1]``."""
-        values = np.asarray(values, dtype=np.float64)
-        cells = np.floor((values - self.low) * self._scale).astype(np.int64)
-        return np.clip(cells, 0, self.cells - 1).astype(np.uint64)
+        """Map values to grid coordinates in ``[0, 2**order - 1]`` as
+        :attr:`dtype` (uint8 at ω <= 8), clipped to the domain in float
+        first: any finite value lands in a cell, none overflows a cast."""
+        cells = np.array(values, dtype=np.float64)
+        np.clip(cells, self.low, self.high, out=cells)
+        cells -= self.low
+        cells *= self._scale
+        np.floor(cells, out=cells)
+        np.minimum(cells, self.cells - 1, out=cells)
+        coords = cells.astype(self.dtype)
+        if self.cells > 1 << 53:
+            # cells - 1 is no float64 here; the float minimum was cells.
+            np.minimum(coords, self.cells - 1, out=coords)
+        return coords
 
     def dequantize(self, cells: np.ndarray) -> np.ndarray:
         """Map grid coordinates back to cell-centre values."""

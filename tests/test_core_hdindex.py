@@ -1,9 +1,13 @@
 """Integration tests for the full HD-Index (Algo. 1 + Algo. 2)."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from repro.core import HDIndex, HDIndexParams
+from repro.core import HDIndex, HDIndexParams, save_index
+from repro.datasets import make_dataset
 from repro.eval import exact_knn, mean_average_precision
 
 
@@ -251,3 +255,109 @@ class TestAccounting:
         ids_a, _ = first.query(queries[0], 10)
         ids_b, _ = second.query(queries[0], 10)
         np.testing.assert_array_equal(ids_a, ids_b)
+
+
+def snapshot_digests(directory):
+    """sha256 prefix of every snapshot file; ``references.npz`` by its
+    arrays, since the zip container stamps each member with a time."""
+    digests = {}
+    for path in sorted(directory.iterdir()):
+        if path.suffix == ".npz":
+            with np.load(path) as arrays:
+                blob = b"".join(name.encode() + arrays[name].tobytes()
+                                for name in sorted(arrays.files))
+        else:
+            blob = path.read_bytes()
+        digests[path.name] = hashlib.sha256(blob).hexdigest()[:16]
+    return digests
+
+
+class TestFrozenBuild:
+    """Every file of three seeded n = 3000 snapshots, hashed at the
+    commit before the build ran in row blocks (quantised once into the
+    lane dtype, keys packed from uint8 planes, SSS distances through one
+    scratch): a faster build may not move a byte.  The labelled build
+    quantises at ω = 7, so its keys (21 or 22 dims x 7 bits) are not a
+    whole number of bytes."""
+
+    DIGESTS = {
+        "memory": {
+            "descriptors.pages": "16d6c31fdf8291e5",
+            "meta.json": "249fb79189c63154",
+            "references.npz": "f44136192ad46105",
+            "tree_0.packed": "4b8cc1a3dbdba752",
+            "tree_1.packed": "26fb024234e815e2",
+            "tree_2.packed": "45b53e0150ae49fb",
+            "tree_3.packed": "cfdd37ece301828f",
+            "tree_4.packed": "66c811075a9addc1",
+            "tree_5.packed": "bc7d667d1fb9cc55",
+        },
+        "streaming": {
+            "descriptors.pages": "16d6c31fdf8291e5",
+            "meta.json": "1b06ddb27fdce802",
+            "references.npz": "17ce5fcbb1dc712e",
+            "tree_0.packed": "ceabbef11b63b2ee",
+            "tree_1.packed": "5b4511a5f79499c4",
+            "tree_2.packed": "692a8c2818e0458e",
+            "tree_3.packed": "9819a4ecd515d312",
+            "tree_4.packed": "6a309a8c0132d72a",
+            "tree_5.packed": "92ae728cf8399efe",
+        },
+        "labelled": {
+            "descriptors.pages": "16d6c31fdf8291e5",
+            "meta.json": "7cc6ac4e2c0187d6",
+            "metadata.packed": "9a3ae8688ae8ea4e",
+            "references.npz": "f44136192ad46105",
+            "tree_0.packed": "2c74fc0ad1cb380f",
+            "tree_1.packed": "4c6c017ea99fa7e3",
+            "tree_2.packed": "cdd515832b154037",
+            "tree_3.packed": "28b3c3a1fcbe7ec4",
+            "tree_4.packed": "c2d716ef28b2681c",
+            "tree_5.packed": "1276c05478843750",
+        },
+    }
+
+    @staticmethod
+    def build(kind, directory):
+        dataset = make_dataset("sift10k", 3000, 1, seed=29)
+        params = dict(num_trees=6, num_references=6, alpha=64, gamma=16,
+                      seed=29)
+        if kind == "streaming":
+            index = HDIndex(HDIndexParams(reference_method="random",
+                                          **params))
+            index.build_from_chunks(dataset.data[start:start + 700]
+                                    for start in range(0, 3000, 700))
+        elif kind == "labelled":
+            index = HDIndex(HDIndexParams(hilbert_order=7,
+                                          domain=(0.0, 255.0), **params))
+            index.build(dataset.data, metadata=[
+                {"label": row % 5} for row in range(3000)])
+        else:
+            index = HDIndex(HDIndexParams(**params))
+            index.build(dataset.data)
+        save_index(index, str(directory))
+        index.close()
+
+    @pytest.mark.parametrize("kind", ["memory", "streaming", "labelled"])
+    def test_snapshot_files_are_the_parents(self, kind, tmp_path):
+        self.build(kind, tmp_path)
+        assert snapshot_digests(tmp_path) == self.DIGESTS[kind]
+
+
+class TestBuildMemory:
+    def test_no_stage_allocates_an_n_by_nu_float64_array(self):
+        """What a build holds besides its heap stays under one n x ν
+        float64 array: before the row-block kernels each SSS pass
+        allocated exactly that (peak - heap 13.8 MB here, against 7.4 MB
+        since and a bound of 10.24 MB)."""
+        data = np.random.default_rng(5).uniform(0.0, 255.0,
+                                                size=(20000, 64))
+        index = HDIndex(HDIndexParams(num_trees=4, num_references=4,
+                                      seed=0))
+        tracemalloc.start()
+        try:
+            index.build(data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < index.heap.page_matrix().nbytes + data.nbytes

@@ -1,5 +1,7 @@
 """Unit tests for reference object selection (Sec. 3.3)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -144,3 +146,19 @@ class TestReferenceSet:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             ReferenceSet(np.zeros(5))
+
+
+class TestSelectionMemory:
+    def test_sss_passes_hold_no_n_by_nu_temporary(self):
+        """Each SSS / dmax pass streams through ~1 MB row blocks: the
+        peak is a few n-vectors plus one scratch, where every pass used
+        to allocate an n x ν float64 difference (10.7 MB here)."""
+        data = np.random.default_rng(5).uniform(0.0, 255.0,
+                                                size=(20000, 64))
+        tracemalloc.start()
+        try:
+            select_sss(data, 10, np.random.default_rng(0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < data.nbytes // 4

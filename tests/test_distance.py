@@ -1,5 +1,7 @@
 """Unit and property tests for the distance kernels."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,11 +9,14 @@ from hypothesis.extra import numpy as hnp
 
 from repro.distance import (
     DistanceCounter,
+    distances_to_many,
     euclidean,
     euclidean_to_many,
+    normalize_rows,
     pairwise_euclidean,
     top_k_smallest,
 )
+from repro.distance.metrics import BLOCK_BYTES, _normalize_one, block_rows
 
 finite_floats = st.floats(min_value=-1e6, max_value=1e6,
                           allow_nan=False, allow_infinity=False)
@@ -50,6 +55,61 @@ class TestEuclidean:
         got = euclidean_to_many(np.zeros(3), np.asarray([3.0, 0.0, 4.0]))
         assert got.shape == (1,)
         assert got[0] == pytest.approx(5.0)
+
+
+def one_shot_distances(query, points, metric):
+    """The kernel before it ran in row blocks: one float64 copy of the
+    rows, one n x ν difference, one ``einsum``."""
+    query = np.asarray(query, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    if metric != "euclidean":
+        query = _normalize_one(query)
+        points = normalize_rows(points)
+    if metric == "cosine":
+        return 1.0 - points @ query
+    diff = points - query[None, :]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+class TestBlockedKernel:
+    """The row-blocked kernel is the one-shot formula byte for byte: on
+    each side of every block boundary, for narrow and wide rows, float32
+    and float64 input and every metric (angular and cosine over rows
+    that are, and are not, unit length already)."""
+
+    #: (whole blocks, extra rows): 1, B - 1, B, B + 1 and 3B + 7 rows.
+    ROWS = [(0, 1), (1, -1), (1, 0), (1, 1), (3, 7)]
+
+    @given(st.sampled_from([1, 17, 128, 960]), st.sampled_from(ROWS),
+           st.sampled_from([np.float32, np.float64]),
+           st.sampled_from(["euclidean", "angular", "cosine"]),
+           st.booleans(), st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_equals_one_shot_formula(self, dim, rows, dtype, metric,
+                                     unit, seed):
+        blocks, extra = rows
+        count = blocks * block_rows(dim) + extra
+        rng = np.random.default_rng(seed)
+        points = rng.normal(0.0, 40.0, size=(count, dim)).astype(dtype)
+        if unit:
+            points = normalize_rows(points).astype(dtype)
+        query = rng.normal(0.0, 40.0, size=dim)
+        got = distances_to_many(query, points, metric)
+        assert got.dtype == np.float64 and got.shape == (count,)
+        assert got.tobytes() == one_shot_distances(
+            query, points, metric).tobytes()
+
+    def test_float32_input_is_not_copied_whole(self):
+        """The float32 rows are widened block by block: the kernel's
+        peak is its output plus one ~1 MB scratch, not n x ν float64."""
+        points = np.ones((20000, 64), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            distances_to_many(np.zeros(64), points)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 20000 * 8 + 2 * BLOCK_BYTES
 
 
 class TestPairwise:

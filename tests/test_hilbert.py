@@ -1,10 +1,13 @@
 """Unit and property tests for the Hilbert curve (Butz/Skilling)."""
 
 import hashlib
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core import HDIndex, HDIndexParams, save_index
 from repro.hilbert import GridQuantizer, HilbertCurve, encode_for_curves
@@ -249,6 +252,26 @@ class TestKeysAreFrozen:
             curve.decode_batch(curve.encode_batch(points)),
             points.astype(np.uint64))
 
+    @given(st.integers(min_value=1, max_value=40),
+           st.integers(min_value=1, max_value=20),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_pack_matches_scalar_key_off_byte_boundaries(
+            self, dim, order, count, seed):
+        """``_pack_key_bytes`` over lane-dtype planes against the scalar
+        interleave, at η·ω not a multiple of 8 (leading pad bits)."""
+        assume(dim * order % 8)
+        curve = HilbertCurve(dim, order)
+        rng = np.random.default_rng(seed)
+        transposed = rng.integers(0, 1 << order, size=(dim, count))
+        raw = curve._pack_key_bytes(transposed.astype(curve._lane))
+        assert raw.shape == (count, curve.key_bytes)
+        for row in range(count):
+            key = curve._transpose_to_key(
+                [int(v) for v in transposed[:, row]])
+            assert raw[row].tobytes() == key.to_bytes(curve.key_bytes, "big")
+
     def test_golden_digest_of_encode_for_curves(self):
         """Computed at the commit before the lane-packed transform."""
         rng = np.random.default_rng(2016)
@@ -327,3 +350,52 @@ class TestGridQuantizer:
         values = np.linspace(0.0, 1.0, 200)
         cells = quantizer.quantize(values)
         assert np.all(np.diff(cells.astype(np.int64)) >= 0)
+
+    @pytest.mark.parametrize("order,dtype", [(1, np.uint8), (8, np.uint8),
+                                             (9, np.uint16), (16, np.uint16),
+                                             (17, np.uint32), (33, np.uint64),
+                                             (62, np.uint64)])
+    def test_cells_come_in_the_curves_lane_dtype(self, order, dtype):
+        quantizer = GridQuantizer(0.0, 1.0, order)
+        cells = quantizer.quantize(np.asarray([-1.0, 0.5, 2.0]))
+        assert cells.dtype == dtype == HilbertCurve(1, order)._lane
+        assert cells.tolist() == [0, 1 << (order - 1), (1 << order) - 1]
+
+    def test_huge_finite_values_clip_to_the_edge_cells(self):
+        """Through an int64 cast ±1e300 overflowed (with a RuntimeWarning)
+        to cell 0 on both sides; run warnings-as-errors
+        in a fresh interpreter so no filter of this one hides it."""
+        script = textwrap.dedent("""
+            import numpy as np
+            from repro.hilbert import GridQuantizer
+            quantizer = GridQuantizer(0.0, 255.0, 8)
+            cells = quantizer.quantize(np.asarray([-1e300, 300.0, 1e300]))
+            assert cells.tolist() == [0, 255, 255], cells.tolist()
+            big = GridQuantizer(0.0, 1.0, 62).quantize(np.asarray([1e300]))
+            assert big.tolist() == [(1 << 62) - 1], big.tolist()
+        """)
+        done = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
+    @given(st.floats(min_value=-1e3, max_value=1e3),
+           st.floats(min_value=1e-3, max_value=1e4),
+           st.integers(min_value=1, max_value=62),
+           st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                    min_size=1, max_size=24))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_int64_clip_below_two_to_the_63(self, low, span,
+                                                        order, values):
+        """Wherever the scaled value fits int64, the float clip gives
+        the int64 clip's cell (the quantiser before the fix)."""
+        quantizer = GridQuantizer(low, low + span, order)
+        values = np.asarray(values)
+        with np.errstate(invalid="ignore", over="ignore"):
+            scaled = np.floor((values - quantizer.low) * quantizer._scale)
+            fits = np.abs(scaled) < 2.0 ** 63
+            int64_clip = np.clip(scaled.astype(np.int64), 0,
+                                 quantizer.cells - 1).astype(np.uint64)
+        got = quantizer.quantize(values)
+        np.testing.assert_array_equal(got[fits].astype(np.uint64),
+                                      int64_clip[fits])
+        assert np.all(got.astype(np.uint64) <= quantizer.cells - 1)

@@ -114,9 +114,11 @@ class TestStreamingBuild:
                     assert _is_mapped(column)
                     assert not column.flags.writeable
             assert not list(tmp_path.glob("tree_*.pages"))
-            assert index.build_memory_bytes() < 2 * (
-                N * 5 * 8 + N * index.trees[0].curve.key_bytes
-                + index.STREAM_CHUNK_ROWS * DIM * 8)
+            # One block of grid coordinates in the lane dtype (uint8).
+            assert index.quantizer.dtype == np.uint8
+            coords = index.STREAM_CHUNK_ROWS * DIM
+            assert coords < index.build_memory_bytes() < 2 * (
+                N * 5 * 8 + N * index.trees[0].curve.key_bytes + coords)
         finally:
             index.close()
 
