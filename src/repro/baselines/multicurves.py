@@ -22,11 +22,7 @@ import numpy as np
 from repro.btree.packed import PackedTree, bulk_load, leaf_capacity
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.partition import contiguous_partition
-from repro.distance.metrics import (
-    DistanceCounter,
-    euclidean_to_many,
-    top_k_smallest,
-)
+from repro.distance.metrics import DistanceCounter, euclidean_to_many
 from repro.hilbert.butz import HilbertCurve
 from repro.hilbert.quantize import GridQuantizer
 from repro.storage.codecs import UIntCodec
@@ -122,34 +118,29 @@ class Multicurves(KNNIndex):
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
         per_curve = max(k, self.alpha // self.num_curves)
-        best: dict[int, float] = {}
+        ids, dists = [], []
         for tree, stats, curve, part in zip(self.trees, self.tree_stats,
                                             self.curves, self.partitions):
             coords = self.quantizer.quantize(point[part])[None, :]
             key = int(curve.encode_batch(coords)[0])
             window = tree.nearest_positions(tree.key_codec.encode(key),
                                             per_curve, stats)
-            if not window.size:
-                continue
             records = tree.values_raw[window].view(self._record).ravel()
-            ids = records["id"].astype(np.int64)
-            distances = euclidean_to_many(
-                point, records["vector"].astype(np.float64), counter)
-            for object_id, distance in zip(ids, distances):
-                object_id = int(object_id)
-                if object_id not in best or distance < best[object_id]:
-                    best[object_id] = float(distance)
-        merged_ids = np.fromiter(best.keys(), dtype=np.int64, count=len(best))
-        merged_dists = np.fromiter(best.values(), dtype=np.float64,
-                                   count=len(best))
-        top = top_k_smallest(merged_dists, min(k, len(merged_ids)))
+            ids.append(records["id"].astype(np.int64))
+            dists.append(euclidean_to_many(
+                point, records["vector"].astype(np.float64), counter))
+        ids, dists = np.concatenate(ids), np.concatenate(dists)
+        # Each id once, at its nearest copy; ties by id (windows are sets).
+        order = np.lexsort((ids, dists))
+        first = np.sort(np.unique(ids[order], return_index=True)[1])
+        top = order[first[:k]]
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
             page_reads=self._page_reads() - reads_before,
-            candidates=len(best),
+            candidates=first.size,
             distance_computations=counter.count,
         )
-        return merged_ids[top], merged_dists[top]
+        return ids[top], dists[top]
 
     def index_size_bytes(self) -> int:
         # τ trees each embedding the full dataset: the paper's huge index.

@@ -7,12 +7,11 @@ boundaries and the page ids of the leaf and internal levels.  On that,
 
 * descent is ``np.searchsorted`` over the per-leaf minimum keys, its
   internal pages one row of an ancestor table made with the layout,
-* the bidirectional nearest-by-key merge is one stable argsort of both
-  windows' key distances, taken from one run of keys converted once into
-  native 64-bit words and ranked by their leading word (the rare ties
-  settled exactly) — a slice of the key column either side of the query
-  key or, for a lookup among a subset of the entries (a filtered query's
-  eligible ones), the subset's positions there, and
+* the bidirectional nearest-by-key merge picks one run of positions, so
+  one comparison of leading distance words over a run of keys (the rare
+  ties settled exactly) counts its forward picks — a slice of the key
+  column either side of the query key or, for a lookup among a subset of
+  the entries (a filtered query's eligible ones), the subset there, and
 * range scans slice the arrays directly.
 
 These columns **are the tree**, for the RDB-trees
@@ -161,13 +160,16 @@ class PackedTree:
     def nearest_positions(self, key: bytes, count: int, stats=None,
                           subset: np.ndarray | None = None) -> np.ndarray:
         """Global entry positions of the ``count`` nearest-by-key entries,
-        in exactly the order the node path's bidirectional merge emits them
-        (forward wins distance ties; within a direction, key order).
+        ascending: the set the node path's bidirectional merge emits
+        (forward wins distance ties).  The merge takes ``f`` entries from
+        the split on and the rest behind it, so the answer is one run of
+        positions and ``f`` is counted, not sorted for.
 
         ``subset`` (ascending entry positions; integer keys only) makes
         that the ``count`` nearest *among those positions*: what the same
         merge emits when it passes over every other entry and stops at the
-        ``count``-th one it accepts, or where both directions run dry.
+        ``count``-th one it accepts, or where both directions run dry — a
+        run of the subset.
 
         When ``stats`` is given, the page-read sequence the node path would
         have issued for the same call is replayed into it.
@@ -180,32 +182,44 @@ class PackedTree:
         leaf = max(0, int(self.min_key_S.searchsorted(scalar, "right")) - 1)
         split = max(gbl, int(self.leaf_starts[leaf]))
         if subset is None:
-            run = slice(max(0, split - count), min(n, split + count))
-            behind, total = split - run.start, min(count, n)
+            start = max(0, split - count)
+            run = slice(start, min(n, split + count))
+            behind, total = split - start, min(count, n)
         else:
             if self._kind != "uint":
                 raise ValueError("subset lookups need integer keys")
             at = int(subset.searchsorted(split))
             run = subset[max(0, at - count):at + count]
             behind, total = min(at, count), min(count, subset.size)
-        rank_f, rank_b = self._merge_ranks(key, run, behind, total)
-        out = np.empty(total, dtype=np.int64)
-        if subset is None:
-            out[rank_f] = np.arange(split, split + rank_f.size)
-            out[rank_b] = np.arange(split - 1, split - 1 - rank_b.size, -1)
-        else:
-            out[rank_f] = run[behind:behind + rank_f.size]
-            out[rank_b] = run[behind - rank_b.size:behind][::-1]
+        words = self._key_words(self.key_S[run])
+        dist = self._distances(key, words, behind)
+        # Forward row r is picked iff it is no farther than row r - total
+        # (always, where there is none): true on a prefix of the rows.
+        first, last = max(behind, total), min(dist.size, behind + total)
+        ahead = first - behind + np.count_nonzero(self._no_farther(
+            key, words, dist, slice(first, last),
+            slice(first - total, last - total)))
+        low = behind + ahead - total  # the row of the farthest backward pick
         if stats is not None:
+            window = None
             if subset is None:
-                taken = None
+                taken, window = (ahead, total - ahead), (start, words, dist)
             elif total < count:
                 taken = n - split, split  # both directions ran dry
             else:
-                taken = self._raw_taken(key, split, int(out[-1]))
+                # Up to the last pick: the farther of the two frontier
+                # picks, the backward one (row low) on a tie.
+                pick = behind + ahead - 1
+                if not ahead or ahead < total and self._no_farther(
+                        key, words, dist, slice(pick, pick + 1),
+                        slice(low, low + 1))[0]:
+                    pick = low
+                taken = self._raw_taken(key, split, int(run[pick]))
             stats.record_read_many(
-                self._nearest_trace(key, leaf, split, rank_f, rank_b, taken))
-        return out
+                self._nearest_trace(key, leaf, split, taken, window))
+        if subset is None:
+            return np.arange(start + low, start + low + total)
+        return run[low:low + total].copy()
 
     def entries(self, positions: np.ndarray) -> list[tuple[bytes, bytes]]:
         """Materialise ``(key, value)`` byte pairs for global positions."""
@@ -253,42 +267,14 @@ class PackedTree:
     def _scalar(self, key: bytes):
         return np.frombuffer(key, dtype=f"S{self.key_width}", count=1)[0]
 
-    def _merge_ranks(self, key: bytes, run, behind: int,
-                     total: int) -> tuple[np.ndarray, np.ndarray]:
-        """Ranks, in the merge by key distance of a forward and a backward
-        window, of the forward and of the backward entries that land below
-        ``total`` (each in its direction's order, nearest first).
-
-        ``run`` is a slice of the key column or an ascending array of
-        positions in it, the backward window its first ``behind`` entries.
-        Both windows' distances ascend, so a stable argsort of the forward
-        ones then the backward ones merges two runs, forward winning ties.
-        """
-        words = self._key_words(self.key_S[run])
-        dist = self._window_distances(key, words, behind)
-        ahead = dist.size - behind
-        from_forward = dist.argsort(kind="stable")[:total] < ahead
-        rank_f = from_forward.nonzero()[0]
-        if self._words > 1 and behind:
-            dist_f, dist_b = dist[:ahead], dist[ahead:]
-            nearer = rank_f - np.arange(rank_f.size)
-            tied = (dist_b.take(nearer, mode="clip")
-                    == dist_f[:rank_f.size]).nonzero()[0]
-            if tied.size:  # settling only moves tied forward entries later
-                self._settle_ties(key, words, behind, dist_f, dist_b,
-                                  rank_f, tied)
-                rank_f = rank_f[:int(rank_f.searchsorted(total))]
-                return rank_f, np.delete(np.arange(total), rank_f)
-        return rank_f, (~from_forward).nonzero()[0]
-
-    def _window_distances(self, key: bytes, words: np.ndarray,
-                          behind: int) -> np.ndarray:
-        """|key distance| of the forward window's entries, ascending, then
-        of the backward window's, nearest first, from the run's keys as
-        native words (:meth:`_key_words`).  An integer distance is its
-        leading word, the head difference minus the borrow out of the tail
-        words: exact up to 8 bytes, else up to ties (:meth:`_settle_ties`).
-        """
+    def _distances(self, key: bytes, words: np.ndarray,
+                   behind: int) -> np.ndarray:
+        """|key distance| of keys given as native words (:meth:`_key_words`),
+        the first ``behind`` of them below ``key`` and the rest not (so in
+        a run of the column both halves ascend away from the split).  An
+        integer distance is its leading word, the head difference minus
+        the borrow out of the tail words: exact up to 8 bytes, else up to
+        ties (:meth:`_exact`)."""
         column = words[:, 0]
         if self._kind == "float":
             sign = np.uint64(1) << np.uint64(63)
@@ -299,19 +285,19 @@ class PackedTree:
             target = np.frombuffer(key.ljust(8 * self._words, b"\0"),
                                    dtype=">u8").astype(np.uint64)
             head = target[0]
-        # Windows lie on the proper side of the split, so both differences
-        # are non-negative and need no abs().
-        dist_f = column[behind:] - head
-        dist_b = head - column[:behind][::-1]
+        # Below the key the difference is negative: negated, it is
+        # head - column exactly (in float too), so nothing needs abs().
+        dist = column - head
+        np.negative(dist[:behind], out=dist[:behind])
         if self._words > 1:  # m - s borrows where m's tail is below s's
-            for dist, m, s in ((dist_f, words[behind:], target),
-                               (dist_b, target, words[:behind][::-1])):
+            for part, m, s in ((dist[behind:], words[behind:], target),
+                               (dist[:behind], target, words[:behind])):
                 borrow = m[..., -1] < s[..., -1]
                 for word in range(self._words - 2, 0, -1):
                     borrow = (m[..., word] < s[..., word]) | (
                         (m[..., word] == s[..., word]) & borrow)
-                dist -= borrow
-        return np.concatenate([dist_f, dist_b])
+                part -= borrow
+        return dist
 
     def _key_words(self, keys: np.ndarray) -> np.ndarray:
         """Native words of a 1-D ``S`` array of keys, zero-padded right."""
@@ -322,33 +308,30 @@ class PackedTree:
             keys = padded
         return keys.view(">u8").astype(np.uint64).reshape(-1, self._words)
 
-    def _settle_ties(self, key: bytes, words: np.ndarray, behind: int,
-                     dist_f: np.ndarray, dist_b: np.ndarray,
-                     rank_f: np.ndarray, tied: np.ndarray) -> None:
-        """Make ``rank_f`` exact for the forward entries ``tied`` whose
-        leading distance word equals some backward entry's.
+    def _no_farther(self, key: bytes, words: np.ndarray, dist: np.ndarray,
+                    rows: slice, partners: slice) -> np.ndarray:
+        """Whether each key of ``rows`` is at most as far from ``key`` as
+        the key at the same place of ``partners`` (rows of ``words`` and of
+        their :meth:`_distances`): the leading words compared, the pairs
+        whose leading words tie settled exactly (:meth:`_exact`)."""
+        near, far = dist[rows], dist[partners]
+        closer = near <= far
+        if self._words > 1:
+            tied = (near == far).nonzero()[0]
+            if tied.size:
+                closer[tied] = (self._exact(key, words[rows][tied])
+                                <= self._exact(key, words[partners][tied]))
+        return closer
 
-        Rare (a forward and a backward distance must agree in their top
-        64 bits), so the tied entries of both windows are compared as
-        exact Python integers: among the tied backward entries, those
-        strictly nearer replace those with a smaller leading word, which
-        ``rank_f`` already counts.
-        """
-        values = dist_f[tied]  # ascending, like every window's distances
-        found = values.searchsorted(dist_b)
-        tied_b = (values.take(found, mode="clip") == dist_b).nonzero()[0]
+    def _exact(self, key: bytes, words: np.ndarray) -> np.ndarray:
+        """|key distance| of rows of key words as an object array of
+        Python integers: the one exact comparison at any key width, for
+        the rare entries whose leading distance words tie."""
         target = int.from_bytes(key.ljust(8 * self._words, b"\0"), "big")
-        exact_f = self._exact_keys(words[behind + tied]) - target
-        exact_b = target - self._exact_keys(words[behind - 1 - tied_b])
-        rank_f[tied] += (np.searchsorted(exact_b, exact_f, side="left")
-                         - np.searchsorted(dist_b[tied_b], values,
-                                           side="left"))
-
-    def _exact_keys(self, words: np.ndarray) -> np.ndarray:
-        """Rows of key words as an object array of Python integers."""
         raw, width = words.astype(">u8").tobytes(), 8 * self._words
-        return np.array([int.from_bytes(raw[at:at + width], "big")
-                         for at in range(0, len(raw), width)], dtype=object)
+        return np.array([abs(int.from_bytes(raw[at:at + width], "big")
+                             - target) for at in range(0, len(raw), width)],
+                        dtype=object)
 
     def _raw_taken(self, key: bytes, split: int,
                    last: int) -> tuple[int, int]:
@@ -391,50 +374,50 @@ class PackedTree:
         return self._descents[leaf_index]
 
     def _nearest_trace(self, key: bytes, leaf: int, split: int,
-                       rank_f: np.ndarray, rank_b: np.ndarray,
-                       taken: tuple[int, int] | None) -> np.ndarray:
-        """The node path's exact read sequence for one ``nearest`` call,
-        given the merge ranks of the picked forward / backward entries
-        and, when the merge passed over entries (a ``subset`` lookup), how
-        many it ``taken`` from each direction in all.
+                       taken: tuple[int, int], window: tuple | None
+                       ) -> np.ndarray:
+        """The node path's exact read sequence for one ``nearest`` call
+        that ``taken`` (forward, backward) entries from each direction,
+        picked or passed over; ``window`` is a plain lookup's (first
+        position, key words, distances), which hold every pick.
 
         Both scan generators descend (the descent row appears twice); each
         may read one sibling before producing its first entry.  After
         that, a stream reads its next leaf on the lookahead ``next()``
         that follows each pick, so every later read is keyed to the pick
-        that triggered it: by its merge rank or, picks passed over having
-        none, by ranking those boundary entries alone.
+        that triggered it and goes in the merge's order of those picks:
+        by distance, forward first on a tie, backward nearest first.
         """
         n = self.count
         starts, pages = self.leaf_starts, self.leaf_pages
-        taken_f, taken_b = taken or (rank_f.size, rank_b.size)
-        # Forward entry i (position split + i) is consumed after forward
-        # pick #i and reads a page iff it opens a leaf: those starting in
-        # (split, split + limit_f].  Backward entry t, at split - 1 - t,
-        # reads the left sibling iff it closes its leaf: those starting
-        # in [split - limit_b, split).
-        limit_f = max(0, min(taken_f, n - split - 1))
-        limit_b = max(0, min(taken_b, split - 1))
+        # Forward entry i (position split + i) is consumed after the pick
+        # of entry i - 1 and reads a page iff it opens a leaf: those
+        # starting in (split, split + limit_f].  Backward entry t, at
+        # split - 1 - t, reads the left sibling iff it closes its leaf:
+        # those starting in [split - limit_b, split).
+        limit_f = max(0, min(taken[0], n - split - 1))
+        limit_b = max(0, min(taken[1], split - 1))
         lo_f, hi_f, lo_b, hi_b = starts.searchsorted(
             (split + 1, split + limit_f + 1, split - limit_b, split))
-        opened, pages_f = starts[lo_f:hi_f], pages[lo_f:hi_f]
-        closed, pages_b = starts[lo_b:hi_b], pages[lo_b - 1:hi_b - 1]
-        if taken is None:
-            when_f = rank_f[opened - (split + 1)]
-            when_b = rank_b[(split - 1) - closed]
+        picks = np.concatenate([starts[lo_f:hi_f] - 1,
+                                starts[lo_b:hi_b][::-1]])
+        if window is None:  # passed-over picks; reversed, lower keys first
+            words = self._key_words(self.key_S[picks[::-1]])[::-1]
+            dist = self._distances(key, words[::-1], hi_b - lo_b)[::-1]
         else:
-            when_f, when_b = self._merge_ranks(
-                key, np.concatenate([closed, opened - 1]), closed.size,
-                opened.size + closed.size)
-            when_b = when_b[::-1]
-        order = np.concatenate([when_f, when_b]).argsort(kind="stable")
+            words, dist = (part[picks - window[0]] for part in window[1:])
+        order = dist.argsort(kind="stable")
+        ranked = dist[order]
+        if self._words > 1 and (ranked[1:] == ranked[:-1]).any():
+            order = self._exact(key, words).argsort(kind="stable")
         descent = self._descent_pages(leaf)
         sibling_f = split < n and split == starts[leaf + 1]
         sibling_b = 0 < split == starts[leaf]
         return np.concatenate([
             descent, pages[leaf + 1:leaf + 1 + sibling_f],
             descent, pages[leaf - 1:leaf - 1 + sibling_b],
-            np.concatenate([pages_f, pages_b])[order]])
+            np.concatenate([pages[lo_f:hi_f],
+                            pages[lo_b - 1:hi_b - 1][::-1]])[order]])
 
     # -- serialisation ----------------------------------------------------
 

@@ -30,12 +30,11 @@ MRPT/HDIdx-style:
   computed once per call, not per row;
 * one (m, τ, α) block of reference distances that each row's descents
   refill and one :meth:`QueryEngine.filter_survivors` cuts, Eq. 6's
-  weights built once a row (655 KB at τ = 8, α = 1024, m = 10: in L2).
+  weights built once a row (655 KB at τ = 8, α = 1024, m = 10: in L2)
+  and its bound computed once per distinct object of the row.
 
 The one-point entry (:meth:`QueryEngine.run`) is that pipeline at Q = 1
-with the padding stripped.  The scalar pieces kept beside it (the
-node-path tree walk, per-point ``curve.encode``) are the reference the
-tests and benches compare the pipeline against.
+with the padding stripped.
 """
 
 from __future__ import annotations
@@ -70,6 +69,22 @@ def sorted_union(arrays: Sequence[np.ndarray]) -> np.ndarray:
     keep = np.ones(ids.shape[0], dtype=bool)
     np.not_equal(ids[1:], ids[:-1], out=keep[1:])
     return ids[keep]
+
+
+def representatives(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(each entry's representative, the representatives) as indices of
+    ``ids``, without a sort or anything sized by the ids' range: the entry
+    left in its slot of a table of at least 4x as many slots (a power of
+    two, ``slot = id & (size - 1)``) stands for its id's entries; another
+    id's entries there (a collision) stand for themselves."""
+    size = 1 << (4 * ids.shape[0] - 1).bit_length()
+    slot = ids & (size - 1)
+    own = np.arange(ids.shape[0])
+    table = np.empty(size, dtype=np.intp)
+    table[slot] = own
+    rep = table.take(slot)
+    np.copyto(rep, own, where=ids.take(rep) != ids)
+    return rep, (rep == own).nonzero()[0]
 
 
 class Executor:
@@ -267,10 +282,16 @@ class QueryEngine:
         # The survivors' columns in the (m, τ·α') block, cut by cut.
         columns = (keep + width * rows).ravel()
         if ptolemaic:
-            ptol = ptolemaic_lower_bounds_many(
-                query_ref, np.take(block, columns, axis=1).T,
+            # Eq. 6 reads an object's stored distances alone, so it runs
+            # once per distinct β-survivor and each copy takes that bound
+            # (a tree holds an id once: one tree repeats none).
+            rep, own = (representatives(np.take(cand_ids, columns))
+                        if trees > 1 else (slice(None), slice(None)))
+            ptol = np.empty(columns.shape[0])
+            ptol[own] = ptolemaic_lower_bounds_many(
+                query_ref, np.take(block, columns[own], axis=1).T,
                 self.index.references.pairs)
-            cut = filter_candidates(ptol.reshape(keep.shape), gamma)
+            cut = filter_candidates(ptol[rep].reshape(keep.shape), gamma)
             columns = np.take(columns, (cut + keep.shape[1] * rows).ravel())
         return np.take(cand_ids, columns).reshape(trees, -1)
 

@@ -218,8 +218,8 @@ class RDBTree(ModelledPool):
         native output).  Returns (object_ids, reference_distances) with
         shapes (α',) and (α', m), α' ≤ α on a small tree or ``subset``:
         float64 from the stored ``>f4`` in one pass, reference-major (the
-        transpose is C-contiguous, what Eq. 5/6 reduce over); one run of
-        the value column in key order, or under a ``subset`` nearest first.
+        transpose is C-contiguous, what Eq. 5/6 reduce over); in key
+        order, without a ``subset`` one slice of the value column.
         ``out``, the engine's slices of a row block, is filled instead; a
         window of another length raises :class:`CandidateWindowError`.
         """
@@ -234,7 +234,7 @@ class RDBTree(ModelledPool):
             raise CandidateWindowError(
                 f"{window.size} candidates for a block of {ids.shape[0]}")
         if subset is None and window.size:
-            start = int(window.min())
+            start = int(window[0])
             window = slice(start, start + window.size)
         object_ids, reference_view = self._records()
         ids[...] = object_ids[window]

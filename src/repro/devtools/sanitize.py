@@ -24,13 +24,12 @@ storage and tree layers with cross-checking shims:
   :class:`~repro.devtools.nodewalk.NodeWalk`, the node-by-node walk of
   the same entries, made once per layout (a lookup among a subset of
   the entries as the same walk passing over the others), with both
-  sides recording into sandboxed :class:`~repro.storage.stats.IOStats`;
-  the two answers must be byte-identical and the two I/O traces (totals
-  *and* random/sequential split) must agree, query by query: the array
-  path reads what a node-by-node walk would read, enforced at runtime
-  rather than by a handful of parity tests.  The block ``candidates``
-  returns must also be finite: Eq. 6 is a product, and a zero weight
-  times a NaN or inf is NaN.
+  sides recording their page ids into a sandbox; the two answers must
+  be the same set of entries and the two page sequences equal read for
+  read, query by query: the array path reads what a node-by-node walk
+  would read, enforced at runtime rather than by a handful of parity
+  tests.  The block ``candidates`` returns must also be finite: Eq. 6 is
+  a product, and a zero weight times a NaN or inf is NaN.
 * **Fold postconditions** — when ``HDIndex._fold_delta`` (the only
   code that changes a built base) returns, the heap, every RDB-tree
   and the metadata store hold exactly ``count`` rows, every tree's key
@@ -153,35 +152,38 @@ def _install_heap_checks() -> None:
 
 
 def _cross_check(search: Callable[..., Any], packed: Any, key: bytes,
-                 count: int, stats: Any, subset: Any) -> None:
+                 count: int, subset: Any) -> None:
     """Run the packed ``search`` and the node walk of the same entries
-    side by side, into sandboxed stats that continue the access pattern
-    of ``stats`` (an :class:`IOStats`, or a modelled pool holding one);
-    answers and I/O traces must agree.  With a ``subset`` the walk
-    accepts the entries at those positions only."""
-    from repro.storage.stats import IOStats
-
-    last = getattr(getattr(stats, "stats", stats), "_last_read_page", -2)
-    packed_stats, walk_stats = (IOStats(_last_read_page=last)
-                                for _ in range(2))
-    packed_entries = packed.entries(
-        search(packed, key, count, packed_stats, subset))
+    side by side, each recording into a sandbox: the answers must be the
+    same set of entries and the page-read sequences the same, read for
+    read (so are their totals and random/sequential split).  With a
+    ``subset`` the walk accepts the entries at those positions only."""
+    packed_log, walk_log = _ReadLog(), _ReadLog()
+    packed_entries = sorted(packed.entries(
+        search(packed, key, count, packed_log, subset)))
     walk, bulk_shaped = node_oracle(packed)
     accept = None if subset is None \
         else set(packed.entries(subset)).__contains__
-    walk_entries = walk.nearest(key, count, walk_stats, accept)
+    walk_entries = sorted(walk.nearest(key, count, walk_log, accept))
     if packed_entries != walk_entries:
-        differ = [a != b for a, b in zip(packed_entries, walk_entries)]
         raise SanitizerError(
             f"packed/node answer divergence for count={count}: packed "
             f"returned {len(packed_entries)} entr(ies), node path "
-            f"{len(walk_entries)}; first mismatch at index "
-            f"{differ.index(True) if True in differ else 'length'}")
-    if bulk_shaped and packed_stats.snapshot() != walk_stats.snapshot():
+            f"{len(walk_entries)}, not the same set")
+    if bulk_shaped and packed_log != walk_log:
         raise SanitizerError(
             f"packed/node I/O trace divergence for count={count}: packed "
-            f"recorded {packed_stats.snapshot()}, node path "
-            f"{walk_stats.snapshot()}")
+            f"read pages {packed_log}, node path {walk_log}")
+
+
+class _ReadLog(list):
+    """A sandbox accountant: the page ids a lookup reads, in order."""
+
+    def record_read(self, page_id: Any) -> None:
+        self.append(int(page_id))
+
+    def record_read_many(self, page_ids: Any) -> None:
+        self.extend(map(int, page_ids))
 
 
 def _install_tree_crosscheck() -> None:
@@ -194,7 +196,7 @@ def _install_tree_crosscheck() -> None:
         def wrapper(self: Any, key: bytes, count: int, stats: Any = None,
                     subset: Any = None) -> Any:
             if count > 0 and self.count:
-                _cross_check(original, self, key, count, stats, subset)
+                _cross_check(original, self, key, count, subset)
             # Parity held in the sandboxes: the caller-visible
             # accounting is exactly one traversal.
             return original(self, key, count, stats, subset)

@@ -39,7 +39,10 @@ class GridQuantizer:
         self.order = order
         self.cells = 1 << order
         self.dtype = lane_dtype(order)
-        self._scale = self.cells / (self.high - self.low)
+        span = self.high - self.low
+        self._scale = self.cells / span
+        while int(span * self._scale) < self.cells - 1:  # high -> top cell
+            self._scale = float(np.nextafter(self._scale, np.inf))
 
     def quantize(self, values: np.ndarray) -> np.ndarray:
         """Map values to grid coordinates in ``[0, 2**order - 1]`` as

@@ -205,8 +205,9 @@ class TestSplitAmongEqualSeparators:
             assert [int.from_bytes(value, "big") for _, value in same_key] \
                 == np.flatnonzero(keys == probe).tolist()
             for count in (1, 7, 160):
+                # A set: in key order (values ascend among equal keys).
                 packed_stats, walk_stats = IOStats(), IOStats()
-                want = walk.nearest(raw, count, walk_stats)
+                want = sorted(walk.nearest(raw, count, walk_stats))
                 assert tree.entries(tree.nearest_positions(
                     raw, count, packed_stats)) == want
                 assert packed_stats == walk_stats
@@ -235,10 +236,11 @@ class TestLookups:
 
     @staticmethod
     def nearest_keys(tree, walk, key, count):
+        """The keys found, ascending: the walk's, nearest first, as a set."""
         key = CODEC.encode(key)
         packed_stats, walk_stats = IOStats(), IOStats()
         got = tree.entries(tree.nearest_positions(key, count, packed_stats))
-        assert got == walk.nearest(key, count, walk_stats)
+        assert got == sorted(walk.nearest(key, count, walk_stats))
         assert packed_stats == walk_stats
         return [CODEC.decode(k) for k, _ in got]
 
@@ -287,7 +289,7 @@ class TestLookups:
         siblings down to leaf 0: each leaf is read once."""
         tree, walk, pairs = self.make_loaded()
         assert self.nearest_keys(tree, walk, 597, len(pairs)) == [
-            k for k, _ in reversed(pairs)]
+            k for k, _ in pairs]
         stats = IOStats()
         tree.nearest_positions(CODEC.encode(597), len(pairs), stats)
         assert stats.page_reads == 2 * tree.height + tree.leaf_pages.size - 1

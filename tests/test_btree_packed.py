@@ -2,10 +2,11 @@
 
 The packed layout (:mod:`repro.btree.packed`) must be *indistinguishable*
 from walking the tree's nodes (:mod:`repro.devtools.nodewalk`): same
-entries from ``range``, same entries in the same order from ``nearest``,
-and the same synthesized page-read accounting (total, random,
-sequential) — the bench numbers are only meaningful if the array path
-charges the I/O a node-by-node walk would have performed.
+entries from ``range``, the same set of entries from ``nearest`` (the
+columns return it in key order, the walk nearest first), and the same
+synthesized page-read sequence (hence total, random, sequential) — the
+bench numbers are only meaningful if the array path charges the I/O a
+node-by-node walk would have performed.
 """
 
 import numpy as np
@@ -44,10 +45,12 @@ def stats_triple(stats):
 
 
 def nearest_both(packed, walk, raw, count, stats_cls=IOStats):
-    """``nearest`` on the columns and on the walk: (entries, stats) each."""
+    """``nearest`` on the columns and on the walk: (entries, stats) each,
+    the walk's entries in key order (values are positions, so sorting
+    them is the key order the columns return)."""
     packed_stats, walk_stats = stats_cls(), stats_cls()
     got = packed.entries(packed.nearest_positions(raw, count, packed_stats))
-    return (got, packed_stats), (walk.nearest(raw, count, walk_stats),
+    return (got, packed_stats), (sorted(walk.nearest(raw, count, walk_stats)),
                                  walk_stats)
 
 
@@ -142,14 +145,15 @@ def subset_cases(draw):
 def subset_lookup(width, keys, probe, count, leaf_cap, mask):
     """One lookup among the entries ``mask`` marks (by key-ordered
     position), answered by the columns and by the filtered node walk:
-    ((positions, pages read) of each, the packed layout, the raw key)."""
+    ((ascending positions, pages read) of each, the packed layout, the
+    raw key)."""
     codec = UIntCodec(width)
     packed, walk = make_tree(codec, keys, leaf_cap)
     raw, log, walk_log = codec.encode(probe), ReadLog(), ReadLog()
     got = packed.nearest_positions(raw, count, log, np.flatnonzero(mask))
-    want = [int.from_bytes(value, "big") for _, value in walk.nearest(
+    want = sorted(int.from_bytes(value, "big") for _, value in walk.nearest(
         raw, count, walk_log,
-        lambda entry: mask[int.from_bytes(entry[1], "big")])]
+        lambda entry: mask[int.from_bytes(entry[1], "big")]))
     return ((got.tolist(), log.pages), (want, walk_log.pages), packed, raw)
 
 
@@ -276,14 +280,15 @@ class TestSubsetLookup:
         got, want, packed, _ = subset_lookup(width, keys, 7 * 12 + 1, 5, 3,
                                              mask)
         assert got == want
-        assert got[0] == [11, 2, 30]
+        assert got[0] == [2, 11, 30]
         assert set(got[1]) >= set(packed.leaf_pages.tolist())
 
     def test_boundary_entries_tying_on_the_leading_word(self, monkeypatch):
         """Leaf reads are ordered by the distance of the entry whose pick
         triggers them; here a backward one (distance 2**64 + 1) goes
         before a forward one (2**64 + 3) although their leading words
-        tie, which forward would win."""
+        tie, which forward would win.  The two frontier picks (both at
+        3 * 2**64 + 9) tie exactly: the backward one is the last pick."""
         word, target = 1 << 64, (5 << 64) + 0x80
         keys = [target - 3 * word - 9, target - 3 * word, target - word - 1,
                 target - 1, target + 1, target + word + 3,
@@ -291,27 +296,128 @@ class TestSubsetLookup:
         mask = np.zeros(8, dtype=bool)
         mask[[0, 7]] = True
         settled = []
-        settle = PackedTree._settle_ties
+        exact = PackedTree._exact
 
-        def recording(self, key, words, behind, *rest):
-            # The forward window's keys: the run's rows from ``behind`` on.
+        def recording(self, key, words):
             settled.append([int.from_bytes(row.astype(">u8").tobytes(), "big")
-                            for row in words[behind:]])
-            return settle(self, key, words, behind, *rest)
+                            for row in words])
+            return exact(self, key, words)
 
-        monkeypatch.setattr(PackedTree, "_settle_ties", recording)
+        monkeypatch.setattr(PackedTree, "_exact", recording)
         got, want, packed, _ = subset_lookup(16, keys, target, 2, 2, mask)
         assert got == want
-        assert got[0] == [7, 0]
+        assert got[0] == [0, 7]
         assert got[1][-2:] == [0, 3]
-        # Among the boundary entries: the last entry of a leaf, at 5.
-        assert [keys[5]] in settled
+        # The frontier, then the boundary entries: the last entry of a
+        # leaf going forward (5), the first of one going backward (2).
+        # (Under the sanitizer the lookup runs twice.)
+        assert settled[-3:] == [[keys[7]], [keys[0]], [keys[5], keys[2]]]
 
     def test_float_keys_refused(self):
         packed, _ = make_tree(Float64Codec(), [0.5, 1.5, 2.5])
         with pytest.raises(ValueError, match="integer keys"):
             packed.nearest_positions(
                 Float64Codec().encode(1.0), 2, None, np.arange(3))
+
+
+@st.composite
+def counted_cases(draw):
+    """(width, keys, probe, count, leaf capacity, eligible mask or None)
+    where a counted window is easy to get wrong: clipped at 0 or at n,
+    wider than the tree, over duplicates spanning leaves."""
+    width = draw(st.sampled_from([2, 8, 24]))
+    top = (1 << (8 * width)) - 1
+    values = draw(st.lists(st.integers(0, 12), min_size=1, max_size=50))
+    step = draw(st.sampled_from([1, 1 << (8 * width - 8), top // 13]))
+    keys = [value * step for value in values]  # few distinct: duplicates
+    probe = draw(st.sampled_from([0, min(keys), max(keys), top,
+                                  keys[len(keys) // 2]]))
+    count = draw(st.sampled_from([1, 2, len(keys) // 2 + 1, len(keys),
+                                  len(keys) + 1, 3 * len(keys)]))
+    mask = None
+    if draw(st.booleans()):
+        mask = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))) \
+            .random(len(keys)) < draw(st.sampled_from([0.2, 0.6, 1.0]))
+    return width, keys, probe, count, draw(st.integers(1, 4)), mask
+
+
+W24 = 1 << 128  #: a 24-byte key's leading word counts in units of this
+
+
+def walk_and_columns(width, keys, probe, count, leaf_cap, mask=None):
+    """One lookup on the columns and down the node walk: (ascending
+    positions, page reads, random/sequential split) of each."""
+    codec = UIntCodec(width)
+    packed, walk = make_tree(codec, keys, leaf_cap)
+    raw, log, walk_log = codec.encode(probe), ReadLog(), ReadLog()
+    got = packed.nearest_positions(
+        raw, count, log, None if mask is None else np.flatnonzero(mask))
+    accept = None if mask is None else (
+        lambda entry: mask[int.from_bytes(entry[1], "big")])
+    want = sorted(int.from_bytes(value, "big") for _, value in walk.nearest(
+        raw, count, walk_log, accept))
+    return ((got.tolist(), log.pages, stats_triple(log)),
+            (want, walk_log.pages, stats_triple(walk_log)))
+
+
+class TestCountedWindow:
+    """The count of forward picks (no sort) against the node walk: the
+    same entries as a set, the same page sequence read for read and so
+    the same random/sequential split."""
+
+    @given(counted_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_count_property(self, case):
+        got, want = walk_and_columns(*case)
+        assert got == want
+        positions = got[0]
+        assert positions == sorted(set(positions))  # ascending, distinct
+
+    @pytest.mark.parametrize("forward,backward,picked", [
+        (W24 + 3, W24 + 5, 3), (W24 + 5, W24 + 3, 0)],
+        ids=["forward-nearer", "backward-nearer"])
+    def test_leading_words_tie_at_the_crossover_pair(self, forward,
+                                                     backward, picked):
+        """The third pick is the forward entry at W + 3 or the backward
+        one at W + 3: their leading words (1) tie, the tails decide."""
+        target = (7 << 128) + (1 << 100)
+        keys = [target - backward, target - 1, target + 1, target + forward]
+        got, want = walk_and_columns(24, keys, target, 3, 2)
+        assert got == want
+        assert picked in got[0] and len(got[0]) == 3
+
+    def test_leading_words_tie_between_two_boundary_reads(self):
+        """A plain lookup: the backward pick at W + 1 that closes a leaf
+        reads its sibling before the forward pick at W + 3 that ends one
+        reads the next leaf, though forward wins a tie of leading words."""
+        target = (7 << 128) + (1 << 100)
+        offsets = [-3 * W24 - 9, -3 * W24, -W24 - 1, -1, 1, W24 + 3,
+                   3 * W24, 3 * W24 + 9]
+        got, want = walk_and_columns(
+            24, [target + offset for offset in offsets], target, 6, 2)
+        assert got == want
+        assert got[0] == [1, 2, 3, 4, 5, 6]
+        assert got[1][-2:] == [0, 3]  # leaf 0 (before 2), then leaf 3
+
+    @pytest.mark.parametrize("forward,backward", [
+        (3 * W24 + 7, 3 * W24 + 9), (3 * W24 + 9, 3 * W24 + 7)],
+        ids=["backward-last", "forward-last"])
+    def test_leading_words_tie_at_a_subset_frontier(self, forward,
+                                                    backward):
+        """The last pick, which fixes how far the walk went, is the
+        farther frontier entry; both leading words are 3.  A further
+        forward entry, alone in the last leaf, is read only when the
+        forward scan has to pass the nearer forward frontier."""
+        target = (7 << 128) + (1 << 100)
+        offsets = [-backward, -3 * W24, -W24 - 1, -1, 1, W24 + 3,
+                   forward, forward, 3 * W24 + 8]
+        mask = np.zeros(len(offsets), dtype=bool)
+        mask[[0, 6]] = True
+        got, want = walk_and_columns(
+            24, [target + offset for offset in offsets], target, 2, 2, mask)
+        assert got == want
+        assert got[0] == [0, 6]
+        assert (4 in got[1]) == (forward < backward)
 
 
 def walked_descent(packed, leaf):

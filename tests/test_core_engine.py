@@ -28,6 +28,7 @@ import gc
 import hashlib
 import inspect
 import sys
+import threading
 import time
 import tracemalloc
 import weakref
@@ -52,8 +53,10 @@ from repro.core import engine as engine_module
 from repro.core.filters import (
     EQ6_SCRATCH_BYTES,
     CandidateWindowError,
+    filter_candidates,
     pair_table,
     ptolemaic_lower_bounds_many,
+    triangular_lower_bounds_many,
 )
 from repro.datasets import make_dataset
 from repro.devtools.sanitize import node_candidates
@@ -607,8 +610,8 @@ class TestSortedMerge:
         """Un-compacted delta rows and deleted base and delta ids, under
         16-byte keys whose leading words all tie: the data fills the
         lowest 256th of each axis of a 16-bit grid, so every key starts
-        with the same 64 bits and every descent settles its merge
-        exactly (``PackedTree._settle_ties``)."""
+        with the same 64 bits and every descent settles its count
+        exactly (``PackedTree._exact``)."""
         index, _, _ = TestScalarOracleParity._updated(
             workload, None, request.param, False, num_trees=2,
             hilbert_order=16, domain=(0.0, 30000.0))
@@ -634,13 +637,13 @@ class TestSortedMerge:
         for name in ("unique", "isin"):
             monkeypatch.setattr(np, name, refuse)
         settled = []
-        settle = PackedTree._settle_ties
+        exact = PackedTree._exact
 
         def counted(*args):
-            settled.append(args[-1].size)
-            return settle(*args)
+            settled.append(len(args[-1]))
+            return exact(*args)
 
-        monkeypatch.setattr(PackedTree, "_settle_ties", counted)
+        monkeypatch.setattr(PackedTree, "_exact", counted)
         alone, kappa = [], 0
         for query in queries:
             alone.append(updated.query(query, 10, predicate=predicate))
@@ -671,13 +674,127 @@ class TestSortedMerge:
         assert len(calls) == 1
 
 
+def per_column_survivors(query_ref, cand_ids, cand_ref, beta, gamma,
+                         pairs):
+    """Stage (ii) with Eq. 6 over every β-survivor column, copies of an
+    object included: what ``filter_survivors`` computed before it shared
+    one bound per distinct id."""
+    trees, width = cand_ids.shape
+    block = cand_ref.reshape(cand_ref.shape[0], trees * width)
+    rows = np.arange(trees)[:, None]
+    keep = filter_candidates(triangular_lower_bounds_many(
+        query_ref, block.T).reshape(trees, width), beta)
+    columns = (keep + width * rows).ravel()
+    ptol = ptolemaic_lower_bounds_many(query_ref, block[:, columns].T, pairs)
+    cut = filter_candidates(ptol.reshape(keep.shape), gamma)
+    return np.take(cand_ids, np.take(
+        columns, (cut + keep.shape[1] * rows).ravel())).reshape(trees, -1)
+
+
+class FilterOnly:
+    """The one thing ``filter_survivors`` reads of an index."""
+
+    def __init__(self, pairs):
+        self.references = type("References", (), {"pairs": pairs})()
+
+
+@st.composite
+def survivor_blocks(draw):
+    """(ids, (m, τ, α) stored distances, query distances, β, γ, pairs) of
+    one query row, an object's stored distances the same in every tree
+    and no id twice in a tree, shaped as the table can see it."""
+    trees, width = draw(st.integers(1, 6)), draw(st.integers(2, 40))
+    m = draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    shape = draw(st.sampled_from(["copies", "one-slot", "distinct",
+                                  "overlap"]))
+    pool = width * (trees if shape == "distinct" else 2)
+    objects = rng.uniform(0.0, 100.0, size=(pool, m))
+    if shape == "copies":  # τ copies of one window
+        picks = np.tile(rng.permutation(pool)[:width], (trees, 1))
+    else:
+        picks = np.stack([rng.permutation(pool)[:width]
+                          for _ in range(trees)])
+        if shape == "distinct":
+            picks = np.arange(trees * width).reshape(trees, width)
+    # One slot for every id: multiples of a power of two past the table.
+    ids = (picks << 40) if shape == "one-slot" else picks + 7
+    cand_ref = objects[picks].transpose(2, 0, 1).copy()
+    refs = rng.uniform(0.0, 100.0, size=(m, 8))
+    beta = draw(st.integers(1, width))
+    return (ids.astype(np.int64), cand_ref, rng.uniform(0.0, 150.0, m),
+            beta, draw(st.integers(1, beta)),
+            pair_table(pairwise_euclidean(refs, refs)))
+
+
+class TestEq6Sharing:
+    """Eq. 6 runs once per distinct β-survivor of a row and each copy
+    takes its bound; the survivors are those of Eq. 6 per column."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(survivor_blocks())
+    def test_survivors_equal_a_per_column_eq6(self, block):
+        ids, cand_ref, query_ref, beta, gamma, pairs = block
+        index = FilterOnly(pairs)  # the engine holds a weak proxy
+        got = QueryEngine(index).filter_survivors(
+            query_ref, ids, cand_ref, beta, gamma, True)
+        want = per_column_survivors(query_ref, ids, cand_ref, beta, gamma,
+                                    pairs)
+        np.testing.assert_array_equal(np.sort(got, axis=1),
+                                      np.sort(want, axis=1))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 62), min_size=1, max_size=300))
+    def test_representatives_hold_the_same_id(self, ids):
+        ids = np.asarray(ids, dtype=np.int64)
+        rep, own = engine_module.representatives(ids)
+        np.testing.assert_array_equal(ids[rep], ids)
+        np.testing.assert_array_equal(rep[own], own)  # each its own
+        np.testing.assert_array_equal(np.unique(rep), own)
+        if ids.max() < 4 * ids.size:  # below the table: no collision
+            assert own.size == np.unique(ids).size
+
+    def test_one_tree_blocks_under_the_threaded_executor(self, workload,
+                                                         monkeypatch):
+        """A pool task's block holds one tree, which holds an id once:
+        its Eq. 6 runs over every β-survivor, no table involved."""
+        data, queries = workload
+        index = thread_index(params(use_ptolemaic=True), workers=2)
+        index.build(data)
+        filter_survivors = QueryEngine.filter_survivors
+        blocks = []
+
+        def checked(self, query_ref, cand_ids, cand_ref, beta, gamma,
+                    ptolemaic):
+            got = filter_survivors(self, query_ref, cand_ids, cand_ref,
+                                   beta, gamma, ptolemaic)
+            want = per_column_survivors(query_ref, cand_ids, cand_ref, beta,
+                                        gamma, self.index.references.pairs)
+            np.testing.assert_array_equal(np.sort(got, axis=1),
+                                          np.sort(want, axis=1))
+            blocks.append(cand_ids.shape[0])
+            return got
+
+        def no_table(ids):
+            raise AssertionError("a one-tree block built the Eq. 6 table")
+
+        monkeypatch.setattr(QueryEngine, "filter_survivors", checked)
+        monkeypatch.setattr(engine_module, "representatives", no_table)
+        try:
+            index.query_batch(queries, 10)
+        finally:
+            index.close()
+        assert blocks and set(blocks) == {1}
+
+
 class TestStageTwoWorkingSet:
     """Stage (ii) runs once per query row, over the (τ, α') block of the
     trees the row asks: under sequential execution one Eq. 5 call over
-    τ·α' candidates and one Eq. 6 call over τ·β', under a pool (a task
-    holds one tree) one of each per (tree, row).  Never one call across
-    rows: fusing the rows of a call into one matrix made
-    ``query_batch(16)`` slower than 16 ``query`` calls."""
+    τ·α' candidates and one Eq. 6 call over the row's distinct
+    β-survivors, under a pool (a task holds one tree) one of each per
+    (tree, row) over α' and β' candidates.  Never one call across rows:
+    fusing the rows of a call into one matrix made ``query_batch(16)``
+    slower than 16 ``query`` calls."""
 
     Q = 8
     #: What a batch does not amortise (its shared descriptor gather
@@ -709,7 +826,9 @@ class TestStageTwoWorkingSet:
 
         def spy(kernel, calls):
             def spied(query_ref, cand_ref, *rest):
-                calls.append((np.shape(query_ref), cand_ref.shape[0]))
+                # Pool tasks interleave: a row's calls pair up per thread.
+                calls.append((threading.get_ident(), np.array(query_ref),
+                              np.array(cand_ref)))
                 return kernel(query_ref, cand_ref, *rest)
             return spied
 
@@ -724,13 +843,31 @@ class TestStageTwoWorkingSet:
         # Trees per block: all of them inline, one per pool task.
         block = 1 if index._engine.executor.workers else len(index.trees)
         m = index.params.num_references
-        for name, limit in (("triangular_lower_bounds_many", "alpha"),
-                            ("ptolemaic_lower_bounds_many", "beta")):
-            assert len(seen[name]) == self.Q * len(index.trees) // block
+        alpha, beta = stats.extra["alpha"], stats.extra["beta"]
+        shared = 0
+        assert all(len(calls) == self.Q * len(index.trees) // block
+                   for calls in seen.values())
+        by_thread = [sorted(calls, key=lambda call: call[0])
+                     for calls in seen.values()]
+        for (_, query_ref, window), (_, again, survivors) in zip(*by_thread):
             # Every tree offers the full budget here (n and the eligible
-            # count both exceed α), so a block is exactly τ·α' or τ·β'.
-            assert all(shape == (m,) and rows == block * stats.extra[limit]
-                       for shape, rows in seen[name])
+            # count both exceed α), so a block is exactly τ·α'.
+            assert query_ref.shape == again.shape == (m,)
+            assert window.shape == (block * alpha, m)
+            # Eq. 6 sees each distinct β-survivor of the row exactly once
+            # (an object is its row of stored distances).
+            bounds = triangular_lower_bounds_many(
+                query_ref, window).reshape(block, -1)
+            keep = filter_candidates(bounds, beta) \
+                + alpha * np.arange(block)[:, None]
+            distinct = np.unique(window[keep.ravel()], axis=0)
+            assert survivors.shape == distinct.shape
+            np.testing.assert_array_equal(np.unique(survivors, axis=0),
+                                          distinct)
+            shared += block * beta - distinct.shape[0]
+        # Inline, the trees of a row share most survivors; a pool task's
+        # one tree holds an id once.
+        assert (shared > 0) == (block > 1)
         for row, (want_ids, want_dists) in enumerate(want):
             np.testing.assert_array_equal(ids[row], want_ids)
             np.testing.assert_array_equal(dists[row], want_dists)
@@ -760,6 +897,31 @@ class TestStageTwoWorkingSet:
         single = peak(lambda: index.query(queries[0], 10))
         batch = peak(lambda: index.query_batch(queries, 10))
         assert batch < 4 * single, (batch, single)
+
+    def test_query_peak_allocation_does_not_grow_with_n(self):
+        """Nothing a query allocates is sized by the tree: ten times the
+        rows may not add half a byte a row to one query's peak (a
+        per-call stamp array of n entries, one way to find each
+        β-survivor's copies, would add 1–8).  Four references keep
+        Eq. 6's own share, which follows the distinct survivors, small."""
+        rng = np.random.default_rng(5)
+        peaks = []
+        for n in (3000, 30000):
+            data = rng.uniform(0.0, 100.0, size=(n, 16))
+            index = HDIndex(params(num_references=4, alpha=256, gamma=32,
+                                   use_ptolemaic=True))
+            index.build(data)
+            index.query(data[0], 10)  # warm: lazy caches are not a query's
+            peak = 0
+            for query in data[:6] + 0.5:
+                tracemalloc.start()
+                try:
+                    index.query(query, 10)
+                    peak = max(peak, tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] - peaks[0] < (30000 - 3000) // 2, peaks
 
     def test_eq6_never_holds_a_row_block_product(self):
         """A query row's whole (pairs, τ·β) Eq. 6 product — 1.5 MB at
@@ -847,9 +1009,10 @@ class TestFrontHalfFixedCost:
     it interpreter dispatch.  Counts pin them where timings would flake."""
 
     #: C-level calls ``nearest_positions(key, 1024, stats)`` makes on the
-    #: tree below, trace included and accounting not, since the one-run
-    #: word kernel and the ancestor table (38 before them).
-    NEAREST_C_CALLS = 30
+    #: tree below, trace included and accounting not, since the window is
+    #: counted instead of sorted (30 with the stable-argsort merge, 38
+    #: before the one-run word kernel and the ancestor table).
+    NEAREST_C_CALLS = 28
 
     def test_encode_cost_does_not_depend_on_q(self):
         curves = [HilbertCurve(16, 8)] * 8

@@ -4,10 +4,11 @@ import hashlib
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core import HDIndex, HDIndexParams, save_index
 from repro.hilbert import GridQuantizer, HilbertCurve, encode_for_curves
@@ -383,11 +384,13 @@ class TestGridQuantizer:
            st.integers(min_value=1, max_value=62),
            st.lists(st.floats(allow_nan=False, allow_infinity=False),
                     min_size=1, max_size=24))
+    @example(low=-157.0, span=168.29296875, order=54, values=[12.0])
     @settings(max_examples=300, deadline=None)
     def test_equals_the_int64_clip_below_two_to_the_63(self, low, span,
                                                         order, values):
         """Wherever the scaled value fits int64, the float clip gives
-        the int64 clip's cell (the quantiser before the fix)."""
+        the int64 clip's cell (the quantiser before the fix).  The
+        example clipped 12.0 to ``high``, which scaled to 2**54 - 2."""
         quantizer = GridQuantizer(low, low + span, order)
         values = np.asarray(values)
         with np.errstate(invalid="ignore", over="ignore"):
@@ -399,3 +402,25 @@ class TestGridQuantizer:
         np.testing.assert_array_equal(got[fits].astype(np.uint64),
                                       int64_clip[fits])
         assert np.all(got.astype(np.uint64) <= quantizer.cells - 1)
+
+    @given(st.floats(min_value=-1e3, max_value=1e3),
+           st.floats(min_value=1e-3, max_value=1e4),
+           st.integers(min_value=1, max_value=62),
+           st.lists(st.floats(min_value=0.0, max_value=1e300),
+                    min_size=1, max_size=8))
+    @example(low=-157.0, span=168.29296875, order=54, above=[0.0])
+    @settings(max_examples=300, deadline=None)
+    def test_high_and_beyond_land_in_the_top_cell(self, low, span, order,
+                                                  above):
+        """``high`` itself, the float just past it and anything further
+        out are all the top cell, at every order, silently; the domains
+        below 2**53 cells keep the plain ``cells / span`` scale."""
+        quantizer = GridQuantizer(low, low + span, order)
+        high = quantizer.high
+        values = [high, np.nextafter(high, np.inf)] + [high + a for a in above]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quantizer.quantize(np.asarray(values))
+        assert got.tolist() == [quantizer.cells - 1] * len(values)
+        if order < 53:
+            assert quantizer._scale == quantizer.cells / (high - low)
