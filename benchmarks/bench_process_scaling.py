@@ -12,11 +12,11 @@ workload:
 * **sequential loop** — one-at-a-time ``index.query`` calls, the
   pre-batching reference point (and the parity oracle);
 * **threaded service** — the PR-2 micro-batching ``QueryService``
-  (``mode="thread"``), 8 pipelined clients;
+  (in-process dispatch, the default), 8 pipelined clients;
 * **process pool, batch** — ``SnapshotWorkerPool.run_query_batch`` row-
   sharding the whole workload across 1/2/4 workers (the offline path);
-* **process service** — ``QueryService(mode="process")`` with 8 pipelined
-  clients and 1/2/4 workers (the online path).
+* **process service** — ``QueryService(execution=Execution(kind="process",
+  workers=W))`` with 8 pipelined clients and W = 1/2/4 (the online path).
 
 Each parallel mode is also measured at **batch=1** — one query in flight
 at a time, no pipelining — so the per-request overhead floor (IPC round
@@ -50,7 +50,7 @@ import numpy as np
 import pytest
 
 from benchmarks.common import Workload, emit, hd_params, start_report
-from repro.core import HDIndex, SnapshotWorkerPool, save_index
+from repro.core import Execution, HDIndex, SnapshotWorkerPool, save_index
 from repro.serve import QueryService
 
 BENCH = "process_scaling"
@@ -212,7 +212,8 @@ def _measure(workload, snapshot):
         table[("pool-batch", workers)] = batch_qps
         table[("pool-batch b=1", workers)] = single_qps
         with QueryService.from_snapshot(
-                snapshot, mode="process", workers=workers,
+                snapshot,
+                execution=Execution(kind="process", workers=workers),
                 max_batch=MAX_BATCH) as service:
             table[("process-service", workers)] = _service_qps(
                 service, queries, oracle, f"process-service[{workers}]")

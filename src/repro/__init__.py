@@ -21,7 +21,7 @@ Quickstart::
     ids, dists = index.query(ds.queries[0], k=10)
 
 Every deployment shape — plain or sharded topology, sequential / thread /
-process execution, memory / file / mmap storage — is one declarative
+process execution, memory / mmap storage — is one declarative
 :class:`IndexSpec` handed to :func:`repro.build`, and :func:`repro.open`
 reconstructs it from a persisted snapshot.
 """
@@ -45,11 +45,8 @@ from repro.core import (
     HDIndexParams,
     IndexSpec,
     KNNIndex,
-    ParallelHDIndex,
-    ProcessPoolHDIndex,
     QueryStats,
     ShardRouter,
-    ShardedHDIndex,
     Topology,
     WorkerCrashed,
     WorkerTimeout,
@@ -121,9 +118,7 @@ __all__ = [
     "OPQIndex",
     "Or",
     "PQIndex",
-    "ParallelHDIndex",
     "Predicate",
-    "ProcessPoolHDIndex",
     "QALSH",
     "QueryService",
     "QueryStats",
@@ -132,7 +127,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "ShardRouter",
-    "ShardedHDIndex",
     "Topology",
     "VAFile",
     "WorkerCrashed",

@@ -24,8 +24,7 @@ Seven commands cover the library's main workflows without writing code:
 * ``compare``   — run several methods on one dataset and print the
   comparison table (a Fig. 8 row group on demand).
 
-Every flag combination is one declarative spec under the hood — the CLI
-never touches the deprecated per-combination classes.
+Every flag combination is one declarative spec under the hood.
 """
 
 from __future__ import annotations
@@ -167,8 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override the snapshot's execution strategy "
                             "(process = fan per-tree scans over worker "
                             "processes sharing the snapshot via mmap)")
-    query.add_argument("--mode", choices=("thread", "process"), default=None,
-                       help="legacy alias of --execution")
     query.add_argument("--workers", type=_positive_int, default=None,
                        help="worker count for --execution process")
     query.add_argument("--filter", default=None, metavar="JSON",
@@ -205,9 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="process = shard each micro-batch's rows over "
                             "worker processes that reopen the snapshot "
                             "via mmap (multi-core serving)")
-    serve.add_argument("--mode", choices=("thread", "process"),
-                       default=None,
-                       help="legacy alias of --execution")
     serve.add_argument("--workers", type=_positive_int, default=None,
                        help="worker-process count for --execution process "
                             "(default: CPU count)")
@@ -486,10 +480,6 @@ def cmd_query(args, out=sys.stdout) -> int:
     execution = None
     if args.execution is not None:
         execution = Execution(kind=args.execution, workers=args.workers)
-    elif args.mode == "process":
-        # Legacy flag: --mode thread meant "as saved", only process
-        # changed anything.
-        execution = Execution(kind="process", workers=args.workers)
     index = open_index(args.index, backend=args.backend,
                        execution=execution)
     data, queries, _ = _load_workload(args)
@@ -591,9 +581,8 @@ def cmd_serve(args, out=sys.stdout) -> int:
     config = ServiceConfig(max_batch=args.max_batch,
                            max_pending=args.max_pending,
                            cache_size=max(0, args.cache))
-    dispatch = args.execution if args.execution is not None else args.mode
     service_kwargs = {}
-    if dispatch == "process":
+    if args.execution == "process":
         service_kwargs = dict(
             execution=Execution(kind="process", workers=args.workers),
             snapshot_dir=args.index)
@@ -633,7 +622,7 @@ def cmd_serve(args, out=sys.stdout) -> int:
               f"({errors[0]!r})", file=sys.stderr)
         return 1
     print(f"served {stats.queries} queries from {args.clients} clients "
-          f"(execution={dispatch or 'thread'}) in {elapsed:.2f}s -> "
+          f"(execution={args.execution or 'thread'}) in {elapsed:.2f}s -> "
           f"{stats.queries / elapsed:.1f} q/s", file=out)
     print(f"{stats.batches} micro-batches, mean size "
           f"{stats.mean_batch_size():.1f}, max {stats.max_batch_size} "

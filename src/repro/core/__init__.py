@@ -14,9 +14,7 @@ from repro.core.engine import (
 from repro.core.factory import build, create_index, open_index, set_execution
 from repro.core.hdindex import HDIndex
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
-from repro.core.parallel import ParallelHDIndex
 from repro.core.persistence import PersistenceError, load_index, save_index
-from repro.core.process import ProcessPoolHDIndex
 from repro.core.procpool import (
     ProcessPoolError,
     SnapshotWorkerPool,
@@ -24,7 +22,6 @@ from repro.core.procpool import (
     WorkerTimeout,
 )
 from repro.core.router import ShardRouter
-from repro.core.sharded import ShardedHDIndex
 from repro.core.spec import (
     Execution,
     IndexSpec,
@@ -62,11 +59,9 @@ __all__ = [
     "HDIndexParams",
     "IndexSpec",
     "KNNIndex",
-    "ParallelHDIndex",
     "PersistenceError",
     "ProcessExecutor",
     "ProcessPoolError",
-    "ProcessPoolHDIndex",
     "QueryEngine",
     "QueryStats",
     "SnapshotWorkerPool",
@@ -77,7 +72,6 @@ __all__ = [
     "SequentialExecutor",
     "ReferenceSet",
     "ShardRouter",
-    "ShardedHDIndex",
     "TABLE3_CONFIGS",
     "TABLE3_CONSISTENT",
     "TABLE3_LEAF_ORDERS",

@@ -162,9 +162,7 @@ def open_index(path: str | os.PathLike[str],
 
     Args:
         path: Snapshot directory written by :func:`build` /
-            :func:`repro.core.save_index` (pre-spec snapshots from
-            earlier releases open too; their legacy ``kind`` tag is
-            mapped to the equivalent spec).
+            :func:`repro.core.save_index`.
         backend: How the snapshot files are reopened: ``"mmap"``
             (mapped, O(metadata) cold start; what ``None`` means) or
             ``"memory"`` (read into RAM).

@@ -3,9 +3,8 @@
 A persisted plain index is a directory containing:
 
 * ``meta.json`` — parameters, partitions, quantiser domain, per-tree
-  shape (height / count), heap record count, the deleted-id set, the
-  index's declarative ``spec`` (:mod:`repro.core.spec`) and a legacy
-  ``kind`` tag so snapshots stay readable across the spec redesign;
+  shape (height / count), heap record count, the deleted-id set and the
+  index's declarative ``spec`` (:mod:`repro.core.spec`);
 * ``references.npz`` — the reference vectors, their pairwise distances and
   original indices (the only part of the index that is memory-resident at
   query time, Sec. 4.4.1);
@@ -16,9 +15,7 @@ A persisted plain index is a directory containing:
   has (``metadata.packed`` holds per-point attributes the same way).
 
 Files a reader may have mapped are replaced (``replace_file``), never
-truncated.  Snapshots of releases that also wrote the trees as node pages
-(``tree_<i>.pages``) load from their ``.packed`` files; the next save
-drops the ``.pages``.
+truncated.
 
 A persisted :class:`~repro.core.router.ShardRouter` is a directory
 containing a ``manifest.json`` (shard count, global-id layout, base
@@ -28,10 +25,10 @@ online" split, with every shard deployable to its own machine.
 
 Loading maps or reads those files without touching the data — build
 once, reopen and query on a machine that never holds the dataset in RAM.
-:func:`load_index` reconstructs the *spec* the snapshot records (mapping
-pre-spec ``kind`` tags onto the equivalent spec), so every deployment
-shape flows through one construction path; :func:`repro.open` adds
-per-call execution and backend overrides on top.
+:func:`load_index` reconstructs the *spec* the snapshot records, so every
+deployment shape flows through one construction path; a snapshot whose
+spec is missing or invalid is refused (``docs/MIGRATION.md``).
+:func:`repro.open` adds per-call execution and backend overrides on top.
 """
 
 from __future__ import annotations
@@ -46,8 +43,6 @@ from repro.core.hdindex import HDIndex
 from repro.core.params import HDIndexParams, check_backend
 from repro.core.reference import ReferenceSet
 from repro.core.spec import (
-    EXECUTION_TO_KIND,
-    KIND_TO_EXECUTION,
     Execution,
     Topology,
     make_executor,
@@ -73,9 +68,8 @@ def save_index(index, directory: str | os.PathLike[str]) -> None:
     """Persist a built index of the HD-Index family.
 
     Accepts :class:`HDIndex` (any executor) and
-    :class:`~repro.core.router.ShardRouter` — plus the deprecated class
-    shims, which are just configurations of those two.  The snapshot
-    records the index's full :class:`~repro.core.spec.IndexSpec` so
+    :class:`~repro.core.router.ShardRouter`.  The snapshot records the
+    index's full :class:`~repro.core.spec.IndexSpec` so
     :func:`load_index` reconstructs the same deployment.
 
     If the index was built with ``storage_dir`` pointing at ``directory``
@@ -236,8 +230,6 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
     for tree_index, tree in enumerate(index.trees):
         stem = os.path.join(directory, f"tree_{tree_index}")
         tree.write(stem + ".packed")
-        if os.path.exists(stem + ".pages"):
-            os.remove(stem + ".pages")  # left by a pre-columns snapshot
 
     references = index.references
     np.savez(os.path.join(directory, REFERENCES_FILE),
@@ -247,14 +239,10 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
                       else np.empty(0, dtype=np.int64)))
     _write_metadata_sidecar(index, directory)
 
-    execution = index.spec.execution
     meta = {
         "format_version": FORMAT_VERSION,
-        # Legacy tag kept alongside the spec so pre-redesign readers (and
-        # the cross-version tests) keep working.
-        "kind": EXECUTION_TO_KIND[execution.kind],
         "spec": {"topology": Topology().to_dict(),
-                 "execution": execution.to_dict()},
+                 "execution": index.spec.execution.to_dict()},
         "params": dataclasses.asdict(index.params),
         "dim": index.dim,
         "count": index.count,
@@ -268,8 +256,6 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
                  "dtype": str(np.dtype(index.params.storage_dtype))},
         "trees": [tree.state() for tree in index.trees],
     }
-    if execution.kind != "sequential":
-        meta["num_workers"] = execution.workers
     replace_file(os.path.join(directory, META_FILE),
                  json.dumps(meta, indent=2))
     if folded and index._remote:
@@ -289,9 +275,9 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         raise PersistenceError(
             f"unsupported index format {meta.get('format_version')!r}")
 
+    _, execution = _recorded_spec(meta, meta_path)
     backend = backend or "mmap"
     params = _restore_params(meta["params"], directory, cache_pages, backend)
-    execution = _restore_execution(meta)
     index = HDIndex(params)
     index.dim = int(meta["dim"])
     index.count = int(meta["count"])
@@ -328,9 +314,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         path = os.path.join(directory, f"tree_{tree_index}.packed")
         if not os.path.exists(path):
             raise PersistenceError(
-                f"{directory} has no tree_{tree_index}.packed: it predates "
-                f"the column format (trees kept only as tree_<i>.pages); "
-                f"rebuild it, or re-save it as docs/MIGRATION.md describes")
+                f"{directory} has no tree_{tree_index}.packed")
         tree.read(path, mapped=backend == "mmap")
         if len(tree) != int(tree_state["tree"]["count"]):
             raise PersistenceError(
@@ -346,34 +330,18 @@ def _load_hdindex(directory: str, cache_pages: int | None,
     return index
 
 
-def _restore_execution(meta: dict) -> Execution:
-    """The snapshot's execution strategy: its recorded spec, or — for
-    pre-spec snapshots — the legacy ``kind`` tag mapped onto the
-    equivalent spec."""
-    spec_meta = _recorded_spec(meta)
-    if "execution" in spec_meta:
-        return Execution.from_dict(spec_meta["execution"])
-    kind = meta.get("kind", "hdindex")
-    execution_kind = KIND_TO_EXECUTION.get(kind)
-    if execution_kind is None:
-        raise PersistenceError(f"unknown index kind {kind!r}")
-    return Execution(kind=execution_kind, workers=meta.get("num_workers"))
-
-
-def _recorded_spec(meta: dict) -> dict:
-    """The sections of the ``spec`` a snapshot recorded.  A ``"file"``
-    backend in them — releases before the heap became a page matrix had
-    one — reads as ``"mmap"``: the same files, served mapped."""
-    spec = {name: dict(section)
-            for name, section in (meta.get("spec") or {}).items()
-            if section is not None}
-    if spec.get("execution", {}).get("worker_backend") == "file":
-        spec["execution"]["worker_backend"] = "mmap"
-    if spec.get("topology", {}).get("shard_backends"):
-        spec["topology"]["shard_backends"] = [
-            "mmap" if backend == "file" else backend
-            for backend in spec["topology"]["shard_backends"]]
-    return spec
+def _recorded_spec(meta: dict, path: str) -> tuple[Topology, Execution]:
+    """The topology and execution a snapshot's ``spec`` records.  A
+    snapshot without them, or with values this release rejects, is
+    refused rather than guessed at."""
+    try:
+        spec = meta["spec"]
+        return (Topology.from_dict(spec["topology"]),
+                Execution.from_dict(spec["execution"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise PersistenceError(
+            f"{path} records no valid spec ({type(exc).__name__}: {exc}); "
+            f"see docs/MIGRATION.md") from None
 
 
 def _restore_params(params_dict: dict, directory: str,
@@ -422,7 +390,6 @@ def _write_manifest(index, directory: str) -> None:
     params["storage_dir"] = None
     manifest = {
         "format_version": FORMAT_VERSION,
-        "kind": "sharded",
         "spec": {"topology": index.topology.to_dict(),
                  "execution": index.execution.to_dict()},
         "num_shards": index.num_shards,
@@ -474,17 +441,10 @@ def _load_sharded(directory: str, cache_pages: int | None,
     if manifest.get("format_version") != FORMAT_VERSION:
         raise PersistenceError(
             f"unsupported index format {manifest.get('format_version')!r}")
-    if manifest.get("kind") != "sharded":
-        raise PersistenceError(
-            f"manifest kind {manifest.get('kind')!r} is not 'sharded'")
-
+    topology, execution = _recorded_spec(
+        manifest, os.path.join(directory, MANIFEST_FILE))
     params = _restore_params(manifest["params"], directory, cache_pages,
                              backend or "mmap")
-    spec_meta = _recorded_spec(manifest)
-    topology = (Topology.from_dict(spec_meta["topology"])
-                if "topology" in spec_meta
-                else Topology(shards=int(manifest["num_shards"])))
-    execution = Execution.from_dict(spec_meta.get("execution", {}))
     num_shards = int(manifest["num_shards"])
     index = ShardRouter(params, topology, execution)
     index.count = int(manifest["count"])

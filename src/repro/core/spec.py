@@ -10,11 +10,9 @@ serves; only two orthogonal axes ever change:
 * **execution** — do the independent per-tree scans run inline, on a
   thread pool, or across worker processes sharing an mmap snapshot.
 
-Historically each point of that grid was its own class (``HDIndex``,
-``ParallelHDIndex``, ``ProcessPoolHDIndex``, ``ShardedHDIndex``), which
-made the *other* combinations — sharded x process, heterogeneous
-per-shard backends — impossible to express.  :class:`IndexSpec` replaces
-the matrix with one declarative value::
+:class:`IndexSpec` names a point of that grid — including sharded x
+process and heterogeneous per-shard backends — as one declarative
+value::
 
     IndexSpec(params=HDIndexParams(...),
               topology=Topology(shards=4),
@@ -352,12 +350,3 @@ def executor_to_execution(executor: Any) -> Execution:
     if isinstance(executor, ThreadedExecutor):
         return Execution(kind="thread", workers=executor.num_workers)
     return Execution(kind="sequential")
-
-
-#: Legacy snapshot ``kind`` tag -> execution kind (pre-spec snapshots).
-KIND_TO_EXECUTION = {"hdindex": "sequential", "parallel": "thread",
-                     "process": "process"}
-
-#: Execution kind -> legacy ``kind`` tag written for backward compat.
-EXECUTION_TO_KIND = {"sequential": "hdindex", "thread": "parallel",
-                     "process": "process"}

@@ -39,9 +39,6 @@ micro-batch runs:
   fails the affected callers fast with a typed
   :class:`~repro.core.procpool.ProcessPoolError` and the pool is rebuilt
   for the next batch.
-
-The legacy string ``mode=`` keyword maps onto the same machinery and
-emits :class:`DeprecationWarning` (see ``docs/MIGRATION.md``).
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ import dataclasses
 import os
 import threading
 import time
-import warnings
 from collections import OrderedDict, deque
 from concurrent.futures import Future
 
@@ -253,9 +249,7 @@ class QueryService:
     micro-batch across worker processes that each hold a lazily reopened
     ``mmap`` view of the same snapshot — the multi-core serving tier.
     Process execution serves an *immutable* snapshot: mutate the
-    underlying index offline and re-snapshot instead.  The legacy
-    ``mode=`` string keyword still works but emits
-    :class:`DeprecationWarning`.
+    underlying index offline and re-snapshot instead.
 
     >>> import numpy as np
     >>> from repro import HDIndex, HDIndexParams, QueryService
@@ -270,16 +264,15 @@ class QueryService:
     """
 
     def __init__(self, index, config: ServiceConfig | None = None,
-                 mode: str | None = None, workers: int | None = None,
                  snapshot_dir: str | os.PathLike[str] | None = None,
-                 worker_backend: str = "mmap",
-                 worker_timeout: float | None = None,
                  execution: Execution | str | None = None,
                  **overrides) -> None:
         base = config if config is not None else ServiceConfig()
         self.config = dataclasses.replace(base, **overrides)
-        execution = self._resolve_execution(
-            execution, mode, workers, worker_backend, worker_timeout)
+        if execution is None:
+            execution = Execution()
+        elif isinstance(execution, str):
+            execution = Execution(kind=execution)
         owns_index = False
         if isinstance(index, (str, os.PathLike)):
             # "Accept a spec or path": a snapshot directory is opened on
@@ -317,55 +310,6 @@ class QueryService:
         # True for from_snapshot() and path construction: the service
         # then owns the index and closes its page stores on stop().
         self._owns_index = owns_index
-
-    @property
-    def mode(self) -> str:
-        """Dispatch mode derived from the execution strategy (kept for
-        backward compatibility with the string-typed ``mode=`` API)."""
-        return "process" if self._pool is not None else "thread"
-
-    @staticmethod
-    def _resolve_execution(execution, mode, workers, worker_backend,
-                           worker_timeout) -> Execution:
-        """Fold the legacy ``mode=``/``workers=`` keywords and the new
-        ``execution=`` parameter into one :class:`Execution` value."""
-        if mode is not None:
-            warnings.warn(
-                "QueryService(mode=...) is deprecated; pass execution="
-                "Execution(kind='process', workers=...) (or omit it for "
-                "in-process dispatch) instead",
-                DeprecationWarning, stacklevel=3)
-            if mode not in ("thread", "process"):
-                raise ValueError(
-                    f"unknown mode {mode!r}; choose 'thread' or 'process'")
-            if execution is not None:
-                raise ValueError(
-                    "pass either execution=... or the deprecated mode=..., "
-                    "not both")
-            if mode == "thread":
-                return Execution()
-            return Execution(kind="process", workers=workers,
-                             worker_backend=worker_backend,
-                             worker_timeout=worker_timeout)
-        if execution is None:
-            return Execution(workers=workers,
-                             worker_backend=worker_backend,
-                             worker_timeout=worker_timeout)
-        if isinstance(execution, str):
-            return Execution(kind=execution, workers=workers,
-                             worker_backend=worker_backend,
-                             worker_timeout=worker_timeout)
-        # An Execution object wins on any field it sets, but the keyword
-        # arguments still fill its unset fields instead of being
-        # silently dropped (from_snapshot documents `workers=` as the
-        # pool width either way).
-        merged = {}
-        if workers is not None and execution.workers is None:
-            merged["workers"] = workers
-        if worker_timeout is not None and execution.worker_timeout is None:
-            merged["worker_timeout"] = worker_timeout
-        return (dataclasses.replace(execution, **merged) if merged
-                else execution)
 
     @staticmethod
     def _resolve_snapshot_dir(index, snapshot_dir):
@@ -499,9 +443,6 @@ class QueryService:
     def from_snapshot(cls, directory, cache_pages: int | None = None,
                       config: ServiceConfig | None = None,
                       backend: str | None = None,
-                      mode: str | None = None, workers: int | None = None,
-                      worker_backend: str = "mmap",
-                      worker_timeout: float | None = None,
                       execution: Execution | str | None = None,
                       **overrides) -> "QueryService":
         """Open a persisted index and wrap it in a service.
@@ -521,21 +462,14 @@ class QueryService:
             backend: Storage backend for the reopen — ``"mmap"``
                 (mapped, O(metadata) cold start: the larger-than-RAM
                 serving mode; what ``None`` means) or ``"memory"``.
-            mode: Deprecated string form of ``execution`` (emits
-                :class:`DeprecationWarning`).
             execution: An :class:`~repro.core.spec.Execution` (or bare
                 kind string).  ``kind="process"`` shards each
                 micro-batch's rows across ``workers`` worker processes
-                that bootstrap from this same snapshot directory; any
-                other kind answers batches in-process (default).
-            workers: Worker-process count for process execution
-                (default: CPU count).
-            worker_backend: Backend each worker reopens the snapshot with
-                (default ``"mmap"`` — the OS shares the physical pages
-                across the pool).
-            worker_timeout: Seconds a dispatched slice may take before
-                its callers fail with
-                :class:`~repro.core.procpool.WorkerTimeout`.
+                (default: CPU count) that bootstrap from this same
+                snapshot directory and reopen it with ``worker_backend``,
+                each slice bounded by ``worker_timeout``
+                (:class:`~repro.core.procpool.WorkerTimeout`); any other
+                kind answers batches in-process (default).
             **overrides: Individual :class:`ServiceConfig` fields.
 
         Returns:
@@ -545,10 +479,8 @@ class QueryService:
         from repro.core.persistence import load_index
         service = cls(load_index(directory, cache_pages=cache_pages,
                                  backend=backend),
-                      config=config, mode=mode, workers=workers,
-                      snapshot_dir=directory, worker_backend=worker_backend,
-                      worker_timeout=worker_timeout, execution=execution,
-                      **overrides)
+                      config=config, snapshot_dir=directory,
+                      execution=execution, **overrides)
         service._owns_index = True
         return service
 

@@ -336,12 +336,7 @@ def fold_generation(source: str, dest: str,
     meta_path = os.path.join(dest, "meta.json")
     with open(meta_path) as handle:
         meta = json.load(handle)
-    meta["kind"] = source_meta["kind"]
-    if "spec" in source_meta:
-        meta["spec"] = source_meta["spec"]
-    meta.pop("num_workers", None)
-    if "num_workers" in source_meta:
-        meta["num_workers"] = source_meta["num_workers"]
+    meta["spec"] = source_meta["spec"]
     replace_file(meta_path, json.dumps(meta, indent=2))
     _fsync_dir(dest)
 

@@ -44,6 +44,22 @@ class TestBuildQuery:
         assert code == 0
         assert "MAP@k" in out.getvalue()
 
+    @pytest.mark.parametrize("execution", [[], ["--execution", "process",
+                                                "--workers", "1"]],
+                             ids=["in-process", "process"])
+    def test_build_then_serve_reports_execution(self, tmp_path, execution):
+        run(["build", "--dataset", "glove", "--n", "200",
+             "--out", str(tmp_path / "idx"), "--trees", "4",
+             "--alpha", "32", "--gamma", "8"])
+        out = io.StringIO()
+        code = run(["serve", "--index", str(tmp_path / "idx"),
+                    "--dataset", "glove", "--n", "200", "--queries", "8",
+                    "--clients", "2", "-k", "3", *execution], out)
+        assert code == 0
+        kind = "process" if execution else "thread"
+        assert f"served 8 queries from 2 clients (execution={kind})" \
+            in out.getvalue()
+
     def test_query_dimension_mismatch_fails_cleanly(self, tmp_path):
         run(["build", "--dataset", "glove", "--n", "200",
              "--out", str(tmp_path / "idx"), "--trees", "4",

@@ -338,14 +338,16 @@ class TestEngineComponents:
         for shard in sharded.shards:
             assert type(shard._engine) is QueryEngine
 
-    def test_shims_define_no_query_override(self):
-        """The structural guarantee: neither deprecated shim carries a
-        second copy of the Algo.-2 stage logic."""
-        from repro.core import ParallelHDIndex, ShardedHDIndex
-        assert "query" not in ParallelHDIndex.__dict__
-        assert "query_batch" not in ParallelHDIndex.__dict__
-        assert "query" not in ShardedHDIndex.__dict__
-        assert "query_batch" not in ShardedHDIndex.__dict__
+    def test_one_index_class_per_topology(self):
+        """The structural guarantee: the family is HDIndex (plain) and
+        ShardRouter (sharded); execution is an executor, never a
+        subclass carrying a second copy of the Algo.-2 stage logic."""
+        import repro.core
+        from repro.core import KNNIndex, ShardRouter
+        family = {obj for obj in vars(repro.core).values()
+                  if isinstance(obj, type) and issubclass(obj, KNNIndex)
+                  and obj is not KNNIndex}
+        assert family == {HDIndex, ShardRouter}
 
     def test_threaded_executor_rejects_bad_width(self):
         with pytest.raises(ValueError):

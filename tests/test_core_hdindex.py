@@ -278,12 +278,14 @@ class TestFrozenBuild:
     lane dtype, keys packed from uint8 planes, SSS distances through one
     scratch): a faster build may not move a byte.  The labelled build
     quantises at ω = 7, so its keys (21 or 22 dims x 7 bits) are not a
-    whole number of bytes."""
+    whole number of bytes.  The ``meta.json`` digests were re-taken when
+    the snapshot stopped recording a ``kind`` tag beside its spec; the
+    parsed files differ by that key alone."""
 
     DIGESTS = {
         "memory": {
             "descriptors.pages": "16d6c31fdf8291e5",
-            "meta.json": "249fb79189c63154",
+            "meta.json": "b446b85cd7a8b43b",
             "references.npz": "f44136192ad46105",
             "tree_0.packed": "4b8cc1a3dbdba752",
             "tree_1.packed": "26fb024234e815e2",
@@ -294,7 +296,7 @@ class TestFrozenBuild:
         },
         "streaming": {
             "descriptors.pages": "16d6c31fdf8291e5",
-            "meta.json": "1b06ddb27fdce802",
+            "meta.json": "8dd5b2bd46ddde8c",
             "references.npz": "17ce5fcbb1dc712e",
             "tree_0.packed": "ceabbef11b63b2ee",
             "tree_1.packed": "5b4511a5f79499c4",
@@ -305,7 +307,7 @@ class TestFrozenBuild:
         },
         "labelled": {
             "descriptors.pages": "16d6c31fdf8291e5",
-            "meta.json": "7cc6ac4e2c0187d6",
+            "meta.json": "069e47be8645530d",
             "metadata.packed": "9a3ae8688ae8ea4e",
             "references.npz": "f44136192ad46105",
             "tree_0.packed": "2c74fc0ad1cb380f",

@@ -130,16 +130,6 @@ class TestSaveLoad:
         cached.close()
 
 
-def write_pages_beside_columns(directory, index):
-    """Make ``directory`` look as a snapshot of the release before the
-    column format: every tree also as node pages (``tree_<i>.pages``)
-    beside its ``tree_<i>.packed``.  Loading only tests whether such a
-    file exists, so its pages hold placeholder bytes."""
-    for position, tree in enumerate(index.trees):
-        pages = bytes(tree.packed.num_pages * tree.page_size)
-        (directory / f"tree_{position}.pages").write_bytes(pages)
-
-
 class TestOneFilePerTree:
     def test_snapshot_has_no_tree_pages(self, workload, tmp_path):
         data, _ = workload
@@ -150,35 +140,38 @@ class TestOneFilePerTree:
             ["meta.json", "references.npz", "descriptors.pages"]
             + [f"tree_{i}.packed" for i in range(4)])
 
-    def test_old_layout_loads_and_sheds_its_pages(self, workload, tmp_path):
+    def test_stray_file_beside_the_columns_is_ignored(self, workload,
+                                                      tmp_path):
+        """Only the files a snapshot names are read or rewritten: a
+        foreign ``tree_0.pages`` neither changes answers or counted
+        reads nor is touched by a save."""
         data, queries = workload
         index = HDIndex(params())
         index.build(data)
         save_index(index, tmp_path)
-        write_pages_beside_columns(tmp_path, index)
-        old = load_index(tmp_path)
+        stray = tmp_path / "tree_0.pages"
+        stray.write_bytes(bytes(4096))
+        opened = load_index(tmp_path)
         for query in queries:
-            for got, want in zip(old.query(query, 10),
+            for got, want in zip(opened.query(query, 10),
                                  index.query(query, 10)):
                 np.testing.assert_array_equal(got, want)
-            assert old.last_query_stats().page_reads \
+            assert opened.last_query_stats().page_reads \
                 == index.last_query_stats().page_reads
-        assert (tmp_path / "tree_0.pages").exists()  # loading is read-only
-        old.insert(data[0])
-        save_index(old, tmp_path)
-        old.close()
-        assert not list(tmp_path.glob("tree_*.pages"))
+        opened.insert(data[0])
+        save_index(opened, tmp_path)
+        opened.close()
+        assert stray.read_bytes() == bytes(4096)
         with load_index(tmp_path) as again:
             assert again.count == len(data) + 1
 
-    def test_pages_only_snapshot_is_refused(self, workload, tmp_path):
+    def test_missing_packed_tree_is_refused(self, workload, tmp_path):
         data, _ = workload
         index = HDIndex(params())
         index.build(data)
         save_index(index, tmp_path)
-        write_pages_beside_columns(tmp_path, index)
         (tmp_path / "tree_2.packed").unlink()
-        with pytest.raises(PersistenceError, match="MIGRATION"):
+        with pytest.raises(PersistenceError, match=r"tree_2\.packed"):
             load_index(tmp_path)
 
     def test_entry_count_must_match_meta(self, workload, tmp_path):
@@ -301,7 +294,8 @@ class TestFamilySaveLoad:
         save_index(index, tmp_path / "index")
         manifest = json.loads(
             (tmp_path / "index" / "manifest.json").read_text())
-        assert manifest["kind"] == "sharded"
+        assert "kind" not in manifest
+        assert manifest["spec"]["topology"]["shards"] == 2
         assert manifest["num_shards"] == 2
         assert manifest["count"] == len(data)
         assert manifest["offsets"][0] == 0
@@ -363,16 +357,16 @@ class TestFamilySaveLoad:
         with pytest.raises(PersistenceError):
             load_index(tmp_path / "index")
 
-    def test_load_bad_manifest_kind_rejected(self, workload, tmp_path):
+    def test_load_manifest_without_spec_rejected(self, workload, tmp_path):
         data, _ = workload
         index = ShardRouter(params(), 2)
         index.build(data)
         save_index(index, tmp_path / "index")
         manifest_path = tmp_path / "index" / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["kind"] = "mystery"
+        del manifest["spec"]
         manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(PersistenceError):
+        with pytest.raises(PersistenceError, match="spec"):
             load_index(tmp_path / "index")
         index.close()
 

@@ -44,9 +44,7 @@ class TestArchitectureDoc:
             assert phrase.lower() in text.lower(), f"missing {phrase!r}"
 
     def test_covers_the_index_family(self, text):
-        for name in ("HDIndex", "ShardRouter", "QueryService",
-                     # deprecated shims stay documented for migration
-                     "ParallelHDIndex", "ShardedHDIndex"):
+        for name in ("HDIndex", "ShardRouter", "QueryService"):
             assert name in text, f"missing {name!r}"
 
     def test_covers_the_spec_axes(self, text):
@@ -97,10 +95,15 @@ class TestMigrationDoc:
         assert path.exists(), "docs/MIGRATION.md is missing"
         return path.read_text()
 
-    def test_every_deprecated_symbol_has_a_mapping(self, text):
+    def test_removed_section_names_every_removed_symbol(self, text):
+        removed = text.split("## Removed", 1)[1].split("\n## ", 1)[0]
         for name in ("ParallelHDIndex", "ProcessPoolHDIndex",
-                     "ShardedHDIndex", 'mode="process"', "--mode"):
-            assert name in text, f"missing migration entry for {name!r}"
+                     "ShardedHDIndex", "mode=", "workers=",
+                     "worker_backend=", "worker_timeout=", "--mode",
+                     '"kind"', '"num_workers"', "tree_<i>.pages",
+                     "save_index"):
+            assert name in removed, f"missing removal entry for {name!r}"
+        assert "deprecat" not in text.lower()
 
     def test_file_backend_removal_is_documented(self, text):
         for name in ('backend="file"', "FilePageStore", "MmapPageStore",

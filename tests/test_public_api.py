@@ -36,9 +36,7 @@ EXPECTED_ALL = [
     "OPQIndex",
     "Or",
     "PQIndex",
-    "ParallelHDIndex",
     "Predicate",
-    "ProcessPoolHDIndex",
     "QALSH",
     "QueryService",
     "QueryStats",
@@ -47,7 +45,6 @@ EXPECTED_ALL = [
     "ServiceConfig",
     "ServiceStats",
     "ShardRouter",
-    "ShardedHDIndex",
     "Topology",
     "VAFile",
     "WorkerCrashed",

@@ -165,16 +165,16 @@ class TestProcessModeParity:
         index = HDIndex(_params(str(tmp_path)))
         index.build(data)
         save_index(index, tmp_path)
+        one = Execution(kind="process", workers=1)
         try:
-            QueryService(index, execution="process", workers=1)  # fresh: fine
+            QueryService(index, execution=one)  # fresh: fine
             index.insert(np.full(16, 1.0))
             with pytest.raises(ValueError, match="save_index"):
-                QueryService(index, execution="process", workers=1)
+                QueryService(index, execution=one)
             with pytest.raises(ValueError, match="save_index"):
-                QueryService(index, execution="process", workers=1,
-                             snapshot_dir=tmp_path)
+                QueryService(index, execution=one, snapshot_dir=tmp_path)
             save_index(index, tmp_path)  # re-snapshot clears the drift
-            QueryService(index, execution="process", workers=1)
+            QueryService(index, execution=one)
         finally:
             index.close()
 
@@ -310,8 +310,8 @@ class TestCloseIdempotence:
     def test_close_is_idempotent_when_never_started(self, workload,
                                                     snapshot):
         directory, _ = snapshot
-        service = QueryService.from_snapshot(directory,
-                                             execution="process", workers=1)
+        service = QueryService.from_snapshot(
+            directory, execution=Execution(kind="process", workers=1))
         service.close()
         service.close()
         with pytest.raises(ServiceClosed):

@@ -101,6 +101,15 @@ class TestSpecValidation:
                                    topology=Topology(shards=2),
                                    execution=Execution(kind="process")))
 
+    def test_plain_process_requires_storage_dir(self):
+        with pytest.raises(ValueError, match="storage_dir"):
+            create_index(IndexSpec(params=params(),
+                                   execution=Execution(kind="process")))
+
+    def test_execution_rejects_zero_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            Execution(workers=0)
+
 
 class TestFactoryCombos:
     def test_plain_spec_equals_classic_hdindex(self, workload):
@@ -356,27 +365,72 @@ class TestSpecThroughHarnessAndService:
         with QueryService.from_snapshot(
                 tmp_path, execution=Execution(kind="process", workers=2),
                 max_batch=4) as service:
-            assert service.mode == "process"
+            assert service.execution.kind == "process"
             for q, (ids, dists) in zip(queries, expected):
                 got_ids, got_dists = service.query(q, K, timeout=30.0)
                 np.testing.assert_array_equal(got_ids, ids)
                 np.testing.assert_array_equal(got_dists, dists)
 
-    def test_execution_object_merges_unset_keywords(self, workload,
-                                                    tmp_path):
-        """workers= alongside an Execution object fills its unset field
-        instead of being silently dropped."""
+    def test_execution_accepts_object_kind_string_or_none(self, workload,
+                                                          tmp_path):
+        """execution= takes what repro.open takes: an Execution, a bare
+        kind string, or None for in-process dispatch."""
         data, _ = workload
         index = repro.build(IndexSpec(params=params()), data,
                             storage_dir=tmp_path)
         index.close()
-        service = QueryService.from_snapshot(
-            tmp_path, execution=Execution(kind="process"), workers=1)
-        try:
-            assert service.execution.workers == 1
-            assert service.execution.kind == "process"
-        finally:
-            service.close()
+        for execution, expected in (
+                (Execution(kind="process", workers=1),
+                 Execution(kind="process", workers=1)),
+                ("process", Execution(kind="process")),
+                (None, Execution())):
+            service = QueryService.from_snapshot(tmp_path,
+                                                 execution=execution)
+            try:
+                assert service.execution == expected
+            finally:
+                service.close()
+
+    @pytest.mark.parametrize("keyword", ["mode", "workers", "worker_backend",
+                                         "worker_timeout"])
+    def test_flat_execution_keywords_are_gone(self, workload, keyword):
+        """Execution's fields are set on the Execution, not as loose
+        service keywords (they would reach ServiceConfig and fail)."""
+        data, _ = workload
+        index = repro.HDIndex(params())
+        index.build(data)
+        with pytest.raises(TypeError, match=keyword):
+            QueryService(index, **{keyword: 1})
+        index.close()
+
+    def test_service_rejects_unknown_execution_kind(self, workload):
+        index = repro.HDIndex(params())
+        with pytest.raises(ValueError, match="execution kind"):
+            QueryService(index, execution="fiber")
+
+    @pytest.mark.parametrize("command", ["query", "serve"])
+    def test_cli_has_no_mode_flag(self, command, tmp_path, capsys):
+        from repro.cli import main as cli_main
+        with pytest.raises(SystemExit):
+            cli_main([command, "--index", str(tmp_path), "--mode",
+                      "process"])
+        assert "--mode" in capsys.readouterr().err
+
+    def test_spec_api_is_warning_free(self, workload, tmp_path):
+        import warnings
+        data, queries = workload
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            index = repro.build(
+                IndexSpec(params=params(), topology=Topology(shards=2)),
+                data, storage_dir=tmp_path)
+            index.query(queries[0], K)
+            index.close()
+            repro.open(tmp_path).close()
+            with repro.load_index(tmp_path) as loaded:
+                loaded.query_batch(queries[:3], K)
+            with QueryService(tmp_path, max_batch=4) as service:
+                service.query(queries[0], K, timeout=30.0)
 
     def test_query_and_submit_share_one_normaliser(self, workload):
         """Satellite: query() routes through submit(), so cache keys and

@@ -1,19 +1,16 @@
-"""Cross-version snapshot compatibility across the IndexSpec redesign.
+"""A snapshot records one thing about its deployment: its ``spec``.
 
-Both directions are pinned:
-
-* **old -> new**: every legacy ``kind``-tagged snapshot layout written by
-  the deprecated classes (including one with the ``spec`` section
-  stripped, byte-exactly what pre-redesign releases wrote) reopens via
-  ``repro.open()`` with byte-identical answers;
-* **new -> old**: a spec-written snapshot still reopens through the
-  legacy ``load_index()`` entry point.
+* every {sequential, thread, process} x {plain, sharded} snapshot reopens
+  byte-identically through both ``repro.open()`` and ``load_index()``,
+  and its ``meta.json`` / ``manifest.json`` carry no ``kind`` tag;
+* a snapshot whose recorded ``spec.execution`` or ``spec.topology`` is
+  missing or invalid is refused with a typed ``PersistenceError`` naming
+  ``docs/MIGRATION.md``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 
 import numpy as np
 import pytest
@@ -23,19 +20,19 @@ from repro import (
     Execution,
     HDIndexParams,
     IndexSpec,
-    ParallelHDIndex,
-    ProcessPoolHDIndex,
-    ShardedHDIndex,
     Topology,
     load_index,
-    save_index,
 )
+from repro.core import PersistenceError
 
 DIM = 16
 K = 6
 
-#: The legacy constructors intentionally exercised here all warn.
-pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
+EXECUTIONS = {
+    "sequential": Execution(),
+    "thread": Execution(kind="thread", workers=2),
+    "process": Execution(kind="process", workers=2),
+}
 
 
 @pytest.fixture(scope="module")
@@ -57,135 +54,68 @@ def params(**overrides):
     return HDIndexParams(**defaults)
 
 
-def _strip_spec(directory) -> None:
-    """Rewrite the snapshot metadata without the ``spec`` section — the
-    byte layout pre-redesign releases wrote (they also had no spec-aware
-    reader, so the legacy ``kind`` tag is all that survives)."""
-    for name in ("meta.json", "manifest.json"):
-        path = os.path.join(directory, name)
-        if not os.path.exists(path):
-            continue
-        with open(path) as handle:
-            meta = json.load(handle)
-        meta.pop("spec", None)
-        with open(path, "w") as handle:
-            json.dump(meta, handle, indent=2)
-    for entry in os.listdir(directory):
-        child = os.path.join(directory, entry)
-        if os.path.isdir(child) and entry.startswith("shard_"):
-            _strip_spec(child)
-
-
-LEGACY_WRITERS = {
-    "hdindex": lambda p: repro.HDIndex(p),
-    "parallel": lambda p: ParallelHDIndex(p, num_workers=3),
-    "sharded": lambda p: ShardedHDIndex(p, num_shards=2),
-}
-
-
-class TestLegacySnapshotsReopenViaOpen:
-    @pytest.mark.parametrize("kind", ["hdindex", "parallel", "sharded",
-                                      "process"])
-    def test_kind_tagged_snapshot_reopens_byte_identically(
-            self, workload, tmp_path, kind):
+class TestSpecSnapshotsReopen:
+    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+    @pytest.mark.parametrize("kind", sorted(EXECUTIONS))
+    def test_reopens_byte_identically_and_records_no_kind(
+            self, workload, tmp_path, kind, shards):
         data, queries = workload
-        if kind == "process":
-            index = ProcessPoolHDIndex(params(storage_dir=str(tmp_path)),
-                                       num_workers=2)
-        else:
-            index = LEGACY_WRITERS[kind](params())
-        index.build(data)
-        save_index(index, tmp_path)
-        expected = index.query_batch(queries, K)
-        index.close()
-
-        _strip_spec(tmp_path)  # exactly what the old releases wrote
-        with open(os.path.join(
-                tmp_path, "manifest.json" if kind == "sharded"
-                else "meta.json")) as handle:
-            meta = json.load(handle)
-        assert "spec" not in meta
-        assert meta["kind"] == kind
-
-        reopened = repro.open(tmp_path)
-        try:
-            got = reopened.query_batch(queries, K)
-            np.testing.assert_array_equal(got[0], expected[0])
-            np.testing.assert_array_equal(got[1], expected[1])
-            # The legacy kind maps onto the equivalent execution spec.
-            expected_kind = {"hdindex": "sequential", "parallel": "thread",
-                             "process": "process", "sharded": "sequential"}
-            assert reopened.spec.execution.kind == expected_kind[kind]
-        finally:
-            reopened.close()
-
-    def test_unknown_legacy_kind_still_rejected(self, workload, tmp_path):
-        data, _ = workload
-        index = repro.HDIndex(params())
-        index.build(data)
-        save_index(index, tmp_path)
-        index.close()
-        meta_path = os.path.join(tmp_path, "meta.json")
-        with open(meta_path) as handle:
-            meta = json.load(handle)
-        meta.pop("spec")
-        meta["kind"] = "quantum"
-        with open(meta_path, "w") as handle:
-            json.dump(meta, handle)
-        from repro.core import PersistenceError
-        with pytest.raises(PersistenceError, match="kind"):
-            repro.open(tmp_path)
-
-
-class TestSpecSnapshotsReopenViaLegacyLoader:
-    @pytest.mark.parametrize("spec_kwargs", [
-        dict(),
-        dict(execution=Execution(kind="thread", workers=2)),
-        dict(topology=Topology(shards=2)),
-        dict(topology=Topology(shards=2),
-             execution=Execution(kind="process", workers=2),
-             backend="mmap"),
-    ], ids=["plain", "thread", "sharded", "sharded-process"])
-    def test_spec_snapshot_loads_with_load_index(self, workload, tmp_path,
-                                                 spec_kwargs):
-        data, queries = workload
-        spec = IndexSpec(params=params(), **spec_kwargs)
+        execution = EXECUTIONS[kind]
+        spec = IndexSpec(params=params(), topology=Topology(shards=shards),
+                         execution=execution)
         index = repro.build(spec, data, storage_dir=tmp_path)
         expected = index.query_batch(queries, K)
         index.close()
-        reloaded = load_index(tmp_path)  # the pre-redesign entry point
-        try:
-            got = reloaded.query_batch(queries, K)
-            np.testing.assert_array_equal(got[0], expected[0])
-            np.testing.assert_array_equal(got[1], expected[1])
-        finally:
-            reloaded.close()
 
-    def test_spec_snapshot_keeps_legacy_kind_tag(self, workload, tmp_path):
-        """New snapshots stay readable by old releases: the kind tag is
-        still written alongside the spec."""
+        top = tmp_path / ("manifest.json" if shards > 1 else "meta.json")
+        assert json.loads(top.read_text())["spec"]["execution"]["kind"] \
+            == kind
+        for path in tmp_path.rglob("*.json"):
+            meta = json.loads(path.read_text())
+            assert "kind" not in meta and "num_workers" not in meta, path
+
+        for opener in (repro.open, load_index):
+            with opener(tmp_path) as reopened:
+                recorded = reopened.spec
+                assert recorded.execution.kind == kind
+                assert recorded.execution.workers == execution.workers
+                assert recorded.topology.shards == shards
+                got = reopened.query_batch(queries, K)
+                np.testing.assert_array_equal(got[0], expected[0])
+                np.testing.assert_array_equal(got[1], expected[1])
+
+
+def _set_execution(**fields):
+    return lambda meta: meta["spec"]["execution"].update(fields)
+
+
+def _set_topology(**fields):
+    return lambda meta: meta["spec"]["topology"].update(fields)
+
+
+#: Recorded specs a snapshot may not open with.
+BAD_SPECS = {
+    "no-spec": lambda meta: meta.pop("spec"),
+    "no-execution": lambda meta: meta["spec"].pop("execution"),
+    "bogus-worker-backend": _set_execution(worker_backend="bogus"),
+    "zero-workers": _set_execution(workers=0),
+    "zero-shards": _set_topology(shards=0),
+}
+
+
+class TestBadRecordedSpecRefused:
+    @pytest.mark.parametrize("case", sorted(BAD_SPECS))
+    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+    def test_raises_persistence_error_naming_migration(
+            self, workload, tmp_path, shards, case):
         data, _ = workload
         repro.build(IndexSpec(params=params(),
-                              execution=Execution(kind="thread")),
+                              topology=Topology(shards=shards)),
                     data, storage_dir=tmp_path).close()
-        with open(os.path.join(tmp_path, "meta.json")) as handle:
-            meta = json.load(handle)
-        assert meta["kind"] == "parallel"
-        assert meta["spec"]["execution"]["kind"] == "thread"
-
-    def test_legacy_shim_roundtrips_through_spim_snapshot(self, workload,
-                                                          tmp_path):
-        """A snapshot written via the new API reopens and answers
-        identically when the deprecated shim classes query it after a
-        plain load (mixed old/new code bases during migration)."""
-        data, queries = workload
-        index = repro.build(IndexSpec(params=params()), data,
-                            storage_dir=tmp_path)
-        expected = index.query_batch(queries, K)
-        index.close()
-        reopened = repro.open(tmp_path, execution="thread")
-        try:
-            got = reopened.query_batch(queries, K)
-            np.testing.assert_array_equal(got[0], expected[0])
-        finally:
-            reopened.close()
+        path = tmp_path / ("manifest.json" if shards > 1 else "meta.json")
+        meta = json.loads(path.read_text())
+        BAD_SPECS[case](meta)
+        path.write_text(json.dumps(meta))
+        for opener in (repro.open, load_index):
+            with pytest.raises(PersistenceError, match="MIGRATION"):
+                opener(tmp_path)

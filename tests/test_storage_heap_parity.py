@@ -217,29 +217,31 @@ class TestFileBackendRemoved:
             assert index.params.cache_pages == 0
             assert index.heap.path is not None
 
-    def test_snapshot_that_recorded_file_opens_mapped(self, snapshot,
-                                                      tmp_path):
-        """What a release with ``backend="file"`` wrote into meta.json —
-        as the params' backend and as a process pool's worker backend —
-        opens, mapped, with the same answers."""
+    def test_snapshot_that_recorded_file_worker_backend_is_refused(
+            self, snapshot, tmp_path):
+        """A recorded ``"file"`` worker backend is refused, typed; a
+        ``"file"`` params backend is harmless, because a reopen always
+        sets the backend it serves with."""
         _, data, queries, directory = snapshot
         for name in ("meta.json", "references.npz", "descriptors.pages",
                      *(f"tree_{i}.packed" for i in range(4))):
             (tmp_path / name).write_bytes((directory / name).read_bytes())
         meta = json.loads((tmp_path / "meta.json").read_text())
         meta["params"]["backend"] = "file"
-        meta["spec"]["execution"]["worker_backend"] = "file"
         (tmp_path / "meta.json").write_text(json.dumps(meta))
         with load_index(directory) as reference, \
                 load_index(tmp_path) as index:
             assert index.params.resolved_backend == "mmap"
-            assert index.spec.execution.worker_backend == "mmap"
             for got, want in zip(drive(index, queries),
                                  drive(reference, queries)):
                 np.testing.assert_array_equal(got[0], want[0])
                 np.testing.assert_array_equal(got[1], want[1])
+        meta["spec"]["execution"]["worker_backend"] = "file"
+        (tmp_path / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(PersistenceError, match="MIGRATION"):
-            load_index(tmp_path, backend="file")
+            load_index(tmp_path)
+        with pytest.raises(PersistenceError, match="MIGRATION"):
+            load_index(directory, backend="file")
 
 
 class HeapModel:
