@@ -25,9 +25,11 @@ MRPT/HDIdx-style:
   this collapses the stage-(iii) random reads);
 * a single executor (thread pool, for the parallel index) reused across
   all Q × τ tree scans;
-* the predicate's eligible ids, each tree's key-ordered eligible
-  positions, the WAL-delta screen and the sorted deleted-id array
-  computed once per call, not per row;
+* the predicate's eligible ids and each tree's key-ordered eligible
+  positions taken once per predicate and base generation (the index's
+  :class:`~repro.core.hdindex.EligibleMemo`, so a recurring predicate
+  pays neither a mask nor a sort), the WAL-delta screen and the sorted
+  deleted-id array once per call, not per row;
 * one (m, τ, α) block of reference distances that each row's descents
   refill and one :meth:`QueryEngine.filter_survivors` cuts, Eq. 6's
   weights built once a row (655 KB at τ = 8, α = 1024, m = 10: in L2)
@@ -216,7 +218,7 @@ class QueryEngine:
 
     def scan_many(self, tree_indices: Sequence[int], points: np.ndarray,
                   query_ref: np.ndarray, alpha: int, beta: int, gamma: int,
-                  ptolemaic: bool, eligible_ids: np.ndarray | None = None
+                  ptolemaic: bool, eligible=None
                   ) -> list[list[np.ndarray]]:
         """Stages (i)+(ii) for the given trees over all Q query rows.
 
@@ -228,10 +230,11 @@ class QueryEngine:
         window of another length raises :class:`CandidateWindowError`.
         Returns, per tree, one survivor-id array per query row.
 
-        ``eligible_ids`` are the base objects the predicate admits, in
-        id order.  Each tree turns them, once per call, into the key-ordered
-        positions of its eligible entries, and every row's lookup takes
-        its α candidates among those — so α, β and γ mean what they mean
+        ``eligible`` (an :class:`~repro.core.hdindex.EligibleSet`) holds
+        the base objects the predicate admits and, taken on a tree's
+        first use and shared by later calls, the key-ordered positions of
+        each tree's eligible entries; every row's lookup takes its α
+        candidates among those — so α, β and γ mean what they mean
         without a predicate and an ineligible point never reaches the
         lower-bound kernels.
         """
@@ -241,10 +244,11 @@ class QueryEngine:
         keys = encode_for_curves(
             [tree.curve for tree in trees],
             [quantized[:, index.partitions[t]] for t in tree_indices])
-        subsets = [None if eligible_ids is None
-                   else tree.positions_of(eligible_ids) for tree in trees]
-        width = min(alpha, len(trees[0]) if eligible_ids is None
-                    else eligible_ids.size)
+        subsets = [None if eligible is None
+                   else eligible.positions(t, tree)
+                   for t, tree in zip(tree_indices, trees)]
+        width = min(alpha, len(trees[0]) if eligible is None
+                    else eligible.ids.size)
         id_block = np.empty((len(trees), width), dtype=np.int64)
         ref_block = np.empty((index.references.size, len(trees), width))
         slices = list(zip(id_block, ref_block.transpose(1, 2, 0)))
@@ -378,8 +382,9 @@ class QueryEngine:
 
         ``predicate`` (a :class:`~repro.meta.Predicate` or its dict
         form) restricts every row's answer to matching points via
-        pushdown: the eligible ids are computed once here (inside
-        ``time_sec``) and each tree hands stage (ii) its α nearest
+        pushdown: the eligible ids are looked up here (inside
+        ``time_sec``; a mask only on the predicate's first use on this
+        base generation) and each tree hands stage (ii) its α nearest
         *eligible* entries, so the (α, β, γ) budgets are the unfiltered
         ones; at most α eligible rows in all are re-ranked exactly with
         no tree asked.  ``extra["selectivity"]`` reports the eligible
@@ -392,7 +397,7 @@ class QueryEngine:
                      if use_ptolemaic is None else use_ptolemaic)
         eff_alpha, eff_beta, eff_gamma = index._effective_sizes(
             k, alpha, beta, gamma, ptolemaic)
-        eligible_ids, selectivity = index._eligibility(predicate)
+        eligible = index._eligibility(predicate)
 
         reads_before = index._total_page_reads()
         random_before, sequential_before = index._read_breakdown()
@@ -410,13 +415,13 @@ class QueryEngine:
             points = normalize_rows(points)
         batch = points.shape[0]
 
-        if eligible_ids is not None and eligible_ids.size <= eff_alpha:
+        if eligible is not None and eligible.ids.size <= eff_alpha:
             # No more eligible rows than one tree offers candidates:
             # every tree would offer all of them, so no tree is asked
             # and no bound computed — they go to the exact re-rank as
             # they are (a predicate matching no row reads no page).
             remote_delta = None
-            per_tree = [[eligible_ids] * batch]
+            per_tree = [[eligible.ids] * batch]
         else:
             # The (Q, m) reference-distance matmul is charged once per
             # call whoever computes it — sequential-equivalent
@@ -441,7 +446,7 @@ class QueryEngine:
                 def scan(trees):
                     return self.scan_many(trees, points, query_ref,
                                           eff_alpha, eff_beta, eff_gamma,
-                                          ptolemaic, eligible_ids)
+                                          ptolemaic, eligible)
 
                 trees = range(len(index.trees))
                 per_tree = (scan(trees) if self.executor.workers is None
@@ -455,8 +460,8 @@ class QueryEngine:
         random_after, sequential_after = index._read_breakdown()
         extra = {"alpha": eff_alpha, "beta": eff_beta, "gamma": eff_gamma,
                  "ptolemaic": ptolemaic}
-        if predicate is not None:
-            extra["selectivity"] = selectivity
+        if eligible is not None:
+            extra["selectivity"] = eligible.selectivity
         if self.executor.workers is not None:
             extra["workers"] = self.executor.workers
         extra["batch_size"] = batch

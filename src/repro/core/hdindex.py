@@ -14,6 +14,8 @@ import dataclasses
 import os
 import threading
 import time
+import weakref
+from collections import OrderedDict
 
 import numpy as np
 
@@ -35,6 +37,97 @@ from repro.meta import MetadataStore, coerce_predicate
 from repro.storage.vectors import VectorHeapFile
 from repro.wal.delta import DeltaSegment
 from repro.wal.manager import compact_index, open_log
+
+
+class EligibleSet:
+    """One predicate's eligible base objects on one base generation: their
+    ascending ``ids``, the ``selectivity`` and, filled on a tree's first
+    use, each tree's key-ordered positions of them (``subsets``).  The
+    arrays are read-only: every query the predicate recurs in shares
+    them.  ``weight`` is what the memo charges: the ids, τ positions
+    arrays of as many, and one for the set itself."""
+
+    __slots__ = ("ids", "selectivity", "weight", "subsets", "_base")
+
+    def __init__(self, ids: np.ndarray, selectivity: float,
+                 base: tuple) -> None:
+        ids.flags.writeable = False
+        self.ids, self.selectivity, self._base = ids, selectivity, base
+        self.weight = 1 + (len(base) - 1) * ids.size
+        self.subsets: list[np.ndarray | None] = [None] * (len(base) - 2)
+
+    def positions(self, tree_index: int, tree: RDBTree) -> np.ndarray:
+        """``tree``'s :meth:`RDBTree.positions_of` the ids, kept while the
+        tree has the layout the set was taken on."""
+        subset = self.subsets[tree_index]
+        if subset is None:
+            subset = tree.positions_of(self.ids)
+            subset.flags.writeable = False
+            if self._base[2 + tree_index]() is tree.packed:
+                self.subsets[tree_index] = subset
+        return subset
+
+    def nbytes(self) -> int:
+        return self.ids.nbytes + sum(
+            subset.nbytes for subset in self.subsets if subset is not None)
+
+
+class EligibleMemo:
+    """The :class:`EligibleSet` of each recurring predicate, valid for one
+    base generation: the same metadata store object at the same row count
+    and the same tree layouts, checked by identity through weak
+    references (a superseded generation is not kept alive).  A fold, a
+    compaction's transplant or a rebuild changes one of them and the next
+    lookup drops every set; inserts and deletes change none (the merge
+    screens delta rows and subtracts deleted ids).  LRU by weight, at
+    most 2·(τ+1)·n: twice what predicates partitioning the rows take."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._base: tuple = ()
+        self._sets: OrderedDict = OrderedDict()
+        self.held = self._bound = 0
+
+    def lookup(self, index: "HDIndex", predicate) -> EligibleSet:
+        """The predicate's set on ``index``'s base, computed on a miss:
+        one mask over the store and one ``flatnonzero``."""
+        with self._lock:
+            base = self._rebase(index)
+            found = self._sets.get(predicate)
+            if found is not None:
+                self._sets.move_to_end(predicate)
+                return found
+        mask = predicate.mask(index.metadata)
+        found = EligibleSet(np.flatnonzero(mask), (  # mean() is 10x dearer
+            int(np.count_nonzero(mask)) / mask.size if mask.size else 0.0),
+            base)
+        with self._lock:
+            if self._rebase(index) is base and predicate not in self._sets:
+                self._sets[predicate] = found
+                self.held += found.weight
+                while self.held > self._bound and self._sets:
+                    self.held -= self._sets.popitem(last=False)[1].weight
+        return found
+
+    def nbytes(self, index: "HDIndex") -> int:
+        """Bytes of the sets held for ``index``'s current base."""
+        with self._lock:
+            self._rebase(index)
+            return sum(found.nbytes() for found in self._sets.values())
+
+    def _rebase(self, index: "HDIndex") -> tuple:
+        """(row count, weak references to the store and the layouts) of
+        ``index``'s base; every set is dropped when it changed."""
+        store, trees, base = index.metadata, index.trees, self._base
+        if not (len(base) == len(trees) + 2 and base[0] == store.count
+                and base[1]() is store
+                and all(ref() is tree.packed
+                        for ref, tree in zip(base[2:], trees))):
+            self._base = base = (store.count, weakref.ref(store), *[
+                weakref.ref(tree.packed) for tree in trees])
+            self._sets.clear()
+            self.held, self._bound = 0, 2 * (len(trees) + 1) * store.count
+        return base
 
 
 class HDIndex(KNNIndex):
@@ -106,6 +199,7 @@ class HDIndex(KNNIndex):
         self._wal_fsync = "always"
         self._retired = None
         self._update_lock = threading.Lock()
+        self._eligible = EligibleMemo()
         self._engine = QueryEngine(self)
         if executor is not None:
             self.set_executor(executor)
@@ -709,10 +803,13 @@ class HDIndex(KNNIndex):
         return size
 
     def memory_bytes(self) -> int:
-        """Query-time RAM: reference set + buffer pools + row block."""
+        """Query-time RAM: reference set + buffer pools and id -> position
+        columns + held eligible sets + row block."""
         if self.references is None:
             return 0
         total = self.references.memory_bytes()
+        if self.metadata is not None:
+            total += self._eligible.nbytes(self)
         total += sum(tree.memory_bytes() for tree in self.trees)
         if self.heap is not None:
             total += self.heap.memory_bytes()
@@ -777,17 +874,18 @@ class HDIndex(KNNIndex):
                 "filtered query on an index without metadata; pass "
                 "metadata= to build()")
         self.metadata.check_columns(predicate.columns())
+        for column, value in predicate.constants():
+            self.metadata.coerce(column, value)  # typed, before any hash
         return predicate
 
-    def _eligibility(self, predicate) -> tuple[np.ndarray | None, float]:
-        """Ascending ids of the base objects the predicate admits (what
-        the trees take their α candidates among) plus its selectivity,
-        the eligible fraction reported as ``extra["selectivity"]``."""
-        if predicate is None:
-            return None, 1.0
-        mask = predicate.mask(self.metadata)  # a count: mean() is 10x dearer
-        return np.flatnonzero(mask), (
-            int(np.count_nonzero(mask)) / mask.size if mask.size else 0.0)
+    def _eligibility(self, predicate) -> EligibleSet | None:
+        """The base objects the predicate admits (what the trees take
+        their α candidates among), their selectivity (the eligible
+        fraction reported as ``extra["selectivity"]``) and each tree's
+        positions of them: taken once per predicate and base generation
+        (:class:`EligibleMemo`), so a recurring predicate pays no mask."""
+        return None if predicate is None else \
+            self._eligible.lookup(self, predicate)
 
     def _total_page_reads(self) -> int:
         reads = sum(tree.stats.page_reads for tree in self.trees)

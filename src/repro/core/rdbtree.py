@@ -244,8 +244,11 @@ class RDBTree(ModelledPool):
     def positions_of(self, object_ids: np.ndarray) -> np.ndarray:
         """Key-ordered entry positions of the given objects, ascending (a
         ``subset``), through an id -> position column derived on first
-        use and dropped with the layout.  Needs the ids an index gives
-        its trees: each of ``0..len(self)-1`` once."""
+        use and dropped with the layout: one gather and one sort.  Needs
+        the ids an index gives its trees: each of ``0..len(self)-1``
+        once.  The index keeps the result per predicate and layout
+        (:class:`~repro.core.hdindex.EligibleSet`), so a predicate pays
+        this once per tree, not once per call."""
         packed = self.packed
         cached = self._positions_cache
         if cached is None or cached[0] is not packed:
@@ -270,6 +273,12 @@ class RDBTree(ModelledPool):
 
     def __len__(self) -> int:
         return self.packed.count
+
+    def memory_bytes(self) -> int:
+        """The modelled pool plus the id -> position column, once taken."""
+        cached = self._positions_cache
+        return super().memory_bytes() + (0 if cached is None
+                                         else cached[1].nbytes)
 
     @property
     def height(self) -> int:

@@ -35,6 +35,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
+from repro.meta.store import plain_scalar
+
 __all__ = [
     "And",
     "Eq",
@@ -69,6 +71,19 @@ class Predicate:
         """Every column name the predicate reads (for validation)."""
         raise NotImplementedError
 
+    def constants(self) -> list[tuple[str, Any]]:
+        """(column, constant) for every constant of the leaves, a
+        :class:`Range`'s open bounds left out (for validation)."""
+        found = []
+        for field in dataclasses.fields(self):  # type: ignore[arg-type]
+            value = getattr(self, field.name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, Predicate):
+                    found += item.constants()
+                elif field.name != "column" and item is not None:
+                    found.append((getattr(self, "column"), item))
+        return found
+
     # Composition sugar: (Eq("color", "red") & Range("year", low=2000)).
     def __and__(self, other: "Predicate") -> "And":
         return And(self, other)
@@ -86,6 +101,9 @@ class Eq(Predicate):
 
     column: str
     value: Any
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "value", plain_scalar(self.value))
 
     def mask(self, store) -> np.ndarray:
         return store.column(self.column) == store.coerce(self.column,
@@ -110,7 +128,7 @@ class In(Predicate):
 
     def __init__(self, column: str, values) -> None:
         object.__setattr__(self, "column", column)
-        object.__setattr__(self, "values", tuple(values))
+        object.__setattr__(self, "values", tuple(map(plain_scalar, values)))
 
     def mask(self, store) -> np.ndarray:
         coerced = [store.coerce(self.column, value) for value in self.values]
@@ -134,6 +152,10 @@ class Range(Predicate):
     column: str
     low: Any = None
     high: Any = None
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "low", plain_scalar(self.low))
+        object.__setattr__(self, "high", plain_scalar(self.high))
 
     def mask(self, store) -> np.ndarray:
         values = store.column(self.column)
@@ -279,23 +301,9 @@ def coerce_predicate(value) -> Predicate | None:
         f"{type(value).__name__}")
 
 
-def _is_plain(value: Any) -> bool:
-    return isinstance(value, (str, int, float, bool, type(None)))
-
-
 def validate_json_safe(predicate: Predicate) -> None:
     """Reject predicates whose constants cannot cross a JSON boundary."""
-    for field in dataclasses.fields(predicate):  # type: ignore[arg-type]
-        value = getattr(predicate, field.name)
-        if isinstance(value, Predicate):
-            validate_json_safe(value)
-        elif isinstance(value, tuple):
-            for item in value:
-                if isinstance(item, Predicate):
-                    validate_json_safe(item)
-                elif not _is_plain(item):
-                    raise TypeError(
-                        f"predicate constant {item!r} is not JSON-safe")
-        elif not _is_plain(value):
+    for _, value in predicate.constants():
+        if not isinstance(value, (str, int, float)):
             raise TypeError(
                 f"predicate constant {value!r} is not JSON-safe")

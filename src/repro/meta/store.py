@@ -117,8 +117,10 @@ class MetadataStore:
                 f"{', '.join(sorted(self._columns))}") from None
 
     def coerce(self, name: str, value: Any):
-        """A predicate constant in the column's comparison domain."""
+        """A predicate constant in the column's comparison domain (a numpy
+        number as its Python value)."""
         kind = self.kind(name)
+        value = plain_scalar(value)
         if kind == "str":
             if not isinstance(value, str):
                 raise TypeError(
@@ -160,11 +162,11 @@ class MetadataStore:
             raise ValueError(
                 f"metadata keys {sorted(row.keys())} differ from store "
                 f"columns {sorted(self._columns)}")
-        checked = dict(row)
+        checked = {name: plain_scalar(value) for name, value in row.items()}
         for name, column in self._columns.items():
             kind = _kind_of(_column_from_values(name, [row[name]]).dtype)
             if kind == "int" and column.dtype.kind == "f":
-                checked[name] = float(row[name])
+                checked[name] = float(checked[name])
             elif kind != _kind_of(column.dtype):
                 raise TypeError(
                     f"column {name!r} is {_kind_of(column.dtype)}-typed; "
@@ -219,7 +221,7 @@ def _kind_of(dtype: np.dtype) -> str:
 
 def _column_from_values(name: str, values: list) -> np.ndarray:
     kinds = set()
-    for value in values:
+    for value in map(plain_scalar, values):
         if isinstance(value, bool):
             raise TypeError(
                 f"column {name!r}: bool values are not supported; "
@@ -255,13 +257,15 @@ def _concat_columns(head: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return np.concatenate([head, tail])
 
 
-def _to_python(value) -> Any:
-    if isinstance(value, bytes):
-        return value.decode("utf-8")
-    if isinstance(value, np.bytes_):
-        return bytes(value).decode("utf-8")
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
+def plain_scalar(value: Any) -> Any:
+    """A numpy integer or floating scalar as its Python value (a numpy
+    bool stays one, so it is refused like a Python bool); else ``value``."""
+    if isinstance(value, (np.integer, np.floating)):
+        return value.item()
     return value
+
+
+def _to_python(value) -> Any:
+    if isinstance(value, (bytes, np.bytes_)):
+        return bytes(value).decode("utf-8")
+    return plain_scalar(value)

@@ -62,7 +62,7 @@ from repro.datasets import make_dataset
 from repro.devtools.sanitize import node_candidates
 from repro.distance import pairwise_euclidean
 from repro.hilbert import HilbertCurve, encode_for_curves
-from repro.meta import Eq
+from repro.meta import Eq, In
 from repro.storage import UIntCodec
 from test_core_filters import python_ptolemaic, python_triangular
 
@@ -659,10 +659,17 @@ class TestSortedMerge:
 
     def test_eligible_ids_taken_once_per_call(self, workload, updated,
                                               monkeypatch):
-        """Under a pool each tree is its own task; the predicate's
-        eligible ids are still derived once for the call."""
+        """Once per (predicate, base generation): one ``flatnonzero`` on
+        the predicate's first use — under a pool, where each tree is its
+        own task, too — none when it (or an equal object) recurs, and one
+        again after ``compact()`` folds the delta into the base.  A fresh
+        index of the fixture's kind, so the fixture stays un-compacted."""
+        index, _, _ = TestScalarOracleParity._updated(
+            workload, None,
+            "sequential" if updated.executor.workers is None else "thread",
+            False, num_trees=2)
         predicate = Eq("label", 1)
-        eligible = np.count_nonzero(predicate.mask(updated.metadata))
+        eligible = np.count_nonzero(predicate.mask(index.metadata))
         calls = []
         flatnonzero = np.flatnonzero
 
@@ -671,9 +678,19 @@ class TestSortedMerge:
             return flatnonzero(*args, **kwargs)
 
         monkeypatch.setattr(np, "flatnonzero", counted)
-        updated.query(workload[1][0], 10, predicate=predicate)
-        assert eligible > updated.last_query_stats().extra["alpha"]
-        assert len(calls) == 1
+        for form in (predicate, predicate, Eq("label", np.int64(1))):
+            index.query(workload[1][0], 10, predicate=form)
+            assert len(calls) == 1
+        assert eligible > index.last_query_stats().extra["alpha"]
+        index.compact()
+        got = index.query(workload[1][0], 10, predicate=predicate)
+        assert len(calls) == 2
+        # The same rows under a predicate new to the index: a fresh mask.
+        want = index.query(workload[1][0], 10, predicate=In("label", [1]))
+        assert len(calls) == 3
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        index.close()
 
 
 def per_column_survivors(query_ref, cand_ids, cand_ref, beta, gamma,
@@ -1148,7 +1165,8 @@ class TestOnePointAdapter:
     def test_filtered_time_covers_the_predicate_mask(self, workload,
                                                      monkeypatch):
         """Regression: the clock used to start after the eligibility
-        mask, so a filtered query under-reported its own time."""
+        mask, so a filtered query under-reported its own time.  Each run
+        brings a predicate new to the index, so the mask is not held."""
         data, queries = workload
         index = HDIndex(params())
         index.build(data, metadata=[{"label": i % 3}
@@ -1163,7 +1181,7 @@ class TestOnePointAdapter:
         for run in (lambda: index.query(queries[0], 5,
                                         predicate=Eq("label", 1)),
                     lambda: index.query_batch(queries[:2], 5,
-                                              predicate=Eq("label", 1))):
+                                              predicate=Eq("label", 2))):
             run()
             assert index.last_query_stats().time_sec >= 0.05
 

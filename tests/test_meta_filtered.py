@@ -10,6 +10,9 @@ serve tier; and ineligible points must never reach the heap's
 rows).
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -369,11 +372,251 @@ class TestSelectivityInflation:
         for mask in (np.zeros(0, dtype=bool), np.zeros(N, dtype=bool),
                      tenth, np.ones(N, dtype=bool)):
             want = float(mask.mean()) if mask.size else 0.0
-            got = index._eligibility(GivenMask(mask))[1]
+            got = index._eligibility(GivenMask(mask)).selectivity
             assert type(got) is float and got.hex() == want.hex()
         index.query(queries[0], k=3, predicate=Eq("label", 3))
         reported = index.last_query_stats().extra["selectivity"]
         assert reported.hex() == float(tenth.mean()).hex() == (0.1).hex()
+
+
+class TestEligibleMemo:
+    """A predicate's eligible ids and each tree's positions of them are
+    held per (predicate, base generation): the same predicate object or
+    an equal one answers what a memo-free index holding the same base
+    answers, through every change of the base.  Budgets below the
+    eligible count, so the trees are asked and the positions held."""
+
+    N = 1400
+    LABEL = Eq("label", 3)  # 200 eligible rows: more than α
+
+    def params(self):
+        return HDIndexParams(num_trees=2, num_references=4, hilbert_order=6,
+                             alpha=48, beta=32, gamma=16, seed=5)
+
+    def spec(self, execution="sequential", wal=False):
+        return IndexSpec(params=self.params(), backend="mmap",
+                         execution=Execution(kind=execution, workers=2,
+                                             wal=wal))
+
+    @staticmethod
+    def answers(index, queries, predicate):
+        ids, dists = index.query_batch(queries, 10, predicate=predicate)
+        return ids.tobytes() + dists.tobytes()
+
+    def memo_free(self, directory, queries, predicate):
+        """The answers of a fresh process-local index over the snapshot,
+        whose memo is empty when the predicate arrives."""
+        with open_index(directory) as fresh:
+            assert fresh._eligible.held == 0
+            return self.answers(fresh, queries, predicate)
+
+    @pytest.mark.parametrize("wal", [True, False], ids=["compact", "save"])
+    def test_a_fold_drops_the_held_sets(self, tmp_path, wal):
+        from repro.core import save_index
+        data, queries, metadata = make_workload(n=self.N)
+        index = build(self.spec(wal=wal), data, storage_dir=str(tmp_path),
+                      metadata=metadata)
+        before = self.answers(index, queries, self.LABEL)
+        held = index._eligibility(self.LABEL)
+        assert held is index._eligibility(Eq("label", 3))
+        assert held.ids.size > 48 and all(
+            subset is not None for subset in held.subsets)
+        assert not held.ids.flags.writeable
+        new_id = index.insert(queries[0], metadata={
+            "label": 3, "score": 0.5, "tag": "odd"})
+        # An insert leaves the set alone: the merge screens the delta.
+        assert index._eligibility(self.LABEL) is held
+        assert index.query(queries[0], 1, predicate=self.LABEL)[0][0] \
+            == new_id
+        if wal:
+            index.compact()
+        else:
+            save_index(index, str(tmp_path))
+        assert index._eligibility(self.LABEL) is not held
+        want = self.memo_free(str(tmp_path), queries, self.LABEL)
+        for form in (self.LABEL, Eq("label", 3), self.LABEL):
+            got = self.answers(index, queries, form)
+            assert got == want != before
+            assert index.query(queries[0], 1, predicate=form)[0][0] == new_id
+        index.close()
+
+    def test_rebuild_and_reopen(self, tmp_path):
+        data, queries, metadata = make_workload(n=self.N)
+        index = HDIndex(self.params())
+        index.build(data, metadata=metadata)
+        first = self.answers(index, queries, self.LABEL)
+        shifted = [{**row, "label": (row["label"] + 1) % 7}
+                   for row in metadata]
+        index.build(data, metadata=shifted)
+        oracle = HDIndex(self.params())
+        oracle.build(data, metadata=shifted)
+        for form in (self.LABEL, Eq("label", 3)):
+            assert self.answers(index, queries, form) == self.answers(
+                oracle, queries, In("label", [3])) != first
+        persisted = build(self.spec(), data, storage_dir=str(tmp_path),
+                          metadata=metadata)
+        assert self.answers(persisted, queries, self.LABEL) == first
+        persisted.close()
+        for _ in range(2):
+            with open_index(str(tmp_path)) as reopened:
+                for form in (self.LABEL, Eq("label", 3)):
+                    assert self.answers(reopened, queries, form) == first
+
+    def test_swap_snapshot(self, tmp_path):
+        from repro.serve import QueryService, ServiceConfig
+        data, queries, metadata = make_workload(n=self.N)
+        writer = build(self.spec(wal=True), data, storage_dir=str(tmp_path),
+                       metadata=metadata)
+        service = QueryService(open_index(str(tmp_path), wal=False),
+                               ServiceConfig(max_batch=4)).start()
+        service._owns_index = True
+        try:
+            ids, _ = service.submit(queries[1], 5,
+                                    predicate=self.LABEL).result(10)
+            new_id = writer.insert(queries[1], metadata={
+                "label": 3, "score": 0.1, "tag": "even"})
+            writer.compact()
+            service.swap_snapshot(timeout=10)
+            want = self.memo_free(str(tmp_path), queries, self.LABEL)
+            for form in (self.LABEL, Eq("label", 3)):
+                got_ids, _ = service.submit(
+                    queries[1], 5, predicate=form).result(10)
+                assert got_ids[0] == new_id != ids[0]
+                assert self.answers(service.index, queries, form) == want
+        finally:
+            service.stop()
+            writer.close()
+
+    @pytest.mark.parametrize("execution", ["thread", "process"])
+    def test_pools_answer_as_sequential(self, tmp_path, execution):
+        data, queries, metadata = make_workload(n=self.N)
+        sequential = HDIndex(self.params())
+        sequential.build(data, metadata=metadata)
+        want = self.answers(sequential, queries, self.LABEL)
+        index = build(self.spec(execution), data,
+                      storage_dir=str(tmp_path), metadata=metadata)
+        with index:
+            # Miss, hit, then the wire form (equal, not the same object).
+            for form in (self.LABEL, self.LABEL, self.LABEL.to_dict()):
+                assert self.answers(index, queries, form) == want
+                for query in queries[:2]:
+                    ids, dists = index.query(query, 10, predicate=form)
+                    single = sequential.query(query, 10, predicate=form)
+                    assert ids.tobytes() == single[0].tobytes()
+                    assert dists.tobytes() == single[1].tobytes()
+
+    def test_held_ids_stay_within_the_derived_bound(self):
+        data, queries, metadata = make_workload(n=self.N)
+        index = HDIndex(self.params())
+        index.build(data, metadata=metadata)
+        memo = index._eligible
+        bound = 2 * (len(index.trees) + 1) * self.N
+        ranges = [Range("score", low=step / 60) for step in range(30)]
+        first = [self.answers(index, queries[:1], predicate)
+                 for predicate in ranges]
+        assert memo._bound == bound
+        for again in range(2):
+            for predicate, want in zip(ranges, first):
+                assert self.answers(index, queries[:1], predicate) == want
+                assert 0 < memo.held <= bound
+                assert memo.held == sum(
+                    found.weight for found in memo._sets.values())
+                assert memo.held >= sum(
+                    found.ids.size + sum(subset.size for subset in
+                                         found.subsets if subset is not None)
+                    for found in memo._sets.values())
+        assert 1 < len(memo._sets) < len(ranges)  # some held, some evicted
+
+    def test_concurrent_callers_share_one_consistent_memo(self):
+        """More threads than cores, switching every microsecond, over
+        more predicates than the bound holds: every answer is the
+        single-threaded one and the memo's weight is the sum of its
+        sets' (a lost update would break either)."""
+        data, queries, metadata = make_workload(n=self.N)
+        index = HDIndex(self.params())
+        index.build(data, metadata=metadata)
+        ranges = [Range("score", low=step / 40) for step in range(20)]
+        want = [self.answers(index, queries[:2], predicate)
+                for predicate in ranges]
+        memo, errors = index._eligible, []
+
+        def client(offset):
+            try:
+                for turn in range(40):
+                    pick = (offset * 7 + turn) % len(ranges)
+                    got = self.answers(index, queries[:2],
+                                       Range("score", low=pick / 40))
+                    if got != want[pick]:
+                        errors.append(pick)
+            except Exception as error:  # pragma: no cover - fails test
+                errors.append(error)
+
+        threads = [threading.Thread(target=client, args=(offset,))
+                   for offset in range(6)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert 0 < memo.held <= memo._bound
+        assert memo.held == sum(found.weight
+                                for found in memo._sets.values())
+
+    def test_unhashable_constant_is_still_a_typed_error(self):
+        data, queries, metadata = make_workload(n=self.N)
+        index = HDIndex(self.params())
+        index.build(data, metadata=metadata)
+        index.query(queries[0], 5, predicate=Eq("label", 1))
+        for bad in (Eq("label", [1]), Eq("label", True),
+                    In("label", [1, [2]]), Range("score", low={})):
+            with pytest.raises(TypeError, match="-typed"):
+                index.query(queries[0], 5, predicate=bad)
+
+    def test_numpy_constants_answer_as_python_ones(self):
+        data, queries, metadata = make_workload(n=self.N)
+        index = HDIndex(self.params())
+        index.build(data, metadata=metadata)
+        for plain, numpy_form in [
+                (Eq("label", 3), Eq("label", np.int64(3))),
+                (In("label", (1, 2)), In("label", np.array([1, 2]))),
+                (Range("score", 0.25, 0.5),
+                 Range("score", np.float32(0.25), np.float64(0.5)))]:
+            assert numpy_form == plain and hash(numpy_form) == hash(plain)
+            want = HDIndex(self.params())
+            want.build(data, metadata=metadata)
+            assert self.answers(index, queries, numpy_form) \
+                == self.answers(want, queries, plain)
+        new_id = index.insert(queries[0], metadata={
+            "label": np.int64(3), "score": np.float32(0.5),
+            "tag": np.str_("odd")})
+        assert index.query(queries[0], 1,
+                           predicate=Eq("label", np.int8(3)))[0][0] == new_id
+        index.compact()
+        assert index.metadata.row(new_id) == {
+            "label": 3, "score": 0.5, "tag": "odd"}
+
+    def test_memory_bytes_counts_the_held_arrays(self):
+        data, queries, metadata = make_workload(n=self.N)
+        index = HDIndex(self.params())
+        index.build(data, metadata=metadata)
+        index.query(queries[0], 10)
+        before = index.memory_bytes()
+        index.query(queries[0], 10, predicate=self.LABEL)
+        held = index._eligibility(self.LABEL)
+        arrays = [held.ids, *held.subsets,
+                  *(tree._positions_cache[1] for tree in index.trees)]
+        assert index.memory_bytes() - before == sum(
+            array.nbytes for array in arrays)
+        index.insert(queries[0], metadata={"label": 3, "score": 0.5,
+                                           "tag": "odd"})
+        index.compact()
+        assert index.memory_bytes() == before
 
 
 class TestFilteredValidation:
@@ -516,7 +759,8 @@ class TestFilteredWal:
 
     def test_parity_through_wal_interleavings(self, tmp_path, wal):
         """Insert → query → compact → insert → query: parity with the
-        oracle (base store + delta rows) at every step."""
+        oracle (base store + delta rows) at every step, one predicate
+        object reused across the compaction."""
         data, queries, metadata = make_workload(n=150)
         index = build(self.wal_spec(wal, n=150), data,
                       storage_dir=str(tmp_path),
@@ -527,6 +771,10 @@ class TestFilteredWal:
         def check():
             query = queries[0]
             ids, dists = index.query(query, k=9, predicate=predicate)
+            # An equal predicate shares the held set; same answer.
+            again = index.query(query, k=9, predicate=Eq("tag", "even"))
+            assert again[0].tobytes() == ids.tobytes()
+            assert again[1].tobytes() == dists.tobytes()
             # Oracle over base + delta: compact-free reference.
             rows = [index.metadata.row(i)
                     for i in range(index.metadata.count)]

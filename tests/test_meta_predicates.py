@@ -150,8 +150,15 @@ class TestPredicateRoundTrips:
 
     def test_validate_json_safe(self):
         validate_json_safe(And(Eq("a", 1), In("b", ["x"])))
-        with pytest.raises(TypeError):
-            validate_json_safe(Eq("a", np.int64(3)))
+        # Numpy numbers are normalised at construction, so they cross.
+        for numpy_form in (Eq("a", np.int64(3)), In("a", [np.float32(0.5)]),
+                           Range("a", low=np.int32(1), high=np.float64(2))):
+            validate_json_safe(numpy_form)
+            wire = json.loads(json.dumps(numpy_form.to_dict()))
+            assert predicate_from_dict(wire) == numpy_form
+        assert {type(value) for _, value in
+                Range("a", np.int16(1), np.float32(2)).constants()} \
+            == {int, float}
         with pytest.raises(TypeError):
             validate_json_safe(In("a", [object()]))
 
@@ -218,6 +225,26 @@ class TestMetadataStore:
         mixed = MetadataStore.from_rows([{"v": 1}, {"v": 2.5}])
         assert mixed.kind("v") == "float"
         np.testing.assert_array_equal(mixed.column("v"), [1.0, 2.5])
+
+    def test_numpy_numbers_are_their_python_values(self, store):
+        assert store.coerce("label", np.int64(2)) == 2
+        assert type(store.coerce("score", np.float32(0.5))) is float
+        for bad in (np.bool_(True), True, "2"):
+            with pytest.raises(TypeError):
+                store.coerce("label", bad)
+        row = store.validate_row({"label": np.int32(7),
+                                  "score": np.int64(3), "color": "x"})
+        assert row == {"label": 7, "score": 3.0, "color": "x"}
+        assert [type(row[name]) for name in ("label", "score")] \
+            == [int, float]
+        json.dumps(row)  # what a log frame carries
+        store.append_rows([{"label": np.int64(9), "score": np.float32(0.25),
+                            "color": "y"}])
+        assert store.row(5) == {"label": 9, "score": 0.25, "color": "y"}
+        built = MetadataStore.from_rows([{"v": np.uint8(1)}, {"v": 2}])
+        assert built.kind("v") == "int"
+        with pytest.raises(TypeError, match="unsupported value"):
+            MetadataStore.from_rows([{"v": np.bool_(False)}])
 
 
 def test_predicate_base_is_abstract(store):
