@@ -44,8 +44,8 @@ class EligibleSet:
     ascending ``ids``, the ``selectivity`` and, filled on a tree's first
     use, each tree's key-ordered positions of them (``subsets``).  The
     arrays are read-only: every query the predicate recurs in shares
-    them.  ``weight`` is what the memo charges: the ids, τ positions
-    arrays of as many, and one for the set itself."""
+    them.  ``weight`` is what the memo charges: the ids and τ positions
+    arrays of as many, an empty set as if it held one id."""
 
     __slots__ = ("ids", "selectivity", "weight", "subsets", "_base")
 
@@ -53,19 +53,19 @@ class EligibleSet:
                  base: tuple) -> None:
         ids.flags.writeable = False
         self.ids, self.selectivity, self._base = ids, selectivity, base
-        self.weight = 1 + (len(base) - 1) * ids.size
+        self.weight = (len(base) - 1) * max(ids.size, 1)
         self.subsets: list[np.ndarray | None] = [None] * (len(base) - 2)
 
     def positions(self, tree_index: int, tree: RDBTree) -> np.ndarray:
-        """``tree``'s :meth:`RDBTree.positions_of` the ids, kept while the
-        tree has the layout the set was taken on."""
-        subset = self.subsets[tree_index]
-        if subset is None:
-            subset = tree.positions_of(self.ids)
+        """``tree``'s :meth:`RDBTree.positions_of` the ids, held for the
+        layout the set was taken on (a call scanning a layout adopted
+        since its lookup takes them afresh there, unheld)."""
+        if self._base[2 + tree_index]() is not tree.packed:
+            return tree.positions_of(self.ids)
+        if self.subsets[tree_index] is None:
+            subset = self.subsets[tree_index] = tree.positions_of(self.ids)
             subset.flags.writeable = False
-            if self._base[2 + tree_index]() is tree.packed:
-                self.subsets[tree_index] = subset
-        return subset
+        return self.subsets[tree_index]
 
     def nbytes(self) -> int:
         return self.ids.nbytes + sum(
@@ -80,7 +80,7 @@ class EligibleMemo:
     compaction's transplant or a rebuild changes one of them and the next
     lookup drops every set; inserts and deletes change none (the merge
     screens delta rows and subtracts deleted ids).  LRU by weight, at
-    most 2·(τ+1)·n: twice what predicates partitioning the rows take."""
+    most (τ+1)·n: what predicates partitioning the rows take."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -126,7 +126,7 @@ class EligibleMemo:
             self._base = base = (store.count, weakref.ref(store), *[
                 weakref.ref(tree.packed) for tree in trees])
             self._sets.clear()
-            self.held, self._bound = 0, 2 * (len(trees) + 1) * store.count
+            self.held, self._bound = 0, (len(trees) + 1) * store.count
         return base
 
 

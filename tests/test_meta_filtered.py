@@ -510,8 +510,9 @@ class TestEligibleMemo:
         index = HDIndex(self.params())
         index.build(data, metadata=metadata)
         memo = index._eligible
-        bound = 2 * (len(index.trees) + 1) * self.N
-        ranges = [Range("score", low=step / 60) for step in range(30)]
+        bound = (len(index.trees) + 1) * self.N
+        ranges = [Range("score", low=step / 60, high=step / 60 + 0.2)
+                  for step in range(30)]
         first = [self.answers(index, queries[:1], predicate)
                  for predicate in ranges]
         assert memo._bound == bound
@@ -526,6 +527,49 @@ class TestEligibleMemo:
                                          found.subsets if subset is not None)
                     for found in memo._sets.values())
         assert 1 < len(memo._sets) < len(ranges)  # some held, some evicted
+
+    def test_predicates_partitioning_the_rows_fit_the_bound(self):
+        data, queries, metadata = make_workload(n=self.N)
+        index = HDIndex(self.params())
+        index.build(data, metadata=metadata)
+        labels = [Eq("label", label) for label in range(7)]
+        for _ in range(2):
+            for predicate in labels:
+                self.answers(index, queries[:1], predicate)
+        memo = index._eligible
+        assert list(memo._sets) == labels
+        assert memo.held == memo._bound == (len(index.trees) + 1) * self.N
+
+    def test_a_set_looked_up_before_a_transplant_scans_the_new_trees(
+            self, tmp_path):
+        """A call holds the set it looked up while ``compact()`` adopts
+        the next generation.  Its scan takes the new trees' positions:
+        the ones held for the old layouts point at shifted entries
+        there, arbitrary and possibly ineligible rows."""
+        data, queries, metadata = make_workload(n=self.N)
+        index = build(self.spec(wal=True), data, storage_dir=str(tmp_path),
+                      metadata=metadata)
+        engine, points, trees = index._engine, queries[:2], range(2)
+        query_ref = index.references.distances_from(points)
+        held = index._eligibility(self.LABEL)
+        engine.scan_many(trees, points, query_ref, 48, 32, 16, True, held)
+        old = list(held.subsets)
+        assert all(subset is not None for subset in old)
+        for row in range(40):
+            index.insert(data[row] + 0.01, metadata={
+                "label": 5, "score": 0.5, "tag": "odd"})
+        index.compact()
+        fresh = [tree.positions_of(held.ids) for tree in index.trees]
+        assert any(not np.array_equal(a, b) for a, b in zip(old, fresh))
+        for t, tree in enumerate(index.trees):
+            assert np.array_equal(held.positions(t, tree), fresh[t])
+        assert all(a is b for a, b in zip(held.subsets, old))
+        eligible = set(held.ids.tolist())
+        for per_row in engine.scan_many(trees, points, query_ref, 48, 32,
+                                        16, True, held):
+            for survivors in per_row:
+                assert survivors.size and set(survivors.tolist()) <= eligible
+        index.close()
 
     def test_concurrent_callers_share_one_consistent_memo(self):
         """More threads than cores, switching every microsecond, over
