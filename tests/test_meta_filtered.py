@@ -573,24 +573,32 @@ class TestEligibleMemo:
 
     def test_concurrent_callers_share_one_consistent_memo(self):
         """More threads than cores, switching every microsecond, over
-        more predicates than the bound holds: every answer is the
-        single-threaded one and the memo's weight is the sum of its
-        sets' (a lost update would break either)."""
+        more predicates than the bound holds: every set a caller gets —
+        ids and each tree's positions — is the memo-free one and the
+        memo's weight is the sum of its sets' (a lost update would break
+        either).  The callers share the memo, not queries: one index's
+        I/O counters are not kept for concurrent queries."""
         data, queries, metadata = make_workload(n=self.N)
         index = HDIndex(self.params())
         index.build(data, metadata=metadata)
         ranges = [Range("score", low=step / 40) for step in range(20)]
-        want = [self.answers(index, queries[:2], predicate)
-                for predicate in ranges]
+
+        def taken(ids, positions):
+            return [ids.tobytes()] + [positions(t, tree).tobytes()
+                                      for t, tree in enumerate(index.trees)]
+
+        want = []
+        for predicate in ranges:
+            ids = np.flatnonzero(predicate.mask(index.metadata))
+            want.append(taken(ids, lambda t, tree: tree.positions_of(ids)))
         memo, errors = index._eligible, []
 
         def client(offset):
             try:
                 for turn in range(40):
                     pick = (offset * 7 + turn) % len(ranges)
-                    got = self.answers(index, queries[:2],
-                                       Range("score", low=pick / 40))
-                    if got != want[pick]:
+                    found = index._eligibility(Range("score", low=pick / 40))
+                    if taken(found.ids, found.positions) != want[pick]:
                         errors.append(pick)
             except Exception as error:  # pragma: no cover - fails test
                 errors.append(error)
