@@ -72,7 +72,7 @@ def main() -> None:
     #     (Q, k) arrays with identical per-row answers, but shares the
     #     query-to-reference matmul, the per-tree Hilbert encoding and
     #     the descriptor fetches across the whole batch — the serving
-    #     path (see benchmarks/bench_batch_throughput.py).
+    #     path (the benchmark suite's batch_100k workload).
     started = time.perf_counter()
     batch_ids, batch_dists = index.query_batch(dataset.queries, k)
     batch_elapsed = (time.perf_counter() - started) / len(dataset.queries)

@@ -73,7 +73,7 @@ def derive_collision_parameters(n: int, approximation_ratio: float,
     α is chosen to balance the two Chernoff terms, then
     ``m = max( ln(1/δ)/(2(p1−α)²), ln(2/β)/(2(α−p2)²) )`` and ``l = α·m``.
     ``max_functions`` caps m for the scaled-down corpora of this
-    reproduction (documented in EXPERIMENTS.md).
+    reproduction (the scaling note of ``benchmarks/sweep.py``).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

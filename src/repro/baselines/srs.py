@@ -41,7 +41,7 @@ class SRS(KNNIndex):
     max_fraction:
         t — maximum fraction of the database examined (0.00242 in the paper
         for n = 10⁶; scaled-up default here so small corpora still examine
-        a meaningful candidate pool, see EXPERIMENTS.md).
+        a meaningful candidate pool; ``benchmarks/sweep.py``).
     approximation_ratio:
         c of the (1 + ε) guarantee the stop test certifies.
     """

@@ -24,8 +24,8 @@ storage layout: :meth:`nearest_positions` and :meth:`range_entries`
 replay, against :class:`~repro.storage.stats.IOStats`, precisely the
 page-read sequence a node-by-node walk of that tree would issue, so the
 paper's I/O figures are reproduced without the pages existing.  That
-walk, :mod:`repro.devtools.nodewalk`, is the reference the tests,
-``bench_hotpath`` and the sanitizer diff this module against.
+walk, :mod:`repro.devtools.nodewalk`, is the reference the tests'
+scalar oracle and the sanitizer diff this module against.
 
 Arrays serialise through :func:`repro.storage.codecs.pack_arrays` into a
 ``tree_<i>.packed`` snapshot file; an mmap reopen maps them zero-copy,

@@ -230,7 +230,7 @@ TABLE3_CONFIGS: dict[str, tuple[int, int, int, int]] = {
 #: from Eq. (4) exactly; the Enron (18) and Glove (40) rows do *not* — no
 #: integer entry layout consistent with Eq. (4) and the stated (ν, ω, η, m)
 #: yields them (Eq. (4) gives 33 and 46).  We reproduce Eq. (4) and flag the
-#: two inconsistent rows (see EXPERIMENTS.md, Table 3).
+#: two rows (``table3_leaf_order`` in ``benchmarks/sweep.py``).
 TABLE3_LEAF_ORDERS: dict[str, int] = {
     "SIFTn": 63,
     "Yorck": 36,

@@ -1,9 +1,9 @@
 """Named dataset configurations mirroring the paper's Table 4.
 
 Sizes are scaled to laptop scale (the repro-band substitution documented in
-DESIGN.md): ``default_size`` is what benches use; ``paper_size`` records the
-original for the scaling note in EXPERIMENTS.md.  Hilbert orders and tree
-counts come from Table 3 / Sec. 5.2.4.
+DESIGN.md): ``default_size`` is what benches use; ``paper_size`` records
+the original for the scaling note in ``benchmarks/sweep.py``.  Hilbert
+orders and tree counts come from Table 3 / Sec. 5.2.4.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ DATASET_CATALOG: dict[str, DatasetSpec] = {
         hilbert_order=8, num_trees=8, clusters=32, cluster_std=0.04,
         description=("Enron e-mail bi-gram counts; the paper's ν=1369 is "
                      "scaled to 256 dims to keep pure-Python builds "
-                     "tractable (see EXPERIMENTS.md)"),
+                     "tractable (benchmarks/sweep.py scaling note)"),
     ),
     "glove": DatasetSpec(
         name="glove", dim=100, low=-10.0, high=10.0, integer_valued=False,

@@ -19,7 +19,7 @@ enforced only by code review.  This package makes them machine-checked:
   the modelled pools' bound, and makes writes into zero-copy mmap views
   raise.
 * :mod:`repro.devtools.report` — machine-readable ``LINT_report.json``
-  emitted alongside the ``BENCH_*.json`` trajectory files.
+  emitted alongside the figure tables in ``benchmarks/results/``.
 """
 
 from typing import Any

@@ -3,8 +3,8 @@
 :class:`~repro.btree.packed.PackedTree` answers a lookup from two sorted
 columns and *replays* the page reads a node-by-node walk of the tree
 would issue.  This module is that walk, written the plain way, so the
-tests, ``benchmarks/bench_hotpath.py`` and the runtime sanitizer
-(:mod:`repro.devtools.sanitize`) can diff the columns against it:
+tests (the scalar oracle of ``tests/test_core_engine.py``) and the
+sanitizer (:mod:`repro.devtools.sanitize`) can diff the columns with it:
 answers, page ids, their order and hence the random/sequential split.
 
 Key-sorted entries are laid out the way a bottom-up bulk load lays them

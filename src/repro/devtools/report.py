@@ -1,8 +1,8 @@
 """Machine-readable static-analysis report (``LINT_report.json``).
 
-The benchmark suite leaves ``BENCH_*.json`` trajectory files under
-``benchmarks/results/`` so perf history is diffable; this module gives
-the correctness tooling the same treatment.  One JSON document captures
+The figure sweep leaves its tables under ``benchmarks/results/`` so
+their history is diffable; this module gives the correctness tooling
+the same treatment.  One JSON document captures
 the lint outcome over ``src/repro`` (rule catalogue, findings,
 suppression count, clean flag), so CI artifacts and local runs are
 comparable without scraping logs.
@@ -71,8 +71,8 @@ def write_report(repo_root: Path, out: Path | None = None) -> Path:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.devtools.report",
-        description="Emit LINT_report.json alongside the BENCH_*.json "
-                    "files.")
+        description="Emit LINT_report.json alongside the figure "
+                    "tables.")
     parser.add_argument("--out", default=None,
                         help="output path (default: "
                              "benchmarks/results/LINT_report.json)")

@@ -242,7 +242,7 @@ def node_candidates(tree: Any, query_key: int, alpha: int,
                     eligible: Any = None) -> tuple[Any, Any]:
     """:meth:`RDBTree.candidates` answered by the node walk of the tree's
     columns (:func:`node_oracle`; its page reads go uncounted): the
-    scalar reference of the parity tests and ``bench_hotpath``.  With an
+    scalar reference of the parity tests' ``scalar_oracle``.  With an
     ``eligible`` bitmap over object ids, the walk accepts an entry only
     when ``eligible[id]``."""
     import numpy as np

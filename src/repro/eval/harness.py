@@ -1,13 +1,15 @@
 """Experiment harness: build any method, run a query workload, emit a row.
 
-Each figure/table bench in ``benchmarks/`` is a thin driver over
-:func:`evaluate_index` / :func:`run_comparison`, which measure the paper's
-five axes — quality (MAP@k and ratio), query time, index size, indexing RAM
-and querying RAM — plus the I/O counters the disk-access analysis needs.
+``benchmarks/sweep.py``'s ``FIGURES`` table is a thin driver over
+:func:`evaluate_index` / :func:`run_comparison` / :func:`evaluate_spec`,
+which measure the paper's five axes — quality (MAP@k and ratio), query
+time, index size, indexing RAM and querying RAM — plus the I/O counters
+the disk-access analysis needs.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass, field
 
@@ -69,18 +71,14 @@ def evaluate_index(index: KNNIndex, data: np.ndarray, queries: np.ndarray,
 
     ``batch_size`` switches the workload from the one-at-a-time loop to
     chunked :meth:`KNNIndex.query_batch` calls — the serving-throughput
-    mode.  Quality metrics are identical either way (the batch path
-    returns the same per-query answers); timing and I/O are then measured
-    per chunk and averaged per query, which credits the batch path's
-    amortised reference/Hilbert/fetch work.  Indexes relying on the
-    default loop implementation report chunk wall-clock but only the last
-    query's I/O counters, so prefer batch mode with batch-aware indexes
-    (the HD-Index family).
+    mode.  Quality metrics are identical either way; timing and I/O are
+    then measured per chunk and averaged per query.  Indexes relying on
+    the default loop implementation report chunk wall-clock but only the
+    last query's I/O counters.  ``extra["answers"]`` digests every
+    answer row (padding stripped): equal digests are in-run parity.
     """
     data = np.asarray(data, dtype=np.float64)
-    queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim == 1:
-        queries = queries[None, :]
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if batch_size is not None and batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     if ground_truth is None:
@@ -88,7 +86,6 @@ def evaluate_index(index: KNNIndex, data: np.ndarray, queries: np.ndarray,
     true_ids = ground_truth.top_ids(k)
     true_dists = ground_truth.top_distances(k)
 
-    build_time = 0.0
     if build:
         started = time.perf_counter()
         index.build(data)
@@ -102,11 +99,14 @@ def evaluate_index(index: KNNIndex, data: np.ndarray, queries: np.ndarray,
     total_time = 0.0
     total_reads = 0.0
     total_candidates = 0.0
+    answers = hashlib.blake2b(digest_size=8)
 
     def score_row(row: int, ids: np.ndarray, dists: np.ndarray) -> None:
         ap_values.append(average_precision(true_ids[row], ids, k))
         recall_values.append(recall_at_k(true_ids[row], ids, k))
         ratio_values.append(_padded_ratio(true_dists[row], dists, k))
+        answers.update(np.asarray(ids, dtype=np.int64).tobytes())
+        answers.update(np.asarray(dists, dtype=np.float64).tobytes())
 
     if batch_size is None:
         for row in range(queries.shape[0]):
@@ -145,7 +145,8 @@ def evaluate_index(index: KNNIndex, data: np.ndarray, queries: np.ndarray,
         index_size_bytes=index.index_size_bytes(),
         build_memory_bytes=index.build_memory_bytes(),
         query_memory_bytes=index.memory_bytes(),
-        extra={} if batch_size is None else {"batch_size": batch_size},
+        extra={"answers": answers.hexdigest(),
+               **({} if batch_size is None else {"batch_size": batch_size})},
     )
 
 
@@ -158,11 +159,10 @@ def evaluate_spec(spec, data: np.ndarray, queries: np.ndarray, k: int,
 
     The spec-level analogue of :func:`evaluate_index`: the index is
     instantiated through :func:`repro.core.factory.create_index`, built,
-    measured, and closed — so sweep drivers (and the
-    ``bench_spec_combos`` grid) iterate over *specs* instead of a class
-    matrix.  ``storage_dir`` is required by disk backends and process
-    execution; the result's ``extra["spec"]`` records the evaluated spec
-    dict.
+    measured, and closed — so sweeps (the ``spec_combos`` figure)
+    iterate over *specs* instead of a class matrix.  ``storage_dir`` is
+    required by disk backends and process execution; the result's
+    ``extra["spec"]`` records the evaluated spec dict.
     """
     from repro.core.factory import create_index
     index = create_index(spec, storage_dir=storage_dir)
@@ -202,9 +202,7 @@ def run_comparison(factories: dict[str, callable], data: np.ndarray,
     mirroring the paper's NP (not possible) table entries.  ``batch_size``
     is forwarded to :func:`evaluate_index`.
     """
-    ground_truth = GroundTruth(np.asarray(data, dtype=np.float64),
-                               np.asarray(queries, dtype=np.float64),
-                               max_k=k)
+    ground_truth = GroundTruth(data, queries, max_k=k)
     results: list[ExperimentResult] = []
     for name, factory in factories.items():
         index = factory()
@@ -214,29 +212,30 @@ def run_comparison(factories: dict[str, callable], data: np.ndarray,
                                     dataset_name=dataset_name,
                                     batch_size=batch_size)
         except (ValueError, RuntimeError) as error:
+            nan = float("nan")
             results.append(ExperimentResult(
-                method=name, dataset=dataset_name, k=k,
-                map_at_k=float("nan"), ratio_at_k=float("nan"),
-                recall_at_k=float("nan"), build_time_sec=float("nan"),
-                avg_query_time_sec=float("nan"), avg_page_reads=float("nan"),
-                avg_candidates=float("nan"), index_size_bytes=0,
-                build_memory_bytes=0, query_memory_bytes=0,
-                extra={"error": f"NP: {error}"},
-            ))
+                method=name, dataset=dataset_name, k=k, map_at_k=nan,
+                ratio_at_k=nan, recall_at_k=nan, build_time_sec=nan,
+                avg_query_time_sec=nan, avg_page_reads=nan,
+                avg_candidates=nan, index_size_bytes=0, build_memory_bytes=0,
+                query_memory_bytes=0, extra={"error": f"NP: {error}"}))
             continue
         result.method = name
         results.append(result)
     return results
 
 
-def format_table(results: list[ExperimentResult],
+def format_table(results: list[ExperimentResult | dict],
                  columns: list[str] | None = None) -> str:
-    """Render results as an aligned text table (bench harness output)."""
+    """Render results as an aligned text table (bench harness output).
+    A column may name an ``extra`` entry; a plain dict is a row as is."""
     if not results:
         return "(no results)"
-    rows = [r.row() for r in results]
+    rows = [r if isinstance(r, dict) else {**r.extra, **r.row()}
+            for r in results]
     if columns is None:
-        columns = list(rows[0].keys())
+        columns = list(rows[0] if isinstance(results[0], dict)
+                       else results[0].row())
     widths = {c: max(len(c), *(len(str(row.get(c, ""))) for row in rows))
               for c in columns}
     header = "  ".join(c.ljust(widths[c]) for c in columns)

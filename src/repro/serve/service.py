@@ -86,8 +86,8 @@ class ServiceConfig:
     ----------
     max_batch:
         Most requests one batch takes from the queue.  The marginal
-        gain of the batch path flattens past a few hundred (see
-        ``benchmarks/bench_batch_throughput.py``), so bigger mostly adds
+        gain of the batch path flattens past a few hundred (the suite's
+        ``batch_100k`` workload runs Q = 16), so bigger mostly adds
         latency.
     max_pending:
         Backpressure bound: maximum requests waiting in the queue before

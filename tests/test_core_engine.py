@@ -48,6 +48,8 @@ from repro.core import (
     ShardRouter,
     ThreadedExecutor,
     build,
+    load_index,
+    save_index,
 )
 from repro.core import engine as engine_module
 from repro.core.filters import (
@@ -578,6 +580,32 @@ class TestScalarOracleParity:
         assert (index._wal is not None) == index.spec.execution.wal
         np.testing.assert_array_equal(batch_ids, reference[name][0])
         np.testing.assert_array_equal(batch_dists, reference[name][1])
+
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    def test_reopened_16_byte_keys_equal_oracle(self, workload, tmp_path,
+                                               backend):
+        """One tree over all 16 dimensions at ω = 8, so 16-byte keys (the
+        width the suite's workloads run at), answered after ``save_index``
+        folded the delta and a reopen under each backend."""
+        _, queries = workload
+        index, _, deleted = self._updated(workload, None, "sequential",
+                                          False, num_trees=1)
+        with index:
+            save_index(index, str(tmp_path))
+        with load_index(str(tmp_path), backend=backend) as reopened:
+            assert reopened.trees[0].packed.key_width == 16
+            for predicate in self.PREDICATES.values():
+                batch_ids, batch_dists = reopened.query_batch(
+                    queries, self.K, predicate=predicate)
+                for row, query in enumerate(queries):
+                    want_ids, want_dists = scalar_oracle(
+                        reopened, query, self.K, predicate)
+                    assert not deleted & set(want_ids.tolist())
+                    for ids, dists in (
+                            reopened.query(query, self.K, predicate=predicate),
+                            (batch_ids[row], batch_dists[row])):
+                        np.testing.assert_array_equal(ids, want_ids)
+                        np.testing.assert_array_equal(dists, want_dists)
 
 
 #: Small ids repeat within and across trees; the top ones sit at 2**63 - 1.
