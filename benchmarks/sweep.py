@@ -518,7 +518,7 @@ def spec_grid(dataset):
     params = hd_params(dataset.spec, len(dataset.data))
     points = {}
     for shards, topology in ((1, "plain"), (2, "sharded")):
-        for kind in ("sequential", "thread", "process"):
+        for kind in ("sequential", "process"):
             backends = ("mmap",) if kind == "process" else ("memory", "mmap")
             for backend in backends:
                 points[f"{topology} {kind} {backend}"] = IndexSpec(

@@ -12,8 +12,10 @@ distributed with little synchronization"), each declared as one
 1. **Persistence** — ``repro.build(spec, data, storage_dir=...)`` once,
    then ``repro.open`` elsewhere and query without ever holding the
    dataset in RAM;
-2. **Parallel querying** — ``Execution(kind="thread")`` fans the per-tree
-   scans over a thread pool, bit-identical results;
+2. **Parallel querying** — ``repro.open(..., execution=Execution(
+   kind="process", workers=2))`` serves step 1's snapshot with the
+   per-tree scans fanned over worker processes that map it, bit-identical
+   results;
 3. **Sharding** — ``Topology(shards=4)`` puts horizontal partitions
    behind independent HD-Index instances, merged by exact distance (the
    only synchronisation point).
@@ -57,16 +59,17 @@ def main() -> None:
               f"{np.array_equal(ids_a, ids_b)}")
         reopened.close()
 
-    # --- 2. parallel queries --------------------------------------------
-    with repro.build(IndexSpec(params=params,
-                               execution=Execution(kind="thread",
-                                                   workers=4)),
-                     dataset.data) as parallel:
-        agree = all(
-            np.array_equal(index.query(q, 10)[0], parallel.query(q, 10)[0])
-            for q in dataset.queries)
-        print(f"\nparallel (4 workers) matches sequential on all "
-              f"{len(dataset.queries)} queries: {agree}")
+        # --- 2. parallel queries ----------------------------------------
+        # The workers reopen the snapshot themselves (mapped, so they
+        # share its pages); nothing is pickled across to them.
+        with repro.open(target, execution=Execution(kind="process",
+                                                    workers=2)) as parallel:
+            agree = all(
+                np.array_equal(index.query(q, 10)[0],
+                               parallel.query(q, 10)[0])
+                for q in dataset.queries)
+            print(f"\nprocess-parallel (2 workers) matches sequential on "
+                  f"all {len(dataset.queries)} queries: {agree}")
 
     # --- 3. sharding ------------------------------------------------------
     started = time.perf_counter()

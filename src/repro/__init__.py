@@ -155,11 +155,10 @@ __all__ = [
     "__version__",
 ]
 
-# Opt-in runtime invariant sanitizer (REPRO_SANITIZE=1): cross-checks
-# the packed-tree read path against the node path, IOStats balance,
-# buffer-pool eviction accounting, and write-protects zero-copy mmap
-# views.  The env guard keeps repro.devtools entirely unimported on the
-# normal path.
+# Opt-in runtime invariant sanitizer (REPRO_SANITIZE=1): IOStats
+# balance, the modelled page pools' bound, read-only heap pages, packed
+# lookups against the node walk and fold postconditions.  The env guard
+# keeps repro.devtools entirely unimported on the normal path.
 import os as _os
 
 if _os.environ.get("REPRO_SANITIZE"):

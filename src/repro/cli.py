@@ -46,6 +46,7 @@ from repro.core import (
     recommended_params,
 )
 from repro.core.params import BACKENDS
+from repro.core.spec import _KIND_ALIASES, EXECUTION_KINDS
 from repro.datasets import DATASET_CATALOG, make_dataset, read_vecs
 from repro.eval import (
     GroundTruth,
@@ -61,6 +62,12 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text}")
     return value
+
+
+def _execution_kind(text: str) -> str:
+    """An ``--execution`` value with an older spelling of a kind mapped
+    to the kind (``thread`` runs sequential) before the choices check."""
+    return _KIND_ALIASES.get(text, text)
 
 
 def _host_port(text: str) -> tuple[str, int]:
@@ -109,14 +116,12 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--shards", type=_positive_int, default=None,
                        help="shard the index over this many horizontal "
                             "partitions (IndexSpec topology)")
-    build.add_argument("--execution",
-                       choices=("sequential", "thread", "process"),
-                       default=None,
-                       help="per-tree scan execution strategy (IndexSpec "
-                            "execution; default: thread when --workers is "
-                            "given, else sequential)")
+    build.add_argument("--execution", type=_execution_kind,
+                       choices=EXECUTION_KINDS, default=None,
+                       help="per-tree scan execution (IndexSpec "
+                            "execution; default: sequential)")
     build.add_argument("--workers", type=_positive_int, default=None,
-                       help="pool width for --execution thread/process")
+                       help="pool width for --execution process")
     build.add_argument("--backend", choices=BACKENDS, default=None,
                        help="storage backend; mmap writes the snapshot "
                             "files straight into --out and builds over "
@@ -160,9 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how to reopen the snapshot (default mmap: "
                             "mapped, the larger-than-RAM mode; memory = "
                             "read into RAM up front)")
-    query.add_argument("--execution",
-                       choices=("sequential", "thread", "process"),
-                       default=None,
+    query.add_argument("--execution", type=_execution_kind,
+                       choices=EXECUTION_KINDS, default=None,
                        help="override the snapshot's execution strategy "
                             "(process = fan per-tree scans over worker "
                             "processes sharing the snapshot via mmap)")
@@ -178,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
         "serve", help="serve a persisted index to concurrent clients")
     serve.add_argument("--index", required=True,
                        help="directory holding a persisted index "
-                            "(plain, parallel or sharded snapshot)")
+                            "(plain or sharded snapshot)")
     _add_data_arguments(serve)
     serve.add_argument("-k", type=int, default=10)
     serve.add_argument("--clients", type=_positive_int, default=4,
@@ -197,8 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how to reopen the snapshot (default mmap: "
                             "mapped, the larger-than-RAM mode; memory = "
                             "read into RAM up front)")
-    serve.add_argument("--execution", choices=("thread", "process"),
-                       default=None,
+    serve.add_argument("--execution", type=_execution_kind,
+                       choices=EXECUTION_KINDS, default=None,
                        help="process = shard each micro-batch's rows over "
                             "worker processes that reopen the snapshot "
                             "via mmap (multi-core serving)")
@@ -361,13 +365,9 @@ def _spec_from_args(args, data, dataset_spec) -> IndexSpec:
         # (and future fields) survive a flag override.
         topology = _dc.replace(topology, shards=args.shards)
     execution = base.execution
-    kind = args.execution
-    if kind is None and args.workers is not None \
-            and execution.kind == "sequential":
-        kind = "thread"
     updates = {}
-    if kind is not None:
-        updates["kind"] = kind
+    if args.execution is not None:
+        updates["kind"] = args.execution
     if args.workers is not None:
         updates["workers"] = args.workers
     if updates:
@@ -622,7 +622,7 @@ def cmd_serve(args, out=sys.stdout) -> int:
               f"({errors[0]!r})", file=sys.stderr)
         return 1
     print(f"served {stats.queries} queries from {args.clients} clients "
-          f"(execution={args.execution or 'thread'}) in {elapsed:.2f}s -> "
+          f"(execution={args.execution or 'sequential'}) in {elapsed:.2f}s -> "
           f"{stats.queries / elapsed:.1f} q/s", file=out)
     print(f"{stats.batches} micro-batches, mean size "
           f"{stats.mean_batch_size():.1f}, max {stats.max_batch_size} "

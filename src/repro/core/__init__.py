@@ -5,12 +5,7 @@ from repro.core.filters import (
     ptolemaic_lower_bounds,
     triangular_lower_bounds,
 )
-from repro.core.engine import (
-    ProcessExecutor,
-    QueryEngine,
-    SequentialExecutor,
-    ThreadedExecutor,
-)
+from repro.core.engine import QueryEngine
 from repro.core.factory import build, create_index, open_index, set_execution
 from repro.core.hdindex import HDIndex
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
@@ -22,13 +17,7 @@ from repro.core.procpool import (
     WorkerTimeout,
 )
 from repro.core.router import ShardRouter
-from repro.core.spec import (
-    Execution,
-    IndexSpec,
-    Topology,
-    coerce_spec,
-    make_executor,
-)
+from repro.core.spec import Execution, IndexSpec, Topology, coerce_spec
 from repro.core.params import (
     HDIndexParams,
     TABLE3_CONFIGS,
@@ -60,7 +49,6 @@ __all__ = [
     "IndexSpec",
     "KNNIndex",
     "PersistenceError",
-    "ProcessExecutor",
     "ProcessPoolError",
     "QueryEngine",
     "QueryStats",
@@ -69,13 +57,11 @@ __all__ = [
     "WorkerCrashed",
     "WorkerTimeout",
     "RDBTree",
-    "SequentialExecutor",
     "ReferenceSet",
     "ShardRouter",
     "TABLE3_CONFIGS",
     "TABLE3_CONSISTENT",
     "TABLE3_LEAF_ORDERS",
-    "ThreadedExecutor",
     "build",
     "coerce_spec",
     "contiguous_partition",
@@ -83,7 +69,6 @@ __all__ = [
     "estimate_dmax",
     "filter_candidates",
     "load_index",
-    "make_executor",
     "make_partition",
     "open_index",
     "ptolemaic_lower_bounds",

@@ -7,10 +7,11 @@ Ptolemaic filter refinement, (iii) exact re-ranking of the κ survivors —
 touch independent trees until the final merge.  This module is the single
 implementation of those stages.  Every deployment shape an
 :class:`~repro.core.spec.IndexSpec` can declare — plain or sharded
-topology, sequential / threaded / process execution — is a configuration
-of this one code path: the only degree of freedom is the
-:class:`Executor` that maps the per-tree stage-(i)/(ii) work, so the
-variants cannot drift apart in semantics or in the
+topology, sequential or process execution — runs this one code path:
+stages (i)+(ii) are one :meth:`QueryEngine.scan_many` over all τ trees,
+inline or, under process execution, in the workers of a
+:class:`~repro.core.procpool.SnapshotWorkerPool`, so the variants cannot
+drift apart in semantics or in the
 :class:`~repro.core.interface.QueryStats` they report.
 
 There is one pipeline, :meth:`QueryEngine.run_batch`, laid out over a
@@ -23,8 +24,6 @@ MRPT/HDIdx-style:
 * one descriptor fetch per distinct candidate across the batch, their
   :func:`sorted_union` (the κ sets of nearby queries overlap heavily, so
   this collapses the stage-(iii) random reads);
-* a single executor (thread pool, for the parallel index) reused across
-  all Q × τ tree scans;
 * the predicate's eligible ids and each tree's key-ordered eligible
   positions taken once per predicate and base generation (the index's
   :class:`~repro.core.hdindex.EligibleMemo`, so a recurring predicate
@@ -43,8 +42,7 @@ from __future__ import annotations
 
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -89,118 +87,6 @@ def representatives(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rep, (rep == own).nonzero()[0]
 
 
-class Executor:
-    """Strategy for mapping the independent per-tree scans of Algo. 2.
-
-    ``workers`` is ``None`` for sequential execution (the stats then omit a
-    worker count, as the sequential index always has) and the pool width
-    otherwise.
-    """
-
-    workers: int | None = None
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release any resources (idempotent)."""
-
-
-class SequentialExecutor(Executor):
-    """Run tree scans inline, in order — the plain :class:`HDIndex` mode.
-    With no pool (``workers`` is ``None``) the engine hands every tree
-    to one :meth:`QueryEngine.scan_many` call and never maps."""
-
-
-class ProcessExecutor(Executor):
-    """Fan tree scans over worker *processes* sharing one mmap snapshot.
-
-    The GIL bounds :class:`ThreadedExecutor` wherever the per-tree work is
-    Python-heavy (B+-tree descent, key decode); this executor escapes it.
-    Workers never receive pickled index state: each one lazily reopens the
-    bound snapshot directory (``backend="mmap"`` by default, so the OS
-    shares the physical pages pool-wide) and runs stages (i)+(ii) of
-    Algo. 2 for its assigned trees, returning survivor ids plus its I/O
-    deltas.  Stage (iii) — the merge and exact re-rank — stays in the
-    parent.  Results are byte-identical to sequential execution; a worker
-    crash or a task past ``timeout`` raises a typed
-    :class:`~repro.core.procpool.ProcessPoolError` instead of hanging.
-    """
-
-    #: Engine capability flag: scans run in another process, so the engine
-    #: hands them to ``pool.scan_trees`` (a map() closure could not cross).
-    remote = True
-
-    def __init__(self, snapshot_dir=None, num_workers: int | None = None,
-                 backend: str = "mmap", cache_pages: int | None = None,
-                 timeout: float | None = None) -> None:
-        from repro.core.procpool import SnapshotWorkerPool
-        # The *requested* width, None preserved: a spec persisted from
-        # this executor must record "size to the serving machine", not
-        # the build machine's resolved CPU count.
-        self.requested_workers = num_workers
-        self.pool = SnapshotWorkerPool(
-            snapshot_dir, num_workers=num_workers, backend=backend,
-            cache_pages=cache_pages, timeout=timeout)
-
-    @property
-    def snapshot_dir(self):
-        return self.pool.directory
-
-    @property
-    def workers(self) -> int | None:  # type: ignore[override]
-        return self.pool.num_workers
-
-    def close(self) -> None:
-        self.pool.close()
-
-
-class ThreadedExecutor(Executor):
-    """Fan tree scans over a lazily created, reusable thread pool.
-
-    The numpy filter kernels release the GIL, so the independent per-tree
-    scans genuinely overlap; only the survivor merge synchronises — the
-    paper's "little synchronization".
-
-    Parameters
-    ----------
-    num_workers:
-        Pool width; when ``None`` it is resolved by ``default_workers`` at
-        first use (the parallel index sizes it to its tree count, which is
-        only known after ``build()``).
-    default_workers:
-        Zero-argument callable producing the fallback width.
-    """
-
-    def __init__(self, num_workers: int | None = None,
-                 default_workers: Callable[[], int] | None = None) -> None:
-        if num_workers is not None and num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        self.num_workers = num_workers
-        self._default_workers = default_workers or (lambda: 8)
-        self._pool: ThreadPoolExecutor | None = None
-
-    @property
-    def workers(self) -> int | None:  # type: ignore[override]
-        if self._pool is not None:
-            return self._pool._max_workers
-        return self.num_workers
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            workers = self.num_workers or max(1, self._default_workers())
-            self._pool = ThreadPoolExecutor(max_workers=workers)
-        return self._pool
-
-    def map(self, fn: Callable, items: Iterable) -> list:
-        return list(self._ensure_pool().map(fn, items))
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-
 class QueryEngine:
     """The three stages of Algo. 2 over one HD-Index's components.
 
@@ -210,9 +96,11 @@ class QueryEngine:
     no cycle a dropped index is freed at once, not at the next collection.
     """
 
-    def __init__(self, index, executor: Executor | None = None) -> None:
+    def __init__(self, index) -> None:
         self.index = None if index is None else weakref.proxy(index)
-        self.executor = executor if executor is not None else SequentialExecutor()
+        #: The process pool stages (i)+(ii) fan out to, tree-wise, under
+        #: process execution; ``None`` scans every tree inline.
+        self.pool = None
 
     # -- stage (i): RDB-tree candidate retrieval --------------------------
 
@@ -427,31 +315,22 @@ class QueryEngine:
             # call whoever computes it — sequential-equivalent
             # accounting, not once per worker group.
             index._distance_counter.add(batch * index.references.size)
-            if getattr(self.executor, "remote", False):
+            if self.pool is not None:
                 # Worker processes run stages (i)+(ii) for their trees
                 # on their own snapshot view (reference matmul and Hilbert
                 # encoding included) and return their page reads and
                 # distance computations as a delta beside the survivors.
-                per_tree, remote_delta = self.executor.pool.scan_trees(
+                per_tree, remote_delta = self.pool.scan_trees(
                     len(index.trees), points, eff_alpha, eff_beta,
                     eff_gamma, ptolemaic,
                     None if predicate is None else predicate.to_dict())
             else:
+                # Every tree in one scan_many (one fused encode).
                 remote_delta = None
-                # Every tree in one scan_many inline (one fused encode);
-                # one task per tree under a pool, so a tree's page store
-                # stays on one thread ("little synchronization").
-                query_ref = index.references.distances_from(points)
-
-                def scan(trees):
-                    return self.scan_many(trees, points, query_ref,
-                                          eff_alpha, eff_beta, eff_gamma,
-                                          ptolemaic, eligible)
-
-                trees = range(len(index.trees))
-                per_tree = (scan(trees) if self.executor.workers is None
-                            else self.executor.map(
-                                lambda tree: scan([tree])[0], trees))
+                per_tree = self.scan_many(
+                    range(len(index.trees)), points,
+                    index.references.distances_from(points), eff_alpha,
+                    eff_beta, eff_gamma, ptolemaic, eligible)
         tail = self._merge_tail(predicate)
         merged_per_row = [self._merge_survivors(rows, tail)
                           for rows in zip(*per_tree)]
@@ -462,8 +341,8 @@ class QueryEngine:
                  "ptolemaic": ptolemaic}
         if eligible is not None:
             extra["selectivity"] = eligible.selectivity
-        if self.executor.workers is not None:
-            extra["workers"] = self.executor.workers
+        if self.pool is not None:
+            extra["workers"] = self.pool.num_workers
         extra["batch_size"] = batch
         stats = QueryStats(
             time_sec=time.perf_counter() - started,
@@ -551,4 +430,5 @@ class QueryEngine:
         return descriptors
 
     def close(self) -> None:
-        self.executor.close()
+        if self.pool is not None:
+            self.pool.close()

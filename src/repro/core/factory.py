@@ -10,8 +10,8 @@ The two functions here are the public face of the
   per-call overrides for the storage backend and execution strategy.
 
 Both delegate to :func:`create_index`, the single place a spec is turned
-into objects — a plain :class:`~repro.core.hdindex.HDIndex` whose
-executor realises ``spec.execution``, or a
+into objects — a plain :class:`~repro.core.hdindex.HDIndex` running
+``spec.execution``, or a
 :class:`~repro.core.router.ShardRouter` when ``spec.topology`` shards the
 data — so every topology x execution x backend combination flows through
 one code path instead of a class matrix.
@@ -42,12 +42,7 @@ import numpy as np
 
 from repro.core.hdindex import HDIndex
 from repro.core.router import ShardRouter
-from repro.core.spec import (
-    Execution,
-    IndexSpec,
-    coerce_spec,
-    make_executor,
-)
+from repro.core.spec import Execution, IndexSpec, coerce_spec
 
 
 def create_index(spec: IndexSpec | None = None,
@@ -66,7 +61,7 @@ def create_index(spec: IndexSpec | None = None,
     Returns:
         An unbuilt :class:`~repro.core.hdindex.HDIndex` (plain topology)
         or :class:`~repro.core.router.ShardRouter` (sharded topology)
-        whose executor(s) realise ``spec.execution``.
+        running ``spec.execution``.
     """
     spec = coerce_spec(spec)
     params = spec.resolved_params(
@@ -80,7 +75,7 @@ def create_index(spec: IndexSpec | None = None,
         return ShardRouter(params, spec.topology, spec.execution)
     index = HDIndex(params)
     index._wal_policy = spec.execution.wal
-    index.set_executor(make_executor(spec.execution, index))
+    index.set_execution(spec.execution)
     return index
 
 
@@ -170,7 +165,7 @@ def open_index(path: str | os.PathLike[str],
             time.
         execution: Overrides the snapshot's execution strategy — an
             :class:`~repro.core.spec.Execution` or a bare kind string
-            (``"sequential"``/``"thread"``/``"process"``).  This is how a
+            (``"sequential"``/``"process"``).  This is how a
             snapshot built sequentially is served process-parallel
             without rebuilding.
         wal: Durability override (:mod:`repro.wal`), as for
@@ -197,25 +192,8 @@ def open_index(path: str | os.PathLike[str],
 
 def set_execution(index: HDIndex | ShardRouter,
                   execution: Execution) -> None:
-    """Swap a live index's execution strategy in place.
-
-    On a :class:`~repro.core.router.ShardRouter` the strategy applies to
-    every child shard (each gets its own pool).  Process execution
-    requires the index (or each shard) to be disk-backed, as always.
-    """
-    if isinstance(index, ShardRouter):
-        # Validate every shard before mutating anything: a failure
-        # mid-swap would leave the router claiming an execution its
-        # shards do not run (and persist that lie into the manifest).
-        if execution.kind == "process":
-            for position, shard in enumerate(index.shards):
-                if shard.params.storage_dir is None:
-                    raise ValueError(
-                        f"process execution requires disk-backed shards; "
-                        f"shard {position} has no storage_dir (build the "
-                        f"router with params.storage_dir=... first)")
-        for shard in index.shards:
-            shard.set_executor(make_executor(execution, shard))
-        index.execution = execution
-        return
-    index.set_executor(make_executor(execution, index))
+    """Swap a live index's execution in place (on a
+    :class:`~repro.core.router.ShardRouter`, every child shard's; each
+    gets its own pool).  Process execution requires the index (or each
+    shard) to be disk-backed, as always."""
+    index.set_execution(execution)

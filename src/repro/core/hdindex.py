@@ -19,13 +19,14 @@ from collections import OrderedDict
 
 import numpy as np
 
-from repro.core.engine import Executor, QueryEngine, ThreadedExecutor
+from repro.core.engine import QueryEngine
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.params import HDIndexParams
 from repro.core.partition import make_partition
+from repro.core.procpool import SnapshotWorkerPool
 from repro.core.rdbtree import RDBTree
 from repro.core.reference import ReferenceSet
-from repro.core.spec import IndexSpec, Topology, executor_to_execution
+from repro.core.spec import Execution, IndexSpec, Topology
 from repro.distance.metrics import (
     DistanceCounter,
     require_finite,
@@ -140,15 +141,13 @@ class HDIndex(KNNIndex):
     subclasses: ``HDIndexParams(storage_dir=..., backend=...)`` picks
     where the heap's pages and the trees' columns live (arrays in memory,
     or mappings of their files for larger-than-RAM serving), and
-    ``executor`` picks how the independent per-tree scans run
-    (:class:`~repro.core.engine.SequentialExecutor` inline,
-    :class:`~repro.core.engine.ThreadedExecutor` on a thread pool,
-    :class:`~repro.core.engine.ProcessExecutor` across worker processes
-    sharing the persisted snapshot).  Prefer declaring the combination
-    with :class:`~repro.core.spec.IndexSpec` and building through
+    :meth:`set_execution` picks how the independent per-tree scans run
+    (inline, or across worker processes sharing the persisted snapshot).
+    Prefer declaring the combination with
+    :class:`~repro.core.spec.IndexSpec` and building through
     :func:`repro.build`.
 
-    With a *remote* (process) executor the index must live on disk
+    Under process execution the index must live on disk
     (``params.storage_dir``): :meth:`build` persists the snapshot the
     worker processes bootstrap from.
 
@@ -173,8 +172,7 @@ class HDIndex(KNNIndex):
     (5, 0.0)
     """
 
-    def __init__(self, params: HDIndexParams | None = None,
-                 executor: Executor | None = None) -> None:
+    def __init__(self, params: HDIndexParams | None = None) -> None:
         self.params = params if params is not None else HDIndexParams()
         self.trees: list[RDBTree] = []
         self.partitions: list[np.ndarray] = []
@@ -201,83 +199,71 @@ class HDIndex(KNNIndex):
         self._update_lock = threading.Lock()
         self._eligible = EligibleMemo()
         self._engine = QueryEngine(self)
-        if executor is not None:
-            self.set_executor(executor)
+        self.execution = Execution()
 
-    # -- execution strategy ------------------------------------------------
+    # -- execution ---------------------------------------------------------
 
     @property
     def name(self) -> str:
-        """Method name for experiment tables, derived from the execution
-        strategy (so the historical per-class names survive the merge of
-        the class matrix)."""
-        executor = self._engine.executor
-        if getattr(executor, "remote", False):
-            return "HD-Index(process)"
-        if isinstance(executor, ThreadedExecutor):
-            return "HD-Index(parallel)"
-        return "HD-Index"
-
-    @property
-    def executor(self) -> Executor:
-        """The live scan-execution strategy (read-only; swap it with
-        :meth:`set_executor`)."""
-        return self._engine.executor
+        """Method name for experiment tables."""
+        return "HD-Index(process)" if self._remote else "HD-Index"
 
     @property
     def spec(self) -> IndexSpec:
         """The declarative :class:`~repro.core.spec.IndexSpec` describing
         this index's current configuration (persisted into snapshots)."""
-        execution = executor_to_execution(self._engine.executor)
-        if self._wal_policy is not None:
-            execution = dataclasses.replace(execution, wal=self._wal_policy)
         return IndexSpec(params=self.params, topology=Topology(),
-                         execution=execution)
+                         execution=dataclasses.replace(
+                             self.execution, wal=self._wal_policy))
 
-    def set_executor(self, executor: Executor) -> None:
-        """Swap the scan-execution strategy (closing the previous one).
+    def set_execution(self, execution: Execution) -> None:
+        """Run the per-tree scans as ``execution`` says, closing the
+        previous worker pool: inline, or (``kind="process"``) over a
+        :class:`~repro.core.procpool.SnapshotWorkerPool`.
 
-        A *remote* executor (process pool) requires
-        ``params.storage_dir`` — its workers bootstrap from the persisted
-        snapshot, never from live state.  If the index is already built
-        and a snapshot exists there, the pool binds to it immediately.
+        Process execution requires ``params.storage_dir`` — its workers
+        bootstrap from the persisted snapshot, never from live state.  If
+        a snapshot exists there, the pool binds to it immediately.
         """
-        if getattr(executor, "remote", False):
-            if self.params.storage_dir is None:
+        pool = None
+        if execution.kind == "process":
+            directory = self.params.storage_dir
+            if directory is None:
                 raise ValueError(
                     "process execution requires "
                     "HDIndexParams(storage_dir=...): worker processes "
                     "bootstrap from the on-disk snapshot")
-            if executor.snapshot_dir is None:
-                directory = self.params.storage_dir
-                if os.path.exists(os.path.join(directory, "meta.json")):
-                    executor.pool.swap(directory)
-        self._engine.executor.close()
-        self._engine.executor = executor
+            pool = SnapshotWorkerPool(
+                directory if os.path.exists(
+                    os.path.join(directory, "meta.json")) else None,
+                num_workers=execution.workers,
+                backend=execution.worker_backend,
+                cache_pages=self.params.cache_pages or None,
+                timeout=execution.worker_timeout)
+        self._engine.close()
+        self._engine.pool, self.execution = pool, execution
 
     @property
     def _remote(self) -> bool:
-        return bool(getattr(self._engine.executor, "remote", False))
+        return self._engine.pool is not None
 
-    # -- snapshot lifecycle (remote executors) ----------------------------
+    # -- snapshot lifecycle (process execution) ---------------------------
 
     def attach_snapshot(self, directory: str | os.PathLike[str]) -> None:
-        """Bind a remote executor's worker pool to a snapshot directory
-        (workers already running finish their tasks and exit; the next
-        dispatch bootstraps from ``directory``)."""
+        """Bind the worker pool to a snapshot directory (workers already
+        running finish their tasks and exit; the next dispatch
+        bootstraps from ``directory``)."""
         if not self._remote:
             raise RuntimeError(
-                "attach_snapshot is only meaningful with a process "
-                "executor; this index runs scans in-process")
-        self._engine.executor.pool.swap(directory)
+                "attach_snapshot is only meaningful under process "
+                "execution; this index runs scans in-process")
+        self._engine.pool.swap(directory)
 
     @property
     def snapshot_dir(self) -> str | None:
-        """Snapshot directory a remote executor's workers bootstrap from
-        (``None`` for in-process executors)."""
-        if not self._remote:
-            return None
-        return self._engine.executor.snapshot_dir
+        """Snapshot directory the worker processes bootstrap from
+        (``None`` when scans run in-process)."""
+        return self._engine.pool.directory if self._remote else None
 
     # -- online updates (Sec. 3.6) ----------------------------------------
 
@@ -366,12 +352,12 @@ class HDIndex(KNNIndex):
             self._wal = fresh._wal
             self._delta = fresh._delta
             self._wal_root = fresh._wal_root
-        # The transplant keeps *this* object's executor: a process pool
+        # The transplant keeps *this* object's execution: a process pool
         # swaps to the new generation directory, letting in-flight
         # futures finish against the old workers.
-        fresh._engine.executor.close()
+        fresh._engine.close()
         if self._remote:
-            self._engine.executor.pool.swap(self.params.storage_dir)
+            self._engine.pool.swap(self.params.storage_dir)
         if old_wal is not None and old_wal is not self._wal:
             old_wal.close()
         # Retire (don't close) the superseded heap: concurrent readers
@@ -573,7 +559,7 @@ class HDIndex(KNNIndex):
                      **extra) -> None:
         """The tail both builds share: one Hilbert curve + RDB-tree per
         partition (Algo. 1 lines 3-10), the :class:`BuildStats`, and the
-        snapshot a remote executor bootstraps from.
+        snapshot process workers bootstrap from.
 
         ``blocks()`` yields the dataset's grid coordinates (the
         quantiser's lane dtype) as row blocks, in id order: slices of one
@@ -663,9 +649,9 @@ class HDIndex(KNNIndex):
         The optional arguments override the corresponding
         :class:`HDIndexParams` fields for this call only (used by the
         parameter-sweep experiments of Sec. 5.2).  The three stages run in
-        the shared :class:`~repro.core.engine.QueryEngine`; subclasses
-        change *how* the per-tree scans execute (thread pool, shards), not
-        *what* they compute.
+        the shared :class:`~repro.core.engine.QueryEngine`; the execution
+        and the topology change *how* the per-tree scans run (a process
+        pool, shards), not *what* they compute.
 
         ``predicate`` (a :class:`~repro.meta.Predicate` or its JSON
         dict form) restricts answers to metadata-matching points via
@@ -916,7 +902,7 @@ class HDIndex(KNNIndex):
                               params.cache_pages, path)
 
     def close(self) -> None:
-        """Release the query executor, the log handle and the descriptor
+        """Release the worker pool, the log handle and the descriptor
         heap's pages.  Idempotent."""
         self._engine.close()
         if self._wal is not None:

@@ -42,12 +42,7 @@ import numpy as np
 from repro.core.hdindex import HDIndex
 from repro.core.params import HDIndexParams, check_backend
 from repro.core.reference import ReferenceSet
-from repro.core.spec import (
-    Execution,
-    Topology,
-    make_executor,
-    params_from_dict,
-)
+from repro.core.spec import Execution, Topology, params_from_dict
 from repro.core.rdbtree import RDBTree
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore
@@ -67,7 +62,7 @@ class PersistenceError(RuntimeError):
 def save_index(index, directory: str | os.PathLike[str]) -> None:
     """Persist a built index of the HD-Index family.
 
-    Accepts :class:`HDIndex` (any executor) and
+    Accepts :class:`HDIndex` (any execution) and
     :class:`~repro.core.router.ShardRouter`.  The snapshot records the
     index's full :class:`~repro.core.spec.IndexSpec` so
     :func:`load_index` reconstructs the same deployment.
@@ -163,9 +158,9 @@ def load_index(directory: str | os.PathLike[str],
             (:class:`~repro.core.spec.Execution` ``wal``).
 
     Returns:
-        A ready-to-query :class:`HDIndex` (executor reconstructed from
-        the snapshot's spec — sequential, threaded, or a process pool
-        re-bound to this very directory) or
+        A ready-to-query :class:`HDIndex` (execution reconstructed from
+        the snapshot's spec — sequential, or a process pool re-bound to
+        this very directory) or
         :class:`~repro.core.router.ShardRouter`.
 
     Raises:
@@ -321,12 +316,12 @@ def _load_hdindex(directory: str, cache_pages: int | None,
                 f"{path} holds {len(tree)} entries but {META_FILE} "
                 f"records {tree_state['tree']['count']}")
         index.trees.append(tree)
-    # One construction path for every execution kind: realise the spec's
-    # executor.  A process executor binds to this very directory (its
-    # worker processes bootstrap from the snapshot, never from the live
-    # state restored above) — set_executor wires that up because
-    # params.storage_dir is the snapshot directory itself.
-    index.set_executor(make_executor(execution, index))
+    # One construction path for every execution kind.  A process pool
+    # binds to this very directory (its worker processes bootstrap from
+    # the snapshot, never from the live state restored above) —
+    # set_execution wires that up because params.storage_dir is the
+    # snapshot directory itself.
+    index.set_execution(execution)
     return index
 
 

@@ -1,6 +1,6 @@
 """Process-parallel execution over shared snapshot directories.
 
-The GIL caps every in-process executor (:class:`ThreadedExecutor`, the
+The GIL caps in-process execution (the inline scans, the
 micro-batching :class:`~repro.serve.QueryService`) near single-core
 throughput once the numpy kernels stop dominating.  This module is the
 escape hatch: a pool of **worker processes** that each reopen the same
@@ -97,29 +97,21 @@ def _worker_index():
         index = load_index(_WORKER["directory"],
                            cache_pages=_WORKER["cache_pages"],
                            backend=_WORKER["backend"])
-        _demote_executors(index)
+        _drop_worker_pools(index)
         _WORKER["index"] = index
     return index
 
 
-def _demote_executors(index) -> None:
-    """Force sequential scan execution inside a worker.
+def _drop_worker_pools(index) -> None:
+    """Run scans inline inside a worker.
 
-    Inside a worker the pool *is* the parallelism: demote any
-    threaded/process executor the snapshot's spec would re-create —
-    including per-shard executors of a sharded snapshot — so a
-    process-execution snapshot cannot recursively fork grandchildren.
+    Inside a worker the pool *is* the parallelism: drop any worker pool
+    the snapshot's spec re-created — a sharded snapshot's per-shard
+    pools included — so a process-execution snapshot cannot recursively
+    fork grandchildren.
     """
-    from repro.core.engine import SequentialExecutor
-    engine = getattr(index, "_engine", None)
-    if engine is not None:
-        engine.executor.close()
-        engine.executor = SequentialExecutor()
-    for shard in getattr(index, "shards", ()):
-        _demote_executors(shard)
-    if hasattr(index, "execution"):
-        from repro.core.spec import Execution
-        index.execution = Execution()
+    from repro.core.spec import Execution
+    index.set_execution(Execution())
 
 
 def _run_fault_hook() -> None:

@@ -11,9 +11,9 @@ the paper predicts.
 
 Topology and execution are orthogonal axes of
 :class:`~repro.core.spec.IndexSpec`, so the router composes with *any*
-:class:`~repro.core.spec.Execution`: each child index gets its own
-executor (sequential scans, a thread pool, or a process pool bootstrapping
-from that shard's own ``shard_<s>/`` snapshot) — the sharded x process
+:class:`~repro.core.spec.Execution`: each child index scans inline or
+over its own process pool bootstrapping from that shard's own
+``shard_<s>/`` snapshot — the sharded x process
 combination the old class-per-combination design could not express.  A
 :class:`~repro.core.spec.Topology` may also assign heterogeneous per-shard
 storage backends (e.g. the hot shard in RAM, the cold tail mmap'd).
@@ -34,7 +34,7 @@ import numpy as np
 from repro.core.hdindex import HDIndex
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.params import HDIndexParams
-from repro.core.spec import Execution, IndexSpec, Topology, make_executor
+from repro.core.spec import Execution, IndexSpec, Topology
 from repro.distance.metrics import require_finite
 from repro.meta import MetadataStore
 from repro.wal.manager import compact_router, open_log, resolve_snapshot_dir
@@ -154,8 +154,25 @@ class ShardRouter(KNNIndex):
         # The router owns the write-ahead log; a shard must never
         # attach one of its own (process shards would).
         shard._wal_policy = False
-        shard.set_executor(make_executor(self.execution, shard))
+        shard.set_execution(self.execution)
         return shard
+
+    def set_execution(self, execution: Execution) -> None:
+        """Run every shard's scans as ``execution`` says (each shard gets
+        its own pool), checking first that process execution finds every
+        shard disk-backed: a failure mid-swap would leave the router
+        claiming an execution its shards do not run (and persist that
+        lie into the manifest)."""
+        if execution.kind == "process":
+            for position, shard in enumerate(self.shards):
+                if shard.params.storage_dir is None:
+                    raise ValueError(
+                        f"process execution requires disk-backed shards; "
+                        f"shard {position} has no storage_dir (build the "
+                        f"router with params.storage_dir=... first)")
+        for shard in self.shards:
+            shard.set_execution(execution)
+        self.execution = execution
 
     # -- construction ------------------------------------------------------
 
@@ -241,7 +258,7 @@ class ShardRouter(KNNIndex):
             if (os.path.abspath(resolve_snapshot_dir(shard_root))
                     != os.path.abspath(shard.params.storage_dir)):
                 # This shard folded into a new generation: hot-swap onto
-                # it (the shard keeps its executor; a process pool
+                # it (the shard keeps its execution; a process pool
                 # re-binds without cancelling in-flight work).
                 shard._wal_root = shard_root
                 shard._adopt_current()

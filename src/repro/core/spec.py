@@ -7,8 +7,8 @@ serves; only two orthogonal axes ever change:
 * **topology** — is the dataset one index or ``shards`` horizontal
   partitions behind a router (the paper's Sec. 5.2.8 "distributed"
   extension);
-* **execution** — do the independent per-tree scans run inline, on a
-  thread pool, or across worker processes sharing an mmap snapshot.
+* **execution** — do the independent per-tree scans run inline or
+  across worker processes sharing an mmap snapshot.
 
 :class:`IndexSpec` names a point of that grid — including sharded x
 process and heterogeneous per-shard backends — as one declarative
@@ -25,7 +25,7 @@ inside every snapshot's ``meta.json``/``manifest.json``, and reconstruct
 the exact deployment on reopen — no kind-dispatch special cases.
 
 >>> spec = IndexSpec(topology=Topology(shards=2),
-...                  execution=Execution(kind="thread", workers=4))
+...                  execution=Execution(kind="process", workers=4))
 >>> IndexSpec.from_dict(spec.to_dict()) == spec
 True
 """
@@ -39,11 +39,13 @@ from typing import Any
 from repro.core.params import HDIndexParams, check_backend
 
 #: Execution kinds an :class:`Execution` accepts (aliases normalised).
-EXECUTION_KINDS = ("sequential", "thread", "process")
+EXECUTION_KINDS = ("sequential", "process")
 
-#: Accepted spellings -> canonical kind.
+#: Accepted spellings -> canonical kind.  ``"thread"`` / ``"threaded"``
+#: name the thread pool that once ran the scans at sequential speed:
+#: specs recording them open sequential.
 _KIND_ALIASES = {"sequential": "sequential", "serial": "sequential",
-                 "thread": "thread", "threaded": "thread",
+                 "thread": "sequential", "threaded": "sequential",
                  "process": "process"}
 
 
@@ -120,15 +122,13 @@ class Execution:
     Attributes
     ----------
     kind:
-        ``"sequential"`` (inline, in order), ``"thread"`` (a reusable
-        thread pool — the numpy filter kernels release the GIL) or
-        ``"process"`` (worker processes bootstrapping from the persisted
-        snapshot via ``load_index``, sharing physical pages through mmap).
-        ``"threaded"`` is accepted as an alias of ``"thread"``.
+        ``"sequential"`` (inline, in order) or ``"process"`` (worker
+        processes bootstrapping from the persisted snapshot via
+        ``load_index``, sharing physical pages through mmap).
+        ``"serial"``, ``"thread"`` and ``"threaded"`` are spellings of
+        ``"sequential"``.
     workers:
-        Pool width for ``"thread"``/``"process"``; ``None`` picks the
-        historical defaults (min(8, τ) threads; the CPU count for
-        processes).
+        Pool width for ``"process"``; ``None`` picks the CPU count.
     worker_backend:
         Backend worker *processes* reopen the snapshot with (default
         ``"mmap"``, so the OS shares one set of physical pages pool-wide).
@@ -148,7 +148,7 @@ class Execution:
         execution, attaches one.
 
     >>> Execution(kind="threaded").kind
-    'thread'
+    'sequential'
     >>> Execution(kind="process", workers=4).workers
     4
     """
@@ -192,7 +192,7 @@ class Execution:
 class IndexSpec:
     """The full declarative recipe for one HD-Index deployment.
 
-    Every family/backend/executor combination is one orthogonal spec;
+    Every topology/backend/execution combination is one orthogonal spec;
     :func:`repro.build` turns it into a built (optionally persisted)
     index and :func:`repro.open` reconstructs it from a snapshot.
 
@@ -204,7 +204,7 @@ class IndexSpec:
     topology:
         Plain (``shards=1``) or sharded (:class:`Topology`).
     execution:
-        Sequential / thread-pool / process-pool scan execution
+        Sequential or process-pool scan execution
         (:class:`Execution`).
     backend:
         Convenience override of ``params.backend`` (``"memory"``,
@@ -302,51 +302,3 @@ def coerce_spec(
     raise TypeError(
         f"cannot build an IndexSpec from {type(spec).__name__}; pass an "
         f"IndexSpec, HDIndexParams, dict or None")
-
-
-def make_executor(execution: Execution, index: Any = None) -> Any:
-    """Instantiate the :class:`~repro.core.engine.Executor` an
-    :class:`Execution` describes.
-
-    ``index`` (when already constructed) supplies the historical defaults
-    the class matrix used: a thread pool sized to ``min(8, τ)`` once the
-    tree count is known, and the buffer-pool setting forwarded to process
-    workers.
-    """
-    from repro.core.engine import (
-        ProcessExecutor,
-        SequentialExecutor,
-        ThreadedExecutor,
-    )
-    if execution.kind == "sequential":
-        return SequentialExecutor()
-    if execution.kind == "thread":
-        default = None
-        if index is not None:
-            default = lambda: min(8, max(1, len(index.trees)))  # noqa: E731
-        return ThreadedExecutor(execution.workers, default_workers=default)
-    cache_pages = None
-    if index is not None:
-        cache_pages = getattr(index.params, "cache_pages", 0) or None
-    return ProcessExecutor(num_workers=execution.workers,
-                           backend=execution.worker_backend,
-                           cache_pages=cache_pages,
-                           timeout=execution.worker_timeout)
-
-
-def executor_to_execution(executor: Any) -> Execution:
-    """The :class:`Execution` value describing a live executor — the
-    inverse of :func:`make_executor`, used when persisting an index's
-    spec into its snapshot."""
-    from repro.core.engine import ProcessExecutor, ThreadedExecutor
-    if isinstance(executor, ProcessExecutor):
-        pool = executor.pool
-        # requested_workers, not pool.num_workers: the pool resolves
-        # None to this machine's CPU count, but a persisted spec must
-        # keep "size to the serving machine" unresolved.
-        return Execution(kind="process", workers=executor.requested_workers,
-                         worker_backend=pool.backend,
-                         worker_timeout=pool.timeout)
-    if isinstance(executor, ThreadedExecutor):
-        return Execution(kind="thread", workers=executor.num_workers)
-    return Execution(kind="sequential")

@@ -13,7 +13,7 @@ Its contract:
 * ``[forksafety]`` declares the process-pool module(s): which functions
   run worker-side (``FS201``), which module globals those functions may
   touch (the per-process bootstrap slots), which bootstrap functions
-  must demote executors before use (``FS203``), and which constructors
+  must drop worker pools before use (``FS203``), and which constructors
   produce values that must never ride a pickled task payload
   (``FS202``).
 * ``[api]`` declares files whose dataclasses must be ``frozen=True``

@@ -17,8 +17,8 @@ workers bootstrap from the snapshot manifest, never from pickles:
   must be reopened worker-side from the snapshot path instead.
 * ``FS203`` — a declared bootstrap function (the worker-side
   ``load_index`` wrapper) is missing a required call, e.g.
-  ``_demote_executors``: without the demotion a process-execution
-  snapshot would recursively fork grandchildren inside each worker.
+  ``_drop_worker_pools``: without it a process-execution snapshot
+  would recursively fork grandchildren inside each worker.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ class BootstrapDemotionRule(Rule):
     code = "FS203"
     name = "bootstrap-missing-demotion"
     description = ("worker bootstrap function lacks a required call "
-                   "(e.g. _demote_executors): a process-execution "
+                   "(e.g. _drop_worker_pools): a process-execution "
                    "snapshot would fork grandchildren.")
 
     def check(self, module: ModuleContext) -> Iterator[Finding]:

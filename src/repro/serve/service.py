@@ -27,9 +27,9 @@ overloaded index.
 An :class:`~repro.core.spec.Execution` decides *where* a flushed
 micro-batch runs:
 
-* in-process (the default, and any ``kind`` other than ``"process"``) —
-  the dispatcher thread answers through the index's ``query_batch``; the
-  index's own executor decides how the per-tree scans run inside it;
+* in-process (the default, ``kind="sequential"``) — the dispatcher
+  thread answers through the index's ``query_batch``; the index's own
+  execution decides how the per-tree scans run inside it;
 * ``Execution(kind="process", workers=N)`` — the dispatcher shards the
   batch's rows across a
   :class:`~repro.core.procpool.SnapshotWorkerPool` of worker processes,

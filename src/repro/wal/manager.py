@@ -297,7 +297,7 @@ def fold_generation(source: str, dest: str,
     are skipped.
     """
     from repro.core.persistence import load_index, save_index
-    from repro.core.procpool import _demote_executors
+    from repro.core.procpool import _drop_worker_pools
     if os.path.exists(dest):
         shutil.rmtree(dest)  # leftover from a crashed earlier attempt
     os.makedirs(dest)
@@ -313,7 +313,7 @@ def fold_generation(source: str, dest: str,
         source_meta = json.load(handle)
     folded = load_index(dest, backend="mmap", wal=False)
     try:
-        _demote_executors(folded)
+        _drop_worker_pools(folded)
         for object_id, vector, metadata in records:
             if object_id < folded.count:
                 continue
@@ -328,7 +328,7 @@ def fold_generation(source: str, dest: str,
         save_index(folded, dest)
     finally:
         folded.close()
-    # ``folded`` was loaded demoted (sequential executors, no log) so the
+    # ``folded`` was loaded inline (worker pools dropped, no log) so the
     # fold never forks pools or touches the log — but save_index
     # derives the persisted execution from the *live* object.  Restore the
     # source snapshot's recorded execution so the new generation reopens

@@ -3,7 +3,7 @@
 The test harness declares this file under ``[forksafety]`` with
 ``worker_functions = ["_worker_task"]``, ``allowed_worker_globals =
 ["_STATE"]``, ``bootstrap_functions = ["_bootstrap"]``,
-``required_bootstrap_calls = ["_demote_executors"]`` and
+``required_bootstrap_calls = ["_drop_worker_pools"]`` and
 ``unpicklable_factories = ["VectorHeapFile"]``.
 """
 

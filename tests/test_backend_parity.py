@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    Execution,
     HDIndex,
     HDIndexParams,
     PersistenceError,
     ShardRouter,
-    ThreadedExecutor,
     load_index,
     save_index,
 )
@@ -180,19 +180,18 @@ class TestMutatedSnapshotParity:
 
 
 class TestFamilyBackends:
-    def test_parallel_mmap_matches_sequential(self, workload, tmp_path):
+    def test_process_mmap_matches_sequential(self, workload, tmp_path):
         data, queries = workload
         plain = HDIndex(_params())
         plain.build(data)
         expected = _answers(plain, queries)
         plain.close()
-        parallel = HDIndex(
-            _params(backend="mmap", storage_dir=str(tmp_path)),
-            executor=ThreadedExecutor(3))
-        parallel.build(data)
-        _assert_same_answers(_answers(parallel, queries), expected,
-                             "parallel-mmap")
-        parallel.close()
+        process = HDIndex(_params(backend="mmap", storage_dir=str(tmp_path)))
+        process.set_execution(Execution(kind="process", workers=2))
+        process.build(data)
+        _assert_same_answers(_answers(process, queries), expected,
+                             "process-mmap")
+        process.close()
 
     def test_sharded_snapshot_mmap_parity(self, workload, tmp_path):
         data, queries = workload

@@ -44,10 +44,13 @@ class TestBuildQuery:
         assert code == 0
         assert "MAP@k" in out.getvalue()
 
-    @pytest.mark.parametrize("execution", [[], ["--execution", "process",
-                                                "--workers", "1"]],
-                             ids=["in-process", "process"])
-    def test_build_then_serve_reports_execution(self, tmp_path, execution):
+    @pytest.mark.parametrize("execution, kind", [
+        ([], "sequential"),
+        (["--execution", "thread"], "sequential"),
+        (["--execution", "process", "--workers", "1"], "process"),
+    ], ids=["in-process", "legacy-thread", "process"])
+    def test_build_then_serve_reports_execution(self, tmp_path, execution,
+                                                kind):
         run(["build", "--dataset", "glove", "--n", "200",
              "--out", str(tmp_path / "idx"), "--trees", "4",
              "--alpha", "32", "--gamma", "8"])
@@ -56,7 +59,6 @@ class TestBuildQuery:
                     "--dataset", "glove", "--n", "200", "--queries", "8",
                     "--clients", "2", "-k", "3", *execution], out)
         assert code == 0
-        kind = "process" if execution else "thread"
         assert f"served 8 queries from 2 clients (execution={kind})" \
             in out.getvalue()
 

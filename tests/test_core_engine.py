@@ -1,21 +1,21 @@
 """Cross-implementation parity suite for the shared Algo.-2 query engine.
 
-The engine extraction makes drift between the sequential, parallel and
+The engine extraction makes drift between the sequential, process and
 sharded indexes structurally impossible; these tests pin the contract:
 
-* identical (ids, dists) across sequential and thread-parallel `HDIndex`
-  executors and the vectorised batch path on the same data/seed;
+* identical (ids, dists) across sequential and process `HDIndex`
+  execution and the vectorised batch path on the same data/seed;
 * ``query_batch`` equals a loop of ``query`` for every topology/execution
   combination;
-* the thread-parallel executor reports the same ``QueryStats`` fields —
-  including the random/sequential read breakdown the Sec. 5 evaluation
-  metrics depend on — as sequential execution (regression: it used to
-  drop them);
+* process execution reports the same ``QueryStats`` fields — including
+  the random/sequential read breakdown the Sec. 5 evaluation metrics
+  depend on — as sequential execution (regression: a pool used to drop
+  them);
 * the shard router forwards per-call α/β/γ/Ptolemaic overrides and
   supports global-id ``delete``;
 * ``query`` is ``query_batch`` at Q = 1, so both are checked against a
   scalar oracle that shares none of the batched kernels (plain, filtered
-  and over a WAL delta with deletes; every executor), and the adapter's
+  and over a WAL delta with deletes; every execution), and the adapter's
   own contract — unpadded short answers, no ``batch_size`` in the stats,
   ``ValueError`` on a wrong dimension — is pinned directly;
 * the answers to a seeded workload are frozen as digests, so a kernel
@@ -28,7 +28,6 @@ import gc
 import hashlib
 import inspect
 import sys
-import threading
 import time
 import tracemalloc
 import weakref
@@ -44,10 +43,9 @@ from repro.core import (
     HDIndexParams,
     IndexSpec,
     QueryEngine,
-    SequentialExecutor,
     ShardRouter,
-    ThreadedExecutor,
     build,
+    create_index,
     load_index,
     save_index,
 )
@@ -69,8 +67,11 @@ from repro.storage import UIntCodec
 from test_core_filters import python_ptolemaic, python_triangular
 
 
-def thread_index(p, workers=None):
-    return HDIndex(p, executor=ThreadedExecutor(workers))
+def process_index(p, workers=2):
+    """An unbuilt index whose scans fan out over worker processes
+    (``p`` must name a ``storage_dir``)."""
+    return create_index(IndexSpec(
+        params=p, execution=Execution(kind="process", workers=workers)))
 
 
 @pytest.fixture(scope="module")
@@ -93,25 +94,26 @@ def params(**overrides):
 
 
 @pytest.fixture(scope="module")
-def built_trio(workload):
+def built_trio(workload, tmp_path_factory):
     data, _ = workload
     sequential = HDIndex(params())
-    parallel = thread_index(params(), workers=3)
+    process = process_index(
+        params(storage_dir=str(tmp_path_factory.mktemp("trio"))))
     sharded = ShardRouter(params(), 3)
-    for index in (sequential, parallel, sharded):
+    for index in (sequential, process, sharded):
         index.build(data)
-    yield sequential, parallel, sharded
-    parallel.close()
+    yield sequential, process, sharded
+    process.close()
 
 
 class TestCrossImplementationParity:
-    def test_sequential_parallel_and_batch_agree(self, workload, built_trio):
+    def test_sequential_process_and_batch_agree(self, workload, built_trio):
         _, queries = workload
-        sequential, parallel, _ = built_trio
+        sequential, process, _ = built_trio
         batch_ids, batch_dists = sequential.query_batch(queries, 10)
         for row, query in enumerate(queries):
             ids_seq, dists_seq = sequential.query(query, 10)
-            ids_par, dists_par = parallel.query(query, 10)
+            ids_par, dists_par = process.query(query, 10)
             np.testing.assert_array_equal(ids_seq, ids_par)
             np.testing.assert_allclose(dists_seq, dists_par)
             np.testing.assert_array_equal(
@@ -119,11 +121,11 @@ class TestCrossImplementationParity:
             np.testing.assert_allclose(
                 batch_dists[row][: len(dists_seq)], dists_seq)
 
-    @pytest.mark.parametrize("which", ["sequential", "parallel", "sharded"])
+    @pytest.mark.parametrize("which", ["sequential", "process", "sharded"])
     def test_query_batch_equals_query_loop(self, workload, built_trio,
                                            which):
         _, queries = workload
-        index = dict(zip(("sequential", "parallel", "sharded"),
+        index = dict(zip(("sequential", "process", "sharded"),
                          built_trio))[which]
         k = 10
         batch_ids, batch_dists = index.query_batch(queries, k)
@@ -147,28 +149,28 @@ class TestCrossImplementationParity:
             ids, _ = sequential.query(query, 5, **overrides)
             np.testing.assert_array_equal(batch_ids[row][: len(ids)], ids)
 
-    def test_ptolemaic_path_parity(self, workload):
+    def test_ptolemaic_path_parity(self, workload, tmp_path):
         data, queries = workload
         sequential = HDIndex(params(use_ptolemaic=True))
-        parallel = thread_index(params(use_ptolemaic=True))
+        process = process_index(params(use_ptolemaic=True,
+                                       storage_dir=str(tmp_path)))
         sequential.build(data)
-        parallel.build(data)
-        batch_ids, _ = parallel.query_batch(queries, 10)
+        process.build(data)
+        batch_ids, _ = process.query_batch(queries, 10)
         for row, query in enumerate(queries):
             ids_seq, _ = sequential.query(query, 10)
-            ids_par, _ = parallel.query(query, 10)
+            ids_par, _ = process.query(query, 10)
             np.testing.assert_array_equal(ids_seq, ids_par)
             np.testing.assert_array_equal(
                 batch_ids[row][: len(ids_seq)], ids_seq)
-        parallel.close()
+        process.close()
 
-    def test_disk_backed_parallel_batch_parity(self, workload, tmp_path):
-        """The batch fan-out must keep each tree's (thread-unsafe) page
-        store on a single thread; disk mode would corrupt reads
-        otherwise."""
+    def test_disk_backed_process_batch_parity(self, workload, tmp_path):
+        """Worker processes scanning their own mapped view of the
+        snapshot answer a batch as the in-memory index does."""
         data, queries = workload
-        disk = thread_index(params(storage_dir=str(tmp_path / "hd")),
-                            workers=4)
+        disk = process_index(params(storage_dir=str(tmp_path / "hd"),
+                                    backend="mmap"), workers=4)
         memory = HDIndex(params())
         disk.build(data)
         memory.build(data)
@@ -204,27 +206,23 @@ class TestCrossImplementationParity:
 
 
 class TestStatsParity:
-    def test_parallel_reports_read_breakdown(self, workload, built_trio):
-        """Regression: the parallel index used to drop the random/
-        sequential read split from its QueryStats."""
+    def test_process_reports_read_breakdown(self, workload, built_trio):
+        """Regression: a pool used to drop the random/sequential read
+        split from its QueryStats.  (Which worker scans a tree varies
+        from call to call, and with it the last page a store touched, so
+        only the total is the sequential one read for read.)"""
         _, queries = workload
-        sequential, parallel, _ = built_trio
-        # Twice: whether a store's first read counts as sequential depends
-        # on the last page it touched, i.e. on what the shared fixture
-        # answered before; the first call levels that history.
-        for _ in range(2):
-            sequential.query(queries[0], 10)
-            parallel.query(queries[0], 10)
+        sequential, process, _ = built_trio
+        sequential.query(queries[0], 10)
+        process.query(queries[0], 10)
         stats_seq = sequential.last_query_stats()
-        stats_par = parallel.last_query_stats()
+        stats_par = process.last_query_stats()
         assert stats_par.page_reads == stats_seq.page_reads
-        assert stats_par.random_reads == stats_seq.random_reads
-        assert stats_par.sequential_reads == stats_seq.sequential_reads
         assert stats_par.random_reads > 0
         assert (stats_par.random_reads + stats_par.sequential_reads
                 == stats_par.page_reads)
-        # Same schema either way; the parallel index adds the pool width.
-        assert stats_par.extra["workers"] == 3
+        # Same schema either way; process execution adds the pool width.
+        assert stats_par.extra["workers"] == 2
         seq_keys = set(stats_seq.as_dict()) | {"workers"}
         assert set(stats_par.as_dict()) == seq_keys
 
@@ -332,35 +330,24 @@ class TestShardedOverridesAndUpdates:
 
 class TestEngineComponents:
     def test_indexes_share_one_engine_implementation(self, built_trio):
-        sequential, parallel, sharded = built_trio
-        assert type(sequential._engine) is type(parallel._engine) is \
+        sequential, process, sharded = built_trio
+        assert type(sequential._engine) is type(process._engine) is \
             QueryEngine
-        assert isinstance(sequential._engine.executor, SequentialExecutor)
-        assert isinstance(parallel._engine.executor, ThreadedExecutor)
+        assert sequential._engine.pool is None
+        assert process._engine.pool is not None
         for shard in sharded.shards:
             assert type(shard._engine) is QueryEngine
 
     def test_one_index_class_per_topology(self):
         """The structural guarantee: the family is HDIndex (plain) and
-        ShardRouter (sharded); execution is an executor, never a
-        subclass carrying a second copy of the Algo.-2 stage logic."""
+        ShardRouter (sharded); execution is a worker pool or none, never
+        a subclass carrying a second copy of the Algo.-2 stage logic."""
         import repro.core
         from repro.core import KNNIndex, ShardRouter
         family = {obj for obj in vars(repro.core).values()
                   if isinstance(obj, type) and issubclass(obj, KNNIndex)
                   and obj is not KNNIndex}
         assert family == {HDIndex, ShardRouter}
-
-    def test_threaded_executor_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            ThreadedExecutor(num_workers=0)
-
-    def test_threaded_executor_close_idempotent(self):
-        executor = ThreadedExecutor(num_workers=2)
-        assert executor.map(lambda v: v * 2, [1, 2, 3]) == [2, 4, 6]
-        assert executor.workers == 2
-        executor.close()
-        executor.close()
 
     def test_deleted_ids_excluded_from_batch(self, workload):
         data, _ = workload
@@ -381,13 +368,14 @@ class TestDeleteBatchParity:
     batch serving load."""
 
     @pytest.mark.parametrize("make_index", [
-        lambda: HDIndex(params()),
-        lambda: thread_index(params(), workers=2),
-        lambda: ShardRouter(params(), 3),
-    ], ids=["sequential", "parallel", "sharded"])
-    def test_batch_equals_loop_after_deletes(self, workload, make_index):
+        lambda directory: HDIndex(params()),
+        lambda directory: process_index(params(storage_dir=directory)),
+        lambda directory: ShardRouter(params(), 3),
+    ], ids=["sequential", "process", "sharded"])
+    def test_batch_equals_loop_after_deletes(self, workload, make_index,
+                                             tmp_path):
         data, queries = workload
-        index = make_index()
+        index = make_index(str(tmp_path))
         index.build(data)
         # Delete the current top answers of several queries, plus an
         # inserted point, so the deleted set intersects the candidate
@@ -517,7 +505,7 @@ class TestScalarOracleParity:
     @pytest.fixture(scope="class")
     def reference(self, workload, tmp_path_factory):
         """Batch answers per predicate of the sequential, logged, on-disk
-        configuration: every other one (other executors, no log, no
+        configuration: every other one (process execution, no log, no
         disk) must reproduce them, whichever cases are selected."""
         index, _, _ = self._updated(
             workload, str(tmp_path_factory.mktemp("reference") / "snap"),
@@ -528,15 +516,13 @@ class TestScalarOracleParity:
                     for name, predicate in self.PREDICATES.items()}
 
     @pytest.fixture(params=[("sequential", True, True),
-                            ("threaded", True, True),
                             ("process", True, True),
                             ("sequential", False, False),
-                            ("threaded", False, True),
                             ("process", False, True)],
                     ids=lambda p: f"{p[0]}-{'wal' if p[1] else 'nolog'}"
                                   f"-{'disk' if p[2] else 'memory'}")
     def updated(self, request, workload, tmp_path):
-        """One index per (executor, logged?, on disk?)."""
+        """One index per (execution, logged?, on disk?)."""
         kind, logged, on_disk = request.param
         made = self._updated(
             workload, str(tmp_path / "snap") if on_disk else None,
@@ -635,19 +621,21 @@ class TestSortedMerge:
         assert got.dtype == want.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 
-    @pytest.fixture(scope="class", params=["sequential", "thread"])
+    @pytest.fixture(scope="class", params=[2, 1],
+                    ids=["two-trees", "one-tree"])
     def updated(self, request, workload):
         """Un-compacted delta rows and deleted base and delta ids, under
-        16-byte keys whose leading words all tie: the data fills the
-        lowest 256th of each axis of a 16-bit grid, so every key starts
-        with the same 64 bits and every descent settles its count
-        exactly (``PackedTree._exact``)."""
+        16-byte keys (32 with one tree) whose leading words all tie: the
+        data fills the lowest 256th of each axis of a 16-bit grid, so
+        every key starts with the same 64 bits and every descent settles
+        its count exactly (``PackedTree._exact``)."""
         index, _, _ = TestScalarOracleParity._updated(
-            workload, None, request.param, False, num_trees=2,
+            workload, None, "sequential", False, num_trees=request.param,
             hilbert_order=16, domain=(0.0, 30000.0))
         heads = {bytes(key[:8]) for tree in index.trees
                  for key in tree.packed.keys_raw}
-        assert all(tree.packed.key_width == 16 for tree in index.trees)
+        assert all(tree.packed.key_width == 32 // request.param
+                   for tree in index.trees)
         assert len(heads) == 1
         yield index
         index.close()
@@ -688,14 +676,13 @@ class TestSortedMerge:
     def test_eligible_ids_taken_once_per_call(self, workload, updated,
                                               monkeypatch):
         """Once per (predicate, base generation): one ``flatnonzero`` on
-        the predicate's first use — under a pool, where each tree is its
-        own task, too — none when it (or an equal object) recurs, and one
-        again after ``compact()`` folds the delta into the base.  A fresh
-        index of the fixture's kind, so the fixture stays un-compacted."""
+        the predicate's first use — over one tree, too — none when it (or
+        an equal object) recurs, and one again after ``compact()`` folds
+        the delta into the base.  A fresh index of the fixture's tree
+        count, so the fixture stays un-compacted."""
         index, _, _ = TestScalarOracleParity._updated(
-            workload, None,
-            "sequential" if updated.executor.workers is None else "thread",
-            False, num_trees=2)
+            workload, None, "sequential", False,
+            num_trees=len(updated.trees))
         predicate = Eq("label", 1)
         eligible = np.count_nonzero(predicate.mask(index.metadata))
         calls = []
@@ -801,12 +788,11 @@ class TestEq6Sharing:
         if ids.max() < 4 * ids.size:  # below the table: no collision
             assert own.size == np.unique(ids).size
 
-    def test_one_tree_blocks_under_the_threaded_executor(self, workload,
-                                                         monkeypatch):
-        """A pool task's block holds one tree, which holds an id once:
-        its Eq. 6 runs over every β-survivor, no table involved."""
+    def test_one_tree_blocks_build_no_table(self, workload, monkeypatch):
+        """A one-tree index's block holds one tree, which holds an id
+        once: its Eq. 6 runs over every β-survivor, no table involved."""
         data, queries = workload
-        index = thread_index(params(use_ptolemaic=True), workers=2)
+        index = HDIndex(params(use_ptolemaic=True, num_trees=1))
         index.build(data)
         filter_survivors = QueryEngine.filter_survivors
         blocks = []
@@ -836,24 +822,23 @@ class TestEq6Sharing:
 
 class TestStageTwoWorkingSet:
     """Stage (ii) runs once per query row, over the (τ, α') block of the
-    trees the row asks: under sequential execution one Eq. 5 call over
-    τ·α' candidates and one Eq. 6 call over the row's distinct
-    β-survivors, under a pool (a task holds one tree) one of each per
-    (tree, row) over α' and β' candidates.  Never one call across rows:
-    fusing the rows of a call into one matrix made ``query_batch(16)``
-    slower than 16 ``query`` calls."""
+    row's trees: one Eq. 5 call over τ·α' candidates and one Eq. 6 call
+    over the row's distinct β-survivors (over one tree, β' of them).
+    Never one call across rows: fusing the rows of a call into one
+    matrix made ``query_batch(16)`` slower than 16 ``query`` calls."""
 
     Q = 8
     #: What a batch does not amortise (its shared descriptor gather
     #: reads fewer pages than Q separate ones).
     COUNTERS = ("candidates", "distance_computations")
 
-    @pytest.fixture(scope="class", params=["sequential", "threaded"])
+    @pytest.fixture(scope="class", params=[4, 1],
+                    ids=["four-trees", "one-tree"])
     def labelled(self, request, workload):
         data, _ = workload
         index = build(
-            IndexSpec(params=params(use_ptolemaic=True),
-                      execution=Execution(kind=request.param, workers=2)),
+            IndexSpec(params=params(use_ptolemaic=True,
+                                    num_trees=request.param)),
             data, metadata=[{"label": i % 3} for i in range(len(data))])
         yield index
         index.close()
@@ -873,9 +858,7 @@ class TestStageTwoWorkingSet:
 
         def spy(kernel, calls):
             def spied(query_ref, cand_ref, *rest):
-                # Pool tasks interleave: a row's calls pair up per thread.
-                calls.append((threading.get_ident(), np.array(query_ref),
-                              np.array(cand_ref)))
+                calls.append((np.array(query_ref), np.array(cand_ref)))
                 return kernel(query_ref, cand_ref, *rest)
             return spied
 
@@ -887,16 +870,12 @@ class TestStageTwoWorkingSet:
         ids, dists = index.query_batch(queries, 10, predicate=predicate)
         stats = index.last_query_stats()
 
-        # Trees per block: all of them inline, one per pool task.
-        block = 1 if index._engine.executor.workers else len(index.trees)
+        block = len(index.trees)
         m = index.params.num_references
         alpha, beta = stats.extra["alpha"], stats.extra["beta"]
         shared = 0
-        assert all(len(calls) == self.Q * len(index.trees) // block
-                   for calls in seen.values())
-        by_thread = [sorted(calls, key=lambda call: call[0])
-                     for calls in seen.values()]
-        for (_, query_ref, window), (_, again, survivors) in zip(*by_thread):
+        assert all(len(calls) == self.Q for calls in seen.values())
+        for (query_ref, window), (again, survivors) in zip(*seen.values()):
             # Every tree offers the full budget here (n and the eligible
             # count both exceed α), so a block is exactly τ·α'.
             assert query_ref.shape == again.shape == (m,)
@@ -912,8 +891,8 @@ class TestStageTwoWorkingSet:
             np.testing.assert_array_equal(np.unique(survivors, axis=0),
                                           distinct)
             shared += block * beta - distinct.shape[0]
-        # Inline, the trees of a row share most survivors; a pool task's
-        # one tree holds an id once.
+        # The trees of a row share most survivors; one tree holds an id
+        # once.
         assert (shared > 0) == (block > 1)
         for row, (want_ids, want_dists) in enumerate(want):
             np.testing.assert_array_equal(ids[row], want_ids)

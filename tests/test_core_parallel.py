@@ -12,10 +12,12 @@ from repro.core import (
 )
 
 
-def thread_index(p, workers=None):
-    """Thread-parallel scans, declared through the spec API."""
+def process_index(p, directory, workers=2):
+    """Per-tree scans over worker processes, declared through the spec
+    API (the workers bootstrap from the snapshot in ``directory``)."""
     return create_index(IndexSpec(
-        params=p, execution=Execution(kind="thread", workers=workers)))
+        params=p, execution=Execution(kind="process", workers=workers)),
+        storage_dir=str(directory))
 
 
 @pytest.fixture(scope="module")
@@ -37,12 +39,12 @@ def params(**overrides):
 
 
 class TestParallelHDIndex:
-    def test_results_identical_to_sequential(self, workload):
+    def test_results_identical_to_sequential(self, workload, tmp_path):
         """The paper's claim: per-tree scans are independent, so
         parallelising them must not change the answer set."""
         data, queries = workload
         sequential = HDIndex(params())
-        parallel = thread_index(params(), workers=4)
+        parallel = process_index(params(), tmp_path, workers=4)
         sequential.build(data)
         parallel.build(data)
         for query in queries:
@@ -52,10 +54,10 @@ class TestParallelHDIndex:
             np.testing.assert_allclose(dists_seq, dists_par)
         parallel.close()
 
-    def test_ptolemaic_path_identical(self, workload):
+    def test_ptolemaic_path_identical(self, workload, tmp_path):
         data, queries = workload
         sequential = HDIndex(params(use_ptolemaic=True))
-        parallel = thread_index(params(use_ptolemaic=True))
+        parallel = process_index(params(use_ptolemaic=True), tmp_path)
         sequential.build(data)
         parallel.build(data)
         ids_seq, _ = sequential.query(queries[0], 10)
@@ -63,35 +65,35 @@ class TestParallelHDIndex:
         np.testing.assert_array_equal(ids_seq, ids_par)
         parallel.close()
 
-    def test_worker_count_respected(self, workload):
+    def test_worker_count_respected(self, workload, tmp_path):
         data, queries = workload
-        index = thread_index(params(), workers=2)
+        index = process_index(params(), tmp_path, workers=2)
         index.build(data)
         index.query(queries[0], 5)
         assert index.last_query_stats().extra["workers"] == 2
         index.close()
 
-    def test_context_manager(self, workload):
+    def test_context_manager(self, workload, tmp_path):
         data, queries = workload
-        with thread_index(params()) as index:
+        with process_index(params(), tmp_path) as index:
             index.build(data)
             ids, _ = index.query(queries[0], 5)
             assert len(ids) == 5
 
-    def test_close_is_idempotent(self, workload):
+    def test_close_is_idempotent(self, workload, tmp_path):
         data, _ = workload
-        index = thread_index(params())
+        index = process_index(params(), tmp_path)
         index.build(data)
         index.close()
         index.close()
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
-            Execution(kind="thread", workers=0)
+            Execution(kind="process", workers=0)
 
-    def test_updates_still_work(self, workload):
+    def test_updates_still_work(self, workload, tmp_path):
         data, _ = workload
-        index = thread_index(params())
+        index = process_index(params(), tmp_path)
         index.build(data)
         new_point = np.full(16, 42.0)
         new_id = index.insert(new_point)

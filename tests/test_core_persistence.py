@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    Execution,
     HDIndex,
     HDIndexParams,
     PersistenceError,
     ShardRouter,
-    ThreadedExecutor,
     load_index,
     save_index,
 )
@@ -242,19 +242,21 @@ class TestOneFilePerTree:
 
 
 class TestFamilySaveLoad:
-    """Whole-family persistence: parallel and sharded snapshots reopen as
-    the class that was saved (PR-2 tentpole)."""
+    """Whole-family persistence: process and sharded snapshots reopen as
+    the deployment that was saved (PR-2 tentpole)."""
 
-    def test_parallel_round_trip_restores_class(self, workload, tmp_path):
+    def test_process_round_trip_restores_execution(self, workload,
+                                                   tmp_path):
         data, queries = workload
-        original = HDIndex(params(), executor=ThreadedExecutor(3))
+        original = HDIndex(params(storage_dir=str(tmp_path / "index")))
+        original.set_execution(Execution(kind="process", workers=3))
         original.build(data)
         save_index(original, tmp_path / "index")
         reloaded = load_index(tmp_path / "index")
-        # The snapshot's spec reconstructs the deployment: a thread-pool
-        # executor of the saved width (no per-combination class needed).
+        # The snapshot's spec reconstructs the deployment: a worker pool
+        # of the saved width (no per-combination class needed).
         assert isinstance(reloaded, HDIndex)
-        assert isinstance(reloaded.executor, ThreadedExecutor)
+        assert reloaded._engine.pool.num_workers == 3
         assert reloaded.spec.execution.workers == 3
         for query in queries:
             ids_a, dists_a = original.query(query, 10)

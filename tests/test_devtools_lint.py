@@ -41,7 +41,7 @@ def fixture_config() -> LintConfig:
             "worker_functions": ["_worker_task"],
             "allowed_worker_globals": ["_STATE"],
             "bootstrap_functions": ["_bootstrap"],
-            "required_bootstrap_calls": ["_demote_executors"],
+            "required_bootstrap_calls": ["_drop_worker_pools"],
             "unpicklable_factories": ["VectorHeapFile"],
         },
         "api": {

@@ -1,6 +1,6 @@
 """Edge-case contracts across the whole HD-Index family.
 
-Every family member — plain, thread-parallel, process-parallel, sharded —
+Every family member — plain (τ trees or one), process-parallel, sharded —
 must agree on the boundary behaviours a serving tier leans on: ``k``
 validation, non-finite input, querying before ``build()``, ``k > n``, a
 single-point index, and querying after every point has been deleted (the
@@ -45,9 +45,9 @@ def _make_hdindex(tmp_path):
     return HDIndex(_params())
 
 
-def _make_parallel(tmp_path):
-    return create_index(IndexSpec(
-        params=_params(), execution=Execution(kind="thread", workers=2)))
+def _make_one_tree(tmp_path):
+    """One tree: stage (ii) filters a block that repeats no id."""
+    return HDIndex(_params(num_trees=1))
 
 
 def _make_process(tmp_path):
@@ -63,7 +63,7 @@ def _make_sharded(tmp_path):
 
 FAMILY = [
     pytest.param(_make_hdindex, id="hdindex"),
-    pytest.param(_make_parallel, id="parallel"),
+    pytest.param(_make_one_tree, id="one-tree"),
     pytest.param(_make_process, id="process"),
     pytest.param(_make_sharded, id="sharded"),
 ]

@@ -3,7 +3,7 @@
 The load-bearing guarantee: with exhaustive budgets (α ≥ n), a filtered
 query is *byte-identical* to the brute-force filter-then-kNN oracle —
 mask the corpus with the predicate, scan the eligible descriptors as
-stored, take the k nearest.  That must hold across every executor,
+stored, take the k nearest.  That must hold under either execution,
 every storage backend, through WAL inserts and compaction, and over the
 serve tier; and ineligible points must never reach the heap's
 ``gather`` (proven by instrumenting it and by poisoning ineligible
@@ -104,8 +104,7 @@ class TestFilteredParity:
             np.testing.assert_array_equal(batch_ids[row], ids)
             np.testing.assert_array_equal(batch_dists[row], dists)
 
-    @pytest.mark.parametrize("execution", ["sequential", "thread",
-                                           "process"])
+    @pytest.mark.parametrize("execution", ["sequential", "process"])
     @pytest.mark.parametrize("backend", ["mmap"])
     def test_executor_backend_matrix(self, tmp_path, execution, backend):
         data, queries, metadata = make_workload()
@@ -322,11 +321,10 @@ class TestEmptyPredicate:
         assert stats.page_reads == 0 and stats.candidates == 0
         assert stats.extra["selectivity"] == 0.0
 
-    @pytest.mark.parametrize("execution", ["thread", "process"])
-    def test_no_page_is_read_through_a_pool(self, tmp_path, execution):
+    def test_no_page_is_read_through_a_pool(self, tmp_path):
         index, queries = self.build(
             tmp_path, backend="mmap",
-            execution=Execution(kind=execution, workers=2))
+            execution=Execution(kind="process", workers=2))
         with index:
             ids, _ = index.query(queries[0], k=5, predicate=Eq("label", 99))
             assert ids.size == 0
@@ -487,13 +485,12 @@ class TestEligibleMemo:
             service.stop()
             writer.close()
 
-    @pytest.mark.parametrize("execution", ["thread", "process"])
-    def test_pools_answer_as_sequential(self, tmp_path, execution):
+    def test_process_pool_answers_as_sequential(self, tmp_path):
         data, queries, metadata = make_workload(n=self.N)
         sequential = HDIndex(self.params())
         sequential.build(data, metadata=metadata)
         want = self.answers(sequential, queries, self.LABEL)
-        index = build(self.spec(execution), data,
+        index = build(self.spec("process"), data,
                       storage_dir=str(tmp_path), metadata=metadata)
         with index:
             # Miss, hit, then the wire form (equal, not the same object).

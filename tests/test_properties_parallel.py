@@ -2,7 +2,7 @@
 
 The load-bearing invariant of the whole execution stack: for the *same
 build*, answers are a pure function of (data, params, query, k) — never of
-the executor (sequential / threaded / process), the storage backend
+the execution (sequential / process), the storage backend
 (memory / file / mmap), a snapshot round-trip, or batch composition.
 Seeded randomized trials drive that invariant harder than the hand-picked
 cases in ``test_backend_parity.py``: hypothesis chooses the query points,
@@ -25,7 +25,6 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     ShardRouter,
-    ThreadedExecutor,
     load_index,
     open_index,
     save_index,
@@ -58,7 +57,7 @@ def _queries(seed: int, count: int = 3) -> np.ndarray:
 
 @pytest.fixture(scope="module")
 def tiers(tmp_path_factory):
-    """One build, four execution tiers over it (the process tier reads the
+    """One build, two execution tiers over it (the process tier reads the
     persisted snapshot of the very same build)."""
     data = _data()
     snapshot = tmp_path_factory.mktemp("prop-snap")
@@ -66,16 +65,12 @@ def tiers(tmp_path_factory):
     sequential.build(data)
     save_index(sequential, snapshot)
 
-    threaded = HDIndex(_params(), executor=ThreadedExecutor(3))
-    threaded.build(data)
-
     process = open_index(snapshot,
                          execution=Execution(kind="process", workers=2))
 
     yield {"data": data, "snapshot": snapshot, "sequential": sequential,
-           "threaded": threaded, "process": process}
+           "process": process}
     sequential.close()
-    threaded.close()
     process.close()
 
 
@@ -86,9 +81,9 @@ def _assert_rows_equal(got, oracle, label):
                                   err_msg=f"{label}: distances differ")
 
 
-class TestExecutorParity:
-    """sequential == threaded == process, single and batched, under
-    randomized queries, k and filter overrides."""
+class TestExecutionParity:
+    """sequential == process, single and batched, under randomized
+    queries, k and filter overrides."""
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -97,8 +92,6 @@ class TestExecutorParity:
         queries = _queries(seed)
         for q in queries:
             oracle = tiers["sequential"].query(q, k)
-            _assert_rows_equal(tiers["threaded"].query(q, k), oracle,
-                              f"threaded seed={seed} k={k}")
             _assert_rows_equal(tiers["process"].query(q, k), oracle,
                               f"process seed={seed} k={k}")
 
@@ -110,7 +103,7 @@ class TestExecutorParity:
         """query_batch row r == query(points[r]) on every tier — batch
         composition must never leak into an answer."""
         points = _queries(seed, count=batch)
-        for name in ("sequential", "threaded", "process"):
+        for name in ("sequential", "process"):
             index = tiers[name]
             ids, dists = index.query_batch(points, k)
             assert ids.shape == (batch, k) and dists.shape == (batch, k)
@@ -131,17 +124,16 @@ class TestExecutorParity:
            use_ptolemaic=st.booleans())
     def test_override_forwarding_parity(self, tiers, seed, alpha,
                                         use_ptolemaic):
-        """Per-call α/γ/Ptolemaic overrides reach worker processes and
-        thread pools identically."""
+        """Per-call α/γ/Ptolemaic overrides reach worker processes
+        intact."""
         q = _queries(seed, count=1)[0]
         gamma = max(1, alpha // 4)
         oracle = tiers["sequential"].query(
             q, 5, alpha=alpha, gamma=gamma, use_ptolemaic=use_ptolemaic)
-        for name in ("threaded", "process"):
-            got = tiers[name].query(q, 5, alpha=alpha, gamma=gamma,
-                                    use_ptolemaic=use_ptolemaic)
-            _assert_rows_equal(got, oracle,
-                               f"{name} alpha={alpha} ptol={use_ptolemaic}")
+        got = tiers["process"].query(q, 5, alpha=alpha, gamma=gamma,
+                                     use_ptolemaic=use_ptolemaic)
+        _assert_rows_equal(got, oracle,
+                           f"process alpha={alpha} ptol={use_ptolemaic}")
 
 
 class TestStatsParity:

@@ -126,8 +126,8 @@ class TestProcessModeParity:
                                                            tmp_path):
         """Regression: a snapshot whose recorded spec is sharded x process
         must not recursively fork grandchildren inside service workers —
-        the worker-side bootstrap demotes every shard's executor to
-        sequential before answering."""
+        the worker-side bootstrap drops every shard's worker pool before
+        answering."""
         from repro.core import IndexSpec, Topology
         from repro.core import build as build_spec
         data, queries = workload
@@ -404,7 +404,7 @@ class TestProcessKindPersistence:
             execution=Execution(kind="process", workers=2, wal=wal)))
         index.build(data)
         try:
-            pool = index.executor.pool
+            pool = index._engine.pool
             pids = pool.prestart()
             workers = pool._pool
             # A save that folds nothing leaves the workers alone too.
@@ -418,7 +418,7 @@ class TestProcessKindPersistence:
             index.delete(int(new_id))
             ids, _ = index.query(probe, 1)
             assert new_id not in ids
-            assert index.executor.pool is pool and pool._pool is workers
+            assert index._engine.pool is pool and pool._pool is workers
             assert set(pool.prestart()) <= set(pids)
         finally:
             index.close()

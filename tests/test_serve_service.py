@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 from repro.core import (
+    Execution,
     HDIndex,
     HDIndexParams,
+    IndexSpec,
     ShardRouter,
-    ThreadedExecutor,
+    create_index,
     save_index,
 )
 from repro.serve import (
@@ -118,12 +120,15 @@ class TestConcurrentParity:
                 np.testing.assert_array_equal(results[row][1], dists)
 
     @pytest.mark.parametrize("make_index", [
-        lambda p: HDIndex(p, executor=ThreadedExecutor(2)),
-        lambda p: ShardRouter(p, 2),
-    ], ids=["parallel", "sharded"])
-    def test_family_members_served_identically(self, workload, make_index):
+        lambda p, directory: create_index(IndexSpec(
+            params=p, execution=Execution(kind="process", workers=2)),
+            storage_dir=directory),
+        lambda p, directory: ShardRouter(p, 2),
+    ], ids=["process", "sharded"])
+    def test_family_members_served_identically(self, workload, make_index,
+                                               tmp_path):
         data, queries = workload
-        index = make_index(params())
+        index = make_index(params(), str(tmp_path))
         index.build(data)
         expected = [index.query(query, K) for query in queries]
         with QueryService(index, max_batch=8) as service:

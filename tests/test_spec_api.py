@@ -55,11 +55,12 @@ class TestSpecValidation:
         assert spec.backend is None
 
     def test_execution_kind_aliases_and_rejection(self):
-        assert Execution(kind="threaded").kind == "thread"
+        assert Execution(kind="threaded").kind == "sequential"
+        assert Execution(kind="thread").kind == "sequential"
         with pytest.raises(ValueError, match="execution kind"):
             Execution(kind="fiber")
         with pytest.raises(ValueError, match="workers"):
-            Execution(kind="thread", workers=0)
+            Execution(kind="process", workers=0)
         with pytest.raises(ValueError, match="worker backend"):
             Execution(worker_backend="tape")
         with pytest.raises(ValueError, match="worker_timeout"):
@@ -91,7 +92,7 @@ class TestSpecValidation:
         spec = coerce_spec({"topology": {"shards": 2},
                             "execution": {"kind": "thread"}})
         assert spec.topology.shards == 2
-        assert spec.execution.kind == "thread"
+        assert spec.execution.kind == "sequential"
         with pytest.raises(TypeError):
             coerce_spec(42)
 
@@ -125,12 +126,12 @@ class TestFactoryCombos:
 
     @pytest.mark.parametrize("execution", [
         Execution(kind="sequential"),
-        Execution(kind="thread", workers=3),
-    ], ids=["sequential", "thread"])
+        Execution(kind="process", workers=2),
+    ], ids=["sequential", "process"])
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_topology_execution_grid_parity(self, workload, shards,
-                                            execution):
-        """Every in-process grid point answers identically to the plain
+    def test_topology_execution_grid_parity(self, workload, tmp_path,
+                                            shards, execution):
+        """Every grid point answers identically to the in-memory
         sequential spec over the same data and seeds."""
         data, queries = workload
         oracle = repro.build(
@@ -139,7 +140,7 @@ class TestFactoryCombos:
         expected = oracle.query_batch(queries, K)
         combo = repro.build(
             IndexSpec(params=params(), topology=Topology(shards=shards),
-                      execution=execution), data)
+                      execution=execution), data, storage_dir=tmp_path)
         got = combo.query_batch(queries, K)
         np.testing.assert_array_equal(got[0], expected[0])
         np.testing.assert_array_equal(got[1], expected[1])
@@ -213,14 +214,14 @@ class TestFactoryCombos:
             reopened.close()
 
     def test_open_execution_override(self, workload, tmp_path):
-        """A snapshot built sequentially serves thread- or
+        """A snapshot built sequentially serves sequentially or
         process-parallel without rebuilding."""
         data, queries = workload
         index = repro.build(IndexSpec(params=params()), data,
                             storage_dir=tmp_path)
         expected = index.query_batch(queries, K)
         index.close()
-        for execution in ("thread",
+        for execution in ("sequential",
                           Execution(kind="process", workers=2)):
             reopened = repro.open(tmp_path, execution=execution)
             try:
@@ -260,9 +261,7 @@ class TestFactoryCombos:
         # The failed swap must not have mutated the recorded execution
         # (a later save_index would persist a lie) nor any shard.
         assert index.spec.execution.kind == "sequential"
-        from repro.core import SequentialExecutor
-        assert all(isinstance(s.executor, SequentialExecutor)
-                   for s in index.shards)
+        assert all(s._engine.pool is None for s in index.shards)
         index.close()
 
     def test_process_router_insert_keeps_snapshot_reopenable(self,
@@ -328,10 +327,12 @@ class TestFactoryCombos:
             IndexSpec(params=params(), topology=Topology(shards=2)),
             data, storage_dir=tmp_path)
         expected = index.query_batch(queries, K)
-        set_execution(index, Execution(kind="thread", workers=2))
+        set_execution(index, Execution(kind="process", workers=2))
         got = index.query_batch(queries, K)
         np.testing.assert_array_equal(got[0], expected[0])
-        assert index.spec.execution.kind == "thread"
+        np.testing.assert_array_equal(got[1], expected[1])
+        assert index.spec.execution.kind == "process"
+        assert all(s._engine.pool is not None for s in index.shards)
         index.close()
 
 

@@ -1,8 +1,11 @@
 """A snapshot records one thing about its deployment: its ``spec``.
 
-* every {sequential, thread, process} x {plain, sharded} snapshot reopens
+* every {sequential, process} x {plain, sharded} snapshot reopens
   byte-identically through both ``repro.open()`` and ``load_index()``,
   and its ``meta.json`` / ``manifest.json`` carry no ``kind`` tag;
+* a snapshot or spec recording the thread pool that ran the per-tree
+  scans before it was removed (``"thread"`` / ``"threaded"``) opens
+  sequential, with the sequential answers and exact counters;
 * a snapshot whose recorded ``spec.execution`` or ``spec.topology`` is
   missing or invalid is refused with a typed ``PersistenceError`` naming
   ``docs/MIGRATION.md``.
@@ -10,7 +13,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -30,7 +35,6 @@ K = 6
 
 EXECUTIONS = {
     "sequential": Execution(),
-    "thread": Execution(kind="thread", workers=2),
     "process": Execution(kind="process", workers=2),
 }
 
@@ -119,3 +123,59 @@ class TestBadRecordedSpecRefused:
         for opener in (repro.open, load_index):
             with pytest.raises(PersistenceError, match="MIGRATION"):
                 opener(tmp_path)
+
+
+def _answers_and_counters(index, queries):
+    """(ids, dists) of a batch and of each query alone, each call's exact
+    counters beside its answer."""
+    calls = [index.query_batch(queries, K)]
+    calls += [index.query(query, K) for query in queries]
+    return [(ids.tobytes(), dists.tobytes(), *_counters(index))
+            for ids, dists in calls]
+
+
+def _counters(index):
+    stats = index.last_query_stats()
+    return (stats.page_reads, stats.distance_computations,
+            stats.candidates)
+
+
+class TestLegacyThreadSpecsOpenSequential:
+    """``"thread"`` and ``"threaded"`` are spellings of ``"sequential"``:
+    what a thread pool persisted still opens, and answers as sequential
+    execution does, counter for counter."""
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+    def test_thread_snapshot_opens_sequential(self, workload, tmp_path,
+                                              shards):
+        data, queries = workload
+        sequential, legacy = tmp_path / "sequential", tmp_path / "legacy"
+        repro.build(IndexSpec(params=params(),
+                              topology=Topology(shards=shards)),
+                    data, storage_dir=sequential).close()
+        shutil.copytree(sequential, legacy)
+        for path in legacy.rglob("*.json"):  # every shard's meta too
+            meta = json.loads(path.read_text())
+            meta["spec"]["execution"].update(kind="thread", workers=3)
+            path.write_text(json.dumps(meta))
+        with repro.open(sequential) as oracle, \
+                repro.open(legacy) as reopened:
+            assert reopened.spec.execution.kind == "sequential"
+            parts = getattr(reopened, "shards", [reopened])
+            assert len(parts) == shards
+            assert all(part._engine.pool is None for part in parts)
+            assert _answers_and_counters(reopened, queries) \
+                == _answers_and_counters(oracle, queries)
+
+    def test_threaded_spec_dict_builds_sequential(self, workload, tmp_path):
+        data, queries = workload
+        spec = {"params": dataclasses.asdict(params()),
+                "execution": {"kind": "threaded", "workers": 2}}
+        repro.build(spec, data, storage_dir=tmp_path / "legacy").close()
+        repro.build(IndexSpec(params=params()), data,
+                    storage_dir=tmp_path / "sequential").close()
+        with repro.open(tmp_path / "sequential") as oracle, \
+                repro.open(tmp_path / "legacy") as reopened:
+            assert reopened.spec.execution.kind == "sequential"
+            assert _answers_and_counters(reopened, queries) \
+                == _answers_and_counters(oracle, queries)

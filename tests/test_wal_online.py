@@ -99,7 +99,7 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch, logged):
     for thread in readers:
         thread.start()
 
-    live_pool = index._engine.executor.pool
+    live_pool = index._engine.pool
     deleted: set[int] = set()
     generations = []
     try:
@@ -116,7 +116,7 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch, logged):
                 assert resets == []
                 with gate:
                     generations.append(index.compact())
-                # Compaction closes throwaway (never-forked) executors
+                # Compaction closes throwaway (never-forked) pools
                 # from its snapshot reload — but never the serving pool.
                 assert all(pool is not live_pool for pool in resets)
                 resets.clear()

@@ -128,11 +128,10 @@ def _check_parity(index, vectors, deleted, query_seed):
 
 class TestInterleavingParity:
     @pytest.mark.parametrize("mode", MODES)
-    @pytest.mark.parametrize("kind", ["sequential", "thread"])
     @given(seed=st.integers(0, 10**6), ops=_OPS)
     @settings(max_examples=8, deadline=None)
-    def test_matches_one_shot_oracle(self, kind, mode, seed, ops):
-        _run_interleaving(kind, seed, ops, mode)
+    def test_matches_one_shot_oracle(self, mode, seed, ops):
+        _run_interleaving("sequential", seed, ops, mode)
 
     @pytest.mark.parametrize("mode", ["logged", "file"])
     @given(seed=st.integers(0, 10**6), ops=_OPS)
