@@ -518,6 +518,7 @@ class TestScalarOracleParity:
     @pytest.fixture(params=[("sequential", True, True),
                             ("process", True, True),
                             ("sequential", False, False),
+                            ("sequential", False, True),
                             ("process", False, True)],
                     ids=lambda p: f"{p[0]}-{'wal' if p[1] else 'nolog'}"
                                   f"-{'disk' if p[2] else 'memory'}")

@@ -87,6 +87,23 @@ class TestParallelHDIndex:
         index.close()
         index.close()
 
+    def test_sequential_execution_drops_the_pool(self, workload, tmp_path):
+        """Process execution is one optional pool: setting sequential
+        execution closes it and the same index answers inline."""
+        data, queries = workload
+        index = process_index(params(), tmp_path)
+        index.build(data)
+        want = index.query_batch(queries, 10)
+        pool = index._engine.pool
+        index.set_execution(Execution())
+        assert index._engine.pool is None and pool._closed
+        assert index.spec.execution.kind == "sequential"
+        got = index.query_batch(queries, 10)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert "workers" not in index.last_query_stats().extra
+        index.close()
+
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             Execution(kind="process", workers=0)

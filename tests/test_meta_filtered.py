@@ -105,7 +105,7 @@ class TestFilteredParity:
             np.testing.assert_array_equal(batch_dists[row], dists)
 
     @pytest.mark.parametrize("execution", ["sequential", "process"])
-    @pytest.mark.parametrize("backend", ["mmap"])
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
     def test_executor_backend_matrix(self, tmp_path, execution, backend):
         data, queries, metadata = make_workload()
         spec = IndexSpec(params=exhaustive_params(),
@@ -321,9 +321,10 @@ class TestEmptyPredicate:
         assert stats.page_reads == 0 and stats.candidates == 0
         assert stats.extra["selectivity"] == 0.0
 
-    def test_no_page_is_read_through_a_pool(self, tmp_path):
+    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+    def test_no_page_is_read_through_a_pool(self, tmp_path, shards):
         index, queries = self.build(
-            tmp_path, backend="mmap",
+            tmp_path, backend="mmap", topology=Topology(shards=shards),
             execution=Execution(kind="process", workers=2))
         with index:
             ids, _ = index.query(queries[0], k=5, predicate=Eq("label", 99))
@@ -485,12 +486,13 @@ class TestEligibleMemo:
             service.stop()
             writer.close()
 
-    def test_process_pool_answers_as_sequential(self, tmp_path):
+    @pytest.mark.parametrize("wal", [False, True], ids=["plain", "logged"])
+    def test_process_pool_answers_as_sequential(self, tmp_path, wal):
         data, queries, metadata = make_workload(n=self.N)
         sequential = HDIndex(self.params())
         sequential.build(data, metadata=metadata)
         want = self.answers(sequential, queries, self.LABEL)
-        index = build(self.spec("process"), data,
+        index = build(self.spec("process", wal=wal), data,
                       storage_dir=str(tmp_path), metadata=metadata)
         with index:
             # Miss, hit, then the wire form (equal, not the same object).

@@ -36,8 +36,8 @@ BASE_N = 40
 MAX_TOTAL = BASE_N + 48
 
 
-def _params():
-    return HDIndexParams(num_trees=2, hilbert_order=6, num_references=4,
+def _params(num_trees=2):
+    return HDIndexParams(num_trees=num_trees, hilbert_order=6, num_references=4,
                          alpha=max(256, MAX_TOTAL), gamma=max(256, MAX_TOTAL),
                          use_ptolemaic=False, domain=(0.0, 100.0), seed=5,
                          storage_dir=None)
@@ -59,14 +59,14 @@ _OPS = st.lists(st.integers(0, 99), min_size=6, max_size=32)
 MODES = ["logged", "memory", "file", "router"]
 
 
-def _build(mode, kind, vectors, tmp, workers=2):
+def _build(mode, kind, vectors, tmp, workers=2, num_trees=2):
     """The index under test: ``mode`` picks durability and deployment
     (process execution always lives in ``tmp`` — its workers need the
     snapshot — so its un-logged mode is ``"file"``)."""
     execution = Execution(kind=kind, wal=(mode == "logged"),
                           workers=None if kind == "sequential" else workers)
     index = build(
-        IndexSpec(params=_params(), execution=execution,
+        IndexSpec(params=_params(num_trees), execution=execution,
                   topology=Topology(shards=2 if mode == "router" else 1)),
         vectors, storage_dir=tmp if mode in ("logged", "file") else None)
     index._wal_fsync = "batch"
@@ -74,14 +74,17 @@ def _build(mode, kind, vectors, tmp, workers=2):
     return index
 
 
-def _run_interleaving(kind, seed, ops, mode="logged"):
+def _run_interleaving(kind, seed, ops, mode="logged", num_trees=2):
     """Drive an index through the op stream, checking byte-identical
-    parity with a one-shot oracle at every query (and at the end)."""
+    parity with a one-shot oracle at every query (and at the end).  The
+    oracle always has two trees: in the exhaustive regime the answer
+    does not depend on how many trees offered the candidates."""
     vectors = [v for v in _vectors(seed, BASE_N)]
     deleted: set[int] = set()
     fresh = iter(_vectors(seed + 1_000_003, len(ops)))
     with tempfile.TemporaryDirectory() as tmp:
-        index = _build(mode, kind, np.asarray(vectors), tmp)
+        index = _build(mode, kind, np.asarray(vectors), tmp,
+                       num_trees=num_trees)
         try:
             checked = False
             for position, code in enumerate(ops):
@@ -128,10 +131,13 @@ def _check_parity(index, vectors, deleted, query_seed):
 
 class TestInterleavingParity:
     @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("num_trees", [2, 1],
+                             ids=["two-trees", "one-tree"])
     @given(seed=st.integers(0, 10**6), ops=_OPS)
     @settings(max_examples=8, deadline=None)
-    def test_matches_one_shot_oracle(self, mode, seed, ops):
-        _run_interleaving("sequential", seed, ops, mode)
+    def test_matches_one_shot_oracle(self, num_trees, mode, seed, ops):
+        """One tree runs stage (ii) over a block that repeats no id."""
+        _run_interleaving("sequential", seed, ops, mode, num_trees)
 
     @pytest.mark.parametrize("mode", ["logged", "file"])
     @given(seed=st.integers(0, 10**6), ops=_OPS)
