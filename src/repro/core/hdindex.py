@@ -789,8 +789,8 @@ class HDIndex(KNNIndex):
         return size
 
     def memory_bytes(self) -> int:
-        """Query-time RAM: reference set + buffer pools and id -> position
-        columns + held eligible sets + row block."""
+        """Query-time RAM: reference set + buffer pools, decoded id and
+        id -> position columns + held eligible sets + row block."""
         if self.references is None:
             return 0
         total = self.references.memory_bytes()

@@ -219,7 +219,8 @@ class RDBTree(ModelledPool):
         shapes (α',) and (α', m), α' ≤ α on a small tree or ``subset``:
         float64 from the stored ``>f4`` in one pass, reference-major (the
         transpose is C-contiguous, what Eq. 5/6 reduce over); in key
-        order, without a ``subset`` one slice of the value column.
+        order, one slice of the value column or, under a ``subset``, one
+        take of the window's whole records.
         ``out``, the engine's slices of a row block, is filled instead; a
         window of another length raises :class:`CandidateWindowError`.
         """
@@ -233,7 +234,14 @@ class RDBTree(ModelledPool):
         if ids.shape[0] != window.size:
             raise CandidateWindowError(
                 f"{window.size} candidates for a block of {ids.shape[0]}")
-        if subset is None and window.size:
+        if subset is not None:
+            # The window's whole leaf records, one row each, in one take.
+            records = np.take(self.packed.values_raw, window, axis=0
+                              ).reshape(-1).view(self._record_dtype)
+            ids[...] = records["id"]
+            ref[...] = records["ref"]
+            return ids, ref
+        if window.size:
             start = int(window[0])
             window = slice(start, start + window.size)
         object_ids, reference_view = self._records()
@@ -275,10 +283,11 @@ class RDBTree(ModelledPool):
         return self.packed.count
 
     def memory_bytes(self) -> int:
-        """The modelled pool plus the id -> position column, once taken."""
-        cached = self._positions_cache
-        return super().memory_bytes() + (0 if cached is None
-                                         else cached[1].nbytes)
+        """The modelled pool plus the decoded id column and the id ->
+        position column, each while cached."""
+        held = (self._records_cache, self._positions_cache)
+        return super().memory_bytes() + sum(
+            cached[1].nbytes for cached in held if cached is not None)
 
     @property
     def height(self) -> int:

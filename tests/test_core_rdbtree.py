@@ -396,10 +396,11 @@ class TestModelledBufferPool:
             answers = [tree.candidates(probe, 60) for probe in probes]
             results[capacity] = (answers, tree.stats.page_reads,
                                  tree.stats.cache_hits)
+            column = 8 * len(tree)  # the id column the lookups decoded
             assert tree.memory_bytes() == \
-                min(capacity, tree.stats.page_reads) * PAGE
+                min(capacity, tree.stats.page_reads) * PAGE + column
             tree.clear_cache()
-            assert tree.memory_bytes() == 0
+            assert tree.memory_bytes() == column
         uncached_reads = results[0][1]
         assert results[0][2] == 0
         for capacity in (8, 10 ** 6):
@@ -410,3 +411,81 @@ class TestModelledBufferPool:
                 np.testing.assert_array_equal(ids_a, ids_b)
                 np.testing.assert_array_equal(ref_a, ref_b)
         assert 0 < results[8][2] <= results[10 ** 6][2]
+
+    def test_first_lookup_holds_the_id_column_until_a_merge(self):
+        """The int64 id column a tree decodes on its first lookup is
+        resident: counted while cached, gone with the layout a merge
+        adopts."""
+        tree, keys, _, _ = build_tree(n=300, seed=6)
+        before = tree.memory_bytes()
+        tree.candidates(int(keys[5]), 20)
+        assert tree.memory_bytes() - before == 8 * len(tree)
+        tree.candidates(int(keys[9]), 20)
+        assert tree.memory_bytes() - before == 8 * len(tree)
+        merge_one(tree, 3, 300, [1.0] * 5)
+        assert tree.memory_bytes() == before
+
+
+class TestMappedSubsetGather:
+    """A subset lookup takes the window's whole records from the value
+    column; over the read-only mapping of a written tree it must give
+    what the in-memory tree gives, bit for bit."""
+
+    N, ALPHA = 400, 20
+
+    @pytest.fixture
+    def trees(self, tmp_path):
+        tree, _, _, ref = build_tree(n=self.N, dim=4, order=8, seed=7)
+        path = tmp_path / "tree.packed"
+        tree.write(path)
+        mapped = RDBTree.from_state(tree.state())
+        mapped.read(path, mapped=True)
+        assert not mapped.packed.values_raw.flags.writeable
+        return tree, mapped, ref
+
+    def lookups(self, tree, probe, alpha, subset):
+        """(ids, block) without ``out`` and through slices of a row block."""
+        plain = tree.candidates(probe, alpha, subset)
+        found = plain[0].size
+        id_block = np.full((3, found), -7, dtype=np.int64)
+        ref_block = np.full((5, 3, found), -7.0)
+        filled = tree.candidates(probe, alpha, subset,
+                                 out=(id_block[2], ref_block[:, 2].T))
+        assert np.all(id_block[:2] == -7) and np.all(ref_block[:, :2] == -7)
+        return plain, filled
+
+    def assert_bitwise(self, got, want):
+        for (got_ids, got_ref), (want_ids, want_ref) in zip(got, want):
+            assert got_ids.dtype == want_ids.dtype == np.int64
+            assert got_ids.tobytes() == want_ids.tobytes()
+            assert got_ref.dtype == want_ref.dtype == np.float64
+            assert got_ref.shape == want_ref.shape
+            assert np.ascontiguousarray(got_ref).tobytes() == \
+                np.ascontiguousarray(want_ref).tobytes()
+
+    def test_window_at_each_end_of_the_subset(self, trees):
+        tree, mapped, ref = trees
+        # The first and last 10 entries by key are outside the subset,
+        # so key 0 falls below every eligible key and the top key above.
+        subset = np.arange(10, self.N - 10, 3, dtype=np.int64)
+        top = (1 << (8 * tree.curve.key_bytes)) - 1
+        stored = tree.packed.values_raw.reshape(-1).view(tree._record_dtype)
+        for probe, window in ((0, subset[:self.ALPHA]),
+                              (top, subset[-self.ALPHA:])):
+            want = self.lookups(tree, probe, self.ALPHA, subset)
+            self.assert_bitwise(
+                self.lookups(mapped, probe, self.ALPHA, subset), want)
+            for ids, block in want:
+                np.testing.assert_array_equal(ids, stored["id"][window])
+                np.testing.assert_array_equal(block, ref[ids])
+
+    def test_subset_shorter_than_alpha(self, trees):
+        tree, mapped, ref = trees
+        subset = tree.positions_of(np.asarray([5, 77, 120, 301, 399]))
+        for probe in (0, tree.packed.keys_raw[200].tobytes()):
+            want = self.lookups(tree, probe, self.ALPHA, subset)
+            self.assert_bitwise(
+                self.lookups(mapped, probe, self.ALPHA, subset), want)
+            for ids, block in want:
+                assert sorted(ids) == [5, 77, 120, 301, 399]
+                np.testing.assert_array_equal(block, ref[ids])
