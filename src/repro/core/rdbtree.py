@@ -139,13 +139,15 @@ class RDBTree(ModelledPool):
         records = np.empty(n, dtype=self._record_dtype)
         records["id"] = object_ids[order]
         records["ref"] = reference_distances[order]
+        values = records.view(np.uint8).reshape(n, records.itemsize)
         packed = self.packed
-        at = packed.key_S.searchsorted(keys.view(f"S{width}").ravel(),
-                                       side="right")
-        self.adopt(self._layout(
-            np.insert(packed.keys_raw, at, keys, axis=0),
-            np.insert(packed.values_raw, at, records.view(np.uint8).reshape(
-                n, records.itemsize), axis=0)))
+        if len(self):
+            at = packed.key_S.searchsorted(keys.view(f"S{width}").ravel(),
+                                           side="right")
+            keys = np.insert(packed.keys_raw, at, keys, axis=0)
+            values = np.insert(packed.values_raw, at, values, axis=0)
+        # Into an empty tree the sorted copies above are the columns.
+        self.adopt(self._layout(keys, values))
         self.stats.record_write_run(0, self.packed.num_pages)
 
     def _layout(self, keys_raw: np.ndarray,

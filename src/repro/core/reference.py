@@ -18,7 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.filters import pair_table
-from repro.distance.metrics import euclidean_to_many, pairwise_euclidean
+from repro.distance.metrics import (block_rows, euclidean_to_many,
+                                    pairwise_euclidean)
 
 #: Iteration cap for the farthest-neighbour dmax estimation heuristic.
 DMAX_MAX_ROUNDS = 10
@@ -61,25 +62,37 @@ def select_sss(data: np.ndarray, m: int, rng: np.random.Generator,
     distance to *all* previously selected references exceeds ``fraction *
     dmax``.  If a full scan cannot fill m slots the threshold is relaxed
     geometrically, guaranteeing termination with exactly m references.
+
+    ``min_dist`` is kept per :func:`block_rows` row block: the references
+    admitted since the scan last touched a block are folded into it when
+    the scan reaches it, so a scan that fills m slots in its first block
+    reads no other.  A minimum is exact, so the picks are those of folding
+    every admission into all n rows at once.
     """
     _validate(data, m)
     n = data.shape[0]
     dmax = estimate_dmax(data, rng)
     threshold = fraction * dmax
     selected: list[int] = [int(rng.integers(n))]
-    min_dist = euclidean_to_many(data[selected[0]], data)
+    step = block_rows(data.shape[1])
+    min_dist = np.full(n, np.inf)
+    folded = [0] * -(-n // step)  # references folded into each block
     while len(selected) < m:
         admitted = False
-        for candidate in range(n):
-            if len(selected) >= m:
-                break
-            if candidate in selected:
-                continue
-            if min_dist[candidate] > threshold:
-                selected.append(candidate)
-                np.minimum(min_dist,
-                           euclidean_to_many(data[candidate], data),
-                           out=min_dist)
+        for block, start in enumerate(range(0, n, step)):
+            rows, at = min_dist[start:start + step], 0
+            while len(selected) < m:
+                for ref in selected[folded[block]:]:
+                    np.minimum(rows, euclidean_to_many(
+                        data[ref], data[start:start + step]), out=rows)
+                folded[block] = len(selected)
+                # A selected row is at distance 0, never above threshold.
+                hits = np.flatnonzero(rows[at:] > threshold)
+                if not hits.size:
+                    break
+                at += int(hits[0])
+                selected.append(start + at)
+                at += 1
                 admitted = True
         if len(selected) < m and not admitted:
             threshold *= 0.9

@@ -112,6 +112,16 @@ def generate_uniform(dim: int, n: int, num_queries: int, seed: int = 0,
 
 
 def _dedupe(points: np.ndarray) -> np.ndarray:
-    """Drop duplicate rows, preserving first-seen order (paper Sec. 5.1)."""
-    _, first_index = np.unique(points, axis=0, return_index=True)
-    return points[np.sort(first_index)]
+    """Drop duplicate rows, preserving first-seen order (paper Sec. 5.1).
+
+    Each row is sorted as one opaque byte key; ``+ 0.0`` turns -0.0 into
+    0.0 first, so rows equal by value share a key.  The stable sort is
+    spelled out because ``np.unique`` would copy the keys twice more.
+    """
+    keys = np.ascontiguousarray(points + 0.0)
+    keys = keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1])))[:, 0]
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    return points[np.sort(order[first])]

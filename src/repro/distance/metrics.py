@@ -102,7 +102,7 @@ def distances_to_many(query: np.ndarray, points: np.ndarray,
     out = np.empty(count)
     scratch = np.empty((min(count, step), points.shape[1]))
     # Row blocks of ~1 MB into one scratch, a few per million values: a
-    # pass over n rows (a build makes ~15) holds no n x ν temporary.
+    # pass over n rows (one per dmax round) holds no n x ν temporary.
     for start in range(0, count, step):  # lint: disable=HK101
         diff = np.subtract(points[start:start + step], query,
                            out=scratch[:min(step, count - start)])

@@ -346,6 +346,43 @@ class TestMerge:
             rows, key=lambda entry: entry[0])
 
 
+class TestOwnedColumns:
+    """Into an empty tree the sorted copies of the caller's rows become
+    the columns as they are: they still belong to the tree alone."""
+
+    def test_changing_the_callers_arrays_changes_nothing(self):
+        rng = np.random.default_rng(21)
+        keys, ids, distances = random_rows(rng, 8, 300, False)
+        keys.sort()  # already in order: the sort may not skip its copy
+        matrix = key_matrix(keys, 8).copy()
+        tree = empty_tree(8)
+        tree.bulk_build(matrix, ids, distances)
+        columns = {name: array.copy()
+                   for name, array in tree.packed.to_arrays().items()}
+        answer = tree.candidates(keys[17], 40)
+        matrix[:] = 0
+        distances[:] = -1.0
+        ids[:] = 0
+        for name, array in tree.packed.to_arrays().items():
+            np.testing.assert_array_equal(array, columns[name], err_msg=name)
+        for got, want in zip(tree.candidates(keys[17], 40), answer):
+            np.testing.assert_array_equal(got, want)
+
+    def test_merge_into_a_built_tree_is_the_one_shot_build(self):
+        rng = np.random.default_rng(22)
+        keys, ids, distances = random_rows(rng, 8, 400, True)
+        whole = empty_tree(8)
+        whole.bulk_build(key_matrix(keys, 8), ids.copy(), distances.copy())
+        matrix = key_matrix(keys, 8).copy()
+        tree = empty_tree(8)
+        tree.bulk_build(matrix[:250], ids[:250], distances[:250])
+        tree.merge(matrix[250:], ids[250:], distances[250:])
+        assert_same_arrays(tree.packed, whole.packed)
+        matrix[:] = 0
+        distances[:] = -1.0
+        assert_same_arrays(tree.packed, whole.packed)
+
+
 class TestNodeOracleParity:
     """``candidates`` against the node walk of the tree's entries at the
     tree's own capacities: the same entries — as the run of the value

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.core import reference
 from repro.core import (
     ReferenceSet,
     estimate_dmax,
@@ -13,7 +14,9 @@ from repro.core import (
     select_sss,
     select_sss_dyn,
 )
-from repro.distance import pairwise_euclidean
+from repro.datasets import make_dataset
+from repro.distance import euclidean_to_many, pairwise_euclidean
+from repro.distance.metrics import block_rows
 
 
 @pytest.fixture(scope="module")
@@ -162,3 +165,84 @@ class TestSelectionMemory:
         finally:
             tracemalloc.stop()
         assert peak < data.nbytes // 4
+
+
+def eager_sss(data, m, rng, fraction=0.3):
+    """The eager SSS scan, the lazy one's oracle: every admission is
+    folded into all n rows at once.  Returns the picks and the number
+    of times the threshold was relaxed."""
+    n = data.shape[0]
+    threshold = fraction * estimate_dmax(data, rng)
+    selected = [int(rng.integers(n))]
+    min_dist = euclidean_to_many(data[selected[0]], data)
+    relaxed = 0
+    while len(selected) < m:
+        admitted = False
+        for candidate in range(n):
+            if len(selected) >= m:
+                break
+            if candidate in selected:
+                continue
+            if min_dist[candidate] > threshold:
+                selected.append(candidate)
+                np.minimum(min_dist,
+                           euclidean_to_many(data[candidate], data),
+                           out=min_dist)
+                admitted = True
+        if len(selected) < m and not admitted:
+            threshold *= 0.9
+            relaxed += 1
+            if threshold < 1e-12:
+                remaining = [i for i in range(n) if i not in selected]
+                extra = rng.choice(remaining, size=m - len(selected),
+                                   replace=False)
+                selected.extend(int(i) for i in extra)
+    return np.sort(np.asarray(selected[:m], dtype=np.int64)), relaxed
+
+
+class TestLazyScan:
+    """``select_sss`` folds admissions into a row block only when the
+    scan reaches it; its picks are the eager scan's."""
+
+    @pytest.mark.parametrize("case", ["sift10k", "uniform", "identical",
+                                      "relaxed"])
+    def test_picks_equal_the_eager_scan(self, case):
+        fraction = 0.9 if case == "relaxed" else 0.3
+        if case in ("sift10k", "relaxed"):
+            data = make_dataset("sift10k", 3500, 1, seed=3).data
+        elif case == "uniform":
+            data = np.random.default_rng(8).uniform(-1.0, 1.0,
+                                                    size=(4000, 128))
+        else:
+            data = np.full((2500, 128), 7.0)
+        assert data.shape[0] > 2 * block_rows(data.shape[1])
+        want, relaxed = eager_sss(data, 10, np.random.default_rng(3),
+                                  fraction)
+        # The relaxed case rescans blocks its first scan left behind.
+        assert (relaxed > 0) == (case in ("relaxed", "identical"))
+        got = select_sss(data, 10, np.random.default_rng(3), fraction)
+        np.testing.assert_array_equal(got, want)
+
+    def test_scan_reads_only_the_blocks_it_reaches(self, monkeypatch):
+        """Every reference lands in block 0, so the admission scan
+        evaluates at most m blocks of rows; the eager scan read m x n."""
+        data = make_dataset("sift10k", 3500, 1, seed=3).data
+        step, rows = block_rows(128), []
+        real_dmax = reference.estimate_dmax
+
+        def counted(query, points, counter=None):
+            rows.append(len(points))
+            return euclidean_to_many(query, points, counter)
+
+        def dmax(points, rng):
+            # The dmax passes are not the admission scan.
+            start = len(rows)
+            value = real_dmax(points, rng)
+            del rows[start:]
+            return value
+
+        monkeypatch.setattr(reference, "euclidean_to_many", counted)
+        monkeypatch.setattr(reference, "estimate_dmax", dmax)
+        picks = select_sss(data, 10, np.random.default_rng(3))
+        assert picks.max() < step
+        assert 0 < sum(rows) <= 10 * step < 10 * data.shape[0] // 3

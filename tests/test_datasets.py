@@ -9,6 +9,7 @@ from repro.datasets import (
     generate_uniform,
     make_dataset,
 )
+from repro.datasets import synthetic
 
 
 class TestCatalog:
@@ -92,6 +93,50 @@ class TestGeneration:
         assert len(ds) == 50
         assert ds.dim == DATASET_CATALOG["enron"].dim
         assert ds.name == "enron"
+
+
+def dedupe_oracle(points):
+    """First-seen unique rows, rows compared by value."""
+    return points[np.sort(np.unique(points, axis=0, return_index=True)[1])]
+
+
+def assert_same_bytes(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+class TestDedupeParity:
+    """``_dedupe`` sorts one byte key per row; it keeps exactly the rows
+    the by-value ``np.unique(axis=0)`` oracle keeps, in first-seen
+    order."""
+
+    @pytest.mark.parametrize("integer", [False, True],
+                             ids=["float", "integer"])
+    def test_planted_duplicates(self, integer):
+        rng = np.random.default_rng(11)
+        base = rng.integers(-3, 4, size=(300, 6))
+        points = base[rng.integers(0, 300, size=900)]
+        if not integer:
+            points = points * 0.5
+        got = synthetic._dedupe(points)
+        assert got.shape[0] < 300
+        assert_same_bytes(got, dedupe_oracle(points))
+
+    def test_signed_zeros_are_one_value(self):
+        points = np.array([[-0.0, 1.0], [0.0, 1.0], [0.0, -0.0],
+                           [-0.0, 0.0], [1.0, 1.0], [-0.0, 1.0]])
+        got = synthetic._dedupe(points)
+        assert_same_bytes(got, dedupe_oracle(points))
+        # The first-seen row is kept as it was, sign bit and all.
+        assert got.shape[0] == 3 and np.signbit(got[0, 0])
+
+    @pytest.mark.parametrize("name", sorted(DATASET_CATALOG))
+    def test_make_dataset_equals_the_oracle(self, name, monkeypatch):
+        got = make_dataset(name, n=1500, num_queries=4, seed=13)
+        monkeypatch.setattr(synthetic, "_dedupe", dedupe_oracle)
+        want = make_dataset(name, n=1500, num_queries=4, seed=13)
+        assert_same_bytes(got.data, want.data)
+        assert_same_bytes(got.queries, want.queries)
 
 
 class TestUniform:
