@@ -20,15 +20,14 @@ Quickstart::
         ds.data)
     ids, dists = index.query(ds.queries[0], k=10)
 
-Every deployment shape — plain or sharded topology, sequential / thread /
-process execution, memory / mmap storage — is one declarative
+Every deployment shape — plain or sharded topology, sequential / process
+execution, memory / mmap storage — is one declarative
 :class:`IndexSpec` handed to :func:`repro.build`, and :func:`repro.open`
 reconstructs it from a persisted snapshot.
 """
 
 from repro.baselines import (
     C2LSH,
-    E2LSH,
     HNSW,
     IDistance,
     LinearScan,
@@ -37,7 +36,6 @@ from repro.baselines import (
     PQIndex,
     QALSH,
     SRS,
-    VAFile,
 )
 from repro.core import (
     Execution,
@@ -100,7 +98,6 @@ __all__ = [
     "DATASET_CATALOG",
     "Dataset",
     "DatasetSpec",
-    "E2LSH",
     "Eq",
     "Execution",
     "GroundTruth",
@@ -128,7 +125,6 @@ __all__ = [
     "ServiceStats",
     "ShardRouter",
     "Topology",
-    "VAFile",
     "WorkerCrashed",
     "WorkerTimeout",
     "approximation_ratio",

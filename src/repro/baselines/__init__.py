@@ -1,7 +1,6 @@
 """The paper's seven comparison methods, implemented from scratch."""
 
 from repro.baselines.c2lsh import C2LSH
-from repro.baselines.e2lsh import E2LSH
 from repro.baselines.hnsw import HNSW
 from repro.baselines.idistance import IDistance
 from repro.baselines.linear_scan import LinearScan
@@ -15,12 +14,10 @@ from repro.baselines.multicurves import Multicurves, MulticurvesUnsupportedError
 from repro.baselines.qalsh import QALSH, qalsh_optimal_width
 from repro.baselines.quantization import OPQIndex, PQIndex
 from repro.baselines.srs import SRS
-from repro.baselines.vafile import VAFile
 
 __all__ = [
     "C2LSH",
     "CollisionParameters",
-    "E2LSH",
     "HNSW",
     "IDistance",
     "LinearScan",
@@ -30,7 +27,6 @@ __all__ = [
     "PQIndex",
     "QALSH",
     "SRS",
-    "VAFile",
     "derive_collision_parameters",
     "e2lsh_collision_probability",
     "qalsh_collision_probability",

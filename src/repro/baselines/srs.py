@@ -1,16 +1,25 @@
 """SRS [64] — tiny-index c-approximate kNN via 2-stable projection.
 
-Sun, Wang, Qin, Zhang & Lin (PVLDB 2014).  The whole index is an in-memory
-spatial tree over an ``m_srs``-dimensional Gaussian projection of the data
-(m_srs = 6 in the paper) — linear space with a minuscule constant, the
+Sun, Wang, Qin, Zhang & Lin (PVLDB 2014).  The whole index is an
+``(n, m_srs)`` array, the ``m_srs``-dimensional Gaussian projection of the
+data (m_srs = 6 in the paper) — linear space with a minuscule constant, the
 method's selling point.  SRS-12 examines database points in increasing order
-of *projected* distance (incremental NN on the projection tree), verifies
-each with one exact distance (a random descriptor read), and stops when
+of *projected* distance, verifies each with one exact distance (a random
+descriptor read), and stops when
 
 * the early-termination test fires: the χ²_m tail bound certifies that the
   current best is a c-approximate answer with the target confidence
   (threshold τ_SRS, 0.1809 in the paper's setting), or
 * ``t·n`` points have been examined (t = 0.00242 in the paper).
+
+The paper streams that order from a spatial tree (incremental NN).  Since
+the stream is never read past ``⌈t·n⌉`` points, a query here computes every
+projected distance, keeps the budget nearest with one partition and orders
+them by (distance, id) with one sort.  The distances are the tree leaf's
+own formula and a best-first stream yields them in non-decreasing order, so
+this is the prefix of that stream the stop tests can reach.  Points at
+equal projected distance, which a tree emits in leaf-visit order, come here
+in id order.
 
 The paper's narrative for SRS — small index, stable RAM, but low MAP in very
 high dimensions — follows from this construction directly.
@@ -24,13 +33,15 @@ import numpy as np
 
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.distance.metrics import DistanceCounter
-from repro.neighbors.kdtree import KDTree
 from repro.storage.pages import DEFAULT_PAGE_SIZE
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 
 class SRS(KNNIndex):
     """SRS-12 with the paper's parameter set.
+
+    ``projected`` holds the data's projections; a query visits them in
+    (projected distance, id) order, cut at the examination budget.
 
     Parameters
     ----------
@@ -67,7 +78,7 @@ class SRS(KNNIndex):
         self.storage_dtype = storage_dtype
         self.seed = seed
         self.heap: VectorHeapFile | None = None
-        self.tree: KDTree | None = None
+        self.projected: np.ndarray | None = None
         self.count = 0
         self._matrix: np.ndarray | None = None
         self._build_stats = BuildStats()
@@ -80,19 +91,18 @@ class SRS(KNNIndex):
         self.count = n
         rng = np.random.default_rng(self.seed)
         self._matrix = rng.standard_normal(size=(dim, self.num_projections))
-        projected = data @ self._matrix
-        self.tree = KDTree(projected)
+        self.projected = data @ self._matrix
         self.heap = heap_file_from_array(
             data, dtype=self.storage_dtype, page_size=self.page_size)
         self._build_stats = BuildStats(
             time_sec=time.perf_counter() - started,
             page_writes=self.heap.stats.page_writes,
             # Chunked builds keep RAM at the projection size (Sec. 5.1/5.4.3).
-            peak_memory_bytes=projected.nbytes + self._matrix.nbytes,
+            peak_memory_bytes=self.projected.nbytes + self._matrix.nbytes,
         )
 
     def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.tree is None or self.heap is None:
+        if self.projected is None or self.heap is None:
             raise RuntimeError("index has not been built; call build() first")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
@@ -101,14 +111,22 @@ class SRS(KNNIndex):
         reads_before = self.heap.stats.page_reads
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
-        projected_query = point @ self._matrix
         budget = max(k, int(np.ceil(self.max_fraction * self.count)))
+        diff = self.projected - point @ self._matrix
+        projected_dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+        ids = np.arange(self.count)
+        if budget < self.count:
+            # Every point within the budget-th distance, ties included, so
+            # the cut below keeps the lower ids of a tie that straddles it.
+            cut = np.partition(projected_dists, budget - 1)[budget - 1]
+            ids = np.flatnonzero(projected_dists <= cut)
+        order = ids[np.lexsort((ids, projected_dists[ids]))][:budget]
         best_ids: list[int] = []
         best_dists: list[float] = []
         examined = 0
         stopped_early = False
-        for object_id, projected_distance in self.tree.nearest_stream(
-                projected_query):
+        for object_id, projected_distance in zip(
+                order.tolist(), projected_dists[order].tolist()):
             vector = self.heap.fetch(object_id)
             distance = float(np.sqrt(np.sum(
                 (vector.astype(np.float64) - point) ** 2)))
@@ -162,7 +180,7 @@ class SRS(KNNIndex):
     def memory_bytes(self) -> int:
         if self._matrix is None:
             return 0
-        # SRS keeps the whole projection tree in RAM while querying.
+        # SRS keeps the whole projection array in RAM while querying.
         return (self.count * self.num_projections * 8
                 + self._matrix.nbytes)
 

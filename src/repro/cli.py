@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.add_argument(
         "--methods", default="hdindex,linear,srs",
         help="comma list from: hdindex,linear,idistance,multicurves,"
-             "c2lsh,qalsh,srs,pq,opq,hnsw,vafile,e2lsh")
+             "c2lsh,qalsh,srs,pq,opq,hnsw")
     return parser
 
 
@@ -700,7 +700,6 @@ def cmd_route(args, out=sys.stdout) -> int:
 def cmd_compare(args, out=sys.stdout) -> int:
     from repro.baselines import (
         C2LSH,
-        E2LSH,
         HNSW,
         IDistance,
         LinearScan,
@@ -709,7 +708,6 @@ def cmd_compare(args, out=sys.stdout) -> int:
         PQIndex,
         QALSH,
         SRS,
-        VAFile,
     )
     data, queries, spec = _load_workload(args)
     if args.metric == "angular":
@@ -738,14 +736,14 @@ def cmd_compare(args, out=sys.stdout) -> int:
                                 num_centroids=min(64, max(2, n // 8)),
                                 opq_iterations=3),
         "hnsw": lambda: HNSW(M=10, ef_construction=60, ef_search=60),
-        "vafile": VAFile,
-        "e2lsh": E2LSH,
     }
     chosen = {}
     for name in args.methods.split(","):
         name = name.strip().lower()
         if name not in available:
-            print(f"error: unknown method {name!r}; choose from "
+            removed = (" (removed, see docs/MIGRATION.md)"
+                       if name in ("vafile", "e2lsh") else "")
+            print(f"error: unknown method {name!r}{removed}; choose from "
                   f"{', '.join(sorted(available))}", file=sys.stderr)
             return 2
         chosen[name] = available[name]

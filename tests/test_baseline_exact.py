@@ -65,6 +65,15 @@ class TestLinearScan:
         with pytest.raises(ValueError):
             scan.query(queries[0], 0)
 
+    def test_query_outside_data_range(self, workload):
+        data, _ = workload
+        scan = LinearScan()
+        scan.build(data)
+        far = np.full(data.shape[1], 1e4)
+        ids, _ = scan.query(far, 3)
+        true_ids, _ = exact_knn(data, far, k=3)
+        assert set(ids.tolist()) == set(true_ids[0].tolist())
+
 
 class TestIDistance:
     def test_exactness_matches_oracle(self, workload):
@@ -77,6 +86,49 @@ class TestIDistance:
             ids, dists = index.query(query, 10)
             assert set(ids.tolist()) == set(true_ids[row].tolist()), row
             assert np.all(np.diff(dists) >= 0)
+
+    def test_distances_match_oracle(self, workload):
+        data, queries = workload
+        index = IDistance(num_partitions=8, seed=0)
+        index.build(data)
+        _, true_dists = exact_knn(data, queries, k=10)
+        for row, query in enumerate(queries):
+            _, dists = index.query(query, 10)
+            np.testing.assert_allclose(dists, true_dists[row], atol=1e-3)
+
+    def test_query_outside_data_range(self, workload):
+        data, _ = workload
+        index = IDistance(num_partitions=8, seed=4)
+        index.build(data)
+        far = np.full(data.shape[1], 1e4)
+        ids, _ = index.query(far, 3)
+        true_ids, _ = exact_knn(data, far, k=3)
+        assert set(ids.tolist()) == set(true_ids[0].tolist())
+
+    def test_exact_on_overlapping_low_dimensional_clusters(self):
+        """Clipped, overlapping clusters in 6-d with a query off the data:
+        partition radii overlap and the search must still be exact for any
+        partition count."""
+        rng = np.random.default_rng(2475)
+        centers = rng.uniform(0.0, 50.0, size=(4, 6))
+        assignment = rng.integers(0, 4, size=90)
+        data = np.clip(centers[assignment]
+                       + rng.normal(0.0, 1.5, size=(90, 6)), 0.0, 50.0)
+        query = np.random.default_rng(2475 + 3).uniform(0.0, 50.0, size=6)
+        true_ids, _ = exact_knn(data, query, k=7)
+        for partitions in (1, 2, 3, 12):
+            index = IDistance(num_partitions=partitions,
+                              storage_dtype="float64", seed=5)
+            index.build(data)
+            ids, _ = index.query(query, 7)
+            assert set(ids.tolist()) == set(true_ids[0].tolist()), partitions
+
+    def test_invalid_k(self, workload):
+        data, queries = workload
+        index = IDistance(num_partitions=4, seed=6)
+        index.build(data)
+        with pytest.raises(ValueError):
+            index.query(queries[0], 0)
 
     def test_exactness_with_single_partition(self, workload):
         data, queries = workload

@@ -125,6 +125,54 @@ class TestC2LSH:
         with pytest.raises(RuntimeError):
             C2LSH().query(np.zeros(4), 1)
 
+    def test_invalid_k(self, workload):
+        data, queries = workload
+        index = C2LSH(max_functions=16, seed=3)
+        index.build(data)
+        with pytest.raises(ValueError):
+            index.query(queries[0], 0)
+
+    def test_same_seed_same_answers(self, workload):
+        data, queries = workload
+        first = C2LSH(max_functions=32, seed=4)
+        second = C2LSH(max_functions=32, seed=4)
+        first.build(data)
+        second.build(data)
+        for query in queries:
+            ids_a, dists_a = first.query(query, 5)
+            ids_b, dists_b = second.query(query, 5)
+            np.testing.assert_array_equal(ids_a, ids_b)
+            np.testing.assert_array_equal(dists_a, dists_b)
+
+    def test_explicit_width_sets_collision_probabilities(self, workload):
+        data, _ = workload
+        index = C2LSH(width=3.0, max_functions=64, seed=5)
+        index.build(data)
+        params = index.collision_parameters()
+        assert params.p1 == e2lsh_collision_probability(1.0, 3.0)
+        assert params.p2 == e2lsh_collision_probability(2.0, 3.0)
+
+    def test_index_space_linear_in_functions(self, workload):
+        """m hash tables of n entries each: the space cost grows with m."""
+        data, _ = workload
+        small = C2LSH(max_functions=16, seed=6)
+        large = C2LSH(max_functions=64, seed=6)
+        small.build(data)
+        large.build(data)
+        assert small.collision_parameters().num_functions == 16
+        assert large.collision_parameters().num_functions == 64
+        assert large.index_size_bytes() == 4 * small.index_size_bytes()
+
+    def test_query_outside_data_range_returns_k(self, workload):
+        """Virtual rehashing widens the buckets until k points verify."""
+        data, _ = workload
+        index = C2LSH(max_functions=32, seed=7)
+        index.build(data)
+        ids, dists = index.query(np.full(data.shape[1], 1e3), 5)
+        assert len(ids) == 5
+        assert np.all(np.diff(dists) >= 0)
+        assert index.last_query_stats().extra["final_radius"] > 1
+
 
 class TestQALSH:
     def test_high_recall(self, workload):
@@ -180,3 +228,41 @@ class TestQALSH:
     def test_query_before_build_rejected(self):
         with pytest.raises(RuntimeError):
             QALSH().query(np.zeros(4), 1)
+
+    def test_invalid_k(self, workload):
+        data, queries = workload
+        index = QALSH(max_functions=8, seed=4)
+        index.build(data)
+        with pytest.raises(ValueError):
+            index.query(queries[0], 0)
+
+    def test_results_sorted_and_unique(self, workload):
+        data, queries = workload
+        index = QALSH(max_functions=24, seed=5)
+        index.build(data)
+        ids, dists = index.query(queries[1], 10)
+        assert len(ids) == 10
+        assert np.all(np.diff(dists) >= 0)
+        assert len(set(ids.tolist())) == len(ids)
+
+    def test_same_seed_same_answers(self, workload):
+        data, queries = workload
+        first = QALSH(max_functions=16, seed=6)
+        second = QALSH(max_functions=16, seed=6)
+        first.build(data)
+        second.build(data)
+        for query in queries:
+            ids_a, dists_a = first.query(query, 5)
+            ids_b, dists_b = second.query(query, 5)
+            np.testing.assert_array_equal(ids_a, ids_b)
+            np.testing.assert_array_equal(dists_a, dists_b)
+
+    def test_query_outside_data_range_returns_k(self, workload):
+        """The query-aware windows keep widening until k points verify."""
+        data, _ = workload
+        index = QALSH(max_functions=16, seed=7)
+        index.build(data)
+        ids, dists = index.query(np.full(data.shape[1], 1e3), 5)
+        assert len(ids) == 5
+        assert np.all(np.diff(dists) >= 0)
+        assert index.last_query_stats().extra["final_radius"] > 1

@@ -153,16 +153,23 @@ class TestCompare:
         out = io.StringIO()
         code = run(["compare", "--dataset", "glove", "--n", "250",
                     "--queries", "4", "-k", "5",
-                    "--methods", "hdindex,linear,vafile"], out)
+                    "--methods", "hdindex,linear,idistance"], out)
         assert code == 0
         text = out.getvalue()
-        for name in ("hdindex", "linear", "vafile"):
+        for name in ("hdindex", "linear", "idistance"):
             assert name in text
 
     def test_unknown_method_rejected(self):
         code = run(["compare", "--dataset", "glove", "--n", "100",
                     "--methods", "faiss"])
         assert code == 2
+
+    @pytest.mark.parametrize("name", ["vafile", "e2lsh"])
+    def test_removed_method_names_the_migration_notes(self, name, capsys):
+        code = run(["compare", "--dataset", "glove", "--n", "100",
+                    "--methods", f"hdindex,{name}"])
+        assert code == 2
+        assert "docs/MIGRATION.md" in capsys.readouterr().err
 
 
 class TestParser:

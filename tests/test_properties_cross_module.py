@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import VAFile
+from repro.baselines import IDistance
 from repro.core import HDIndex, HDIndexParams
 from repro.eval import average_precision, exact_knn
 
@@ -97,12 +97,13 @@ class TestHDIndexInvariants:
 
 
 class TestExactMethodAgreement:
-    @given(st.integers(0, 10**6), st.integers(2, 6))
+    @given(st.integers(0, 10**6), st.integers(1, 12))
     @settings(max_examples=10, deadline=None)
-    def test_vafile_equals_oracle(self, seed, bits):
+    def test_idistance_equals_oracle(self, seed, partitions):
         data = make_data(seed, n=90, dim=6)
         # float64 storage so near-ties agree bit-for-bit with the oracle.
-        index = VAFile(bits=bits, storage_dtype="float64")
+        index = IDistance(num_partitions=partitions, storage_dtype="float64",
+                          seed=seed)
         index.build(data)
         rng = np.random.default_rng(seed + 3)
         query = rng.uniform(0.0, 50.0, size=6)

@@ -18,7 +18,6 @@ EXPECTED_ALL = [
     "DATASET_CATALOG",
     "Dataset",
     "DatasetSpec",
-    "E2LSH",
     "Eq",
     "Execution",
     "GroundTruth",
@@ -46,7 +45,6 @@ EXPECTED_ALL = [
     "ServiceStats",
     "ShardRouter",
     "Topology",
-    "VAFile",
     "WorkerCrashed",
     "WorkerTimeout",
     "approximation_ratio",
