@@ -27,9 +27,10 @@ paper's I/O figures are reproduced without the pages existing.  That
 walk, :mod:`repro.devtools.nodewalk`, is the reference the tests'
 scalar oracle and the sanitizer diff this module against.
 
-Arrays serialise through :func:`repro.storage.codecs.pack_arrays` into a
-``tree_<i>.packed`` snapshot file; an mmap reopen maps them zero-copy,
-so a process pool shares one physical copy across workers.
+Only the two columns are stored (an RDB-tree's ``tree_<i>.packed``
+file, :func:`repro.storage.codecs.pack_arrays`): a reopen lays them out
+again with :meth:`PackedTree.from_sorted`, and an mmap reopen maps them
+zero-copy, so a process pool shares one physical copy across workers.
 """
 
 from __future__ import annotations
@@ -75,8 +76,8 @@ class PackedTree:
         The tree's key codec (one :func:`key_kind` knows).
     keys_raw / values_raw:
         ``(n, key_width)`` / ``(n, value_width)`` uint8 arrays holding every
-        entry in global key order — the exact bytes stored in the leaves.
-        May be read-only views over an mmap'd sidecar.
+        entry in global key order — the leaf entries' bytes.  May be
+        read-only views over an mmap'd snapshot file.
     leaf_starts:
         ``(L + 1,)`` prefix array: leaf ``l`` holds entries
         ``[leaf_starts[l], leaf_starts[l + 1])``.
@@ -418,35 +419,6 @@ class PackedTree:
             descent, pages[leaf - 1:leaf - 1 + sibling_b],
             np.concatenate([pages[lo_f:hi_f],
                             pages[lo_b - 1:hi_b - 1][::-1]])[order]])
-
-    # -- serialisation ----------------------------------------------------
-
-    def to_arrays(self) -> dict[str, np.ndarray]:
-        """Flat named-array form for :func:`repro.storage.codecs.pack_arrays`."""
-        arrays = {
-            "keys": self.keys_raw,
-            "values": self.values_raw,
-            "leaf_starts": self.leaf_starts,
-            "leaf_pages": self.leaf_pages,
-            "num_levels": np.asarray([len(self.level_pages)],
-                                     dtype=np.int64),
-        }
-        for level, (page_ids, child_starts) in enumerate(
-                zip(self.level_pages, self.level_starts)):
-            arrays[f"level_{level}_pages"] = page_ids
-            arrays[f"level_{level}_starts"] = child_starts
-        return arrays
-
-    @classmethod
-    def from_arrays(cls, key_codec: Codec,
-                    arrays: dict[str, np.ndarray]) -> "PackedTree":
-        """Rebuild from :meth:`to_arrays` output (views stay zero-copy)."""
-        num_levels = int(arrays["num_levels"][0])
-        return cls(
-            key_codec, arrays["keys"], arrays["values"],
-            arrays["leaf_starts"], arrays["leaf_pages"],
-            [arrays[f"level_{level}_pages"] for level in range(num_levels)],
-            [arrays[f"level_{level}_starts"] for level in range(num_levels)])
 
 
 def bulk_load(key_codec: Codec, keys, values: np.ndarray,

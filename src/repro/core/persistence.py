@@ -11,11 +11,14 @@ A persisted plain index is a directory containing:
 * ``descriptors.pages`` — the descriptor heap's page matrix, a flat file
   of whole pages;
 * ``tree_<i>.packed`` — one file per RDB-tree: its key and record columns
-  plus page geometry (:mod:`repro.btree.packed`), the only form a tree
-  has (``metadata.packed`` holds per-point attributes the same way).
+  (:mod:`repro.btree.packed`), ids at the narrowest width that holds
+  them; the page geometry is laid out again at open from the count and
+  the capacities (``metadata.packed`` holds per-point attributes in the
+  same container).
 
 Files a reader may have mapped are replaced (``replace_file``), never
-truncated.
+truncated.  A torn or foreign tree, metadata or reference file is
+refused with a :class:`PersistenceError` naming it.
 
 A persisted :class:`~repro.core.router.ShardRouter` is a directory
 containing a ``manifest.json`` (shard count, global-id layout, base
@@ -36,6 +39,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
+import struct
+import zipfile
 
 import numpy as np
 
@@ -46,7 +51,7 @@ from repro.core.spec import Execution, Topology, params_from_dict
 from repro.core.rdbtree import RDBTree
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore
-from repro.storage.pages import replace_file
+from repro.storage.pages import read_file, replace_file
 from repro.storage.vectors import VectorHeapFile
 
 META_FILE = "meta.json"
@@ -286,10 +291,8 @@ def _load_hdindex(directory: str, cache_pages: int | None,
                                     quantizer_meta["high"],
                                     int(quantizer_meta["order"]))
 
-    archive = np.load(os.path.join(directory, REFERENCES_FILE))
-    indices = archive["indices"]
-    index.references = ReferenceSet(
-        archive["vectors"], indices if indices.size else None)
+    index.references = _decode(os.path.join(directory, REFERENCES_FILE),
+                               _read_references)
     index.metadata = _load_metadata_sidecar(directory, backend)
 
     heap_path = os.path.join(directory, "descriptors.pages")
@@ -307,14 +310,14 @@ def _load_hdindex(directory: str, cache_pages: int | None,
             tree_state, cache_pages=params.cache_pages,
             page_size=params.page_size)
         path = os.path.join(directory, f"tree_{tree_index}.packed")
-        if not os.path.exists(path):
+        _decode(path, lambda path: tree.read(path, mapped=backend == "mmap"))
+        shape = (len(tree), tree.leaf_capacity)
+        recorded = tree_state["tree"]
+        if shape != (recorded["count"], recorded["leaf_capacity"]):
             raise PersistenceError(
-                f"{directory} has no tree_{tree_index}.packed")
-        tree.read(path, mapped=backend == "mmap")
-        if len(tree) != int(tree_state["tree"]["count"]):
-            raise PersistenceError(
-                f"{path} holds {len(tree)} entries but {META_FILE} "
-                f"records {tree_state['tree']['count']}")
+                f"{path} holds {shape[0]} entries, {shape[1]} a leaf, but "
+                f"{META_FILE} records {recorded['count']} and "
+                f"{recorded['leaf_capacity']}")
         index.trees.append(tree)
     # One construction path for every execution kind.  A process pool
     # binds to this very directory (its worker processes bootstrap from
@@ -323,6 +326,27 @@ def _load_hdindex(directory: str, cache_pages: int | None,
     # snapshot directory itself.
     index.set_execution(execution)
     return index
+
+
+def _decode(path: str, read):
+    """``read(path)``, the one place a snapshot's binary files are
+    decoded: a missing, torn or foreign file raises
+    :class:`PersistenceError` naming it, not whatever the decoder
+    tripped on."""
+    try:
+        return read(path)
+    except (EOFError, KeyError, OSError, ValueError, struct.error,
+            zipfile.BadZipFile) as exc:
+        raise PersistenceError(
+            f"{path} is missing, damaged or not a snapshot file "
+            f"({type(exc).__name__}: {exc})") from None
+
+
+def _read_references(path: str) -> ReferenceSet:
+    with np.load(path) as archive:
+        indices = archive["indices"]
+        return ReferenceSet(archive["vectors"],
+                            indices if indices.size else None)
 
 
 def _recorded_spec(meta: dict, path: str) -> tuple[Topology, Execution]:
@@ -489,8 +513,5 @@ def _load_metadata_sidecar(directory: str,
     path = os.path.join(directory, METADATA_FILE)
     if not os.path.exists(path):
         return None
-    if backend == "mmap":
-        buffer = np.memmap(path, dtype=np.uint8, mode="r")
-    else:
-        buffer = np.fromfile(path, dtype=np.uint8)
-    return MetadataStore.from_packed(buffer)
+    return _decode(path, lambda path: MetadataStore.from_packed(
+        read_file(path, mapped=backend == "mmap")))

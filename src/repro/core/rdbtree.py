@@ -1,14 +1,18 @@
 """RDB-tree: the Reference Distance B+-tree of paper Sec. 3.2.
 
 An RDB-tree is a B+-tree keyed by Hilbert keys whose *leaves* are modified to
-store, per object: the Hilbert key, an 8-byte pointer to the complete
-descriptor, and the distances to the m reference objects as float32.  This
-is the paper's core structural novelty — candidates can be filtered with the
+store, per object: the Hilbert key, a pointer to the complete descriptor,
+and the distances to the m reference objects as float32.  This is the
+paper's core structural novelty — candidates can be filtered with the
 Eq. (5)/(6) lower bounds using only the leaf bytes already in memory, and
 only the final κ survivors cost a random descriptor fetch.
 
 The leaf order Ω follows Eq. (4) exactly (see
-:func:`repro.core.params.rdb_leaf_order`).
+:func:`repro.core.params.rdb_leaf_order`): the page model charges Eq. (4)'s
+8-byte pointer, so the geometry, every page read and :meth:`size_bytes`
+are the paper's.  The file stores the pointer at the narrowest width that
+holds the largest id (1, 2, 4 or 8 bytes, big-endian like the rest of the
+record), and no geometry: :meth:`RDBTree.read` lays the columns out again.
 
 The tree is held as its two sorted columns (:mod:`repro.btree.packed`):
 Algo. 1 sorts the Hilbert keys once and bulk-loads the leaves in key
@@ -35,7 +39,7 @@ from repro.core.params import rdb_leaf_order
 from repro.distance.metrics import require_finite
 from repro.hilbert.butz import HilbertCurve
 from repro.storage.codecs import UIntCodec, pack_arrays, unpack_arrays
-from repro.storage.pages import DEFAULT_PAGE_SIZE, replace_file
+from repro.storage.pages import DEFAULT_PAGE_SIZE, read_file, replace_file
 from repro.storage.stats import ModelledPool
 
 
@@ -65,10 +69,8 @@ class RDBTree(ModelledPool):
         self.leaf_order = rdb_leaf_order(
             curve.dim, curve.order, num_references, page_size)
         self._key_codec = UIntCodec(curve.key_bytes)
-        #: One leaf record: descriptor pointer + m reference distances.
-        self._record_dtype = np.dtype(
-            [("id", ">u8"), ("ref", ">f4", (num_references,))])
-        width, record = curve.key_bytes, self._record_dtype.itemsize
+        # The modelled record: Eq. (4)'s 8-byte pointer + m distances.
+        width, record = curve.key_bytes, 8 + 4 * num_references
         #: Entries per leaf: Eq. (4)'s Ω, capped by the page layout.
         self.leaf_capacity = min(leaf_capacity(page_size, width, record),
                                  self.leaf_order)
@@ -77,7 +79,8 @@ class RDBTree(ModelledPool):
             raise ValueError(
                 f"page size {page_size} is too small for {width}-byte keys")
         self.adopt(self._layout(np.empty((0, width), dtype=np.uint8),
-                                np.empty((0, record), dtype=np.uint8)))
+                                np.empty((0, 1 + 4 * num_references),
+                                         dtype=np.uint8)))
 
     # -- construction ------------------------------------------------------
 
@@ -108,7 +111,10 @@ class RDBTree(ModelledPool):
         laid out afresh with full leaves, so merging into a built tree
         gives exactly the tree built from all the rows at once.  The
         result is a new layout over new arrays: the old one is never
-        written to, so a reader holding it stays consistent.
+        written to, so a reader holding it stays consistent.  Records
+        store ids at the narrowest width holding the largest one; when
+        that width changes (ids cross 2^8, 2^16 or 2^32, or a legacy
+        8-byte layout is folded), the existing records are re-encoded.
         """
         width = self._key_codec.width
         if not (isinstance(keys, np.ndarray) and keys.dtype == np.uint8
@@ -131,24 +137,44 @@ class RDBTree(ModelledPool):
                 f"{reference_distances.shape}")
         # Eq. 6 as a product turns inf or NaN times a zero weight into NaN.
         require_finite(reference_distances, "reference distances")
+        if n and object_ids.min() < 0:
+            raise ValueError("object ids must be non-negative")
+        old_ids, old_refs = self._records()
+        largest = max(object_ids.max(initial=0), old_ids.max(initial=0))
+        dtype = self._record_type(np.min_scalar_type(largest).itemsize)
         # Big-endian fixed-width keys: bytewise order == numeric order.
         order = np.argsort(
             np.ascontiguousarray(keys).view(f"S{width}").ravel(),
             kind="stable")
         keys = keys[order]
-        records = np.empty(n, dtype=self._record_dtype)
-        records["id"] = object_ids[order]
-        records["ref"] = reference_distances[order]
-        values = records.view(np.uint8).reshape(n, records.itemsize)
+        values = self._encode(dtype, object_ids[order],
+                              reference_distances[order])
         packed = self.packed
         if len(self):
             at = packed.key_S.searchsorted(keys.view(f"S{width}").ravel(),
                                            side="right")
+            old = packed.values_raw
+            if dtype != self._record_dtype:
+                old = self._encode(dtype, old_ids, old_refs)
             keys = np.insert(packed.keys_raw, at, keys, axis=0)
-            values = np.insert(packed.values_raw, at, values, axis=0)
+            values = np.insert(old, at, values, axis=0)
         # Into an empty tree the sorted copies above are the columns.
         self.adopt(self._layout(keys, values))
         self.stats.record_write_run(0, self.packed.num_pages)
+
+    def _record_type(self, id_width: int) -> np.dtype:
+        """One leaf record: descriptor pointer + m reference distances."""
+        return np.dtype([("id", f">u{id_width}"),
+                         ("ref", ">f4", (self.num_references,))])
+
+    @staticmethod
+    def _encode(dtype: np.dtype, object_ids: np.ndarray,
+                reference_distances: np.ndarray) -> np.ndarray:
+        """Records of ``dtype`` as the ``(n, itemsize)`` value column."""
+        records = np.empty(object_ids.size, dtype=dtype)
+        records["id"] = object_ids
+        records["ref"] = reference_distances
+        return records.view(np.uint8).reshape(-1, dtype.itemsize)
 
     def _layout(self, keys_raw: np.ndarray,
                 values_raw: np.ndarray) -> PackedTree:
@@ -160,6 +186,10 @@ class RDBTree(ModelledPool):
         """Make ``packed`` the tree.  Page ids now name other contents,
         so the modelled buffer pool starts cold."""
         self.packed = packed
+        #: The layout's leaf record: its id width is the value width's
+        #: remainder after the m distances.
+        self._record_dtype = self._record_type(
+            packed.value_width - 4 * self.num_references)
         # (layout, ids int64, ref-distance view), decoded on first use;
         # (layout, id -> position column), on the first subset lookup.
         self._records_cache: tuple | None = None
@@ -191,20 +221,31 @@ class RDBTree(ModelledPool):
                    cache_pages=cache_pages, page_size=page_size)
 
     def write(self, path: str | os.PathLike[str]) -> None:
-        """Write the columns and geometry as one ``.packed`` file
-        (atomically: readers that mapped an older one keep it)."""
-        replace_file(path, pack_arrays(self.packed.to_arrays()))
+        """Write the key and record columns as one ``.packed`` file
+        (atomically: readers that mapped an older one keep it); the
+        geometry follows from them and is not stored."""
+        packed = self.packed
+        replace_file(path, pack_arrays({"keys": packed.keys_raw,
+                                        "values": packed.values_raw}))
 
     def read(self, path: str | os.PathLike[str], mapped: bool) -> None:
-        """Become the tree a :meth:`write` stored — over zero-copy views
-        of a read-only mapping when ``mapped`` (worker processes opening
-        one snapshot then share its physical pages), else read into RAM."""
-        if mapped:
-            buffer = np.memmap(path, dtype=np.uint8, mode="r")
-        else:
-            buffer = np.fromfile(path, dtype=np.uint8)
-        self.adopt(PackedTree.from_arrays(self._key_codec,
-                                          unpack_arrays(buffer)))
+        """Become the tree a :meth:`write` stored (over zero-copy views of
+        the file when ``mapped``, :func:`read_file`), its geometry laid
+        out again.  A file that also stores geometry and 8-byte ids (the
+        format before narrow ids) opens the same way.  Raises
+        :class:`ValueError` on columns that make no tree of this shape."""
+        arrays = unpack_arrays(read_file(path, mapped))
+        keys, values = arrays["keys"], arrays["values"]
+        m = self.num_references
+        if keys.dtype != np.uint8 or values.dtype != np.uint8 \
+                or values.ndim != 2 \
+                or keys.shape != (len(values), self._key_codec.width) \
+                or values.shape[1] - 4 * m not in (1, 2, 4, 8):
+            raise ValueError(
+                f"keys {keys.shape} and records {values.shape} are no "
+                f"tree of {self._key_codec.width}-byte keys and {m} "
+                f"reference distances")
+        self.adopt(self._layout(keys, values))
 
     # -- querying -----------------------------------------------------------
 

@@ -161,7 +161,7 @@ def _cross_check(search: Callable[..., Any], packed: Any, key: bytes,
     packed_log, walk_log = _ReadLog(), _ReadLog()
     packed_entries = sorted(packed.entries(
         search(packed, key, count, packed_log, subset)))
-    walk, bulk_shaped = node_oracle(packed)
+    walk = node_oracle(packed)
     accept = None if subset is None \
         else set(packed.entries(subset)).__contains__
     walk_entries = sorted(walk.nearest(key, count, walk_log, accept))
@@ -170,7 +170,7 @@ def _cross_check(search: Callable[..., Any], packed: Any, key: bytes,
             f"packed/node answer divergence for count={count}: packed "
             f"returned {len(packed_entries)} entr(ies), node path "
             f"{len(walk_entries)}, not the same set")
-    if bulk_shaped and packed_log != walk_log:
+    if packed_log != walk_log:
         raise SanitizerError(
             f"packed/node I/O trace divergence for count={count}: packed "
             f"read pages {packed_log}, node path {walk_log}")
@@ -214,28 +214,22 @@ def _install_tree_crosscheck() -> None:
     _patch(RDBTree, "candidates", finite)
 
 
-def node_oracle(packed: Any) -> tuple[Any, bool]:
+def node_oracle(packed: Any) -> Any:
     """The :class:`~repro.devtools.nodewalk.NodeWalk` of a packed layout's
     entries, made once per layout with the capacities its first leaf and
-    first bottom-level node show, plus whether the layout is the one
-    bulk loading gives (its page trace is only comparable then: a
-    snapshot an old release folded row by row carries half-full split
-    leaves)."""
-    import numpy as np
-
+    first bottom-level node show (every layout is the one bulk loading
+    gives: a snapshot's geometry is laid out again when it is read)."""
     from repro.devtools.nodewalk import NodeWalk
 
-    cached = getattr(packed, "_sanitize_oracle", None)
-    if cached is None:
+    walk = getattr(packed, "_sanitize_oracle", None)
+    if walk is None:
         starts = packed.leaf_starts
         leaf = int(starts[1]) if starts.size > 1 else 1
         fanout = int(packed.level_starts[-1][1]) if packed.level_starts else 2
-        walk = NodeWalk(packed.key_codec, packed.entries(range(packed.count)),
-                        leaf, fanout - 1)
-        bulk_shaped = np.array_equal(starts, np.minimum(
-            np.arange(starts.size) * leaf, packed.count))
-        cached = packed._sanitize_oracle = (walk, bulk_shaped)
-    return cached
+        walk = packed._sanitize_oracle = NodeWalk(
+            packed.key_codec, packed.entries(range(packed.count)), leaf,
+            fanout - 1)
+    return walk
 
 
 def node_candidates(tree: Any, query_key: int, alpha: int,
@@ -249,9 +243,11 @@ def node_candidates(tree: Any, query_key: int, alpha: int,
 
     from repro.storage.stats import IOStats
 
-    walk, _ = node_oracle(tree.packed)
+    walk = node_oracle(tree.packed)
+    # A record starts with its id, as wide as the layout's record says.
+    id_width = tree._record_dtype["id"].itemsize
     accept = None if eligible is None else (
-        lambda entry: eligible[int.from_bytes(entry[1][:8], "big")])
+        lambda entry: eligible[int.from_bytes(entry[1][:id_width], "big")])
     entries = walk.nearest(tree.packed.key_codec.encode(int(query_key)),
                            alpha, IOStats(), accept)
     records = np.frombuffer(b"".join(value for _, value in entries),

@@ -1,4 +1,4 @@
-"""Page size, the storage error, and atomic snapshot-file replacement.
+"""Page size, the storage error, and snapshot-file replacement and reads.
 
 Everything this reproduction persists is counted in fixed-size pages of
 ``DEFAULT_PAGE_SIZE`` bytes, the 4 KB page the paper's C++
@@ -12,6 +12,8 @@ disk-access analysis is reproduced without physical disk latency.
 from __future__ import annotations
 
 import os
+
+import numpy as np
 
 #: Disk page size used throughout the paper's evaluation (Sec. 5).
 DEFAULT_PAGE_SIZE = 4096
@@ -34,3 +36,12 @@ def replace_file(path: str | os.PathLike[str], data) -> None:
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)
+
+
+def read_file(path: str | os.PathLike[str], mapped: bool) -> np.ndarray:
+    """A snapshot file's bytes: a read-only mapping when ``mapped`` (worker
+    processes opening one snapshot then share its physical pages), else
+    read into RAM."""
+    if mapped:
+        return np.memmap(path, dtype=np.uint8, mode="r")
+    return np.fromfile(path, dtype=np.uint8)

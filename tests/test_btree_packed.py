@@ -40,6 +40,18 @@ def make_tree(key_codec, keys, leaf_cap=4, internal_cap=3):
                             leaf_cap, internal_cap)
 
 
+def layout_arrays(packed):
+    """A layout's two columns and its geometry, by name."""
+    arrays = {"keys": packed.keys_raw, "values": packed.values_raw,
+              "leaf_starts": packed.leaf_starts,
+              "leaf_pages": packed.leaf_pages}
+    for level, (pages, starts) in enumerate(zip(packed.level_pages,
+                                                packed.level_starts)):
+        arrays[f"level_{level}_pages"] = pages
+        arrays[f"level_{level}_starts"] = starts
+    return arrays
+
+
 def stats_triple(stats):
     return stats.page_reads, stats.random_reads, stats.sequential_reads
 
@@ -445,8 +457,8 @@ def layouts(draw):
 
 
 class TestAncestorTable:
-    """Descents read one row of a table derived with the layout; it is
-    not part of the ``.packed`` file."""
+    """Descents read one row of a table derived with the layout, which
+    is derived from the entry count and the two capacities."""
 
     @given(layouts())
     @settings(max_examples=150, deadline=None)
@@ -457,38 +469,35 @@ class TestAncestorTable:
         packed = PackedTree.from_sorted(codec, keys, keys, leaf_cap,
                                         internal_cap)
         assert packed.height == height
-        arrays = packed.to_arrays()
-        assert sorted(arrays) == sorted(
-            ["keys", "values", "leaf_starts", "leaf_pages", "num_levels"]
-            + [f"level_{level}_{part}" for level in range(height - 1)
-               for part in ("pages", "starts")])
-        restored = PackedTree.from_arrays(codec,
-                                          unpack_arrays(pack_arrays(arrays)))
-        for tree in (packed, restored):
-            for leaf in range(packed.leaf_pages.size):
-                assert tree._descent_pages(leaf).tolist() == \
-                    walked_descent(packed, leaf)
+        for leaf in range(packed.leaf_pages.size):
+            assert packed._descent_pages(leaf).tolist() == \
+                walked_descent(packed, leaf)
 
 
 class TestSerialization:
+    """A tree is stored as its two columns; the same capacities lay them
+    out again as the layout they came from."""
+
     def test_pack_unpack_round_trip(self):
         codec = UIntCodec(16)
         packed, _ = make_tree(codec, [5**i for i in range(40)], leaf_cap=2)
-        buffer = pack_arrays(packed.to_arrays())
-        restored = PackedTree.from_arrays(codec, unpack_arrays(buffer))
-        assert restored.count == packed.count
-        np.testing.assert_array_equal(restored.keys_raw, packed.keys_raw)
-        np.testing.assert_array_equal(restored.values_raw,
-                                      packed.values_raw)
-        np.testing.assert_array_equal(restored.leaf_starts,
-                                      packed.leaf_starts)
+        arrays = unpack_arrays(pack_arrays({"keys": packed.keys_raw,
+                                            "values": packed.values_raw}))
+        restored = PackedTree.from_sorted(codec, arrays["keys"],
+                                          arrays["values"], 2, 3)
+        want = layout_arrays(packed)
+        for name, array in layout_arrays(restored).items():
+            np.testing.assert_array_equal(array, want.pop(name),
+                                          err_msg=name)
+        assert not want
         key = codec.encode(5**7)
         np.testing.assert_array_equal(restored.nearest_positions(key, 9),
                                       packed.nearest_positions(key, 9))
 
     def test_unpacked_views_are_zero_copy(self):
         packed, _ = make_tree(UIntCodec(8), range(30))
-        buffer = np.frombuffer(pack_arrays(packed.to_arrays()),
+        buffer = np.frombuffer(pack_arrays({"keys": packed.keys_raw,
+                                            "values": packed.values_raw}),
                                dtype=np.uint8)
         arrays = unpack_arrays(buffer)
         for array in arrays.values():

@@ -6,9 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.core import HDIndex, HDIndexParams, save_index
+from repro.core import HDIndex, HDIndexParams, load_index, save_index
 from repro.datasets import make_dataset
 from repro.eval import exact_knn, mean_average_precision
+from repro.storage import unpack_arrays
+from test_core_rdbtree import write_legacy_tree
 
 
 def small_params(**overrides):
@@ -272,6 +274,24 @@ def snapshot_digests(directory):
     return digests
 
 
+def column_digests(directory, num_references):
+    """sha256 prefix of every tree file's decoded entries in key order:
+    the key bytes, the ids as ``<i8`` and the distances as ``<f4``, at
+    whatever id width the file stores."""
+    digests = {}
+    for path in sorted(directory.glob("tree_*.packed")):
+        arrays = unpack_arrays(np.fromfile(path, dtype=np.uint8))
+        values = arrays["values"]
+        records = values.reshape(-1).view(
+            [("id", f">u{values.shape[1] - 4 * num_references}"),
+             ("ref", ">f4", (num_references,))])
+        blob = (arrays["keys"].tobytes()
+                + records["id"].astype("<i8").tobytes()
+                + records["ref"].astype("<f4").tobytes())
+        digests[path.name] = hashlib.sha256(blob).hexdigest()[:16]
+    return digests
+
+
 class TestFrozenBuild:
     """Every file of three seeded n = 3000 snapshots, hashed at the
     commit before the build ran in row blocks (quantised once into the
@@ -283,54 +303,104 @@ class TestFrozenBuild:
     parsed files differ by that key alone.  The relaxed build's digests
     were taken at the commit before SSS kept its distances per row block:
     at ``sss_fraction`` 0.9 its first scan over the three blocks admits
-    fewer than m, so a relaxed round scans them again."""
+    fewer than m, so a relaxed round scans them again.  The
+    ``tree_*.packed`` digests were re-taken when tree files began storing
+    ids at the narrowest width and no page geometry; ``COLUMNS``, digests
+    of each tree's decoded keys, ids and distances taken at the commit
+    before, shows the entries themselves did not move."""
 
     DIGESTS = {
         "memory": {
             "descriptors.pages": "16d6c31fdf8291e5",
             "meta.json": "b446b85cd7a8b43b",
             "references.npz": "f44136192ad46105",
-            "tree_0.packed": "4b8cc1a3dbdba752",
-            "tree_1.packed": "26fb024234e815e2",
-            "tree_2.packed": "45b53e0150ae49fb",
-            "tree_3.packed": "cfdd37ece301828f",
-            "tree_4.packed": "66c811075a9addc1",
-            "tree_5.packed": "bc7d667d1fb9cc55",
+            "tree_0.packed": "b8787d0cfd17f6d7",
+            "tree_1.packed": "25ad068f82e8c423",
+            "tree_2.packed": "ec0c283162a23917",
+            "tree_3.packed": "63b2e5b5a4858289",
+            "tree_4.packed": "36be154d22890cf1",
+            "tree_5.packed": "cccd0897c726d8ae",
         },
         "streaming": {
             "descriptors.pages": "16d6c31fdf8291e5",
             "meta.json": "8dd5b2bd46ddde8c",
             "references.npz": "17ce5fcbb1dc712e",
-            "tree_0.packed": "ceabbef11b63b2ee",
-            "tree_1.packed": "5b4511a5f79499c4",
-            "tree_2.packed": "692a8c2818e0458e",
-            "tree_3.packed": "9819a4ecd515d312",
-            "tree_4.packed": "6a309a8c0132d72a",
-            "tree_5.packed": "92ae728cf8399efe",
+            "tree_0.packed": "1394fa5b42bca386",
+            "tree_1.packed": "012f1ada2a6a6cd6",
+            "tree_2.packed": "0169cf18d4452be3",
+            "tree_3.packed": "03a372a4bfb13007",
+            "tree_4.packed": "ee9c96976f397d53",
+            "tree_5.packed": "10bede5345f7b476",
         },
         "labelled": {
             "descriptors.pages": "16d6c31fdf8291e5",
             "meta.json": "069e47be8645530d",
             "metadata.packed": "9a3ae8688ae8ea4e",
             "references.npz": "f44136192ad46105",
-            "tree_0.packed": "2c74fc0ad1cb380f",
-            "tree_1.packed": "4c6c017ea99fa7e3",
-            "tree_2.packed": "cdd515832b154037",
-            "tree_3.packed": "28b3c3a1fcbe7ec4",
-            "tree_4.packed": "c2d716ef28b2681c",
-            "tree_5.packed": "1276c05478843750",
+            "tree_0.packed": "c34e26447843274c",
+            "tree_1.packed": "fd85e45482318fb0",
+            "tree_2.packed": "0e4669621fd19f9e",
+            "tree_3.packed": "b7cb20c7ac5bb3c9",
+            "tree_4.packed": "e9cdce9f13b71b9c",
+            "tree_5.packed": "07b8519d5a2ffc8b",
         },
         "relaxed": {
             "descriptors.pages": "16d6c31fdf8291e5",
             "meta.json": "d34986cbd90a51ee",
             "references.npz": "3bf0b4a0f9d58e78",
-            "tree_0.packed": "2419cfcfa7e6aa44",
-            "tree_1.packed": "1b74cd905ee2799f",
-            "tree_2.packed": "63424602ed9958f7",
-            "tree_3.packed": "a3f88a57787ef34c",
-            "tree_4.packed": "afc6ff3d151c8c71",
-            "tree_5.packed": "cb4ebe0270409fee",
+            "tree_0.packed": "389a26029c2e9ade",
+            "tree_1.packed": "a0675c645d8bea44",
+            "tree_2.packed": "b046b860b8675e76",
+            "tree_3.packed": "f6520ab545deff20",
+            "tree_4.packed": "5e176af18d21641b",
+            "tree_5.packed": "d409daf504b9ba0f",
         },
+    }
+
+    COLUMNS = {
+        "memory": {
+            "tree_0.packed": "3198c5cd79bc40e2",
+            "tree_1.packed": "34ff9317220f9d60",
+            "tree_2.packed": "01c095d58fd82d9e",
+            "tree_3.packed": "cee30f47a78e965d",
+            "tree_4.packed": "97cff9d08636e588",
+            "tree_5.packed": "1024eeaa0935a025",
+        },
+        "streaming": {
+            "tree_0.packed": "cd65e5f0ce74b9f8",
+            "tree_1.packed": "e77dcc7684f1c690",
+            "tree_2.packed": "b133cfdf1bbe2298",
+            "tree_3.packed": "c746bb038ebce4b3",
+            "tree_4.packed": "d51c75127bdc11ae",
+            "tree_5.packed": "9ebf2398f681f57d",
+        },
+        "labelled": {
+            "tree_0.packed": "c26a981d6290c0d9",
+            "tree_1.packed": "807522722027b873",
+            "tree_2.packed": "5e60f9a39ed04c65",
+            "tree_3.packed": "4e2723aa6e3e5fe2",
+            "tree_4.packed": "abd536b11d707275",
+            "tree_5.packed": "fd3e3466efd0e84b",
+        },
+        "relaxed": {
+            "tree_0.packed": "0e1f4c81072c8d35",
+            "tree_1.packed": "8fad1e777feebabd",
+            "tree_2.packed": "db2d8230dc01b1c4",
+            "tree_3.packed": "9a4570fd1f73d828",
+            "tree_4.packed": "b93718aabeccf508",
+            "tree_5.packed": "0980b3591dbae5ca",
+        },
+    }
+
+    #: The memory build's tree files before narrow ids, which
+    #: ``write_legacy_tree`` must write again byte for byte.
+    LEGACY = {
+        "tree_0.packed": "4b8cc1a3dbdba752",
+        "tree_1.packed": "26fb024234e815e2",
+        "tree_2.packed": "45b53e0150ae49fb",
+        "tree_3.packed": "cfdd37ece301828f",
+        "tree_4.packed": "66c811075a9addc1",
+        "tree_5.packed": "bc7d667d1fb9cc55",
     }
 
     @staticmethod
@@ -362,6 +432,17 @@ class TestFrozenBuild:
     def test_snapshot_files_are_the_parents(self, kind, tmp_path):
         self.build(kind, tmp_path)
         assert snapshot_digests(tmp_path) == self.DIGESTS[kind]
+        assert column_digests(tmp_path, 6) == self.COLUMNS[kind]
+
+    def test_legacy_writer_writes_the_parents_files(self, tmp_path):
+        """The legacy-format tests stand on a writer of the old format:
+        it rewrites the memory build's trees as they were written."""
+        self.build("memory", tmp_path)
+        with load_index(tmp_path, backend="memory") as index:
+            for position, tree in enumerate(index.trees):
+                write_legacy_tree(tree, tmp_path / f"tree_{position}.packed")
+        digests = snapshot_digests(tmp_path)
+        assert {name: digests[name] for name in self.LEGACY} == self.LEGACY
 
 
 class TestBuildMemory:

@@ -1,6 +1,10 @@
 """Tests for HD-Index family save/load persistence."""
 
+import dataclasses
 import json
+import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,10 @@ from repro.core import (
     load_index,
     save_index,
 )
+from repro.storage import pack_arrays, unpack_arrays
+from repro.wal.manager import resolve_snapshot_dir
+from test_btree_packed import layout_arrays
+from test_core_rdbtree import write_legacy_tree
 
 
 @pytest.fixture(scope="module")
@@ -196,7 +204,7 @@ class TestOneFilePerTree:
         index.build(data, metadata=[{"label": i % 3}
                                     for i in range(len(data))])
         save_index(index, tmp_path)
-        expected = [tree.packed.to_arrays() for tree in index.trees]
+        expected = [layout_arrays(tree.packed) for tree in index.trees]
         opened = load_index(tmp_path, backend=backend, wal=False)
         held = [tree.packed for tree in opened.trees]
         labels = opened.metadata.column("label")
@@ -205,7 +213,7 @@ class TestOneFilePerTree:
         opened.compact()  # folds, then save_index into tmp_path
         assert not list(tmp_path.glob("*.tmp"))
         for layout, arrays in zip(held, expected):
-            for name, array in layout.to_arrays().items():
+            for name, array in layout_arrays(layout).items():
                 np.testing.assert_array_equal(array, arrays[name])
         np.testing.assert_array_equal(
             labels, np.arange(len(data)) % 3)
@@ -239,6 +247,135 @@ class TestOneFilePerTree:
                 np.testing.assert_array_equal(dists_a, dists_b)
         assert all(0 < few <= many
                    for few, many in zip(runs[8][2], runs[10 ** 6][2]))
+
+
+def id_widths(directory, num_references=5):
+    """The id width each ``tree_<i>.packed`` of a snapshot stores."""
+    widths = []
+    for path in sorted(Path(directory).glob("tree_*.packed")):
+        values = unpack_arrays(np.fromfile(path, dtype=np.uint8))["values"]
+        widths.append(values.shape[1] - 4 * num_references)
+    return widths
+
+
+def tree_files(directory):
+    return {path.name: path.read_bytes()
+            for path in sorted(Path(directory).glob("tree_*.packed"))}
+
+
+def answers(index, queries):
+    """Each query's ids, distances and stats but the time."""
+    found = []
+    for query in queries:
+        ids, dists = index.query(query, 10)
+        stats = dataclasses.replace(index.last_query_stats(), time_sec=0.0)
+        found.append((ids.tolist(), dists.tolist(), stats))
+    return found
+
+
+class TestLegacyTreeFiles:
+    """Tree files written before narrow ids store every id as ``>u8``
+    and the page geometry beside the columns: such a snapshot opens on
+    both backends, answers and counts as the narrow one does, and is
+    written narrow at its next fold."""
+
+    @pytest.fixture
+    def snapshots(self, workload, tmp_path):
+        data, _ = workload
+        index = HDIndex(params())
+        index.build(data)
+        save_index(index, tmp_path / "narrow")
+        save_index(index, tmp_path / "legacy")
+        for position, tree in enumerate(index.trees):
+            write_legacy_tree(tree, tmp_path / "legacy"
+                              / f"tree_{position}.packed")
+        index.close()
+        assert id_widths(tmp_path / "narrow") == [2] * 4
+        assert id_widths(tmp_path / "legacy") == [8] * 4
+        return tmp_path / "narrow", tmp_path / "legacy"
+
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    def test_opens_and_answers_as_the_narrow_format(self, workload,
+                                                    snapshots, backend):
+        _, queries = workload
+        narrow, legacy = snapshots
+        with load_index(narrow, backend=backend) as want, \
+                load_index(legacy, backend=backend) as got:
+            assert answers(got, queries) == answers(want, queries)
+
+    @pytest.mark.parametrize("logged", [False, True],
+                             ids=["un-logged", "logged"])
+    def test_a_fold_rewrites_it_narrow(self, workload, snapshots, logged):
+        """After an insert and ``compact()`` the legacy snapshot's tree
+        files are byte for byte those of the narrow snapshot put through
+        the same steps, and both answer alike."""
+        data, queries = workload
+        for directory in snapshots:
+            with load_index(directory, wal=logged) as opened:
+                for vector in data[:7]:
+                    opened.insert(vector + 0.25)
+                assert opened.compact() == int(logged)
+        narrow, legacy = (resolve_snapshot_dir(str(directory))
+                          for directory in snapshots)
+        assert (Path(legacy).name == "gen-000001") == logged
+        assert id_widths(legacy) == [2] * 4
+        assert tree_files(legacy) == tree_files(narrow)
+        with load_index(snapshots[0]) as want, \
+                load_index(snapshots[1]) as got:
+            assert got.count == len(data) + 7
+            assert answers(got, queries) == answers(want, queries)
+
+
+class TestTornFiles:
+    """A torn or foreign tree, metadata or reference file is refused with
+    a :class:`PersistenceError` naming it, and so is a tree that is not
+    the one ``meta.json`` records."""
+
+    CORRUPTIONS = {"half": lambda raw: raw[:len(raw) // 2],
+                   "zeros": lambda raw: bytes(100),
+                   "head": lambda raw: raw[:40]}
+
+    @pytest.fixture(scope="class")
+    def snapshot(self, workload, tmp_path_factory):
+        data, _ = workload
+        index = HDIndex(params())
+        index.build(data, metadata=[{"label": i % 3}
+                                    for i in range(len(data))])
+        directory = tmp_path_factory.mktemp("snapshot")
+        save_index(index, directory)
+        index.close()
+        return directory
+
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    @pytest.mark.parametrize("name", ["tree_1.packed", "metadata.packed",
+                                      "references.npz"])
+    def test_refused_naming_the_file(self, snapshot, tmp_path, name,
+                                     corruption, backend):
+        directory = shutil.copytree(snapshot, tmp_path / "copy")
+        path = directory / name
+        path.write_bytes(self.CORRUPTIONS[corruption](path.read_bytes()))
+        with pytest.raises(PersistenceError, match=re.escape(name)):
+            load_index(directory, backend=backend)
+
+    @pytest.mark.parametrize("defect", ["rows", "width", "leaf_capacity"])
+    def test_a_tree_unlike_the_recorded_one_is_refused(self, snapshot,
+                                                       tmp_path, defect):
+        directory = shutil.copytree(snapshot, tmp_path / "copy")
+        path = directory / "tree_1.packed"
+        arrays = unpack_arrays(np.fromfile(path, dtype=np.uint8))
+        keys, values = arrays["keys"], arrays["values"]
+        if defect == "rows":
+            values = values[:-1]
+        elif defect == "width":  # 4m + 3 bytes: no id width
+            values = np.pad(values, ((0, 0), (0, 1)))
+        else:
+            meta = json.loads((directory / "meta.json").read_text())
+            meta["trees"][1]["tree"]["leaf_capacity"] += 1
+            (directory / "meta.json").write_text(json.dumps(meta))
+        path.write_bytes(pack_arrays({"keys": keys, "values": values}))
+        with pytest.raises(PersistenceError, match=r"tree_1\.packed"):
+            load_index(directory, backend="memory")
 
 
 class TestFamilySaveLoad:

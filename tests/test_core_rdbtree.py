@@ -19,9 +19,9 @@ from repro.core.rdbtree import RDBTree
 from repro.devtools.nodewalk import NodeWalk
 from repro.devtools.sanitize import node_oracle
 from repro.hilbert import HilbertCurve
-from repro.storage import UIntCodec
+from repro.storage import UIntCodec, pack_arrays
 from test_btree import top_down_layout
-from test_btree_packed import ReadLog
+from test_btree_packed import ReadLog, layout_arrays
 
 
 def build_tree(n=200, dim=4, order=8, m=5, seed=0):
@@ -175,6 +175,12 @@ class TestInsert:
             merge_one(tree, 77, 999, [0.0, bad, 1.0, 2.0, 3.0])
         assert tree.packed is before and len(tree) == 50
 
+    def test_negative_id_refused(self):
+        """No unsigned record width holds one."""
+        tree, *_ = build_tree(n=50, seed=3)
+        with pytest.raises(ValueError, match="non-negative"):
+            merge_one(tree, 77, -1, np.zeros(5, dtype=np.float32))
+
     def test_size_grows_with_inserts(self):
         tree, *_ = build_tree(n=50)
         before = tree.size_bytes()
@@ -209,15 +215,25 @@ def random_rows(rng, width, n, duplicates, first_id=0):
             rng.uniform(0, 50, size=(n, M)).astype(np.float32))
 
 
+#: ``struct`` formats of the big-endian id widths a leaf record takes.
+ID_FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def id_width(ids):
+    """Bytes of the narrowest unsigned integer holding every id."""
+    return np.min_scalar_type(max(ids, default=0)).itemsize
+
+
 def key_matrix(keys, width):
     return np.frombuffer(b"".join(k.to_bytes(width, "big") for k in keys),
                          dtype=np.uint8).reshape(-1, width)
 
 
-def node_entries(keys, ids, distances, width):
+def node_entries(keys, ids, distances, width, id_bytes):
     """The same rows as ``(key, value)`` byte pairs the way a leaf
-    stores them — one ``struct.pack`` per record."""
-    record = struct.Struct(f">Q{M}f")
+    stores them, ids ``id_bytes`` wide — one ``struct.pack`` per
+    record."""
+    record = struct.Struct(f">{ID_FORMATS[id_bytes]}{M}f")
     return [(key.to_bytes(width, "big"), record.pack(int(i), *row))
             for key, i, row in zip(keys, ids, distances)]
 
@@ -229,7 +245,7 @@ def node_walk(tree, width, entries):
 
 
 def assert_same_arrays(got, want):
-    got, want = got.to_arrays(), want.to_arrays()
+    got, want = layout_arrays(got), layout_arrays(want)
     assert got.keys() == want.keys()
     for name in got:
         np.testing.assert_array_equal(got[name], want[name], err_msg=name)
@@ -257,9 +273,10 @@ class TestBuildAgainstBulkLoad:
                 key_matrix(keys, width) if as_matrix
                 else np.asarray(keys, dtype=object), ids, distances)
             order = sorted(range(n), key=keys.__getitem__)  # stable
+            assert tree._record_dtype["id"].itemsize == id_width(ids)
             walk = node_walk(tree, width, node_entries(
                 [keys[i] for i in order], ids[order], distances[order],
-                width))
+                width, id_width(ids)))
             assert_same_arrays(tree.packed, top_down_layout(walk))
             assert (len(tree), tree.height) == (n, walk.height)
             pages = len(walk.leaves) + len(walk.nodes)
@@ -340,8 +357,8 @@ class TestMerge:
         tree.merge(key_matrix(delta, 1), ids[n:], distances[n:])
         order = sorted(range(n), key=base.__getitem__)
         rows = node_entries([base[i] for i in order], ids[order],
-                            distances[order], 1) \
-            + node_entries(delta, ids[n:], distances[n:], 1)
+                            distances[order], 1, id_width(ids)) \
+            + node_entries(delta, ids[n:], distances[n:], 1, id_width(ids))
         assert tree.packed.entries(range(len(tree))) == sorted(
             rows, key=lambda entry: entry[0])
 
@@ -358,12 +375,12 @@ class TestOwnedColumns:
         tree = empty_tree(8)
         tree.bulk_build(matrix, ids, distances)
         columns = {name: array.copy()
-                   for name, array in tree.packed.to_arrays().items()}
+                   for name, array in layout_arrays(tree.packed).items()}
         answer = tree.candidates(keys[17], 40)
         matrix[:] = 0
         distances[:] = -1.0
         ids[:] = 0
-        for name, array in tree.packed.to_arrays().items():
+        for name, array in layout_arrays(tree.packed).items():
             np.testing.assert_array_equal(array, columns[name], err_msg=name)
         for got, want in zip(tree.candidates(keys[17], 40), answer):
             np.testing.assert_array_equal(got, want)
@@ -383,6 +400,103 @@ class TestOwnedColumns:
         assert_same_arrays(tree.packed, whole.packed)
 
 
+def write_legacy_tree(tree, path):
+    """``tree`` as the format before narrow ids wrote it: ``>u8`` ids,
+    and the page geometry stored beside the two columns."""
+    packed = tree.packed
+    records = packed.values_raw.reshape(-1).view(tree._record_dtype)
+    wide = np.empty(records.size, dtype=[("id", ">u8"), (
+        "ref", ">f4", (tree.num_references,))])
+    wide["id"], wide["ref"] = records["id"], records["ref"]
+    arrays = {"keys": packed.keys_raw,
+              "values": wide.view(np.uint8).reshape(records.size, -1),
+              "leaf_starts": packed.leaf_starts,
+              "leaf_pages": packed.leaf_pages,
+              "num_levels": np.asarray([len(packed.level_pages)],
+                                       dtype=np.int64)}
+    for level, (pages, starts) in enumerate(zip(packed.level_pages,
+                                                packed.level_starts)):
+        arrays[f"level_{level}_pages"] = pages
+        arrays[f"level_{level}_starts"] = starts
+    with open(path, "wb") as handle:
+        handle.write(pack_arrays(arrays))
+
+
+def lookups(tree, probes, alpha=30):
+    """Each probe's (ids, distances, page ids read in order)."""
+    found = []
+    for probe in probes:
+        tree.stats = ReadLog()
+        found.append((*tree.candidates(probe, alpha), tree.stats.pages))
+    return found
+
+
+def assert_same_lookups(got, want):
+    for (ids, ref, pages), (want_ids, want_ref, want_pages) in zip(got,
+                                                                   want):
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(ref, want_ref)
+        assert pages == want_pages
+
+
+class TestNarrowIds:
+    """A leaf record stores its id at the narrowest width that holds the
+    largest id; the page model still charges Eq. (4)'s 8 bytes, so the
+    width moves no page, no answer and no read."""
+
+    @pytest.mark.parametrize("boundary, widths", [(2 ** 8, (1, 2)),
+                                                  (2 ** 16, (2, 4)),
+                                                  (2 ** 32, (4, 8))])
+    def test_merge_across_a_width_is_the_one_shot_build(self, boundary,
+                                                         widths):
+        """Up to 300 rows with the ids just below ``boundary``, then 40
+        from it on."""
+        rng = np.random.default_rng(widths)
+        base = min(boundary, 300)
+        keys, ids, distances = random_rows(rng, 8, base + 40, False,
+                                           first_id=boundary - base)
+        whole = TestMerge.built(8, keys, ids, distances)
+        tree = TestMerge.built(8, keys[:base], ids[:base],
+                               distances[:base])
+        before = tree._record_dtype["id"].itemsize
+        tree.merge(key_matrix(keys[base:], 8), ids[base:], distances[base:])
+        assert (before, tree._record_dtype["id"].itemsize) == widths
+        assert_same_arrays(tree.packed, whole.packed)
+        assert tree.leaf_capacity == empty_tree(8).leaf_capacity
+        probes = keys[::37] + [0, 2 ** 64 - 1]
+        assert_same_lookups(lookups(tree, probes), lookups(whole, probes))
+
+    @pytest.mark.parametrize("mapped", [False, True],
+                             ids=["memory", "mmap"])
+    def test_a_legacy_file_opens_and_folds_narrow(self, mapped, tmp_path):
+        rng = np.random.default_rng(40)
+        keys, ids, distances = random_rows(rng, 8, 700, True)
+        built = TestMerge.built(8, keys[:600], ids[:600], distances[:600])
+        write_legacy_tree(built, tmp_path / "legacy.packed")
+        built.write(tmp_path / "narrow.packed")
+        legacy, narrow = empty_tree(8), empty_tree(8)
+        legacy.read(tmp_path / "legacy.packed", mapped)
+        narrow.read(tmp_path / "narrow.packed", mapped)
+        assert legacy._record_dtype["id"].itemsize == 8
+        assert narrow._record_dtype["id"].itemsize == 2
+        want = layout_arrays(narrow.packed)
+        for name, array in layout_arrays(legacy.packed).items():
+            if name != "values":
+                np.testing.assert_array_equal(array, want[name], name)
+        probes = keys[::97] + [0, 2 ** 64 - 1]
+        assert_same_lookups(lookups(legacy, probes),
+                            lookups(narrow, probes))
+        subset = legacy.positions_of(np.arange(0, 600, 5))
+        for probe in probes:
+            for got, expected in zip(legacy.candidates(probe, 20, subset),
+                                     narrow.candidates(probe, 20, subset)):
+                np.testing.assert_array_equal(got, expected)
+        legacy.merge(key_matrix(keys[600:], 8), ids[600:], distances[600:])
+        assert legacy._record_dtype["id"].itemsize == 2
+        assert_same_arrays(legacy.packed,
+                           TestMerge.built(8, keys, ids, distances).packed)
+
+
 class TestNodeOracleParity:
     """``candidates`` against the node walk of the tree's entries at the
     tree's own capacities: the same entries — as the run of the value
@@ -396,8 +510,7 @@ class TestNodeOracleParity:
         keys, ids, distances = random_rows(rng, width, 700, width == 1)
         tree = TestMerge.built(width, keys, ids, distances)
         walk = node_walk(tree, width, tree.packed.entries(range(700)))
-        oracle, bulk_shaped = node_oracle(tree.packed)
-        assert bulk_shaped
+        oracle = node_oracle(tree.packed)
         assert (oracle.leaves, oracle.nodes) == (walk.leaves, walk.nodes)
         probes = keys[:5] + [0, (1 << (8 * width)) - 1]
         stored = tree.packed.values_raw.reshape(-1).view(tree._record_dtype)
