@@ -58,6 +58,8 @@ META_FILE = "meta.json"
 MANIFEST_FILE = "manifest.json"
 REFERENCES_FILE = "references.npz"
 FORMAT_VERSION = 1
+#: Opens of a root that compactions keep republishing before giving up.
+OPEN_TRIES = 8
 
 
 class PersistenceError(RuntimeError):
@@ -171,6 +173,8 @@ def load_index(directory: str | os.PathLike[str],
     Raises:
         PersistenceError: If the directory is not a valid snapshot, the
             format version is unsupported, or ``backend`` is unknown.
+        WalError: If the log does not extend the published generation,
+            or compactions republished the root under every open.
     """
     directory = os.fspath(directory)
     if backend is not None:
@@ -181,19 +185,34 @@ def load_index(directory: str | os.PathLike[str],
     if wal not in (None, True, False):
         raise PersistenceError(
             f"wal must be True, False or None, got {wal!r}")
-    from repro.wal.manager import attach_wal, resolve_snapshot_dir
-    # A WAL root's CURRENT pointer wins over any stale in-root meta: the
-    # published generation is the durable truth.
-    target = resolve_snapshot_dir(directory)
-    if os.path.exists(os.path.join(target, MANIFEST_FILE)):
-        index = _load_sharded(target, cache_pages, backend)
-    elif os.path.exists(os.path.join(target, META_FILE)):
-        index = _load_hdindex(target, cache_pages, backend)
-    else:
-        raise PersistenceError(
-            f"{directory} has neither {META_FILE} nor {MANIFEST_FILE}")
-    attach_wal(index, directory, wal)
-    return index
+    from repro.wal.log import WalError
+    from repro.wal.manager import attach_wal, published, resolve_snapshot_dir
+    # A seqlock over the generation and its log: a compaction publishes,
+    # then truncates the log, so a pair read across it (an old base, a
+    # later generation's records) is retried, never replayed.  A WAL
+    # root's CURRENT pointer wins over any stale in-root meta.
+    for _ in range(OPEN_TRIES):
+        seen, index = published(directory), None
+        try:
+            target = resolve_snapshot_dir(directory)
+            if os.path.exists(os.path.join(target, MANIFEST_FILE)):
+                index = _load_sharded(target, cache_pages, backend)
+            elif os.path.exists(os.path.join(target, META_FILE)):
+                index = _load_hdindex(target, cache_pages, backend)
+            else:
+                raise PersistenceError(
+                    f"{directory} has neither {META_FILE} nor "
+                    f"{MANIFEST_FILE}")
+            attach_wal(index, directory, wal)
+        except (PersistenceError, WalError):
+            if published(directory) == seen:
+                raise
+        if published(directory) == seen:
+            return index
+        if index is not None:
+            index.close()
+    raise WalError(
+        f"{directory} was republished under each of {OPEN_TRIES} opens")
 
 
 # -- plain / parallel indexes ----------------------------------------------

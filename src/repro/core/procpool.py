@@ -89,14 +89,16 @@ def _worker_init(directory: str, backend: str | None,
                    cache_pages=cache_pages, index=None)
 
 
-def _worker_index():
-    """The worker's own view of the snapshot, reopened on first use."""
+def _worker_index(wal: bool | None = None):
+    """The worker's own view of the snapshot, reopened on first use (a
+    tree scan reads base trees only, so its workers pass ``wal=False``:
+    the parent owns the delta and the log)."""
     index = _WORKER["index"]
     if index is None:
         from repro.core.persistence import load_index
         index = load_index(_WORKER["directory"],
                            cache_pages=_WORKER["cache_pages"],
-                           backend=_WORKER["backend"])
+                           backend=_WORKER["backend"], wal=wal)
         _drop_worker_pools(index)
         _WORKER["index"] = index
     return index
@@ -161,7 +163,7 @@ def _scan_trees_task(tree_indices: list[int], points: np.ndarray,
     there.
     """
     _run_fault_hook()
-    index = _worker_index()
+    index = _worker_index(wal=False)
     engine = index._engine
     eligible = index._eligibility(index._coerce_query_predicate(predicate))
     reads_before = index._total_page_reads()

@@ -48,6 +48,7 @@ __all__ = [
     "generation_name",
     "has_wal_layout",
     "publish_current",
+    "published",
     "read_current",
     "resolve_snapshot_dir",
 ]
@@ -60,6 +61,10 @@ _GENERATION_PREFIX = "gen-"
 #: is fully written but *before* ``CURRENT`` is published — the widest
 #: crash window.  Mirrors ``repro.core.procpool._FAULT_HOOK``.
 _FAULT_HOOK = None
+
+#: Test seam: :func:`attach_wal` calls this (when set) between loading a
+#: generation and reading its log, where a compaction can republish.
+_OPEN_HOOK = None
 
 
 def _run_fault_hook() -> None:
@@ -129,13 +134,21 @@ def publish_current(root: str | os.PathLike[str], name: str) -> None:
     _fsync_dir(root)
 
 
-def _read_generation(snapshot_dir: str) -> int:
-    meta_path = os.path.join(snapshot_dir, "meta.json")
+def _read_generation(snapshot_dir: str, name: str = "meta.json") -> int:
     try:
-        with open(meta_path) as handle:
+        with open(os.path.join(snapshot_dir, name)) as handle:
             return int(json.load(handle).get("generation", 0))
     except (OSError, ValueError):
         return 0
+
+
+def published(root: str | os.PathLike[str]) -> tuple[str | None, int]:
+    """What a compaction republishes before it truncates the log: the
+    ``CURRENT`` pointer and the sharded manifest's generation.  Both only
+    move forward, so an opener that reads the same value before and
+    after reading a generation and its log read a matching pair."""
+    root = os.fspath(root)
+    return read_current(root), _read_generation(root, "manifest.json")
 
 
 def _prune_generations(root: str, keep: set[str]) -> None:
@@ -214,6 +227,9 @@ def attach_wal(index, root: str | os.PathLike[str],
         index._wal_policy = bool(wal)
     if index._wal is not None or not _wants_log(index, has_wal_layout(root)):
         return
+    hook = _OPEN_HOOK
+    if hook is not None:
+        hook()
     records, _ = replay_wal(wal_path(root))
     enable_wal(index, root)
     if hasattr(index, "shards"):

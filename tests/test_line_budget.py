@@ -35,12 +35,18 @@ the count check.  ``PackedTree.to_arrays`` / ``from_arrays`` and the
 sanitizer's bulk-shape flag went (the geometry is never read from
 disk), and one ``storage.pages.read_file`` replaced two copies of the
 map-or-read branch; nothing unrelated was trimmed.
+A sixth raise, 15856 -> 15893, pays for opening a WAL root's
+generation and its log as one pair: ``load_index`` retries an open
+that a compaction republished under (the ``published`` token and the
+bounded loop), the open seam in ``wal/manager.py``, and scan workers
+that open no log; it fixes the intermittent ``WAL id gap`` of the
+online-update acceptance test, and nothing unrelated was trimmed.
 """
 
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
-LINE_BUDGET = 15856
+LINE_BUDGET = 15893
 
 
 def test_source_lines_within_budget():

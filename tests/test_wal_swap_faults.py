@@ -6,7 +6,10 @@ Two deterministic crash seams drive these tests:
   is fully written but *before* ``CURRENT`` is published (the widest
   compaction crash window);
 * :data:`repro.core.procpool._FAULT_HOOK` — fork-inherited, runs at
-  worker task entry (deterministic SIGKILL of a worker process).
+  worker task entry (deterministic SIGKILL of a worker process);
+* :data:`repro.wal.manager._OPEN_HOOK` — runs while an opener holds a
+  loaded generation and has not yet read its log (a compaction run
+  there republishes the root between the two reads).
 
 The contracts under test: a failed compaction leaves ``CURRENT`` (and
 the log) untouched and the index serving correct answers; a worker
@@ -32,10 +35,13 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     IndexSpec,
+    Topology,
     WorkerCrashed,
     build,
     open_index,
 )
+from repro.core.persistence import OPEN_TRIES
+from repro.wal.log import WalError
 from repro.serve import QueryService, ServiceClosed, ServiceConfig
 from repro.wal import WAL_FILE, read_current
 
@@ -65,6 +71,7 @@ def clear_fault_hooks():
     yield
     procpool._FAULT_HOOK = None
     wal_manager._FAULT_HOOK = None
+    wal_manager._OPEN_HOOK = None
 
 
 def _oracle(vectors, deleted=()):
@@ -176,6 +183,125 @@ class TestWorkerDeathAroundSwap:
         finally:
             procpool._FAULT_HOOK = None
             index.close()
+
+
+def _compacting_hook(writer, before=(), after=(), times=1):
+    """An open hook that, on its first ``times`` outermost calls,
+    inserts ``before``, compacts ``writer`` and inserts ``after`` — a
+    compaction landing between an opener's generation and log reads.
+    The compaction's own reopen runs the hook nested and skips it."""
+    state = {"depth": 0, "runs": 0}
+
+    def hook():
+        if state["depth"] or state["runs"] >= times:
+            return
+        state["depth"] += 1
+        try:
+            for vector in before:
+                writer.insert(vector)
+            writer.compact()
+            for vector in after:
+                writer.insert(vector)
+        finally:
+            state["depth"] -= 1
+            state["runs"] += 1
+    return hook, state
+
+
+class TestOpenAcrossCompaction:
+    """A reader's generation and log are one pair: a compaction that
+    publishes and truncates between the two reads is retried, never
+    replayed as an id gap."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_open_retries_a_pair_split_by_compaction(self, tmp_path,
+                                                     clear_fault_hooks,
+                                                     shards):
+        directory = tmp_path / "snap"
+        data = _data()
+        spec = IndexSpec(params=_params(), topology=Topology(shards=shards),
+                         execution=Execution(wal=True))
+        writer = build(spec, data, storage_dir=str(directory))
+        reader = None
+        try:
+            extra = _data(68, 10)
+            for vector in extra[:5]:
+                writer.insert(vector)
+            hook, state = _compacting_hook(writer, extra[5:8], extra[8:])
+            wal_manager._OPEN_HOOK = hook
+            reader = open_index(directory)
+            assert state["runs"] == 1
+            assert reader.generation == writer.generation == 1
+            assert reader.count == writer.count == BASE_N + 10
+            oracle = _oracle(np.vstack([data, extra]))
+            for row in (2, 7):
+                got = reader.query(data[row], 5)
+                want = oracle.query(data[row], 5)
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+            oracle.close()
+        finally:
+            if reader is not None:
+                reader.close()
+            writer.close()
+
+    def test_open_gives_up_on_a_root_republished_every_time(
+            self, tmp_path, clear_fault_hooks):
+        directory = tmp_path / "snap"
+        writer = build(IndexSpec(params=_params(),
+                                 execution=Execution(wal=True)),
+                       _data(), storage_dir=str(directory))
+        try:
+            hook, state = _compacting_hook(writer, times=OPEN_TRIES)
+            wal_manager._OPEN_HOOK = hook
+            with pytest.raises(WalError, match="republished"):
+                open_index(directory)
+            assert state["runs"] == OPEN_TRIES
+            wal_manager._OPEN_HOOK = None
+            reader = open_index(directory)
+            assert reader.generation == writer.generation == OPEN_TRIES
+            reader.close()
+        finally:
+            writer.close()
+
+
+class TestWorkerBootstrap:
+    """Scan workers read base trees only and open no log; serve-tier
+    workers answer whole queries and replay it."""
+
+    @pytest.fixture
+    def logged_root(self, tmp_path):
+        directory = tmp_path / "snap"
+        writer = build(IndexSpec(params=_params(),
+                                 execution=Execution(wal=True)),
+                       _data(), storage_dir=str(directory))
+        for vector in _data(69, 4):
+            writer.insert(vector)
+        writer.close()
+        log = (directory / WAL_FILE).read_bytes()
+        yield directory
+        assert (directory / WAL_FILE).read_bytes() == log
+        worker = procpool._WORKER["index"]
+        if worker is not None:
+            worker.close()
+        procpool._worker_init(None, None, None)
+
+    def test_scan_worker_opens_no_log(self, logged_root):
+        procpool._worker_init(str(logged_root), "mmap", None)
+        survivors, _ = procpool._scan_trees_task(
+            [0, 1], _data()[:2], 512, 512, 512, False)
+        worker = procpool._WORKER["index"]
+        assert worker._wal is None and len(worker._delta) == 0
+        assert worker.count == BASE_N
+        assert all(ids.max() < BASE_N for tree in survivors for ids in tree)
+
+    def test_serve_worker_replays_the_log(self, logged_root):
+        procpool._worker_init(str(logged_root), "mmap", None)
+        extra = _data(69, 4)
+        ids, _ = procpool._query_batch_task(extra[:1], 1, {})
+        worker = procpool._WORKER["index"]
+        assert worker._wal is not None and len(worker._delta) == 4
+        assert int(ids[0][0]) == BASE_N
 
 
 def _make_flag_killer(flag_path):
