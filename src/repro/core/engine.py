@@ -407,7 +407,7 @@ class QueryEngine:
     def _gather_descriptors(self, ids: np.ndarray) -> np.ndarray:
         """Stage-(iii) descriptor fetch, delta-aware: base ids come from
         the heap file's vectorised gather, delta ids from the in-memory
-        segment (same storage dtype, so distances are bit-identical to a
+        segment (the same values, so distances are bit-identical to a
         post-compaction fetch).  ``ids`` is sorted (:func:`sorted_union`)."""
         index = self.index
         # Snapshot the (heap, delta) pair coherently: a fold or a

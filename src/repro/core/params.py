@@ -94,7 +94,11 @@ class HDIndexParams:
     cache_pages:
         Buffer-pool capacity per tree; 0 reproduces the paper's uncached runs.
     storage_dtype:
-        dtype of the descriptor heap file.
+        dtype of the descriptor heap's values: what they are rounded to,
+        what the page model charges a record and what a delta row holds.
+        The file may store them narrower: integer values that round-trip
+        through a narrower unsigned dtype (SIFT's [0, 255] as uint8) are
+        stored at it.
     storage_dir:
         When set, the descriptor heap and every RDB-tree are backed by real
         files in this directory (``descriptors.pages``, ``tree_<i>.packed``)

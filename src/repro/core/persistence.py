@@ -9,7 +9,9 @@ A persisted plain index is a directory containing:
   original indices (the only part of the index that is memory-resident at
   query time, Sec. 4.4.1);
 * ``descriptors.pages`` — the descriptor heap's page matrix, a flat file
-  of whole pages;
+  of whole pages, records at the narrowest lossless width (``meta.json``'s
+  heap ``stored`` dtype: uint8 for SIFT-like data) while the page model
+  charges the storage dtype;
 * ``tree_<i>.packed`` — one file per RDB-tree: its key and record columns
   (:mod:`repro.btree.packed`), ids at the narrowest width that holds
   them; the page geometry is laid out again at open from the count and
@@ -17,8 +19,8 @@ A persisted plain index is a directory containing:
   same container).
 
 Files a reader may have mapped are replaced (``replace_file``), never
-truncated.  A torn or foreign tree, metadata or reference file is
-refused with a :class:`PersistenceError` naming it.
+truncated.  A torn or foreign heap, tree, metadata or reference file
+is refused with a :class:`PersistenceError` naming it.
 
 A persisted :class:`~repro.core.router.ShardRouter` is a directory
 containing a ``manifest.json`` (shard count, global-id layout, base
@@ -51,7 +53,7 @@ from repro.core.spec import Execution, Topology, params_from_dict
 from repro.core.rdbtree import RDBTree
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore
-from repro.storage.pages import read_file, replace_file
+from repro.storage.pages import StorageError, read_file, replace_file
 from repro.storage.vectors import VectorHeapFile
 
 META_FILE = "meta.json"
@@ -272,7 +274,8 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
                       "high": index.quantizer.high,
                       "order": index.quantizer.order},
         "heap": {"count": len(index.heap),
-                 "dtype": str(np.dtype(index.params.storage_dtype))},
+                 "dtype": str(np.dtype(index.params.storage_dtype)),
+                 "stored": str(index.heap.stored_dtype)},
         "trees": [tree.state() for tree in index.trees],
     }
     replace_file(os.path.join(directory, META_FILE),
@@ -314,13 +317,20 @@ def _load_hdindex(directory: str, cache_pages: int | None,
                                _read_references)
     index.metadata = _load_metadata_sidecar(directory, backend)
 
-    heap_path = os.path.join(directory, "descriptors.pages")
-    index.heap = VectorHeapFile(
-        index.dim, meta["heap"]["dtype"], params.page_size,
-        params.cache_pages, heap_path if backend == "mmap" else None)
-    if backend == "memory":
-        index.heap.read(heap_path)
-    index.heap.restore_count(int(meta["heap"]["count"]))
+    def open_heap(path: str) -> VectorHeapFile:
+        os.stat(path)  # a missing file is no empty heap
+        heap = VectorHeapFile(index.dim, meta["heap"]["dtype"],
+                              params.page_size, params.cache_pages,
+                              path if backend == "mmap" else None)
+        if backend == "memory":
+            heap.read(path)
+        # A snapshot without "stored" predates narrow records.
+        heap.restore_count(int(meta["heap"]["count"]),
+                           meta["heap"].get("stored"))
+        return heap
+
+    index.heap = _decode(os.path.join(directory, "descriptors.pages"),
+                         open_heap)
     index._delta = index._empty_delta()
 
     index.trees = []
@@ -354,8 +364,8 @@ def _decode(path: str, read):
     tripped on."""
     try:
         return read(path)
-    except (EOFError, KeyError, OSError, ValueError, struct.error,
-            zipfile.BadZipFile) as exc:
+    except (EOFError, KeyError, OSError, StorageError, ValueError,
+            struct.error, zipfile.BadZipFile) as exc:
         raise PersistenceError(
             f"{path} is missing, damaged or not a snapshot file "
             f"({type(exc).__name__}: {exc})") from None

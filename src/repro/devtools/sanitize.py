@@ -136,11 +136,11 @@ def _install_heap_checks() -> None:
 
     def read_only(original: Callable[..., Any]) -> Callable[..., Any]:
         def wrapper(self: Any) -> Any:
-            matrix, count = original(self)
-            if matrix.flags.writeable:
+            state = original(self)
+            if state[0].flags.writeable:
                 raise SanitizerError(
                     "the heap published a writable page matrix")
-            return matrix, count
+            return state
         return wrapper
 
     _patch(ModelledPool, "record_read_many", bounded)

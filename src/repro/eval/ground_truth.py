@@ -17,8 +17,10 @@ def exact_knn(data: np.ndarray, queries: np.ndarray, k: int,
     """True k nearest neighbours of each query.
 
     Returns ``(ids, distances)`` of shape (Q, k), rows ordered by increasing
-    distance, ties broken by id for determinism.  Queries are processed in
-    blocks to bound the distance-matrix footprint.
+    distance, ties broken by id for determinism — also a tie that
+    straddles the k-th place, which keeps its lowest ids.  Queries are
+    processed in blocks to bound the distance-matrix footprint; the data's
+    squared norms are computed once.
     """
     data = np.asarray(data, dtype=np.float64)
     queries = np.asarray(queries, dtype=np.float64)
@@ -32,18 +34,16 @@ def exact_knn(data: np.ndarray, queries: np.ndarray, k: int,
         raise ValueError(f"k must be in [1, {n}], got {k}")
     all_ids = np.empty((queries.shape[0], k), dtype=np.int64)
     all_dists = np.empty((queries.shape[0], k), dtype=np.float64)
+    data_sq = np.einsum("ij,ij->i", data, data)
     for start in range(0, queries.shape[0], block):
         chunk = queries[start:start + block]
-        distances = pairwise_euclidean(chunk, data)
-        # Stable two-key selection: distance first, id second.
-        if k < n:
-            part = np.argpartition(distances, k, axis=1)[:, :k]
-        else:
-            part = np.tile(np.arange(n), (chunk.shape[0], 1))
+        distances = pairwise_euclidean(chunk, data, b_sq=data_sq)
+        # Every column at or below the k-th smallest distance (a tie at
+        # the cut kept whole), then the two-key order: distance, then id.
+        cut = np.partition(distances, k - 1, axis=1)[:, k - 1]
         for row in range(chunk.shape[0]):
-            ids = part[row]
-            order = np.lexsort((ids, distances[row, ids]))
-            chosen = ids[order][:k]
+            ids = np.flatnonzero(distances[row] <= cut[row])
+            chosen = ids[np.lexsort((ids, distances[row, ids]))][:k]
             all_ids[start + row] = chosen
             all_dists[start + row] = distances[row, chosen]
     return all_ids, all_dists

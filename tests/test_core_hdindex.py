@@ -1,6 +1,7 @@
 """Integration tests for the full HD-Index (Algo. 1 + Algo. 2)."""
 
 import hashlib
+import json
 import tracemalloc
 
 import numpy as np
@@ -11,6 +12,7 @@ from repro.datasets import make_dataset
 from repro.eval import exact_knn, mean_average_precision
 from repro.storage import unpack_arrays
 from test_core_rdbtree import write_legacy_tree
+from test_storage_heap_parity import write_parent_heap
 
 
 def small_params(**overrides):
@@ -292,6 +294,14 @@ def column_digests(directory, num_references):
     return digests
 
 
+def heap_digest(directory):
+    """sha256 prefix of a snapshot's decoded heap values as ``<f4``, in
+    id order, at whatever width ``descriptors.pages`` stores them."""
+    with load_index(directory, backend="memory") as index:
+        values = index.heap.scan().astype("<f4")
+    return hashlib.sha256(values.tobytes()).hexdigest()[:16]
+
+
 class TestFrozenBuild:
     """Every file of three seeded n = 3000 snapshots, hashed at the
     commit before the build ran in row blocks (quantised once into the
@@ -307,11 +317,17 @@ class TestFrozenBuild:
     ``tree_*.packed`` digests were re-taken when tree files began storing
     ids at the narrowest width and no page geometry; ``COLUMNS``, digests
     of each tree's decoded keys, ids and distances taken at the commit
-    before, shows the entries themselves did not move."""
+    before, shows the entries themselves did not move.  The
+    ``descriptors.pages`` digests were re-taken when the heap began
+    storing integer-valued records at the narrowest width (uint8 here):
+    ``HEAP``, the digest of the decoded values as float32 taken at the
+    commit before, shows the values did not move, and ``meta.json`` is
+    checked as that commit wrote it, without the heap's new ``stored``
+    entry."""
 
     DIGESTS = {
         "memory": {
-            "descriptors.pages": "16d6c31fdf8291e5",
+            "descriptors.pages": "338704459076e1de",
             "meta.json": "b446b85cd7a8b43b",
             "references.npz": "f44136192ad46105",
             "tree_0.packed": "b8787d0cfd17f6d7",
@@ -322,7 +338,7 @@ class TestFrozenBuild:
             "tree_5.packed": "cccd0897c726d8ae",
         },
         "streaming": {
-            "descriptors.pages": "16d6c31fdf8291e5",
+            "descriptors.pages": "338704459076e1de",
             "meta.json": "8dd5b2bd46ddde8c",
             "references.npz": "17ce5fcbb1dc712e",
             "tree_0.packed": "1394fa5b42bca386",
@@ -333,7 +349,7 @@ class TestFrozenBuild:
             "tree_5.packed": "10bede5345f7b476",
         },
         "labelled": {
-            "descriptors.pages": "16d6c31fdf8291e5",
+            "descriptors.pages": "338704459076e1de",
             "meta.json": "069e47be8645530d",
             "metadata.packed": "9a3ae8688ae8ea4e",
             "references.npz": "f44136192ad46105",
@@ -345,7 +361,7 @@ class TestFrozenBuild:
             "tree_5.packed": "07b8519d5a2ffc8b",
         },
         "relaxed": {
-            "descriptors.pages": "16d6c31fdf8291e5",
+            "descriptors.pages": "338704459076e1de",
             "meta.json": "d34986cbd90a51ee",
             "references.npz": "3bf0b4a0f9d58e78",
             "tree_0.packed": "389a26029c2e9ade",
@@ -392,6 +408,10 @@ class TestFrozenBuild:
         },
     }
 
+    #: Every build's heap values, decoded as float32, before narrow
+    #: records.
+    HEAP = "16d6c31fdf8291e5"
+
     #: The memory build's tree files before narrow ids, which
     #: ``write_legacy_tree`` must write again byte for byte.
     LEGACY = {
@@ -431,8 +451,23 @@ class TestFrozenBuild:
                                       "relaxed"])
     def test_snapshot_files_are_the_parents(self, kind, tmp_path):
         self.build(kind, tmp_path)
-        assert snapshot_digests(tmp_path) == self.DIGESTS[kind]
+        digests = snapshot_digests(tmp_path)
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert meta["heap"].pop("stored") == "uint8"
+        digests["meta.json"] = hashlib.sha256(
+            json.dumps(meta, indent=2).encode()).hexdigest()[:16]
+        assert digests == self.DIGESTS[kind]
         assert column_digests(tmp_path, 6) == self.COLUMNS[kind]
+        assert heap_digest(tmp_path) == self.HEAP
+
+    def test_parent_heap_writer_writes_the_parents_file(self, tmp_path):
+        """The parent-format heap tests stand on a writer of the old
+        heap: it writes the memory build's values as they were written."""
+        self.build("memory", tmp_path)
+        with load_index(tmp_path, backend="memory") as index:
+            write_parent_heap(tmp_path / "parent.pages", index.heap.scan(),
+                              index.params.page_size)
+        assert snapshot_digests(tmp_path)["parent.pages"] == self.HEAP
 
     def test_legacy_writer_writes_the_parents_files(self, tmp_path):
         """The legacy-format tests stand on a writer of the old format:

@@ -358,6 +358,56 @@ class TestTornFiles:
         with pytest.raises(PersistenceError, match=re.escape(name)):
             load_index(directory, backend=backend)
 
+    #: Cuts of ``descriptors.pages`` (4 KiB pages): torn mid-page, torn
+    #: with a partial page after, empty, and whole pages too few for the
+    #: count ``meta.json`` records.
+    HEAP_CUTS = {"half": lambda raw: raw[:len(raw) // 2],
+                 "half_plus_100": lambda raw: raw[:len(raw) // 2 + 100],
+                 "empty": lambda raw: b"",
+                 "page_aligned": lambda raw: raw[:4096]}
+
+    @pytest.fixture(scope="class")
+    def snapshots(self, snapshot, workload, tmp_path_factory):
+        """The float snapshot (a float32 heap) and one of the rounded
+        data (a uint8 heap)."""
+        data, _ = workload
+        index = HDIndex(params())
+        index.build(np.rint(data))
+        directory = tmp_path_factory.mktemp("integer")
+        save_index(index, directory)
+        index.close()
+        return {"float32": snapshot, "uint8": directory}
+
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    @pytest.mark.parametrize("cut", sorted(HEAP_CUTS))
+    @pytest.mark.parametrize("stored", ["float32", "uint8"])
+    def test_a_torn_heap_is_refused_naming_it(self, snapshots, tmp_path,
+                                              stored, cut, backend):
+        directory = shutil.copytree(snapshots[stored], tmp_path / "copy")
+        meta = json.loads((directory / "meta.json").read_text())
+        assert meta["heap"]["stored"] == stored
+        path = directory / "descriptors.pages"
+        path.write_bytes(self.HEAP_CUTS[cut](path.read_bytes()))
+        with pytest.raises(PersistenceError,
+                           match=re.escape("descriptors.pages")):
+            load_index(directory, backend=backend)
+
+    @pytest.mark.parametrize("backend", ["memory", "mmap"])
+    @pytest.mark.parametrize("stored", ["uint24", "V3", "float16", "int8",
+                                        "uint16"])
+    def test_a_heap_of_a_foreign_width_is_refused(self, snapshots,
+                                                  tmp_path, stored,
+                                                  backend):
+        """Widths outside {1, 2, 4, 8}, signed or float records, and a
+        width whose records the pages cannot hold (u2 over u1 pages)."""
+        directory = shutil.copytree(snapshots["uint8"], tmp_path / "copy")
+        meta = json.loads((directory / "meta.json").read_text())
+        meta["heap"]["stored"] = stored
+        (directory / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(PersistenceError,
+                           match=re.escape("descriptors.pages")):
+            load_index(directory, backend=backend)
+
     @pytest.mark.parametrize("defect", ["rows", "width", "leaf_capacity"])
     def test_a_tree_unlike_the_recorded_one_is_refused(self, snapshot,
                                                        tmp_path, defect):

@@ -126,13 +126,14 @@ class TestMmapWriteProtection:
             assert not matrix.flags.writeable
             with pytest.raises(ValueError):
                 matrix[0, 0] = 1
-            # The data itself is still readable and correct.
-            assert bytes(matrix[0, :128]) == data.tobytes()
+            # The data itself is still readable and correct, stored at
+            # one byte a value (integers in [0, 255]).
+            assert bytes(matrix[0, :32]) == data.astype(np.uint8).tobytes()
             heap.close()
 
     def test_writable_matrix_raises(self, sanitized):
         heap = heap_file_from_array(np.zeros((8, 4)), page_size=256)
-        heap._state = (heap._buffer, 8)  # seeded: the raw buffer
+        heap._state = (heap._buffer, 8, heap.stored_dtype)  # seeded: raw
         with pytest.raises(SanitizerError, match="writable"):
             heap.gather([0])
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.distance import pairwise_euclidean
 from repro.eval import GroundTruth, exact_knn
 
 
@@ -55,6 +56,30 @@ class TestExactKnn:
         data = np.zeros((4, 3))  # all identical -> all distances tie
         ids, _ = exact_knn(data, np.zeros(3), k=3)
         assert ids[0].tolist() == [0, 1, 2]
+
+    def test_a_tie_straddling_the_cut_keeps_its_lowest_ids(self):
+        """Five copies of each of 50 small-integer rows: most queries have
+        a tie across the k-th place, which ``argpartition`` cut at
+        arbitrary members (19 of these 20 rows differed).  Oracle: the
+        (distance, id) order of the same distance matrix, brute force."""
+        rng = np.random.default_rng(0)
+        data = np.repeat(rng.integers(0, 3, (50, 4)).astype(float), 5,
+                         axis=0)
+        queries = rng.integers(0, 3, (20, 4)).astype(float)
+        ids, dists = exact_knn(data, queries, k=7)
+        distances = pairwise_euclidean(queries, data)
+        for row in range(len(queries)):
+            order = np.lexsort((np.arange(len(data)), distances[row]))[:7]
+            np.testing.assert_array_equal(ids[row], order)
+            np.testing.assert_array_equal(dists[row], distances[row, order])
+
+    def test_data_norms_taken_once_give_the_same_bits(self):
+        rng = np.random.default_rng(4)
+        data = rng.normal(size=(120, 9))
+        queries = rng.normal(size=(11, 9))
+        _, dists = exact_knn(data, queries, k=120, block=4)
+        np.testing.assert_array_equal(
+            dists, np.sort(pairwise_euclidean(queries, data), axis=1))
 
     def test_invalid_k_rejected(self):
         data = np.eye(3)

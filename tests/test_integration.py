@@ -82,8 +82,12 @@ class TestDiskResidence:
         np.testing.assert_allclose(got, ds.data[137], atol=1e-3)
         size = heap.size_bytes()
         heap.close()
-        assert (tmp_path / "vectors.pages").stat().st_size == size \
-            == -(-200 // heap.records_per_page) * heap.page_size
+        # The model charges float32 records; the file stores one byte a
+        # value (SIFT-like integers in [0, 255]).
+        assert size == -(-200 // heap.records_per_page) * heap.page_size
+        assert heap.stored_dtype == np.uint8
+        assert (tmp_path / "vectors.pages").stat().st_size \
+            == -(-200 // (heap.page_size // ds.dim)) * heap.page_size
 
     def test_buffering_reduces_reads_but_not_results(self):
         """The buffering ablation: cached and uncached indexes answer

@@ -8,6 +8,7 @@ page partly, or span pages — and no second fetch path to fall into.
 
 import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -242,6 +243,78 @@ class TestFileBackendRemoved:
             load_index(tmp_path)
         with pytest.raises(PersistenceError, match="MIGRATION"):
             load_index(directory, backend="file")
+
+
+def write_parent_heap(path, values, page_size):
+    """``descriptors.pages`` as releases before narrow records wrote it:
+    float32 records whatever the values, ``page_size // record`` to a
+    page, zeros after the last (records of at most a page)."""
+    values = np.asarray(values, dtype=np.float32)
+    record = values.shape[1] * 4
+    per_page = page_size // record
+    padded = np.zeros((-(-len(values) // per_page) * per_page,
+                       values.shape[1]), dtype=np.float32)
+    padded[:len(values)] = values
+    pages = np.zeros((len(padded) // per_page, page_size), dtype=np.uint8)
+    pages[:, :per_page * record] = padded.view(np.uint8).reshape(
+        len(pages), -1)
+    path.write_bytes(pages.tobytes())
+
+
+class TestParentFormatHeap:
+    """A snapshot written before narrow records — integer values in
+    float32 records, no heap ``stored`` entry in ``meta.json`` — opens as
+    written on both backends and answers like the narrow snapshot of the
+    same build; nothing rewrites it just to narrow it."""
+
+    @pytest.fixture(scope="class")
+    def snapshots(self, tmp_path_factory):
+        rng = np.random.default_rng(11)
+        data = rng.integers(0, 101, size=(242, 8)).astype(float)
+        queries = rng.uniform(0, 100, size=(6, 8))
+        narrow = tmp_path_factory.mktemp("narrow")
+        with repro.build(params(), data) as index:
+            save_index(index, narrow)
+        parent = tmp_path_factory.mktemp("parent")
+        shutil.copytree(narrow, parent, dirs_exist_ok=True)
+        write_parent_heap(parent / "descriptors.pages", data, PAGE)
+        meta = json.loads((parent / "meta.json").read_text())
+        assert meta["heap"].pop("stored") == "uint8"
+        (parent / "meta.json").write_text(json.dumps(meta, indent=2))
+        return data, queries, narrow, parent
+
+    @pytest.mark.parametrize("cache_pages", CACHES)
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_opens_as_written_and_answers_alike(self, snapshots, backend,
+                                                cache_pages):
+        data, queries, narrow, parent = snapshots
+        with load_index(narrow, backend=backend,
+                        cache_pages=cache_pages) as new, \
+                load_index(parent, backend=backend,
+                           cache_pages=cache_pages) as old:
+            assert new.heap.stored_dtype == np.uint8
+            assert old.heap.stored_dtype == np.float32
+            assert len(old.heap.page_matrix()) == 61 \
+                == 4 * len(new.heap.page_matrix()) - 3
+            for got, want in zip(drive(old, queries), drive(new, queries)):
+                np.testing.assert_array_equal(got[0], want[0])
+                np.testing.assert_array_equal(got[1], want[1])
+            assert old.io_snapshot() == new.io_snapshot()
+            np.testing.assert_array_equal(old.heap.scan(),
+                                          data.astype(np.float32))
+
+    def test_a_fold_keeps_it_wide(self, snapshots, tmp_path):
+        data, queries, _, parent = snapshots
+        directory = shutil.copytree(parent, tmp_path / "copy")
+        with load_index(directory) as index:
+            index.insert(data[0])
+            index.compact()
+            assert index.heap.stored_dtype == np.float32
+        meta = json.loads((directory / "meta.json").read_text())
+        assert meta["heap"]["stored"] == "float32"
+        with load_index(directory, backend="memory") as index:
+            np.testing.assert_array_equal(
+                index.heap.scan(), np.vstack([data, data[:1]]))
 
 
 class HeapModel:

@@ -227,11 +227,11 @@ class TestVectorHeapOnMmap:
         data = np.arange(20, dtype=np.float64).reshape(5, 4)
         heap = heap_file_from_array(data, page_size=64, path=path)
         heap.append(np.full(4, 7.0))
-        count = len(heap)
+        count, stored = len(heap), heap.stored_dtype
         heap.close()
         reopened = VectorHeapFile(dim=4, dtype=np.float32, page_size=64)
         reopened.read(path)
-        reopened.restore_count(count)
+        reopened.restore_count(count, stored)
         np.testing.assert_array_equal(
             reopened.fetch(count - 1), np.full(4, 7.0, np.float32))
         reopened.close()

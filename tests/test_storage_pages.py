@@ -94,26 +94,31 @@ class TestFilePageStore:
     """The one page file left — the descriptor heap's: a flat file of
     whole pages, grown by appending (16 B records, 4 to a 64 B page)."""
 
-    def test_reopen_after_close_continues_allocation(self, tmp_path):
+    @pytest.mark.parametrize("offset,stored,pages", [
+        (0.5, "float32", (2, 3)), (0.0, "uint8", (1, 1))])
+    def test_reopen_after_close_continues_allocation(self, tmp_path, offset,
+                                                     stored, pages):
         """Close -> reopen -> keep appending: the insert-on-loaded-snapshot
-        path the persistence layer depends on."""
+        path the persistence layer depends on, for float32 records and
+        for integers stored a byte a value (4 B records, 16 a page)."""
         path = tmp_path / "pages.bin"
-        rows = np.arange(40, dtype=np.float32).reshape(10, 4)
+        rows = np.arange(40, dtype=np.float32).reshape(10, 4) + offset
         heap = VectorHeapFile(4, np.float32, 64, path=path)
         heap.append_batch(rows[:6])
+        assert heap.stored_dtype == stored
         heap.close()
         with pytest.raises(StorageError):
             heap.fetch(0)  # a closed heap stays closed
         reopened = VectorHeapFile(4, np.float32, 64, path=path)
-        reopened.restore_count(6)
-        assert len(reopened.page_matrix()) == 2
+        reopened.restore_count(6, stored)
+        assert len(reopened.page_matrix()) == pages[0]
         # Ids continue past the reopen, into the page left half full.
         np.testing.assert_array_equal(
             reopened.append_batch(rows[6:]), [6, 7, 8, 9])
         reopened.close()
         final = VectorHeapFile(4, np.float32, 64, path=path)
-        final.restore_count(10)
-        assert len(final.page_matrix()) == 3
+        final.restore_count(10, stored)
+        assert len(final.page_matrix()) == pages[1]
         np.testing.assert_array_equal(final.scan(), rows)
         final.close()
 
@@ -147,16 +152,18 @@ class TestFilePageStore:
             with pytest.raises(StorageError, match="closed"):
                 call()
 
-    @pytest.mark.parametrize("dim,records,pages", [
-        (4, 0, 0), (4, 1, 1), (4, 4, 1), (4, 5, 2), (4, 9, 3),
-        (32, 3, 6)])
-    def test_size_bytes_counts_whole_pages(self, dim, records, pages):
-        """16-byte records fill a 64-byte page four at a time; a 128-byte
-        record takes two pages of its own."""
+    @pytest.mark.parametrize("dim,records,pages,stored_pages", [
+        (4, 0, 0, 0), (4, 1, 1, 1), (4, 4, 1, 1), (4, 5, 2, 1),
+        (4, 9, 3, 1), (32, 3, 6, 2)])
+    def test_size_bytes_counts_whole_pages(self, dim, records, pages,
+                                           stored_pages):
+        """The model's 16-byte records fill a 64-byte page four at a time;
+        a 128-byte record takes two pages of its own.  The file stores the
+        zeros a byte a value: 4 B records sixteen a page, 32 B two."""
         heap = VectorHeapFile(dim, np.float32, 64)
         heap.append_batch(np.zeros((records, dim)))
         assert heap.size_bytes() == pages * 64
-        assert heap.page_matrix().shape == (pages, 64)
+        assert heap.page_matrix().shape == (stored_pages, 64)
         assert heap.stats.page_writes == pages
 
     @pytest.mark.parametrize("on_disk", [False, True])
