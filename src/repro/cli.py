@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Seven commands cover the library's main workflows without writing code:
+Six commands cover the library's main workflows without writing code:
 
 * ``info``      — list dataset configurations and paper-recommended params;
 * ``build``     — build the index an :class:`~repro.core.IndexSpec`
@@ -18,9 +18,6 @@ Seven commands cover the library's main workflows without writing code:
   or, with ``--listen HOST:PORT``, expose it over TCP through a
   :class:`~repro.serve.ServeGateway` until SIGTERM/SIGINT triggers a
   graceful drain;
-* ``route``     — send a query workload through a
-  :class:`~repro.serve.ReplicaRouter` over a set of running gateways,
-  reporting per-replica placement, failover and latency;
 * ``compare``   — run several methods on one dataset and print the
   comparison table (a Fig. 8 row group on demand).
 
@@ -84,16 +81,6 @@ def _host_port(text: str) -> tuple[str, int]:
     if not 0 <= port <= 65535:
         raise argparse.ArgumentTypeError(f"port out of range: {port}")
     return host, port
-
-
-def _endpoint_list(text: str) -> list[tuple[str, int]]:
-    """Parse a comma-separated ``HOST:PORT,HOST:PORT`` replica list."""
-    endpoints = [_host_port(part.strip())
-                 for part in text.split(",") if part.strip()]
-    if not endpoints:
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT[,HOST:PORT...], got {text!r}")
-    return endpoints
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -220,21 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--default-deadline-ms", type=float, default=None,
                        help="deadline for requests that carry none "
                             "(--listen only)")
-
-    route = commands.add_parser(
-        "route", help="query a replica set of running serve gateways")
-    route.add_argument("--replicas", type=_endpoint_list, required=True,
-                       metavar="HOST:PORT,HOST:PORT",
-                       help="gateway endpoints (each started with "
-                            "`repro serve --listen` or "
-                            "`python -m repro.serve.server`)")
-    _add_data_arguments(route)
-    route.add_argument("-k", type=int, default=10)
-    route.add_argument("--repeat", type=_positive_int, default=1,
-                       help="send the query workload this many times")
-    route.add_argument("--deadline-ms", type=float, default=None,
-                       help="end-to-end per-query deadline; late answers "
-                            "come back as DeadlineExceeded, not hangs")
 
     compare = commands.add_parser(
         "compare", help="compare methods on one dataset")
@@ -663,40 +635,6 @@ def _serve_listen(args, index, config, service_kwargs, out) -> int:
     return 0
 
 
-def cmd_route(args, out=sys.stdout) -> int:
-    import asyncio
-    import time
-
-    from repro.serve import ReplicaRouter
-
-    _, queries, _ = _load_workload(args)
-    workload = np.tile(queries, (args.repeat, 1))
-
-    async def run():
-        router = ReplicaRouter(args.replicas)
-        try:
-            started = time.perf_counter()
-            results = await router.query_many(
-                workload, args.k, deadline_ms=args.deadline_ms)
-            elapsed = time.perf_counter() - started
-            return results, elapsed, router.counters
-        finally:
-            await router.close()
-
-    results, elapsed, counters = asyncio.run(run())
-    failures = [r for r in results if isinstance(r, BaseException)]
-    answered = len(results) - len(failures)
-    print(f"routed {len(results)} queries over {len(args.replicas)} "
-          f"replicas in {elapsed:.2f}s -> "
-          f"{len(results) / elapsed:.1f} q/s", file=out)
-    print(f"answered {answered}, failed {len(failures)}, "
-          f"failovers {counters['failovers']}", file=out)
-    if failures:
-        print(f"error: first failure: {failures[0]!r}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def cmd_compare(args, out=sys.stdout) -> int:
     from repro.baselines import (
         C2LSH,
@@ -760,7 +698,6 @@ COMMANDS = {
     "compact": cmd_compact,
     "query": cmd_query,
     "serve": cmd_serve,
-    "route": cmd_route,
     "compare": cmd_compare,
 }
 

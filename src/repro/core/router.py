@@ -40,42 +40,6 @@ from repro.meta import MetadataStore
 from repro.wal.manager import compact_router, open_log, resolve_snapshot_dir
 
 
-def placement_order(key: bytes, nodes: int, salt: bytes = b"") -> list[int]:
-    """Rendezvous (highest-random-weight) preference order of ``nodes``
-    placements for one routing key.
-
-    The serve tier's :class:`~repro.serve.router.ReplicaRouter` routes
-    each query by its byte content: ``placement_order(point.tobytes(),
-    n)[0]`` is the query's home replica (stable across clients and
-    processes, so repeated queries land on the same replica's LRU
-    cache), and the rest of the list is the failover order.  Unlike
-    :class:`ShardRouter`'s contiguous id ranges — where every shard
-    holds *different* data and a query must visit all of them — replicas
-    hold the *same* snapshot, so one placement answers and the others
-    are spares.
-
-    Removing a node only reassigns the keys that lived on it (the
-    consistent-hashing property): every other key keeps its placement.
-
-    >>> placement_order(b"query-bytes", 3) == placement_order(
-    ...     b"query-bytes", 3)
-    True
-    >>> sorted(placement_order(b"q", 4))
-    [0, 1, 2, 3]
-    """
-    import hashlib
-    if nodes < 1:
-        raise ValueError(f"nodes must be >= 1, got {nodes}")
-    scores = []
-    for node in range(nodes):
-        digest = hashlib.blake2b(
-            key, digest_size=8,
-            key=salt + node.to_bytes(4, "big")).digest()
-        scores.append((digest, node))
-    scores.sort(reverse=True)
-    return [node for _, node in scores]
-
-
 class ShardRouter(KNNIndex):
     """Horizontal sharding over independent HD-Index instances.
 

@@ -64,32 +64,19 @@ class Topology:
         ``"mmap"`` per shard — for heterogeneous deployments
         (e.g. the hot shard in RAM, the cold tail mmap'd).  ``None`` gives
         every shard the spec-level backend.
-    replicas:
-        Number of identical serving replicas the deployment fronts
-        (each replica is one gateway process over its own reopen of the
-        same snapshot; see :mod:`repro.serve.router`).  Purely a serving
-        axis — it does not change how the index is built or persisted —
-        but recording it in the spec lets one JSON file describe the
-        whole deployment, and ``repro route`` derive its replica count.
 
     >>> Topology(shards=2).shards
     2
     >>> Topology(shards=2, shard_backends=("memory", "mmap")).shard_backends
     ('memory', 'mmap')
-    >>> Topology(replicas=3).replicas
-    3
     """
 
     shards: int = 1
     shard_backends: tuple[str, ...] | None = None
-    replicas: int = 1
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.replicas < 1:
-            raise ValueError(
-                f"replicas must be >= 1, got {self.replicas}")
         if self.shard_backends is not None:
             backends = tuple(self.shard_backends)
             object.__setattr__(self, "shard_backends", backends)
@@ -104,15 +91,15 @@ class Topology:
         return {"shards": self.shards,
                 "shard_backends": (None if self.shard_backends is None
                                    else list(self.shard_backends)),
-                "replicas": self.replicas}
+                # Not a field; written so snapshot JSON stays byte-identical.
+                "replicas": 1}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Topology":
         backends = data.get("shard_backends")
         return cls(shards=int(data.get("shards", 1)),
                    shard_backends=(None if backends is None
-                                   else tuple(backends)),
-                   replicas=int(data.get("replicas", 1)))
+                                   else tuple(backends)))
 
 
 @dataclass(frozen=True)

@@ -9,11 +9,10 @@ backpressure bound on queue depth.  Combined with whole-family
 build offline, snapshot, then serve online without rebuilding.
 
 The network tier layers on top: ``ServeGateway`` exposes a service over
-TCP (length-prefixed JSON frames, see :mod:`repro.serve.protocol`),
-``ServeClient``/``AsyncServeClient`` speak to it with the same typed
-errors as the in-process API, and ``ReplicaRouter`` fans queries over a
-replica set with consistent placement and failover.  The
-``python -m repro.serve.server`` entry runs one gateway per process.
+TCP (length-prefixed JSON frames, see :mod:`repro.serve.protocol`), and
+``AsyncServeClient`` speaks to it with the same typed errors as the
+in-process API.  The ``python -m repro.serve.server`` entry runs one
+gateway per process.
 """
 
 from repro.core.procpool import (
@@ -22,10 +21,9 @@ from repro.core.procpool import (
     WorkerTimeout,
 )
 from repro.serve.cache import ResultCache, canonical_overrides, make_key
-from repro.serve.client import AsyncServeClient, ServeClient
+from repro.serve.client import AsyncServeClient
 from repro.serve.gateway import GatewayConfig, ServeGateway
 from repro.serve.protocol import ProtocolError, RemoteError
-from repro.serve.router import NoReplicaAvailable, ReplicaRouter
 from repro.serve.service import (
     DeadlineExceeded,
     QueryService,
@@ -39,14 +37,11 @@ __all__ = [
     "AsyncServeClient",
     "DeadlineExceeded",
     "GatewayConfig",
-    "NoReplicaAvailable",
     "ProcessPoolError",
     "ProtocolError",
     "QueryService",
     "RemoteError",
-    "ReplicaRouter",
     "ResultCache",
-    "ServeClient",
     "ServeGateway",
     "ServiceClosed",
     "ServiceConfig",

@@ -1,121 +1,29 @@
-"""Clients for the serve gateway: blocking :class:`ServeClient` and
-event-loop-native :class:`AsyncServeClient`.
+"""The serve gateway's client: :class:`AsyncServeClient`.
 
-Both speak the frame protocol of :mod:`repro.serve.protocol` and raise
+It speaks the frame protocol of :mod:`repro.serve.protocol` and raises
 the *same typed exceptions* the in-process API does — a query rejected
 by an overloaded server raises :class:`~repro.serve.ServiceOverloaded`
 here, a blown budget raises :class:`~repro.serve.DeadlineExceeded` — so
-calling code (the CLI, the :class:`~repro.serve.router.ReplicaRouter`,
-tests asserting parity) cannot tell a remote service from a local one
-except by the socket in between.
+calling code (the benchmark's load generator, tests asserting parity)
+cannot tell a remote service from a local one except by the socket in
+between.  A response that does not arrive within the call's timeout
+raises the builtin :class:`TimeoutError`.
 
-The sync client is deliberately lockstep (one request outstanding,
-guarded by a lock so it is thread-safe); the async client multiplexes —
-a background reader task matches responses to callers by ``id``, so any
-number of coroutines can have queries in flight on one connection.
+The client multiplexes: a background reader task matches responses to
+callers by ``id``, so any number of coroutines can have queries in
+flight on one connection.  Blocking code drives it with
+``asyncio.run``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import socket
-import threading
 from typing import Any
 
 import numpy as np
 
 from repro.serve import protocol
-
-
-class ServeClient:
-    """Blocking gateway client over one TCP connection.
-
-    Lockstep request/response (thread-safe: concurrent callers
-    serialise on an internal lock).  Usable as a context manager::
-
-        with ServeClient("127.0.0.1", 7707) as client:
-            ids, dists = client.query(point, k=10)
-    """
-
-    def __init__(self, host: str, port: int,
-                 connect_timeout: float = 10.0) -> None:
-        self.host = host
-        self.port = port
-        self._sock = socket.create_connection((host, port),
-                                              timeout=connect_timeout)
-        self._sock.settimeout(None)
-        self._decoder = protocol.FrameDecoder()
-        self._lock = threading.Lock()
-        self._ids = itertools.count(1)
-
-    def _roundtrip(self, message: dict[str, Any],
-                   timeout: float | None = None) -> dict[str, Any]:
-        with self._lock:
-            self._sock.settimeout(timeout)
-            try:
-                self._sock.sendall(protocol.encode_frame(message))
-                while True:
-                    frame = self._decoder.next_frame()
-                    if frame is not None:
-                        return frame
-                    chunk = self._sock.recv(1 << 16)
-                    if not chunk:
-                        raise ConnectionError(
-                            "server closed the connection mid-frame"
-                            if self._decoder.mid_frame else
-                            "server closed the connection")
-                    self._decoder.feed(chunk)
-            except socket.timeout:
-                # The response may still arrive later; the lockstep
-                # stream is now ambiguous, so fail the connection.
-                self.close()
-                raise TimeoutError(
-                    f"no response within {timeout} s") from None
-            finally:
-                if self._sock.fileno() >= 0:
-                    self._sock.settimeout(None)
-
-    def query(self, point: np.ndarray, k: int = 10,
-              deadline_ms: float | None = None,
-              **overrides: Any) -> tuple[np.ndarray, np.ndarray]:
-        """One kNN query; mirrors ``QueryService.query``.
-
-        ``deadline_ms`` bounds the request end-to-end on the server; the
-        socket wait is bounded by the same budget (plus slack for the
-        network) so a dead server cannot hang the caller either.
-        """
-        request = protocol.query_request(next(self._ids), point, k,
-                                         overrides, deadline_ms)
-        timeout = None if deadline_ms is None else deadline_ms / 1000.0 + 5.0
-        return protocol.decode_result(self._roundtrip(request, timeout))
-
-    def stats(self, timeout: float | None = 30.0) -> dict[str, Any]:
-        """The gateway's ``stats`` RPC payload."""
-        response = self._roundtrip(
-            protocol.stats_request(next(self._ids)), timeout)
-        if not response.get("ok"):
-            raise protocol.wire_to_error(response.get("error") or {})
-        return response["stats"]
-
-    def ping(self, timeout: float | None = 30.0) -> bool:
-        """Liveness probe; True when the server answers."""
-        response = self._roundtrip(
-            protocol.ping_request(next(self._ids)), timeout)
-        return bool(response.get("ok"))
-
-    def close(self) -> None:
-        """Close the connection (idempotent)."""
-        try:
-            self._sock.close()
-        except OSError:
-            pass
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
 
 
 class AsyncServeClient:
@@ -179,7 +87,10 @@ class AsyncServeClient:
             async with self._write_lock:
                 self._writer.write(protocol.encode_frame(message))
                 await self._writer.drain()
+            # Before 3.11, asyncio.TimeoutError is not the builtin.
             return await asyncio.wait_for(future, timeout)
+        except asyncio.TimeoutError:
+            raise TimeoutError(f"no response within {timeout} s") from None
         finally:
             self._pending.pop(message["id"], None)
             # The reader loop may have failed this future while we were
@@ -192,18 +103,15 @@ class AsyncServeClient:
     async def query(self, point: np.ndarray, k: int = 10,
                     deadline_ms: float | None = None,
                     **overrides: Any) -> tuple[np.ndarray, np.ndarray]:
-        """One kNN query; raises the same typed errors as the sync API."""
+        """One kNN query; mirrors ``QueryService.query``.  The wait for
+        the answer is bounded by ``deadline_ms`` plus 5 s of slack."""
         request = protocol.query_request(next(self._ids), point, k,
                                          overrides, deadline_ms)
         timeout = None if deadline_ms is None else deadline_ms / 1000.0 + 5.0
-        try:
-            response = await self._roundtrip(request, timeout)
-        except asyncio.TimeoutError:
-            raise TimeoutError(
-                f"no response within {timeout} s") from None
-        return protocol.decode_result(response)
+        return protocol.decode_result(await self._roundtrip(request, timeout))
 
     async def stats(self, timeout: float | None = 30.0) -> dict[str, Any]:
+        """The gateway's ``stats`` RPC payload."""
         response = await self._roundtrip(
             protocol.stats_request(next(self._ids)), timeout)
         if not response.get("ok"):
@@ -211,6 +119,7 @@ class AsyncServeClient:
         return response["stats"]
 
     async def ping(self, timeout: float | None = 30.0) -> bool:
+        """Liveness probe; True when the server answers."""
         response = await self._roundtrip(
             protocol.ping_request(next(self._ids)), timeout)
         return bool(response.get("ok"))

@@ -22,11 +22,13 @@ Failures come back as ``{"id": n, "ok": false, "error": {"type": ...,
 serving errors (:class:`~repro.serve.ServiceOverloaded`,
 :class:`DeadlineExceeded`, :class:`~repro.core.procpool.WorkerCrashed`,
 …) — :func:`wire_to_error` rebuilds the same exception class client-side
-so replica failover can branch on type, not on message text.
+so callers branch on type, not on message text.
 
-A length prefix past :data:`MAX_FRAME_BYTES` (or a non-object payload)
-raises :class:`ProtocolError`: a corrupt or adversarial stream must fail
-the connection, never allocate unbounded buffers.
+:func:`read_frame` is the one frame reader, on both ends of a
+connection.  A length prefix past :data:`MAX_FRAME_BYTES`, a stream that
+ends inside a frame, or a non-JSON or non-object payload raises
+:class:`ProtocolError`: a corrupt or adversarial stream must fail the
+connection, never allocate unbounded buffers.
 """
 
 from __future__ import annotations
@@ -86,13 +88,6 @@ ERROR_TYPES: dict[str, type[BaseException]] = {
     "ValueError": ValueError,
     "TypeError": TypeError,
 }
-
-#: Errors a :class:`~repro.serve.router.ReplicaRouter` may retry on
-#: another replica: the *replica* failed, not the request.  Deadline and
-#: validation errors are never retried — the budget is spent or the
-#: request itself is wrong.
-RETRYABLE_ERRORS = (ServiceClosed, WorkerCrashed, WorkerTimeout,
-                    ProcessPoolError, ConnectionError, OSError, EOFError)
 
 
 def encode_array(array: np.ndarray) -> dict[str, Any]:
@@ -154,42 +149,6 @@ def decode_body(body: bytes) -> dict[str, Any]:
             f"frame payload must be a JSON object, got "
             f"{type(message).__name__}")
     return message
-
-
-class FrameDecoder:
-    """Incremental frame parser for byte streams read in arbitrary
-    chunks (the sync client's ``recv`` loop).
-
-    Feed bytes with :meth:`feed`; complete frames come out of
-    :meth:`next_frame` (``None`` while incomplete).  A torn tail left in
-    the buffer at EOF is detected by :attr:`mid_frame`.
-    """
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-
-    def feed(self, data: bytes) -> None:
-        self._buffer.extend(data)
-
-    @property
-    def mid_frame(self) -> bool:
-        """True when the buffer holds part of an unfinished frame."""
-        return len(self._buffer) > 0
-
-    def next_frame(self) -> dict[str, Any] | None:
-        if len(self._buffer) < _LENGTH.size:
-            return None
-        (length,) = _LENGTH.unpack_from(self._buffer)
-        if length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"frame length {length} exceeds MAX_FRAME_BYTES "
-                f"({MAX_FRAME_BYTES})")
-        end = _LENGTH.size + length
-        if len(self._buffer) < end:
-            return None
-        body = bytes(self._buffer[_LENGTH.size:end])
-        del self._buffer[:end]
-        return decode_body(body)
 
 
 async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:

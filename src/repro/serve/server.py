@@ -3,12 +3,11 @@ repro.serve.server --snapshot DIR [--port P]``.
 
 Runs exactly one :class:`~repro.serve.gateway.ServeGateway` over a
 :class:`~repro.serve.QueryService` opened from a snapshot directory.
-This is the unit the :class:`~repro.serve.router.ReplicaRouter` fans
-out over — each replica is one of these processes with its own page
+Several such processes may serve one snapshot, each with its own page
 store handles (with ``--backend mmap`` the OS shares the physical
-pages).
+pages); :class:`~repro.serve.AsyncServeClient` talks to one of them.
 
-Contract for supervisors (tests, the router's fixtures, init systems):
+Contract for supervisors (tests, the benchmark suite, init systems):
 
 * once the socket is bound, exactly one line ::
 

@@ -6,23 +6,29 @@ deadlines produce typed ``DeadlineExceeded`` responses (never hangs);
 overload produces typed ``ServiceOverloaded`` responses (never an event
 loop blocked on a full queue); shutdown drains instead of dropping.
 
+``python -m repro.serve.server`` drains on SIGTERM and exits 0; a client
+whose server goes silent raises the builtin ``TimeoutError``.
+
 No pytest-asyncio in the environment: each test owns its event loop via
 ``asyncio.run``.
 """
 
 import asyncio
+import os
+import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from repro.core import HDIndex, HDIndexParams
+from repro.core import HDIndex, HDIndexParams, save_index
 from repro.serve import (
     AsyncServeClient,
     DeadlineExceeded,
     GatewayConfig,
     QueryService,
-    ServeClient,
     ServeGateway,
     ServiceClosed,
     ServiceConfig,
@@ -43,14 +49,55 @@ def workload():
     return np.clip(data, 0, 100), np.clip(queries, 0, 100)
 
 
-@pytest.fixture(scope="module")
-def built_index(workload):
-    data, _ = workload
+def build_index(data):
     index = HDIndex(HDIndexParams(num_trees=3, num_references=5, alpha=64,
                                   gamma=24, domain=(0.0, 100.0), seed=0))
     index.build(data)
+    return index
+
+
+@pytest.fixture(scope="module")
+def built_index(workload):
+    index = build_index(workload[0])
     yield index
     index.close()
+
+
+@pytest.fixture(scope="module")
+def snapshot(workload, tmp_path_factory):
+    directory = tmp_path_factory.mktemp("gateway-snap")
+    index = build_index(workload[0])
+    save_index(index, directory)
+    index.close()
+    return directory
+
+
+def start_replica(snapshot):
+    """Launch one ``python -m repro.serve.server`` process; returns
+    ``(process, port)`` once the READY handshake line arrives."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.serve.server",
+         "--snapshot", str(snapshot), "--port", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    line = process.stdout.readline().strip()
+    if not line.startswith("REPRO-SERVE READY"):
+        process.kill()
+        stderr = process.stderr.read()
+        raise RuntimeError(f"bad handshake {line!r}; stderr: {stderr}")
+    port = int(line.split("port=")[1].split()[0])
+    return process, port
+
+
+def stop_replica(process):
+    if process.poll() is None:
+        process.kill()
+        process.wait(timeout=10)
+    process.stdout.close()
+    process.stderr.close()
 
 
 class SlowIndex:
@@ -91,6 +138,7 @@ class TestParity:
         async def client(port, client_index, results):
             async with await AsyncServeClient.connect(
                     "127.0.0.1", port) as remote:
+                assert await remote.ping()
                 for i in range(client_index, len(queries), num_clients):
                     results[i] = await remote.query(queries[i], k=K)
 
@@ -110,44 +158,6 @@ class TestParity:
         for got, want in zip(results, expected):
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
-
-    def test_sync_client_parity_and_pipeline(self, built_index, workload):
-        _, queries = workload
-        with QueryService(built_index) as service:
-            expected = service.query(queries[0], K)
-
-        service = QueryService(built_index)
-        gateway = ServeGateway(service, gateway_config())
-
-        async def main():
-            await gateway.start()
-            return gateway.port
-
-        loop = asyncio.new_event_loop()
-        try:
-            port = loop.run_until_complete(main())
-            # Drive the sync client from outside the loop's thread.
-            import threading
-            got = {}
-
-            def sync_calls():
-                with ServeClient("127.0.0.1", port) as client:
-                    assert client.ping()
-                    got["answer"] = client.query(queries[0], k=K)
-
-            thread = threading.Thread(target=sync_calls)
-            thread.start()
-            # Serve the loop while the sync client talks to it.
-            deadline = time.monotonic() + 10
-            while thread.is_alive() and time.monotonic() < deadline:
-                loop.run_until_complete(asyncio.sleep(0.01))
-            thread.join(timeout=1)
-            assert not thread.is_alive(), "sync client hung"
-            loop.run_until_complete(gateway.stop())
-        finally:
-            loop.close()
-        assert got["answer"][0].tobytes() == expected[0].tobytes()
-        assert got["answer"][1].tobytes() == expected[1].tobytes()
 
     def test_validation_error_crosses_typed(self, built_index, workload):
         _, queries = workload
@@ -382,3 +392,55 @@ class TestStatsAndLifecycle:
                 await gateway.stop()
 
         asyncio.run(main())
+
+
+class TestClientTimeouts:
+    def test_silent_server_raises_builtin_timeout_error(self, workload):
+        """A server that accepts and never writes: ping, stats and query
+        each raise the builtin TimeoutError (before 3.11 asyncio's is a
+        different class) and leave no pending future behind."""
+        _, queries = workload
+
+        async def main():
+            connections = []
+            server = await asyncio.start_server(
+                lambda reader, writer: connections.append(writer),
+                "127.0.0.1", 0)
+            port = server.sockets[0].getsockname()[1]
+            try:
+                async with await AsyncServeClient.connect(
+                        "127.0.0.1", port) as remote:
+                    for call in (remote.ping(timeout=0.05),
+                                 remote.stats(timeout=0.05),
+                                 remote.query(queries[0], k=K,
+                                              deadline_ms=1)):
+                        with pytest.raises(TimeoutError) as caught:
+                            await call
+                        assert type(caught.value) is TimeoutError
+                        assert remote._pending == {}
+            finally:
+                for writer in connections:
+                    writer.close()
+                server.close()
+                await server.wait_closed()
+
+        asyncio.run(main())
+
+
+class TestServerProcess:
+    def test_sigterm_drains_gracefully(self, snapshot, workload):
+        _, queries = workload
+        process, port = start_replica(snapshot)
+
+        async def query():
+            async with await AsyncServeClient.connect(
+                    "127.0.0.1", port) as remote:
+                return await remote.query(queries[0], k=K)
+
+        try:
+            ids, _ = asyncio.run(query())
+            assert len(ids) == K
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=20) == 0
+        finally:
+            stop_replica(process)

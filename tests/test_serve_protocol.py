@@ -1,5 +1,5 @@
-"""Tests for the serve wire protocol: framing, lossless array transport,
-the typed-error registry, and replica placement hashing.
+"""Tests for the serve wire protocol: framing, lossless array transport
+and the typed-error registry.
 
 The load-bearing invariant: a query answer that crossed the wire is
 *byte-identical* to the in-process answer — float64 arrays survive the
@@ -7,11 +7,14 @@ JSON encoding exactly, and typed errors come back as the same exception
 classes the local API raises.
 """
 
+import asyncio
+import itertools
+import struct
+
 import numpy as np
 import pytest
 
 from repro.core.procpool import WorkerCrashed, WorkerTimeout
-from repro.core.router import placement_order
 from repro.serve import (
     DeadlineExceeded,
     ProtocolError,
@@ -52,53 +55,96 @@ class TestArrayCodec:
                 protocol.decode_array(payload)
 
 
+#: Piece sizes a stream is fed in (cycled): one byte at a time, random
+#: pieces, and the whole stream at once.
+CHUNKINGS = {"1-byte": [1],
+             "random": np.random.default_rng(7).integers(1, 24, 64).tolist(),
+             "whole": [1 << 30]}
+
+
+def read_frames(stream, sizes):
+    """Run ``protocol.read_frame`` over ``stream`` fed to an
+    ``asyncio.StreamReader`` in pieces of ``sizes`` and then EOF.
+    Returns the frames read before the clean EOF or the error, and the
+    ``ProtocolError`` raised (``None`` on clean EOF)."""
+    async def main():
+        reader = asyncio.StreamReader()
+
+        async def feed():
+            offset = 0
+            for size in itertools.cycle(sizes):
+                if offset >= len(stream):
+                    break
+                reader.feed_data(stream[offset:offset + size])
+                offset += size
+                await asyncio.sleep(0)
+            reader.feed_eof()
+
+        feeder = asyncio.create_task(feed())
+        frames = []
+        try:
+            while (frame := await protocol.read_frame(reader)) is not None:
+                frames.append(frame)
+        except ProtocolError as error:
+            return frames, error
+        finally:
+            await feeder
+        return frames, None
+
+    return asyncio.run(main())
+
+
+def frame_of(body):
+    return struct.pack("!I", len(body)) + body
+
+
+@pytest.mark.parametrize("sizes", CHUNKINGS.values(), ids=CHUNKINGS.keys())
 class TestFraming:
-    def test_frame_roundtrip(self):
-        message = {"op": "ping", "id": 7}
-        frame = protocol.encode_frame(message)
-        decoder = protocol.FrameDecoder()
-        decoder.feed(frame)
-        assert decoder.next_frame() == message
-        assert decoder.next_frame() is None
-        assert not decoder.mid_frame
+    MESSAGES = [{"op": "ping", "id": i, "pad": "x" * i} for i in range(5)]
 
-    def test_decoder_handles_arbitrary_chunking(self):
-        messages = [{"op": "ping", "id": i} for i in range(5)]
-        stream = b"".join(protocol.encode_frame(m) for m in messages)
-        decoder = protocol.FrameDecoder()
-        received = []
-        for offset in range(0, len(stream), 3):  # 3-byte drips
-            decoder.feed(stream[offset:offset + 3])
-            while (frame := decoder.next_frame()) is not None:
-                received.append(frame)
-        assert received == messages
-        assert not decoder.mid_frame
+    def stream(self):
+        return b"".join(protocol.encode_frame(m) for m in self.MESSAGES)
 
-    def test_torn_tail_is_detectable(self):
-        frame = protocol.encode_frame({"op": "ping", "id": 1})
-        decoder = protocol.FrameDecoder()
-        decoder.feed(frame[:-2])
-        assert decoder.next_frame() is None
-        assert decoder.mid_frame
+    def test_frames_roundtrip_then_clean_eof_is_none(self, sizes):
+        assert read_frames(self.stream(), sizes) == (self.MESSAGES, None)
 
-    def test_oversized_length_prefix_rejected(self):
-        import struct
-        decoder = protocol.FrameDecoder()
-        decoder.feed(struct.pack("!I", protocol.MAX_FRAME_BYTES + 1))
-        with pytest.raises(ProtocolError):
-            decoder.next_frame()
+    def test_empty_stream_is_a_clean_eof(self, sizes):
+        assert read_frames(b"", sizes) == ([], None)
 
-    def test_non_object_payload_rejected(self):
-        import struct
-        body = b"[1,2,3]"
-        decoder = protocol.FrameDecoder()
-        decoder.feed(struct.pack("!I", len(body)) + body)
-        with pytest.raises(ProtocolError):
-            decoder.next_frame()
+    def test_eof_inside_length_prefix(self, sizes):
+        frames, error = read_frames(self.stream() + b"\x00\x00", sizes)
+        assert frames == self.MESSAGES
+        assert "length-prefix" in str(error)
 
-    def test_non_json_payload_rejected(self):
-        with pytest.raises(ProtocolError):
-            protocol.decode_body(b"\xff\xfe not json")
+    def test_eof_inside_body(self, sizes):
+        torn = protocol.encode_frame({"op": "ping", "id": 9})[:-2]
+        frames, error = read_frames(self.stream() + torn, sizes)
+        assert frames == self.MESSAGES
+        assert "mid-frame" in str(error)
+
+    def test_non_json_body(self, sizes):
+        frames, error = read_frames(frame_of(b"\xff\xfe not json"), sizes)
+        assert frames == [] and "not valid JSON" in str(error)
+
+    def test_non_object_body(self, sizes):
+        frames, error = read_frames(frame_of(b"[1,2,3]"), sizes)
+        assert frames == [] and "JSON object" in str(error)
+
+    def test_oversized_length_rejected_before_the_body_is_read(self, sizes):
+        prefix = struct.pack("!I", protocol.MAX_FRAME_BYTES + 1)
+        frames, error = read_frames(prefix + b"body", sizes)
+        assert frames == [] and "MAX_FRAME_BYTES" in str(error)
+
+        async def main():
+            # No EOF and no body: the length alone must fail the read,
+            # and the bytes behind the prefix stay unread.
+            reader = asyncio.StreamReader()
+            reader.feed_data(prefix + b"body")
+            with pytest.raises(ProtocolError, match="MAX_FRAME_BYTES"):
+                await asyncio.wait_for(protocol.read_frame(reader), 5.0)
+            assert await reader.read(4) == b"body"
+
+        asyncio.run(main())
 
 
 class TestErrorRegistry:
@@ -122,14 +168,6 @@ class TestErrorRegistry:
         assert rebuilt.remote_type == "FutureServerError"
         assert "newer server" in str(rebuilt)
 
-    def test_deadline_exceeded_is_not_retryable(self):
-        # DeadlineExceeded is a TimeoutError and hence an OSError
-        # subclass; the router must branch on it explicitly *before*
-        # the retryable tuple (which includes OSError).  This pins the
-        # trap so a refactor cannot silently reintroduce retry-on-
-        # deadline.
-        assert isinstance(DeadlineExceeded("x"), OSError)
-
     def test_decode_result_raises_typed_error(self):
         response = protocol.error_response(1, ServiceOverloaded("full"))
         with pytest.raises(ServiceOverloaded):
@@ -142,41 +180,3 @@ class TestErrorRegistry:
             protocol.query_response(9, ids, dists))
         assert np.array_equal(got_ids, ids)
         assert got_dists.tobytes() == dists.tobytes()
-
-
-class TestPlacement:
-    def test_placement_is_a_permutation(self):
-        order = placement_order(b"query-bytes", 5)
-        assert sorted(order) == list(range(5))
-
-    def test_placement_is_deterministic(self):
-        for key in (b"", b"a", np.arange(8.0).tobytes()):
-            assert placement_order(key, 4) == placement_order(key, 4)
-
-    def test_salt_reshuffles(self):
-        keys = [f"key-{i}".encode() for i in range(64)]
-        plain = [placement_order(k, 4)[0] for k in keys]
-        salted = [placement_order(k, 4, salt=b"v2")[0] for k in keys]
-        assert plain != salted
-
-    def test_consistent_hashing_property(self):
-        """Removing one node only moves the keys that lived on it."""
-        keys = [f"key-{i}".encode() for i in range(200)]
-        for key in keys:
-            before = placement_order(key, 4)
-            after = placement_order(key, 3)
-            survivors_before = [n for n in before if n < 3]
-            # Relative order of surviving nodes is unchanged: a key
-            # whose home survives keeps its home; a key homed on the
-            # removed node falls to its existing second choice.
-            assert survivors_before == after
-
-    def test_distribution_is_balanced(self):
-        homes = [placement_order(f"q{i}".encode(), 4)[0]
-                 for i in range(2000)]
-        counts = np.bincount(homes, minlength=4)
-        assert counts.min() > 0.7 * 2000 / 4
-
-    def test_invalid_node_count(self):
-        with pytest.raises(ValueError):
-            placement_order(b"x", 0)

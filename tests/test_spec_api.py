@@ -86,6 +86,12 @@ class TestSpecValidation:
         rebuilt = IndexSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
 
+    def test_recorded_replica_count_is_ignored_and_written_as_one(self):
+        # Older specs may record any count; Topology has no such field.
+        topology = Topology.from_dict({"shards": 2, "replicas": 3})
+        assert topology == Topology(shards=2)
+        assert topology.to_dict()["replicas"] == 1
+
     def test_coercion_from_params_dict_and_ints(self):
         from repro.core import coerce_spec
         assert coerce_spec(params()).params == params()
