@@ -61,7 +61,6 @@ from repro.datasets import (
     DATASET_CATALOG,
     Dataset,
     DatasetSpec,
-    iter_hdf5_chunks,
     make_dataset,
 )
 from repro.distance import normalize_rows
@@ -135,7 +134,6 @@ __all__ = [
     "evaluate_spec",
     "exact_knn",
     "format_table",
-    "iter_hdf5_chunks",
     "load_index",
     "make_dataset",
     "mean_average_precision",

@@ -1,6 +1,6 @@
 """Command-line interface: ``python -m repro <command>``.
 
-Six commands cover the library's main workflows without writing code:
+Five commands cover the library's main workflows without writing code:
 
 * ``info``      — list dataset configurations and paper-recommended params;
 * ``build``     — build the index an :class:`~repro.core.IndexSpec`
@@ -13,13 +13,9 @@ Six commands cover the library's main workflows without writing code:
 * ``query``     — reopen a persisted index via :func:`repro.open` and run
   a query workload against it, reporting MAP/ratio/time/I/O;
 * ``serve``     — load a persisted index into a micro-batching
-  :class:`~repro.serve.QueryService` and either drive it with concurrent
-  client threads (default: reports throughput and batching statistics)
-  or, with ``--listen HOST:PORT``, expose it over TCP through a
-  :class:`~repro.serve.ServeGateway` until SIGTERM/SIGINT triggers a
-  graceful drain;
-* ``compare``   — run several methods on one dataset and print the
-  comparison table (a Fig. 8 row group on demand).
+  :class:`~repro.serve.QueryService` and drive it with concurrent client
+  threads, reporting throughput and batching statistics (over TCP, run
+  ``python -m repro.serve.server``).
 
 Every flag combination is one declarative spec under the hood.
 """
@@ -34,7 +30,6 @@ import numpy as np
 
 from repro.core import (
     Execution,
-    HDIndex,
     HDIndexParams,
     IndexSpec,
     Topology,
@@ -45,12 +40,7 @@ from repro.core import (
 from repro.core.params import BACKENDS
 from repro.core.spec import _KIND_ALIASES, EXECUTION_KINDS
 from repro.datasets import DATASET_CATALOG, make_dataset, read_vecs
-from repro.eval import (
-    GroundTruth,
-    evaluate_index,
-    format_table,
-    run_comparison,
-)
+from repro.eval import GroundTruth, evaluate_index, format_table
 
 
 def _positive_int(text: str) -> int:
@@ -65,22 +55,6 @@ def _execution_kind(text: str) -> str:
     """An ``--execution`` value with an older spelling of a kind mapped
     to the kind (``thread`` runs sequential) before the choices check."""
     return _KIND_ALIASES.get(text, text)
-
-
-def _host_port(text: str) -> tuple[str, int]:
-    """Parse a ``HOST:PORT`` listen/connect address."""
-    host, separator, port_text = text.rpartition(":")
-    if not separator or not host:
-        raise argparse.ArgumentTypeError(
-            f"expected HOST:PORT, got {text!r}")
-    try:
-        port = int(port_text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"port must be an integer, got {port_text!r}") from None
-    if not 0 <= port <= 65535:
-        raise argparse.ArgumentTypeError(f"port out of range: {port}")
-    return host, port
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
                             "a write-ahead log next to the snapshot "
                             "(without it they are volatile until "
                             "save_index / `repro compact`)")
-    build.add_argument("--from-hdf5", default=None, metavar="PATH:DATASET",
-                       help="stream the dataset block-wise from an HDF5 "
-                            "file (e.g. ann-benchmarks corpora: "
-                            "sift.hdf5:train) instead of materialising it "
-                            "in RAM; needs the optional h5py dependency "
-                            "and forces random reference selection")
     build.add_argument("--with-labels", type=_positive_int, default=None,
                        metavar="N",
                        help="attach a synthetic metadata column "
@@ -144,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--index", required=True,
                        help="directory holding a persisted index")
     _add_data_arguments(query)
-    query.add_argument("-k", type=int, default=10)
+    query.add_argument("-k", type=_positive_int, default=10)
     query.add_argument("--batch-size", type=_positive_int, default=None,
                        help="answer queries through the vectorized "
                             "query_batch path in chunks of this size")
@@ -171,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory holding a persisted index "
                             "(plain or sharded snapshot)")
     _add_data_arguments(serve)
-    serve.add_argument("-k", type=int, default=10)
+    serve.add_argument("-k", type=_positive_int, default=10)
     serve.add_argument("--clients", type=_positive_int, default=4,
                        help="concurrent client threads")
     serve.add_argument("--repeat", type=_positive_int, default=1,
@@ -196,39 +164,15 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=_positive_int, default=None,
                        help="worker-process count for --execution process "
                             "(default: CPU count)")
-    serve.add_argument("--listen", type=_host_port, default=None,
-                       metavar="HOST:PORT",
-                       help="serve over TCP instead of running the "
-                            "built-in client workload; port 0 binds an "
-                            "ephemeral port (reported on the READY "
-                            "line); SIGTERM/SIGINT drain gracefully")
-    serve.add_argument("--max-inflight", type=_positive_int, default=256,
-                       help="gateway admission bound (--listen only)")
-    serve.add_argument("--default-deadline-ms", type=float, default=None,
-                       help="deadline for requests that carry none "
-                            "(--listen only)")
-
-    compare = commands.add_parser(
-        "compare", help="compare methods on one dataset")
-    _add_data_arguments(compare)
-    _add_param_arguments(compare)
-    compare.add_argument("-k", type=int, default=10)
-    compare.add_argument("--batch-size", type=_positive_int, default=None,
-                         help="run each method's workload through "
-                              "query_batch in chunks of this size")
-    compare.add_argument(
-        "--methods", default="hdindex,linear,srs",
-        help="comma list from: hdindex,linear,idistance,multicurves,"
-             "c2lsh,qalsh,srs,pq,opq,hnsw")
     return parser
 
 
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", default="sift10k",
                         help="catalog name (see `repro info`)")
-    parser.add_argument("--n", type=int, default=None,
+    parser.add_argument("--n", type=_positive_int, default=None,
                         help="dataset size (default: catalog default)")
-    parser.add_argument("--queries", type=int, default=20)
+    parser.add_argument("--queries", type=_positive_int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--fvecs", default=None,
                         help="load vectors from a .fvecs/.ivecs/.bvecs file "
@@ -353,8 +297,6 @@ def _spec_from_args(args, data, dataset_spec) -> IndexSpec:
 
 
 def cmd_build(args, out=sys.stdout) -> int:
-    if args.from_hdf5 is not None:
-        return _build_streaming(args, out)
     data, _, dataset_spec = _load_workload(args)
     spec = _spec_from_args(args, data, dataset_spec)
     if spec.params.metric == "angular":
@@ -392,54 +334,6 @@ def cmd_build(args, out=sys.stdout) -> int:
     return 0
 
 
-def _build_streaming(args, out) -> int:
-    """``repro build --from-hdf5 PATH:DATASET``: out-of-core build."""
-    from repro.datasets.loaders import hdf5_shape, iter_hdf5_chunks
-
-    path, separator, dataset = args.from_hdf5.partition(":")
-    if not separator or not path or not dataset:
-        print("error: --from-hdf5 expects PATH:DATASET "
-              "(e.g. sift.hdf5:train)", file=sys.stderr)
-        return 2
-    if args.with_labels is not None:
-        print("error: --with-labels is not supported with --from-hdf5 "
-              "(streaming builds carry no metadata)", file=sys.stderr)
-        return 2
-    try:
-        total, dim = hdf5_shape(path, dataset)
-    except (ImportError, OSError, ValueError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
-    n = total if args.n is None else min(total, args.n)
-    shaped = np.broadcast_to(np.empty(dim), (n, dim))  # shape, no storage
-    spec = _spec_from_args(args, shaped, None)
-    if spec.topology.shards > 1:
-        print("error: --from-hdf5 cannot be combined with --shards "
-              "(shard assignment needs the full dataset up front)",
-              file=sys.stderr)
-        return 2
-    import dataclasses as _dc
-    if spec.params.reference_method != "random":
-        # Reservoir sampling is the only selection that streams.
-        spec = _dc.replace(spec, params=_dc.replace(
-            spec.params, reference_method="random"))
-    index = build_index(
-        spec, iter_hdf5_chunks(path, dataset, max_vectors=args.n),
-        storage_dir=args.out)
-    stats = index.build_stats()
-    print(f"streamed {index.count} x ν={index.dim} vectors from "
-          f"{path}:{dataset} in {stats.time_sec:.2f}s", file=out)
-    print(f"τ={index.params.num_trees} trees, "
-          f"m={index.params.num_references} references "
-          f"(reference_method=random, metric={index.params.metric})",
-          file=out)
-    descriptors = index.total_size_bytes() - index.index_size_bytes()
-    print(f"index {index.index_size_bytes():,} B + descriptors "
-          f"{descriptors:,} B -> {args.out}", file=out)
-    index.close()
-    return 0
-
-
 def cmd_compact(args, out=sys.stdout) -> int:
     with open_index(args.index) as index:
         generation = index.compact()
@@ -452,31 +346,37 @@ def cmd_query(args, out=sys.stdout) -> int:
     execution = None
     if args.execution is not None:
         execution = Execution(kind=args.execution, workers=args.workers)
-    index = open_index(args.index, backend=args.backend,
-                       execution=execution)
+    with open_index(args.index, backend=args.backend,
+                    execution=execution) as index:
+        workload = _matching_workload(args, index)
+        if workload is None:
+            return 2
+        data, queries = workload
+        if index.params.metric == "angular":
+            # The index holds unit vectors; evaluate against the same.
+            from repro.distance.metrics import normalize_rows
+            data = normalize_rows(data)
+            queries = normalize_rows(queries)
+        if args.filter is not None:
+            return _query_filtered(args, index, queries, out)
+        truth = GroundTruth(data, queries, max_k=args.k)
+        result = evaluate_index(index, data, queries, args.k,
+                                ground_truth=truth, build=False,
+                                dataset_name=args.dataset,
+                                batch_size=args.batch_size)
+    print(format_table([result]), file=out)
+    return 0
+
+
+def _matching_workload(args, index):
+    """``(data, queries)`` of the workload the flags describe, or None
+    (reported on stderr) when its dimension is not the index's."""
     data, queries, _ = _load_workload(args)
     if data.shape[1] != index.dim:
         print(f"error: index expects ν={index.dim}, dataset has "
               f"ν={data.shape[1]}", file=sys.stderr)
-        return 2
-    if index.params.metric == "angular":
-        # The index holds unit vectors; evaluate against the same.
-        from repro.distance.metrics import normalize_rows
-        data = normalize_rows(data)
-        queries = normalize_rows(queries)
-    if args.filter is not None:
-        try:
-            return _query_filtered(args, index, queries, out)
-        finally:
-            index.close()
-    truth = GroundTruth(data, queries, max_k=args.k)
-    result = evaluate_index(index, data, queries, args.k,
-                            ground_truth=truth, build=False,
-                            dataset_name=args.dataset,
-                            batch_size=args.batch_size)
-    print(format_table([result]), file=out)
-    index.close()
-    return 0
+        return None
+    return data, queries
 
 
 def _query_filtered(args, index, queries, out) -> int:
@@ -548,8 +448,6 @@ def cmd_serve(args, out=sys.stdout) -> int:
 
     from repro.serve import QueryService, ServiceConfig
 
-    index = open_index(args.index, cache_pages=args.cache_pages,
-                       backend=args.backend)
     config = ServiceConfig(max_batch=args.max_batch,
                            max_pending=args.max_pending,
                            cache_size=max(0, args.cache))
@@ -558,37 +456,38 @@ def cmd_serve(args, out=sys.stdout) -> int:
         service_kwargs = dict(
             execution=Execution(kind="process", workers=args.workers),
             snapshot_dir=args.index)
-    if args.listen is not None:
-        return _serve_listen(args, index, config, service_kwargs, out)
-    data, queries, _ = _load_workload(args)
-    if data.shape[1] != index.dim:
-        print(f"error: index expects ν={index.dim}, dataset has "
-              f"ν={data.shape[1]}", file=sys.stderr)
-        index.close()
-        return 2
-    workload = np.tile(queries, (args.repeat, 1))
     errors: list[Exception] = []
 
-    def client(service, client_index):
-        futures = [service.submit(workload[i], args.k)
-                   for i in range(client_index, len(workload), args.clients)]
+    def client(service, workload, client_index):
+        futures = []
+        for i in range(client_index, len(workload), args.clients):
+            try:
+                futures.append(service.submit(workload[i], args.k))
+            except Exception as error:  # surfaced after the run
+                errors.append(error)
         for future in futures:
             try:
                 future.result()
-            except Exception as error:  # surfaced after the run
+            except Exception as error:
                 errors.append(error)
 
-    with QueryService(index, config, **service_kwargs) as service:
-        started = time.perf_counter()
-        threads = [threading.Thread(target=client, args=(service, c))
-                   for c in range(args.clients)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        elapsed = time.perf_counter() - started
-        stats = service.stats()
-    index.close()
+    with open_index(args.index, cache_pages=args.cache_pages,
+                    backend=args.backend) as index:
+        matching = _matching_workload(args, index)
+        if matching is None:
+            return 2
+        workload = np.tile(matching[1], (args.repeat, 1))
+        with QueryService(index, config, **service_kwargs) as service:
+            started = time.perf_counter()
+            threads = [threading.Thread(target=client,
+                                        args=(service, workload, c))
+                       for c in range(args.clients)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            elapsed = time.perf_counter() - started
+            stats = service.stats()
     if errors:
         print(f"error: {len(errors)} queries failed "
               f"({errors[0]!r})", file=sys.stderr)
@@ -606,99 +505,12 @@ def cmd_serve(args, out=sys.stdout) -> int:
     return 0
 
 
-def _serve_listen(args, index, config, service_kwargs, out) -> int:
-    """``repro serve --listen``: run a TCP gateway until a signal.
-
-    SIGTERM/SIGINT trigger the graceful path: admission stops, in-flight
-    and queued requests are answered, then the service closes its worker
-    pool (``QueryService.stop(drain=True)``) before the process exits.
-    """
-    import asyncio
-
-    from repro.serve import GatewayConfig, QueryService
-    from repro.serve.server import run_server
-
-    host, port = args.listen
-    gateway_config = GatewayConfig(
-        host=host, port=port, max_inflight=args.max_inflight,
-        default_deadline_ms=args.default_deadline_ms)
-    service = QueryService(index, config, **service_kwargs)
-    try:
-        asyncio.run(run_server(service, gateway_config, ready_stream=out))
-    except KeyboardInterrupt:
-        # Signal handler unavailable (non-main thread): the drain still
-        # ran in run_server's finally before the interrupt propagated.
-        pass
-    finally:
-        index.close()
-    print("drained and stopped", file=out)
-    return 0
-
-
-def cmd_compare(args, out=sys.stdout) -> int:
-    from repro.baselines import (
-        C2LSH,
-        HNSW,
-        IDistance,
-        LinearScan,
-        Multicurves,
-        OPQIndex,
-        PQIndex,
-        QALSH,
-        SRS,
-    )
-    data, queries, spec = _load_workload(args)
-    if args.metric == "angular":
-        # Normalised corpus: every method then ranks by angle (euclidean
-        # order on unit vectors == chord order), keeping the table
-        # apples-to-apples.
-        from repro.distance.metrics import normalize_rows
-        data = normalize_rows(data)
-        queries = normalize_rows(queries)
-    domain = spec.domain if spec is not None else None
-    if args.metric == "angular":
-        domain = None  # unit vectors live in [-1, 1], not the catalog's
-    n = len(data)
-    available = {
-        "hdindex": lambda: HDIndex(_params_from_args(args, data, spec)),
-        "linear": LinearScan,
-        "idistance": lambda: IDistance(num_partitions=min(24, n)),
-        "multicurves": lambda: Multicurves(
-            num_curves=8, alpha=max(64, n // 8), domain=domain),
-        "c2lsh": lambda: C2LSH(max_functions=64),
-        "qalsh": lambda: QALSH(max_functions=32),
-        "srs": SRS,
-        "pq": lambda: PQIndex(num_subspaces=8,
-                              num_centroids=min(64, max(2, n // 8))),
-        "opq": lambda: OPQIndex(num_subspaces=8,
-                                num_centroids=min(64, max(2, n // 8)),
-                                opq_iterations=3),
-        "hnsw": lambda: HNSW(M=10, ef_construction=60, ef_search=60),
-    }
-    chosen = {}
-    for name in args.methods.split(","):
-        name = name.strip().lower()
-        if name not in available:
-            removed = (" (removed, see docs/MIGRATION.md)"
-                       if name in ("vafile", "e2lsh") else "")
-            print(f"error: unknown method {name!r}{removed}; choose from "
-                  f"{', '.join(sorted(available))}", file=sys.stderr)
-            return 2
-        chosen[name] = available[name]
-    results = run_comparison(chosen, data, queries, args.k,
-                             dataset_name=args.dataset,
-                             batch_size=args.batch_size)
-    print(format_table(results), file=out)
-    return 0
-
-
 COMMANDS = {
     "info": cmd_info,
     "build": cmd_build,
     "compact": cmd_compact,
     "query": cmd_query,
     "serve": cmd_serve,
-    "compare": cmd_compare,
 }
 
 

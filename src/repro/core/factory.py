@@ -89,9 +89,8 @@ def build(spec: IndexSpec | None, data,
             :class:`~repro.core.params.HDIndexParams`, spec dict, or
             ``None`` for all defaults.
         data: ``(n, ν)`` dataset to index, or an *iterator* of
-            ``(rows, ν)`` blocks (e.g.
-            :func:`repro.datasets.iter_hdf5_chunks`) for an out-of-core
-            streaming build — see
+            ``(rows, ν)`` blocks (e.g. slices of an h5py dataset) for an
+            out-of-core streaming build — see
             :meth:`~repro.core.hdindex.HDIndex.build_from_chunks` for
             the streaming path's restrictions.
         storage_dir: When given, the built index is persisted there (its

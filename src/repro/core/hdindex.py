@@ -451,7 +451,7 @@ class HDIndex(KNNIndex):
         """Construct the index from a stream of ``(rows, ν)`` blocks.
 
         The out-of-core counterpart of :meth:`build` for datasets that do
-        not fit in RAM (e.g. :func:`repro.datasets.iter_hdf5_chunks`):
+        not fit in RAM (e.g. a generator of h5py dataset slices):
         every block is appended to the descriptor heap in storage dtype
         as it arrives, reference objects are drawn by reservoir sampling
         over the stream, and the reference-distance / Hilbert-encoding

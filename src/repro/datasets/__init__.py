@@ -1,7 +1,7 @@
 """Datasets: Table 4 synthetic stand-ins and texmex file loaders."""
 
 from repro.datasets.catalog import DATASET_CATALOG, make_dataset
-from repro.datasets.loaders import iter_hdf5_chunks, read_vecs, write_vecs
+from repro.datasets.loaders import read_vecs, write_vecs
 from repro.datasets.synthetic import (
     Dataset,
     DatasetSpec,
@@ -15,7 +15,6 @@ __all__ = [
     "DatasetSpec",
     "generate_clustered",
     "generate_uniform",
-    "iter_hdf5_chunks",
     "make_dataset",
     "read_vecs",
     "write_vecs",

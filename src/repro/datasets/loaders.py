@@ -1,5 +1,4 @@
-"""Readers/writers for the texmex vector formats (fvecs / ivecs / bvecs)
-and chunked HDF5 streaming.
+"""Readers/writers for the texmex vector formats (fvecs / ivecs / bvecs).
 
 The paper's SIFT corpora [1] ship in these formats.  If a user has the real
 files, these loaders let the whole harness run on them unchanged; the
@@ -8,10 +7,6 @@ exported for use with other tools.
 
 Format: each vector is ``<int32 dim><dim × element>`` with element type
 float32 (fvecs), int32 (ivecs) or uint8 (bvecs).
-
-:func:`iter_hdf5_chunks` streams an ann-benchmarks-style HDF5 dataset
-block-wise for out-of-core builds (``repro.build(spec, data=<iterator>)``);
-it needs the optional ``h5py`` dependency at call time only.
 """
 
 from __future__ import annotations
@@ -79,86 +74,3 @@ def write_vecs(path: str | os.PathLike[str], vectors: np.ndarray) -> None:
 read_fvecs = read_vecs
 read_ivecs = read_vecs
 read_bvecs = read_vecs
-
-#: Default rows per block yielded by :func:`iter_hdf5_chunks`.
-HDF5_CHUNK_ROWS = 8192
-
-
-def _open_hdf5_dataset(handle, path: str, dataset: str):
-    """The named 2-D dataset of an open h5py file, validated."""
-    if dataset not in handle:
-        available = ", ".join(sorted(handle.keys()))
-        raise ValueError(
-            f"dataset {dataset!r} not found in {path} "
-            f"(available: {available or 'none'})")
-    source = handle[dataset]
-    if len(source.shape) != 2:
-        raise ValueError(
-            f"dataset {dataset!r} must be 2-D, got shape "
-            f"{tuple(source.shape)}")
-    return source
-
-
-def _import_h5py():
-    try:
-        import h5py
-    except ImportError as error:
-        raise ImportError(
-            "reading HDF5 requires the optional h5py dependency; "
-            "install it, or convert the file to .fvecs and use "
-            "read_vecs") from error
-    return h5py
-
-
-def hdf5_shape(path: str | os.PathLike[str],
-               dataset: str) -> tuple[int, int]:
-    """``(n, dim)`` of a 2-D HDF5 dataset without reading its rows.
-
-    Raises:
-        ImportError: If ``h5py`` is not installed.
-        ValueError: If the dataset is missing or not 2-D.
-    """
-    h5py = _import_h5py()
-    path = os.fspath(path)
-    with h5py.File(path, "r") as handle:
-        source = _open_hdf5_dataset(handle, path, dataset)
-        return int(source.shape[0]), int(source.shape[1])
-
-
-def iter_hdf5_chunks(path: str | os.PathLike[str], dataset: str,
-                     chunk_rows: int = HDF5_CHUNK_ROWS,
-                     max_vectors: int | None = None):
-    """Yield ``(rows, dim)`` float64 blocks from an HDF5 dataset.
-
-    Generator companion of :func:`read_vecs` for corpora that do not fit
-    in RAM (ann-benchmarks distributes its datasets as HDF5 with a
-    ``"train"`` dataset).  Feed the iterator straight to
-    :func:`repro.build` for a streaming index construction.
-
-    Requires the optional ``h5py`` dependency — imported here, at call
-    time, so the rest of the library works without it.
-
-    Args:
-        path: HDF5 file path.
-        dataset: Name of the 2-D dataset inside the file (e.g.
-            ``"train"``).
-        chunk_rows: Rows per yielded block.
-        max_vectors: Stop after this many rows (prefix of the dataset).
-
-    Raises:
-        ImportError: If ``h5py`` is not installed.
-        ValueError: If the dataset is missing or not 2-D, or
-            ``chunk_rows`` is not positive.
-    """
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    h5py = _import_h5py()
-    path = os.fspath(path)
-    with h5py.File(path, "r") as handle:
-        source = _open_hdf5_dataset(handle, path, dataset)
-        n = source.shape[0]
-        if max_vectors is not None:
-            n = min(n, max_vectors)
-        for start in range(0, n, chunk_rows):
-            stop = min(start + chunk_rows, n)
-            yield np.asarray(source[start:stop], dtype=np.float64)

@@ -4,7 +4,8 @@ import io
 
 import pytest
 
-from repro.cli import build_parser, cmd_build, cmd_compare, cmd_info, cmd_query, main
+from repro import cli
+from repro.cli import build_parser, main
 
 
 def run(argv, out=None):
@@ -62,13 +63,48 @@ class TestBuildQuery:
         assert f"served 8 queries from 2 clients (execution={kind})" \
             in out.getvalue()
 
-    def test_query_dimension_mismatch_fails_cleanly(self, tmp_path):
+    def test_query_dimension_mismatch_fails_cleanly(self, tmp_path,
+                                                    monkeypatch):
         run(["build", "--dataset", "glove", "--n", "200",
              "--out", str(tmp_path / "idx"), "--trees", "4",
              "--alpha", "32", "--gamma", "8"])
+        closed = []
+        real_open = cli.open_index
+
+        def spying_open(*args, **kwargs):
+            index = real_open(*args, **kwargs)
+            real_close = index.close
+
+            def close():
+                closed.append(True)
+                real_close()
+
+            index.close = close
+            return index
+
+        monkeypatch.setattr(cli, "open_index", spying_open)
         code = run(["query", "--index", str(tmp_path / "idx"),
                     "--dataset", "sift10k", "--n", "200", "-k", "3"])
         assert code == 2
+        assert closed, "the early return left the index open"
+
+    def test_serve_reports_requests_that_fail_to_submit(self, tmp_path,
+                                                        monkeypatch,
+                                                        capsys):
+        from repro.serve import QueryService
+        run(["build", "--dataset", "glove", "--n", "200",
+             "--out", str(tmp_path / "idx"), "--trees", "4",
+             "--alpha", "32", "--gamma", "8"])
+
+        def refuse(self, query, k, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(QueryService, "submit", refuse)
+        code = run(["serve", "--index", str(tmp_path / "idx"),
+                    "--dataset", "glove", "--n", "200", "--queries", "4",
+                    "--clients", "2", "-k", "3"])
+        assert code == 1
+        assert "4 queries failed" in capsys.readouterr().err
 
     def test_build_from_fvecs(self, tmp_path):
         import numpy as np
@@ -148,30 +184,6 @@ class TestWalCompact:
             assert int(reopened.query(vector, 1)[0][0]) == new_id
 
 
-class TestCompare:
-    def test_compare_selected_methods(self):
-        out = io.StringIO()
-        code = run(["compare", "--dataset", "glove", "--n", "250",
-                    "--queries", "4", "-k", "5",
-                    "--methods", "hdindex,linear,idistance"], out)
-        assert code == 0
-        text = out.getvalue()
-        for name in ("hdindex", "linear", "idistance"):
-            assert name in text
-
-    def test_unknown_method_rejected(self):
-        code = run(["compare", "--dataset", "glove", "--n", "100",
-                    "--methods", "faiss"])
-        assert code == 2
-
-    @pytest.mark.parametrize("name", ["vafile", "e2lsh"])
-    def test_removed_method_names_the_migration_notes(self, name, capsys):
-        code = run(["compare", "--dataset", "glove", "--n", "100",
-                    "--methods", f"hdindex,{name}"])
-        assert code == 2
-        assert "docs/MIGRATION.md" in capsys.readouterr().err
-
-
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -179,3 +191,26 @@ class TestParser:
 
     def test_main_dispatches(self, capsys):
         assert main(["info"]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--index", "idx", "-k", "0"],
+        ["serve", "--index", "idx", "-k", "0"],
+        ["query", "--index", "idx", "--n", "0"],
+        ["query", "--index", "idx", "--queries", "0"],
+    ], ids=["query-k", "serve-k", "n", "queries"])
+    def test_out_of_range_numbers_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as raised:
+            build_parser().parse_args(argv)
+        assert raised.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["compare"],
+        ["serve", "--index", "{d}", "--listen", "127.0.0.1:0"],
+        ["build", "--from-hdf5", "x.hdf5:train", "--out", "{d}"],
+    ], ids=["compare", "serve-listen", "build-from-hdf5"])
+    def test_removed_spellings_are_usage_errors(self, argv, tmp_path):
+        """See docs/MIGRATION.md for what replaces each."""
+        argv = [arg.format(d=tmp_path) for arg in argv]
+        with pytest.raises(SystemExit) as raised:
+            main(argv)
+        assert raised.value.code == 2

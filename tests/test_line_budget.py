@@ -54,12 +54,14 @@ data's squared norms once.  Nothing unrelated was trimmed.
 16016 -> 15560: the replica tier went (the replica router, its CLI
 subcommand, its placement hash and the topology's replica count), and
 with it the blocking serve client and its second frame decoder.
+15560 -> 15280: ``repro compare``, ``repro serve --listen`` and the
+HDF5 streaming build (``repro build --from-hdf5`` and its loaders) went.
 """
 
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
-LINE_BUDGET = 15560
+LINE_BUDGET = 15280
 
 
 def test_source_lines_within_budget():

@@ -55,7 +55,6 @@ EXPECTED_ALL = [
     "evaluate_spec",
     "exact_knn",
     "format_table",
-    "iter_hdf5_chunks",
     "load_index",
     "make_dataset",
     "mean_average_precision",

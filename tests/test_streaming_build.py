@@ -14,8 +14,6 @@ from repro.core import HDIndex, HDIndexParams, IndexSpec, open_index
 from repro.core.factory import build
 from repro.core.spec import Topology
 from repro.distance import euclidean_to_many, normalize_rows, top_k_smallest
-from repro.datasets import iter_hdf5_chunks
-from repro.datasets.loaders import hdf5_shape
 from test_backend_parity import _is_mapped
 
 DIM = 10
@@ -187,38 +185,3 @@ class TestStreamingRestrictions:
         with pytest.raises(ValueError, match="exceeds the stream"):
             index.build_from_chunks(chunks_of(corpus))
 
-
-class TestHdf5Loader:
-    """h5py is optional (and absent in CI); its import gate must raise a
-    helpful error, and the real read path runs only when available."""
-
-    def test_missing_h5py_raises_helpfully(self, tmp_path):
-        try:
-            import h5py  # noqa: F401
-            pytest.skip("h5py installed; gate not exercised")
-        except ImportError:
-            pass
-        with pytest.raises(ImportError, match="h5py"):
-            list(iter_hdf5_chunks(tmp_path / "x.hdf5", "train"))
-        with pytest.raises(ImportError, match="h5py"):
-            hdf5_shape(tmp_path / "x.hdf5", "train")
-
-    def test_chunk_rows_validated_before_import(self, tmp_path):
-        with pytest.raises(ValueError, match="chunk_rows"):
-            list(iter_hdf5_chunks(tmp_path / "x.hdf5", "train",
-                                  chunk_rows=0))
-
-    def test_round_trip_when_h5py_available(self, tmp_path):
-        h5py = pytest.importorskip("h5py")
-        data = np.arange(60.0).reshape(12, 5)
-        path = tmp_path / "corpus.hdf5"
-        with h5py.File(path, "w") as handle:
-            handle.create_dataset("train", data=data)
-        assert hdf5_shape(path, "train") == (12, 5)
-        blocks = list(iter_hdf5_chunks(path, "train", chunk_rows=5))
-        np.testing.assert_array_equal(np.vstack(blocks), data)
-        capped = list(iter_hdf5_chunks(path, "train", chunk_rows=5,
-                                       max_vectors=7))
-        assert sum(len(b) for b in capped) == 7
-        with pytest.raises(ValueError, match="not found"):
-            list(iter_hdf5_chunks(path, "test"))
