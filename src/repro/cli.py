@@ -91,7 +91,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="make inserts/deletes durable: frame each in "
                             "a write-ahead log next to the snapshot "
                             "(without it they are volatile until "
-                            "save_index / `repro compact`)")
+                            "save_index / `repro compact`); plain "
+                            "indexes only, not with --shards N > 1")
     build.add_argument("--with-labels", type=_positive_int, default=None,
                        metavar="N",
                        help="attach a synthetic metadata column "
@@ -104,9 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "snapshot generation when it is WAL-backed)")
     compact.add_argument("--index", required=True,
                          help="directory holding a persisted index; "
-                              "logged updates (built with --wal, or "
-                              "process execution) are replayed and "
-                              "published as the next generation")
+                              "a plain index's logged updates (built with "
+                              "--wal, or process execution) are replayed "
+                              "and published as the next generation")
 
     query = commands.add_parser("query", help="query a persisted index")
     query.add_argument("--index", required=True,
@@ -275,11 +276,8 @@ def _spec_from_args(args, data, dataset_spec) -> IndexSpec:
     else:
         base = IndexSpec()
         params = _params_from_args(args, data, dataset_spec)
-    topology = base.topology
-    if args.shards is not None:
-        # replace(), not a fresh Topology: a spec file's shard_backends
-        # (and future fields) survive a flag override.
-        topology = _dc.replace(topology, shards=args.shards)
+    topology = (base.topology if args.shards is None
+                else Topology(shards=args.shards))
     execution = base.execution
     updates = {}
     if args.execution is not None:
@@ -306,15 +304,18 @@ def cmd_build(args, out=sys.stdout) -> int:
     if args.with_labels is not None:
         metadata = [{"label": row % args.with_labels}
                     for row in range(len(data))]
-    index = build_index(spec, data, storage_dir=args.out,
-                        metadata=metadata)
+    try:
+        index = build_index(spec, data, storage_dir=args.out,
+                            metadata=metadata)
+    except ValueError as error:  # e.g. --wal on a sharded topology
+        print(f"error: {error}", file=sys.stderr)
+        return 2
     params = index.params
     stats = index.build_stats()
     print(f"built {index.name} over n={len(data)}, ν={data.shape[1]} in "
           f"{stats.time_sec:.2f}s", file=out)
-    # Branch on what the factory actually built: shard_backends forces a
-    # router even at shards=1, and only routers have num_shards (the
-    # plain branch reads per-tree leaf orders a router does not report).
+    # Only routers have num_shards (the plain branch reads per-tree leaf
+    # orders a router does not report).
     from repro.core import ShardRouter
     if isinstance(index, ShardRouter):
         print(f"{index.num_shards} shards x τ={params.num_trees} trees, "

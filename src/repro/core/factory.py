@@ -66,13 +66,13 @@ def create_index(spec: IndexSpec | None = None,
     spec = coerce_spec(spec)
     params = spec.resolved_params(
         None if storage_dir is None else os.fspath(storage_dir))
+    if spec.topology.shards > 1:
+        return ShardRouter(params, spec.topology, spec.execution)
     if spec.execution.wal is True and params.storage_dir is None:
         raise ValueError(
             "Execution(wal=True) requires a disk-backed index "
             "(storage_dir=...): the write-ahead log lives next to the "
             "snapshot")
-    if spec.topology.shards > 1 or spec.topology.shard_backends is not None:
-        return ShardRouter(params, spec.topology, spec.execution)
     index = HDIndex(params)
     index._wal_policy = spec.execution.wal
     index.set_execution(spec.execution)
@@ -171,6 +171,7 @@ def open_index(path: str | os.PathLike[str],
             :func:`~repro.core.persistence.load_index`: ``True`` attaches
             and replays the write-ahead log, ``False`` none (the
             read-only reader), ``None`` honours the snapshot's policy.
+            A sharded snapshot refuses ``True`` (``ValueError``).
 
     Returns:
         A ready-to-query :class:`~repro.core.hdindex.HDIndex` or
@@ -183,7 +184,8 @@ def open_index(path: str | os.PathLike[str],
         if isinstance(execution, str):
             execution = Execution(kind=execution)
         set_execution(index, execution)
-        if execution.wal is not None and wal is None:
+        if (execution.wal is not None and wal is None
+                and isinstance(index, HDIndex)):
             from repro.wal.manager import attach_wal
             attach_wal(index, os.fspath(path), execution.wal)
     return index

@@ -26,7 +26,9 @@ A persisted :class:`~repro.core.router.ShardRouter` is a directory
 containing a ``manifest.json`` (shard count, global-id layout, base
 parameters, spec) plus one ``shard_<s>/`` subdirectory per shard, each of
 which is a plain persisted index as above — the "build offline, serve
-online" split, with every shard deployable to its own machine.
+online" split, with every shard deployable to its own machine.  It keeps
+no write-ahead log: a ``wal.log`` an older release left holding records
+is refused at open (:func:`repro.wal.manager.refuse_sharded_log`).
 
 Loading maps or reads those files without touching the data — build
 once, reopen and query on a machine that never holds the dataset in RAM.
@@ -79,7 +81,7 @@ def save_index(index, directory: str | os.PathLike[str]) -> None:
     If the index was built with ``storage_dir`` pointing at ``directory``
     the heap's page file is already in place; an in-memory heap is
     written out in one sequential pass.  An index with no write-ahead log
-    attached first folds its delta segment into the base
+    attached (every router) first folds its delta segment into the base
     (``HDIndex._fold_delta``: un-logged inserts become durable here), so
     save -> load -> ``insert()`` / ``delete()`` -> save again keeps the
     snapshot consistent.
@@ -164,7 +166,9 @@ def load_index(directory: str | os.PathLike[str],
             stays unread, updates are volatile until ``compact()`` /
             ``save_index``: the read-only-reader spelling); ``None``
             honours the snapshot's recorded policy
-            (:class:`~repro.core.spec.Execution` ``wal``).
+            (:class:`~repro.core.spec.Execution` ``wal``).  A sharded
+            snapshot keeps no log: it refuses ``True`` (``ValueError``)
+            and ignores a recorded policy.
 
     Returns:
         A ready-to-query :class:`HDIndex` (execution reconstructed from
@@ -176,7 +180,9 @@ def load_index(directory: str | os.PathLike[str],
         PersistenceError: If the directory is not a valid snapshot, the
             format version is unsupported, or ``backend`` is unknown.
         WalError: If the log does not extend the published generation,
-            or compactions republished the root under every open.
+            a sharded root's log holds records (and ``wal`` is not
+            ``False``), or compactions republished the root under every
+            open.
     """
     directory = os.fspath(directory)
     if backend is not None:
@@ -188,28 +194,28 @@ def load_index(directory: str | os.PathLike[str],
         raise PersistenceError(
             f"wal must be True, False or None, got {wal!r}")
     from repro.wal.log import WalError
-    from repro.wal.manager import attach_wal, published, resolve_snapshot_dir
+    from repro.wal.manager import attach_wal, read_current, resolve_snapshot_dir
     # A seqlock over the generation and its log: a compaction publishes,
     # then truncates the log, so a pair read across it (an old base, a
     # later generation's records) is retried, never replayed.  A WAL
     # root's CURRENT pointer wins over any stale in-root meta.
     for _ in range(OPEN_TRIES):
-        seen, index = published(directory), None
+        seen, index = read_current(directory), None
         try:
             target = resolve_snapshot_dir(directory)
             if os.path.exists(os.path.join(target, MANIFEST_FILE)):
-                index = _load_sharded(target, cache_pages, backend)
+                index = _load_sharded(target, cache_pages, backend, wal)
             elif os.path.exists(os.path.join(target, META_FILE)):
                 index = _load_hdindex(target, cache_pages, backend)
+                attach_wal(index, directory, wal)
             else:
                 raise PersistenceError(
                     f"{directory} has neither {META_FILE} nor "
                     f"{MANIFEST_FILE}")
-            attach_wal(index, directory, wal)
         except (PersistenceError, WalError):
-            if published(directory) == seen:
+            if read_current(directory) == seen:
                 raise
-        if published(directory) == seen:
+        if read_current(directory) == seen:
             return index
         if index is not None:
             index.close()
@@ -220,20 +226,14 @@ def load_index(directory: str | os.PathLike[str],
 # -- plain / parallel indexes ----------------------------------------------
 
 
-def _refuse_logged_delta(owner, parts) -> None:
-    """A logged delta is ``compact()``'s to publish as a new generation:
-    refuse before any file of the live one is touched.  ``owner`` holds
-    the log (the router for its shards, which never log themselves)."""
-    if owner._wal is not None and any(len(p._delta) for p in parts):
+def _save_hdindex(index: HDIndex, directory: str) -> None:
+    index._require_built()
+    if index._wal is not None and len(index._delta):
+        # A logged delta is compact()'s to publish as a new generation.
         raise PersistenceError(
             "index holds un-compacted WAL delta entries; call "
             "compact() to fold them into a snapshot generation "
             "before save_index()")
-
-
-def _save_hdindex(index: HDIndex, directory: str) -> None:
-    index._require_built()
-    _refuse_logged_delta(index, [index])
     folded = len(index._delta) > 0
     if folded:
         index._fold_delta()
@@ -414,24 +414,20 @@ def _shard_dir(directory: str, shard_index: int) -> str:
 
 
 def _save_sharded(index, directory: str) -> None:
+    from repro.wal.manager import resolve_snapshot_dir
     index._require_built()
-    _refuse_logged_delta(index, index.shards)
     os.makedirs(directory, exist_ok=True)
     for shard_index, shard in enumerate(index.shards):
-        shard_directory = _shard_dir(directory, shard_index)
+        # A shard of an older, logged root may live in a published
+        # generation: fold into that one, the one its CURRENT names.
+        shard_directory = resolve_snapshot_dir(
+            _shard_dir(directory, shard_index))
         if _shard_snapshot_is_current(shard, shard_directory):
             # A remote (process-execution) shard persisted itself at
             # build/fold time; its pages, metadata and references are
             # already exactly what _save_hdindex would write.
             continue
         _save_hdindex(shard, shard_directory)
-    _write_manifest(index, directory)
-
-
-def _write_manifest(index, directory: str) -> None:
-    """Atomically (re)write a router's ``manifest.json`` — also the
-    publish step of sharded compaction, which must never leave a torn
-    manifest behind a crash."""
     params = dataclasses.asdict(index.params)
     # The wrapper's storage_dir is a property of the *deployment*, not the
     # snapshot; load_index re-points it at the snapshot directory.
@@ -482,8 +478,12 @@ def _shard_snapshot_is_current(shard, shard_directory: str) -> bool:
 
 
 def _load_sharded(directory: str, cache_pages: int | None,
-                  backend: str | None = None):
-    from repro.core.router import ShardRouter
+                  backend: str | None = None, wal: bool | None = None):
+    from repro.core.router import ShardRouter, refuse_log
+    from repro.wal.manager import refuse_sharded_log, resolve_snapshot_dir
+    refuse_log(wal)
+    if wal is None:
+        refuse_sharded_log(directory)
     with open(os.path.join(directory, MANIFEST_FILE)) as handle:
         manifest = json.load(handle)
     if manifest.get("format_version") != FORMAT_VERSION:
@@ -491,6 +491,9 @@ def _load_sharded(directory: str, cache_pages: int | None,
             f"unsupported index format {manifest.get('format_version')!r}")
     topology, execution = _recorded_spec(
         manifest, os.path.join(directory, MANIFEST_FILE))
+    if execution.wal:
+        # Older releases logged sharded updates; this one keeps no log.
+        execution = dataclasses.replace(execution, wal=None)
     params = _restore_params(manifest["params"], directory, cache_pages,
                              backend or "mmap")
     num_shards = int(manifest["num_shards"])
@@ -501,15 +504,13 @@ def _load_sharded(directory: str, cache_pages: int | None,
     index.shards = []
     index._id_maps = []
     index._id_arrays = [None] * num_shards
-    from repro.wal.manager import resolve_snapshot_dir
     for shard_index in range(num_shards):
-        # Each shard directory may carry its own published generation
-        # (sharded compaction); resolve it before reading meta.json.
+        # A shard of an older, logged root may carry its own published
+        # generation; resolve it before reading meta.json.
         shard_directory = resolve_snapshot_dir(
             _shard_dir(directory, shard_index))
         shard = _load_hdindex(shard_directory, cache_pages, backend)
-        # The router owns the (single) write-ahead log; shards never
-        # attach one of their own.
+        # Shards never attach a log of their own.
         shard._wal_policy = False
         index.shards.append(shard)
         built = list(range(int(index.offsets[shard_index]),

@@ -318,10 +318,6 @@ class SnapshotWorkerPool:
         self._closed = True
         self.reset()
 
-    @property
-    def workers(self) -> int:
-        return self.num_workers
-
     # -- dispatch --------------------------------------------------------
 
     def submit(self, task, /, *args) -> Future:

@@ -14,9 +14,13 @@ Topology and execution are orthogonal axes of
 :class:`~repro.core.spec.Execution`: each child index scans inline or
 over its own process pool bootstrapping from that shard's own
 ``shard_<s>/`` snapshot — the sharded x process
-combination the old class-per-combination design could not express.  A
-:class:`~repro.core.spec.Topology` may also assign heterogeneous per-shard
-storage backends (e.g. the hot shard in RAM, the cold tail mmap'd).
+combination the old class-per-combination design could not express.
+
+Updates (Sec. 3.6) belong to the shard that owns the id: ``insert`` /
+``delete`` land in that shard's delta segment, volatile until
+:meth:`ShardRouter.compact` (or ``save_index``) folds every shard in
+place.  A sharded deployment keeps no write-ahead log; giving it one
+raises ``ValueError``.
 
 Object ids are global: shard s owns the contiguous id range
 ``[offsets[s], offsets[s+1])``, so results are directly comparable to the
@@ -26,7 +30,6 @@ unsharded index over the same data.
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 
 import numpy as np
@@ -37,7 +40,16 @@ from repro.core.params import HDIndexParams
 from repro.core.spec import Execution, IndexSpec, Topology
 from repro.distance.metrics import require_finite
 from repro.meta import MetadataStore
-from repro.wal.manager import compact_router, open_log, resolve_snapshot_dir
+
+
+def refuse_log(wal: bool | None) -> None:
+    """Raise when a sharded deployment is asked for a write-ahead log
+    (``Execution(wal=True)``, ``repro.open(..., wal=True)``)."""
+    if wal:
+        raise ValueError(
+            "a sharded deployment keeps no write-ahead log: its updates "
+            "are volatile until compact() or save_index "
+            "(docs/MIGRATION.md)")
 
 
 class ShardRouter(KNNIndex):
@@ -55,7 +67,8 @@ class ShardRouter(KNNIndex):
         The :class:`~repro.core.spec.Execution` every child index runs
         its per-tree scans with; ``None`` means sequential.
         ``kind="process"`` requires ``params.storage_dir`` — each shard's
-        worker pool bootstraps from its own ``shard_<s>/`` snapshot.
+        worker pool bootstraps from its own ``shard_<s>/`` snapshot;
+        ``wal=True`` is refused (:func:`refuse_log`).
     """
 
     name = "HD-Index(sharded)"
@@ -70,6 +83,7 @@ class ShardRouter(KNNIndex):
         self.params = params if params is not None else HDIndexParams()
         self.topology = topology
         self.execution = execution if execution is not None else Execution()
+        refuse_log(self.execution.wal)
         if self._remote and self.params.storage_dir is None:
             raise ValueError(
                 "sharded process execution requires "
@@ -81,42 +95,29 @@ class ShardRouter(KNNIndex):
         self.count = 0
         self._build_stats = BuildStats()
         self._query_stats = QueryStats()
-        # Online-update state (repro.wal): one router-level log whose
-        # records carry the target shard; shards never log individually.
+        # Recorded in the manifest; a fold in place never moves it.
         self.generation = 0
-        self._wal = None
-        self._wal_policy: bool | None = self.execution.wal
-        self._wal_root: str | None = None
-        self._wal_fsync = "always"
 
     @property
     def spec(self) -> IndexSpec:
         """The declarative spec describing this router's configuration."""
-        execution = self.execution
-        if self._wal_policy != execution.wal:
-            execution = dataclasses.replace(execution, wal=self._wal_policy)
         return IndexSpec(params=self.params, topology=self.topology,
-                         execution=execution)
+                         execution=self.execution)
 
     # -- child construction ------------------------------------------------
 
     def _shard_params(self, shard_index: int) -> HDIndexParams:
-        """Per-shard params: derived seed, ``shard_<s>/`` storage
-        subdirectory, and the topology's per-shard backend override."""
-        updates: dict = {"seed": self.params.seed + shard_index}
-        if self.params.storage_dir is not None:
-            updates["storage_dir"] = (
-                f"{self.params.storage_dir}/shard_{shard_index}")
-        else:
-            updates["storage_dir"] = None
-        if self.topology.shard_backends is not None:
-            updates["backend"] = self.topology.shard_backends[shard_index]
-        return dataclasses.replace(self.params, **updates)
+        """Per-shard params: derived seed and ``shard_<s>/`` storage
+        subdirectory."""
+        storage_dir = self.params.storage_dir
+        return dataclasses.replace(
+            self.params, seed=self.params.seed + shard_index,
+            storage_dir=(None if storage_dir is None
+                         else f"{storage_dir}/shard_{shard_index}"))
 
     def _make_shard(self, shard_index: int) -> HDIndex:
         shard = HDIndex(self._shard_params(shard_index))
-        # The router owns the write-ahead log; a shard must never
-        # attach one of its own (process shards would).
+        # A shard never attaches a log of its own (process shards would).
         shard._wal_policy = False
         shard.set_execution(self.execution)
         return shard
@@ -127,6 +128,7 @@ class ShardRouter(KNNIndex):
         shard disk-backed: a failure mid-swap would leave the router
         claiming an execution its shards do not run (and persist that
         lie into the manifest)."""
+        refuse_log(execution.wal)
         if execution.kind == "process":
             for position, shard in enumerate(self.shards):
                 if shard.params.storage_dir is None:
@@ -201,32 +203,16 @@ class ShardRouter(KNNIndex):
             shard._fold_delta()
 
     def compact(self) -> int:
-        """Fold every shard's delta into its base.
-
-        With the write-ahead log attached: write new shard generations,
-        publish the per-shard ``CURRENT`` pointers, atomically rewrite
-        the manifest, truncate the log, and hot-swap the shards onto the
-        new generations.  Without one:
-        :func:`repro.core.persistence.fold_in_place`.
+        """Fold every shard's delta into its base in place
+        (:func:`repro.core.persistence.fold_in_place`: a persisted
+        router re-saves its shards and manifest).
 
         Returns:
-            The snapshot generation now live (unchanged without a log).
+            The manifest's generation, which a fold never moves.
         """
         self._require_built()
-        if open_log(self) is None:
-            from repro.core.persistence import fold_in_place
-            return fold_in_place(self)
-        generation = compact_router(self)
-        for shard_index, shard in enumerate(self.shards):
-            shard_root = f"{self._wal_root}/shard_{shard_index}"
-            if (os.path.abspath(resolve_snapshot_dir(shard_root))
-                    != os.path.abspath(shard.params.storage_dir)):
-                # This shard folded into a new generation: hot-swap onto
-                # it (the shard keeps its execution; a process pool
-                # re-binds without cancelling in-flight work).
-                shard._wal_root = shard_root
-                shard._adopt_current()
-        return generation
+        from repro.core.persistence import fold_in_place
+        return fold_in_place(self)
 
     def query(self, point: np.ndarray, k: int,
               alpha: int | None = None, beta: int | None = None,
@@ -307,20 +293,15 @@ class ShardRouter(KNNIndex):
     def insert(self, vector: np.ndarray, metadata=None) -> int:
         """Route the insert to the least-loaded shard; return a global id.
 
-        The write lands in that shard's delta segment, after one frame
-        in the router's log when one is attached — the record carries
-        the target shard (and the metadata dict, when the deployment is
-        filtered).  No snapshot is rewritten and no worker pool restarts.
+        The write lands in that shard's delta segment, volatile until
+        :meth:`compact`.  No snapshot is rewritten and no worker pool
+        restarts.
         """
         self._require_built()
         target = int(np.argmin([shard.count for shard in self.shards]))
         shard = self.shards[target]
         vector, metadata = shard._validate_insert(vector, metadata)
         global_id = self.count
-        log = open_log(self)
-        if log is not None:
-            log.append_insert(global_id, vector, shard=target,
-                              metadata=metadata)
         with shard._update_lock:
             shard._delta_insert(vector, metadata)
         self._id_maps[target].append(global_id)
@@ -342,9 +323,6 @@ class ShardRouter(KNNIndex):
         self._require_built()
         shard_index, local_id = self._locate(int(object_id))
         shard = self.shards[shard_index]
-        log = open_log(self)
-        if log is not None:
-            log.append_delete(int(object_id), shard=shard_index)
         with shard._update_lock:
             shard._deleted.add(int(local_id))
         self._bump_update_epoch()
@@ -403,7 +381,5 @@ class ShardRouter(KNNIndex):
         return self._build_stats
 
     def close(self) -> None:
-        if self._wal is not None:
-            self._wal.close()
         for shard in self.shards:
             shard.close()

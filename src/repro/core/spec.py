@@ -11,8 +11,7 @@ serves; only two orthogonal axes ever change:
   across worker processes sharing an mmap snapshot.
 
 :class:`IndexSpec` names a point of that grid — including sharded x
-process and heterogeneous per-shard backends — as one declarative
-value::
+process — as one declarative value::
 
     IndexSpec(params=HDIndexParams(...),
               topology=Topology(shards=4),
@@ -59,47 +58,25 @@ class Topology:
     shards:
         Number of horizontal partitions; ``1`` means a single plain index
         (no router).
-    shard_backends:
-        Optional per-shard storage-backend override — ``"memory"`` or
-        ``"mmap"`` per shard — for heterogeneous deployments
-        (e.g. the hot shard in RAM, the cold tail mmap'd).  ``None`` gives
-        every shard the spec-level backend.
 
     >>> Topology(shards=2).shards
     2
-    >>> Topology(shards=2, shard_backends=("memory", "mmap")).shard_backends
-    ('memory', 'mmap')
     """
 
     shards: int = 1
-    shard_backends: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError(f"shards must be >= 1, got {self.shards}")
-        if self.shard_backends is not None:
-            backends = tuple(self.shard_backends)
-            object.__setattr__(self, "shard_backends", backends)
-            if len(backends) != self.shards:
-                raise ValueError(
-                    f"shard_backends has {len(backends)} entries for "
-                    f"{self.shards} shards")
-            for backend in backends:
-                check_backend(backend, "shard")
 
     def to_dict(self) -> dict[str, Any]:
-        return {"shards": self.shards,
-                "shard_backends": (None if self.shard_backends is None
-                                   else list(self.shard_backends)),
-                # Not a field; written so snapshot JSON stays byte-identical.
+        # Not fields; written so snapshot JSON stays byte-identical.
+        return {"shards": self.shards, "shard_backends": None,
                 "replicas": 1}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "Topology":
-        backends = data.get("shard_backends")
-        return cls(shards=int(data.get("shards", 1)),
-                   shard_backends=(None if backends is None
-                                   else tuple(backends)))
+        return cls(shards=int(data.get("shards", 1)))
 
 
 @dataclass(frozen=True)
@@ -132,7 +109,8 @@ class Execution:
         ``False`` attaches no log — updates are volatile until
         ``compact()``/``save_index`` fold them into the base; ``None``
         (default) lets the runtime decide — a log on disk, or process
-        execution, attaches one.
+        execution, attaches one to a plain index.  A sharded deployment
+        keeps no log: ``True`` is refused there.
 
     >>> Execution(kind="threaded").kind
     'sequential'

@@ -248,8 +248,11 @@ class QueryService:
     workers=N)`` (see :meth:`from_snapshot`) row-shards each flushed
     micro-batch across worker processes that each hold a lazily reopened
     ``mmap`` view of the same snapshot — the multi-core serving tier.
-    Process execution serves an *immutable* snapshot: mutate the
-    underlying index offline and re-snapshot instead.
+    Process execution serves an *immutable* snapshot: once the index is
+    updated, batches fail with
+    :class:`~repro.core.procpool.ProcessPoolError` until it is
+    re-snapshotted (``save_index()`` or ``compact()``) and swapped in
+    (:meth:`swap_snapshot`).
 
     >>> import numpy as np
     >>> from repro import HDIndex, HDIndexParams, QueryService
@@ -293,6 +296,9 @@ class QueryService:
                 directory, num_workers=execution.workers,
                 backend=execution.worker_backend,
                 timeout=execution.worker_timeout)
+        # The index update epoch the pool's snapshot holds; workers
+        # never see later updates (_answer_rows).
+        self._pool_epoch = getattr(index, "update_epoch", 0)
         self.cache = ResultCache(self.config.cache_size)
         # The index mutation epoch the cache's entries were computed
         # against; a mismatch (insert/delete happened, including
@@ -724,6 +730,7 @@ class QueryService:
             self.index = swap.index
             if self._pool is not None:
                 self._pool.swap(swap.root)
+                self._pool_epoch = getattr(swap.index, "update_epoch", 0)
             self.cache.invalidate()
             self._cache_epoch = getattr(swap.index, "update_epoch", 0)
             if self._owns_index and old is not swap.index:
@@ -849,8 +856,15 @@ class QueryService:
                      ) -> tuple[np.ndarray, np.ndarray]:
         """One flushed group: in-process ``query_batch``, or row-sharded
         across the worker pool in process mode (byte-identical either
-        way — rows are independent)."""
+        way — rows are independent).  Workers answer from the snapshot
+        alone, so an update since the pool bound fails the batch rather
+        than serving stale answers."""
         if self._pool is not None:
+            if getattr(self.index, "update_epoch", 0) != self._pool_epoch:
+                raise ProcessPoolError(
+                    "the index was updated after the worker pool bound its "
+                    "snapshot: call save_index() or compact(), then "
+                    "swap_snapshot(), to serve the update")
             return self._pool.run_query_batch(points, k, overrides)
         return self.index.query_batch(points, k, **overrides)
 

@@ -16,7 +16,8 @@ it *servable under live traffic* anyway:
 
 Every insert lands in the delta segment whether or not a log is
 attached; the log adds durability — one frame of I/O per write — and
-the generation chain.
+the generation chain.  Only a plain index logs: a sharded deployment's
+updates are volatile until ``compact()`` folds them in place.
 """
 
 from repro.wal.delta import DeltaSegment
@@ -33,7 +34,6 @@ from repro.wal.manager import (
     WAL_FILE,
     attach_wal,
     compact_index,
-    compact_router,
     enable_wal,
     generation_name,
     has_wal_layout,
@@ -53,7 +53,6 @@ __all__ = [
     "WriteAheadLog",
     "attach_wal",
     "compact_index",
-    "compact_router",
     "enable_wal",
     "generation_name",
     "has_wal_layout",

@@ -20,11 +20,12 @@ full log, or the new generation + (possibly not-yet-truncated) log whose
 records replay as no-ops because their ids are already below the folded
 count.  Replay is idempotent by construction.
 
-A sharded root keeps one router-level ``wal.log`` (records carry the
-target shard); each ``shard_<s>/`` directory gets its own generations
-and ``CURRENT``, published *before* the router's ``manifest.json`` is
-atomically rewritten — the replay reconciliation in
-:func:`_replay_into_router` covers every crash window in between.
+Only a plain index logs.  A sharded root keeps no log: its updates are
+volatile until ``compact()`` / ``save_index`` fold every shard in place.
+Older releases logged them in a router-level ``wal.log`` and published
+per-shard ``shard_<s>/gen-*`` generations; those generations still
+resolve, and :func:`refuse_sharded_log` refuses a root whose log still
+holds records rather than open it without them.
 """
 
 from __future__ import annotations
@@ -43,13 +44,12 @@ __all__ = [
     "WAL_FILE",
     "attach_wal",
     "compact_index",
-    "compact_router",
     "enable_wal",
     "generation_name",
     "has_wal_layout",
     "publish_current",
-    "published",
     "read_current",
+    "refuse_sharded_log",
     "resolve_snapshot_dir",
 ]
 
@@ -134,21 +134,12 @@ def publish_current(root: str | os.PathLike[str], name: str) -> None:
     _fsync_dir(root)
 
 
-def _read_generation(snapshot_dir: str, name: str = "meta.json") -> int:
+def _read_generation(snapshot_dir: str) -> int:
     try:
-        with open(os.path.join(snapshot_dir, name)) as handle:
+        with open(os.path.join(snapshot_dir, "meta.json")) as handle:
             return int(json.load(handle).get("generation", 0))
     except (OSError, ValueError):
         return 0
-
-
-def published(root: str | os.PathLike[str]) -> tuple[str | None, int]:
-    """What a compaction republishes before it truncates the log: the
-    ``CURRENT`` pointer and the sharded manifest's generation.  Both only
-    move forward, so an opener that reads the same value before and
-    after reading a generation and its log read a matching pair."""
-    root = os.fspath(root)
-    return read_current(root), _read_generation(root, "manifest.json")
 
 
 def _prune_generations(root: str, keep: set[str]) -> None:
@@ -166,9 +157,7 @@ def _prune_generations(root: str, keep: set[str]) -> None:
 
 def enable_wal(index, root: str | os.PathLike[str] | None = None,
                fsync: str | None = None) -> None:
-    """Create the log handle for a built index — one per plain index, one
-    for a whole sharded deployment (its records carry the target shard;
-    shards never log individually).
+    """Create the log handle for a built plain index.
 
     Idempotent; called on the first logged mutation (:func:`open_log`)
     and by :func:`attach_wal` at load time.
@@ -213,8 +202,7 @@ def attach_wal(index, root: str | os.PathLike[str],
     """Wire up (and replay) online-update state on a just-loaded index.
 
     Args:
-        index: A loaded :class:`~repro.core.hdindex.HDIndex` or
-            :class:`~repro.core.router.ShardRouter`.
+        index: A loaded :class:`~repro.core.hdindex.HDIndex`.
         root: The snapshot *root* (the directory :func:`load_index` was
             given, not the resolved generation directory).
         wal: Per-call override — ``True`` attaches the log, ``False``
@@ -232,10 +220,21 @@ def attach_wal(index, root: str | os.PathLike[str],
         hook()
     records, _ = replay_wal(wal_path(root))
     enable_wal(index, root)
-    if hasattr(index, "shards"):
-        _replay_into_router(index, records)
-    else:
-        _replay_into_index(index, records)
+    _replay_into_index(index, records)
+
+
+def refuse_sharded_log(root: str | os.PathLike[str]) -> None:
+    """Refuse a sharded root whose ``wal.log`` (written by an older
+    release) still holds records: this release replays no sharded log,
+    so opening it would silently drop those updates.  An empty or
+    absent log passes."""
+    records, _ = replay_wal(wal_path(root), repair=False)
+    if records:
+        raise WalError(
+            f"{wal_path(root)} holds {len(records)} logged sharded "
+            f"update(s) this release does not replay: compact() the root "
+            f"with the release that wrote it, or pass wal=False to open "
+            f"it without them (docs/MIGRATION.md)")
 
 
 def _replay_into_index(index, records: list[WalRecord]) -> None:
@@ -257,42 +256,6 @@ def _replay_into_index(index, records: list[WalRecord]) -> None:
         else:
             if 0 <= record.object_id < index.count:
                 index._deleted.add(record.object_id)
-
-
-def _replay_into_router(router, records: list[WalRecord]) -> None:
-    """Apply log records to a router, reconciling every crash window.
-
-    A compaction crash can leave the shard generations newer than the
-    manifest.  Replay therefore re-derives the id-map tails from the log
-    (they are not persisted between compactions) and skips the vector
-    apply when the shard's folded count already covers the local id.
-    """
-    for record in records:
-        if record.op == "insert":
-            if record.object_id < router.count:
-                continue  # manifest already covers this record
-            if record.object_id != router.count:
-                raise WalError(
-                    f"WAL id gap: record {record.object_id} but router "
-                    f"count is {router.count}")
-            shard_index = record.shard
-            if not 0 <= shard_index < router.num_shards:
-                raise WalError(
-                    f"WAL record targets shard {shard_index} of "
-                    f"{router.num_shards}")
-            shard = router.shards[shard_index]
-            local_id = len(router._id_maps[shard_index])
-            router._id_maps[shard_index].append(record.object_id)
-            router._id_arrays[shard_index] = None
-            if shard.count <= local_id:
-                shard._delta_insert(record.vector, record.metadata)
-            router.count += 1
-        else:
-            try:
-                shard_index, local_id = router._locate(record.object_id)
-            except ValueError:
-                continue
-            router.shards[shard_index]._deleted.add(local_id)
 
 
 # -- compaction --------------------------------------------------------
@@ -382,47 +345,3 @@ def compact_index(index) -> int:
         keep.add(previous)
     _prune_generations(root, keep)
     return next_generation
-
-
-def compact_router(router) -> int:
-    """Sharded compaction: fold each dirty shard, publish the shard
-    ``CURRENT`` pointers, then atomically rewrite the manifest (which
-    re-persists the id-map tails and count) and truncate the log."""
-    root = router._wal_root
-    next_generation = router.generation + 1
-    dest_name = generation_name(next_generation)
-    for shard_index, shard in enumerate(router.shards):
-        shard_root = os.path.join(root, f"shard_{shard_index}")
-        source = resolve_snapshot_dir(shard_root)
-        if not _shard_needs_fold(shard, source):
-            continue
-        with shard._update_lock:
-            records = shard._delta.records()
-            deleted = set(shard._deleted)
-        fold_generation(source, os.path.join(shard_root, dest_name),
-                        records, deleted, next_generation)
-        previous = read_current(shard_root)
-        publish_current(shard_root, dest_name)
-        keep = {dest_name}
-        if previous is not None:
-            keep.add(previous)
-        _prune_generations(shard_root, keep)
-    _run_fault_hook()
-    from repro.core.persistence import _write_manifest
-    router.generation = next_generation
-    _write_manifest(router, root)
-    router._wal.truncate()
-    return next_generation
-
-
-def _shard_needs_fold(shard, source: str) -> bool:
-    """A shard folds when it holds delta inserts or its deleted set
-    drifted from the published generation's meta."""
-    if len(shard._delta):
-        return True
-    try:
-        with open(os.path.join(source, "meta.json")) as handle:
-            meta = json.load(handle)
-    except (OSError, ValueError):
-        return True
-    return set(int(i) for i in meta.get("deleted", [])) != shard._deleted

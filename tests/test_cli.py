@@ -184,6 +184,19 @@ class TestWalCompact:
             assert int(reopened.query(vector, 1)[0][0]) == new_id
 
 
+    def test_sharded_build_refuses_a_log(self, tmp_path, capsys):
+        """A sharded deployment keeps no write-ahead log: one line on
+        stderr and a usage exit, not a traceback or a partial snapshot."""
+        code = main(["build", "--dataset", "glove", "--n", "150",
+                     "--out", str(tmp_path / "idx"), "--trees", "4",
+                     "--shards", "2", "--wal"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "no write-ahead log" in err
+        assert not (tmp_path / "idx").exists()
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):

@@ -1,10 +1,23 @@
 """Tests for the sharded (distributed) HD-Index extension."""
 
+import json
+
 import numpy as np
 import pytest
 
-from repro.core import HDIndexParams, ShardRouter
+from repro.core import (
+    Execution,
+    HDIndexParams,
+    IndexSpec,
+    ShardRouter,
+    Topology,
+    build,
+    create_index,
+    open_index,
+    set_execution,
+)
 from repro.eval import exact_knn, recall_at_k
+from repro.wal import WalError, WriteAheadLog, replay_wal
 
 
 @pytest.fixture(scope="module")
@@ -104,3 +117,104 @@ class TestShardRouter:
     def test_query_before_build_rejected(self):
         with pytest.raises(RuntimeError):
             ShardRouter(params()).query(np.zeros(16), 1)
+
+
+def _sharded_snapshot(workload, directory):
+    data, _ = workload
+    build(IndexSpec(params=params(), topology=Topology(shards=2)), data,
+          storage_dir=directory).close()
+    return directory
+
+
+def _assert_same_answers(got, want):
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+class TestShardedKeepsNoLog:
+    """A sharded deployment's updates are volatile until compact(): every
+    way to give it a write-ahead log is refused, and a root an older
+    release logged opens only when no logged update would be lost."""
+
+    def test_every_route_to_a_log_is_refused(self, workload, tmp_path):
+        logged = Execution(wal=True)
+        with pytest.raises(ValueError, match="no write-ahead log"):
+            ShardRouter(params(), 2, logged)
+        with pytest.raises(ValueError, match="no write-ahead log"):
+            create_index(IndexSpec(params=params(),
+                                   topology=Topology(shards=2),
+                                   execution=logged),
+                         storage_dir=tmp_path / "new")
+        directory = _sharded_snapshot(workload, tmp_path / "snap")
+        with open_index(directory) as router:
+            with pytest.raises(ValueError, match="no write-ahead log"):
+                set_execution(router, logged)
+            assert router.spec.execution == Execution()
+        for overrides in ({"wal": True}, {"execution": logged}):
+            with pytest.raises(ValueError, match="no write-ahead log"):
+                open_index(directory, **overrides)
+        assert not (directory / "wal.log").exists()
+
+    def test_a_logged_root_opens_only_with_an_empty_log(self, workload,
+                                                       tmp_path):
+        data, queries = workload
+        directory = _sharded_snapshot(workload, tmp_path / "snap")
+        with open_index(directory) as router:
+            want = router.query_batch(queries, 5)
+        (directory / "wal.log").write_bytes(b"")  # truncated by a compaction
+        with open_index(directory) as router:
+            _assert_same_answers(router.query_batch(queries, 5), want)
+        log = WriteAheadLog(directory / "wal.log")
+        log.append_insert(len(data), queries[0], shard=0)
+        log.close()
+        with pytest.raises(WalError, match="wal=False"):
+            open_index(directory)
+        with open_index(directory, wal=False) as router:
+            assert router.count == len(data)
+            _assert_same_answers(router.query_batch(queries, 5), want)
+        assert len(replay_wal(directory / "wal.log")[0]) == 1
+
+    def test_recorded_backends_and_log_policy_are_ignored(self, workload,
+                                                          tmp_path):
+        _, queries = workload
+        directory = _sharded_snapshot(workload, tmp_path / "snap")
+        with open_index(directory) as router:
+            want = router.query_batch(queries, 5)
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest["spec"]["topology"]["shard_backends"] = ["memory", "mmap"]
+        manifest["spec"]["execution"]["wal"] = True
+        path.write_text(json.dumps(manifest, indent=2))
+        with open_index(directory) as router:
+            assert router.spec.execution.wal is None
+            assert all(shard.heap.path is not None
+                       for shard in router.shards)
+            _assert_same_answers(router.query_batch(queries, 5), want)
+
+    def test_an_older_shard_generation_chain_resolves(self, workload,
+                                                      tmp_path):
+        """Older releases compacted a logged root into ``shard_<s>/gen-*``:
+        the shard opens from the generation its ``CURRENT`` names, and
+        compact() folds into that generation."""
+        data, queries = workload
+        directory = _sharded_snapshot(workload, tmp_path / "snap")
+        with open_index(directory) as router:
+            want = router.query_batch(queries, 5)
+        shard_root = directory / "shard_0"
+        generation = shard_root / "gen-000001"
+        generation.mkdir()
+        for path in list(shard_root.iterdir()):
+            if path.is_file():
+                path.rename(generation / path.name)
+        (shard_root / "CURRENT").write_text("gen-000001\n")
+        probe = np.full(data.shape[1], 50.0)
+        with open_index(directory) as router:
+            _assert_same_answers(router.query_batch(queries, 5), want)
+            new_id = router.insert(probe)
+            assert router._locate(new_id)[0] == 0
+            router.compact()
+        assert sorted(path.name for path in shard_root.iterdir()) \
+            == ["CURRENT", "gen-000001"]
+        with open_index(directory) as router:
+            ids, dists = router.query(probe, 1)
+            assert ids[0] == new_id and dists[0] < 1e-3

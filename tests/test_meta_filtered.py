@@ -730,16 +730,17 @@ class TestFilteredPersistence:
             assert reopened.metadata is None
 
 
-@pytest.mark.parametrize("wal", [True, False])
 class TestFilteredWal:
     """Filtered queries over online updates, with the write-ahead log
-    attached and without (same write path; the log is durability)."""
+    attached and without (same write path; the log is durability).  A
+    sharded deployment keeps no log, so it runs un-logged only."""
 
     def wal_spec(self, wal, n=N, shards=1):
         return IndexSpec(params=exhaustive_params(n=n), backend="mmap",
                          topology=Topology(shards=shards),
                          execution=Execution(kind="sequential", wal=wal))
 
+    @pytest.mark.parametrize("wal", [True, False])
     def test_wal_inserts_filterable_and_recovered(self, tmp_path, wal):
         data, queries, metadata = make_workload()
         index = build(self.wal_spec(wal), data, storage_dir=str(tmp_path),
@@ -762,7 +763,8 @@ class TestFilteredWal:
             assert (ids[0] == new_id) == wal
             assert recovered.count == N + wal
 
-    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("shards, wal",
+                             [(1, True), (1, False), (2, False)])
     def test_mismatched_metadata_rejected_before_the_log(self, tmp_path,
                                                          wal, shards):
         """A row the store cannot fold (wrong column, wrong kind) must be
@@ -792,6 +794,7 @@ class TestFilteredWal:
         assert ids[0] == N
         index.close()
 
+    @pytest.mark.parametrize("wal", [True, False])
     def test_compaction_folds_metadata(self, tmp_path, wal):
         data, queries, metadata = make_workload()
         index = build(self.wal_spec(wal), data, storage_dir=str(tmp_path),
@@ -809,6 +812,7 @@ class TestFilteredWal:
             ids, _ = reopened.query(fresh, k=1, predicate=Eq("label", 5))
             assert ids[0] == new_id
 
+    @pytest.mark.parametrize("wal", [True, False])
     def test_parity_through_wal_interleavings(self, tmp_path, wal):
         """Insert → query → compact → insert → query: parity with the
         oracle (base store + delta rows) at every step, one predicate

@@ -178,6 +178,34 @@ class TestProcessModeParity:
         finally:
             index.close()
 
+    def test_updates_after_the_pool_binds_are_never_served_stale(
+            self, workload, tmp_path):
+        """Workers answer from the snapshot alone: an insert or delete on
+        the served index fails batches with the typed error until it is
+        saved and swapped in, instead of answering from the old data."""
+        data, _ = workload
+        index = HDIndex(_params(str(tmp_path)))
+        index.build(data)
+        save_index(index, tmp_path)
+        index.close()
+        probe = np.full(16, 50.0)
+        with QueryService.from_snapshot(tmp_path, execution=Execution(
+                kind="process", workers=2)) as service:
+            assert service.query(data[7], 1, timeout=WAIT)[0][0] == 7
+            new_id = service.index.insert(probe)
+            with pytest.raises(ProcessPoolError, match="swap_snapshot"):
+                service.query(probe, 1, timeout=WAIT)
+            save_index(service.index, tmp_path)
+            service.swap_snapshot(timeout=WAIT)
+            ids, dists = service.query(probe, 1, timeout=WAIT)
+            assert ids[0] == new_id and dists[0] == 0.0
+            service.index.delete(7)
+            with pytest.raises(ProcessPoolError, match="swap_snapshot"):
+                service.query(data[7], 1, timeout=WAIT)
+            save_index(service.index, tmp_path)
+            service.swap_snapshot(timeout=WAIT)
+            assert 7 not in service.query(data[7], 1, timeout=WAIT)[0]
+
     def test_unknown_execution_rejected(self, workload):
         index = HDIndex(_params())
         with pytest.raises(ValueError, match="execution kind"):

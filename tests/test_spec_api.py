@@ -69,10 +69,6 @@ class TestSpecValidation:
     def test_topology_rejection(self):
         with pytest.raises(ValueError, match="shards"):
             Topology(shards=0)
-        with pytest.raises(ValueError, match="shard_backends"):
-            Topology(shards=3, shard_backends=("memory",))
-        with pytest.raises(ValueError, match="shard backend"):
-            Topology(shards=1, shard_backends=("tape",))
 
     def test_spec_backend_rejection(self):
         with pytest.raises(ValueError, match="storage backend"):
@@ -191,34 +187,6 @@ class TestFactoryCombos:
         finally:
             reopened.close()
 
-    def test_heterogeneous_shard_backends(self, workload, tmp_path):
-        """Per-shard storage backends (hot shard in RAM, cold shard
-        mmap'd) — the other previously-impossible combination."""
-        data, queries = workload
-        oracle = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=2)), data)
-        expected = oracle.query_batch(queries, K)
-        oracle.close()
-        spec = IndexSpec(
-            params=params(),
-            topology=Topology(shards=2, shard_backends=("memory", "mmap")))
-        index = repro.build(spec, data, storage_dir=tmp_path)
-        try:
-            assert index.shards[0].heap.path is None
-            assert index.shards[1].heap.path is not None
-            got = index.query_batch(queries, K)
-            np.testing.assert_array_equal(got[0], expected[0])
-            np.testing.assert_array_equal(got[1], expected[1])
-        finally:
-            index.close()
-        reopened = repro.open(tmp_path)
-        try:
-            assert reopened.topology.shard_backends == ("memory", "mmap")
-            got = reopened.query_batch(queries, K)
-            np.testing.assert_array_equal(got[0], expected[0])
-        finally:
-            reopened.close()
-
     def test_open_execution_override(self, workload, tmp_path):
         """A snapshot built sequentially serves sequentially or
         process-parallel without rebuilding."""
@@ -273,7 +241,7 @@ class TestFactoryCombos:
     def test_process_router_insert_keeps_snapshot_reopenable(self,
                                                              workload,
                                                              tmp_path):
-        """Regression: insert() on a process-execution router must also
+        """Regression: compact() on a process-execution router must also
         refresh the auto-persisted manifest (count, insert_tails) — a
         stale manifest made reopening crash on the grown id maps."""
         data, queries = workload
@@ -283,8 +251,9 @@ class TestFactoryCombos:
             data, storage_dir=tmp_path)
         probe = np.full(DIM, 51.0)
         new_id = index.insert(probe)
-        ids, _ = index.query(probe, 1)  # triggers the lazy resync
+        ids, _ = index.query(probe, 1)
         assert ids[0] == new_id
+        index.compact()  # sharded updates are volatile until compacted
         index.close()
         reopened = repro.open(tmp_path)
         try:
@@ -293,18 +262,6 @@ class TestFactoryCombos:
             assert ids[0] == new_id and dists[0] < 1e-3
         finally:
             reopened.close()
-
-    def test_single_shard_with_backend_override_builds_router(self):
-        """shards=1 plus shard_backends still routes through ShardRouter
-        (the CLI's build report must branch on the built type, not the
-        shard count)."""
-        spec = IndexSpec(params=params(),
-                         topology=Topology(shards=1,
-                                           shard_backends=("memory",)))
-        index = create_index(spec)
-        assert isinstance(index, ShardRouter)
-        assert index.num_shards == 1
-        index.close()
 
     def test_sharded_delete_after_build_survives_resave(self, workload,
                                                         tmp_path):

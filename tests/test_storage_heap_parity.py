@@ -196,8 +196,7 @@ class TestFileBackendRemoved:
                                       storage_dir=str(tmp_path)),
                 lambda: repro.IndexSpec(backend="file"),
                 lambda: repro.Execution(kind="process",
-                                        worker_backend="file"),
-                lambda: repro.Topology(shards=1, shard_backends=("file",))):
+                                        worker_backend="file")):
             with pytest.raises(ValueError, match="docs/MIGRATION.md"):
                 make()
 

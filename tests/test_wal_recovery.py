@@ -341,13 +341,13 @@ class TestGenerationLifecycle:
     @pytest.mark.parametrize("compactions", [0, 1])
     def test_logged_router_save_refused_before_any_file(self, tmp_path,
                                                         compactions):
-        """The router holds the log, its shards never do: the refusal
-        must come from the owner, before shard 0 is folded into its
-        published generation in place."""
+        """A router never holds the log: asking a live one for it is
+        refused before any file of its root changes, its pending
+        (volatile) updates stay pending, and compact() still folds them
+        into shard bases that reopen with every update."""
         from repro.core import Topology
         root = tmp_path / "snap"
-        spec = IndexSpec(params=_params(), topology=Topology(shards=2),
-                         execution=Execution(wal=True))
+        spec = IndexSpec(params=_params(), topology=Topology(shards=2))
         index = build(spec, _base_data(), storage_dir=str(root))
         for round_number in range(compactions):
             index.insert(_extra(29 + round_number, 1)[0])
@@ -355,21 +355,32 @@ class TestGenerationLifecycle:
         for vector in _extra(31, 3):
             index.insert(vector)
         pending = [len(shard._delta) for shard in index.shards]
+        assert sum(pending) == 3
 
         def snapshot():
             return {path: path.read_bytes() if path.is_file() else None
                     for path in sorted(root.rglob("*"))}
         before = snapshot()
         want = index.query_batch(_base_data()[:4], 5)
-        with pytest.raises(PersistenceError, match="compact"):
-            save_index(index, root)
+        with pytest.raises(ValueError, match="no write-ahead log"):
+            index.set_execution(Execution(wal=True))
         assert snapshot() == before
+        assert not (root / WAL_FILE).exists()
         assert [len(shard._delta) for shard in index.shards] == pending
         got = index.query_batch(_base_data()[:4], 5)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
-        assert index.compact() == compactions + 1
+        assert index.compact() == 0  # a fold never moves the generation
+        assert [len(shard._delta) for shard in index.shards] == [0, 0]
         index.close()
+        reopened = open_index(root)
+        try:
+            assert reopened.count == len(_base_data()) + compactions + 3
+            got = reopened.query_batch(_base_data()[:4], 5)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        finally:
+            reopened.close()
 
     def test_old_generations_pruned(self, tmp_path):
         directory = tmp_path / "snap"
@@ -422,7 +433,7 @@ class TestNoResyncOnWritePath:
             monkeypatch.undo()
             index.close()
 
-    @pytest.mark.parametrize("wal", [True, False])
+    @pytest.mark.parametrize("wal", [False])
     def test_router_insert_keeps_manifest_clean(self, tmp_path, wal):
         from repro.core import Topology
         directory = tmp_path / "snap"

@@ -213,7 +213,7 @@ class TestOpenAcrossCompaction:
     publishes and truncates between the two reads is retried, never
     replayed as an id gap."""
 
-    @pytest.mark.parametrize("shards", [1, 2])
+    @pytest.mark.parametrize("shards", [1])
     def test_open_retries_a_pair_split_by_compaction(self, tmp_path,
                                                      clear_fault_hooks,
                                                      shards):
