@@ -47,7 +47,6 @@ from repro import (
     HNSW,
     QALSH,
     SRS,
-    Execution,
     HDIndex,
     HDIndexParams,
     IDistance,
@@ -513,26 +512,19 @@ def buffering_check(rows) -> None:
 
 
 def spec_grid(dataset):
-    """Topology x execution x backend; a process worker bootstraps from
-    a snapshot, so process execution is mmap only."""
+    """Topology x backend (an index answers in-process; a service's
+    process pool is ``tests/test_spec_api.py``'s grid)."""
     params = hd_params(dataset.spec, len(dataset.data))
-    points = {}
-    for shards, topology in ((1, "plain"), (2, "sharded")):
-        for kind in ("sequential", "process"):
-            backends = ("mmap",) if kind == "process" else ("memory", "mmap")
-            for backend in backends:
-                points[f"{topology} {kind} {backend}"] = IndexSpec(
-                    params=params, topology=Topology(shards=shards),
-                    execution=Execution(kind=kind,
-                                        workers=None if kind == "sequential"
-                                        else 2),
-                    backend=backend)
-    return points
+    return {f"{topology} {backend}": IndexSpec(
+                params=params, topology=Topology(shards=shards),
+                backend=backend)
+            for shards, topology in ((1, "plain"), (2, "sharded"))
+            for backend in ("memory", "mmap")}
 
 
 def spec_parity(figure) -> list:
-    """Every grid point's batch answers against its topology's
-    sequential/memory point, the oracle, plus that oracle's loop."""
+    """Every grid point's batch answers against its topology's memory
+    point, the oracle, plus that oracle's loop."""
     (workload,) = figure.workloads
     dataset = load(workload)
     truth = GroundTruth(dataset.data, dataset.queries, max_k=workload.k)
@@ -818,8 +810,8 @@ FIGURES: dict[str, Figure] = {
         hd_sweep("pool", "cache_pages", (0, 64, 256, 1024)),
         buffering_check, ("method", "page_reads", "answers")),
     "spec_combos": Figure(
-        "IndexSpec grid (2 workers): every point's answers byte-identical "
-        "to its topology's sequential/memory oracle.",
+        "IndexSpec grid: every point's answers byte-identical to its "
+        "topology's memory oracle.",
         (Workload("sift10k", 4000, 256, 10),), spec_grid, spec_check,
         ("method", "MAP@k", "recall@k", "page_reads", "candidates",
          "query_ms", "parity"), spec_parity),

@@ -12,10 +12,10 @@ distributed with little synchronization"), each declared as one
 1. **Persistence** — ``repro.build(spec, data, storage_dir=...)`` once,
    then ``repro.open`` elsewhere and query without ever holding the
    dataset in RAM;
-2. **Parallel querying** — ``repro.open(..., execution=Execution(
-   kind="process", workers=2))`` serves step 1's snapshot with the
-   per-tree scans fanned over worker processes that map it, bit-identical
-   results;
+2. **Parallel querying** — ``QueryService.from_snapshot(...,
+   execution=Execution(kind="process", workers=2))`` serves step 1's
+   snapshot with each micro-batch's rows sharded over worker processes
+   that map it, bit-identical results;
 3. **Sharding** — ``Topology(shards=4)`` puts horizontal partitions
    behind independent HD-Index instances, merged by exact distance (the
    only synchronisation point).
@@ -35,6 +35,7 @@ from repro import (
     Execution,
     HDIndexParams,
     IndexSpec,
+    QueryService,
     Topology,
     make_dataset,
 )
@@ -62,12 +63,12 @@ def main() -> None:
         # --- 2. parallel queries ----------------------------------------
         # The workers reopen the snapshot themselves (mapped, so they
         # share its pages); nothing is pickled across to them.
-        with repro.open(target, execution=Execution(kind="process",
-                                                    workers=2)) as parallel:
+        with QueryService.from_snapshot(target, execution=Execution(
+                kind="process", workers=2)) as parallel:
+            futures = [parallel.submit(q, 10) for q in dataset.queries]
             agree = all(
-                np.array_equal(index.query(q, 10)[0],
-                               parallel.query(q, 10)[0])
-                for q in dataset.queries)
+                np.array_equal(index.query(q, 10)[0], future.result()[0])
+                for q, future in zip(dataset.queries, futures))
             print(f"\nprocess-parallel (2 workers) matches sequential on "
                   f"all {len(dataset.queries)} queries: {agree}")
 

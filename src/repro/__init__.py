@@ -20,10 +20,11 @@ Quickstart::
         ds.data)
     ids, dists = index.query(ds.queries[0], k=10)
 
-Every deployment shape — plain or sharded topology, sequential / process
-execution, memory / mmap storage — is one declarative
-:class:`IndexSpec` handed to :func:`repro.build`, and :func:`repro.open`
-reconstructs it from a persisted snapshot.
+Every deployment shape — plain or sharded topology, logged or volatile
+updates, memory / mmap storage — is one declarative :class:`IndexSpec`
+handed to :func:`repro.build`, and :func:`repro.open` reconstructs it
+from a persisted snapshot; ``QueryService(..., execution="process")``
+serves a snapshot over worker processes.
 """
 
 from repro.baselines import (

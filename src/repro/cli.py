@@ -5,8 +5,8 @@ Five commands cover the library's main workflows without writing code:
 * ``info``      — list dataset configurations and paper-recommended params;
 * ``build``     — build the index an :class:`~repro.core.IndexSpec`
   describes (``--spec spec.json``, or synthesised from ``--shards`` /
-  ``--execution`` / ``--workers`` / ``--backend`` / ``--wal`` flags) over
-  a dataset (synthetic or .fvecs) and persist it to a directory;
+  ``--backend`` / ``--wal`` flags) over a dataset (synthetic or .fvecs)
+  and persist it to a directory;
 * ``compact``   — fold an index's in-memory delta into its base: a new
   snapshot generation when a write-ahead log is attached (see
   :mod:`repro.wal`), the snapshot itself otherwise;
@@ -14,8 +14,9 @@ Five commands cover the library's main workflows without writing code:
   a query workload against it, reporting MAP/ratio/time/I/O;
 * ``serve``     — load a persisted index into a micro-batching
   :class:`~repro.serve.QueryService` and drive it with concurrent client
-  threads, reporting throughput and batching statistics (over TCP, run
-  ``python -m repro.serve.server``).
+  threads, reporting throughput and batching statistics
+  (``--execution process`` row-shards its micro-batches over worker
+  processes; over TCP, run ``python -m repro.serve.server``).
 
 Every flag combination is one declarative spec under the hood.
 """
@@ -77,12 +78,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--shards", type=_positive_int, default=None,
                        help="shard the index over this many horizontal "
                             "partitions (IndexSpec topology)")
-    build.add_argument("--execution", type=_execution_kind,
-                       choices=EXECUTION_KINDS, default=None,
-                       help="per-tree scan execution (IndexSpec "
-                            "execution; default: sequential)")
-    build.add_argument("--workers", type=_positive_int, default=None,
-                       help="pool width for --execution process")
     build.add_argument("--backend", choices=BACKENDS, default=None,
                        help="storage backend; mmap writes the snapshot "
                             "files straight into --out and builds over "
@@ -106,8 +101,8 @@ def build_parser() -> argparse.ArgumentParser:
     compact.add_argument("--index", required=True,
                          help="directory holding a persisted index; "
                               "a plain index's logged updates (built with "
-                              "--wal, or process execution) are replayed "
-                              "and published as the next generation")
+                              "--wal) are replayed and published as the "
+                              "next generation")
 
     query = commands.add_parser("query", help="query a persisted index")
     query.add_argument("--index", required=True,
@@ -121,13 +116,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how to reopen the snapshot (default mmap: "
                             "mapped, the larger-than-RAM mode; memory = "
                             "read into RAM up front)")
-    query.add_argument("--execution", type=_execution_kind,
-                       choices=EXECUTION_KINDS, default=None,
-                       help="override the snapshot's execution strategy "
-                            "(process = fan per-tree scans over worker "
-                            "processes sharing the snapshot via mmap)")
-    query.add_argument("--workers", type=_positive_int, default=None,
-                       help="worker count for --execution process")
     query.add_argument("--filter", default=None, metavar="JSON",
                        help="filtered kNN: a predicate in JSON form, e.g. "
                             "'{\"op\": \"eq\", \"column\": \"label\", "
@@ -279,15 +267,7 @@ def _spec_from_args(args, data, dataset_spec) -> IndexSpec:
     topology = (base.topology if args.shards is None
                 else Topology(shards=args.shards))
     execution = base.execution
-    updates = {}
-    if args.execution is not None:
-        updates["kind"] = args.execution
-    if args.workers is not None:
-        updates["workers"] = args.workers
-    if updates:
-        # replace() keeps the spec file's worker_backend/worker_timeout.
-        execution = _dc.replace(execution, **updates)
-    if getattr(args, "wal", False):
+    if args.wal:
         execution = _dc.replace(execution, wal=True)
     backend = args.backend if args.backend is not None else base.backend
     return IndexSpec(params=params, topology=topology,
@@ -319,12 +299,11 @@ def cmd_build(args, out=sys.stdout) -> int:
     from repro.core import ShardRouter
     if isinstance(index, ShardRouter):
         print(f"{index.num_shards} shards x τ={params.num_trees} trees, "
-              f"m={params.num_references} references "
-              f"(execution={spec.execution.kind})", file=out)
+              f"m={params.num_references} references", file=out)
     else:
         print(f"τ={params.num_trees} trees, m={params.num_references} "
-              f"references, leaf orders {stats.extra['leaf_orders']} "
-              f"(execution={spec.execution.kind})", file=out)
+              f"references, leaf orders {stats.extra['leaf_orders']}",
+              file=out)
     descriptors = index.total_size_bytes() - index.index_size_bytes()
     print(f"index {index.index_size_bytes():,} B + descriptors "
           f"{descriptors:,} B -> {args.out}", file=out)
@@ -344,11 +323,7 @@ def cmd_compact(args, out=sys.stdout) -> int:
 
 
 def cmd_query(args, out=sys.stdout) -> int:
-    execution = None
-    if args.execution is not None:
-        execution = Execution(kind=args.execution, workers=args.workers)
-    with open_index(args.index, backend=args.backend,
-                    execution=execution) as index:
+    with open_index(args.index, backend=args.backend) as index:
         workload = _matching_workload(args, index)
         if workload is None:
             return 2

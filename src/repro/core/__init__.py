@@ -6,7 +6,7 @@ from repro.core.filters import (
     triangular_lower_bounds,
 )
 from repro.core.engine import QueryEngine
-from repro.core.factory import build, create_index, open_index, set_execution
+from repro.core.factory import build, create_index, open_index
 from repro.core.hdindex import HDIndex
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.persistence import PersistenceError, load_index, save_index
@@ -80,6 +80,5 @@ __all__ = [
     "select_references",
     "select_sss",
     "select_sss_dyn",
-    "set_execution",
     "triangular_lower_bounds",
 ]

@@ -7,12 +7,10 @@ Ptolemaic filter refinement, (iii) exact re-ranking of the κ survivors —
 touch independent trees until the final merge.  This module is the single
 implementation of those stages.  Every deployment shape an
 :class:`~repro.core.spec.IndexSpec` can declare — plain or sharded
-topology, sequential or process execution — runs this one code path:
-stages (i)+(ii) are one :meth:`QueryEngine.scan_many` over all τ trees,
-inline or, under process execution, in the workers of a
-:class:`~repro.core.procpool.SnapshotWorkerPool`, so the variants cannot
-drift apart in semantics or in the
-:class:`~repro.core.interface.QueryStats` they report.
+topology, answered in-process or by a serving pool's worker — runs this
+one code path: stages (i)+(ii) are one :meth:`QueryEngine.scan_many`
+over all τ trees, so the variants cannot drift apart in semantics or in
+the :class:`~repro.core.interface.QueryStats` they report.
 
 There is one pipeline, :meth:`QueryEngine.run_batch`, laid out over a
 (Q, ν) block of query rows so the per-call fixed costs are paid once,
@@ -98,9 +96,6 @@ class QueryEngine:
 
     def __init__(self, index) -> None:
         self.index = None if index is None else weakref.proxy(index)
-        #: The process pool stages (i)+(ii) fan out to, tree-wise, under
-        #: process execution; ``None`` scans every tree inline.
-        self.pool = None
 
     # -- stage (i): RDB-tree candidate retrieval --------------------------
 
@@ -308,29 +303,15 @@ class QueryEngine:
             # every tree would offer all of them, so no tree is asked
             # and no bound computed — they go to the exact re-rank as
             # they are (a predicate matching no row reads no page).
-            remote_delta = None
             per_tree = [[eligible.ids] * batch]
         else:
-            # The (Q, m) reference-distance matmul is charged once per
-            # call whoever computes it — sequential-equivalent
-            # accounting, not once per worker group.
+            # The (Q, m) reference-distance matmul, charged once per call;
+            # every tree in one scan_many (one fused encode).
             index._distance_counter.add(batch * index.references.size)
-            if self.pool is not None:
-                # Worker processes run stages (i)+(ii) for their trees
-                # on their own snapshot view (reference matmul and Hilbert
-                # encoding included) and return their page reads and
-                # distance computations as a delta beside the survivors.
-                per_tree, remote_delta = self.pool.scan_trees(
-                    len(index.trees), points, eff_alpha, eff_beta,
-                    eff_gamma, ptolemaic,
-                    None if predicate is None else predicate.to_dict())
-            else:
-                # Every tree in one scan_many (one fused encode).
-                remote_delta = None
-                per_tree = self.scan_many(
-                    range(len(index.trees)), points,
-                    index.references.distances_from(points), eff_alpha,
-                    eff_beta, eff_gamma, ptolemaic, eligible)
+            per_tree = self.scan_many(
+                range(len(index.trees)), points,
+                index.references.distances_from(points), eff_alpha,
+                eff_beta, eff_gamma, ptolemaic, eligible)
         tail = self._merge_tail(predicate)
         merged_per_row = [self._merge_survivors(rows, tail)
                           for rows in zip(*per_tree)]
@@ -341,10 +322,8 @@ class QueryEngine:
                  "ptolemaic": ptolemaic}
         if eligible is not None:
             extra["selectivity"] = eligible.selectivity
-        if self.pool is not None:
-            extra["workers"] = self.pool.num_workers
         extra["batch_size"] = batch
-        stats = QueryStats(
+        return ids_out, dists_out, QueryStats(
             time_sec=time.perf_counter() - started,
             page_reads=index._total_page_reads() - reads_before,
             random_reads=random_after - random_before,
@@ -353,16 +332,6 @@ class QueryEngine:
             distance_computations=index._distance_counter.count,
             extra=extra,
         )
-        if remote_delta is not None:
-            # Fold the worker-process counters in, so process-mode
-            # accounting matches what the sequential path would have
-            # charged for the same scans.
-            stats.page_reads += remote_delta["page_reads"]
-            stats.random_reads += remote_delta["random_reads"]
-            stats.sequential_reads += remote_delta["sequential_reads"]
-            stats.distance_computations += \
-                remote_delta["distance_computations"]
-        return ids_out, dists_out, stats
 
     # -- internals --------------------------------------------------------
 
@@ -428,7 +397,3 @@ class QueryEngine:
             descriptors[~in_delta] = heap.gather(base_ids)
         descriptors[in_delta] = delta.gather(ids[in_delta])
         return descriptors
-
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.close()

@@ -7,18 +7,19 @@ The two functions here are the public face of the
   describes over a dataset;
 * :func:`open_index` (exported as ``repro.open``) — reconstruct an index
   from a snapshot directory, honouring the spec recorded inside it, with
-  per-call overrides for the storage backend and execution strategy.
+  per-call overrides for the storage backend and durability.
 
 Both delegate to :func:`create_index`, the single place a spec is turned
-into objects — a plain :class:`~repro.core.hdindex.HDIndex` running
-``spec.execution``, or a
+into objects — a plain :class:`~repro.core.hdindex.HDIndex`, or a
 :class:`~repro.core.router.ShardRouter` when ``spec.topology`` shards the
-data — so every topology x execution x backend combination flows through
-one code path instead of a class matrix.
+data — so every topology x backend combination flows through one code
+path instead of a class matrix.  Every index answers in-process; a
+:class:`~repro.serve.QueryService` serves a snapshot over worker
+processes.
 
 >>> import numpy as np, tempfile
 >>> from repro.core.factory import build, open_index
->>> from repro.core.spec import Execution, IndexSpec, Topology
+>>> from repro.core.spec import IndexSpec, Topology
 >>> from repro.core.params import HDIndexParams
 >>> data = np.repeat(np.arange(32.0)[:, None], 4, axis=1)
 >>> spec = IndexSpec(params=HDIndexParams(num_trees=2, hilbert_order=4,
@@ -42,7 +43,7 @@ import numpy as np
 
 from repro.core.hdindex import HDIndex
 from repro.core.router import ShardRouter
-from repro.core.spec import Execution, IndexSpec, coerce_spec
+from repro.core.spec import IndexSpec, coerce_spec, refuse_process
 
 
 def create_index(spec: IndexSpec | None = None,
@@ -55,15 +56,20 @@ def create_index(spec: IndexSpec | None = None,
             :class:`~repro.core.params.HDIndexParams`, spec dict, or
             ``None`` for all defaults.
         storage_dir: Overrides ``spec.params.storage_dir`` — the page
-            files (and, for process execution, the bootstrap snapshot)
-            live here.
+            files live here.
 
     Returns:
         An unbuilt :class:`~repro.core.hdindex.HDIndex` (plain topology)
         or :class:`~repro.core.router.ShardRouter` (sharded topology)
-        running ``spec.execution``.
+        recording ``spec.execution``.
+
+    Raises:
+        ValueError: For ``kind="process"`` (serve the snapshot with
+            ``QueryService(..., execution="process")``), or
+            ``wal=True`` without a ``storage_dir`` or with shards.
     """
     spec = coerce_spec(spec)
+    refuse_process(spec.execution)
     params = spec.resolved_params(
         None if storage_dir is None else os.fspath(storage_dir))
     if spec.topology.shards > 1:
@@ -74,8 +80,7 @@ def create_index(spec: IndexSpec | None = None,
             "(storage_dir=...): the write-ahead log lives next to the "
             "snapshot")
     index = HDIndex(params)
-    index._wal_policy = spec.execution.wal
-    index.set_execution(spec.execution)
+    index.execution = spec.execution
     return index
 
 
@@ -122,33 +127,15 @@ def build(spec: IndexSpec | None, data,
         index.build_from_chunks(data)
     else:
         index.build(data, metadata=metadata)
-    if storage_dir is not None and not _already_persisted(index,
-                                                          storage_dir):
+    if storage_dir is not None:
         from repro.core.persistence import save_index
         save_index(index, storage_dir)
     return index
 
 
-def _already_persisted(index: HDIndex | ShardRouter,
-                       storage_dir: str | os.PathLike[str]) -> bool:
-    """True when build() itself persisted a complete snapshot at
-    ``storage_dir`` (process-execution indexes auto-persist so their
-    workers can bootstrap) — re-saving would only rewrite identical
-    metadata and reference arrays."""
-    target = os.path.abspath(os.fspath(storage_dir))
-    if isinstance(index, ShardRouter):
-        return (index._remote
-                and index.params.storage_dir is not None
-                and os.path.abspath(index.params.storage_dir) == target)
-    return (index._remote
-            and index.snapshot_dir is not None
-            and os.path.abspath(index.snapshot_dir) == target)
-
-
 def open_index(path: str | os.PathLike[str],
                backend: str | None = None,
                cache_pages: int | None = None,
-               execution: Execution | str | None = None,
                wal: bool | None = None
                ) -> HDIndex | ShardRouter:
     """Reopen a persisted index, honouring the spec recorded in its
@@ -162,11 +149,6 @@ def open_index(path: str | os.PathLike[str],
             ``"memory"`` (read into RAM).
         cache_pages: Overrides the buffer-pool capacity recorded at save
             time.
-        execution: Overrides the snapshot's execution strategy — an
-            :class:`~repro.core.spec.Execution` or a bare kind string
-            (``"sequential"``/``"process"``).  This is how a
-            snapshot built sequentially is served process-parallel
-            without rebuilding.
         wal: Durability override (:mod:`repro.wal`), as for
             :func:`~repro.core.persistence.load_index`: ``True`` attaches
             and replays the write-ahead log, ``False`` none (the
@@ -178,23 +160,5 @@ def open_index(path: str | os.PathLike[str],
         :class:`~repro.core.router.ShardRouter`.
     """
     from repro.core.persistence import load_index
-    index = load_index(path, cache_pages=cache_pages, backend=backend,
-                       wal=wal)
-    if execution is not None:
-        if isinstance(execution, str):
-            execution = Execution(kind=execution)
-        set_execution(index, execution)
-        if (execution.wal is not None and wal is None
-                and isinstance(index, HDIndex)):
-            from repro.wal.manager import attach_wal
-            attach_wal(index, os.fspath(path), execution.wal)
-    return index
-
-
-def set_execution(index: HDIndex | ShardRouter,
-                  execution: Execution) -> None:
-    """Swap a live index's execution in place (on a
-    :class:`~repro.core.router.ShardRouter`, every child shard's; each
-    gets its own pool).  Process execution requires the index (or each
-    shard) to be disk-backed, as always."""
-    index.set_execution(execution)
+    return load_index(path, cache_pages=cache_pages, backend=backend,
+                      wal=wal)

@@ -10,7 +10,6 @@ distance ranking.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import threading
 import time
@@ -23,7 +22,6 @@ from repro.core.engine import QueryEngine
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.params import HDIndexParams
 from repro.core.partition import make_partition
-from repro.core.procpool import SnapshotWorkerPool
 from repro.core.rdbtree import RDBTree
 from repro.core.reference import ReferenceSet
 from repro.core.spec import Execution, IndexSpec, Topology
@@ -140,22 +138,17 @@ class HDIndex(KNNIndex):
     Both of the deployment degrees of freedom are parameters, not
     subclasses: ``HDIndexParams(storage_dir=..., backend=...)`` picks
     where the heap's pages and the trees' columns live (arrays in memory,
-    or mappings of their files for larger-than-RAM serving), and
-    :meth:`set_execution` picks how the independent per-tree scans run
-    (inline, or across worker processes sharing the persisted snapshot).
-    Prefer declaring the combination with
-    :class:`~repro.core.spec.IndexSpec` and building through
-    :func:`repro.build`.
-
-    Under process execution the index must live on disk
-    (``params.storage_dir``): :meth:`build` persists the snapshot the
-    worker processes bootstrap from.
+    or mappings of their files for larger-than-RAM serving).  Prefer
+    declaring the deployment with :class:`~repro.core.spec.IndexSpec`
+    and building through :func:`repro.build`.  The index answers
+    in-process; ``QueryService(..., execution="process")`` serves its
+    snapshot over worker processes.
 
     There is one write path.  The built trees and heap — the *base* —
     are immutable between folds: :meth:`insert` lands in an in-memory
     delta segment every query reranks exactly beside the base,
     :meth:`delete` in the deleted-id set; no write touches a page or a
-    tree column, or restarts a worker pool.  ``Execution.wal``
+    tree column.  ``Execution.wal``
     decides durability only: with a write-ahead log (:mod:`repro.wal`)
     each mutation is one log frame first and :meth:`compact` publishes
     a new on-disk generation; without one, updates are volatile until
@@ -172,6 +165,8 @@ class HDIndex(KNNIndex):
     (5, 0.0)
     """
 
+    name = "HD-Index"
+
     def __init__(self, params: HDIndexParams | None = None) -> None:
         self.params = params if params is not None else HDIndexParams()
         self.trees: list[RDBTree] = []
@@ -187,12 +182,12 @@ class HDIndex(KNNIndex):
         self._query_stats = QueryStats()
         self._distance_counter = DistanceCounter()
         # Online-update state: every built index has a delta segment,
-        # a log handle only while a write-ahead log is attached;
-        # _wal_policy is the three-state Execution.wal knob (None = auto).
+        # a log handle only while a write-ahead log is attached; of
+        # ``execution`` only the three-state ``wal`` knob is read
+        # (None = auto).
         self.generation = 0
         self._wal = None
         self._delta: DeltaSegment | None = None
-        self._wal_policy: bool | None = None
         self._wal_root: str | None = None
         self._wal_fsync = "always"
         self._retired = None
@@ -201,69 +196,12 @@ class HDIndex(KNNIndex):
         self._engine = QueryEngine(self)
         self.execution = Execution()
 
-    # -- execution ---------------------------------------------------------
-
-    @property
-    def name(self) -> str:
-        """Method name for experiment tables."""
-        return "HD-Index(process)" if self._remote else "HD-Index"
-
     @property
     def spec(self) -> IndexSpec:
         """The declarative :class:`~repro.core.spec.IndexSpec` describing
         this index's current configuration (persisted into snapshots)."""
         return IndexSpec(params=self.params, topology=Topology(),
-                         execution=dataclasses.replace(
-                             self.execution, wal=self._wal_policy))
-
-    def set_execution(self, execution: Execution) -> None:
-        """Run the per-tree scans as ``execution`` says, closing the
-        previous worker pool: inline, or (``kind="process"``) over a
-        :class:`~repro.core.procpool.SnapshotWorkerPool`.
-
-        Process execution requires ``params.storage_dir`` — its workers
-        bootstrap from the persisted snapshot, never from live state.  If
-        a snapshot exists there, the pool binds to it immediately.
-        """
-        pool = None
-        if execution.kind == "process":
-            directory = self.params.storage_dir
-            if directory is None:
-                raise ValueError(
-                    "process execution requires "
-                    "HDIndexParams(storage_dir=...): worker processes "
-                    "bootstrap from the on-disk snapshot")
-            pool = SnapshotWorkerPool(
-                directory if os.path.exists(
-                    os.path.join(directory, "meta.json")) else None,
-                num_workers=execution.workers,
-                backend=execution.worker_backend,
-                cache_pages=self.params.cache_pages or None,
-                timeout=execution.worker_timeout)
-        self._engine.close()
-        self._engine.pool, self.execution = pool, execution
-
-    @property
-    def _remote(self) -> bool:
-        return self._engine.pool is not None
-
-    # -- snapshot lifecycle (process execution) ---------------------------
-
-    def attach_snapshot(self, directory: str | os.PathLike[str]) -> None:
-        """Bind the worker pool to a snapshot directory (workers already
-        running finish their tasks and exit; the next dispatch
-        bootstraps from ``directory``)."""
-        if not self._remote:
-            raise RuntimeError(
-                "attach_snapshot is only meaningful under process "
-                "execution; this index runs scans in-process")
-        self._engine.pool.swap(directory)
-
-    @property
-    def snapshot_dir(self) -> str | None:
-        """Snapshot directory the worker processes bootstrap from
-        (``None`` when scans run in-process)."""
-        return self._engine.pool.directory if self._remote else None
+                         execution=self.execution)
 
     # -- online updates (Sec. 3.6) ----------------------------------------
 
@@ -313,8 +251,7 @@ class HDIndex(KNNIndex):
 
         With a write-ahead log attached: write a new snapshot
         generation, publish it via the ``CURRENT`` pointer, truncate the
-        log, and adopt the new generation in place (re-binding a process
-        pool to it without cancelling in-flight work).  Without one:
+        log, and adopt the new generation in place.  Without one:
         :func:`repro.core.persistence.fold_in_place`.
 
         Returns:
@@ -352,12 +289,6 @@ class HDIndex(KNNIndex):
             self._wal = fresh._wal
             self._delta = fresh._delta
             self._wal_root = fresh._wal_root
-        # The transplant keeps *this* object's execution: a process pool
-        # swaps to the new generation directory, letting in-flight
-        # futures finish against the old workers.
-        fresh._engine.close()
-        if self._remote:
-            self._engine.pool.swap(self.params.storage_dir)
         if old_wal is not None and old_wal is not self._wal:
             old_wal.close()
         # Retire (don't close) the superseded heap: concurrent readers
@@ -558,8 +489,7 @@ class HDIndex(KNNIndex):
                      rng: np.random.Generator, started: float,
                      **extra) -> None:
         """The tail both builds share: one Hilbert curve + RDB-tree per
-        partition (Algo. 1 lines 3-10), the :class:`BuildStats`, and the
-        snapshot process workers bootstrap from.
+        partition (Algo. 1 lines 3-10) and the :class:`BuildStats`.
 
         ``blocks()`` yields the dataset's grid coordinates (the
         quantiser's lane dtype) as row blocks, in id order: slices of one
@@ -605,12 +535,6 @@ class HDIndex(KNNIndex):
                 **extra,
             },
         )
-        if self._remote:
-            # Persist immediately: this snapshot is what the worker
-            # processes bootstrap from.
-            from repro.core.persistence import save_index
-            save_index(self, params.storage_dir)
-            self.attach_snapshot(params.storage_dir)
 
     @staticmethod
     def _reservoir_update(reservoir: np.ndarray, reservoir_ids: np.ndarray,
@@ -649,9 +573,8 @@ class HDIndex(KNNIndex):
         The optional arguments override the corresponding
         :class:`HDIndexParams` fields for this call only (used by the
         parameter-sweep experiments of Sec. 5.2).  The three stages run in
-        the shared :class:`~repro.core.engine.QueryEngine`; the execution
-        and the topology change *how* the per-tree scans run (a process
-        pool, shards), not *what* they compute.
+        the shared :class:`~repro.core.engine.QueryEngine`; the topology
+        changes *where* the scans run (shards), not *what* they compute.
 
         ``predicate`` (a :class:`~repro.meta.Predicate` or its JSON
         dict form) restricts answers to metadata-matching points via
@@ -902,9 +825,8 @@ class HDIndex(KNNIndex):
                               params.cache_pages, path)
 
     def close(self) -> None:
-        """Release the worker pool, the log handle and the descriptor
-        heap's pages.  Idempotent."""
-        self._engine.close()
+        """Release the log handle and the descriptor heap's pages.
+        Idempotent."""
         if self._wal is not None:
             self._wal.close()
         self._close_retired()

@@ -241,7 +241,7 @@ class KNNIndex:
     # -- lifecycle ---------------------------------------------------------
 
     def close(self) -> None:
-        """Release backing resources (worker pools, page-store file handles).
+        """Release backing resources (log and page-store file handles).
 
         A no-op by default; disk-resident methods override it.  Must be
         idempotent, so generic drivers (the CLI, the serve subsystem) can

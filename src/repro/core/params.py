@@ -103,12 +103,10 @@ class HDIndexParams:
         When set, the descriptor heap and every RDB-tree are backed by real
         files in this directory (``descriptors.pages``, ``tree_<i>.packed``)
         instead of process memory — the fully disk-resident mode.
-        The process-parallel tier (``Execution(kind="process")`` in an
-        :class:`~repro.core.spec.IndexSpec`, or
-        ``QueryService(execution=...)``) requires it: worker processes
-        bootstrap from the snapshot persisted here (reopened via ``mmap``
-        so the OS shares the physical pages pool-wide), never from
-        pickled live state.
+        The process-parallel tier (``QueryService(execution="process")``)
+        serves a snapshot persisted here: its worker processes reopen it
+        via ``mmap`` (the OS shares the physical pages pool-wide), never
+        from pickled live state.
     backend:
         Where the heap's page matrix and the trees' columns live:
         ``"memory"`` (arrays in process memory) or ``"mmap"`` (read-only

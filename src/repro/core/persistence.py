@@ -124,9 +124,9 @@ def fold_in_place(index) -> int:
     """``compact()`` with no log attached: fold the delta into the base
     in place — not concurrently with queries — and, when
     ``params.storage_dir`` already holds this index's snapshot,
-    re-persist it there so disk matches the rewritten pages (a process
-    pool re-binds to it once).  Returns the unchanged generation: there
-    is no ``gen-*`` chain without a log."""
+    re-persist it there so disk matches the rewritten pages.  Returns
+    the unchanged generation: there is no ``gen-*`` chain without a
+    log."""
     directory = index.params.storage_dir
     if directory is not None and any(
             os.path.exists(os.path.join(directory, name))
@@ -144,7 +144,7 @@ def load_index(directory: str | os.PathLike[str],
     """Re-open a persisted index for querying (and further updates).
 
     The directory is inspected for a ``manifest.json`` (sharded snapshot)
-    or a ``meta.json`` (plain / parallel snapshot) and an instance of the
+    or a ``meta.json`` (plain snapshot) and an instance of the
     saved class is returned.  A WAL-enabled root (``CURRENT`` pointer /
     ``wal.log``, :mod:`repro.wal`) resolves to its live generation and
     replays the log into an in-memory delta segment, so a crash-recovered
@@ -171,10 +171,9 @@ def load_index(directory: str | os.PathLike[str],
             and ignores a recorded policy.
 
     Returns:
-        A ready-to-query :class:`HDIndex` (execution reconstructed from
-        the snapshot's spec — sequential, or a process pool re-bound to
-        this very directory) or
-        :class:`~repro.core.router.ShardRouter`.
+        A ready-to-query :class:`HDIndex` or
+        :class:`~repro.core.router.ShardRouter`, answering in-process
+        (a snapshot recording ``kind="process"`` included).
 
     Raises:
         PersistenceError: If the directory is not a valid snapshot, the
@@ -223,7 +222,7 @@ def load_index(directory: str | os.PathLike[str],
         f"{directory} was republished under each of {OPEN_TRIES} opens")
 
 
-# -- plain / parallel indexes ----------------------------------------------
+# -- plain indexes --------------------------------------------------------
 
 
 def _save_hdindex(index: HDIndex, directory: str) -> None:
@@ -234,8 +233,7 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
             "index holds un-compacted WAL delta entries; call "
             "compact() to fold them into a snapshot generation "
             "before save_index()")
-    folded = len(index._delta) > 0
-    if folded:
+    if len(index._delta):
         index._fold_delta()
     os.makedirs(directory, exist_ok=True)
 
@@ -263,7 +261,7 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
     meta = {
         "format_version": FORMAT_VERSION,
         "spec": {"topology": Topology().to_dict(),
-                 "execution": index.spec.execution.to_dict()},
+                 "execution": index.execution.to_dict()},
         "params": dataclasses.asdict(index.params),
         "dim": index.dim,
         "count": index.count,
@@ -280,10 +278,6 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
     }
     replace_file(os.path.join(directory, META_FILE),
                  json.dumps(meta, indent=2))
-    if folded and index._remote:
-        # The fold rewrote files the workers have mapped: re-bind the
-        # pool so the next dispatch reopens what was saved.
-        index.attach_snapshot(directory)
 
 
 def _load_hdindex(directory: str, cache_pages: int | None,
@@ -304,7 +298,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
     index.dim = int(meta["dim"])
     index.count = int(meta["count"])
     index.generation = int(meta.get("generation", 0))
-    index._wal_policy = execution.wal
+    index.execution = execution
     index._deleted = set(int(i) for i in meta["deleted"])
     index.partitions = [np.asarray(part, dtype=np.int64)
                         for part in meta["partitions"]]
@@ -348,12 +342,6 @@ def _load_hdindex(directory: str, cache_pages: int | None,
                 f"{META_FILE} records {recorded['count']} and "
                 f"{recorded['leaf_capacity']}")
         index.trees.append(tree)
-    # One construction path for every execution kind.  A process pool
-    # binds to this very directory (its worker processes bootstrap from
-    # the snapshot, never from the live state restored above) —
-    # set_execution wires that up because params.storage_dir is the
-    # snapshot directory itself.
-    index.set_execution(execution)
     return index
 
 
@@ -381,11 +369,13 @@ def _read_references(path: str) -> ReferenceSet:
 def _recorded_spec(meta: dict, path: str) -> tuple[Topology, Execution]:
     """The topology and execution a snapshot's ``spec`` records.  A
     snapshot without them, or with values this release rejects, is
-    refused rather than guessed at."""
+    refused rather than guessed at.  A recorded ``kind="process"`` (an
+    older release's per-tree pool) opens in-process, its ``wal`` kept."""
     try:
         spec = meta["spec"]
+        execution = Execution.from_dict(spec["execution"])
         return (Topology.from_dict(spec["topology"]),
-                Execution.from_dict(spec["execution"]))
+                dataclasses.replace(execution, kind="sequential"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(
             f"{path} records no valid spec ({type(exc).__name__}: {exc}); "
@@ -420,14 +410,8 @@ def _save_sharded(index, directory: str) -> None:
     for shard_index, shard in enumerate(index.shards):
         # A shard of an older, logged root may live in a published
         # generation: fold into that one, the one its CURRENT names.
-        shard_directory = resolve_snapshot_dir(
-            _shard_dir(directory, shard_index))
-        if _shard_snapshot_is_current(shard, shard_directory):
-            # A remote (process-execution) shard persisted itself at
-            # build/fold time; its pages, metadata and references are
-            # already exactly what _save_hdindex would write.
-            continue
-        _save_hdindex(shard, shard_directory)
+        _save_hdindex(shard, resolve_snapshot_dir(
+            _shard_dir(directory, shard_index)))
     params = dataclasses.asdict(index.params)
     # The wrapper's storage_dir is a property of the *deployment*, not the
     # snapshot; load_index re-points it at the snapshot directory.
@@ -450,31 +434,6 @@ def _save_sharded(index, directory: str) -> None:
     }
     replace_file(os.path.join(directory, MANIFEST_FILE),
                  json.dumps(manifest, indent=2))
-
-
-def _shard_snapshot_is_current(shard, shard_directory: str) -> bool:
-    """True when a remote shard's self-persisted snapshot at exactly
-    ``shard_directory`` is still what a save would write (remote shards
-    save themselves on build and when an un-logged fold re-persists).
-
-    The base pages only change in a fold, which re-persists; inserts
-    and deletes since then live in memory, so the recorded count and
-    deleted set are checked against live state — either one moving
-    forces a real re-save.
-    """
-    if not (shard._remote
-            and shard.snapshot_dir is not None
-            and os.path.abspath(shard.snapshot_dir)
-            == os.path.abspath(shard_directory)):
-        return False
-    try:
-        with open(os.path.join(shard_directory, META_FILE)) as handle:
-            meta = json.load(handle)
-    except (OSError, ValueError):
-        return False
-    return (sorted(int(i) for i in meta.get("deleted", []))
-            == sorted(shard._deleted)
-            and int(meta.get("count", -1)) == shard.count)
 
 
 def _load_sharded(directory: str, cache_pages: int | None,
@@ -511,7 +470,7 @@ def _load_sharded(directory: str, cache_pages: int | None,
             _shard_dir(directory, shard_index))
         shard = _load_hdindex(shard_directory, cache_pages, backend)
         # Shards never attach a log of their own.
-        shard._wal_policy = False
+        shard.execution = dataclasses.replace(shard.execution, wal=False)
         index.shards.append(shard)
         built = list(range(int(index.offsets[shard_index]),
                            int(index.offsets[shard_index + 1])))

@@ -1,12 +1,13 @@
 """Process-parallel execution over shared snapshot directories.
 
-The GIL caps in-process execution (the inline scans, the
-micro-batching :class:`~repro.serve.QueryService`) near single-core
-throughput once the numpy kernels stop dominating.  This module is the
-escape hatch: a pool of **worker processes** that each reopen the same
-persisted snapshot — by default through the zero-copy ``mmap`` backend, so
-the OS shares one set of physical pages across the whole pool and each
-worker's bootstrap is O(metadata), not O(index size).
+The GIL caps in-process execution near single-core throughput once the
+numpy kernels stop dominating.  This module is the escape hatch: a pool
+of **worker processes** that each reopen the same persisted snapshot —
+by default through the zero-copy ``mmap`` backend, so the OS shares one
+set of physical pages across the whole pool and each worker's bootstrap
+is O(metadata), not O(index size).  Its one user is
+``QueryService(execution="process")``, which shards each micro-batch's
+rows across the workers (:meth:`SnapshotWorkerPool.run_query_batch`).
 
 Design rules (the ones the fault-injection suite enforces):
 
@@ -19,9 +20,9 @@ Design rules (the ones the fault-injection suite enforces):
   task that exceeds the pool's ``timeout`` surfaces as
   :class:`WorkerTimeout`.  Neither leaves a caller hanging, and either way
   the broken pool is discarded so the *next* call starts a fresh one.
-* **Results are byte-identical to the sequential path.**  Workers run the
-  very same :class:`~repro.core.engine.QueryEngine` stages over the very
-  same pages; only the work layout changes.
+* **Results are byte-identical to the sequential path.**  Workers answer
+  their rows through the very same ``query_batch`` over the very same
+  pages; only the work layout changes.
 """
 
 from __future__ import annotations
@@ -89,31 +90,18 @@ def _worker_init(directory: str, backend: str | None,
                    cache_pages=cache_pages, index=None)
 
 
-def _worker_index(wal: bool | None = None):
-    """The worker's own view of the snapshot, reopened on first use (a
-    tree scan reads base trees only, so its workers pass ``wal=False``:
-    the parent owns the delta and the log)."""
+def _worker_index():
+    """The worker's own view of the snapshot, reopened on first use with
+    no log: the parent owns the delta and the log, and the snapshot's
+    published generation is what the worker answers from."""
     index = _WORKER["index"]
     if index is None:
         from repro.core.persistence import load_index
         index = load_index(_WORKER["directory"],
                            cache_pages=_WORKER["cache_pages"],
-                           backend=_WORKER["backend"], wal=wal)
-        _drop_worker_pools(index)
+                           backend=_WORKER["backend"], wal=False)
         _WORKER["index"] = index
     return index
-
-
-def _drop_worker_pools(index) -> None:
-    """Run scans inline inside a worker.
-
-    Inside a worker the pool *is* the parallelism: drop any worker pool
-    the snapshot's spec re-created — a sharded snapshot's per-shard
-    pools included — so a process-execution snapshot cannot recursively
-    fork grandchildren.
-    """
-    from repro.core.spec import Execution
-    index.set_execution(Execution())
 
 
 def _run_fault_hook() -> None:
@@ -145,51 +133,6 @@ def _query_batch_task(points: np.ndarray, k: int, overrides: dict
     return index.query_batch(points, k, **overrides)
 
 
-def _scan_trees_task(tree_indices: list[int], points: np.ndarray,
-                     alpha: int, beta: int, gamma: int, ptolemaic: bool,
-                     predicate: dict | None = None
-                     ) -> tuple[list[list[np.ndarray]], dict]:
-    """Stages (i)+(ii) of Algo. 2 for a subset of trees, all query rows.
-
-    Returns one survivor-id array per (tree, row) plus the worker-side
-    I/O / distance-count deltas, so the parent can merge survivors
-    (stage iii stays in the parent, which owns the caller-visible stats).
-
-    ``predicate`` arrives in dict wire form; the eligible ids come from
-    this worker's own snapshot view of the metadata store, through the
-    worker index's memo as in the parent (an equal predicate recurring
-    on the worker pays no mask), and :meth:`QueryEngine.scan_many` takes
-    each tree's α candidates among its eligible entries as it does
-    there.
-    """
-    _run_fault_hook()
-    index = _worker_index(wal=False)
-    engine = index._engine
-    eligible = index._eligibility(index._coerce_query_predicate(predicate))
-    reads_before = index._total_page_reads()
-    random_before, sequential_before = index._read_breakdown()
-    index._distance_counter.reset()
-
-    # The query-to-reference matmul is NOT charged here: every worker
-    # group recomputes it for its own trees, but the sequential path
-    # computes it once per query, and the parent charges exactly that
-    # (engine run_batch remote branch) so process-mode QueryStats
-    # stay identical to sequential ones.
-    query_ref = index.references.distances_from(points)
-
-    survivors = engine.scan_many(tree_indices, points, query_ref, alpha,
-                                 beta, gamma, ptolemaic, eligible)
-
-    random_after, sequential_after = index._read_breakdown()
-    delta = {
-        "page_reads": index._total_page_reads() - reads_before,
-        "random_reads": random_after - random_before,
-        "sequential_reads": sequential_after - sequential_before,
-        "distance_computations": index._distance_counter.count,
-    }
-    return survivors, delta
-
-
 # -- parent-process side ----------------------------------------------------
 
 
@@ -199,9 +142,9 @@ class SnapshotWorkerPool:
     Parameters
     ----------
     directory:
-        Snapshot directory written by :func:`repro.core.save_index`.  May
-        be ``None`` at construction (a process-mode index binds it after
-        ``build()`` has persisted itself) but must be set before use.
+        Snapshot (root) directory written by
+        :func:`repro.core.save_index`; workers open its published
+        generation.
     num_workers:
         Pool width; defaults to the CPU count.
     backend:
@@ -217,7 +160,7 @@ class SnapshotWorkerPool:
         signal).
     """
 
-    def __init__(self, directory: str | os.PathLike[str] | None = None,
+    def __init__(self, directory: str | os.PathLike[str],
                  num_workers: int | None = None, backend: str = "mmap",
                  cache_pages: int | None = None,
                  timeout: float | None = None) -> None:
@@ -226,7 +169,7 @@ class SnapshotWorkerPool:
         check_backend(backend, "worker")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
-        self.directory = None if directory is None else os.fspath(directory)
+        self.directory = os.fspath(directory)
         self.num_workers = num_workers or default_workers()
         self.backend = backend
         self.cache_pages = cache_pages
@@ -245,11 +188,6 @@ class SnapshotWorkerPool:
     def _ensure(self) -> ProcessPoolExecutor:
         if self._closed:
             raise ProcessPoolError("worker pool has been closed")
-        if self.directory is None:
-            raise ProcessPoolError(
-                "no snapshot directory bound; build()/save_index() the "
-                "index first (process workers bootstrap from the snapshot, "
-                "never from pickled live state)")
         with self._lifecycle_lock:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
@@ -308,8 +246,7 @@ class SnapshotWorkerPool:
         """
         with self._lifecycle_lock:
             pool, self._pool = self._pool, None
-            self.directory = (None if directory is None
-                              else os.fspath(directory))
+            self.directory = os.fspath(directory)
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=False)
 
@@ -391,29 +328,3 @@ class SnapshotWorkerPool:
         ids = np.concatenate([p[0] for p in parts], axis=0)
         dists = np.concatenate([p[1] for p in parts], axis=0)
         return ids, dists
-
-    def scan_trees(self, num_trees: int, points: np.ndarray, alpha: int,
-                   beta: int, gamma: int, ptolemaic: bool,
-                   predicate: dict | None = None
-                   ) -> tuple[list[list[np.ndarray]], dict]:
-        """Stages (i)+(ii) for all trees, fanned out tree-wise.
-
-        Returns ``per_tree[tree][row]`` survivor-id arrays (tree order
-        preserved) plus the summed worker-side stats deltas.
-        """
-        groups = [list(chunk) for chunk in np.array_split(
-            np.arange(num_trees), min(self.num_workers, num_trees))
-            if chunk.size]
-        futures = [self.submit(_scan_trees_task, [int(t) for t in group],
-                               points, alpha, beta, gamma, ptolemaic,
-                               predicate)
-                   for group in groups]
-        results = self.gather(futures)
-        per_tree: list[list[np.ndarray]] = []
-        delta = {"page_reads": 0, "random_reads": 0, "sequential_reads": 0,
-                 "distance_computations": 0}
-        for survivors, worker_delta in results:
-            per_tree.extend(survivors)
-            for key in delta:
-                delta[key] += worker_delta[key]
-        return per_tree, delta

@@ -9,12 +9,10 @@ machine).  A query fans out to every shard and the per-shard top-k lists
 are merged by exact distance — the only synchronisation point, exactly as
 the paper predicts.
 
-Topology and execution are orthogonal axes of
-:class:`~repro.core.spec.IndexSpec`, so the router composes with *any*
-:class:`~repro.core.spec.Execution`: each child index scans inline or
-over its own process pool bootstrapping from that shard's own
-``shard_<s>/`` snapshot — the sharded x process
-combination the old class-per-combination design could not express.
+A router answers in-process like a plain index; its persisted snapshot
+(a manifest plus one ``shard_<s>/`` snapshot per shard) is served over
+worker processes by ``QueryService(..., execution="process")``, each
+worker holding a whole router.
 
 Updates (Sec. 3.6) belong to the shard that owns the id: ``insert`` /
 ``delete`` land in that shard's delta segment, volatile until
@@ -37,7 +35,7 @@ import numpy as np
 from repro.core.hdindex import HDIndex
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.params import HDIndexParams
-from repro.core.spec import Execution, IndexSpec, Topology
+from repro.core.spec import Execution, IndexSpec, Topology, refuse_process
 from repro.distance.metrics import require_finite
 from repro.meta import MetadataStore
 
@@ -64,11 +62,10 @@ class ShardRouter(KNNIndex):
     topology:
         A :class:`~repro.core.spec.Topology` (or a bare shard count).
     execution:
-        The :class:`~repro.core.spec.Execution` every child index runs
-        its per-tree scans with; ``None`` means sequential.
-        ``kind="process"`` requires ``params.storage_dir`` — each shard's
-        worker pool bootstraps from its own ``shard_<s>/`` snapshot;
-        ``wal=True`` is refused (:func:`refuse_log`).
+        The :class:`~repro.core.spec.Execution` recorded in the manifest;
+        ``None`` means sequential.  ``kind="process"``
+        (:func:`~repro.core.spec.refuse_process`) and ``wal=True``
+        (:func:`refuse_log`) are refused.
     """
 
     name = "HD-Index(sharded)"
@@ -83,12 +80,8 @@ class ShardRouter(KNNIndex):
         self.params = params if params is not None else HDIndexParams()
         self.topology = topology
         self.execution = execution if execution is not None else Execution()
+        refuse_process(self.execution)
         refuse_log(self.execution.wal)
-        if self._remote and self.params.storage_dir is None:
-            raise ValueError(
-                "sharded process execution requires "
-                "HDIndexParams(storage_dir=...): each shard's worker pool "
-                "bootstraps from its own shard_<s>/ snapshot")
         self.num_shards = topology.shards
         self.shards: list[HDIndex] = []
         self.offsets: np.ndarray | None = None
@@ -117,28 +110,9 @@ class ShardRouter(KNNIndex):
 
     def _make_shard(self, shard_index: int) -> HDIndex:
         shard = HDIndex(self._shard_params(shard_index))
-        # A shard never attaches a log of its own (process shards would).
-        shard._wal_policy = False
-        shard.set_execution(self.execution)
+        # A shard never attaches a log of its own.
+        shard.execution = dataclasses.replace(self.execution, wal=False)
         return shard
-
-    def set_execution(self, execution: Execution) -> None:
-        """Run every shard's scans as ``execution`` says (each shard gets
-        its own pool), checking first that process execution finds every
-        shard disk-backed: a failure mid-swap would leave the router
-        claiming an execution its shards do not run (and persist that
-        lie into the manifest)."""
-        refuse_log(execution.wal)
-        if execution.kind == "process":
-            for position, shard in enumerate(self.shards):
-                if shard.params.storage_dir is None:
-                    raise ValueError(
-                        f"process execution requires disk-backed shards; "
-                        f"shard {position} has no storage_dir (build the "
-                        f"router with params.storage_dir=... first)")
-        for shard in self.shards:
-            shard.set_execution(execution)
-        self.execution = execution
 
     # -- construction ------------------------------------------------------
 
@@ -185,18 +159,8 @@ class ShardRouter(KNNIndex):
             peak_memory_bytes=max(s.build_memory_bytes()
                                   for s in self.shards),
         )
-        if self._remote:
-            # The shard snapshots are already on disk (each remote child
-            # persists itself); write the manifest too so the whole
-            # sharded snapshot is immediately reopenable.
-            from repro.core.persistence import save_index
-            save_index(self, self.params.storage_dir)
 
     # -- online updates (Sec. 3.6) ----------------------------------------
-
-    @property
-    def _remote(self) -> bool:
-        return self.execution.kind == "process"
 
     def _fold_delta(self) -> None:
         for shard in self.shards:
@@ -294,8 +258,7 @@ class ShardRouter(KNNIndex):
         """Route the insert to the least-loaded shard; return a global id.
 
         The write lands in that shard's delta segment, volatile until
-        :meth:`compact`.  No snapshot is rewritten and no worker pool
-        restarts.
+        :meth:`compact`.  No snapshot is rewritten.
         """
         self._require_built()
         target = int(np.argmin([shard.count for shard in self.shards]))

@@ -7,15 +7,18 @@ serves; only two orthogonal axes ever change:
 * **topology** — is the dataset one index or ``shards`` horizontal
   partitions behind a router (the paper's Sec. 5.2.8 "distributed"
   extension);
-* **execution** — do the independent per-tree scans run inline or
-  across worker processes sharing an mmap snapshot.
+* **execution** — are its updates logged (``Execution.wal``), and is a
+  served snapshot answered in-process or by a
+  :class:`~repro.serve.QueryService` pool of worker processes
+  (``kind="process"``, the service's concern: an index always answers
+  in-process).
 
-:class:`IndexSpec` names a point of that grid — including sharded x
-process — as one declarative value::
+:class:`IndexSpec` names a point of that grid as one declarative
+value::
 
     IndexSpec(params=HDIndexParams(...),
               topology=Topology(shards=4),
-              execution=Execution(kind="process", workers=4),
+              execution=Execution(wal=False),
               backend="mmap")
 
 consumed by :func:`repro.build` / :func:`repro.open` (see
@@ -24,7 +27,7 @@ inside every snapshot's ``meta.json``/``manifest.json``, and reconstruct
 the exact deployment on reopen — no kind-dispatch special cases.
 
 >>> spec = IndexSpec(topology=Topology(shards=2),
-...                  execution=Execution(kind="process", workers=4))
+...                  execution=Execution(wal=False))
 >>> IndexSpec.from_dict(spec.to_dict()) == spec
 True
 """
@@ -81,15 +84,19 @@ class Topology:
 
 @dataclass(frozen=True)
 class Execution:
-    """*How* the independent per-tree scans of Algo. 2 run.
+    """*How* a deployment answers and keeps its updates.
 
     Attributes
     ----------
     kind:
-        ``"sequential"`` (inline, in order) or ``"process"`` (worker
-        processes bootstrapping from the persisted snapshot via
-        ``load_index``, sharing physical pages through mmap).
-        ``"serial"``, ``"thread"`` and ``"threaded"`` are spellings of
+        ``"sequential"`` (in-process) or ``"process"``: a
+        :class:`~repro.serve.QueryService` given it shards each
+        micro-batch's rows over worker processes that reopen the
+        persisted snapshot (sharing physical pages through mmap).  An
+        index answers in-process: ``create_index``, ``repro.build`` and
+        ``ShardRouter`` refuse ``"process"`` (:func:`refuse_process`),
+        and a snapshot recording it opens in-process.  ``"serial"``,
+        ``"thread"`` and ``"threaded"`` are spellings of
         ``"sequential"``.
     workers:
         Pool width for ``"process"``; ``None`` picks the CPU count.
@@ -108,9 +115,9 @@ class Execution:
         survives a crash and ``compact()`` publishes a new generation;
         ``False`` attaches no log — updates are volatile until
         ``compact()``/``save_index`` fold them into the base; ``None``
-        (default) lets the runtime decide — a log on disk, or process
-        execution, attaches one to a plain index.  A sharded deployment
-        keeps no log: ``True`` is refused there.
+        (default) lets the runtime decide — a log already on disk
+        attaches to a plain index.  A sharded deployment keeps no log:
+        ``True`` is refused there.
 
     >>> Execution(kind="threaded").kind
     'sequential'
@@ -153,6 +160,16 @@ class Execution:
                    wal=data.get("wal"))
 
 
+def refuse_process(execution: Execution) -> None:
+    """Raise for ``kind="process"`` where an index is made: an index
+    answers in-process, and one pool serves snapshots."""
+    if execution.kind == "process":
+        raise ValueError(
+            "an index answers in-process; serve its snapshot over worker "
+            "processes with QueryService(..., execution=\"process\") "
+            "(docs/MIGRATION.md)")
+
+
 @dataclass(frozen=True)
 class IndexSpec:
     """The full declarative recipe for one HD-Index deployment.
@@ -169,8 +186,8 @@ class IndexSpec:
     topology:
         Plain (``shards=1``) or sharded (:class:`Topology`).
     execution:
-        Sequential or process-pool scan execution
-        (:class:`Execution`).
+        Update durability (:class:`Execution`; an index refuses
+        ``kind="process"``, which only a service takes).
     backend:
         Convenience override of ``params.backend`` (``"memory"``,
         ``"mmap"`` or ``None`` to keep ``params``' own setting) so

@@ -12,8 +12,7 @@ Its contract:
   sanctioned alternative to scattering pragmas over whole functions.
 * ``[forksafety]`` declares the process-pool module(s): which functions
   run worker-side (``FS201``), which module globals those functions may
-  touch (the per-process bootstrap slots), which bootstrap functions
-  must drop worker pools before use (``FS203``), and which constructors
+  touch (the per-process bootstrap slots), and which constructors
   produce values that must never ride a pickled task payload
   (``FS202``).
 * ``[api]`` declares files whose dataclasses must be ``frozen=True``
@@ -71,8 +70,6 @@ class ForkSafetyConfig:
     files: tuple[str, ...] = ()
     worker_functions: tuple[str, ...] = ()
     allowed_worker_globals: tuple[str, ...] = ()
-    bootstrap_functions: tuple[str, ...] = ()
-    required_bootstrap_calls: tuple[str, ...] = ()
     unpicklable_factories: tuple[str, ...] = ()
 
     def covers(self, path: str) -> bool:
@@ -124,10 +121,6 @@ class LintConfig:
                 worker_functions=tuple(fork.get("worker_functions", ())),
                 allowed_worker_globals=tuple(
                     fork.get("allowed_worker_globals", ())),
-                bootstrap_functions=tuple(
-                    fork.get("bootstrap_functions", ())),
-                required_bootstrap_calls=tuple(
-                    fork.get("required_bootstrap_calls", ())),
                 unpicklable_factories=tuple(
                     fork.get("unpicklable_factories", ())),
             ),

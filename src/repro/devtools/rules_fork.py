@@ -15,10 +15,6 @@ workers bootstrap from the snapshot manifest, never from pickles:
   ``mmap.mmap(...)`` or a declared live-handle factory (the heap and
   page-store constructors, ``np.memmap``).  Live handles
   must be reopened worker-side from the snapshot path instead.
-* ``FS203`` — a declared bootstrap function (the worker-side
-  ``load_index`` wrapper) is missing a required call, e.g.
-  ``_drop_worker_pools``: without it a process-execution snapshot
-  would recursively fork grandchildren inside each worker.
 """
 
 from __future__ import annotations
@@ -254,32 +250,3 @@ class PickledHandleRule(Rule):
                 module, value,
                 f"{qual}: {_dotted_name(value.func)}(...) result in "
                 f"{where}; pass the snapshot path and reopen worker-side")
-
-
-@register
-class BootstrapDemotionRule(Rule):
-    code = "FS203"
-    name = "bootstrap-missing-demotion"
-    description = ("worker bootstrap function lacks a required call "
-                   "(e.g. _drop_worker_pools): a process-execution "
-                   "snapshot would fork grandchildren.")
-
-    def check(self, module: ModuleContext) -> Iterator[Finding]:
-        fork = module.config.forksafety
-        if not fork.covers(module.path):
-            return
-        required = tuple(fork.required_bootstrap_calls)
-        if not required:
-            return
-        for qual, func in module.functions():
-            if qual not in fork.bootstrap_functions:
-                continue
-            called = {
-                (_dotted_name(node.func) or "").rsplit(".", 1)[-1]
-                for node in ast.walk(func) if isinstance(node, ast.Call)}
-            for name in required:
-                if name not in called:
-                    yield self.finding(
-                        module, func,
-                        f"{qual}: bootstrap function never calls "
-                        f"{name}()")

@@ -161,7 +161,7 @@ def evaluate_spec(spec, data: np.ndarray, queries: np.ndarray, k: int,
     instantiated through :func:`repro.core.factory.create_index`, built,
     measured, and closed — so sweeps (the ``spec_combos`` figure)
     iterate over *specs* instead of a class matrix.  ``storage_dir`` is
-    required by disk backends and process execution; the result's
+    required by disk backends; the result's
     ``extra["spec"]`` records the evaluated spec dict.
     """
     from repro.core.factory import create_index

@@ -28,14 +28,14 @@ An :class:`~repro.core.spec.Execution` decides *where* a flushed
 micro-batch runs:
 
 * in-process (the default, ``kind="sequential"``) — the dispatcher
-  thread answers through the index's ``query_batch``; the index's own
-  execution decides how the per-tree scans run inside it;
-* ``Execution(kind="process", workers=N)`` — the dispatcher shards the
-  batch's rows across a
+  thread answers through the index's ``query_batch``;
+* ``Execution(kind="process", workers=N)`` — the one multi-core path:
+  the dispatcher shards the batch's rows across a
   :class:`~repro.core.procpool.SnapshotWorkerPool` of worker processes,
   each holding a lazily reopened ``backend="mmap"`` view of the same
-  snapshot directory, and re-concatenates the slices.  Rows are
-  independent, so answers stay byte-identical; a worker crash or timeout
+  snapshot directory's published generation (no log), and
+  re-concatenates the slices.  Rows are independent, so answers stay
+  byte-identical to the in-process service's; a worker crash or timeout
   fails the affected callers fast with a typed
   :class:`~repro.core.procpool.ProcessPoolError` and the pool is rebuilt
   for the next batch.
@@ -248,7 +248,9 @@ class QueryService:
     workers=N)`` (see :meth:`from_snapshot`) row-shards each flushed
     micro-batch across worker processes that each hold a lazily reopened
     ``mmap`` view of the same snapshot — the multi-core serving tier.
-    Process execution serves an *immutable* snapshot: once the index is
+    Process execution serves an *immutable* snapshot, the published
+    generation opened with no log, which must hold what the index holds
+    when the pool binds (``ValueError`` otherwise); once the index is
     updated, batches fail with
     :class:`~repro.core.procpool.ProcessPoolError` until it is
     re-snapshotted (``save_index()`` or ``compact()``) and swapped in
@@ -320,59 +322,62 @@ class QueryService:
     @staticmethod
     def _resolve_snapshot_dir(index, snapshot_dir):
         """Process mode needs a snapshot the workers can bootstrap from:
-        the explicit argument, or the index's own storage directory when a
-        snapshot manifest already lives there.  Either way the snapshot's
-        recorded point count must match the live index — a stale snapshot
-        (index mutated after the last ``save_index``) would make workers
-        silently answer from old data, so it is an error, not a fallback.
-
-        A WAL root (``CURRENT`` pointer / ``wal.log``, :mod:`repro.wal`)
-        is self-describing: workers resolve the published generation and
-        replay the log at bootstrap, so the staleness check does not
-        apply.
+        the explicit argument, or the index's own WAL root or storage
+        directory.  Workers open its published generation with no log,
+        so that generation must hold what the live index holds — the
+        same count and deleted ids, shard by shard for a sharded
+        snapshot (:meth:`_check_snapshot`).  A stale snapshot would make
+        workers silently answer from other data, so it is an error, not
+        a fallback.
         """
-        from repro.wal.manager import has_wal_layout
-        if snapshot_dir is not None:
-            directory = os.fspath(snapshot_dir)
-        else:
-            directory = (getattr(index, "_wal_root", None)
-                         or getattr(getattr(index, "params", None),
-                                    "storage_dir", None))
-            if directory is None or not (
-                    has_wal_layout(directory)
-                    or os.path.exists(os.path.join(directory, "meta.json"))
-                    or os.path.exists(
-                        os.path.join(directory, "manifest.json"))):
-                raise ValueError(
-                    "execution=Execution(kind=\"process\") needs a "
-                    "persisted snapshot: pass snapshot_dir=... (or use "
-                    "QueryService.from_snapshot); "
-                    "worker processes bootstrap from the snapshot "
-                    "manifest, never from the live index")
-        if has_wal_layout(directory):
-            return directory
-        live_count = getattr(index, "count", None)
-        snapshot_count = QueryService._snapshot_count(directory)
-        if (live_count is not None and snapshot_count is not None
-                and snapshot_count != live_count):
+        if snapshot_dir is None:
+            snapshot_dir = (getattr(index, "_wal_root", None)
+                            or getattr(getattr(index, "params", None),
+                                       "storage_dir", None))
+        if snapshot_dir is None:
             raise ValueError(
-                f"snapshot at {directory} holds {snapshot_count} points "
-                f"but the live index holds {live_count}; re-run "
-                f"save_index() so worker processes serve current data")
+                "execution=Execution(kind=\"process\") needs a "
+                "persisted snapshot: pass snapshot_dir=... (or use "
+                "QueryService.from_snapshot); "
+                "worker processes bootstrap from the snapshot "
+                "manifest, never from the live index")
+        directory = os.fspath(snapshot_dir)
+        QueryService._check_snapshot(index, directory)
         return directory
 
     @staticmethod
-    def _snapshot_count(directory):
+    def _check_snapshot(index, directory: str) -> None:
+        """Raise ``ValueError`` unless the generation published under
+        ``directory`` records the live index's count and deleted ids
+        (for a router: the manifest's count, then each shard's)."""
         import json
-        for name in ("meta.json", "manifest.json"):
-            path = os.path.join(directory, name)
-            if os.path.exists(path):
-                try:
-                    with open(path) as handle:
-                        return int(json.load(handle).get("count"))
-                except (OSError, TypeError, ValueError):
-                    return None
-        return None
+        from repro.wal.manager import resolve_snapshot_dir
+        target = resolve_snapshot_dir(directory)
+        pairs = [(index, target)] + [
+            (shard, resolve_snapshot_dir(
+                os.path.join(target, f"shard_{position}")))
+            for position, shard in enumerate(getattr(index, "shards", ()))]
+        for live, path in pairs:
+            names = [name for name in ("meta.json", "manifest.json")
+                     if os.path.exists(os.path.join(path, name))]
+            try:
+                with open(os.path.join(path, names[0])) as handle:
+                    recorded = json.load(handle)
+            except (IndexError, OSError, ValueError):
+                raise ValueError(
+                    f"{path} holds no readable snapshot for worker "
+                    f"processes to open; save_index() the index first"
+                ) from None
+            held = (int(recorded.get("count", -1)),
+                    sorted(recorded.get("deleted", ())))
+            live_held = (live.count, sorted(getattr(live, "_deleted", ())))
+            if held != live_held:
+                raise ValueError(
+                    f"snapshot at {path} holds {held[0]} points, "
+                    f"{len(held[1])} deleted, but the live index holds "
+                    f"{live_held[0]} points, {len(live_held[1])} deleted: "
+                    f"save_index() or compact() it, so worker processes "
+                    f"(which open no log) serve current data")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -678,6 +683,8 @@ class QueryService:
             ServiceClosed: If the service was stopped before the swap
                 applied.
             TimeoutError: If the swap did not apply within ``timeout``.
+            ValueError: In process mode, if the loaded index holds what
+                the published generation does not (an un-compacted log).
         """
         from repro.core.persistence import load_index
         target = directory
@@ -691,6 +698,12 @@ class QueryService:
                 "disk-backed; pass directory=...")
         target = os.fspath(target)
         fresh = load_index(target, cache_pages=cache_pages, backend=backend)
+        if self._pool is not None:
+            try:
+                self._check_snapshot(fresh, target)
+            except ValueError:
+                fresh.close()
+                raise
         swap = _SwapRequest(fresh, target)
         with self._lock:
             if self._closed:

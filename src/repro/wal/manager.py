@@ -30,6 +30,7 @@ holds records rather than open it without them.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import shutil
@@ -59,7 +60,7 @@ _GENERATION_PREFIX = "gen-"
 
 #: Test seam: compaction calls this (when set) after the new generation
 #: is fully written but *before* ``CURRENT`` is published — the widest
-#: crash window.  Mirrors ``repro.core.procpool._FAULT_HOOK``.
+#: crash window.
 _FAULT_HOOK = None
 
 #: Test seam: :func:`attach_wal` calls this (when set) between loading a
@@ -163,8 +164,7 @@ def enable_wal(index, root: str | os.PathLike[str] | None = None,
     and by :func:`attach_wal` at load time.
     """
     if root is None:
-        root = (index._wal_root or getattr(index, "snapshot_dir", None)
-                or index.params.storage_dir)
+        root = index._wal_root or index.params.storage_dir
     if root is None:
         raise ValueError(
             "wal=True requires a disk-backed index "
@@ -179,12 +179,10 @@ def enable_wal(index, root: str | os.PathLike[str] | None = None,
 
 
 def _wants_log(index, on_disk: bool = False) -> bool:
-    """``Execution.wal`` resolved: the explicit policy, else (auto) a log
-    already on disk or process execution, whose snapshot lives on disk
-    anyway."""
-    if index._wal_policy is not None:
-        return index._wal_policy
-    return on_disk or index._remote  # not .spec: this runs per insert
+    """``Execution.wal`` resolved: the explicit policy, else (auto)
+    whether a log is already on disk."""
+    wal = index.execution.wal
+    return on_disk if wal is None else wal
 
 
 def open_log(index):
@@ -212,7 +210,8 @@ def attach_wal(index, root: str | os.PathLike[str],
     """
     root = os.fspath(root)
     if wal is not None:
-        index._wal_policy = bool(wal)
+        index.execution = dataclasses.replace(index.execution,
+                                              wal=bool(wal))
     if index._wal is not None or not _wants_log(index, has_wal_layout(root)):
         return
     hook = _OPEN_HOOK
@@ -276,7 +275,6 @@ def fold_generation(source: str, dest: str,
     are skipped.
     """
     from repro.core.persistence import load_index, save_index
-    from repro.core.procpool import _drop_worker_pools
     if os.path.exists(dest):
         shutil.rmtree(dest)  # leftover from a crashed earlier attempt
     os.makedirs(dest)
@@ -292,7 +290,6 @@ def fold_generation(source: str, dest: str,
         source_meta = json.load(handle)
     folded = load_index(dest, backend="mmap", wal=False)
     try:
-        _drop_worker_pools(folded)
         for object_id, vector, metadata in records:
             if object_id < folded.count:
                 continue
@@ -307,11 +304,10 @@ def fold_generation(source: str, dest: str,
         save_index(folded, dest)
     finally:
         folded.close()
-    # ``folded`` was loaded inline (worker pools dropped, no log) so the
-    # fold never forks pools or touches the log — but save_index
-    # derives the persisted execution from the *live* object.  Restore the
-    # source snapshot's recorded execution so the new generation reopens
-    # exactly like the one it replaces (process pools, wal policy, ...).
+    # ``folded`` was loaded with no log so the fold never touches it —
+    # but save_index derives the persisted execution from the *live*
+    # object.  Restore the source snapshot's recorded spec so the new
+    # generation reopens exactly like the one it replaces (wal policy).
     meta_path = os.path.join(dest, "meta.json")
     with open(meta_path) as handle:
         meta = json.load(handle)

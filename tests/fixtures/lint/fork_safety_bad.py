@@ -2,9 +2,7 @@
 
 The test harness declares this file under ``[forksafety]`` with
 ``worker_functions = ["_worker_task"]``, ``allowed_worker_globals =
-["_STATE"]``, ``bootstrap_functions = ["_bootstrap"]``,
-``required_bootstrap_calls = ["_drop_worker_pools"]`` and
-``unpicklable_factories = ["VectorHeapFile"]``.
+["_STATE"]`` and ``unpicklable_factories = ["VectorHeapFile"]``.
 """
 
 _STATE = {"index": None}
@@ -16,11 +14,6 @@ def _worker_task(payload):
     _RESULTS["last"] = payload  # expect: FS201
     _RESULTS.update(done=True)  # expect: FS201
     return payload
-
-
-def _bootstrap():  # expect: FS203
-    index = _STATE["index"]
-    return index
 
 
 class Dispatcher:

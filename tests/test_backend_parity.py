@@ -186,12 +186,15 @@ class TestFamilyBackends:
         plain.build(data)
         expected = _answers(plain, queries)
         plain.close()
-        process = HDIndex(_params(backend="mmap", storage_dir=str(tmp_path)))
-        process.set_execution(Execution(kind="process", workers=2))
-        process.build(data)
-        _assert_same_answers(_answers(process, queries), expected,
+        mapped = HDIndex(_params(backend="mmap", storage_dir=str(tmp_path)))
+        mapped.build(data)
+        save_index(mapped, tmp_path)
+        with QueryService(mapped, execution=Execution(
+                kind="process", workers=2)) as service:
+            single = [service.query(q, K, timeout=60) for q in queries]
+        _assert_same_answers((single, expected[1]), expected,
                              "process-mmap")
-        process.close()
+        mapped.close()
 
     def test_sharded_snapshot_mmap_parity(self, workload, tmp_path):
         data, queries = workload

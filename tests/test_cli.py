@@ -63,6 +63,24 @@ class TestBuildQuery:
         assert f"served 8 queries from 2 clients (execution={kind})" \
             in out.getvalue()
 
+    def test_sharded_snapshot_served_by_the_process_pool(self, tmp_path):
+        """The one multi-core path from the command line: a compacted
+        sharded root served by the row-sharded worker pool."""
+        idx = str(tmp_path / "idx")
+        assert run(["build", "--dataset", "glove", "--n", "200",
+                    "--out", idx, "--trees", "4", "--alpha", "32",
+                    "--gamma", "8", "--shards", "2",
+                    "--backend", "mmap"]) == 0
+        assert run(["compact", "--index", idx]) == 0
+        out = io.StringIO()
+        code = run(["serve", "--index", idx, "--dataset", "glove",
+                    "--n", "200", "--queries", "8", "--clients", "2",
+                    "-k", "3", "--execution", "process",
+                    "--workers", "2"], out)
+        assert code == 0
+        assert "served 8 queries from 2 clients (execution=process)" \
+            in out.getvalue()
+
     def test_query_dimension_mismatch_fails_cleanly(self, tmp_path,
                                                     monkeypatch):
         run(["build", "--dataset", "glove", "--n", "200",
@@ -220,7 +238,14 @@ class TestParser:
         ["compare"],
         ["serve", "--index", "{d}", "--listen", "127.0.0.1:0"],
         ["build", "--from-hdf5", "x.hdf5:train", "--out", "{d}"],
-    ], ids=["compare", "serve-listen", "build-from-hdf5"])
+        ["build", "--dataset", "glove", "--n", "50", "--out", "{d}/idx",
+         "--execution", "process"],
+        ["build", "--dataset", "glove", "--n", "50", "--out", "{d}/idx",
+         "--workers", "2"],
+        ["query", "--index", "{d}", "--execution", "process"],
+        ["query", "--index", "{d}", "--workers", "2"],
+    ], ids=["compare", "serve-listen", "build-from-hdf5", "build-execution",
+            "build-workers", "query-execution", "query-workers"])
     def test_removed_spellings_are_usage_errors(self, argv, tmp_path):
         """See docs/MIGRATION.md for what replaces each."""
         argv = [arg.format(d=tmp_path) for arg in argv]

@@ -1,21 +1,21 @@
 """Cross-implementation parity suite for the shared Algo.-2 query engine.
 
-The engine extraction makes drift between the sequential, process and
-sharded indexes structurally impossible; these tests pin the contract:
+The engine extraction makes drift between the in-memory, disk-backed
+and sharded indexes structurally impossible; these tests pin the
+contract:
 
-* identical (ids, dists) across sequential and process `HDIndex`
-  execution and the vectorised batch path on the same data/seed;
-* ``query_batch`` equals a loop of ``query`` for every topology/execution
-  combination;
-* process execution reports the same ``QueryStats`` fields — including
-  the random/sequential read breakdown the Sec. 5 evaluation metrics
-  depend on — as sequential execution (regression: a pool used to drop
-  them);
+* identical (ids, dists) across an in-memory `HDIndex`, a process-mode
+  `QueryService` over its snapshot and the vectorised batch path on the
+  same data/seed;
+* ``query_batch`` equals a loop of ``query`` for every topology and
+  backend;
+* every member reports the random/sequential read breakdown the Sec. 5
+  evaluation metrics depend on;
 * the shard router forwards per-call α/β/γ/Ptolemaic overrides and
   supports global-id ``delete``;
 * ``query`` is ``query_batch`` at Q = 1, so both are checked against a
   scalar oracle that shares none of the batched kernels (plain, filtered
-  and over a WAL delta with deletes; every execution), and the adapter's
+  and over a WAL delta with deletes), and the adapter's
   own contract — unpadded short answers, no ``batch_size`` in the stats,
   ``ValueError`` on a wrong dimension — is pinned directly;
 * the answers to a seeded workload are frozen as digests, so a kernel
@@ -45,7 +45,6 @@ from repro.core import (
     QueryEngine,
     ShardRouter,
     build,
-    create_index,
     load_index,
     save_index,
 )
@@ -63,15 +62,21 @@ from repro.devtools.sanitize import node_candidates
 from repro.distance import pairwise_euclidean
 from repro.hilbert import HilbertCurve, encode_for_curves
 from repro.meta import Eq, In
+from repro.serve import QueryService
 from repro.storage import UIntCodec
 from test_core_filters import python_ptolemaic, python_triangular
 
 
-def process_index(p, workers=2):
-    """An unbuilt index whose scans fan out over worker processes
-    (``p`` must name a ``storage_dir``)."""
-    return create_index(IndexSpec(
-        params=p, execution=Execution(kind="process", workers=workers)))
+def served(index, workers=2):
+    """A started process-mode service over ``index``'s own snapshot."""
+    return QueryService(index, execution=Execution(
+        kind="process", workers=workers)).start()
+
+
+def snapshot_index(data, directory, **overrides):
+    """An mmap-backed index built and saved at ``directory``."""
+    return build(IndexSpec(params=params(**overrides), backend="mmap"),
+                 data, storage_dir=directory)
 
 
 @pytest.fixture(scope="module")
@@ -97,35 +102,35 @@ def params(**overrides):
 def built_trio(workload, tmp_path_factory):
     data, _ = workload
     sequential = HDIndex(params())
-    process = process_index(
-        params(storage_dir=str(tmp_path_factory.mktemp("trio"))))
+    sequential.build(data)
+    disk = snapshot_index(data, str(tmp_path_factory.mktemp("trio")))
     sharded = ShardRouter(params(), 3)
-    for index in (sequential, process, sharded):
-        index.build(data)
-    yield sequential, process, sharded
-    process.close()
+    sharded.build(data)
+    yield sequential, disk, sharded
+    disk.close()
 
 
 class TestCrossImplementationParity:
     def test_sequential_process_and_batch_agree(self, workload, built_trio):
         _, queries = workload
-        sequential, process, _ = built_trio
+        sequential, disk, _ = built_trio
         batch_ids, batch_dists = sequential.query_batch(queries, 10)
-        for row, query in enumerate(queries):
-            ids_seq, dists_seq = sequential.query(query, 10)
-            ids_par, dists_par = process.query(query, 10)
-            np.testing.assert_array_equal(ids_seq, ids_par)
-            np.testing.assert_allclose(dists_seq, dists_par)
-            np.testing.assert_array_equal(
-                batch_ids[row][: len(ids_seq)], ids_seq)
-            np.testing.assert_allclose(
-                batch_dists[row][: len(dists_seq)], dists_seq)
+        with served(disk) as process:
+            for row, query in enumerate(queries):
+                ids_seq, dists_seq = sequential.query(query, 10)
+                ids_par, dists_par = process.query(query, 10, timeout=60)
+                np.testing.assert_array_equal(ids_seq, ids_par)
+                np.testing.assert_allclose(dists_seq, dists_par)
+                np.testing.assert_array_equal(
+                    batch_ids[row][: len(ids_seq)], ids_seq)
+                np.testing.assert_allclose(
+                    batch_dists[row][: len(dists_seq)], dists_seq)
 
-    @pytest.mark.parametrize("which", ["sequential", "process", "sharded"])
+    @pytest.mark.parametrize("which", ["sequential", "disk", "sharded"])
     def test_query_batch_equals_query_loop(self, workload, built_trio,
                                            which):
         _, queries = workload
-        index = dict(zip(("sequential", "process", "sharded"),
+        index = dict(zip(("sequential", "disk", "sharded"),
                          built_trio))[which]
         k = 10
         batch_ids, batch_dists = index.query_batch(queries, k)
@@ -152,32 +157,33 @@ class TestCrossImplementationParity:
     def test_ptolemaic_path_parity(self, workload, tmp_path):
         data, queries = workload
         sequential = HDIndex(params(use_ptolemaic=True))
-        process = process_index(params(use_ptolemaic=True,
-                                       storage_dir=str(tmp_path)))
         sequential.build(data)
-        process.build(data)
-        batch_ids, _ = process.query_batch(queries, 10)
-        for row, query in enumerate(queries):
-            ids_seq, _ = sequential.query(query, 10)
-            ids_par, _ = process.query(query, 10)
-            np.testing.assert_array_equal(ids_seq, ids_par)
-            np.testing.assert_array_equal(
-                batch_ids[row][: len(ids_seq)], ids_seq)
-        process.close()
+        disk = snapshot_index(data, str(tmp_path), use_ptolemaic=True)
+        batch_ids, _ = disk.query_batch(queries, 10)
+        with served(disk) as process:
+            for row, query in enumerate(queries):
+                ids_seq, _ = sequential.query(query, 10)
+                ids_par, _ = process.query(query, 10, timeout=60)
+                np.testing.assert_array_equal(ids_seq, ids_par)
+                np.testing.assert_array_equal(
+                    batch_ids[row][: len(ids_seq)], ids_seq)
+        disk.close()
 
     def test_disk_backed_process_batch_parity(self, workload, tmp_path):
-        """Worker processes scanning their own mapped view of the
-        snapshot answer a batch as the in-memory index does."""
+        """Worker processes answering rows from their own mapped view of
+        the snapshot answer a batch as the in-memory index does."""
         data, queries = workload
-        disk = process_index(params(storage_dir=str(tmp_path / "hd"),
-                                    backend="mmap"), workers=4)
+        disk = snapshot_index(data, str(tmp_path / "hd"))
         memory = HDIndex(params())
-        disk.build(data)
         memory.build(data)
-        ids_disk, dists_disk = disk.query_batch(queries, 10)
+        with served(disk, workers=4) as process:
+            futures = [process.submit(query, 10) for query in queries]
+            rows = [future.result(timeout=60) for future in futures]
         ids_mem, dists_mem = memory.query_batch(queries, 10)
-        np.testing.assert_array_equal(ids_disk, ids_mem)
-        np.testing.assert_allclose(dists_disk, dists_mem)
+        np.testing.assert_array_equal(np.stack([r[0] for r in rows]),
+                                      ids_mem)
+        np.testing.assert_allclose(np.stack([r[1] for r in rows]),
+                                   dists_mem)
         disk.close()
 
     def test_batch_accepts_single_vector(self, workload, built_trio):
@@ -206,26 +212,6 @@ class TestCrossImplementationParity:
 
 
 class TestStatsParity:
-    def test_process_reports_read_breakdown(self, workload, built_trio):
-        """Regression: a pool used to drop the random/sequential read
-        split from its QueryStats.  (Which worker scans a tree varies
-        from call to call, and with it the last page a store touched, so
-        only the total is the sequential one read for read.)"""
-        _, queries = workload
-        sequential, process, _ = built_trio
-        sequential.query(queries[0], 10)
-        process.query(queries[0], 10)
-        stats_seq = sequential.last_query_stats()
-        stats_par = process.last_query_stats()
-        assert stats_par.page_reads == stats_seq.page_reads
-        assert stats_par.random_reads > 0
-        assert (stats_par.random_reads + stats_par.sequential_reads
-                == stats_par.page_reads)
-        # Same schema either way; process execution adds the pool width.
-        assert stats_par.extra["workers"] == 2
-        seq_keys = set(stats_seq.as_dict()) | {"workers"}
-        assert set(stats_par.as_dict()) == seq_keys
-
     def test_sharded_reports_read_breakdown(self, workload, built_trio):
         _, queries = workload
         _, _, sharded = built_trio
@@ -330,18 +316,16 @@ class TestShardedOverridesAndUpdates:
 
 class TestEngineComponents:
     def test_indexes_share_one_engine_implementation(self, built_trio):
-        sequential, process, sharded = built_trio
-        assert type(sequential._engine) is type(process._engine) is \
+        sequential, disk, sharded = built_trio
+        assert type(sequential._engine) is type(disk._engine) is \
             QueryEngine
-        assert sequential._engine.pool is None
-        assert process._engine.pool is not None
         for shard in sharded.shards:
             assert type(shard._engine) is QueryEngine
 
     def test_one_index_class_per_topology(self):
         """The structural guarantee: the family is HDIndex (plain) and
-        ShardRouter (sharded); execution is a worker pool or none, never
-        a subclass carrying a second copy of the Algo.-2 stage logic."""
+        ShardRouter (sharded), never a subclass carrying a second copy of
+        the Algo.-2 stage logic."""
         import repro.core
         from repro.core import KNNIndex, ShardRouter
         family = {obj for obj in vars(repro.core).values()
@@ -369,9 +353,9 @@ class TestDeleteBatchParity:
 
     @pytest.mark.parametrize("make_index", [
         lambda directory: HDIndex(params()),
-        lambda directory: process_index(params(storage_dir=directory)),
+        lambda directory: HDIndex(params(storage_dir=directory)),
         lambda directory: ShardRouter(params(), 3),
-    ], ids=["sequential", "process", "sharded"])
+    ], ids=["sequential", "disk", "sharded"])
     def test_batch_equals_loop_after_deletes(self, workload, make_index,
                                              tmp_path):
         data, queries = workload
@@ -481,7 +465,7 @@ class TestScalarOracleParity:
     PREDICATES = {"plain": None, "filtered": Eq("label", 1)}
 
     @staticmethod
-    def _updated(workload, directory, kind, logged, **overrides):
+    def _updated(workload, directory, logged, **overrides):
         """A labelled index with a delta holding three inserts (the
         second deleted again, the third failing the filter) and two base
         deletes; returns (index, every vector by id, deleted ids)."""
@@ -489,8 +473,7 @@ class TestScalarOracleParity:
         index = build(
             IndexSpec(params=params(storage_dir=directory,
                                     use_ptolemaic=True, **overrides),
-                      execution=Execution(kind=kind, workers=2,
-                                          wal=logged)),
+                      execution=Execution(wal=logged)),
             data, storage_dir=directory,
             metadata=[{"label": i % 3} for i in range(len(data))])
         deleted = {int(v) for v in index.query(queries[0], 2)[0]}
@@ -505,29 +488,25 @@ class TestScalarOracleParity:
     @pytest.fixture(scope="class")
     def reference(self, workload, tmp_path_factory):
         """Batch answers per predicate of the sequential, logged, on-disk
-        configuration: every other one (process execution, no log, no
-        disk) must reproduce them, whichever cases are selected."""
+        configuration: every other one (no log, no disk) must reproduce
+        them, whichever cases are selected."""
         index, _, _ = self._updated(
             workload, str(tmp_path_factory.mktemp("reference") / "snap"),
-            "sequential", True)
+            True)
         with index:
             return {name: index.query_batch(workload[1], self.K,
                                             predicate=predicate)
                     for name, predicate in self.PREDICATES.items()}
 
-    @pytest.fixture(params=[("sequential", True, True),
-                            ("process", True, True),
-                            ("sequential", False, False),
-                            ("sequential", False, True),
-                            ("process", False, True)],
-                    ids=lambda p: f"{p[0]}-{'wal' if p[1] else 'nolog'}"
-                                  f"-{'disk' if p[2] else 'memory'}")
+    @pytest.fixture(params=[(True, True), (False, False), (False, True)],
+                    ids=lambda p: f"sequential-{'wal' if p[0] else 'nolog'}"
+                                  f"-{'disk' if p[1] else 'memory'}")
     def updated(self, request, workload, tmp_path):
-        """One index per (execution, logged?, on disk?)."""
-        kind, logged, on_disk = request.param
+        """One index per (logged?, on disk?)."""
+        logged, on_disk = request.param
         made = self._updated(
             workload, str(tmp_path / "snap") if on_disk else None,
-            kind, logged)
+            logged)
         yield made
         made[0].close()
 
@@ -568,6 +547,36 @@ class TestScalarOracleParity:
         np.testing.assert_array_equal(batch_ids, reference[name][0])
         np.testing.assert_array_equal(batch_dists, reference[name][1])
 
+    @pytest.mark.parametrize("name", list(PREDICATES))
+    @pytest.mark.parametrize("logged", [True, False], ids=["wal", "nolog"])
+    def test_process_service_equals_oracle(self, workload, tmp_path, logged,
+                                           name):
+        """The updated index, compacted so that its snapshot holds the
+        inserts and deletes, served by a process-mode service: the
+        workers answer every row, predicate given to ``submit``, as the
+        oracle does over the index the service wraps."""
+        _, queries = workload
+        predicate = self.PREDICATES[name]
+        index, vectors, deleted = self._updated(
+            workload, str(tmp_path / "snap"), logged)
+        with index:
+            index.compact()
+            want = [scalar_oracle(index, query, self.K, predicate)
+                    for query in queries]
+            with served(index) as service:
+                futures = [service.submit(query, self.K, predicate=predicate)
+                           for query in queries]
+                got = [future.result(timeout=60) for future in futures]
+        for query, (ids, dists), (want_ids, want_dists) in zip(
+                queries, got, want):
+            assert not deleted & set(ids.tolist())
+            np.testing.assert_array_equal(ids, want_ids)
+            np.testing.assert_array_equal(dists, want_dists)
+            np.testing.assert_allclose(
+                dists, np.linalg.norm(vectors[ids] - query, axis=1),
+                rtol=1e-5)
+        assert any((ids >= len(vectors) - 3).any() for ids, _ in got)
+
     @pytest.mark.parametrize("backend", ["memory", "mmap"])
     def test_reopened_16_byte_keys_equal_oracle(self, workload, tmp_path,
                                                backend):
@@ -575,8 +584,8 @@ class TestScalarOracleParity:
         width the suite's workloads run at), answered after ``save_index``
         folded the delta and a reopen under each backend."""
         _, queries = workload
-        index, _, deleted = self._updated(workload, None, "sequential",
-                                          False, num_trees=1)
+        index, _, deleted = self._updated(workload, None, False,
+                                          num_trees=1)
         with index:
             save_index(index, str(tmp_path))
         with load_index(str(tmp_path), backend=backend) as reopened:
@@ -631,7 +640,7 @@ class TestSortedMerge:
         every key starts with the same 64 bits and every descent settles
         its count exactly (``PackedTree._exact``)."""
         index, _, _ = TestScalarOracleParity._updated(
-            workload, None, "sequential", False, num_trees=request.param,
+            workload, None, False, num_trees=request.param,
             hilbert_order=16, domain=(0.0, 30000.0))
         heads = {bytes(key[:8]) for tree in index.trees
                  for key in tree.packed.keys_raw}
@@ -682,8 +691,7 @@ class TestSortedMerge:
         the delta into the base.  A fresh index of the fixture's tree
         count, so the fixture stays un-compacted."""
         index, _, _ = TestScalarOracleParity._updated(
-            workload, None, "sequential", False,
-            num_trees=len(updated.trees))
+            workload, None, False, num_trees=len(updated.trees))
         predicate = Eq("label", 1)
         eligible = np.count_nonzero(predicate.mask(index.metadata))
         calls = []

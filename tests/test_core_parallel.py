@@ -1,4 +1,6 @@
-"""Tests for the parallel-query extension (paper Sec. 5.2.8 / Sec. 6)."""
+"""Tests for the parallel-query extension (paper Sec. 5.2.8 / Sec. 6):
+a snapshot served by a process-mode ``QueryService``, whose workers
+each answer whole rows."""
 
 import numpy as np
 import pytest
@@ -8,16 +10,20 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     IndexSpec,
-    create_index,
+    build,
 )
+from repro.serve import QueryService, ServiceClosed
 
 
-def process_index(p, directory, workers=2):
-    """Per-tree scans over worker processes, declared through the spec
-    API (the workers bootstrap from the snapshot in ``directory``)."""
-    return create_index(IndexSpec(
-        params=p, execution=Execution(kind="process", workers=workers)),
-        storage_dir=str(directory))
+def served(p, data, directory, workers=2, wal=False):
+    """A started process-mode service over a snapshot of ``data`` built
+    with ``p`` in ``directory`` (the workers bootstrap from it)."""
+    index = build(IndexSpec(params=p, execution=Execution(wal=wal)), data,
+                  storage_dir=str(directory))
+    service = QueryService(index, execution=Execution(kind="process",
+                                                      workers=workers))
+    service._owns_index = True
+    return service.start()
 
 
 @pytest.fixture(scope="module")
@@ -38,88 +44,97 @@ def params(**overrides):
     return HDIndexParams(**defaults)
 
 
-class TestParallelHDIndex:
+class TestProcessServedHDIndex:
     def test_results_identical_to_sequential(self, workload, tmp_path):
-        """The paper's claim: per-tree scans are independent, so
-        parallelising them must not change the answer set."""
+        """The paper's claim: queries are independent, so answering them
+        in parallel must not change the answer set."""
         data, queries = workload
         sequential = HDIndex(params())
-        parallel = process_index(params(), tmp_path, workers=4)
         sequential.build(data)
-        parallel.build(data)
-        for query in queries:
-            ids_seq, dists_seq = sequential.query(query, 10)
-            ids_par, dists_par = parallel.query(query, 10)
-            np.testing.assert_array_equal(ids_seq, ids_par)
-            np.testing.assert_allclose(dists_seq, dists_par)
-        parallel.close()
+        with served(params(), data, tmp_path, workers=4) as parallel:
+            futures = [parallel.submit(query, 10) for query in queries]
+            for query, future in zip(queries, futures):
+                ids_seq, dists_seq = sequential.query(query, 10)
+                ids_par, dists_par = future.result(timeout=60)
+                np.testing.assert_array_equal(ids_seq, ids_par)
+                np.testing.assert_allclose(dists_seq, dists_par)
 
     def test_ptolemaic_path_identical(self, workload, tmp_path):
         data, queries = workload
         sequential = HDIndex(params(use_ptolemaic=True))
-        parallel = process_index(params(use_ptolemaic=True), tmp_path)
         sequential.build(data)
-        parallel.build(data)
+        with served(params(use_ptolemaic=True), data, tmp_path) as parallel:
+            ids_par, _ = parallel.query(queries[0], 10, timeout=60)
         ids_seq, _ = sequential.query(queries[0], 10)
-        ids_par, _ = parallel.query(queries[0], 10)
         np.testing.assert_array_equal(ids_seq, ids_par)
-        parallel.close()
 
     def test_worker_count_respected(self, workload, tmp_path):
         data, queries = workload
-        index = process_index(params(), tmp_path, workers=2)
-        index.build(data)
-        index.query(queries[0], 5)
-        assert index.last_query_stats().extra["workers"] == 2
-        index.close()
-
-    def test_context_manager(self, workload, tmp_path):
-        data, queries = workload
-        with process_index(params(), tmp_path) as index:
-            index.build(data)
-            ids, _ = index.query(queries[0], 5)
+        with served(params(), data, tmp_path, workers=2) as parallel:
+            assert parallel._pool.num_workers == 2
+            assert len(parallel._pool._pool._processes) == 2
+            ids, _ = parallel.query(queries[0], 5, timeout=60)
             assert len(ids) == 5
 
-    def test_close_is_idempotent(self, workload, tmp_path):
-        data, _ = workload
-        index = process_index(params(), tmp_path)
-        index.build(data)
-        index.close()
-        index.close()
-
-    def test_sequential_execution_drops_the_pool(self, workload, tmp_path):
-        """Process execution is one optional pool: setting sequential
-        execution closes it and the same index answers inline."""
+    def test_context_manager(self, workload, tmp_path):
+        """Leaving the block stops the service and its worker
+        processes; later calls fail typed instead of hanging."""
         data, queries = workload
-        index = process_index(params(), tmp_path)
-        index.build(data)
-        want = index.query_batch(queries, 10)
-        pool = index._engine.pool
-        index.set_execution(Execution())
-        assert index._engine.pool is None and pool._closed
-        assert index.spec.execution.kind == "sequential"
-        got = index.query_batch(queries, 10)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        assert "workers" not in index.last_query_stats().extra
-        index.close()
+        with served(params(), data, tmp_path) as parallel:
+            ids, _ = parallel.query(queries[0], 5, timeout=60)
+            assert len(ids) == 5
+            processes = list(parallel._pool._pool._processes.values())
+        assert parallel._pool._closed and parallel._pool._pool is None
+        for process in processes:
+            process.join(timeout=60)
+            assert not process.is_alive()
+        with pytest.raises(ServiceClosed):
+            parallel.submit(queries[0], 5)
+
+    def test_close_is_idempotent(self, workload, tmp_path):
+        data, queries = workload
+        parallel = served(params(), data, tmp_path)
+        parallel.query(queries[0], 5, timeout=60)
+        parallel.close()
+        parallel.close()
+        assert parallel._pool._closed
+
+    def test_sequential_service_holds_no_pool(self, workload, tmp_path):
+        """Sequential execution is the default: the same index answers
+        inline, with no worker process, exactly as the pool does."""
+        data, queries = workload
+        with served(params(), data, tmp_path) as parallel:
+            want = [parallel.query(query, 10, timeout=60)
+                    for query in queries]
+            with QueryService(parallel.index) as inline:
+                assert inline._pool is None
+                for query, (ids, dists) in zip(queries, want):
+                    got_ids, got_dists = inline.query(query, 10, timeout=60)
+                    np.testing.assert_array_equal(got_ids, ids)
+                    np.testing.assert_array_equal(got_dists, dists)
 
     def test_invalid_workers_rejected(self):
         with pytest.raises(ValueError):
             Execution(kind="process", workers=0)
 
-    def test_updates_still_work(self, workload, tmp_path):
+    @pytest.mark.parametrize("wal", [True, False],
+                             ids=["logged", "unlogged"])
+    def test_updates_still_work(self, workload, tmp_path, wal):
+        """Workers serve a snapshot, so an update reaches them through
+        ``compact()`` and a swap, without restarting the service."""
         data, _ = workload
-        index = process_index(params(), tmp_path)
-        index.build(data)
         new_point = np.full(16, 42.0)
-        new_id = index.insert(new_point)
-        ids, _ = index.query(new_point, 1)
-        assert ids[0] == new_id
-        index.delete(new_id)
-        ids, _ = index.query(new_point, 1)
-        assert ids[0] != new_id
-        index.close()
+        with served(params(), data, tmp_path, wal=wal) as parallel:
+            new_id = parallel.index.insert(new_point)
+            parallel.index.compact()
+            parallel.swap_snapshot(timeout=60)
+            ids, dists = parallel.query(new_point, 1, timeout=60)
+            assert ids[0] == new_id and dists[0] == 0.0
+            parallel.index.delete(new_id)
+            parallel.index.compact()
+            parallel.swap_snapshot(timeout=60)
+            ids, _ = parallel.query(new_point, 1, timeout=60)
+            assert ids[0] != new_id
 
 
 class TestDiskBackedIndex:

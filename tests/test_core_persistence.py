@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     PersistenceError,
@@ -429,29 +428,8 @@ class TestTornFiles:
 
 
 class TestFamilySaveLoad:
-    """Whole-family persistence: process and sharded snapshots reopen as
-    the deployment that was saved (PR-2 tentpole)."""
-
-    def test_process_round_trip_restores_execution(self, workload,
-                                                   tmp_path):
-        data, queries = workload
-        original = HDIndex(params(storage_dir=str(tmp_path / "index")))
-        original.set_execution(Execution(kind="process", workers=3))
-        original.build(data)
-        save_index(original, tmp_path / "index")
-        reloaded = load_index(tmp_path / "index")
-        # The snapshot's spec reconstructs the deployment: a worker pool
-        # of the saved width (no per-combination class needed).
-        assert isinstance(reloaded, HDIndex)
-        assert reloaded._engine.pool.num_workers == 3
-        assert reloaded.spec.execution.workers == 3
-        for query in queries:
-            ids_a, dists_a = original.query(query, 10)
-            ids_b, dists_b = reloaded.query(query, 10)
-            np.testing.assert_array_equal(ids_a, ids_b)
-            np.testing.assert_array_equal(dists_a, dists_b)
-        original.close()
-        reloaded.close()
+    """Whole-family persistence: sharded snapshots reopen as the
+    deployment that was saved."""
 
     def test_sharded_round_trip_matches_pre_save_exactly(self, workload,
                                                          tmp_path):

@@ -14,7 +14,6 @@ from repro.core import (
     build,
     create_index,
     open_index,
-    set_execution,
 )
 from repro.eval import exact_knn, recall_at_k
 from repro.wal import WalError, WriteAheadLog, replay_wal
@@ -146,13 +145,8 @@ class TestShardedKeepsNoLog:
                                    execution=logged),
                          storage_dir=tmp_path / "new")
         directory = _sharded_snapshot(workload, tmp_path / "snap")
-        with open_index(directory) as router:
-            with pytest.raises(ValueError, match="no write-ahead log"):
-                set_execution(router, logged)
-            assert router.spec.execution == Execution()
-        for overrides in ({"wal": True}, {"execution": logged}):
-            with pytest.raises(ValueError, match="no write-ahead log"):
-                open_index(directory, **overrides)
+        with pytest.raises(ValueError, match="no write-ahead log"):
+            open_index(directory, wal=True)
         assert not (directory / "wal.log").exists()
 
     def test_a_logged_root_opens_only_with_an_empty_log(self, workload,

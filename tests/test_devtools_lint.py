@@ -40,8 +40,6 @@ def fixture_config() -> LintConfig:
             "files": ["tests/fixtures/lint/fork_safety_bad.py"],
             "worker_functions": ["_worker_task"],
             "allowed_worker_globals": ["_STATE"],
-            "bootstrap_functions": ["_bootstrap"],
-            "required_bootstrap_calls": ["_drop_worker_pools"],
             "unpicklable_factories": ["VectorHeapFile"],
         },
         "api": {

@@ -1,6 +1,7 @@
 """Edge-case contracts across the whole HD-Index family.
 
-Every family member — plain (τ trees or one), process-parallel, sharded —
+Every family member — plain (τ trees or one, in memory or mapped from
+its files), sharded —
 must agree on the boundary behaviours a serving tier leans on: ``k``
 validation, non-finite input, querying before ``build()``, ``k > n``, a
 single-point index, and querying after every point has been deleted (the
@@ -16,7 +17,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -50,10 +50,9 @@ def _make_one_tree(tmp_path):
     return HDIndex(_params(num_trees=1))
 
 
-def _make_process(tmp_path):
+def _make_disk(tmp_path):
     return create_index(IndexSpec(
-        params=_params(storage_dir=str(tmp_path)),
-        execution=Execution(kind="process", workers=2)))
+        params=_params(storage_dir=str(tmp_path)), backend="mmap"))
 
 
 def _make_sharded(tmp_path):
@@ -64,7 +63,7 @@ def _make_sharded(tmp_path):
 FAMILY = [
     pytest.param(_make_hdindex, id="hdindex"),
     pytest.param(_make_one_tree, id="one-tree"),
-    pytest.param(_make_process, id="process"),
+    pytest.param(_make_disk, id="disk"),
     pytest.param(_make_sharded, id="sharded"),
 ]
 #: Members that can hold exactly one point (a 2-shard index cannot).

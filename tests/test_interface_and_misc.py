@@ -97,14 +97,9 @@ class TestMiscEdges:
         with pytest.raises(StorageError):
             heap.restore_count(10**6)
 
-    def test_hdindex_name_attributes(self, tmp_path):
-        from repro.core import Execution, ShardRouter
+    def test_hdindex_name_attributes(self):
+        from repro.core import ShardRouter
         assert HDIndex().name == "HD-Index"
-        process = HDIndex(HDIndexParams(storage_dir=str(tmp_path)))
-        process.set_execution(Execution(kind="process"))
-        assert process.name == "HD-Index(process)"
-        process.set_execution(Execution(kind="thread"))
-        assert process.name == "HD-Index"
         assert ShardRouter().name == "HD-Index(sharded)"
 
     def test_build_stats_extra_fields(self):

@@ -107,22 +107,26 @@ class TestFilteredParity:
     @pytest.mark.parametrize("execution", ["sequential", "process"])
     @pytest.mark.parametrize("backend", ["memory", "mmap"])
     def test_executor_backend_matrix(self, tmp_path, execution, backend):
+        """Answered by the index in-process, or by a process-mode
+        service over its snapshot with the predicate in ``submit``."""
+        from repro.serve import QueryService
         data, queries, metadata = make_workload()
-        spec = IndexSpec(params=exhaustive_params(),
-                         execution=Execution(kind=execution, workers=2),
-                         backend=backend)
+        spec = IndexSpec(params=exhaustive_params(), backend=backend)
         index = build(spec, data, storage_dir=str(tmp_path),
                       metadata=metadata)
+        service = QueryService(index, execution=Execution(
+            kind=execution, workers=2)).start()
         try:
             predicate = And(Range("score", low=0.1, high=0.9),
                             Not(Eq("label", 0)))
             for query in queries[:3]:
-                ids, dists = index.query(query, k=7,
-                                         predicate=predicate)
+                ids, dists = service.query(query, k=7, timeout=60,
+                                           predicate=predicate)
                 want_ids, want_dists = oracle(index, query, 7, predicate)
                 np.testing.assert_array_equal(ids, want_ids)
                 np.testing.assert_array_equal(dists, want_dists)
         finally:
+            service.stop()
             index.close()
 
     def test_memory_backend_in_spec_build(self):
@@ -322,14 +326,24 @@ class TestEmptyPredicate:
         assert stats.extra["selectivity"] == 0.0
 
     @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
-    def test_no_page_is_read_through_a_pool(self, tmp_path, shards):
-        index, queries = self.build(
-            tmp_path, backend="mmap", topology=Topology(shards=shards),
-            execution=Execution(kind="process", workers=2))
-        with index:
-            ids, _ = index.query(queries[0], k=5, predicate=Eq("label", 99))
-            assert ids.size == 0
-            assert index.last_query_stats().page_reads == 0
+    def test_nothing_is_answered_through_a_pool(self, tmp_path, shards):
+        """Served by a process-mode service, the predicate given to
+        ``submit``: every worker row is all padding, as the index's own
+        batch answer is."""
+        from repro.serve import QueryService
+        index, queries = self.build(tmp_path, backend="mmap",
+                                    topology=Topology(shards=shards))
+        want_ids, want_dists = index.query_batch(queries, k=5,
+                                                 predicate=Eq("label", 99))
+        assert (want_ids == -1).all() and np.isinf(want_dists).all()
+        with index, QueryService(index, execution=Execution(
+                kind="process", workers=2)) as service:
+            futures = [service.submit(query, 5, predicate=Eq("label", 99))
+                       for query in queries]
+            for row, future in enumerate(futures):
+                ids, dists = future.result(timeout=60)
+                assert ids.tobytes() == want_ids[row].tobytes()
+                assert dists.tobytes() == want_dists[row].tobytes()
 
     def test_eligible_delta_rows_still_answer(self):
         index, queries = self.build()
@@ -392,10 +406,9 @@ class TestEligibleMemo:
         return HDIndexParams(num_trees=2, num_references=4, hilbert_order=6,
                              alpha=48, beta=32, gamma=16, seed=5)
 
-    def spec(self, execution="sequential", wal=False):
+    def spec(self, wal=False):
         return IndexSpec(params=self.params(), backend="mmap",
-                         execution=Execution(kind=execution, workers=2,
-                                             wal=wal))
+                         execution=Execution(wal=wal))
 
     @staticmethod
     def answers(index, queries, predicate):
@@ -488,21 +501,27 @@ class TestEligibleMemo:
 
     @pytest.mark.parametrize("wal", [False, True], ids=["plain", "logged"])
     def test_process_pool_answers_as_sequential(self, tmp_path, wal):
+        """A process-mode service answers a predicate given to
+        ``submit`` as the sequential index does, the workers' memos
+        missing, then hitting."""
+        from repro.serve import QueryService
         data, queries, metadata = make_workload(n=self.N)
         sequential = HDIndex(self.params())
         sequential.build(data, metadata=metadata)
-        want = self.answers(sequential, queries, self.LABEL)
-        index = build(self.spec("process", wal=wal), data,
-                      storage_dir=str(tmp_path), metadata=metadata)
-        with index:
+        want_ids, want_dists = sequential.query_batch(queries, 10,
+                                                      predicate=self.LABEL)
+        index = build(self.spec(wal=wal), data, storage_dir=str(tmp_path),
+                      metadata=metadata)
+        with index, QueryService(index, execution=Execution(
+                kind="process", workers=2)) as service:
             # Miss, hit, then the wire form (equal, not the same object).
             for form in (self.LABEL, self.LABEL, self.LABEL.to_dict()):
-                assert self.answers(index, queries, form) == want
-                for query in queries[:2]:
-                    ids, dists = index.query(query, 10, predicate=form)
-                    single = sequential.query(query, 10, predicate=form)
-                    assert ids.tobytes() == single[0].tobytes()
-                    assert dists.tobytes() == single[1].tobytes()
+                futures = [service.submit(query, 10, predicate=form)
+                           for query in queries]
+                for row, future in enumerate(futures):
+                    ids, dists = future.result(timeout=60)
+                    assert ids.tobytes() == want_ids[row].tobytes()
+                    assert dists.tobytes() == want_dists[row].tobytes()
 
     def test_held_ids_stay_within_the_derived_bound(self):
         data, queries, metadata = make_workload(n=self.N)

@@ -1,9 +1,10 @@
-"""Property-based parity across execution tiers and storage backends.
+"""Property-based parity across serving tiers and storage backends.
 
 The load-bearing invariant of the whole execution stack: for the *same
 build*, answers are a pure function of (data, params, query, k) — never of
-the execution (sequential / process), the storage backend
-(memory / file / mmap), a snapshot round-trip, or batch composition.
+the serving tier (in-process, or a process-mode ``QueryService`` whose
+workers answer row slices of each micro-batch), the storage backend
+(memory / mmap), a snapshot round-trip, or batch composition.
 Seeded randomized trials drive that invariant harder than the hand-picked
 cases in ``test_backend_parity.py``: hypothesis chooses the query points,
 ``k`` and the per-call filter overrides; the sequential index is the
@@ -26,13 +27,14 @@ from repro.core import (
     HDIndexParams,
     ShardRouter,
     load_index,
-    open_index,
     save_index,
 )
+from repro.serve import QueryService
 
 DIM = 16
 N = 360
 MAX_K = 12
+WAIT = 60.0
 
 
 def _params(**overrides):
@@ -55,23 +57,35 @@ def _queries(seed: int, count: int = 3) -> np.ndarray:
     return np.clip(rng.normal(0.0, 2.0, size=(count, DIM)), -4.0, 4.0)
 
 
+def _process(index, **fields):
+    """A process-mode service over ``index``'s own snapshot, unstarted."""
+    return QueryService(index, max_batch=8, execution=Execution(
+        kind="process", workers=2, **fields))
+
+
 @pytest.fixture(scope="module")
 def tiers(tmp_path_factory):
-    """One build, two execution tiers over it (the process tier reads the
-    persisted snapshot of the very same build)."""
+    """One build, two serving tiers over it (the process tier's workers
+    read the persisted snapshot of the very same build)."""
     data = _data()
     snapshot = tmp_path_factory.mktemp("prop-snap")
     sequential = HDIndex(_params(storage_dir=str(snapshot)))
     sequential.build(data)
     save_index(sequential, snapshot)
-
-    process = open_index(snapshot,
-                         execution=Execution(kind="process", workers=2))
+    process = _process(sequential).start()
 
     yield {"data": data, "snapshot": snapshot, "sequential": sequential,
            "process": process}
+    process.stop()
     sequential.close()
-    process.close()
+
+
+def _served(service, point, k, **overrides):
+    """One answer through the service, the -1 / +inf padding stripped
+    (what ``index.query`` returns)."""
+    ids, dists = service.query(point, k, timeout=WAIT, **overrides)
+    found = ids >= 0
+    return ids[found], dists[found]
 
 
 def _assert_rows_equal(got, oracle, label):
@@ -82,8 +96,8 @@ def _assert_rows_equal(got, oracle, label):
 
 
 class TestExecutionParity:
-    """sequential == process, single and batched, under randomized
-    queries, k and filter overrides."""
+    """sequential == process-mode service, single and batched, under
+    randomized queries, k and filter overrides."""
 
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -92,30 +106,35 @@ class TestExecutionParity:
         queries = _queries(seed)
         for q in queries:
             oracle = tiers["sequential"].query(q, k)
-            _assert_rows_equal(tiers["process"].query(q, k), oracle,
-                              f"process seed={seed} k={k}")
+            _assert_rows_equal(_served(tiers["process"], q, k), oracle,
+                               f"process seed={seed} k={k}")
 
     @settings(max_examples=8, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2**20), k=st.integers(1, MAX_K),
            batch=st.integers(1, 6))
     def test_batch_rows_equal_single_queries(self, tiers, seed, k, batch):
-        """query_batch row r == query(points[r]) on every tier — batch
-        composition must never leak into an answer."""
+        """A micro-batch's row r == query(points[r]) on every tier —
+        batch composition (and the row slice a worker took) must never
+        leak into an answer."""
         points = _queries(seed, count=batch)
-        for name in ("sequential", "process"):
-            index = tiers[name]
-            ids, dists = index.query_batch(points, k)
-            assert ids.shape == (batch, k) and dists.shape == (batch, k)
-            for row in range(batch):
-                si, sd = index.query(points[row], k)
+        index = tiers["sequential"]
+        ids, dists = index.query_batch(points, k)
+        futures = [tiers["process"].submit(point, k) for point in points]
+        served = [future.result(timeout=WAIT) for future in futures]
+        assert ids.shape == (batch, k) and dists.shape == (batch, k)
+        for row in range(batch):
+            si, sd = index.query(points[row], k)
+            for name, (got_ids, got_dists) in (
+                    ("sequential", (ids[row], dists[row])),
+                    ("process", served[row])):
                 np.testing.assert_array_equal(
-                    ids[row, :si.shape[0]], si,
+                    got_ids[:si.shape[0]], si,
                     err_msg=f"{name} row {row} seed={seed}")
                 np.testing.assert_array_equal(
-                    dists[row, :sd.shape[0]], sd,
+                    got_dists[:sd.shape[0]], sd,
                     err_msg=f"{name} row {row} seed={seed}")
-                assert np.all(ids[row, si.shape[0]:] == -1)
+                assert np.all(got_ids[si.shape[0]:] == -1)
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -130,36 +149,45 @@ class TestExecutionParity:
         gamma = max(1, alpha // 4)
         oracle = tiers["sequential"].query(
             q, 5, alpha=alpha, gamma=gamma, use_ptolemaic=use_ptolemaic)
-        got = tiers["process"].query(q, 5, alpha=alpha, gamma=gamma,
-                                     use_ptolemaic=use_ptolemaic)
+        got = _served(tiers["process"], q, 5, alpha=alpha, gamma=gamma,
+                      use_ptolemaic=use_ptolemaic)
         _assert_rows_equal(got, oracle,
                            f"process alpha={alpha} ptol={use_ptolemaic}")
 
 
 class TestStatsParity:
-    """Process-mode QueryStats must charge exactly what the sequential
-    path charges: total page reads (parent + folded worker deltas),
-    candidates, and distance computations — the reference matmul counted
-    once, never per worker group."""
+    """A process-mode service counts exactly what the same service
+    counts in-process: queries, micro-batches and their largest size,
+    cache hits and misses — over a workload whose batching is fixed (a
+    batch queued before start, then one blocking call at a time)."""
+
+    COUNTERS = ("queries", "batches", "max_batch_size", "cache_hits",
+                "cache_misses", "overloads", "deadline_expired")
 
     @pytest.mark.parametrize("trial_seed", [17, 29])
-    def test_totals_match_sequential(self, tiers, trial_seed):
+    def test_counters_match_in_process(self, tiers, trial_seed):
         queries = _queries(trial_seed, count=4)
-
-        def totals(stats):
-            return (stats.page_reads, stats.candidates,
-                    stats.distance_computations)
-
-        for q in queries:
-            tiers["sequential"].query(q, 6)
-            tiers["process"].query(q, 6)
-            assert totals(tiers["process"].last_query_stats()) == \
-                totals(tiers["sequential"].last_query_stats())
-        tiers["sequential"].query_batch(queries, 6)
-        tiers["process"].query_batch(queries, 6)
-        assert totals(tiers["process"].last_query_stats()) == \
-            totals(tiers["sequential"].last_query_stats())
-        assert tiers["process"].last_query_stats().extra["workers"] == 2
+        runs = []
+        for execution in ("sequential", "process"):
+            service = QueryService(tiers["sequential"], max_batch=8,
+                                   cache_size=16, execution=Execution(
+                                       kind=execution, workers=2))
+            futures = [service.submit(q, 6) for q in queries]
+            with service:
+                answers = [future.result(timeout=WAIT)
+                           for future in futures]
+                answers += [service.query(q, 6, timeout=WAIT)
+                            for q in (*queries[:2], *queries)]
+                stats = service.stats()
+            runs.append(([(ids.tobytes(), dists.tobytes())
+                          for ids, dists in answers],
+                         {name: getattr(stats, name)
+                          for name in self.COUNTERS}))
+        assert runs[0] == runs[1]
+        # One batch of the queued four; every later call a cache hit.
+        assert runs[1][1]["batches"] == 1
+        assert runs[1][1]["max_batch_size"] == len(queries)
+        assert runs[1][1]["cache_hits"] == len(queries) + 2
 
 
 class TestBackendParityRandomized:
@@ -188,15 +216,14 @@ class TestBackendParityRandomized:
         """The workers' own reopen backend must not show in the answers."""
         queries = _queries(77, count=3)
         oracle = tiers["sequential"].query_batch(queries, 5)
-        process = open_index(
-            tiers["snapshot"],
-            execution=Execution(kind="process", workers=2,
-                                worker_backend=worker_backend))
-        try:
-            _assert_rows_equal(process.query_batch(queries, 5), oracle,
-                               f"worker_backend={worker_backend}")
-        finally:
-            process.close()
+        service = _process(tiers["sequential"],
+                           worker_backend=worker_backend)
+        futures = [service.submit(q, 5) for q in queries]
+        with service:
+            rows = [future.result(timeout=WAIT) for future in futures]
+        _assert_rows_equal((np.stack([r[0] for r in rows]),
+                            np.stack([r[1] for r in rows])), oracle,
+                           f"worker_backend={worker_backend}")
 
 
 class TestShardedSelfParity:

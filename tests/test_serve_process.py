@@ -39,8 +39,9 @@ from repro.core import (
     ShardRouter,
     SnapshotWorkerPool,
     WorkerCrashed,
+    Topology,
     WorkerTimeout,
-    create_index,
+    build,
     open_index,
     save_index,
 )
@@ -125,19 +126,19 @@ class TestProcessModeParity:
     def test_process_service_over_process_sharded_snapshot(self, workload,
                                                            tmp_path):
         """Regression: a snapshot whose recorded spec is sharded x process
-        must not recursively fork grandchildren inside service workers —
-        the worker-side bootstrap drops every shard's worker pool before
-        answering."""
-        from repro.core import IndexSpec, Topology
-        from repro.core import build as build_spec
+        (an older release's per-tree pools) must not fork grandchildren
+        inside service workers — every shard opens in-process there."""
+        import json
         data, queries = workload
-        spec = IndexSpec(params=_params(),
-                         topology=Topology(shards=2),
-                         execution=Execution(kind="process", workers=2),
+        spec = IndexSpec(params=_params(), topology=Topology(shards=2),
                          backend="mmap")
-        index = build_spec(spec, data, storage_dir=tmp_path)
+        index = build(spec, data, storage_dir=tmp_path)
         expected = [index.query(q, K) for q in queries[:4]]
         index.close()
+        for path in tmp_path.rglob("*.json"):
+            meta = json.loads(path.read_text())
+            meta["spec"]["execution"].update(kind="process", workers=2)
+            path.write_text(json.dumps(meta))
         with QueryService.from_snapshot(
                 tmp_path, execution=Execution(kind="process", workers=2,
                                               worker_timeout=60.0),
@@ -212,6 +213,87 @@ class TestProcessModeParity:
             QueryService(index, execution="fiber")
 
 
+class TestPoolServesWhatTheIndexHolds:
+    """Workers open the published generation with no log, so the pool
+    binds only to a generation holding what the served index holds; it
+    then answers as the same service does in-process."""
+
+    def test_a_delete_since_the_save_is_refused(self, workload, tmp_path):
+        data, _ = workload
+        index = HDIndex(_params(str(tmp_path)))
+        index.build(data)
+        save_index(index, tmp_path)
+        index.delete(7)
+        want = index.query(data[7], 1)
+        assert want[0][0] != 7
+        two = Execution(kind="process", workers=2)
+        try:
+            with pytest.raises(ValueError, match="320 points, 1 deleted"):
+                QueryService(index, execution=two, snapshot_dir=tmp_path)
+            save_index(index, tmp_path)
+            with QueryService(index, execution=two,
+                              snapshot_dir=tmp_path) as service:
+                got = service.query(data[7], 1, timeout=WAIT)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+        finally:
+            index.close()
+
+    def test_workers_open_no_log(self, workload, tmp_path):
+        """A reader opened without the log is served what it holds: the
+        writer's un-compacted insert is neither answered nor replayed
+        (nor repaired) by a worker, and the writer itself, whose delta
+        no generation holds, is refused."""
+        data, _ = workload
+        writer = build(IndexSpec(params=_params(),
+                                 execution=Execution(wal=True)),
+                       data, storage_dir=tmp_path)
+        probe = np.full(16, 50.0)
+        new_id = writer.insert(probe)
+        log = (tmp_path / "wal.log").read_bytes()
+        reader = open_index(tmp_path, wal=False)
+        two = Execution(kind="process", workers=2)
+        try:
+            want = reader.query(probe, 1)
+            assert want[0][0] != new_id
+            with QueryService(reader, execution=two) as service:
+                got = service.query(probe, 1, timeout=WAIT)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            assert (tmp_path / "wal.log").read_bytes() == log
+            with pytest.raises(ValueError, match="compact"):
+                QueryService(writer, execution=two)
+        finally:
+            reader.close()
+            writer.close()
+
+    def test_a_swap_onto_an_uncompacted_log_is_refused(self, workload,
+                                                       tmp_path):
+        """The swapped-in index replays the log; the generation its
+        workers would open does not hold those records, so the swap is
+        refused and the service keeps serving what it served."""
+        data, _ = workload
+        writer = build(IndexSpec(params=_params(),
+                                 execution=Execution(wal=True)),
+                       data, storage_dir=tmp_path)
+        probe = np.full(16, 50.0)
+        try:
+            with QueryService.from_snapshot(tmp_path, execution=Execution(
+                    kind="process", workers=2)) as service:
+                want = service.query(probe, 1, timeout=WAIT)
+                writer.insert(probe)
+                with pytest.raises(ValueError, match="compact"):
+                    service.swap_snapshot(timeout=WAIT)
+                got = service.query(probe, 1, timeout=WAIT)
+                np.testing.assert_array_equal(got[0], want[0])
+                writer.compact()
+                service.swap_snapshot(timeout=WAIT)
+                assert service.query(probe, 1, timeout=WAIT)[0][0] == \
+                    len(data)
+        finally:
+            writer.close()
+
+
 @needs_fork
 class TestWorkerCrash:
     def test_crash_mid_batch_fails_futures_fast_and_pool_recovers(
@@ -245,26 +327,6 @@ class TestWorkerCrash:
         finally:
             procpool._FAULT_HOOK = None
             service.close()
-
-    def test_crash_on_direct_process_index_raises_typed(
-            self, workload, snapshot, clear_fault_hook):
-        """The engine-level tree-scan path fails typed too, not just the
-        service."""
-        _, queries = workload
-        directory, expected = snapshot
-        index = open_index(directory,
-                           execution=Execution(kind="process", workers=2))
-        try:
-            procpool._FAULT_HOOK = lambda: os.kill(os.getpid(),
-                                                   signal.SIGKILL)
-            with pytest.raises(WorkerCrashed):
-                index.query(queries[0], K)
-            procpool._FAULT_HOOK = None
-            ids, _ = index.query(queries[0], K)
-            np.testing.assert_array_equal(ids, expected[0][0])
-        finally:
-            procpool._FAULT_HOOK = None
-            index.close()
 
 
 @needs_fork
@@ -355,98 +417,9 @@ class TestPoolValidation:
         with pytest.raises(ValueError):
             SnapshotWorkerPool(tmp_path, timeout=0)
 
-    def test_unbound_pool_raises_typed(self):
-        pool = SnapshotWorkerPool(None, num_workers=1)
-        with pytest.raises(ProcessPoolError, match="snapshot"):
-            pool.run_query_batch(np.zeros((1, 4)), 1)
-        pool.close()
-
     def test_closed_pool_raises(self, snapshot):
         directory, _ = snapshot
         pool = SnapshotWorkerPool(directory, num_workers=1)
         pool.close()
         with pytest.raises(ProcessPoolError):
             pool.run_query_batch(np.zeros((1, 16)), 1)
-
-    def test_process_index_requires_storage_dir(self):
-        with pytest.raises(ValueError, match="storage_dir"):
-            create_index(IndexSpec(params=HDIndexParams(num_trees=2),
-                                   execution=Execution(kind="process")))
-
-    def test_sharded_snapshot_reopens_with_process_execution(
-            self, workload, tmp_path):
-        """The spec redesign made sharded x process expressible: a sharded
-        snapshot reopens with per-shard worker pools."""
-        data, queries = workload
-        sharded = ShardRouter(_params(), 2)
-        sharded.build(data)
-        save_index(sharded, tmp_path)
-        expected = [sharded.query(q, K) for q in queries[:3]]
-        sharded.close()
-        reopened = open_index(tmp_path,
-                              execution=Execution(kind="process", workers=2))
-        try:
-            assert reopened.execution.kind == "process"
-            for q, (ids, dists) in zip(queries, expected):
-                got_ids, got_dists = reopened.query(q, K)
-                np.testing.assert_array_equal(got_ids, ids)
-                np.testing.assert_array_equal(got_dists, dists)
-        finally:
-            reopened.close()
-
-
-class TestProcessKindPersistence:
-    def test_process_snapshot_reopens_as_process_kind(self, workload,
-                                                      tmp_path):
-        from repro.core import load_index
-        data, queries = workload
-        index = create_index(IndexSpec(
-            params=_params(str(tmp_path)),
-            execution=Execution(kind="process", workers=2)))
-        index.build(data)
-        expected = index.query_batch(queries[:4], K)
-        index.close()
-        reopened = load_index(tmp_path)
-        try:
-            # The spec reconstructs process execution without the
-            # deprecated class: workers bootstrap from this directory.
-            assert isinstance(reopened, HDIndex)
-            assert reopened.spec.execution.kind == "process"
-            assert reopened.spec.execution.workers == 2
-            assert reopened.snapshot_dir == str(tmp_path)
-            got = reopened.query_batch(queries[:4], K)
-            np.testing.assert_array_equal(got[0], expected[0])
-            np.testing.assert_array_equal(got[1], expected[1])
-        finally:
-            reopened.close()
-
-    @pytest.mark.parametrize("wal", [None, False])
-    def test_insert_visible_through_workers_without_restart(
-            self, workload, tmp_path, wal):
-        """An inserted point is answered through process workers at once
-        — it lives in the parent-side delta, logged or not — and neither
-        the write nor the queries after it restart the pool."""
-        data, queries = workload
-        index = create_index(IndexSpec(
-            params=_params(str(tmp_path)),
-            execution=Execution(kind="process", workers=2, wal=wal)))
-        index.build(data)
-        try:
-            pool = index._engine.pool
-            pids = pool.prestart()
-            workers = pool._pool
-            # A save that folds nothing leaves the workers alone too.
-            save_index(index, str(tmp_path))
-            assert pool._pool is workers
-            probe = np.full(16, 50.0)
-            new_id = index.insert(probe)
-            ids, dists = index.query(probe, 1)
-            assert ids[0] == new_id and dists[0] < 1e-5
-            # Deletes are parent-side too (the survivor merge filters).
-            index.delete(int(new_id))
-            ids, _ = index.query(probe, 1)
-            assert new_id not in ids
-            assert index._engine.pool is pool and pool._pool is workers
-            assert set(pool.prestart()) <= set(pids)
-        finally:
-            index.close()

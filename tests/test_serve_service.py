@@ -119,19 +119,21 @@ class TestConcurrentParity:
                 np.testing.assert_array_equal(results[row][0], ids)
                 np.testing.assert_array_equal(results[row][1], dists)
 
-    @pytest.mark.parametrize("make_index", [
-        lambda p, directory: create_index(IndexSpec(
-            params=p, execution=Execution(kind="process", workers=2)),
-            storage_dir=directory),
-        lambda p, directory: ShardRouter(p, 2),
+    @pytest.mark.parametrize("make_index, execution", [
+        (lambda p, directory: create_index(IndexSpec(params=p),
+                                           storage_dir=directory),
+         Execution(kind="process", workers=2)),
+        (lambda p, directory: ShardRouter(p, 2), None),
     ], ids=["process", "sharded"])
     def test_family_members_served_identically(self, workload, make_index,
-                                               tmp_path):
+                                               execution, tmp_path):
         data, queries = workload
         index = make_index(params(), str(tmp_path))
         index.build(data)
+        save_index(index, str(tmp_path))
         expected = [index.query(query, K) for query in queries]
-        with QueryService(index, max_batch=8) as service:
+        with QueryService(index, max_batch=8,
+                          execution=execution) as service:
             results = run_clients(service, queries, 4)
         for row, (ids, dists) in enumerate(expected):
             np.testing.assert_array_equal(results[row][0], ids)

@@ -1,9 +1,10 @@
 """The declarative `IndexSpec` API: validation, factories, and the
 combinations the old class matrix could not express.
 
-The headline contract (the PR's acceptance criterion): a sharded x
-process spec builds, persists, reopens via ``repro.open()``, and returns
-results byte-identical to the sequential spec on the same workload.
+The headline contract: a sharded spec builds, persists, reopens via
+``repro.open()``, and — in-process or served by the process pool of a
+``QueryService`` — returns results byte-identical to the sequential spec
+on the same workload.  An index itself refuses ``kind="process"``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro import (
     QueryService,
     Topology,
 )
-from repro.core import ShardRouter, create_index, set_execution
+from repro.core import ShardRouter, create_index
 from repro.eval import evaluate_spec
 
 DIM = 16
@@ -98,20 +99,59 @@ class TestSpecValidation:
         with pytest.raises(TypeError):
             coerce_spec(42)
 
-    def test_sharded_process_requires_storage_dir(self):
-        with pytest.raises(ValueError, match="storage_dir"):
-            create_index(IndexSpec(params=params(),
-                                   topology=Topology(shards=2),
-                                   execution=Execution(kind="process")))
-
-    def test_plain_process_requires_storage_dir(self):
-        with pytest.raises(ValueError, match="storage_dir"):
-            create_index(IndexSpec(params=params(),
-                                   execution=Execution(kind="process")))
-
     def test_execution_rejects_zero_workers(self):
         with pytest.raises(ValueError, match="workers"):
             Execution(workers=0)
+
+
+class TestProcessKindRefused:
+    """An index answers in-process: every place one is made refuses
+    ``kind="process"`` and names the service that takes it."""
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_create_index_and_build_refuse(self, workload, tmp_path,
+                                           shards):
+        data, _ = workload
+        spec = IndexSpec(params=params(), topology=Topology(shards=shards),
+                         execution=Execution(kind="process", workers=2))
+        match = r"QueryService\(\.\.\., execution=\"process\"\)"
+        with pytest.raises(ValueError, match=match):
+            create_index(spec, storage_dir=tmp_path)
+        with pytest.raises(ValueError, match=match):
+            repro.build(spec, data, storage_dir=tmp_path)
+        with pytest.raises(ValueError, match=match):
+            repro.build(spec.to_dict(), data)
+        assert not any(tmp_path.iterdir())
+
+    def test_router_refuses(self):
+        with pytest.raises(ValueError, match="QueryService"):
+            ShardRouter(params(), 2, Execution(kind="process"))
+
+    def test_open_takes_no_execution(self, workload, tmp_path):
+        """``repro.open(..., execution=)`` is gone: a snapshot is served
+        process-parallel by a service over it, not reopened as one."""
+        data, _ = workload
+        repro.build(IndexSpec(params=params()), data,
+                    storage_dir=tmp_path).close()
+        for execution in ("sequential", Execution(kind="process")):
+            with pytest.raises(TypeError, match="execution"):
+                repro.open(tmp_path, execution=execution)
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+    def test_process_service_needs_a_snapshot(self, workload, shards):
+        """The service's workers bootstrap from a snapshot, never from
+        the live index: an index with no storage directory is refused
+        with the fix named, for a router as for a plain index."""
+        data, _ = workload
+        index = repro.build(
+            IndexSpec(params=params(), topology=Topology(shards=shards)),
+            data)
+        try:
+            with pytest.raises(ValueError, match="snapshot_dir"):
+                QueryService(index, execution=Execution(kind="process",
+                                                        workers=2))
+        finally:
+            index.close()
 
 
 class TestFactoryCombos:
@@ -133,7 +173,8 @@ class TestFactoryCombos:
     @pytest.mark.parametrize("shards", [1, 2])
     def test_topology_execution_grid_parity(self, workload, tmp_path,
                                             shards, execution):
-        """Every grid point answers identically to the in-memory
+        """Every grid point — a persisted topology served in-process or
+        by the process pool — answers identically to the in-memory
         sequential spec over the same data and seeds."""
         data, queries = workload
         oracle = repro.build(
@@ -141,113 +182,59 @@ class TestFactoryCombos:
             data)
         expected = oracle.query_batch(queries, K)
         combo = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=shards),
-                      execution=execution), data, storage_dir=tmp_path)
-        got = combo.query_batch(queries, K)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])
+            IndexSpec(params=params(), topology=Topology(shards=shards)),
+            data, storage_dir=tmp_path)
+        with QueryService(combo, execution=execution) as service:
+            futures = [service.submit(q, K) for q in queries]
+            rows = [future.result(timeout=60.0) for future in futures]
+        np.testing.assert_array_equal(np.stack([r[0] for r in rows]),
+                                      expected[0])
+        np.testing.assert_array_equal(np.stack([r[1] for r in rows]),
+                                      expected[1])
         oracle.close()
         combo.close()
 
     def test_sharded_process_combo_byte_identical_and_reopens(
             self, workload, tmp_path):
-        """The acceptance criterion: sharded x process — impossible in the
-        old class matrix — builds, persists, reopens via repro.open(), and
-        matches the sequential spec byte-for-byte."""
+        """A sharded snapshot builds, persists, reopens via repro.open()
+        in-process (its manifest records sequential execution), and a
+        process-mode service over it matches the sequential spec
+        byte-for-byte."""
         data, queries = workload
         oracle = repro.build(
             IndexSpec(params=params(), topology=Topology(shards=2)), data)
         expected_batch = oracle.query_batch(queries, K)
-        expected_single = [oracle.query(q, K) for q in queries[:4]]
         oracle.close()
 
         spec = IndexSpec(params=params(), topology=Topology(shards=2),
-                         execution=Execution(kind="process", workers=2),
                          backend="mmap")
-        index = repro.build(spec, data, storage_dir=tmp_path)
-        try:
-            assert isinstance(index, ShardRouter)
-            got = index.query_batch(queries, K)
-            np.testing.assert_array_equal(got[0], expected_batch[0])
-            np.testing.assert_array_equal(got[1], expected_batch[1])
-        finally:
-            index.close()
-
+        repro.build(spec, data, storage_dir=tmp_path).close()
         reopened = repro.open(tmp_path)
         try:
-            assert reopened.spec.execution.kind == "process"
+            assert reopened.spec.execution.kind == "sequential"
             assert reopened.spec.topology.shards == 2
             got = reopened.query_batch(queries, K)
             np.testing.assert_array_equal(got[0], expected_batch[0])
             np.testing.assert_array_equal(got[1], expected_batch[1])
-            for q, (ids, dists) in zip(queries, expected_single):
-                got_ids, got_dists = reopened.query(q, K)
-                np.testing.assert_array_equal(got_ids, ids)
-                np.testing.assert_array_equal(got_dists, dists)
+            with QueryService(reopened, execution=Execution(
+                    kind="process", workers=2)) as service:
+                for row, q in enumerate(queries):
+                    got_ids, got_dists = service.query(q, K, timeout=60.0)
+                    np.testing.assert_array_equal(got_ids,
+                                                  expected_batch[0][row])
+                    np.testing.assert_array_equal(got_dists,
+                                                  expected_batch[1][row])
         finally:
             reopened.close()
 
-    def test_open_execution_override(self, workload, tmp_path):
-        """A snapshot built sequentially serves sequentially or
-        process-parallel without rebuilding."""
-        data, queries = workload
-        index = repro.build(IndexSpec(params=params()), data,
-                            storage_dir=tmp_path)
-        expected = index.query_batch(queries, K)
-        index.close()
-        for execution in ("sequential",
-                          Execution(kind="process", workers=2)):
-            reopened = repro.open(tmp_path, execution=execution)
-            try:
-                got = reopened.query_batch(queries, K)
-                np.testing.assert_array_equal(got[0], expected[0])
-                np.testing.assert_array_equal(got[1], expected[1])
-            finally:
-                reopened.close()
-
-    def test_unsized_process_spec_persists_workers_none(self, workload,
-                                                        tmp_path):
-        """A spec that leaves workers unset must persist workers=None —
-        "size to the serving machine" — not the build box's resolved CPU
-        count."""
-        data, _ = workload
-        index = repro.build(
-            IndexSpec(params=params(), execution=Execution(kind="process")),
-            data, storage_dir=tmp_path)
-        assert index.spec.execution.workers is None
-        index.close()
-        import json as _json
-        with open(tmp_path / "meta.json") as handle:
-            meta = _json.load(handle)
-        assert meta["spec"]["execution"]["workers"] is None
-        reopened = repro.open(tmp_path)
-        try:
-            assert reopened.spec.execution.workers is None
-        finally:
-            reopened.close()
-
-    def test_set_execution_failure_leaves_router_consistent(self, workload):
-        data, _ = workload
-        index = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=2)), data)
-        with pytest.raises(ValueError, match="storage_dir"):
-            set_execution(index, Execution(kind="process"))
-        # The failed swap must not have mutated the recorded execution
-        # (a later save_index would persist a lie) nor any shard.
-        assert index.spec.execution.kind == "sequential"
-        assert all(s._engine.pool is None for s in index.shards)
-        index.close()
-
-    def test_process_router_insert_keeps_snapshot_reopenable(self,
-                                                             workload,
-                                                             tmp_path):
-        """Regression: compact() on a process-execution router must also
-        refresh the auto-persisted manifest (count, insert_tails) — a
-        stale manifest made reopening crash on the grown id maps."""
+    def test_router_insert_keeps_snapshot_reopenable(self, workload,
+                                                     tmp_path):
+        """Regression: compact() on a persisted router must also refresh
+        the manifest (count, insert_tails) — a stale manifest made
+        reopening crash on the grown id maps."""
         data, queries = workload
         index = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=2),
-                      execution=Execution(kind="process", workers=2)),
+            IndexSpec(params=params(), topology=Topology(shards=2)),
             data, storage_dir=tmp_path)
         probe = np.full(DIM, 51.0)
         new_id = index.insert(probe)
@@ -265,13 +252,11 @@ class TestFactoryCombos:
 
     def test_sharded_delete_after_build_survives_resave(self, workload,
                                                         tmp_path):
-        """Remote shards skip redundant re-saves, but a delete() since
-        the last self-persist must still reach the snapshot."""
+        """A delete() since the build reaches the re-saved snapshot."""
         data, queries = workload
         from repro.core import save_index
         index = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=2),
-                      execution=Execution(kind="process", workers=2)),
+            IndexSpec(params=params(), topology=Topology(shards=2)),
             data, storage_dir=tmp_path)
         victim = int(index.query(queries[0], 1)[0][0])
         index.delete(victim)
@@ -283,20 +268,6 @@ class TestFactoryCombos:
             assert ids[0] != victim
         finally:
             reopened.close()
-
-    def test_set_execution_on_live_router(self, workload, tmp_path):
-        data, queries = workload
-        index = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=2)),
-            data, storage_dir=tmp_path)
-        expected = index.query_batch(queries, K)
-        set_execution(index, Execution(kind="process", workers=2))
-        got = index.query_batch(queries, K)
-        np.testing.assert_array_equal(got[0], expected[0])
-        np.testing.assert_array_equal(got[1], expected[1])
-        assert index.spec.execution.kind == "process"
-        assert all(s._engine.pool is not None for s in index.shards)
-        index.close()
 
 
 class TestSpecThroughHarnessAndService:
@@ -337,8 +308,8 @@ class TestSpecThroughHarnessAndService:
 
     def test_execution_accepts_object_kind_string_or_none(self, workload,
                                                           tmp_path):
-        """execution= takes what repro.open takes: an Execution, a bare
-        kind string, or None for in-process dispatch."""
+        """execution= takes an Execution, a bare kind string, or None
+        for in-process dispatch."""
         data, _ = workload
         index = repro.build(IndexSpec(params=params()), data,
                             storage_dir=tmp_path)

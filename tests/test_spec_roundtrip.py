@@ -1,11 +1,14 @@
 """A snapshot records one thing about its deployment: its ``spec``.
 
-* every {sequential, process} x {plain, sharded} snapshot reopens
+* every {default, sized} x {plain, sharded} snapshot reopens
   byte-identically through both ``repro.open()`` and ``load_index()``,
   and its ``meta.json`` / ``manifest.json`` carry no ``kind`` tag;
 * a snapshot or spec recording the thread pool that ran the per-tree
   scans before it was removed (``"thread"`` / ``"threaded"``) opens
   sequential, with the sequential answers and exact counters;
+* a snapshot recording the per-tree process pool (``"process"``) opens
+  in-process — no pool, no worker forked — with the sequential answers
+  and exact counters, its recorded ``wal`` still honoured;
 * a snapshot whose recorded ``spec.execution`` or ``spec.topology`` is
   missing or invalid is refused with a typed ``PersistenceError`` naming
   ``docs/MIGRATION.md``.
@@ -15,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import multiprocessing
 import shutil
 
 import numpy as np
@@ -28,14 +32,14 @@ from repro import (
     Topology,
     load_index,
 )
-from repro.core import PersistenceError
+from repro.core import PersistenceError, SnapshotWorkerPool
 
 DIM = 16
 K = 6
 
 EXECUTIONS = {
     "sequential": Execution(),
-    "process": Execution(kind="process", workers=2),
+    "sized": Execution(workers=2, worker_timeout=5.0),
 }
 
 
@@ -73,7 +77,7 @@ class TestSpecSnapshotsReopen:
 
         top = tmp_path / ("manifest.json" if shards > 1 else "meta.json")
         assert json.loads(top.read_text())["spec"]["execution"]["kind"] \
-            == kind
+            == "sequential"
         for path in tmp_path.rglob("*.json"):
             meta = json.loads(path.read_text())
             assert "kind" not in meta and "num_workers" not in meta, path
@@ -81,8 +85,7 @@ class TestSpecSnapshotsReopen:
         for opener in (repro.open, load_index):
             with opener(tmp_path) as reopened:
                 recorded = reopened.spec
-                assert recorded.execution.kind == kind
-                assert recorded.execution.workers == execution.workers
+                assert recorded.execution == execution
                 assert recorded.topology.shards == shards
                 got = reopened.query_batch(queries, K)
                 np.testing.assert_array_equal(got[0], expected[0])
@@ -140,6 +143,26 @@ def _counters(index):
             stats.candidates)
 
 
+def _holds_no_pool(index):
+    """No worker pool on the index, its shards or their engines, and no
+    worker process forked."""
+    parts = getattr(index, "shards", []) + [index]
+    held = [value for part in parts
+            for owner in (part, getattr(part, "_engine", part))
+            for value in vars(owner).values()]
+    return (not any(isinstance(value, SnapshotWorkerPool) for value in held)
+            and not multiprocessing.active_children())
+
+
+def _record(directory, **fields):
+    """Rewrite every ``meta.json`` / ``manifest.json`` under
+    ``directory`` (each shard's too) to record ``fields``."""
+    for path in directory.rglob("*.json"):
+        meta = json.loads(path.read_text())
+        meta["spec"]["execution"].update(fields)
+        path.write_text(json.dumps(meta))
+
+
 class TestLegacyThreadSpecsOpenSequential:
     """``"thread"`` and ``"threaded"`` are spellings of ``"sequential"``:
     what a thread pool persisted still opens, and answers as sequential
@@ -154,18 +177,15 @@ class TestLegacyThreadSpecsOpenSequential:
                               topology=Topology(shards=shards)),
                     data, storage_dir=sequential).close()
         shutil.copytree(sequential, legacy)
-        for path in legacy.rglob("*.json"):  # every shard's meta too
-            meta = json.loads(path.read_text())
-            meta["spec"]["execution"].update(kind="thread", workers=3)
-            path.write_text(json.dumps(meta))
+        _record(legacy, kind="thread", workers=3)
         with repro.open(sequential) as oracle, \
                 repro.open(legacy) as reopened:
             assert reopened.spec.execution.kind == "sequential"
             parts = getattr(reopened, "shards", [reopened])
             assert len(parts) == shards
-            assert all(part._engine.pool is None for part in parts)
             assert _answers_and_counters(reopened, queries) \
                 == _answers_and_counters(oracle, queries)
+            assert _holds_no_pool(reopened)
 
     def test_threaded_spec_dict_builds_sequential(self, workload, tmp_path):
         data, queries = workload
@@ -179,3 +199,43 @@ class TestLegacyThreadSpecsOpenSequential:
             assert reopened.spec.execution.kind == "sequential"
             assert _answers_and_counters(reopened, queries) \
                 == _answers_and_counters(oracle, queries)
+
+
+class TestRecordedProcessSpecsOpenInProcess:
+    """An index answers in-process: a snapshot whose spec records the
+    per-tree process pool an older release ran opens through either
+    opener with no pool, answering as the sequential index does,
+    counter for counter."""
+
+    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+    def test_process_snapshot_opens_in_process(self, workload, tmp_path,
+                                               shards):
+        data, queries = workload
+        sequential, legacy = tmp_path / "sequential", tmp_path / "legacy"
+        repro.build(IndexSpec(params=params(),
+                              topology=Topology(shards=shards)),
+                    data, storage_dir=sequential).close()
+        shutil.copytree(sequential, legacy)
+        _record(legacy, kind="process", workers=2)
+        with repro.open(sequential) as oracle:
+            want = _answers_and_counters(oracle, queries)
+        for opener in (repro.open, load_index):
+            with opener(legacy) as reopened:
+                assert reopened.spec.execution.kind == "sequential"
+                assert reopened.spec.execution.workers == 2
+                assert _answers_and_counters(reopened, queries) == want
+                assert _holds_no_pool(reopened)
+
+    @pytest.mark.parametrize("wal", [True, False])
+    def test_recorded_wal_is_honoured(self, workload, tmp_path, wal):
+        data, queries = workload
+        repro.build(IndexSpec(params=params()), data,
+                    storage_dir=tmp_path).close()
+        _record(tmp_path, kind="process", wal=wal)
+        with repro.open(tmp_path) as reopened:
+            assert reopened.spec.execution.wal is wal
+            new_id = reopened.insert(queries[0])
+            assert (reopened._wal is not None) is wal
+            assert int(reopened.query(queries[0], 1)[0][0]) == new_id
+            assert _holds_no_pool(reopened)
+        assert (tmp_path / "wal.log").exists() is wal

@@ -3,13 +3,13 @@
 The PR's headline contract, in one test: a sustained interleaved
 workload — over a thousand inserts plus deletes through the WAL, with
 concurrent readers hammering the index the whole time — across two
-compactions and a process-execution hot swap, must
+compactions (each a generation hot swap when logged), must
 
 * return **byte-identical** neighbours to an index freshly built from
   the same stream in one shot (exhaustive regime: α ≥ n, γ = α),
 * fail **zero** queries,
-* and never restart a worker pool or rewrite the snapshot on the write
-  path (the O(n) resync this subsystem replaces).
+* and never rewrite the snapshot on the write path (the O(n) resync
+  this subsystem replaces).
 
 It runs twice: with the write-ahead log attached, and without one
 (``Execution(wal=False)``) — same write path, same answers; only the
@@ -29,7 +29,6 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     IndexSpec,
-    SnapshotWorkerPool,
     build,
 )
 from repro.wal.manager import open_log
@@ -59,8 +58,7 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch, logged):
 
     index = build(
         IndexSpec(params=_params(str(tmp_path / "snap")),
-                  execution=Execution(kind="process", workers=2,
-                                      wal=None if logged else False)),
+                  execution=Execution(wal=logged)),
         base, storage_dir=str(tmp_path / "snap"))
     index._wal_fsync = "batch"
     assert (open_log(index) is not None) == logged
@@ -68,9 +66,6 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch, logged):
     # un-logged one rewrites the base in place, so readers wait it out.
     gate = contextlib.nullcontext() if logged else threading.Lock()
 
-    resets: list[object] = []
-    monkeypatch.setattr(SnapshotWorkerPool, "reset",
-                        lambda self: resets.append(self))
     import repro.core.persistence as persistence
     saves: list[object] = []
     real_save = persistence.save_index
@@ -99,7 +94,6 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch, logged):
     for thread in readers:
         thread.start()
 
-    live_pool = index._engine.pool
     deleted: set[int] = set()
     generations = []
     try:
@@ -112,14 +106,8 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch, logged):
                     index.delete(victim)
                     deleted.add(victim)
             if position + 1 in COMPACT_AT:
-                # The pure write path up to here restarted nothing.
-                assert resets == []
                 with gate:
                     generations.append(index.compact())
-                # Compaction closes throwaway (never-forked) pools
-                # from its snapshot reload — but never the serving pool.
-                assert all(pool is not live_pool for pool in resets)
-                resets.clear()
     finally:
         stop.set()
         for thread in readers:
@@ -129,7 +117,6 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch, logged):
     assert answered[0] > 0, "readers never got a query through"
     assert generations == ([1, 2] if logged else [0, 0])
     assert index.generation == generations[-1]
-    assert resets == []  # tail of the stream: write path, no restarts
     # The write path never re-persisted the serving snapshot; the only
     # saves are the two compactions — into *new* generation directories
     # when logged, over the snapshot itself otherwise.

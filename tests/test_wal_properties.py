@@ -29,6 +29,7 @@ from repro.core import (
     Topology,
     build,
 )
+from repro.serve import QueryService
 from repro.wal.manager import open_log
 
 DIM = 4
@@ -59,12 +60,9 @@ _OPS = st.lists(st.integers(0, 99), min_size=6, max_size=32)
 MODES = ["logged", "memory", "file", "router"]
 
 
-def _build(mode, kind, vectors, tmp, workers=2, num_trees=2):
-    """The index under test: ``mode`` picks durability and deployment
-    (process execution always lives in ``tmp`` — its workers need the
-    snapshot — so its un-logged mode is ``"file"``)."""
-    execution = Execution(kind=kind, wal=(mode == "logged"),
-                          workers=None if kind == "sequential" else workers)
+def _build(mode, vectors, tmp, num_trees=2):
+    """The index under test: ``mode`` picks durability and deployment."""
+    execution = Execution(wal=(mode == "logged"))
     index = build(
         IndexSpec(params=_params(num_trees), execution=execution,
                   topology=Topology(shards=2 if mode == "router" else 1)),
@@ -75,17 +73,36 @@ def _build(mode, kind, vectors, tmp, workers=2, num_trees=2):
     return index
 
 
-def _run_interleaving(kind, seed, ops, mode="logged", num_trees=2):
+def _run_interleaving(seed, ops, mode="logged", num_trees=2, served=False):
     """Drive an index through the op stream, checking byte-identical
     parity with a one-shot oracle at every query (and at the end).  The
     oracle always has two trees: in the exhaustive regime the answer
-    does not depend on how many trees offered the candidates."""
+    does not depend on how many trees offered the candidates.
+
+    With ``served``, every query is answered by a process-mode service
+    over the index's snapshot instead: its workers serve a snapshot,
+    never the index's delta, so the index compacts and the service
+    swaps the result in before each check."""
     vectors = [v for v in _vectors(seed, BASE_N)]
     deleted: set[int] = set()
     fresh = iter(_vectors(seed + 1_000_003, len(ops)))
     with tempfile.TemporaryDirectory() as tmp:
-        index = _build(mode, kind, np.asarray(vectors), tmp,
-                       num_trees=num_trees)
+        index = _build(mode, np.asarray(vectors), tmp, num_trees=num_trees)
+        service = None
+        if served:
+            service = QueryService.from_snapshot(tmp, execution=Execution(
+                kind="process", workers=2)).start()
+
+        def check(query_seed):
+            if service is None:
+                _check_parity(index.query, vectors, deleted, query_seed)
+                return
+            index.compact()
+            service.swap_snapshot(tmp, timeout=60)
+            _check_parity(lambda query, k: service.query(query, k,
+                                                         timeout=60),
+                          vectors, deleted, query_seed)
+
         try:
             checked = False
             for position, code in enumerate(ops):
@@ -100,18 +117,19 @@ def _run_interleaving(kind, seed, ops, mode="logged", num_trees=2):
                         index.delete(victim)
                         deleted.add(victim)
                 elif code < 90 or position == len(ops) - 1:   # query
-                    _check_parity(index, vectors, deleted,
-                                  seed + position)
+                    check(seed + position)
                     checked = True
                 else:                                  # compact
                     index.compact()
             if not checked:
-                _check_parity(index, vectors, deleted, seed)
+                check(seed)
         finally:
+            if service is not None:
+                service.close()
             index.close()
 
 
-def _check_parity(index, vectors, deleted, query_seed):
+def _check_parity(query_fn, vectors, deleted, query_seed):
     live = len(vectors) - len(deleted)
     k = max(1, min(5, live))
     queries = _vectors(query_seed + 7, 2)
@@ -121,7 +139,7 @@ def _check_parity(index, vectors, deleted, query_seed):
         oracle.delete(object_id)
     try:
         for query in queries:
-            ids, dists = index.query(query, k)
+            ids, dists = query_fn(query, k)
             oracle_ids, oracle_dists = oracle.query(query, k)
             np.testing.assert_array_equal(ids, oracle_ids)
             np.testing.assert_array_equal(dists, oracle_dists)
@@ -138,13 +156,15 @@ class TestInterleavingParity:
     @settings(max_examples=8, deadline=None)
     def test_matches_one_shot_oracle(self, num_trees, mode, seed, ops):
         """One tree runs stage (ii) over a block that repeats no id."""
-        _run_interleaving("sequential", seed, ops, mode, num_trees)
+        _run_interleaving(seed, ops, mode, num_trees)
 
     @pytest.mark.parametrize("mode", ["logged", "file"])
     @given(seed=st.integers(0, 10**6), ops=_OPS)
     @settings(max_examples=2, deadline=None)
-    def test_process_execution_matches_oracle(self, mode, seed, ops):
-        _run_interleaving("process", seed, ops, mode)
+    def test_process_service_matches_oracle(self, mode, seed, ops):
+        """The row-sharded worker pool, swapped onto each compacted
+        snapshot, answers as the oracle does."""
+        _run_interleaving(seed, ops, mode, served=True)
 
 
 class TestDeletedNeverSurface:
@@ -161,7 +181,7 @@ class TestDeletedNeverSurface:
         k = full count where brute force would otherwise return them."""
         vectors = _vectors(seed, BASE_N)
         with tempfile.TemporaryDirectory() as tmp:
-            index = _build(mode, "sequential", vectors, tmp)
+            index = _build(mode, vectors, tmp)
             try:
                 extra = _vectors(seed + 99, delta_inserts)
                 for vector in extra:

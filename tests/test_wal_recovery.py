@@ -37,7 +37,6 @@ from repro.core import (
     HDIndexParams,
     IndexSpec,
     PersistenceError,
-    SnapshotWorkerPool,
     build,
     open_index,
     save_index,
@@ -341,10 +340,11 @@ class TestGenerationLifecycle:
     @pytest.mark.parametrize("compactions", [0, 1])
     def test_logged_router_save_refused_before_any_file(self, tmp_path,
                                                         compactions):
-        """A router never holds the log: asking a live one for it is
-        refused before any file of its root changes, its pending
-        (volatile) updates stay pending, and compact() still folds them
-        into shard bases that reopen with every update."""
+        """A router never holds the log: asking its root for one while a
+        live router holds updates is refused before any file of the root
+        changes, the pending (volatile) updates stay pending, and
+        compact() still folds them into shard bases that reopen with
+        every update."""
         from repro.core import Topology
         root = tmp_path / "snap"
         spec = IndexSpec(params=_params(), topology=Topology(shards=2))
@@ -363,7 +363,7 @@ class TestGenerationLifecycle:
         before = snapshot()
         want = index.query_batch(_base_data()[:4], 5)
         with pytest.raises(ValueError, match="no write-ahead log"):
-            index.set_execution(Execution(wal=True))
+            open_index(root, wal=True)
         assert snapshot() == before
         assert not (root / WAL_FILE).exists()
         assert [len(shard._delta) for shard in index.shards] == pending
@@ -397,25 +397,17 @@ class TestGenerationLifecycle:
 
 
 class TestNoResyncOnWritePath:
-    """Regression guard: a write — logged or not — must never restart
-    worker pools or rewrite the snapshot (the O(n) resync the delta
-    replaces)."""
+    """Regression guard: a write — logged or not — must never rewrite
+    the snapshot (the O(n) resync the delta replaces)."""
 
-    @pytest.mark.parametrize("wal", [None, False])
-    def test_process_insert_keeps_pool_and_snapshot(self, tmp_path,
-                                                    monkeypatch, wal):
+    @pytest.mark.parametrize("wal", [None, True, False])
+    def test_insert_keeps_the_snapshot(self, tmp_path, monkeypatch, wal):
         directory = tmp_path / "snap"
-        spec = IndexSpec(params=_params(),
-                         execution=Execution(kind="process", workers=2,
-                                             wal=wal))
+        spec = IndexSpec(params=_params(), execution=Execution(wal=wal))
         index = build(spec, _base_data(), storage_dir=str(directory))
         try:
-            index.query(_base_data()[0], 3)  # spin the pool up
-            resets = []
+            index.query(_base_data()[0], 3)
             saves = []
-            monkeypatch.setattr(
-                SnapshotWorkerPool, "reset",
-                lambda self: resets.append(self))
             import repro.core.persistence as persistence
             real_save = persistence.save_index
             monkeypatch.setattr(
@@ -424,7 +416,6 @@ class TestNoResyncOnWritePath:
             for vector in _extra(29, 8):
                 index.insert(vector)
             index.delete(5)
-            assert resets == []
             assert saves == []
             oracle = _oracle(np.vstack([_base_data(), _extra(29, 8)]), {5})
             _assert_parity(index, oracle, _base_data()[:3])

@@ -152,37 +152,42 @@ def _boom():
 class TestWorkerDeathAroundSwap:
     def test_sigkilled_worker_after_swap_recovers(self, tmp_path,
                                                   clear_fault_hooks):
-        """SIGKILL the worker servicing the first scan after the hot
-        swap: the query fails typed, the pool restarts onto the *new*
-        generation, and answers regain byte-identical parity."""
+        """SIGKILL the worker answering the first batch after a
+        process-mode service's hot swap onto a WAL root's new
+        generation: the batch fails typed, the pool restarts onto the
+        *new* generation, and answers regain byte-identical parity."""
         directory = tmp_path / "snap"
         data = _data()
         flag = tmp_path / "kill-flag"
-        index = build(
-            IndexSpec(params=_params(),
-                      execution=Execution(kind="process", workers=2)),
-            data, storage_dir=str(directory))
+        writer = build(IndexSpec(params=_params(),
+                                 execution=Execution(wal=True)),
+                       data, storage_dir=str(directory))
+        procpool._FAULT_HOOK = _make_flag_killer(str(flag))
+        service = QueryService(
+            open_index(directory, wal=False),
+            execution=Execution(kind="process", workers=2)).start()
+        service._owns_index = True
         try:
-            procpool._FAULT_HOOK = _make_flag_killer(str(flag))
-            index.query(data[0], 3)  # pool up, hook armed but dormant
+            service.query(data[0], 3, timeout=WAIT)  # hook armed, dormant
             extra = _data(65, 5)
             for vector in extra:
-                index.insert(vector)
+                writer.insert(vector)
+            assert writer.compact() == 1
             flag.touch()
-            generation = index.compact()  # hot swap: pool re-binds
-            assert generation == 1
+            service.swap_snapshot(timeout=WAIT)  # the pool re-binds
             with pytest.raises(WorkerCrashed):
-                index.query(data[1], 5)
+                service.query(data[1], 5, timeout=WAIT)
             flag.unlink()  # next pool generation comes up healthy
             oracle = _oracle(np.vstack([data, extra]))
-            ids, dists = index.query(data[1], 5)
+            ids, dists = service.query(data[1], 5, timeout=WAIT)
             oracle_ids, oracle_dists = oracle.query(data[1], 5)
             np.testing.assert_array_equal(ids, oracle_ids)
             np.testing.assert_array_equal(dists, oracle_dists)
             oracle.close()
         finally:
             procpool._FAULT_HOOK = None
-            index.close()
+            service.stop()
+            writer.close()
 
 
 def _compacting_hook(writer, before=(), after=(), times=1):
@@ -266,8 +271,9 @@ class TestOpenAcrossCompaction:
 
 
 class TestWorkerBootstrap:
-    """Scan workers read base trees only and open no log; serve-tier
-    workers answer whole queries and replay it."""
+    """Serve-tier workers answer whole queries from the published
+    generation and open no log: the parent owns the delta and the log,
+    and a worker never replays (or repairs) it."""
 
     @pytest.fixture
     def logged_root(self, tmp_path):
@@ -286,22 +292,14 @@ class TestWorkerBootstrap:
             worker.close()
         procpool._worker_init(None, None, None)
 
-    def test_scan_worker_opens_no_log(self, logged_root):
-        procpool._worker_init(str(logged_root), "mmap", None)
-        survivors, _ = procpool._scan_trees_task(
-            [0, 1], _data()[:2], 512, 512, 512, False)
-        worker = procpool._WORKER["index"]
-        assert worker._wal is None and len(worker._delta) == 0
-        assert worker.count == BASE_N
-        assert all(ids.max() < BASE_N for tree in survivors for ids in tree)
-
-    def test_serve_worker_replays_the_log(self, logged_root):
+    def test_serve_worker_opens_no_log(self, logged_root):
         procpool._worker_init(str(logged_root), "mmap", None)
         extra = _data(69, 4)
         ids, _ = procpool._query_batch_task(extra[:1], 1, {})
         worker = procpool._WORKER["index"]
-        assert worker._wal is not None and len(worker._delta) == 4
-        assert int(ids[0][0]) == BASE_N
+        assert worker._wal is None and len(worker._delta) == 0
+        assert worker.count == BASE_N
+        assert int(ids[0][0]) < BASE_N
 
 
 def _make_flag_killer(flag_path):
