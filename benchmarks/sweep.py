@@ -3,7 +3,7 @@
 Every figure and table sets MAP@k against time, size and page reads,
 either while one parameter moves or across methods.  ``FIGURES`` holds
 one entry per figure: its workloads (dataset, n, query count, k), its
-points (a label per index factory or ``IndexSpec``), how the rows are
+points (a label per index factory or ``IndexSpec`` maker), how the rows are
 measured — :func:`repro.eval.run_comparison`, ``evaluate_index`` or
 ``evaluate_spec``, one ``GroundTruth`` per workload — and ``check(rows)``,
 the figure's paper-shape asserts.  Each run prints its table with
@@ -54,7 +54,6 @@ from repro import (
     LinearScan,
     Multicurves,
     OPQIndex,
-    Topology,
     make_dataset,
 )
 from repro.apps import image_overlap, make_image_corpus, search_images
@@ -512,12 +511,18 @@ def buffering_check(rows) -> None:
 
 
 def spec_grid(dataset):
-    """Topology x backend (an index answers in-process; a service's
-    process pool is ``tests/test_spec_api.py``'s grid)."""
+    """Shards x backend, each point the spec for a scratch directory,
+    where an mmap point's files live (an index answers in-process; a
+    service's process pool is ``tests/test_spec_api.py``'s grid)."""
     params = hd_params(dataset.spec, len(dataset.data))
-    return {f"{topology} {backend}": IndexSpec(
-                params=params, topology=Topology(shards=shards),
-                backend=backend)
+
+    def point(shards, backend):
+        return lambda directory: IndexSpec(
+            params=dataclasses.replace(
+                params, backend=backend,
+                storage_dir=None if backend == "memory" else directory),
+            shards=shards)
+    return {f"{topology} {backend}": point(shards, backend)
             for shards, topology in ((1, "plain"), (2, "sharded"))
             for backend in ("memory", "mmap")}
 
@@ -530,17 +535,15 @@ def spec_parity(figure) -> list:
     truth = GroundTruth(dataset.data, dataset.queries, max_k=workload.k)
     rows, oracles = [], {}
     with tempfile.TemporaryDirectory() as directory:
-        for label, spec in figure.points(dataset).items():
+        for label, point in figure.points(dataset).items():
             topology = label.split()[0]
             oracle = topology not in oracles
             for batch in (workload.queries, None) if oracle \
                     else (workload.queries,):
                 row = evaluate_spec(
-                    spec, dataset.data, dataset.queries, workload.k,
-                    storage_dir=None if spec.backend == "memory"
-                    else f"{directory}/{len(rows)}",
-                    ground_truth=truth, dataset_name=workload.dataset,
-                    batch_size=batch)
+                    point(f"{directory}/{len(rows)}"), dataset.data,
+                    dataset.queries, workload.k, ground_truth=truth,
+                    dataset_name=workload.dataset, batch_size=batch)
                 row.method = f"{label} {'batch' if batch else 'loop'}"
                 answers = oracles.setdefault(topology, row.extra["answers"])
                 row.extra["parity"] = ("ok" if row.extra["answers"] == answers

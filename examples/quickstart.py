@@ -41,8 +41,8 @@ def main() -> None:
         domain=dataset.spec.domain,
     )
 
-    #    repro.build consumes a declarative IndexSpec; topology, execution
-    #    and storage backend are further (orthogonal) axes of it — see
+    #    repro.build consumes a declarative IndexSpec; a shard count and
+    #    the update log policy are its only fields beside params — see
     #    examples/scale_out.py and docs/MIGRATION.md.
     started = time.perf_counter()
     index = repro.build(IndexSpec(params=params), dataset.data)

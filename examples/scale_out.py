@@ -16,7 +16,7 @@ distributed with little synchronization"), each declared as one
    execution=Execution(kind="process", workers=2))`` serves step 1's
    snapshot with each micro-batch's rows sharded over worker processes
    that map it, bit-identical results;
-3. **Sharding** — ``Topology(shards=4)`` puts horizontal partitions
+3. **Sharding** — ``IndexSpec(shards=4)`` puts horizontal partitions
    behind independent HD-Index instances, merged by exact distance (the
    only synchronisation point).
 """
@@ -36,7 +36,6 @@ from repro import (
     HDIndexParams,
     IndexSpec,
     QueryService,
-    Topology,
     make_dataset,
 )
 
@@ -74,9 +73,7 @@ def main() -> None:
 
     # --- 3. sharding ------------------------------------------------------
     started = time.perf_counter()
-    sharded = repro.build(IndexSpec(params=params,
-                                    topology=Topology(shards=4)),
-                          dataset.data)
+    sharded = repro.build(IndexSpec(params=params, shards=4), dataset.data)
     print(f"\nsharded build (4 shards): {time.perf_counter() - started:.2f}s,"
           f" per-machine build RAM "
           f"{sharded.build_memory_bytes() / 1024:.0f} KB")

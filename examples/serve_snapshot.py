@@ -7,7 +7,7 @@ Run with::
 The ROADMAP's deployment story in three steps:
 
 1. **Build offline** — ``repro.build`` an
-   ``IndexSpec(topology=Topology(shards=2))`` and persist the whole
+   ``IndexSpec(shards=2)`` and persist the whole
    snapshot (``manifest.json`` + one ``shard_<s>/`` directory per shard);
 2. **Reopen online** — ``repro.open(..., backend="mmap")`` maps the page
    files zero-copy: the reopen is O(metadata) and the OS page cache keeps
@@ -31,7 +31,6 @@ from repro import (
     HDIndexParams,
     IndexSpec,
     QueryService,
-    Topology,
     make_dataset,
 )
 
@@ -48,8 +47,7 @@ def main() -> None:
         snapshot = Path(tmp) / "snapshot"
 
         # --- 1. build offline, snapshot ---------------------------------
-        index = repro.build(IndexSpec(params=params,
-                                      topology=Topology(shards=2)),
+        index = repro.build(IndexSpec(params=params, shards=2),
                             dataset.data, storage_dir=snapshot)
         expected = [index.query(q, K)[0] for q in dataset.queries]
         index.close()

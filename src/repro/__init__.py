@@ -20,11 +20,13 @@ Quickstart::
         ds.data)
     ids, dists = index.query(ds.queries[0], k=10)
 
-Every deployment shape — plain or sharded topology, logged or volatile
-updates, memory / mmap storage — is one declarative :class:`IndexSpec`
-handed to :func:`repro.build`, and :func:`repro.open` reconstructs it
-from a persisted snapshot; ``QueryService(..., execution="process")``
-serves a snapshot over worker processes.
+Every deployment shape is one declarative :class:`IndexSpec` —
+``IndexSpec(params, shards=1, wal=None)``: the paper's parameters (the
+memory / mmap storage backend among them), a shard count and whether
+updates are logged — handed to :func:`repro.build`, and
+:func:`repro.open` reconstructs it from a persisted snapshot;
+``QueryService(..., execution="process")`` serves a snapshot over
+worker processes.
 """
 
 from repro.baselines import (
@@ -46,7 +48,6 @@ from repro.core import (
     KNNIndex,
     QueryStats,
     ShardRouter,
-    Topology,
     WorkerCrashed,
     WorkerTimeout,
     build,
@@ -124,7 +125,6 @@ __all__ = [
     "ServiceConfig",
     "ServiceStats",
     "ShardRouter",
-    "Topology",
     "WorkerCrashed",
     "WorkerTimeout",
     "approximation_ratio",

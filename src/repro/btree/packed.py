@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.storage.codecs import Codec, Float64Codec, UInt64Codec, UIntCodec
+from repro.storage.codecs import Codec, Float64Codec, UIntCodec
 from repro.storage.stats import IOStats
 
 #: Page id meaning "no page" (the root an empty tree records).
@@ -62,7 +62,7 @@ def key_kind(codec: Codec) -> str | None:
     distance arithmetic, else ``None`` (no packed tree takes them)."""
     if isinstance(codec, Float64Codec):
         return "float"
-    if isinstance(codec, (UIntCodec, UInt64Codec)):
+    if isinstance(codec, UIntCodec):
         return "uint"
     return None
 

@@ -24,6 +24,7 @@ Every flag combination is one declarative spec under the hood.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -33,13 +34,12 @@ from repro.core import (
     Execution,
     HDIndexParams,
     IndexSpec,
-    Topology,
     build as build_index,
     open_index,
     recommended_params,
 )
 from repro.core.params import BACKENDS
-from repro.core.spec import _KIND_ALIASES, EXECUTION_KINDS
+from repro.core.spec import EXECUTION_KINDS
 from repro.datasets import DATASET_CATALOG, make_dataset, read_vecs
 from repro.eval import GroundTruth, evaluate_index, format_table
 
@@ -50,12 +50,6 @@ def _positive_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {text}")
     return value
-
-
-def _execution_kind(text: str) -> str:
-    """An ``--execution`` value with an older spelling of a kind mapped
-    to the kind (``thread`` runs sequential) before the choices check."""
-    return _KIND_ALIASES.get(text, text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,12 +66,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="directory to persist the index into")
     _add_param_arguments(build)
     build.add_argument("--spec", default=None,
-                       help="JSON file holding a full IndexSpec (params + "
-                            "topology + execution + backend); other flags "
-                            "override its fields")
+                       help="JSON file holding a full IndexSpec (params, "
+                            "shards, wal); other flags override its fields")
     build.add_argument("--shards", type=_positive_int, default=None,
                        help="shard the index over this many horizontal "
-                            "partitions (IndexSpec topology)")
+                            "partitions (IndexSpec shards)")
     build.add_argument("--backend", choices=BACKENDS, default=None,
                        help="storage backend; mmap writes the snapshot "
                             "files straight into --out and builds over "
@@ -145,8 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how to reopen the snapshot (default mmap: "
                             "mapped, the larger-than-RAM mode; memory = "
                             "read into RAM up front)")
-    serve.add_argument("--execution", type=_execution_kind,
-                       choices=EXECUTION_KINDS, default=None,
+    serve.add_argument("--execution", choices=EXECUTION_KINDS, default=None,
                        help="process = shard each micro-batch's rows over "
                             "worker processes that reopen the snapshot "
                             "via mmap (multi-core serving)")
@@ -232,7 +224,6 @@ def _params_from_args(args, data, spec) -> HDIndexParams:
         # Normalised vectors live in [-1, 1], not the catalog domain;
         # let the quantiser derive its grid from the data.
         updates["domain"] = None
-    import dataclasses
     return dataclasses.replace(params, **updates)
 
 
@@ -253,41 +244,38 @@ def _spec_from_args(args, data, dataset_spec) -> IndexSpec:
     """Synthesise the declarative :class:`IndexSpec` a ``build``
     invocation describes: the ``--spec`` file (when given) as the base,
     individual flags overriding its fields."""
-    import dataclasses as _dc
     if args.spec is not None:
         with open(args.spec) as handle:
             base = IndexSpec.from_dict(json.load(handle))
         # Explicit parameter flags still win over the spec file.
-        updates = _param_flag_updates(args)
-        params = (_dc.replace(base.params, **updates) if updates
-                  else base.params)
+        params = dataclasses.replace(base.params,
+                                     **_param_flag_updates(args))
     else:
         base = IndexSpec()
         params = _params_from_args(args, data, dataset_spec)
-    topology = (base.topology if args.shards is None
-                else Topology(shards=args.shards))
-    execution = base.execution
-    if args.wal:
-        execution = _dc.replace(execution, wal=True)
-    backend = args.backend if args.backend is not None else base.backend
-    return IndexSpec(params=params, topology=topology,
-                     execution=execution, backend=backend)
+    if args.backend is not None:
+        params = dataclasses.replace(params, backend=args.backend,
+                                     storage_dir=args.out)
+    return IndexSpec(params=params,
+                     shards=base.shards if args.shards is None
+                     else args.shards,
+                     wal=True if args.wal else base.wal)
 
 
 def cmd_build(args, out=sys.stdout) -> int:
     data, _, dataset_spec = _load_workload(args)
-    spec = _spec_from_args(args, data, dataset_spec)
-    if spec.params.metric == "angular":
-        from repro.distance.metrics import normalize_rows
-        data = normalize_rows(data)
     metadata = None
     if args.with_labels is not None:
         metadata = [{"label": row % args.with_labels}
                     for row in range(len(data))]
     try:
+        spec = _spec_from_args(args, data, dataset_spec)
+        if spec.params.metric == "angular":
+            from repro.distance.metrics import normalize_rows
+            data = normalize_rows(data)
         index = build_index(spec, data, storage_dir=args.out,
                             metadata=metadata)
-    except ValueError as error:  # e.g. --wal on a sharded topology
+    except ValueError as error:  # e.g. --wal with shards, an old spec
         print(f"error: {error}", file=sys.stderr)
         return 2
     params = index.params
@@ -373,7 +361,8 @@ def _query_filtered(args, index, queries, out) -> int:
     except (TypeError, ValueError, KeyError) as error:
         print(f"error: bad predicate: {error}", file=sys.stderr)
         return 2
-    if index.metadata is None:
+    parts = getattr(index, "shards", [index])
+    if any(part.metadata is None for part in parts):
         print("error: this index carries no metadata; rebuild with "
               "metadata (e.g. `repro build --with-labels N`)",
               file=sys.stderr)
@@ -391,14 +380,22 @@ def _query_filtered(args, index, queries, out) -> int:
                    for q in queries]
     elapsed = time.perf_counter() - started
     stats = index.last_query_stats()
-    selectivity = stats.extra.get("selectivity", float("nan"))
 
-    # Oracle: brute-force scan of the eligible rows, as stored.
+    # Oracle: brute-force scan of the eligible rows, as stored, shard by
+    # shard for a router (its local ids mapped to global ids).
     from repro.distance.metrics import euclidean_to_many
-    eligible = np.nonzero(predicate.mask(index.metadata))[0]
+    eligible, stored = [], []
+    for shard_index, part in enumerate(parts):
+        local = np.flatnonzero(predicate.mask(part.metadata))
+        stored.append(part.heap.gather(local).astype(np.float64))
+        eligible.append(local if part is index
+                        else index._id_array(shard_index)[local])
+    eligible, stored = np.concatenate(eligible), np.concatenate(stored)
+    # A router reports no selectivity of its own: the oracle's fraction.
+    selectivity = stats.extra.get("selectivity", eligible.size / sum(
+        part.metadata.count for part in parts))
     recall = float("nan")
     if eligible.size:
-        stored = index.heap.gather(eligible).astype(np.float64)
         hits = total = 0
         for query, (ids, _) in zip(queries, answers):
             exact = euclidean_to_many(query, stored)

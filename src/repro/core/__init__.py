@@ -17,7 +17,7 @@ from repro.core.procpool import (
     WorkerTimeout,
 )
 from repro.core.router import ShardRouter
-from repro.core.spec import Execution, IndexSpec, Topology, coerce_spec
+from repro.core.spec import Execution, IndexSpec, coerce_spec
 from repro.core.params import (
     HDIndexParams,
     TABLE3_CONFIGS,
@@ -53,7 +53,6 @@ __all__ = [
     "QueryEngine",
     "QueryStats",
     "SnapshotWorkerPool",
-    "Topology",
     "WorkerCrashed",
     "WorkerTimeout",
     "RDBTree",

@@ -6,8 +6,8 @@ with little synchronization" because the three stages of Algo. 2 —
 Ptolemaic filter refinement, (iii) exact re-ranking of the κ survivors —
 touch independent trees until the final merge.  This module is the single
 implementation of those stages.  Every deployment shape an
-:class:`~repro.core.spec.IndexSpec` can declare — plain or sharded
-topology, answered in-process or by a serving pool's worker — runs this
+:class:`~repro.core.spec.IndexSpec` can declare — one shard or many,
+answered in-process or by a serving pool's worker — runs this
 one code path: stages (i)+(ii) are one :meth:`QueryEngine.scan_many`
 over all τ trees, so the variants cannot drift apart in semantics or in
 the :class:`~repro.core.interface.QueryStats` they report.

@@ -11,20 +11,20 @@ The two functions here are the public face of the
 
 Both delegate to :func:`create_index`, the single place a spec is turned
 into objects — a plain :class:`~repro.core.hdindex.HDIndex`, or a
-:class:`~repro.core.router.ShardRouter` when ``spec.topology`` shards the
-data — so every topology x backend combination flows through one code
-path instead of a class matrix.  Every index answers in-process; a
+:class:`~repro.core.router.ShardRouter` when ``spec.shards > 1`` — so
+every shards x backend combination flows through one code path instead
+of a class matrix.  Every index answers in-process; a
 :class:`~repro.serve.QueryService` serves a snapshot over worker
 processes.
 
 >>> import numpy as np, tempfile
 >>> from repro.core.factory import build, open_index
->>> from repro.core.spec import IndexSpec, Topology
+>>> from repro.core.spec import IndexSpec
 >>> from repro.core.params import HDIndexParams
 >>> data = np.repeat(np.arange(32.0)[:, None], 4, axis=1)
 >>> spec = IndexSpec(params=HDIndexParams(num_trees=2, hilbert_order=4,
 ...                                       num_references=4, alpha=8),
-...                  topology=Topology(shards=2))
+...                  shards=2)
 >>> with tempfile.TemporaryDirectory() as tmp:
 ...     index = build(spec, data, storage_dir=tmp)
 ...     ids, _ = index.query(data[5], k=1)
@@ -37,13 +37,14 @@ True
 
 from __future__ import annotations
 
+import dataclasses
 import os
 
 import numpy as np
 
 from repro.core.hdindex import HDIndex
 from repro.core.router import ShardRouter
-from repro.core.spec import IndexSpec, coerce_spec, refuse_process
+from repro.core.spec import IndexSpec, coerce_spec
 
 
 def create_index(spec: IndexSpec | None = None,
@@ -59,28 +60,27 @@ def create_index(spec: IndexSpec | None = None,
             files live here.
 
     Returns:
-        An unbuilt :class:`~repro.core.hdindex.HDIndex` (plain topology)
-        or :class:`~repro.core.router.ShardRouter` (sharded topology)
-        recording ``spec.execution``.
+        An unbuilt :class:`~repro.core.hdindex.HDIndex` (one shard) or
+        :class:`~repro.core.router.ShardRouter` (``spec.shards > 1``)
+        recording ``spec.wal``.
 
     Raises:
-        ValueError: For ``kind="process"`` (serve the snapshot with
-            ``QueryService(..., execution="process")``), or
-            ``wal=True`` without a ``storage_dir`` or with shards.
+        ValueError: For ``wal=True`` without a ``storage_dir`` or with
+            shards.
     """
     spec = coerce_spec(spec)
-    refuse_process(spec.execution)
-    params = spec.resolved_params(
-        None if storage_dir is None else os.fspath(storage_dir))
-    if spec.topology.shards > 1:
-        return ShardRouter(params, spec.topology, spec.execution)
-    if spec.execution.wal is True and params.storage_dir is None:
+    params = spec.params
+    if storage_dir is not None:
+        params = dataclasses.replace(params,
+                                     storage_dir=os.fspath(storage_dir))
+    if spec.shards > 1:
+        return ShardRouter(params, spec.shards, spec.wal)
+    if spec.wal is True and params.storage_dir is None:
         raise ValueError(
-            "Execution(wal=True) requires a disk-backed index "
-            "(storage_dir=...): the write-ahead log lives next to the "
-            "snapshot")
+            "wal=True requires a disk-backed index (storage_dir=...): "
+            "the write-ahead log lives next to the snapshot")
     index = HDIndex(params)
-    index.execution = spec.execution
+    index.wal = spec.wal
     return index
 
 

@@ -24,7 +24,7 @@ from repro.core.params import HDIndexParams
 from repro.core.partition import make_partition
 from repro.core.rdbtree import RDBTree
 from repro.core.reference import ReferenceSet
-from repro.core.spec import Execution, IndexSpec, Topology
+from repro.core.spec import IndexSpec
 from repro.distance.metrics import (
     DistanceCounter,
     require_finite,
@@ -148,7 +148,7 @@ class HDIndex(KNNIndex):
     are immutable between folds: :meth:`insert` lands in an in-memory
     delta segment every query reranks exactly beside the base,
     :meth:`delete` in the deleted-id set; no write touches a page or a
-    tree column.  ``Execution.wal``
+    tree column.  The ``wal`` policy (``IndexSpec.wal``)
     decides durability only: with a write-ahead log (:mod:`repro.wal`)
     each mutation is one log frame first and :meth:`compact` publishes
     a new on-disk generation; without one, updates are volatile until
@@ -182,10 +182,10 @@ class HDIndex(KNNIndex):
         self._query_stats = QueryStats()
         self._distance_counter = DistanceCounter()
         # Online-update state: every built index has a delta segment,
-        # a log handle only while a write-ahead log is attached; of
-        # ``execution`` only the three-state ``wal`` knob is read
-        # (None = auto).
+        # a log handle only while a write-ahead log is attached, and the
+        # three-state log policy ``wal`` (None = auto).
         self.generation = 0
+        self.wal: bool | None = None
         self._wal = None
         self._delta: DeltaSegment | None = None
         self._wal_root: str | None = None
@@ -194,14 +194,12 @@ class HDIndex(KNNIndex):
         self._update_lock = threading.Lock()
         self._eligible = EligibleMemo()
         self._engine = QueryEngine(self)
-        self.execution = Execution()
 
     @property
     def spec(self) -> IndexSpec:
         """The declarative :class:`~repro.core.spec.IndexSpec` describing
         this index's current configuration (persisted into snapshots)."""
-        return IndexSpec(params=self.params, topology=Topology(),
-                         execution=self.execution)
+        return IndexSpec(params=self.params, wal=self.wal)
 
     # -- online updates (Sec. 3.6) ----------------------------------------
 
@@ -573,8 +571,8 @@ class HDIndex(KNNIndex):
         The optional arguments override the corresponding
         :class:`HDIndexParams` fields for this call only (used by the
         parameter-sweep experiments of Sec. 5.2).  The three stages run in
-        the shared :class:`~repro.core.engine.QueryEngine`; the topology
-        changes *where* the scans run (shards), not *what* they compute.
+        the shared :class:`~repro.core.engine.QueryEngine`; sharding
+        changes *where* the scans run, not *what* they compute.
 
         ``predicate`` (a :class:`~repro.meta.Predicate` or its JSON
         dict form) restricts answers to metadata-matching points via

@@ -35,7 +35,7 @@ once, reopen and query on a machine that never holds the dataset in RAM.
 :func:`load_index` reconstructs the *spec* the snapshot records, so every
 deployment shape flows through one construction path; a snapshot whose
 spec is missing or invalid is refused (``docs/MIGRATION.md``).
-:func:`repro.open` adds per-call execution and backend overrides on top.
+:func:`repro.open` adds per-call backend and durability overrides on top.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ import numpy as np
 from repro.core.hdindex import HDIndex
 from repro.core.params import HDIndexParams, check_backend
 from repro.core.reference import ReferenceSet
-from repro.core.spec import Execution, Topology, params_from_dict
+from repro.core.spec import IndexSpec, params_from_dict
 from repro.core.rdbtree import RDBTree
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore
@@ -73,7 +73,7 @@ class PersistenceError(RuntimeError):
 def save_index(index, directory: str | os.PathLike[str]) -> None:
     """Persist a built index of the HD-Index family.
 
-    Accepts :class:`HDIndex` (any execution) and
+    Accepts :class:`HDIndex` and
     :class:`~repro.core.router.ShardRouter`.  The snapshot records the
     index's full :class:`~repro.core.spec.IndexSpec` so
     :func:`load_index` reconstructs the same deployment.
@@ -166,14 +166,14 @@ def load_index(directory: str | os.PathLike[str],
             stays unread, updates are volatile until ``compact()`` /
             ``save_index``: the read-only-reader spelling); ``None``
             honours the snapshot's recorded policy
-            (:class:`~repro.core.spec.Execution` ``wal``).  A sharded
+            (:class:`~repro.core.spec.IndexSpec` ``wal``).  A sharded
             snapshot keeps no log: it refuses ``True`` (``ValueError``)
             and ignores a recorded policy.
 
     Returns:
         A ready-to-query :class:`HDIndex` or
         :class:`~repro.core.router.ShardRouter`, answering in-process
-        (a snapshot recording ``kind="process"`` included).
+        (whatever dispatch an older release recorded).
 
     Raises:
         PersistenceError: If the directory is not a valid snapshot, the
@@ -260,8 +260,7 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
 
     meta = {
         "format_version": FORMAT_VERSION,
-        "spec": {"topology": Topology().to_dict(),
-                 "execution": index.execution.to_dict()},
+        "spec": _spec_section(1, index.wal),
         "params": dataclasses.asdict(index.params),
         "dim": index.dim,
         "count": index.count,
@@ -291,14 +290,14 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         raise PersistenceError(
             f"unsupported index format {meta.get('format_version')!r}")
 
-    _, execution = _recorded_spec(meta, meta_path)
+    _, wal = _recorded_spec(meta, meta_path)
     backend = backend or "mmap"
     params = _restore_params(meta["params"], directory, cache_pages, backend)
     index = HDIndex(params)
     index.dim = int(meta["dim"])
     index.count = int(meta["count"])
     index.generation = int(meta.get("generation", 0))
-    index.execution = execution
+    index.wal = wal
     index._deleted = set(int(i) for i in meta["deleted"])
     index.partitions = [np.asarray(part, dtype=np.int64)
                         for part in meta["partitions"]]
@@ -366,16 +365,31 @@ def _read_references(path: str) -> ReferenceSet:
                             indices if indices.size else None)
 
 
-def _recorded_spec(meta: dict, path: str) -> tuple[Topology, Execution]:
-    """The topology and execution a snapshot's ``spec`` records.  A
+def _spec_section(shards: int, wal: bool | None) -> dict:
+    """The ``spec`` a snapshot records, byte for byte as releases with a
+    topology and an execution wrote it: only ``shards`` and ``wal`` are
+    read back (:func:`_recorded_spec`); the rest are the values those
+    releases wrote for an index answering in-process."""
+    return {"topology": {"shards": shards, "shard_backends": None,
+                         "replicas": 1},
+            "execution": {"kind": "sequential", "workers": None,
+                          "worker_backend": "mmap", "worker_timeout": None,
+                          "wal": wal}}
+
+
+def _recorded_spec(meta: dict, path: str) -> tuple[int, bool | None]:
+    """The shard count and log policy a snapshot's ``spec`` records.  A
     snapshot without them, or with values this release rejects, is
-    refused rather than guessed at.  A recorded ``kind="process"`` (an
-    older release's per-tree pool) opens in-process, its ``wal`` kept."""
+    refused rather than guessed at.  The execution section's four
+    dispatch fields, the replica count and the per-shard backends are
+    ignored: an index answers in-process, from the backend it is opened
+    with."""
     try:
         spec = meta["spec"]
-        execution = Execution.from_dict(spec["execution"])
-        return (Topology.from_dict(spec["topology"]),
-                dataclasses.replace(execution, kind="sequential"))
+        recorded = IndexSpec(
+            shards=int(spec["topology"].get("shards", 1)),
+            wal=spec["execution"].get("wal"))
+        return recorded.shards, recorded.wal
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(
             f"{path} records no valid spec ({type(exc).__name__}: {exc}); "
@@ -418,8 +432,7 @@ def _save_sharded(index, directory: str) -> None:
     params["storage_dir"] = None
     manifest = {
         "format_version": FORMAT_VERSION,
-        "spec": {"topology": index.topology.to_dict(),
-                 "execution": index.execution.to_dict()},
+        "spec": _spec_section(index.num_shards, index.wal),
         "num_shards": index.num_shards,
         "count": index.count,
         "generation": int(getattr(index, "generation", 0)),
@@ -448,15 +461,15 @@ def _load_sharded(directory: str, cache_pages: int | None,
     if manifest.get("format_version") != FORMAT_VERSION:
         raise PersistenceError(
             f"unsupported index format {manifest.get('format_version')!r}")
-    topology, execution = _recorded_spec(
+    shards, recorded_wal = _recorded_spec(
         manifest, os.path.join(directory, MANIFEST_FILE))
-    if execution.wal:
-        # Older releases logged sharded updates; this one keeps no log.
-        execution = dataclasses.replace(execution, wal=None)
     params = _restore_params(manifest["params"], directory, cache_pages,
                              backend or "mmap")
     num_shards = int(manifest["num_shards"])
-    index = ShardRouter(params, topology, execution)
+    # Older releases logged sharded updates (a recorded True); this one
+    # keeps no log.
+    index = ShardRouter(params, shards,
+                        False if recorded_wal is False else None)
     index.count = int(manifest["count"])
     index.generation = int(manifest.get("generation", 0))
     index.offsets = np.asarray(manifest["offsets"], dtype=np.int64)
@@ -469,8 +482,7 @@ def _load_sharded(directory: str, cache_pages: int | None,
         shard_directory = resolve_snapshot_dir(
             _shard_dir(directory, shard_index))
         shard = _load_hdindex(shard_directory, cache_pages, backend)
-        # Shards never attach a log of their own.
-        shard.execution = dataclasses.replace(shard.execution, wal=False)
+        shard.wal = False  # shards never attach a log of their own
         index.shards.append(shard)
         built = list(range(int(index.offsets[shard_index]),
                            int(index.offsets[shard_index + 1])))

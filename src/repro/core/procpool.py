@@ -3,7 +3,7 @@
 The GIL caps in-process execution near single-core throughput once the
 numpy kernels stop dominating.  This module is the escape hatch: a pool
 of **worker processes** that each reopen the same persisted snapshot —
-by default through the zero-copy ``mmap`` backend, so the OS shares one
+through the zero-copy ``mmap`` backend, so the OS shares one
 set of physical pages across the whole pool and each worker's bootstrap
 is O(metadata), not O(index size).  Its one user is
 ``QueryService(execution="process")``, which shards each micro-batch's
@@ -12,7 +12,7 @@ rows across the workers (:meth:`SnapshotWorkerPool.run_query_batch`).
 Design rules (the ones the fault-injection suite enforces):
 
 * **Workers bootstrap from the snapshot manifest, never from pickles.**
-  Only the directory path, backend name and buffer-pool setting cross the
+  Only the directory path and buffer-pool setting cross the
   process boundary at start-up; the index itself is reopened lazily inside
   the worker on its first task.
 * **A dead or wedged worker fails fast, typed.**  A worker that crashes
@@ -36,8 +36,6 @@ from concurrent.futures import TimeoutError as _FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
-
-from repro.core.params import check_backend
 
 
 class ProcessPoolError(RuntimeError):
@@ -69,8 +67,7 @@ def preferred_context() -> multiprocessing.context.BaseContext:
 
 #: Per-worker bootstrap recipe and (lazily opened) index.  Plain module
 #: globals: each worker process has its own copy.
-_WORKER: dict = {"directory": None, "backend": None, "cache_pages": None,
-                 "index": None}
+_WORKER: dict = {"directory": None, "cache_pages": None, "index": None}
 
 #: Test seam for fault injection.  When set (before the pool forks, so
 #: workers inherit it), every worker task calls it first — the concurrency
@@ -78,28 +75,28 @@ _WORKER: dict = {"directory": None, "backend": None, "cache_pages": None,
 _FAULT_HOOK = None
 
 
-def _worker_init(directory: str, backend: str | None,
-                 cache_pages: int | None) -> None:
+def _worker_init(directory: str, cache_pages: int | None) -> None:
     """Pool initializer: record the bootstrap recipe only.
 
     The index is *not* opened here — pool start-up stays O(1) and a
     snapshot that fails to open surfaces on the first task's future (where
     the caller can see it) instead of silently breaking the pool.
     """
-    _WORKER.update(directory=directory, backend=backend,
-                   cache_pages=cache_pages, index=None)
+    _WORKER.update(directory=directory, cache_pages=cache_pages,
+                   index=None)
 
 
 def _worker_index():
     """The worker's own view of the snapshot, reopened on first use with
-    no log: the parent owns the delta and the log, and the snapshot's
-    published generation is what the worker answers from."""
+    no log, through ``mmap``: the parent owns the delta and the log, and
+    the snapshot's published generation is what the worker answers
+    from."""
     index = _WORKER["index"]
     if index is None:
         from repro.core.persistence import load_index
         index = load_index(_WORKER["directory"],
                            cache_pages=_WORKER["cache_pages"],
-                           backend=_WORKER["backend"], wal=False)
+                           backend="mmap", wal=False)
         _WORKER["index"] = index
     return index
 
@@ -147,10 +144,6 @@ class SnapshotWorkerPool:
         generation.
     num_workers:
         Pool width; defaults to the CPU count.
-    backend:
-        Storage backend each worker reopens the snapshot with
-        (``"mmap"`` by default — the whole point: the OS shares the
-        physical pages across the pool).
     cache_pages:
         Buffer-pool override forwarded to each worker's ``load_index``.
     timeout:
@@ -161,17 +154,15 @@ class SnapshotWorkerPool:
     """
 
     def __init__(self, directory: str | os.PathLike[str],
-                 num_workers: int | None = None, backend: str = "mmap",
+                 num_workers: int | None = None,
                  cache_pages: int | None = None,
                  timeout: float | None = None) -> None:
         if num_workers is not None and num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
-        check_backend(backend, "worker")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.directory = os.fspath(directory)
         self.num_workers = num_workers or default_workers()
-        self.backend = backend
         self.cache_pages = cache_pages
         self.timeout = timeout
         self._pool: ProcessPoolExecutor | None = None
@@ -194,8 +185,7 @@ class SnapshotWorkerPool:
                     max_workers=self.num_workers,
                     mp_context=preferred_context(),
                     initializer=_worker_init,
-                    initargs=(self.directory, self.backend,
-                              self.cache_pages))
+                    initargs=(self.directory, self.cache_pages))
             return self._pool
 
     def prestart(self) -> list[int]:

@@ -3,7 +3,7 @@
 The paper observes HD-Index "can be easily parallelized and/or distributed
 with little synchronization steps".  :class:`ShardRouter` implements the
 distributed half at the library level: the dataset is split into
-``topology.shards`` horizontal shards, each indexed by an independent
+``shards`` horizontal shards, each indexed by an independent
 :class:`~repro.core.hdindex.HDIndex` (in a real deployment, one per
 machine).  A query fans out to every shard and the per-shard top-k lists
 are merged by exact distance — the only synchronisation point, exactly as
@@ -35,14 +35,14 @@ import numpy as np
 from repro.core.hdindex import HDIndex
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.params import HDIndexParams
-from repro.core.spec import Execution, IndexSpec, Topology, refuse_process
+from repro.core.spec import IndexSpec
 from repro.distance.metrics import require_finite
 from repro.meta import MetadataStore
 
 
 def refuse_log(wal: bool | None) -> None:
     """Raise when a sharded deployment is asked for a write-ahead log
-    (``Execution(wal=True)``, ``repro.open(..., wal=True)``)."""
+    (``IndexSpec(wal=True)``, ``repro.open(..., wal=True)``)."""
     if wal:
         raise ValueError(
             "a sharded deployment keeps no write-ahead log: its updates "
@@ -59,30 +59,23 @@ class ShardRouter(KNNIndex):
         Per-shard HD-Index parameters (shared by all shards; seeds are
         derived per shard so reference sets differ, as they would across
         machines).
-    topology:
-        A :class:`~repro.core.spec.Topology` (or a bare shard count).
-    execution:
-        The :class:`~repro.core.spec.Execution` recorded in the manifest;
-        ``None`` means sequential.  ``kind="process"``
-        (:func:`~repro.core.spec.refuse_process`) and ``wal=True``
-        (:func:`refuse_log`) are refused.
+    shards:
+        Number of horizontal partitions (``>= 1``).
+    wal:
+        The log policy recorded in the manifest: ``None`` or ``False``;
+        ``True`` is refused (:func:`refuse_log`).
     """
 
     name = "HD-Index(sharded)"
 
     def __init__(self, params: HDIndexParams | None = None,
-                 topology: Topology | int | None = None,
-                 execution: Execution | None = None) -> None:
-        if topology is None:
-            topology = Topology(shards=2)
-        elif isinstance(topology, int):
-            topology = Topology(shards=topology)
+                 shards: int = 2, wal: bool | None = None) -> None:
+        if shards < 1:
+            raise ValueError(f"shards must be >= 1, got {shards}")
+        refuse_log(wal)
         self.params = params if params is not None else HDIndexParams()
-        self.topology = topology
-        self.execution = execution if execution is not None else Execution()
-        refuse_process(self.execution)
-        refuse_log(self.execution.wal)
-        self.num_shards = topology.shards
+        self.wal = wal
+        self.num_shards = shards
         self.shards: list[HDIndex] = []
         self.offsets: np.ndarray | None = None
         self.count = 0
@@ -94,8 +87,8 @@ class ShardRouter(KNNIndex):
     @property
     def spec(self) -> IndexSpec:
         """The declarative spec describing this router's configuration."""
-        return IndexSpec(params=self.params, topology=self.topology,
-                         execution=self.execution)
+        return IndexSpec(params=self.params, shards=self.num_shards,
+                         wal=self.wal)
 
     # -- child construction ------------------------------------------------
 
@@ -110,8 +103,7 @@ class ShardRouter(KNNIndex):
 
     def _make_shard(self, shard_index: int) -> HDIndex:
         shard = HDIndex(self._shard_params(shard_index))
-        # A shard never attaches a log of its own.
-        shard.execution = dataclasses.replace(self.execution, wal=False)
+        shard.wal = False  # a shard never attaches a log of its own
         return shard
 
     # -- construction ------------------------------------------------------

@@ -1,33 +1,29 @@
-"""Declarative index specification: one spec instead of a class matrix.
+"""Declarative index specification: the paper's parameters plus the two
+values a deployment adds.
 
 The HD-Index structure of the paper (Algo. 1 construction, Algo. 2
-querying) is identical across every deployment shape this reproduction
-serves; only two orthogonal axes ever change:
+querying) is fixed by :class:`~repro.core.params.HDIndexParams`.  A
+deployment adds only two things:
 
-* **topology** — is the dataset one index or ``shards`` horizontal
-  partitions behind a router (the paper's Sec. 5.2.8 "distributed"
-  extension);
-* **execution** — are its updates logged (``Execution.wal``), and is a
-  served snapshot answered in-process or by a
-  :class:`~repro.serve.QueryService` pool of worker processes
-  (``kind="process"``, the service's concern: an index always answers
-  in-process).
+* ``shards`` — one index, or that many horizontal partitions behind a
+  :class:`~repro.core.router.ShardRouter` (the paper's Sec. 5.2.8
+  "distributed" remark);
+* ``wal`` — whether the Sec. 3.6 updates are framed in a write-ahead
+  log (:mod:`repro.wal`).
 
-:class:`IndexSpec` names a point of that grid as one declarative
-value::
+:class:`IndexSpec` names one deployment as one value::
 
-    IndexSpec(params=HDIndexParams(...),
-              topology=Topology(shards=4),
-              execution=Execution(wal=False),
-              backend="mmap")
+    IndexSpec(params=HDIndexParams(...), shards=4, wal=False)
 
 consumed by :func:`repro.build` / :func:`repro.open` (see
-:mod:`repro.core.factory`).  Specs serialise to plain JSON dicts, travel
-inside every snapshot's ``meta.json``/``manifest.json``, and reconstruct
-the exact deployment on reopen — no kind-dispatch special cases.
+:mod:`repro.core.factory`).  Specs serialise to plain JSON dicts, and
+every snapshot's ``meta.json``/``manifest.json`` records its shard count
+and log policy, so a reopen reconstructs the same deployment.
 
->>> spec = IndexSpec(topology=Topology(shards=2),
-...                  execution=Execution(wal=False))
+:class:`Execution` is a :class:`~repro.serve.QueryService`'s setting,
+not an index's: where a served micro-batch runs.
+
+>>> spec = IndexSpec(shards=2, wal=False)
 >>> IndexSpec.from_dict(spec.to_dict()) == spec
 True
 """
@@ -38,75 +34,69 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.params import HDIndexParams, check_backend
+from repro.core.params import HDIndexParams
 
-#: Execution kinds an :class:`Execution` accepts (aliases normalised).
+#: Execution kinds an :class:`Execution` accepts.
 EXECUTION_KINDS = ("sequential", "process")
 
-#: Accepted spellings -> canonical kind.  ``"thread"`` / ``"threaded"``
-#: name the thread pool that once ran the scans at sequential speed:
-#: specs recording them open sequential.
-_KIND_ALIASES = {"sequential": "sequential", "serial": "sequential",
-                 "thread": "sequential", "threaded": "sequential",
-                 "process": "process"}
-
-
-@dataclass(frozen=True)
-class Topology:
-    """*Where* the data lives: one index, or ``shards`` horizontal
-    partitions behind a :class:`~repro.core.router.ShardRouter`.
-
-    Attributes
-    ----------
-    shards:
-        Number of horizontal partitions; ``1`` means a single plain index
-        (no router).
-
-    >>> Topology(shards=2).shards
-    2
-    """
-
-    shards: int = 1
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
-
-    def to_dict(self) -> dict[str, Any]:
-        # Not fields; written so snapshot JSON stays byte-identical.
-        return {"shards": self.shards, "shard_backends": None,
-                "replicas": 1}
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Topology":
-        return cls(shards=int(data.get("shards", 1)))
+#: The keys of a spec dict (:meth:`IndexSpec.to_dict`).
+SPEC_KEYS = ("params", "shards", "wal")
 
 
 @dataclass(frozen=True)
 class Execution:
-    """*How* a deployment answers and keeps its updates.
+    """*Where* a :class:`~repro.serve.QueryService` answers a flushed
+    micro-batch.
 
     Attributes
     ----------
     kind:
-        ``"sequential"`` (in-process) or ``"process"``: a
-        :class:`~repro.serve.QueryService` given it shards each
-        micro-batch's rows over worker processes that reopen the
-        persisted snapshot (sharing physical pages through mmap).  An
-        index answers in-process: ``create_index``, ``repro.build`` and
-        ``ShardRouter`` refuse ``"process"`` (:func:`refuse_process`),
-        and a snapshot recording it opens in-process.  ``"serial"``,
-        ``"thread"`` and ``"threaded"`` are spellings of
-        ``"sequential"``.
+        ``"sequential"`` (the service's dispatcher thread) or
+        ``"process"``: the service shards each micro-batch's rows over
+        worker processes that reopen the persisted snapshot through
+        ``mmap`` (the OS shares one set of physical pages pool-wide).
     workers:
         Pool width for ``"process"``; ``None`` picks the CPU count.
-    worker_backend:
-        Backend worker *processes* reopen the snapshot with (default
-        ``"mmap"``, so the OS shares one set of physical pages pool-wide).
     worker_timeout:
         Seconds a dispatched process-pool task may take before the pool
         is declared wedged (:class:`~repro.core.procpool.WorkerTimeout`);
         ``None`` disables the guard.
+
+    >>> Execution(kind="process", workers=4).workers
+    4
+    """
+
+    kind: str = "sequential"
+    workers: int | None = None
+    worker_timeout: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in EXECUTION_KINDS:
+            raise ValueError(
+                f"unknown execution kind {self.kind!r}; choose from "
+                f"{EXECUTION_KINDS}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.worker_timeout is not None and self.worker_timeout <= 0:
+            raise ValueError(
+                f"worker_timeout must be > 0, got {self.worker_timeout}")
+
+
+@dataclass(frozen=True)
+class IndexSpec:
+    """The full declarative recipe for one HD-Index deployment;
+    :func:`repro.build` turns it into a built (optionally persisted)
+    index and :func:`repro.open` reconstructs it from a snapshot.
+
+    Attributes
+    ----------
+    params:
+        The paper's structural and query tunables
+        (:class:`~repro.core.params.HDIndexParams`), the storage backend
+        (``params.backend``) included.
+    shards:
+        Number of horizontal partitions; ``1`` means a single plain
+        index (no router).
     wal:
         Durability of online updates (:mod:`repro.wal`).  Every
         ``insert``/``delete`` lands in the in-memory delta segment /
@@ -119,137 +109,41 @@ class Execution:
         attaches to a plain index.  A sharded deployment keeps no log:
         ``True`` is refused there.
 
-    >>> Execution(kind="threaded").kind
-    'sequential'
-    >>> Execution(kind="process", workers=4).workers
-    4
+    >>> IndexSpec(shards=2).shards
+    2
     """
 
-    kind: str = "sequential"
-    workers: int | None = None
-    worker_backend: str = "mmap"
-    worker_timeout: float | None = None
+    params: HDIndexParams = field(default_factory=HDIndexParams)
+    shards: int = 1
     wal: bool | None = None
 
     def __post_init__(self) -> None:
-        canonical = _KIND_ALIASES.get(self.kind)
-        if canonical is None:
-            raise ValueError(
-                f"unknown execution kind {self.kind!r}; choose from "
-                f"{EXECUTION_KINDS}")
-        object.__setattr__(self, "kind", canonical)
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        check_backend(self.worker_backend, "worker")
-        if self.worker_timeout is not None and self.worker_timeout <= 0:
-            raise ValueError(
-                f"worker_timeout must be > 0, got {self.worker_timeout}")
+        if self.shards < 1:
+            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.wal not in (None, True, False):
             raise ValueError(
                 f"wal must be True, False or None, got {self.wal!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "Execution":
-        return cls(kind=data.get("kind", "sequential"),
-                   workers=data.get("workers"),
-                   worker_backend=data.get("worker_backend", "mmap"),
-                   worker_timeout=data.get("worker_timeout"),
-                   wal=data.get("wal"))
-
-
-def refuse_process(execution: Execution) -> None:
-    """Raise for ``kind="process"`` where an index is made: an index
-    answers in-process, and one pool serves snapshots."""
-    if execution.kind == "process":
-        raise ValueError(
-            "an index answers in-process; serve its snapshot over worker "
-            "processes with QueryService(..., execution=\"process\") "
-            "(docs/MIGRATION.md)")
-
-
-@dataclass(frozen=True)
-class IndexSpec:
-    """The full declarative recipe for one HD-Index deployment.
-
-    Every topology/backend/execution combination is one orthogonal spec;
-    :func:`repro.build` turns it into a built (optionally persisted)
-    index and :func:`repro.open` reconstructs it from a snapshot.
-
-    Attributes
-    ----------
-    params:
-        The paper's structural and query tunables
-        (:class:`~repro.core.params.HDIndexParams`).
-    topology:
-        Plain (``shards=1``) or sharded (:class:`Topology`).
-    execution:
-        Update durability (:class:`Execution`; an index refuses
-        ``kind="process"``, which only a service takes).
-    backend:
-        Convenience override of ``params.backend`` (``"memory"``,
-        ``"mmap"`` or ``None`` to keep ``params``' own setting) so
-        callers need not rebuild the params dataclass just to pick a
-        storage tier.
-
-    >>> spec = IndexSpec(backend="memory")
-    >>> spec.resolved_params().resolved_backend
-    'memory'
-    """
-
-    params: HDIndexParams = field(default_factory=HDIndexParams)
-    topology: Topology = field(default_factory=Topology)
-    execution: Execution = field(default_factory=Execution)
-    backend: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.backend is not None:
-            check_backend(self.backend)
-        if isinstance(self.topology, int):
-            object.__setattr__(self, "topology", Topology(self.topology))
-        if isinstance(self.topology, dict):
-            object.__setattr__(self, "topology",
-                               Topology.from_dict(self.topology))
-        if isinstance(self.execution, str):
-            object.__setattr__(self, "execution", Execution(self.execution))
-        if isinstance(self.execution, dict):
-            object.__setattr__(self, "execution",
-                               Execution.from_dict(self.execution))
-        if isinstance(self.params, dict):
-            object.__setattr__(self, "params", params_from_dict(self.params))
-
-    def resolved_params(self, storage_dir: str | None = None
-                        ) -> HDIndexParams:
-        """``params`` with the spec-level ``backend`` and an optional
-        ``storage_dir`` applied (the factory's working copy)."""
-        updates: dict[str, Any] = {}
-        if self.backend is not None:
-            updates["backend"] = self.backend
-        if storage_dir is not None:
-            updates["storage_dir"] = storage_dir
-        return (dataclasses.replace(self.params, **updates) if updates
-                else self.params)
-
-    def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form: ``{"params": ..., "topology": ...,
-        "execution": ..., "backend": ...}``."""
+        """Plain-JSON form: ``{"params": ..., "shards": ..., "wal": ...}``."""
         return {"params": dataclasses.asdict(self.params),
-                "topology": self.topology.to_dict(),
-                "execution": self.execution.to_dict(),
-                "backend": self.backend}
+                "shards": self.shards, "wal": self.wal}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "IndexSpec":
-        """Inverse of :meth:`to_dict` (tolerates missing sections)."""
+        """Inverse of :meth:`to_dict` (tolerates missing keys, refuses
+        unknown ones: the older ``topology`` / ``execution`` / ``backend``
+        keys carried values this form spells differently)."""
+        unknown = sorted(set(data) - set(SPEC_KEYS))
+        if unknown:
+            raise ValueError(
+                f"spec keys {unknown} are not IndexSpec fields {SPEC_KEYS}: "
+                f"topology.shards is shards, execution.wal is wal and "
+                f"backend is params.backend (see docs/MIGRATION.md)")
         params = data.get("params")
-        return cls(
-            params=(HDIndexParams() if params is None
-                    else params_from_dict(params)),
-            topology=Topology.from_dict(data.get("topology") or {}),
-            execution=Execution.from_dict(data.get("execution") or {}),
-            backend=data.get("backend"))
+        return cls(params=(HDIndexParams() if params is None
+                           else params_from_dict(params)),
+                   shards=data.get("shards", 1), wal=data.get("wal"))
 
 
 def params_from_dict(data: dict[str, Any]) -> HDIndexParams:
@@ -268,7 +162,7 @@ def coerce_spec(
     spec dict, or ``None`` (all defaults) and return an
     :class:`IndexSpec`.
 
-    >>> coerce_spec(None).topology.shards
+    >>> coerce_spec(None).shards
     1
     >>> coerce_spec(HDIndexParams(num_trees=4)).params.num_trees
     4

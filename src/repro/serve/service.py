@@ -296,7 +296,6 @@ class QueryService:
             directory = self._resolve_snapshot_dir(index, snapshot_dir)
             self._pool = SnapshotWorkerPool(
                 directory, num_workers=execution.workers,
-                backend=execution.worker_backend,
                 timeout=execution.worker_timeout)
         # The index update epoch the pool's snapshot holds; workers
         # never see later updates (_answer_rows).
@@ -459,7 +458,7 @@ class QueryService:
         """Open a persisted index and wrap it in a service.
 
         The "build offline, serve online" split in one call: any family
-        member's snapshot (plain, parallel or sharded) is reopened and
+        member's snapshot (plain or sharded) is reopened and
         fronted by a micro-batching service.  The service owns the loaded
         index and closes its page stores on :meth:`stop`.
 
@@ -477,7 +476,7 @@ class QueryService:
                 kind string).  ``kind="process"`` shards each
                 micro-batch's rows across ``workers`` worker processes
                 (default: CPU count) that bootstrap from this same
-                snapshot directory and reopen it with ``worker_backend``,
+                snapshot directory and reopen it through ``mmap``,
                 each slice bounded by ``worker_timeout``
                 (:class:`~repro.core.procpool.WorkerTimeout`); any other
                 kind answers batches in-process (default).

@@ -8,11 +8,8 @@ can be switched off exactly as in the paper's methodology.
 
 from repro.storage.codecs import (
     ARRAY_PACK_MAGIC,
-    BytesCodec,
     Codec,
     Float64Codec,
-    StructCodec,
-    UInt64Codec,
     UIntCodec,
     pack_arrays,
     unpack_arrays,
@@ -23,15 +20,12 @@ from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 __all__ = [
     "ARRAY_PACK_MAGIC",
-    "BytesCodec",
     "Codec",
     "DEFAULT_PAGE_SIZE",
     "Float64Codec",
     "IOStats",
     "ModelledPool",
     "StorageError",
-    "StructCodec",
-    "UInt64Codec",
     "UIntCodec",
     "VectorHeapFile",
     "heap_file_from_array",

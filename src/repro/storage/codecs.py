@@ -81,51 +81,6 @@ class Float64Codec(Codec):
         return struct.unpack(">d", struct.pack(">Q", bits))[0]
 
 
-class UInt64Codec(Codec):
-    """Plain 8-byte unsigned integer (object pointers)."""
-
-    width = 8
-
-    def encode(self, value: int) -> bytes:
-        return struct.pack(">Q", int(value))
-
-    def decode(self, raw: bytes) -> int:
-        return struct.unpack(">Q", raw)[0]
-
-
-class BytesCodec(Codec):
-    """Opaque fixed-width byte payloads (RDB-tree leaf records)."""
-
-    def __init__(self, width: int) -> None:
-        if width <= 0:
-            raise ValueError(f"width must be positive, got {width}")
-        self.width = width
-
-    def encode(self, value: bytes) -> bytes:
-        if len(value) != self.width:
-            raise ValueError(
-                f"payload must be exactly {self.width} bytes, got {len(value)}"
-            )
-        return bytes(value)
-
-    def decode(self, raw: bytes) -> bytes:
-        return bytes(raw)
-
-
-class StructCodec(Codec):
-    """Tuple payloads described by a :mod:`struct` format string."""
-
-    def __init__(self, fmt: str) -> None:
-        self._struct = struct.Struct(fmt)
-        self.width = self._struct.size
-
-    def encode(self, value: tuple) -> bytes:
-        return self._struct.pack(*value)
-
-    def decode(self, raw: bytes) -> tuple:
-        return self._struct.unpack(raw)
-
-
 # -- named-array containers --------------------------------------------------
 
 #: Magic prefix of the packed-array container (versioned).

@@ -30,7 +30,6 @@ holds records rather than open it without them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import shutil
@@ -179,9 +178,9 @@ def enable_wal(index, root: str | os.PathLike[str] | None = None,
 
 
 def _wants_log(index, on_disk: bool = False) -> bool:
-    """``Execution.wal`` resolved: the explicit policy, else (auto)
-    whether a log is already on disk."""
-    wal = index.execution.wal
+    """The index's ``wal`` policy resolved: the explicit policy, else
+    (auto) whether a log is already on disk."""
+    wal = index.wal
     return on_disk if wal is None else wal
 
 
@@ -210,8 +209,7 @@ def attach_wal(index, root: str | os.PathLike[str],
     """
     root = os.fspath(root)
     if wal is not None:
-        index.execution = dataclasses.replace(index.execution,
-                                              wal=bool(wal))
+        index.wal = bool(wal)
     if index._wal is not None or not _wants_log(index, has_wal_layout(root)):
         return
     hook = _OPEN_HOOK
@@ -305,7 +303,7 @@ def fold_generation(source: str, dest: str,
     finally:
         folded.close()
     # ``folded`` was loaded with no log so the fold never touches it —
-    # but save_index derives the persisted execution from the *live*
+    # but save_index derives the persisted spec from the *live*
     # object.  Restore the source snapshot's recorded spec so the new
     # generation reopens exactly like the one it replaces (wal policy).
     meta_path = os.path.join(dest, "meta.json")

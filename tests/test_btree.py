@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.btree import PackedTree, bulk_load, internal_capacity, leaf_capacity
 from repro.devtools.nodewalk import NodeWalk
-from repro.storage import UInt64Codec, UIntCodec
+from repro.storage import UIntCodec
 from repro.storage.stats import IOStats
 
 CODEC = UIntCodec(8)
@@ -36,7 +36,7 @@ def walk_of(tree, leaf_cap, internal_cap=8):
 
 
 def decode_items(entries):
-    return [(CODEC.decode(k), UInt64Codec().decode(v)) for k, v in entries]
+    return [(CODEC.decode(k), CODEC.decode(v)) for k, v in entries]
 
 
 def load(pairs, page_size=4096):
@@ -100,7 +100,7 @@ class TestBulkLoad:
     def test_duplicates_survive_bulk_load(self):
         tree, stats = load([(7, 0), (7, 1), (7, 2), (9, 3)])
         seven = CODEC.encode(7)
-        assert sorted(UInt64Codec().decode(v) for _, v in
+        assert sorted(CODEC.decode(v) for _, v in
                       tree.range_entries(seven, seven, stats)) == [0, 1, 2]
 
     def test_empty_bulk_load(self):
@@ -142,7 +142,7 @@ class TestBulkLoad:
             CODEC, [1, 2, 3], ids.astype(">u8").view(np.uint8).reshape(3, 8),
             4096)
         assert by_id.entries(range(3)) == by_column.entries(range(3))
-        assert [UInt64Codec().decode(v) for _, v in
+        assert [CODEC.decode(v) for _, v in
                 by_id.entries(range(3))] == [5, 2**40, 0]
 
 
@@ -249,7 +249,7 @@ class TestLookups:
         tree, walk, _ = self.make_loaded()
         key = CODEC.encode(33)
         got = list(tree.range_entries(key, key))
-        assert [UInt64Codec().decode(v) for _, v in got] == [11]
+        assert [CODEC.decode(v) for _, v in got] == [11]
         assert self.range_keys(tree, walk, 33, 33) == [33]
 
     def test_get_all_missing(self):

@@ -16,9 +16,8 @@ from hypothesis import given, settings, strategies as st
 from repro.btree.packed import PackedTree, bulk_load, key_kind
 from repro.devtools.nodewalk import NodeWalk
 from repro.storage import (
-    BytesCodec,
+    Codec,
     Float64Codec,
-    UInt64Codec,
     UIntCodec,
     pack_arrays,
     unpack_arrays,
@@ -180,14 +179,13 @@ class TestActivation:
 
     def test_key_kinds(self):
         assert key_kind(UIntCodec(16)) == "uint"
-        assert key_kind(UInt64Codec()) == "uint"
         assert key_kind(Float64Codec()) == "float"
-        assert key_kind(BytesCodec(8)) is None
+        assert key_kind(Codec()) is None
 
     def test_opaque_keys_not_captured(self):
         keys = np.arange(10, dtype=">u4").view(np.uint8).reshape(10, 4)
         with pytest.raises(ValueError, match="cannot pack"):
-            PackedTree.from_sorted(BytesCodec(4), keys, keys, 4, 3)
+            PackedTree.from_sorted(Codec(), keys, keys, 4, 3)
 
 
 class TestParity:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import json
 
 import pytest
 
@@ -47,9 +48,8 @@ class TestBuildQuery:
 
     @pytest.mark.parametrize("execution, kind", [
         ([], "sequential"),
-        (["--execution", "thread"], "sequential"),
         (["--execution", "process", "--workers", "1"], "process"),
-    ], ids=["in-process", "legacy-thread", "process"])
+    ], ids=["in-process", "process"])
     def test_build_then_serve_reports_execution(self, tmp_path, execution,
                                                 kind):
         run(["build", "--dataset", "glove", "--n", "200",
@@ -80,6 +80,49 @@ class TestBuildQuery:
         assert code == 0
         assert "served 8 queries from 2 clients (execution=process)" \
             in out.getvalue()
+
+    @pytest.mark.parametrize("shards", ["1", "2"], ids=["plain", "sharded"])
+    def test_filtered_query_matches_the_oracle(self, tmp_path, capsys,
+                                               shards):
+        """``query --filter`` checks its answers against a brute-force
+        scan of the eligible rows, shard by shard for a sharded snapshot
+        (its ids mapped to global ids).  At most α rows are eligible per
+        shard, so the answers are exact and the recall is 1."""
+        idx = str(tmp_path / "idx")
+        assert run(["build", "--dataset", "glove", "--n", "300",
+                    "--out", idx, "--trees", "4", "--alpha", "64",
+                    "--gamma", "16", "--shards", shards,
+                    "--with-labels", "5"]) == 0
+        out = io.StringIO()
+        code = run(["query", "--index", idx, "--dataset", "glove",
+                    "--n", "300", "--queries", "5", "-k", "5", "--filter",
+                    '{"op": "eq", "column": "label", "value": 3}'], out)
+        assert code == 0, capsys.readouterr().err
+        assert "selectivity 20.0%, 60 eligible rows" in out.getvalue()
+        assert "filter-then-scan oracle: 1.000" in out.getvalue()
+
+    def test_build_backend_is_the_params_backend(self, tmp_path):
+        idx = tmp_path / "idx"
+        assert run(["build", "--dataset", "glove", "--n", "200",
+                    "--out", str(idx), "--trees", "4", "--alpha", "32",
+                    "--gamma", "8", "--backend", "memory"]) == 0
+        meta = json.loads((idx / "meta.json").read_text())
+        assert meta["params"]["backend"] == "memory"
+
+    @pytest.mark.parametrize("stale", [
+        {"topology": {"shards": 2}},
+        {"execution": {"wal": True}},
+        {"backend": "mmap"},
+    ], ids=["topology", "execution", "backend"])
+    def test_spec_file_with_older_keys_is_refused(self, tmp_path, capsys,
+                                                  stale):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"params": {"num_trees": 4}, **stale}))
+        code = run(["build", "--dataset", "glove", "--n", "200",
+                    "--out", str(tmp_path / "idx"), "--spec", str(spec)])
+        assert code == 2
+        assert "docs/MIGRATION.md" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
 
     def test_query_dimension_mismatch_fails_cleanly(self, tmp_path,
                                                     monkeypatch):
@@ -244,8 +287,10 @@ class TestParser:
          "--workers", "2"],
         ["query", "--index", "{d}", "--execution", "process"],
         ["query", "--index", "{d}", "--workers", "2"],
+        ["serve", "--index", "{d}", "--execution", "thread"],
     ], ids=["compare", "serve-listen", "build-from-hdf5", "build-execution",
-            "build-workers", "query-execution", "query-workers"])
+            "build-workers", "query-execution", "query-workers",
+            "serve-execution-thread"])
     def test_removed_spellings_are_usage_errors(self, argv, tmp_path):
         """See docs/MIGRATION.md for what replaces each."""
         argv = [arg.format(d=tmp_path) for arg in argv]

@@ -74,9 +74,10 @@ def served(index, workers=2):
 
 
 def snapshot_index(data, directory, **overrides):
-    """An mmap-backed index built and saved at ``directory``."""
-    return build(IndexSpec(params=params(**overrides), backend="mmap"),
-                 data, storage_dir=directory)
+    """An mmap-backed index (what a storage directory gives) built and
+    saved at ``directory``."""
+    return build(IndexSpec(params=params(**overrides)), data,
+                 storage_dir=directory)
 
 
 @pytest.fixture(scope="module")
@@ -473,7 +474,7 @@ class TestScalarOracleParity:
         index = build(
             IndexSpec(params=params(storage_dir=directory,
                                     use_ptolemaic=True, **overrides),
-                      execution=Execution(wal=logged)),
+                      wal=logged),
             data, storage_dir=directory,
             metadata=[{"label": i % 3} for i in range(len(data))])
         deleted = {int(v) for v in index.query(queries[0], 2)[0]}
@@ -543,7 +544,7 @@ class TestScalarOracleParity:
             labels[len(vectors) - 3:] = DELTA_LABELS
             assert np.all(labels[batch_ids] == 1)
         assert (batch_ids >= len(vectors) - 3).any()  # the delta ranks
-        assert (index._wal is not None) == index.spec.execution.wal
+        assert (index._wal is not None) == index.spec.wal
         np.testing.assert_array_equal(batch_ids, reference[name][0])
         np.testing.assert_array_equal(batch_dists, reference[name][1])
 

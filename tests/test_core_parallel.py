@@ -18,7 +18,7 @@ from repro.serve import QueryService, ServiceClosed
 def served(p, data, directory, workers=2, wal=False):
     """A started process-mode service over a snapshot of ``data`` built
     with ``p`` in ``directory`` (the workers bootstrap from it)."""
-    index = build(IndexSpec(params=p, execution=Execution(wal=wal)), data,
+    index = build(IndexSpec(params=p, wal=wal), data,
                   storage_dir=str(directory))
     service = QueryService(index, execution=Execution(kind="process",
                                                       workers=workers))

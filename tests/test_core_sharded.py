@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Execution,
     HDIndexParams,
     IndexSpec,
     ShardRouter,
-    Topology,
     build,
     create_index,
     open_index,
@@ -120,7 +118,7 @@ class TestShardRouter:
 
 def _sharded_snapshot(workload, directory):
     data, _ = workload
-    build(IndexSpec(params=params(), topology=Topology(shards=2)), data,
+    build(IndexSpec(params=params(), shards=2), data,
           storage_dir=directory).close()
     return directory
 
@@ -136,13 +134,10 @@ class TestShardedKeepsNoLog:
     release logged opens only when no logged update would be lost."""
 
     def test_every_route_to_a_log_is_refused(self, workload, tmp_path):
-        logged = Execution(wal=True)
         with pytest.raises(ValueError, match="no write-ahead log"):
-            ShardRouter(params(), 2, logged)
+            ShardRouter(params(), 2, wal=True)
         with pytest.raises(ValueError, match="no write-ahead log"):
-            create_index(IndexSpec(params=params(),
-                                   topology=Topology(shards=2),
-                                   execution=logged),
+            create_index(IndexSpec(params=params(), shards=2, wal=True),
                          storage_dir=tmp_path / "new")
         directory = _sharded_snapshot(workload, tmp_path / "snap")
         with pytest.raises(ValueError, match="no write-ahead log"):
@@ -180,7 +175,7 @@ class TestShardedKeepsNoLog:
         manifest["spec"]["execution"]["wal"] = True
         path.write_text(json.dumps(manifest, indent=2))
         with open_index(directory) as router:
-            assert router.spec.execution.wal is None
+            assert router.spec.wal is None
             assert all(shard.heap.path is not None
                        for shard in router.shards)
             _assert_same_answers(router.query_batch(queries, 5), want)

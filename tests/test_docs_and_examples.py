@@ -48,9 +48,10 @@ class TestArchitectureDoc:
             assert name in text, f"missing {name!r}"
 
     def test_covers_the_spec_axes(self, text):
-        for name in ("IndexSpec", "Topology", "Execution", "repro.build",
-                     "repro.open"):
+        for name in ("IndexSpec", "shards=", "wal=", "Execution",
+                     "repro.build", "repro.open"):
             assert name in text, f"missing {name!r}"
+        assert "Topology" not in text
 
     def test_covers_the_storage_backend_matrix(self, text):
         for name in ('"memory"', '"mmap"', "page matrix", "ModelledPool",
@@ -84,8 +85,9 @@ class TestReadme:
         # PR 5 redesigned the public API around IndexSpec; the README's
         # front door must lead with it.
         for token in ("IndexSpec", "repro.build", "repro.open",
-                      "Topology", "Execution"):
+                      "shards=", "Execution"):
             assert token in text, f"missing {token!r}"
+        assert "Topology" not in text
 
 
 class TestMigrationDoc:
@@ -104,6 +106,15 @@ class TestMigrationDoc:
                      "save_index"):
             assert name in removed, f"missing removal entry for {name!r}"
         assert "deprecat" not in text.lower()
+
+    def test_spec_field_removal_is_documented(self, text):
+        removed = text.split("## Removed: `Topology`", 1)[1]
+        for name in ("Topology(shards=N)", "IndexSpec(backend=B)",
+                     "HDIndex.execution", "refuse_process",
+                     "Execution.worker_backend", '"threaded"',
+                     "_KIND_ALIASES", '"topology"', "UInt64Codec",
+                     "BytesCodec", "StructCodec"):
+            assert name in removed, f"missing removal entry for {name!r}"
 
     def test_file_backend_removal_is_documented(self, text):
         for name in ('backend="file"', "FilePageStore", "MmapPageStore",

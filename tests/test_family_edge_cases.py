@@ -21,7 +21,6 @@ from repro.core import (
     HDIndexParams,
     IndexSpec,
     ShardRouter,
-    Topology,
     create_index,
 )
 
@@ -52,12 +51,11 @@ def _make_one_tree(tmp_path):
 
 def _make_disk(tmp_path):
     return create_index(IndexSpec(
-        params=_params(storage_dir=str(tmp_path)), backend="mmap"))
+        params=_params(storage_dir=str(tmp_path), backend="mmap")))
 
 
 def _make_sharded(tmp_path):
-    return create_index(IndexSpec(params=_params(),
-                                  topology=Topology(shards=2)))
+    return create_index(IndexSpec(params=_params(), shards=2))
 
 
 FAMILY = [
@@ -202,7 +200,7 @@ class TestSinglePointIndex:
 
 
 def test_sharded_rejects_fewer_points_than_shards():
-    index = ShardRouter(_params(), Topology(shards=2))
+    index = ShardRouter(_params(), 2)
     with pytest.raises(ValueError, match="shards"):
         index.build(_data(1))
 

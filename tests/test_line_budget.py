@@ -63,12 +63,18 @@ and its remote branch, the tree-scan task, the index's and the router's
 ``set_execution``, the self-persisting build, ``repro.open(execution=)``
 and the build/query execution flags, lint rule FS203); the service's
 row-sharded pool is the one multi-core path.
+14809 -> 14637: ``Topology``, the spec's ``backend`` and an index's
+``Execution`` went (``IndexSpec`` is ``(params, shards, wal)``; the
+service's ``Execution`` keeps ``kind``, ``workers`` and
+``worker_timeout``), with the kind aliases, the worker backend and the
+storage codecs nothing reached (``BytesCodec``, ``StructCodec``,
+``UInt64Codec``).
 """
 
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
-LINE_BUDGET = 14809
+LINE_BUDGET = 14637
 
 
 def test_source_lines_within_budget():

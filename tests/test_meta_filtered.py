@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import HDIndex, HDIndexParams, IndexSpec, open_index
 from repro.core.factory import build
-from repro.core.spec import Execution, Topology
+from repro.core.spec import Execution
 from repro.distance import euclidean_to_many, normalize_rows, top_k_smallest
 from repro.meta import And, Eq, In, MetadataStore, Not, Range
 
@@ -111,7 +111,8 @@ class TestFilteredParity:
         service over its snapshot with the predicate in ``submit``."""
         from repro.serve import QueryService
         data, queries, metadata = make_workload()
-        spec = IndexSpec(params=exhaustive_params(), backend=backend)
+        spec = IndexSpec(params=exhaustive_params(
+            backend=backend, storage_dir=str(tmp_path)))
         index = build(spec, data, storage_dir=str(tmp_path),
                       metadata=metadata)
         service = QueryService(index, execution=Execution(
@@ -331,8 +332,7 @@ class TestEmptyPredicate:
         ``submit``: every worker row is all padding, as the index's own
         batch answer is."""
         from repro.serve import QueryService
-        index, queries = self.build(tmp_path, backend="mmap",
-                                    topology=Topology(shards=shards))
+        index, queries = self.build(tmp_path, shards=shards)
         want_ids, want_dists = index.query_batch(queries, k=5,
                                                  predicate=Eq("label", 99))
         assert (want_ids == -1).all() and np.isinf(want_dists).all()
@@ -407,8 +407,7 @@ class TestEligibleMemo:
                              alpha=48, beta=32, gamma=16, seed=5)
 
     def spec(self, wal=False):
-        return IndexSpec(params=self.params(), backend="mmap",
-                         execution=Execution(wal=wal))
+        return IndexSpec(params=self.params(), wal=wal)
 
     @staticmethod
     def answers(index, queries, predicate):
@@ -727,7 +726,8 @@ class TestFilteredPersistence:
     @pytest.mark.parametrize("backend", ["mmap"])
     def test_metadata_survives_save_load(self, tmp_path, backend):
         data, queries, metadata = make_workload()
-        spec = IndexSpec(params=exhaustive_params(), backend=backend)
+        spec = IndexSpec(params=exhaustive_params(
+            backend=backend, storage_dir=str(tmp_path)))
         index = build(spec, data, storage_dir=str(tmp_path),
                       metadata=metadata)
         predicate = Range("score", low=0.4)
@@ -741,7 +741,7 @@ class TestFilteredPersistence:
 
     def test_metadata_free_snapshot_has_no_sidecar(self, tmp_path):
         data, _, _ = make_workload()
-        spec = IndexSpec(params=exhaustive_params(), backend="mmap")
+        spec = IndexSpec(params=exhaustive_params())
         index = build(spec, data, storage_dir=str(tmp_path))
         index.close()
         assert not (tmp_path / "metadata.packed").exists()
@@ -755,9 +755,8 @@ class TestFilteredWal:
     sharded deployment keeps no log, so it runs un-logged only."""
 
     def wal_spec(self, wal, n=N, shards=1):
-        return IndexSpec(params=exhaustive_params(n=n), backend="mmap",
-                         topology=Topology(shards=shards),
-                         execution=Execution(kind="sequential", wal=wal))
+        return IndexSpec(params=exhaustive_params(n=n), shards=shards,
+                         wal=wal)
 
     @pytest.mark.parametrize("wal", [True, False])
     def test_wal_inserts_filterable_and_recovered(self, tmp_path, wal):
@@ -919,8 +918,7 @@ class TestAngularMetric:
     def test_angular_survives_persistence(self, tmp_path):
         data, queries, _ = make_workload()
         ndata = normalize_rows(data)
-        spec = IndexSpec(params=exhaustive_params(metric="angular"),
-                         backend="mmap")
+        spec = IndexSpec(params=exhaustive_params(metric="angular"))
         index = build(spec, ndata, storage_dir=str(tmp_path))
         want = index.query(queries[0], k=5)
         index.close()
@@ -939,10 +937,8 @@ class TestAngularMetric:
 
 class TestShardedFiltered:
     def test_sharded_filtered_parity(self):
-        from repro.core.spec import Topology
         data, queries, metadata = make_workload()
-        spec = IndexSpec(params=exhaustive_params(),
-                         topology=Topology(shards=3))
+        spec = IndexSpec(params=exhaustive_params(), shards=3)
         router = build(spec, data, metadata=metadata)
         plain = HDIndex(exhaustive_params())
         plain.build(data, metadata=metadata)

@@ -57,10 +57,10 @@ def _queries(seed: int, count: int = 3) -> np.ndarray:
     return np.clip(rng.normal(0.0, 2.0, size=(count, DIM)), -4.0, 4.0)
 
 
-def _process(index, **fields):
+def _process(index):
     """A process-mode service over ``index``'s own snapshot, unstarted."""
     return QueryService(index, max_batch=8, execution=Execution(
-        kind="process", workers=2, **fields))
+        kind="process", workers=2))
 
 
 @pytest.fixture(scope="module")
@@ -210,20 +210,6 @@ class TestBackendParityRandomized:
                                    f"load[{backend}] batch")
             finally:
                 reopened.close()
-
-    @pytest.mark.parametrize("worker_backend", ["memory", "mmap"])
-    def test_process_worker_backend_parity(self, tiers, worker_backend):
-        """The workers' own reopen backend must not show in the answers."""
-        queries = _queries(77, count=3)
-        oracle = tiers["sequential"].query_batch(queries, 5)
-        service = _process(tiers["sequential"],
-                           worker_backend=worker_backend)
-        futures = [service.submit(q, 5) for q in queries]
-        with service:
-            rows = [future.result(timeout=WAIT) for future in futures]
-        _assert_rows_equal((np.stack([r[0] for r in rows]),
-                            np.stack([r[1] for r in rows])), oracle,
-                           f"worker_backend={worker_backend}")
 
 
 class TestShardedSelfParity:

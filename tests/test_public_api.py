@@ -44,7 +44,6 @@ EXPECTED_ALL = [
     "ServiceConfig",
     "ServiceStats",
     "ShardRouter",
-    "Topology",
     "WorkerCrashed",
     "WorkerTimeout",
     "approximation_ratio",

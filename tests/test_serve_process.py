@@ -39,7 +39,6 @@ from repro.core import (
     ShardRouter,
     SnapshotWorkerPool,
     WorkerCrashed,
-    Topology,
     WorkerTimeout,
     build,
     open_index,
@@ -130,8 +129,7 @@ class TestProcessModeParity:
         inside service workers — every shard opens in-process there."""
         import json
         data, queries = workload
-        spec = IndexSpec(params=_params(), topology=Topology(shards=2),
-                         backend="mmap")
+        spec = IndexSpec(params=_params(), shards=2)
         index = build(spec, data, storage_dir=tmp_path)
         expected = [index.query(q, K) for q in queries[:4]]
         index.close()
@@ -245,8 +243,7 @@ class TestPoolServesWhatTheIndexHolds:
         (nor repaired) by a worker, and the writer itself, whose delta
         no generation holds, is refused."""
         data, _ = workload
-        writer = build(IndexSpec(params=_params(),
-                                 execution=Execution(wal=True)),
+        writer = build(IndexSpec(params=_params(), wal=True),
                        data, storage_dir=tmp_path)
         probe = np.full(16, 50.0)
         new_id = writer.insert(probe)
@@ -273,8 +270,7 @@ class TestPoolServesWhatTheIndexHolds:
         workers would open does not hold those records, so the swap is
         refused and the service keeps serving what it served."""
         data, _ = workload
-        writer = build(IndexSpec(params=_params(),
-                                 execution=Execution(wal=True)),
+        writer = build(IndexSpec(params=_params(), wal=True),
                        data, storage_dir=tmp_path)
         probe = np.full(16, 50.0)
         try:
@@ -412,8 +408,8 @@ class TestPoolValidation:
     def test_rejects_bad_arguments(self, tmp_path):
         with pytest.raises(ValueError):
             SnapshotWorkerPool(tmp_path, num_workers=0)
-        with pytest.raises(ValueError):
-            SnapshotWorkerPool(tmp_path, backend="tape")
+        with pytest.raises(TypeError):  # workers always reopen via mmap
+            SnapshotWorkerPool(tmp_path, backend="mmap")
         with pytest.raises(ValueError):
             SnapshotWorkerPool(tmp_path, timeout=0)
 

@@ -4,11 +4,13 @@ combinations the old class matrix could not express.
 The headline contract: a sharded spec builds, persists, reopens via
 ``repro.open()``, and — in-process or served by the process pool of a
 ``QueryService`` — returns results byte-identical to the sequential spec
-on the same workload.  An index itself refuses ``kind="process"``.
+on the same workload.  A spec is ``(params, shards, wal)``; the older
+``topology`` / ``execution`` / ``backend`` keys are refused.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -20,9 +22,8 @@ from repro import (
     HDIndexParams,
     IndexSpec,
     QueryService,
-    Topology,
 )
-from repro.core import ShardRouter, create_index
+from repro.core import ShardRouter
 from repro.eval import evaluate_spec
 
 DIM = 16
@@ -51,81 +52,85 @@ def params(**overrides):
 class TestSpecValidation:
     def test_defaults(self):
         spec = IndexSpec()
-        assert spec.topology.shards == 1
-        assert spec.execution.kind == "sequential"
-        assert spec.backend is None
+        assert (spec.shards, spec.wal) == (1, None)
+        assert spec.params == HDIndexParams()
 
-    def test_execution_kind_aliases_and_rejection(self):
-        assert Execution(kind="threaded").kind == "sequential"
-        assert Execution(kind="thread").kind == "sequential"
-        with pytest.raises(ValueError, match="execution kind"):
-            Execution(kind="fiber")
+    def test_fields_are_params_shards_wal(self):
+        assert [f.name for f in dataclasses.fields(IndexSpec)] \
+            == ["params", "shards", "wal"]
+        assert [f.name for f in dataclasses.fields(Execution)] \
+            == ["kind", "workers", "worker_timeout"]
+
+    def test_execution_rejection(self):
+        for kind in ("fiber", "thread", "threaded", "serial"):
+            with pytest.raises(ValueError, match="execution kind"):
+                Execution(kind=kind)
         with pytest.raises(ValueError, match="workers"):
             Execution(kind="process", workers=0)
-        with pytest.raises(ValueError, match="worker backend"):
-            Execution(worker_backend="tape")
         with pytest.raises(ValueError, match="worker_timeout"):
             Execution(worker_timeout=0)
+        with pytest.raises(TypeError, match="worker_backend"):
+            Execution(worker_backend="mmap")
 
-    def test_topology_rejection(self):
+    def test_spec_rejection(self):
         with pytest.raises(ValueError, match="shards"):
-            Topology(shards=0)
-
-    def test_spec_backend_rejection(self):
-        with pytest.raises(ValueError, match="storage backend"):
-            IndexSpec(backend="tape")
+            IndexSpec(shards=0)
+        with pytest.raises(ValueError, match="wal"):
+            IndexSpec(wal="yes")
+        for field in ("topology", "execution", "backend"):
+            with pytest.raises(TypeError, match=field):
+                IndexSpec(**{field: None})
 
     def test_dict_round_trip_survives_json(self):
-        spec = IndexSpec(params=params(), topology=Topology(shards=3),
-                         execution=Execution(kind="process", workers=2,
-                                             worker_timeout=1.5),
-                         backend="mmap")
+        spec = IndexSpec(params=params(), shards=3, wal=False)
+        assert spec.to_dict()["shards"] == 3
         rebuilt = IndexSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
 
-    def test_recorded_replica_count_is_ignored_and_written_as_one(self):
-        # Older specs may record any count; Topology has no such field.
-        topology = Topology.from_dict({"shards": 2, "replicas": 3})
-        assert topology == Topology(shards=2)
-        assert topology.to_dict()["replicas"] == 1
+    @pytest.mark.parametrize("stale", [
+        {"topology": {"shards": 2}},
+        {"execution": {"wal": True}},
+        {"execution": {"kind": "thread"}},
+        {"backend": "mmap"},
+    ], ids=["topology", "execution-wal", "execution-kind", "backend"])
+    def test_older_spec_keys_are_refused(self, workload, tmp_path, stale):
+        """A dict in the older form names the migration instead of
+        building with a default shard count or dropping a log policy."""
+        data, _ = workload
+        spec = {"params": dataclasses.asdict(params()), **stale}
+        with pytest.raises(ValueError, match="MIGRATION"):
+            IndexSpec.from_dict(spec)
+        with pytest.raises(ValueError, match="MIGRATION"):
+            repro.build(spec, data, storage_dir=tmp_path)
+        assert not any(tmp_path.iterdir())
 
-    def test_coercion_from_params_dict_and_ints(self):
+    def test_coercion_from_params_and_dict(self):
         from repro.core import coerce_spec
         assert coerce_spec(params()).params == params()
-        spec = coerce_spec({"topology": {"shards": 2},
-                            "execution": {"kind": "thread"}})
-        assert spec.topology.shards == 2
-        assert spec.execution.kind == "sequential"
+        spec = coerce_spec({"shards": 2, "wal": False})
+        assert (spec.shards, spec.wal) == (2, False)
         with pytest.raises(TypeError):
             coerce_spec(42)
 
-    def test_execution_rejects_zero_workers(self):
-        with pytest.raises(ValueError, match="workers"):
-            Execution(workers=0)
+    def test_backend_is_a_params_field(self, workload, tmp_path):
+        data, queries = workload
+        spec = IndexSpec(params=params(backend="mmap",
+                                       storage_dir=str(tmp_path)))
+        index = repro.build(spec, data, storage_dir=tmp_path)
+        try:
+            assert index.params.resolved_backend == "mmap"
+            assert index.heap.path is not None
+        finally:
+            index.close()
 
 
-class TestProcessKindRefused:
-    """An index answers in-process: every place one is made refuses
-    ``kind="process"`` and names the service that takes it."""
-
-    @pytest.mark.parametrize("shards", [1, 2])
-    def test_create_index_and_build_refuse(self, workload, tmp_path,
-                                           shards):
-        data, _ = workload
-        spec = IndexSpec(params=params(), topology=Topology(shards=shards),
-                         execution=Execution(kind="process", workers=2))
-        match = r"QueryService\(\.\.\., execution=\"process\"\)"
-        with pytest.raises(ValueError, match=match):
-            create_index(spec, storage_dir=tmp_path)
-        with pytest.raises(ValueError, match=match):
-            repro.build(spec, data, storage_dir=tmp_path)
-        with pytest.raises(ValueError, match=match):
-            repro.build(spec.to_dict(), data)
-        assert not any(tmp_path.iterdir())
-
-    def test_router_refuses(self):
-        with pytest.raises(ValueError, match="QueryService"):
-            ShardRouter(params(), 2, Execution(kind="process"))
+class TestProcessServing:
+    def test_router_takes_shards_and_wal_only(self):
+        for keyword in ("topology", "execution"):
+            with pytest.raises(TypeError, match=keyword):
+                ShardRouter(params(), **{keyword: None})
+        assert ShardRouter(params(), 3, wal=False).spec \
+            == IndexSpec(params=params(), shards=3, wal=False)
 
     def test_open_takes_no_execution(self, workload, tmp_path):
         """``repro.open(..., execution=)`` is gone: a snapshot is served
@@ -143,9 +148,7 @@ class TestProcessKindRefused:
         the live index: an index with no storage directory is refused
         with the fix named, for a router as for a plain index."""
         data, _ = workload
-        index = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=shards)),
-            data)
+        index = repro.build(IndexSpec(params=params(), shards=shards), data)
         try:
             with pytest.raises(ValueError, match="snapshot_dir"):
                 QueryService(index, execution=Execution(kind="process",
@@ -177,13 +180,10 @@ class TestFactoryCombos:
         by the process pool — answers identically to the in-memory
         sequential spec over the same data and seeds."""
         data, queries = workload
-        oracle = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=shards)),
-            data)
+        oracle = repro.build(IndexSpec(params=params(), shards=shards), data)
         expected = oracle.query_batch(queries, K)
-        combo = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=shards)),
-            data, storage_dir=tmp_path)
+        combo = repro.build(IndexSpec(params=params(), shards=shards), data,
+                            storage_dir=tmp_path)
         with QueryService(combo, execution=execution) as service:
             futures = [service.submit(q, K) for q in queries]
             rows = [future.result(timeout=60.0) for future in futures]
@@ -197,22 +197,19 @@ class TestFactoryCombos:
     def test_sharded_process_combo_byte_identical_and_reopens(
             self, workload, tmp_path):
         """A sharded snapshot builds, persists, reopens via repro.open()
-        in-process (its manifest records sequential execution), and a
-        process-mode service over it matches the sequential spec
-        byte-for-byte."""
+        in-process, and a process-mode service over it matches the
+        sequential spec byte-for-byte."""
         data, queries = workload
-        oracle = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=2)), data)
+        oracle = repro.build(IndexSpec(params=params(), shards=2), data)
         expected_batch = oracle.query_batch(queries, K)
         oracle.close()
 
-        spec = IndexSpec(params=params(), topology=Topology(shards=2),
-                         backend="mmap")
+        spec = IndexSpec(params=params(), shards=2)
         repro.build(spec, data, storage_dir=tmp_path).close()
         reopened = repro.open(tmp_path)
         try:
-            assert reopened.spec.execution.kind == "sequential"
-            assert reopened.spec.topology.shards == 2
+            assert reopened.spec == IndexSpec(params=reopened.params,
+                                              shards=2)
             got = reopened.query_batch(queries, K)
             np.testing.assert_array_equal(got[0], expected_batch[0])
             np.testing.assert_array_equal(got[1], expected_batch[1])
@@ -234,7 +231,7 @@ class TestFactoryCombos:
         reopening crash on the grown id maps."""
         data, queries = workload
         index = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=2)),
+            IndexSpec(params=params(), shards=2),
             data, storage_dir=tmp_path)
         probe = np.full(DIM, 51.0)
         new_id = index.insert(probe)
@@ -256,7 +253,7 @@ class TestFactoryCombos:
         data, queries = workload
         from repro.core import save_index
         index = repro.build(
-            IndexSpec(params=params(), topology=Topology(shards=2)),
+            IndexSpec(params=params(), shards=2),
             data, storage_dir=tmp_path)
         victim = int(index.query(queries[0], 1)[0][0])
         index.delete(victim)
@@ -274,9 +271,9 @@ class TestSpecThroughHarnessAndService:
     def test_evaluate_spec_records_spec(self, workload):
         data, queries = workload
         result = evaluate_spec(
-            IndexSpec(params=params(), topology=Topology(shards=2)),
+            IndexSpec(params=params(), shards=2),
             data, queries, K)
-        assert result.extra["spec"]["topology"]["shards"] == 2
+        assert result.extra["spec"]["shards"] == 2
         assert 0.0 <= result.map_at_k <= 1.0
 
     def test_service_accepts_snapshot_path(self, workload, tmp_path):
@@ -357,7 +354,7 @@ class TestSpecThroughHarnessAndService:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             index = repro.build(
-                IndexSpec(params=params(), topology=Topology(shards=2)),
+                IndexSpec(params=params(), shards=2),
                 data, storage_dir=tmp_path)
             index.query(queries[0], K)
             index.close()

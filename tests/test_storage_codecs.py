@@ -6,10 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.storage import (
     ARRAY_PACK_MAGIC,
-    BytesCodec,
     Float64Codec,
-    StructCodec,
-    UInt64Codec,
     UIntCodec,
     pack_arrays,
     unpack_arrays,
@@ -71,46 +68,6 @@ class TestFloat64Codec:
         codec = Float64Codec()
         decoded = codec.decode(codec.encode(value))
         assert decoded == value or (value == 0.0 and decoded == 0.0)
-
-
-class TestUInt64Codec:
-    def test_round_trip(self):
-        codec = UInt64Codec()
-        for value in (0, 7, 2**63, 2**64 - 1):
-            assert codec.decode(codec.encode(value)) == value
-
-    def test_width_is_eight(self):
-        assert UInt64Codec().width == 8
-
-
-class TestBytesCodec:
-    def test_round_trip(self):
-        codec = BytesCodec(4)
-        assert codec.decode(codec.encode(b"abcd")) == b"abcd"
-
-    def test_wrong_width_rejected(self):
-        codec = BytesCodec(4)
-        with pytest.raises(ValueError):
-            codec.encode(b"abc")
-        with pytest.raises(ValueError):
-            codec.encode(b"abcde")
-
-    def test_invalid_width(self):
-        with pytest.raises(ValueError):
-            BytesCodec(0)
-
-
-class TestStructCodec:
-    def test_round_trip_mixed_tuple(self):
-        codec = StructCodec(">Qd3f")
-        value = (42, 2.5, 1.0, 2.0, 3.0)
-        decoded = codec.decode(codec.encode(value))
-        assert decoded[0] == 42
-        assert decoded[1] == pytest.approx(2.5)
-        assert decoded[2:] == pytest.approx((1.0, 2.0, 3.0))
-
-    def test_width_matches_struct(self):
-        assert StructCodec(">Q10f").width == 8 + 40
 
 
 class TestPackArrays:

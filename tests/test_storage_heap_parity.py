@@ -194,9 +194,7 @@ class TestFileBackendRemoved:
         for make in (
                 lambda: HDIndexParams(backend="file",
                                       storage_dir=str(tmp_path)),
-                lambda: repro.IndexSpec(backend="file"),
-                lambda: repro.Execution(kind="process",
-                                        worker_backend="file")):
+                lambda: repro.IndexSpec.from_dict({"backend": "file"})):
             with pytest.raises(ValueError, match="docs/MIGRATION.md"):
                 make()
 
@@ -217,11 +215,12 @@ class TestFileBackendRemoved:
             assert index.params.cache_pages == 0
             assert index.heap.path is not None
 
-    def test_snapshot_that_recorded_file_worker_backend_is_refused(
-            self, snapshot, tmp_path):
-        """A recorded ``"file"`` worker backend is refused, typed; a
-        ``"file"`` params backend is harmless, because a reopen always
-        sets the backend it serves with."""
+    def test_snapshot_that_recorded_file_backend_opens(self, snapshot,
+                                                       tmp_path):
+        """A recorded ``"file"`` params backend is harmless, because a
+        reopen always sets the backend it serves with (a recorded worker
+        backend is ignored: ``tests/test_spec_roundtrip.py``); asking to
+        open with ``"file"`` is refused, typed."""
         _, data, queries, directory = snapshot
         for name in ("meta.json", "references.npz", "descriptors.pages",
                      *(f"tree_{i}.packed" for i in range(4))):
@@ -236,10 +235,6 @@ class TestFileBackendRemoved:
                                  drive(reference, queries)):
                 np.testing.assert_array_equal(got[0], want[0])
                 np.testing.assert_array_equal(got[1], want[1])
-        meta["spec"]["execution"]["worker_backend"] = "file"
-        (tmp_path / "meta.json").write_text(json.dumps(meta))
-        with pytest.raises(PersistenceError, match="MIGRATION"):
-            load_index(tmp_path)
         with pytest.raises(PersistenceError, match="MIGRATION"):
             load_index(directory, backend="file")
 

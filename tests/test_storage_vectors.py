@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -409,8 +408,7 @@ class TestWidening:
         """Logged: a new generation, its heap rewritten through
         ``replace_file``; un-logged: in place, on the mapped file."""
         base, extra, _ = rows
-        with build(IndexSpec(params=self.params(),
-                             execution=Execution(wal=logged)),
+        with build(IndexSpec(params=self.params(), wal=logged),
                    base, storage_dir=str(tmp_path)) as index:
             assert index.heap.stored_dtype == np.uint8
             for row in extra:

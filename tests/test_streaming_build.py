@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import HDIndex, HDIndexParams, IndexSpec, open_index
 from repro.core.factory import build
-from repro.core.spec import Topology
 from repro.distance import euclidean_to_many, normalize_rows, top_k_smallest
 from test_backend_parity import _is_mapped
 
@@ -85,7 +84,7 @@ class TestStreamingBuild:
         assert index.count == N
 
     def test_persist_and_reopen(self, corpus, tmp_path):
-        spec = IndexSpec(params=stream_params(), backend="mmap")
+        spec = IndexSpec(params=stream_params())
         index = build(spec, chunks_of(corpus), storage_dir=str(tmp_path))
         query = corpus[42]
         want = index.query(query, k=6)
@@ -102,8 +101,9 @@ class TestStreamingBuild:
         tree's columns go to ``tree_<i>.packed`` as soon as the tree is
         built and are served from that file's mapping, so what stays
         resident is O(n·m) reference distances, not τ trees."""
-        index = build(IndexSpec(params=stream_params(), backend=backend),
-                      chunks_of(corpus), storage_dir=str(tmp_path))
+        spec = IndexSpec(params=stream_params(backend=backend,
+                                              storage_dir=str(tmp_path)))
+        index = build(spec, chunks_of(corpus), storage_dir=str(tmp_path))
         try:
             for position, tree in enumerate(index.trees):
                 assert (tmp_path / f"tree_{position}.packed").exists()
@@ -153,8 +153,7 @@ class TestStreamingRestrictions:
                   metadata=[{"a": 1}] * N)
 
     def test_sharded_rejected(self, corpus):
-        spec = IndexSpec(params=stream_params(),
-                         topology=Topology(shards=2))
+        spec = IndexSpec(params=stream_params(), shards=2)
         with pytest.raises(ValueError, match="sharded"):
             build(spec, chunks_of(corpus))
 

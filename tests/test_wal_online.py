@@ -12,7 +12,7 @@ compactions (each a generation hot swap when logged), must
   this subsystem replaces).
 
 It runs twice: with the write-ahead log attached, and without one
-(``Execution(wal=False)``) — same write path, same answers; only the
+(``IndexSpec(wal=False)``) — same write path, same answers; only the
 compactions differ (in place, readers held off, no new generation).
 """
 
@@ -25,7 +25,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -57,8 +56,7 @@ def test_sustained_online_updates_acceptance(tmp_path, monkeypatch, logged):
     probe = base[rng.choice(BASE_N, 8, replace=False)]
 
     index = build(
-        IndexSpec(params=_params(str(tmp_path / "snap")),
-                  execution=Execution(wal=logged)),
+        IndexSpec(params=_params(str(tmp_path / "snap")), wal=logged),
         base, storage_dir=str(tmp_path / "snap"))
     index._wal_fsync = "batch"
     assert (open_log(index) is not None) == logged

@@ -26,7 +26,6 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     IndexSpec,
-    Topology,
     build,
 )
 from repro.serve import QueryService
@@ -62,10 +61,9 @@ MODES = ["logged", "memory", "file", "router"]
 
 def _build(mode, vectors, tmp, num_trees=2):
     """The index under test: ``mode`` picks durability and deployment."""
-    execution = Execution(wal=(mode == "logged"))
     index = build(
-        IndexSpec(params=_params(num_trees), execution=execution,
-                  topology=Topology(shards=2 if mode == "router" else 1)),
+        IndexSpec(params=_params(num_trees), wal=mode == "logged",
+                  shards=2 if mode == "router" else 1),
         vectors, storage_dir=tmp if mode in ("logged", "file") else None)
     if mode != "router":  # a router keeps no log
         index._wal_fsync = "batch"

@@ -32,7 +32,6 @@ import pytest
 
 import repro.core.procpool as procpool
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -79,7 +78,7 @@ def _extra(seed, count):
 
 
 def _build_wal_index(directory, data=None):
-    spec = IndexSpec(params=_params(), execution=Execution(wal=True))
+    spec = IndexSpec(params=_params(), wal=True)
     return build(spec, _base_data() if data is None else data,
                  storage_dir=str(directory))
 
@@ -345,9 +344,8 @@ class TestGenerationLifecycle:
         changes, the pending (volatile) updates stay pending, and
         compact() still folds them into shard bases that reopen with
         every update."""
-        from repro.core import Topology
         root = tmp_path / "snap"
-        spec = IndexSpec(params=_params(), topology=Topology(shards=2))
+        spec = IndexSpec(params=_params(), shards=2)
         index = build(spec, _base_data(), storage_dir=str(root))
         for round_number in range(compactions):
             index.insert(_extra(29 + round_number, 1)[0])
@@ -403,7 +401,7 @@ class TestNoResyncOnWritePath:
     @pytest.mark.parametrize("wal", [None, True, False])
     def test_insert_keeps_the_snapshot(self, tmp_path, monkeypatch, wal):
         directory = tmp_path / "snap"
-        spec = IndexSpec(params=_params(), execution=Execution(wal=wal))
+        spec = IndexSpec(params=_params(), wal=wal)
         index = build(spec, _base_data(), storage_dir=str(directory))
         try:
             index.query(_base_data()[0], 3)
@@ -426,10 +424,8 @@ class TestNoResyncOnWritePath:
 
     @pytest.mark.parametrize("wal", [False])
     def test_router_insert_keeps_manifest_clean(self, tmp_path, wal):
-        from repro.core import Topology
         directory = tmp_path / "snap"
-        spec = IndexSpec(params=_params(), topology=Topology(shards=2),
-                         execution=Execution(wal=wal))
+        spec = IndexSpec(params=_params(), shards=2, wal=wal)
         router = build(spec, _base_data(), storage_dir=str(directory))
         try:
             manifest_before = (directory / "manifest.json").read_bytes()

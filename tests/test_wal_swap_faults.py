@@ -35,7 +35,6 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     IndexSpec,
-    Topology,
     WorkerCrashed,
     build,
     open_index,
@@ -87,8 +86,7 @@ class TestCompactionFailure:
                                                     clear_fault_hooks):
         directory = tmp_path / "snap"
         data = _data()
-        index = build(IndexSpec(params=_params(),
-                                execution=Execution(wal=True)),
+        index = build(IndexSpec(params=_params(), wal=True),
                       data, storage_dir=str(directory))
         try:
             extra = _data(62, 6)
@@ -128,8 +126,7 @@ class TestCompactionFailure:
     def test_failed_second_compaction_keeps_previous(self, tmp_path,
                                                      clear_fault_hooks):
         directory = tmp_path / "snap"
-        index = build(IndexSpec(params=_params(),
-                                execution=Execution(wal=True)),
+        index = build(IndexSpec(params=_params(), wal=True),
                       _data(), storage_dir=str(directory))
         try:
             index.insert(_data(63, 1)[0])
@@ -159,8 +156,7 @@ class TestWorkerDeathAroundSwap:
         directory = tmp_path / "snap"
         data = _data()
         flag = tmp_path / "kill-flag"
-        writer = build(IndexSpec(params=_params(),
-                                 execution=Execution(wal=True)),
+        writer = build(IndexSpec(params=_params(), wal=True),
                        data, storage_dir=str(directory))
         procpool._FAULT_HOOK = _make_flag_killer(str(flag))
         service = QueryService(
@@ -224,8 +220,7 @@ class TestOpenAcrossCompaction:
                                                      shards):
         directory = tmp_path / "snap"
         data = _data()
-        spec = IndexSpec(params=_params(), topology=Topology(shards=shards),
-                         execution=Execution(wal=True))
+        spec = IndexSpec(params=_params(), shards=shards, wal=True)
         writer = build(spec, data, storage_dir=str(directory))
         reader = None
         try:
@@ -253,8 +248,7 @@ class TestOpenAcrossCompaction:
     def test_open_gives_up_on_a_root_republished_every_time(
             self, tmp_path, clear_fault_hooks):
         directory = tmp_path / "snap"
-        writer = build(IndexSpec(params=_params(),
-                                 execution=Execution(wal=True)),
+        writer = build(IndexSpec(params=_params(), wal=True),
                        _data(), storage_dir=str(directory))
         try:
             hook, state = _compacting_hook(writer, times=OPEN_TRIES)
@@ -278,8 +272,7 @@ class TestWorkerBootstrap:
     @pytest.fixture
     def logged_root(self, tmp_path):
         directory = tmp_path / "snap"
-        writer = build(IndexSpec(params=_params(),
-                                 execution=Execution(wal=True)),
+        writer = build(IndexSpec(params=_params(), wal=True),
                        _data(), storage_dir=str(directory))
         for vector in _data(69, 4):
             writer.insert(vector)
@@ -290,10 +283,10 @@ class TestWorkerBootstrap:
         worker = procpool._WORKER["index"]
         if worker is not None:
             worker.close()
-        procpool._worker_init(None, None, None)
+        procpool._worker_init(None, None)
 
     def test_serve_worker_opens_no_log(self, logged_root):
-        procpool._worker_init(str(logged_root), "mmap", None)
+        procpool._worker_init(str(logged_root), None)
         extra = _data(69, 4)
         ids, _ = procpool._query_batch_task(extra[:1], 1, {})
         worker = procpool._WORKER["index"]
@@ -313,8 +306,7 @@ class TestServiceSwap:
     def _serving_snapshot(self, tmp_path):
         directory = tmp_path / "snap"
         data = _data()
-        index = build(IndexSpec(params=_params(),
-                                execution=Execution(wal=True)),
+        index = build(IndexSpec(params=_params(), wal=True),
                       data, storage_dir=str(directory))
         return directory, data, index
 
