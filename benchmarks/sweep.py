@@ -511,42 +511,39 @@ def buffering_check(rows) -> None:
 
 
 def spec_grid(dataset):
-    """Shards x backend, each point the spec for a scratch directory,
-    where an mmap point's files live (an index answers in-process; a
-    service's process pool is ``tests/test_spec_api.py``'s grid)."""
+    """One point per storage backend, each the spec for a scratch
+    directory, where an mmap point's files live (an index answers
+    in-process; a service's process pool is ``tests/test_spec_api.py``'s
+    grid)."""
     params = hd_params(dataset.spec, len(dataset.data))
 
-    def point(shards, backend):
-        return lambda directory: IndexSpec(
-            params=dataclasses.replace(
-                params, backend=backend,
-                storage_dir=None if backend == "memory" else directory),
-            shards=shards)
-    return {f"{topology} {backend}": point(shards, backend)
-            for shards, topology in ((1, "plain"), (2, "sharded"))
+    def point(backend):
+        return lambda directory: IndexSpec(params=dataclasses.replace(
+            params, backend=backend,
+            storage_dir=None if backend == "memory" else directory))
+    return {f"plain {backend}": point(backend)
             for backend in ("memory", "mmap")}
 
 
 def spec_parity(figure) -> list:
-    """Every grid point's batch answers against its topology's memory
-    point, the oracle, plus that oracle's loop."""
+    """Every grid point's batch answers against the memory point's, the
+    oracle, plus that oracle's loop."""
     (workload,) = figure.workloads
     dataset = load(workload)
     truth = GroundTruth(dataset.data, dataset.queries, max_k=workload.k)
-    rows, oracles = [], {}
+    rows, oracle = [], None
     with tempfile.TemporaryDirectory() as directory:
         for label, point in figure.points(dataset).items():
-            topology = label.split()[0]
-            oracle = topology not in oracles
-            for batch in (workload.queries, None) if oracle \
+            for batch in (workload.queries, None) if oracle is None \
                     else (workload.queries,):
                 row = evaluate_spec(
                     point(f"{directory}/{len(rows)}"), dataset.data,
                     dataset.queries, workload.k, ground_truth=truth,
                     dataset_name=workload.dataset, batch_size=batch)
                 row.method = f"{label} {'batch' if batch else 'loop'}"
-                answers = oracles.setdefault(topology, row.extra["answers"])
-                row.extra["parity"] = ("ok" if row.extra["answers"] == answers
+                if oracle is None:
+                    oracle = row.extra["answers"]
+                row.extra["parity"] = ("ok" if row.extra["answers"] == oracle
                                        else "DIFFERS")
                 rows.append(row)
     return rows
@@ -813,8 +810,8 @@ FIGURES: dict[str, Figure] = {
         hd_sweep("pool", "cache_pages", (0, 64, 256, 1024)),
         buffering_check, ("method", "page_reads", "answers")),
     "spec_combos": Figure(
-        "IndexSpec grid: every point's answers byte-identical to its "
-        "topology's memory oracle.",
+        "IndexSpec grid: every backend's answers byte-identical to the "
+        "memory oracle.",
         (Workload("sift10k", 4000, 256, 10),), spec_grid, spec_check,
         ("method", "MAP@k", "recall@k", "page_reads", "candidates",
          "query_ms", "parity"), spec_parity),

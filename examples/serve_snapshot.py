@@ -1,4 +1,4 @@
-"""Serving walkthrough: snapshot a sharded index, reopen it, serve traffic.
+"""Serving walkthrough: snapshot an index, reopen it, serve traffic.
 
 Run with::
 
@@ -6,9 +6,9 @@ Run with::
 
 The ROADMAP's deployment story in three steps:
 
-1. **Build offline** — ``repro.build`` an
-   ``IndexSpec(shards=2)`` and persist the whole
-   snapshot (``manifest.json`` + one ``shard_<s>/`` directory per shard);
+1. **Build offline** — ``repro.build`` an ``IndexSpec`` and persist the
+   whole snapshot (``meta.json``, the reference set, the descriptor
+   heap and one packed file per RDB-tree);
 2. **Reopen online** — ``repro.open(..., backend="mmap")`` maps the page
    files zero-copy: the reopen is O(metadata) and the OS page cache keeps
    only the hot fraction resident, so the snapshot may exceed RAM;
@@ -47,8 +47,8 @@ def main() -> None:
         snapshot = Path(tmp) / "snapshot"
 
         # --- 1. build offline, snapshot ---------------------------------
-        index = repro.build(IndexSpec(params=params, shards=2),
-                            dataset.data, storage_dir=snapshot)
+        index = repro.build(IndexSpec(params=params), dataset.data,
+                            storage_dir=snapshot)
         expected = [index.query(q, K)[0] for q in dataset.queries]
         index.close()
         layout = sorted(p.name for p in snapshot.iterdir())
@@ -59,9 +59,9 @@ def main() -> None:
         reopened = repro.open(snapshot, backend="mmap")
         reopen_ms = (time.perf_counter() - started) * 1e3
         print(f"reopened a {type(reopened).__name__} with "
-              f"{reopened.num_shards} shards, {reopened.count} objects "
-              f"via backend='mmap' in {reopen_ms:.1f} ms (O(metadata): "
-              f"no page is read until queried)")
+              f"{reopened.count} objects via backend='mmap' in "
+              f"{reopen_ms:.1f} ms (O(metadata): no page is read until "
+              f"queried)")
 
         # --- 3. serve concurrent clients --------------------------------
         results: list = [None] * len(dataset.queries)

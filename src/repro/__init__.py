@@ -20,10 +20,10 @@ Quickstart::
         ds.data)
     ids, dists = index.query(ds.queries[0], k=10)
 
-Every deployment shape is one declarative :class:`IndexSpec` —
-``IndexSpec(params, shards=1, wal=None)``: the paper's parameters (the
-memory / mmap storage backend among them), a shard count and whether
-updates are logged — handed to :func:`repro.build`, and
+Every deployment is one declarative :class:`IndexSpec` —
+``IndexSpec(params, wal=None)``: the paper's parameters (the memory /
+mmap storage backend among them) and whether updates are logged —
+handed to :func:`repro.build`, and
 :func:`repro.open` reconstructs it from a persisted snapshot;
 ``QueryService(..., execution="process")`` serves a snapshot over
 worker processes.
@@ -47,7 +47,6 @@ from repro.core import (
     IndexSpec,
     KNNIndex,
     QueryStats,
-    ShardRouter,
     WorkerCrashed,
     WorkerTimeout,
     build,
@@ -124,7 +123,6 @@ __all__ = [
     "SRS",
     "ServiceConfig",
     "ServiceStats",
-    "ShardRouter",
     "WorkerCrashed",
     "WorkerTimeout",
     "approximation_ratio",

@@ -4,8 +4,8 @@ Five commands cover the library's main workflows without writing code:
 
 * ``info``      — list dataset configurations and paper-recommended params;
 * ``build``     — build the index an :class:`~repro.core.IndexSpec`
-  describes (``--spec spec.json``, or synthesised from ``--shards`` /
-  ``--backend`` / ``--wal`` flags) over a dataset (synthetic or .fvecs)
+  describes (``--spec spec.json``, or synthesised from ``--backend`` /
+  ``--wal`` flags) over a dataset (synthetic or .fvecs)
   and persist it to a directory;
 * ``compact``   — fold an index's in-memory delta into its base: a new
   snapshot generation when a write-ahead log is attached (see
@@ -34,6 +34,7 @@ from repro.core import (
     Execution,
     HDIndexParams,
     IndexSpec,
+    PersistenceError,
     build as build_index,
     open_index,
     recommended_params,
@@ -67,10 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_param_arguments(build)
     build.add_argument("--spec", default=None,
                        help="JSON file holding a full IndexSpec (params, "
-                            "shards, wal); other flags override its fields")
-    build.add_argument("--shards", type=_positive_int, default=None,
-                       help="shard the index over this many horizontal "
-                            "partitions (IndexSpec shards)")
+                            "wal); other flags override its fields")
     build.add_argument("--backend", choices=BACKENDS, default=None,
                        help="storage backend; mmap writes the snapshot "
                             "files straight into --out and builds over "
@@ -79,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="make inserts/deletes durable: frame each in "
                             "a write-ahead log next to the snapshot "
                             "(without it they are volatile until "
-                            "save_index / `repro compact`); plain "
-                            "indexes only, not with --shards N > 1")
+                            "save_index / `repro compact`)")
     build.add_argument("--with-labels", type=_positive_int, default=None,
                        metavar="N",
                        help="attach a synthetic metadata column "
@@ -118,8 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve = commands.add_parser(
         "serve", help="serve a persisted index to concurrent clients")
     serve.add_argument("--index", required=True,
-                       help="directory holding a persisted index "
-                            "(plain or sharded snapshot)")
+                       help="directory holding a persisted index")
     _add_data_arguments(serve)
     serve.add_argument("-k", type=_positive_int, default=10)
     serve.add_argument("--clients", type=_positive_int, default=4,
@@ -256,10 +252,7 @@ def _spec_from_args(args, data, dataset_spec) -> IndexSpec:
     if args.backend is not None:
         params = dataclasses.replace(params, backend=args.backend,
                                      storage_dir=args.out)
-    return IndexSpec(params=params,
-                     shards=base.shards if args.shards is None
-                     else args.shards,
-                     wal=True if args.wal else base.wal)
+    return IndexSpec(params=params, wal=True if args.wal else base.wal)
 
 
 def cmd_build(args, out=sys.stdout) -> int:
@@ -275,23 +268,15 @@ def cmd_build(args, out=sys.stdout) -> int:
             data = normalize_rows(data)
         index = build_index(spec, data, storage_dir=args.out,
                             metadata=metadata)
-    except ValueError as error:  # e.g. --wal with shards, an old spec
+    except ValueError as error:  # e.g. an old spec file
         print(f"error: {error}", file=sys.stderr)
         return 2
     params = index.params
     stats = index.build_stats()
     print(f"built {index.name} over n={len(data)}, ν={data.shape[1]} in "
           f"{stats.time_sec:.2f}s", file=out)
-    # Only routers have num_shards (the plain branch reads per-tree leaf
-    # orders a router does not report).
-    from repro.core import ShardRouter
-    if isinstance(index, ShardRouter):
-        print(f"{index.num_shards} shards x τ={params.num_trees} trees, "
-              f"m={params.num_references} references", file=out)
-    else:
-        print(f"τ={params.num_trees} trees, m={params.num_references} "
-              f"references, leaf orders {stats.extra['leaf_orders']}",
-              file=out)
+    print(f"τ={params.num_trees} trees, m={params.num_references} "
+          f"references, leaf orders {stats.extra['leaf_orders']}", file=out)
     descriptors = index.total_size_bytes() - index.index_size_bytes()
     print(f"index {index.index_size_bytes():,} B + descriptors "
           f"{descriptors:,} B -> {args.out}", file=out)
@@ -361,8 +346,7 @@ def _query_filtered(args, index, queries, out) -> int:
     except (TypeError, ValueError, KeyError) as error:
         print(f"error: bad predicate: {error}", file=sys.stderr)
         return 2
-    parts = getattr(index, "shards", [index])
-    if any(part.metadata is None for part in parts):
+    if index.metadata is None:
         print("error: this index carries no metadata; rebuild with "
               "metadata (e.g. `repro build --with-labels N`)",
               file=sys.stderr)
@@ -379,21 +363,21 @@ def _query_filtered(args, index, queries, out) -> int:
         answers = [index.query(q, args.k, predicate=predicate)
                    for q in queries]
     elapsed = time.perf_counter() - started
-    stats = index.last_query_stats()
 
-    # Oracle: brute-force scan of the eligible rows, as stored, shard by
-    # shard for a router (its local ids mapped to global ids).
+    # Oracle: brute-force scan of the live eligible rows, as stored —
+    # the base rows and the un-compacted delta rows, less deleted ids.
     from repro.distance.metrics import euclidean_to_many
-    eligible, stored = [], []
-    for shard_index, part in enumerate(parts):
-        local = np.flatnonzero(predicate.mask(part.metadata))
-        stored.append(part.heap.gather(local).astype(np.float64))
-        eligible.append(local if part is index
-                        else index._id_array(shard_index)[local])
-    eligible, stored = np.concatenate(eligible), np.concatenate(stored)
-    # A router reports no selectivity of its own: the oracle's fraction.
-    selectivity = stats.extra.get("selectivity", eligible.size / sum(
-        part.metadata.count for part in parts))
+    delta = index._delta
+    base = np.flatnonzero(predicate.mask(index.metadata))
+    tail = delta.id_range()[np.array(
+        [predicate.matches(row) for row in delta.metadata_rows()],
+        dtype=bool)]
+    ids = np.concatenate([base, tail])
+    live = ~np.isin(ids, np.fromiter(index._deleted, dtype=np.int64))
+    eligible = ids[live]
+    stored = np.concatenate([index.heap.gather(base), delta.gather(tail)]
+                            )[live].astype(np.float64)
+    selectivity = eligible.size / max(1, index.count - len(index._deleted))
     recall = float("nan")
     if eligible.size:
         hits = total = 0
@@ -489,7 +473,11 @@ COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return COMMANDS[args.command](args)
+    try:
+        return COMMANDS[args.command](args)
+    except PersistenceError as error:  # not a snapshot this release opens
+        print(f"error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,7 +16,6 @@ from repro.core.procpool import (
     WorkerCrashed,
     WorkerTimeout,
 )
-from repro.core.router import ShardRouter
 from repro.core.spec import Execution, IndexSpec, coerce_spec
 from repro.core.params import (
     HDIndexParams,
@@ -57,7 +56,6 @@ __all__ = [
     "WorkerTimeout",
     "RDBTree",
     "ReferenceSet",
-    "ShardRouter",
     "TABLE3_CONFIGS",
     "TABLE3_CONSISTENT",
     "TABLE3_LEAF_ORDERS",

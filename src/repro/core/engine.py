@@ -5,12 +5,12 @@ with little synchronization" because the three stages of Algo. 2 —
 (i) α nearest-by-Hilbert-key candidates per RDB-tree, (ii) triangular /
 Ptolemaic filter refinement, (iii) exact re-ranking of the κ survivors —
 touch independent trees until the final merge.  This module is the single
-implementation of those stages.  Every deployment shape an
-:class:`~repro.core.spec.IndexSpec` can declare — one shard or many,
-answered in-process or by a serving pool's worker — runs this
-one code path: stages (i)+(ii) are one :meth:`QueryEngine.scan_many`
-over all τ trees, so the variants cannot drift apart in semantics or in
-the :class:`~repro.core.interface.QueryStats` they report.
+implementation of those stages.  Every index an
+:class:`~repro.core.spec.IndexSpec` can declare, answered in-process or
+by a serving pool's worker, runs this one code path: stages (i)+(ii)
+are one :meth:`QueryEngine.scan_many` over all τ trees, so the variants
+cannot drift apart in semantics or in the
+:class:`~repro.core.interface.QueryStats` they report.
 
 There is one pipeline, :meth:`QueryEngine.run_batch`, laid out over a
 (Q, ν) block of query rows so the per-call fixed costs are paid once,

@@ -10,12 +10,9 @@ The two functions here are the public face of the
   per-call overrides for the storage backend and durability.
 
 Both delegate to :func:`create_index`, the single place a spec is turned
-into objects — a plain :class:`~repro.core.hdindex.HDIndex`, or a
-:class:`~repro.core.router.ShardRouter` when ``spec.shards > 1`` — so
-every shards x backend combination flows through one code path instead
-of a class matrix.  Every index answers in-process; a
-:class:`~repro.serve.QueryService` serves a snapshot over worker
-processes.
+into an :class:`~repro.core.hdindex.HDIndex`.  Every index answers
+in-process; a :class:`~repro.serve.QueryService` serves a snapshot over
+worker processes.
 
 >>> import numpy as np, tempfile
 >>> from repro.core.factory import build, open_index
@@ -23,8 +20,7 @@ processes.
 >>> from repro.core.params import HDIndexParams
 >>> data = np.repeat(np.arange(32.0)[:, None], 4, axis=1)
 >>> spec = IndexSpec(params=HDIndexParams(num_trees=2, hilbert_order=4,
-...                                       num_references=4, alpha=8),
-...                  shards=2)
+...                                       num_references=4, alpha=8))
 >>> with tempfile.TemporaryDirectory() as tmp:
 ...     index = build(spec, data, storage_dir=tmp)
 ...     ids, _ = index.query(data[5], k=1)
@@ -40,16 +36,13 @@ from __future__ import annotations
 import dataclasses
 import os
 
-import numpy as np
-
 from repro.core.hdindex import HDIndex
-from repro.core.router import ShardRouter
 from repro.core.spec import IndexSpec, coerce_spec
 
 
 def create_index(spec: IndexSpec | None = None,
                  storage_dir: str | os.PathLike[str] | None = None
-                 ) -> HDIndex | ShardRouter:
+                 ) -> HDIndex:
     """Instantiate (but do not build) the index a spec describes.
 
     Args:
@@ -60,21 +53,17 @@ def create_index(spec: IndexSpec | None = None,
             files live here.
 
     Returns:
-        An unbuilt :class:`~repro.core.hdindex.HDIndex` (one shard) or
-        :class:`~repro.core.router.ShardRouter` (``spec.shards > 1``)
-        recording ``spec.wal``.
+        An unbuilt :class:`~repro.core.hdindex.HDIndex` recording
+        ``spec.wal``.
 
     Raises:
-        ValueError: For ``wal=True`` without a ``storage_dir`` or with
-            shards.
+        ValueError: For ``wal=True`` without a ``storage_dir``.
     """
     spec = coerce_spec(spec)
     params = spec.params
     if storage_dir is not None:
         params = dataclasses.replace(params,
                                      storage_dir=os.fspath(storage_dir))
-    if spec.shards > 1:
-        return ShardRouter(params, spec.shards, spec.wal)
     if spec.wal is True and params.storage_dir is None:
         raise ValueError(
             "wal=True requires a disk-backed index (storage_dir=...): "
@@ -86,7 +75,7 @@ def create_index(spec: IndexSpec | None = None,
 
 def build(spec: IndexSpec | None, data,
           storage_dir: str | os.PathLike[str] | None = None,
-          metadata=None) -> HDIndex | ShardRouter:
+          metadata=None) -> HDIndex:
     """Build the index a spec describes over ``data``.
 
     Args:
@@ -119,11 +108,6 @@ def build(spec: IndexSpec | None, data,
                 "metadata is not supported with a streaming build: "
                 "per-point attributes need the row count up front "
                 "(materialise the data or attach metadata at insert time)")
-        if isinstance(index, ShardRouter):
-            raise ValueError(
-                "streaming build is not supported with a sharded "
-                "topology: shard assignment needs the total row count "
-                "up front")
         index.build_from_chunks(data)
     else:
         index.build(data, metadata=metadata)
@@ -137,7 +121,7 @@ def open_index(path: str | os.PathLike[str],
                backend: str | None = None,
                cache_pages: int | None = None,
                wal: bool | None = None
-               ) -> HDIndex | ShardRouter:
+               ) -> HDIndex:
     """Reopen a persisted index, honouring the spec recorded in its
     snapshot — no kind-dispatch special cases.
 
@@ -153,11 +137,9 @@ def open_index(path: str | os.PathLike[str],
             :func:`~repro.core.persistence.load_index`: ``True`` attaches
             and replays the write-ahead log, ``False`` none (the
             read-only reader), ``None`` honours the snapshot's policy.
-            A sharded snapshot refuses ``True`` (``ValueError``).
 
     Returns:
-        A ready-to-query :class:`~repro.core.hdindex.HDIndex` or
-        :class:`~repro.core.router.ShardRouter`.
+        A ready-to-query :class:`~repro.core.hdindex.HDIndex`.
     """
     from repro.core.persistence import load_index
     return load_index(path, cache_pages=cache_pages, backend=backend,

@@ -571,8 +571,7 @@ class HDIndex(KNNIndex):
         The optional arguments override the corresponding
         :class:`HDIndexParams` fields for this call only (used by the
         parameter-sweep experiments of Sec. 5.2).  The three stages run in
-        the shared :class:`~repro.core.engine.QueryEngine`; sharding
-        changes *where* the scans run, not *what* they compute.
+        the shared :class:`~repro.core.engine.QueryEngine`.
 
         ``predicate`` (a :class:`~repro.meta.Predicate` or its JSON
         dict form) restricts answers to metadata-matching points via

@@ -1,4 +1,4 @@
-"""Save/load a built index of the HD-Index family to/from a directory.
+"""Save/load a built HD-Index to/from a directory.
 
 A persisted plain index is a directory containing:
 
@@ -22,18 +22,15 @@ Files a reader may have mapped are replaced (``replace_file``), never
 truncated.  A torn or foreign heap, tree, metadata or reference file
 is refused with a :class:`PersistenceError` naming it.
 
-A persisted :class:`~repro.core.router.ShardRouter` is a directory
-containing a ``manifest.json`` (shard count, global-id layout, base
-parameters, spec) plus one ``shard_<s>/`` subdirectory per shard, each of
-which is a plain persisted index as above — the "build offline, serve
-online" split, with every shard deployable to its own machine.  It keeps
-no write-ahead log: a ``wal.log`` an older release left holding records
-is refused at open (:func:`repro.wal.manager.refuse_sharded_log`).
+A root holding a ``manifest.json`` is a sharded snapshot an older
+release wrote; it is refused with a :class:`PersistenceError` naming
+``docs/MIGRATION.md``, which shows how to rebuild one index from its
+``shard_<s>/`` snapshots.
 
 Loading maps or reads those files without touching the data — build
 once, reopen and query on a machine that never holds the dataset in RAM.
-:func:`load_index` reconstructs the *spec* the snapshot records, so every
-deployment shape flows through one construction path; a snapshot whose
+:func:`load_index` reconstructs the *spec* the snapshot records; a
+snapshot whose
 spec is missing or invalid is refused (``docs/MIGRATION.md``).
 :func:`repro.open` adds per-call backend and durability overrides on top.
 """
@@ -71,27 +68,26 @@ class PersistenceError(RuntimeError):
 
 
 def save_index(index, directory: str | os.PathLike[str]) -> None:
-    """Persist a built index of the HD-Index family.
+    """Persist a built :class:`HDIndex`.
 
-    Accepts :class:`HDIndex` and
-    :class:`~repro.core.router.ShardRouter`.  The snapshot records the
-    index's full :class:`~repro.core.spec.IndexSpec` so
-    :func:`load_index` reconstructs the same deployment.
+    The snapshot records the index's full
+    :class:`~repro.core.spec.IndexSpec` so :func:`load_index`
+    reconstructs the same deployment.
 
     If the index was built with ``storage_dir`` pointing at ``directory``
     the heap's page file is already in place; an in-memory heap is
     written out in one sequential pass.  An index with no write-ahead log
-    attached (every router) first folds its delta segment into the base
+    attached first folds its delta segment into the base
     (``HDIndex._fold_delta``: un-logged inserts become durable here), so
     save -> load -> ``insert()`` / ``delete()`` -> save again keeps the
     snapshot consistent.
 
     Args:
-        index: A **built** member of the HD-Index family.
+        index: A **built** :class:`HDIndex`.
         directory: Destination directory (created if missing).
 
     Raises:
-        PersistenceError: If ``index`` is not a family member, it is
+        PersistenceError: If ``index`` is not an :class:`HDIndex`, it is
             file-backed somewhere other than ``directory``, or it holds
             logged delta entries (``compact()`` publishes those).
         RuntimeError: If the index has not been built.
@@ -109,15 +105,10 @@ def save_index(index, directory: str | os.PathLike[str]) -> None:
     ...         int(reopened.query(data[5], k=1)[0][0])
     5
     """
-    from repro.core.router import ShardRouter
-    if isinstance(index, ShardRouter):
-        _save_sharded(index, os.fspath(directory))
-    elif isinstance(index, HDIndex):
-        _save_hdindex(index, os.fspath(directory))
-    else:
+    if not isinstance(index, HDIndex):
         raise PersistenceError(
-            f"cannot persist a {type(index).__name__}; expected a member "
-            f"of the HD-Index family")
+            f"cannot persist a {type(index).__name__}; expected an HDIndex")
+    _save_hdindex(index, os.fspath(directory))
 
 
 def fold_in_place(index) -> int:
@@ -128,9 +119,8 @@ def fold_in_place(index) -> int:
     the unchanged generation: there is no ``gen-*`` chain without a
     log."""
     directory = index.params.storage_dir
-    if directory is not None and any(
-            os.path.exists(os.path.join(directory, name))
-            for name in (META_FILE, MANIFEST_FILE)):
+    if directory is not None and os.path.exists(
+            os.path.join(directory, META_FILE)):
         save_index(index, directory)
     else:
         index._fold_delta()
@@ -143,9 +133,7 @@ def load_index(directory: str | os.PathLike[str],
                wal: bool | None = None):
     """Re-open a persisted index for querying (and further updates).
 
-    The directory is inspected for a ``manifest.json`` (sharded snapshot)
-    or a ``meta.json`` (plain snapshot) and an instance of the
-    saved class is returned.  A WAL-enabled root (``CURRENT`` pointer /
+    A WAL-enabled root (``CURRENT`` pointer /
     ``wal.log``, :mod:`repro.wal`) resolves to its live generation and
     replays the log into an in-memory delta segment, so a crash-recovered
     index answers exactly as the pre-crash one did.
@@ -153,8 +141,7 @@ def load_index(directory: str | os.PathLike[str],
     Args:
         directory: A directory written by :func:`save_index`.
         cache_pages: Overrides the buffer-pool capacity recorded at save
-            time (plumbed through to every shard); ``None`` keeps the
-            saved value.
+            time; ``None`` keeps the saved value.
         backend: How the snapshot files are opened — ``"mmap"`` (the
             default: read-only mappings, so the reopen is O(metadata),
             resident memory is the pages queries touch and snapshots
@@ -166,24 +153,25 @@ def load_index(directory: str | os.PathLike[str],
             stays unread, updates are volatile until ``compact()`` /
             ``save_index``: the read-only-reader spelling); ``None``
             honours the snapshot's recorded policy
-            (:class:`~repro.core.spec.IndexSpec` ``wal``).  A sharded
-            snapshot keeps no log: it refuses ``True`` (``ValueError``)
-            and ignores a recorded policy.
+            (:class:`~repro.core.spec.IndexSpec` ``wal``).
 
     Returns:
-        A ready-to-query :class:`HDIndex` or
-        :class:`~repro.core.router.ShardRouter`, answering in-process
+        A ready-to-query :class:`HDIndex`, answering in-process
         (whatever dispatch an older release recorded).
 
     Raises:
-        PersistenceError: If the directory is not a valid snapshot, the
-            format version is unsupported, or ``backend`` is unknown.
+        PersistenceError: If the directory is not a valid snapshot (a
+            sharded root included), the format version is unsupported,
+            or ``backend`` is unknown.
         WalError: If the log does not extend the published generation,
-            a sharded root's log holds records (and ``wal`` is not
-            ``False``), or compactions republished the root under every
-            open.
+            or compactions republished the root under every open.
     """
     directory = os.fspath(directory)
+    if os.path.exists(os.path.join(directory, MANIFEST_FILE)):
+        raise PersistenceError(
+            f"{directory} is a sharded snapshot, which this release no "
+            f"longer opens: rebuild one index from its shards "
+            f"(docs/MIGRATION.md)")
     if backend is not None:
         try:
             check_backend(backend)
@@ -201,16 +189,9 @@ def load_index(directory: str | os.PathLike[str],
     for _ in range(OPEN_TRIES):
         seen, index = read_current(directory), None
         try:
-            target = resolve_snapshot_dir(directory)
-            if os.path.exists(os.path.join(target, MANIFEST_FILE)):
-                index = _load_sharded(target, cache_pages, backend, wal)
-            elif os.path.exists(os.path.join(target, META_FILE)):
-                index = _load_hdindex(target, cache_pages, backend)
-                attach_wal(index, directory, wal)
-            else:
-                raise PersistenceError(
-                    f"{directory} has neither {META_FILE} nor "
-                    f"{MANIFEST_FILE}")
+            index = _load_hdindex(resolve_snapshot_dir(directory),
+                                  cache_pages, backend)
+            attach_wal(index, directory, wal)
         except (PersistenceError, WalError):
             if read_current(directory) == seen:
                 raise
@@ -260,7 +241,7 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
 
     meta = {
         "format_version": FORMAT_VERSION,
-        "spec": _spec_section(1, index.wal),
+        "spec": _spec_section(index.wal),
         "params": dataclasses.asdict(index.params),
         "dim": index.dim,
         "count": index.count,
@@ -290,7 +271,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
         raise PersistenceError(
             f"unsupported index format {meta.get('format_version')!r}")
 
-    _, wal = _recorded_spec(meta, meta_path)
+    wal = _recorded_spec(meta, meta_path)
     backend = backend or "mmap"
     params = _restore_params(meta["params"], directory, cache_pages, backend)
     index = HDIndex(params)
@@ -365,31 +346,30 @@ def _read_references(path: str) -> ReferenceSet:
                             indices if indices.size else None)
 
 
-def _spec_section(shards: int, wal: bool | None) -> dict:
+def _spec_section(wal: bool | None) -> dict:
     """The ``spec`` a snapshot records, byte for byte as releases with a
-    topology and an execution wrote it: only ``shards`` and ``wal`` are
-    read back (:func:`_recorded_spec`); the rest are the values those
-    releases wrote for an index answering in-process."""
-    return {"topology": {"shards": shards, "shard_backends": None,
+    topology and an execution wrote it: only ``wal`` is read back
+    (:func:`_recorded_spec`); the rest are the values those releases
+    wrote for one index answering in-process."""
+    return {"topology": {"shards": 1, "shard_backends": None,
                          "replicas": 1},
             "execution": {"kind": "sequential", "workers": None,
                           "worker_backend": "mmap", "worker_timeout": None,
                           "wal": wal}}
 
 
-def _recorded_spec(meta: dict, path: str) -> tuple[int, bool | None]:
-    """The shard count and log policy a snapshot's ``spec`` records.  A
-    snapshot without them, or with values this release rejects, is
-    refused rather than guessed at.  The execution section's four
-    dispatch fields, the replica count and the per-shard backends are
-    ignored: an index answers in-process, from the backend it is opened
-    with."""
+def _recorded_spec(meta: dict, path: str) -> bool | None:
+    """The log policy a snapshot's ``spec`` records.  A snapshot without
+    one, with a shard count other than 1, or with values this release
+    rejects, is refused rather than guessed at.  The execution section's
+    four dispatch fields, the replica count and the per-shard backends
+    are ignored: an index answers in-process, from the backend it is
+    opened with."""
     try:
         spec = meta["spec"]
-        recorded = IndexSpec(
-            shards=int(spec["topology"].get("shards", 1)),
-            wal=spec["execution"].get("wal"))
-        return recorded.shards, recorded.wal
+        if int(spec["topology"].get("shards", 1)) != 1:
+            raise ValueError("a shard count other than 1")
+        return IndexSpec(wal=spec["execution"].get("wal")).wal
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PersistenceError(
             f"{path} records no valid spec ({type(exc).__name__}: {exc}); "
@@ -408,87 +388,6 @@ def _restore_params(params_dict: dict, directory: str,
     # coercions, e.g. domain list -> tuple), shared with
     # IndexSpec.from_dict so snapshots and spec files cannot drift.
     return params_from_dict(params_dict)
-
-
-# -- sharded indexes -------------------------------------------------------
-
-
-def _shard_dir(directory: str, shard_index: int) -> str:
-    return os.path.join(directory, f"shard_{shard_index}")
-
-
-def _save_sharded(index, directory: str) -> None:
-    from repro.wal.manager import resolve_snapshot_dir
-    index._require_built()
-    os.makedirs(directory, exist_ok=True)
-    for shard_index, shard in enumerate(index.shards):
-        # A shard of an older, logged root may live in a published
-        # generation: fold into that one, the one its CURRENT names.
-        _save_hdindex(shard, resolve_snapshot_dir(
-            _shard_dir(directory, shard_index)))
-    params = dataclasses.asdict(index.params)
-    # The wrapper's storage_dir is a property of the *deployment*, not the
-    # snapshot; load_index re-points it at the snapshot directory.
-    params["storage_dir"] = None
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "spec": _spec_section(index.num_shards, index.wal),
-        "num_shards": index.num_shards,
-        "count": index.count,
-        "generation": int(getattr(index, "generation", 0)),
-        "offsets": [int(v) for v in index.offsets],
-        # Only ids handed out by insert(); the build-time ranges are
-        # implied by the contiguous offsets.
-        "insert_tails": [
-            [int(v) for v in id_map[int(index.offsets[s + 1])
-                                    - int(index.offsets[s]):]]
-            for s, id_map in enumerate(index._id_maps)],
-        "params": params,
-    }
-    replace_file(os.path.join(directory, MANIFEST_FILE),
-                 json.dumps(manifest, indent=2))
-
-
-def _load_sharded(directory: str, cache_pages: int | None,
-                  backend: str | None = None, wal: bool | None = None):
-    from repro.core.router import ShardRouter, refuse_log
-    from repro.wal.manager import refuse_sharded_log, resolve_snapshot_dir
-    refuse_log(wal)
-    if wal is None:
-        refuse_sharded_log(directory)
-    with open(os.path.join(directory, MANIFEST_FILE)) as handle:
-        manifest = json.load(handle)
-    if manifest.get("format_version") != FORMAT_VERSION:
-        raise PersistenceError(
-            f"unsupported index format {manifest.get('format_version')!r}")
-    shards, recorded_wal = _recorded_spec(
-        manifest, os.path.join(directory, MANIFEST_FILE))
-    params = _restore_params(manifest["params"], directory, cache_pages,
-                             backend or "mmap")
-    num_shards = int(manifest["num_shards"])
-    # Older releases logged sharded updates (a recorded True); this one
-    # keeps no log.
-    index = ShardRouter(params, shards,
-                        False if recorded_wal is False else None)
-    index.count = int(manifest["count"])
-    index.generation = int(manifest.get("generation", 0))
-    index.offsets = np.asarray(manifest["offsets"], dtype=np.int64)
-    index.shards = []
-    index._id_maps = []
-    index._id_arrays = [None] * num_shards
-    for shard_index in range(num_shards):
-        # A shard of an older, logged root may carry its own published
-        # generation; resolve it before reading meta.json.
-        shard_directory = resolve_snapshot_dir(
-            _shard_dir(directory, shard_index))
-        shard = _load_hdindex(shard_directory, cache_pages, backend)
-        shard.wal = False  # shards never attach a log of their own
-        index.shards.append(shard)
-        built = list(range(int(index.offsets[shard_index]),
-                           int(index.offsets[shard_index + 1])))
-        tail = [int(v) for v in manifest["insert_tails"][shard_index]]
-        index._id_maps.append(built + tail)
-    return index
 
 
 METADATA_FILE = "metadata.packed"

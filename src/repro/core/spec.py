@@ -1,29 +1,24 @@
-"""Declarative index specification: the paper's parameters plus the two
-values a deployment adds.
+"""Declarative index specification: the paper's parameters plus the one
+value a deployment adds.
 
 The HD-Index structure of the paper (Algo. 1 construction, Algo. 2
 querying) is fixed by :class:`~repro.core.params.HDIndexParams`.  A
-deployment adds only two things:
-
-* ``shards`` — one index, or that many horizontal partitions behind a
-  :class:`~repro.core.router.ShardRouter` (the paper's Sec. 5.2.8
-  "distributed" remark);
-* ``wal`` — whether the Sec. 3.6 updates are framed in a write-ahead
-  log (:mod:`repro.wal`).
+deployment adds only ``wal``: whether the Sec. 3.6 updates are framed
+in a write-ahead log (:mod:`repro.wal`).
 
 :class:`IndexSpec` names one deployment as one value::
 
-    IndexSpec(params=HDIndexParams(...), shards=4, wal=False)
+    IndexSpec(params=HDIndexParams(...), wal=False)
 
 consumed by :func:`repro.build` / :func:`repro.open` (see
 :mod:`repro.core.factory`).  Specs serialise to plain JSON dicts, and
-every snapshot's ``meta.json``/``manifest.json`` records its shard count
-and log policy, so a reopen reconstructs the same deployment.
+every snapshot's ``meta.json`` records its log policy, so a reopen
+reconstructs the same deployment.
 
 :class:`Execution` is a :class:`~repro.serve.QueryService`'s setting,
 not an index's: where a served micro-batch runs.
 
->>> spec = IndexSpec(shards=2, wal=False)
+>>> spec = IndexSpec(wal=False)
 >>> IndexSpec.from_dict(spec.to_dict()) == spec
 True
 """
@@ -40,7 +35,7 @@ from repro.core.params import HDIndexParams
 EXECUTION_KINDS = ("sequential", "process")
 
 #: The keys of a spec dict (:meth:`IndexSpec.to_dict`).
-SPEC_KEYS = ("params", "shards", "wal")
+SPEC_KEYS = ("params", "wal")
 
 
 @dataclass(frozen=True)
@@ -94,9 +89,6 @@ class IndexSpec:
         The paper's structural and query tunables
         (:class:`~repro.core.params.HDIndexParams`), the storage backend
         (``params.backend``) included.
-    shards:
-        Number of horizontal partitions; ``1`` means a single plain
-        index (no router).
     wal:
         Durability of online updates (:mod:`repro.wal`).  Every
         ``insert``/``delete`` lands in the in-memory delta segment /
@@ -106,44 +98,46 @@ class IndexSpec:
         ``False`` attaches no log — updates are volatile until
         ``compact()``/``save_index`` fold them into the base; ``None``
         (default) lets the runtime decide — a log already on disk
-        attaches to a plain index.  A sharded deployment keeps no log:
-        ``True`` is refused there.
+        attaches.
 
-    >>> IndexSpec(shards=2).shards
-    2
+    >>> IndexSpec(wal=True).wal
+    True
     """
 
     params: HDIndexParams = field(default_factory=HDIndexParams)
-    shards: int = 1
     wal: bool | None = None
 
     def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError(f"shards must be >= 1, got {self.shards}")
         if self.wal not in (None, True, False):
             raise ValueError(
                 f"wal must be True, False or None, got {self.wal!r}")
 
     def to_dict(self) -> dict[str, Any]:
-        """Plain-JSON form: ``{"params": ..., "shards": ..., "wal": ...}``."""
-        return {"params": dataclasses.asdict(self.params),
-                "shards": self.shards, "wal": self.wal}
+        """Plain-JSON form: ``{"params": ..., "wal": ...}``."""
+        return {"params": dataclasses.asdict(self.params), "wal": self.wal}
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "IndexSpec":
         """Inverse of :meth:`to_dict` (tolerates missing keys, refuses
         unknown ones: the older ``topology`` / ``execution`` / ``backend``
-        keys carried values this form spells differently)."""
+        keys carried values this form spells differently).  The
+        ``"shards": 1`` older plain spec files carry is accepted; any
+        other shard count is refused."""
+        data = dict(data)
+        if data.pop("shards", 1) != 1:
+            raise ValueError(
+                "sharded specs are no longer supported: build one index "
+                "(see docs/MIGRATION.md)")
         unknown = sorted(set(data) - set(SPEC_KEYS))
         if unknown:
             raise ValueError(
                 f"spec keys {unknown} are not IndexSpec fields {SPEC_KEYS}: "
-                f"topology.shards is shards, execution.wal is wal and "
-                f"backend is params.backend (see docs/MIGRATION.md)")
+                f"execution.wal is wal and backend is params.backend "
+                f"(see docs/MIGRATION.md)")
         params = data.get("params")
         return cls(params=(HDIndexParams() if params is None
                            else params_from_dict(params)),
-                   shards=data.get("shards", 1), wal=data.get("wal"))
+                   wal=data.get("wal"))
 
 
 def params_from_dict(data: dict[str, Any]) -> HDIndexParams:
@@ -162,8 +156,8 @@ def coerce_spec(
     spec dict, or ``None`` (all defaults) and return an
     :class:`IndexSpec`.
 
-    >>> coerce_spec(None).shards
-    1
+    >>> coerce_spec(None).wal is None
+    True
     >>> coerce_spec(HDIndexParams(num_trees=4)).params.num_trees
     4
     """

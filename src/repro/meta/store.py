@@ -173,7 +173,7 @@ class MetadataStore:
                     f"got {row[name]!r}")
         return checked
 
-    # -- growth / reshaping -------------------------------------------------
+    # -- growth -------------------------------------------------------------
 
     def append_rows(self,
                     rows: Sequence[Mapping[str, Any]]) -> "MetadataStore":
@@ -187,13 +187,6 @@ class MetadataStore:
             self._columns[name] = _concat_columns(self._columns[name], tail)
         self._count += len(rows)
         return self
-
-    def slice(self, start: int, stop: int) -> "MetadataStore":
-        """A detached copy of rows ``[start, stop)`` (shard builds)."""
-        return MetadataStore({
-            name: np.ascontiguousarray(column[start:stop])
-            for name, column in self._columns.items()
-        })
 
 
 def _canonical(name, values: np.ndarray) -> np.ndarray:

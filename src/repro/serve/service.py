@@ -324,10 +324,9 @@ class QueryService:
         the explicit argument, or the index's own WAL root or storage
         directory.  Workers open its published generation with no log,
         so that generation must hold what the live index holds — the
-        same count and deleted ids, shard by shard for a sharded
-        snapshot (:meth:`_check_snapshot`).  A stale snapshot would make
-        workers silently answer from other data, so it is an error, not
-        a fallback.
+        same count and deleted ids (:meth:`_check_snapshot`).  A stale
+        snapshot would make workers silently answer from other data, so
+        it is an error, not a fallback.
         """
         if snapshot_dir is None:
             snapshot_dir = (getattr(index, "_wal_root", None)
@@ -347,36 +346,28 @@ class QueryService:
     @staticmethod
     def _check_snapshot(index, directory: str) -> None:
         """Raise ``ValueError`` unless the generation published under
-        ``directory`` records the live index's count and deleted ids
-        (for a router: the manifest's count, then each shard's)."""
+        ``directory`` records the live index's count and deleted ids."""
         import json
         from repro.wal.manager import resolve_snapshot_dir
-        target = resolve_snapshot_dir(directory)
-        pairs = [(index, target)] + [
-            (shard, resolve_snapshot_dir(
-                os.path.join(target, f"shard_{position}")))
-            for position, shard in enumerate(getattr(index, "shards", ()))]
-        for live, path in pairs:
-            names = [name for name in ("meta.json", "manifest.json")
-                     if os.path.exists(os.path.join(path, name))]
-            try:
-                with open(os.path.join(path, names[0])) as handle:
-                    recorded = json.load(handle)
-            except (IndexError, OSError, ValueError):
-                raise ValueError(
-                    f"{path} holds no readable snapshot for worker "
-                    f"processes to open; save_index() the index first"
-                ) from None
-            held = (int(recorded.get("count", -1)),
-                    sorted(recorded.get("deleted", ())))
-            live_held = (live.count, sorted(getattr(live, "_deleted", ())))
-            if held != live_held:
-                raise ValueError(
-                    f"snapshot at {path} holds {held[0]} points, "
-                    f"{len(held[1])} deleted, but the live index holds "
-                    f"{live_held[0]} points, {len(live_held[1])} deleted: "
-                    f"save_index() or compact() it, so worker processes "
-                    f"(which open no log) serve current data")
+        path = resolve_snapshot_dir(directory)
+        try:
+            with open(os.path.join(path, "meta.json")) as handle:
+                recorded = json.load(handle)
+        except (OSError, ValueError):
+            raise ValueError(
+                f"{path} holds no readable snapshot for worker "
+                f"processes to open; save_index() the index first"
+            ) from None
+        held = (int(recorded.get("count", -1)),
+                sorted(recorded.get("deleted", ())))
+        live_held = (index.count, sorted(getattr(index, "_deleted", ())))
+        if held != live_held:
+            raise ValueError(
+                f"snapshot at {path} holds {held[0]} points, "
+                f"{len(held[1])} deleted, but the live index holds "
+                f"{live_held[0]} points, {len(live_held[1])} deleted: "
+                f"save_index() or compact() it, so worker processes "
+                f"(which open no log) serve current data")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -457,10 +448,10 @@ class QueryService:
                       **overrides) -> "QueryService":
         """Open a persisted index and wrap it in a service.
 
-        The "build offline, serve online" split in one call: any family
-        member's snapshot (plain or sharded) is reopened and
-        fronted by a micro-batching service.  The service owns the loaded
-        index and closes its page stores on :meth:`stop`.
+        The "build offline, serve online" split in one call: the
+        snapshot is reopened and fronted by a micro-batching service.
+        The service owns the loaded index and closes its page stores on
+        :meth:`stop`.
 
         Args:
             directory: Snapshot directory written by

@@ -16,8 +16,7 @@ it *servable under live traffic* anyway:
 
 Every insert lands in the delta segment whether or not a log is
 attached; the log adds durability — one frame of I/O per write — and
-the generation chain.  Only a plain index logs: a sharded deployment's
-updates are volatile until ``compact()`` folds them in place.
+the generation chain.
 """
 
 from repro.wal.delta import DeltaSegment

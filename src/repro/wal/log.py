@@ -11,16 +11,17 @@ Frame format (little-endian, one frame per record)::
     +----------------+----------------+-------------------------------+
     | length: u32    | crc32: u32     | payload (length bytes)        |
     +----------------+----------------+-------------------------------+
-    payload = op: u8 | object_id: i64 | shard: i32 | vector: f64[dim]
+    payload = op: u8 | object_id: i64 | -1: i32 | vector: f64[dim]
 
 ``op`` is :data:`OP_INSERT` (vector present), :data:`OP_DELETE` (no
 vector) or :data:`OP_INSERT_META` (a u32 length-prefixed UTF-8 JSON
 metadata dict between the fixed prefix and the vector — the filtered-kNN
 attributes riding the insert).  Plain inserts keep the exact
 :data:`OP_INSERT` framing, so logs written before the metadata opcode
-existed replay unchanged.  ``shard`` is the router's target shard, or
-``-1`` for a plain index.  The CRC covers the payload only; the length
-prefix lets replay skip to the next frame boundary without decoding.
+existed replay unchanged.  The i32 is always written as ``-1`` and
+ignored on read (it once named a shard), so log bytes never moved.  The
+CRC covers the payload only; the length prefix lets replay skip to the
+next frame boundary without decoding.
 
 Replay (:func:`replay_wal`) stops at the first frame that fails any
 check — short header, short payload, CRC mismatch, undecodable payload —
@@ -51,7 +52,7 @@ __all__ = [
 
 #: Frame header: (payload length, crc32 of payload), little-endian u32s.
 _HEADER = struct.Struct("<II")
-#: Payload prefix: (op, object_id, shard).
+#: Payload prefix: (op, object_id, -1).
 _BODY = struct.Struct("<Bqi")
 #: Metadata-JSON length prefix inside OP_INSERT_META payloads.
 _META_LEN = struct.Struct("<I")
@@ -77,8 +78,6 @@ class WalRecord:
         ``"insert"`` or ``"delete"``.
     object_id:
         The global object id the record applies to (dense, append-order).
-    shard:
-        Router target shard, ``-1`` for a plain index.
     vector:
         ``(dim,)`` float64 descriptor for inserts, ``None`` for deletes.
     metadata:
@@ -86,27 +85,25 @@ class WalRecord:
         (:data:`OP_INSERT_META`), else ``None``.
     """
 
-    __slots__ = ("op", "object_id", "shard", "vector", "metadata")
+    __slots__ = ("op", "object_id", "vector", "metadata")
 
-    def __init__(self, op: str, object_id: int, shard: int = -1,
+    def __init__(self, op: str, object_id: int,
                  vector: np.ndarray | None = None,
                  metadata: dict | None = None) -> None:
         self.op = op
         self.object_id = int(object_id)
-        self.shard = int(shard)
         self.vector = vector
         self.metadata = metadata
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         dim = None if self.vector is None else self.vector.shape[0]
         return (f"WalRecord(op={self.op!r}, object_id={self.object_id}, "
-                f"shard={self.shard}, dim={dim})")
+                f"dim={dim})")
 
 
-def _encode(op: int, object_id: int, shard: int,
-            vector: np.ndarray | None,
+def _encode(op: int, object_id: int, vector: np.ndarray | None,
             metadata: dict | None = None) -> bytes:
-    payload = _BODY.pack(op, object_id, shard)
+    payload = _BODY.pack(op, object_id, -1)
     if metadata is not None:
         blob = json.dumps(metadata, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
@@ -127,10 +124,10 @@ def _decode_vector(body: bytes, label: str) -> np.ndarray:
 def _decode(payload: bytes) -> WalRecord:
     if len(payload) < _BODY.size:
         raise WalError("WAL payload shorter than its fixed prefix")
-    op, object_id, shard = _BODY.unpack_from(payload)
+    op, object_id, _ = _BODY.unpack_from(payload)
     body = payload[_BODY.size:]
     if op == OP_INSERT:
-        return WalRecord("insert", object_id, shard,
+        return WalRecord("insert", object_id,
                          _decode_vector(body, "insert"))
     if op == OP_INSERT_META:
         if len(body) < _META_LEN.size:
@@ -150,13 +147,13 @@ def _decode(payload: bytes) -> WalRecord:
                 from None
         if not isinstance(metadata, dict):
             raise WalError("insert metadata is not a JSON object")
-        return WalRecord("insert", object_id, shard,
+        return WalRecord("insert", object_id,
                          _decode_vector(body[meta_end:], "insert"),
                          metadata)
     if op == OP_DELETE:
         if body:
             raise WalError("delete payload carries trailing bytes")
-        return WalRecord("delete", object_id, shard)
+        return WalRecord("delete", object_id)
     raise WalError(f"unknown WAL opcode {op}")
 
 
@@ -205,7 +202,6 @@ class WriteAheadLog:
             self._appended += 1
 
     def append_insert(self, object_id: int, vector: np.ndarray,
-                      shard: int = -1,
                       metadata: dict | None = None) -> None:
         """Append an insert record (the descriptor travels as float64, so
         compaction can re-quantize from the original values).  With
@@ -213,13 +209,13 @@ class WriteAheadLog:
         without it the plain :data:`OP_INSERT` frame stays byte-identical
         to pre-metadata logs."""
         op = OP_INSERT if metadata is None else OP_INSERT_META
-        self._append(_encode(op, int(object_id), int(shard),
+        self._append(_encode(op, int(object_id),
                              np.asarray(vector, dtype=np.float64).ravel(),
                              metadata))
 
-    def append_delete(self, object_id: int, shard: int = -1) -> None:
+    def append_delete(self, object_id: int) -> None:
         """Append a delete record."""
-        self._append(_encode(OP_DELETE, int(object_id), int(shard), None))
+        self._append(_encode(OP_DELETE, int(object_id), None))
 
     def sync(self) -> None:
         """Force appended frames to stable storage (no-op under

@@ -19,13 +19,6 @@ truncated — so a crash at *any* point leaves either the old generation +
 full log, or the new generation + (possibly not-yet-truncated) log whose
 records replay as no-ops because their ids are already below the folded
 count.  Replay is idempotent by construction.
-
-Only a plain index logs.  A sharded root keeps no log: its updates are
-volatile until ``compact()`` / ``save_index`` fold every shard in place.
-Older releases logged them in a router-level ``wal.log`` and published
-per-shard ``shard_<s>/gen-*`` generations; those generations still
-resolve, and :func:`refuse_sharded_log` refuses a root whose log still
-holds records rather than open it without them.
 """
 
 from __future__ import annotations
@@ -49,7 +42,6 @@ __all__ = [
     "has_wal_layout",
     "publish_current",
     "read_current",
-    "refuse_sharded_log",
     "resolve_snapshot_dir",
 ]
 
@@ -218,20 +210,6 @@ def attach_wal(index, root: str | os.PathLike[str],
     records, _ = replay_wal(wal_path(root))
     enable_wal(index, root)
     _replay_into_index(index, records)
-
-
-def refuse_sharded_log(root: str | os.PathLike[str]) -> None:
-    """Refuse a sharded root whose ``wal.log`` (written by an older
-    release) still holds records: this release replays no sharded log,
-    so opening it would silently drop those updates.  An empty or
-    absent log passes."""
-    records, _ = replay_wal(wal_path(root), repair=False)
-    if records:
-        raise WalError(
-            f"{wal_path(root)} holds {len(records)} logged sharded "
-            f"update(s) this release does not replay: compact() the root "
-            f"with the release that wrote it, or pass wal=False to open "
-            f"it without them (docs/MIGRATION.md)")
 
 
 def _replay_into_index(index, records: list[WalRecord]) -> None:

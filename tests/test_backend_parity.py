@@ -16,7 +16,6 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     PersistenceError,
-    ShardRouter,
     load_index,
     save_index,
 )
@@ -196,20 +195,6 @@ class TestFamilyBackends:
                              "process-mmap")
         mapped.close()
 
-    def test_sharded_snapshot_mmap_parity(self, workload, tmp_path):
-        data, queries = workload
-        sharded = ShardRouter(_params(), 2)
-        sharded.build(data)
-        save_index(sharded, tmp_path)
-        expected = _answers(sharded, queries)
-        sharded.close()
-        reopened = load_index(tmp_path, backend="mmap")
-        for shard in reopened.shards:
-            assert _is_mapped(shard.heap.page_matrix())
-        _assert_same_answers(_answers(reopened, queries), expected,
-                             "sharded-mmap")
-        reopened.close()
-
     def test_service_from_snapshot_mmap(self, workload, tmp_path):
         data, queries = workload
         index = HDIndex(_params(storage_dir=str(tmp_path)))
@@ -220,6 +205,24 @@ class TestFamilyBackends:
         with QueryService.from_snapshot(tmp_path, backend="mmap",
                                         max_batch=4) as service:
             assert _is_mapped(service.index.heap.page_matrix())
+            for query, (ids, dists) in zip(queries, expected):
+                got_ids, got_dists = service.query(query, K)
+                np.testing.assert_array_equal(got_ids, ids)
+                np.testing.assert_array_equal(got_dists, dists)
+
+
+    def test_service_from_snapshot_memory(self, workload, tmp_path):
+        """The same snapshot served from copies read into RAM: nothing
+        mapped, the same answers."""
+        data, queries = workload
+        index = HDIndex(_params(storage_dir=str(tmp_path)))
+        index.build(data)
+        save_index(index, tmp_path)
+        expected = [index.query(q, K) for q in queries]
+        index.close()
+        with QueryService.from_snapshot(tmp_path, backend="memory",
+                                        max_batch=4) as service:
+            assert not _is_mapped(service.index.heap.page_matrix())
             for query, (ids, dists) in zip(queries, expected):
                 got_ids, got_dists = service.query(query, K)
                 np.testing.assert_array_equal(got_ids, ids)

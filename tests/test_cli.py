@@ -63,13 +63,13 @@ class TestBuildQuery:
         assert f"served 8 queries from 2 clients (execution={kind})" \
             in out.getvalue()
 
-    def test_sharded_snapshot_served_by_the_process_pool(self, tmp_path):
+    def test_labelled_snapshot_served_by_the_process_pool(self, tmp_path):
         """The one multi-core path from the command line: a compacted
-        sharded root served by the row-sharded worker pool."""
+        labelled root served by the row-sharded worker pool."""
         idx = str(tmp_path / "idx")
         assert run(["build", "--dataset", "glove", "--n", "200",
                     "--out", idx, "--trees", "4", "--alpha", "32",
-                    "--gamma", "8", "--shards", "2",
+                    "--gamma", "8", "--with-labels", "4",
                     "--backend", "mmap"]) == 0
         assert run(["compact", "--index", idx]) == 0
         out = io.StringIO()
@@ -81,24 +81,85 @@ class TestBuildQuery:
         assert "served 8 queries from 2 clients (execution=process)" \
             in out.getvalue()
 
-    @pytest.mark.parametrize("shards", ["1", "2"], ids=["plain", "sharded"])
-    def test_filtered_query_matches_the_oracle(self, tmp_path, capsys,
-                                               shards):
+    def test_filtered_query_matches_the_oracle(self, tmp_path, capsys):
         """``query --filter`` checks its answers against a brute-force
-        scan of the eligible rows, shard by shard for a sharded snapshot
-        (its ids mapped to global ids).  At most α rows are eligible per
-        shard, so the answers are exact and the recall is 1."""
+        scan of the eligible rows.  At most α rows are eligible, so the
+        answers are exact and the recall is 1."""
         idx = str(tmp_path / "idx")
         assert run(["build", "--dataset", "glove", "--n", "300",
                     "--out", idx, "--trees", "4", "--alpha", "64",
-                    "--gamma", "16", "--shards", shards,
-                    "--with-labels", "5"]) == 0
+                    "--gamma", "16", "--with-labels", "5"]) == 0
         out = io.StringIO()
         code = run(["query", "--index", idx, "--dataset", "glove",
                     "--n", "300", "--queries", "5", "-k", "5", "--filter",
                     '{"op": "eq", "column": "label", "value": 3}'], out)
         assert code == 0, capsys.readouterr().err
         assert "selectivity 20.0%, 60 eligible rows" in out.getvalue()
+        assert "filter-then-scan oracle: 1.000" in out.getvalue()
+
+    FILTERED = ["--dataset", "glove", "--n", "300", "--queries", "8",
+                "-k", "5", "--filter",
+                '{"op": "eq", "column": "label", "value": 3}']
+
+    def _labelled_root(self, tmp_path, *flags):
+        idx = str(tmp_path / "idx")
+        assert run(["build", "--dataset", "glove", "--n", "300",
+                    "--out", idx, "--trees", "4", "--alpha", "256",
+                    "--gamma", "256", "--with-labels", "4", *flags]) == 0
+        from repro import make_dataset
+        return idx, make_dataset("glove", n=300, num_queries=8,
+                                 seed=0).queries
+
+    def test_filtered_oracle_skips_deleted_rows(self, tmp_path, capsys):
+        """Each query's filtered nearest row is deleted and compacted
+        away: the oracle grades against live rows only, so the index's
+        exact answers score 1."""
+        from repro import Eq, open_index
+        idx, queries = self._labelled_root(tmp_path)
+        with open_index(idx) as index:
+            for query in queries:
+                ids, _ = index.query(query, 1, predicate=Eq("label", 3))
+                index.delete(int(ids[0]))
+            deleted = len(index._deleted)
+            index.compact()
+        out = io.StringIO()
+        code = run(["query", "--index", idx, *self.FILTERED], out)
+        assert code == 0, capsys.readouterr().err
+        assert f"{75 - deleted} eligible rows" in out.getvalue()
+        assert "filter-then-scan oracle: 1.000" in out.getvalue()
+
+    def test_filtered_oracle_scans_logged_inserts(self, tmp_path, capsys):
+        """Logged inserts not yet compacted are live rows: the oracle
+        counts and scans them."""
+        from repro import open_index
+        idx, queries = self._labelled_root(tmp_path, "--wal")
+        with open_index(idx) as index:
+            for query in queries:
+                index.insert(query, {"label": 3})
+        out = io.StringIO()
+        code = run(["query", "--index", idx, *self.FILTERED], out)
+        assert code == 0, capsys.readouterr().err
+        assert "83 eligible rows" in out.getvalue()
+        assert "filter-then-scan oracle: 1.000" in out.getvalue()
+
+    def test_filtered_oracle_after_logged_deletes_and_inserts(
+            self, tmp_path, capsys):
+        """Deletes and inserts both still in the log, replayed by the
+        command's own open: the oracle drops the deleted base rows and
+        scans the inserted ones."""
+        from repro import Eq, open_index
+        idx, queries = self._labelled_root(tmp_path, "--wal")
+        with open_index(idx) as index:
+            for query in queries:
+                ids, _ = index.query(query, 1, predicate=Eq("label", 3))
+                index.delete(int(ids[0]))
+            deleted = len(index._deleted)
+            for query in queries:
+                index.insert(query, {"label": 3})
+        out = io.StringIO()
+        code = run(["query", "--index", idx, *self.FILTERED], out)
+        assert code == 0, capsys.readouterr().err
+        assert f"{75 - deleted + 8} eligible rows" in out.getvalue()
         assert "filter-then-scan oracle: 1.000" in out.getvalue()
 
     def test_build_backend_is_the_params_backend(self, tmp_path):
@@ -113,7 +174,8 @@ class TestBuildQuery:
         {"topology": {"shards": 2}},
         {"execution": {"wal": True}},
         {"backend": "mmap"},
-    ], ids=["topology", "execution", "backend"])
+        {"shards": 2},
+    ], ids=["topology", "execution", "backend", "shards"])
     def test_spec_file_with_older_keys_is_refused(self, tmp_path, capsys,
                                                   stale):
         spec = tmp_path / "spec.json"
@@ -123,6 +185,21 @@ class TestBuildQuery:
         assert code == 2
         assert "docs/MIGRATION.md" in capsys.readouterr().err
         assert not (tmp_path / "idx").exists()
+
+    def test_spec_file_of_one_shard_builds(self, tmp_path):
+        """Every plain spec file an older release wrote holds
+        ``"shards": 1``: it builds the index it always did."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "params": {"num_trees": 4, "alpha": 32, "gamma": 8},
+            "shards": 1, "wal": None}))
+        idx = tmp_path / "idx"
+        assert run(["build", "--dataset", "glove", "--n", "200",
+                    "--out", str(idx), "--spec", str(spec)]) == 0
+        meta = json.loads((idx / "meta.json").read_text())
+        assert meta["params"]["num_trees"] == 4
+        assert meta["spec"]["topology"]["shards"] == 1
+        assert not (idx / "manifest.json").exists()
 
     def test_query_dimension_mismatch_fails_cleanly(self, tmp_path,
                                                     monkeypatch):
@@ -245,17 +322,47 @@ class TestWalCompact:
             assert int(reopened.query(vector, 1)[0][0]) == new_id
 
 
-    def test_sharded_build_refuses_a_log(self, tmp_path, capsys):
-        """A sharded deployment keeps no write-ahead log: one line on
-        stderr and a usage exit, not a traceback or a partial snapshot."""
-        code = main(["build", "--dataset", "glove", "--n", "150",
-                     "--out", str(tmp_path / "idx"), "--trees", "4",
-                     "--shards", "2", "--wal"])
+    @pytest.mark.parametrize("argv", [
+        ["query", "--index", "{d}", "--dataset", "glove", "--n", "150"],
+        ["query", "--index", "{d}", "--dataset", "glove", "--n", "150",
+         "--filter", '{{"op": "eq", "column": "label", "value": 3}}'],
+        ["compact", "--index", "{d}"],
+        ["serve", "--index", "{d}", "--dataset", "glove", "--n", "150"],
+        ["serve", "--index", "{d}", "--dataset", "glove", "--n", "150",
+         "--execution", "process", "--workers", "2"],
+    ], ids=["query", "query-filter", "compact", "serve", "serve-process"])
+    def test_every_command_refuses_a_sharded_root(self, tmp_path, capsys,
+                                                  argv):
+        """Each command that opens ``--index`` refuses an older sharded
+        root before touching it: exit 2, one ``error:`` line naming the
+        migration guide, and the root's files left as they were."""
+        root = tmp_path / "sharded"
+        (root / "shard_0").mkdir(parents=True)
+        manifest = json.dumps({"format_version": 1, "num_shards": 2,
+                               "offsets": [0, 75, 150],
+                               "insert_tails": [[], []]})
+        (root / "manifest.json").write_text(manifest)
+        code = main([arg.format(d=root) for arg in argv])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "no write-ahead log" in err
-        assert not (tmp_path / "idx").exists()
+        assert "docs/MIGRATION.md" in err
+        assert sorted(p.name for p in root.iterdir()) == [
+            "manifest.json", "shard_0"]
+        assert (root / "manifest.json").read_text() == manifest
+        assert not any((root / "shard_0").iterdir())
+
+    def test_sharded_root_is_refused(self, tmp_path, capsys):
+        """A root an older release wrote with ``--shards``: one line on
+        stderr naming the migration guide, not a traceback."""
+        (tmp_path / "manifest.json").write_text(
+            '{"format_version": 1, "num_shards": 2}')
+        code = main(["query", "--index", str(tmp_path),
+                     "--dataset", "glove", "--n", "150"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "docs/MIGRATION.md" in err
 
 
 class TestParser:
@@ -288,9 +395,11 @@ class TestParser:
         ["query", "--index", "{d}", "--execution", "process"],
         ["query", "--index", "{d}", "--workers", "2"],
         ["serve", "--index", "{d}", "--execution", "thread"],
+        ["build", "--dataset", "glove", "--n", "50", "--out", "{d}/idx",
+         "--shards", "2"],
     ], ids=["compare", "serve-listen", "build-from-hdf5", "build-execution",
             "build-workers", "query-execution", "query-workers",
-            "serve-execution-thread"])
+            "serve-execution-thread", "build-shards"])
     def test_removed_spellings_are_usage_errors(self, argv, tmp_path):
         """See docs/MIGRATION.md for what replaces each."""
         argv = [arg.format(d=tmp_path) for arg in argv]

@@ -1,18 +1,15 @@
 """Cross-implementation parity suite for the shared Algo.-2 query engine.
 
-The engine extraction makes drift between the in-memory, disk-backed
-and sharded indexes structurally impossible; these tests pin the
+The engine extraction makes drift between the in-memory and
+disk-backed indexes structurally impossible; these tests pin the
 contract:
 
 * identical (ids, dists) across an in-memory `HDIndex`, a process-mode
   `QueryService` over its snapshot and the vectorised batch path on the
   same data/seed;
-* ``query_batch`` equals a loop of ``query`` for every topology and
-  backend;
-* every member reports the random/sequential read breakdown the Sec. 5
+* ``query_batch`` equals a loop of ``query`` for every backend;
+* an index reports the random/sequential read breakdown the Sec. 5
   evaluation metrics depend on;
-* the shard router forwards per-call α/β/γ/Ptolemaic overrides and
-  supports global-id ``delete``;
 * ``query`` is ``query_batch`` at Q = 1, so both are checked against a
   scalar oracle that shares none of the batched kernels (plain, filtered
   and over a WAL delta with deletes), and the adapter's
@@ -43,8 +40,8 @@ from repro.core import (
     HDIndexParams,
     IndexSpec,
     QueryEngine,
-    ShardRouter,
     build,
+    create_index,
     load_index,
     save_index,
 )
@@ -100,21 +97,19 @@ def params(**overrides):
 
 
 @pytest.fixture(scope="module")
-def built_trio(workload, tmp_path_factory):
+def built_pair(workload, tmp_path_factory):
     data, _ = workload
     sequential = HDIndex(params())
     sequential.build(data)
-    disk = snapshot_index(data, str(tmp_path_factory.mktemp("trio")))
-    sharded = ShardRouter(params(), 3)
-    sharded.build(data)
-    yield sequential, disk, sharded
+    disk = snapshot_index(data, str(tmp_path_factory.mktemp("pair")))
+    yield sequential, disk
     disk.close()
 
 
 class TestCrossImplementationParity:
-    def test_sequential_process_and_batch_agree(self, workload, built_trio):
+    def test_sequential_process_and_batch_agree(self, workload, built_pair):
         _, queries = workload
-        sequential, disk, _ = built_trio
+        sequential, disk = built_pair
         batch_ids, batch_dists = sequential.query_batch(queries, 10)
         with served(disk) as process:
             for row, query in enumerate(queries):
@@ -127,12 +122,15 @@ class TestCrossImplementationParity:
                 np.testing.assert_allclose(
                     batch_dists[row][: len(dists_seq)], dists_seq)
 
-    @pytest.mark.parametrize("which", ["sequential", "disk", "sharded"])
-    def test_query_batch_equals_query_loop(self, workload, built_trio,
+    @pytest.mark.parametrize("which", ["sequential", "disk", "memory-reopen"])
+    def test_query_batch_equals_query_loop(self, workload, built_pair,
                                            which):
         _, queries = workload
-        index = dict(zip(("sequential", "disk", "sharded"),
-                         built_trio))[which]
+        if which == "memory-reopen":
+            index = load_index(built_pair[1].params.storage_dir,
+                               backend="memory")
+        else:
+            index = dict(zip(("sequential", "disk"), built_pair))[which]
         k = 10
         batch_ids, batch_dists = index.query_batch(queries, k)
         assert batch_ids.shape == (len(queries), k)
@@ -144,11 +142,13 @@ class TestCrossImplementationParity:
                                        dists)
             assert np.all(batch_ids[row][len(ids):] == -1)
             assert np.all(np.isinf(batch_dists[row][len(dists):]))
+        if which == "memory-reopen":
+            index.close()
 
     def test_batch_with_overrides_equals_loop_with_overrides(self, workload,
-                                                             built_trio):
+                                                             built_pair):
         _, queries = workload
-        sequential, _, _ = built_trio
+        sequential, _ = built_pair
         overrides = dict(alpha=48, gamma=16, use_ptolemaic=True)
         batch_ids, _ = sequential.query_batch(queries, 5, **overrides)
         for row, query in enumerate(queries):
@@ -187,9 +187,9 @@ class TestCrossImplementationParity:
                                    dists_mem)
         disk.close()
 
-    def test_batch_accepts_single_vector(self, workload, built_trio):
+    def test_batch_accepts_single_vector(self, workload, built_pair):
         _, queries = workload
-        sequential, _, _ = built_trio
+        sequential, _ = built_pair
         ids, dists = sequential.query_batch(queries[0], 5)
         assert ids.shape == (1, 5)
         ref_ids, _ = sequential.query(queries[0], 5)
@@ -213,29 +213,30 @@ class TestCrossImplementationParity:
 
 
 class TestStatsParity:
-    def test_sharded_reports_read_breakdown(self, workload, built_trio):
+    @pytest.mark.parametrize("which", ["sequential", "disk"])
+    def test_reports_read_breakdown(self, workload, built_pair, which):
         _, queries = workload
-        _, _, sharded = built_trio
-        sharded.query(queries[0], 10)
-        stats = sharded.last_query_stats()
+        index = dict(zip(("sequential", "disk"), built_pair))[which]
+        index.query(queries[0], 10)
+        stats = index.last_query_stats()
         assert stats.random_reads > 0
         assert (stats.random_reads + stats.sequential_reads
                 == stats.page_reads)
 
-    def test_batch_stats_aggregate(self, workload, built_trio):
+    def test_batch_stats_aggregate(self, workload, built_pair):
         _, queries = workload
-        sequential, _, _ = built_trio
+        sequential, _ = built_pair
         sequential.query_batch(queries, 10)
         stats = sequential.last_query_stats()
         assert stats.extra["batch_size"] == len(queries)
         assert stats.candidates > 0
         assert stats.page_reads > 0
 
-    def test_batch_dedupes_descriptor_fetches(self, workload, built_trio):
+    def test_batch_dedupes_descriptor_fetches(self, workload, built_pair):
         """The batch path fetches each distinct survivor once, so a batch
         of overlapping queries reads far fewer pages than the loop."""
         _, queries = workload
-        sequential, _, _ = built_trio
+        sequential, _ = built_pair
         loop_reads = 0
         for query in queries:
             sequential.query(query, 10)
@@ -244,95 +245,21 @@ class TestStatsParity:
         assert sequential.last_query_stats().page_reads < loop_reads
 
 
-class TestShardedOverridesAndUpdates:
-    def test_overrides_forwarded_to_shards(self, workload):
-        """Regression: per-call α/β/γ overrides used to be dropped, so
-        sweeps over a sharded index silently ran with defaults."""
-        data, queries = workload
-        sharded = ShardRouter(params(), 2)
-        unsharded_like = ShardRouter(params(), 2)
-        sharded.build(data)
-        unsharded_like.build(data)
-        overrides = dict(alpha=16, gamma=8)
-        swept, _ = sharded.query(queries[0], 10, **overrides)
-        default, _ = sharded.query(queries[0], 10)
-        assert not np.array_equal(swept, default)
-        # The override must reach every shard's stats, not just shard 0.
-        sharded.query(queries[0], 10, alpha=16, gamma=8)
-        for shard in sharded.shards:
-            assert shard.last_query_stats().extra["alpha"] == 16
-
-    def test_ptolemaic_override_forwarded(self, workload):
-        data, queries = workload
-        sharded = ShardRouter(params(), 2)
-        sharded.build(data)
-        sharded.query(queries[0], 5, use_ptolemaic=True)
-        for shard in sharded.shards:
-            assert shard.last_query_stats().extra["ptolemaic"] is True
-
-    def test_delete_routes_to_owning_shard(self, workload):
-        data, _ = workload
-        sharded = ShardRouter(params(), 3)
-        sharded.build(data)
-        for probe in (0, len(data) // 2, len(data) - 1):
-            ids, _ = sharded.query(data[probe], 1)
-            assert ids[0] == probe
-            sharded.delete(probe)
-            ids, _ = sharded.query(data[probe], 1)
-            assert ids[0] != probe
-
-    def test_delete_inserted_object(self, workload):
-        data, _ = workload
-        sharded = ShardRouter(params(), 3)
-        sharded.build(data)
-        point = np.full(16, 50.0)
-        new_id = sharded.insert(point)
-        ids, _ = sharded.query(point, 1)
-        assert ids[0] == new_id
-        sharded.delete(new_id)
-        ids, _ = sharded.query(point, 1)
-        assert ids[0] != new_id
-
-    def test_delete_unknown_id_rejected(self, workload):
-        data, _ = workload
-        sharded = ShardRouter(params(), 2)
-        sharded.build(data)
-        with pytest.raises(ValueError):
-            sharded.delete(len(data) + 7)
-        with pytest.raises(ValueError):
-            sharded.delete(-1)
-
-    def test_delete_before_build_rejected(self):
-        with pytest.raises(RuntimeError):
-            ShardRouter(params()).delete(0)
-
-    def test_total_size_bytes_sums_shards(self, workload):
-        data, _ = workload
-        sharded = ShardRouter(params(), 2)
-        sharded.build(data)
-        assert sharded.total_size_bytes() == sum(
-            shard.total_size_bytes() for shard in sharded.shards)
-        assert sharded.total_size_bytes() > sharded.index_size_bytes()
-
-
 class TestEngineComponents:
-    def test_indexes_share_one_engine_implementation(self, built_trio):
-        sequential, disk, sharded = built_trio
+    def test_indexes_share_one_engine_implementation(self, built_pair):
+        sequential, disk = built_pair
         assert type(sequential._engine) is type(disk._engine) is \
             QueryEngine
-        for shard in sharded.shards:
-            assert type(shard._engine) is QueryEngine
 
     def test_one_index_class_per_topology(self):
-        """The structural guarantee: the family is HDIndex (plain) and
-        ShardRouter (sharded), never a subclass carrying a second copy of
-        the Algo.-2 stage logic."""
+        """The structural guarantee: the family is HDIndex alone, never a
+        subclass carrying a second copy of the Algo.-2 stage logic."""
         import repro.core
-        from repro.core import KNNIndex, ShardRouter
+        from repro.core import KNNIndex
         family = {obj for obj in vars(repro.core).values()
                   if isinstance(obj, type) and issubclass(obj, KNNIndex)
                   and obj is not KNNIndex}
-        assert family == {HDIndex, ShardRouter}
+        assert family == {HDIndex}
 
     def test_deleted_ids_excluded_from_batch(self, workload):
         data, _ = workload
@@ -355,8 +282,10 @@ class TestDeleteBatchParity:
     @pytest.mark.parametrize("make_index", [
         lambda directory: HDIndex(params()),
         lambda directory: HDIndex(params(storage_dir=directory)),
-        lambda directory: ShardRouter(params(), 3),
-    ], ids=["sequential", "disk", "sharded"])
+        lambda directory: create_index(IndexSpec(
+            params=params(storage_dir=directory), wal=True)),
+        lambda directory: HDIndex(params(use_ptolemaic=True)),
+    ], ids=["sequential", "disk", "logged", "ptolemaic"])
     def test_batch_equals_loop_after_deletes(self, workload, make_index,
                                              tmp_path):
         data, queries = workload
@@ -1131,10 +1060,10 @@ class TestOnePointAdapter:
         data = rng.uniform(0.0, 100.0, size=(6, 16))
         made = []
         small = params(alpha=8, gamma=8, num_references=2)
-        for index in (HDIndex(small), ShardRouter(small, 2)):
-            index.build(data)
-            index.delete(0)
-            made.append(index)
+        index = HDIndex(small)
+        index.build(data)
+        index.delete(0)
+        made.append(index)
         return data, made
 
     def test_short_answers_come_back_unpadded(self, few):

@@ -13,7 +13,6 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     PersistenceError,
-    ShardRouter,
     load_index,
     save_index,
 )
@@ -428,91 +427,7 @@ class TestTornFiles:
 
 
 class TestFamilySaveLoad:
-    """Whole-family persistence: sharded snapshots reopen as the
-    deployment that was saved."""
-
-    def test_sharded_round_trip_matches_pre_save_exactly(self, workload,
-                                                         tmp_path):
-        data, queries = workload
-        original = ShardRouter(params(), 3)
-        original.build(data)
-        save_index(original, tmp_path / "index")
-        reloaded = load_index(tmp_path / "index")
-        assert isinstance(reloaded, ShardRouter)
-        assert reloaded.num_shards == 3
-        assert reloaded.count == original.count
-        np.testing.assert_array_equal(reloaded.offsets, original.offsets)
-        for query in queries:
-            ids_a, dists_a = original.query(query, 10)
-            ids_b, dists_b = reloaded.query(query, 10)
-            np.testing.assert_array_equal(ids_a, ids_b)
-            np.testing.assert_array_equal(dists_a, dists_b)
-        batch_a = original.query_batch(queries, 10)
-        batch_b = reloaded.query_batch(queries, 10)
-        np.testing.assert_array_equal(batch_a[0], batch_b[0])
-        np.testing.assert_array_equal(batch_a[1], batch_b[1])
-        original.close()
-        reloaded.close()
-
-    def test_sharded_snapshot_layout(self, workload, tmp_path):
-        data, _ = workload
-        index = ShardRouter(params(), 2)
-        index.build(data)
-        save_index(index, tmp_path / "index")
-        manifest = json.loads(
-            (tmp_path / "index" / "manifest.json").read_text())
-        assert "kind" not in manifest
-        assert manifest["spec"]["topology"]["shards"] == 2
-        assert manifest["num_shards"] == 2
-        assert manifest["count"] == len(data)
-        assert manifest["offsets"][0] == 0
-        assert manifest["offsets"][-1] == len(data)
-        for shard in range(2):
-            shard_dir = tmp_path / "index" / f"shard_{shard}"
-            assert (shard_dir / "meta.json").exists()
-            assert (shard_dir / "descriptors.pages").exists()
-
-    def test_sharded_inserts_and_deletes_survive(self, workload, tmp_path):
-        data, _ = workload
-        index = ShardRouter(params(), 2)
-        index.build(data)
-        point = np.full(16, 55.0)
-        new_id = index.insert(point)
-        index.delete(3)
-        save_index(index, tmp_path / "index")
-        reloaded = load_index(tmp_path / "index")
-        assert reloaded.count == len(data) + 1
-        ids, _ = reloaded.query(point, 1)
-        assert ids[0] == new_id
-        ids, _ = reloaded.query(data[3], 1)
-        assert ids[0] != 3
-        # The reloaded index keeps handing out fresh, non-colliding ids.
-        another = reloaded.insert(np.full(16, 45.0))
-        assert another == len(data) + 1
-        reloaded.delete(new_id)
-        ids, _ = reloaded.query(point, 1)
-        assert ids[0] != new_id
-        index.close()
-        reloaded.close()
-
-    def test_sharded_cache_pages_plumbed_to_shards(self, workload, tmp_path):
-        data, queries = workload
-        index = ShardRouter(params(), 2)
-        index.build(data)
-        save_index(index, tmp_path / "index")
-        reloaded = load_index(tmp_path / "index", cache_pages=128)
-        reloaded.query(queries[0], 5)
-        reloaded.query(queries[0], 5)
-        for shard in reloaded.shards:
-            assert shard.params.cache_pages == 128
-        assert any(shard.io_snapshot()["cache_hits"] > 0
-                   for shard in reloaded.shards)
-        index.close()
-        reloaded.close()
-
-    def test_save_unbuilt_sharded_rejected(self, tmp_path):
-        with pytest.raises(RuntimeError):
-            save_index(ShardRouter(params()), tmp_path / "index")
+    """What ``save_index`` / ``load_index`` refuse."""
 
     def test_save_foreign_index_rejected(self, tmp_path):
         from repro.baselines import LinearScan
@@ -524,18 +439,36 @@ class TestFamilySaveLoad:
         with pytest.raises(PersistenceError):
             load_index(tmp_path / "index")
 
-    def test_load_manifest_without_spec_rejected(self, workload, tmp_path):
+    def test_sharded_root_refused_naming_migration(self, tmp_path):
+        """A root an older release wrote with shards: its manifest is
+        refused by every way in, naming the rebuild recipe."""
+        import repro
+        from repro.serve import QueryService
+        root = tmp_path / "index"
+        (root / "shard_0").mkdir(parents=True)
+        (root / "manifest.json").write_text(json.dumps({
+            "format_version": 1, "num_shards": 2, "count": 10,
+            "offsets": [0, 5, 10], "insert_tails": [[], []],
+            "spec": {"topology": {"shards": 2}, "execution": {"wal": None}},
+        }))
+        for open_root in (load_index, repro.open,
+                          QueryService.from_snapshot):
+            with pytest.raises(PersistenceError,
+                               match=r"docs/MIGRATION\.md"):
+                open_root(root)
+
+    def test_meta_recording_shards_rejected(self, workload, tmp_path):
         data, _ = workload
-        index = ShardRouter(params(), 2)
+        index = HDIndex(params())
         index.build(data)
         save_index(index, tmp_path / "index")
-        manifest_path = tmp_path / "index" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["spec"]
-        manifest_path.write_text(json.dumps(manifest))
+        index.close()
+        meta_path = tmp_path / "index" / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["spec"]["topology"]["shards"] = 2
+        meta_path.write_text(json.dumps(meta))
         with pytest.raises(PersistenceError, match="spec"):
             load_index(tmp_path / "index")
-        index.close()
 
 
 class TestMutateResaveRoundTrip:

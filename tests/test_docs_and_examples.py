@@ -44,14 +44,15 @@ class TestArchitectureDoc:
             assert phrase.lower() in text.lower(), f"missing {phrase!r}"
 
     def test_covers_the_index_family(self, text):
-        for name in ("HDIndex", "ShardRouter", "QueryService"):
+        for name in ("HDIndex", "QueryService"):
             assert name in text, f"missing {name!r}"
+        assert "ShardRouter" not in text
 
     def test_covers_the_spec_axes(self, text):
-        for name in ("IndexSpec", "shards=", "wal=", "Execution",
+        for name in ("IndexSpec", "wal=", "Execution",
                      "repro.build", "repro.open"):
             assert name in text, f"missing {name!r}"
-        assert "Topology" not in text
+        assert "Topology" not in text and "shards=" not in text
 
     def test_covers_the_storage_backend_matrix(self, text):
         for name in ('"memory"', '"mmap"', "page matrix", "ModelledPool",
@@ -77,17 +78,16 @@ class TestReadme:
                 f"missing {token!r}"
 
     def test_family_persistence_description_is_current(self, text):
-        # PR 2 extended persistence to the whole family; the README must
-        # not regress to the old HDIndex-only story.
-        assert "load_index" in text and "manifest.json" in text
+        assert "load_index" in text and "meta.json" in text
+        assert "--shards" not in text
 
     def test_quickstart_uses_the_spec_api(self, text):
         # PR 5 redesigned the public API around IndexSpec; the README's
         # front door must lead with it.
         for token in ("IndexSpec", "repro.build", "repro.open",
-                      "shards=", "Execution"):
+                      "wal=", "Execution"):
             assert token in text, f"missing {token!r}"
-        assert "Topology" not in text
+        assert "Topology" not in text and "shards=" not in text
 
 
 class TestMigrationDoc:
@@ -116,6 +116,14 @@ class TestMigrationDoc:
                      "BytesCodec", "StructCodec"):
             assert name in removed, f"missing removal entry for {name!r}"
 
+    def test_sharding_removal_is_documented(self, text):
+        removed = text.split("## Removed: on-host sharding", 1)[1]
+        for name in ("ShardRouter", "IndexSpec.shards", "--shards",
+                     "refuse_sharded_log", "WalRecord.shard",
+                     "manifest.json", "offsets", "insert_tails",
+                     "repro.open", "repro.build"):
+            assert name in removed, f"missing removal entry for {name!r}"
+
     def test_file_backend_removal_is_documented(self, text):
         for name in ('backend="file"', "FilePageStore", "MmapPageStore",
                      "store=", '"mmap"'):
@@ -131,3 +139,100 @@ class TestMigrationDoc:
         for name in ("IndexSpec", "Topology", "Execution", "repro.build",
                      "repro.open", "--execution", "--spec"):
             assert name in text, f"missing replacement {name!r}"
+
+
+def _recipe(heading):
+    """The first ``python`` block after ``heading`` in MIGRATION.md,
+    executed: the names it defines."""
+    text = (REPO_ROOT / "docs" / "MIGRATION.md").read_text()
+    after = text.split(heading, 1)[1]
+    code = after.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "MIGRATION.md", "exec"), namespace)
+    return namespace
+
+
+def _write_sharded_root(root, data, offsets, inserts, deletes, params):
+    """A two-shard root laid out as an older release saved one: each
+    ``shard_<s>/`` a plain snapshot of its rows (build rows, then the
+    rows inserted into it), and a ``manifest.json`` mapping them to
+    global ids.  ``inserts`` is ``(shard, global id, row)``; ``deletes``
+    holds global ids."""
+    import json
+
+    from repro.core import HDIndex, save_index
+    tails = [[], []]
+    for s in range(2):
+        shard = HDIndex(params)
+        shard.build(data[offsets[s]:offsets[s + 1]])
+        local = list(range(offsets[s], offsets[s + 1]))
+        for owner, global_id, row in inserts:
+            if owner == s:
+                assert shard.insert(row) == len(local)
+                local.append(global_id)
+                tails[s].append(global_id)
+        for global_id in deletes:
+            if global_id in local:
+                shard.delete(local.index(global_id))
+        save_index(shard, root / f"shard_{s}")
+        shard.close()
+    (root / "manifest.json").write_text(json.dumps({
+        "format_version": 1,
+        "spec": {"topology": {"shards": 2, "shard_backends": None,
+                              "replicas": 1},
+                 "execution": {"kind": "sequential", "workers": None,
+                               "worker_backend": "mmap",
+                               "worker_timeout": None, "wal": None}},
+        "num_shards": 2, "count": offsets[2] + len(inserts),
+        "generation": 0, "offsets": offsets, "insert_tails": tails,
+        "params": None}, indent=2))
+
+
+class TestShardedRootRecipe:
+    """MIGRATION's rebuild recipe, run as written over a sharded root: it
+    yields the one index built directly over the root's live rows in
+    global-id order."""
+
+    @pytest.mark.parametrize("updated", [False, True],
+                             ids=["as-built", "updated"])
+    def test_rebuild_equals_one_direct_build(self, tmp_path, updated):
+        import numpy as np
+
+        from repro import HDIndexParams, IndexSpec, build
+        from repro.core import PersistenceError, load_index
+        rng = np.random.default_rng(3)
+        data = rng.integers(0, 100, size=(80, 8)).astype(np.float64)
+        extra = rng.integers(0, 100, size=(2, 8)).astype(np.float64)
+        params = HDIndexParams(num_trees=2, hilbert_order=5,
+                               num_references=3, alpha=128, gamma=128,
+                               domain=(0.0, 100.0), seed=4)
+        offsets = [0, 45, 80]
+        # Global ids 80 and 81 were inserted into shards 1 and 0.
+        inserts = [(1, 80, extra[0]), (0, 81, extra[1])] if updated else []
+        deletes = [3, 50, 81] if updated else []
+        root = tmp_path / "sharded"
+        _write_sharded_root(root, data, offsets, inserts, deletes, params)
+        with pytest.raises(PersistenceError, match="MIGRATION"):
+            load_index(root)
+
+        rebuild = _recipe("**Rebuilding one index from a sharded root.**")[
+            "rebuild"]
+        spec = IndexSpec(params=params)
+        rebuilt = rebuild(str(root), str(tmp_path / "one"), spec)
+        everything = np.vstack([data, extra[:len(inserts)]])
+        live = [i for i in range(len(everything)) if i not in deletes]
+        direct = build(spec, everything[live])
+        try:
+            assert rebuilt.count == direct.count == len(live)
+            np.testing.assert_array_equal(
+                rebuilt.heap.gather(np.arange(rebuilt.count)),
+                direct.heap.gather(np.arange(direct.count)))
+            queries = rng.integers(0, 100, size=(5, 8)).astype(np.float64)
+            for got, want in zip(rebuilt.query_batch(queries, 5),
+                                 direct.query_batch(queries, 5)):
+                np.testing.assert_array_equal(got, want)
+        finally:
+            rebuilt.close()
+            direct.close()
+        with load_index(tmp_path / "one") as reopened:
+            assert reopened.count == len(live)

@@ -1,16 +1,17 @@
 """Edge-case contracts across the whole HD-Index family.
 
-Every family member — plain (τ trees or one, in memory or mapped from
-its files), sharded —
-must agree on the boundary behaviours a serving tier leans on: ``k``
-validation, non-finite input, querying before ``build()``, ``k > n``, a
-single-point index, and querying after every point has been deleted (the
-empty surviving-candidate set, which must not touch the descriptor heap
-at all).
+Every variant — τ trees or one, in memory or mapped from its files,
+with or without a write-ahead log or the Ptolemaic filter — must agree
+on the boundary behaviours a serving tier leans on: ``k`` validation,
+non-finite input, querying before ``build()``, ``k > n``, a single-point
+index, and querying after every point has been deleted (the empty
+surviving-candidate set, which must not touch the descriptor heap at
+all).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import signal
 
 import numpy as np
@@ -20,7 +21,6 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     IndexSpec,
-    ShardRouter,
     create_index,
 )
 
@@ -54,25 +54,25 @@ def _make_disk(tmp_path):
         params=_params(storage_dir=str(tmp_path), backend="mmap")))
 
 
-def _make_sharded(tmp_path):
-    return create_index(IndexSpec(params=_params(), shards=2))
+def _make_ptolemaic(tmp_path):
+    """Stage (ii) runs the Ptolemaic filter after the triangular one."""
+    return HDIndex(_params(use_ptolemaic=True))
+
+
+def _make_logged(tmp_path):
+    """Every insert and delete is framed in the write-ahead log first,
+    so a refused call must be refused before its frame is written."""
+    return create_index(IndexSpec(
+        params=_params(storage_dir=str(tmp_path)), wal=True))
 
 
 FAMILY = [
     pytest.param(_make_hdindex, id="hdindex"),
     pytest.param(_make_one_tree, id="one-tree"),
     pytest.param(_make_disk, id="disk"),
-    pytest.param(_make_sharded, id="sharded"),
+    pytest.param(_make_ptolemaic, id="ptolemaic"),
+    pytest.param(_make_logged, id="logged"),
 ]
-#: Members that can hold exactly one point (a 2-shard index cannot).
-SINGLETON_FAMILY = FAMILY[:3]
-
-
-def _heap_reads(index) -> int:
-    """Descriptor-heap page reads, summed over shards where applicable."""
-    if isinstance(index, ShardRouter):
-        return sum(shard.heap.stats.page_reads for shard in index.shards)
-    return index.heap.stats.page_reads
 
 
 @pytest.fixture
@@ -177,12 +177,11 @@ class TestKLargerThanN:
 def _make_singleton(factory, tmp_path):
     """A single point can host at most one reference object (m <= n)."""
     index = factory(tmp_path)
-    index.params = _params(num_references=1,
-                           storage_dir=index.params.storage_dir)
+    index.params = dataclasses.replace(index.params, num_references=1)
     return index
 
 
-@pytest.mark.parametrize("make_index", SINGLETON_FAMILY)
+@pytest.mark.parametrize("make_index", FAMILY)
 class TestSinglePointIndex:
     def test_only_point_always_answers(self, make_index, tmp_path):
         data = _data(1)
@@ -199,12 +198,6 @@ class TestSinglePointIndex:
             index.close()
 
 
-def test_sharded_rejects_fewer_points_than_shards():
-    index = ShardRouter(_params(), 2)
-    with pytest.raises(ValueError, match="shards"):
-        index.build(_data(1))
-
-
 @pytest.mark.parametrize("make_index", FAMILY)
 class TestDeleteAll:
     def test_query_after_deleting_everything(self, make_index, tmp_path):
@@ -218,14 +211,14 @@ class TestDeleteAll:
         try:
             for object_id in range(n):
                 index.delete(object_id)
-            reads_before = _heap_reads(index)
+            reads_before = index.heap.stats.page_reads
             ids, dists = index.query(np.zeros(DIM), K)
             assert ids.shape == (0,) and dists.shape == (0,)
             batch_ids, batch_dists = index.query_batch(
                 np.zeros((2, DIM)), K)
             assert np.all(batch_ids == -1)
             assert np.all(np.isinf(batch_dists))
-            assert _heap_reads(index) == reads_before, \
+            assert index.heap.stats.page_reads == reads_before, \
                 "empty candidate set must not touch the descriptor heap"
         finally:
             index.close()

@@ -98,9 +98,7 @@ class TestMiscEdges:
             heap.restore_count(10**6)
 
     def test_hdindex_name_attributes(self):
-        from repro.core import ShardRouter
         assert HDIndex().name == "HD-Index"
-        assert ShardRouter().name == "HD-Index(sharded)"
 
     def test_build_stats_extra_fields(self):
         rng = np.random.default_rng(0)

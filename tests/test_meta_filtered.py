@@ -303,9 +303,9 @@ class TestEmptyPredicate:
     """A predicate no base row matches (the far end of "no more eligible
     rows than α"): no tree descent, no gather."""
 
-    def build(self, tmp_path=None, **spec):
+    def build(self, tmp_path=None):
         data, queries, metadata = make_workload()
-        index = build(IndexSpec(params=exhaustive_params(), **spec), data,
+        index = build(IndexSpec(params=exhaustive_params()), data,
                       storage_dir=tmp_path and str(tmp_path),
                       metadata=metadata)
         return index, queries
@@ -326,13 +326,12 @@ class TestEmptyPredicate:
         assert stats.page_reads == 0 and stats.candidates == 0
         assert stats.extra["selectivity"] == 0.0
 
-    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
-    def test_nothing_is_answered_through_a_pool(self, tmp_path, shards):
+    def test_nothing_is_answered_through_a_pool(self, tmp_path):
         """Served by a process-mode service, the predicate given to
         ``submit``: every worker row is all padding, as the index's own
         batch answer is."""
         from repro.serve import QueryService
-        index, queries = self.build(tmp_path, shards=shards)
+        index, queries = self.build(tmp_path)
         want_ids, want_dists = index.query_batch(queries, k=5,
                                                  predicate=Eq("label", 99))
         assert (want_ids == -1).all() and np.isinf(want_dists).all()
@@ -751,12 +750,10 @@ class TestFilteredPersistence:
 
 class TestFilteredWal:
     """Filtered queries over online updates, with the write-ahead log
-    attached and without (same write path; the log is durability).  A
-    sharded deployment keeps no log, so it runs un-logged only."""
+    attached and without (same write path; the log is durability)."""
 
-    def wal_spec(self, wal, n=N, shards=1):
-        return IndexSpec(params=exhaustive_params(n=n), shards=shards,
-                         wal=wal)
+    def wal_spec(self, wal, n=N):
+        return IndexSpec(params=exhaustive_params(n=n), wal=wal)
 
     @pytest.mark.parametrize("wal", [True, False])
     def test_wal_inserts_filterable_and_recovered(self, tmp_path, wal):
@@ -781,16 +778,19 @@ class TestFilteredWal:
             assert (ids[0] == new_id) == wal
             assert recovered.count == N + wal
 
-    @pytest.mark.parametrize("shards, wal",
-                             [(1, True), (1, False), (2, False)])
+    @pytest.mark.parametrize("wal, on_disk",
+                             [(True, True), (False, True), (False, False)],
+                             ids=["True", "False", "memory"])
     def test_mismatched_metadata_rejected_before_the_log(self, tmp_path,
-                                                         wal, shards):
+                                                         wal, on_disk):
         """A row the store cannot fold (wrong column, wrong kind) must be
         refused before its frame is written: once logged it would break
-        every filtered query and every compaction, across reopens."""
+        every filtered query and every compaction, across reopens.  An
+        index with no files refuses it too: its fold is in place."""
         data, queries, metadata = make_workload()
-        index = build(self.wal_spec(wal, shards=shards), data,
-                      storage_dir=str(tmp_path), metadata=metadata)
+        index = build(self.wal_spec(wal), data,
+                      storage_dir=str(tmp_path) if on_disk else None,
+                      metadata=metadata)
         good = {"label": 3, "score": 1, "tag": "even"}  # int -> float col
         index.insert(queries[0], metadata=good)
         log_bytes = index._wal.size_bytes() if wal else 0
@@ -933,23 +933,6 @@ class TestAngularMetric:
         index.build(normalize_rows(data))
         with pytest.raises(ValueError, match="unit-normalised"):
             index.insert(np.full(DIM, 3.0))
-
-
-class TestShardedFiltered:
-    def test_sharded_filtered_parity(self):
-        data, queries, metadata = make_workload()
-        spec = IndexSpec(params=exhaustive_params(), shards=3)
-        router = build(spec, data, metadata=metadata)
-        plain = HDIndex(exhaustive_params())
-        plain.build(data, metadata=metadata)
-        predicate = And(Eq("tag", "odd"), Range("score", low=0.2))
-        for query in queries[:3]:
-            r_ids, r_dists = router.query(query, k=6,
-                                          predicate=predicate)
-            want_ids, want_dists = oracle(plain, query, 6, predicate)
-            np.testing.assert_array_equal(np.sort(r_dists),
-                                          np.sort(want_dists))
-            np.testing.assert_array_equal(r_ids, want_ids)
 
 
 class TestServeFiltered:

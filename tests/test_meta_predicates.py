@@ -199,13 +199,6 @@ class TestMetadataStore:
             store.append_rows([{"label": "oops", "score": 0.0,
                                 "color": "red"}])
 
-    def test_slice_is_detached(self, store):
-        part = store.slice(1, 3)
-        assert part.count == 2
-        assert part.rows(range(2)) == ROWS[1:3]
-        part.append_rows([{"label": 7, "score": 7.0, "color": "x"}])
-        assert store.count == 5
-
     def test_from_rows_validation(self):
         with pytest.raises(ValueError):
             MetadataStore.from_rows([])

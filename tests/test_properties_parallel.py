@@ -9,10 +9,6 @@ Seeded randomized trials drive that invariant harder than the hand-picked
 cases in ``test_backend_parity.py``: hypothesis chooses the query points,
 ``k`` and the per-call filter overrides; the sequential index is the
 oracle; every other tier must match it byte for byte.
-
-The sharded index is a *different build* (per-shard reference sets), so it
-is not compared against the sequential oracle; its property is parity with
-itself across backends and snapshot reloads.
 """
 
 from __future__ import annotations
@@ -25,7 +21,8 @@ from repro.core import (
     Execution,
     HDIndex,
     HDIndexParams,
-    ShardRouter,
+    IndexSpec,
+    build,
     load_index,
     save_index,
 )
@@ -212,44 +209,52 @@ class TestBackendParityRandomized:
                 reopened.close()
 
 
-class TestShardedSelfParity:
-    """The sharded build is its own oracle: identical across backends,
-    snapshot reloads and batch composition."""
+class TestLoggedReplayParity:
+    """A logged snapshot reopened with un-compacted inserts and deletes
+    in its log is its own oracle: the replayed delta answers as the
+    index that wrote it, through either backend, and its batch rows
+    equal single queries."""
 
     @pytest.fixture(scope="class")
-    def sharded_snapshot(self, tmp_path_factory):
-        data = _data()
-        directory = tmp_path_factory.mktemp("prop-sharded")
-        index = ShardRouter(_params(), 3)
-        index.build(data)
-        save_index(index, directory)
+    def logged(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("prop-logged")
+        index = build(IndexSpec(params=_params(), wal=True), _data(),
+                      storage_dir=directory)
+        rng = np.random.default_rng(7)
+        for point in np.clip(rng.normal(0.0, 2.0, size=(12, DIM)),
+                             -4.0, 4.0):
+            index.insert(point)
+        for object_id in (0, 5, N + 3):
+            index.delete(object_id)
+        assert len(index._delta) == 12
         yield index, directory
         index.close()
 
     @pytest.mark.parametrize("trial_seed", [11, 23])
-    def test_reload_backend_parity(self, sharded_snapshot, trial_seed):
-        index, directory = sharded_snapshot
+    def test_replay_backend_parity(self, logged, trial_seed):
+        index, directory = logged
         queries = _queries(trial_seed, count=4)
         oracle = [index.query(q, 6) for q in queries]
         batch_oracle = index.query_batch(queries, 6)
         for backend in ("memory", "mmap"):
             reopened = load_index(directory, backend=backend)
             try:
+                assert len(reopened._delta) == 12
+                assert reopened._deleted == index._deleted
                 for q, expected in zip(queries, oracle):
                     _assert_rows_equal(
                         reopened.query(q, 6), expected,
-                        f"sharded[{backend}] seed={trial_seed}")
+                        f"replayed[{backend}] seed={trial_seed}")
                 _assert_rows_equal(reopened.query_batch(queries, 6),
-                                   batch_oracle, f"sharded[{backend}] batch")
+                                   batch_oracle, f"replayed[{backend}] batch")
             finally:
                 reopened.close()
 
     @settings(max_examples=6, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2**20), k=st.integers(1, MAX_K))
-    def test_batch_rows_equal_single_queries(self, sharded_snapshot, seed,
-                                             k):
-        index, _ = sharded_snapshot
+    def test_batch_rows_equal_single_queries(self, logged, seed, k):
+        index, _ = logged
         points = _queries(seed, count=3)
         ids, dists = index.query_batch(points, k)
         for row in range(points.shape[0]):

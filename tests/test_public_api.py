@@ -8,7 +8,15 @@ This test pins the exact surface — update ``EXPECTED_ALL`` deliberately
 
 from __future__ import annotations
 
+import importlib
+import pathlib
+
+import pytest
+
 import repro
+
+MIGRATION = (pathlib.Path(__file__).resolve().parent.parent / "docs"
+             / "MIGRATION.md")
 
 #: The published top-level surface, alphabetical.  A failure here means a
 #: symbol was added or removed without updating this snapshot.
@@ -43,7 +51,6 @@ EXPECTED_ALL = [
     "SRS",
     "ServiceConfig",
     "ServiceStats",
-    "ShardRouter",
     "WorkerCrashed",
     "WorkerTimeout",
     "approximation_ratio",
@@ -103,3 +110,34 @@ def test_spec_entry_points_are_the_documented_objects():
     assert repro.open is open_index
     assert repro.open_index is open_index
     assert repro.build is build
+
+
+#: Names on-host sharding took with it (docs/MIGRATION.md, "Removed:
+#: on-host sharding"): the module that held each, and the name.
+REMOVED_SHARDING = [
+    ("repro", "ShardRouter"),
+    ("repro.core", "ShardRouter"),
+    ("repro.core.spec", "IndexSpec.shards"),
+    ("repro.wal.manager", "refuse_sharded_log"),
+    ("repro.wal.log", "WalRecord.shard"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_SHARDING,
+                         ids=[f"{m}.{n}" for m, n in REMOVED_SHARDING])
+def test_removed_sharding_names_stay_gone(module_name, name):
+    """Each is gone rather than kept as an alias, and the migration
+    guide names it."""
+    owner = importlib.import_module(module_name)
+    *path, last = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, last)
+    assert last not in getattr(owner, "__all__", ())
+    assert last not in getattr(owner, "__slots__", ())
+    assert name in MIGRATION.read_text()
+
+
+def test_router_module_is_gone():
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.core.router")

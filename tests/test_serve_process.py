@@ -36,7 +36,6 @@ from repro.core import (
     HDIndexParams,
     IndexSpec,
     ProcessPoolError,
-    ShardRouter,
     SnapshotWorkerPool,
     WorkerCrashed,
     WorkerTimeout,
@@ -104,39 +103,20 @@ class TestProcessModeParity:
                 np.testing.assert_array_equal(got_ids, ids)
                 np.testing.assert_array_equal(got_dists, dists)
 
-    def test_sharded_snapshot_served_in_process_mode(self, workload,
-                                                     tmp_path):
-        """Workers bootstrap whole sharded snapshots too (each worker
-        reopens every shard via mmap and answers full queries)."""
-        data, queries = workload
-        sharded = ShardRouter(_params(), 2)
-        sharded.build(data)
-        save_index(sharded, tmp_path)
-        expected = [sharded.query(q, K) for q in queries[:6]]
-        sharded.close()
-        with QueryService.from_snapshot(tmp_path, execution=Execution(
-                                            kind="process", workers=2),
-                                        max_batch=4) as service:
-            for q, (ids, dists) in zip(queries, expected):
-                got_ids, got_dists = service.query(q, K, timeout=WAIT)
-                np.testing.assert_array_equal(got_ids, ids)
-                np.testing.assert_array_equal(got_dists, dists)
-
-    def test_process_service_over_process_sharded_snapshot(self, workload,
-                                                           tmp_path):
-        """Regression: a snapshot whose recorded spec is sharded x process
-        (an older release's per-tree pools) must not fork grandchildren
-        inside service workers — every shard opens in-process there."""
+    def test_process_service_over_process_recorded_snapshot(self, workload,
+                                                             tmp_path):
+        """Regression: a snapshot whose recorded spec is process (an
+        older release's per-tree pools) must not fork grandchildren
+        inside service workers — it opens in-process there."""
         import json
         data, queries = workload
-        spec = IndexSpec(params=_params(), shards=2)
-        index = build(spec, data, storage_dir=tmp_path)
+        index = build(IndexSpec(params=_params()), data, storage_dir=tmp_path)
         expected = [index.query(q, K) for q in queries[:4]]
         index.close()
-        for path in tmp_path.rglob("*.json"):
-            meta = json.loads(path.read_text())
-            meta["spec"]["execution"].update(kind="process", workers=2)
-            path.write_text(json.dumps(meta))
+        path = tmp_path / "meta.json"
+        meta = json.loads(path.read_text())
+        meta["spec"]["execution"].update(kind="process", workers=2)
+        path.write_text(json.dumps(meta))
         with QueryService.from_snapshot(
                 tmp_path, execution=Execution(kind="process", workers=2,
                                               worker_timeout=60.0),

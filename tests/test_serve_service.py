@@ -7,6 +7,7 @@ results to a sequential loop over ``query`` — plus the service mechanics
 policy: work-conserving, checked without timing through a gated stub index.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -21,7 +22,6 @@ from repro.core import (
     HDIndex,
     HDIndexParams,
     IndexSpec,
-    ShardRouter,
     create_index,
     save_index,
 )
@@ -123,8 +123,14 @@ class TestConcurrentParity:
         (lambda p, directory: create_index(IndexSpec(params=p),
                                            storage_dir=directory),
          Execution(kind="process", workers=2)),
-        (lambda p, directory: ShardRouter(p, 2), None),
-    ], ids=["process", "sharded"])
+        (lambda p, directory: create_index(
+            IndexSpec(params=dataclasses.replace(p, backend="memory")),
+            storage_dir=directory),
+         Execution(kind="process", workers=2)),
+        (lambda p, directory: create_index(IndexSpec(params=p, wal=True),
+                                           storage_dir=directory),
+         None),
+    ], ids=["process", "memory-index-process", "logged"])
     def test_family_members_served_identically(self, workload, make_index,
                                                execution, tmp_path):
         data, queries = workload
@@ -298,17 +304,17 @@ class TestServiceMechanics:
             ids, built_index.query(queries[0], K)[0])
         service.stop()
 
-    def test_from_snapshot_serves_sharded_directory(self, workload,
-                                                    tmp_path):
+    def test_from_snapshot_serves_a_snapshot_directory(self, workload,
+                                                       tmp_path):
         data, queries = workload
-        index = ShardRouter(params(), 2)
+        index = HDIndex(params())
         index.build(data)
         expected = [index.query(query, K) for query in queries[:6]]
         save_index(index, tmp_path / "snap")
         index.close()
         service = QueryService.from_snapshot(tmp_path / "snap",
                                              max_batch=8)
-        assert isinstance(service.index, ShardRouter)
+        assert isinstance(service.index, HDIndex)
         with service:
             results = run_clients(service, queries[:6], 3)
         for (ids, dists), (got_ids, got_dists) in zip(expected, results):
@@ -319,6 +325,32 @@ class TestServiceMechanics:
         from repro.storage.pages import StorageError
         with pytest.raises(StorageError):
             service.index.query(queries[0], K)
+
+    @pytest.mark.parametrize("backend", ["mmap", "memory"])
+    def test_from_snapshot_replays_a_logged_root(self, workload, tmp_path,
+                                                 backend):
+        """A root whose log still holds an insert and a delete: the
+        service's index replays them, so it answers as the index that
+        wrote them did."""
+        data, queries = workload
+        index = create_index(IndexSpec(params=params(), wal=True),
+                             storage_dir=tmp_path)
+        index.build(data)
+        save_index(index, tmp_path)
+        new_id = index.insert(np.clip(queries[0], 0, 100))
+        gone = int(index.query(queries[1], 1)[0][0])
+        index.delete(gone)
+        expected = [index.query(query, K) for query in queries[:6]]
+        index.close()
+        with QueryService.from_snapshot(tmp_path, backend=backend,
+                                        max_batch=8) as service:
+            assert service.index.params.backend == backend
+            results = run_clients(service, queries[:6], 3)
+        assert int(results[0][0][0]) == new_id
+        assert gone not in results[1][0]
+        for (ids, dists), (got_ids, got_dists) in zip(expected, results):
+            np.testing.assert_array_equal(got_ids, ids)
+            np.testing.assert_array_equal(got_dists, dists)
 
 
 class TestResultCache:
@@ -400,16 +432,6 @@ class TestEpochInvalidation:
             fresh_ids, fresh_dists = service.query(probe, K)
             assert new_id in fresh_ids  # stale entry did not survive
             assert fresh_dists[list(fresh_ids).index(new_id)] < 1e-3
-        index.close()
-
-    def test_sharded_mutations_bump_epoch_too(self, workload):
-        data, queries = workload
-        index = ShardRouter(params(), 2)
-        index.build(data)
-        before = index.update_epoch
-        new_id = index.insert(np.clip(queries[0], 0, 100))
-        index.delete(new_id)
-        assert index.update_epoch == before + 2
         index.close()
 
     def test_unmutated_index_keeps_cache_hot(self, workload):

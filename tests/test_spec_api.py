@@ -1,11 +1,12 @@
 """The declarative `IndexSpec` API: validation, factories, and the
 combinations the old class matrix could not express.
 
-The headline contract: a sharded spec builds, persists, reopens via
+The headline contract: a spec builds, persists, reopens via
 ``repro.open()``, and — in-process or served by the process pool of a
-``QueryService`` — returns results byte-identical to the sequential spec
-on the same workload.  A spec is ``(params, shards, wal)``; the older
-``topology`` / ``execution`` / ``backend`` keys are refused.
+``QueryService`` — returns results byte-identical to the in-memory spec
+on the same workload.  A spec is ``(params, wal)``; the older
+``topology`` / ``execution`` / ``backend`` keys and a shard count other
+than 1 are refused.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from repro import (
     IndexSpec,
     QueryService,
 )
-from repro.core import ShardRouter
 from repro.eval import evaluate_spec
 
 DIM = 16
@@ -52,12 +52,12 @@ def params(**overrides):
 class TestSpecValidation:
     def test_defaults(self):
         spec = IndexSpec()
-        assert (spec.shards, spec.wal) == (1, None)
+        assert spec.wal is None
         assert spec.params == HDIndexParams()
 
-    def test_fields_are_params_shards_wal(self):
+    def test_fields_are_params_and_wal(self):
         assert [f.name for f in dataclasses.fields(IndexSpec)] \
-            == ["params", "shards", "wal"]
+            == ["params", "wal"]
         assert [f.name for f in dataclasses.fields(Execution)] \
             == ["kind", "workers", "worker_timeout"]
 
@@ -73,17 +73,15 @@ class TestSpecValidation:
             Execution(worker_backend="mmap")
 
     def test_spec_rejection(self):
-        with pytest.raises(ValueError, match="shards"):
-            IndexSpec(shards=0)
         with pytest.raises(ValueError, match="wal"):
             IndexSpec(wal="yes")
-        for field in ("topology", "execution", "backend"):
+        for field in ("topology", "execution", "backend", "shards"):
             with pytest.raises(TypeError, match=field):
                 IndexSpec(**{field: None})
 
     def test_dict_round_trip_survives_json(self):
-        spec = IndexSpec(params=params(), shards=3, wal=False)
-        assert spec.to_dict()["shards"] == 3
+        spec = IndexSpec(params=params(), wal=False)
+        assert list(spec.to_dict()) == ["params", "wal"]
         rebuilt = IndexSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert rebuilt == spec
 
@@ -92,10 +90,14 @@ class TestSpecValidation:
         {"execution": {"wal": True}},
         {"execution": {"kind": "thread"}},
         {"backend": "mmap"},
-    ], ids=["topology", "execution-wal", "execution-kind", "backend"])
+        {"shards": 2},
+        {"shards": 0},
+    ], ids=["topology", "execution-wal", "execution-kind", "backend",
+            "shards", "zero-shards"])
     def test_older_spec_keys_are_refused(self, workload, tmp_path, stale):
         """A dict in the older form names the migration instead of
-        building with a default shard count or dropping a log policy."""
+        building one index for a sharded spec or dropping a log
+        policy."""
         data, _ = workload
         spec = {"params": dataclasses.asdict(params()), **stale}
         with pytest.raises(ValueError, match="MIGRATION"):
@@ -104,11 +106,23 @@ class TestSpecValidation:
             repro.build(spec, data, storage_dir=tmp_path)
         assert not any(tmp_path.iterdir())
 
+    def test_plain_shard_count_is_accepted(self):
+        """Every plain spec file an older release wrote holds
+        ``"shards": 1``; it still loads, and no other count does."""
+        assert IndexSpec.from_dict({"shards": 1}) == IndexSpec()
+        spec = {"params": dataclasses.asdict(params()), "shards": 1,
+                "wal": True}
+        assert IndexSpec.from_dict(spec) == IndexSpec(params=params(),
+                                                      wal=True)
+        for shards in (0, 2):
+            with pytest.raises(ValueError, match="MIGRATION"):
+                IndexSpec.from_dict({"shards": shards})
+
     def test_coercion_from_params_and_dict(self):
         from repro.core import coerce_spec
         assert coerce_spec(params()).params == params()
-        spec = coerce_spec({"shards": 2, "wal": False})
-        assert (spec.shards, spec.wal) == (2, False)
+        spec = coerce_spec({"wal": False})
+        assert spec == IndexSpec(wal=False)
         with pytest.raises(TypeError):
             coerce_spec(42)
 
@@ -125,13 +139,6 @@ class TestSpecValidation:
 
 
 class TestProcessServing:
-    def test_router_takes_shards_and_wal_only(self):
-        for keyword in ("topology", "execution"):
-            with pytest.raises(TypeError, match=keyword):
-                ShardRouter(params(), **{keyword: None})
-        assert ShardRouter(params(), 3, wal=False).spec \
-            == IndexSpec(params=params(), shards=3, wal=False)
-
     def test_open_takes_no_execution(self, workload, tmp_path):
         """``repro.open(..., execution=)`` is gone: a snapshot is served
         process-parallel by a service over it, not reopened as one."""
@@ -142,13 +149,12 @@ class TestProcessServing:
             with pytest.raises(TypeError, match="execution"):
                 repro.open(tmp_path, execution=execution)
 
-    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
-    def test_process_service_needs_a_snapshot(self, workload, shards):
+    def test_process_service_needs_a_snapshot(self, workload):
         """The service's workers bootstrap from a snapshot, never from
         the live index: an index with no storage directory is refused
-        with the fix named, for a router as for a plain index."""
+        with the fix named."""
         data, _ = workload
-        index = repro.build(IndexSpec(params=params(), shards=shards), data)
+        index = repro.build(IndexSpec(params=params()), data)
         try:
             with pytest.raises(ValueError, match="snapshot_dir"):
                 QueryService(index, execution=Execution(kind="process",
@@ -173,16 +179,15 @@ class TestFactoryCombos:
         Execution(kind="sequential"),
         Execution(kind="process", workers=2),
     ], ids=["sequential", "process"])
-    @pytest.mark.parametrize("shards", [1, 2])
     def test_topology_execution_grid_parity(self, workload, tmp_path,
-                                            shards, execution):
-        """Every grid point — a persisted topology served in-process or
-        by the process pool — answers identically to the in-memory
-        sequential spec over the same data and seeds."""
+                                            execution):
+        """A persisted index served in-process or by the process pool
+        answers identically to the in-memory spec over the same data and
+        seeds."""
         data, queries = workload
-        oracle = repro.build(IndexSpec(params=params(), shards=shards), data)
+        oracle = repro.build(IndexSpec(params=params()), data)
         expected = oracle.query_batch(queries, K)
-        combo = repro.build(IndexSpec(params=params(), shards=shards), data,
+        combo = repro.build(IndexSpec(params=params()), data,
                             storage_dir=tmp_path)
         with QueryService(combo, execution=execution) as service:
             futures = [service.submit(q, K) for q in queries]
@@ -194,86 +199,14 @@ class TestFactoryCombos:
         oracle.close()
         combo.close()
 
-    def test_sharded_process_combo_byte_identical_and_reopens(
-            self, workload, tmp_path):
-        """A sharded snapshot builds, persists, reopens via repro.open()
-        in-process, and a process-mode service over it matches the
-        sequential spec byte-for-byte."""
-        data, queries = workload
-        oracle = repro.build(IndexSpec(params=params(), shards=2), data)
-        expected_batch = oracle.query_batch(queries, K)
-        oracle.close()
-
-        spec = IndexSpec(params=params(), shards=2)
-        repro.build(spec, data, storage_dir=tmp_path).close()
-        reopened = repro.open(tmp_path)
-        try:
-            assert reopened.spec == IndexSpec(params=reopened.params,
-                                              shards=2)
-            got = reopened.query_batch(queries, K)
-            np.testing.assert_array_equal(got[0], expected_batch[0])
-            np.testing.assert_array_equal(got[1], expected_batch[1])
-            with QueryService(reopened, execution=Execution(
-                    kind="process", workers=2)) as service:
-                for row, q in enumerate(queries):
-                    got_ids, got_dists = service.query(q, K, timeout=60.0)
-                    np.testing.assert_array_equal(got_ids,
-                                                  expected_batch[0][row])
-                    np.testing.assert_array_equal(got_dists,
-                                                  expected_batch[1][row])
-        finally:
-            reopened.close()
-
-    def test_router_insert_keeps_snapshot_reopenable(self, workload,
-                                                     tmp_path):
-        """Regression: compact() on a persisted router must also refresh
-        the manifest (count, insert_tails) — a stale manifest made
-        reopening crash on the grown id maps."""
-        data, queries = workload
-        index = repro.build(
-            IndexSpec(params=params(), shards=2),
-            data, storage_dir=tmp_path)
-        probe = np.full(DIM, 51.0)
-        new_id = index.insert(probe)
-        ids, _ = index.query(probe, 1)
-        assert ids[0] == new_id
-        index.compact()  # sharded updates are volatile until compacted
-        index.close()
-        reopened = repro.open(tmp_path)
-        try:
-            assert reopened.count == len(data) + 1
-            ids, dists = reopened.query(probe, 1)
-            assert ids[0] == new_id and dists[0] < 1e-3
-        finally:
-            reopened.close()
-
-    def test_sharded_delete_after_build_survives_resave(self, workload,
-                                                        tmp_path):
-        """A delete() since the build reaches the re-saved snapshot."""
-        data, queries = workload
-        from repro.core import save_index
-        index = repro.build(
-            IndexSpec(params=params(), shards=2),
-            data, storage_dir=tmp_path)
-        victim = int(index.query(queries[0], 1)[0][0])
-        index.delete(victim)
-        save_index(index, tmp_path)
-        index.close()
-        reopened = repro.open(tmp_path)
-        try:
-            ids, _ = reopened.query(queries[0], 1)
-            assert ids[0] != victim
-        finally:
-            reopened.close()
-
 
 class TestSpecThroughHarnessAndService:
     def test_evaluate_spec_records_spec(self, workload):
         data, queries = workload
         result = evaluate_spec(
-            IndexSpec(params=params(), shards=2),
+            IndexSpec(params=params(), wal=False),
             data, queries, K)
-        assert result.extra["spec"]["shards"] == 2
+        assert result.extra["spec"]["wal"] is False
         assert 0.0 <= result.map_at_k <= 1.0
 
     def test_service_accepts_snapshot_path(self, workload, tmp_path):
@@ -353,9 +286,8 @@ class TestSpecThroughHarnessAndService:
         data, queries = workload
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            index = repro.build(
-                IndexSpec(params=params(), shards=2),
-                data, storage_dir=tmp_path)
+            index = repro.build(IndexSpec(params=params()), data,
+                                storage_dir=tmp_path)
             index.query(queries[0], K)
             index.close()
             repro.open(tmp_path).close()

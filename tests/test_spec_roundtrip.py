@@ -1,20 +1,20 @@
 """A snapshot records one thing about its deployment: its ``spec``.
 
-* the ``spec`` section of ``meta.json`` / ``manifest.json`` is written
-  byte for byte as releases with a ``Topology`` and an ``Execution``
-  wrote it (literals taken from such a release), and only its
-  ``shards`` and ``wal`` are read back;
-* every {plain, sharded} x {auto, un-logged} snapshot reopens
-  byte-identically through both ``repro.open()`` and ``load_index()``,
-  and its ``meta.json`` / ``manifest.json`` carry no ``kind`` tag;
+* the ``spec`` section of ``meta.json`` is written byte for byte as
+  releases with a ``Topology`` and an ``Execution`` wrote it (literals
+  taken from such a release), and only its ``wal`` is read back;
+* every {auto, un-logged} snapshot reopens byte-identically through
+  both ``repro.open()`` and ``load_index()``, mapped or read into RAM,
+  and its ``meta.json`` carries no ``kind`` tag;
 * a snapshot whose recorded dispatch names a pool (``"process"``), a
   kind this release never had (``"fiber"``), the removed ``"thread"``
   spelling, a ``"file"`` worker backend or zero workers opens in-process
   — no pool, no worker forked — with the sequential answers and exact
   counters, its recorded ``wal`` still honoured;
-* a snapshot whose recorded spec, shard count or log policy is missing
-  or invalid is refused with a typed ``PersistenceError`` naming
-  ``docs/MIGRATION.md``.
+* a snapshot whose recorded spec or log policy is missing or invalid,
+  or whose shard count is not 1, is refused with a typed
+  ``PersistenceError`` naming ``docs/MIGRATION.md`` by every opener and
+  ``QueryService.from_snapshot``, whichever backend is asked for.
 """
 
 from __future__ import annotations
@@ -27,8 +27,9 @@ import numpy as np
 import pytest
 
 import repro
-from repro import HDIndexParams, IndexSpec, ShardRouter, load_index
+from repro import HDIndexParams, IndexSpec, load_index
 from repro.core import PersistenceError, SnapshotWorkerPool, save_index
+from repro.serve import QueryService
 
 DIM = 16
 K = 6
@@ -80,8 +81,8 @@ def written_spec(path):
 
 
 class TestSpecSectionPinned:
-    """Built through calls every release takes (bare params, a router
-    with a shard count, a reopen with a ``wal`` override, a re-save), so
+    """Built through calls every release takes (bare params, a reopen
+    with a ``wal`` override, a re-save), so
     the pins hold before and after the spec lost its topology and
     execution."""
 
@@ -95,46 +96,30 @@ class TestSpecSectionPinned:
                 save_index(index, tmp_path)
         assert written_spec(tmp_path / "meta.json") == spec_text(1, wal)
 
-    @pytest.mark.parametrize("wal", [None, False],
-                             ids=["auto", "volatile"])
-    def test_sharded_manifest_json(self, workload, tmp_path, wal):
-        data, _ = workload
-        router = ShardRouter(params(), 2)
-        router.build(data)
-        save_index(router, tmp_path)
-        router.close()
-        manifest = tmp_path / "manifest.json"
-        if wal is not None:
-            recorded = json.loads(manifest.read_text())
-            recorded["spec"]["execution"]["wal"] = wal
-            manifest.write_text(json.dumps(recorded))
-            with repro.open(tmp_path) as index:
-                save_index(index, tmp_path)
-        assert written_spec(manifest) == spec_text(2, wal)
-        for shard in ("shard_0", "shard_1"):
-            assert written_spec(tmp_path / shard / "meta.json") \
-                == spec_text(1, False)
+
+#: The two ways a snapshot's files are opened.
+BACKENDS = ["mmap", "memory"]
 
 
 class TestSpecSnapshotsReopen:
-    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("wal", [None, False], ids=["auto", "volatile"])
     def test_reopens_byte_identically_and_records_no_kind(
-            self, workload, tmp_path, wal, shards):
+            self, workload, tmp_path, wal, backend):
         data, queries = workload
-        spec = IndexSpec(params=params(), shards=shards, wal=wal)
+        spec = IndexSpec(params=params(), wal=wal)
         index = repro.build(spec, data, storage_dir=tmp_path)
         expected = index.query_batch(queries, K)
         index.close()
 
-        for path in tmp_path.rglob("*.json"):
-            meta = json.loads(path.read_text())
-            assert "kind" not in meta and "num_workers" not in meta, path
+        meta = json.loads((tmp_path / "meta.json").read_text())
+        assert "kind" not in meta and "num_workers" not in meta
 
         for opener in (repro.open, load_index):
-            with opener(tmp_path) as reopened:
+            with opener(tmp_path, backend=backend) as reopened:
+                assert reopened.params.backend == backend
                 assert reopened.spec == IndexSpec(
-                    params=reopened.params, shards=shards, wal=wal)
+                    params=reopened.params, wal=wal)
                 got = reopened.query_batch(queries, K)
                 np.testing.assert_array_equal(got[0], expected[0])
                 np.testing.assert_array_equal(got[1], expected[1])
@@ -149,25 +134,26 @@ BAD_SPECS = {
     "no-spec": lambda meta: meta.pop("spec"),
     "no-execution": lambda meta: meta["spec"].pop("execution"),
     "zero-shards": _set("topology", shards=0),
+    "two-shards": _set("topology", shards=2),
     "bad-wal": _set("execution", wal="yes"),
 }
 
 
 class TestBadRecordedSpecRefused:
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("case", sorted(BAD_SPECS))
-    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
     def test_raises_persistence_error_naming_migration(
-            self, workload, tmp_path, shards, case):
+            self, workload, tmp_path, case, backend):
         data, _ = workload
-        repro.build(IndexSpec(params=params(), shards=shards),
-                    data, storage_dir=tmp_path).close()
-        path = tmp_path / ("manifest.json" if shards > 1 else "meta.json")
+        repro.build(IndexSpec(params=params()), data,
+                    storage_dir=tmp_path).close()
+        path = tmp_path / "meta.json"
         meta = json.loads(path.read_text())
         BAD_SPECS[case](meta)
         path.write_text(json.dumps(meta))
-        for opener in (repro.open, load_index):
+        for opener in (repro.open, load_index, QueryService.from_snapshot):
             with pytest.raises(PersistenceError, match="MIGRATION"):
-                opener(tmp_path)
+                opener(tmp_path, backend=backend)
 
 
 def _answers_and_counters(index, queries):
@@ -186,23 +172,20 @@ def _counters(index):
 
 
 def _holds_no_pool(index):
-    """No worker pool on the index, its shards or their engines, and no
-    worker process forked."""
-    parts = getattr(index, "shards", []) + [index]
-    held = [value for part in parts
-            for owner in (part, getattr(part, "_engine", part))
+    """No worker pool on the index or its engine, and no worker process
+    forked."""
+    held = [value for owner in (index, index._engine)
             for value in vars(owner).values()]
     return (not any(isinstance(value, SnapshotWorkerPool) for value in held)
             and not multiprocessing.active_children())
 
 
 def _record(directory, **fields):
-    """Rewrite every ``meta.json`` / ``manifest.json`` under
-    ``directory`` (each shard's too) to record ``fields``."""
-    for path in directory.rglob("*.json"):
-        meta = json.loads(path.read_text())
-        meta["spec"]["execution"].update(fields)
-        path.write_text(json.dumps(meta))
+    """Rewrite ``directory``'s ``meta.json`` to record ``fields``."""
+    path = directory / "meta.json"
+    meta = json.loads(path.read_text())
+    meta["spec"]["execution"].update(fields)
+    path.write_text(json.dumps(meta))
 
 
 #: Recorded dispatch fields a snapshot opens in-process with.
@@ -217,25 +200,23 @@ IGNORED_DISPATCH = {
 
 class TestRecordedDispatchIsIgnored:
     """An index answers in-process: whatever dispatch a snapshot's spec
-    records, it opens through either opener with no pool, answering as
-    the sequential index does, counter for counter."""
+    records, it opens through either opener and either backend with no
+    pool, answering as the sequential index does, counter for counter."""
 
+    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("case", sorted(IGNORED_DISPATCH))
-    @pytest.mark.parametrize("shards", [1, 2], ids=["plain", "sharded"])
     def test_opens_in_process_with_the_sequential_answers(
-            self, workload, tmp_path, shards, case):
+            self, workload, tmp_path, case, backend):
         data, queries = workload
         sequential, legacy = tmp_path / "sequential", tmp_path / "legacy"
-        repro.build(IndexSpec(params=params(), shards=shards),
-                    data, storage_dir=sequential).close()
+        repro.build(IndexSpec(params=params()), data,
+                    storage_dir=sequential).close()
         shutil.copytree(sequential, legacy)
         _record(legacy, **IGNORED_DISPATCH[case])
-        with repro.open(sequential) as oracle:
+        with repro.open(sequential, backend=backend) as oracle:
             want = _answers_and_counters(oracle, queries)
         for opener in (repro.open, load_index):
-            with opener(legacy) as reopened:
-                assert len(getattr(reopened, "shards", [reopened])) \
-                    == shards
+            with opener(legacy, backend=backend) as reopened:
                 assert _answers_and_counters(reopened, queries) == want
                 assert _holds_no_pool(reopened)
 
@@ -255,12 +236,12 @@ class TestRecordedDispatchIsIgnored:
 
     def test_recorded_replicas_are_written_as_one(self, workload, tmp_path):
         data, _ = workload
-        repro.build(IndexSpec(params=params(), shards=2), data,
+        repro.build(IndexSpec(params=params()), data,
                     storage_dir=tmp_path).close()
-        manifest = tmp_path / "manifest.json"
-        recorded = json.loads(manifest.read_text())
+        meta_path = tmp_path / "meta.json"
+        recorded = json.loads(meta_path.read_text())
         recorded["spec"]["topology"]["replicas"] = 3
-        manifest.write_text(json.dumps(recorded))
+        meta_path.write_text(json.dumps(recorded))
         with repro.open(tmp_path) as index:
             save_index(index, tmp_path)
-        assert written_spec(manifest) == spec_text(2, None)
+        assert written_spec(meta_path) == spec_text(1, None)

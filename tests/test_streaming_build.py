@@ -4,8 +4,10 @@ The streaming path must index the same points the in-memory path would
 (reference sets differ — reservoir sampling vs one-shot choice — but
 with exhaustive budgets both reproduce the exact-scan oracle), honour
 both metrics, persist/reopen like any other snapshot, and refuse the
-configurations that cannot stream (SSS references, metadata, shards).
+configurations that cannot stream (SSS references, metadata).
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -152,10 +154,16 @@ class TestStreamingRestrictions:
             build(IndexSpec(params=stream_params()), chunks_of(corpus),
                   metadata=[{"a": 1}] * N)
 
-    def test_sharded_rejected(self, corpus):
-        spec = IndexSpec(params=stream_params(), shards=2)
-        with pytest.raises(ValueError, match="sharded"):
-            build(spec, chunks_of(corpus))
+    def test_sharded_spec_rejected_before_a_block_is_read(self, corpus,
+                                                          tmp_path):
+        """A spec dict holding an older shard count names the migration
+        guide before the stream is touched: no block read, no file."""
+        blocks = chunks_of(corpus)
+        spec = {"params": dataclasses.asdict(stream_params()), "shards": 2}
+        with pytest.raises(ValueError, match="MIGRATION"):
+            build(spec, blocks, storage_dir=tmp_path / "idx")
+        np.testing.assert_array_equal(next(blocks), corpus[:47])
+        assert not (tmp_path / "idx").exists()
 
     def test_empty_stream_rejected(self):
         index = HDIndex(stream_params())

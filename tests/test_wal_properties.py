@@ -36,11 +36,11 @@ BASE_N = 40
 MAX_TOTAL = BASE_N + 48
 
 
-def _params(num_trees=2):
+def _params(num_trees=2, backend=None):
     return HDIndexParams(num_trees=num_trees, hilbert_order=6, num_references=4,
                          alpha=max(256, MAX_TOTAL), gamma=max(256, MAX_TOTAL),
                          use_ptolemaic=False, domain=(0.0, 100.0), seed=5,
-                         storage_dir=None)
+                         storage_dir=None, backend=backend)
 
 
 def _vectors(seed, count):
@@ -53,21 +53,23 @@ def _vectors(seed, count):
 _OPS = st.lists(st.integers(0, 99), min_size=6, max_size=32)
 
 
-#: Durability x deployment: logged; un-logged memory-backed; un-logged
-#: on disk ("file": mapped from ``storage_dir``); un-logged two-shard
-#: router (memory-backed).
-MODES = ["logged", "memory", "file", "router"]
+#: Durability x storage: logged (mapped from ``storage_dir``); logged
+#: with its files read into RAM; un-logged memory-backed; un-logged on
+#: disk ("file": mapped from ``storage_dir``).
+MODES = ["logged", "logged-memory", "memory", "file"]
 
 
 def _build(mode, vectors, tmp, num_trees=2):
-    """The index under test: ``mode`` picks durability and deployment."""
+    """The index under test: ``mode`` picks durability and storage."""
+    logged = mode.startswith("logged")
+    backend = "memory" if mode == "logged-memory" else None
     index = build(
-        IndexSpec(params=_params(num_trees), wal=mode == "logged",
-                  shards=2 if mode == "router" else 1),
-        vectors, storage_dir=tmp if mode in ("logged", "file") else None)
-    if mode != "router":  # a router keeps no log
-        index._wal_fsync = "batch"
-        assert (open_log(index) is not None) == (mode == "logged")
+        IndexSpec(params=_params(num_trees, backend), wal=logged),
+        vectors, storage_dir=None if mode == "memory" else tmp)
+    index._wal_fsync = "batch"
+    assert (open_log(index) is not None) == logged
+    assert index.params.resolved_backend == (
+        "mmap" if mode in ("logged", "file") else "memory")
     return index
 
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -109,6 +111,34 @@ def _simulate_crash(index):
     # Deliberately NOT index.close(): a crash never runs that.
 
 
+#: One frame of each kind: how it is appended, its bytes (taken from a
+#: release that still tagged frames with a shard) and the record it
+#: replays to.
+PINNED_FRAMES = {
+    "insert": (
+        lambda log: log.append_insert(7, np.array([1.0, -2.5])),
+        # insert 7, [1.0, -2.5]
+        bytes.fromhex(
+            "1d0000000d0fbc82010700000000000000ffffffff000000000000f03f"
+            "00000000000004c0"),
+        ("insert", 7, [1.0, -2.5], None)),
+    "insert-metadata": (
+        lambda log: log.append_insert(8, np.array([0.5, 3.0]),
+                                      metadata={"label": 3, "tag": "a"}),
+        # insert 8, {"label": 3, "tag": "a"}, [0.5, 3.0]
+        bytes.fromhex(
+            "36000000a24cd2e4030800000000000000ffffffff150000007b226c6162"
+            "656c223a332c22746167223a2261227d000000000000e03f000000000000"
+            "0840"),
+        ("insert", 8, [0.5, 3.0], {"label": 3, "tag": "a"})),
+    "delete": (
+        lambda log: log.append_delete(7),
+        # delete 7
+        bytes.fromhex("0d000000a53a0bc5020700000000000000ffffffff"),
+        ("delete", 7, None, None)),
+}
+
+
 class TestFrameFormat:
     def test_roundtrip_insert_delete(self, tmp_path):
         path = tmp_path / WAL_FILE
@@ -116,16 +146,61 @@ class TestFrameFormat:
         vector = np.arange(DIM, dtype=np.float64) + 0.5
         log.append_insert(7, vector)
         log.append_delete(3)
-        log.append_insert(8, vector * 2, shard=2)
+        log.append_insert(8, vector * 2)
         log.close()
         records, dropped = replay_wal(path)
         assert dropped == 0
         assert [r.op for r in records] == ["insert", "delete", "insert"]
         assert [r.object_id for r in records] == [7, 3, 8]
-        assert [r.shard for r in records] == [-1, -1, 2]
         np.testing.assert_array_equal(records[0].vector, vector)
         np.testing.assert_array_equal(records[2].vector, vector * 2)
         assert records[1].vector is None
+
+    def test_frame_bytes_are_pinned(self, tmp_path):
+        """An insert, an insert with metadata and a delete, byte for byte
+        as the log has always framed them: length, CRC32, then op, id,
+        an i32 that is always -1, the metadata JSON and the vector."""
+        path = tmp_path / WAL_FILE
+        log = WriteAheadLog(path)
+        for case in PINNED_FRAMES:
+            PINNED_FRAMES[case][0](log)
+        log.close()
+        assert path.read_bytes() == b"".join(
+            frame for _, frame, _ in PINNED_FRAMES.values())
+
+    @pytest.mark.parametrize("case", list(PINNED_FRAMES))
+    def test_pinned_frame_replays_to_its_record(self, tmp_path, case):
+        """A log holding one pinned frame, as an older release wrote it,
+        replays to the record that frame was appended as."""
+        _, frame, (op, object_id, vector, metadata) = PINNED_FRAMES[case]
+        path = tmp_path / WAL_FILE
+        path.write_bytes(frame)
+        records, dropped = replay_wal(path)
+        assert dropped == 0 and len(records) == 1
+        record = records[0]
+        assert (record.op, record.object_id) == (op, object_id)
+        assert record.metadata == metadata
+        if vector is None:
+            assert record.vector is None
+        else:
+            np.testing.assert_array_equal(record.vector, vector)
+
+    @pytest.mark.parametrize("tag", [0, 2])
+    def test_the_i32_is_ignored_on_read(self, tmp_path, tag):
+        """Older releases wrote a shard number into the i32 after the id:
+        a frame carrying one replays as the same record, and the file's
+        bytes are left as they were."""
+        payload = (struct.pack("<Bqi", 1, 7, tag)
+                   + np.array([1.0, -2.5]).astype("<f8").tobytes())
+        path = tmp_path / WAL_FILE
+        path.write_bytes(_HEADER.pack(len(payload), zlib.crc32(payload))
+                         + payload)
+        before = path.read_bytes()
+        records, dropped = replay_wal(path)
+        assert dropped == 0
+        assert [(r.op, r.object_id) for r in records] == [("insert", 7)]
+        np.testing.assert_array_equal(records[0].vector, [1.0, -2.5])
+        assert path.read_bytes() == before
 
     def test_missing_log_replays_empty(self, tmp_path):
         records, dropped = replay_wal(tmp_path / "absent.log")
@@ -336,50 +411,6 @@ class TestGenerationLifecycle:
         save_index(index, resolve_snapshot_dir(str(directory)))
         index.close()
 
-    @pytest.mark.parametrize("compactions", [0, 1])
-    def test_logged_router_save_refused_before_any_file(self, tmp_path,
-                                                        compactions):
-        """A router never holds the log: asking its root for one while a
-        live router holds updates is refused before any file of the root
-        changes, the pending (volatile) updates stay pending, and
-        compact() still folds them into shard bases that reopen with
-        every update."""
-        root = tmp_path / "snap"
-        spec = IndexSpec(params=_params(), shards=2)
-        index = build(spec, _base_data(), storage_dir=str(root))
-        for round_number in range(compactions):
-            index.insert(_extra(29 + round_number, 1)[0])
-            index.compact()
-        for vector in _extra(31, 3):
-            index.insert(vector)
-        pending = [len(shard._delta) for shard in index.shards]
-        assert sum(pending) == 3
-
-        def snapshot():
-            return {path: path.read_bytes() if path.is_file() else None
-                    for path in sorted(root.rglob("*"))}
-        before = snapshot()
-        want = index.query_batch(_base_data()[:4], 5)
-        with pytest.raises(ValueError, match="no write-ahead log"):
-            open_index(root, wal=True)
-        assert snapshot() == before
-        assert not (root / WAL_FILE).exists()
-        assert [len(shard._delta) for shard in index.shards] == pending
-        got = index.query_batch(_base_data()[:4], 5)
-        np.testing.assert_array_equal(got[0], want[0])
-        np.testing.assert_array_equal(got[1], want[1])
-        assert index.compact() == 0  # a fold never moves the generation
-        assert [len(shard._delta) for shard in index.shards] == [0, 0]
-        index.close()
-        reopened = open_index(root)
-        try:
-            assert reopened.count == len(_base_data()) + compactions + 3
-            got = reopened.query_batch(_base_data()[:4], 5)
-            np.testing.assert_array_equal(got[0], want[0])
-            np.testing.assert_array_equal(got[1], want[1])
-        finally:
-            reopened.close()
-
     def test_old_generations_pruned(self, tmp_path):
         directory = tmp_path / "snap"
         index = _build_wal_index(directory)
@@ -421,21 +452,3 @@ class TestNoResyncOnWritePath:
         finally:
             monkeypatch.undo()
             index.close()
-
-    @pytest.mark.parametrize("wal", [False])
-    def test_router_insert_keeps_manifest_clean(self, tmp_path, wal):
-        directory = tmp_path / "snap"
-        spec = IndexSpec(params=_params(), shards=2, wal=wal)
-        router = build(spec, _base_data(), storage_dir=str(directory))
-        try:
-            manifest_before = (directory / "manifest.json").read_bytes()
-            for vector in _extra(31, 6):
-                router.insert(vector)
-            router.delete(9)
-            assert (directory / "manifest.json").read_bytes() \
-                == manifest_before
-            oracle = _oracle(np.vstack([_base_data(), _extra(31, 6)]), {9})
-            _assert_parity(router, oracle, _base_data()[:3])
-            oracle.close()
-        finally:
-            router.close()

@@ -214,13 +214,11 @@ class TestOpenAcrossCompaction:
     publishes and truncates between the two reads is retried, never
     replayed as an id gap."""
 
-    @pytest.mark.parametrize("shards", [1])
     def test_open_retries_a_pair_split_by_compaction(self, tmp_path,
-                                                     clear_fault_hooks,
-                                                     shards):
+                                                     clear_fault_hooks):
         directory = tmp_path / "snap"
         data = _data()
-        spec = IndexSpec(params=_params(), shards=shards, wal=True)
+        spec = IndexSpec(params=_params(), wal=True)
         writer = build(spec, data, storage_dir=str(directory))
         reader = None
         try:
