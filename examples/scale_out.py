@@ -12,9 +12,9 @@ distributed with little synchronization") that run on one host:
    then ``repro.open`` elsewhere and query without ever holding the
    dataset in RAM;
 2. **Parallel querying** — ``QueryService.from_snapshot(...,
-   execution=Execution(kind="process", workers=2))`` serves step 1's
-   snapshot with each micro-batch's rows sharded over worker processes
-   that map it, bit-identical results.
+   workers=2)`` serves step 1's snapshot with each micro-batch's rows
+   sharded over two worker processes that map it, bit-identical
+   results.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 import repro
 import repro.core
 from repro import (
-    Execution,
     HDIndexParams,
     IndexSpec,
     QueryService,
@@ -57,8 +56,7 @@ def main() -> None:
         # --- 2. parallel queries ----------------------------------------
         # The workers reopen the snapshot themselves (mapped, so they
         # share its pages); nothing is pickled across to them.
-        with QueryService.from_snapshot(target, execution=Execution(
-                kind="process", workers=2)) as parallel:
+        with QueryService.from_snapshot(target, workers=2) as parallel:
             futures = [parallel.submit(q, 10) for q in dataset.queries]
             agree = all(
                 np.array_equal(index.query(q, 10)[0], future.result()[0])

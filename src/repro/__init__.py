@@ -25,8 +25,8 @@ Every deployment is one declarative :class:`IndexSpec` —
 mmap storage backend among them) and whether updates are logged —
 handed to :func:`repro.build`, and
 :func:`repro.open` reconstructs it from a persisted snapshot;
-``QueryService(..., execution="process")`` serves a snapshot over
-worker processes.
+``QueryService(..., workers=N)`` serves a snapshot over ``N`` worker
+processes.
 """
 
 from repro.baselines import (
@@ -41,7 +41,6 @@ from repro.baselines import (
     SRS,
 )
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -99,7 +98,6 @@ __all__ = [
     "Dataset",
     "DatasetSpec",
     "Eq",
-    "Execution",
     "GroundTruth",
     "HDIndex",
     "HDIndexParams",

@@ -15,7 +15,7 @@ Five commands cover the library's main workflows without writing code:
 * ``serve``     — load a persisted index into a micro-batching
   :class:`~repro.serve.QueryService` and drive it with concurrent client
   threads, reporting throughput and batching statistics
-  (``--execution process`` row-shards its micro-batches over worker
+  (``--workers N`` row-shards its micro-batches over N worker
   processes; over TCP, run ``python -m repro.serve.server``).
 
 Every flag combination is one declarative spec under the hood.
@@ -31,7 +31,6 @@ import sys
 import numpy as np
 
 from repro.core import (
-    Execution,
     HDIndexParams,
     IndexSpec,
     PersistenceError,
@@ -40,7 +39,6 @@ from repro.core import (
     recommended_params,
 )
 from repro.core.params import BACKENDS
-from repro.core.spec import EXECUTION_KINDS
 from repro.datasets import DATASET_CATALOG, make_dataset, read_vecs
 from repro.eval import GroundTruth, evaluate_index, format_table
 
@@ -134,13 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="how to reopen the snapshot (default mmap: "
                             "mapped, the larger-than-RAM mode; memory = "
                             "read into RAM up front)")
-    serve.add_argument("--execution", choices=EXECUTION_KINDS, default=None,
-                       help="process = shard each micro-batch's rows over "
-                            "worker processes that reopen the snapshot "
-                            "via mmap (multi-core serving)")
     serve.add_argument("--workers", type=_positive_int, default=None,
-                       help="worker-process count for --execution process "
-                            "(default: CPU count)")
+                       help="shard each micro-batch's rows over this many "
+                            "worker processes that reopen the snapshot "
+                            "via mmap (multi-core serving; default: "
+                            "answer in-process)")
     return parser
 
 
@@ -408,11 +404,6 @@ def cmd_serve(args, out=sys.stdout) -> int:
     config = ServiceConfig(max_batch=args.max_batch,
                            max_pending=args.max_pending,
                            cache_size=max(0, args.cache))
-    service_kwargs = {}
-    if args.execution == "process":
-        service_kwargs = dict(
-            execution=Execution(kind="process", workers=args.workers),
-            snapshot_dir=args.index)
     errors: list[Exception] = []
 
     def client(service, workload, client_index):
@@ -434,7 +425,8 @@ def cmd_serve(args, out=sys.stdout) -> int:
         if matching is None:
             return 2
         workload = np.tile(matching[1], (args.repeat, 1))
-        with QueryService(index, config, **service_kwargs) as service:
+        with QueryService(index, config, snapshot_dir=args.index,
+                          workers=args.workers) as service:
             started = time.perf_counter()
             threads = [threading.Thread(target=client,
                                         args=(service, workload, c))
@@ -450,7 +442,7 @@ def cmd_serve(args, out=sys.stdout) -> int:
               f"({errors[0]!r})", file=sys.stderr)
         return 1
     print(f"served {stats.queries} queries from {args.clients} clients "
-          f"(execution={args.execution or 'sequential'}) in {elapsed:.2f}s -> "
+          f"(workers={args.workers}) in {elapsed:.2f}s -> "
           f"{stats.queries / elapsed:.1f} q/s", file=out)
     print(f"{stats.batches} micro-batches, mean size "
           f"{stats.mean_batch_size():.1f}, max {stats.max_batch_size} "

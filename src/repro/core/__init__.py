@@ -16,7 +16,7 @@ from repro.core.procpool import (
     WorkerCrashed,
     WorkerTimeout,
 )
-from repro.core.spec import Execution, IndexSpec, coerce_spec
+from repro.core.spec import IndexSpec, coerce_spec
 from repro.core.params import (
     HDIndexParams,
     TABLE3_CONFIGS,
@@ -42,7 +42,6 @@ from repro.core.reference import (
 
 __all__ = [
     "BuildStats",
-    "Execution",
     "HDIndex",
     "HDIndexParams",
     "IndexSpec",

@@ -278,7 +278,7 @@ class QueryEngine:
         predicate = index._coerce_query_predicate(predicate)
         ptolemaic = (index.params.use_ptolemaic
                      if use_ptolemaic is None else use_ptolemaic)
-        eff_alpha, eff_beta, eff_gamma = index._effective_sizes(
+        eff_alpha, eff_beta, eff_gamma = index.params.resolve_filter_sizes(
             k, alpha, beta, gamma, ptolemaic)
         eligible = index._eligibility(predicate)
 

@@ -141,8 +141,8 @@ class HDIndex(KNNIndex):
     or mappings of their files for larger-than-RAM serving).  Prefer
     declaring the deployment with :class:`~repro.core.spec.IndexSpec`
     and building through :func:`repro.build`.  The index answers
-    in-process; ``QueryService(..., execution="process")`` serves its
-    snapshot over worker processes.
+    in-process; ``QueryService(..., workers=N)`` serves its snapshot
+    over ``N`` worker processes.
 
     There is one write path.  The built trees and heap — the *base* —
     are immutable between folds: :meth:`insert` lands in an in-memory
@@ -744,19 +744,6 @@ class HDIndex(KNNIndex):
         return total.snapshot() if total is not None else combined
 
     # -- internals --------------------------------------------------------
-
-    def _effective_sizes(self, k: int, alpha: int | None, beta: int | None,
-                         gamma: int | None,
-                         ptolemaic: bool) -> tuple[int, int, int]:
-        base_alpha, base_beta, base_gamma = self.params.resolve_filter_sizes(k)
-        eff_alpha = max(alpha if alpha is not None else base_alpha, k)
-        eff_beta = beta if beta is not None else min(base_beta, eff_alpha)
-        eff_gamma = gamma if gamma is not None else min(base_gamma, eff_beta)
-        eff_beta = min(max(eff_beta, k), eff_alpha)
-        eff_gamma = min(max(eff_gamma, k), eff_beta)
-        if not ptolemaic:
-            eff_beta = eff_gamma
-        return eff_alpha, eff_beta, eff_gamma
 
     def _coerce_metadata(self, metadata, n: int) -> MetadataStore | None:
         """Normalise build-time metadata to an aligned store (or None)."""

@@ -103,7 +103,7 @@ class HDIndexParams:
         When set, the descriptor heap and every RDB-tree are backed by real
         files in this directory (``descriptors.pages``, ``tree_<i>.packed``)
         instead of process memory — the fully disk-resident mode.
-        The process-parallel tier (``QueryService(execution="process")``)
+        The process-parallel tier (``QueryService(..., workers=N)``)
         serves a snapshot persisted here: its worker processes reopen it
         via ``mmap`` (the OS shares the physical pages pool-wide), never
         from pickled live state.
@@ -190,25 +190,46 @@ class HDIndexParams:
             return self.backend
         return "memory" if self.storage_dir is None else "mmap"
 
-    def resolve_filter_sizes(self, k: int) -> tuple[int, int, int]:
-        """Effective (α, β, γ) for a query returning k results.
+    def resolve_filter_sizes(self, k: int, alpha: int | None = None,
+                             beta: int | None = None,
+                             gamma: int | None = None,
+                             ptolemaic: bool | None = None
+                             ) -> tuple[int, int, int]:
+        """Effective (α, β, γ) for a query returning k results: the
+        per-call budgets where given, clamped by these params' own.
 
         Every stage must keep at least ``k`` candidates, and when the
-        Ptolemaic filter is disabled β collapses onto γ (Sec. 5.2.5).
-        A defaulted β never clamps an *explicit* γ: it floors at γ so
-        ``gamma=alpha`` means "no reduction", as a caller would expect.
+        call runs no Ptolemaic filter (``ptolemaic``, else
+        ``use_ptolemaic``) β collapses onto γ (Sec. 5.2.5).  A defaulted
+        β never clamps an *explicit* γ: it floors at γ so ``gamma=alpha``
+        means "no reduction", as a caller would expect.  Where neither
+        the build nor the call runs the Ptolemaic filter, the params' β
+        is their γ, which caps a per-call γ.
+
+        >>> HDIndexParams(alpha=512).resolve_filter_sizes(10)
+        (512, 128, 128)
+        >>> HDIndexParams(alpha=512).resolve_filter_sizes(10, ptolemaic=True)
+        (512, 256, 128)
         """
-        alpha = max(self.alpha, k)
+        if ptolemaic is None:
+            ptolemaic = self.use_ptolemaic
+        base_alpha = max(self.alpha, k)
         if self.beta is not None:
-            beta = self.beta
+            base_beta = self.beta
         else:
-            beta = max(alpha // 2, 1)
+            base_beta = max(base_alpha // 2, 1)
             if self.gamma is not None:
-                beta = max(beta, self.gamma)
-        gamma = self.gamma if self.gamma is not None else max(alpha // 4, 1)
-        beta = min(max(beta, k), alpha)
-        gamma = min(max(gamma, k), beta)
-        if not self.use_ptolemaic:
+                base_beta = max(base_beta, self.gamma)
+        base_gamma = (self.gamma if self.gamma is not None
+                      else max(base_alpha // 4, 1))
+        base_beta = min(max(base_beta, k), base_alpha)
+        base_gamma = min(max(base_gamma, k), base_beta)
+        if not (self.use_ptolemaic or ptolemaic):
+            base_beta = base_gamma
+        alpha = max(base_alpha if alpha is None else alpha, k)
+        beta = min(max(base_beta if beta is None else beta, k), alpha)
+        gamma = min(max(base_gamma if gamma is None else gamma, k), beta)
+        if not ptolemaic:
             beta = gamma
         return alpha, beta, gamma
 

@@ -6,15 +6,15 @@ of **worker processes** that each reopen the same persisted snapshot —
 through the zero-copy ``mmap`` backend, so the OS shares one
 set of physical pages across the whole pool and each worker's bootstrap
 is O(metadata), not O(index size).  Its one user is
-``QueryService(execution="process")``, which shards each micro-batch's
-rows across the workers (:meth:`SnapshotWorkerPool.run_query_batch`).
+``QueryService(..., workers=N)``, which shards each micro-batch's rows
+across the workers (:meth:`SnapshotWorkerPool.run_query_batch`).
 
 Design rules (the ones the fault-injection suite enforces):
 
 * **Workers bootstrap from the snapshot manifest, never from pickles.**
-  Only the directory path and buffer-pool setting cross the
-  process boundary at start-up; the index itself is reopened lazily inside
-  the worker on its first task.
+  Only the directory path crosses the process boundary at start-up;
+  the index itself is reopened lazily inside the worker on its first
+  task.
 * **A dead or wedged worker fails fast, typed.**  A worker that crashes
   mid-task surfaces as :class:`WorkerCrashed` on every in-flight call; a
   task that exceeds the pool's ``timeout`` surfaces as
@@ -50,11 +50,6 @@ class WorkerTimeout(ProcessPoolError):
     """A task exceeded the pool's timeout; the pool has been discarded."""
 
 
-def default_workers() -> int:
-    """Pool width when the caller does not choose one: the machine."""
-    return max(1, os.cpu_count() or 1)
-
-
 def preferred_context() -> multiprocessing.context.BaseContext:
     """``fork`` where available (cheap bootstrap; the parent's pages stay
     shared copy-on-write), ``spawn`` elsewhere."""
@@ -67,7 +62,7 @@ def preferred_context() -> multiprocessing.context.BaseContext:
 
 #: Per-worker bootstrap recipe and (lazily opened) index.  Plain module
 #: globals: each worker process has its own copy.
-_WORKER: dict = {"directory": None, "cache_pages": None, "index": None}
+_WORKER: dict = {"directory": None, "index": None}
 
 #: Test seam for fault injection.  When set (before the pool forks, so
 #: workers inherit it), every worker task calls it first — the concurrency
@@ -75,15 +70,14 @@ _WORKER: dict = {"directory": None, "cache_pages": None, "index": None}
 _FAULT_HOOK = None
 
 
-def _worker_init(directory: str, cache_pages: int | None) -> None:
+def _worker_init(directory: str) -> None:
     """Pool initializer: record the bootstrap recipe only.
 
     The index is *not* opened here — pool start-up stays O(1) and a
     snapshot that fails to open surfaces on the first task's future (where
     the caller can see it) instead of silently breaking the pool.
     """
-    _WORKER.update(directory=directory, cache_pages=cache_pages,
-                   index=None)
+    _WORKER.update(directory=directory, index=None)
 
 
 def _worker_index():
@@ -94,9 +88,7 @@ def _worker_index():
     index = _WORKER["index"]
     if index is None:
         from repro.core.persistence import load_index
-        index = load_index(_WORKER["directory"],
-                           cache_pages=_WORKER["cache_pages"],
-                           backend="mmap", wal=False)
+        index = load_index(_WORKER["directory"], backend="mmap", wal=False)
         _WORKER["index"] = index
     return index
 
@@ -143,9 +135,7 @@ class SnapshotWorkerPool:
         :func:`repro.core.save_index`; workers open its published
         generation.
     num_workers:
-        Pool width; defaults to the CPU count.
-    cache_pages:
-        Buffer-pool override forwarded to each worker's ``load_index``.
+        Pool width: exactly this many worker processes.
     timeout:
         Seconds a single dispatched call may take before the pool is
         declared wedged and :class:`WorkerTimeout` is raised; ``None``
@@ -153,17 +143,14 @@ class SnapshotWorkerPool:
         signal).
     """
 
-    def __init__(self, directory: str | os.PathLike[str],
-                 num_workers: int | None = None,
-                 cache_pages: int | None = None,
+    def __init__(self, directory: str | os.PathLike[str], num_workers: int,
                  timeout: float | None = None) -> None:
-        if num_workers is not None and num_workers < 1:
+        if num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {num_workers}")
         if timeout is not None and timeout <= 0:
             raise ValueError(f"timeout must be > 0, got {timeout}")
         self.directory = os.fspath(directory)
-        self.num_workers = num_workers or default_workers()
-        self.cache_pages = cache_pages
+        self.num_workers = num_workers
         self.timeout = timeout
         self._pool: ProcessPoolExecutor | None = None
         # Pool lifecycle is mutated from many threads (service clients
@@ -185,7 +172,7 @@ class SnapshotWorkerPool:
                     max_workers=self.num_workers,
                     mp_context=preferred_context(),
                     initializer=_worker_init,
-                    initargs=(self.directory, self.cache_pages))
+                    initargs=(self.directory,))
             return self._pool
 
     def prestart(self) -> list[int]:

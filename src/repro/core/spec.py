@@ -15,9 +15,6 @@ consumed by :func:`repro.build` / :func:`repro.open` (see
 every snapshot's ``meta.json`` records its log policy, so a reopen
 reconstructs the same deployment.
 
-:class:`Execution` is a :class:`~repro.serve.QueryService`'s setting,
-not an index's: where a served micro-batch runs.
-
 >>> spec = IndexSpec(wal=False)
 >>> IndexSpec.from_dict(spec.to_dict()) == spec
 True
@@ -31,50 +28,8 @@ from typing import Any
 
 from repro.core.params import HDIndexParams
 
-#: Execution kinds an :class:`Execution` accepts.
-EXECUTION_KINDS = ("sequential", "process")
-
 #: The keys of a spec dict (:meth:`IndexSpec.to_dict`).
 SPEC_KEYS = ("params", "wal")
-
-
-@dataclass(frozen=True)
-class Execution:
-    """*Where* a :class:`~repro.serve.QueryService` answers a flushed
-    micro-batch.
-
-    Attributes
-    ----------
-    kind:
-        ``"sequential"`` (the service's dispatcher thread) or
-        ``"process"``: the service shards each micro-batch's rows over
-        worker processes that reopen the persisted snapshot through
-        ``mmap`` (the OS shares one set of physical pages pool-wide).
-    workers:
-        Pool width for ``"process"``; ``None`` picks the CPU count.
-    worker_timeout:
-        Seconds a dispatched process-pool task may take before the pool
-        is declared wedged (:class:`~repro.core.procpool.WorkerTimeout`);
-        ``None`` disables the guard.
-
-    >>> Execution(kind="process", workers=4).workers
-    4
-    """
-
-    kind: str = "sequential"
-    workers: int | None = None
-    worker_timeout: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in EXECUTION_KINDS:
-            raise ValueError(
-                f"unknown execution kind {self.kind!r}; choose from "
-                f"{EXECUTION_KINDS}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.worker_timeout is not None and self.worker_timeout <= 0:
-            raise ValueError(
-                f"worker_timeout must be > 0, got {self.worker_timeout}")
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,9 @@ from repro.serve.service import (
     ServiceOverloaded,
 )
 
+#: Requests the reported p50/p90/p99 latencies cover (the most recent).
+LATENCY_WINDOW = 2048
+
 
 @dataclasses.dataclass
 class GatewayConfig:
@@ -69,9 +72,6 @@ class GatewayConfig:
     default_deadline_ms:
         Deadline applied to requests that carry none; ``None`` means
         such requests may wait indefinitely.
-    latency_window:
-        Ring-buffer size for the percentile estimates; the reported
-        p50/p99 cover the last this-many requests.
     drain_timeout:
         Seconds :meth:`ServeGateway.stop` waits for in-flight requests
         before abandoning them to the service drain.
@@ -81,7 +81,6 @@ class GatewayConfig:
     port: int = 0
     max_inflight: int = 256
     default_deadline_ms: float | None = None
-    latency_window: int = 2048
     drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
@@ -93,9 +92,6 @@ class GatewayConfig:
             raise ValueError(
                 f"default_deadline_ms must be > 0, got "
                 f"{self.default_deadline_ms}")
-        if self.latency_window < 1:
-            raise ValueError(
-                f"latency_window must be >= 1, got {self.latency_window}")
 
 
 class ServeGateway:
@@ -121,8 +117,7 @@ class ServeGateway:
         self._draining = False
         self._inflight = 0
         self._inflight_idle: asyncio.Event | None = None
-        self._latencies: deque[float] = deque(
-            maxlen=self.config.latency_window)
+        self._latencies: deque[float] = deque(maxlen=LATENCY_WINDOW)
         self._counters = {"queries": 0, "shed": 0, "deadline_exceeded": 0,
                           "errors": 0, "connections": 0}
 

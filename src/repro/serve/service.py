@@ -24,16 +24,15 @@ requests, ``submit`` blocks (optionally up to a timeout, then raises
 :class:`ServiceOverloaded`) instead of letting an unbounded queue hide an
 overloaded index.
 
-An :class:`~repro.core.spec.Execution` decides *where* a flushed
-micro-batch runs:
+``workers`` decides *where* a flushed micro-batch runs:
 
-* in-process (the default, ``kind="sequential"``) — the dispatcher
-  thread answers through the index's ``query_batch``;
-* ``Execution(kind="process", workers=N)`` — the one multi-core path:
-  the dispatcher shards the batch's rows across a
-  :class:`~repro.core.procpool.SnapshotWorkerPool` of worker processes,
-  each holding a lazily reopened ``backend="mmap"`` view of the same
-  snapshot directory's published generation (no log), and
+* ``None`` (the default) — the dispatcher thread answers through the
+  index's ``query_batch``;
+* ``workers=N`` — the one multi-core path: the dispatcher shards the
+  batch's rows across a
+  :class:`~repro.core.procpool.SnapshotWorkerPool` of ``N`` worker
+  processes, each holding a lazily reopened ``backend="mmap"`` view of
+  the same snapshot directory's published generation (no log), and
   re-concatenates the slices.  Rows are independent, so answers stay
   byte-identical to the in-process service's; a worker crash or timeout
   fails the affected callers fast with a typed
@@ -53,9 +52,9 @@ from concurrent.futures import Future
 import numpy as np
 
 from repro.core.procpool import ProcessPoolError, SnapshotWorkerPool
-from repro.core.spec import Execution
 from repro.meta import coerce_predicate
 from repro.serve.cache import ResultCache, canonical_overrides, make_key
+from repro.wal.manager import resolve_snapshot_dir, snapshot_root
 
 
 class ServiceClosed(RuntimeError):
@@ -243,12 +242,12 @@ class QueryService:
     service watches: the LRU result cache invalidates itself before the
     next lookup, so served answers are never stale.
 
-    The first argument may also be a snapshot *path* (the service then
-    opens and owns the index), and ``execution=Execution(kind="process",
-    workers=N)`` (see :meth:`from_snapshot`) row-shards each flushed
-    micro-batch across worker processes that each hold a lazily reopened
-    ``mmap`` view of the same snapshot — the multi-core serving tier.
-    Process execution serves an *immutable* snapshot, the published
+    ``workers=N`` (see :meth:`from_snapshot`) row-shards each flushed
+    micro-batch across ``N`` worker processes that each hold a lazily
+    reopened ``mmap`` view of the same snapshot — the multi-core serving
+    tier; each slice is bounded by ``worker_timeout`` seconds
+    (:class:`~repro.core.procpool.WorkerTimeout`), which needs
+    ``workers``.  The pool serves an *immutable* snapshot, the published
     generation opened with no log, which must hold what the index holds
     when the pool binds (``ValueError`` otherwise); once the index is
     updated, batches fail with
@@ -270,33 +269,23 @@ class QueryService:
 
     def __init__(self, index, config: ServiceConfig | None = None,
                  snapshot_dir: str | os.PathLike[str] | None = None,
-                 execution: Execution | str | None = None,
+                 workers: int | None = None,
+                 worker_timeout: float | None = None,
                  **overrides) -> None:
+        if isinstance(index, (str, os.PathLike)):
+            raise TypeError("QueryService serves an index; open a snapshot "
+                            "directory with QueryService.from_snapshot()")
         base = config if config is not None else ServiceConfig()
         self.config = dataclasses.replace(base, **overrides)
-        if execution is None:
-            execution = Execution()
-        elif isinstance(execution, str):
-            execution = Execution(kind=execution)
-        owns_index = False
-        if isinstance(index, (str, os.PathLike)):
-            # "Accept a spec or path": a snapshot directory is opened on
-            # the caller's behalf (the service then owns the index and
-            # closes it on stop()); prefer from_snapshot() when reopen
-            # options matter.
-            from repro.core.factory import open_index
-            if snapshot_dir is None:
-                snapshot_dir = os.fspath(index)
-            index = open_index(index)
-            owns_index = True
         self.index = index
-        self.execution = execution
         self._pool: SnapshotWorkerPool | None = None
-        if execution.kind == "process":
+        if workers is not None:
             directory = self._resolve_snapshot_dir(index, snapshot_dir)
-            self._pool = SnapshotWorkerPool(
-                directory, num_workers=execution.workers,
-                timeout=execution.worker_timeout)
+            self._pool = SnapshotWorkerPool(directory, num_workers=workers,
+                                            timeout=worker_timeout)
+        elif worker_timeout is not None:
+            raise ValueError("worker_timeout bounds a worker process's "
+                             "slice: it needs workers=N")
         # The index update epoch the pool's snapshot holds; workers
         # never see later updates (_answer_rows).
         self._pool_epoch = getattr(index, "update_epoch", 0)
@@ -314,14 +303,14 @@ class QueryService:
         self._worker: threading.Thread | None = None
         self._pending_swap: _SwapRequest | None = None
         self._stats = ServiceStats()
-        # True for from_snapshot() and path construction: the service
-        # then owns the index and closes its page stores on stop().
-        self._owns_index = owns_index
+        # True for from_snapshot(): the service then owns the index and
+        # closes its page stores on stop().
+        self._owns_index = False
 
     @staticmethod
     def _resolve_snapshot_dir(index, snapshot_dir):
-        """Process mode needs a snapshot the workers can bootstrap from:
-        the explicit argument, or the index's own WAL root or storage
+        """Worker processes need a snapshot to bootstrap from: the
+        explicit argument, or the index's own WAL root or storage
         directory.  Workers open its published generation with no log,
         so that generation must hold what the live index holds — the
         same count and deleted ids (:meth:`_check_snapshot`).  A stale
@@ -329,14 +318,11 @@ class QueryService:
         it is an error, not a fallback.
         """
         if snapshot_dir is None:
-            snapshot_dir = (getattr(index, "_wal_root", None)
-                            or getattr(getattr(index, "params", None),
-                                       "storage_dir", None))
+            snapshot_dir = snapshot_root(index)
         if snapshot_dir is None:
             raise ValueError(
-                "execution=Execution(kind=\"process\") needs a "
-                "persisted snapshot: pass snapshot_dir=... (or use "
-                "QueryService.from_snapshot); "
+                "workers=N needs a persisted snapshot: pass "
+                "snapshot_dir=... (or use QueryService.from_snapshot); "
                 "worker processes bootstrap from the snapshot "
                 "manifest, never from the live index")
         directory = os.fspath(snapshot_dir)
@@ -348,7 +334,6 @@ class QueryService:
         """Raise ``ValueError`` unless the generation published under
         ``directory`` records the live index's count and deleted ids."""
         import json
-        from repro.wal.manager import resolve_snapshot_dir
         path = resolve_snapshot_dir(directory)
         try:
             with open(os.path.join(path, "meta.json")) as handle:
@@ -374,7 +359,7 @@ class QueryService:
     def start(self) -> "QueryService":
         """Start the dispatcher thread (idempotent).
 
-        In process mode the worker pool is forked here too — from the
+        With ``workers`` the worker pool is forked here too — from the
         caller's thread, before any client traffic exists, rather than
         lazily from the dispatcher mid-batch (forking a heavily threaded
         process risks inheriting a lock held by another thread).
@@ -444,7 +429,8 @@ class QueryService:
     def from_snapshot(cls, directory, cache_pages: int | None = None,
                       config: ServiceConfig | None = None,
                       backend: str | None = None,
-                      execution: Execution | str | None = None,
+                      workers: int | None = None,
+                      worker_timeout: float | None = None,
                       **overrides) -> "QueryService":
         """Open a persisted index and wrap it in a service.
 
@@ -463,14 +449,13 @@ class QueryService:
             backend: Storage backend for the reopen — ``"mmap"``
                 (mapped, O(metadata) cold start: the larger-than-RAM
                 serving mode; what ``None`` means) or ``"memory"``.
-            execution: An :class:`~repro.core.spec.Execution` (or bare
-                kind string).  ``kind="process"`` shards each
-                micro-batch's rows across ``workers`` worker processes
-                (default: CPU count) that bootstrap from this same
-                snapshot directory and reopen it through ``mmap``,
-                each slice bounded by ``worker_timeout``
-                (:class:`~repro.core.procpool.WorkerTimeout`); any other
-                kind answers batches in-process (default).
+            workers: Shard each micro-batch's rows across this many
+                worker processes that bootstrap from this same snapshot
+                directory and reopen it through ``mmap``; ``None``
+                (default) answers batches in the dispatcher thread.
+            worker_timeout: Seconds a worker's slice may take
+                (:class:`~repro.core.procpool.WorkerTimeout`); needs
+                ``workers``.
             **overrides: Individual :class:`ServiceConfig` fields.
 
         Returns:
@@ -481,7 +466,8 @@ class QueryService:
         service = cls(load_index(directory, cache_pages=cache_pages,
                                  backend=backend),
                       config=config, snapshot_dir=directory,
-                      execution=execution, **overrides)
+                      workers=workers, worker_timeout=worker_timeout,
+                      **overrides)
         service._owns_index = True
         return service
 
@@ -654,7 +640,7 @@ class QueryService:
         pointer swap between micro-batches: queries already dispatched
         complete against the old index/pool, queries batched afterwards
         see the new one, and no future ever fails because of the swap.
-        In process mode the worker pool re-binds to the new directory
+        With ``workers`` the worker pool re-binds to the new directory
         without cancelling in-flight work
         (:meth:`~repro.core.procpool.SnapshotWorkerPool.swap`).
 
@@ -673,15 +659,11 @@ class QueryService:
             ServiceClosed: If the service was stopped before the swap
                 applied.
             TimeoutError: If the swap did not apply within ``timeout``.
-            ValueError: In process mode, if the loaded index holds what
+            ValueError: With ``workers``, if the loaded index holds what
                 the published generation does not (an un-compacted log).
         """
         from repro.core.persistence import load_index
-        target = directory
-        if target is None:
-            target = (getattr(self.index, "_wal_root", None)
-                      or getattr(getattr(self.index, "params", None),
-                                 "storage_dir", None))
+        target = snapshot_root(self.index) if directory is None else directory
         if target is None:
             raise ValueError(
                 "no snapshot directory to swap to: the index is not "
@@ -858,8 +840,8 @@ class QueryService:
     def _answer_rows(self, points: np.ndarray, k: int, overrides: dict
                      ) -> tuple[np.ndarray, np.ndarray]:
         """One flushed group: in-process ``query_batch``, or row-sharded
-        across the worker pool in process mode (byte-identical either
-        way — rows are independent).  Workers answer from the snapshot
+        across the worker pool (byte-identical either way — rows are
+        independent).  Workers answer from the snapshot
         alone, so an update since the pool bound fails the batch rather
         than serving stale answers."""
         if self._pool is not None:

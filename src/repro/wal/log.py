@@ -62,7 +62,7 @@ OP_DELETE = 2
 OP_INSERT_META = 3
 
 #: fsync policies a :class:`WriteAheadLog` accepts.
-FSYNC_POLICIES = ("always", "batch", "never")
+FSYNC_POLICIES = ("always", "batch")
 
 
 class WalError(RuntimeError):
@@ -166,8 +166,7 @@ class WriteAheadLog:
         fsync: Durability policy — ``"always"`` fsyncs every append (a
             crash loses nothing acknowledged), ``"batch"`` flushes every
             append but fsyncs only on :meth:`sync` (a crash may lose the
-            OS-buffered tail, replay repairs any torn frame), ``"never"``
-            leaves syncing to the OS entirely.
+            OS-buffered tail, replay repairs any torn frame).
 
     Thread-safe: appends serialise on an internal lock, so concurrent
     ingest threads produce a valid frame sequence.
@@ -223,8 +222,7 @@ class WriteAheadLog:
         with self._lock:
             if self._handle is not None:
                 self._handle.flush()
-                if self.fsync != "never":
-                    os.fsync(self._handle.fileno())
+                os.fsync(self._handle.fileno())
 
     # -- lifecycle -----------------------------------------------------
 

@@ -43,6 +43,7 @@ __all__ = [
     "publish_current",
     "read_current",
     "resolve_snapshot_dir",
+    "snapshot_root",
 ]
 
 CURRENT_FILE = "CURRENT"
@@ -147,6 +148,14 @@ def _prune_generations(root: str, keep: set[str]) -> None:
 # -- attach / replay ---------------------------------------------------
 
 
+def snapshot_root(index) -> str | None:
+    """The directory ``index``'s snapshot lives under: its WAL root, else
+    its ``storage_dir``; ``None`` for an index with neither (memory-only,
+    or an object outside the family)."""
+    return (getattr(index, "_wal_root", None)
+            or getattr(getattr(index, "params", None), "storage_dir", None))
+
+
 def enable_wal(index, root: str | os.PathLike[str] | None = None,
                fsync: str | None = None) -> None:
     """Create the log handle for a built plain index.
@@ -155,7 +164,7 @@ def enable_wal(index, root: str | os.PathLike[str] | None = None,
     and by :func:`attach_wal` at load time.
     """
     if root is None:
-        root = index._wal_root or index.params.storage_dir
+        root = snapshot_root(index)
     if root is None:
         raise ValueError(
             "wal=True requires a disk-backed index "

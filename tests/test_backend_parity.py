@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     PersistenceError,
@@ -188,8 +187,7 @@ class TestFamilyBackends:
         mapped = HDIndex(_params(backend="mmap", storage_dir=str(tmp_path)))
         mapped.build(data)
         save_index(mapped, tmp_path)
-        with QueryService(mapped, execution=Execution(
-                kind="process", workers=2)) as service:
+        with QueryService(mapped, workers=2) as service:
             single = [service.query(q, K, timeout=60) for q in queries]
         _assert_same_answers((single, expected[1]), expected,
                              "process-mmap")

@@ -47,8 +47,8 @@ class TestBuildQuery:
         assert "MAP@k" in out.getvalue()
 
     @pytest.mark.parametrize("execution, kind", [
-        ([], "sequential"),
-        (["--execution", "process", "--workers", "1"], "process"),
+        ([], "None"),
+        (["--workers", "1"], "1"),
     ], ids=["in-process", "process"])
     def test_build_then_serve_reports_execution(self, tmp_path, execution,
                                                 kind):
@@ -60,7 +60,7 @@ class TestBuildQuery:
                     "--dataset", "glove", "--n", "200", "--queries", "8",
                     "--clients", "2", "-k", "3", *execution], out)
         assert code == 0
-        assert f"served 8 queries from 2 clients (execution={kind})" \
+        assert f"served 8 queries from 2 clients (workers={kind})" \
             in out.getvalue()
 
     def test_labelled_snapshot_served_by_the_process_pool(self, tmp_path):
@@ -75,10 +75,9 @@ class TestBuildQuery:
         out = io.StringIO()
         code = run(["serve", "--index", idx, "--dataset", "glove",
                     "--n", "200", "--queries", "8", "--clients", "2",
-                    "-k", "3", "--execution", "process",
-                    "--workers", "2"], out)
+                    "-k", "3", "--workers", "2"], out)
         assert code == 0
-        assert "served 8 queries from 2 clients (execution=process)" \
+        assert "served 8 queries from 2 clients (workers=2)" \
             in out.getvalue()
 
     def test_filtered_query_matches_the_oracle(self, tmp_path, capsys):
@@ -329,7 +328,7 @@ class TestWalCompact:
         ["compact", "--index", "{d}"],
         ["serve", "--index", "{d}", "--dataset", "glove", "--n", "150"],
         ["serve", "--index", "{d}", "--dataset", "glove", "--n", "150",
-         "--execution", "process", "--workers", "2"],
+         "--workers", "2"],
     ], ids=["query", "query-filter", "compact", "serve", "serve-process"])
     def test_every_command_refuses_a_sharded_root(self, tmp_path, capsys,
                                                   argv):
@@ -395,11 +394,14 @@ class TestParser:
         ["query", "--index", "{d}", "--execution", "process"],
         ["query", "--index", "{d}", "--workers", "2"],
         ["serve", "--index", "{d}", "--execution", "thread"],
+        ["serve", "--index", "{d}", "--execution", "process",
+         "--workers", "2"],
         ["build", "--dataset", "glove", "--n", "50", "--out", "{d}/idx",
          "--shards", "2"],
     ], ids=["compare", "serve-listen", "build-from-hdf5", "build-execution",
             "build-workers", "query-execution", "query-workers",
-            "serve-execution-thread", "build-shards"])
+            "serve-execution-thread", "serve-execution-process",
+            "build-shards"])
     def test_removed_spellings_are_usage_errors(self, argv, tmp_path):
         """See docs/MIGRATION.md for what replaces each."""
         argv = [arg.format(d=tmp_path) for arg in argv]

@@ -35,7 +35,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.btree.packed import PackedTree, bulk_load
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -66,8 +65,7 @@ from test_core_filters import python_ptolemaic, python_triangular
 
 def served(index, workers=2):
     """A started process-mode service over ``index``'s own snapshot."""
-    return QueryService(index, execution=Execution(
-        kind="process", workers=workers)).start()
+    return QueryService(index, workers=workers).start()
 
 
 def snapshot_index(data, directory, **overrides):
@@ -366,8 +364,7 @@ def scalar_oracle(index, point, k, predicate=None):
     point = np.asarray(point, dtype=np.float64)
     predicate = index._coerce_query_predicate(predicate)
     ptolemaic = index.params.use_ptolemaic
-    alpha, beta, gamma = index._effective_sizes(k, None, None, None,
-                                                ptolemaic)
+    alpha, beta, gamma = index.params.resolve_filter_sizes(k)
     eligible = None if predicate is None else predicate.mask(index.metadata)
     query_ref = index.references.distances_from(point)[0]
     survivors = []

@@ -115,6 +115,30 @@ class TestQuery:
         stats = index.last_query_stats()
         assert stats.extra["ptolemaic"] is True
 
+    def test_per_call_ptolemaic_keeps_the_default_beta(self):
+        """On an index built without the Ptolemaic filter, a call that
+        asks for it gets the default β = α/2, not β collapsed onto γ:
+        the same answers as passing that β explicitly, and a re-rank
+        set other than the triangular-only call's."""
+        ds = make_dataset("sift10k", n=5000, num_queries=20, seed=0)
+        index = HDIndex(HDIndexParams(alpha=512, domain=ds.spec.domain))
+        index.build(ds.data)
+        kappas = set()
+        for query in ds.queries:
+            want = index.query(query, 10, beta=256, use_ptolemaic=True)
+            got = index.query(query, 10, use_ptolemaic=True)
+            stats = index.last_query_stats()
+            assert (stats.extra["alpha"], stats.extra["beta"],
+                    stats.extra["gamma"]) == (512, 256, 128)
+            np.testing.assert_array_equal(got[0], want[0])
+            np.testing.assert_array_equal(got[1], want[1])
+            index.query(query, 10)
+            triangular = index.last_query_stats()
+            assert triangular.extra["beta"] == 128
+            kappas.add((stats.candidates, triangular.candidates))
+        assert any(ptolemaic != alone for ptolemaic, alone in kappas)
+        index.close()
+
     def test_overrides_change_candidate_counts(self, built_index):
         index, _, queries = built_index
         index.query(queries[0], 5, alpha=16, gamma=8)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -20,8 +19,7 @@ def served(p, data, directory, workers=2, wal=False):
     with ``p`` in ``directory`` (the workers bootstrap from it)."""
     index = build(IndexSpec(params=p, wal=wal), data,
                   storage_dir=str(directory))
-    service = QueryService(index, execution=Execution(kind="process",
-                                                      workers=workers))
+    service = QueryService(index, workers=workers)
     service._owns_index = True
     return service.start()
 
@@ -113,9 +111,11 @@ class TestProcessServedHDIndex:
                     np.testing.assert_array_equal(got_ids, ids)
                     np.testing.assert_array_equal(got_dists, dists)
 
-    def test_invalid_workers_rejected(self):
-        with pytest.raises(ValueError):
-            Execution(kind="process", workers=0)
+    def test_invalid_workers_rejected(self, workload, tmp_path):
+        index = build(IndexSpec(params=params()), workload[0],
+                      storage_dir=str(tmp_path))
+        with index, pytest.raises(ValueError, match=">= 1"):
+            QueryService(index, workers=0)
 
     @pytest.mark.parametrize("wal", [True, False],
                              ids=["logged", "unlogged"])

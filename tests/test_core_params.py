@@ -1,5 +1,7 @@
 """Unit tests for HDIndexParams and the Eq. (4) leaf-order arithmetic."""
 
+import itertools
+
 import pytest
 
 from repro.core import (
@@ -84,6 +86,48 @@ class TestParams:
         params = HDIndexParams(alpha=4096, use_ptolemaic=False)
         alpha, beta, gamma = params.resolve_filter_sizes(k=10)
         assert beta == gamma == 1024
+
+    def test_resolve_takes_the_calls_ptolemaic_flag(self):
+        """β collapses onto γ when the *call* runs no Ptolemaic filter,
+        whatever the build said."""
+        built_without = HDIndexParams(alpha=512)
+        assert built_without.resolve_filter_sizes(10, ptolemaic=True) \
+            == (512, 256, 128)
+        built_with = HDIndexParams(alpha=512, use_ptolemaic=True)
+        assert built_with.resolve_filter_sizes(10, ptolemaic=False) \
+            == (512, 128, 128)
+
+    @pytest.mark.parametrize("ptolemaic", [None, False, True])
+    @pytest.mark.parametrize("built", [
+        dict(alpha=64), dict(alpha=64, use_ptolemaic=True),
+        dict(alpha=100, beta=400, gamma=900, use_ptolemaic=True),
+        dict(alpha=64, gamma=48), dict(alpha=64, beta=8, gamma=4)],
+        ids=["default", "ptolemaic", "inverted", "gamma", "small"])
+    def test_resolve_per_call_equals_the_two_step_clamp(self, built,
+                                                       ptolemaic):
+        """The per-call budgets clamp on top of the params' resolved
+        ones, as a separate per-call clamp did before; only the β a
+        Ptolemaic call defaults to on an index built without it
+        moved."""
+        params = HDIndexParams(**built)
+        for k, alpha, beta, gamma in itertools.product(
+                (1, 10, 70), (None, 16, 200), (None, 12, 300),
+                (None, 6, 500)):
+            effective = (params.use_ptolemaic if ptolemaic is None
+                         else ptolemaic)
+            base_a, base_b, base_g = params.resolve_filter_sizes(k)
+            if effective and not params.use_ptolemaic:
+                base_b = params.resolve_filter_sizes(k, ptolemaic=True)[1]
+            want_a = max(base_a if alpha is None else alpha, k)
+            want_b = beta if beta is not None else min(base_b, want_a)
+            want_g = gamma if gamma is not None else min(base_g, want_b)
+            want_b = min(max(want_b, k), want_a)
+            want_g = min(max(want_g, k), want_b)
+            if not effective:
+                want_b = want_g
+            assert params.resolve_filter_sizes(
+                k, alpha, beta, gamma, ptolemaic) \
+                == (want_a, want_b, want_g)
 
     def test_resolve_respects_k_floor(self):
         params = HDIndexParams(alpha=64, beta=2, gamma=1)

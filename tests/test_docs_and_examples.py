@@ -49,10 +49,11 @@ class TestArchitectureDoc:
         assert "ShardRouter" not in text
 
     def test_covers_the_spec_axes(self, text):
-        for name in ("IndexSpec", "wal=", "Execution",
+        for name in ("IndexSpec", "wal=", "workers=",
                      "repro.build", "repro.open"):
             assert name in text, f"missing {name!r}"
         assert "Topology" not in text and "shards=" not in text
+        assert "Execution" not in text
 
     def test_covers_the_storage_backend_matrix(self, text):
         for name in ('"memory"', '"mmap"', "page matrix", "ModelledPool",
@@ -85,9 +86,10 @@ class TestReadme:
         # PR 5 redesigned the public API around IndexSpec; the README's
         # front door must lead with it.
         for token in ("IndexSpec", "repro.build", "repro.open",
-                      "wal=", "Execution"):
+                      "wal=", "workers="):
             assert token in text, f"missing {token!r}"
         assert "Topology" not in text and "shards=" not in text
+        assert "Execution" not in text and "--execution" not in text
 
 
 class TestMigrationDoc:

@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import HDIndex, HDIndexParams, IndexSpec, open_index
 from repro.core.factory import build
-from repro.core.spec import Execution
 from repro.distance import euclidean_to_many, normalize_rows, top_k_smallest
 from repro.meta import And, Eq, In, MetadataStore, Not, Range
 
@@ -104,9 +103,10 @@ class TestFilteredParity:
             np.testing.assert_array_equal(batch_ids[row], ids)
             np.testing.assert_array_equal(batch_dists[row], dists)
 
-    @pytest.mark.parametrize("execution", ["sequential", "process"])
+    @pytest.mark.parametrize("workers", [None, 2],
+                             ids=["sequential", "process"])
     @pytest.mark.parametrize("backend", ["memory", "mmap"])
-    def test_executor_backend_matrix(self, tmp_path, execution, backend):
+    def test_executor_backend_matrix(self, tmp_path, workers, backend):
         """Answered by the index in-process, or by a process-mode
         service over its snapshot with the predicate in ``submit``."""
         from repro.serve import QueryService
@@ -115,8 +115,7 @@ class TestFilteredParity:
             backend=backend, storage_dir=str(tmp_path)))
         index = build(spec, data, storage_dir=str(tmp_path),
                       metadata=metadata)
-        service = QueryService(index, execution=Execution(
-            kind=execution, workers=2)).start()
+        service = QueryService(index, workers=workers).start()
         try:
             predicate = And(Range("score", low=0.1, high=0.9),
                             Not(Eq("label", 0)))
@@ -335,8 +334,7 @@ class TestEmptyPredicate:
         want_ids, want_dists = index.query_batch(queries, k=5,
                                                  predicate=Eq("label", 99))
         assert (want_ids == -1).all() and np.isinf(want_dists).all()
-        with index, QueryService(index, execution=Execution(
-                kind="process", workers=2)) as service:
+        with index, QueryService(index, workers=2) as service:
             futures = [service.submit(query, 5, predicate=Eq("label", 99))
                        for query in queries]
             for row, future in enumerate(futures):
@@ -510,8 +508,7 @@ class TestEligibleMemo:
                                                       predicate=self.LABEL)
         index = build(self.spec(wal=wal), data, storage_dir=str(tmp_path),
                       metadata=metadata)
-        with index, QueryService(index, execution=Execution(
-                kind="process", workers=2)) as service:
+        with index, QueryService(index, workers=2) as service:
             # Miss, hit, then the wire form (equal, not the same object).
             for form in (self.LABEL, self.LABEL, self.LABEL.to_dict()):
                 futures = [service.submit(query, 10, predicate=form)

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -56,8 +55,7 @@ def _queries(seed: int, count: int = 3) -> np.ndarray:
 
 def _process(index):
     """A process-mode service over ``index``'s own snapshot, unstarted."""
-    return QueryService(index, max_batch=8, execution=Execution(
-        kind="process", workers=2))
+    return QueryService(index, max_batch=8, workers=2)
 
 
 @pytest.fixture(scope="module")
@@ -165,10 +163,9 @@ class TestStatsParity:
     def test_counters_match_in_process(self, tiers, trial_seed):
         queries = _queries(trial_seed, count=4)
         runs = []
-        for execution in ("sequential", "process"):
+        for workers in (None, 2):
             service = QueryService(tiers["sequential"], max_batch=8,
-                                   cache_size=16, execution=Execution(
-                                       kind=execution, workers=2))
+                                   cache_size=16, workers=workers)
             futures = [service.submit(q, 6) for q in queries]
             with service:
                 answers = [future.result(timeout=WAIT)

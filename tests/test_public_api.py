@@ -27,7 +27,6 @@ EXPECTED_ALL = [
     "Dataset",
     "DatasetSpec",
     "Eq",
-    "Execution",
     "GroundTruth",
     "HDIndex",
     "HDIndexParams",
@@ -128,6 +127,29 @@ REMOVED_SHARDING = [
 def test_removed_sharding_names_stay_gone(module_name, name):
     """Each is gone rather than kept as an alias, and the migration
     guide names it."""
+    _assert_gone(module_name, name)
+
+
+#: Names that went when a service's placement became ``workers=N``
+#: (docs/MIGRATION.md, "Removed: `Execution`").
+REMOVED_PLACEMENT = [
+    ("repro", "Execution"),
+    ("repro.core", "Execution"),
+    ("repro.core.spec", "Execution"),
+    ("repro.core.spec", "EXECUTION_KINDS"),
+    ("repro.core.procpool", "default_workers"),
+    ("repro.core.hdindex", "HDIndex._effective_sizes"),
+    ("repro.serve.gateway", "GatewayConfig.latency_window"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_PLACEMENT,
+                         ids=[f"{m}.{n}" for m, n in REMOVED_PLACEMENT])
+def test_removed_placement_names_stay_gone(module_name, name):
+    _assert_gone(module_name, name)
+
+
+def _assert_gone(module_name, name):
     owner = importlib.import_module(module_name)
     *path, last = name.split(".")
     for part in path:

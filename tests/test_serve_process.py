@@ -31,7 +31,6 @@ import pytest
 
 import repro.core.procpool as procpool
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -94,8 +93,7 @@ class TestProcessModeParity:
     def test_served_answers_match_sequential(self, workload, snapshot):
         _, queries = workload
         directory, expected = snapshot
-        with QueryService.from_snapshot(directory, execution=Execution(
-                                            kind="process", workers=2),
+        with QueryService.from_snapshot(directory, workers=2,
                                         max_batch=8) as service:
             futures = [service.submit(q, K) for q in queries]
             for future, (ids, dists) in zip(futures, expected):
@@ -118,8 +116,7 @@ class TestProcessModeParity:
         meta["spec"]["execution"].update(kind="process", workers=2)
         path.write_text(json.dumps(meta))
         with QueryService.from_snapshot(
-                tmp_path, execution=Execution(kind="process", workers=2,
-                                              worker_timeout=60.0),
+                tmp_path, workers=2, worker_timeout=60.0,
                 max_batch=4) as service:
             for q, (ids, dists) in zip(queries, expected):
                 got_ids, got_dists = service.query(q, K, timeout=WAIT)
@@ -132,7 +129,7 @@ class TestProcessModeParity:
         index.build(data)
         try:
             with pytest.raises(ValueError, match="snapshot"):
-                QueryService(index, execution="process")
+                QueryService(index, workers=2)
         finally:
             index.close()
 
@@ -144,16 +141,15 @@ class TestProcessModeParity:
         index = HDIndex(_params(str(tmp_path)))
         index.build(data)
         save_index(index, tmp_path)
-        one = Execution(kind="process", workers=1)
         try:
-            QueryService(index, execution=one)  # fresh: fine
+            QueryService(index, workers=1)  # fresh: fine
             index.insert(np.full(16, 1.0))
             with pytest.raises(ValueError, match="save_index"):
-                QueryService(index, execution=one)
+                QueryService(index, workers=1)
             with pytest.raises(ValueError, match="save_index"):
-                QueryService(index, execution=one, snapshot_dir=tmp_path)
+                QueryService(index, workers=1, snapshot_dir=tmp_path)
             save_index(index, tmp_path)  # re-snapshot clears the drift
-            QueryService(index, execution=one)
+            QueryService(index, workers=1)
         finally:
             index.close()
 
@@ -168,8 +164,7 @@ class TestProcessModeParity:
         save_index(index, tmp_path)
         index.close()
         probe = np.full(16, 50.0)
-        with QueryService.from_snapshot(tmp_path, execution=Execution(
-                kind="process", workers=2)) as service:
+        with QueryService.from_snapshot(tmp_path, workers=2) as service:
             assert service.query(data[7], 1, timeout=WAIT)[0][0] == 7
             new_id = service.index.insert(probe)
             with pytest.raises(ProcessPoolError, match="swap_snapshot"):
@@ -185,11 +180,6 @@ class TestProcessModeParity:
             service.swap_snapshot(timeout=WAIT)
             assert 7 not in service.query(data[7], 1, timeout=WAIT)[0]
 
-    def test_unknown_execution_rejected(self, workload):
-        index = HDIndex(_params())
-        with pytest.raises(ValueError, match="execution kind"):
-            QueryService(index, execution="fiber")
-
 
 class TestPoolServesWhatTheIndexHolds:
     """Workers open the published generation with no log, so the pool
@@ -204,12 +194,11 @@ class TestPoolServesWhatTheIndexHolds:
         index.delete(7)
         want = index.query(data[7], 1)
         assert want[0][0] != 7
-        two = Execution(kind="process", workers=2)
         try:
             with pytest.raises(ValueError, match="320 points, 1 deleted"):
-                QueryService(index, execution=two, snapshot_dir=tmp_path)
+                QueryService(index, workers=2, snapshot_dir=tmp_path)
             save_index(index, tmp_path)
-            with QueryService(index, execution=two,
+            with QueryService(index, workers=2,
                               snapshot_dir=tmp_path) as service:
                 got = service.query(data[7], 1, timeout=WAIT)
             np.testing.assert_array_equal(got[0], want[0])
@@ -229,17 +218,16 @@ class TestPoolServesWhatTheIndexHolds:
         new_id = writer.insert(probe)
         log = (tmp_path / "wal.log").read_bytes()
         reader = open_index(tmp_path, wal=False)
-        two = Execution(kind="process", workers=2)
         try:
             want = reader.query(probe, 1)
             assert want[0][0] != new_id
-            with QueryService(reader, execution=two) as service:
+            with QueryService(reader, workers=2) as service:
                 got = service.query(probe, 1, timeout=WAIT)
             np.testing.assert_array_equal(got[0], want[0])
             np.testing.assert_array_equal(got[1], want[1])
             assert (tmp_path / "wal.log").read_bytes() == log
             with pytest.raises(ValueError, match="compact"):
-                QueryService(writer, execution=two)
+                QueryService(writer, workers=2)
         finally:
             reader.close()
             writer.close()
@@ -254,8 +242,7 @@ class TestPoolServesWhatTheIndexHolds:
                        data, storage_dir=tmp_path)
         probe = np.full(16, 50.0)
         try:
-            with QueryService.from_snapshot(tmp_path, execution=Execution(
-                    kind="process", workers=2)) as service:
+            with QueryService.from_snapshot(tmp_path, workers=2) as service:
                 want = service.query(probe, 1, timeout=WAIT)
                 writer.insert(probe)
                 with pytest.raises(ValueError, match="compact"):
@@ -278,8 +265,7 @@ class TestWorkerCrash:
         directory, expected = snapshot
         procpool._FAULT_HOOK = lambda: os.kill(os.getpid(), signal.SIGKILL)
         service = QueryService.from_snapshot(
-            directory, execution=Execution(kind="process", workers=2),
-            max_batch=16).start()
+            directory, workers=2, max_batch=16).start()
         try:
             futures = [service.submit(q, K) for q in queries]
             started = time.perf_counter()
@@ -313,9 +299,7 @@ class TestWorkerTimeout:
         directory, expected = snapshot
         procpool._FAULT_HOOK = lambda: time.sleep(30)
         service = QueryService.from_snapshot(
-            directory, execution=Execution(kind="process", workers=1,
-                                           worker_timeout=0.75),
-            max_batch=4).start()
+            directory, workers=1, worker_timeout=0.75, max_batch=4).start()
         try:
             started = time.perf_counter()
             with pytest.raises(WorkerTimeout):
@@ -338,8 +322,7 @@ class TestCloseIdempotence:
         _, queries = workload
         directory, _ = snapshot
         service = QueryService.from_snapshot(
-            directory, execution=Execution(kind="process", workers=2),
-            max_batch=8).start()
+            directory, workers=2, max_batch=8).start()
         outcomes: list[str] = []
         lock = threading.Lock()
 
@@ -376,8 +359,7 @@ class TestCloseIdempotence:
     def test_close_is_idempotent_when_never_started(self, workload,
                                                     snapshot):
         directory, _ = snapshot
-        service = QueryService.from_snapshot(
-            directory, execution=Execution(kind="process", workers=1))
+        service = QueryService.from_snapshot(directory, workers=1)
         service.close()
         service.close()
         with pytest.raises(ServiceClosed):
@@ -389,9 +371,13 @@ class TestPoolValidation:
         with pytest.raises(ValueError):
             SnapshotWorkerPool(tmp_path, num_workers=0)
         with pytest.raises(TypeError):  # workers always reopen via mmap
-            SnapshotWorkerPool(tmp_path, backend="mmap")
+            SnapshotWorkerPool(tmp_path, 1, backend="mmap")
+        with pytest.raises(TypeError):  # ... with the snapshot's own pages
+            SnapshotWorkerPool(tmp_path, 1, cache_pages=8)
+        with pytest.raises(TypeError):  # the width is always chosen
+            SnapshotWorkerPool(tmp_path)
         with pytest.raises(ValueError):
-            SnapshotWorkerPool(tmp_path, timeout=0)
+            SnapshotWorkerPool(tmp_path, 1, timeout=0)
 
     def test_closed_pool_raises(self, snapshot):
         directory, _ = snapshot

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -119,27 +118,26 @@ class TestConcurrentParity:
                 np.testing.assert_array_equal(results[row][0], ids)
                 np.testing.assert_array_equal(results[row][1], dists)
 
-    @pytest.mark.parametrize("make_index, execution", [
+    @pytest.mark.parametrize("make_index, workers", [
         (lambda p, directory: create_index(IndexSpec(params=p),
                                            storage_dir=directory),
-         Execution(kind="process", workers=2)),
+         2),
         (lambda p, directory: create_index(
             IndexSpec(params=dataclasses.replace(p, backend="memory")),
             storage_dir=directory),
-         Execution(kind="process", workers=2)),
+         2),
         (lambda p, directory: create_index(IndexSpec(params=p, wal=True),
                                            storage_dir=directory),
          None),
     ], ids=["process", "memory-index-process", "logged"])
     def test_family_members_served_identically(self, workload, make_index,
-                                               execution, tmp_path):
+                                               workers, tmp_path):
         data, queries = workload
         index = make_index(params(), str(tmp_path))
         index.build(data)
         save_index(index, str(tmp_path))
         expected = [index.query(query, K) for query in queries]
-        with QueryService(index, max_batch=8,
-                          execution=execution) as service:
+        with QueryService(index, max_batch=8, workers=workers) as service:
             results = run_clients(service, queries, 4)
         for row, (ids, dists) in enumerate(expected):
             np.testing.assert_array_equal(results[row][0], ids)

@@ -19,7 +19,6 @@ import pytest
 
 import repro
 from repro import (
-    Execution,
     HDIndexParams,
     IndexSpec,
     QueryService,
@@ -58,19 +57,20 @@ class TestSpecValidation:
     def test_fields_are_params_and_wal(self):
         assert [f.name for f in dataclasses.fields(IndexSpec)] \
             == ["params", "wal"]
-        assert [f.name for f in dataclasses.fields(Execution)] \
-            == ["kind", "workers", "worker_timeout"]
 
-    def test_execution_rejection(self):
-        for kind in ("fiber", "thread", "threaded", "serial"):
-            with pytest.raises(ValueError, match="execution kind"):
-                Execution(kind=kind)
-        with pytest.raises(ValueError, match="workers"):
-            Execution(kind="process", workers=0)
-        with pytest.raises(ValueError, match="worker_timeout"):
-            Execution(worker_timeout=0)
-        with pytest.raises(TypeError, match="worker_backend"):
-            Execution(worker_backend="mmap")
+    def test_placement_rejection(self, workload, tmp_path):
+        """A service's placement is ``workers`` and ``worker_timeout``,
+        each checked; the older spellings are unknown keywords."""
+        repro.build(IndexSpec(params=params()), workload[0],
+                    storage_dir=tmp_path).close()
+        for bad, error, match in (
+                ({"workers": 0}, ValueError, "workers"),
+                ({"workers": 1, "worker_timeout": 0}, ValueError, "timeout"),
+                ({"worker_timeout": 5.0}, ValueError, "workers=N"),
+                ({"execution": "process"}, TypeError, "execution"),
+                ({"worker_backend": "mmap"}, TypeError, "worker_backend")):
+            with pytest.raises(error, match=match):
+                QueryService.from_snapshot(tmp_path, **bad)
 
     def test_spec_rejection(self):
         with pytest.raises(ValueError, match="wal"):
@@ -145,7 +145,7 @@ class TestProcessServing:
         data, _ = workload
         repro.build(IndexSpec(params=params()), data,
                     storage_dir=tmp_path).close()
-        for execution in ("sequential", Execution(kind="process")):
+        for execution in ("sequential", "process"):
             with pytest.raises(TypeError, match="execution"):
                 repro.open(tmp_path, execution=execution)
 
@@ -157,8 +157,7 @@ class TestProcessServing:
         index = repro.build(IndexSpec(params=params()), data)
         try:
             with pytest.raises(ValueError, match="snapshot_dir"):
-                QueryService(index, execution=Execution(kind="process",
-                                                        workers=2))
+                QueryService(index, workers=2)
         finally:
             index.close()
 
@@ -175,12 +174,10 @@ class TestFactoryCombos:
         classic.close()
         spec_built.close()
 
-    @pytest.mark.parametrize("execution", [
-        Execution(kind="sequential"),
-        Execution(kind="process", workers=2),
-    ], ids=["sequential", "process"])
+    @pytest.mark.parametrize("workers", [None, 2],
+                             ids=["sequential", "process"])
     def test_topology_execution_grid_parity(self, workload, tmp_path,
-                                            execution):
+                                            workers):
         """A persisted index served in-process or by the process pool
         answers identically to the in-memory spec over the same data and
         seeds."""
@@ -189,7 +186,7 @@ class TestFactoryCombos:
         expected = oracle.query_batch(queries, K)
         combo = repro.build(IndexSpec(params=params()), data,
                             storage_dir=tmp_path)
-        with QueryService(combo, execution=execution) as service:
+        with QueryService(combo, workers=workers) as service:
             futures = [service.submit(q, K) for q in queries]
             rows = [future.result(timeout=60.0) for future in futures]
         np.testing.assert_array_equal(np.stack([r[0] for r in rows]),
@@ -209,69 +206,64 @@ class TestSpecThroughHarnessAndService:
         assert result.extra["spec"]["wal"] is False
         assert 0.0 <= result.map_at_k <= 1.0
 
-    def test_service_accepts_snapshot_path(self, workload, tmp_path):
+    def test_service_opens_snapshot_path(self, workload, tmp_path):
+        """A snapshot directory is opened by ``from_snapshot``; handed
+        to the constructor, which takes an index, it is refused."""
         data, queries = workload
         index = repro.build(IndexSpec(params=params()), data,
                             storage_dir=tmp_path)
         expected = [index.query(q, K) for q in queries[:4]]
         index.close()
-        with QueryService(tmp_path, max_batch=4) as service:
+        with pytest.raises(TypeError, match="from_snapshot"):
+            QueryService(tmp_path, max_batch=4)
+        with QueryService.from_snapshot(tmp_path, max_batch=4) as service:
             for q, (ids, dists) in zip(queries, expected):
                 got_ids, got_dists = service.query(q, K, timeout=30.0)
                 np.testing.assert_array_equal(got_ids, ids)
                 np.testing.assert_array_equal(got_dists, dists)
 
-    def test_service_execution_object(self, workload, tmp_path):
+    def test_service_workers(self, workload, tmp_path):
         data, queries = workload
         index = repro.build(IndexSpec(params=params()), data,
                             storage_dir=tmp_path)
         expected = [index.query(q, K) for q in queries[:4]]
         index.close()
         with QueryService.from_snapshot(
-                tmp_path, execution=Execution(kind="process", workers=2),
-                max_batch=4) as service:
-            assert service.execution.kind == "process"
+                tmp_path, workers=2, max_batch=4) as service:
+            assert service._pool.num_workers == 2
             for q, (ids, dists) in zip(queries, expected):
                 got_ids, got_dists = service.query(q, K, timeout=30.0)
                 np.testing.assert_array_equal(got_ids, ids)
                 np.testing.assert_array_equal(got_dists, dists)
 
-    def test_execution_accepts_object_kind_string_or_none(self, workload,
-                                                          tmp_path):
-        """execution= takes an Execution, a bare kind string, or None
-        for in-process dispatch."""
+    def test_workers_is_the_pool_width(self, workload, tmp_path):
+        """``workers=N`` forks exactly N worker processes (no CPU-count
+        default); ``None`` answers in the dispatcher thread."""
         data, _ = workload
         index = repro.build(IndexSpec(params=params()), data,
                             storage_dir=tmp_path)
         index.close()
-        for execution, expected in (
-                (Execution(kind="process", workers=1),
-                 Execution(kind="process", workers=1)),
-                ("process", Execution(kind="process")),
-                (None, Execution())):
-            service = QueryService.from_snapshot(tmp_path,
-                                                 execution=execution)
+        for workers in (1, 2, None):
+            service = QueryService.from_snapshot(tmp_path, workers=workers)
             try:
-                assert service.execution == expected
+                if workers is None:
+                    assert service._pool is None
+                else:
+                    assert service._pool.num_workers == workers
             finally:
                 service.close()
 
-    @pytest.mark.parametrize("keyword", ["mode", "workers", "worker_backend",
-                                         "worker_timeout"])
-    def test_flat_execution_keywords_are_gone(self, workload, keyword):
-        """Execution's fields are set on the Execution, not as loose
-        service keywords (they would reach ServiceConfig and fail)."""
+    @pytest.mark.parametrize("keyword", ["mode", "kind", "worker_backend",
+                                         "execution"])
+    def test_removed_placement_keywords_are_gone(self, workload, keyword):
+        """Placement is ``workers`` / ``worker_timeout``; the older
+        spellings would reach ServiceConfig and fail."""
         data, _ = workload
         index = repro.HDIndex(params())
         index.build(data)
         with pytest.raises(TypeError, match=keyword):
             QueryService(index, **{keyword: 1})
         index.close()
-
-    def test_service_rejects_unknown_execution_kind(self, workload):
-        index = repro.HDIndex(params())
-        with pytest.raises(ValueError, match="execution kind"):
-            QueryService(index, execution="fiber")
 
     @pytest.mark.parametrize("command", ["query", "serve"])
     def test_cli_has_no_mode_flag(self, command, tmp_path, capsys):
@@ -293,7 +285,8 @@ class TestSpecThroughHarnessAndService:
             repro.open(tmp_path).close()
             with repro.load_index(tmp_path) as loaded:
                 loaded.query_batch(queries[:3], K)
-            with QueryService(tmp_path, max_batch=4) as service:
+            with QueryService.from_snapshot(tmp_path,
+                                            max_batch=4) as service:
                 service.query(queries[0], K, timeout=30.0)
 
     def test_query_and_submit_share_one_normaliser(self, workload):

@@ -22,7 +22,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -90,8 +89,7 @@ def _run_interleaving(seed, ops, mode="logged", num_trees=2, served=False):
         index = _build(mode, np.asarray(vectors), tmp, num_trees=num_trees)
         service = None
         if served:
-            service = QueryService.from_snapshot(tmp, execution=Execution(
-                kind="process", workers=2)).start()
+            service = QueryService.from_snapshot(tmp, workers=2).start()
 
         def check(query_seed):
             if service is None:

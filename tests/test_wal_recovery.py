@@ -202,6 +202,18 @@ class TestFrameFormat:
         np.testing.assert_array_equal(records[0].vector, [1.0, -2.5])
         assert path.read_bytes() == before
 
+    def test_fsync_policies(self, tmp_path):
+        """Every append is fsynced (``"always"``) or flushed for a
+        later :meth:`sync` (``"batch"``); a log the OS alone syncs is
+        not offered."""
+        for policy in ("always", "batch"):
+            log = WriteAheadLog(tmp_path / WAL_FILE, fsync=policy)
+            log.append_delete(3)
+            log.sync()
+            log.close()
+        with pytest.raises(ValueError, match="never"):
+            WriteAheadLog(tmp_path / WAL_FILE, fsync="never")
+
     def test_missing_log_replays_empty(self, tmp_path):
         records, dropped = replay_wal(tmp_path / "absent.log")
         assert records == [] and dropped == 0

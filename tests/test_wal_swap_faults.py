@@ -31,7 +31,6 @@ import pytest
 import repro.core.procpool as procpool
 import repro.wal.manager as wal_manager
 from repro.core import (
-    Execution,
     HDIndex,
     HDIndexParams,
     IndexSpec,
@@ -159,9 +158,8 @@ class TestWorkerDeathAroundSwap:
         writer = build(IndexSpec(params=_params(), wal=True),
                        data, storage_dir=str(directory))
         procpool._FAULT_HOOK = _make_flag_killer(str(flag))
-        service = QueryService(
-            open_index(directory, wal=False),
-            execution=Execution(kind="process", workers=2)).start()
+        service = QueryService(open_index(directory, wal=False),
+                               workers=2).start()
         service._owns_index = True
         try:
             service.query(data[0], 3, timeout=WAIT)  # hook armed, dormant
@@ -281,10 +279,10 @@ class TestWorkerBootstrap:
         worker = procpool._WORKER["index"]
         if worker is not None:
             worker.close()
-        procpool._worker_init(None, None)
+        procpool._worker_init(None)
 
     def test_serve_worker_opens_no_log(self, logged_root):
-        procpool._worker_init(str(logged_root), None)
+        procpool._worker_init(str(logged_root))
         extra = _data(69, 4)
         ids, _ = procpool._query_batch_task(extra[:1], 1, {})
         worker = procpool._WORKER["index"]
