@@ -30,7 +30,7 @@ from repro.distance.metrics import (
     require_finite,
     require_normalized,
 )
-from repro.hilbert.butz import HilbertCurve
+from repro.hilbert.butz import HilbertCurve, encode_for_curves
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore, coerce_predicate
 from repro.storage.vectors import VectorHeapFile
@@ -350,15 +350,18 @@ class HDIndex(KNNIndex):
         self.heap.append_batch(data)
 
         # Reference objects and the (n, m) reference-distance matrix
-        # (Algo. 1 lines 1-2).
+        # (Algo. 1 lines 1-2), stored as the trees' float32.
         self.references = ReferenceSet.select(
             data, params.num_references, params.reference_method, rng,
             params.sss_fraction)
-        reference_distances = self.references.distances_from(data)
+        reference_distances = self.references.distances_from(
+            data).astype(np.float32)
 
         # Domain quantiser shared by all partitions (Table 4 domains are
         # global per dataset), run once over row blocks into the curves'
-        # lane dtype; each tree takes its columns.
+        # lane dtype before any key is encoded (quantising inside the
+        # encode loop left ~40 MB of freed glibc heap untrimmed after a
+        # 100k build); each tree takes its columns.
         self.quantizer = (
             GridQuantizer(*params.domain, params.hilbert_order)
             if params.domain is not None
@@ -368,12 +371,14 @@ class HDIndex(KNNIndex):
         for start in range(0, n, step):
             coords[start:start + step] = self.quantizer.quantize(
                 data[start:start + step])
-        self._build_trees(lambda: (coords[start:start + step]
-                                   for start in range(0, n, step)),
-                          n, reference_distances, rng, started)
+        self._build_trees((coords[start:start + step]
+                           for start in range(0, n, step)), n,
+                          reference_distances, rng, started)
 
-    #: Rows per block of the build's quantisation and Hilbert encode (bit
-    #: planes of one block) and of a streaming build's heap re-reads.
+    #: Rows per block of the build's quantisation and Hilbert encode (one
+    #: transform of a block's τ partitions, bit planes of one tree's
+    #: block) and of a streaming build's heap re-read.  Besides its
+    #: blocks a build holds the τ unsorted key columns, τ·n·key_bytes.
     STREAM_CHUNK_ROWS = 8192
 
     def build_from_chunks(self, chunks) -> None:
@@ -383,10 +388,11 @@ class HDIndex(KNNIndex):
         not fit in RAM (e.g. a generator of h5py dataset slices):
         every block is appended to the descriptor heap in storage dtype
         as it arrives, reference objects are drawn by reservoir sampling
-        over the stream, and the reference-distance / Hilbert-encoding
-        passes re-read the heap block-wise.  Peak memory is
-        O(n·(m + key_bytes)) instead of the O(n·ν) float64 copy the
-        in-memory path holds.
+        over the stream, and one re-read of the heap, block by block,
+        gives the reference distances and the Hilbert keys of all τ
+        trees.  Peak memory is O(n·(m + τ·key_bytes)) — the float32
+        reference distances and the τ key columns, τ·n·key_bytes —
+        instead of the O(n·ν) float64 copy the in-memory path holds.
 
         Restrictions: ``params.reference_method`` must be ``"random"``
         (SSS needs the full dataset), and per-point metadata is not
@@ -460,27 +466,24 @@ class HDIndex(KNNIndex):
         order = np.argsort(reservoir_ids)
         self.references = ReferenceSet(reservoir[order],
                                        reservoir_ids[order])
-        step = max(1, int(self.STREAM_CHUNK_ROWS))
-
-        def blocks():
-            # Re-reads of the heap, the only full copy of the data.
-            for start in range(0, n, step):
-                yield heap.gather(np.arange(start, min(start + step, n)))
-
-        reference_distances = np.empty((n, num_references),
-                                       dtype=np.float64)
-        for start, block in zip(range(0, n, step), blocks()):
-            reference_distances[start:start + step] = \
-                self.references.distances_from(block)
-
         self.quantizer = (
             GridQuantizer(*params.domain, params.hilbert_order)
             if params.domain is not None
             else GridQuantizer.from_data([low, high], params.hilbert_order))
+        step = max(1, int(self.STREAM_CHUNK_ROWS))
+        reference_distances = np.empty((n, num_references),
+                                       dtype=np.float32)
 
-        self._build_trees(
-            lambda: map(self.quantizer.quantize, blocks()), step,
-            reference_distances, rng, started, streamed=True)
+        def blocks():
+            # One re-read of the heap, the only full copy of the data.
+            for start in range(0, n, step):
+                block = heap.gather(np.arange(start, min(start + step, n)))
+                reference_distances[start:start + step] = \
+                    self.references.distances_from(block)
+                yield self.quantizer.quantize(block)
+
+        self._build_trees(blocks(), step, reference_distances, rng,
+                          started, streamed=True)
 
     def _build_trees(self, blocks, coord_rows: int,
                      reference_distances: np.ndarray,
@@ -489,32 +492,44 @@ class HDIndex(KNNIndex):
         """The tail both builds share: one Hilbert curve + RDB-tree per
         partition (Algo. 1 lines 3-10) and the :class:`BuildStats`.
 
-        ``blocks()`` yields the dataset's grid coordinates (the
-        quantiser's lane dtype) as row blocks, in id order: slices of one
-        array quantised once for :meth:`build` (``coord_rows`` = n held),
-        each heap re-read quantised (once per tree) for
-        :meth:`build_from_chunks` (one block of ``coord_rows`` held).
+        ``blocks`` yields the dataset's grid coordinates (the quantiser's
+        lane dtype) as row blocks, in id order, once: slices of one array
+        quantised for :meth:`build` (``coord_rows`` = n held), each heap
+        re-read quantised for :meth:`build_from_chunks` (one block of
+        ``coord_rows`` held).  Each block is encoded for all τ partitions
+        by one :func:`encode_for_curves` into τ key columns.  The float32
+        ``reference_distances`` need be filled only once ``blocks`` is
+        spent (the streamed build fills them from the same re-read).
         """
         params = self.params
-        resident = (reference_distances.nbytes + self.references.memory_bytes()
-                    + coord_rows * self.dim * self.quantizer.dtype.itemsize)
-        peak_memory = resident
         self.partitions = make_partition(
             self.dim, params.num_trees, params.partition_scheme, rng)
+        curves = [HilbertCurve(len(part), params.hilbert_order)
+                  for part in self.partitions]
+        keys = [np.empty((self.count, curve.key_bytes), dtype=np.uint8)
+                for curve in curves]
+        start = 0
+        for block in blocks:
+            for column, raw in zip(keys, encode_for_curves(
+                    curves, [block[:, part] for part in self.partitions])):
+                column[start:start + len(raw)] = raw
+            start += len(block)
+        peak_memory = (reference_distances.nbytes
+                       + self.references.memory_bytes()
+                       + sum(column.nbytes for column in keys)
+                       + coord_rows * self.dim * self.quantizer.dtype.itemsize)
         self.trees = []
         object_ids = np.arange(self.count, dtype=np.int64)
-        for tree_index, part in enumerate(self.partitions):
-            curve = HilbertCurve(len(part), params.hilbert_order)
-            keys = np.concatenate([curve.encode_batch_bytes(block[:, part])
-                                   for block in blocks()], axis=0)
-            peak_memory = max(peak_memory, resident + keys.nbytes)
+        for tree_index, curve in enumerate(curves):
             tree = RDBTree(curve, params.num_references,
                            cache_pages=params.cache_pages,
                            page_size=params.page_size)
-            tree.bulk_build(keys, object_ids, reference_distances)
+            # Hand the column over: it is freed once its tree is sorted.
+            column, keys[tree_index] = keys[tree_index], None
+            tree.bulk_build(column, object_ids, reference_distances)
             if params.resolved_backend != "memory":
                 # Disk-resident: serve the columns from their file's
-                # mapping, so a build holds one tree's working set.
+                # mapping, so a build holds one tree's sorted columns.
                 path = os.path.join(params.storage_dir,
                                     f"tree_{tree_index}.packed")
                 tree.write(path)

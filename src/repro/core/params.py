@@ -200,16 +200,19 @@ class HDIndexParams:
 
         Every stage must keep at least ``k`` candidates, and when the
         call runs no Ptolemaic filter (``ptolemaic``, else
-        ``use_ptolemaic``) β collapses onto γ (Sec. 5.2.5).  A defaulted
-        β never clamps an *explicit* γ: it floors at γ so ``gamma=alpha``
-        means "no reduction", as a caller would expect.  Where neither
-        the build nor the call runs the Ptolemaic filter, the params' β
-        is their γ, which caps a per-call γ.
+        ``use_ptolemaic``) β collapses onto γ (Sec. 5.2.5) — only after
+        the call's γ is taken, so what caps a per-call γ is the β the
+        params give, whether or not the build ran the filter.  A
+        defaulted β never clamps an *explicit* γ: it floors at γ so
+        ``gamma=alpha`` means "no reduction", as a caller would expect.
 
         >>> HDIndexParams(alpha=512).resolve_filter_sizes(10)
         (512, 128, 128)
         >>> HDIndexParams(alpha=512).resolve_filter_sizes(10, ptolemaic=True)
         (512, 256, 128)
+        >>> HDIndexParams(alpha=512, gamma=128).resolve_filter_sizes(
+        ...     10, gamma=256)
+        (512, 256, 256)
         """
         if ptolemaic is None:
             ptolemaic = self.use_ptolemaic
@@ -224,8 +227,6 @@ class HDIndexParams:
                       else max(base_alpha // 4, 1))
         base_beta = min(max(base_beta, k), base_alpha)
         base_gamma = min(max(base_gamma, k), base_beta)
-        if not (self.use_ptolemaic or ptolemaic):
-            base_beta = base_gamma
         alpha = max(base_alpha if alpha is None else alpha, k)
         beta = min(max(base_beta if beta is None else beta, k), alpha)
         gamma = min(max(base_gamma if gamma is None else gamma, k), beta)

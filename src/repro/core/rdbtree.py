@@ -142,10 +142,7 @@ class RDBTree(ModelledPool):
         old_ids, old_refs = self._records()
         largest = max(object_ids.max(initial=0), old_ids.max(initial=0))
         dtype = self._record_type(np.min_scalar_type(largest).itemsize)
-        # Big-endian fixed-width keys: bytewise order == numeric order.
-        order = np.argsort(
-            np.ascontiguousarray(keys).view(f"S{width}").ravel(),
-            kind="stable")
+        order = self._key_order(keys)
         keys = keys[order]
         values = self._encode(dtype, object_ids[order],
                               reference_distances[order])
@@ -161,6 +158,28 @@ class RDBTree(ModelledPool):
         # Into an empty tree the sorted copies above are the columns.
         self.adopt(self._layout(keys, values))
         self.stats.record_write_run(0, self.packed.num_pages)
+
+    @staticmethod
+    def _key_order(keys: np.ndarray) -> np.ndarray:
+        """The stable argsort of big-endian ``(n, width)`` key rows as
+        byte strings (bytewise order == numeric order): an argsort of
+        each key's leading big-endian 64-bit word, then one stable
+        byte-string sort of just the rows whose word ties, taken in
+        input order — by (full key, input position), as a stable sort
+        of every row places them."""
+        n, width = keys.shape
+        lead = np.zeros((n, 8), dtype=np.uint8)
+        lead[:, :min(width, 8)] = keys[:, :8]
+        words = lead.view(">u8").ravel().astype(np.uint64)
+        order = np.argsort(words)
+        same = np.diff(words[order]) == 0
+        tied = np.append(same, False) | np.append(False, same)
+        if tied.any():
+            rows = np.sort(order[tied])
+            order[tied] = rows[np.argsort(
+                np.ascontiguousarray(keys[rows]).view(f"S{width}").ravel(),
+                kind="stable")]
+        return order
 
     def _record_type(self, id_width: int) -> np.dtype:
         """One leaf record: descriptor pointer + m reference distances."""

@@ -9,9 +9,10 @@ with O(η·ω) bit operations per point.
 Keys occupy η·ω bits (e.g. 128 bits for SIFT's η=16, ω=8 configuration), so
 they are Python integers.  The batch encoder runs the same (ω−1)·η sequential
 steps once for all points: each axis of the batch is packed, one fixed-width
-lane per point, into a single Python integer, so a step is a few big-integer
-bit operations — O(η·ω) bit operations per point and no per-step array
-dispatch, at one query key as at the 800k keys of a build.
+lane per point, into one container, so a step is a few bit operations over
+all points — O(η·ω) bit operations per point.  A query's few lanes sit in a
+single Python integer (no per-step array dispatch); a build's row block sits
+in an array of uint64 words (:data:`WORD_LANE_BYTES`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,12 @@ from repro.hilbert.quantize import lane_dtype
 MAX_ORDER = 62
 #: The place of each of a byte's eight bits, most significant first.
 _BIT_WEIGHTS = np.arange(7, -1, -1, dtype=np.uint8)[:, None]
+#: Lane bytes per axis from which the batch transform holds its lanes in
+#: uint64 words, not one Python integer: at η = 16 on a 2-core x86 host
+#: the two cost the same near 8 KiB (1.8 ms), the integer 0.08 against
+#: 1.3 ms at 8 lanes and 15 against 5 ms at 64 KiB.  A query's τ·Q lanes
+#: stay far below it, a build block's τ·STREAM_CHUNK_ROWS far above.
+WORD_LANE_BYTES = 8192
 
 
 class HilbertCurve:
@@ -88,20 +95,25 @@ class HilbertCurve:
         rows feed the packed-tree searches (:mod:`repro.btree.packed`)
         without a codec round-trip.
         """
+        return self._pack_key_bytes(self._transposed(coords))
+
+    def _transposed(self, coords: np.ndarray) -> np.ndarray:
+        """Validate ``(n, dim)`` coordinates and run the Skilling
+        transform: the ``(dim, n)`` lane block :meth:`_pack_key_bytes`
+        interleaves."""
         coords = np.asarray(coords)
         if coords.ndim != 2 or coords.shape[1] != self.dim:
             raise ValueError(
                 f"expected shape (n, {self.dim}), got {coords.shape}"
             )
-        if coords.size == 0:
-            return np.empty((0, self.key_bytes), dtype=np.uint8)
-        if coords.min() < 0 or coords.max() > self._coord_max:
+        if coords.size and (coords.min() < 0
+                            or coords.max() > self._coord_max):
             raise ValueError(
                 f"coordinates must lie in [0, {self._coord_max}]"
             )
         x = np.array(coords.T, dtype=self._lane, order="C")
         self._axes_to_transpose_batch(x)
-        return self._pack_key_bytes(x)
+        return x
 
     def decode_batch(self, keys: np.ndarray) -> np.ndarray:
         """Decode an object array of keys to an (n, dim) uint64 array, key
@@ -176,27 +188,40 @@ class HilbertCurve:
     def _axes_to_transpose_batch(self, x: np.ndarray) -> None:
         """In-place Skilling transform of an ``(dim, count)`` unsigned block.
 
-        Lane-packed: each axis row becomes one Python integer holding
-        ``count`` lanes of ``self._lane`` bytes, so each of the
-        ``(order - 1) * dim`` sequential steps (a build-time constant) is
-        a handful of big-integer bit operations over all points at once.
+        Lane-packed: each axis row becomes one container of ``count``
+        lanes of ``self._lane`` bytes — one Python integer, or from
+        :data:`WORD_LANE_BYTES` per axis on a row of uint64 words — so
+        each of the ``(order - 1) * dim`` sequential steps (a build-time
+        constant) is a handful of bit operations over all points at once.
         ``ones`` has bit 0 of every lane set; ``((x_i >> level) & ones) *
         p`` is ``p`` in the lanes whose ``level`` bit is set and 0
         elsewhere, and ``p`` never exceeds the lane, so no product or shift
-        leaks into a neighbour.  The steps are those of
-        :meth:`_axes_to_transpose`, the oracle.
+        leaks into a neighbour (lanes never straddle a word).  The steps
+        are those of :meth:`_axes_to_transpose`, the oracle.
         """
         n, order = self.dim, self.order
         if n == 1:
             return
         count = x.shape[1]
-        ones = int.from_bytes(
-            np.ones(count, dtype=self._lane).tobytes(), "little")
-        rows = x.astype(self._lane, copy=False)
-        axes = [int.from_bytes(rows[i].tobytes(), "little")
-                for i in range(n)]
+        lane = self._lane
+        if count * lane.itemsize < WORD_LANE_BYTES:
+            ones = int.from_bytes(np.ones(count, dtype=lane).tobytes(),
+                                  "little")
+            rows = x.astype(lane, copy=False)
+            axes = [int.from_bytes(rows[i].tobytes(), "little")
+                    for i in range(n)]
+        else:
+            per_word = 8 // lane.itemsize
+            lanes = np.zeros((n, -(-count // per_word) * per_word),
+                             dtype=lane)
+            lanes[:, :count] = x
+            words = lanes.view("<u8")
+            ones = np.uint64(int.from_bytes(
+                np.ones(per_word, dtype=lane).tobytes(), "little"))
+            axes = list(words)
+        word = type(ones)
         for level in range(order - 1, 0, -1):
-            p = (1 << level) - 1
+            p = word((1 << level) - 1)
             low = p * ones
             for i in range(n):
                 hi = ((axes[i] >> level) & ones) * p
@@ -208,11 +233,16 @@ class HilbertCurve:
             axes[i] ^= axes[i - 1]
         t = 0
         for level in range(order - 1, 0, -1):
-            t ^= ((axes[n - 1] >> level) & ones) * ((1 << level) - 1)
-        width = count * self._lane.itemsize
-        x[:] = np.frombuffer(
-            b"".join((axis ^ t).to_bytes(width, "little") for axis in axes),
-            dtype=self._lane).reshape(n, count)
+            t ^= ((axes[n - 1] >> level) & ones) * word((1 << level) - 1)
+        if word is int:
+            width = count * lane.itemsize
+            x[:] = np.frombuffer(
+                b"".join((axis ^ t).to_bytes(width, "little")
+                         for axis in axes),
+                dtype=lane).reshape(n, count)
+        else:
+            words ^= t
+            x[:] = lanes[:, :count]
 
     # -- key packing -------------------------------------------------------
 
@@ -277,19 +307,21 @@ def encode_for_curves(curves, coords_list) -> list[np.ndarray]:
     out: list[np.ndarray | None] = [None] * len(curves)
     for members in groups.values():
         curve = curves[members[0]]
-        if len(members) == 1:
-            out[members[0]] = curve.encode_batch_bytes(coords_list[members[0]])
-            continue
         # Grouping distinct curve geometries is the point of this
         # function; the loop runs once per (dim, order) group — at most
         # tau iterations — and this concatenate is what buys the single
         # batched kernel invocation below.
         stacked = np.concatenate(  # lint: disable=HK105
             [np.asarray(coords_list[i]) for i in members], axis=0)
-        raw = curve.encode_batch_bytes(stacked)
+        x = curve._transposed(stacked)
+        # A call's few lanes pack at once; a build's block (past the word
+        # switch) one curve's rows at a time, keeping the bit planes small.
+        whole = (curve._pack_key_bytes(x)
+                 if x.shape[1] * x.itemsize < WORD_LANE_BYTES else None)
         offset = 0
         for i in members:
             rows = np.asarray(coords_list[i]).shape[0]
-            out[i] = raw[offset:offset + rows]
+            out[i] = (curve._pack_key_bytes(x[:, offset:offset + rows])
+                      if whole is None else whole[offset:offset + rows])
             offset += rows
     return out

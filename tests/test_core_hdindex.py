@@ -139,6 +139,22 @@ class TestQuery:
         assert any(ptolemaic != alone for ptolemaic, alone in kappas)
         index.close()
 
+    def test_explicit_gamma_above_the_built_gamma_runs(self):
+        """On an ``alpha=512, gamma=128`` build without the Ptolemaic
+        filter a triangular-only ``gamma=256`` runs γ = 256 (it ran the
+        built 128 while β collapsed onto γ before the call's γ was
+        taken)."""
+        ds = make_dataset("sift10k", n=2000, num_queries=3, seed=0)
+        index = HDIndex(HDIndexParams(alpha=512, gamma=128,
+                                      domain=ds.spec.domain))
+        index.build(ds.data)
+        for query in ds.queries:
+            index.query(query, 10, gamma=256)
+            extra = index.last_query_stats().extra
+            assert (extra["alpha"], extra["beta"], extra["gamma"]) \
+                == (512, 256, 256)
+        index.close()
+
     def test_overrides_change_candidate_counts(self, built_index):
         index, _, queries = built_index
         index.query(queries[0], 5, alpha=16, gamma=8)

@@ -97,6 +97,14 @@ class TestParams:
         assert built_with.resolve_filter_sizes(10, ptolemaic=False) \
             == (512, 128, 128)
 
+    def test_explicit_gamma_is_not_capped_at_the_built_gamma(self):
+        """Without the Ptolemaic filter the params' β collapses onto
+        their γ only after the call's γ is taken, so a triangular-only
+        call may ask for a γ above the built one."""
+        params = HDIndexParams(alpha=512, gamma=128)
+        assert params.resolve_filter_sizes(10, gamma=256) == (512, 256, 256)
+        assert params.resolve_filter_sizes(10) == (512, 128, 128)
+
     @pytest.mark.parametrize("ptolemaic", [None, False, True])
     @pytest.mark.parametrize("built", [
         dict(alpha=64), dict(alpha=64, use_ptolemaic=True),
@@ -106,9 +114,9 @@ class TestParams:
     def test_resolve_per_call_equals_the_two_step_clamp(self, built,
                                                        ptolemaic):
         """The per-call budgets clamp on top of the params' resolved
-        ones, as a separate per-call clamp did before; only the β a
-        Ptolemaic call defaults to on an index built without it
-        moved."""
+        ones, as a separate per-call clamp did before; only the β a call
+        defaults to on an index built without the Ptolemaic filter
+        moved: it is the params' β before the collapse onto γ."""
         params = HDIndexParams(**built)
         for k, alpha, beta, gamma in itertools.product(
                 (1, 10, 70), (None, 16, 200), (None, 12, 300),
@@ -116,7 +124,7 @@ class TestParams:
             effective = (params.use_ptolemaic if ptolemaic is None
                          else ptolemaic)
             base_a, base_b, base_g = params.resolve_filter_sizes(k)
-            if effective and not params.use_ptolemaic:
+            if not params.use_ptolemaic:
                 base_b = params.resolve_filter_sizes(k, ptolemaic=True)[1]
             want_a = max(base_a if alpha is None else alpha, k)
             want_b = beta if beta is not None else min(base_b, want_a)

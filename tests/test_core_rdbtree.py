@@ -363,6 +363,57 @@ class TestMerge:
             rows, key=lambda entry: entry[0])
 
 
+class TestKeyOrder:
+    """``merge`` sorts by each key's leading 64-bit word and settles the
+    rows whose words tie by (full key, input position): exactly the
+    stable byte-string order, at any key width."""
+
+    #: (dim, order) of the curves giving 5-, 8-, 13- and 16-byte keys.
+    SHAPES = {5: (5, 8), 8: (8, 8), 13: (13, 8), 16: (16, 8)}
+
+    @staticmethod
+    def tied_keys(rng, width, n):
+        """Keys drawn from four leading words (longer keys vary behind
+        them), a quarter of them copies of earlier rows."""
+        lead = min(width, 8)
+        heads = rng.integers(0, 256, size=(4, lead), dtype=np.uint8)
+        keys = np.empty((n, width), dtype=np.uint8)
+        keys[:, :lead] = heads[rng.integers(0, 4, size=n)]
+        keys[:, lead:] = rng.integers(0, 3, size=(n, width - lead))
+        copies = rng.integers(0, n, size=n // 4)
+        keys[rng.integers(0, n, size=n // 4)] = keys[copies]
+        return keys
+
+    @pytest.mark.parametrize("width", [5, 8, 13, 16])
+    def test_empty_and_built_trees_take_the_stable_byte_order(self, width):
+        rng = np.random.default_rng(width)
+        n, base = 600, 250
+        keys = self.tied_keys(rng, width, n)
+        ids = np.arange(n)
+        distances = rng.uniform(0, 50, size=(n, M)).astype(np.float32)
+        want = np.argsort(keys.view(f"S{width}").ravel(), kind="stable")
+        curve = HilbertCurve(*self.SHAPES[width])
+        assert curve.key_bytes == width
+        whole = RDBTree(curve, M, page_size=PAGE)
+        whole.bulk_build(keys, ids, distances)
+        np.testing.assert_array_equal(whole._records()[0], want)
+        np.testing.assert_array_equal(whole.packed.keys_raw, keys[want])
+        # Into a built tree: the base's rows, then the delta's, each in
+        # input order among equal keys — the same order again.
+        tree = RDBTree(curve, M, page_size=PAGE)
+        tree.bulk_build(keys[:base], ids[:base], distances[:base])
+        tree.merge(keys[base:], ids[base:], distances[base:])
+        assert_same_arrays(tree.packed, whole.packed)
+
+    def test_duplicates_keep_their_input_order(self):
+        keys = np.tile(np.arange(13, dtype=np.uint8), (9, 1))
+        keys[4, 12] = 0  # ties the others' leading word, sorts first
+        tree = RDBTree(HilbertCurve(*self.SHAPES[13]), M, page_size=PAGE)
+        tree.bulk_build(keys, np.arange(9), np.zeros((9, M), np.float32))
+        np.testing.assert_array_equal(tree._records()[0],
+                                      [4, 0, 1, 2, 3, 5, 6, 7, 8])
+
+
 class TestOwnedColumns:
     """Into an empty tree the sorted copies of the caller's rows become
     the columns as they are: they still belong to the tree alone."""

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.core import HDIndex, HDIndexParams, save_index
-from repro.hilbert import GridQuantizer, HilbertCurve, encode_for_curves
+from repro.hilbert import GridQuantizer, HilbertCurve, butz, encode_for_curves
 from repro.storage import unpack_arrays
 
 
@@ -210,6 +210,64 @@ class TestBatchKeyBytes:
         for row, point in zip(raw, points):
             key = curve.encode([int(v) for v in point])
             assert row.tobytes() == int(key).to_bytes(curve.key_bytes, "big")
+
+
+class TestTransformContainers:
+    """The batch transform holds a batch's lanes in one Python integer
+    below ``WORD_LANE_BYTES`` per axis and in uint64 words from it; both
+    give the scalar ``encode`` row by row."""
+
+    @pytest.mark.parametrize("order", [8, 12, 30, 62],
+                             ids=["u1", "u2", "u4", "u8"])
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    def test_both_sides_of_the_switch_match_scalar_encode(
+            self, dim, order, monkeypatch):
+        curve = HilbertCurve(dim, order)
+        switch = butz.WORD_LANE_BYTES // curve._lane.itemsize
+        rng = np.random.default_rng([dim, order])
+        points = rng.integers(0, 1 << order, size=(switch + 3, dim),
+                              dtype=np.uint64)
+        points[0], points[-1] = 0, (1 << order) - 1
+        for count in (switch - 1, switch, switch + 3):
+            raw = curve.encode_batch_bytes(points[:count])
+            assert raw.shape == (count, curve.key_bytes)
+            # Both ends (the last word's padding), both sides of the
+            # middle and a stride; the oracle is slow.
+            rows = {0, 1, count // 2, count // 2 + 1, count - 2, count - 1,
+                    *range(0, count, 97)}
+            for row in sorted(rows):
+                key = curve.encode([int(v) for v in points[row]])
+                assert raw[row].tobytes() == key.to_bytes(
+                    curve.key_bytes, "big"), (count, row)
+            # Every row: the words against the integer container.
+            with monkeypatch.context() as patch:
+                patch.setattr(butz, "WORD_LANE_BYTES", 1 << 62)
+                np.testing.assert_array_equal(
+                    curve.encode_batch_bytes(points[:count]), raw)
+
+    def test_key_width_off_a_whole_word(self):
+        """η·ω = 36 bits: 5-byte keys behind four pad bits."""
+        curve = HilbertCurve(3, 12)
+        assert curve.key_bytes == 5
+        count = butz.WORD_LANE_BYTES // curve._lane.itemsize + 1
+        points = np.random.default_rng(5).integers(0, 1 << 12,
+                                                   size=(count, 3))
+        raw = curve.encode_batch_bytes(points)
+        for row in range(0, count, 61):
+            assert raw[row].tobytes() == curve.encode(
+                [int(v) for v in points[row]]).to_bytes(5, "big")
+
+    def test_a_build_block_packs_each_curve_alone(self):
+        """Past the switch ``encode_for_curves`` runs one transform for
+        the group and packs it one curve's rows at a time."""
+        curves = [HilbertCurve(16, 8)] * 3 + [HilbertCurve(5, 8)]
+        rng = np.random.default_rng(11)
+        coords = [rng.integers(0, 256, size=(butz.WORD_LANE_BYTES, c.dim))
+                  for c in curves]
+        for curve, points, raw in zip(curves, coords,
+                                      encode_for_curves(curves, coords)):
+            np.testing.assert_array_equal(
+                raw, curve.encode_batch_bytes(points))
 
 
 class TestKeysAreFrozen:

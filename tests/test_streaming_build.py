@@ -15,6 +15,7 @@ import pytest
 from repro.core import HDIndex, HDIndexParams, IndexSpec, open_index
 from repro.core.factory import build
 from repro.distance import euclidean_to_many, normalize_rows, top_k_smallest
+from repro.storage.vectors import VectorHeapFile
 from test_backend_parity import _is_mapped
 
 DIM = 10
@@ -121,6 +122,29 @@ class TestStreamingBuild:
                 N * 5 * 8 + N * index.trees[0].curve.key_bytes + coords)
         finally:
             index.close()
+
+    def test_each_heap_block_is_read_at_most_twice(self, corpus,
+                                                   monkeypatch):
+        """The reference distances and every tree's keys come from one
+        re-read of the heap (it was one for the distances and one per
+        tree), and the block size moves no byte of a tree."""
+        whole = HDIndex(stream_params())
+        whole.build_from_chunks(chunks_of(corpus))
+        reads = []
+        gather = VectorHeapFile.gather
+        monkeypatch.setattr(VectorHeapFile, "gather",
+                            lambda heap, ids: reads.append(ids.size)
+                            or gather(heap, ids))
+        index = HDIndex(stream_params())
+        index.STREAM_CHUNK_ROWS = 64
+        index.build_from_chunks(chunks_of(corpus))
+        assert len(reads) <= 2 * -(-N // 64)
+        assert sum(reads) == N
+        for tree, want in zip(index.trees, whole.trees):
+            np.testing.assert_array_equal(tree.packed.keys_raw,
+                                          want.packed.keys_raw)
+            np.testing.assert_array_equal(tree.packed.values_raw,
+                                          want.packed.values_raw)
 
     def test_angular_streaming(self, corpus):
         ndata = normalize_rows(corpus)
