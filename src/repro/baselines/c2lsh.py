@@ -24,6 +24,7 @@ from repro.baselines.lsh_common import (
     derive_collision_parameters,
     e2lsh_collision_probability,
     gaussian_projections,
+    top_k,
 )
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.distance.metrics import DistanceCounter
@@ -168,7 +169,7 @@ class C2LSH(KNNIndex):
             if all(window_low == 0) and all(window_high == self.count):
                 break  # every bucket fully scanned
             radius *= c
-        ids, dists = self._top_k(verified, k)
+        ids, dists = top_k(verified, k)
         bucket_pages = -(-bucket_entries_scanned
                          // max(1, self.page_size // _HASH_ENTRY_BYTES))
         self._query_stats = QueryStats(
@@ -183,19 +184,6 @@ class C2LSH(KNNIndex):
                    "bucket_entries": bucket_entries_scanned},
         )
         return ids, dists
-
-    @staticmethod
-    def _top_k(verified: dict[int, float],
-               k: int) -> tuple[np.ndarray, np.ndarray]:
-        if not verified:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64))
-        ids = np.fromiter(verified.keys(), dtype=np.int64,
-                          count=len(verified))
-        dists = np.fromiter(verified.values(), dtype=np.float64,
-                            count=len(verified))
-        order = np.lexsort((ids, dists))[:k]
-        return ids[order], dists[order]
 
     # -- accounting --------------------------------------------------------
 

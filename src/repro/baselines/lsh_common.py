@@ -4,7 +4,8 @@ C2LSH [26] and QALSH [33] share the collision-counting framework: m 2-stable
 (Gaussian) projections, a collision threshold l, *virtual rehashing* with
 radii R ∈ {1, c, c², ...}, and the two termination conditions (k candidates
 within c·R, or k + βn candidates verified).  This module holds the collision
-probability functions and the (m, l) parameter derivation both papers use.
+probability functions, the (m, l) parameter derivation both papers use and
+the final (distance, id) top-k of the verified candidates.
 """
 
 from __future__ import annotations
@@ -102,3 +103,13 @@ def gaussian_projections(dim: int, count: int,
                          rng: np.random.Generator) -> np.ndarray:
     """(count, dim) matrix of i.i.d. N(0, 1) projection vectors."""
     return rng.standard_normal(size=(count, dim))
+
+
+def top_k(verified: dict[int, float],
+          k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k verified candidates of least (distance, id)."""
+    ids = np.fromiter(verified.keys(), dtype=np.int64, count=len(verified))
+    dists = np.fromiter(verified.values(), dtype=np.float64,
+                        count=len(verified))
+    order = np.lexsort((ids, dists))[:k]
+    return ids[order], dists[order]

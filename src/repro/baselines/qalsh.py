@@ -27,6 +27,7 @@ from repro.baselines.lsh_common import (
     derive_collision_parameters,
     gaussian_projections,
     qalsh_collision_probability,
+    top_k,
 )
 from repro.btree.packed import PackedTree, bulk_load
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
@@ -179,7 +180,7 @@ class QALSH(KNNIndex):
             if covered:
                 break  # every projection window exhausted
             radius *= self.approximation_ratio
-        ids, dists = self._top_k(verified, k)
+        ids, dists = top_k(verified, k)
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
             page_reads=self._page_reads() - reads_before,
@@ -188,19 +189,6 @@ class QALSH(KNNIndex):
             extra={"final_radius": radius},
         )
         return ids, dists
-
-    @staticmethod
-    def _top_k(verified: dict[int, float],
-               k: int) -> tuple[np.ndarray, np.ndarray]:
-        if not verified:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64))
-        ids = np.fromiter(verified.keys(), dtype=np.int64,
-                          count=len(verified))
-        dists = np.fromiter(verified.values(), dtype=np.float64,
-                            count=len(verified))
-        order = np.lexsort((ids, dists))[:k]
-        return ids[order], dists[order]
 
     # -- accounting ------------------------------------------------------
 

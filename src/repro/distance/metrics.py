@@ -186,24 +186,20 @@ def _normalize_one(vector: np.ndarray) -> np.ndarray:
 
 
 def pairwise_euclidean(a: np.ndarray, b: np.ndarray,
-                       counter: DistanceCounter | None = None,
-                       b_sq: np.ndarray | None = None) -> np.ndarray:
+                       counter: DistanceCounter | None = None) -> np.ndarray:
     """All-pairs distance matrix between rows of ``a`` and rows of ``b``.
 
     Uses the expansion ``|x - y|^2 = |x|^2 + |y|^2 - 2 x·y`` with a clip
     against negative round-off, which is orders of magnitude faster than
     broadcasting differences for the (n × m) reference-distance matrix of
-    Algo. 1 line 2.  ``b_sq``, the rows' squared norms of ``b`` as this
-    function computes them, spares a caller that pairs many blocks of
-    ``a`` with one ``b`` the recomputation.
+    Algo. 1 line 2.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if counter is not None:
         counter.add(a.shape[0] * b.shape[0])
     a_sq = np.einsum("ij,ij->i", a, a)
-    if b_sq is None:
-        b_sq = np.einsum("ij,ij->i", b, b)
+    b_sq = np.einsum("ij,ij->i", b, b)
     sq = a_sq[:, None] + b_sq[None, :] - 2.0 * (a @ b.T)
     np.maximum(sq, 0.0, out=sq)
     return np.sqrt(sq)
