@@ -418,7 +418,7 @@ def table5_check(rows) -> None:
         assert cells[dataset, "HNSW"][0] < 1.0, dataset
 
 
-# -- fig. 10, 13, scalability, Sec. 5.2.1, buffering, spec grid -----------
+# -- fig. 10, 13, scalability, Sec. 5.2.1, spec grid ---------------------
 
 def with_select_times(figure) -> list:
     """Adds the reference selection's own time (Algo. 1 line 1)."""
@@ -500,14 +500,6 @@ def partition_check(rows) -> None:
     # small variance across partitions (paper: 0.974 ± 0.002 on SIFT10K).
     assert abs(contiguous - float(np.mean(scores))) < 0.1
     assert float(np.std(scores)) < 0.1
-
-
-def buffering_check(rows) -> None:
-    reads = [row.avg_page_reads for row in rows]
-    # A big enough pool absorbs the vast majority of physical reads...
-    assert reads[-1] < 0.5 * reads[0]
-    # ...and answers are identical regardless of caching.
-    assert len({row.extra["answers"] for row in rows}) == 1
 
 
 def spec_grid(dataset):
@@ -803,12 +795,6 @@ FIGURES: dict[str, Figure] = {
         "does not depend on the scheme.",
         (Workload("sift10k", 2500, 12, 10),), partitions,
         partition_check, ("method", "MAP@k")),
-    "ablation_buffering": Figure(
-        "Ablation: an LRU pool absorbs most physical reads without "
-        "changing answers; the paper disables caching to compare true I/O.",
-        (Workload("sift10k", 2500, 10, 10),),
-        hd_sweep("pool", "cache_pages", (0, 64, 256, 1024)),
-        buffering_check, ("method", "page_reads", "answers")),
     "spec_combos": Figure(
         "IndexSpec grid: every backend's answers byte-identical to the "
         "memory oracle.",

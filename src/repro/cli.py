@@ -126,8 +126,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="backpressure bound on queued requests")
     serve.add_argument("--cache", type=int, default=0,
                        help="LRU result-cache capacity (0 disables)")
-    serve.add_argument("--cache-pages", type=int, default=None,
-                       help="buffer-pool pages per store when loading")
     serve.add_argument("--backend", choices=BACKENDS, default=None,
                        help="how to reopen the snapshot (default mmap: "
                             "mapped, the larger-than-RAM mode; memory = "
@@ -419,8 +417,7 @@ def cmd_serve(args, out=sys.stdout) -> int:
             except Exception as error:
                 errors.append(error)
 
-    with open_index(args.index, cache_pages=args.cache_pages,
-                    backend=args.backend) as index:
+    with open_index(args.index, backend=args.backend) as index:
         matching = _matching_workload(args, index)
         if matching is None:
             return 2

@@ -119,7 +119,6 @@ def build(spec: IndexSpec | None, data,
 
 def open_index(path: str | os.PathLike[str],
                backend: str | None = None,
-               cache_pages: int | None = None,
                wal: bool | None = None
                ) -> HDIndex:
     """Reopen a persisted index, honouring the spec recorded in its
@@ -131,8 +130,6 @@ def open_index(path: str | os.PathLike[str],
         backend: How the snapshot files are reopened: ``"mmap"``
             (mapped, O(metadata) cold start; what ``None`` means) or
             ``"memory"`` (read into RAM).
-        cache_pages: Overrides the buffer-pool capacity recorded at save
-            time.
         wal: Durability override (:mod:`repro.wal`), as for
             :func:`~repro.core.persistence.load_index`: ``True`` attaches
             and replays the write-ahead log, ``False`` none (the
@@ -142,5 +139,4 @@ def open_index(path: str | os.PathLike[str],
         A ready-to-query :class:`~repro.core.hdindex.HDIndex`.
     """
     from repro.core.persistence import load_index
-    return load_index(path, cache_pages=cache_pages, backend=backend,
-                      wal=wal)
+    return load_index(path, backend=backend, wal=wal)

@@ -269,8 +269,7 @@ class HDIndex(KNNIndex):
         the old base+delta or the new base — both correct)."""
         from repro.core.persistence import load_index
         root = self._wal_root
-        fresh = load_index(root, cache_pages=self.params.cache_pages,
-                           backend=self.params.resolved_backend)
+        fresh = load_index(root, backend=self.params.resolved_backend)
         old_heap, old_wal = self.heap, self._wal
         with self._update_lock:
             self.params = fresh.params
@@ -522,7 +521,6 @@ class HDIndex(KNNIndex):
         object_ids = np.arange(self.count, dtype=np.int64)
         for tree_index, curve in enumerate(curves):
             tree = RDBTree(curve, params.num_references,
-                           cache_pages=params.cache_pages,
                            page_size=params.page_size)
             # Hand the column over: it is freed once its tree is sorted.
             column, keys[tree_index] = keys[tree_index], None
@@ -724,16 +722,14 @@ class HDIndex(KNNIndex):
         return size
 
     def memory_bytes(self) -> int:
-        """Query-time RAM: reference set + buffer pools, decoded id and
-        id -> position columns + held eligible sets + row block."""
+        """Query-time RAM: reference set + decoded id and id -> position
+        columns + held eligible sets + row block."""
         if self.references is None:
             return 0
         total = self.references.memory_bytes()
         if self.metadata is not None:
             total += self._eligible.nbytes(self)
         total += sum(tree.memory_bytes() for tree in self.trees)
-        if self.heap is not None:
-            total += self.heap.memory_bytes()
         # A query's (τ, α) candidate block: ids + m float64 distances each.
         total += len(self.trees) * self.params.alpha * (
             8 + 8 * self.params.num_references)
@@ -821,7 +817,7 @@ class HDIndex(KNNIndex):
             if os.path.exists(path):
                 os.remove(path)  # unlinked, not truncated: it may be mapped
         return VectorHeapFile(dim, params.storage_dtype, params.page_size,
-                              params.cache_pages, path)
+                              path=path)
 
     def close(self) -> None:
         """Release the log handle and the descriptor heap's pages.

@@ -92,7 +92,10 @@ class HDIndexParams:
     page_size:
         B — disk page size (4096 in all paper experiments).
     cache_pages:
-        Buffer-pool capacity per tree; 0 reproduces the paper's uncached runs.
+        Kept so a snapshot's ``meta.json`` records ``"cache_pages": 0`` as
+        it always has; no code reads it, and any other value is refused
+        (the modelled buffer pool was removed: every page read is
+        counted, as with the paper's caching off).
     storage_dtype:
         dtype of the descriptor heap's values: what they are rounded to,
         what the page model charges a record and what a delta row holds.
@@ -161,6 +164,11 @@ class HDIndexParams:
                 f"num_references must be >= 1, got {self.num_references}")
         if self.alpha < 1:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
+        if self.cache_pages != 0:
+            raise ValueError(
+                f"cache_pages={self.cache_pages}: the modelled buffer pool "
+                f"was removed and every page read is counted; only 0 is "
+                f"accepted (see docs/MIGRATION.md)")
         if self.reference_method not in ("sss", "sss-dyn", "random"):
             raise ValueError(
                 f"unknown reference method {self.reference_method!r}")

@@ -128,7 +128,6 @@ def fold_in_place(index) -> int:
 
 
 def load_index(directory: str | os.PathLike[str],
-               cache_pages: int | None = None,
                backend: str | None = None,
                wal: bool | None = None):
     """Re-open a persisted index for querying (and further updates).
@@ -140,8 +139,6 @@ def load_index(directory: str | os.PathLike[str],
 
     Args:
         directory: A directory written by :func:`save_index`.
-        cache_pages: Overrides the buffer-pool capacity recorded at save
-            time; ``None`` keeps the saved value.
         backend: How the snapshot files are opened — ``"mmap"`` (the
             default: read-only mappings, so the reopen is O(metadata),
             resident memory is the pages queries touch and snapshots
@@ -189,8 +186,7 @@ def load_index(directory: str | os.PathLike[str],
     for _ in range(OPEN_TRIES):
         seen, index = read_current(directory), None
         try:
-            index = _load_hdindex(resolve_snapshot_dir(directory),
-                                  cache_pages, backend)
+            index = _load_hdindex(resolve_snapshot_dir(directory), backend)
             attach_wal(index, directory, wal)
         except (PersistenceError, WalError):
             if read_current(directory) == seen:
@@ -260,8 +256,7 @@ def _save_hdindex(index: HDIndex, directory: str) -> None:
                  json.dumps(meta, indent=2))
 
 
-def _load_hdindex(directory: str, cache_pages: int | None,
-                  backend: str | None = None) -> HDIndex:
+def _load_hdindex(directory: str, backend: str | None = None) -> HDIndex:
     meta_path = os.path.join(directory, META_FILE)
     if not os.path.exists(meta_path):
         raise PersistenceError(f"{directory} has no {META_FILE}")
@@ -273,7 +268,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
 
     wal = _recorded_spec(meta, meta_path)
     backend = backend or "mmap"
-    params = _restore_params(meta["params"], directory, cache_pages, backend)
+    params = _restore_params(meta["params"], directory, backend)
     index = HDIndex(params)
     index.dim = int(meta["dim"])
     index.count = int(meta["count"])
@@ -294,7 +289,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
     def open_heap(path: str) -> VectorHeapFile:
         os.stat(path)  # a missing file is no empty heap
         heap = VectorHeapFile(index.dim, meta["heap"]["dtype"],
-                              params.page_size, params.cache_pages,
+                              params.page_size,
                               path if backend == "mmap" else None)
         if backend == "memory":
             heap.read(path)
@@ -309,9 +304,7 @@ def _load_hdindex(directory: str, cache_pages: int | None,
 
     index.trees = []
     for tree_index, tree_state in enumerate(meta["trees"]):
-        tree = RDBTree.from_state(
-            tree_state, cache_pages=params.cache_pages,
-            page_size=params.page_size)
+        tree = RDBTree.from_state(tree_state, page_size=params.page_size)
         path = os.path.join(directory, f"tree_{tree_index}.packed")
         _decode(path, lambda path: tree.read(path, mapped=backend == "mmap"))
         shape = (len(tree), tree.leaf_capacity)
@@ -377,13 +370,13 @@ def _recorded_spec(meta: dict, path: str) -> bool | None:
 
 
 def _restore_params(params_dict: dict, directory: str,
-                    cache_pages: int | None,
                     backend: str) -> HDIndexParams:
     params_dict = dict(params_dict)
     params_dict["storage_dir"] = directory
     params_dict["backend"] = backend
-    if cache_pages is not None:
-        params_dict["cache_pages"] = cache_pages
+    # A snapshot may record a buffer-pool size: no code reads the field,
+    # every read is counted, and 0 is its one valid value.
+    params_dict["cache_pages"] = 0
     # One deserialiser for the asdict form (spec.py owns the JSON-type
     # coercions, e.g. domain list -> tuple), shared with
     # IndexSpec.from_dict so snapshots and spec files cannot drift.

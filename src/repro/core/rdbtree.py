@@ -40,10 +40,10 @@ from repro.distance.metrics import require_finite
 from repro.hilbert.butz import HilbertCurve
 from repro.storage.codecs import UIntCodec, pack_arrays, unpack_arrays
 from repro.storage.pages import DEFAULT_PAGE_SIZE, read_file, replace_file
-from repro.storage.stats import ModelledPool
+from repro.storage.stats import IOStats
 
 
-class RDBTree(ModelledPool):
+class RDBTree:
     """One RDB-tree covering one dimension partition.
 
     Parameters
@@ -52,18 +52,15 @@ class RDBTree(ModelledPool):
         The partition's Hilbert curve (fixes key width η·ω bits).
     num_references:
         m — reference distances stored per leaf entry.
-    cache_pages:
-        Capacity of the modelled buffer pool
-        (:class:`~repro.storage.stats.ModelledPool`), fed the replayed
-        trace (0 = caching off, the paper's methodology).
     page_size:
         B — fixes, with the entry width, the modelled page geometry.
     """
 
     def __init__(self, curve: HilbertCurve, num_references: int,
-                 cache_pages: int = 0,
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
-        super().__init__(cache_pages, page_size)
+        self.page_size = page_size
+        #: Every page of the replayed traces and of the bulk load, counted.
+        self.stats = IOStats()
         self.curve = curve
         self.num_references = num_references
         self.leaf_order = rdb_leaf_order(
@@ -202,8 +199,7 @@ class RDBTree(ModelledPool):
             self._internal_capacity)
 
     def adopt(self, packed: PackedTree) -> None:
-        """Make ``packed`` the tree.  Page ids now name other contents,
-        so the modelled buffer pool starts cold."""
+        """Make ``packed`` the tree."""
         self.packed = packed
         #: The layout's leaf record: its id width is the value width's
         #: remainder after the m distances.
@@ -213,7 +209,6 @@ class RDBTree(ModelledPool):
         # (layout, id -> position column), on the first subset lookup.
         self._records_cache: tuple | None = None
         self._positions_cache: tuple | None = None
-        self.clear_cache()
 
     # -- persistence -------------------------------------------------------
 
@@ -232,12 +227,11 @@ class RDBTree(ModelledPool):
         }
 
     @classmethod
-    def from_state(cls, state: dict, cache_pages: int = 0,
+    def from_state(cls, state: dict,
                    page_size: int = DEFAULT_PAGE_SIZE) -> "RDBTree":
         """An empty tree of the saved shape; :meth:`read` fills it."""
         curve = HilbertCurve(int(state["dim"]), int(state["order"]))
-        return cls(curve, int(state["num_references"]),
-                   cache_pages=cache_pages, page_size=page_size)
+        return cls(curve, int(state["num_references"]), page_size=page_size)
 
     def write(self, path: str | os.PathLike[str]) -> None:
         """Write the key and record columns as one ``.packed`` file
@@ -290,7 +284,8 @@ class RDBTree(ModelledPool):
             raw_key = bytes(query_key)
         else:
             raw_key = self._key_codec.encode(int(query_key))
-        window = self.packed.nearest_positions(raw_key, alpha, self, subset)
+        window = self.packed.nearest_positions(raw_key, alpha, self.stats,
+                                               subset)
         ids, ref = out or (np.empty(window.size, dtype=np.int64),
                            np.empty((self.num_references, window.size)).T)
         if ids.shape[0] != window.size:
@@ -345,11 +340,10 @@ class RDBTree(ModelledPool):
         return self.packed.count
 
     def memory_bytes(self) -> int:
-        """The modelled pool plus the decoded id column and the id ->
-        position column, each while cached."""
+        """The decoded id column and the id -> position column, each
+        while cached."""
         held = (self._records_cache, self._positions_cache)
-        return super().memory_bytes() + sum(
-            cached[1].nbytes for cached in held if cached is not None)
+        return sum(cached[1].nbytes for cached in held if cached is not None)
 
     @property
     def height(self) -> int:

@@ -8,10 +8,6 @@ storage and tree layers with cross-checking shims:
   ``page_reads == random_reads + sequential_reads`` (same for writes)
   and no counter is negative.  A drifting split silently corrupts the
   paper's random-access cost model.
-* **Modelled-pool bound** — the page-id LRU of the heap and the
-  RDB-trees (:class:`~repro.storage.stats.ModelledPool`) never holds
-  more than ``cache_pages`` ids, none at ``cache_pages=0`` (the paper's
-  no-caching methodology).
 * **Heap write protection** — the page matrix a
   :class:`~repro.storage.vectors.VectorHeapFile` publishes is never
   writable (a read-only mapping on disk, ``flags.writeable`` cleared in
@@ -95,8 +91,7 @@ def _check_stats_balance(stats: Any) -> None:
             f"{stats.page_writes} != random {stats.random_writes} + "
             f"sequential {stats.sequential_writes}")
     for field in ("page_reads", "page_writes", "random_reads",
-                  "sequential_reads", "random_writes", "sequential_writes",
-                  "cache_hits"):
+                  "sequential_reads", "random_writes", "sequential_writes"):
         if getattr(stats, field) < 0:
             raise SanitizerError(
                 f"IOStats.{field} went negative: {getattr(stats, field)}")
@@ -113,26 +108,15 @@ def _install_iostats() -> None:
         return wrapper
 
     for name in ("record_read", "record_write", "record_write_run",
-                 "record_read_many", "record_cache_hit", "reset",
-                 "__add__"):
+                 "record_read_many", "reset", "__add__"):
         _patch(IOStats, name, checked)
 
 
-# -- modelled pool and heap page matrix ---------------------------------------
+# -- heap page matrix ---------------------------------------------------------
 
 
 def _install_heap_checks() -> None:
-    from repro.storage.stats import ModelledPool
     from repro.storage.vectors import VectorHeapFile
-
-    def bounded(original: Callable[..., Any]) -> Callable[..., Any]:
-        def wrapper(self: Any, page_ids: Any) -> None:
-            original(self, page_ids)
-            if len(self._resident) > self.cache_pages:
-                raise SanitizerError(
-                    f"modelled pool holds {len(self._resident)} page ids, "
-                    f"over cache_pages={self.cache_pages}")
-        return wrapper
 
     def read_only(original: Callable[..., Any]) -> Callable[..., Any]:
         def wrapper(self: Any) -> Any:
@@ -143,7 +127,6 @@ def _install_heap_checks() -> None:
             return state
         return wrapper
 
-    _patch(ModelledPool, "record_read_many", bounded)
     # Every reader and writer of the heap takes its state through _live.
     _patch(VectorHeapFile, "_live", read_only)
 

@@ -29,21 +29,22 @@ def exact_knn(data: np.ndarray, queries: np.ndarray, k: int,
 
     ``block`` bounds the working set: one GEMM's output holds at most
     ``block × n`` float64 values, and never more than ``TILE_VALUES``, so
-    the scratch does not grow with n.  Per block of up to ``GEMM_ROWS``
-    queries and per data tile, the scan (1) multiplies ``−2·q`` by the
-    tile (the scaling is exact); (2) keeps the entries whose partial key
-    ``|x|² − 2q·x`` is at most the query's running k-th bound plus a
-    rounding slack (a partition of the first tile of k or more rows sets
-    it); (3) takes those entries' ``(|q|² + |x|²) − 2q·x`` as
-    :func:`~repro.distance.pairwise_euclidean` does, clipped and rooted,
-    and keeps the k least by (distance, id).
+    the scratch does not grow with n; rows of another dtype are widened
+    to float64 (an exact cast) one tile at a time, never all together.
+    Per block of up to ``GEMM_ROWS`` queries and per data tile, the scan
+    (1) multiplies ``−2·q`` by the tile (the scaling is exact); (2) keeps
+    the entries whose partial key ``|x|² − 2q·x`` is at most the query's
+    running k-th bound plus a rounding slack (a partition of the first
+    tile of k or more rows sets it); (3) takes those entries'
+    ``(|q|² + |x|²) − 2q·x`` as :func:`~repro.distance.pairwise_euclidean`
+    does, clipped and rooted, and keeps the k least by (distance, id).
 
     The distances are the bytes ``pairwise_euclidean`` gives for the same
     GEMM entries.  Where dot products round (rows not integer-valued),
     BLAS may round an entry an ulp apart in a GEMM of another shape, as a
     different ``block`` always could.
     """
-    data = np.asarray(data, dtype=np.float64)
+    data = np.asarray(data)
     queries = np.asarray(queries, dtype=np.float64)
     if queries.ndim == 1:
         queries = queries[None, :]
@@ -55,7 +56,34 @@ def exact_knn(data: np.ndarray, queries: np.ndarray, k: int,
         raise ValueError(f"k must be in [1, {n}], got {k}")
     if block < 1:
         raise ValueError(f"block must be positive, got {block}")
-    data_sq = np.einsum("ij,ij->i", data, data)
+    values = min(block * n, TILE_VALUES)
+    # Even query blocks and tiles, so that no GEMM is one row (a GEMV).
+    blocks = max(1, -(-count // min(GEMM_ROWS, values)))
+    row_edges = count * np.arange(blocks + 1) // blocks
+    block_rows = -(-count // blocks)
+    width = min(n, values // max(block_rows, 1))
+    widen = data.dtype != np.float64
+    if widen:  # each tile is widened into one more tile matrix
+        width = min(width, max(1, TILE_VALUES // dim))
+        wide = np.empty(width * dim)
+    tiles = -(-n // width)
+    col_edges = n * np.arange(tiles + 1) // tiles
+    tile_spans = list(zip(col_edges, col_edges[1:]))
+
+    def tile(lo: int, hi: int) -> np.ndarray:
+        """``data[lo:hi]`` as float64 (an exact cast): a view, or the
+        rows widened into the tile matrix."""
+        if not widen:
+            return data[lo:hi]
+        rows = wide[:(hi - lo) * dim].reshape(hi - lo, dim)
+        rows[...] = data[lo:hi]
+        return rows
+
+    data_sq = np.empty(n)
+    # One pass over the tiles (n · dim / TILE_VALUES of them at most).
+    for lo, hi in tile_spans:  # lint: disable=HK101
+        x = tile(lo, hi)
+        np.einsum("ij,ij->i", x, x, out=data_sq[lo:hi])
     query_sq = np.einsum("ij,ij->i", queries, queries)
     scale = query_sq + data_sq.max()
     if not np.isfinite(scale).all():
@@ -67,14 +95,6 @@ def exact_knn(data: np.ndarray, queries: np.ndarray, k: int,
     # both of the largest key of any k entries.
     slack = 2.0 ** -50 * (dim + 16) * scale
     neg2q = queries * -2.0
-    values = min(block * n, TILE_VALUES)
-    # Even query blocks and tiles, so that no GEMM is one row (a GEMV).
-    blocks = max(1, -(-count // min(GEMM_ROWS, values)))
-    row_edges = count * np.arange(blocks + 1) // blocks
-    block_rows = -(-count // blocks)
-    width = min(n, values // max(block_rows, 1))
-    tiles = -(-n // width)
-    col_edges = n * np.arange(tiles + 1) // tiles
     scratch = np.empty((2, block_rows * width))
     mask = np.empty(block_rows * width, dtype=bool)
     bounds = np.full(count, np.inf)
@@ -83,13 +103,12 @@ def exact_knn(data: np.ndarray, queries: np.ndarray, k: int,
     # Loops: over query blocks (ceil(Q / GEMM_ROWS)) and, in each, over
     # data tiles (about n · rows / TILE_VALUES): one GEMM and three
     # whole-tile passes a tile, one sort of candidates per ~rows · k.
-    tile_spans = list(zip(col_edges, col_edges[1:]))
     for start, stop in zip(row_edges, row_edges[1:]):  # lint: disable=HK101
         rows, bound = stop - start, bounds[start:stop]
         best, waiting = [], 0
         for lo, hi in tile_spans:  # lint: disable=HK101
             shape, size = (rows, hi - lo), rows * (hi - lo)
-            dot = np.matmul(neg2q[start:stop], data[lo:hi].T,
+            dot = np.matmul(neg2q[start:stop], tile(lo, hi).T,
                             out=scratch[0, :size].reshape(shape))
             key = np.add(dot, data_sq[lo:hi],
                          out=scratch[1, :size].reshape(shape))

@@ -426,7 +426,7 @@ class QueryService:
         self.stop()
 
     @classmethod
-    def from_snapshot(cls, directory, cache_pages: int | None = None,
+    def from_snapshot(cls, directory,
                       config: ServiceConfig | None = None,
                       backend: str | None = None,
                       workers: int | None = None,
@@ -442,8 +442,6 @@ class QueryService:
         Args:
             directory: Snapshot directory written by
                 :func:`repro.core.save_index`.
-            cache_pages: Buffer-pool override forwarded to
-                :func:`repro.core.load_index`.
             config: Full :class:`ServiceConfig`; mutually composable with
                 keyword ``overrides`` (``max_batch=...`` etc.).
             backend: Storage backend for the reopen — ``"mmap"``
@@ -463,8 +461,7 @@ class QueryService:
             call :meth:`start`.
         """
         from repro.core.persistence import load_index
-        service = cls(load_index(directory, cache_pages=cache_pages,
-                                 backend=backend),
+        service = cls(load_index(directory, backend=backend),
                       config=config, snapshot_dir=directory,
                       workers=workers, worker_timeout=worker_timeout,
                       **overrides)
@@ -630,7 +627,6 @@ class QueryService:
 
     def swap_snapshot(self, directory: str | os.PathLike[str] | None = None,
                       backend: str | None = None,
-                      cache_pages: int | None = None,
                       timeout: float | None = None) -> None:
         """Hot-swap the service onto a (new generation of a) snapshot
         without stopping.
@@ -651,7 +647,6 @@ class QueryService:
                 new generation.
             backend: Storage backend for the reload (``None`` is
                 ``"mmap"``).
-            cache_pages: Buffer-pool override for the reload.
             timeout: Seconds to wait for the dispatcher to apply the
                 swap; ``None`` waits indefinitely.
 
@@ -669,7 +664,7 @@ class QueryService:
                 "no snapshot directory to swap to: the index is not "
                 "disk-backed; pass directory=...")
         target = os.fspath(target)
-        fresh = load_index(target, cache_pages=cache_pages, backend=backend)
+        fresh = load_index(target, backend=backend)
         if self._pool is not None:
             try:
                 self._check_snapshot(fresh, target)

@@ -2,8 +2,8 @@
 
 This package is the "commodity hardware" the paper runs on: everything the
 index structures persist is laid out in fixed-size pages so that disk
-accesses can be counted and classified (random vs sequential), and caching
-can be switched off exactly as in the paper's methodology.
+accesses can be counted and classified (random vs sequential).  Every read
+is counted, as with the paper's caching switched off.
 """
 
 from repro.storage.codecs import (
@@ -15,7 +15,7 @@ from repro.storage.codecs import (
     unpack_arrays,
 )
 from repro.storage.pages import DEFAULT_PAGE_SIZE, StorageError
-from repro.storage.stats import IOStats, ModelledPool
+from repro.storage.stats import IOStats
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_PAGE_SIZE",
     "Float64Codec",
     "IOStats",
-    "ModelledPool",
     "StorageError",
     "UIntCodec",
     "VectorHeapFile",

@@ -26,10 +26,10 @@ import os
 import numpy as np
 
 from repro.storage.pages import DEFAULT_PAGE_SIZE, StorageError, replace_file
-from repro.storage.stats import ModelledPool
+from repro.storage.stats import IOStats
 
 
-class VectorHeapFile(ModelledPool):
+class VectorHeapFile:
     """Fixed-width vector records packed into pages.
 
     Parameters
@@ -45,10 +45,6 @@ class VectorHeapFile(ModelledPool):
         (:attr:`stored_dtype`); :meth:`gather` returns them as stored.
     page_size:
         B — bytes per page.
-    cache_pages:
-        Capacity of the modelled buffer pool
-        (:class:`~repro.storage.stats.ModelledPool`; 0 = caching disabled,
-        paper default).
     path:
         The page file to serve from, created empty if missing: a flat
         file of whole pages, mapped read-only and grown by appending.
@@ -56,11 +52,15 @@ class VectorHeapFile(ModelledPool):
     """
 
     def __init__(self, dim: int, dtype: np.dtype | str = np.float32,
-                 page_size: int = DEFAULT_PAGE_SIZE, cache_pages: int = 0,
+                 page_size: int = DEFAULT_PAGE_SIZE,
                  path: str | os.PathLike[str] | None = None) -> None:
         if dim <= 0:
             raise ValueError(f"dim must be positive, got {dim}")
-        super().__init__(cache_pages, page_size)
+        if page_size <= 0:
+            raise ValueError(f"page_size must be positive, got {page_size}")
+        self.page_size = page_size
+        #: Every page the heap reads and writes, counted.
+        self.stats = IOStats()
         self.dim = dim
         self.dtype = np.dtype(dtype)
         self.record_size = dim * self.dtype.itemsize
@@ -293,10 +293,10 @@ class VectorHeapFile(ModelledPool):
 
         A single numpy fancy-index over the page matrix plus one
         accounting pass over the model's pages it touched, in id order;
-        duplicate page reads are not elided (caching policy is the
-        modelled pool's job).  A fresh ``(n, dim)`` array of the records
-        as stored (:attr:`stored_dtype`, values of the storage dtype) is
-        returned, byte-identical across backends.
+        duplicate page reads are not elided (no page is cached).  A fresh
+        ``(n, dim)`` array of the records as stored (:attr:`stored_dtype`,
+        values of the storage dtype) is returned, byte-identical across
+        backends.
 
         An **empty** id set — the Algo.-2 refinement stage when every
         candidate was filtered or deleted — returns an empty ``(0, dim)``
@@ -320,7 +320,7 @@ class VectorHeapFile(ModelledPool):
         if per_block != self.records_per_page:  # narrow records
             blocks = object_ids // self.records_per_page
         span = self._pages_per_record
-        self.record_read_many(blocks[:, None] * span + np.arange(span))
+        self.stats.record_read_many(blocks[:, None] * span + np.arange(span))
         return rows
 
     def scan(self) -> np.ndarray:
@@ -350,12 +350,10 @@ class VectorHeapFile(ModelledPool):
 
 def heap_file_from_array(data: np.ndarray, dtype: np.dtype | str = np.float32,
                          page_size: int = DEFAULT_PAGE_SIZE,
-                         cache_pages: int = 0,
                          path: str | os.PathLike[str] | None = None
                          ) -> VectorHeapFile:
     """Convenience constructor: wrap an (n, ν) array in a heap file."""
     heap = VectorHeapFile(dim=data.shape[1], dtype=dtype,
-                          page_size=page_size, cache_pages=cache_pages,
-                          path=path)
+                          page_size=page_size, path=path)
     heap.append_batch(data)
     return heap

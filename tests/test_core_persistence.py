@@ -124,17 +124,6 @@ class TestSaveLoad:
         with pytest.raises(RuntimeError):
             save_index(HDIndex(params()), tmp_path / "index")
 
-    def test_cache_override_on_load(self, workload, tmp_path):
-        data, queries = workload
-        index = HDIndex(params())
-        index.build(data)
-        save_index(index, tmp_path / "index")
-        cached = load_index(tmp_path / "index", cache_pages=256)
-        cached.query(queries[0], 5)
-        cached.query(queries[0], 5)
-        assert cached.io_snapshot()["cache_hits"] > 0
-        cached.close()
-
 
 class TestOneFilePerTree:
     def test_snapshot_has_no_tree_pages(self, workload, tmp_path):
@@ -219,32 +208,6 @@ class TestOneFilePerTree:
         opened.close()
         with load_index(tmp_path, backend=backend) as again:
             assert again.count == len(data) + 7
-
-    def test_cache_pages_only_changes_the_hit_split(self, workload,
-                                                    tmp_path):
-        data, queries = workload
-        index = HDIndex(params())
-        index.build(data)
-        save_index(index, tmp_path)
-        runs = {}
-        for capacity in (0, 8, 10 ** 6):
-            with load_index(tmp_path, cache_pages=capacity) as opened:
-                answers = [opened.query(query, 10)
-                           for query in list(queries) * 2]
-                runs[capacity] = (
-                    answers,
-                    [tree.stats.page_reads for tree in opened.trees],
-                    [tree.stats.cache_hits for tree in opened.trees])
-        answers, uncached, no_hits = runs[0]
-        assert not any(no_hits)
-        for capacity in (8, 10 ** 6):
-            got, reads, hits = runs[capacity]
-            assert [r + h for r, h in zip(reads, hits)] == uncached
-            for (ids_a, dists_a), (ids_b, dists_b) in zip(got, answers):
-                np.testing.assert_array_equal(ids_a, ids_b)
-                np.testing.assert_array_equal(dists_a, dists_b)
-        assert all(0 < few <= many
-                   for few, many in zip(runs[8][2], runs[10 ** 6][2]))
 
 
 def id_widths(directory, num_references=5):

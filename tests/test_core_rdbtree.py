@@ -198,9 +198,8 @@ PAGE = 256
 CURVES = {1: (2, 4), 8: (8, 8), 16: (16, 8)}
 
 
-def empty_tree(width, cache_pages=0, page_size=PAGE):
-    return RDBTree(HilbertCurve(*CURVES[width]), M, cache_pages=cache_pages,
-                   page_size=page_size)
+def empty_tree(width, page_size=PAGE):
+    return RDBTree(HilbertCurve(*CURVES[width]), M, page_size=page_size)
 
 
 def random_rows(rng, width, n, duplicates, first_id=0):
@@ -585,34 +584,7 @@ class TestNodeOracleParity:
                 assert tree.stats.snapshot() == walk_log.snapshot()
 
 
-class TestModelledBufferPool:
-    def test_hits_plus_reads_is_the_uncached_trace(self):
-        rng = np.random.default_rng(9)
-        keys, ids, distances = random_rows(rng, 8, 900, False)
-        probes = keys[:12] * 2
-        results = {}
-        for capacity in (0, 8, 10 ** 6):
-            tree = empty_tree(8, cache_pages=capacity)
-            tree.bulk_build(key_matrix(keys, 8), ids, distances)
-            answers = [tree.candidates(probe, 60) for probe in probes]
-            results[capacity] = (answers, tree.stats.page_reads,
-                                 tree.stats.cache_hits)
-            column = 8 * len(tree)  # the id column the lookups decoded
-            assert tree.memory_bytes() == \
-                min(capacity, tree.stats.page_reads) * PAGE + column
-            tree.clear_cache()
-            assert tree.memory_bytes() == column
-        uncached_reads = results[0][1]
-        assert results[0][2] == 0
-        for capacity in (8, 10 ** 6):
-            answers, reads, hits = results[capacity]
-            assert reads + hits == uncached_reads
-            for (ids_a, ref_a), (ids_b, ref_b) in zip(answers,
-                                                      results[0][0]):
-                np.testing.assert_array_equal(ids_a, ids_b)
-                np.testing.assert_array_equal(ref_a, ref_b)
-        assert 0 < results[8][2] <= results[10 ** 6][2]
-
+class TestResidentColumns:
     def test_first_lookup_holds_the_id_column_until_a_merge(self):
         """The int64 id column a tree decodes on its first lookup is
         resident: counted while cached, gone with the layout a merge

@@ -95,26 +95,10 @@ class TestIOStatsBalance:
 
     def test_negative_counter_raises(self, sanitized):
         stats = IOStats()
-        stats.cache_hits = -3
+        stats.sequential_writes = -3
+        stats.random_writes = 3  # the write split still balances
         with pytest.raises(SanitizerError, match="negative"):
             stats.record_read(0)
-
-
-class TestModelledPool:
-    def test_page_id_lru_stays_within_cache_pages(self, sanitized):
-        heap = heap_file_from_array(np.zeros((64, 4)), page_size=64,
-                                    cache_pages=3)
-        heap.gather(np.arange(64))
-        heap.gather([0, 63, 5, 0])
-        assert heap.memory_bytes() == 3 * 64
-
-    def test_overfull_pool_raises(self, sanitized):
-        for cache_pages in (0, 2):
-            heap = heap_file_from_array(np.zeros((64, 4)), page_size=64,
-                                        cache_pages=cache_pages)
-            heap._resident.update(dict.fromkeys(range(10, 13)))  # seeded
-            with pytest.raises(SanitizerError, match="modelled pool"):
-                heap.gather([0])
 
 
 class TestMmapWriteProtection:
@@ -212,14 +196,14 @@ class TestColumnsOracleCrossCheck:
     """``RDBTree.candidates`` against the node walk of the tree's own
     columns."""
 
-    def build_rdbtree(self, n=600, cache_pages=0):
+    def build_rdbtree(self, n=600):
         from repro.core.rdbtree import RDBTree
         from repro.hilbert import HilbertCurve
 
         rng = np.random.default_rng(4)
         curve = HilbertCurve(3, 4)  # 4096 cells: duplicate keys
         keys = curve.encode_batch_bytes(rng.integers(0, 16, size=(n, 3)))
-        tree = RDBTree(curve, 2, cache_pages=cache_pages, page_size=256)
+        tree = RDBTree(curve, 2, page_size=256)
         tree.bulk_build(keys, np.arange(n),
                         rng.uniform(0, 9, size=(n, 2)).astype(np.float32))
         return tree, keys
@@ -291,12 +275,6 @@ class TestColumnsOracleCrossCheck:
                 tree.candidates(keys[300].tobytes(), 20, subset)
         finally:
             type(tree.packed)._raw_taken = raw_taken
-
-    def test_cached_tree_checked_against_the_uncached_trace(self, sanitized):
-        tree, keys = self.build_rdbtree(cache_pages=16)
-        tree.candidates(keys[9].tobytes(), 30)
-        tree.candidates(keys[9].tobytes(), 30)
-        assert tree.stats.cache_hits > 0
 
 
 class TestEndToEndQueryParity:

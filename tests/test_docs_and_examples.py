@@ -56,10 +56,11 @@ class TestArchitectureDoc:
         assert "Execution" not in text
 
     def test_covers_the_storage_backend_matrix(self, text):
-        for name in ('"memory"', '"mmap"', "page matrix", "ModelledPool",
-                     "cache_pages", "repro.devtools.nodewalk"):
+        for name in ('"memory"', '"mmap"', "page matrix", "IOStats",
+                     "repro.devtools.nodewalk"):
             assert name in text, f"missing {name!r}"
         assert '"file"' not in text
+        assert "ModelledPool" not in text
 
     def test_points_into_the_source_tree(self, text):
         for path in ("src/repro/core/engine.py", "src/repro/storage",

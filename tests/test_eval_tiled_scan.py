@@ -14,6 +14,7 @@ import tracemalloc
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.distance import pairwise_euclidean
@@ -112,3 +113,37 @@ class TestScratch:
                 tracemalloc.stop()
         assert max(peaks) < 20 * 2**20, peaks
         assert peaks[1] - peaks[0] < 8 * 60_000 + 2**18, peaks
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_narrow_rows_are_widened_a_tile_at_a_time(self, dtype):
+        """Rows of another dtype are cast to float64 one tile at a time:
+        at 80k rows a whole float64 copy would add 3.8 MB over 20k."""
+        rng = np.random.default_rng(1)
+        queries = rng.integers(0, 256, size=(64, 8)).astype(float)
+        peaks = []
+        for n in (20_000, 80_000):
+            data = rng.integers(0, 256, size=(n, 8)).astype(dtype)
+            tracemalloc.start()
+            try:
+                exact_knn(data, queries, k=10)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert max(peaks) < 24 * 2**20, peaks
+        assert peaks[1] - peaks[0] < 8 * 60_000 + 2**18, peaks
+
+
+@pytest.mark.parametrize("tile_values", [None, 5, 64])
+def test_every_row_dtype_gives_the_float64_bytes(tile_values):
+    """Integer-valued rows as float32, uint8, int16 or float64: the cast
+    to float64 is exact, so ids and distance bytes are the same."""
+    rng = np.random.default_rng(2)
+    values = rng.integers(0, 256, size=(300, 6))
+    queries = rng.integers(0, 256, size=(9, 6)).astype(float)
+    want_ids, want_dists = tiled(values.astype(np.float64), queries, 7,
+                                 tile_values=tile_values)
+    for dtype in (np.float32, np.uint8, np.int16):
+        ids, dists = tiled(values.astype(dtype), queries, 7,
+                           tile_values=tile_values)
+        np.testing.assert_array_equal(ids, want_ids)
+        assert dists.tobytes() == want_dists.tobytes()

@@ -2,8 +2,8 @@
 
 These exercise the exact pipelines the benchmarks run, at miniature scale:
 every catalog dataset must build and answer queries, the headline quality
-ordering must hold, and the disk-resident story (file-backed stores,
-buffering ablation) must work outside the in-memory fast path.
+ordering must hold, and the disk-resident story (file-backed stores)
+must work outside the in-memory fast path.
 """
 
 import numpy as np
@@ -88,23 +88,6 @@ class TestDiskResidence:
         assert heap.stored_dtype == np.uint8
         assert (tmp_path / "vectors.pages").stat().st_size \
             == -(-200 // (heap.page_size // ds.dim)) * heap.page_size
-
-    def test_buffering_reduces_reads_but_not_results(self):
-        """The buffering ablation: cached and uncached indexes answer
-        identically; only the physical read count changes."""
-        ds = make_dataset("audio", n=400, num_queries=4, seed=4)
-        cold = HDIndex(small_hd_params(ds.spec, cache_pages=0))
-        warm = HDIndex(small_hd_params(ds.spec, cache_pages=512))
-        cold.build(ds.data)
-        warm.build(ds.data)
-        cold_reads = warm_reads = 0
-        for query in ds.queries:
-            ids_cold, _ = cold.query(query, 5)
-            ids_warm, _ = warm.query(query, 5)
-            np.testing.assert_array_equal(ids_cold, ids_warm)
-            cold_reads += cold.last_query_stats().page_reads
-            warm_reads += warm.last_query_stats().page_reads
-        assert warm_reads < cold_reads
 
 
 class TestScalingBehaviour:

@@ -1,9 +1,9 @@
 """The descriptor heap is one page matrix on every backend.
 
 Same bytes, same answers and the same counted I/O whether the matrix is
-an array in memory or a mapping of ``descriptors.pages``, with the
-modelled pool on or off, for records that share a page, fill the last
-page partly, or span pages — and no second fetch path to fall into.
+an array in memory or a mapping of ``descriptors.pages``, for records
+that share a page, fill the last page partly, or span pages — and no
+second fetch path to fall into.
 """
 
 import hashlib
@@ -23,7 +23,6 @@ from repro.storage import StorageError, VectorHeapFile
 from repro.storage.pages import replace_file
 
 BACKENDS = ("memory", "mmap")
-CACHES = (0, 64)
 PAGE = 128
 
 #: name -> (dim, n): 32 B float32 records, four to a 128 B page, the last
@@ -33,12 +32,10 @@ GEOMETRIES = {"fits": (8, 240), "partial": (8, 242), "spanning": (48, 90)}
 #: Heap counters after :func:`drive` on a fresh reopen, as the release
 #: before the page matrix counted them through ``backend="mmap"`` (its
 #: ``"file"`` backend agreed): (page_reads, random_reads,
-#: sequential_reads, cache_hits) by (geometry, cache_pages).
+#: sequential_reads) by geometry.
 PARENT_HEAP_READS = {
-    ("fits", 0): (326, 204, 122, 0), ("fits", 64): (59, 38, 21, 267),
-    ("partial", 0): (297, 182, 115, 0), ("partial", 64): (58, 38, 20, 239),
-    ("spanning", 0): (396, 98, 298, 0),
-    ("spanning", 64): (358, 93, 265, 38),
+    "fits": (326, 204, 122), "partial": (297, 182, 115),
+    "spanning": (396, 98, 298),
 }
 
 
@@ -74,16 +71,15 @@ def snapshot(request, tmp_path_factory):
     return request.param, data, queries, directory
 
 
-@pytest.mark.parametrize("cache_pages", CACHES)
 class TestHeapBackendParity:
-    def opened(self, directory, cache_pages):
-        return [load_index(directory, backend=backend,
-                           cache_pages=cache_pages) for backend in BACKENDS]
+    def opened(self, directory):
+        return [load_index(directory, backend=backend)
+                for backend in BACKENDS]
 
-    def test_gather_bytes(self, snapshot, cache_pages):
+    def test_gather_bytes(self, snapshot):
         _, data, _, directory = snapshot
         ids = np.random.default_rng(2).integers(0, len(data), size=40)
-        for index in self.opened(directory, cache_pages):
+        for index in self.opened(directory):
             got = index.heap.gather(ids)
             assert got.dtype == np.float32 and got.flags.writeable
             assert got.tobytes() == data[ids].astype(np.float32).tobytes()
@@ -91,9 +87,9 @@ class TestHeapBackendParity:
                 index.heap.scan(), data.astype(np.float32))
             index.close()
 
-    def test_answers_and_counted_reads(self, snapshot, cache_pages):
+    def test_answers_and_counted_reads(self, snapshot):
         geometry, _, queries, directory = snapshot
-        memory, mapped = self.opened(directory, cache_pages)
+        memory, mapped = self.opened(directory)
         assert memory.heap.path is None and mapped.heap.path is not None
         for got, want in zip(drive(memory, queries), drive(mapped, queries)):
             np.testing.assert_array_equal(got[0], want[0])
@@ -102,20 +98,16 @@ class TestHeapBackendParity:
         for index in (memory, mapped):
             heap = index.heap.stats
             assert (heap.page_reads, heap.random_reads,
-                    heap.sequential_reads, heap.cache_hits) \
-                == PARENT_HEAP_READS[geometry, cache_pages]
+                    heap.sequential_reads) == PARENT_HEAP_READS[geometry]
             assert heap.page_writes == 0
-            assert index.heap.memory_bytes() \
-                == min(cache_pages, heap.page_reads) * PAGE
             index.close()
 
-    def test_no_per_record_path_to_fall_into(self, snapshot, cache_pages,
-                                             monkeypatch):
+    def test_no_per_record_path_to_fall_into(self, snapshot, monkeypatch):
         """``fetch`` is ``gather`` of one id and nothing under a query
         calls it: with it broken, every query still answers."""
         _, _, queries, directory = snapshot
         expected = None
-        for index in self.opened(directory, cache_pages):
+        for index in self.opened(directory):
             if expected is None:
                 expected = drive(index, queries)
 
@@ -128,9 +120,9 @@ class TestHeapBackendParity:
             monkeypatch.undo()
             index.close()
 
-    def test_empty_and_out_of_range_ids(self, snapshot, cache_pages):
+    def test_empty_and_out_of_range_ids(self, snapshot):
         _, data, _, directory = snapshot
-        for index in self.opened(directory, cache_pages):
+        for index in self.opened(directory):
             heap = index.heap
             before = heap.stats.snapshot()
             assert heap.gather([]).shape == (0, data.shape[1])
@@ -140,7 +132,6 @@ class TestHeapBackendParity:
             with pytest.raises(StorageError):
                 heap.fetch(len(data))
             assert heap.stats.snapshot() == before
-            assert heap.memory_bytes() == 0
             index.close()
 
 
@@ -277,15 +268,11 @@ class TestParentFormatHeap:
         (parent / "meta.json").write_text(json.dumps(meta, indent=2))
         return data, queries, narrow, parent
 
-    @pytest.mark.parametrize("cache_pages", CACHES)
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_opens_as_written_and_answers_alike(self, snapshots, backend,
-                                                cache_pages):
+    def test_opens_as_written_and_answers_alike(self, snapshots, backend):
         data, queries, narrow, parent = snapshots
-        with load_index(narrow, backend=backend,
-                        cache_pages=cache_pages) as new, \
-                load_index(parent, backend=backend,
-                           cache_pages=cache_pages) as old:
+        with load_index(narrow, backend=backend) as new, \
+                load_index(parent, backend=backend) as old:
             assert new.heap.stored_dtype == np.uint8
             assert old.heap.stored_dtype == np.float32
             assert len(old.heap.page_matrix()) == 61 \
@@ -322,7 +309,7 @@ class HeapModel:
 
     def fresh(self):
         return VectorHeapFile(
-            self.dim, np.float32, PAGE, cache_pages=3,
+            self.dim, np.float32, PAGE,
             path=self.path if self.backend == "mmap" else None)
 
     def append(self, rows):
@@ -335,9 +322,9 @@ class HeapModel:
         if not len(self.rows):
             return
         ids = np.asarray(picks, dtype=np.int64) % len(self.rows)
-        reads = self.heap.stats.page_reads + self.heap.stats.cache_hits
+        reads = self.heap.stats.page_reads
         assert self.heap.gather(ids).tobytes() == self.rows[ids].tobytes()
-        assert self.heap.stats.page_reads + self.heap.stats.cache_hits \
+        assert self.heap.stats.page_reads \
             == reads + len(ids) * self.heap._pages_per_record
 
     def reopen(self):
@@ -358,7 +345,6 @@ class HeapModel:
             * heap._pages_per_record
         assert heap.page_matrix().shape == (pages, PAGE)
         assert not heap.page_matrix().flags.writeable
-        assert heap.memory_bytes() <= 3 * PAGE
         np.testing.assert_array_equal(heap.scan(), self.rows)
         if self.backend == "mmap":
             assert self.path.stat().st_size == pages * PAGE

@@ -57,7 +57,28 @@ class TestIOAccounting:
         assert snap["page_writes"] == 1
         assert set(snap) == {
             "page_reads", "page_writes", "random_reads", "sequential_reads",
-            "random_writes", "sequential_writes", "cache_hits"}
+            "random_writes", "sequential_writes"}
+
+    def test_repeated_pages_are_counted_in_trace_order(self):
+        """Every read counts, a page read again too, and the split is
+        the trace's own: a read is sequential when it follows the read
+        before it."""
+        stats = IOStats()
+        stats.record_read_many([4, 5, 4, 6, 7])
+        assert (stats.page_reads, stats.random_reads,
+                stats.sequential_reads) == (5, 3, 2)
+
+    def test_writes_never_count_as_reads(self):
+        """Writes move no read counter, and a read is classified against
+        the last read, not the last write."""
+        stats = IOStats()
+        stats.record_read(3)
+        stats.record_write_run(4, 3)
+        stats.record_write(9)
+        assert (stats.page_reads, stats.sequential_reads) == (1, 0)
+        stats.record_read(4)
+        assert (stats.page_reads, stats.sequential_reads) == (2, 1)
+        assert (stats.page_writes, stats.sequential_writes) == (4, 2)
 
     @pytest.mark.parametrize("prior,first,count", [
         ([], 0, 5), ([], 3, 1), ([0, 1, 2], 3, 4), ([7], 0, 3), ([4], 9, 0)])
