@@ -42,6 +42,13 @@ class TestConstruction:
         tree = RDBTree(curve, 10)
         assert tree.leaf_order == rdb_leaf_order(16, 8, 10)
 
+    def test_page_too_small_for_one_entry_rejected(self):
+        """A 4-byte key with a pointer and five distances is 32 bytes."""
+        with pytest.raises(ValueError, match="cannot hold one RDB leaf"):
+            RDBTree(HilbertCurve(4, 8), 5, page_size=32)
+        tree = RDBTree(HilbertCurve(4, 8), 5, page_size=64)
+        assert (tree.page_size, tree.leaf_capacity) == (64, 1)
+
     def test_bulk_build_count_and_height(self):
         tree, *_ = build_tree(n=500)
         assert len(tree) == 500

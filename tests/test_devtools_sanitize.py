@@ -100,6 +100,25 @@ class TestIOStatsBalance:
         with pytest.raises(SanitizerError, match="negative"):
             stats.record_read(0)
 
+    @pytest.mark.parametrize("field,drift", [
+        ("page_reads", {"page_reads": -3, "random_reads": -3}),
+        ("page_writes", {"page_writes": -3, "random_writes": -3}),
+        ("random_reads", {"random_reads": -3, "sequential_reads": 3}),
+        ("sequential_reads", {"sequential_reads": -3, "random_reads": 3}),
+        ("random_writes", {"random_writes": -3, "sequential_writes": 3}),
+        ("sequential_writes", {"sequential_writes": -3, "random_writes": 3}),
+    ], ids=lambda value: value if isinstance(value, str) else "")
+    def test_every_counter_is_checked_for_sign(self, sanitized, field,
+                                               drift):
+        """Each public counter is checked, with both splits in balance so
+        only the sign can trip, and an empty trace is checked too."""
+        stats = IOStats()
+        for name, value in drift.items():
+            setattr(stats, name, value)
+        with pytest.raises(SanitizerError,
+                           match=rf"IOStats\.{field} went negative"):
+            stats.record_read_many([])
+
 
 class TestMmapWriteProtection:
     def test_page_matrix_views_are_read_only(self, sanitized, tmp_path):

@@ -50,6 +50,31 @@ class TestIOAccounting:
         assert combined.page_reads == 3
         assert combined.page_writes == 2
 
+    def test_reset_forgets_the_last_page(self):
+        """After a reset the next page is not sequential to the trace
+        before it, for reads and writes alike."""
+        stats = IOStats()
+        stats.record_read_many([0, 1, 2])
+        stats.record_write_run(0, 3)
+        stats.reset()
+        stats.record_read(3)
+        stats.record_write(3)
+        assert (stats.random_reads, stats.sequential_reads) == (1, 0)
+        assert (stats.random_writes, stats.sequential_writes) == (1, 0)
+
+    def test_addition_sums_every_split(self):
+        a, b = IOStats(), IOStats()
+        a.record_read_many([0, 1, 5])
+        a.record_write_run(0, 4)
+        b.record_read_many([7, 3])
+        b.record_write(9)
+        combined = (a + b).snapshot()
+        assert combined == {key: a.snapshot()[key] + b.snapshot()[key]
+                            for key in combined}
+        assert (combined["random_reads"], combined["sequential_reads"],
+                combined["random_writes"], combined["sequential_writes"]) \
+            == (4, 1, 2, 3)
+
     def test_snapshot_is_plain_dict(self):
         stats = IOStats()
         stats.record_write(0)

@@ -88,6 +88,17 @@ class TestRecordedCachePagesOpens:
             for service in services:
                 service.stop()
 
+    def test_a_service_swaps_onto_it(self, snapshots):
+        """A hot swap reopens through the same path: the recorded value
+        is ignored and the answers do not move."""
+        queries, plain, recorded = snapshots
+        with QueryService.from_snapshot(plain) as service:
+            before = [service.query(query, K) for query in queries]
+            service.swap_snapshot(recorded)
+            assert service.index.params.cache_pages == 0
+            self.assert_alike([service.query(query, K)
+                               for query in queries], before)
+
     def test_a_save_records_zero_again(self, snapshots, tmp_path):
         _, _, recorded = snapshots
         with load_index(recorded, backend="memory") as index:
@@ -105,6 +116,16 @@ class TestOnlyZeroIsAccepted:
     def test_a_spec_dict_refuses_a_pool(self):
         with pytest.raises(ValueError, match="MIGRATION.md"):
             IndexSpec.from_dict({"params": {"cache_pages": 64}})
+
+    def test_a_build_spec_file_refuses_a_pool(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"params": {"cache_pages": 64}}))
+        code = cli_main(["build", "--dataset", "glove", "--n", "200",
+                         "--out", str(tmp_path / "idx"),
+                         "--spec", str(spec)])
+        assert code == 2
+        assert "docs/MIGRATION.md" in capsys.readouterr().err
+        assert not (tmp_path / "idx").exists()
 
     def test_zero_constructs(self):
         """The spelling the benchmark workloads use."""

@@ -134,6 +134,26 @@ class TestVectorHeapFile:
         with pytest.raises(ValueError):
             VectorHeapFile(dim=0)
 
+    @pytest.mark.parametrize("page_size", [0, -64])
+    def test_invalid_page_size_rejected(self, page_size):
+        with pytest.raises(ValueError, match="page_size must be positive"):
+            VectorHeapFile(dim=4, page_size=page_size)
+
+    def test_page_size_sets_the_page_matrix(self):
+        """The heap owns its page size: the page matrix is that wide, and
+        a gather counts the page of each record it reads, in order."""
+        data = np.arange(40, dtype=np.float32).reshape(10, 4) + 0.5
+        heap = heap_file_from_array(data, page_size=48)  # 3 records a page
+        assert heap.stored_dtype == np.float32
+        assert heap.page_size == 48
+        assert heap.page_matrix().shape == (4, 48)
+        heap.stats.reset()
+        np.testing.assert_array_equal(heap.gather([0, 2, 3, 9]),
+                                      data[[0, 2, 3, 9]])
+        # Pages 0, 0, 1, 3: the repeat counts, and only 0 -> 1 is sequential.
+        assert (heap.stats.page_reads, heap.stats.random_reads,
+                heap.stats.sequential_reads) == (4, 3, 1)
+
     def test_dtype_is_respected(self):
         heap = VectorHeapFile(dim=4, dtype=np.float64)
         heap.append(np.asarray([0.1, 0.2, 0.3, 0.4]))
@@ -201,6 +221,16 @@ class TestEmptyGather:
         assert out.shape == (0, 6)
         assert heap.stats.snapshot() == snapshot
         heap.close()
+
+    def test_spanning_store_untouched(self):
+        """Records wider than a page span pages: still nothing is read."""
+        heap = heap_file_from_array(np.ones((5, 100), dtype=np.float32),
+                                    page_size=256)
+        snapshot = heap.stats.snapshot()
+        self._poison(heap)
+        out = heap.gather(np.empty(0, dtype=np.int64))
+        assert out.shape == (0, 100) and out.dtype == np.float32
+        assert heap.stats.snapshot() == snapshot
 
     def test_sequential_classification_unperturbed(self):
         """An interleaved empty gather must not disturb the random/
