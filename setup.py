@@ -14,7 +14,7 @@ setup(
         "repro": ["py.typed"],
         "repro.devtools": ["hotpaths.toml"],
     },
-    python_requires=">=3.10",
+    python_requires=">=3.11",
     install_requires=["numpy"],
     # scipy.stats is imported by the LSH and SRS baselines when they
     # run, never by ``import repro``.

@@ -147,8 +147,8 @@ __all__ = [
 ]
 
 # Opt-in runtime invariant sanitizer (REPRO_SANITIZE=1): IOStats
-# balance, the modelled page pools' bound, read-only heap pages, packed
-# lookups against the node walk and fold postconditions.  The env guard
+# balance, read-only heap pages, packed lookups against the node walk
+# and fold postconditions.  The env guard
 # keeps repro.devtools entirely unimported on the normal path.
 import os as _os
 

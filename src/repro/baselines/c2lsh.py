@@ -29,6 +29,7 @@ from repro.baselines.lsh_common import (
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.distance.metrics import DistanceCounter
 from repro.storage.pages import DEFAULT_PAGE_SIZE
+from repro.storage.stats import IOStats
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 #: Bytes per hash-table entry in the on-disk accounting (hash + object id).
@@ -62,8 +63,6 @@ class C2LSH(KNNIndex):
         self._sorted_order: np.ndarray | None = None  # (m, n) argsort
         self._sorted_hashes: np.ndarray | None = None
         self._params = None
-        self._build_stats = BuildStats()
-        self._query_stats = QueryStats()
 
     # -- construction ----------------------------------------------------
 
@@ -104,7 +103,7 @@ class C2LSH(KNNIndex):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
-        reads_before = self.heap.stats.page_reads
+        reads_before = self._read_totals()[0]
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
         m = self._params.num_functions
@@ -172,11 +171,11 @@ class C2LSH(KNNIndex):
         ids, dists = top_k(verified, k)
         bucket_pages = -(-bucket_entries_scanned
                          // max(1, self.page_size // _HASH_ENTRY_BYTES))
+        heap_reads = self._read_totals()[0] - reads_before
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=self.heap.stats.page_reads - reads_before
-            + bucket_pages,
-            random_reads=self.heap.stats.page_reads - reads_before,
+            page_reads=heap_reads + bucket_pages,
+            random_reads=heap_reads,
             sequential_reads=bucket_pages,
             candidates=len(verified),
             distance_computations=counter.count,
@@ -200,14 +199,8 @@ class C2LSH(KNNIndex):
         return (self.count * 4 + self._projections.nbytes
                 + self._offsets.nbytes)
 
-    def build_memory_bytes(self) -> int:
-        return self._build_stats.peak_memory_bytes
-
-    def last_query_stats(self) -> QueryStats:
-        return self._query_stats
-
-    def build_stats(self) -> BuildStats:
-        return self._build_stats
+    def _accountants(self) -> list[IOStats]:
+        return [] if self.heap is None else [self.heap.stats]
 
     def collision_parameters(self):
         """The derived (m, l, α, p1, p2) — exposed for tests."""

@@ -63,8 +63,6 @@ class HNSW(KNNIndex):
         self._entry_point = -1
         self._max_level = -1
         self._rng = np.random.default_rng(seed)
-        self._build_stats = BuildStats()
-        self._query_stats = QueryStats()
         self._counter = DistanceCounter()
 
     # -- construction -------------------------------------------------
@@ -248,12 +246,3 @@ class HNSW(KNNIndex):
         """Vectors + links, all RAM-resident — the scaling bottleneck."""
         vectors = self.data.nbytes if self.data is not None else 0
         return vectors + self.index_size_bytes()
-
-    def build_memory_bytes(self) -> int:
-        return self._build_stats.peak_memory_bytes
-
-    def last_query_stats(self) -> QueryStats:
-        return self._query_stats
-
-    def build_stats(self) -> BuildStats:
-        return self._build_stats

@@ -64,8 +64,6 @@ class IDistance(KNNIndex):
         self.partition_radius: np.ndarray | None = None
         self._spacing = 0.0
         self._scale = 1.0
-        self._build_stats = BuildStats()
-        self._query_stats = QueryStats()
 
     # -- construction ------------------------------------------------------
 
@@ -113,8 +111,7 @@ class IDistance(KNNIndex):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
-        reads_before = (self.tree_stats.page_reads
-                        + self.heap.stats.page_reads)
+        reads_before = self._read_totals()[0]
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
         center_dist = euclidean_to_many(point, self.centers, counter)
@@ -164,8 +161,7 @@ class IDistance(KNNIndex):
             radius += step
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=self.tree_stats.page_reads
-            + self.heap.stats.page_reads - reads_before,
+            page_reads=self._read_totals()[0] - reads_before,
             candidates=len(seen),
             distance_computations=counter.count,
             extra={"final_radius": radius},
@@ -201,14 +197,8 @@ class IDistance(KNNIndex):
             return 0
         return int(self.centers.nbytes + self.partition_radius.nbytes)
 
-    def build_memory_bytes(self) -> int:
-        return self._build_stats.peak_memory_bytes
-
-    def last_query_stats(self) -> QueryStats:
-        return self._query_stats
-
-    def build_stats(self) -> BuildStats:
-        return self._build_stats
+    def _accountants(self) -> list[IOStats]:
+        return [] if self.heap is None else [self.tree_stats, self.heap.stats]
 
     def _require_built(self) -> None:
         if self.tree is None or self.heap is None:

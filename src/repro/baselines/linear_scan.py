@@ -18,6 +18,7 @@ from repro.distance.metrics import (
     top_k_smallest,
 )
 from repro.storage.pages import DEFAULT_PAGE_SIZE
+from repro.storage.stats import IOStats
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 
@@ -31,8 +32,6 @@ class LinearScan(KNNIndex):
         self.page_size = page_size
         self.storage_dtype = storage_dtype
         self.heap: VectorHeapFile | None = None
-        self._build_stats = BuildStats()
-        self._query_stats = QueryStats()
 
     def build(self, data: np.ndarray) -> None:
         started = time.perf_counter()
@@ -42,7 +41,7 @@ class LinearScan(KNNIndex):
         self._build_stats = BuildStats(
             time_sec=time.perf_counter() - started,
             page_writes=self.heap.stats.page_writes,
-            peak_memory_bytes=0,
+            peak_memory_bytes=self.page_size,  # one page at a time
         )
 
     def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -51,16 +50,17 @@ class LinearScan(KNNIndex):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
-        reads_before = self.heap.stats.page_reads
+        reads_before = self._read_totals()[0]
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
         everything = self.heap.scan()
         distances = euclidean_to_many(point, everything, counter)
         best = top_k_smallest(distances, min(k, len(distances)))
+        reads = self._read_totals()[0] - reads_before
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=self.heap.stats.page_reads - reads_before,
-            sequential_reads=self.heap.stats.page_reads - reads_before,
+            page_reads=reads,
+            sequential_reads=reads,
             candidates=len(distances),
             distance_computations=counter.count,
         )
@@ -74,8 +74,5 @@ class LinearScan(KNNIndex):
         # One page of vectors at a time plus the running top-k.
         return self.page_size
 
-    def last_query_stats(self) -> QueryStats:
-        return self._query_stats
-
-    def build_stats(self) -> BuildStats:
-        return self._build_stats
+    def _accountants(self) -> list[IOStats]:
+        return [] if self.heap is None else [self.heap.stats]

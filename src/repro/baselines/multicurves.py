@@ -61,8 +61,6 @@ class Multicurves(KNNIndex):
         self.quantizer: GridQuantizer | None = None
         self.dim = 0
         self._record: np.dtype | None = None
-        self._build_stats = BuildStats()
-        self._query_stats = QueryStats()
 
     def build(self, data: np.ndarray) -> None:
         started = time.perf_counter()
@@ -114,7 +112,7 @@ class Multicurves(KNNIndex):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
-        reads_before = self._page_reads()
+        reads_before = self._read_totals()[0]
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
         per_curve = max(k, self.alpha // self.num_curves)
@@ -136,7 +134,7 @@ class Multicurves(KNNIndex):
         top = order[first[:k]]
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=self._page_reads() - reads_before,
+            page_reads=self._read_totals()[0] - reads_before,
             candidates=first.size,
             distance_computations=counter.count,
         )
@@ -151,14 +149,5 @@ class Multicurves(KNNIndex):
         per_curve = max(1, self.alpha // max(1, self.num_curves))
         return per_curve * (8 + 4 * max(1, self.dim))
 
-    def build_memory_bytes(self) -> int:
-        return self._build_stats.peak_memory_bytes
-
-    def last_query_stats(self) -> QueryStats:
-        return self._query_stats
-
-    def build_stats(self) -> BuildStats:
-        return self._build_stats
-
-    def _page_reads(self) -> int:
-        return sum(stats.page_reads for stats in self.tree_stats)
+    def _accountants(self) -> list[IOStats]:
+        return self.tree_stats

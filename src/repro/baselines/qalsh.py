@@ -73,8 +73,6 @@ class QALSH(KNNIndex):
         self._proj_min: np.ndarray | None = None
         self._proj_max: np.ndarray | None = None
         self._params = None
-        self._build_stats = BuildStats()
-        self._query_stats = QueryStats()
 
     # -- construction --------------------------------------------------
 
@@ -120,7 +118,7 @@ class QALSH(KNNIndex):
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
-        reads_before = self._page_reads()
+        reads_before = self._read_totals()[0]
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
         m = self._params.num_functions
@@ -183,7 +181,7 @@ class QALSH(KNNIndex):
         ids, dists = top_k(verified, k)
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=self._page_reads() - reads_before,
+            page_reads=self._read_totals()[0] - reads_before,
             candidates=len(verified),
             distance_computations=counter.count,
             extra={"final_radius": radius},
@@ -202,23 +200,12 @@ class QALSH(KNNIndex):
         # one of the low-RAM methods at query time).
         return self.count * 4 + self._projections.nbytes
 
-    def build_memory_bytes(self) -> int:
-        return self._build_stats.peak_memory_bytes
-
-    def last_query_stats(self) -> QueryStats:
-        return self._query_stats
-
-    def build_stats(self) -> BuildStats:
-        return self._build_stats
-
     def collision_parameters(self):
         return self._params
 
-    def _page_reads(self) -> int:
-        reads = sum(stats.page_reads for stats in self.tree_stats)
-        if self.heap is not None:
-            reads += self.heap.stats.page_reads
-        return reads
+    def _accountants(self) -> list[IOStats]:
+        heap = [] if self.heap is None else [self.heap.stats]
+        return self.tree_stats + heap
 
     def _require_built(self) -> None:
         if not self.trees or self.heap is None:

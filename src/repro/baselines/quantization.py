@@ -27,6 +27,7 @@ from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.core.partition import contiguous_partition
 from repro.distance.metrics import DistanceCounter, top_k_smallest
 from repro.storage.pages import DEFAULT_PAGE_SIZE
+from repro.storage.stats import IOStats
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 
@@ -69,8 +70,6 @@ class PQIndex(KNNIndex):
         self.heap: VectorHeapFile | None = None
         self.count = 0
         self.dim = 0
-        self._build_stats = BuildStats()
-        self._query_stats = QueryStats()
 
     # -- training -----------------------------------------------------------
 
@@ -148,8 +147,7 @@ class PQIndex(KNNIndex):
             raise ValueError(f"k must be >= 1, got {k}")
         started = time.perf_counter()
         counter = DistanceCounter()
-        reads_before = (self.heap.stats.page_reads
-                        if self.heap is not None else 0)
+        reads_before = self._read_totals()[0]
         point = np.asarray(point, dtype=np.float64).ravel()
         transformed = self._transform(point[None, :])[0]
         approx_sq = np.zeros(self.count, dtype=np.float64)
@@ -170,11 +168,9 @@ class PQIndex(KNNIndex):
         else:
             best = top_k_smallest(approx_sq, min(k, self.count))
             ids, dists = best, np.sqrt(approx_sq[best])
-        reads_after = (self.heap.stats.page_reads
-                       if self.heap is not None else 0)
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=reads_after - reads_before,
+            page_reads=self._read_totals()[0] - reads_before,
             candidates=self.count,
             distance_computations=counter.count,
         )
@@ -194,14 +190,8 @@ class PQIndex(KNNIndex):
         # Everything lives in RAM at query time — the in-memory trade-off.
         return self._codes_bytes() + self.count * 8
 
-    def build_memory_bytes(self) -> int:
-        return self._build_stats.peak_memory_bytes
-
-    def last_query_stats(self) -> QueryStats:
-        return self._query_stats
-
-    def build_stats(self) -> BuildStats:
-        return self._build_stats
+    def _accountants(self) -> list[IOStats]:
+        return [] if self.heap is None else [self.heap.stats]
 
 
 class OPQIndex(PQIndex):

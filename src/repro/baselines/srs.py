@@ -34,6 +34,7 @@ import numpy as np
 from repro.core.interface import BuildStats, KNNIndex, QueryStats
 from repro.distance.metrics import DistanceCounter
 from repro.storage.pages import DEFAULT_PAGE_SIZE
+from repro.storage.stats import IOStats
 from repro.storage.vectors import VectorHeapFile, heap_file_from_array
 
 
@@ -81,8 +82,6 @@ class SRS(KNNIndex):
         self.projected: np.ndarray | None = None
         self.count = 0
         self._matrix: np.ndarray | None = None
-        self._build_stats = BuildStats()
-        self._query_stats = QueryStats()
 
     def build(self, data: np.ndarray) -> None:
         started = time.perf_counter()
@@ -108,7 +107,7 @@ class SRS(KNNIndex):
             raise ValueError(f"k must be >= 1, got {k}")
         from scipy.stats import chi2
         started = time.perf_counter()
-        reads_before = self.heap.stats.page_reads
+        reads_before = self._read_totals()[0]
         counter = DistanceCounter()
         point = np.asarray(point, dtype=np.float64).ravel()
         budget = max(k, int(np.ceil(self.max_fraction * self.count)))
@@ -146,10 +145,11 @@ class SRS(KNNIndex):
                         >= 1.0 - self.threshold:
                     stopped_early = True
                     break
+        reads = self._read_totals()[0] - reads_before
         self._query_stats = QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=self.heap.stats.page_reads - reads_before,
-            random_reads=self.heap.stats.page_reads - reads_before,
+            page_reads=reads,
+            random_reads=reads,
             candidates=examined,
             distance_computations=counter.count,
             extra={"stopped_early": stopped_early},
@@ -184,11 +184,5 @@ class SRS(KNNIndex):
         return (self.count * self.num_projections * 8
                 + self._matrix.nbytes)
 
-    def build_memory_bytes(self) -> int:
-        return self._build_stats.peak_memory_bytes
-
-    def last_query_stats(self) -> QueryStats:
-        return self._query_stats
-
-    def build_stats(self) -> BuildStats:
-        return self._build_stats
+    def _accountants(self) -> list[IOStats]:
+        return [] if self.heap is None else [self.heap.stats]

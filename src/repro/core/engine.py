@@ -282,8 +282,8 @@ class QueryEngine:
             k, alpha, beta, gamma, ptolemaic)
         eligible = index._eligibility(predicate)
 
-        reads_before = index._total_page_reads()
-        random_before, sequential_before = index._read_breakdown()
+        reads_before, random_before, sequential_before = \
+            index._read_totals()
         index._distance_counter.reset()
 
         points = np.asarray(points, dtype=np.float64)
@@ -317,7 +317,7 @@ class QueryEngine:
                           for rows in zip(*per_tree)]
         ids_out, dists_out = self._rerank_rows(points, merged_per_row, k)
 
-        random_after, sequential_after = index._read_breakdown()
+        reads_after, random_after, sequential_after = index._read_totals()
         extra = {"alpha": eff_alpha, "beta": eff_beta, "gamma": eff_gamma,
                  "ptolemaic": ptolemaic}
         if eligible is not None:
@@ -325,7 +325,7 @@ class QueryEngine:
         extra["batch_size"] = batch
         return ids_out, dists_out, QueryStats(
             time_sec=time.perf_counter() - started,
-            page_reads=index._total_page_reads() - reads_before,
+            page_reads=reads_after - reads_before,
             random_reads=random_after - random_before,
             sequential_reads=sequential_after - sequential_before,
             candidates=sum(m.shape[0] for m in merged_per_row),

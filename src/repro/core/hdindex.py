@@ -19,7 +19,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.engine import QueryEngine
-from repro.core.interface import BuildStats, KNNIndex, QueryStats
+from repro.core.interface import BuildStats, KNNIndex
 from repro.core.params import HDIndexParams
 from repro.core.partition import make_partition
 from repro.core.rdbtree import RDBTree
@@ -33,6 +33,7 @@ from repro.distance.metrics import (
 from repro.hilbert.butz import HilbertCurve, encode_for_curves
 from repro.hilbert.quantize import GridQuantizer
 from repro.meta import MetadataStore, coerce_predicate
+from repro.storage.stats import IOStats
 from repro.storage.vectors import VectorHeapFile
 from repro.wal.delta import DeltaSegment
 from repro.wal.manager import compact_index, open_log
@@ -178,8 +179,6 @@ class HDIndex(KNNIndex):
         self.dim: int = 0
         self.count: int = 0
         self._deleted: set[int] = set()
-        self._build_stats = BuildStats()
-        self._query_stats = QueryStats()
         self._distance_counter = DistanceCounter()
         # Online-update state: every built index has a delta segment,
         # a log handle only while a write-ahead log is attached, and the
@@ -735,24 +734,15 @@ class HDIndex(KNNIndex):
             8 + 8 * self.params.num_references)
         return total
 
-    def build_memory_bytes(self) -> int:
-        return self._build_stats.peak_memory_bytes
-
-    def last_query_stats(self) -> QueryStats:
-        return self._query_stats
-
-    def build_stats(self) -> BuildStats:
-        return self._build_stats
-
     def io_snapshot(self) -> dict[str, int]:
-        """Combined I/O counters across trees and the descriptor heap."""
-        combined = {}
-        total = None
-        for tree in self.trees:
-            total = tree.stats if total is None else total + tree.stats
-        if self.heap is not None:
-            total = self.heap.stats if total is None else total + self.heap.stats
-        return total.snapshot() if total is not None else combined
+        """Combined I/O counters across trees and the descriptor heap
+        (``{}`` before a build)."""
+        accountants = self._accountants()
+        return sum(accountants, IOStats()).snapshot() if accountants else {}
+
+    def _accountants(self) -> list[IOStats]:
+        heap = [] if self.heap is None else [self.heap.stats]
+        return [tree.stats for tree in self.trees] + heap
 
     # -- internals --------------------------------------------------------
 
@@ -790,20 +780,6 @@ class HDIndex(KNNIndex):
         (:class:`EligibleMemo`), so a recurring predicate pays no mask."""
         return None if predicate is None else \
             self._eligible.lookup(self, predicate)
-
-    def _total_page_reads(self) -> int:
-        reads = sum(tree.stats.page_reads for tree in self.trees)
-        if self.heap is not None:
-            reads += self.heap.stats.page_reads
-        return reads
-
-    def _read_breakdown(self) -> tuple[int, int]:
-        random_reads = sum(tree.stats.random_reads for tree in self.trees)
-        sequential = sum(tree.stats.sequential_reads for tree in self.trees)
-        if self.heap is not None:
-            random_reads += self.heap.stats.random_reads
-            sequential += self.heap.stats.sequential_reads
-        return random_reads, sequential
 
     def _new_heap(self, dim: int) -> VectorHeapFile:
         """An empty descriptor heap where ``params.resolved_backend``

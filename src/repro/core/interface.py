@@ -13,6 +13,12 @@ from typing import Any
 
 import numpy as np
 
+from repro.storage.stats import IOStats
+
+#: The :class:`QueryStats` fields a batch reports as the sum of its rows.
+_COUNTED_FIELDS = ("time_sec", "page_reads", "random_reads",
+                   "sequential_reads", "candidates", "distance_computations")
+
 
 @dataclass
 class QueryStats:
@@ -28,13 +34,7 @@ class QueryStats:
 
     def as_dict(self) -> dict[str, Any]:
         data: dict[str, Any] = {
-            "time_sec": self.time_sec,
-            "page_reads": self.page_reads,
-            "random_reads": self.random_reads,
-            "sequential_reads": self.sequential_reads,
-            "candidates": self.candidates,
-            "distance_computations": self.distance_computations,
-        }
+            name: getattr(self, name) for name in _COUNTED_FIELDS}
         data.update(self.extra)
         return data
 
@@ -70,6 +70,11 @@ class KNNIndex:
 
     #: Human-readable method name used in experiment tables.
     name: str = "abstract"
+
+    #: What the last query and the build recorded; ``None`` until then,
+    #: when :meth:`last_query_stats` / :meth:`build_stats` report zeros.
+    _query_stats: QueryStats | None = None
+    _build_stats: BuildStats | None = None
 
     #: Monotonic mutation counter: implementations bump it on every
     #: ``insert``/``delete`` (via :meth:`_bump_update_epoch`) so caching
@@ -149,9 +154,8 @@ class KNNIndex:
         across the batch (the whole HD-Index family) override it with a
         vectorised implementation returning identical results.
         Afterwards :meth:`last_query_stats` reports totals over the whole
-        batch with ``extra["batch_size"]`` — matching the vectorised
-        overrides — provided the subclass stores its stats in the
-        conventional ``_query_stats`` attribute (all in-repo methods do).
+        batch with ``extra["batch_size"]``, as the vectorised overrides
+        do.
 
         >>> import numpy as np
         >>> from repro import HDIndex, HDIndexParams
@@ -177,14 +181,10 @@ class KNNIndex:
             ids[row, :count] = got_ids[:count]
             dists[row, :count] = got_dists[:count]
             stats = self.last_query_stats()
-            total.time_sec += stats.time_sec
-            total.page_reads += stats.page_reads
-            total.random_reads += stats.random_reads
-            total.sequential_reads += stats.sequential_reads
-            total.candidates += stats.candidates
-            total.distance_computations += stats.distance_computations
-        if hasattr(self, "_query_stats"):
-            self._query_stats = total
+            for name in _COUNTED_FIELDS:
+                setattr(total, name,
+                        getattr(total, name) + getattr(stats, name))
+        self._query_stats = total
         return ids, dists
 
     # -- accounting -------------------------------------------------------
@@ -203,9 +203,9 @@ class KNNIndex:
         """RAM the method must keep resident while answering queries.
 
         Returns:
-            Bytes of query-time state (reference sets, buffer pools,
-            candidate workspaces) — the "querying RAM" column of the
-            paper's Table 5.
+            Bytes of query-time state (reference sets, decoded tree
+            columns, candidate workspaces) — the "querying RAM" column
+            of the paper's Table 5.
         """
         raise NotImplementedError
 
@@ -213,30 +213,46 @@ class KNNIndex:
         """Peak RAM during index construction (structural accounting).
 
         Returns:
-            Bytes at the construction peak; defaults to
-            :meth:`memory_bytes` for methods whose build holds no more
-            than their query state.
+            ``build_stats().peak_memory_bytes``, which each method's
+            :meth:`build` records.
         """
-        return self.memory_bytes()
+        return self.build_stats().peak_memory_bytes
 
     def last_query_stats(self) -> QueryStats:
         """Statistics of the most recent :meth:`query` /
         :meth:`query_batch` call.
 
         Returns:
-            A :class:`QueryStats` (zeroed default if nothing ran yet):
-            wall-clock, page reads with the random/sequential split,
-            candidate count and distance computations.
+            The call's :class:`QueryStats` (a fresh zeroed one if nothing
+            ran yet): wall-clock, page reads with the random/sequential
+            split, candidate count and distance computations.
         """
-        return QueryStats()
+        return self._query_stats or QueryStats()
 
     def build_stats(self) -> BuildStats:
         """Statistics of the :meth:`build` call.
 
         Returns:
-            A :class:`BuildStats` (zeroed default before any build).
+            The :class:`BuildStats` the build stored in ``_build_stats``
+            (a fresh zeroed one before any build).
         """
-        return BuildStats()
+        return self._build_stats or BuildStats()
+
+    def _accountants(self) -> list[IOStats]:
+        """The :class:`~repro.storage.stats.IOStats` every page this
+        index reads is counted in (none for an in-memory method)."""
+        return []
+
+    def _read_totals(self) -> tuple[int, int, int]:
+        """``(page_reads, random_reads, sequential_reads)`` summed over
+        :meth:`_accountants` in one pass: a query's reads are the
+        difference of the totals taken before and after it."""
+        reads = random_reads = sequential_reads = 0
+        for stats in self._accountants():
+            reads += stats.page_reads
+            random_reads += stats.random_reads
+            sequential_reads += stats.sequential_reads
+        return reads, random_reads, sequential_reads
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -15,9 +15,8 @@ enforced only by code review.  This package makes them machine-checked:
   (``REPRO_SANITIZE=1`` or :func:`repro.devtools.sanitize.install`)
   that cross-checks every packed-tree lookup against
   :mod:`repro.devtools.nodewalk` (the same tree walked node by node),
-  validates :class:`~repro.storage.stats.IOStats` counter balance and
-  the modelled pools' bound, and makes writes into zero-copy mmap views
-  raise.
+  validates :class:`~repro.storage.stats.IOStats` counter balance,
+  and makes writes into zero-copy mmap views raise.
 * :mod:`repro.devtools.report` — machine-readable ``LINT_report.json``
   emitted alongside the figure tables in ``benchmarks/results/``.
 """

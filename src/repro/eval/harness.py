@@ -72,10 +72,10 @@ def evaluate_index(index: KNNIndex, data: np.ndarray, queries: np.ndarray,
     ``batch_size`` switches the workload from the one-at-a-time loop to
     chunked :meth:`KNNIndex.query_batch` calls — the serving-throughput
     mode.  Quality metrics are identical either way; timing and I/O are
-    then measured per chunk and averaged per query.  Indexes relying on
-    the default loop implementation report chunk wall-clock but only the
-    last query's I/O counters.  ``extra["answers"]`` digests every
-    answer row (padding stripped): equal digests are in-run parity.
+    then measured per chunk and averaged per query (a chunk's counters
+    total its rows, under the default loop implementation too).
+    ``extra["answers"]`` digests every answer row (padding stripped):
+    equal digests are in-run parity.
     """
     data = np.asarray(data, dtype=np.float64)
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))

@@ -12,8 +12,8 @@ The policy is work-conserving: a lone request on an idle service starts at
 once, and batches form from what arrives while the previous batch runs —
 the dispatcher never sleeps on a request it could be answering.
 
-Because a single worker thread owns the index, the page stores and buffer
-pools (which are not thread-safe) are never touched concurrently; client
+Because a single worker thread owns the index, its page stores and I/O
+counters (which are not thread-safe) are never touched concurrently; client
 threads only ever touch the queue and their own future.  Row results of
 ``query_batch`` are independent of batch composition, so every answer is
 byte-identical to a sequential ``query`` call — batching changes the work

@@ -212,7 +212,7 @@ class TestQALSH:
         index.build(data)
         assert index.build_stats().page_writes == len(
             index.heap.page_matrix()) + sum(t.num_pages for t in index.trees)
-        assert index._page_reads() == 0
+        assert index._read_totals()[0] == 0
 
     def test_no_duplicate_counting_across_rounds(self, workload):
         """Expanding windows must not double-count boundary entries, or

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.baselines import LinearScan
+from repro.baselines import SRS, LinearScan
 from repro.core import HDIndex, HDIndexParams
 from repro.eval import (
     GroundTruth,
@@ -60,6 +60,23 @@ class TestEvaluateIndex:
         row = result.row()
         assert row["MAP@k"] == 1.0
         assert "index_size" in row
+
+    @pytest.mark.parametrize("make_index", [
+        LinearScan, lambda: SRS(max_fraction=0.2, seed=0)],
+        ids=["LinearScan", "SRS"])
+    def test_default_batches_count_every_row(self, workload, make_index):
+        """The base ``query_batch`` loop sums every row's counters, so a
+        chunked run reports what the one-at-a-time loop does (5 queries
+        in chunks of 4 and 1)."""
+        data, queries = workload
+        index = make_index()
+        index.build(data)
+        loop = evaluate_index(index, data, queries, k=5, build=False)
+        batched = evaluate_index(index, data, queries, k=5, build=False,
+                                 batch_size=4)
+        assert batched.avg_page_reads == loop.avg_page_reads > 0
+        assert batched.avg_candidates == loop.avg_candidates > 0
+        assert batched.extra["answers"] == loop.extra["answers"]
 
 
 class TestRunComparison:
