@@ -6,7 +6,9 @@ R ∈ {1, c, c², ...} re-uses them by comparing ``floor(h_j(·)/R)`` — with
 integer c the buckets nest, so each round only has to extend per-function
 scan windows.  Objects colliding with the query under at least l functions
 become candidates and are verified with an exact distance computation
-(a random descriptor-page read here, as in the disk-based original).
+(a random descriptor-page read here, as in the disk-based original).  The
+hash-table pages a query's windows cover are modelled as one sequential
+stream and counted in :attr:`C2LSH.bucket_stats`.
 
 Paper parameters (Sec. 5): c = 2, w = 1, β = 100/n, δ = 1/e.
 
@@ -16,8 +18,6 @@ The public C2LSH implementation loads the whole dataset into RAM to build
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.baselines.lsh_common import (
@@ -26,7 +26,8 @@ from repro.baselines.lsh_common import (
     gaussian_projections,
     top_k,
 )
-from repro.core.interface import BuildStats, KNNIndex, QueryStats
+from repro.baselines.verify import exact_distance
+from repro.core.interface import KNNIndex
 from repro.distance.metrics import DistanceCounter
 from repro.storage.pages import DEFAULT_PAGE_SIZE
 from repro.storage.stats import IOStats
@@ -56,6 +57,8 @@ class C2LSH(KNNIndex):
         self.storage_dtype = storage_dtype
         self.seed = seed
         self.heap: VectorHeapFile | None = None
+        #: The modelled hash-table pages queries read.
+        self.bucket_stats = IOStats()
         self.count = 0
         self._projections: np.ndarray | None = None
         self._offsets: np.ndarray | None = None
@@ -66,9 +69,7 @@ class C2LSH(KNNIndex):
 
     # -- construction ----------------------------------------------------
 
-    def build(self, data: np.ndarray) -> None:
-        started = time.perf_counter()
-        data = np.asarray(data, dtype=np.float64)
+    def _build(self, data: np.ndarray) -> int:
         n, dim = data.shape
         self.count = n
         rng = np.random.default_rng(self.seed)
@@ -88,24 +89,15 @@ class C2LSH(KNNIndex):
             self._hashes, self._sorted_order, axis=1)
         self.heap = heap_file_from_array(
             data, dtype=self.storage_dtype, page_size=self.page_size)
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            page_writes=self.heap.stats.page_writes,
-            # The public implementation keeps the dataset + tables in RAM.
-            peak_memory_bytes=data.nbytes + self._hashes.nbytes
-            + self._sorted_order.nbytes + self._sorted_hashes.nbytes,
-        )
+        self.bucket_stats = IOStats()
+        # The public implementation keeps the dataset + tables in RAM.
+        return (data.nbytes + self._hashes.nbytes + self._sorted_order.nbytes
+                + self._sorted_hashes.nbytes)
 
     # -- querying ----------------------------------------------------------
 
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        self._require_built()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        started = time.perf_counter()
-        reads_before = self._read_totals()[0]
+    def _search(self, point: np.ndarray, k: int):
         counter = DistanceCounter()
-        point = np.asarray(point, dtype=np.float64).ravel()
         m = self._params.num_functions
         threshold = self._params.threshold
         beta_budget = max(1, int(np.ceil(
@@ -153,11 +145,8 @@ class C2LSH(KNNIndex):
                     object_id = int(object_id)
                     if counts[object_id] >= threshold and (
                             object_id not in verified):
-                        vector = self.heap.fetch(object_id)
-                        distance = float(np.sqrt(np.sum(
-                            (vector.astype(np.float64) - point) ** 2)))
-                        counter.add(1)
-                        verified[object_id] = distance
+                        verified[object_id] = exact_distance(
+                            self.heap, object_id, point, counter)
                         if len(verified) >= beta_budget:
                             break
             # Termination conditions (C2LSH Sec. 4.2).
@@ -171,18 +160,10 @@ class C2LSH(KNNIndex):
         ids, dists = top_k(verified, k)
         bucket_pages = -(-bucket_entries_scanned
                          // max(1, self.page_size // _HASH_ENTRY_BYTES))
-        heap_reads = self._read_totals()[0] - reads_before
-        self._query_stats = QueryStats(
-            time_sec=time.perf_counter() - started,
-            page_reads=heap_reads + bucket_pages,
-            random_reads=heap_reads,
-            sequential_reads=bucket_pages,
-            candidates=len(verified),
-            distance_computations=counter.count,
-            extra={"final_radius": radius,
-                   "bucket_entries": bucket_entries_scanned},
-        )
-        return ids, dists
+        self.bucket_stats.page_reads += bucket_pages
+        self.bucket_stats.sequential_reads += bucket_pages
+        return ids, dists, len(verified), counter.count, {
+            "final_radius": radius, "bucket_entries": bucket_entries_scanned}
 
     # -- accounting --------------------------------------------------------
 
@@ -200,12 +181,9 @@ class C2LSH(KNNIndex):
                 + self._offsets.nbytes)
 
     def _accountants(self) -> list[IOStats]:
-        return [] if self.heap is None else [self.heap.stats]
+        heap = [] if self.heap is None else [self.heap.stats]
+        return heap + [self.bucket_stats]
 
     def collision_parameters(self):
         """The derived (m, l, α, p1, p2) — exposed for tests."""
         return self._params
-
-    def _require_built(self) -> None:
-        if self.heap is None or self._hashes is None:
-            raise RuntimeError("index has not been built; call build() first")

@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import heapq
 import math
-import time
 
 import numpy as np
 
-from repro.core.interface import BuildStats, KNNIndex, QueryStats
+from repro.core.interface import KNNIndex
 from repro.distance.metrics import DistanceCounter
 
 
@@ -67,11 +66,7 @@ class HNSW(KNNIndex):
 
     # -- construction -------------------------------------------------
 
-    def build(self, data: np.ndarray) -> None:
-        started = time.perf_counter()
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[0] == 0:
-            raise ValueError("data must be a non-empty 2-D array")
+    def _build(self, data: np.ndarray) -> int:
         self.data = data
         self._levels = []
         self._links = []
@@ -79,10 +74,7 @@ class HNSW(KNNIndex):
         self._max_level = -1
         for index in range(data.shape[0]):
             self._insert(index)
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            peak_memory_bytes=self.memory_bytes(),
-        )
+        return self.memory_bytes()
 
     def add(self, vector: np.ndarray) -> int:
         """Insert one new vector, returning its id (HNSW is incremental)."""
@@ -198,14 +190,8 @@ class HNSW(KNNIndex):
                         heapq.heappop(results)
         return [(-negative, node) for negative, node in results]
 
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.data is None or self._entry_point < 0:
-            raise RuntimeError("index has not been built; call build() first")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        started = time.perf_counter()
+    def _search(self, point: np.ndarray, k: int):
         self._counter.reset()
-        point = np.asarray(point, dtype=np.float64).ravel()
         entry = self._entry_point
         entry_dist = self._distance(point, entry)
         for layer in range(self._max_level, 0, -1):
@@ -215,14 +201,11 @@ class HNSW(KNNIndex):
         results = self._search_layer(point, [(entry_dist, entry)], ef, 0)
         results.sort()
         top = results[:k]
-        self._query_stats = QueryStats(
-            time_sec=time.perf_counter() - started,
-            page_reads=0,  # fully in-memory: the paper's point exactly
-            candidates=len(results),
-            distance_computations=self._counter.count,
-        )
+        # No accountants, so no page reads: fully in-memory, the paper's
+        # point exactly.
         return (np.asarray([node for _, node in top], dtype=np.int64),
-                np.asarray([dist for dist, _ in top], dtype=np.float64))
+                np.asarray([dist for dist, _ in top], dtype=np.float64),
+                len(results), self._counter.count, {})
 
     # -- distances -----------------------------------------------------
 

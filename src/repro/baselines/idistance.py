@@ -15,13 +15,12 @@ are reproduced: query I/O grows with the rings scanned, and
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
+from repro.baselines.verify import exact_distance, push
 from repro.btree.packed import PackedTree, bulk_load
 from repro.cluster.kmeans import kmeans
-from repro.core.interface import BuildStats, KNNIndex, QueryStats
+from repro.core.interface import KNNIndex
 from repro.distance.metrics import DistanceCounter, euclidean_to_many
 from repro.storage.codecs import Float64Codec
 from repro.storage.pages import DEFAULT_PAGE_SIZE
@@ -67,9 +66,7 @@ class IDistance(KNNIndex):
 
     # -- construction ------------------------------------------------------
 
-    def build(self, data: np.ndarray) -> None:
-        started = time.perf_counter()
-        data = np.asarray(data, dtype=np.float64)
+    def _build(self, data: np.ndarray) -> int:
         n = data.shape[0]
         partitions = min(self.num_partitions, n)
         rng = np.random.default_rng(self.seed)
@@ -96,24 +93,13 @@ class IDistance(KNNIndex):
         order = np.argsort(keys, kind="stable")
         self.tree, self.tree_stats = bulk_load(
             Float64Codec(), keys[order], order, self.page_size)
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            page_writes=self.tree_stats.page_writes
-            + self.heap.stats.page_writes,
-            # The public implementation loads the whole dataset in RAM.
-            peak_memory_bytes=data.nbytes + self.centers.nbytes,
-        )
+        # The public implementation loads the whole dataset in RAM.
+        return data.nbytes + self.centers.nbytes
 
     # -- querying ----------------------------------------------------------
 
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        self._require_built()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        started = time.perf_counter()
-        reads_before = self._read_totals()[0]
+    def _search(self, point: np.ndarray, k: int):
         counter = DistanceCounter()
-        point = np.asarray(point, dtype=np.float64).ravel()
         center_dist = euclidean_to_many(point, self.centers, counter)
 
         key_codec = self.tree.key_codec
@@ -146,12 +132,8 @@ class IDistance(KNNIndex):
                         if object_id in seen:
                             continue
                         seen.add(object_id)
-                        vector = self.heap.fetch(object_id)
-                        distance = float(np.sqrt(np.sum(
-                            (vector.astype(np.float64) - point) ** 2)))
-                        counter.add(1)
-                        self._push(best_ids, best_dists, object_id,
-                                   distance, k)
+                        push(best_ids, best_dists, object_id, exact_distance(
+                            self.heap, object_id, point, counter), k)
                 scanned_low[index] = min(scanned_low[index], low)
                 scanned_high[index] = max(scanned_high[index], high)
             if len(best_ids) >= k and best_dists[-1] <= radius:
@@ -159,31 +141,9 @@ class IDistance(KNNIndex):
             if len(seen) >= len(self.heap):
                 break  # everything examined: degenerate to exact scan
             radius += step
-        self._query_stats = QueryStats(
-            time_sec=time.perf_counter() - started,
-            page_reads=self._read_totals()[0] - reads_before,
-            candidates=len(seen),
-            distance_computations=counter.count,
-            extra={"final_radius": radius},
-        )
-        ids = np.asarray(best_ids[:k], dtype=np.int64)
-        dists = np.asarray(best_dists[:k], dtype=np.float64)
-        return ids, dists
-
-    @staticmethod
-    def _push(ids: list[int], dists: list[float], object_id: int,
-              distance: float, k: int) -> None:
-        """Insert into the sorted running top-k (ties broken by id)."""
-        position = 0
-        while position < len(dists) and (
-                dists[position] < distance
-                or (dists[position] == distance and ids[position] < object_id)):
-            position += 1
-        ids.insert(position, object_id)
-        dists.insert(position, distance)
-        if len(ids) > k:
-            ids.pop()
-            dists.pop()
+        return (np.asarray(best_ids[:k], dtype=np.int64),
+                np.asarray(best_dists[:k], dtype=np.float64), len(seen),
+                counter.count, {"final_radius": radius})
 
     # -- accounting ---------------------------------------------------------
 
@@ -199,7 +159,3 @@ class IDistance(KNNIndex):
 
     def _accountants(self) -> list[IOStats]:
         return [] if self.heap is None else [self.tree_stats, self.heap.stats]
-
-    def _require_built(self) -> None:
-        if self.tree is None or self.heap is None:
-            raise RuntimeError("index has not been built; call build() first")

@@ -15,12 +15,10 @@ and Enron with Multicurves).
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.btree.packed import PackedTree, bulk_load, leaf_capacity
-from repro.core.interface import BuildStats, KNNIndex, QueryStats
+from repro.core.interface import KNNIndex
 from repro.core.partition import contiguous_partition
 from repro.distance.metrics import DistanceCounter, euclidean_to_many
 from repro.hilbert.butz import HilbertCurve
@@ -59,17 +57,13 @@ class Multicurves(KNNIndex):
         self.curves: list[HilbertCurve] = []
         self.partitions: list[np.ndarray] = []
         self.quantizer: GridQuantizer | None = None
-        self.dim = 0
         self._record: np.dtype | None = None
 
-    def build(self, data: np.ndarray) -> None:
-        started = time.perf_counter()
-        data = np.asarray(data, dtype=np.float64)
+    def _build(self, data: np.ndarray) -> int:
         n, dim = data.shape
         if self.num_curves > dim:
             raise ValueError(
                 f"num_curves={self.num_curves} exceeds dimensionality {dim}")
-        self.dim = dim
         # Full descriptor (float32) + object id in every leaf entry.
         self._record = np.dtype([("id", ">u8"), ("vector", ">f4", (dim,))])
         records = np.empty(n, dtype=self._record)
@@ -100,21 +94,10 @@ class Multicurves(KNNIndex):
             self.trees.append(tree)
             self.tree_stats.append(stats)
             self.curves.append(curve)
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            page_writes=sum(s.page_writes for s in self.tree_stats),
-            peak_memory_bytes=data.nbytes,
-        )
+        return data.nbytes
 
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if not self.trees:
-            raise RuntimeError("index has not been built; call build() first")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        started = time.perf_counter()
-        reads_before = self._read_totals()[0]
+    def _search(self, point: np.ndarray, k: int):
         counter = DistanceCounter()
-        point = np.asarray(point, dtype=np.float64).ravel()
         per_curve = max(k, self.alpha // self.num_curves)
         ids, dists = [], []
         for tree, stats, curve, part in zip(self.trees, self.tree_stats,
@@ -132,13 +115,7 @@ class Multicurves(KNNIndex):
         order = np.lexsort((ids, dists))
         first = np.sort(np.unique(ids[order], return_index=True)[1])
         top = order[first[:k]]
-        self._query_stats = QueryStats(
-            time_sec=time.perf_counter() - started,
-            page_reads=self._read_totals()[0] - reads_before,
-            candidates=first.size,
-            distance_computations=counter.count,
-        )
-        return ids[top], dists[top]
+        return ids[top], dists[top], first.size, counter.count, {}
 
     def index_size_bytes(self) -> int:
         # τ trees each embedding the full dataset: the paper's huge index.

@@ -19,7 +19,6 @@ tree substrate — its window scans are the dominant I/O, matching the
 from __future__ import annotations
 
 import math
-import time
 
 import numpy as np
 
@@ -29,8 +28,9 @@ from repro.baselines.lsh_common import (
     qalsh_collision_probability,
     top_k,
 )
+from repro.baselines.verify import exact_distance
 from repro.btree.packed import PackedTree, bulk_load
-from repro.core.interface import BuildStats, KNNIndex, QueryStats
+from repro.core.interface import KNNIndex
 from repro.distance.metrics import DistanceCounter
 from repro.storage.codecs import Float64Codec
 from repro.storage.pages import DEFAULT_PAGE_SIZE
@@ -76,9 +76,7 @@ class QALSH(KNNIndex):
 
     # -- construction --------------------------------------------------
 
-    def build(self, data: np.ndarray) -> None:
-        started = time.perf_counter()
-        data = np.asarray(data, dtype=np.float64)
+    def _build(self, data: np.ndarray) -> int:
         n, dim = data.shape
         self.count = n
         rng = np.random.default_rng(self.seed)
@@ -102,25 +100,14 @@ class QALSH(KNNIndex):
             self.tree_stats.append(stats)
         self.heap = heap_file_from_array(
             data, dtype=self.storage_dtype, page_size=self.page_size)
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            page_writes=sum(s.page_writes for s in self.tree_stats)
-            + self.heap.stats.page_writes,
-            # The public implementation builds from an in-RAM dataset and
-            # projection matrix (paper Sec. 5.1).
-            peak_memory_bytes=data.nbytes + projected.nbytes,
-        )
+        # The public implementation builds from an in-RAM dataset and
+        # projection matrix (paper Sec. 5.1).
+        return data.nbytes + projected.nbytes
 
     # -- querying ---------------------------------------------------------
 
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        self._require_built()
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        started = time.perf_counter()
-        reads_before = self._read_totals()[0]
+    def _search(self, point: np.ndarray, k: int):
         counter = DistanceCounter()
-        point = np.asarray(point, dtype=np.float64).ravel()
         m = self._params.num_functions
         threshold = self._params.threshold
         beta_budget = max(1, int(np.ceil(
@@ -160,11 +147,8 @@ class QALSH(KNNIndex):
                 scanned_high[j] = max(scanned_high[j], high)
             for object_id in set(newly_counted):
                 if counts[object_id] >= threshold and object_id not in verified:
-                    vector = self.heap.fetch(object_id)
-                    distance = float(np.sqrt(np.sum(
-                        (vector.astype(np.float64) - point) ** 2)))
-                    counter.add(1)
-                    verified[object_id] = distance
+                    verified[object_id] = exact_distance(
+                        self.heap, object_id, point, counter)
                     if len(verified) >= beta_budget:
                         break
             within = sum(1 for d in verified.values()
@@ -179,14 +163,8 @@ class QALSH(KNNIndex):
                 break  # every projection window exhausted
             radius *= self.approximation_ratio
         ids, dists = top_k(verified, k)
-        self._query_stats = QueryStats(
-            time_sec=time.perf_counter() - started,
-            page_reads=self._read_totals()[0] - reads_before,
-            candidates=len(verified),
-            distance_computations=counter.count,
-            extra={"final_radius": radius},
-        )
-        return ids, dists
+        return ids, dists, len(verified), counter.count, {
+            "final_radius": radius}
 
     # -- accounting ------------------------------------------------------
 
@@ -206,7 +184,3 @@ class QALSH(KNNIndex):
     def _accountants(self) -> list[IOStats]:
         heap = [] if self.heap is None else [self.heap.stats]
         return self.tree_stats + heap
-
-    def _require_built(self) -> None:
-        if not self.trees or self.heap is None:
-            raise RuntimeError("index has not been built; call build() first")

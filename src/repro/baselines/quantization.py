@@ -18,12 +18,10 @@ the harness tune their MAP to HD-Index levels as the paper describes.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.cluster.kmeans import kmeans
-from repro.core.interface import BuildStats, KNNIndex, QueryStats
+from repro.core.interface import KNNIndex
 from repro.core.partition import contiguous_partition
 from repro.distance.metrics import DistanceCounter, top_k_smallest
 from repro.storage.pages import DEFAULT_PAGE_SIZE
@@ -73,17 +71,12 @@ class PQIndex(KNNIndex):
 
     # -- training -----------------------------------------------------------
 
-    def build(self, data: np.ndarray) -> None:
-        started = time.perf_counter()
-        data = np.asarray(data, dtype=np.float64)
+    def _build(self, data: np.ndarray) -> int:
         self._train(self._transform(data))
         if self.rerank_factor > 0:
             self.heap = heap_file_from_array(
                 data, dtype=self.storage_dtype, page_size=self.page_size)
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            peak_memory_bytes=data.nbytes + self._codes_bytes(),
-        )
+        return data.nbytes + self._codes_bytes()
 
     def _transform(self, data: np.ndarray) -> np.ndarray:
         """Hook for OPQ's rotation; identity for plain PQ."""
@@ -140,15 +133,8 @@ class PQIndex(KNNIndex):
 
     # -- querying ---------------------------------------------------------
 
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.codes is None:
-            raise RuntimeError("index has not been built; call build() first")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        started = time.perf_counter()
+    def _search(self, point: np.ndarray, k: int):
         counter = DistanceCounter()
-        reads_before = self._read_totals()[0]
-        point = np.asarray(point, dtype=np.float64).ravel()
         transformed = self._transform(point[None, :])[0]
         approx_sq = np.zeros(self.count, dtype=np.float64)
         for index, part in enumerate(self.subspaces):
@@ -168,13 +154,7 @@ class PQIndex(KNNIndex):
         else:
             best = top_k_smallest(approx_sq, min(k, self.count))
             ids, dists = best, np.sqrt(approx_sq[best])
-        self._query_stats = QueryStats(
-            time_sec=time.perf_counter() - started,
-            page_reads=self._read_totals()[0] - reads_before,
-            candidates=self.count,
-            distance_computations=counter.count,
-        )
-        return ids.astype(np.int64), dists
+        return ids.astype(np.int64), dists, self.count, counter.count, {}
 
     # -- accounting -------------------------------------------------------
 
@@ -216,9 +196,7 @@ class OPQIndex(PQIndex):
         self.opq_iterations = opq_iterations
         self.rotation: np.ndarray | None = None
 
-    def build(self, data: np.ndarray) -> None:
-        started = time.perf_counter()
-        data = np.asarray(data, dtype=np.float64)
+    def _build(self, data: np.ndarray) -> int:
         dim = data.shape[1]
         self.rotation = np.eye(dim)
         for _ in range(self.opq_iterations):
@@ -228,15 +206,8 @@ class OPQIndex(PQIndex):
             # Orthogonal Procrustes: min_R ||X R - X̂||_F with RᵀR = I.
             u, _, vt = np.linalg.svd(data.T @ reconstructed)
             self.rotation = u @ vt
-        self._train(data @ self.rotation)
-        if self.rerank_factor > 0:
-            self.heap = heap_file_from_array(
-                data, dtype=self.storage_dtype, page_size=self.page_size)
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            peak_memory_bytes=data.nbytes * 2 + self._codes_bytes()
-            + self.rotation.nbytes,
-        )
+        # PQ over the rotated data, holding the data twice.
+        return super()._build(data) + data.nbytes + self.rotation.nbytes
 
     def _transform(self, data: np.ndarray) -> np.ndarray:
         if self.rotation is None:

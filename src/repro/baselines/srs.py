@@ -27,11 +27,10 @@ high dimensions — follows from this construction directly.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
-from repro.core.interface import BuildStats, KNNIndex, QueryStats
+from repro.baselines.verify import exact_distance, push
+from repro.core.interface import KNNIndex
 from repro.distance.metrics import DistanceCounter
 from repro.storage.pages import DEFAULT_PAGE_SIZE
 from repro.storage.stats import IOStats
@@ -83,9 +82,7 @@ class SRS(KNNIndex):
         self.count = 0
         self._matrix: np.ndarray | None = None
 
-    def build(self, data: np.ndarray) -> None:
-        started = time.perf_counter()
-        data = np.asarray(data, dtype=np.float64)
+    def _build(self, data: np.ndarray) -> int:
         n, dim = data.shape
         self.count = n
         rng = np.random.default_rng(self.seed)
@@ -93,23 +90,12 @@ class SRS(KNNIndex):
         self.projected = data @ self._matrix
         self.heap = heap_file_from_array(
             data, dtype=self.storage_dtype, page_size=self.page_size)
-        self._build_stats = BuildStats(
-            time_sec=time.perf_counter() - started,
-            page_writes=self.heap.stats.page_writes,
-            # Chunked builds keep RAM at the projection size (Sec. 5.1/5.4.3).
-            peak_memory_bytes=self.projected.nbytes + self._matrix.nbytes,
-        )
+        # Chunked builds keep RAM at the projection size (Sec. 5.1/5.4.3).
+        return self.projected.nbytes + self._matrix.nbytes
 
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        if self.projected is None or self.heap is None:
-            raise RuntimeError("index has not been built; call build() first")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
+    def _search(self, point: np.ndarray, k: int):
         from scipy.stats import chi2
-        started = time.perf_counter()
-        reads_before = self._read_totals()[0]
         counter = DistanceCounter()
-        point = np.asarray(point, dtype=np.float64).ravel()
         budget = max(k, int(np.ceil(self.max_fraction * self.count)))
         diff = self.projected - point @ self._matrix
         projected_dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
@@ -126,11 +112,8 @@ class SRS(KNNIndex):
         stopped_early = False
         for object_id, projected_distance in zip(
                 order.tolist(), projected_dists[order].tolist()):
-            vector = self.heap.fetch(object_id)
-            distance = float(np.sqrt(np.sum(
-                (vector.astype(np.float64) - point) ** 2)))
-            counter.add(1)
-            self._push(best_ids, best_dists, object_id, distance, k)
+            push(best_ids, best_dists, object_id,
+                 exact_distance(self.heap, object_id, point, counter), k)
             examined += 1
             if examined >= budget:
                 break
@@ -145,31 +128,9 @@ class SRS(KNNIndex):
                         >= 1.0 - self.threshold:
                     stopped_early = True
                     break
-        reads = self._read_totals()[0] - reads_before
-        self._query_stats = QueryStats(
-            time_sec=time.perf_counter() - started,
-            page_reads=reads,
-            random_reads=reads,
-            candidates=examined,
-            distance_computations=counter.count,
-            extra={"stopped_early": stopped_early},
-        )
         return (np.asarray(best_ids[:k], dtype=np.int64),
-                np.asarray(best_dists[:k], dtype=np.float64))
-
-    @staticmethod
-    def _push(ids: list[int], dists: list[float], object_id: int,
-              distance: float, k: int) -> None:
-        position = 0
-        while position < len(dists) and (
-                dists[position] < distance
-                or (dists[position] == distance and ids[position] < object_id)):
-            position += 1
-        ids.insert(position, object_id)
-        dists.insert(position, distance)
-        if len(ids) > k:
-            ids.pop()
-            dists.pop()
+                np.asarray(best_dists[:k], dtype=np.float64), examined,
+                counter.count, {"stopped_early": stopped_early})
 
     # -- accounting -----------------------------------------------------
 

@@ -19,7 +19,7 @@ from collections import OrderedDict
 import numpy as np
 
 from repro.core.engine import QueryEngine
-from repro.core.interface import BuildStats, KNNIndex
+from repro.core.interface import BuildStats, KNNIndex, validated_data
 from repro.core.params import HDIndexParams
 from repro.core.partition import make_partition
 from repro.core.rdbtree import RDBTree
@@ -325,17 +325,12 @@ class HDIndex(KNNIndex):
                 one row per point.
         """
         started = time.perf_counter()
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2:
-            raise ValueError(f"data must be 2-D, got shape {data.shape}")
+        data = validated_data(data)
         n, dim = data.shape
-        if n < 1:
-            raise ValueError("cannot build an index over an empty dataset")
         params = self.params
         if params.num_trees > dim:
             raise ValueError(
                 f"num_trees={params.num_trees} exceeds dimensionality {dim}")
-        require_finite(data)
         if params.metric == "angular":
             require_normalized(data, "data")
         self.metadata = self._coerce_metadata(metadata, n)

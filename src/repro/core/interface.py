@@ -8,11 +8,13 @@ querying RAM.  :class:`KNNIndex` fixes the vocabulary so the harness in
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
+from repro.distance.metrics import require_finite
 from repro.storage.stats import IOStats
 
 #: The :class:`QueryStats` fields a batch reports as the sum of its rows.
@@ -49,11 +51,27 @@ class BuildStats:
     extra: dict[str, Any] = field(default_factory=dict)
 
 
+def validated_data(data: np.ndarray) -> np.ndarray:
+    """``data`` as float64, or ``ValueError`` unless it is a non-empty
+    2-D array of finite values."""
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 2:
+        raise ValueError(f"data must be 2-D, got shape {data.shape}")
+    if not data.size:
+        raise ValueError("cannot build an index over an empty dataset")
+    require_finite(data)
+    return data
+
+
 class KNNIndex:
     """Protocol for every kANN method in this reproduction.
 
-    Subclasses implement :meth:`build` and :meth:`query`; the base class
-    provides batching and default accounting.  The examples below use
+    :meth:`build` and :meth:`query` are the method contract: they
+    validate their input, time the call and fill the stats records,
+    around the two hooks a method implements, :meth:`_build` and
+    :meth:`_search`.  The base class also provides batching.  (HD-Index
+    overrides both, to answer through its query engine and to reopen
+    snapshots.)  The examples below use
     :class:`~repro.core.hdindex.HDIndex`, the primary implementation; a
     tiny deterministic diagonal dataset keeps them fast and stable:
 
@@ -76,6 +94,9 @@ class KNNIndex:
     _query_stats: QueryStats | None = None
     _build_stats: BuildStats | None = None
 
+    #: ν of the data the index was built over.
+    dim: int = 0
+
     #: Monotonic mutation counter: implementations bump it on every
     #: ``insert``/``delete`` (via :meth:`_bump_update_epoch`) so caching
     #: layers — e.g. :class:`~repro.serve.QueryService`'s LRU result
@@ -91,30 +112,59 @@ class KNNIndex:
     def build(self, data: np.ndarray) -> None:
         """Construct the index over a dataset.
 
+        Validates ``data``, then times :meth:`_build` and records a
+        :class:`BuildStats` with its peak bytes and the page writes of
+        :meth:`_accountants`.  The index counts as built only once a
+        build succeeds.
+
         Args:
             data: ``(n, ν)`` array of vectors; coerced to float64.
 
         Raises:
-            ValueError: If ``data`` is not 2-D, is empty, or violates a
-                structural parameter (e.g. ``num_trees`` exceeding ν for
-                the HD-Index family).
+            ValueError: If ``data`` is not 2-D, is empty, holds a NaN or
+                infinite value, or violates a structural parameter (e.g.
+                ``num_trees`` exceeding ν for the HD-Index family).
+        """
+        data = validated_data(data)
+        self._build_stats = None
+        started = time.perf_counter()
+        peak_memory_bytes = self._build(data)
+        self.dim = data.shape[1]
+        self._build_stats = BuildStats(
+            time_sec=time.perf_counter() - started,
+            page_writes=sum(stats.page_writes
+                            for stats in self._accountants()),
+            peak_memory_bytes=peak_memory_bytes,
+        )
+
+    def _build(self, data: np.ndarray) -> int:
+        """Construct the structure over validated float64 ``data``.
+
+        Returns:
+            Peak bytes the construction held (the ``index_RAM`` column).
         """
         raise NotImplementedError
 
-    def query(self, point: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def query(self, point: np.ndarray, k: int,
+              **overrides: Any) -> tuple[np.ndarray, np.ndarray]:
         """Approximate k nearest neighbours of one point.
+
+        Checks the call, then times :meth:`_search` and records a
+        :class:`QueryStats` whose page reads and their random/sequential
+        split are the difference of :meth:`_read_totals` around it.
 
         Args:
             point: ``(ν,)`` query vector.
             k: Number of neighbours requested (``>= 1``).
+            **overrides: Forwarded to :meth:`_search`.
 
         Returns:
             ``(ids, distances)`` arrays of length ``<= k``, ordered by
             increasing reported distance.
 
         Raises:
-            ValueError: If ``k < 1`` or the point's dimensionality does
-                not match the index.
+            ValueError: If ``k < 1``, or the point's length does not
+                match the index or it holds a NaN or infinite value.
             RuntimeError: If called before :meth:`build`.
 
         >>> import numpy as np
@@ -130,6 +180,37 @@ class KNNIndex:
         Traceback (most recent call last):
             ...
         ValueError: k must be >= 1, got 0
+        """
+        if self._build_stats is None:
+            raise RuntimeError("index has not been built; call build() first")
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        point = np.asarray(point, dtype=np.float64).ravel()
+        if point.shape[0] != self.dim:
+            raise ValueError(f"query has dimension {point.shape[0]}, "
+                             f"index expects {self.dim}")
+        require_finite(point, "query")
+        started = time.perf_counter()
+        before = self._read_totals()
+        ids, dists, candidates, computations, extra = self._search(
+            point, k, **overrides)
+        reads, random_reads, sequential_reads = (
+            after - was for after, was in zip(self._read_totals(), before))
+        self._query_stats = QueryStats(
+            time_sec=time.perf_counter() - started, page_reads=reads,
+            random_reads=random_reads, sequential_reads=sequential_reads,
+            candidates=candidates, distance_computations=computations,
+            extra=extra)
+        return ids, dists
+
+    def _search(self, point: np.ndarray, k: int
+                ) -> tuple[np.ndarray, np.ndarray, int, int, dict[str, Any]]:
+        """Answer one checked query: a float64 ``(ν,)`` point, ``k >= 1``.
+
+        Returns:
+            ``(ids, distances, candidates, distance_computations,
+            extra)``: the answer as :meth:`query` returns it, then the
+            :class:`QueryStats` fields the method counts itself.
         """
         raise NotImplementedError
 

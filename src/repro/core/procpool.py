@@ -32,7 +32,6 @@ import os
 import threading
 import time
 from concurrent.futures import Future, ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
@@ -270,11 +269,7 @@ class SnapshotWorkerPool:
             raise WorkerCrashed(
                 f"worker process died mid-task ({len(results)} of "
                 f"{len(futures)} task results collected)") from error
-        except (TimeoutError, _FutureTimeoutError) as error:
-            # Both spellings: concurrent.futures.TimeoutError only became
-            # an alias of the builtin in Python 3.11, and 3.10 is in the
-            # CI matrix — catching just the builtin would let a wedged
-            # pool escape untyped (and never be killed) there.
+        except TimeoutError as error:
             for future in futures:
                 future.cancel()
             self.reset(kill=True)

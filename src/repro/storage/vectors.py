@@ -324,8 +324,17 @@ class VectorHeapFile:
         return rows
 
     def scan(self) -> np.ndarray:
-        """Sequentially scan the whole file (linear-scan baseline path)."""
-        return self.gather(np.arange(len(self)))
+        """Every record, as :meth:`gather` returns them, read front to
+        back (the linear-scan baseline path): each of the model's pages
+        is counted once, in one sequential run."""
+        matrix, count, stored = self._live()
+        if stored is None:
+            return np.empty((0, self.dim), dtype=self.dtype)
+        rows = self._records(matrix, stored)[
+            np.divmod(np.arange(count), self._geometry(stored)[0])]
+        self.stats.record_read_many(np.arange(
+            -(-count // self.records_per_page) * self._pages_per_record))
+        return rows.view(stored)
 
     def page_matrix(self) -> np.ndarray:
         """The ``(num_pages, page_size)`` ``uint8`` page matrix, read-only."""

@@ -33,6 +33,9 @@ class TestKNNIndexBase:
         with pytest.raises(NotImplementedError):
             base.build(np.zeros((1, 1)))
         with pytest.raises(NotImplementedError):
+            base._search(np.zeros(1), 1)
+        # The failed build left the index unbuilt.
+        with pytest.raises(RuntimeError):
             base.query(np.zeros(1), 1)
         with pytest.raises(NotImplementedError):
             base.index_size_bytes()

@@ -117,12 +117,19 @@ the copies of ``last_query_stats`` / ``build_stats`` /
 methods went, as did ``HDIndex._total_page_reads`` / ``_read_breakdown``,
 ``QALSH._page_reads``, ``Multicurves._page_reads`` and the inline read
 sums of iDistance and PQ (each class names its ``_accountants()``).
+14002 -> 13898: ``KNNIndex.build`` / ``query`` validate, time and count
+for every baseline, which writes only ``_build`` / ``_search``: the
+baselines' timers, read sums, k and built checks, ``_require_built``
+copies and ``BuildStats`` / ``QueryStats`` constructions went, with
+iDistance's and SRS's copies of the sorted top-k insert (one
+``baselines.verify.push``) and OPQ's copy of PQ's training and heap
+write.
 """
 
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
-LINE_BUDGET = 14002
+LINE_BUDGET = 13898
 
 
 def test_source_lines_within_budget():

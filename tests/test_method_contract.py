@@ -1,0 +1,146 @@
+"""The method contract: ``KNNIndex.build`` and ``KNNIndex.query`` check
+every call the same way for HD-Index and every baseline.
+
+A baseline implements only ``_build`` and ``_search``; the base refuses
+a query on an unbuilt index, a ``k`` below 1, a point of the wrong
+length or with a non-finite value, and build data that is not a
+non-empty 2-D array of finite values — each promptly, so no method can
+broadcast a short point, answer with NaN distances or loop on one.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.baselines import (
+    C2LSH,
+    HNSW,
+    QALSH,
+    SRS,
+    IDistance,
+    LinearScan,
+    Multicurves,
+    MulticurvesUnsupportedError,
+    OPQIndex,
+    PQIndex,
+)
+from repro.core import HDIndex, HDIndexParams
+from repro.core.interface import KNNIndex
+
+DIM = 16
+
+METHODS = {
+    "HDIndex": lambda: HDIndex(HDIndexParams(
+        num_trees=4, num_references=4, alpha=32, gamma=8,
+        domain=(0.0, 100.0), seed=0)),
+    "C2LSH": lambda: C2LSH(max_functions=32, seed=0),
+    "HNSW": lambda: HNSW(M=6, ef_construction=20, ef_search=20, seed=0),
+    "IDistance": lambda: IDistance(num_partitions=8, seed=0),
+    "LinearScan": LinearScan,
+    "Multicurves": lambda: Multicurves(num_curves=4, alpha=64,
+                                       domain=(0.0, 100.0)),
+    "PQIndex": lambda: PQIndex(num_subspaces=4, num_centroids=16,
+                               rerank_factor=4, seed=0),
+    "OPQIndex": lambda: OPQIndex(num_subspaces=4, num_centroids=16,
+                                 rerank_factor=4, opq_iterations=2, seed=0),
+    "QALSH": lambda: QALSH(max_functions=16, seed=0),
+    "SRS": lambda: SRS(max_fraction=0.1, seed=0),
+}
+
+BAD_POINTS = {
+    "one_element": np.zeros(1),
+    "one_too_many": np.full(DIM + 1, 50.0),
+    "nan": np.where(np.arange(DIM) == 3, np.nan, 50.0),
+    "inf": np.where(np.arange(DIM) == 3, np.inf, 50.0),
+    "minus_inf": np.where(np.arange(DIM) == 3, -np.inf, 50.0),
+}
+
+
+@pytest.fixture(scope="module")
+def data():
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(0.0, 100.0, size=(4, DIM))
+    return np.clip(np.vstack([
+        center + rng.normal(0.0, 3.0, size=(50, DIM)) for center in centers]),
+        0.0, 100.0)
+
+
+@pytest.fixture(scope="module")
+def built(data):
+    indexes = {}
+    for name, factory in METHODS.items():
+        indexes[name] = factory()
+        indexes[name].build(data)
+    return indexes
+
+
+def raised_within_a_second(call):
+    """What ``call`` raised (``None`` if nothing), failing the test if it
+    runs for over a second; a call that loops is left to its daemon
+    thread."""
+    outcome = []
+
+    def target():
+        try:
+            call()
+        except Exception as error:  # reported to the caller
+            outcome.append(error)
+        else:
+            outcome.append(None)
+
+    worker = threading.Thread(target=target, daemon=True)
+    worker.start()
+    worker.join(1.0)
+    assert not worker.is_alive(), "the call ran for over a second"
+    return outcome[0]
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("method", ["build", "query", "_require_built"])
+def test_only_the_base_and_hdindex_define_the_contract(name, method):
+    for klass in type(METHODS[name]()).__mro__:
+        if klass not in (KNNIndex, HDIndex):
+            assert method not in vars(klass), klass.__name__
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_query_before_build_rejected(name):
+    with pytest.raises(RuntimeError, match="not been built"):
+        METHODS[name]().query(np.full(DIM, 50.0), 1)
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_k_zero_rejected(built, data, name):
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        built[name].query(data[0], 0)
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("point", BAD_POINTS)
+def test_malformed_point_rejected_promptly(built, name, point):
+    error = raised_within_a_second(
+        lambda: built[name].query(BAD_POINTS[point], 5))
+    assert isinstance(error, ValueError), error
+
+
+@pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("bad", ["one_dimensional", "empty", "nan"])
+def test_malformed_data_rejected(data, name, bad):
+    rows = {"one_dimensional": data[0],
+            "empty": data[:0],
+            "nan": np.where(np.arange(DIM) == 3, np.nan, data)}[bad]
+    index = METHODS[name]()
+    with pytest.raises(ValueError):
+        index.build(rows)
+    with pytest.raises(RuntimeError, match="not been built"):
+        index.query(data[0], 1)
+
+
+def test_failed_rebuild_leaves_the_index_unbuilt(data):
+    index = Multicurves(num_curves=4, alpha=64)
+    index.build(data)
+    with pytest.raises(MulticurvesUnsupportedError):
+        index.build(np.zeros((10, 1200)))  # no leaf holds one descriptor
+    with pytest.raises(RuntimeError, match="not been built"):
+        index.query(data[0], 1)

@@ -41,6 +41,22 @@ class TestVectorHeapFile:
         heap = heap_file_from_array(data)
         np.testing.assert_array_equal(heap.scan(), data)
 
+    @pytest.mark.parametrize("rows, page_size", [
+        (np.arange(17 * 6, dtype=np.float64).reshape(17, 6) + 0.5, 64),
+        (np.arange(300 * 128).reshape(300, 128) % 256.0, 4096),  # u1 rows
+        (np.arange(3 * 48, dtype=np.float64).reshape(3, 48) + 0.5, 64),
+    ], ids=["paged", "narrow", "spanning"])
+    def test_scan_reads_each_page_once_in_one_run(self, rows, page_size):
+        heap = heap_file_from_array(rows, page_size=page_size)
+        pages = heap.size_bytes() // page_size
+        for scans in (1, 2):
+            np.testing.assert_array_equal(
+                heap.scan(), heap_file_from_array(
+                    rows, page_size=page_size).gather(np.arange(len(rows))))
+            assert (heap.stats.page_reads, heap.stats.random_reads,
+                    heap.stats.sequential_reads) == (
+                scans * pages, scans, scans * (pages - 1))
+
     @pytest.mark.parametrize("start", [0, 3, 4, 5])
     @pytest.mark.parametrize("count", [1, 3, 4, 5, 8, 9, 23])
     def test_batch_append_writes_what_row_appends_write(self, start, count):
