@@ -14,7 +14,7 @@ The ROADMAP's deployment story in three steps:
    only the hot fraction resident, so the snapshot may exceed RAM;
 3. **Serve** — a :class:`QueryService` coalesces single-query submissions
    from concurrent client threads into micro-batches for the vectorised
-   ``query_batch`` engine path, with an LRU result cache in front.
+   ``query_batch`` engine path.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def main() -> None:
 
         # --- 3. serve concurrent clients --------------------------------
         results: list = [None] * len(dataset.queries)
-        with QueryService(reopened, max_batch=32, cache_size=256) as service:
+        with QueryService(reopened, max_batch=32) as service:
             def client(client_index: int) -> None:
                 for i in range(client_index, len(dataset.queries),
                                NUM_CLIENTS):
@@ -78,9 +78,6 @@ def main() -> None:
                 thread.start()
             for thread in threads:
                 thread.join()
-            # A second, warm pass: the LRU cache absorbs repeats.
-            for query in dataset.queries:
-                service.query(query, K)
             elapsed = time.perf_counter() - started
             stats = service.stats()
         reopened.close()
@@ -93,8 +90,6 @@ def main() -> None:
         print(f"micro-batches: {stats.batches}, mean size "
               f"{stats.mean_batch_size():.1f}, max {stats.max_batch_size}, "
               f"mean queue wait {stats.mean_queue_wait_ms():.2f} ms")
-        print(f"result cache: {stats.cache_hits} hits / "
-              f"{stats.cache_misses} misses")
         print(f"answers identical to the pre-snapshot index: {agree}")
 
 

@@ -75,7 +75,7 @@ from repro.meta import (
     Range,
     predicate_from_dict,
 )
-from repro.serve import QueryService, ServiceConfig, ServiceStats
+from repro.serve import QueryService, ServiceStats
 from repro.eval import (
     GroundTruth,
     approximation_ratio,
@@ -119,7 +119,6 @@ __all__ = [
     "QueryStats",
     "Range",
     "SRS",
-    "ServiceConfig",
     "ServiceStats",
     "WorkerCrashed",
     "WorkerTimeout",

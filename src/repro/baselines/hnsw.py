@@ -77,11 +77,15 @@ class HNSW(KNNIndex):
         return self.memory_bytes()
 
     def add(self, vector: np.ndarray) -> int:
-        """Insert one new vector, returning its id (HNSW is incremental)."""
+        """Insert one new vector, returning its id (HNSW is incremental).
+
+        Raises ``ValueError``, as :meth:`query` does, for a vector of
+        another length or holding a NaN or infinite value, before the
+        data or the graph changes."""
         if self.data is None:
             raise RuntimeError("build() the index before adding points")
-        vector = np.asarray(vector, dtype=np.float64).ravel()[None, :]
-        self.data = np.vstack([self.data, vector])
+        vector = self._checked_point(vector)
+        self.data = np.vstack([self.data, vector[None, :]])
         new_id = self.data.shape[0] - 1
         self._insert(new_id)
         return new_id

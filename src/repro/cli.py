@@ -124,8 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="most requests one micro-batch takes")
     serve.add_argument("--max-pending", type=_positive_int, default=1024,
                        help="backpressure bound on queued requests")
-    serve.add_argument("--cache", type=int, default=0,
-                       help="LRU result-cache capacity (0 disables)")
     serve.add_argument("--backend", choices=BACKENDS, default=None,
                        help="how to reopen the snapshot (default mmap: "
                             "mapped, the larger-than-RAM mode; memory = "
@@ -397,11 +395,8 @@ def cmd_serve(args, out=sys.stdout) -> int:
     import threading
     import time
 
-    from repro.serve import QueryService, ServiceConfig
+    from repro.serve import QueryService
 
-    config = ServiceConfig(max_batch=args.max_batch,
-                           max_pending=args.max_pending,
-                           cache_size=max(0, args.cache))
     errors: list[Exception] = []
 
     def client(service, workload, client_index):
@@ -422,7 +417,9 @@ def cmd_serve(args, out=sys.stdout) -> int:
         if matching is None:
             return 2
         workload = np.tile(matching[1], (args.repeat, 1))
-        with QueryService(index, config, snapshot_dir=args.index,
+        with QueryService(index, max_batch=args.max_batch,
+                          max_pending=args.max_pending,
+                          snapshot_dir=args.index,
                           workers=args.workers) as service:
             started = time.perf_counter()
             threads = [threading.Thread(target=client,
@@ -445,9 +442,6 @@ def cmd_serve(args, out=sys.stdout) -> int:
           f"{stats.mean_batch_size():.1f}, max {stats.max_batch_size} "
           f"(max_batch={args.max_batch}), mean queue wait "
           f"{stats.mean_queue_wait_ms():.2f} ms", file=out)
-    if config.cache_size:
-        print(f"result cache: {stats.cache_hits} hits / "
-              f"{stats.cache_misses} misses", file=out)
     return 0
 
 

@@ -98,12 +98,22 @@ class KNNIndex:
     dim: int = 0
 
     #: Monotonic mutation counter: implementations bump it on every
-    #: ``insert``/``delete`` (via :meth:`_bump_update_epoch`) so caching
-    #: layers — e.g. :class:`~repro.serve.QueryService`'s LRU result
-    #: cache — can detect that previously computed answers may be stale
-    #: without being told.  Rebuilds/compactions that preserve the
-    #: logical contents do not bump it.
+    #: ``insert``/``delete`` (via :meth:`_bump_update_epoch`) so a layer
+    #: answering from a copy — :class:`~repro.serve.QueryService`'s
+    #: worker pool, which opens the snapshot — can detect that the index
+    #: moved on without being told.  Rebuilds/compactions that preserve
+    #: the logical contents do not bump it.
     update_epoch: int = 0
+
+    def _checked_point(self, point: np.ndarray) -> np.ndarray:
+        """``point`` as a flat float64 vector, or ``ValueError`` unless
+        it has the index's length and only finite values."""
+        point = np.asarray(point, dtype=np.float64).ravel()
+        if point.shape[0] != self.dim:
+            raise ValueError(f"query has dimension {point.shape[0]}, "
+                             f"index expects {self.dim}")
+        require_finite(point, "query")
+        return point
 
     def _bump_update_epoch(self) -> None:
         """Record a logical-content mutation (insert/delete)."""
@@ -185,11 +195,7 @@ class KNNIndex:
             raise RuntimeError("index has not been built; call build() first")
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        point = np.asarray(point, dtype=np.float64).ravel()
-        if point.shape[0] != self.dim:
-            raise ValueError(f"query has dimension {point.shape[0]}, "
-                             f"index expects {self.dim}")
-        require_finite(point, "query")
+        point = self._checked_point(point)
         started = time.perf_counter()
         before = self._read_totals()
         ids, dists, candidates, computations, extra = self._search(

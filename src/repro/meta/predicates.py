@@ -6,7 +6,7 @@ against constants, combinators (:class:`And`, :class:`Or`, :class:`Not`)
 compose them.  Every node is a frozen dataclass, so predicates are
 
 * **hashable** — they ride the serve tier's override-canonicalisation
-  and result-cache keys unchanged;
+  (its batch grouping) unchanged;
 * **picklable** — they cross the process-pool boundary inside task
   payloads;
 * **JSON round-trippable** (:meth:`Predicate.to_dict` /

@@ -3,10 +3,10 @@
 ``QueryService`` turns the vectorised ``query_batch`` engine path into a
 thread-safe service for live traffic: many client threads submit single
 queries, the service coalesces them into micro-batches, and each caller
-gets its answer through a future — with an optional LRU result cache and a
-backpressure bound on queue depth.  Combined with whole-family
-``save_index``/``load_index`` it gives the ROADMAP's deployment story:
-build offline, snapshot, then serve online without rebuilding.
+gets its answer through a future, with a backpressure bound on queue
+depth.  Combined with whole-family ``save_index``/``load_index`` it gives
+the ROADMAP's deployment story: build offline, snapshot, then serve
+online without rebuilding.
 
 The network tier layers on top: ``ServeGateway`` exposes a service over
 TCP (length-prefixed JSON frames, see :mod:`repro.serve.protocol`), and
@@ -20,7 +20,6 @@ from repro.core.procpool import (
     WorkerCrashed,
     WorkerTimeout,
 )
-from repro.serve.cache import ResultCache, canonical_overrides, make_key
 from repro.serve.client import AsyncServeClient
 from repro.serve.gateway import GatewayConfig, ServeGateway
 from repro.serve.protocol import ProtocolError, RemoteError
@@ -28,7 +27,6 @@ from repro.serve.service import (
     DeadlineExceeded,
     QueryService,
     ServiceClosed,
-    ServiceConfig,
     ServiceOverloaded,
     ServiceStats,
 )
@@ -41,14 +39,10 @@ __all__ = [
     "ProtocolError",
     "QueryService",
     "RemoteError",
-    "ResultCache",
     "ServeGateway",
     "ServiceClosed",
-    "ServiceConfig",
     "ServiceOverloaded",
     "ServiceStats",
     "WorkerCrashed",
     "WorkerTimeout",
-    "canonical_overrides",
-    "make_key",
 ]

@@ -302,7 +302,9 @@ class ServeGateway:
     def stats(self) -> dict:
         """The ``stats`` RPC payload: gateway counters, latency
         percentiles over the ring buffer, and the service's own
-        batching/cache statistics."""
+        batching statistics.  The service section still carries
+        ``cache_hits`` and ``cache_misses``, always 0: the service keeps
+        no result cache, and readers of the payload take the keys."""
         window = list(self._latencies)
         if window:
             latencies = np.asarray(window) * 1e3
@@ -319,5 +321,6 @@ class ServeGateway:
             "gateway": {**self._counters, "inflight": self._inflight,
                         "draining": self._draining,
                         "latency_window": len(window), **percentiles},
-            "service": service.as_dict(),
+            "service": {**service.as_dict(), "cache_hits": 0,
+                        "cache_misses": 0},
         }

@@ -45,16 +45,14 @@ def build_parser() -> argparse.ArgumentParser:
                              "(reported on the READY line)")
     parser.add_argument("--backend", default="mmap", choices=BACKENDS,
                         help="storage backend for the reopen")
-    parser.add_argument("--max-batch", type=int, default=None,
-                        help="service micro-batch size override")
-    parser.add_argument("--max-pending", type=int, default=None,
-                        help="service queue bound override")
+    parser.add_argument("--max-batch", type=int, default=64,
+                        help="most requests one micro-batch takes")
+    parser.add_argument("--max-pending", type=int, default=1024,
+                        help="backpressure bound on queued requests")
     parser.add_argument("--max-inflight", type=int, default=256,
                         help="gateway admission bound")
     parser.add_argument("--default-deadline-ms", type=float, default=None,
                         help="deadline for requests that carry none")
-    parser.add_argument("--cache-size", type=int, default=None,
-                        help="result-cache entries override")
     return parser
 
 
@@ -81,15 +79,9 @@ async def run_server(service: QueryService, config: GatewayConfig,
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {}
-    if args.max_batch is not None:
-        overrides["max_batch"] = args.max_batch
-    if args.max_pending is not None:
-        overrides["max_pending"] = args.max_pending
-    if args.cache_size is not None:
-        overrides["cache_size"] = args.cache_size
     service = QueryService.from_snapshot(
-        args.snapshot, backend=args.backend, **overrides)
+        args.snapshot, backend=args.backend, max_batch=args.max_batch,
+        max_pending=args.max_pending)
     config = GatewayConfig(host=args.host, port=args.port,
                            max_inflight=args.max_inflight,
                            default_deadline_ms=args.default_deadline_ms)

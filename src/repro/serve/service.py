@@ -53,7 +53,6 @@ import numpy as np
 
 from repro.core.procpool import ProcessPoolError, SnapshotWorkerPool
 from repro.meta import coerce_predicate
-from repro.serve.cache import ResultCache, canonical_overrides, make_key
 from repro.wal.manager import resolve_snapshot_dir, snapshot_root
 
 
@@ -78,39 +77,6 @@ class DeadlineExceeded(TimeoutError):
 
 
 @dataclasses.dataclass
-class ServiceConfig:
-    """Tunables of the micro-batching loop.
-
-    Attributes
-    ----------
-    max_batch:
-        Most requests one batch takes from the queue.  The marginal
-        gain of the batch path flattens past a few hundred (the suite's
-        ``batch_100k`` workload runs Q = 16), so bigger mostly adds
-        latency.
-    max_pending:
-        Backpressure bound: maximum requests waiting in the queue before
-        ``submit`` blocks.
-    cache_size:
-        LRU result-cache capacity in entries; ``0`` disables caching.
-    """
-
-    max_batch: int = 64
-    max_pending: int = 1024
-    cache_size: int = 0
-
-    def __post_init__(self) -> None:
-        if self.max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_pending < 1:
-            raise ValueError(
-                f"max_pending must be >= 1, got {self.max_pending}")
-        if self.cache_size < 0:
-            raise ValueError(
-                f"cache_size must be >= 0, got {self.cache_size}")
-
-
-@dataclasses.dataclass
 class ServiceStats:
     """Cumulative counters since the service was created;
     ``queue_wait_ms_total`` sums batch start minus enqueue over every
@@ -119,19 +85,16 @@ class ServiceStats:
     queries: int = 0
     batches: int = 0
     max_batch_size: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
     overloads: int = 0
     deadline_expired: int = 0
     queue_wait_ms_total: float = 0.0
 
     def mean_batch_size(self) -> float:
-        dispatched = self.queries - self.cache_hits
-        return dispatched / self.batches if self.batches else 0.0
+        return self.queries / self.batches if self.batches else 0.0
 
     def mean_queue_wait_ms(self) -> float:
-        dispatched = self.queries - self.cache_hits
-        return self.queue_wait_ms_total / dispatched if dispatched else 0.0
+        return (self.queue_wait_ms_total / self.queries
+                if self.queries else 0.0)
 
     def as_dict(self) -> dict:
         data = dataclasses.asdict(self)
@@ -155,18 +118,30 @@ class _SwapRequest:
         self.error: BaseException | None = None
 
 
-class _Request:
-    """One queued query: the decoupled point, its cache key, its future."""
+def _canonical_overrides(overrides: dict) -> tuple:
+    """Hashable, order-independent form of per-call overrides.
 
-    __slots__ = ("point", "k", "overrides", "key", "future", "expires_at",
+    ``None``-valued overrides mean "use the index default" and are
+    dropped, so ``query(q, 5)`` and ``query(q, 5, alpha=None)`` batch
+    together.
+    """
+    return tuple(sorted(
+        (name, value) for name, value in overrides.items()
+        if value is not None))
+
+
+class _Request:
+    """One queued query: the decoupled point, its batch group, its
+    future."""
+
+    __slots__ = ("point", "k", "overrides", "future", "expires_at",
                  "enqueued_at")
 
     def __init__(self, point: np.ndarray, k: int, overrides: tuple,
-                 key, expires_at: float | None = None) -> None:
+                 expires_at: float | None = None) -> None:
         self.point = point
         self.k = k
         self.overrides = overrides
-        self.key = key
         self.future: Future = Future()
         # Monotonic instant past which the caller no longer wants an
         # answer; ``None`` means no deadline.
@@ -183,9 +158,9 @@ class _Request:
         """The one canonical normaliser for every client entry point.
 
         ``submit`` (and therefore ``query``, which routes through it)
-        builds requests exclusively here, so the private point copy, the
-        canonical overrides tuple used for batch grouping, and the cache
-        key can never diverge between paths.
+        builds requests exclusively here, so the private point copy and
+        the canonical overrides tuple used for batch grouping can never
+        diverge between paths.
 
         Raises:
             ValueError: If ``k < 1``.
@@ -205,21 +180,20 @@ class _Request:
         if overrides.get("predicate") is not None:
             # The wire protocol delivers predicates as plain dicts;
             # coerce to the frozen (hashable) Predicate form so they
-            # group/cache exactly like in-process submissions.
+            # group exactly like in-process submissions.
             overrides = dict(overrides)
             overrides["predicate"] = coerce_predicate(
                 overrides["predicate"])
-        canonical = canonical_overrides(overrides)
-        key = make_key(point, k, canonical)
+        canonical = _canonical_overrides(overrides)
         try:
-            hash(key)
+            hash(canonical)
         except TypeError:
             raise TypeError(
                 f"override values must be hashable, got {overrides!r}"
             ) from None
         expires_at = (None if deadline is None
                       else time.monotonic() + deadline)
-        return cls(point, k, canonical, key, expires_at)
+        return cls(point, k, canonical, expires_at)
 
 
 class QueryService:
@@ -235,12 +209,16 @@ class QueryService:
 
         ids, dists = service.query(q, k=10)
 
+    Every request is answered by the index (or the worker pool): the
+    service keeps no earlier answer.  ``max_batch`` is the most requests
+    one batch takes from the queue (the gain of the batch path flattens
+    past a few hundred, so bigger mostly adds latency); ``max_pending``
+    is the backpressure bound on queued requests before ``submit``
+    blocks.
+
     The service owns all index access from :meth:`start` until
     :meth:`stop`; do not call the index's query methods directly while it
-    is running.  ``insert()``/``delete()`` on the underlying index
-    (including WAL-routed updates) bump its ``update_epoch``, which the
-    service watches: the LRU result cache invalidates itself before the
-    next lookup, so served answers are never stale.
+    is running.
 
     ``workers=N`` (see :meth:`from_snapshot`) row-shards each flushed
     micro-batch across ``N`` worker processes that each hold a lazily
@@ -267,34 +245,32 @@ class QueryService:
     (3, 0.0)
     """
 
-    def __init__(self, index, config: ServiceConfig | None = None,
+    def __init__(self, index, *, max_batch: int = 64,
+                 max_pending: int = 1024,
                  snapshot_dir: str | os.PathLike[str] | None = None,
                  workers: int | None = None,
-                 worker_timeout: float | None = None,
-                 **overrides) -> None:
+                 worker_timeout: float | None = None) -> None:
         if isinstance(index, (str, os.PathLike)):
             raise TypeError("QueryService serves an index; open a snapshot "
                             "directory with QueryService.from_snapshot()")
-        base = config if config is not None else ServiceConfig()
-        self.config = dataclasses.replace(base, **overrides)
+        if max_batch < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
+        if max_pending < 1:
+            raise ValueError(f"max_pending must be >= 1, got {max_pending}")
+        self.max_batch = max_batch
+        self.max_pending = max_pending
         self.index = index
         self._pool: SnapshotWorkerPool | None = None
         if workers is not None:
             directory = self._resolve_snapshot_dir(index, snapshot_dir)
             self._pool = SnapshotWorkerPool(directory, num_workers=workers,
                                             timeout=worker_timeout)
+            # The index update epoch the pool's snapshot holds; workers
+            # never see later updates (_answer_rows).
+            self._pool_epoch = index.update_epoch
         elif worker_timeout is not None:
             raise ValueError("worker_timeout bounds a worker process's "
                              "slice: it needs workers=N")
-        # The index update epoch the pool's snapshot holds; workers
-        # never see later updates (_answer_rows).
-        self._pool_epoch = getattr(index, "update_epoch", 0)
-        self.cache = ResultCache(self.config.cache_size)
-        # The index mutation epoch the cache's entries were computed
-        # against; a mismatch (insert/delete happened, including
-        # WAL-routed ones) invalidates before the next lookup, so served
-        # answers can never be stale regardless of caller discipline.
-        self._cache_epoch = getattr(index, "update_epoch", 0)
         self._queue: deque[_Request] = deque()
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
@@ -426,12 +402,11 @@ class QueryService:
         self.stop()
 
     @classmethod
-    def from_snapshot(cls, directory,
-                      config: ServiceConfig | None = None,
-                      backend: str | None = None,
+    def from_snapshot(cls, directory, *, backend: str | None = None,
+                      max_batch: int = 64, max_pending: int = 1024,
                       workers: int | None = None,
-                      worker_timeout: float | None = None,
-                      **overrides) -> "QueryService":
+                      worker_timeout: float | None = None
+                      ) -> "QueryService":
         """Open a persisted index and wrap it in a service.
 
         The "build offline, serve online" split in one call: the
@@ -442,8 +417,6 @@ class QueryService:
         Args:
             directory: Snapshot directory written by
                 :func:`repro.core.save_index`.
-            config: Full :class:`ServiceConfig`; mutually composable with
-                keyword ``overrides`` (``max_batch=...`` etc.).
             backend: Storage backend for the reopen — ``"mmap"``
                 (mapped, O(metadata) cold start: the larger-than-RAM
                 serving mode; what ``None`` means) or ``"memory"``.
@@ -451,10 +424,8 @@ class QueryService:
                 worker processes that bootstrap from this same snapshot
                 directory and reopen it through ``mmap``; ``None``
                 (default) answers batches in the dispatcher thread.
-            worker_timeout: Seconds a worker's slice may take
-                (:class:`~repro.core.procpool.WorkerTimeout`); needs
-                ``workers``.
-            **overrides: Individual :class:`ServiceConfig` fields.
+            max_batch, max_pending, worker_timeout: As for
+                :class:`QueryService`.
 
         Returns:
             An unstarted :class:`QueryService`; enter it (``with``) or
@@ -462,9 +433,9 @@ class QueryService:
         """
         from repro.core.persistence import load_index
         service = cls(load_index(directory, backend=backend),
-                      config=config, snapshot_dir=directory,
-                      workers=workers, worker_timeout=worker_timeout,
-                      **overrides)
+                      max_batch=max_batch, max_pending=max_pending,
+                      snapshot_dir=directory, workers=workers,
+                      worker_timeout=worker_timeout)
         service._owns_index = True
         return service
 
@@ -505,18 +476,10 @@ class QueryService:
                 ``deadline``.
         """
         request = _Request.from_call(point, k, overrides, deadline)
-        if self._cache_current():
-            cached = self.cache.get(request.key)
-            if cached is not None:
-                with self._lock:
-                    self._check_open()
-                    self._stats.queries += 1
-                request.future.set_result(cached)
-                return request.future
         admit_by = None if timeout is None else time.monotonic() + timeout
         with self._lock:
             self._check_open()
-            while len(self._queue) >= self.config.max_pending:
+            while len(self._queue) >= self.max_pending:
                 # The binding bound: the admission timeout sheds with
                 # ServiceOverloaded, the request deadline with
                 # DeadlineExceeded — whichever expires first.
@@ -533,7 +496,7 @@ class QueryService:
                         raise DeadlineExceeded(
                             f"deadline of {deadline}s expired during "
                             f"queue admission (max_pending="
-                            f"{self.config.max_pending})")
+                            f"{self.max_pending})")
                     else:
                         # The bound expired, and the loop condition
                         # re-checked capacity after the final wake-up
@@ -544,7 +507,7 @@ class QueryService:
                         raise ServiceOverloaded(
                             f"queue held {len(self._queue)} requests "
                             f"for {timeout}s (max_pending="
-                            f"{self.config.max_pending})")
+                            f"{self.max_pending})")
                 self._check_open()
             self._stats.queries += 1
             request.enqueued_at = time.monotonic()
@@ -586,42 +549,12 @@ class QueryService:
     def stats(self) -> ServiceStats:
         """A point-in-time copy of the cumulative counters."""
         with self._lock:
-            snapshot = dataclasses.replace(self._stats)
-        snapshot.cache_hits = self.cache.hits
-        snapshot.cache_misses = self.cache.misses
-        return snapshot
+            return dataclasses.replace(self._stats)
 
     def pending(self) -> int:
         """Requests currently waiting in the queue."""
         with self._lock:
             return len(self._queue)
-
-    def invalidate_cache(self) -> None:
-        """Drop cached results immediately.
-
-        Rarely needed: the service watches the index's ``update_epoch``
-        (bumped by every ``insert``/``delete``, including WAL-routed
-        ones) and invalidates automatically before the next lookup, so
-        served results can never be stale.  This remains for indexes
-        outside the family that mutate without bumping an epoch.
-        """
-        self.cache.invalidate()
-
-    def _cache_current(self) -> bool:
-        """True when the cache's entries match the index's mutation
-        epoch; on a mismatch the cache is dropped and re-stamped.
-
-        Benign race by design: epoch reads are unlocked (an int load is
-        atomic under the GIL), so two threads may both observe a bump
-        and both invalidate — an extra clear, never a stale hit, because
-        :meth:`_complete` re-checks the epoch before caching a result.
-        """
-        epoch = getattr(self.index, "update_epoch", 0)
-        if epoch != self._cache_epoch:
-            self.cache.invalidate()
-            self._cache_epoch = epoch
-            return False
-        return True
 
     # -- zero-downtime snapshot swap ---------------------------------------
 
@@ -710,9 +643,7 @@ class QueryService:
             self.index = swap.index
             if self._pool is not None:
                 self._pool.swap(swap.root)
-                self._pool_epoch = getattr(swap.index, "update_epoch", 0)
-            self.cache.invalidate()
-            self._cache_epoch = getattr(swap.index, "update_epoch", 0)
+                self._pool_epoch = swap.index.update_epoch
             if self._owns_index and old is not swap.index:
                 try:
                     old.close()
@@ -765,7 +696,7 @@ class QueryService:
                     return []
                 self._not_empty.wait()
             batch = [self._queue.popleft() for _ in range(
-                min(self.config.max_batch, len(self._queue)))]
+                min(self.max_batch, len(self._queue)))]
             self._not_full.notify_all()
             started = time.monotonic()
             self._stats.queue_wait_ms_total += 1000.0 * sum(
@@ -780,10 +711,6 @@ class QueryService:
         batch = self._expire_requests(batch)
         if not batch:
             return
-        # The epoch the batch's answers are computed against; a
-        # concurrent mutation between here and completion makes the
-        # results correct-but-uncacheable (see _complete).
-        epoch = getattr(self.index, "update_epoch", 0)
         groups: OrderedDict[tuple, list[_Request]] = OrderedDict()
         for request in batch:
             groups.setdefault((request.k, request.overrides),
@@ -797,7 +724,7 @@ class QueryService:
                 points = np.stack([r.point for r in live])
                 ids, dists = self._answer_rows(points, k, dict(overrides))
                 for row, request in enumerate(live):
-                    self._complete(request, ids[row], dists[row], epoch)
+                    self._complete(request, ids[row], dists[row])
             except ProcessPoolError as error:
                 # A worker died or wedged mid-batch.  The pool has already
                 # been discarded (the next batch gets a fresh one); fail
@@ -810,12 +737,14 @@ class QueryService:
                 # One malformed request (wrong dimensionality, bad
                 # override) must not fail its batch neighbours: isolate by
                 # retrying each request on its own.
-                self._dispatch_singly(live, k, dict(overrides), epoch)
+                self._dispatch_singly(live, k, dict(overrides))
 
     def _expire_requests(self, batch: list[_Request]) -> list[_Request]:
         """Fail requests whose deadline passed while queued; returns the
         still-live remainder.  An expired request must never occupy
-        batch capacity — its caller stopped waiting."""
+        batch capacity — its caller stopped waiting.  The future is
+        claimed before it is failed, so a caller cancelling it at the
+        same moment leaves it cancelled rather than raising here."""
         now = time.monotonic()
         live: list[_Request] = []
         expired = 0
@@ -824,7 +753,7 @@ class QueryService:
                 live.append(request)
                 continue
             expired += 1
-            if not request.future.cancelled():
+            if request.future.set_running_or_notify_cancel():
                 request.future.set_exception(DeadlineExceeded(
                     "deadline expired while the request was queued"))
         if expired:
@@ -840,7 +769,7 @@ class QueryService:
         alone, so an update since the pool bound fails the batch rather
         than serving stale answers."""
         if self._pool is not None:
-            if getattr(self.index, "update_epoch", 0) != self._pool_epoch:
+            if self.index.update_epoch != self._pool_epoch:
                 raise ProcessPoolError(
                     "the index was updated after the worker pool bound its "
                     "snapshot: call save_index() or compact(), then "
@@ -849,29 +778,22 @@ class QueryService:
         return self.index.query_batch(points, k, **overrides)
 
     def _dispatch_singly(self, requests: list[_Request], k: int,
-                         overrides: dict, epoch: int) -> None:
+                         overrides: dict) -> None:
         for request in requests:
             try:
                 ids, dists = self._answer_rows(
                     request.point[None, :], k, overrides)
-                self._complete(request, ids[0], dists[0], epoch)
+                self._complete(request, ids[0], dists[0])
             except Exception as error:
                 request.future.set_exception(error)
 
-    def _complete(self, request: _Request, ids: np.ndarray,
-                  dists: np.ndarray, epoch: int) -> None:
+    @staticmethod
+    def _complete(request: _Request, ids: np.ndarray,
+                  dists: np.ndarray) -> None:
         # Private per-caller copies: rows of the batch output share one
         # base array, which would otherwise be pinned (and mutable) across
         # every client of the batch.
-        ids = ids.copy()
-        dists = dists.copy()
-        # Cache only results computed against the current mutation
-        # epoch: an insert/delete racing the batch must not seed the
-        # fresh cache with a pre-mutation answer.
-        if (epoch == self._cache_epoch
-                and epoch == getattr(self.index, "update_epoch", 0)):
-            self.cache.put(request.key, ids, dists)
-        request.future.set_result((ids, dists))
+        request.future.set_result((ids.copy(), dists.copy()))
 
     def _check_open(self) -> None:
         if self._closed:

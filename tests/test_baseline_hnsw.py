@@ -79,6 +79,22 @@ class TestHNSW:
         assert ids[0] == new_id
         assert dists[0] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("vector, match", [
+        (np.zeros(3), "dimension 3"),
+        (np.full(12, np.nan), "NaN or infinite"),
+        (np.r_[np.zeros(11), np.inf], "NaN or infinite"),
+        (np.r_[np.zeros(11), -np.inf], "NaN or infinite"),
+    ], ids=["short", "nan", "inf", "-inf"])
+    def test_add_refuses_a_malformed_vector(self, vector, match):
+        rng = np.random.default_rng(5)
+        index = HNSW(M=4, seed=1)
+        index.build(rng.uniform(0, 30, size=(40, 12)))
+        nodes = (len(index.data), len(index._levels), len(index._links))
+        with pytest.raises(ValueError, match=match):
+            index.add(vector)
+        assert (len(index.data), len(index._levels),
+                len(index._links)) == nodes == (40, 40, 40)
+
     def test_memory_includes_vectors(self, built):
         """The paper's point: HNSW must keep all vectors in RAM."""
         index, data, _ = built

@@ -471,12 +471,12 @@ class TestEligibleMemo:
                     assert self.answers(reopened, queries, form) == first
 
     def test_swap_snapshot(self, tmp_path):
-        from repro.serve import QueryService, ServiceConfig
+        from repro.serve import QueryService
         data, queries, metadata = make_workload(n=self.N)
         writer = build(self.spec(wal=True), data, storage_dir=str(tmp_path),
                        metadata=metadata)
         service = QueryService(open_index(str(tmp_path), wal=False),
-                               ServiceConfig(max_batch=4)).start()
+                               max_batch=4).start()
         service._owns_index = True
         try:
             ids, _ = service.submit(queries[1], 5,
@@ -934,13 +934,13 @@ class TestAngularMetric:
 
 class TestServeFiltered:
     def test_service_accepts_predicate_objects_and_dicts(self):
-        from repro.serve import QueryService, ServiceConfig
+        from repro.serve import QueryService
         data, queries, metadata = make_workload()
         index = HDIndex(exhaustive_params())
         index.build(data, metadata=metadata)
         predicate = Eq("label", 2)
         want_ids, want_dists = oracle(index, queries[0], 5, predicate)
-        with QueryService(index, ServiceConfig(max_batch=4)) as service:
+        with QueryService(index, max_batch=4) as service:
             ids, dists = service.submit(queries[0], 5,
                                         predicate=predicate).result(10)
             np.testing.assert_array_equal(ids, want_ids)
@@ -949,23 +949,29 @@ class TestServeFiltered:
                 queries[0], 5, predicate=predicate.to_dict()).result(10)
             np.testing.assert_array_equal(ids2, want_ids)
 
-    def test_cached_filtered_results_keyed_by_predicate(self):
-        from repro.serve import QueryService, ServiceConfig
+    def test_filtered_requests_group_by_predicate(self):
+        """A predicate and its dict form share one ``query_batch`` call;
+        another predicate gets its own."""
+        from repro.serve import QueryService
         data, queries, metadata = make_workload()
         index = HDIndex(exhaustive_params())
         index.build(data, metadata=metadata)
-        config = ServiceConfig(max_batch=2, cache_size=16)
-        with QueryService(index, config) as service:
-            a1 = service.submit(queries[0], 5,
-                                predicate=Eq("label", 1)).result(10)
-            b1 = service.submit(queries[0], 5,
-                                predicate=Eq("label", 2)).result(10)
-            a2 = service.submit(queries[0], 5,
-                                predicate=Eq("label", 1)
-                                .to_dict()).result(10)
-            assert not np.array_equal(a1[0], b1[0])
-            np.testing.assert_array_equal(a1[0], a2[0])
-            assert service.stats().cache_hits >= 1
+        calls = []
+
+        class Recording:
+            def query_batch(self, points, k, **overrides):
+                calls.append((len(points), overrides["predicate"]))
+                return index.query_batch(points, k, **overrides)
+
+        service = QueryService(Recording(), max_batch=4)
+        a1, b1, a2 = [service.submit(queries[0], 5, predicate=form)
+                      for form in (Eq("label", 1), Eq("label", 2),
+                                   Eq("label", 1).to_dict())]
+        with service:
+            a1, b1, a2 = [f.result(10) for f in (a1, b1, a2)]
+        assert calls == [(2, Eq("label", 1)), (1, Eq("label", 2))]
+        assert not np.array_equal(a1[0], b1[0])
+        np.testing.assert_array_equal(a1[0], a2[0])
 
     def test_predicate_crosses_wire_protocol(self):
         from repro.serve.protocol import decode_body, encode_frame, \

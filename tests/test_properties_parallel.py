@@ -152,12 +152,12 @@ class TestExecutionParity:
 
 class TestStatsParity:
     """A process-mode service counts exactly what the same service
-    counts in-process: queries, micro-batches and their largest size,
-    cache hits and misses — over a workload whose batching is fixed (a
-    batch queued before start, then one blocking call at a time)."""
+    counts in-process: queries, micro-batches and their largest size —
+    over a workload whose batching is fixed (a batch queued before
+    start, then one blocking call at a time)."""
 
-    COUNTERS = ("queries", "batches", "max_batch_size", "cache_hits",
-                "cache_misses", "overloads", "deadline_expired")
+    COUNTERS = ("queries", "batches", "max_batch_size", "overloads",
+                "deadline_expired")
 
     @pytest.mark.parametrize("trial_seed", [17, 29])
     def test_counters_match_in_process(self, tiers, trial_seed):
@@ -165,7 +165,7 @@ class TestStatsParity:
         runs = []
         for workers in (None, 2):
             service = QueryService(tiers["sequential"], max_batch=8,
-                                   cache_size=16, workers=workers)
+                                   workers=workers)
             futures = [service.submit(q, 6) for q in queries]
             with service:
                 answers = [future.result(timeout=WAIT)
@@ -178,10 +178,12 @@ class TestStatsParity:
                          {name: getattr(stats, name)
                           for name in self.COUNTERS}))
         assert runs[0] == runs[1]
-        # One batch of the queued four; every later call a cache hit.
-        assert runs[1][1]["batches"] == 1
-        assert runs[1][1]["max_batch_size"] == len(queries)
-        assert runs[1][1]["cache_hits"] == len(queries) + 2
+        # One batch of the queued four, then a batch of one per call.
+        assert runs[1][1] == {
+            "queries": 2 * len(queries) + 2,
+            "batches": 1 + len(queries) + 2,
+            "max_batch_size": len(queries),
+            "overloads": 0, "deadline_expired": 0}
 
 
 class TestBackendParityRandomized:

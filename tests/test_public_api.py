@@ -48,7 +48,6 @@ EXPECTED_ALL = [
     "QueryStats",
     "Range",
     "SRS",
-    "ServiceConfig",
     "ServiceStats",
     "WorkerCrashed",
     "WorkerTimeout",
@@ -146,6 +145,27 @@ REMOVED_PLACEMENT = [
 @pytest.mark.parametrize("module_name, name", REMOVED_PLACEMENT,
                          ids=[f"{m}.{n}" for m, n in REMOVED_PLACEMENT])
 def test_removed_placement_names_stay_gone(module_name, name):
+    _assert_gone(module_name, name)
+
+
+#: Names the result cache took with it (docs/MIGRATION.md, "Removed: the
+#: result cache and `ServiceConfig`").
+REMOVED_RESULT_CACHE = [
+    ("repro", "ServiceConfig"),
+    ("repro.serve", "ServiceConfig"),
+    ("repro.serve", "ResultCache"),
+    ("repro.serve", "make_key"),
+    ("repro.serve", "canonical_overrides"),
+    ("repro.serve.service", "ServiceConfig"),
+    ("repro.serve.service", "QueryService.invalidate_cache"),
+    ("repro.serve.service", "ServiceStats.cache_hits"),
+    ("repro.serve.service", "ServiceStats.cache_misses"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_RESULT_CACHE,
+                         ids=[f"{m}.{n}" for m, n in REMOVED_RESULT_CACHE])
+def test_removed_result_cache_names_stay_gone(module_name, name):
     _assert_gone(module_name, name)
 
 

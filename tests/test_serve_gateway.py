@@ -31,7 +31,6 @@ from repro.serve import (
     QueryService,
     ServeGateway,
     ServiceClosed,
-    ServiceConfig,
     ServiceOverloaded,
 )
 
@@ -128,11 +127,11 @@ class TestParity:
         """The headline acceptance test: >= 8 concurrent network clients,
         every answer byte-identical to a direct QueryService call."""
         _, queries = workload
-        service = QueryService(built_index, ServiceConfig(max_batch=8))
+        service = QueryService(built_index, max_batch=8)
         with service:
             expected = [service.query(q, K) for q in queries]
 
-        service = QueryService(built_index, ServiceConfig(max_batch=8))
+        service = QueryService(built_index, max_batch=8)
         num_clients = 8
 
         async def client(port, client_index, results):
@@ -182,7 +181,7 @@ class TestDeadlines:
             self, built_index, workload):
         _, queries = workload
         slow = SlowIndex(built_index, delay=0.5)
-        service = QueryService(slow, ServiceConfig(max_batch=4))
+        service = QueryService(slow, max_batch=4)
 
         async def main():
             gateway = ServeGateway(service, gateway_config())
@@ -207,7 +206,7 @@ class TestDeadlines:
         dispatcher, and stats record the expiry."""
         _, queries = workload
         slow = SlowIndex(built_index, delay=0.25)
-        service = QueryService(slow, ServiceConfig(max_batch=1))
+        service = QueryService(slow, max_batch=1)
 
         async def main():
             gateway = ServeGateway(service, gateway_config())
@@ -233,7 +232,7 @@ class TestDeadlines:
     def test_default_deadline_applies(self, built_index, workload):
         _, queries = workload
         slow = SlowIndex(built_index, delay=0.5)
-        service = QueryService(slow, ServiceConfig(max_batch=4))
+        service = QueryService(slow, max_batch=4)
 
         async def main():
             gateway = ServeGateway(service, gateway_config(
@@ -257,8 +256,7 @@ class TestOverload:
         while admitted requests complete — the loop never blocks."""
         _, queries = workload
         slow = SlowIndex(built_index, delay=0.2)
-        service = QueryService(
-            slow, ServiceConfig(max_batch=1, max_pending=2))
+        service = QueryService(slow, max_batch=1, max_pending=2)
 
         async def main():
             gateway = ServeGateway(service, gateway_config(max_inflight=3))
@@ -292,7 +290,7 @@ class TestStatsAndLifecycle:
     def test_stats_rpc_reports_percentiles_and_service(
             self, built_index, workload):
         _, queries = workload
-        service = QueryService(built_index, ServiceConfig(max_batch=4))
+        service = QueryService(built_index, max_batch=4)
 
         async def main():
             gateway = ServeGateway(service, gateway_config())
@@ -314,6 +312,10 @@ class TestStatsAndLifecycle:
         assert service_stats["queries"] == 6
         assert service_stats["batches"] >= 1  # batch occupancy visible
         assert service_stats["mean_queue_wait_ms"] >= 0.0
+        # Written with their old constant: the service keeps no result
+        # cache, and readers of the payload still take both keys.
+        assert service_stats["cache_hits"] == 0
+        assert service_stats["cache_misses"] == 0
 
     def test_unknown_op_is_a_typed_protocol_error(self, built_index):
         service = QueryService(built_index)
@@ -343,7 +345,7 @@ class TestStatsAndLifecycle:
             self, built_index, workload):
         _, queries = workload
         slow = SlowIndex(built_index, delay=0.15)
-        service = QueryService(slow, ServiceConfig(max_batch=1))
+        service = QueryService(slow, max_batch=1)
 
         async def main():
             gateway = ServeGateway(service, gateway_config())

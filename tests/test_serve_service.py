@@ -1,7 +1,7 @@
 """Tests for the micro-batched concurrent query service.
 
-The contract under test: batching and caching change the *work layout*,
-never the answers — N client threads through the service get byte-identical
+The contract under test: batching changes the *work layout*, never the
+answers — N client threads through the service get byte-identical
 results to a sequential loop over ``query`` — plus the service mechanics
 (backpressure, draining, error isolation, statistics) and the batching
 policy: work-conserving, checked without timing through a gated stub index.
@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -24,14 +25,7 @@ from repro.core import (
     create_index,
     save_index,
 )
-from repro.serve import (
-    QueryService,
-    ResultCache,
-    ServiceClosed,
-    ServiceConfig,
-    ServiceOverloaded,
-    make_key,
-)
+from repro.serve import QueryService, ServiceClosed, ServiceOverloaded
 
 K = 10
 
@@ -104,17 +98,26 @@ class TestConcurrentParity:
             np.testing.assert_array_equal(results[row][0], ids)
             np.testing.assert_array_equal(results[row][1], dists)
 
-    def test_cold_and_warm_cache_both_match(self, workload, built_index,
-                                            expected):
+    def test_repeated_queries_are_answered_by_the_index(self, workload,
+                                                       built_index,
+                                                       expected):
+        """The service keeps no earlier answer: a second round of the
+        same queries reaches ``query_batch`` again, row for row."""
         _, queries = workload
-        with QueryService(built_index, max_batch=8,
-                          cache_size=256) as service:
-            cold = run_clients(service, queries, 4)
-            warm = run_clients(service, queries, 4)
+        rows = []
+
+        class Counting:
+            def query_batch(self, points, k, **overrides):
+                rows.append(len(points))
+                return built_index.query_batch(points, k, **overrides)
+
+        with QueryService(Counting(), max_batch=8) as service:
+            first = run_clients(service, queries, 4)
+            second = run_clients(service, queries, 4)
             stats = service.stats()
-        assert stats.cache_hits >= len(queries)
+        assert sum(rows) == stats.queries == 2 * len(queries)
         for row, (ids, dists) in enumerate(expected):
-            for results in (cold, warm):
+            for results in (first, second):
                 np.testing.assert_array_equal(results[row][0], ids)
                 np.testing.assert_array_equal(results[row][1], dists)
 
@@ -280,12 +283,10 @@ class TestServiceMechanics:
         service = QueryService(built_index)
         with pytest.raises(ValueError):
             service.submit(queries[0], 0)
-        with pytest.raises(ValueError):
-            ServiceConfig(max_batch=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(max_pending=0)
-        with pytest.raises(ValueError):
-            ServiceConfig(cache_size=-1)
+        with pytest.raises(ValueError, match="max_batch"):
+            QueryService(built_index, max_batch=0)
+        with pytest.raises(ValueError, match="max_pending"):
+            QueryService(built_index, max_pending=0)
         service.stop()
 
     def test_caller_mutation_cannot_corrupt_queued_query(self, workload,
@@ -351,95 +352,33 @@ class TestServiceMechanics:
             np.testing.assert_array_equal(got_dists, dists)
 
 
-class TestResultCache:
-    def test_lru_eviction(self):
-        cache = ResultCache(capacity=2)
-        keys = [make_key(np.full(4, float(v)), 5, {}) for v in range(3)]
-        for v, key in enumerate(keys):
-            cache.put(key, np.array([v]), np.array([float(v)]))
-        assert cache.get(keys[0]) is None  # evicted
-        assert cache.get(keys[2])[0][0] == 2
-        assert len(cache) == 2
+class TestLiveMutations:
+    """An ``insert`` or ``delete`` on the served index shows in the next
+    answer: every request is answered by the index itself."""
 
-    def test_zero_capacity_disables(self):
-        cache = ResultCache(capacity=0)
-        key = make_key(np.zeros(4), 5, {})
-        cache.put(key, np.array([1]), np.array([1.0]))
-        assert cache.get(key) is None
-        assert cache.hits == 0 and cache.misses == 0
-
-    def test_entries_are_immutable(self):
-        cache = ResultCache(capacity=4)
-        key = make_key(np.zeros(4), 5, {})
-        cache.put(key, np.array([1, 2]), np.array([1.0, 2.0]))
-        ids, dists = cache.get(key)
-        with pytest.raises(ValueError):
-            ids[0] = 99
-        with pytest.raises(ValueError):
-            dists[0] = 99.0
-
-    def test_key_distinguishes_k_and_overrides(self):
-        point = np.zeros(4)
-        base = make_key(point, 5, {})
-        assert make_key(point, 10, {}) != base
-        assert make_key(point, 5, {"alpha": 32}) != base
-        # None-valued overrides mean "default" and share the base entry.
-        assert make_key(point, 5, {"alpha": None}) == base
-
-    def test_invalidate_after_index_update(self, workload):
+    def test_a_delete_is_served_at_once(self, workload):
         data, queries = workload
         index = HDIndex(params())
         index.build(data)
-        with QueryService(index, cache_size=64) as service:
-            stale_ids, _ = service.query(queries[0], K)
-            victim = int(stale_ids[0])
+        with QueryService(index) as service:
+            before, _ = service.query(queries[0], K)
+            victim = int(before[0])
             index.delete(victim)
-            service.invalidate_cache()
-            fresh_ids, _ = service.query(queries[0], K)
-            assert victim not in fresh_ids
+            after, _ = service.query(queries[0], K)
+            assert victim not in after
         index.close()
 
-
-class TestEpochInvalidation:
-    """Live mutations must invalidate cached results automatically — the
-    engine's ``update_epoch`` drives the service cache, no manual
-    ``invalidate_cache`` call required."""
-
-    def test_delete_invalidates_cache_without_manual_call(self, workload):
-        data, queries = workload
-        index = HDIndex(params())
-        index.build(data)
-        with QueryService(index, cache_size=64) as service:
-            stale_ids, _ = service.query(queries[0], K)
-            victim = int(stale_ids[0])
-            index.delete(victim)  # note: no service.invalidate_cache()
-            fresh_ids, _ = service.query(queries[0], K)
-            assert victim not in fresh_ids
-        index.close()
-
-    def test_insert_invalidates_cache_without_manual_call(self, workload):
+    def test_an_insert_is_served_at_once(self, workload):
         data, queries = workload
         index = HDIndex(params())
         index.build(data)
         probe = np.clip(queries[0] + 0.25, 0, 100)
-        with QueryService(index, cache_size=64) as service:
+        with QueryService(index) as service:
             service.query(probe, K)
-            service.query(probe, K)
-            assert service.stats().cache_hits >= 1  # cache is live
             new_id = index.insert(probe)  # exact duplicate of the probe
-            fresh_ids, fresh_dists = service.query(probe, K)
-            assert new_id in fresh_ids  # stale entry did not survive
-            assert fresh_dists[list(fresh_ids).index(new_id)] < 1e-3
-        index.close()
-
-    def test_unmutated_index_keeps_cache_hot(self, workload):
-        data, queries = workload
-        index = HDIndex(params())
-        index.build(data)
-        with QueryService(index, cache_size=64) as service:
-            for _ in range(3):
-                service.query(queries[0], K)
-            assert service.stats().cache_hits == 2
+            ids, dists = service.query(probe, K)
+            assert new_id in ids
+            assert dists[list(ids).index(new_id)] < 1e-3
         index.close()
 
 
@@ -560,6 +499,20 @@ def answered_by(future):
     return int(future.result(WAIT)[0][0])
 
 
+class CancelledInTheCheck(Future):
+    """A future its caller cancels at the moment the dispatcher looks at
+    it: the cancel lands just after the state is read."""
+
+    def cancelled(self):
+        state = super().cancelled()
+        self.cancel()
+        return state
+
+    def set_running_or_notify_cancel(self):
+        self.cancel()
+        return super().set_running_or_notify_cancel()
+
+
 class TestWorkConservingPolicy:
     """The dispatcher takes whatever is queued the moment it is free:
     it never holds a request back for companions, and batches form from
@@ -666,6 +619,25 @@ class TestWorkConservingPolicy:
         assert stats.deadline_expired == 1
         # Request 2 sat in the queue for at least the 10 ms deadline.
         assert stats.queue_wait_ms_total >= 10.0
+
+    def test_a_caller_cancelling_an_expired_request_fails_no_neighbour(
+            self, blocked):
+        """The gateway cancels a future whose await it abandons.  When
+        that cancel lands while the dispatcher is failing the expired
+        request, the request ends cancelled and its batch neighbour is
+        still answered."""
+        service, index, first = blocked
+        service.submit(tagged(1), K, deadline=0.01)
+        live = service.submit(tagged(2), K)
+        racing = CancelledInTheCheck()
+        service._queue[0].future = racing
+        while not service._queue[0].expired(time.monotonic()):
+            time.sleep(0.005)
+        index.proceed.set()
+        assert answered_by(live) == 2
+        assert racing.cancelled()
+        assert index.batches == [[0.0], [2.0]]
+        assert service.stats().deadline_expired == 1
 
 
 def test_core_imports_need_numpy_only():

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -257,7 +259,7 @@ class TestSpecThroughHarnessAndService:
                                          "execution"])
     def test_removed_placement_keywords_are_gone(self, workload, keyword):
         """Placement is ``workers`` / ``worker_timeout``; the older
-        spellings would reach ServiceConfig and fail."""
+        spellings are unknown keywords."""
         data, _ = workload
         index = repro.HDIndex(params())
         index.build(data)
@@ -290,19 +292,30 @@ class TestSpecThroughHarnessAndService:
                 service.query(queries[0], K, timeout=30.0)
 
     def test_query_and_submit_share_one_normaliser(self, workload):
-        """Satellite: query() routes through submit(), so cache keys and
-        override canonicalisation cannot diverge between the two paths."""
+        """query() routes through submit(), so override canonicalisation
+        cannot diverge between the two paths: two spellings of the same
+        overrides (a None-valued one dropped) reach one ``query_batch``
+        call."""
         data, queries = workload
         index = repro.HDIndex(params())
         index.build(data)
-        with QueryService(index, max_batch=4,
-                          cache_size=32) as service:
-            service.query(queries[0], K, alpha=64, gamma=None)
-            # Same call through submit(), overrides spelled differently
-            # (None-valued override dropped by canonicalisation): must be
-            # a cache hit, proving one shared key path.
-            service.submit(queries[0], K, gamma=None, alpha=64).result(30.0)
-            stats = service.stats()
-        assert stats.cache_hits == 1
-        assert stats.cache_misses == 1
+        calls = []
+
+        class Recording:
+            def query_batch(self, points, k, **overrides):
+                calls.append((len(points), k, overrides))
+                return index.query_batch(points, k, **overrides)
+
+        service = QueryService(Recording(), max_batch=4)
+        blocking = threading.Thread(target=service.query, args=(
+            queries[0], K), kwargs=dict(alpha=64, gamma=None))
+        blocking.start()
+        while service.pending() < 1:
+            time.sleep(0.001)
+        future = service.submit(queries[0], K, gamma=None, alpha=64)
+        with service:
+            future.result(30.0)
+            blocking.join(30.0)
+        assert not blocking.is_alive()
+        assert calls == [(2, K, {"alpha": 64})]
         index.close()

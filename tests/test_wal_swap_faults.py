@@ -40,7 +40,7 @@ from repro.core import (
 )
 from repro.core.persistence import OPEN_TRIES
 from repro.wal.log import WalError
-from repro.serve import QueryService, ServiceClosed, ServiceConfig
+from repro.serve import QueryService, ServiceClosed
 from repro.wal import WAL_FILE, read_current
 
 DIM = 6
@@ -309,8 +309,7 @@ class TestServiceSwap:
     def test_zero_failed_futures_during_swap(self, tmp_path):
         directory, data, writer = self._serving_snapshot(tmp_path)
         service = QueryService(
-            open_index(directory, wal=False),
-            ServiceConfig(max_batch=8)).start()
+            open_index(directory, wal=False), max_batch=8).start()
         service._owns_index = True
         errors: list[Exception] = []
         results = 0
@@ -359,8 +358,7 @@ class TestServiceSwap:
         directory, data, writer = self._serving_snapshot(tmp_path)
         writer.insert(_data(67, 1)[0])
         writer.compact()
-        service = QueryService(open_index(directory, wal=False),
-                               ServiceConfig())
+        service = QueryService(open_index(directory, wal=False))
         service._owns_index = True
         service.swap_snapshot(timeout=WAIT)
         assert service.index.count == BASE_N + 1
@@ -369,8 +367,7 @@ class TestServiceSwap:
 
     def test_swap_after_stop_raises_service_closed(self, tmp_path):
         directory, data, writer = self._serving_snapshot(tmp_path)
-        service = QueryService(open_index(directory, wal=False),
-                               ServiceConfig())
+        service = QueryService(open_index(directory, wal=False))
         service._owns_index = True
         service.stop()
         with pytest.raises(ServiceClosed):
@@ -380,7 +377,7 @@ class TestServiceSwap:
     def test_swap_without_target_raises(self):
         index = HDIndex(_params())
         index.build(_data())
-        service = QueryService(index, ServiceConfig())
+        service = QueryService(index)
         try:
             with pytest.raises(ValueError, match="directory"):
                 service.swap_snapshot()
