@@ -6,7 +6,7 @@ every key and value in one contiguous sorted array each, the leaf
 boundaries and the page ids of the leaf and internal levels.  On that,
 
 * descent is ``np.searchsorted`` over the per-leaf minimum keys, its
-  internal pages one row of an ancestor table made with the layout,
+  page reads the tree's height, counted,
 * the bidirectional nearest-by-key merge picks one run of positions, so
   one comparison of leading distance words over a run of keys (the rare
   ties settled exactly) counts its forward picks — a slice of the key
@@ -21,11 +21,11 @@ These columns **are the tree**, for the RDB-trees
 bottom-up bulk load of a node-based B+-tree would, and nothing else is
 built, saved or read.  The page geometry is an accounting model, not a
 storage layout: :meth:`nearest_positions` and :meth:`range_entries`
-replay, against :class:`~repro.storage.stats.IOStats`, precisely the
-page-read sequence a node-by-node walk of that tree would issue, so the
-paper's I/O figures are reproduced without the pages existing.  That
-walk, :mod:`repro.devtools.nodewalk`, is the reference the tests'
-scalar oracle and the sanitizer diff this module against.
+count into :class:`~repro.storage.stats.IOStats`, by arithmetic over
+the layout, precisely the page reads a node-by-node walk of that tree
+would issue, so the paper's I/O figures are reproduced without the pages
+existing.  That walk, :mod:`repro.devtools.nodewalk`, is the reference
+the tests' scalar oracle and the sanitizer diff this module against.
 
 Only the two columns are stored (an RDB-tree's ``tree_<i>.packed``
 file, :func:`repro.storage.codecs.pack_arrays`): a reopen lays them out
@@ -85,8 +85,9 @@ class PackedTree:
         ``(L,)`` page ids of the leaves, left to right.
     level_pages / level_starts:
         Per internal level (root level first): the level's node page ids and
-        the prefix array of its nodes' child counts, from which the
-        ancestor table of the I/O trace's descents is derived.
+        the prefix array of its nodes' child counts.  Page reads are
+        counted on the one geometry a tree is built or read with, the one
+        :meth:`from_sorted` gives.
     """
 
     def __init__(self, key_codec: Codec, keys_raw: np.ndarray,
@@ -116,7 +117,9 @@ class PackedTree:
         self.min_key_S = self.key_S[self.leaf_starts[:-1]]
         #: 64-bit words a key takes once zero-padded on the right.
         self._words = -(-self.key_width // 8)
-        self._descents = self._ancestor_table()
+        # What reads are counted from; the root is the last page allocated.
+        self._leaf_cap = int(self.leaf_starts[1]) if self.count else 0
+        self._root, self._height = self.num_pages - 1, self.height
 
     @classmethod
     def from_sorted(cls, key_codec: Codec, keys_raw: np.ndarray,
@@ -158,7 +161,8 @@ class PackedTree:
 
     # -- searches ---------------------------------------------------------
 
-    def nearest_positions(self, key: bytes, count: int, stats=None,
+    def nearest_positions(self, key: bytes, count: int,
+                          stats: IOStats | None = None,
                           subset: np.ndarray | None = None) -> np.ndarray:
         """Global entry positions of the ``count`` nearest-by-key entries,
         ascending: the set the node path's bidirectional merge emits
@@ -172,8 +176,8 @@ class PackedTree:
         ``count``-th one it accepts, or where both directions run dry — a
         run of the subset.
 
-        When ``stats`` is given, the page-read sequence the node path would
-        have issued for the same call is replayed into it.
+        When ``stats`` is given, the page reads the node path would have
+        issued for the same call are counted into it (no page is listed).
         """
         n = self.count
         if count <= 0 or n == 0:
@@ -197,9 +201,9 @@ class PackedTree:
         # Forward row r is picked iff it is no farther than row r - total
         # (always, where there is none): true on a prefix of the rows.
         first, last = max(behind, total), min(dist.size, behind + total)
-        ahead = first - behind + np.count_nonzero(self._no_farther(
+        ahead = first - behind + int(np.count_nonzero(self._no_farther(
             key, words, dist, slice(first, last),
-            slice(first - total, last - total)))
+            slice(first - total, last - total))))
         low = behind + ahead - total  # the row of the farthest backward pick
         if stats is not None:
             window = None
@@ -216,8 +220,7 @@ class PackedTree:
                         slice(low, low + 1))[0]:
                     pick = low
                 taken = self._raw_taken(key, split, int(run[pick]))
-            stats.record_read_many(
-                self._nearest_trace(key, leaf, split, taken, window))
+            self._count_nearest(stats, key, leaf, split, *taken, window)
         if subset is None:
             return np.arange(start + low, start + low + total)
         return run[low:low + total].copy()
@@ -232,7 +235,7 @@ class PackedTree:
         """Yield ``(key, value)`` pairs with ``low <= key <= high``.
 
         A generator, like the node path: nothing happens until first
-        consumption, and leaf-boundary page reads are replayed into
+        consumption, and leaf-boundary page reads are counted into
         ``stats`` at the same points of the iteration where the node path
         would issue them.
         """
@@ -244,15 +247,15 @@ class PackedTree:
                                           side="left")) - 1)
         start = int(np.searchsorted(self.key_S, low_s, side="left"))
         end = int(np.searchsorted(self.key_S, high_s, side="right"))
-        starts, pages = self.leaf_starts, self.leaf_pages
-        trace = self._descent_pages(leaf)
+        if stats is not None:
+            self._count_descent(stats, leaf)
+        starts = self.leaf_starts
         if start < n and start == int(starts[leaf + 1]):
             # The landing leaf has no in-range entry: the node path walks
             # one sibling right before it can decide anything.
             leaf += 1
-            trace = np.append(trace, pages[leaf])
-        if stats is not None:
-            stats.record_read_many(trace)
+            if stats is not None:
+                stats.record_read(leaf)
         keys_raw, values_raw = self.keys_raw, self.values_raw
         position = start
         while position < end:
@@ -261,7 +264,7 @@ class PackedTree:
             if position < n and position == int(starts[leaf + 1]):
                 leaf += 1
                 if stats is not None:
-                    stats.record_read(int(pages[leaf]))
+                    stats.record_read(leaf)
 
     # -- distance kernels -------------------------------------------------
 
@@ -354,71 +357,76 @@ class PackedTree:
             return last - split + 1, split - min(split, beyond)
         return beyond - split, split - last
 
-    # -- synthetic I/O traces ---------------------------------------------
+    # -- counted page reads -----------------------------------------------
 
-    def _ancestor_table(self) -> np.ndarray:
-        """``(leaves, height)`` page ids, row ``l`` the ancestor chain of
-        leaf ``l`` root first and then the leaf: what a descent reads."""
-        leaves = self.leaf_pages.size
-        table = np.empty((leaves, len(self.level_pages) + 1), dtype=np.int64)
-        table[:, -1] = self.leaf_pages
-        index = np.arange(leaves)
-        for level in range(len(self.level_pages) - 1, -1, -1):
-            index = self.level_starts[level].searchsorted(
-                index, side="right") - 1
-            table[:, level] = self.level_pages[level][index]
-        return table
+    def _count_descent(self, stats: IOStats, leaf: int) -> None:
+        """Count a descent to ``leaf``: every internal page comes after its
+        children, so only the root's read can follow on the previous one."""
+        height = self._height
+        sequential = self._root == stats._last_read_page + 1
+        stats.page_reads += height
+        stats.sequential_reads += sequential
+        stats.random_reads += height - sequential
+        stats._last_read_page = leaf
 
-    def _descent_pages(self, leaf_index: int) -> np.ndarray:
-        """The pages a descent to this leaf reads, root first and the leaf
-        last: a row of the ancestor table (:meth:`_ancestor_table`)."""
-        return self._descents[leaf_index]
+    def _count_nearest(self, stats: IOStats, key: bytes, leaf: int,
+                       split: int, forward: int, backward: int,
+                       window: tuple | None) -> None:
+        """Count into ``stats`` the page reads of the node path's nearest
+        walk that took ``forward`` / ``backward`` entries (picked or passed
+        over) from each side of ``split``; ``window`` is a plain lookup's
+        (first position, key words, distances), which hold every pick.
 
-    def _nearest_trace(self, key: bytes, leaf: int, split: int,
-                       taken: tuple[int, int], window: tuple | None
-                       ) -> np.ndarray:
-        """The node path's exact read sequence for one ``nearest`` call
-        that ``taken`` (forward, backward) entries from each direction,
-        picked or passed over; ``window`` is a plain lookup's (first
-        position, key words, distances), which hold every pick.
-
-        Both scan generators descend (the descent row appears twice); each
-        may read one sibling before producing its first entry.  After
-        that, a stream reads its next leaf on the lookahead ``next()``
-        that follows each pick, so every later read is keyed to the pick
-        that triggered it and goes in the merge's order of those picks:
-        by distance, forward first on a tie, backward nearest first.
-        """
-        n = self.count
-        starts, pages = self.leaf_starts, self.leaf_pages
-        # Forward entry i (position split + i) is consumed after the pick
-        # of entry i - 1 and reads a page iff it opens a leaf: those
-        # starting in (split, split + limit_f].  Backward entry t, at
-        # split - 1 - t, reads the left sibling iff it closes its leaf:
-        # those starting in [split - limit_b, split).
-        limit_f = max(0, min(taken[0], n - split - 1))
-        limit_b = max(0, min(taken[1], split - 1))
-        lo_f, hi_f, lo_b, hi_b = starts.searchsorted(
-            (split + 1, split + limit_f + 1, split - limit_b, split))
-        picks = np.concatenate([starts[lo_f:hi_f] - 1,
-                                starts[lo_b:hi_b][::-1]])
-        if window is None:  # passed-over picks; reversed, lower keys first
-            words = self._key_words(self.key_S[picks[::-1]])[::-1]
-            dist = self._distances(key, words[::-1], hi_b - lo_b)[::-1]
+        Each scan descends and may read one sibling first; then the pick
+        of a leaf's last entry (forward) or first (backward) reads the next
+        leaf, in the merge's order of the picks: by distance, forward first
+        on a tie.  Leaf ``l`` is page ``l`` from entry ``l * cap`` on, so
+        those picks are two strided views, and of their reads only a
+        forward one after another is sequential."""
+        n, cap = self.count, self._leaf_cap
+        self._count_descent(stats, leaf)
+        if split < n and split == (leaf + 1) * cap:
+            stats.record_read(leaf + 1)
+        self._count_descent(stats, leaf)
+        if 0 < split == leaf * cap:
+            stats.record_read(leaf - 1)
+        # Forward leaf l is read iff l * cap is in (split, split + reach];
+        # backward leaf l - 1 iff l * cap is in [split - reach_b, split).
+        reach = max(0, min(forward, n - split - 1))
+        reach_b = max(0, min(backward, split - 1))
+        f_lo, f_hi = split // cap + 1, (split + reach) // cap + 1
+        b_lo, b_hi = -(-(split - reach_b) // cap), -(-split // cap)
+        picks_f, picks_b = f_hi - f_lo, b_hi - b_lo
+        if not picks_f + picks_b:
+            return
+        origin = 0 if window is None else window[0]
+        rows_f = slice(f_lo * cap - 1 - origin, f_hi * cap - 1 - origin, cap)
+        rows_b = slice(b_lo * cap - origin, b_hi * cap - origin, cap)
+        if window is None:  # passed-over picks too: their keys, lower first
+            words = self._key_words(np.concatenate((self.key_S[rows_b],
+                                                    self.key_S[rows_f])))
+            dist = self._distances(key, words, picks_b)
+            rows_b, rows_f = slice(0, picks_b), slice(picks_b, None)
         else:
-            words, dist = (part[picks - window[0]] for part in window[1:])
-        order = dist.argsort(kind="stable")
-        ranked = dist[order]
-        if self._words > 1 and (ranked[1:] == ranked[:-1]).any():
-            order = self._exact(key, words).argsort(kind="stable")
-        descent = self._descent_pages(leaf)
-        sibling_f = split < n and split == starts[leaf + 1]
-        sibling_b = 0 < split == starts[leaf]
-        return np.concatenate([
-            descent, pages[leaf + 1:leaf + 1 + sibling_f],
-            descent, pages[leaf - 1:leaf - 1 + sibling_b],
-            np.concatenate([pages[lo_f:hi_f],
-                            pages[lo_b - 1:hi_b - 1][::-1]])[order]])
+            words, dist = window[1:]
+        runs, first, last = 1, f_lo, f_hi - 1
+        if picks_b:
+            # Forward picks merged ahead of each backward one, nearest first.
+            near_f, near_b = dist[rows_f], dist[rows_b][::-1]
+            ahead = near_f.searchsorted(near_b, "right")
+            if self._words > 1 and (near_f.searchsorted(near_b)
+                                    != ahead).any():
+                ahead = self._exact(key, words[rows_f]).searchsorted(
+                    self._exact(key, words[rows_b][::-1]), "right")
+            runs += int(np.count_nonzero(ahead[1:] != ahead[:-1])) \
+                + int(ahead[0] != 0) - int(ahead[-1] == picks_f)
+            first = first if ahead[0] else b_hi - 2
+            last = b_lo - 1 if ahead[-1] == picks_f else last
+        sequential = (first == stats._last_read_page + 1) + picks_f - runs
+        stats.page_reads += picks_f + picks_b
+        stats.sequential_reads += sequential
+        stats.random_reads += picks_f + picks_b - sequential
+        stats._last_read_page = last
 
 
 def bulk_load(key_codec: Codec, keys, values: np.ndarray,

@@ -41,14 +41,7 @@ from repro.core import (
 from repro.core.params import BACKENDS
 from repro.datasets import DATASET_CATALOG, make_dataset, read_vecs
 from repro.eval import GroundTruth, evaluate_index, format_table
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {text}")
-    return value
+from repro.serve.server import positive_int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "a write-ahead log next to the snapshot "
                             "(without it they are volatile until "
                             "save_index / `repro compact`)")
-    build.add_argument("--with-labels", type=_positive_int, default=None,
+    build.add_argument("--with-labels", type=positive_int, default=None,
                        metavar="N",
                        help="attach a synthetic metadata column "
                             "'label' = row %% N, enabling "
@@ -96,8 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--index", required=True,
                        help="directory holding a persisted index")
     _add_data_arguments(query)
-    query.add_argument("-k", type=_positive_int, default=10)
-    query.add_argument("--batch-size", type=_positive_int, default=None,
+    query.add_argument("-k", type=positive_int, default=10)
+    query.add_argument("--batch-size", type=positive_int, default=None,
                        help="answer queries through the vectorized "
                             "query_batch path in chunks of this size")
     query.add_argument("--backend", choices=BACKENDS, default=None,
@@ -115,20 +108,20 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--index", required=True,
                        help="directory holding a persisted index")
     _add_data_arguments(serve)
-    serve.add_argument("-k", type=_positive_int, default=10)
-    serve.add_argument("--clients", type=_positive_int, default=4,
+    serve.add_argument("-k", type=positive_int, default=10)
+    serve.add_argument("--clients", type=positive_int, default=4,
                        help="concurrent client threads")
-    serve.add_argument("--repeat", type=_positive_int, default=1,
+    serve.add_argument("--repeat", type=positive_int, default=1,
                        help="send the query workload this many times")
-    serve.add_argument("--max-batch", type=_positive_int, default=64,
+    serve.add_argument("--max-batch", type=positive_int, default=64,
                        help="most requests one micro-batch takes")
-    serve.add_argument("--max-pending", type=_positive_int, default=1024,
+    serve.add_argument("--max-pending", type=positive_int, default=1024,
                        help="backpressure bound on queued requests")
     serve.add_argument("--backend", choices=BACKENDS, default=None,
                        help="how to reopen the snapshot (default mmap: "
                             "mapped, the larger-than-RAM mode; memory = "
                             "read into RAM up front)")
-    serve.add_argument("--workers", type=_positive_int, default=None,
+    serve.add_argument("--workers", type=positive_int, default=None,
                        help="shard each micro-batch's rows over this many "
                             "worker processes that reopen the snapshot "
                             "via mmap (multi-core serving; default: "
@@ -139,9 +132,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _add_data_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dataset", default="sift10k",
                         help="catalog name (see `repro info`)")
-    parser.add_argument("--n", type=_positive_int, default=None,
+    parser.add_argument("--n", type=positive_int, default=None,
                         help="dataset size (default: catalog default)")
-    parser.add_argument("--queries", type=_positive_int, default=20)
+    parser.add_argument("--queries", type=positive_int, default=20)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--fvecs", default=None,
                         help="load vectors from a .fvecs/.ivecs/.bvecs file "

@@ -19,7 +19,7 @@ Algo. 1 sorts the Hilbert keys once and bulk-loads the leaves in key
 order, so the entries in key order plus the page geometry that load gives
 them *are* the tree.  It changes the way a static external-memory index
 does, by merge into new columns; page reads are an accounting model
-replayed per lookup, which is what keeps the paper's I/O figures.
+counted per lookup, which is what keeps the paper's I/O figures.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ class RDBTree:
     def __init__(self, curve: HilbertCurve, num_references: int,
                  page_size: int = DEFAULT_PAGE_SIZE) -> None:
         self.page_size = page_size
-        #: Every page of the replayed traces and of the bulk load, counted.
+        #: Every page its lookups and its bulk load read or write, counted.
         self.stats = IOStats()
         self.curve = curve
         self.num_references = num_references

@@ -3,7 +3,7 @@
 The invariants the fast paths of this reproduction rely on — no
 per-element Python work inside the array-native hot kernels, no live
 handles pickled across the process-pool fork boundary, packed-vs-node
-I/O-trace parity, a frozen declarative spec layer — were historically
+I/O-count parity, a frozen declarative spec layer — were historically
 enforced only by code review.  This package makes them machine-checked:
 
 * :mod:`repro.devtools.lint` — an AST-visitor lint framework with

@@ -1,11 +1,11 @@
 """A bulk-loaded B+-tree walked node by node: the packed tree's reference.
 
 :class:`~repro.btree.packed.PackedTree` answers a lookup from two sorted
-columns and *replays* the page reads a node-by-node walk of the tree
-would issue.  This module is that walk, written the plain way, so the
-tests (the scalar oracle of ``tests/test_core_engine.py``) and the
-sanitizer (:mod:`repro.devtools.sanitize`) can diff the columns with it:
-answers, page ids, their order and hence the random/sequential split.
+columns and *counts* the page reads a node-by-node walk of the tree
+would issue.  This module is that walk, written the plain way, one read
+at a time, so the tests and the sanitizer (:mod:`repro.devtools.sanitize`)
+can diff the columns with it: answers, reads, their random/sequential
+split and the last page read.
 
 Key-sorted entries are laid out the way a bottom-up bulk load lays them
 out — full leaves on pages ``0..L-1``, then each internal level on the

@@ -13,19 +13,21 @@ storage and tree layers with cross-checking shims:
   writable (a read-only mapping on disk, ``flags.writeable`` cleared in
   memory), so an accidental in-place write through a gathered view
   raises instead of corrupting the heap or the snapshot on disk.
-* **Packed-vs-node trace parity** — every
+* **Packed-vs-node read parity** — every
   :meth:`~repro.btree.packed.PackedTree.nearest_positions` call (each
   :meth:`~repro.core.rdbtree.RDBTree.candidates` and each baseline
   nearest-by-key lookup) is re-run down
   :class:`~repro.devtools.nodewalk.NodeWalk`, the node-by-node walk of
   the same entries, made once per layout (a lookup among a subset of
-  the entries as the same walk passing over the others), with both
-  sides recording their page ids into a sandbox; the two answers must
-  be the same set of entries and the two page sequences equal read for
-  read, query by query: the array path reads what a node-by-node walk
-  would read, enforced at runtime rather than by a handful of parity
-  tests.  The block ``candidates`` returns must also be finite: Eq. 6 is
-  a product, and a zero weight times a NaN or inf is NaN.
+  the entries as the same walk passing over the others).  Each side
+  counts into a sandbox :class:`~repro.storage.stats.IOStats` that
+  starts from the caller's last page read; the two answers must be the
+  same set of entries, and the counted reads must equal the walk's, query
+  by query: the same total, the same random/sequential split and the
+  same last page.  The array path counts what a node-by-node walk would
+  read, enforced at runtime rather than by a handful of parity tests.
+  The block ``candidates`` returns must also be finite: Eq. 6 is a
+  product, and a zero weight times a NaN or inf is NaN.
 * **Fold postconditions** — when ``HDIndex._fold_delta`` (the only
   code that changes a built base) returns, the heap, every RDB-tree
   and the metadata store hold exactly ``count`` rows, every tree's key
@@ -51,6 +53,8 @@ from __future__ import annotations
 
 import os
 from typing import Any, Callable
+
+from repro.storage.stats import IOStats
 
 #: (class, attribute) -> original function, for uninstall().
 _ORIGINALS: dict[tuple[type, str], Callable[..., Any]] = {}
@@ -98,8 +102,6 @@ def _check_stats_balance(stats: Any) -> None:
 
 
 def _install_iostats() -> None:
-    from repro.storage.stats import IOStats
-
     def checked(original: Callable[..., Any]) -> Callable[..., Any]:
         def wrapper(self: Any, *args: Any, **kwargs: Any) -> Any:
             result = original(self, *args, **kwargs)
@@ -135,38 +137,32 @@ def _install_heap_checks() -> None:
 
 
 def _cross_check(search: Callable[..., Any], packed: Any, key: bytes,
-                 count: int, subset: Any) -> None:
+                 count: int, stats: Any, subset: Any) -> None:
     """Run the packed ``search`` and the node walk of the same entries
-    side by side, each recording into a sandbox: the answers must be the
-    same set of entries and the page-read sequences the same, read for
-    read (so are their totals and random/sequential split).  With a
-    ``subset`` the walk accepts the entries at those positions only."""
-    packed_log, walk_log = _ReadLog(), _ReadLog()
+    side by side, each counting into a sandbox that starts from the last
+    page ``stats`` read: the answers must be the same set of entries and
+    the counts the same (total, random/sequential split and last page).
+    With a ``subset`` the walk accepts the entries at those positions
+    only."""
+    previous = -2 if stats is None else stats._last_read_page
+    packed_stats, walk_stats = (IOStats(_last_read_page=previous),
+                                IOStats(_last_read_page=previous))
     packed_entries = sorted(packed.entries(
-        search(packed, key, count, packed_log, subset)))
+        search(packed, key, count, packed_stats, subset)))
     walk = node_oracle(packed)
     accept = None if subset is None \
         else set(packed.entries(subset)).__contains__
-    walk_entries = sorted(walk.nearest(key, count, walk_log, accept))
+    walk_entries = sorted(walk.nearest(key, count, walk_stats, accept))
     if packed_entries != walk_entries:
         raise SanitizerError(
             f"packed/node answer divergence for count={count}: packed "
             f"returned {len(packed_entries)} entr(ies), node path "
             f"{len(walk_entries)}, not the same set")
-    if packed_log != walk_log:
+    if packed_stats != walk_stats:  # the last pages read compared too
         raise SanitizerError(
-            f"packed/node I/O trace divergence for count={count}: packed "
-            f"read pages {packed_log}, node path {walk_log}")
-
-
-class _ReadLog(list):
-    """A sandbox accountant: the page ids a lookup reads, in order."""
-
-    def record_read(self, page_id: Any) -> None:
-        self.append(int(page_id))
-
-    def record_read_many(self, page_ids: Any) -> None:
-        self.extend(map(int, page_ids))
+            f"packed/node read count divergence for count={count}: packed "
+            f"{packed_stats, packed_stats._last_read_page}, node path "
+            f"{walk_stats, walk_stats._last_read_page}")
 
 
 def _install_tree_crosscheck() -> None:
@@ -179,7 +175,7 @@ def _install_tree_crosscheck() -> None:
         def wrapper(self: Any, key: bytes, count: int, stats: Any = None,
                     subset: Any = None) -> Any:
             if count > 0 and self.count:
-                _cross_check(original, self, key, count, subset)
+                _cross_check(original, self, key, count, stats, subset)
             # Parity held in the sandboxes: the caller-visible
             # accounting is exactly one traversal.
             return original(self, key, count, stats, subset)
@@ -223,8 +219,6 @@ def node_candidates(tree: Any, query_key: int, alpha: int,
     ``eligible`` bitmap over object ids, the walk accepts an entry only
     when ``eligible[id]``."""
     import numpy as np
-
-    from repro.storage.stats import IOStats
 
     walk = node_oracle(tree.packed)
     # A record starts with its id, as wide as the layout's record says.

@@ -33,6 +33,24 @@ from repro.serve.gateway import GatewayConfig, ServeGateway
 from repro.serve.service import QueryService
 
 
+def _checked(cast, valid, what: str):
+    """An argparse type: ``cast`` of the text, refused unless ``valid``."""
+    def parse(text: str):
+        value = cast(text)
+        if not valid(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
+        return value
+    parse.__name__ = cast.__name__  # "invalid int value" if it won't cast
+    return parse
+
+
+positive_int = _checked(int, lambda value: value >= 1, "a positive integer")
+positive_float = _checked(float, lambda value: 0 < value < float("inf"),
+                          "a positive number")
+port_number = _checked(int, lambda value: 0 <= value <= 65535,
+                       "a port in 0..65535")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.serve.server",
@@ -40,18 +58,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--snapshot", required=True,
                         help="snapshot directory written by repro save")
     parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
+    parser.add_argument("--port", type=port_number, default=0,
                         help="TCP port; 0 binds an ephemeral port "
                              "(reported on the READY line)")
     parser.add_argument("--backend", default="mmap", choices=BACKENDS,
                         help="storage backend for the reopen")
-    parser.add_argument("--max-batch", type=int, default=64,
+    parser.add_argument("--max-batch", type=positive_int, default=64,
                         help="most requests one micro-batch takes")
-    parser.add_argument("--max-pending", type=int, default=1024,
+    parser.add_argument("--max-pending", type=positive_int, default=1024,
                         help="backpressure bound on queued requests")
-    parser.add_argument("--max-inflight", type=int, default=256,
+    parser.add_argument("--max-inflight", type=positive_int, default=256,
                         help="gateway admission bound")
-    parser.add_argument("--default-deadline-ms", type=float, default=None,
+    parser.add_argument("--default-deadline-ms", type=positive_float,
                         help="deadline for requests that carry none")
     return parser
 
@@ -79,12 +97,12 @@ async def run_server(service: QueryService, config: GatewayConfig,
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    service = QueryService.from_snapshot(
-        args.snapshot, backend=args.backend, max_batch=args.max_batch,
-        max_pending=args.max_pending)
     config = GatewayConfig(host=args.host, port=args.port,
                            max_inflight=args.max_inflight,
                            default_deadline_ms=args.default_deadline_ms)
+    service = QueryService.from_snapshot(
+        args.snapshot, backend=args.backend, max_batch=args.max_batch,
+        max_pending=args.max_pending)
     try:
         asyncio.run(run_server(service, config))
     except KeyboardInterrupt:

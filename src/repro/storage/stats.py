@@ -13,7 +13,7 @@ caching off (Sec. 5), so every page a structure reads is counted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -92,32 +92,15 @@ class IOStats:
 
     def reset(self) -> None:
         """Zero all counters (used between experiment phases)."""
-        self.page_reads = 0
-        self.page_writes = 0
-        self.random_reads = 0
-        self.sequential_reads = 0
-        self.random_writes = 0
-        self.sequential_writes = 0
-        self._last_read_page = -2
-        self._last_write_page = -2
+        for name, value in asdict(IOStats()).items():
+            setattr(self, name, value)
 
     def snapshot(self) -> dict[str, int]:
         """Return a plain-dict copy of the public counters."""
-        return {
-            "page_reads": self.page_reads,
-            "page_writes": self.page_writes,
-            "random_reads": self.random_reads,
-            "sequential_reads": self.sequential_reads,
-            "random_writes": self.random_writes,
-            "sequential_writes": self.sequential_writes,
-        }
+        return {name: value for name, value in asdict(self).items()
+                if not name.startswith("_")}
 
     def __add__(self, other: "IOStats") -> "IOStats":
-        combined = IOStats()
-        combined.page_reads = self.page_reads + other.page_reads
-        combined.page_writes = self.page_writes + other.page_writes
-        combined.random_reads = self.random_reads + other.random_reads
-        combined.sequential_reads = self.sequential_reads + other.sequential_reads
-        combined.random_writes = self.random_writes + other.random_writes
-        combined.sequential_writes = self.sequential_writes + other.sequential_writes
-        return combined
+        """The public counters summed; no page was read last."""
+        return IOStats(**{name: value + getattr(other, name)
+                          for name, value in self.snapshot().items()})

@@ -4,9 +4,10 @@ The packed layout (:mod:`repro.btree.packed`) must be *indistinguishable*
 from walking the tree's nodes (:mod:`repro.devtools.nodewalk`): same
 entries from ``range``, the same set of entries from ``nearest`` (the
 columns return it in key order, the walk nearest first), and the same
-synthesized page-read sequence (hence total, random, sequential) — the
-bench numbers are only meaningful if the array path charges the I/O a
-node-by-node walk would have performed.
+page reads counted from any previous page: the total, the
+random/sequential split and the last page read.  The bench numbers are
+only meaningful if the array path charges the I/O a node-by-node walk
+would have performed.
 """
 
 import numpy as np
@@ -51,34 +52,28 @@ def layout_arrays(packed):
     return arrays
 
 
-def stats_triple(stats):
-    return stats.page_reads, stats.random_reads, stats.sequential_reads
+def counts(stats):
+    """What a lookup leaves in its accountant: the reads, their
+    random/sequential split and the last page read (which the next
+    lookup's first read is classified against)."""
+    return (stats.page_reads, stats.random_reads, stats.sequential_reads,
+            stats._last_read_page)
 
 
-def nearest_both(packed, walk, raw, count, stats_cls=IOStats):
-    """``nearest`` on the columns and on the walk: (entries, stats) each,
-    the walk's entries in key order (values are positions, so sorting
-    them is the key order the columns return)."""
-    packed_stats, walk_stats = stats_cls(), stats_cls()
+def seeded(previous=-2):
+    """An accountant whose last read was page ``previous``."""
+    return IOStats(_last_read_page=previous)
+
+
+def nearest_both(packed, walk, raw, count, previous=-2):
+    """``nearest`` on the columns and on the walk, both counting from
+    page ``previous``: (entries, counts) each, the walk's entries in key
+    order (values are positions, so sorting them is the key order the
+    columns return)."""
+    packed_stats, walk_stats = seeded(previous), seeded(previous)
     got = packed.entries(packed.nearest_positions(raw, count, packed_stats))
-    return (got, packed_stats), (sorted(walk.nearest(raw, count, walk_stats)),
-                                 walk_stats)
-
-
-class ReadLog(IOStats):
-    """An accountant that also keeps the page ids, in read order."""
-
-    def __init__(self):
-        super().__init__()
-        self.pages = []
-
-    def record_read(self, page_id):
-        self.pages.append(int(page_id))
-        super().record_read(page_id)
-
-    def record_read_many(self, page_ids):
-        self.pages.extend(int(page) for page in np.asarray(page_ids).ravel())
-        super().record_read_many(page_ids)
+    return (got, counts(packed_stats)), (
+        sorted(walk.nearest(raw, count, walk_stats)), counts(walk_stats))
 
 
 def draw_keys(draw, width):
@@ -156,16 +151,17 @@ def subset_cases(draw):
 def subset_lookup(width, keys, probe, count, leaf_cap, mask):
     """One lookup among the entries ``mask`` marks (by key-ordered
     position), answered by the columns and by the filtered node walk:
-    ((ascending positions, pages read) of each, the packed layout, the
-    raw key)."""
+    ((ascending positions, counts) of each, the packed layout, the raw
+    key)."""
     codec = UIntCodec(width)
     packed, walk = make_tree(codec, keys, leaf_cap)
-    raw, log, walk_log = codec.encode(probe), ReadLog(), ReadLog()
-    got = packed.nearest_positions(raw, count, log, np.flatnonzero(mask))
+    raw, stats, walk_stats = codec.encode(probe), IOStats(), IOStats()
+    got = packed.nearest_positions(raw, count, stats, np.flatnonzero(mask))
     want = sorted(int.from_bytes(value, "big") for _, value in walk.nearest(
-        raw, count, walk_log,
+        raw, count, walk_stats,
         lambda entry: mask[int.from_bytes(entry[1], "big")]))
-    return ((got.tolist(), log.pages), (want, walk_log.pages), packed, raw)
+    return ((got.tolist(), counts(stats)), (want, counts(walk_stats)),
+            packed, raw)
 
 
 class TestActivation:
@@ -210,7 +206,7 @@ class TestParity:
             packed_stats, walk_stats = IOStats(), IOStats()
             assert list(packed.range_entries(lo, hi, packed_stats)) == \
                 list(walk.range(lo, hi, walk_stats))
-            assert stats_triple(packed_stats) == stats_triple(walk_stats)
+            assert counts(packed_stats) == counts(walk_stats)
 
     @pytest.mark.parametrize("codec,keys,leaf_cap", CASES,
                              ids=["u16", "dup-u64", "wide-u128", "f64"])
@@ -219,10 +215,9 @@ class TestParity:
         packed, walk = make_tree(codec, keys, leaf_cap)
         for probe in {min(keys), max(keys), keys[len(keys) // 2]}:
             for count in (1, 3, len(keys), len(keys) + 5):
-                (got, got_stats), (want, want_stats) = nearest_both(
-                    packed, walk, codec.encode(probe), count)
+                got, want = nearest_both(packed, walk, codec.encode(probe),
+                                         count, packed._root - 1)
                 assert got == want
-                assert stats_triple(got_stats) == stats_triple(want_stats)
 
     @given(st.lists(st.integers(min_value=0, max_value=2**31),
                     min_size=1, max_size=80),
@@ -232,23 +227,23 @@ class TestParity:
     @settings(max_examples=60, deadline=None)
     def test_nearest_property(self, keys, leaf_cap, probe, count):
         packed, walk = make_tree(UIntCodec(8), keys, leaf_cap)
-        (got, got_stats), (want, want_stats) = nearest_both(
-            packed, walk, UIntCodec(8).encode(probe), count)
+        got, want = nearest_both(packed, walk, UIntCodec(8).encode(probe),
+                                 count)
         assert got == want
-        assert stats_triple(got_stats) == stats_triple(want_stats)
 
     @given(wide_key_cases())
     @settings(max_examples=300, deadline=None)
     def test_nearest_property_wide_keys(self, case):
-        """Keys of more than 8 bytes: same entries in the same order and
-        the same page-read *sequence* as the node path."""
+        """Keys of more than 8 bytes: the same entries as the node path,
+        and the same reads counted, after a random read and after the
+        page below the root (so the first descent is sequential)."""
         width, keys, probe, count, leaf_cap = case
         packed, walk = make_tree(UIntCodec(width), keys, leaf_cap)
-        (got, got_log), (want, want_log) = nearest_both(
-            packed, walk, UIntCodec(width).encode(probe), count, ReadLog)
-        assert got == want
-        assert got_log.pages == want_log.pages
-        assert stats_triple(got_log) == stats_triple(want_log)
+        for previous in (-2, packed._root - 1):
+            got, want = nearest_both(packed, walk,
+                                     UIntCodec(width).encode(probe), count,
+                                     previous)
+            assert got == want
 
     @given(st.lists(st.integers(min_value=0, max_value=1000),
                     min_size=1, max_size=60),
@@ -260,10 +255,11 @@ class TestParity:
         low, high = sorted((bound_a, bound_b))
         packed, walk = make_tree(UIntCodec(8), keys, leaf_cap)
         lo, hi = UIntCodec(8).encode(low), UIntCodec(8).encode(high)
-        packed_log, walk_log = ReadLog(), ReadLog()
-        assert list(packed.range_entries(lo, hi, packed_log)) == \
-            list(walk.range(lo, hi, walk_log))
-        assert packed_log.pages == walk_log.pages
+        for previous in (-2, packed._root - 1):
+            packed_stats, walk_stats = seeded(previous), seeded(previous)
+            assert list(packed.range_entries(lo, hi, packed_stats)) == \
+                list(walk.range(lo, hi, walk_stats))
+            assert counts(packed_stats) == counts(walk_stats)
 
 
 class TestSubsetLookup:
@@ -278,9 +274,9 @@ class TestSubsetLookup:
         assert got == want
         if case[-1].all():
             # Every entry eligible: the unrestricted lookup, exactly.
-            log = ReadLog()
-            plain = packed.nearest_positions(raw, case[3], log)
-            assert (plain.tolist(), log.pages) == got
+            stats = IOStats()
+            plain = packed.nearest_positions(raw, case[3], stats)
+            assert (plain.tolist(), counts(stats)) == got
 
     @pytest.mark.parametrize("width", [8, 16])
     def test_exhausted_subset_walks_to_both_ends(self, width):
@@ -291,7 +287,9 @@ class TestSubsetLookup:
                                              mask)
         assert got == want
         assert got[0] == [2, 11, 30]
-        assert set(got[1]) >= set(packed.leaf_pages.tolist())
+        # Both descents read the landing leaf; every other leaf is read
+        # once.
+        assert got[1][0] == 2 * packed.height + packed.leaf_pages.size - 1
 
     def test_boundary_entries_tying_on_the_leading_word(self, monkeypatch):
         """Leaf reads are ordered by the distance of the entry whose pick
@@ -317,11 +315,12 @@ class TestSubsetLookup:
         got, want, packed, _ = subset_lookup(16, keys, target, 2, 2, mask)
         assert got == want
         assert got[0] == [0, 7]
-        assert got[1][-2:] == [0, 3]
+        # Leaf 0 is read before leaf 3: the last page read is 3.
+        assert got[1][3] == 3
         # The frontier, then the boundary entries: the last entry of a
         # leaf going forward (5), the first of one going backward (2).
         # (Under the sanitizer the lookup runs twice.)
-        assert settled[-3:] == [[keys[7]], [keys[0]], [keys[5], keys[2]]]
+        assert settled[-4:] == [[keys[7]], [keys[0]], [keys[5]], [keys[2]]]
 
     def test_float_keys_refused(self):
         packed, _ = make_tree(Float64Codec(), [0.5, 1.5, 2.5])
@@ -354,31 +353,32 @@ def counted_cases(draw):
 W24 = 1 << 128  #: a 24-byte key's leading word counts in units of this
 
 
-def walk_and_columns(width, keys, probe, count, leaf_cap, mask=None):
-    """One lookup on the columns and down the node walk: (ascending
-    positions, page reads, random/sequential split) of each."""
+def walk_and_columns(width, keys, probe, count, leaf_cap, mask=None,
+                     previous=-2):
+    """One lookup on the columns and down the node walk, both counting
+    from page ``previous``: (ascending positions, counts) of each."""
     codec = UIntCodec(width)
     packed, walk = make_tree(codec, keys, leaf_cap)
-    raw, log, walk_log = codec.encode(probe), ReadLog(), ReadLog()
+    raw, stats, walk_stats = (codec.encode(probe), seeded(previous),
+                              seeded(previous))
     got = packed.nearest_positions(
-        raw, count, log, None if mask is None else np.flatnonzero(mask))
+        raw, count, stats, None if mask is None else np.flatnonzero(mask))
     accept = None if mask is None else (
         lambda entry: mask[int.from_bytes(entry[1], "big")])
     want = sorted(int.from_bytes(value, "big") for _, value in walk.nearest(
-        raw, count, walk_log, accept))
-    return ((got.tolist(), log.pages, stats_triple(log)),
-            (want, walk_log.pages, stats_triple(walk_log)))
+        raw, count, walk_stats, accept))
+    return (got.tolist(), counts(stats)), (want, counts(walk_stats))
 
 
 class TestCountedWindow:
     """The count of forward picks (no sort) against the node walk: the
-    same entries as a set, the same page sequence read for read and so
-    the same random/sequential split."""
+    same entries as a set and the same reads counted, split and last
+    page included."""
 
-    @given(counted_cases())
+    @given(counted_cases(), st.sampled_from([-2, 0, 1, 5]))
     @settings(max_examples=400, deadline=None)
-    def test_count_property(self, case):
-        got, want = walk_and_columns(*case)
+    def test_count_property(self, case, previous):
+        got, want = walk_and_columns(*case, previous=previous)
         assert got == want
         positions = got[0]
         assert positions == sorted(set(positions))  # ascending, distinct
@@ -407,7 +407,7 @@ class TestCountedWindow:
             24, [target + offset for offset in offsets], target, 6, 2)
         assert got == want
         assert got[0] == [1, 2, 3, 4, 5, 6]
-        assert got[1][-2:] == [0, 3]  # leaf 0 (before 2), then leaf 3
+        assert got[1][3] == 3  # leaf 0 (before 2), then leaf 3
 
     @pytest.mark.parametrize("forward,backward", [
         (3 * W24 + 7, 3 * W24 + 9), (3 * W24 + 9, 3 * W24 + 7)],
@@ -427,7 +427,63 @@ class TestCountedWindow:
             24, [target + offset for offset in offsets], target, 2, 2, mask)
         assert got == want
         assert got[0] == [0, 6]
-        assert (4 in got[1]) == (forward < backward)
+        # Leaf 4 is one read more, and then the last page read.
+        assert got[1][0] == 9 + (forward < backward)
+        assert (got[1][3] == 4) == (forward < backward)
+
+
+@st.composite
+def counted_read_cases(draw):
+    """(codec, keys, probe, count, leaf and internal capacities, eligible
+    mask or None): integer keys of 1 to 17 bytes shaped so that leading
+    distance words tie, or float keys; for integer keys, sometimes a
+    lookup among a subset, down to no entry eligible (both directions
+    run dry)."""
+    mask = None
+    if draw(st.integers(0, 4)) == 0:
+        codec = Float64Codec()
+        values = st.one_of(st.sampled_from([-2.5, 0.0, 1.0, 1e12]),
+                           st.floats(-1e6, 1e6, allow_nan=False))
+        # + 0.0: -0.0 and 0.0 are one key.
+        keys = [key + 0.0 for key in draw(st.lists(values, min_size=1,
+                                                   max_size=40))]
+        probe = draw(st.one_of(st.sampled_from(keys), values)) + 0.0
+    else:
+        width = draw(st.integers(1, 17))
+        codec = UIntCodec(width)
+        keys, centre = draw_keys(draw, width)
+        probe = draw_probe(draw, width, keys, centre)
+        if draw(st.booleans()):
+            mask = np.random.default_rng(draw(st.integers(0, 2**32 - 1))) \
+                .random(len(keys)) < draw(st.sampled_from([0, 0.1, 0.5, 1]))
+    return (codec, keys, probe, draw(st.integers(1, len(keys) + 5)),
+            draw(st.integers(1, 5)), draw(st.integers(2, 3)), mask)
+
+
+class TestCountedReads:
+    """The four numbers a lookup leaves in its accountant — reads,
+    random and sequential reads, last page — against the node walk's
+    page reads fed one by one through an :class:`IOStats`, from a
+    previous read that is random, just below the root (the first
+    descent then reads sequentially) or anywhere."""
+
+    @given(counted_read_cases(), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_counts_equal_the_walk(self, case, data):
+        codec, keys, probe, count, leaf_cap, internal_cap, mask = case
+        packed, walk = make_tree(codec, keys, leaf_cap, internal_cap)
+        previous = data.draw(st.one_of(
+            st.just(-2), st.just(packed._root - 1),
+            st.integers(0, packed.num_pages - 1)))
+        raw, subset, accept = codec.encode(probe), None, None
+        if mask is not None:
+            subset = np.flatnonzero(mask)
+            accept = lambda entry: mask[int.from_bytes(entry[1], "big")]
+        stats, walk_stats = seeded(previous), seeded(previous)
+        got = packed.entries(packed.nearest_positions(raw, count, stats,
+                                                      subset))
+        assert got == sorted(walk.nearest(raw, count, walk_stats, accept))
+        assert counts(stats) == counts(walk_stats)
 
 
 def walked_descent(packed, leaf):
@@ -454,13 +510,14 @@ def layouts(draw):
     return height, count, leaf_cap, internal_cap
 
 
-class TestAncestorTable:
-    """Descents read one row of a table derived with the layout, which
-    is derived from the entry count and the two capacities."""
+class TestDescentCount:
+    """A descent is counted, not listed: its reads are the height, and
+    only the first, the root's, can follow on the previous read — which
+    holds on every layout bulk loading makes."""
 
     @given(layouts())
     @settings(max_examples=150, deadline=None)
-    def test_rows_are_the_level_by_level_walk(self, layout):
+    def test_counted_descent_is_the_level_by_level_walk(self, layout):
         height, count, leaf_cap, internal_cap = layout
         codec = UIntCodec(4)
         keys = np.arange(count, dtype=">u4").view(np.uint8).reshape(count, 4)
@@ -468,8 +525,14 @@ class TestAncestorTable:
                                         internal_cap)
         assert packed.height == height
         for leaf in range(packed.leaf_pages.size):
-            assert packed._descent_pages(leaf).tolist() == \
-                walked_descent(packed, leaf)
+            walked = walked_descent(packed, leaf)
+            assert walked[0] == packed._root and walked[-1] == leaf
+            for previous in (-2, packed._root - 1, leaf):
+                counted, read = seeded(previous), seeded(previous)
+                packed._count_descent(counted, leaf)
+                for page in walked:
+                    read.record_read(page)
+                assert counts(counted) == counts(read)
 
 
 class TestSerialization:

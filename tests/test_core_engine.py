@@ -59,7 +59,7 @@ from repro.distance import pairwise_euclidean
 from repro.hilbert import HilbertCurve, encode_for_curves
 from repro.meta import Eq, In
 from repro.serve import QueryService
-from repro.storage import UIntCodec
+from repro.storage import IOStats, UIntCodec
 from test_core_filters import python_ptolemaic, python_triangular
 
 
@@ -971,10 +971,10 @@ class TestFrontHalfFixedCost:
     it interpreter dispatch.  Counts pin them where timings would flake."""
 
     #: C-level calls ``nearest_positions(key, 1024, stats)`` makes on the
-    #: tree below, trace included and accounting not, since the window is
-    #: counted instead of sorted (30 with the stable-argsort merge, 38
-    #: before the one-run word kernel and the ancestor table).
-    NEAREST_C_CALLS = 28
+    #: tree below, its page reads counted into an ``IOStats`` (20 of them
+    #: are the lookup's own; 31 when the reads were a replayed list of
+    #: page ids, 38 before the one-run word kernel and the ancestor table).
+    NEAREST_C_CALLS = 29
 
     def test_encode_cost_does_not_depend_on_q(self):
         curves = [HilbertCurve(16, 8)] * 8
@@ -1011,22 +1011,15 @@ class TestFrontHalfFixedCost:
         packed, _ = bulk_load(codec, keys, np.arange(5000), 4096)
         key = codec.encode(keys[2500] + 1)
 
-        class Trace:
-            """Takes the replayed trace and does no accounting, so the
-            count is the descent's own."""
-
-            def record_read_many(self, pages):
-                self.pages = pages
-
-        stats = Trace()
+        stats = IOStats()
         # The search itself, under the sanitizer too (not its wrapper,
         # which re-runs the lookup down the node walk).
         search = inspect.unwrap(PackedTree.nearest_positions)
         c_calls, python_calls = profiled_calls(
             lambda: search(packed, key, 1024, stats))
-        assert len(stats.pages) > 2 * len(packed.level_pages) + 2
+        assert stats.page_reads > 2 * len(packed.level_pages) + 2
         assert python_calls["broadcast_arrays"] == 0
-        assert python_calls["_descent_pages"] <= 1
+        assert python_calls["_count_descent"] == 2
         assert c_calls <= self.NEAREST_C_CALLS, c_calls
 
 

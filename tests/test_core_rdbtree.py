@@ -7,6 +7,7 @@ build and lookup here is diffed against, and a stable sort (base first,
 then the delta in input order) the reference of a merge.
 """
 
+import itertools
 import struct
 
 import numpy as np
@@ -21,7 +22,7 @@ from repro.devtools.sanitize import node_oracle
 from repro.hilbert import HilbertCurve
 from repro.storage import UIntCodec, pack_arrays
 from test_btree import top_down_layout
-from test_btree_packed import ReadLog, layout_arrays
+from test_btree_packed import counts, layout_arrays, seeded
 
 
 def build_tree(n=200, dim=4, order=8, m=5, seed=0):
@@ -480,20 +481,20 @@ def write_legacy_tree(tree, path):
 
 
 def lookups(tree, probes, alpha=30):
-    """Each probe's (ids, distances, page ids read in order)."""
+    """Each probe's (ids, distances, reads counted from a previous read
+    of the page below the root)."""
     found = []
     for probe in probes:
-        tree.stats = ReadLog()
-        found.append((*tree.candidates(probe, alpha), tree.stats.pages))
+        tree.stats = seeded(tree.packed._root - 1)
+        found.append((*tree.candidates(probe, alpha), counts(tree.stats)))
     return found
 
 
 def assert_same_lookups(got, want):
-    for (ids, ref, pages), (want_ids, want_ref, want_pages) in zip(got,
-                                                                   want):
+    for (ids, ref, read), (want_ids, want_ref, want_read) in zip(got, want):
         np.testing.assert_array_equal(ids, want_ids)
         np.testing.assert_array_equal(ref, want_ref)
-        assert pages == want_pages
+        assert read == want_read
 
 
 class TestNarrowIds:
@@ -558,11 +559,12 @@ class TestNodeOracleParity:
     """``candidates`` against the node walk of the tree's entries at the
     tree's own capacities: the same entries — as the run of the value
     column they are, in key order, where the walk emits them nearest
-    first — and the same page-read sequence.  The sanitizer's walk,
-    whose capacities it reads off the layout, is that walk."""
+    first — and the same reads counted, from a random previous read and
+    from the page below the root.  The sanitizer's walk, whose
+    capacities it reads off the layout, is that walk."""
 
     @pytest.mark.parametrize("width", [1, 8, 16])
-    def test_positions_and_read_sequence(self, width):
+    def test_positions_and_read_counts(self, width):
         rng = np.random.default_rng(width)
         keys, ids, distances = random_rows(rng, width, 700, width == 1)
         tree = TestMerge.built(width, keys, ids, distances)
@@ -572,11 +574,12 @@ class TestNodeOracleParity:
         probes = keys[:5] + [0, (1 << (8 * width)) - 1]
         stored = tree.packed.values_raw.reshape(-1).view(tree._record_dtype)
         for probe in probes:
-            for alpha in (1, 30, 700, 900):
-                tree.stats, walk_log = ReadLog(), ReadLog()
+            for alpha, previous in itertools.product(
+                    (1, 30, 700, 900), (-2, tree.packed._root - 1)):
+                tree.stats, walk_stats = seeded(previous), seeded(previous)
                 got_ids, got_ref = tree.candidates(probe, alpha)
                 want = walk.nearest(probe.to_bytes(width, "big"), alpha,
-                                    walk_log)
+                                    walk_stats)
                 records = np.frombuffer(b"".join(v for _, v in want),
                                         dtype=tree._record_dtype)
                 records = records[np.argsort(records["id"])]
@@ -587,8 +590,7 @@ class TestNodeOracleParity:
                     probe.to_bytes(width, "big"), alpha).min())
                 np.testing.assert_array_equal(
                     got_ids, stored["id"][start:start + got_ids.size])
-                assert tree.stats.pages == walk_log.pages
-                assert tree.stats.snapshot() == walk_log.snapshot()
+                assert counts(tree.stats) == counts(walk_stats)
 
 
 class TestResidentColumns:

@@ -186,14 +186,38 @@ class TestPackedNodeCrossCheck:
 
     def test_trace_divergence_raises(self, sanitized, monkeypatch):
         tree, stats = build_tree()
-        replay = PackedTree._nearest_trace
+        count_nearest = PackedTree._count_nearest
 
-        def noisy(*args):
-            return np.append(replay(*args), 10_000)  # phantom page read
+        def noisy(self, stats, *args):
+            count_nearest(self, stats, *args)
+            stats.record_read(10_000)  # phantom page read
 
-        monkeypatch.setattr(PackedTree, "_nearest_trace", noisy)
-        with pytest.raises(SanitizerError, match="trace divergence"):
+        monkeypatch.setattr(PackedTree, "_count_nearest", noisy)
+        with pytest.raises(SanitizerError, match="read count divergence"):
             nearest(tree, stats, 42, 4)
+
+    @pytest.mark.parametrize("after_root", [False, True],
+                             ids=["random", "below-the-root"])
+    def test_counts_start_from_the_callers_last_page(self, sanitized,
+                                                     monkeypatch,
+                                                     after_root):
+        """A descent counted always random differs from the walk only
+        when the caller's last read was the page below the root: the
+        two sandboxes start from it, not from a fresh accountant."""
+        tree, stats = build_tree()
+
+        def always_random(self, stats, leaf):
+            stats.page_reads += self._height
+            stats.random_reads += self._height
+            stats._last_read_page = leaf
+
+        monkeypatch.setattr(PackedTree, "_count_descent", always_random)
+        stats._last_read_page = tree._root - 1 if after_root else 3
+        if after_root:
+            with pytest.raises(SanitizerError, match="read count"):
+                nearest(tree, stats, 42, 4)
+        else:
+            assert len(nearest(tree, stats, 42, 4)) == 4
 
     def test_baseline_lookups_are_checked(self, sanitized):
         """Multicurves looks up its trees directly, and each lookup is
@@ -249,9 +273,9 @@ class TestColumnsOracleCrossCheck:
 
     def test_corrupted_geometry_raises(self, sanitized):
         tree, keys = self.build_rdbtree()
-        tree.packed.leaf_pages = tree.packed.leaf_pages[::-1].copy()
-        with pytest.raises(SanitizerError, match="trace divergence"):
-            tree.candidates(keys[300].tobytes(), 8)
+        tree.packed._leaf_cap -= 1  # leaf boundaries counted off by one
+        with pytest.raises(SanitizerError, match="read count divergence"):
+            tree.candidates(keys[300].tobytes(), 40)
 
     def test_non_finite_stored_distance_raises(self, sanitized):
         """``merge`` refuses one; this is a column corrupted afterwards."""
@@ -290,14 +314,17 @@ class TestColumnsOracleCrossCheck:
         type(tree.packed)._raw_taken = \
             lambda self, key, split, last: (1, 1)
         try:
-            with pytest.raises(SanitizerError, match="trace divergence"):
+            with pytest.raises(SanitizerError, match="read count divergence"):
                 tree.candidates(keys[300].tobytes(), 20, subset)
         finally:
             type(tree.packed)._raw_taken = raw_taken
 
 
 class TestEndToEndQueryParity:
-    def test_small_index_queries_identically(self, sanitized):
+    @staticmethod
+    def answers_and_reads():
+        """Five queries' answers on a small index, and the counts each
+        tree's accountant ends with (last page read included)."""
         import repro
         from repro import HDIndexParams, IndexSpec
 
@@ -310,12 +337,25 @@ class TestEndToEndQueryParity:
                 domain=(0.0, 100.0), seed=1)),
             data)
         try:
-            for query in queries:
-                ids, dists = index.query(query, 5)
-                assert ids.shape == (5,)
-                assert np.all(np.isfinite(dists))
+            answers = [index.query(query, 5) for query in queries]
+            reads = [(tree.stats.snapshot(), tree.stats._last_read_page)
+                     for tree in index.trees]
         finally:
             index.close()
+        return answers, reads
+
+    def test_small_index_queries_identically(self, unsanitized):
+        plain_answers, plain_reads = self.answers_and_reads()
+        sanitize.install()
+        answers, reads = self.answers_and_reads()
+        for (ids, dists), (plain_ids, plain_dists) in zip(answers,
+                                                          plain_answers):
+            assert ids.shape == (5,)
+            assert np.all(np.isfinite(dists))
+            np.testing.assert_array_equal(ids, plain_ids)
+            np.testing.assert_array_equal(dists, plain_dists)
+        assert reads == plain_reads
+        assert all(snapshot["page_reads"] for snapshot, _ in reads)
 
 
 class TestFoldPostconditions:

@@ -130,12 +130,18 @@ lookup in ``submit`` and its fill in ``_complete``,
 ``invalidate_cache``, ``repro serve --cache`` and the server's
 ``--cache-size``), and with it ``ServiceConfig``: the service takes
 ``max_batch`` / ``max_pending`` as keywords.
+13711 -> 13707: a tree lookup counts its page reads by arithmetic instead
+of replaying a page-id trace (``PackedTree._nearest_trace``, the
+ancestor table, the sanitizer's ``_ReadLog``), paying for the server's
+flag checks; ``IOStats.reset`` / ``snapshot`` / ``__add__`` take the
+counters from the dataclass's fields instead of listing them three
+times.
 """
 
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
-LINE_BUDGET = 13711
+LINE_BUDGET = 13707
 
 
 def test_source_lines_within_budget():

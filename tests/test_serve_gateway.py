@@ -446,3 +446,21 @@ class TestServerProcess:
             assert process.wait(timeout=20) == 0
         finally:
             stop_replica(process)
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--max-batch", "0"), ("--max-pending", "0"),
+        ("--max-inflight", "0"), ("--default-deadline-ms", "-1"),
+        ("--default-deadline-ms", "nan"), ("--port", "-1"),
+        ("--port", "65536")])
+    def test_bad_flag_is_a_usage_error_before_the_snapshot_opens(
+            self, tmp_path, monkeypatch, capsys, flag, value):
+        from repro.serve import server
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the snapshot was opened")
+
+        monkeypatch.setattr(server.QueryService, "from_snapshot", refuse)
+        with pytest.raises(SystemExit) as raised:
+            server.main(["--snapshot", str(tmp_path), flag, value])
+        assert raised.value.code == 2
+        assert flag in capsys.readouterr().err
