@@ -399,6 +399,29 @@ def gains(rows) -> dict:
     return cells
 
 
+#: Timed passes per method behind an ordering of two query times.
+TIMED_PASSES = 5
+
+
+def median_query_ms(workload: Workload, labels) -> dict:
+    """Each method's per-query ms, the median of :data:`TIMED_PASSES`
+    passes over the workload's queries, the methods' passes interleaved
+    over one build each: fig. 8's one pass is a single sample, too few to
+    order two methods within a few percent of each other."""
+    dataset = load(workload)
+    every = methods(dataset)
+    indexes = {label: built(every[label](), dataset) for label in labels}
+    passes: dict = {label: [] for label in labels}
+    for _ in range(TIMED_PASSES):
+        for label, index in indexes.items():
+            seconds = 0.0
+            for query in dataset.queries:
+                index.query(query, workload.k)
+                seconds += index.last_query_stats().time_sec
+            passes[label].append(seconds * 1e3 / len(dataset.queries))
+    return {label: statistics.median(ms) for label, ms in passes.items()}
+
+
 def with_gains(figure) -> list:
     rows = [row for row in compare(figure) if row.method != "iDistance"]
     grouped = per_dataset(rows)
@@ -406,16 +429,22 @@ def with_gains(figure) -> list:
         extra = grouped[dataset][method].extra
         extra["time_gain"] = f"{time_gain:.2f}x"
         extra["map_gain"] = f"{map_gain:.2f}x"
+    for workload in figure.workloads:
+        medians = median_query_ms(workload, ("HNSW", "HD-Index"))
+        for label, ms in medians.items():
+            grouped[workload.dataset][label].extra["median_ms"] = round(ms, 3)
     return rows
 
 
 def table5_check(rows) -> None:
     cells = gains(rows)
-    for dataset in per_dataset(rows):
+    for dataset, got in per_dataset(rows).items():
         # HD-Index is consistently more accurate than SRS.
         assert cells[dataset, "SRS"][1] > 1.0, dataset
-        # In-memory methods stay faster in wall-clock (the paper's 0.0x).
-        assert cells[dataset, "HNSW"][0] < 1.0, dataset
+        # In-memory methods stay faster in wall-clock (the paper's 0.0x),
+        # ordered on the median of interleaved passes.
+        assert (got["HNSW"].extra["median_ms"]
+                < got["HD-Index"].extra["median_ms"]), dataset
 
 
 # -- fig. 10, 13, scalability, Sec. 5.2.1, spec grid ---------------------
@@ -765,12 +794,13 @@ FIGURES: dict[str, Figure] = {
          "classes"), classified),
     "table5_summary": Figure(
         "Table 5: competitor query time / HD-Index's (> 1x: HD-Index "
-        "faster) and HD-Index MAP / competitor's, from fig. 8's rows.",
+        "faster) and HD-Index MAP / competitor's, from fig. 8's rows; "
+        "HNSW's and HD-Index's median over interleaved passes.",
         tuple(w for w in FIG8 if w.dataset in ("sift10k", "audio", "sift1m",
                                                  "glove")),
         methods, table5_check,
         ("method", "dataset", "MAP@k", "query_ms", "time_gain",
-         "map_gain"), with_gains),
+         "map_gain", "median_ms"), with_gains),
     "fig10_reference_selection": Figure(
         "Fig. 10: reference selection.  Random reaches ~90 % of SSS's "
         "MAP; SSS selects much faster than SSS-Dyn.",

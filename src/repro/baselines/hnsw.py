@@ -84,7 +84,8 @@ class HNSW(KNNIndex):
         data or the graph changes."""
         if self.data is None:
             raise RuntimeError("build() the index before adding points")
-        vector = self._checked_point(vector)
+        vector = np.asarray(vector, dtype=np.float64).ravel()
+        self._check_rows(vector[None, :])
         self.data = np.vstack([self.data, vector[None, :]])
         new_id = self.data.shape[0] - 1
         self._insert(new_id)

@@ -17,20 +17,20 @@ boundaries and the page ids of the leaf and internal levels.  On that,
 These columns **are the tree**, for the RDB-trees
 (:mod:`repro.core.rdbtree`) and for the one-dimensional baselines
 (iDistance, QALSH, Multicurves, through :func:`bulk_load`) alike:
-:meth:`PackedTree.from_sorted` lays sorted entries out exactly as a
-bottom-up bulk load of a node-based B+-tree would, and nothing else is
-built, saved or read.  The page geometry is an accounting model, not a
-storage layout: :meth:`nearest_positions` and :meth:`range_entries`
-count into :class:`~repro.storage.stats.IOStats`, by arithmetic over
-the layout, precisely the page reads a node-by-node walk of that tree
-would issue, so the paper's I/O figures are reproduced without the pages
-existing.  That walk, :mod:`repro.devtools.nodewalk`, is the reference
+:class:`PackedTree` lays sorted entries out, from its two capacities,
+exactly as a bottom-up bulk load of a node-based B+-tree would, and
+nothing else is built, saved or read.  The page geometry is an
+accounting model, not a storage layout: :meth:`nearest_positions` and
+:meth:`range_entries` count into :class:`~repro.storage.stats.IOStats`,
+by arithmetic over the layout, precisely the page reads a node-by-node
+walk of that tree would issue, so the paper's I/O figures are
+reproduced without the pages existing.  That walk, :mod:`repro.devtools.nodewalk`, is the reference
 the tests' scalar oracle and the sanitizer diff this module against.
 
 Only the two columns are stored (an RDB-tree's ``tree_<i>.packed``
 file, :func:`repro.storage.codecs.pack_arrays`): a reopen lays them out
-again with :meth:`PackedTree.from_sorted`, and an mmap reopen maps them
-zero-copy, so a process pool shares one physical copy across workers.
+again from the capacities, and an mmap reopen maps them zero-copy, so a
+process pool shares one physical copy across workers.
 """
 
 from __future__ import annotations
@@ -78,22 +78,20 @@ class PackedTree:
         ``(n, key_width)`` / ``(n, value_width)`` uint8 arrays holding every
         entry in global key order — the leaf entries' bytes.  May be
         read-only views over an mmap'd snapshot file.
-    leaf_starts:
-        ``(L + 1,)`` prefix array: leaf ``l`` holds entries
-        ``[leaf_starts[l], leaf_starts[l + 1])``.
-    leaf_pages:
-        ``(L,)`` page ids of the leaves, left to right.
-    level_pages / level_starts:
-        Per internal level (root level first): the level's node page ids and
-        the prefix array of its nodes' child counts.  Page reads are
-        counted on the one geometry a tree is built or read with, the one
-        :meth:`from_sorted` gives.
+    leaf_capacity / internal_capacity:
+        Entries a leaf holds and separator keys an internal node holds.
+        The page geometry is what a bottom-up bulk load gives them: full
+        leaves on pages ``0..L-1`` (the last one takes the remainder),
+        ``leaf_starts`` their ``(L + 1,)`` entry prefix, then each
+        internal level, bottom-up, on the next contiguous page range with
+        ``internal_capacity + 1`` children per node (``level_pages`` /
+        ``level_starts``, root level first: the nodes' page ids and the
+        prefix of their child counts).  Page reads are counted on it.
     """
 
     def __init__(self, key_codec: Codec, keys_raw: np.ndarray,
-                 values_raw: np.ndarray, leaf_starts: np.ndarray,
-                 leaf_pages: np.ndarray, level_pages: list[np.ndarray],
-                 level_starts: list[np.ndarray]) -> None:
+                 values_raw: np.ndarray, leaf_capacity: int,
+                 internal_capacity: int) -> None:
         kind = key_kind(key_codec)
         if kind is None:
             raise ValueError(
@@ -103,14 +101,25 @@ class PackedTree:
         self.key_width = key_codec.width
         self.keys_raw = np.ascontiguousarray(keys_raw, dtype=np.uint8)
         self.values_raw = np.ascontiguousarray(values_raw, dtype=np.uint8)
-        self.count = int(self.keys_raw.shape[0])
+        self.count = count = int(self.keys_raw.shape[0])
         self.value_width = int(self.values_raw.shape[1])
-        self.leaf_starts = np.asarray(leaf_starts, dtype=np.int64)
-        self.leaf_pages = np.asarray(leaf_pages, dtype=np.int64)
-        self.level_pages = [np.asarray(p, dtype=np.int64)
-                            for p in level_pages]
-        self.level_starts = [np.asarray(s, dtype=np.int64)
-                             for s in level_starts]
+        self.leaf_capacity = int(leaf_capacity)
+        self.internal_capacity = int(internal_capacity)
+        leaves = -(-count // self.leaf_capacity)
+        self.leaf_starts = np.minimum(
+            np.arange(leaves + 1, dtype=np.int64) * self.leaf_capacity, count)
+        self.leaf_pages = np.arange(leaves, dtype=np.int64)
+        self.level_pages: list[np.ndarray] = []
+        self.level_starts: list[np.ndarray] = []
+        children, next_page, fanout = leaves, leaves, internal_capacity + 1
+        while children > 1:
+            nodes = -(-children // fanout)
+            self.level_pages.insert(0, np.arange(
+                next_page, next_page + nodes, dtype=np.int64))
+            self.level_starts.insert(0, np.minimum(
+                np.arange(nodes + 1, dtype=np.int64) * fanout, children))
+            next_page += nodes
+            children = nodes
         # Codecs guarantee bytewise order == numeric order, so every binary
         # search runs on a zero-copy 'S' view of the raw key bytes.
         self.key_S = self.keys_raw.view(f"S{self.key_width}").ravel()
@@ -118,35 +127,7 @@ class PackedTree:
         #: 64-bit words a key takes once zero-padded on the right.
         self._words = -(-self.key_width // 8)
         # What reads are counted from; the root is the last page allocated.
-        self._leaf_cap = int(self.leaf_starts[1]) if self.count else 0
-        self._root, self._height = self.num_pages - 1, self.height
-
-    @classmethod
-    def from_sorted(cls, key_codec: Codec, keys_raw: np.ndarray,
-                    values_raw: np.ndarray, leaf_capacity: int,
-                    internal_capacity: int) -> "PackedTree":
-        """Lay key-sorted entries out as a bottom-up bulk load does: full
-        leaves on pages ``0..L-1`` (the last one takes the remainder),
-        then each internal level, bottom-up, on the next contiguous page
-        range with ``internal_capacity + 1`` children per node."""
-        count = int(keys_raw.shape[0])
-        leaves = -(-count // leaf_capacity)
-        leaf_starts = np.minimum(
-            np.arange(leaves + 1, dtype=np.int64) * leaf_capacity, count)
-        level_pages: list[np.ndarray] = []
-        level_starts: list[np.ndarray] = []
-        children, next_page, fanout = leaves, leaves, internal_capacity + 1
-        while children > 1:
-            nodes = -(-children // fanout)
-            level_pages.append(
-                np.arange(next_page, next_page + nodes, dtype=np.int64))
-            level_starts.append(np.minimum(
-                np.arange(nodes + 1, dtype=np.int64) * fanout, children))
-            next_page += nodes
-            children = nodes
-        return cls(key_codec, keys_raw, values_raw, leaf_starts,
-                   np.arange(leaves, dtype=np.int64),
-                   level_pages[::-1], level_starts[::-1])
+        self.root, self._height = next_page - 1, self.height
 
     @property
     def height(self) -> int:
@@ -363,7 +344,7 @@ class PackedTree:
         """Count a descent to ``leaf``: every internal page comes after its
         children, so only the root's read can follow on the previous one."""
         height = self._height
-        sequential = self._root == stats._last_read_page + 1
+        sequential = self.root == stats._last_read_page + 1
         stats.page_reads += height
         stats.sequential_reads += sequential
         stats.random_reads += height - sequential
@@ -383,7 +364,7 @@ class PackedTree:
         on a tie.  Leaf ``l`` is page ``l`` from entry ``l * cap`` on, so
         those picks are two strided views, and of their reads only a
         forward one after another is sequential."""
-        n, cap = self.count, self._leaf_cap
+        n, cap = self.count, self.leaf_capacity
         self._count_descent(stats, leaf)
         if split < n and split == (leaf + 1) * cap:
             stats.record_read(leaf + 1)
@@ -449,8 +430,7 @@ def bulk_load(key_codec: Codec, keys, values: np.ndarray,
                          f"({width}+{value_width})-byte entry")
     keys_raw = np.frombuffer(b"".join(map(key_codec.encode, keys)),
                              dtype=np.uint8).reshape(-1, width)
-    tree = PackedTree.from_sorted(key_codec, keys_raw, values, leaf,
-                                  internal)
+    tree = PackedTree(key_codec, keys_raw, values, leaf, internal)
     if (tree.key_S[1:] < tree.key_S[:-1]).any():
         raise ValueError("bulk_load input must be sorted by key")
     stats = IOStats()

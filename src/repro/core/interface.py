@@ -17,14 +17,10 @@ import numpy as np
 from repro.distance.metrics import require_finite
 from repro.storage.stats import IOStats
 
-#: The :class:`QueryStats` fields a batch reports as the sum of its rows.
-_COUNTED_FIELDS = ("time_sec", "page_reads", "random_reads",
-                   "sequential_reads", "candidates", "distance_computations")
-
 
 @dataclass
 class QueryStats:
-    """Per-query (or per-batch, averaged) execution statistics."""
+    """Execution statistics of one query, or totals over one batch."""
 
     time_sec: float = 0.0
     page_reads: int = 0
@@ -35,8 +31,8 @@ class QueryStats:
     extra: dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> dict[str, Any]:
-        data: dict[str, Any] = {
-            name: getattr(self, name) for name in _COUNTED_FIELDS}
+        data = {name: value for name, value in vars(self).items()
+                if name != "extra"}
         data.update(self.extra)
         return data
 
@@ -66,12 +62,11 @@ def validated_data(data: np.ndarray) -> np.ndarray:
 class KNNIndex:
     """Protocol for every kANN method in this reproduction.
 
-    :meth:`build` and :meth:`query` are the method contract: they
-    validate their input, time the call and fill the stats records,
-    around the two hooks a method implements, :meth:`_build` and
-    :meth:`_search`.  The base class also provides batching.  (HD-Index
-    overrides both, to answer through its query engine and to reopen
-    snapshots.)  The examples below use
+    :meth:`build`, :meth:`query` and :meth:`query_batch` are the method
+    contract: they validate their input, time the call and fill the
+    stats records, around the hooks a method implements, :meth:`_build`
+    and :meth:`_search` (or :meth:`_search_batch`, which HD-Index
+    answers through its query engine).  The examples below use
     :class:`~repro.core.hdindex.HDIndex`, the primary implementation; a
     tiny deterministic diagonal dataset keeps them fast and stable:
 
@@ -90,7 +85,8 @@ class KNNIndex:
     name: str = "abstract"
 
     #: What the last query and the build recorded; ``None`` until then,
-    #: when :meth:`last_query_stats` / :meth:`build_stats` report zeros.
+    #: when :meth:`last_query_stats` / :meth:`build_stats` report zeros
+    #: (a reopened snapshot records a zeroed build: it counts as built).
     _query_stats: QueryStats | None = None
     _build_stats: BuildStats | None = None
 
@@ -105,15 +101,22 @@ class KNNIndex:
     #: the logical contents do not bump it.
     update_epoch: int = 0
 
-    def _checked_point(self, point: np.ndarray) -> np.ndarray:
-        """``point`` as a flat float64 vector, or ``ValueError`` unless
-        it has the index's length and only finite values."""
-        point = np.asarray(point, dtype=np.float64).ravel()
-        if point.shape[0] != self.dim:
-            raise ValueError(f"query has dimension {point.shape[0]}, "
+    def _check_rows(self, points: np.ndarray) -> None:
+        """``ValueError`` unless ``points`` is a ``(Q, ν)`` block of the
+        index's ν holding only finite values."""
+        if points.ndim != 2:
+            raise ValueError(f"queries have shape {points.shape}, index "
+                             f"expects (Q, {self.dim})")
+        if points.shape[1] != self.dim:
+            raise ValueError(f"query has dimension {points.shape[1]}, "
                              f"index expects {self.dim}")
-        require_finite(point, "query")
-        return point
+        require_finite(points, "query")
+
+    def _require_built(self) -> None:
+        """``RuntimeError`` unless a build succeeded or a snapshot was
+        reopened: both leave :class:`BuildStats` recorded."""
+        if self._build_stats is None:
+            raise RuntimeError("index has not been built; call build() first")
 
     def _bump_update_epoch(self) -> None:
         """Record a logical-content mutation (insert/delete)."""
@@ -159,14 +162,13 @@ class KNNIndex:
               **overrides: Any) -> tuple[np.ndarray, np.ndarray]:
         """Approximate k nearest neighbours of one point.
 
-        Checks the call, then times :meth:`_search` and records a
-        :class:`QueryStats` whose page reads and their random/sequential
-        split are the difference of :meth:`_read_totals` around it.
+        :meth:`query_batch` on the one row, padding stripped, except that
+        the stats carry no ``extra["batch_size"]``.
 
         Args:
             point: ``(ν,)`` query vector.
             k: Number of neighbours requested (``>= 1``).
-            **overrides: Forwarded to :meth:`_search`.
+            **overrides: Forwarded to :meth:`_search_batch`.
 
         Returns:
             ``(ids, distances)`` arrays of length ``<= k``, ordered by
@@ -191,34 +193,10 @@ class KNNIndex:
             ...
         ValueError: k must be >= 1, got 0
         """
-        if self._build_stats is None:
-            raise RuntimeError("index has not been built; call build() first")
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        point = self._checked_point(point)
-        started = time.perf_counter()
-        before = self._read_totals()
-        ids, dists, candidates, computations, extra = self._search(
-            point, k, **overrides)
-        reads, random_reads, sequential_reads = (
-            after - was for after, was in zip(self._read_totals(), before))
-        self._query_stats = QueryStats(
-            time_sec=time.perf_counter() - started, page_reads=reads,
-            random_reads=random_reads, sequential_reads=sequential_reads,
-            candidates=candidates, distance_computations=computations,
-            extra=extra)
-        return ids, dists
-
-    def _search(self, point: np.ndarray, k: int
-                ) -> tuple[np.ndarray, np.ndarray, int, int, dict[str, Any]]:
-        """Answer one checked query: a float64 ``(ν,)`` point, ``k >= 1``.
-
-        Returns:
-            ``(ids, distances, candidates, distance_computations,
-            extra)``: the answer as :meth:`query` returns it, then the
-            :class:`QueryStats` fields the method counts itself.
-        """
-        raise NotImplementedError
+        point = np.asarray(point, dtype=np.float64).ravel()
+        ids, dists = self._query_rows(point[None, :], k, overrides)
+        found = ids[0] >= 0
+        return ids[0][found], dists[0][found]
 
     def query_batch(self, points: np.ndarray, k: int,
                     **overrides: Any) -> tuple[np.ndarray, np.ndarray]:
@@ -228,21 +206,17 @@ class KNNIndex:
             points: ``(Q, ν)`` array of query vectors (a single ``(ν,)``
                 vector is promoted to a one-row batch).
             k: Neighbours per query (``>= 1``).
-            **overrides: Forwarded to :meth:`query` (the HD-Index family
-                accepts per-call ``alpha``/``beta``/``gamma``/
-                ``use_ptolemaic``).
+            **overrides: Forwarded to :meth:`_search_batch` (the
+                HD-Index family accepts per-call ``alpha``/``beta``/
+                ``gamma``/``use_ptolemaic``/``predicate``).
 
         Returns:
             ``(ids, distances)`` arrays of shape ``(Q, k)``; rows with
             fewer than k answers are padded with id ``-1`` and distance
             ``+inf``.  Row ``r`` is identical to ``query(points[r], k)``.
 
-        This default runs a plain loop; indexes that can amortise work
-        across the batch (the whole HD-Index family) override it with a
-        vectorised implementation returning identical results.
         Afterwards :meth:`last_query_stats` reports totals over the whole
-        batch with ``extra["batch_size"]``, as the vectorised overrides
-        do.
+        batch with ``extra["batch_size"]``.
 
         >>> import numpy as np
         >>> from repro import HDIndex, HDIndexParams
@@ -256,23 +230,77 @@ class KNNIndex:
         >>> index.last_query_stats().extra["batch_size"]
         4
         """
-        points = np.asarray(points)
-        if points.ndim == 1:
-            points = points[None, :]
+        points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        ids, dists = self._query_rows(points, k, overrides)
+        self._query_stats.extra["batch_size"] = points.shape[0]
+        return ids, dists
+
+    def _query_rows(self, points: np.ndarray, k: int,
+                    overrides: dict[str, Any]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """The one path of :meth:`query` and :meth:`query_batch`: refuse
+        an unbuilt index, ``k < 1`` and float64 ``points`` that are not
+        ``(Q, ν)`` finite rows, then time :meth:`_search_batch` and record
+        a :class:`QueryStats` whose page reads and their random/sequential
+        split are the difference of :meth:`_read_totals` around it."""
+        self._require_built()
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self._check_rows(points)
+        started = time.perf_counter()
+        before = self._read_totals()
+        ids, dists, candidates, computations, extra = self._search_batch(
+            points, k, **overrides)
+        reads, random_reads, sequential_reads = (
+            after - was for after, was in zip(self._read_totals(), before))
+        self._query_stats = QueryStats(
+            time_sec=time.perf_counter() - started, page_reads=reads,
+            random_reads=random_reads, sequential_reads=sequential_reads,
+            candidates=candidates, distance_computations=computations,
+            extra=extra)
+        return ids, dists
+
+    def _search_batch(self, points: np.ndarray, k: int, **overrides: Any
+                      ) -> tuple[np.ndarray, np.ndarray, int, int,
+                                 dict[str, Any]]:
+        """Answer checked query rows: float64 ``(Q, ν)`` ``points``,
+        ``k >= 1``.
+
+        This default runs :meth:`_search` on each row; a method that
+        amortises work across the rows (HD-Index) overrides it.
+
+        Returns:
+            ``(ids, distances, candidates, distance_computations,
+            extra)``: ``(Q, k)`` answers padded as :meth:`query_batch`
+            returns them, then the :class:`QueryStats` fields the method
+            counts itself, summed over the rows (``extra`` is the row's
+            own for one row, else empty).
+        """
         ids = np.full((points.shape[0], k), -1, dtype=np.int64)
         dists = np.full((points.shape[0], k), np.inf, dtype=np.float64)
-        total = QueryStats(extra={"batch_size": points.shape[0]})
+        candidates = computations = 0
+        extra: dict[str, Any] = {}
         for row, point in enumerate(points):
-            got_ids, got_dists = self.query(point, k, **overrides)
+            got_ids, got_dists, got_candidates, got_computations, extra = \
+                self._search(point, k, **overrides)
             count = min(k, len(got_ids))
             ids[row, :count] = got_ids[:count]
             dists[row, :count] = got_dists[:count]
-            stats = self.last_query_stats()
-            for name in _COUNTED_FIELDS:
-                setattr(total, name,
-                        getattr(total, name) + getattr(stats, name))
-        self._query_stats = total
-        return ids, dists
+            candidates += got_candidates
+            computations += got_computations
+        return (ids, dists, candidates, computations,
+                extra if points.shape[0] == 1 else {})
+
+    def _search(self, point: np.ndarray, k: int
+                ) -> tuple[np.ndarray, np.ndarray, int, int, dict[str, Any]]:
+        """Answer one checked query: a float64 ``(ν,)`` point, ``k >= 1``.
+
+        Returns:
+            ``(ids, distances, candidates, distance_computations,
+            extra)``: at most k answers by increasing distance, then the
+            :class:`QueryStats` fields the method counts itself.
+        """
+        raise NotImplementedError
 
     # -- accounting -------------------------------------------------------
 

@@ -46,6 +46,7 @@ import zipfile
 import numpy as np
 
 from repro.core.hdindex import HDIndex
+from repro.core.interface import BuildStats
 from repro.core.params import HDIndexParams, check_backend
 from repro.core.reference import ReferenceSet
 from repro.core.spec import IndexSpec, params_from_dict
@@ -315,6 +316,7 @@ def _load_hdindex(directory: str, backend: str | None = None) -> HDIndex:
                 f"{META_FILE} records {recorded['count']} and "
                 f"{recorded['leaf_capacity']}")
         index.trees.append(tree)
+    index._build_stats = BuildStats()  # built, though not timed here
     return index
 
 

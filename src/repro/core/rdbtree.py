@@ -194,9 +194,8 @@ class RDBTree:
 
     def _layout(self, keys_raw: np.ndarray,
                 values_raw: np.ndarray) -> PackedTree:
-        return PackedTree.from_sorted(
-            self._key_codec, keys_raw, values_raw, self.leaf_capacity,
-            self._internal_capacity)
+        return PackedTree(self._key_codec, keys_raw, values_raw,
+                          self.leaf_capacity, self._internal_capacity)
 
     def adopt(self, packed: PackedTree) -> None:
         """Make ``packed`` the tree."""
@@ -216,12 +215,11 @@ class RDBTree:
         """Serializable state: curve geometry + tree structure (the
         ``tree_<i>.packed`` file holds everything else)."""
         packed = self.packed
-        top = (packed.level_pages or [packed.leaf_pages])[0]
         return {
             "dim": self.curve.dim,
             "order": self.curve.order,
             "num_references": self.num_references,
-            "tree": {"root": int(top[0]) if top.size else NO_PAGE,
+            "tree": {"root": packed.root if packed.count else NO_PAGE,
                      "height": packed.height, "count": packed.count,
                      "leaf_capacity": self.leaf_capacity},
         }

@@ -195,19 +195,14 @@ def _install_tree_crosscheck() -> None:
 
 def node_oracle(packed: Any) -> Any:
     """The :class:`~repro.devtools.nodewalk.NodeWalk` of a packed layout's
-    entries, made once per layout with the capacities its first leaf and
-    first bottom-level node show (every layout is the one bulk loading
-    gives: a snapshot's geometry is laid out again when it is read)."""
+    entries at the layout's capacities, made once per layout."""
     from repro.devtools.nodewalk import NodeWalk
 
     walk = getattr(packed, "_sanitize_oracle", None)
     if walk is None:
-        starts = packed.leaf_starts
-        leaf = int(starts[1]) if starts.size > 1 else 1
-        fanout = int(packed.level_starts[-1][1]) if packed.level_starts else 2
         walk = packed._sanitize_oracle = NodeWalk(
-            packed.key_codec, packed.entries(range(packed.count)), leaf,
-            fanout - 1)
+            packed.key_codec, packed.entries(range(packed.count)),
+            packed.leaf_capacity, packed.internal_capacity)
     return walk
 
 

@@ -288,8 +288,8 @@ def predicate_from_dict(data: Mapping[str, Any]) -> Predicate:
 def coerce_predicate(value) -> Predicate | None:
     """Accept a :class:`Predicate`, its dict wire form, or ``None``.
 
-    Every query entry point (``HDIndex.query``, the serve tier, the
-    process pool) funnels through this, so callers on any side of a
+    Every query entry point (HD-Index's query engine, the serve tier,
+    the process pool) funnels through this, so callers on any side of a
     serialisation boundary can pass whichever form they have.
     """
     if value is None or isinstance(value, Predicate):

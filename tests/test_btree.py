@@ -24,9 +24,8 @@ def columns(pairs, leaf_cap, internal_cap=8):
     keys = np.frombuffer(b"".join(CODEC.encode(k) for k, _ in pairs),
                          dtype=np.uint8).reshape(-1, 8)
     values = np.asarray([v for _, v in pairs], dtype=">u8")
-    return PackedTree.from_sorted(CODEC, keys,
-                                  values.view(np.uint8).reshape(-1, 8),
-                                  leaf_cap, internal_cap)
+    return PackedTree(CODEC, keys, values.view(np.uint8).reshape(-1, 8),
+                      leaf_cap, internal_cap)
 
 
 def walk_of(tree, leaf_cap, internal_cap=8):
@@ -147,26 +146,14 @@ class TestBulkLoad:
 
 
 def top_down_layout(walk):
-    """The walk's tree as a packed layout read off its nodes the way a
-    descent sees them: internal children top-down, then the leaves in
-    that order — not the sibling order the scans follow."""
-    level, level_pages, level_starts = [walk.root], [], []
+    """The walk's entries read off its nodes the way a descent sees them:
+    internal children top-down, then the leaves in that order — not the
+    sibling order the scans follow."""
+    level = [walk.root]
     while level[0] in walk.nodes:
-        children = [walk.nodes[page][1] for page in level]
-        level_pages.append(level)
-        level_starts.append(np.cumsum([0] + [len(c) for c in children]))
-        level = [child for group in children for child in group]
-    leaves = [walk.leaves[page] for page in level]
-    keys = b"".join(key for leaf_keys, _ in leaves for key in leaf_keys)
-    values = [value for _, leaf_values in leaves for value in leaf_values]
-    return PackedTree(
-        walk.key_codec,
-        np.frombuffer(keys, dtype=np.uint8).reshape(
-            -1, walk.key_codec.width),
-        np.frombuffer(b"".join(values), dtype=np.uint8).reshape(
-            len(values), -1),
-        np.cumsum([0] + [len(leaf_keys) for leaf_keys, _ in leaves]),
-        level, level_pages, level_starts)
+        level = [child for page in level for child in walk.nodes[page][1]]
+    return [entry for page in level
+            for entry in zip(*walk.leaves[page])]
 
 
 class TestSplitAmongEqualSeparators:
@@ -185,7 +172,7 @@ class TestSplitAmongEqualSeparators:
         base = np.sort(rng.integers(0, 4, size=100))
         keys = np.concatenate([base, rng.integers(0, 4, size=60)])
         order = keys.argsort(kind="stable")
-        tree = PackedTree.from_sorted(
+        tree = PackedTree(
             codec, keys[order].astype(np.uint8).reshape(-1, 1),
             order.astype(">u8").view(np.uint8).reshape(-1, 8),
             leaf_cap, internal_cap)
@@ -193,7 +180,7 @@ class TestSplitAmongEqualSeparators:
                         internal_cap)
         assert walk.height >= 3
         chain = list(walk.range(b"\x00", b"\x03", IOStats()))
-        assert top_down_layout(walk).entries(range(tree.count)) == chain
+        assert top_down_layout(walk) == chain
         assert tree.entries(range(tree.count)) == chain
         assert [key for key, _ in chain] == sorted(key for key, _ in chain)
         for probe in range(4):
@@ -211,9 +198,6 @@ class TestSplitAmongEqualSeparators:
                 assert tree.entries(tree.nearest_positions(
                     raw, count, packed_stats)) == want
                 assert packed_stats == walk_stats
-                top_down = top_down_layout(walk)
-                assert top_down.entries(top_down.nearest_positions(
-                    raw, count)) == want
 
 
 class TestLookups:

@@ -34,8 +34,7 @@ def make_tree(key_codec, keys, leaf_cap=4, internal_cap=3):
     raw = np.frombuffer(b"".join(key_codec.encode(k) for k in keys),
                         dtype=np.uint8).reshape(-1, key_codec.width)
     values = np.arange(len(keys), dtype=">u8").view(np.uint8).reshape(-1, 8)
-    packed = PackedTree.from_sorted(key_codec, raw, values, leaf_cap,
-                                    internal_cap)
+    packed = PackedTree(key_codec, raw, values, leaf_cap, internal_cap)
     return packed, NodeWalk(key_codec, packed.entries(range(packed.count)),
                             leaf_cap, internal_cap)
 
@@ -181,7 +180,7 @@ class TestActivation:
     def test_opaque_keys_not_captured(self):
         keys = np.arange(10, dtype=">u4").view(np.uint8).reshape(10, 4)
         with pytest.raises(ValueError, match="cannot pack"):
-            PackedTree.from_sorted(Codec(), keys, keys, 4, 3)
+            PackedTree(Codec(), keys, keys, 4, 3)
 
 
 class TestParity:
@@ -216,7 +215,7 @@ class TestParity:
         for probe in {min(keys), max(keys), keys[len(keys) // 2]}:
             for count in (1, 3, len(keys), len(keys) + 5):
                 got, want = nearest_both(packed, walk, codec.encode(probe),
-                                         count, packed._root - 1)
+                                         count, packed.root - 1)
                 assert got == want
 
     @given(st.lists(st.integers(min_value=0, max_value=2**31),
@@ -239,7 +238,7 @@ class TestParity:
         page below the root (so the first descent is sequential)."""
         width, keys, probe, count, leaf_cap = case
         packed, walk = make_tree(UIntCodec(width), keys, leaf_cap)
-        for previous in (-2, packed._root - 1):
+        for previous in (-2, packed.root - 1):
             got, want = nearest_both(packed, walk,
                                      UIntCodec(width).encode(probe), count,
                                      previous)
@@ -255,7 +254,7 @@ class TestParity:
         low, high = sorted((bound_a, bound_b))
         packed, walk = make_tree(UIntCodec(8), keys, leaf_cap)
         lo, hi = UIntCodec(8).encode(low), UIntCodec(8).encode(high)
-        for previous in (-2, packed._root - 1):
+        for previous in (-2, packed.root - 1):
             packed_stats, walk_stats = seeded(previous), seeded(previous)
             assert list(packed.range_entries(lo, hi, packed_stats)) == \
                 list(walk.range(lo, hi, walk_stats))
@@ -473,7 +472,7 @@ class TestCountedReads:
         codec, keys, probe, count, leaf_cap, internal_cap, mask = case
         packed, walk = make_tree(codec, keys, leaf_cap, internal_cap)
         previous = data.draw(st.one_of(
-            st.just(-2), st.just(packed._root - 1),
+            st.just(-2), st.just(packed.root - 1),
             st.integers(0, packed.num_pages - 1)))
         raw, subset, accept = codec.encode(probe), None, None
         if mask is not None:
@@ -521,13 +520,12 @@ class TestDescentCount:
         height, count, leaf_cap, internal_cap = layout
         codec = UIntCodec(4)
         keys = np.arange(count, dtype=">u4").view(np.uint8).reshape(count, 4)
-        packed = PackedTree.from_sorted(codec, keys, keys, leaf_cap,
-                                        internal_cap)
+        packed = PackedTree(codec, keys, keys, leaf_cap, internal_cap)
         assert packed.height == height
         for leaf in range(packed.leaf_pages.size):
             walked = walked_descent(packed, leaf)
-            assert walked[0] == packed._root and walked[-1] == leaf
-            for previous in (-2, packed._root - 1, leaf):
+            assert walked[0] == packed.root and walked[-1] == leaf
+            for previous in (-2, packed.root - 1, leaf):
                 counted, read = seeded(previous), seeded(previous)
                 packed._count_descent(counted, leaf)
                 for page in walked:
@@ -544,8 +542,7 @@ class TestSerialization:
         packed, _ = make_tree(codec, [5**i for i in range(40)], leaf_cap=2)
         arrays = unpack_arrays(pack_arrays({"keys": packed.keys_raw,
                                             "values": packed.values_raw}))
-        restored = PackedTree.from_sorted(codec, arrays["keys"],
-                                          arrays["values"], 2, 3)
+        restored = PackedTree(codec, arrays["keys"], arrays["values"], 2, 3)
         want = layout_arrays(packed)
         for name, array in layout_arrays(restored).items():
             np.testing.assert_array_equal(array, want.pop(name),

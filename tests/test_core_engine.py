@@ -384,9 +384,9 @@ DELTA_LABELS = (1, 1, 0)
 
 
 class TestScalarOracleParity:
-    """``run`` is ``run_batch`` at Q = 1, so batch-equals-loop only shows
-    that rows are independent; this is the check that the one pipeline
-    computes Algo. 2."""
+    """``query`` is ``query_batch`` at Q = 1, so batch-equals-loop only
+    shows that rows are independent; this is the check that the one
+    pipeline computes Algo. 2."""
 
     K = 10
     PREDICATES = {"plain": None, "filtered": Eq("label", 1)}

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro
 from repro.core import (
+    BuildStats,
     HDIndex,
+    IndexSpec,
     HDIndexParams,
     PersistenceError,
     load_index,
@@ -41,17 +44,30 @@ def params(**overrides):
 
 
 class TestSaveLoad:
-    def test_round_trip_from_memory_build(self, workload, tmp_path):
+    @pytest.mark.parametrize("reopen", ["memory", "mmap", "wal"])
+    def test_round_trip_from_memory_build(self, workload, tmp_path, reopen):
+        """A reopened snapshot counts as built: ``repro.open`` answers
+        both entries exactly as the built index, and reports the zeroed
+        build it did not time."""
         data, queries = workload
         original = HDIndex(params())
         original.build(data)
-        save_index(original, tmp_path / "index")
-        reloaded = load_index(tmp_path / "index")
+        if reopen == "wal":
+            repro.build(IndexSpec(params(), wal=True), data,
+                        storage_dir=tmp_path / "index").close()
+        else:
+            save_index(original, tmp_path / "index")
+        reloaded = repro.open(tmp_path / "index",
+                              backend=None if reopen == "wal" else reopen)
+        assert reloaded.build_stats() == BuildStats()
         for query in queries:
             ids_a, dists_a = original.query(query, 10)
             ids_b, dists_b = reloaded.query(query, 10)
             np.testing.assert_array_equal(ids_a, ids_b)
-            np.testing.assert_allclose(dists_a, dists_b)
+            np.testing.assert_array_equal(dists_a, dists_b)
+        for got, want in zip(reloaded.query_batch(queries, 10),
+                             original.query_batch(queries, 10)):
+            np.testing.assert_array_equal(got, want)
         reloaded.close()
 
     def test_round_trip_from_disk_build(self, workload, tmp_path):

@@ -259,8 +259,9 @@ def assert_same_arrays(got, want):
 
 
 class TestBuildAgainstBulkLoad:
-    """``bulk_build`` writes, array for array, the layout the node walk
-    gives the same sorted entries, read off its nodes top-down."""
+    """``bulk_build`` writes, entry for entry, what the node walk of the
+    same sorted entries holds, read off its nodes top-down, in a tree of
+    the walk's height and pages."""
 
     @pytest.mark.parametrize("as_matrix", [False, True],
                              ids=["int-keys", "byte-matrix"])
@@ -284,7 +285,7 @@ class TestBuildAgainstBulkLoad:
             walk = node_walk(tree, width, node_entries(
                 [keys[i] for i in order], ids[order], distances[order],
                 width, id_width(ids)))
-            assert_same_arrays(tree.packed, top_down_layout(walk))
+            assert tree.packed.entries(range(n)) == top_down_layout(walk)
             assert (len(tree), tree.height) == (n, walk.height)
             pages = len(walk.leaves) + len(walk.nodes)
             assert tree.size_bytes() == pages * tree.page_size
@@ -485,7 +486,7 @@ def lookups(tree, probes, alpha=30):
     of the page below the root)."""
     found = []
     for probe in probes:
-        tree.stats = seeded(tree.packed._root - 1)
+        tree.stats = seeded(tree.packed.root - 1)
         found.append((*tree.candidates(probe, alpha), counts(tree.stats)))
     return found
 
@@ -575,7 +576,7 @@ class TestNodeOracleParity:
         stored = tree.packed.values_raw.reshape(-1).view(tree._record_dtype)
         for probe in probes:
             for alpha, previous in itertools.product(
-                    (1, 30, 700, 900), (-2, tree.packed._root - 1)):
+                    (1, 30, 700, 900), (-2, tree.packed.root - 1)):
                 tree.stats, walk_stats = seeded(previous), seeded(previous)
                 got_ids, got_ref = tree.candidates(probe, alpha)
                 want = walk.nearest(probe.to_bytes(width, "big"), alpha,

@@ -212,7 +212,7 @@ class TestPackedNodeCrossCheck:
             stats._last_read_page = leaf
 
         monkeypatch.setattr(PackedTree, "_count_descent", always_random)
-        stats._last_read_page = tree._root - 1 if after_root else 3
+        stats._last_read_page = tree.root - 1 if after_root else 3
         if after_root:
             with pytest.raises(SanitizerError, match="read count"):
                 nearest(tree, stats, 42, 4)
@@ -273,7 +273,8 @@ class TestColumnsOracleCrossCheck:
 
     def test_corrupted_geometry_raises(self, sanitized):
         tree, keys = self.build_rdbtree()
-        tree.packed._leaf_cap -= 1  # leaf boundaries counted off by one
+        tree.candidates(keys[0].tobytes(), 8)  # the oracle's capacities
+        tree.packed.leaf_capacity -= 1  # leaf boundaries counted off by one
         with pytest.raises(SanitizerError, match="read count divergence"):
             tree.candidates(keys[300].tobytes(), 40)
 

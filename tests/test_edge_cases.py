@@ -15,7 +15,7 @@ def tree_and_walk(keys, leaf_cap):
     the node walk of the same tree."""
     raw = np.asarray(keys, dtype=">u8").view(np.uint8).reshape(-1, 8)
     values = np.arange(len(keys), dtype=">u8").view(np.uint8).reshape(-1, 8)
-    tree = PackedTree.from_sorted(UIntCodec(8), raw, values, leaf_cap, 2)
+    tree = PackedTree(UIntCodec(8), raw, values, leaf_cap, 2)
     return tree, NodeWalk(UIntCodec(8), tree.entries(range(len(keys))),
                           leaf_cap, 2)
 

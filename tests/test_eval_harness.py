@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.baselines import SRS, LinearScan
+from repro.baselines import LinearScan
 from repro.core import HDIndex, HDIndexParams
+from repro.core.interface import KNNIndex
 from repro.eval import (
     GroundTruth,
     evaluate_index,
@@ -13,6 +14,11 @@ from repro.eval import (
     run_comparison,
 )
 from repro.eval.memory import array_bytes
+from test_method_contract import METHODS, clustered_rows
+
+#: The counters a batch reports as the sum of its rows'.
+COUNTED = ("page_reads", "random_reads", "sequential_reads", "candidates",
+           "distance_computations")
 
 
 @pytest.fixture(scope="module")
@@ -61,22 +67,46 @@ class TestEvaluateIndex:
         assert row["MAP@k"] == 1.0
         assert "index_size" in row
 
-    @pytest.mark.parametrize("make_index", [
-        LinearScan, lambda: SRS(max_fraction=0.2, seed=0)],
-        ids=["LinearScan", "SRS"])
-    def test_default_batches_count_every_row(self, workload, make_index):
-        """The base ``query_batch`` loop sums every row's counters, so a
-        chunked run reports what the one-at-a-time loop does (5 queries
-        in chunks of 4 and 1)."""
-        data, queries = workload
-        index = make_index()
-        index.build(data)
-        loop = evaluate_index(index, data, queries, k=5, build=False)
-        batched = evaluate_index(index, data, queries, k=5, build=False,
+    @pytest.mark.parametrize("name", METHODS)
+    def test_default_batches_count_every_row(self, name):
+        """Row r of ``query_batch`` is ``query(points[r])`` for every
+        method, and under the base's loop over ``_search`` a batch counts
+        the sum of its rows' counters, so a chunked run reports what the
+        one-at-a-time loop does (5 queries in chunks of 4 and 1).  Two
+        builds start both runs' page accounting afresh.  HD-Index's batch
+        fetches each distinct candidate once: at most the rows' reads."""
+        data = clustered_rows()
+        queries = data[::40] + 0.5
+        singles, batched = METHODS[name](), METHODS[name]()
+        singles.build(data)
+        batched.build(data)
+        rows = [(*singles.query(point, 5), singles.last_query_stats())
+                for point in queries]
+        ids, dists = batched.query_batch(queries, 5)
+        total = batched.last_query_stats()
+        for row, (want_ids, want_dists, stats) in enumerate(rows):
+            found = ids[row] >= 0
+            np.testing.assert_array_equal(ids[row][found], want_ids)
+            np.testing.assert_array_equal(dists[row][found], want_dists)
+            assert "batch_size" not in stats.extra
+        summed = {field: sum(getattr(stats, field) for *_, stats in rows)
+                  for field in COUNTED}
+        got = {field: getattr(total, field) for field in COUNTED}
+        assert total.candidates > 0
+        assert (total.page_reads > 0) == bool(batched._accountants())
+        default = type(batched)._search_batch is KNNIndex._search_batch
+        if not default:
+            assert got.pop("page_reads") <= summed.pop("page_reads")
+            for field in ("random_reads", "sequential_reads"):
+                del got[field], summed[field]
+        assert got == summed
+        loop = evaluate_index(singles, data, queries, k=5, build=False)
+        chunked = evaluate_index(singles, data, queries, k=5, build=False,
                                  batch_size=4)
-        assert batched.avg_page_reads == loop.avg_page_reads > 0
-        assert batched.avg_candidates == loop.avg_candidates > 0
-        assert batched.extra["answers"] == loop.extra["answers"]
+        assert chunked.extra["answers"] == loop.extra["answers"]
+        if default:
+            assert chunked.avg_page_reads == loop.avg_page_reads
+            assert chunked.avg_candidates == loop.avg_candidates
 
 
 class TestRunComparison:

@@ -49,11 +49,16 @@ class TestKNNIndexBase:
 
     def test_query_batch_pads_short_answers(self):
         class TwoAnswers(KNNIndex):
-            def query(self, point, k):
-                return (np.asarray([1, 2], dtype=np.int64),
-                        np.asarray([0.1, 0.2]))
+            def _build(self, data):
+                return 0
 
-        ids, dists = TwoAnswers().query_batch(np.zeros((1, 4)), k=5)
+            def _search(self, point, k):
+                return (np.asarray([1, 2], dtype=np.int64),
+                        np.asarray([0.1, 0.2]), 2, 0, {})
+
+        index = TwoAnswers()
+        index.build(np.zeros((3, 4)))
+        ids, dists = index.query_batch(np.zeros((1, 4)), k=5)
         assert ids.shape == (1, 5)
         assert ids[0, :2].tolist() == [1, 2]
         assert ids[0, 2:].tolist() == [-1, -1, -1]

@@ -1,11 +1,13 @@
-"""The method contract: ``KNNIndex.build`` and ``KNNIndex.query`` check
-every call the same way for HD-Index and every baseline.
+"""The method contract: ``KNNIndex.build``, ``query`` and
+``query_batch`` check every call the same way for HD-Index and every
+baseline.
 
-A baseline implements only ``_build`` and ``_search``; the base refuses
-a query on an unbuilt index, a ``k`` below 1, a point of the wrong
-length or with a non-finite value, and build data that is not a
-non-empty 2-D array of finite values — each promptly, so no method can
-broadcast a short point, answer with NaN distances or loop on one.
+A baseline implements only ``_build`` and ``_search`` (HD-Index
+``_search_batch``); the base refuses a query on an unbuilt index, a
+``k`` below 1, a point of the wrong length or with a non-finite value,
+and build data that is not a non-empty 2-D array of finite values —
+each promptly and through both entries, so no method can broadcast a
+short point, answer with NaN distances or loop on one.
 """
 
 import threading
@@ -57,13 +59,29 @@ BAD_POINTS = {
 }
 
 
-@pytest.fixture(scope="module")
-def data():
+def clustered_rows():
+    """200 points in four clusters of ``DIM`` dimensions in [0, 100]."""
     rng = np.random.default_rng(5)
     centers = rng.uniform(0.0, 100.0, size=(4, DIM))
     return np.clip(np.vstack([
         center + rng.normal(0.0, 3.0, size=(50, DIM)) for center in centers]),
         0.0, 100.0)
+
+
+@pytest.fixture(scope="module")
+def data():
+    return clustered_rows()
+
+
+#: One call through each entry: ``query`` of a point, ``query_batch`` of
+#: it as a one-row batch, and ``query_batch`` of no rows.
+ENTRIES = {
+    "query": lambda index, point, k: index.query(point, k),
+    "query_batch": lambda index, point, k: index.query_batch(
+        point[None, :], k),
+    "query_batch_empty": lambda index, point, k: index.query_batch(
+        np.empty((0, point.size)), k),
+}
 
 
 @pytest.fixture(scope="module")
@@ -97,30 +115,47 @@ def raised_within_a_second(call):
 
 
 @pytest.mark.parametrize("name", METHODS)
-@pytest.mark.parametrize("method", ["build", "query", "_require_built"])
-def test_only_the_base_and_hdindex_define_the_contract(name, method):
+@pytest.mark.parametrize("method",
+                         ["build", "query", "query_batch", "_require_built"])
+def test_only_the_base_defines_the_contract(name, method):
+    """HD-Index alone keeps a ``build`` (it takes ``metadata=``); its
+    ``query_batch`` is the base's function, named in its class dict for
+    the benchmark tracer."""
+    owners = (KNNIndex, HDIndex) if method == "build" else (KNNIndex,)
+    base = vars(KNNIndex)[method]
     for klass in type(METHODS[name]()).__mro__:
-        if klass not in (KNNIndex, HDIndex):
-            assert method not in vars(klass), klass.__name__
+        if klass not in owners:
+            assert vars(klass).get(method, base) is base, klass.__name__
 
 
 @pytest.mark.parametrize("name", METHODS)
-def test_query_before_build_rejected(name):
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_query_before_build_rejected(name, entry):
     with pytest.raises(RuntimeError, match="not been built"):
-        METHODS[name]().query(np.full(DIM, 50.0), 1)
+        ENTRIES[entry](METHODS[name](), np.full(DIM, 50.0), 1)
 
 
 @pytest.mark.parametrize("name", METHODS)
-def test_k_zero_rejected(built, data, name):
+@pytest.mark.parametrize("entry", ENTRIES)
+def test_k_zero_rejected(built, data, name, entry):
     with pytest.raises(ValueError, match="k must be >= 1"):
-        built[name].query(data[0], 0)
+        ENTRIES[entry](built[name], data[0], 0)
 
 
 @pytest.mark.parametrize("name", METHODS)
+@pytest.mark.parametrize("entry", ["query", "query_batch"])
 @pytest.mark.parametrize("point", BAD_POINTS)
-def test_malformed_point_rejected_promptly(built, name, point):
+def test_malformed_point_rejected_promptly(built, name, entry, point):
     error = raised_within_a_second(
-        lambda: built[name].query(BAD_POINTS[point], 5))
+        lambda: ENTRIES[entry](built[name], BAD_POINTS[point], 5))
+    assert isinstance(error, ValueError), error
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_batch_with_a_nan_row_rejected_promptly(built, data, name):
+    rows = data[:3].copy()
+    rows[1, 3] = np.nan
+    error = raised_within_a_second(lambda: built[name].query_batch(rows, 5))
     assert isinstance(error, ValueError), error
 
 
