@@ -68,6 +68,7 @@ class HNSW(KNNIndex):
 
     def _build(self, data: np.ndarray) -> int:
         self.data = data
+        self._rng = np.random.default_rng(self.seed)
         self._levels = []
         self._links = []
         self._entry_point = -1

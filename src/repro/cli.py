@@ -257,11 +257,10 @@ def cmd_build(args, out=sys.stdout) -> int:
         print(f"error: {error}", file=sys.stderr)
         return 2
     params = index.params
-    stats = index.build_stats()
     print(f"built {index.name} over n={len(data)}, ν={data.shape[1]} in "
-          f"{stats.time_sec:.2f}s", file=out)
-    print(f"τ={params.num_trees} trees, m={params.num_references} "
-          f"references, leaf orders {stats.extra['leaf_orders']}", file=out)
+          f"{index.build_stats().time_sec:.2f}s", file=out)
+    print(f"τ={params.num_trees} trees, m={params.num_references} references, "
+          f"leaf orders {[tree.leaf_order for tree in index.trees]}", file=out)
     descriptors = index.total_size_bytes() - index.index_size_bytes()
     print(f"index {index.index_size_bytes():,} B + descriptors "
           f"{descriptors:,} B -> {args.out}", file=out)

@@ -44,19 +44,6 @@ class BuildStats:
     time_sec: float = 0.0
     page_writes: int = 0
     peak_memory_bytes: int = 0
-    extra: dict[str, Any] = field(default_factory=dict)
-
-
-def validated_data(data: np.ndarray) -> np.ndarray:
-    """``data`` as float64, or ``ValueError`` unless it is a non-empty
-    2-D array of finite values."""
-    data = np.asarray(data, dtype=np.float64)
-    if data.ndim != 2:
-        raise ValueError(f"data must be 2-D, got shape {data.shape}")
-    if not data.size:
-        raise ValueError("cannot build an index over an empty dataset")
-    require_finite(data)
-    return data
 
 
 class KNNIndex:
@@ -94,11 +81,11 @@ class KNNIndex:
     dim: int = 0
 
     #: Monotonic mutation counter: implementations bump it on every
-    #: ``insert``/``delete`` (via :meth:`_bump_update_epoch`) so a layer
-    #: answering from a copy — :class:`~repro.serve.QueryService`'s
+    #: ``insert``/``delete``/``build`` (via :meth:`_bump_update_epoch`)
+    #: so a layer answering from a copy — :class:`~repro.serve.QueryService`'s
     #: worker pool, which opens the snapshot — can detect that the index
-    #: moved on without being told.  Rebuilds/compactions that preserve
-    #: the logical contents do not bump it.
+    #: moved on without being told.  Compactions, which preserve the
+    #: logical contents, do not bump it.
     update_epoch: int = 0
 
     def _check_rows(self, points: np.ndarray) -> None:
@@ -119,30 +106,42 @@ class KNNIndex:
             raise RuntimeError("index has not been built; call build() first")
 
     def _bump_update_epoch(self) -> None:
-        """Record a logical-content mutation (insert/delete)."""
+        """Record a logical-content mutation (insert/delete/build)."""
         self.update_epoch = self.update_epoch + 1
 
-    def build(self, data: np.ndarray) -> None:
-        """Construct the index over a dataset.
+    def build(self, data: np.ndarray, metadata: Any = None) -> None:
+        """Construct the index over a dataset, from nothing.
 
-        Validates ``data``, then times :meth:`_build` and records a
-        :class:`BuildStats` with its peak bytes and the page writes of
-        :meth:`_accountants`.  The index counts as built only once a
-        build succeeds.
+        Validates ``data``, then :meth:`_timed_build` runs :meth:`_build`.
 
         Args:
             data: ``(n, ν)`` array of vectors; coerced to float64.
+            metadata: Per-point attributes, passed to :meth:`_build` when
+                given (HD-Index's filtered queries; a baseline takes none).
 
         Raises:
             ValueError: If ``data`` is not 2-D, is empty, holds a NaN or
                 infinite value, or violates a structural parameter (e.g.
                 ``num_trees`` exceeding ν for the HD-Index family).
         """
-        data = validated_data(data)
+        data = np.asarray(data, dtype=np.float64)
+        if data.ndim != 2:
+            raise ValueError(f"data must be 2-D, got shape {data.shape}")
+        if not data.size:
+            raise ValueError("cannot build an index over an empty dataset")
+        require_finite(data)
+        self._timed_build(self._build, data, **(
+            {} if metadata is None else {"metadata": metadata}))
+        self.dim = data.shape[1]
+
+    def _timed_build(self, construct, *args: Any, **kwargs: Any) -> None:
+        """The one build step: forget the earlier :class:`BuildStats`,
+        time ``construct`` and record the peak bytes it returns with the
+        page writes of :meth:`_accountants`.  The index counts as built
+        only once a construction returns."""
         self._build_stats = None
         started = time.perf_counter()
-        peak_memory_bytes = self._build(data)
-        self.dim = data.shape[1]
+        peak_memory_bytes = construct(*args, **kwargs)
         self._build_stats = BuildStats(
             time_sec=time.perf_counter() - started,
             page_writes=sum(stats.page_writes

@@ -54,7 +54,8 @@ class TestBuild:
         assert stats.time_sec > 0
         assert stats.page_writes > 0
         assert stats.peak_memory_bytes > 0
-        assert len(stats.extra["leaf_orders"]) == 4
+        assert len(index.trees) == 4
+        assert all(tree.leaf_order >= 1 for tree in index.trees)
 
     def test_index_size_is_sum_of_trees(self, built_index):
         index, _, _ = built_index

@@ -108,13 +108,12 @@ class TestMiscEdges:
     def test_hdindex_name_attributes(self):
         assert HDIndex().name == "HD-Index"
 
-    def test_build_stats_extra_fields(self):
+    def test_trees_record_leaf_orders_and_heights(self):
         rng = np.random.default_rng(0)
         data = rng.uniform(0, 10, size=(100, 8))
         index = HDIndex(HDIndexParams(num_trees=2, num_references=3,
                                       alpha=16, gamma=8, domain=(0, 10)))
         index.build(data)
-        extra = index.build_stats().extra
-        assert len(extra["leaf_orders"]) == 2
-        assert len(extra["tree_heights"]) == 2
-        assert all(height >= 1 for height in extra["tree_heights"])
+        assert len(index.trees) == 2
+        assert all(tree.leaf_order >= 1 for tree in index.trees)
+        assert all(tree.height >= 1 for tree in index.trees)

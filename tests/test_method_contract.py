@@ -3,11 +3,13 @@
 baseline.
 
 A baseline implements only ``_build`` and ``_search`` (HD-Index
-``_search_batch``); the base refuses a query on an unbuilt index, a
-``k`` below 1, a point of the wrong length or with a non-finite value,
-and build data that is not a non-empty 2-D array of finite values —
-each promptly and through both entries, so no method can broadcast a
-short point, answer with NaN distances or loop on one.
+``_build`` and ``_search_batch``); the base refuses a query on an
+unbuilt index, a ``k`` below 1, a point of the wrong length or with a
+non-finite value, and build data that is not a non-empty 2-D array of
+finite values — each promptly and through both entries, so no method
+can broadcast a short point, answer with NaN distances or loop on one.
+A build starts from nothing: a rebuild answers and counts as a fresh
+build does, whatever updates the earlier build took.
 """
 
 import threading
@@ -115,17 +117,46 @@ def raised_within_a_second(call):
 
 
 @pytest.mark.parametrize("name", METHODS)
-@pytest.mark.parametrize("method",
-                         ["build", "query", "query_batch", "_require_built"])
+@pytest.mark.parametrize("method", ["build", "_timed_build", "query",
+                                    "query_batch", "_require_built"])
 def test_only_the_base_defines_the_contract(name, method):
-    """HD-Index alone keeps a ``build`` (it takes ``metadata=``); its
-    ``query_batch`` is the base's function, named in its class dict for
-    the benchmark tracer."""
-    owners = (KNNIndex, HDIndex) if method == "build" else (KNNIndex,)
+    """HD-Index's ``build`` and ``query_batch`` are the base's functions,
+    named in its class dict for the benchmark tracer."""
     base = vars(KNNIndex)[method]
     for klass in type(METHODS[name]()).__mro__:
-        if klass not in owners:
+        if klass is not KNNIndex:
             assert vars(klass).get(method, base) is base, klass.__name__
+
+
+def own_updates(index, rows):
+    """The updates a method takes between builds: HD-Index inserts and
+    deletes, HNSW adds; the other methods take none."""
+    if isinstance(index, HDIndex):
+        index.insert(rows[0])
+        index.delete(5)
+    elif isinstance(index, HNSW):
+        index.add(rows[0])
+
+
+@pytest.mark.parametrize("name", METHODS)
+def test_a_rebuild_is_a_fresh_build(name):
+    """``build(a)``, the method's own updates, then ``build(b)`` answers
+    and counts page writes as a fresh ``build(b)`` does: no tombstone,
+    delta or random state of the first build survives."""
+    rng = np.random.default_rng(8)
+    first = rng.uniform(0.0, 100.0, size=(300, DIM))
+    second = rng.uniform(0.0, 100.0, size=(200, DIM))
+    rebuilt, fresh = METHODS[name](), METHODS[name]()
+    rebuilt.build(first)
+    own_updates(rebuilt, second)
+    rebuilt.build(second)
+    fresh.build(second)
+    got, want = (index.query_batch(second[:50], 10)
+                 for index in (rebuilt, fresh))
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+    assert rebuilt.build_stats().page_writes == \
+        fresh.build_stats().page_writes
 
 
 @pytest.mark.parametrize("name", METHODS)
@@ -172,10 +203,22 @@ def test_malformed_data_rejected(data, name, bad):
         index.query(data[0], 1)
 
 
-def test_failed_rebuild_leaves_the_index_unbuilt(data):
-    index = Multicurves(num_curves=4, alpha=64)
+FAILED_REBUILDS = {
+    # No leaf holds one descriptor.
+    "Multicurves": (lambda: Multicurves(num_curves=4, alpha=64),
+                    np.zeros((10, 1200)), MulticurvesUnsupportedError),
+    # Three rows cannot hold num_references=4 reference objects.
+    "HDIndex": (METHODS["HDIndex"], np.arange(48.0).reshape(3, DIM),
+                ValueError),
+}
+
+
+@pytest.mark.parametrize("name", FAILED_REBUILDS)
+def test_failed_rebuild_leaves_the_index_unbuilt(data, name):
+    factory, rows, error = FAILED_REBUILDS[name]
+    index = factory()
     index.build(data)
-    with pytest.raises(MulticurvesUnsupportedError):
-        index.build(np.zeros((10, 1200)))  # no leaf holds one descriptor
+    with pytest.raises(error):
+        index.build(rows)
     with pytest.raises(RuntimeError, match="not been built"):
         index.query(data[0], 1)

@@ -206,6 +206,30 @@ class TestPoolServesWhatTheIndexHolds:
         finally:
             index.close()
 
+    def test_a_rebuild_since_the_save_is_never_served(self, workload,
+                                                      tmp_path):
+        """An in-memory index built over other rows after its save is a
+        new index: the pool bound to the old snapshot refuses its
+        batches, and the snapshot still opens with the old answers."""
+        data, _ = workload
+        index = HDIndex(_params())
+        index.build(data)
+        save_index(index, tmp_path)
+        want = index.query(data[7], 1)
+        other = np.clip(data[:100] + 7.0, 0.0, 100.0)
+        with QueryService(index, snapshot_dir=tmp_path,
+                          workers=1) as service:
+            assert service.query(data[7], 1, timeout=WAIT)[0][0] == 7
+            index.build(other)
+            assert index.query(other[0], 1)[0][0] == 0
+            with pytest.raises(ProcessPoolError, match="swap_snapshot"):
+                service.query(other[0], 1, timeout=WAIT)
+        index.close()
+        with open_index(tmp_path) as reopened:
+            got = reopened.query(data[7], 1)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
     def test_workers_open_no_log(self, workload, tmp_path):
         """A reader opened without the log is served what it holds: the
         writer's un-compacted insert is neither answered nor replayed

@@ -48,7 +48,8 @@ class TestStreamingBuild:
         index = build(IndexSpec(params=stream_params()),
                       chunks_of(corpus))
         assert index.count == N
-        assert index.build_stats().extra["streamed"] is True
+        assert len(index.heap) == N
+        assert all(len(tree) == N for tree in index.trees)
         query = corpus[17] + 0.05
         ids, dists = index.query(query, k=8)
         stored = index.heap.gather(np.arange(N))

@@ -437,6 +437,68 @@ class TestGenerationLifecycle:
         index.close()
 
 
+def _files(directory):
+    """Every file under ``directory`` with its bytes."""
+    return {path: path.read_bytes() for path in directory.rglob("*")
+            if path.is_file()}
+
+
+class TestRebuildGuard:
+    """A build starts from nothing, so it refuses a directory another
+    reader or the log may still read: before it writes any file, and
+    the root reopens answering as it did."""
+
+    def check_refused(self, directory, rebuild):
+        queries = _extra(37, 6)
+        with open_index(directory) as before:
+            want = before.query_batch(queries, 5)
+        files = _files(directory)
+        with pytest.raises(ValueError, match="repro.build"):
+            rebuild()
+        assert _files(directory) == files
+        with open_index(directory) as after:
+            got = after.query_batch(queries, 5)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+
+    def test_a_logged_root_refuses_its_own_rebuild(self, tmp_path):
+        directory = tmp_path / "snap"
+        index = _build_wal_index(directory)
+        for vector in _extra(29, 2):
+            index.insert(vector)
+        index.delete(3)
+        try:
+            self.check_refused(
+                directory, lambda: index.build(_base_data()[:20]))
+        finally:
+            index.close()
+
+    def test_a_new_build_refuses_a_compacted_root(self, tmp_path):
+        directory = tmp_path / "snap"
+        index = _build_wal_index(directory)
+        index.insert(_extra(31, 1)[0])
+        index.compact()
+        index.close()
+        self.check_refused(directory, lambda: build(
+            IndexSpec(params=_params()), _extra(33, 50),
+            storage_dir=str(directory)))
+
+    def test_a_reader_refuses_to_rebuild_its_generation(self, tmp_path):
+        directory = tmp_path / "snap"
+        index = _build_wal_index(directory)
+        index.insert(_extra(35, 1)[0])
+        index.compact()
+        index.close()
+        reader = open_index(directory, wal=False)
+        assert reader.params.storage_dir == resolve_snapshot_dir(
+            str(directory))
+        try:
+            self.check_refused(
+                directory, lambda: reader.build(_extra(33, 50)))
+        finally:
+            reader.close()
+
+
 class TestNoResyncOnWritePath:
     """Regression guard: a write — logged or not — must never rewrite
     the snapshot (the O(n) resync the delta replaces)."""
