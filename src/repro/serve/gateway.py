@@ -12,13 +12,18 @@ event loop owns all connections; per request it
   typed :class:`~repro.serve.ServiceOverloaded` frame immediately; the
   event loop never sleeps on a full queue, so a flood cannot freeze the
   clients that *are* being served;
+* **answers a lone request on the loop** — holding one request, on an
+  idle service, ``submit(alone=True)`` runs the query in the loop's
+  thread, sparing two wake-ups of an idle thread; the loop reads no frame
+  meanwhile;
 * **enforces the request deadline end-to-end** — the budget starts when
   the frame is decoded and covers queue admission, queue wait and
   execution: the deadline rides into
   :meth:`~repro.serve.QueryService.submit` (the dispatcher drops
   requests that expire while queued) and the await on the future is
   bounded by the same remaining budget, so a caller gets a typed
-  :class:`~repro.serve.DeadlineExceeded` response, never a hang;
+  :class:`~repro.serve.DeadlineExceeded` response, never a hang.  A lone
+  request's deadline is checked before its query and after, not during;
 * **keeps live percentiles** — per-request latencies land in a bounded
   ring buffer; the ``stats`` RPC reports p50/p90/p99, shed and expiry
   counters, the in-flight gauge and the service's batch-occupancy
@@ -263,6 +268,8 @@ class ServeGateway:
     async def _answer_query(self, message: dict, request_id,
                             started: float, deadline: float | None) -> dict:
         loop = asyncio.get_running_loop()
+        # One loop pass: frames read with this one register first.
+        await asyncio.sleep(0)
         try:
             point = protocol.decode_array(message["point"])
             k = message.get("k", 10)
@@ -270,7 +277,9 @@ class ServeGateway:
             # timeout=0: probe the service queue without ever blocking
             # the event loop — a full queue sheds as a typed response.
             future = self.service.submit(point, k, timeout=0,
-                                         deadline=deadline, **overrides)
+                                         deadline=deadline,
+                                         alone=self._inflight == 1,
+                                         **overrides)
         except ServiceOverloaded as error:
             self._counters["shed"] += 1
             return protocol.error_response(request_id, error)
@@ -281,8 +290,15 @@ class ServeGateway:
         if deadline is not None:
             remaining = max(0.0, deadline - (loop.time() - started))
         try:
-            ids, dists = await asyncio.wait_for(
-                asyncio.wrap_future(future), remaining)
+            if not future.done():
+                ids, dists = await asyncio.wait_for(
+                    asyncio.wrap_future(future), remaining)
+            elif remaining == 0.0:
+                # Answered in submit, late (wait_for(..., 0) on a done
+                # future differs between Python versions).
+                raise DeadlineExceeded
+            else:
+                ids, dists = future.result()
         except (asyncio.TimeoutError, DeadlineExceeded):
             self._counters["deadline_exceeded"] += 1
             return protocol.error_response(request_id, DeadlineExceeded(

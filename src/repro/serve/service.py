@@ -12,12 +12,12 @@ The policy is work-conserving: a lone request on an idle service starts at
 once, and batches form from what arrives while the previous batch runs —
 the dispatcher never sleeps on a request it could be answering.
 
-Because a single worker thread owns the index, its page stores and I/O
-counters (which are not thread-safe) are never touched concurrently; client
-threads only ever touch the queue and their own future.  Row results of
-``query_batch`` are independent of batch composition, so every answer is
-byte-identical to a sequential ``query`` call — batching changes the work
-layout, never the answers.
+One thread at a time is inside the index — the dispatcher, or a caller
+answering its lone request (``submit(alone=True)``) — so its page stores
+and I/O counters (which are not thread-safe) are never touched
+concurrently.  Row results of ``query_batch`` are independent of batch
+composition, so every answer is byte-identical to a sequential ``query``
+call — batching changes the work layout, never the answers.
 
 Backpressure is a hard bound on queue depth: past ``max_pending`` waiting
 requests, ``submit`` blocks (optionally up to a timeout, then raises
@@ -80,7 +80,8 @@ class DeadlineExceeded(TimeoutError):
 class ServiceStats:
     """Cumulative counters since the service was created;
     ``queue_wait_ms_total`` sums batch start minus enqueue over every
-    dispatched request."""
+    dispatched request; ``alone`` counts those answered in their caller's
+    thread."""
 
     queries: int = 0
     batches: int = 0
@@ -88,6 +89,7 @@ class ServiceStats:
     overloads: int = 0
     deadline_expired: int = 0
     queue_wait_ms_total: float = 0.0
+    alone: int = 0
 
     def mean_batch_size(self) -> float:
         return self.queries / self.batches if self.batches else 0.0
@@ -218,7 +220,10 @@ class QueryService:
 
     The service owns all index access from :meth:`start` until
     :meth:`stop`; do not call the index's query methods directly while it
-    is running.
+    is running.  ``submit(..., alone=True)`` on a started, idle service
+    (nothing queued or running, no worker pool, no swap pending) answers
+    through the same dispatch in the caller's thread, sparing the queue's
+    two thread hand-offs; the dispatcher waits for it.
 
     ``workers=N`` (see :meth:`from_snapshot`) row-shards each flushed
     micro-batch across ``N`` worker processes that each hold a lazily
@@ -276,6 +281,8 @@ class QueryService:
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._closed = False
+        # A thread (the dispatcher or a lone caller) is inside the index.
+        self._busy = False
         self._worker: threading.Thread | None = None
         self._pending_swap: _SwapRequest | None = None
         self._stats = ServiceStats()
@@ -358,7 +365,8 @@ class QueryService:
 
         With ``drain=True`` (default) every queued request is answered
         before the worker exits; with ``drain=False`` queued requests fail
-        with :class:`ServiceClosed`.
+        with :class:`ServiceClosed`.  A lone answer in progress finishes
+        first.
         """
         with self._lock:
             self._closed = True
@@ -443,7 +451,8 @@ class QueryService:
 
     def submit(self, point: np.ndarray, k: int = 10,
                timeout: float | None = None,
-               deadline: float | None = None, **overrides) -> Future:
+               deadline: float | None = None, *, alone: bool = False,
+               **overrides) -> Future:
         """Enqueue one query without blocking on its answer.
 
         Args:
@@ -457,6 +466,9 @@ class QueryService:
                 still queued when its deadline passes fails with
                 :class:`DeadlineExceeded` instead of occupying batch
                 capacity; ``None`` means no deadline.
+            alone: The caller holds no other request: on an idle
+                service, answer it in this thread and return a done
+                future (the deadline is checked before the query only).
             **overrides: Forwarded to the index's ``query_batch`` (the
                 HD-Index family accepts ``alpha``/``beta``/``gamma``/
                 ``use_ptolemaic``); requests sharing ``(k, overrides)``
@@ -511,8 +523,17 @@ class QueryService:
                 self._check_open()
             self._stats.queries += 1
             request.enqueued_at = time.monotonic()
-            self._queue.append(request)
-            self._not_empty.notify()
+            lone = (alone and not self._queue and not self._busy
+                    and self._pool is None and self._pending_swap is None
+                    and self._worker is not None)
+            if lone:
+                self._stats.alone += 1
+                self._begin([request])
+            else:
+                self._queue.append(request)
+                self._not_empty.notify()
+        if lone:
+            self._answer([request])
         return request.future
 
     def query(self, point: np.ndarray, k: int = 10,
@@ -667,44 +688,57 @@ class QueryService:
             self._maybe_swap()
             if batch is None:
                 return
-            if not batch:
-                continue
-            try:
-                self._dispatch(batch)
-            except Exception as error:
-                # Last-resort guard: the dispatcher thread must survive
-                # anything, or every pending future hangs forever.  Fail
-                # the batch's callers instead.
-                for request in batch:
-                    future = request.future
-                    if future.done() or future.cancelled():
-                        continue
-                    try:
-                        future.set_exception(error)
-                    except Exception:
-                        pass
+            self._answer(batch)
 
     def _collect(self) -> list[_Request] | None:
         """The next micro-batch: whatever is queued, FIFO, at most
-        ``max_batch``.  Blocks only while the queue is empty; ``None``
-        when stopped and drained."""
+        ``max_batch``, or ``[]`` to apply a swap; busy until :meth:`_answer`.
+        Blocks while the queue is empty or a lone caller is answering;
+        ``None`` when stopped and drained."""
         with self._lock:
-            while not self._queue:
-                if self._closed:
+            while self._busy or not self._queue:
+                if not self._busy and self._closed:
                     return None
-                if self._pending_swap is not None:
+                if not self._busy and self._pending_swap is not None:
+                    self._busy = True  # no lone answer while it applies
                     return []
                 self._not_empty.wait()
             batch = [self._queue.popleft() for _ in range(
                 min(self.max_batch, len(self._queue)))]
             self._not_full.notify_all()
-            started = time.monotonic()
-            self._stats.queue_wait_ms_total += 1000.0 * sum(
-                started - request.enqueued_at for request in batch)
-            self._stats.batches += 1
-            self._stats.max_batch_size = max(self._stats.max_batch_size,
-                                             len(batch))
+            self._begin(batch)
         return batch
+
+    def _begin(self, batch: list[_Request]) -> None:
+        """Count ``batch`` as started; the index is busy (lock held)."""
+        started = time.monotonic()
+        self._stats.queue_wait_ms_total += 1000.0 * sum(
+            started - request.enqueued_at for request in batch)
+        self._stats.batches += 1
+        self._stats.max_batch_size = max(self._stats.max_batch_size,
+                                         len(batch))
+        self._busy = True
+
+    def _answer(self, batch: list[_Request]) -> None:
+        """Answer a started batch, then free the index."""
+        try:
+            self._dispatch(batch)
+        except Exception as error:
+            # Last-resort guard: the dispatcher thread must survive
+            # anything, or every pending future hangs forever.  Fail
+            # the batch's callers instead.
+            for request in batch:
+                future = request.future
+                if future.done() or future.cancelled():
+                    continue
+                try:
+                    future.set_exception(error)
+                except Exception:
+                    pass
+        finally:
+            with self._lock:
+                self._busy = False
+                self._not_empty.notify()
 
     def _dispatch(self, batch: list[_Request]) -> None:
         """Answer one micro-batch, grouped by (k, overrides)."""

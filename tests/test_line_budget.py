@@ -152,12 +152,23 @@ its two capacities and lays its geometry out itself
 ``validated_data`` went; they pay for a build that starts from nothing
 and refuses a directory another reader or a log may still read
 (``HDIndex._start_build``).
+13628 -> 13678, a raise (+50): a request the gateway holds alone is
+answered on the event loop's thread inside ``QueryService.submit``
+(``alone=``), sparing the queue's two thread hand-offs — the service's
+busy flag that keeps one thread inside the index, that ``_collect``
+waits on and holds while a swap applies, the idle test in ``submit``,
+the batch start (``_begin``) and the guarded answer (``_answer``) that
+the dispatcher and a lone caller share, ``ServiceStats.alone``, the
+gateway's one loop pass before it decides and its check of a lone
+answer's deadline, and their docstrings.  No deletion in ``serve/``
+pays for it: the dispatcher's guard and batch accounting moved into the
+shared methods rather than went, and nothing unrelated was trimmed.
 """
 
 from pathlib import Path
 
 SOURCE = Path(__file__).resolve().parents[1] / "src" / "repro"
-LINE_BUDGET = 13628
+LINE_BUDGET = 13678
 
 
 def test_source_lines_within_budget():

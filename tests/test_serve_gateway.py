@@ -7,7 +7,9 @@ overload produces typed ``ServiceOverloaded`` responses (never an event
 loop blocked on a full queue); shutdown drains instead of dropping.
 
 ``python -m repro.serve.server`` drains on SIGTERM and exits 0; a client
-whose server goes silent raises the builtin ``TimeoutError``.
+whose server goes silent raises the builtin ``TimeoutError``.  A request
+the gateway holds alone, on an idle service, is answered on the event
+loop's thread; one thread at a time is inside the index.
 
 No pytest-asyncio in the environment: each test owns its event loop via
 ``asyncio.run``.
@@ -18,6 +20,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -35,6 +38,8 @@ from repro.serve import (
 )
 
 K = 10
+#: Hang tripwire only; no assertion depends on how long.
+WAIT = 30.0
 
 
 @pytest.fixture(scope="module")
@@ -110,6 +115,41 @@ class SlowIndex:
     def query_batch(self, points, k, **overrides):
         time.sleep(self._delay)
         return self._inner.query_batch(points, k, **overrides)
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+
+class RecordingIndex:
+    """Delegating wrapper that records each batch's rows and thread,
+    holds the batch until ``proceed`` is set, and counts the times
+    ``query_batch`` was entered while another thread was inside."""
+
+    def __init__(self, inner, delay=0.0, gated=False):
+        self._inner = inner
+        self._delay = delay
+        self._inside = threading.Lock()
+        self.rows = []
+        self.threads = []
+        self.overlaps = 0
+        self.entered = threading.Event()
+        self.proceed = threading.Event()
+        if not gated:
+            self.proceed.set()
+
+    def query_batch(self, points, k, **overrides):
+        if not self._inside.acquire(blocking=False):
+            self.overlaps += 1
+            raise AssertionError("query_batch entered twice at once")
+        try:
+            self.rows.extend(points.tolist())
+            self.threads.append(threading.get_ident())
+            self.entered.set()
+            assert self.proceed.wait(WAIT)
+            time.sleep(self._delay)
+            return self._inner.query_batch(points, k, **overrides)
+        finally:
+            self._inside.release()
 
     def __getattr__(self, name):
         return getattr(self._inner, name)
@@ -203,24 +243,24 @@ class TestDeadlines:
     def test_expired_in_queue_never_wastes_batch(self, built_index,
                                                  workload):
         """A request whose deadline lapses while queued is failed by the
-        dispatcher, and stats record the expiry."""
+        dispatcher, and stats record the expiry.  A thread's submit
+        holds the dispatcher, so the gateway's request is queued."""
         _, queries = workload
-        slow = SlowIndex(built_index, delay=0.25)
+        slow = RecordingIndex(built_index, delay=0.25)
         service = QueryService(slow, max_batch=1)
 
         async def main():
             gateway = ServeGateway(service, gateway_config())
             await gateway.start()
             try:
+                blocker = service.submit(queries[0], K)
+                assert slow.entered.wait(WAIT)  # blocker holds the batch
                 async with await AsyncServeClient.connect(
                         "127.0.0.1", gateway.port) as remote:
-                    blocker = asyncio.create_task(
-                        remote.query(queries[0], k=K))
-                    await asyncio.sleep(0.05)  # blocker holds the batch
                     with pytest.raises(DeadlineExceeded):
                         await remote.query(queries[1], k=K,
                                            deadline_ms=20.0)
-                    await blocker
+                blocker.result(WAIT)
                 stats = gateway.stats()
             finally:
                 await gateway.stop()
@@ -228,6 +268,8 @@ class TestDeadlines:
 
         stats = asyncio.run(main())
         assert stats["gateway"]["deadline_exceeded"] >= 1
+        assert service.stats().deadline_expired >= 1
+        assert slow.rows == [queries[0].tolist()]
 
     def test_default_deadline_applies(self, built_index, workload):
         _, queries = workload
@@ -247,6 +289,186 @@ class TestDeadlines:
                 await gateway.stop()
 
         asyncio.run(main())
+
+
+class TestLoneRequest:
+    """A request the gateway holds alone, on an idle service, is answered
+    on the loop's thread inside ``submit``; anything else is queued for
+    the dispatcher."""
+
+    def test_a_lone_request_is_answered_on_the_loop_thread(
+            self, built_index, workload):
+        _, queries = workload
+        index = RecordingIndex(built_index)
+        service = QueryService(index)
+
+        async def main():
+            gateway = ServeGateway(service, gateway_config())
+            await gateway.start()
+            try:
+                async with await AsyncServeClient.connect(
+                        "127.0.0.1", gateway.port) as remote:
+                    answer = await remote.query(queries[0], k=K)
+                    stats = await remote.stats()
+            finally:
+                await gateway.stop()
+            return threading.get_ident(), answer, stats["service"]
+
+        loop_thread, (ids, dists), stats = asyncio.run(main())
+        want_ids, want_dists = built_index.query(queries[0], K)
+        assert ids.tobytes() == want_ids.tobytes()
+        assert dists.tobytes() == want_dists.tobytes()
+        assert index.threads == [loop_thread]
+        assert (stats["alone"], stats["queries"]) == (1, 1)
+        assert stats["mean_queue_wait_ms"] < 1.0
+
+    def test_a_request_behind_a_running_batch_goes_to_the_dispatcher(
+            self, built_index, workload):
+        _, queries = workload
+        index = RecordingIndex(built_index, gated=True)
+        service = QueryService(index)
+
+        async def main():
+            gateway = ServeGateway(service, gateway_config())
+            await gateway.start()
+            try:
+                held = service.submit(queries[0], K)
+                assert index.entered.wait(WAIT)
+                async with await AsyncServeClient.connect(
+                        "127.0.0.1", gateway.port) as remote:
+                    pending = asyncio.create_task(
+                        remote.query(queries[1], k=K))
+                    while service.pending() == 0:
+                        await asyncio.sleep(0.001)
+                    index.proceed.set()
+                    ids, _ = await pending
+                held.result(WAIT)
+            finally:
+                await gateway.stop()
+            return threading.get_ident(), ids
+
+        loop_thread, ids = asyncio.run(main())
+        assert ids.tobytes() == built_index.query(queries[1], K)[0].tobytes()
+        assert len(index.threads) == 2
+        assert loop_thread not in index.threads
+        assert service.stats().alone == 0
+
+    def test_a_lone_request_past_its_deadline_is_never_answered_late(
+            self, built_index, workload):
+        """The deadline passes while the loop runs the query: the answer
+        is dropped for a typed DeadlineExceeded."""
+        _, queries = workload
+        index = RecordingIndex(built_index, delay=0.2)
+        service = QueryService(index)
+
+        async def main():
+            gateway = ServeGateway(service, gateway_config())
+            await gateway.start()
+            try:
+                async with await AsyncServeClient.connect(
+                        "127.0.0.1", gateway.port) as remote:
+                    with pytest.raises(DeadlineExceeded):
+                        await remote.query(queries[0], k=K,
+                                           deadline_ms=50.0)
+                    return await remote.stats()
+            finally:
+                await gateway.stop()
+
+        stats = asyncio.run(main())
+        assert len(index.rows) == 1  # the query ran, past its deadline
+        assert stats["service"]["alone"] == 1
+        assert stats["gateway"]["deadline_exceeded"] == 1
+        assert stats["gateway"]["queries"] == 0
+
+    def test_frames_read_in_one_pass_are_never_alone(self, built_index,
+                                                     workload):
+        """Six query frames in one write: each finds the others held by
+        the gateway, so all six are queued for the dispatcher."""
+        from repro.serve import protocol
+        _, queries = workload
+        index = RecordingIndex(built_index)
+        service = QueryService(index)
+
+        async def main():
+            gateway = ServeGateway(service, gateway_config())
+            await gateway.start()
+            try:
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", gateway.port)
+                writer.write(b"".join(
+                    protocol.encode_frame(protocol.query_request(
+                        row, queries[row], K, {}, None))
+                    for row in range(6)))
+                await writer.drain()
+                responses = [await protocol.read_frame(reader)
+                             for _ in range(6)]
+                writer.close()
+                await writer.wait_closed()
+            finally:
+                await gateway.stop()
+            return threading.get_ident(), responses
+
+        loop_thread, responses = asyncio.run(main())
+        for response in responses:
+            ids, _ = protocol.decode_result(response)
+            want = built_index.query(queries[response["id"]], K)[0]
+            assert ids.tobytes() == want.tobytes()
+        assert service.stats().alone == 0
+        assert loop_thread not in index.threads
+
+    def test_one_thread_inside_the_index_under_mixed_traffic(
+            self, built_index, workload):
+        """Gateway requests, alone and pipelined, mixed with client
+        threads' submits: the index is never entered twice at once."""
+        _, queries = workload
+        index = RecordingIndex(built_index, delay=0.002)
+        service = QueryService(index, max_batch=4)
+        done = threading.Event()
+
+        def submitter(offset):
+            row = offset
+            while not done.is_set():
+                service.submit(queries[row % len(queries)], K).result(WAIT)
+                row += 1
+                time.sleep(0.003)
+
+        threads = [threading.Thread(target=submitter, args=(offset,))
+                   for offset in range(2)]
+
+        async def main():
+            gateway = ServeGateway(service, gateway_config())
+            await gateway.start()
+            try:
+                async with await AsyncServeClient.connect(
+                        "127.0.0.1", gateway.port) as remote:
+                    results = [await remote.query(queries[0], k=K)]
+                    for thread in threads:
+                        thread.start()
+                    results += [await remote.query(q, k=K)
+                                for q in queries[1:16]]
+                    results += await asyncio.gather(*(
+                        remote.query(q, k=K) for q in queries[16:]))
+            finally:
+                done.set()
+                for thread in threads:
+                    thread.join(WAIT)
+                await gateway.stop()
+            return threading.get_ident(), results
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # more thread switches per request
+        try:
+            loop_thread, results = asyncio.run(main())
+        finally:
+            sys.setswitchinterval(interval)
+        assert index.overlaps == 0
+        for q, (ids, dists) in zip(queries, results):
+            want_ids, want_dists = built_index.query(q, K)
+            assert ids.tobytes() == want_ids.tobytes()
+            assert dists.tobytes() == want_dists.tobytes()
+        assert service.stats().alone >= 1
+        assert loop_thread in index.threads
+        assert set(index.threads) != {loop_thread}
 
 
 class TestOverload:
@@ -439,9 +661,15 @@ class TestServerProcess:
                     "127.0.0.1", port) as remote:
                 return await remote.query(queries[0], k=K)
 
+        async def stats():
+            async with await AsyncServeClient.connect(
+                    "127.0.0.1", port) as remote:
+                return await remote.stats()
+
         try:
             ids, _ = asyncio.run(query())
             assert len(ids) == K
+            assert asyncio.run(stats())["service"]["alone"] == 1
             process.send_signal(signal.SIGTERM)
             assert process.wait(timeout=20) == 0
         finally:

@@ -123,6 +123,21 @@ class TestProcessModeParity:
                 np.testing.assert_array_equal(got_ids, ids)
                 np.testing.assert_array_equal(got_dists, dists)
 
+    def test_a_lone_request_still_goes_to_the_pool(self, workload,
+                                                   snapshot):
+        """``submit(alone=True)`` answers in the caller's thread only
+        in-process: with workers every batch is the pool's."""
+        _, queries = workload
+        directory, expected = snapshot
+        with QueryService.from_snapshot(directory, workers=1) as service:
+            for q, (ids, dists) in zip(queries[:3], expected):
+                got_ids, got_dists = service.submit(
+                    q, K, alone=True).result(timeout=WAIT)
+                np.testing.assert_array_equal(got_ids, ids)
+                np.testing.assert_array_equal(got_dists, dists)
+            stats = service.stats()
+        assert (stats.alone, stats.batches) == (0, 3)
+
     def test_process_mode_requires_snapshot(self, workload):
         data, _ = workload
         index = HDIndex(_params())

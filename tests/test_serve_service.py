@@ -26,6 +26,7 @@ from repro.core import (
     save_index,
 )
 from repro.serve import QueryService, ServiceClosed, ServiceOverloaded
+from repro.serve.service import _SwapRequest
 
 K = 10
 
@@ -473,22 +474,26 @@ WAIT = 30.0  # hang tripwire only; no assertion depends on how long
 
 class GatedIndex:
     """Stub index: ``query_batch`` records each batch's request tags (the
-    points' first coordinate) and blocks until ``proceed`` is set."""
+    points' first coordinate) and its thread, and blocks until
+    ``proceed`` is set; ``closed`` is set by ``close``."""
 
     def __init__(self):
         self.batches = []
+        self.threads = []
         self.entered = threading.Event()
         self.proceed = threading.Event()
+        self.closed = threading.Event()
 
     def query_batch(self, points, k):
         self.batches.append(points[:, 0].tolist())
+        self.threads.append(threading.get_ident())
         self.entered.set()
         assert self.proceed.wait(WAIT)
         return (np.repeat(points[:, :1].astype(np.int64), k, axis=1),
                 np.zeros((len(points), k)))
 
     def close(self):
-        pass
+        self.closed.set()
 
 
 def tagged(tag):
@@ -638,6 +643,137 @@ class TestWorkConservingPolicy:
         assert racing.cancelled()
         assert index.batches == [[0.0], [2.0]]
         assert service.stats().deadline_expired == 1
+
+
+class TestLoneRequest:
+    """``submit(alone=True)`` answers in the caller's thread only on a
+    started, idle, in-process service with no swap pending, and never
+    while another thread is inside the index."""
+
+    def test_an_idle_service_answers_in_the_callers_thread(self):
+        index = GatedIndex()
+        index.proceed.set()
+        with QueryService(index) as service:
+            future = service.submit(tagged(1), K, alone=True)
+            assert future.done()
+            assert answered_by(future) == 1
+            stats = service.stats()
+        assert index.threads == [threading.get_ident()]
+        assert (stats.alone, stats.queries, stats.batches) == (1, 1, 1)
+        assert stats.queue_wait_ms_total < 1.0
+
+    def test_no_lone_path_before_start(self):
+        index = GatedIndex()
+        index.proceed.set()
+        service = QueryService(index)
+        future = service.submit(tagged(1), K, alone=True)
+        assert not future.done() and service.pending() == 1
+        service.start()
+        assert answered_by(future) == 1
+        assert index.threads == [service._worker.ident]
+        service.stop()
+        assert service.stats().alone == 0
+
+    def test_no_lone_path_with_a_swap_pending(self):
+        """A swap published but not yet applied: the lone request waits
+        for the dispatcher, which applies the swap first."""
+        index, fresh = GatedIndex(), GatedIndex()
+        index.proceed.set()
+        fresh.proceed.set()
+        service = QueryService(index)
+        waiting = threading.Event()
+        wait = service._not_empty.wait
+
+        def recording_wait(timeout=None):
+            waiting.set()
+            return wait(timeout)
+
+        service._not_empty.wait = recording_wait
+        with service:
+            assert waiting.wait(WAIT)
+            swap = _SwapRequest(fresh, "unused-by-the-stub")
+            with service._lock:  # the dispatcher is inside its wait
+                service._pending_swap = swap
+            future = service.submit(tagged(1), K, alone=True)
+            assert answered_by(future) == 1
+            assert swap.done.wait(WAIT) and swap.applied
+            assert service.stats().alone == 0
+        assert (index.batches, fresh.batches) == ([], [[1.0]])
+        assert fresh.threads != [threading.get_ident()]
+
+    def test_no_lone_path_while_a_swap_applies(self):
+        """The dispatcher has taken the swap and is closing the old
+        index: the lone request is queued and the new index answers it."""
+        closing, release = threading.Event(), threading.Event()
+
+        class SlowToClose(GatedIndex):
+            def close(self):
+                closing.set()
+                assert release.wait(WAIT)
+                super().close()
+
+        index, fresh = SlowToClose(), GatedIndex()
+        fresh.proceed.set()
+        service = QueryService(index).start()
+        service._owns_index = True  # as from_snapshot() leaves it
+        swap = _SwapRequest(fresh, "unused-by-the-stub")
+        with service._lock:
+            service._pending_swap = swap
+            service._not_empty.notify_all()
+        assert closing.wait(WAIT)
+        future = service.submit(tagged(1), K, alone=True)
+        assert not future.done() and service.pending() == 1
+        release.set()
+        assert answered_by(future) == 1
+        assert swap.done.wait(WAIT) and swap.applied
+        service.stop()
+        assert service.stats().alone == 0
+        assert (index.batches, fresh.batches) == ([], [[1.0]])
+        assert fresh.threads == [service._worker.ident]
+
+    def test_a_request_behind_a_lone_answer_waits_for_it(self):
+        """While a caller answers a lone request, a second one (lone or
+        not) is queued, and the dispatcher takes it only afterwards."""
+        index = GatedIndex()
+        with QueryService(index, max_batch=4) as service:
+            caller = threading.Thread(
+                target=service.submit, args=(tagged(0), K), kwargs={
+                    "alone": True})
+            caller.start()
+            assert index.entered.wait(WAIT)
+            queued = [service.submit(tagged(1), K, alone=True),
+                      service.submit(tagged(2), K)]
+            assert service.pending() == 2
+            time.sleep(0.05)  # a dispatcher that did not wait would enter
+            assert index.batches == [[0.0]]
+            index.proceed.set()
+            caller.join(WAIT)
+            assert [answered_by(f) for f in queued] == [1, 2]
+            stats = service.stats()
+        assert index.batches == [[0.0], [1.0, 2.0]]
+        assert index.threads[1] == service._worker.ident
+        assert (stats.alone, stats.batches) == (1, 2)
+
+    def test_stop_closes_the_index_only_after_a_lone_answer(self):
+        index = GatedIndex()
+        service = QueryService(index).start()
+        service._owns_index = True  # as from_snapshot() leaves it
+        answers = []
+        caller = threading.Thread(target=lambda: answers.append(
+            service.submit(tagged(3), K, alone=True)))
+        caller.start()
+        assert index.entered.wait(WAIT)
+        stopper = threading.Thread(target=service.stop)
+        stopper.start()
+        while not service._closed:  # stop() closes before it joins
+            time.sleep(0.001)
+        stopper.join(0.1)
+        assert stopper.is_alive() and not index.closed.is_set()
+        index.proceed.set()
+        caller.join(WAIT)
+        stopper.join(WAIT)
+        assert not stopper.is_alive() and index.closed.is_set()
+        assert answered_by(answers[0]) == 3
 
 
 def test_core_imports_need_numpy_only():
