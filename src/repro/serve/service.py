@@ -12,9 +12,9 @@ The policy is work-conserving: a lone request on an idle service starts at
 once, and batches form from what arrives while the previous batch runs —
 the dispatcher never sleeps on a request it could be answering.
 
-One thread at a time is inside the index — the dispatcher, or a caller
-answering its lone request (``submit(alone=True)``) — so its page stores
-and I/O counters (which are not thread-safe) are never touched
+One thread at a time is inside the index — the dispatcher, a caller
+answering its lone request (``submit(alone=True)``) or a snapshot swap —
+so its page stores and I/O counters (not thread-safe) are never touched
 concurrently.  Row results of ``query_batch`` are independent of batch
 composition, so every answer is byte-identical to a sequential ``query``
 call — batching changes the work layout, never the answers.
@@ -103,21 +103,6 @@ class ServiceStats:
         data["mean_batch_size"] = self.mean_batch_size()
         data["mean_queue_wait_ms"] = self.mean_queue_wait_ms()
         return data
-
-
-class _SwapRequest:
-    """One pending zero-downtime snapshot swap (:meth:`QueryService.
-    swap_snapshot`): the preloaded index, where its workers bootstrap
-    from, and the caller's completion event."""
-
-    __slots__ = ("index", "root", "done", "applied", "error")
-
-    def __init__(self, index, root: str) -> None:
-        self.index = index
-        self.root = root
-        self.done = threading.Event()
-        self.applied = False
-        self.error: BaseException | None = None
 
 
 def _canonical_overrides(overrides: dict) -> tuple:
@@ -221,7 +206,7 @@ class QueryService:
     The service owns all index access from :meth:`start` until
     :meth:`stop`; do not call the index's query methods directly while it
     is running.  ``submit(..., alone=True)`` on a started, idle service
-    (nothing queued or running, no worker pool, no swap pending) answers
+    (nothing queued or running, no worker pool, no swap waiting) answers
     through the same dispatch in the caller's thread, sparing the queue's
     two thread hand-offs; the dispatcher waits for it.
 
@@ -281,10 +266,11 @@ class QueryService:
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
         self._closed = False
-        # A thread (the dispatcher or a lone caller) is inside the index.
+        # A thread (the dispatcher, a lone caller or a swap) is inside the
+        # index; while swaps wait for it, no batch or lone answer starts.
         self._busy = False
+        self._swaps = 0
         self._worker: threading.Thread | None = None
-        self._pending_swap: _SwapRequest | None = None
         self._stats = ServiceStats()
         # True for from_snapshot(): the service then owns the index and
         # closes its page stores on stop().
@@ -379,16 +365,9 @@ class QueryService:
             worker = self._worker
         if worker is not None:
             worker.join()
-        with self._lock:
-            orphaned, self._pending_swap = self._pending_swap, None
-        if orphaned is not None:
-            orphaned.error = ServiceClosed(
-                "service stopped before the swap applied")
-            try:
-                orphaned.index.close()
-            except Exception:
-                pass
-            orphaned.done.set()
+        with self._lock:  # a swap applying on a service never started
+            while self._busy:
+                self._not_empty.wait()
         for request in abandoned:
             if request.future.set_running_or_notify_cancel():
                 request.future.set_exception(
@@ -440,10 +419,14 @@ class QueryService:
             call :meth:`start`.
         """
         from repro.core.persistence import load_index
-        service = cls(load_index(directory, backend=backend),
-                      max_batch=max_batch, max_pending=max_pending,
-                      snapshot_dir=directory, workers=workers,
-                      worker_timeout=worker_timeout)
+        index = load_index(directory, backend=backend)
+        try:
+            service = cls(index, max_batch=max_batch,
+                          max_pending=max_pending, snapshot_dir=directory,
+                          workers=workers, worker_timeout=worker_timeout)
+        except BaseException:  # a refused argument leaks no open index
+            index.close()
+            raise
         service._owns_index = True
         return service
 
@@ -524,7 +507,7 @@ class QueryService:
             self._stats.queries += 1
             request.enqueued_at = time.monotonic()
             lone = (alone and not self._queue and not self._busy
-                    and self._pool is None and self._pending_swap is None
+                    and not self._swaps and self._pool is None
                     and self._worker is not None)
             if lone:
                 self._stats.alone += 1
@@ -586,12 +569,13 @@ class QueryService:
         without stopping.
 
         The replacement index is loaded in the *caller's* thread (the
-        expensive part), then handed to the dispatcher, which applies the
-        pointer swap between micro-batches: queries already dispatched
-        complete against the old index/pool, queries batched afterwards
+        expensive part); the caller then takes the index the way a lone
+        request does, once no thread is inside it, and swaps the pointer
+        itself.  While it waits no batch or lone answer starts: queries
+        already running complete against the old index/pool, queued ones
         see the new one, and no future ever fails because of the swap.
-        With ``workers`` the worker pool re-binds to the new directory
-        without cancelling in-flight work
+        Concurrent swaps apply in turn.  With ``workers`` the worker pool
+        re-binds to the new directory without cancelling in-flight work
         (:meth:`~repro.core.procpool.SnapshotWorkerPool.swap`).
 
         Args:
@@ -601,13 +585,14 @@ class QueryService:
                 new generation.
             backend: Storage backend for the reload (``None`` is
                 ``"mmap"``).
-            timeout: Seconds to wait for the dispatcher to apply the
-                swap; ``None`` waits indefinitely.
+            timeout: Seconds to wait for the index once loaded; ``None``
+                waits indefinitely.  A swap that times out is abandoned:
+                its loaded index is closed and the old one keeps serving.
 
         Raises:
             ServiceClosed: If the service was stopped before the swap
                 applied.
-            TimeoutError: If the swap did not apply within ``timeout``.
+            TimeoutError: If the index stayed busy past ``timeout``.
             ValueError: With ``workers``, if the loaded index holds what
                 the published generation does not (an un-compacted log).
         """
@@ -619,53 +604,19 @@ class QueryService:
                 "disk-backed; pass directory=...")
         target = os.fspath(target)
         fresh = load_index(target, backend=backend)
-        if self._pool is not None:
-            try:
-                self._check_snapshot(fresh, target)
-            except ValueError:
-                fresh.close()
-                raise
-        swap = _SwapRequest(fresh, target)
-        with self._lock:
-            if self._closed:
-                fresh.close()
-                raise ServiceClosed("service has been stopped")
-            started = self._worker is not None
-            superseded, self._pending_swap = self._pending_swap, swap
-            if started:
-                self._not_empty.notify_all()
-        if superseded is not None:
-            superseded.error = RuntimeError(
-                "superseded by a newer swap_snapshot call")
-            try:
-                superseded.index.close()
-            except Exception:
-                pass
-            superseded.done.set()
-        if not started:
-            # No dispatcher yet: nothing is in flight, apply directly.
-            self._maybe_swap()
-        if not swap.done.wait(timeout):
-            raise TimeoutError(
-                f"snapshot swap not applied within {timeout}s")
-        if swap.error is not None:
-            raise swap.error
-        if not swap.applied:
-            raise ServiceClosed("service stopped before the swap applied")
-
-    def _maybe_swap(self) -> None:
-        """Apply a pending swap (dispatcher thread, between batches)."""
-        with self._lock:
-            swap, self._pending_swap = self._pending_swap, None
-        if swap is None:
-            return
-        old = self.index
         try:
-            self.index = swap.index
             if self._pool is not None:
-                self._pool.swap(swap.root)
-                self._pool_epoch = swap.index.update_epoch
-            if self._owns_index and old is not swap.index:
+                self._check_snapshot(fresh, target)
+            self._take_index(timeout)
+        except BaseException:
+            fresh.close()
+            raise
+        old, self.index = self.index, fresh
+        try:
+            if self._pool is not None:
+                self._pool_epoch = fresh.update_epoch
+                self._pool.swap(target)
+            if self._owns_index:
                 try:
                     old.close()
                 except Exception:
@@ -673,35 +624,44 @@ class QueryService:
             # The swapped-in index was loaded by the service, which now
             # owns (and closes) it regardless of who owned the old one.
             self._owns_index = True
-            swap.applied = True
-        except Exception as error:  # keep serving the old index
-            self.index = old
-            swap.error = error
         finally:
-            swap.done.set()
+            with self._lock:
+                self._busy = False
+                self._not_empty.notify_all()
+
+    def _take_index(self, timeout: float | None) -> None:
+        """Mark the index busy for a swap once no thread is inside it;
+        while this waits (``_swaps``), no batch or lone answer starts."""
+        with self._lock:
+            self._swaps += 1
+            try:
+                free = self._not_empty.wait_for(
+                    lambda: self._closed or not self._busy, timeout)
+                self._check_open()
+                if not free:
+                    raise TimeoutError(f"snapshot swap abandoned: the "
+                                       f"index stayed busy for {timeout}s")
+                self._busy = True
+            finally:
+                # A swap that gives up wakes the dispatcher it held back.
+                self._swaps -= 1
+                self._not_empty.notify_all()
 
     # -- dispatcher --------------------------------------------------------
 
     def _run(self) -> None:
-        while True:
-            batch = self._collect()
-            self._maybe_swap()
-            if batch is None:
-                return
+        while (batch := self._collect()) is not None:
             self._answer(batch)
 
     def _collect(self) -> list[_Request] | None:
         """The next micro-batch: whatever is queued, FIFO, at most
-        ``max_batch``, or ``[]`` to apply a swap; busy until :meth:`_answer`.
-        Blocks while the queue is empty or a lone caller is answering;
-        ``None`` when stopped and drained."""
+        ``max_batch``; busy until :meth:`_answer`.  Blocks while the
+        queue is empty or a lone caller or a swap holds or awaits the
+        index; ``None`` when stopped and drained."""
         with self._lock:
-            while self._busy or not self._queue:
-                if not self._busy and self._closed:
+            while self._busy or self._swaps or not self._queue:
+                if self._closed and not (self._busy or self._queue):
                     return None
-                if not self._busy and self._pending_swap is not None:
-                    self._busy = True  # no lone answer while it applies
-                    return []
                 self._not_empty.wait()
             batch = [self._queue.popleft() for _ in range(
                 min(self.max_batch, len(self._queue)))]
@@ -738,7 +698,7 @@ class QueryService:
         finally:
             with self._lock:
                 self._busy = False
-                self._not_empty.notify()
+                self._not_empty.notify_all()
 
     def _dispatch(self, batch: list[_Request]) -> None:
         """Answer one micro-batch, grouped by (k, overrides)."""

@@ -26,7 +26,6 @@ from repro.core import (
     save_index,
 )
 from repro.serve import QueryService, ServiceClosed, ServiceOverloaded
-from repro.serve.service import _SwapRequest
 
 K = 10
 
@@ -326,6 +325,17 @@ class TestServiceMechanics:
         with pytest.raises(StorageError):
             service.index.query(queries[0], K)
 
+    @pytest.mark.parametrize("refused", [
+        {"max_batch": 0}, {"worker_timeout": 1.0}, {"workers": 1}])
+    def test_from_snapshot_closes_what_it_opened_when_refused(
+            self, tmp_path, monkeypatch, refused):
+        """A refused argument (``workers=1`` over a directory holding no
+        snapshot the workers could open) leaves no index open."""
+        opened = stub_loads(monkeypatch, GatedIndex())[0]
+        with pytest.raises(ValueError):
+            QueryService.from_snapshot(tmp_path, **refused)
+        assert opened.closed.is_set()
+
     @pytest.mark.parametrize("backend", ["mmap", "memory"])
     def test_from_snapshot_replays_a_logged_root(self, workload, tmp_path,
                                                  backend):
@@ -496,12 +506,77 @@ class GatedIndex:
         self.closed.set()
 
 
+class SlowToClose(GatedIndex):
+    """A ``GatedIndex`` whose ``close`` sets ``closing`` and returns only
+    once ``release`` is set."""
+
+    def __init__(self):
+        super().__init__()
+        self.closing = threading.Event()
+        self.release = threading.Event()
+
+    def close(self):
+        self.closing.set()
+        assert self.release.wait(WAIT)
+        super().close()
+
+
 def tagged(tag):
     return np.array([float(tag), 0.0])
 
 
 def answered_by(future):
     return int(future.result(WAIT)[0][0])
+
+
+def stub_loads(monkeypatch, *indexes):
+    """Make each ``load_index`` call return the next of ``indexes``."""
+    queue = list(indexes)
+    monkeypatch.setattr("repro.core.persistence.load_index",
+                        lambda *args, **kwargs: queue.pop(0))
+    return indexes
+
+
+def start_swap(service, timeout=None):
+    """``swap_snapshot`` in a thread of its own; returns the thread and
+    the list its error lands in."""
+    errors = []
+
+    def swap():
+        try:
+            service.swap_snapshot("unused-by-the-stub", timeout=timeout)
+        except Exception as error:
+            errors.append(error)
+
+    swapper = threading.Thread(target=swap, name="swapper")
+    swapper.start()
+    return swapper, errors
+
+
+def hold_swappers(service):
+    """Keep each waiting swap asleep, off the lock, until the returned
+    event is set, even once the index is free."""
+    go = threading.Event()
+    wait = service._not_empty.wait
+
+    def swapper_sleeps_until_go(timeout=None):
+        if threading.current_thread().name != "swapper":
+            return wait(timeout)
+        service._lock.release()
+        try:
+            assert go.wait(WAIT)
+        finally:
+            service._lock.acquire()
+        return True
+
+    service._not_empty.wait = swapper_sleeps_until_go
+    return go
+
+
+def wait_for_swaps(service, count):
+    """Until ``count`` swaps wait for the index."""
+    while service._swaps < count:
+        time.sleep(0.001)
 
 
 class CancelledInTheCheck(Future):
@@ -590,23 +665,111 @@ class TestWorkConservingPolicy:
 
     def test_swap_applies_between_batches(self, blocked, monkeypatch):
         service, index, first = blocked
-        fresh = GatedIndex()
+        fresh = stub_loads(monkeypatch, GatedIndex())[0]
         fresh.proceed.set()
-        monkeypatch.setattr("repro.core.persistence.load_index",
-                            lambda *args, **kwargs: fresh)
         queued = [service.submit(tagged(tag), K) for tag in (1, 2)]
-        swapper = threading.Thread(
-            target=service.swap_snapshot, args=("unused-by-the-stub",))
-        swapper.start()
-        while service._pending_swap is None:
-            time.sleep(0.001)
+        swapper, errors = start_swap(service)
+        wait_for_swaps(service, 1)
         index.proceed.set()
         swapper.join(WAIT)
-        assert not swapper.is_alive()
+        assert not swapper.is_alive() and errors == []
         assert [answered_by(f) for f in [first] + queued] == [0, 1, 2]
         assert service.index is fresh
         assert index.batches == [[0.0]]
         assert fresh.batches == [[1.0, 2.0]]
+
+    def test_a_swap_that_times_out_is_abandoned(self, blocked, monkeypatch):
+        """The loaded index is closed, and the old one still serves once
+        the batch the swap waited behind ends."""
+        service, index, first = blocked
+        fresh = stub_loads(monkeypatch, GatedIndex())[0]
+        with pytest.raises(TimeoutError):
+            service.swap_snapshot("unused-by-the-stub", timeout=0.05)
+        assert fresh.closed.is_set()
+        index.proceed.set()
+        assert answered_by(first) == 0
+        assert answered_by(service.submit(tagged(1), K)) == 1
+        assert service.index is index
+        assert (index.batches, fresh.batches) == ([[0.0], [1.0]], [])
+
+    def test_requests_queued_behind_a_timed_out_swap_are_answered(
+            self, blocked, monkeypatch):
+        service, index, first = blocked
+        stub_loads(monkeypatch, GatedIndex())
+        swapper, errors = start_swap(service, timeout=0.2)
+        wait_for_swaps(service, 1)
+        queued = [service.submit(tagged(tag), K) for tag in (1, 2)]
+        swapper.join(WAIT)
+        assert not swapper.is_alive() and service._swaps == 0
+        assert [type(error) for error in errors] == [TimeoutError]
+        index.proceed.set()
+        assert [answered_by(f) for f in [first] + queued] == [0, 1, 2]
+        assert index.batches == [[0.0], [1.0, 2.0]]
+
+    def test_stop_waits_for_a_swap_on_a_service_never_started(
+            self, monkeypatch):
+        """With no dispatcher to join, stop() still waits for the swap
+        to finish before it closes the index the swap put in."""
+        index = SlowToClose()
+        fresh = stub_loads(monkeypatch, GatedIndex())[0]
+        service = QueryService(index)
+        service._owns_index = True  # as from_snapshot() leaves it
+        swapper, errors = start_swap(service)
+        assert index.closing.wait(WAIT)
+        stopper = threading.Thread(target=service.stop)
+        stopper.start()
+        stopper.join(0.1)
+        assert stopper.is_alive() and not fresh.closed.is_set()
+        index.release.set()
+        swapper.join(WAIT)
+        stopper.join(WAIT)
+        assert not swapper.is_alive() and errors == []
+        assert not stopper.is_alive() and fresh.closed.is_set()
+
+    def test_concurrent_swaps_apply_in_turn(self, blocked, monkeypatch):
+        service, index, first = blocked
+        loaded = stub_loads(monkeypatch, GatedIndex(), GatedIndex())
+        swaps = [start_swap(service) for _ in loaded]
+        wait_for_swaps(service, 2)
+        queued = service.submit(tagged(1), K)
+        index.proceed.set()
+        for swapper, errors in swaps:
+            swapper.join(WAIT)
+            assert not swapper.is_alive() and errors == []
+        serving = service.index
+        assert serving in loaded
+        serving.proceed.set()
+        assert answered_by(queued) == 1 and serving.batches == [[1.0]]
+        # The first swap left the service owning its index, so the
+        # second closed it.
+        assert [fresh.closed.is_set() for fresh in loaded].count(True) == 1
+        assert not serving.closed.is_set()
+
+    def test_stop_while_a_swap_waits(self, blocked, monkeypatch):
+        """The swapper raises ServiceClosed and closes what it loaded;
+        the dispatcher, which the waiting swap held back from the queue,
+        is woken and still drains it through the old index."""
+        service, index, first = blocked
+        fresh = stub_loads(monkeypatch, GatedIndex())[0]
+        go = hold_swappers(service)
+        queued = [service.submit(tagged(tag), K) for tag in (1, 2)]
+        swapper, errors = start_swap(service)
+        wait_for_swaps(service, 1)
+        index.proceed.set()
+        assert answered_by(first) == 0
+        stopper = threading.Thread(target=service.stop)
+        stopper.start()
+        while not service._closed:  # stop() closes before it joins
+            time.sleep(0.001)
+        go.set()
+        swapper.join(WAIT)
+        assert not swapper.is_alive()
+        assert [type(error) for error in errors] == [ServiceClosed]
+        assert fresh.closed.is_set()
+        stopper.join(WAIT)
+        assert not stopper.is_alive()
+        assert [answered_by(f) for f in queued] == [1, 2]
+        assert (index.batches, fresh.batches) == ([[0.0], [1.0, 2.0]], [])
 
     def test_deadline_lapsing_in_the_queue_takes_no_batch_row(self, blocked):
         from repro.serve import DeadlineExceeded
@@ -674,62 +837,76 @@ class TestLoneRequest:
         service.stop()
         assert service.stats().alone == 0
 
-    def test_no_lone_path_with_a_swap_pending(self):
-        """A swap published but not yet applied: the lone request waits
-        for the dispatcher, which applies the swap first."""
-        index, fresh = GatedIndex(), GatedIndex()
-        index.proceed.set()
+    def test_no_lone_path_with_a_swap_pending(self, monkeypatch):
+        """A swap waits for the batch inside the index: the lone request
+        is queued, and the swap applies before it is answered."""
+        index = GatedIndex()
+        fresh = stub_loads(monkeypatch, GatedIndex())[0]
         fresh.proceed.set()
-        service = QueryService(index)
-        waiting = threading.Event()
-        wait = service._not_empty.wait
-
-        def recording_wait(timeout=None):
-            waiting.set()
-            return wait(timeout)
-
-        service._not_empty.wait = recording_wait
-        with service:
-            assert waiting.wait(WAIT)
-            swap = _SwapRequest(fresh, "unused-by-the-stub")
-            with service._lock:  # the dispatcher is inside its wait
-                service._pending_swap = swap
+        with QueryService(index) as service:
+            first = service.submit(tagged(0), K)
+            assert index.entered.wait(WAIT)
+            swapper, errors = start_swap(service)
+            wait_for_swaps(service, 1)
             future = service.submit(tagged(1), K, alone=True)
-            assert answered_by(future) == 1
-            assert swap.done.wait(WAIT) and swap.applied
+            assert not future.done() and service.pending() == 1
+            index.proceed.set()
+            swapper.join(WAIT)
+            assert not swapper.is_alive() and errors == []
+            assert [answered_by(f) for f in (first, future)] == [0, 1]
             assert service.stats().alone == 0
-        assert (index.batches, fresh.batches) == ([], [[1.0]])
-        assert fresh.threads != [threading.get_ident()]
+        assert (index.batches, fresh.batches) == ([[0.0]], [[1.0]])
+        assert fresh.threads == [service._worker.ident]
 
-    def test_no_lone_path_while_a_swap_applies(self):
-        """The dispatcher has taken the swap and is closing the old
-        index: the lone request is queued and the new index answers it."""
-        closing, release = threading.Event(), threading.Event()
-
-        class SlowToClose(GatedIndex):
-            def close(self):
-                closing.set()
-                assert release.wait(WAIT)
-                super().close()
-
-        index, fresh = SlowToClose(), GatedIndex()
+    def test_no_lone_path_while_a_swap_applies(self, monkeypatch):
+        """The swap is closing the old index: the lone request is queued
+        and the new index answers it."""
+        index = SlowToClose()
+        fresh = stub_loads(monkeypatch, GatedIndex())[0]
         fresh.proceed.set()
         service = QueryService(index).start()
         service._owns_index = True  # as from_snapshot() leaves it
-        swap = _SwapRequest(fresh, "unused-by-the-stub")
-        with service._lock:
-            service._pending_swap = swap
-            service._not_empty.notify_all()
-        assert closing.wait(WAIT)
+        swapper, errors = start_swap(service)
+        assert index.closing.wait(WAIT)
         future = service.submit(tagged(1), K, alone=True)
         assert not future.done() and service.pending() == 1
-        release.set()
+        index.release.set()
         assert answered_by(future) == 1
-        assert swap.done.wait(WAIT) and swap.applied
+        swapper.join(WAIT)
+        assert not swapper.is_alive() and errors == []
+        assert service.index is fresh
         service.stop()
         assert service.stats().alone == 0
         assert (index.batches, fresh.batches) == ([], [[1.0]])
         assert fresh.threads == [service._worker.ident]
+
+    def test_no_lone_path_while_a_swap_waits_on_a_free_index(
+            self, monkeypatch):
+        """The index is free but the waiting swap has not taken it yet:
+        the lone request is queued behind the swap, so lone callers
+        cannot starve it."""
+        index = GatedIndex()
+        fresh = stub_loads(monkeypatch, GatedIndex())[0]
+        fresh.proceed.set()
+        service = QueryService(index).start()
+        go = hold_swappers(service)
+        first = service.submit(tagged(0), K)
+        assert index.entered.wait(WAIT)
+        swapper, errors = start_swap(service)
+        wait_for_swaps(service, 1)
+        index.proceed.set()
+        assert answered_by(first) == 0
+        while service._busy:
+            time.sleep(0.001)
+        future = service.submit(tagged(1), K, alone=True)
+        assert not future.done() and service.pending() == 1
+        go.set()
+        swapper.join(WAIT)
+        assert not swapper.is_alive() and errors == []
+        assert answered_by(future) == 1
+        service.stop()
+        assert service.stats().alone == 0
+        assert (index.batches, fresh.batches) == ([[0.0]], [[1.0]])
 
     def test_a_request_behind_a_lone_answer_waits_for_it(self):
         """While a caller answers a lone request, a second one (lone or
