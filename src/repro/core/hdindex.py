@@ -306,85 +306,42 @@ class HDIndex(KNNIndex):
     #: dict; it is the base class's one build entry.
     build = KNNIndex.build
 
-    def _build(self, data: np.ndarray, metadata=None) -> int:
-        """Construct the τ RDB-trees and the descriptor heap file over
-        checked ``data`` (Algo. 1), from nothing (:meth:`_start_build`).
-
-        Args:
-            data: ``(n, ν)`` dataset; stored in the heap file as
-                ``params.storage_dtype``.  With ``params.metric="angular"``
-                every row must be unit-normalised.
-            metadata: Optional per-point attributes enabling filtered
-                queries (``query(..., predicate=...)``): one dict per
-                point, or a prepared
-                :class:`~repro.meta.MetadataStore` aligned with
-                ``data``.
-
-        Raises:
-            ValueError: If ``data`` violates the metric's normalisation
-                contract, ``metadata`` does not align one row per point,
-                or :meth:`_start_build` refuses.
-        """
-        n, dim = data.shape
-        params = self.params
-        if params.metric == "angular":
-            require_normalized(data, "data")
-        metadata = self._coerce_metadata(metadata, n)
-        # Descriptor heap file — the "complete object descriptors" on disk.
-        self._start_build(dim)
-        self.metadata, self.dim, self.count = metadata, dim, n
-        self.heap.append_batch(data)
-        rng = np.random.default_rng(params.seed)
-
-        # Reference objects and the (n, m) reference-distance matrix
-        # (Algo. 1 lines 1-2), stored as the trees' float32.
-        self.references = ReferenceSet.select(
-            data, params.num_references, params.reference_method, rng,
-            params.sss_fraction)
-        reference_distances = self.references.distances_from(
-            data).astype(np.float32)
-
-        # Domain quantiser shared by all partitions (Table 4 domains are
-        # global per dataset), run once over row blocks into the curves'
-        # lane dtype before any key is encoded (quantising inside the
-        # encode loop left ~40 MB of freed glibc heap untrimmed after a
-        # 100k build); each tree takes its columns.
-        self.quantizer = (
-            GridQuantizer(*params.domain, params.hilbert_order)
-            if params.domain is not None
-            else GridQuantizer.from_data(data, params.hilbert_order))
-        coords = np.empty((n, dim), dtype=self.quantizer.dtype)
-        step = max(1, int(self.STREAM_CHUNK_ROWS))
-        for start in range(0, n, step):
-            coords[start:start + step] = self.quantizer.quantize(
-                data[start:start + step])
-        return self._build_trees((coords[start:start + step]
-                                  for start in range(0, n, step)), n,
-                                 reference_distances, rng)
-
-    #: Rows per block of the build's quantisation and Hilbert encode (one
-    #: transform of a block's τ partitions, bit planes of one tree's
-    #: block) and of a streaming build's heap re-read.  Besides its
-    #: blocks a build holds the τ unsorted key columns, τ·n·key_bytes.
+    #: Rows per block of the build's second pass: one read of the array or
+    #: the heap gives a block's reference distances and, by one Hilbert
+    #: encode (one transform of its τ partitions, bit planes of one
+    #: tree's block), its τ keys.  Besides that block a build holds the
+    #: float32 reference distances and the τ key columns, τ·n·key_bytes.
     STREAM_CHUNK_ROWS = 8192
 
     def build_from_chunks(self, chunks) -> None:
         """Construct the index from a stream of ``(rows, ν)`` blocks.
 
         The out-of-core counterpart of :meth:`build` for datasets that do
-        not fit in RAM (e.g. a generator of h5py dataset slices):
-        every block is appended to the descriptor heap in storage dtype
-        as it arrives, reference objects are drawn by reservoir sampling
-        over the stream, and one re-read of the heap, block by block,
-        gives the reference distances and the Hilbert keys of all τ
-        trees.  Peak memory is O(n·(m + τ·key_bytes)) — the float32
-        reference distances and the τ key columns, τ·n·key_bytes —
-        instead of the O(n·ν) float64 copy the in-memory path holds.
+        not fit in RAM (e.g. a generator of h5py dataset slices), through
+        the same block pipeline: every block is checked and appended to
+        the descriptor heap in storage dtype as it arrives, reference
+        objects are drawn by reservoir sampling over the stream, and one
+        re-read of the heap, block by block, gives the reference
+        distances and the Hilbert keys of all τ trees.  Peak memory is
+        O(n·(m + τ·key_bytes)), as for an array build, but the dataset
+        is never held: the heap is its only full copy.
 
         Restrictions: ``params.reference_method`` must be ``"random"``
         (SSS needs the full dataset), and per-point metadata is not
         supported — build from an array when filtered queries are
         needed.
+
+        >>> import numpy as np
+        >>> from repro import HDIndex, HDIndexParams
+        >>> data = np.repeat(np.arange(32.0)[:, None], 4, axis=1)
+        >>> index = HDIndex(HDIndexParams(
+        ...     num_trees=2, hilbert_order=4, num_references=4, alpha=8,
+        ...     reference_method="random", seed=0))
+        >>> index.build_from_chunks(data[start:start + 16]
+        ...                         for start in (0, 16))
+        >>> ids, dists = index.query(data[21], k=1)
+        >>> int(ids[0]), float(dists[0])
+        (21, 0.0)
 
         Raises:
             ValueError: If the stream is empty, blocks disagree on
@@ -393,117 +350,117 @@ class HDIndex(KNNIndex):
                 configuration cannot stream, or :meth:`_start_build`
                 refuses.
         """
-        self._timed_build(self._build_from_chunks, chunks)
+        self._timed_build(self._build, iter(chunks))
 
-    def _build_from_chunks(self, chunks) -> int:
+    def _build(self, data, metadata=None) -> int:
+        """Algo. 1 over row blocks, from nothing (:meth:`_start_build`);
+        returns the build's peak bytes.
+
+        ``data`` is :meth:`build`'s checked ``(n, ν)`` array, taken as one
+        block, or :meth:`build_from_chunks`' iterator of blocks.  Each
+        block is checked (unit rows under ``metric="angular"``) before
+        anything is written for it, then appended to the heap in
+        ``params.storage_dtype``.  The quantiser's domain (the blocks'
+        min/max unless ``params.domain`` is set) and the references
+        (Algo. 1 lines 1-2: chosen over the array, or the stream's
+        reservoir sample) follow.  One second pass, ``STREAM_CHUNK_ROWS``
+        rows at a time over the array or the heap, fills the float32
+        reference distances and, by one :func:`encode_for_curves` per
+        block, the τ key columns each partition's RDB-tree is bulk loaded
+        from (lines 3-10).  ``metadata`` (one dict per point, or a
+        :class:`~repro.meta.MetadataStore`) enables filtered queries and
+        must align with the array; ``num_references`` may not exceed n.
+        """
         params = self.params
-        if params.reference_method != "random":
+        array = data if isinstance(data, np.ndarray) else None
+        if array is None and params.reference_method != "random":
             raise ValueError(
                 f"streaming build supports reference_method='random' "
                 f"only (got {params.reference_method!r}): SSS selection "
                 f"needs the full dataset in memory")
         rng = np.random.default_rng(params.seed)
         num_references = params.num_references
-        heap: VectorHeapFile | None = None
-        reservoir = reservoir_ids = None
-        dim = 0
-        n = 0
-        low = np.inf
-        high = -np.inf
-        for chunk in chunks:
-            chunk = np.asarray(chunk, dtype=np.float64)
-            if chunk.ndim != 2:
-                raise ValueError(
-                    f"stream blocks must be 2-D, got shape {chunk.shape}")
-            if chunk.shape[0] == 0:
-                continue
-            if heap is None:
-                dim = chunk.shape[1]
-                heap = self._start_build(dim)
-                reservoir = np.empty((num_references, dim),
-                                     dtype=np.float64)
-                reservoir_ids = np.empty(num_references, dtype=np.int64)
-            elif chunk.shape[1] != dim:
-                raise ValueError(
-                    f"stream block has dimensionality {chunk.shape[1]}, "
-                    f"expected {dim}")
-            require_finite(chunk)
+        n, low, high = 0, np.inf, -np.inf
+        for block in data if array is None else [array]:
+            if array is None:
+                block = np.asarray(block, dtype=np.float64)
+                if block.ndim != 2:
+                    raise ValueError(
+                        f"stream blocks must be 2-D, got shape {block.shape}")
+                if not len(block):
+                    continue
+                if n and block.shape[1] != self.dim:
+                    raise ValueError(
+                        f"stream block has dimensionality {block.shape[1]}, "
+                        f"expected {self.dim}")
+                require_finite(block)
             if params.metric == "angular":
-                require_normalized(chunk, "data")
-            heap.append_batch(chunk)
+                require_normalized(block, "data")
+            if not n:
+                dim = block.shape[1]
+                metadata = self._coerce_metadata(metadata, len(block))
+                self._start_build(dim)
+                self.metadata, self.dim = metadata, dim
+                reservoir = np.empty((num_references, dim))
+                reservoir_ids = np.empty(num_references, dtype=np.int64)
+            self.heap.append_batch(block)
             if params.domain is None:
-                low = min(low, float(chunk.min()))
-                high = max(high, float(chunk.max()))
-            n = self._reservoir_update(reservoir, reservoir_ids, chunk, n,
+                low = min(low, float(block.min()))
+                high = max(high, float(block.max()))
+            if array is None:
+                self._reservoir_update(reservoir, reservoir_ids, block, n,
                                        rng)
-        if heap is None or n < 1:
+            n += len(block)
+        if not n:
             raise ValueError("cannot build an index over an empty dataset")
         if num_references > n:
             raise ValueError(
-                f"num_references={num_references} exceeds the stream's "
+                f"num_references={num_references} exceeds the dataset's "
                 f"{n} rows")
-        self.metadata, self.dim, self.count = None, dim, n
+        self.count = n
 
-        # Reference set from the reservoir, ordered by original id so a
-        # re-run over the same stream and seed reproduces it exactly.
-        order = np.argsort(reservoir_ids)
-        self.references = ReferenceSet(reservoir[order],
-                                       reservoir_ids[order])
+        if array is None:
+            # Ordered by original id, so a re-run over the same stream and
+            # seed reproduces the reservoir's set exactly.
+            order = np.argsort(reservoir_ids)
+            self.references = ReferenceSet(reservoir[order],
+                                           reservoir_ids[order])
+        else:
+            self.references = ReferenceSet.select(
+                array, num_references, params.reference_method, rng,
+                params.sss_fraction)
+        # One quantiser shared by all partitions (Table 4 domains are
+        # global per dataset).
         self.quantizer = (
             GridQuantizer(*params.domain, params.hilbert_order)
             if params.domain is not None
             else GridQuantizer.from_data([low, high], params.hilbert_order))
-        step = max(1, int(self.STREAM_CHUNK_ROWS))
-        reference_distances = np.empty((n, num_references),
-                                       dtype=np.float32)
-
-        def blocks():
-            # One re-read of the heap, the only full copy of the data.
-            for start in range(0, n, step):
-                block = heap.gather(np.arange(start, min(start + step, n)))
-                reference_distances[start:start + step] = \
-                    self.references.distances_from(block)
-                yield self.quantizer.quantize(block)
-
-        return self._build_trees(blocks(), step, reference_distances, rng)
-
-    def _build_trees(self, blocks, coord_rows: int,
-                     reference_distances: np.ndarray,
-                     rng: np.random.Generator) -> int:
-        """The tail both builds share: one Hilbert curve + RDB-tree per
-        partition (Algo. 1 lines 3-10); returns the build's peak bytes.
-
-        ``blocks`` yields the dataset's grid coordinates (the quantiser's
-        lane dtype) as row blocks, in id order, once: slices of one array
-        quantised for :meth:`build` (``coord_rows`` = n held), each heap
-        re-read quantised for :meth:`build_from_chunks` (one block of
-        ``coord_rows`` held).  Each block is encoded for all τ partitions
-        by one :func:`encode_for_curves` into τ key columns.  The float32
-        ``reference_distances`` need be filled only once ``blocks`` is
-        spent (the streamed build fills them from the same re-read).
-        """
-        params = self.params
         self.partitions = make_partition(
             self.dim, params.num_trees, params.partition_scheme, rng)
         curves = [HilbertCurve(len(part), params.hilbert_order)
                   for part in self.partitions]
-        keys = [np.empty((self.count, curve.key_bytes), dtype=np.uint8)
+        keys = [np.empty((n, curve.key_bytes), dtype=np.uint8)
                 for curve in curves]
-        start = 0
-        for block in blocks:
+        reference_distances = np.empty((n, num_references), dtype=np.float32)
+        step = max(1, int(self.STREAM_CHUNK_ROWS))
+        for start in range(0, n, step):
+            rows = (array[start:start + step] if array is not None else
+                    self.heap.gather(np.arange(start, min(start + step, n))))
+            reference_distances[start:start + step] = \
+                self.references.distances_from(rows)
+            coords = self.quantizer.quantize(rows)
             for column, raw in zip(keys, encode_for_curves(
-                    curves, [block[:, part] for part in self.partitions])):
-                column[start:start + len(raw)] = raw
-            start += len(block)
+                    curves, [coords[:, part] for part in self.partitions])):
+                column[start:start + step] = raw
         peak_memory = (reference_distances.nbytes
                        + self.references.memory_bytes()
                        + sum(column.nbytes for column in keys)
-                       + coord_rows * self.dim * self.quantizer.dtype.itemsize)
+                       + min(step, n) * self.dim
+                       * self.quantizer.dtype.itemsize)
         self.trees = []
-        object_ids = np.arange(self.count, dtype=np.int64)
+        object_ids = np.arange(n, dtype=np.int64)
         for tree_index, curve in enumerate(curves):
-            tree = RDBTree(curve, params.num_references,
-                           page_size=params.page_size)
+            tree = RDBTree(curve, num_references, page_size=params.page_size)
             # Hand the column over: it is freed once its tree is sorted.
             column, keys[tree_index] = keys[tree_index], None
             tree.bulk_build(column, object_ids, reference_distances)
@@ -521,11 +478,10 @@ class HDIndex(KNNIndex):
     @staticmethod
     def _reservoir_update(reservoir: np.ndarray, reservoir_ids: np.ndarray,
                           chunk: np.ndarray, seen: int,
-                          rng: np.random.Generator) -> int:
-        """Algorithm-R reservoir sampling over one stream block; returns
-        the updated number of rows seen.  The per-row draws are
-        vectorised; only accepted rows (O(m log n) over the whole
-        stream) are written back."""
+                          rng: np.random.Generator) -> None:
+        """Algorithm-R reservoir sampling over one stream block after
+        ``seen`` rows.  The per-row draws are vectorised; only accepted
+        rows (O(m log n) over the whole stream) are written back."""
         size = reservoir.shape[0]
         rows = chunk.shape[0]
         # Rows that land while the reservoir is still filling.
@@ -543,7 +499,6 @@ class HDIndex(KNNIndex):
                 row = fill + int(offset)
                 reservoir[slot] = chunk[row]
                 reservoir_ids[slot] = seen + row
-        return seen + rows
 
     def _search_batch(self, points: np.ndarray, k: int,
                       **overrides) -> tuple:
@@ -731,7 +686,7 @@ class HDIndex(KNNIndex):
         ``num_trees > ν`` and a ``storage_dir`` holding a write-ahead-log
         layout or this index's files (a reader, a worker pool or the log
         may still read them), forget the earlier build's deleted ids and
-        generation (:meth:`_build_trees` starts an empty delta), close
+        generation (the build ends on an empty delta), close
         its heap, bump :attr:`update_epoch`, and return the new empty
         heap: in memory, or ``descriptors.pages`` in ``storage_dir``."""
         params, directory = self.params, self.params.storage_dir

@@ -14,6 +14,7 @@ import pytest
 
 from repro.core import HDIndex, HDIndexParams, IndexSpec, open_index
 from repro.core.factory import build
+from repro.datasets import make_dataset
 from repro.distance import euclidean_to_many, normalize_rows, top_k_smallest
 from repro.storage.vectors import VectorHeapFile
 from test_backend_parity import _is_mapped
@@ -116,36 +117,69 @@ class TestStreamingBuild:
                     assert _is_mapped(column)
                     assert not column.flags.writeable
             assert not list(tmp_path.glob("tree_*.pages"))
-            # One block of grid coordinates in the lane dtype (uint8).
+            # The held block of grid coordinates in the lane dtype (uint8):
+            # the stream's N rows, fewer than one STREAM_CHUNK_ROWS block.
             assert index.quantizer.dtype == np.uint8
-            coords = index.STREAM_CHUNK_ROWS * DIM
+            coords = min(index.STREAM_CHUNK_ROWS, N) * DIM
             assert coords < index.build_memory_bytes() < 2 * (
                 N * 5 * 8 + N * index.trees[0].curve.key_bytes + coords)
         finally:
             index.close()
 
-    def test_each_heap_block_is_read_at_most_twice(self, corpus,
+    @pytest.mark.parametrize("streamed", [True, False],
+                             ids=["stream", "array"])
+    def test_each_heap_block_is_read_at_most_twice(self, corpus, streamed,
                                                    monkeypatch):
         """The reference distances and every tree's keys come from one
-        re-read of the heap (it was one for the distances and one per
-        tree), and the block size moves no byte of a tree."""
-        whole = HDIndex(stream_params())
-        whole.build_from_chunks(chunks_of(corpus))
+        second pass: a re-read of the heap for a stream (it was one for
+        the distances and one per tree), the array itself for an array
+        build, which gathers nothing.  The block size moves no byte of a
+        tree."""
+        def build_one(block_rows=None):
+            index = HDIndex(stream_params())
+            if block_rows is not None:
+                index.STREAM_CHUNK_ROWS = block_rows
+            if streamed:
+                index.build_from_chunks(chunks_of(corpus))
+            else:
+                index.build(corpus)
+            return index
+
+        whole = build_one()
         reads = []
         gather = VectorHeapFile.gather
         monkeypatch.setattr(VectorHeapFile, "gather",
                             lambda heap, ids: reads.append(ids.size)
                             or gather(heap, ids))
-        index = HDIndex(stream_params())
-        index.STREAM_CHUNK_ROWS = 64
-        index.build_from_chunks(chunks_of(corpus))
-        assert len(reads) <= 2 * -(-N // 64)
-        assert sum(reads) == N
+        index = build_one(block_rows=64)
+        if streamed:
+            assert len(reads) <= 2 * -(-N // 64)
+            assert sum(reads) == N
+        else:
+            assert reads == []
         for tree, want in zip(index.trees, whole.trees):
             np.testing.assert_array_equal(tree.packed.keys_raw,
                                           want.packed.keys_raw)
             np.testing.assert_array_equal(tree.packed.values_raw,
                                           want.packed.values_raw)
+
+    def test_array_build_takes_distances_from_the_float64_rows(self):
+        """An array build's second pass reads the array, not the heap:
+        the stored reference distances are those of the float64 rows,
+        which the float32 heap rounds."""
+        dataset = make_dataset("glove", n=2 * 64 + 5, num_queries=1, seed=3)
+        data = normalize_rows(dataset.data)
+        index = HDIndex(stream_params(metric="angular",
+                                      reference_method="sss"))
+        index.STREAM_CHUNK_ROWS = 64
+        index.build(data)
+        want = index.references.distances_from(data).astype(np.float32)
+        stored = index.references.distances_from(
+            index.heap.gather(np.arange(len(data)))).astype(np.float32)
+        assert not np.array_equal(stored, want)
+        for tree in index.trees:
+            ids, distances = tree._records()
+            np.testing.assert_array_equal(distances, want[ids])
 
     def test_angular_streaming(self, corpus):
         ndata = normalize_rows(corpus)
@@ -210,10 +244,38 @@ class TestStreamingRestrictions:
         with pytest.raises(ValueError, match="NaN or infinite"):
             index.build_from_chunks(chunks_of(poisoned))
 
+    @pytest.mark.parametrize("flaw", ["nan", "angular"])
+    def test_refused_first_block_writes_nothing(self, corpus, tmp_path,
+                                                flaw):
+        """A block is checked before the build starts: the refusal of a
+        stream's first block, or of an array, leaves no ``storage_dir``
+        behind, and the same object then builds there."""
+        params = stream_params(storage_dir=str(tmp_path / "idx"),
+                               backend="mmap")
+        good = corpus
+        if flaw == "angular":
+            params = dataclasses.replace(params, metric="angular")
+            good = normalize_rows(corpus)
+        bad = good.copy()
+        bad[0, 0] = np.nan if flaw == "nan" else 2.0
+        index = HDIndex(params)
+        for refused in (lambda: index.build_from_chunks(chunks_of(bad)),
+                        lambda: index.build(bad)):
+            with pytest.raises(ValueError):
+                refused()
+            assert not (tmp_path / "idx").exists()
+        try:
+            index.build_from_chunks(chunks_of(good))
+            assert index.count == N
+        finally:
+            index.close()
+
     def test_more_references_than_rows_rejected(self, corpus):
         index = HDIndex(stream_params(num_references=N + 1,
                                       alpha=N + 1, beta=N + 1,
                                       gamma=N + 1))
-        with pytest.raises(ValueError, match="exceeds the stream"):
+        with pytest.raises(ValueError, match="exceeds the dataset's 300"):
             index.build_from_chunks(chunks_of(corpus))
+        with pytest.raises(ValueError, match="exceeds the dataset's 300"):
+            index.build(corpus)
 
