@@ -2,8 +2,8 @@
 
 from repro.core.filters import (
     filter_candidates,
-    ptolemaic_lower_bounds,
-    triangular_lower_bounds,
+    ptolemaic_lower_bounds_many,
+    triangular_lower_bounds_many,
 )
 from repro.core.engine import QueryEngine
 from repro.core.factory import build, create_index, open_index
@@ -67,7 +67,7 @@ __all__ = [
     "load_index",
     "make_partition",
     "open_index",
-    "ptolemaic_lower_bounds",
+    "ptolemaic_lower_bounds_many",
     "random_partition",
     "rdb_leaf_order",
     "recommended_params",
@@ -76,5 +76,5 @@ __all__ = [
     "select_references",
     "select_sss",
     "select_sss_dyn",
-    "triangular_lower_bounds",
+    "triangular_lower_bounds_many",
 ]

@@ -136,11 +136,6 @@ def ptolemaic_lower_bounds_many(query_ref: np.ndarray, cand_ref: np.ndarray,
     return bounds
 
 
-#: The historical one-query names: the same implementations.
-triangular_lower_bounds = triangular_lower_bounds_many
-ptolemaic_lower_bounds = ptolemaic_lower_bounds_many
-
-
 def filter_candidates(bounds: np.ndarray, keep: int) -> np.ndarray:
     """Indices of the ``keep`` candidates with the smallest lower bounds
     (the selection of Algo. 2 lines 7 and 10), as a set: in no particular

@@ -118,7 +118,7 @@ def exact_knn(data: np.ndarray, queries: np.ndarray, k: int,
                 np.add(dot, data_sq[lo:hi], out=key)
             keep = np.less_equal(key, (bound + slack[start:stop])[:, None],
                                  out=mask[:size].reshape(shape))
-            row, col = np.nonzero(keep)
+            row, col = np.divmod(np.flatnonzero(keep), hi - lo)
             sq = (query_sq[start + row] + data_sq[col + lo]) + dot[row, col]
             best.append((row, col + lo, np.sqrt(np.maximum(sq, 0.0)),
                          key[row, col]))

@@ -11,8 +11,8 @@ column kinds cover the predicate algebra:
 Columns are plain numpy arrays, so predicate masks are single
 vectorised comparisons, and persistence is the same RPAK container the
 packed-tree sidecars use (:func:`~repro.storage.codecs.pack_arrays`):
-one ``metadata.packed`` file next to the snapshot, loaded as bytes on
-the file backend and as a zero-copy ``np.memmap`` view on the mmap
+one ``metadata.packed`` file next to the snapshot, read into memory on
+the memory backend and a zero-copy ``np.memmap`` view on the mmap
 backend — process-pool workers mapping the same snapshot share the
 physical pages.
 
@@ -82,11 +82,12 @@ class MetadataStore:
 
     @classmethod
     def from_packed(cls, buffer) -> "MetadataStore":
-        """Rebuild from a :meth:`to_packed` buffer (bytes or uint8 view)."""
+        """Rebuild from :meth:`to_packed`'s bytes (or a uint8 view)."""
         return cls(unpack_arrays(buffer))
 
-    def to_packed(self) -> bytes:
-        """RPAK container bytes for the ``metadata.packed`` sidecar."""
+    def to_packed(self) -> list:
+        """The ``metadata.packed`` sidecar as the buffers ``replace_file``
+        writes in turn (:func:`~repro.storage.codecs.pack_arrays`)."""
         return pack_arrays(self._columns)
 
     # -- introspection ------------------------------------------------------

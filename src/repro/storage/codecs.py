@@ -88,8 +88,11 @@ ARRAY_PACK_MAGIC = b"RPAK1\n"
 _ARRAY_PACK_ALIGN = 64
 
 
-def pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
-    """Serialise named numpy arrays into one self-describing buffer.
+def pack_arrays(arrays: dict[str, np.ndarray]) -> list:
+    """Serialise named numpy arrays into one self-describing container,
+    returned as the buffers to write in turn (``b"".join`` of them is the
+    container): the header and padding as bytes, then each array as a
+    byte view of its own memory, so writing the container copies no array.
 
     Layout: magic, uint32 header length, JSON header (name, dtype, shape,
     byte offset per array), then each array's raw bytes at a 64-byte-aligned
@@ -110,18 +113,16 @@ def pack_arrays(arrays: dict[str, np.ndarray]) -> bytes:
         blobs.append((padding, array))
         offset += array.nbytes
     header = json.dumps(entries).encode("utf-8")
-    parts = [ARRAY_PACK_MAGIC, struct.pack(">I", len(header)), header]
     base = len(ARRAY_PACK_MAGIC) + 4 + len(header)
-    base_padding = (-base) % _ARRAY_PACK_ALIGN
-    parts.append(bytes(base_padding))
+    parts = [ARRAY_PACK_MAGIC, struct.pack(">I", len(header)), header,
+             bytes((-base) % _ARRAY_PACK_ALIGN)]
     for padding, array in blobs:
-        parts.append(bytes(padding))
-        parts.append(array.tobytes())
-    return b"".join(parts)
+        parts += [bytes(padding), array.reshape(-1).view(np.uint8)]
+    return parts
 
 
 def unpack_arrays(buffer) -> dict[str, np.ndarray]:
-    """Rebuild the named arrays from a :func:`pack_arrays` buffer.
+    """Rebuild the named arrays from a :func:`pack_arrays` container.
 
     ``buffer`` may be bytes or a uint8 array (e.g. ``np.memmap``); the
     returned arrays are zero-copy views into it wherever possible.

@@ -24,15 +24,16 @@ class StorageError(RuntimeError):
 
 
 def replace_file(path: str | os.PathLike[str], data) -> None:
-    """Atomically put ``data`` (text, or anything bytes-like) at ``path``
-    (write ``<path>.tmp``, fsync, ``os.replace``).  For every snapshot file this process or a worker
-    pool may have mapped: a mapping of the old file keeps its complete
-    bytes (truncating in place would pull them from under it), and a
-    crash leaves the old file or the new one, never a torn one."""
+    """Atomically put ``data`` (text, bytes-like, or a list of bytes-like
+    parts) at ``path`` (write ``<path>.tmp``, fsync, ``os.replace``).
+    For every snapshot file this process or a worker pool may have
+    mapped: a mapping of the old file keeps its complete bytes
+    (truncating in place would pull them from under it), and a crash
+    leaves the old file or the new one, never a torn one."""
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "w" if isinstance(data, str) else "wb") as handle:
-        handle.write(data)
+        handle.writelines(data if isinstance(data, list) else [data])
         handle.flush()
         os.fsync(handle.fileno())
     os.replace(tmp, path)

@@ -540,8 +540,8 @@ class TestSerialization:
     def test_pack_unpack_round_trip(self):
         codec = UIntCodec(16)
         packed, _ = make_tree(codec, [5**i for i in range(40)], leaf_cap=2)
-        arrays = unpack_arrays(pack_arrays({"keys": packed.keys_raw,
-                                            "values": packed.values_raw}))
+        arrays = unpack_arrays(b"".join(pack_arrays(
+            {"keys": packed.keys_raw, "values": packed.values_raw})))
         restored = PackedTree(codec, arrays["keys"], arrays["values"], 2, 3)
         want = layout_arrays(packed)
         for name, array in layout_arrays(restored).items():
@@ -554,9 +554,9 @@ class TestSerialization:
 
     def test_unpacked_views_are_zero_copy(self):
         packed, _ = make_tree(UIntCodec(8), range(30))
-        buffer = np.frombuffer(pack_arrays({"keys": packed.keys_raw,
-                                            "values": packed.values_raw}),
-                               dtype=np.uint8)
+        buffer = np.frombuffer(b"".join(pack_arrays(
+            {"keys": packed.keys_raw, "values": packed.values_raw})),
+            dtype=np.uint8)
         arrays = unpack_arrays(buffer)
         for array in arrays.values():
             assert array.base is not None

@@ -19,10 +19,6 @@ from hypothesis.extra import numpy as hnp
 from repro.core import (
     ReferenceSet,
     filter_candidates,
-    ptolemaic_lower_bounds,
-    triangular_lower_bounds,
-)
-from repro.core.filters import (
     ptolemaic_lower_bounds_many,
     triangular_lower_bounds_many,
 )
@@ -171,7 +167,7 @@ class TestKernelsEqualPythonReference:
         refs, n = self.CASES["distinct"]
         rows, cand_ref, ref_ref = _leaf_block(13, n, refs)
         block = cand_ref.astype(np.float64)
-        first, *others = [ptolemaic_lower_bounds(rows[0], layout, ref_ref)
+        first, *others = [ptolemaic_lower_bounds_many(rows[0], layout, ref_ref)
                           for layout in (cand_ref, block,
                                          np.asfortranarray(block))]
         for other in others:
@@ -186,7 +182,7 @@ class TestKernelsEqualPythonReference:
         assert np.all(np.isfinite(pairs.reciprocals))
         assert np.all(pairs.reciprocals > 0.0)
         with np.errstate(all="raise"):
-            bounds = ptolemaic_lower_bounds(rows[0], cand_ref, pairs)
+            bounds = ptolemaic_lower_bounds_many(rows[0], cand_ref, pairs)
         assert np.all(np.isfinite(bounds))
 
     def test_fallbacks_are_the_triangular_bound(self):
@@ -195,8 +191,8 @@ class TestKernelsEqualPythonReference:
             rows, cand_ref, ref_ref = _leaf_block(5, n, refs)
             assert ReferenceSet(refs).pairs.first.shape[0] == 0
             assert np.array_equal(
-                ptolemaic_lower_bounds(rows[0], cand_ref, ref_ref),
-                triangular_lower_bounds(rows[0], cand_ref))
+                ptolemaic_lower_bounds_many(rows[0], cand_ref, ref_ref),
+                triangular_lower_bounds_many(rows[0], cand_ref))
 
     def test_inputs_are_not_modified(self):
         """The kernels reduce over a view of the caller's block — also
@@ -205,13 +201,9 @@ class TestKernelsEqualPythonReference:
         rows, cand_ref, ref_ref = _leaf_block(11, n, refs)
         fortran = np.asfortranarray(cand_ref.astype(np.float64))
         before = fortran.copy()
-        triangular_lower_bounds(rows[0], fortran)
-        ptolemaic_lower_bounds(rows[0], fortran, ref_ref)
+        triangular_lower_bounds_many(rows[0], fortran)
+        ptolemaic_lower_bounds_many(rows[0], fortran, ref_ref)
         assert np.array_equal(fortran, before)
-
-    def test_one_implementation_per_bound(self):
-        assert triangular_lower_bounds is triangular_lower_bounds_many
-        assert ptolemaic_lower_bounds is ptolemaic_lower_bounds_many
 
     @pytest.mark.parametrize("rows", [3, 5])
     def test_one_query_row_per_call(self, rows):
@@ -228,7 +220,7 @@ class TestTriangular:
     def test_is_a_lower_bound(self):
         for seed in range(5):
             query_ref, cand_ref, _, true = make_instance(seed)
-            bounds = triangular_lower_bounds(query_ref, cand_ref)
+            bounds = triangular_lower_bounds_many(query_ref, cand_ref)
             assert np.all(bounds <= true + 1e-9)
 
     def test_exact_when_point_is_a_reference(self):
@@ -238,23 +230,23 @@ class TestTriangular:
         query_ref = euclidean_to_many(query, refs)
         # Candidate 0 IS reference 0: |d(q,R0) - 0| = d(q,R0), tight.
         cand_ref = pairwise_euclidean(refs[:1], refs)
-        bounds = triangular_lower_bounds(query_ref, cand_ref)
+        bounds = triangular_lower_bounds_many(query_ref, cand_ref)
         assert bounds[0] == pytest.approx(query_ref[0])
 
     def test_takes_max_over_references(self):
         query_ref = np.asarray([10.0, 2.0])
         cand_ref = np.asarray([[1.0, 1.0]])
-        assert triangular_lower_bounds(query_ref, cand_ref)[0] == 9.0
+        assert triangular_lower_bounds_many(query_ref, cand_ref)[0] == 9.0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            triangular_lower_bounds(np.zeros(3), np.zeros((5, 4)))
+            triangular_lower_bounds_many(np.zeros(3), np.zeros((5, 4)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_lower_bound_property(self, seed):
         query_ref, cand_ref, _, true = make_instance(seed, n=12, m=4, dim=6)
-        bounds = triangular_lower_bounds(query_ref, cand_ref)
+        bounds = triangular_lower_bounds_many(query_ref, cand_ref)
         assert np.all(bounds <= true + 1e-8)
 
 
@@ -262,7 +254,7 @@ class TestPtolemaic:
     def test_is_a_lower_bound(self):
         for seed in range(5):
             query_ref, cand_ref, ref_ref, true = make_instance(seed)
-            bounds = ptolemaic_lower_bounds(query_ref, cand_ref, ref_ref)
+            bounds = ptolemaic_lower_bounds_many(query_ref, cand_ref, ref_ref)
             assert np.all(bounds <= true + 1e-9)
 
     def test_at_least_as_tight_on_average(self):
@@ -271,39 +263,40 @@ class TestPtolemaic:
         totals_tri, totals_ptol = 0.0, 0.0
         for seed in range(10):
             query_ref, cand_ref, ref_ref, _ = make_instance(seed, m=8)
-            totals_tri += triangular_lower_bounds(query_ref, cand_ref).sum()
-            totals_ptol += ptolemaic_lower_bounds(
+            totals_tri += triangular_lower_bounds_many(
+                query_ref, cand_ref).sum()
+            totals_ptol += ptolemaic_lower_bounds_many(
                 query_ref, cand_ref, ref_ref).sum()
         assert totals_ptol >= 0.8 * totals_tri
 
     def test_single_reference_falls_back_to_triangular(self):
         query_ref, cand_ref, ref_ref, _ = make_instance(0, m=1)
         np.testing.assert_allclose(
-            ptolemaic_lower_bounds(query_ref, cand_ref, ref_ref),
-            triangular_lower_bounds(query_ref, cand_ref))
+            ptolemaic_lower_bounds_many(query_ref, cand_ref, ref_ref),
+            triangular_lower_bounds_many(query_ref, cand_ref))
 
     def test_coincident_references_fall_back(self):
         query_ref = np.asarray([3.0, 3.0])
         cand_ref = np.asarray([[1.0, 1.0], [5.0, 5.0]])
         ref_ref = np.zeros((2, 2))  # degenerate: all pairs distance zero
         np.testing.assert_allclose(
-            ptolemaic_lower_bounds(query_ref, cand_ref, ref_ref),
-            triangular_lower_bounds(query_ref, cand_ref))
+            ptolemaic_lower_bounds_many(query_ref, cand_ref, ref_ref),
+            triangular_lower_bounds_many(query_ref, cand_ref))
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            ptolemaic_lower_bounds(np.zeros(3), np.zeros((5, 3)),
-                                   np.zeros((2, 2)))
+            ptolemaic_lower_bounds_many(np.zeros(3), np.zeros((5, 3)),
+                                        np.zeros((2, 2)))
         with pytest.raises(ValueError):
-            ptolemaic_lower_bounds(np.zeros(3), np.zeros((5, 4)),
-                                   np.zeros((3, 3)))
+            ptolemaic_lower_bounds_many(np.zeros(3), np.zeros((5, 4)),
+                                        np.zeros((3, 3)))
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
     def test_lower_bound_property(self, seed):
         query_ref, cand_ref, ref_ref, true = make_instance(
             seed, n=12, m=5, dim=6)
-        bounds = ptolemaic_lower_bounds(query_ref, cand_ref, ref_ref)
+        bounds = ptolemaic_lower_bounds_many(query_ref, cand_ref, ref_ref)
         assert np.all(bounds <= true + 1e-8)
 
 
@@ -326,9 +319,9 @@ class TestBoundsNeverExceedTheDistance:
         cand_ref = pairwise_euclidean(objects, refs)
         ref_ref = pairwise_euclidean(refs, refs)
         true = euclidean_to_many(query, objects)
-        assert np.all(triangular_lower_bounds(query_ref, cand_ref)
+        assert np.all(triangular_lower_bounds_many(query_ref, cand_ref)
                       <= true + 1e-9)
-        assert np.all(ptolemaic_lower_bounds(query_ref, cand_ref, ref_ref)
+        assert np.all(ptolemaic_lower_bounds_many(query_ref, cand_ref, ref_ref)
                       <= true + 1e-9)
 
 
@@ -369,7 +362,7 @@ class TestFilterCandidates:
         """If the filter keeps j candidates and the true NN's lower bound is
         among the j smallest, it survives — sanity for the pipeline."""
         query_ref, cand_ref, ref_ref, true = make_instance(3)
-        bounds = triangular_lower_bounds(query_ref, cand_ref)
+        bounds = triangular_lower_bounds_many(query_ref, cand_ref)
         nearest = int(np.argmin(true))
         kept = filter_candidates(bounds, 15)
         # The true nearest has a small lower bound, so a 50% cut keeps it

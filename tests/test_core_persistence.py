@@ -400,7 +400,8 @@ class TestTornFiles:
             meta = json.loads((directory / "meta.json").read_text())
             meta["trees"][1]["tree"]["leaf_capacity"] += 1
             (directory / "meta.json").write_text(json.dumps(meta))
-        path.write_bytes(pack_arrays({"keys": keys, "values": values}))
+        path.write_bytes(b"".join(pack_arrays({"keys": keys,
+                                               "values": values})))
         with pytest.raises(PersistenceError, match=r"tree_1\.packed"):
             load_index(directory, backend="memory")
 

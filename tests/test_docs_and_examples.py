@@ -9,6 +9,7 @@ exist and to keep naming the things the code ships.
 import doctest
 import importlib
 import pathlib
+import re
 
 import pytest
 
@@ -67,6 +68,21 @@ class TestArchitectureDoc:
                      "src/repro/serve"):
             assert path in text, f"missing pointer to {path}"
 
+    def test_states_the_current_design_only(self, text):
+        """The measurements that led to the design live in CHANGES.md."""
+        for phrase in ("Measured and not taken", "Closed perf item",
+                       "parent ->", "parent →"):
+            assert phrase not in text, f"per-change history: {phrase!r}"
+        assert not re.search(r"\bPR \d+", text)
+
+    def test_sections_other_files_point_at_exist(self, text):
+        """README, CONTRIBUTING and ``repro.meta`` name these sections."""
+        headings = [line.lstrip("#").strip() for line in text.splitlines()
+                    if line.startswith("#")]
+        for name in ("Correctness tooling", "Network serving", "Workloads",
+                     "Building"):
+            assert any(h.startswith(name) for h in headings), name
+
 
 class TestReadme:
     @pytest.fixture(scope="class")
@@ -100,8 +116,23 @@ class TestMigrationDoc:
         assert path.exists(), "docs/MIGRATION.md is missing"
         return path.read_text()
 
-    def test_removed_section_names_every_removed_symbol(self, text):
-        removed = text.split("## Removed", 1)[1].split("\n## ", 1)[0]
+    @pytest.fixture(scope="class")
+    def removed(self, text):
+        return text.split("## Removed names\n", 1)[1].split("\n## ", 1)[0]
+
+    def test_is_two_tables_and_the_rebuild_recipe(self, text):
+        """One table of removed names, one of behaviour changes: no
+        per-release sections to edit around."""
+        headings = [line for line in text.splitlines()
+                    if line.startswith("## ")]
+        assert headings == ["## Removed names", "## Behaviour changes",
+                            "## Sharded roots"]
+        for heading in headings[:2]:
+            section = text.split(heading + "\n", 1)[1].split("\n## ", 1)[0]
+            assert section.lstrip().startswith("| ")
+
+    def test_removed_section_names_every_removed_symbol(self, text,
+                                                         removed):
         for name in ("ParallelHDIndex", "ProcessPoolHDIndex",
                      "ShardedHDIndex", "mode=", "workers=",
                      "worker_backend=", "worker_timeout=", "--mode",
@@ -110,8 +141,7 @@ class TestMigrationDoc:
             assert name in removed, f"missing removal entry for {name!r}"
         assert "deprecat" not in text.lower()
 
-    def test_spec_field_removal_is_documented(self, text):
-        removed = text.split("## Removed: `Topology`", 1)[1]
+    def test_spec_field_removal_is_documented(self, removed):
         for name in ("Topology(shards=N)", "IndexSpec(backend=B)",
                      "HDIndex.execution", "refuse_process",
                      "Execution.worker_backend", '"threaded"',
@@ -119,13 +149,15 @@ class TestMigrationDoc:
                      "BytesCodec", "StructCodec"):
             assert name in removed, f"missing removal entry for {name!r}"
 
-    def test_sharding_removal_is_documented(self, text):
-        removed = text.split("## Removed: on-host sharding", 1)[1]
+    def test_sharding_removal_is_documented(self, text, removed):
         for name in ("ShardRouter", "IndexSpec.shards", "--shards",
                      "refuse_sharded_log", "WalRecord.shard",
-                     "manifest.json", "offsets", "insert_tails",
-                     "repro.open", "repro.build"):
+                     "manifest.json", "repro.open", "repro.build"):
             assert name in removed, f"missing removal entry for {name!r}"
+        recipe = text.split("## Sharded roots", 1)[1]
+        for name in ("manifest.json", "offsets", "insert_tails",
+                     "repro.open", "repro.build"):
+            assert name in recipe, f"recipe does not use {name!r}"
 
     def test_file_backend_removal_is_documented(self, text):
         for name in ('backend="file"', "FilePageStore", "MmapPageStore",
@@ -137,6 +169,37 @@ class TestMigrationDoc:
                      "nearest_positions", "repro.devtools.nodewalk",
                      "ModelledPool"):
             assert name in text, f"missing replacement {name!r}"
+
+    @pytest.mark.parametrize("trigger, row", [
+        ("backend", 'HDIndexParams(backend="file")'),
+        ("cache_pages", "HDIndexParams(cache_pages=C)"),
+        ("shards", '`"shards": N`'),
+        ("spec_keys", 'the spec-dict keys `"topology"`'),
+        ("manifest", "`manifest.json` and `shard_<s>/` roots"),
+        ("no_spec", "A `meta.json` is read only through its `spec`"),
+    ])
+    def test_every_pointer_finds_its_row(self, text, tmp_path, trigger,
+                                         row):
+        """Each error that sends a caller to this guide names something
+        one of its rows covers."""
+        import json
+
+        from repro import HDIndexParams, IndexSpec
+        from repro.core import PersistenceError, load_index
+        triggers = {
+            "backend": lambda: HDIndexParams(backend="file"),
+            "cache_pages": lambda: HDIndexParams(cache_pages=1),
+            "shards": lambda: IndexSpec.from_dict({"shards": 2}),
+            "spec_keys": lambda: IndexSpec.from_dict({"topology": {}}),
+            "manifest": lambda: load_index(tmp_path),
+            "no_spec": lambda: load_index(tmp_path),
+        }
+        name = "manifest.json" if trigger == "manifest" else "meta.json"
+        (tmp_path / name).write_text(json.dumps({"format_version": 1}))
+        with pytest.raises((ValueError, PersistenceError),
+                           match="docs/MIGRATION.md"):
+            triggers[trigger]()
+        assert row in text
 
     def test_names_the_replacements(self, text):
         for name in ("IndexSpec", "Topology", "Execution", "repro.build",

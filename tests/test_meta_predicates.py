@@ -3,6 +3,7 @@ JSON/pickle round-trips, hashability, and the columnar MetadataStore."""
 
 import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from repro.meta import (
     predicate_from_dict,
 )
 from repro.meta.predicates import validate_json_safe
+from repro.storage.pages import replace_file
 
 ROWS = [
     {"label": 0, "score": 0.5, "color": "red"},
@@ -174,7 +176,7 @@ class TestMetadataStore:
         assert store.rows([0, 2]) == [ROWS[0], ROWS[2]]
 
     def test_packed_round_trip(self, store):
-        packed = store.to_packed()
+        packed = b"".join(store.to_packed())
         clone = MetadataStore.from_packed(packed)
         assert clone.names == store.names
         for name in store.names:
@@ -184,6 +186,21 @@ class TestMetadataStore:
         view = np.frombuffer(packed, dtype=np.uint8)
         viewed = MetadataStore.from_packed(view)
         assert viewed.rows(range(5)) == store.rows(range(5))
+
+    def test_sidecar_write_copies_no_column(self, tmp_path):
+        big = MetadataStore.from_rows(
+            [{"label": i, "score": i / 2} for i in range(100_000)])
+        column_bytes = 16 * big.count
+        tracemalloc.start()
+        try:
+            replace_file(tmp_path / "metadata.packed", big.to_packed())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * column_bytes
+        clone = MetadataStore.from_packed(
+            np.fromfile(tmp_path / "metadata.packed", dtype=np.uint8))
+        assert clone.rows([0, 99_999]) == big.rows([0, 99_999])
 
     def test_append_rows_widens_strings(self, store):
         store.append_rows([{"label": 9, "score": 9.0,

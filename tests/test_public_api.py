@@ -110,8 +110,8 @@ def test_spec_entry_points_are_the_documented_objects():
     assert repro.build is build
 
 
-#: Names on-host sharding took with it (docs/MIGRATION.md, "Removed:
-#: on-host sharding"): the module that held each, and the name.
+#: Names on-host sharding took with it (docs/MIGRATION.md, "Removed
+#: names"): the module that held each, and the name.
 REMOVED_SHARDING = [
     ("repro", "ShardRouter"),
     ("repro.core", "ShardRouter"),
@@ -130,7 +130,7 @@ def test_removed_sharding_names_stay_gone(module_name, name):
 
 
 #: Names that went when a service's placement became ``workers=N``
-#: (docs/MIGRATION.md, "Removed: `Execution`").
+#: (docs/MIGRATION.md, "Removed names").
 REMOVED_PLACEMENT = [
     ("repro", "Execution"),
     ("repro.core", "Execution"),
@@ -148,8 +148,8 @@ def test_removed_placement_names_stay_gone(module_name, name):
     _assert_gone(module_name, name)
 
 
-#: Names the result cache took with it (docs/MIGRATION.md, "Removed: the
-#: result cache and `ServiceConfig`").
+#: Names the result cache took with it (docs/MIGRATION.md, "Removed
+#: names", "The serve tier").
 REMOVED_RESULT_CACHE = [
     ("repro", "ServiceConfig"),
     ("repro.serve", "ServiceConfig"),
@@ -167,6 +167,32 @@ REMOVED_RESULT_CACHE = [
                          ids=[f"{m}.{n}" for m, n in REMOVED_RESULT_CACHE])
 def test_removed_result_cache_names_stay_gone(module_name, name):
     _assert_gone(module_name, name)
+
+
+#: The one-query names of the lower-bound kernels: the ``_many`` kernels
+#: take one query row, so the aliases only named them twice.
+REMOVED_FILTER_ALIASES = [
+    ("repro.core", "triangular_lower_bounds"),
+    ("repro.core", "ptolemaic_lower_bounds"),
+    ("repro.core.filters", "triangular_lower_bounds"),
+    ("repro.core.filters", "ptolemaic_lower_bounds"),
+]
+
+
+@pytest.mark.parametrize("module_name, name", REMOVED_FILTER_ALIASES,
+                         ids=[f"{m}.{n}" for m, n in REMOVED_FILTER_ALIASES])
+def test_removed_filter_aliases_stay_gone(module_name, name):
+    _assert_gone(module_name, name)
+    # Named whole, not only as the prefix of its ``_many`` replacement.
+    assert f"`{name}`" in MIGRATION.read_text()
+
+
+def test_core_exports_the_batch_kernels():
+    import repro.core
+    for name in ("triangular_lower_bounds_many",
+                 "ptolemaic_lower_bounds_many"):
+        assert name in repro.core.__all__
+        assert getattr(repro.core, name) is getattr(repro.core.filters, name)
 
 
 def _assert_gone(module_name, name):

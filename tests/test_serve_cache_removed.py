@@ -2,7 +2,7 @@
 served request is answered by the index.
 
 Each removed keyword, import and flag is refused (docs/MIGRATION.md,
-"Removed: the result cache and `ServiceConfig`").
+"Removed names", "The serve tier").
 """
 
 import importlib

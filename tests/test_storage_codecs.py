@@ -77,7 +77,7 @@ class TestPackArrays:
             "offsets": np.asarray([0, 3, 6], dtype=np.int64),
             "floats": np.linspace(-1.0, 1.0, 5),
         }
-        restored = unpack_arrays(pack_arrays(arrays))
+        restored = unpack_arrays(b"".join(pack_arrays(arrays)))
         assert set(restored) == set(arrays)
         for name, array in arrays.items():
             assert restored[name].dtype == array.dtype
@@ -85,8 +85,8 @@ class TestPackArrays:
 
     def test_segments_are_aligned_views(self):
         buffer = np.frombuffer(
-            pack_arrays({"a": np.arange(7, dtype=np.int64),
-                         "b": np.ones(3, dtype=np.float64)}),
+            b"".join(pack_arrays({"a": np.arange(7, dtype=np.int64),
+                                  "b": np.ones(3, dtype=np.float64)})),
             dtype=np.uint8)
         restored = unpack_arrays(buffer)
         for array in restored.values():
@@ -97,12 +97,12 @@ class TestPackArrays:
             assert (array.ctypes.data - buffer.ctypes.data) % 64 == 0
 
     def test_empty_arrays_and_empty_dict(self):
-        restored = unpack_arrays(pack_arrays(
-            {"none": np.empty((0, 16), dtype=np.uint8)}))
+        restored = unpack_arrays(b"".join(pack_arrays(
+            {"none": np.empty((0, 16), dtype=np.uint8)})))
         assert restored["none"].shape == (0, 16)
-        assert unpack_arrays(pack_arrays({})) == {}
+        assert unpack_arrays(b"".join(pack_arrays({}))) == {}
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             unpack_arrays(b"NOPE" + bytes(64))
-        assert pack_arrays({}).startswith(ARRAY_PACK_MAGIC)
+        assert b"".join(pack_arrays({})).startswith(ARRAY_PACK_MAGIC)

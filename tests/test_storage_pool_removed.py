@@ -3,8 +3,8 @@
 What stays is compatibility.  ``HDIndexParams.cache_pages`` accepts only
 0, so ``meta.json`` records it as before; a snapshot that recorded another
 value opens and answers, and counts its reads, as at 0; and every removed
-keyword or flag is refused as unknown (docs/MIGRATION.md, "Removed: the
-modelled buffer pool").
+keyword or flag is refused as unknown (docs/MIGRATION.md, "Removed
+names", "Storage, trees and the page model").
 """
 
 import json
