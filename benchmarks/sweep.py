@@ -7,7 +7,9 @@ points (a label per index factory or ``IndexSpec`` maker), how the rows are
 measured — :func:`repro.eval.run_comparison`, ``evaluate_index`` or
 ``evaluate_spec``, one ``GroundTruth`` per workload — and ``check(rows)``,
 the figure's paper-shape asserts.  Each run prints its table with
-``format_table`` and writes it to ``benchmarks/results/<figure>.txt``::
+``format_table`` and writes it to ``benchmarks/results/<figure>.txt``,
+or, when it runs as a check, to a temporary directory, so that a check
+leaves the committed tables as they are::
 
     PYTHONPATH=src python -m benchmarks.sweep [figure ...] [--check]
     PYTHONPATH=src python -m pytest benchmarks/sweep.py   # a test per figure
@@ -849,13 +851,13 @@ FIGURES: dict[str, Figure] = {
 }
 
 
-def run(name: str) -> list:
-    """Measure one figure, print its table and write it to results/."""
+def run(name: str, results: Path = RESULTS_DIR) -> list:
+    """Measure one figure, print its table and write it to ``results``."""
     figure = FIGURES[name]
     rows = figure.measure(figure)
     text = f"{figure.title}\n\n{format_table(rows, list(figure.columns))}\n"
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text)
+    results.mkdir(exist_ok=True)
+    (results / f"{name}.txt").write_text(text)
     print(f"== {name}\n{text}", flush=True)
     return rows
 
@@ -864,8 +866,8 @@ def pytest_generate_tests(metafunc) -> None:
     metafunc.parametrize("name", list(FIGURES))
 
 
-def test_figure(name: str) -> None:
-    FIGURES[name].check(run(name))
+def test_figure(name: str, tmp_path: Path) -> None:
+    FIGURES[name].check(run(name, tmp_path))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -874,20 +876,25 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("figures", nargs="*", metavar="figure",
                         help=f"any of {', '.join(FIGURES)} (default: all)")
     parser.add_argument("--check", action="store_true",
-                        help="run each figure's paper-shape asserts")
+                        help="run each figure's paper-shape asserts, writing "
+                             "the tables to a temporary directory")
     args = parser.parse_args(argv)
     unknown = sorted(set(args.figures) - set(FIGURES))
     if unknown:
         parser.error(f"unknown figure(s): {', '.join(unknown)}")
+    results = Path(tempfile.mkdtemp(prefix="sweep-")) if args.check \
+        else RESULTS_DIR
     failed = []
     for name in args.figures or FIGURES:
-        rows = run(name)
+        rows = run(name, results)
         if args.check:
             try:
                 FIGURES[name].check(rows)
             except AssertionError:
                 traceback.print_exc()
                 failed.append(name)
+    if args.check:
+        print(f"tables written to {results}", flush=True)
     if failed:
         print(f"check failed: {' '.join(failed)}", file=sys.stderr)
     return 1 if failed else 0

@@ -8,10 +8,10 @@ boundaries and the page ids of the leaf and internal levels.  On that,
 * descent is ``np.searchsorted`` over the per-leaf minimum keys, its
   page reads the tree's height, counted,
 * the bidirectional nearest-by-key merge picks one run of positions, so
-  one comparison of leading distance words over a run of keys (the rare
-  ties settled exactly) counts its forward picks — a slice of the key
-  column either side of the query key or, for a lookup among a subset of
-  the entries (a filtered query's eligible ones), the subset there, and
+  a bisection of exact key comparisons, about ``2 log2(count)`` keys
+  decoded, finds its forward picks — in a slice of the key column either
+  side of the query key or, for a lookup among a subset of the entries
+  (a filtered query's eligible ones), the subset there, and
 * range scans slice the arrays directly.
 
 These columns **are the tree**, for the RDB-trees
@@ -34,6 +34,9 @@ process pool shares one physical copy across workers.
 """
 
 from __future__ import annotations
+
+import bisect
+import functools
 
 import numpy as np
 
@@ -124,8 +127,9 @@ class PackedTree:
         # search runs on a zero-copy 'S' view of the raw key bytes.
         self.key_S = self.keys_raw.view(f"S{self.key_width}").ravel()
         self.min_key_S = self.key_S[self.leaf_starts[:-1]]
-        #: 64-bit words a key takes once zero-padded on the right.
-        self._words = -(-self.key_width // 8)
+        #: Key bytes -> the number they encode (exact for integers).
+        self._decode = (functools.partial(int.from_bytes, byteorder="big")
+                        if kind == "uint" else key_codec.decode)
         # What reads are counted from; the root is the last page allocated.
         self.root, self._height = next_page - 1, self.height
 
@@ -149,7 +153,7 @@ class PackedTree:
         ascending: the set the node path's bidirectional merge emits
         (forward wins distance ties).  The merge takes ``f`` entries from
         the split on and the rest behind it, so the answer is one run of
-        positions and ``f`` is counted, not sorted for.
+        positions and ``f`` is bisected for, not sorted for.
 
         ``subset`` (ascending entry positions; integer keys only) makes
         that the ``count`` nearest *among those positions*: what the same
@@ -169,7 +173,7 @@ class PackedTree:
         split = max(gbl, int(self.leaf_starts[leaf]))
         if subset is None:
             start = max(0, split - count)
-            run = slice(start, min(n, split + count))
+            run = range(start, min(n, split + count))
             behind, total = split - start, min(count, n)
         else:
             if self._kind != "uint":
@@ -177,31 +181,39 @@ class PackedTree:
             at = int(subset.searchsorted(split))
             run = subset[max(0, at - count):at + count]
             behind, total = min(at, count), min(count, subset.size)
-        words = self._key_words(self.key_S[run])
-        dist = self._distances(key, words, behind)
+        keys, width, decode = self.key_S, self.key_width, self._decode
+        target = decode(key)
+
+        def farther(row: int, back: int = total) -> bool:
+            # Whether forward row ``row`` is farther from the key than
+            # backward row ``row - back``: rows before ``behind`` hold keys
+            # up to the key, the rest keys from it on, so neither distance
+            # needs abs().
+            return not (decode(keys[run[row]].ljust(width, b"\0")) - target
+                        <= target - decode(
+                            keys[run[row - back]].ljust(width, b"\0")))
+
         # Forward row r is picked iff it is no farther than row r - total
-        # (always, where there is none): true on a prefix of the rows.
-        first, last = max(behind, total), min(dist.size, behind + total)
-        ahead = first - behind + int(np.count_nonzero(self._no_farther(
-            key, words, dist, slice(first, last),
-            slice(first - total, last - total))))
+        # (always, where there is none): true on a prefix of the rows, so
+        # bisected for.
+        first, last = max(behind, total), min(len(run), behind + total)
+        ahead = first - behind + bisect.bisect_left(
+            range(first, last), True, key=farther)
         low = behind + ahead - total  # the row of the farthest backward pick
         if stats is not None:
-            window = None
             if subset is None:
-                taken, window = (ahead, total - ahead), (start, words, dist)
+                taken = ahead, total - ahead
             elif total < count:
                 taken = n - split, split  # both directions ran dry
             else:
                 # Up to the last pick: the farther of the two frontier
                 # picks, the backward one (row low) on a tie.
                 pick = behind + ahead - 1
-                if not ahead or ahead < total and self._no_farther(
-                        key, words, dist, slice(pick, pick + 1),
-                        slice(low, low + 1))[0]:
+                if not ahead or ahead < total and not farther(pick,
+                                                              total - 1):
                     pick = low
                 taken = self._raw_taken(key, split, int(run[pick]))
-            self._count_nearest(stats, key, leaf, split, *taken, window)
+            self._count_nearest(stats, key, leaf, split, *taken)
         if subset is None:
             return np.arange(start + low, start + low + total)
         return run[low:low + total].copy()
@@ -247,76 +259,31 @@ class PackedTree:
                 if stats is not None:
                     stats.record_read(leaf)
 
-    # -- distance kernels -------------------------------------------------
+    # -- key arithmetic ---------------------------------------------------
 
     def _scalar(self, key: bytes):
         return np.frombuffer(key, dtype=f"S{self.key_width}", count=1)[0]
 
-    def _distances(self, key: bytes, words: np.ndarray,
-                   behind: int) -> np.ndarray:
-        """|key distance| of keys given as native words (:meth:`_key_words`),
-        the first ``behind`` of them below ``key`` and the rest not (so in
-        a run of the column both halves ascend away from the split).  An
-        integer distance is its leading word, the head difference minus
-        the borrow out of the tail words: exact up to 8 bytes, else up to
-        ties (:meth:`_exact`)."""
-        column = words[:, 0]
-        if self._kind == "float":
-            sign = np.uint64(1) << np.uint64(63)
-            column = np.where(column & sign != 0, column & ~sign,
-                              ~column).view(np.float64)
-            head = np.float64(self.key_codec.decode(key))
-        else:
-            target = np.frombuffer(key.ljust(8 * self._words, b"\0"),
-                                   dtype=">u8").astype(np.uint64)
-            head = target[0]
-        # Below the key the difference is negative: negated, it is
-        # head - column exactly (in float too), so nothing needs abs().
-        dist = column - head
-        np.negative(dist[:behind], out=dist[:behind])
-        if self._words > 1:  # m - s borrows where m's tail is below s's
-            for part, m, s in ((dist[behind:], words[behind:], target),
-                               (dist[:behind], target, words[:behind])):
-                borrow = m[..., -1] < s[..., -1]
-                for word in range(self._words - 2, 0, -1):
-                    borrow = (m[..., word] < s[..., word]) | (
-                        (m[..., word] == s[..., word]) & borrow)
-                part -= borrow
-        return dist
-
-    def _key_words(self, keys: np.ndarray) -> np.ndarray:
-        """Native words of a 1-D ``S`` array of keys, zero-padded right."""
-        width = self.key_width
-        if width % 8:
-            padded = np.zeros((keys.size, 8 * self._words), dtype=np.uint8)
-            padded[:, :width] = keys.view(np.uint8).reshape(-1, width)
-            keys = padded
-        return keys.view(">u8").astype(np.uint64).reshape(-1, self._words)
-
-    def _no_farther(self, key: bytes, words: np.ndarray, dist: np.ndarray,
-                    rows: slice, partners: slice) -> np.ndarray:
-        """Whether each key of ``rows`` is at most as far from ``key`` as
-        the key at the same place of ``partners`` (rows of ``words`` and of
-        their :meth:`_distances`): the leading words compared, the pairs
-        whose leading words tie settled exactly (:meth:`_exact`)."""
-        near, far = dist[rows], dist[partners]
-        closer = near <= far
-        if self._words > 1:
-            tied = (near == far).nonzero()[0]
-            if tied.size:
-                closer[tied] = (self._exact(key, words[rows][tied])
-                                <= self._exact(key, words[partners][tied]))
-        return closer
-
-    def _exact(self, key: bytes, words: np.ndarray) -> np.ndarray:
-        """|key distance| of rows of key words as an object array of
-        Python integers: the one exact comparison at any key width, for
-        the rare entries whose leading distance words tie."""
-        target = int.from_bytes(key.ljust(8 * self._words, b"\0"), "big")
-        raw, width = words.astype(">u8").tobytes(), 8 * self._words
-        return np.array([abs(int.from_bytes(raw[at:at + width], "big")
-                             - target) for at in range(0, len(raw), width)],
-                        dtype=object)
+    def _boundary_distances(self, above: np.ndarray, below: np.ndarray,
+                            key: bytes) -> tuple[np.ndarray, np.ndarray]:
+        """|key distance| of the leaf-boundary keys ``above`` (``S`` values
+        none of which is below ``key``) and of those ``below`` (none above
+        it), as two arrays ordered as the distances are: doubles for float
+        keys, else the exact distances as big-endian ``S`` strings — every
+        key read into one integer, those above minus copies of ``key``,
+        copies of ``key`` minus those below, which borrows across no key."""
+        upper, lower, cut = above.tobytes(), below.tobytes(), above.size
+        if self._kind == "float":  # the codec's decoding, vectorised
+            bits = np.frombuffer(upper + lower, dtype=">u8").astype(np.uint64)
+            sign = np.uint64(1 << 63)
+            keys = np.where(bits & sign, bits & ~sign, ~bits).view(np.float64)
+            target = self._decode(key)
+            return keys[:cut] - target, target - keys[cut:]
+        dist = (int.from_bytes(upper + key * below.size, "big")
+                - int.from_bytes(key * cut + lower, "big"))
+        dist = np.frombuffer(dist.to_bytes(len(upper) + len(lower), "big"),
+                             dtype=above.dtype)
+        return dist[:cut], dist[cut:]
 
     def _raw_taken(self, key: bytes, split: int,
                    last: int) -> tuple[int, int]:
@@ -351,19 +318,17 @@ class PackedTree:
         stats._last_read_page = leaf
 
     def _count_nearest(self, stats: IOStats, key: bytes, leaf: int,
-                       split: int, forward: int, backward: int,
-                       window: tuple | None) -> None:
+                       split: int, forward: int, backward: int) -> None:
         """Count into ``stats`` the page reads of the node path's nearest
         walk that took ``forward`` / ``backward`` entries (picked or passed
-        over) from each side of ``split``; ``window`` is a plain lookup's
-        (first position, key words, distances), which hold every pick.
+        over) from each side of ``split``.
 
         Each scan descends and may read one sibling first; then the pick
         of a leaf's last entry (forward) or first (backward) reads the next
         leaf, in the merge's order of the picks: by distance, forward first
         on a tie.  Leaf ``l`` is page ``l`` from entry ``l * cap`` on, so
-        those picks are two strided views, and of their reads only a
-        forward one after another is sequential."""
+        those picks are two strided views of the key column, and of their
+        reads only a forward one after another is sequential."""
         n, cap = self.count, self.leaf_capacity
         self._count_descent(stats, leaf)
         if split < n and split == (leaf + 1) * cap:
@@ -380,25 +345,13 @@ class PackedTree:
         picks_f, picks_b = f_hi - f_lo, b_hi - b_lo
         if not picks_f + picks_b:
             return
-        origin = 0 if window is None else window[0]
-        rows_f = slice(f_lo * cap - 1 - origin, f_hi * cap - 1 - origin, cap)
-        rows_b = slice(b_lo * cap - origin, b_hi * cap - origin, cap)
-        if window is None:  # passed-over picks too: their keys, lower first
-            words = self._key_words(np.concatenate((self.key_S[rows_b],
-                                                    self.key_S[rows_f])))
-            dist = self._distances(key, words, picks_b)
-            rows_b, rows_f = slice(0, picks_b), slice(picks_b, None)
-        else:
-            words, dist = window[1:]
         runs, first, last = 1, f_lo, f_hi - 1
         if picks_b:
             # Forward picks merged ahead of each backward one, nearest first.
-            near_f, near_b = dist[rows_f], dist[rows_b][::-1]
-            ahead = near_f.searchsorted(near_b, "right")
-            if self._words > 1 and (near_f.searchsorted(near_b)
-                                    != ahead).any():
-                ahead = self._exact(key, words[rows_f]).searchsorted(
-                    self._exact(key, words[rows_b][::-1]), "right")
+            near_f, near_b = self._boundary_distances(
+                self.key_S[f_lo * cap - 1:f_hi * cap - 1:cap],
+                self.key_S[b_lo * cap:b_hi * cap:cap], key)
+            ahead = near_f.searchsorted(near_b[::-1], "right")
             runs += int(np.count_nonzero(ahead[1:] != ahead[:-1])) \
                 + int(ahead[0] != 0) - int(ahead[-1] == picks_f)
             first = first if ahead[0] else b_hi - 2

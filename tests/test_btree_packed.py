@@ -10,6 +10,9 @@ only meaningful if the array path charges the I/O a node-by-node walk
 would have performed.
 """
 
+import inspect
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -290,7 +293,7 @@ class TestSubsetLookup:
         # once.
         assert got[1][0] == 2 * packed.height + packed.leaf_pages.size - 1
 
-    def test_boundary_entries_tying_on_the_leading_word(self, monkeypatch):
+    def test_boundary_entries_tying_on_the_leading_word(self):
         """Leaf reads are ordered by the distance of the entry whose pick
         triggers them; here a backward one (distance 2**64 + 1) goes
         before a forward one (2**64 + 3) although their leading words
@@ -302,30 +305,79 @@ class TestSubsetLookup:
                 target + 3 * word, target + 3 * word + 9]
         mask = np.zeros(8, dtype=bool)
         mask[[0, 7]] = True
-        settled = []
-        exact = PackedTree._exact
-
-        def recording(self, key, words):
-            settled.append([int.from_bytes(row.astype(">u8").tobytes(), "big")
-                            for row in words])
-            return exact(self, key, words)
-
-        monkeypatch.setattr(PackedTree, "_exact", recording)
         got, want, packed, _ = subset_lookup(16, keys, target, 2, 2, mask)
         assert got == want
         assert got[0] == [0, 7]
         # Leaf 0 is read before leaf 3: the last page read is 3.
         assert got[1][3] == 3
-        # The frontier, then the boundary entries: the last entry of a
-        # leaf going forward (5), the first of one going backward (2).
-        # (Under the sanitizer the lookup runs twice.)
-        assert settled[-4:] == [[keys[7]], [keys[0]], [keys[5]], [keys[2]]]
 
     def test_float_keys_refused(self):
         packed, _ = make_tree(Float64Codec(), [0.5, 1.5, 2.5])
         with pytest.raises(ValueError, match="integer keys"):
             packed.nearest_positions(
                 Float64Codec().encode(1.0), 2, None, np.arange(3))
+
+
+class TestLookupCost:
+    """A lookup at the suite's budget (α = 1024, 16-byte keys, n = 100k):
+    the forward picks are bisected for, so it decodes O(log α) entry
+    keys, not its 2α-entry window, and counting its reads derives no
+    state on the layout."""
+
+    ALPHA, N, WIDTH = 1024, 100_000, 16
+
+    @pytest.fixture(scope="class")
+    def tree(self):
+        rng = np.random.default_rng(62)
+        keys = np.sort(rng.integers(0, 256, size=(self.N, self.WIDTH),
+                                    dtype=np.uint8).view(f"S{self.WIDTH}"),
+                       axis=0).view(np.uint8).reshape(self.N, self.WIDTH)
+        values = np.zeros((self.N, 8), dtype=np.uint8)
+        return PackedTree(UIntCodec(self.WIDTH), keys, values, 63, 100)
+
+    @pytest.mark.parametrize("share", [None, 0.1], ids=["plain", "subset"])
+    def test_a_lookup_reads_logarithmically_many_keys(self, tree, share,
+                                                      monkeypatch):
+        rng = np.random.default_rng(5)
+        subset = None if share is None else np.flatnonzero(
+            rng.random(self.N) < share)
+        decoded = []
+        decode = tree._decode
+
+        def counted(raw):
+            decoded.append(raw)
+            return decode(raw)
+
+        monkeypatch.setattr(tree, "_decode", counted)
+        # The search itself, not the sanitizer's wrapper, which repeats it.
+        search = inspect.unwrap(PackedTree.nearest_positions)
+        bound = 2 * math.ceil(math.log2(self.ALPHA + 1)) + 2
+        probes = [tree.keys_raw[self.N // 2].tobytes(), bytes(self.WIDTH),
+                  b"\xff" * self.WIDTH]
+        probes += [rng.bytes(self.WIDTH) for _ in range(20)]
+        for probe in probes:
+            decoded.clear()
+            got = search(tree, probe, self.ALPHA, IOStats(), subset)
+            assert got.size == self.ALPHA
+            # The query key once, then the picks' keys.
+            assert decoded[0] == probe and len(decoded) - 1 <= bound
+
+    def test_counted_lookups_derive_nothing_per_layout(self, tree):
+        """The leaf-boundary picks that order the counted reads are
+        strided views of the key column, so counting derives no column
+        and caches nothing on the layout: its state after lookups is the
+        state it was built with."""
+        rng = np.random.default_rng(6)
+        subset = np.flatnonzero(rng.random(self.N) < 0.1)
+        search = inspect.unwrap(PackedTree.nearest_positions)
+        before = dict(vars(tree))
+        for _ in range(5):
+            probe = rng.bytes(self.WIDTH)
+            search(tree, probe, self.ALPHA, IOStats())
+            search(tree, probe, self.ALPHA, IOStats(), subset)
+        after = vars(tree)
+        assert after.keys() == before.keys()
+        assert all(after[name] is value for name, value in before.items())
 
 
 @st.composite

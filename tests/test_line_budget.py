@@ -178,10 +178,17 @@ and its (n, m) float64 distance matrix.
 13593 -> 13591: the one-query filter aliases ``triangular_lower_bounds``
 / ``ptolemaic_lower_bounds`` went, and ``pack_arrays`` returns its
 buffers instead of joining copies of them.
+13591 -> 13544: a tree lookup bisects for its forward picks, so the
+leading-word distance kernel over the 2α-key window went
+(``PackedTree._distances`` with its borrow loop, ``_key_words``,
+``_no_farther``, the tie helper ``_exact`` and ``_words``); the counted
+reads take their boundary keys' exact distances in one integer
+subtraction.
 
 ``DOC_BUDGETS`` ratchets the two design documents the same way, from
 the counts they were left at when they were rewritten to state the
-current design once (``docs/ARCHITECTURE.md`` 1449 -> 1080,
+current design once (``docs/ARCHITECTURE.md`` 1449 -> 1080, then 1075
+when the tree lookup's paragraph described the bisection,
 ``docs/MIGRATION.md`` 1080 -> 222): a change that shrinks one lowers
 its budget, and a raise names what pays for it.
 """
@@ -190,8 +197,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCE = ROOT / "src" / "repro"
-LINE_BUDGET = 13591
-DOC_BUDGETS = {"docs/ARCHITECTURE.md": 1080, "docs/MIGRATION.md": 222}
+LINE_BUDGET = 13544
+DOC_BUDGETS = {"docs/ARCHITECTURE.md": 1075, "docs/MIGRATION.md": 222}
 
 
 def test_source_lines_within_budget():
